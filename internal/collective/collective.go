@@ -932,7 +932,9 @@ func (c *Comm) Barrier() error {
 
 // AllToAllBytes sends parts[j] to PE j and returns the parts received,
 // indexed by source. Direct delivery with an offset schedule:
-// O(beta*k + alpha*p), matching Section 2's Tall-to-all.
+// O(beta*k + alpha*p), matching Section 2's Tall-to-all. Ownership
+// follows Endpoint.Send: the caller gives up every part it passes in
+// and owns every part returned (its own part comes back as it went in).
 func (c *Comm) AllToAllBytes(parts [][]byte) ([][]byte, error) {
 	sp := c.span(obs.KindCollective, "alltoall")
 	defer sp.End()

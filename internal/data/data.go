@@ -4,7 +4,10 @@
 // elements (Section 2).
 package data
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Pair is a (key, value) record, the unit of all aggregation operations.
 type Pair struct {
@@ -35,24 +38,70 @@ func CloneU64s(xs []uint64) []uint64 {
 }
 
 // IsSortedU64 reports whether xs is non-decreasing.
-func IsSortedU64(xs []uint64) bool {
-	return sort.SliceIsSorted(xs, func(i, j int) bool { return xs[i] < xs[j] })
-}
+func IsSortedU64(xs []uint64) bool { return slices.IsSorted(xs) }
 
 // SortU64 sorts xs in place in non-decreasing order.
-func SortU64(xs []uint64) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-}
+func SortU64(xs []uint64) { slices.Sort(xs) }
 
 // SortPairsByKey sorts ps in place by key (ties by value, for
 // determinism).
 func SortPairsByKey(ps []Pair) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Key != ps[j].Key {
-			return ps[i].Key < ps[j].Key
+	slices.SortFunc(ps, func(a, b Pair) int {
+		if c := cmp.Compare(a.Key, b.Key); c != 0 {
+			return c
 		}
-		return ps[i].Value < ps[j].Value
+		return cmp.Compare(a.Value, b.Value)
 	})
+}
+
+// RadixSortPairsByKey writes the pairs of src to dst in non-decreasing
+// key order with a least-significant-byte-first radix sort: one pass
+// over src histograms all eight key bytes, and only the bytes that
+// differ between keys cost a scatter pass. The sort is stable — pairs
+// with equal keys keep their order in src — so on distinct keys it
+// agrees with SortPairsByKey. dst and tmp must have the length of src
+// and none of the three may overlap; src is only read, tmp is scratch.
+func RadixSortPairsByKey(dst, src, tmp []Pair) {
+	if len(src) == 0 {
+		return
+	}
+	var hist [8][256]int
+	for _, p := range src {
+		for b := range hist {
+			hist[b][byte(p.Key>>(8*b))]++
+		}
+	}
+	var varying [8]int
+	passes := varying[:0]
+	for b := range hist {
+		if hist[b][byte(src[0].Key>>(8*b))] != len(src) {
+			passes = append(passes, b)
+		}
+	}
+	if len(passes) == 0 {
+		copy(dst, src)
+		return
+	}
+	// The passes alternate between dst and tmp so that the last lands
+	// in dst.
+	from, to, other := src, dst, tmp
+	if len(passes)%2 == 0 {
+		to, other = tmp, dst
+	}
+	for _, b := range passes {
+		offs := &hist[b]
+		sum := 0
+		for i, n := range offs {
+			offs[i] = sum
+			sum += n
+		}
+		for _, p := range from {
+			c := byte(p.Key >> (8 * b))
+			to[offs[c]] = p
+			offs[c]++
+		}
+		from, to, other = to, other, to
+	}
 }
 
 // PairsToMapSum folds ps into a key -> sum-of-values map using wrapping
@@ -98,11 +147,4 @@ func SplitEven(n, p, i int) (start, end int) {
 		end++
 	}
 	return start, end
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

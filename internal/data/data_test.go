@@ -1,6 +1,10 @@
 package data
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -83,5 +87,74 @@ func TestKeysSorted(t *testing.T) {
 	ks := Keys(map[uint64]uint64{3: 0, 1: 0, 2: 0})
 	if len(ks) != 3 || ks[0] != 1 || ks[1] != 2 || ks[2] != 3 {
 		t.Fatalf("Keys not sorted: %v", ks)
+	}
+}
+
+// TestSortsMatchSortSlice holds the slices-based sorts to the order of
+// the reflection-based sort.Slice calls they replaced, ties included.
+func TestSortsMatchSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 2, 13, 1000} {
+		xs := make([]uint64, n)
+		ps := make([]Pair, n)
+		for i := range xs {
+			xs[i] = uint64(rng.Intn(50))
+			ps[i] = Pair{Key: uint64(rng.Intn(20)), Value: uint64(rng.Intn(5))}
+		}
+		wantX, wantP := slices.Clone(xs), slices.Clone(ps)
+		sort.Slice(wantX, func(i, j int) bool { return wantX[i] < wantX[j] })
+		sort.Slice(wantP, func(i, j int) bool {
+			if wantP[i].Key != wantP[j].Key {
+				return wantP[i].Key < wantP[j].Key
+			}
+			return wantP[i].Value < wantP[j].Value
+		})
+		SortU64(xs)
+		SortPairsByKey(ps)
+		if !slices.Equal(xs, wantX) || !IsSortedU64(xs) {
+			t.Fatalf("n=%d: SortU64 = %v, want %v", n, xs, wantX)
+		}
+		if !slices.Equal(ps, wantP) {
+			t.Fatalf("n=%d: SortPairsByKey = %v, want %v", n, ps, wantP)
+		}
+	}
+}
+
+// TestRadixSortPairsByKey checks the radix sort against a stable
+// comparison sort by key on inputs that exercise every pass count:
+// keys that differ in no byte, one byte, an even and an odd number of
+// bytes, the extreme keys, and duplicates (stability).
+func TestRadixSortPairsByKey(t *testing.T) {
+	const maxU64 = ^uint64(0)
+	rng := rand.New(rand.NewSource(2))
+	gens := map[string]func(i int) uint64{
+		"constant":    func(int) uint64 { return 0xabcdef0123456789 },
+		"one-byte":    func(int) uint64 { return 0x1100 | uint64(rng.Intn(256)) },
+		"two-bytes":   func(int) uint64 { return uint64(rng.Intn(1 << 16)) },
+		"three-bytes": func(int) uint64 { return uint64(rng.Intn(1 << 24)) },
+		"high-byte":   func(int) uint64 { return uint64(rng.Intn(256)) << 56 },
+		"split-bytes": func(int) uint64 { return uint64(rng.Intn(256))<<40 | uint64(rng.Intn(256))<<8 },
+		"full":        func(int) uint64 { return rng.Uint64() },
+		"extremes":    func(i int) uint64 { return []uint64{0, maxU64, 1, maxU64 - 1}[i%4] },
+		"duplicates":  func(int) uint64 { return uint64(rng.Intn(7)) },
+	}
+	for name, gen := range gens {
+		for _, n := range []int{0, 1, 2, 3, 257, 5000} {
+			src := make([]Pair, n)
+			for i := range src {
+				src[i] = Pair{Key: gen(i), Value: uint64(i)}
+			}
+			want := slices.Clone(src)
+			slices.SortStableFunc(want, func(a, b Pair) int { return cmp.Compare(a.Key, b.Key) })
+			orig := slices.Clone(src)
+			dst, tmp := make([]Pair, n), make([]Pair, n)
+			RadixSortPairsByKey(dst, src, tmp)
+			if !slices.Equal(dst, want) {
+				t.Fatalf("%s n=%d: radix order differs from the stable sort by key", name, n)
+			}
+			if !slices.Equal(src, orig) {
+				t.Fatalf("%s n=%d: src was modified", name, n)
+			}
+		}
 	}
 }

@@ -1,7 +1,8 @@
 package ops
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/dist"
@@ -37,19 +38,24 @@ func optByKey(w *dist.Worker, pt Partitioner, local []data.Pair, wantMin bool) (
 		}
 		return a > b
 	}
-	// Local optimum per key.
-	localOpt := make(map[uint64]uint64)
-	for _, pr := range local {
-		if v, ok := localOpt[pr.Key]; !ok || better(pr.Value, v) {
-			localOpt[pr.Key] = pr.Value
-		}
+	// Local optimum per key: a combine under min or max.
+	tbl := getKernel()
+	defer tbl.release()
+	if err := tbl.reset(len(local)); err != nil {
+		return MinMaxResult{}, err
 	}
+	tbl.fold(local, func(a, b uint64) uint64 {
+		if better(b, a) {
+			return b
+		}
+		return a
+	})
 	// Route (key, localOpt, myRank) candidates to the partition PE.
 	p := w.Size()
 	parts := make([][]uint64, p)
-	for k, v := range localOpt {
-		dst := pt.PE(k)
-		parts[dst] = append(parts[dst], k, v, uint64(w.Rank()))
+	for _, pr := range tbl.pairs {
+		dst := pt.PE(pr.Key)
+		parts[dst] = append(parts[dst], pr.Key, pr.Value, uint64(w.Rank()))
 	}
 	got, err := w.Coll.AllToAll(parts)
 	if err != nil {
@@ -128,7 +134,9 @@ func MedianByKey(w *dist.Worker, pt Partitioner, local []data.Pair) (MedianResul
 	}
 	var res MedianResult
 	for _, ws := range all {
-		res.Medians2 = append(res.Medians2, decodePairs(ws)...)
+		for i := 0; i+1 < len(ws); i += 2 {
+			res.Medians2 = append(res.Medians2, data.Pair{Key: ws[i], Value: ws[i+1]})
+		}
 	}
 	data.SortPairsByKey(res.Medians2)
 	return res, nil
@@ -172,6 +180,6 @@ func AverageByKey(w *dist.Worker, pt Partitioner, local []data.Pair) ([]data.Tri
 	for k, c := range final {
 		out = append(out, data.Triple{Key: k, Value: c.sum, Count: c.count})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out, func(a, b data.Triple) int { return cmp.Compare(a.Key, b.Key) })
 	return out, nil
 }

@@ -9,4 +9,10 @@
 // output. Operations are deliberately independent of the checkers — the
 // checkers treat them as black boxes (invasive checkers observe only the
 // declared redistribution interfaces).
+//
+// The key-partitioned operations (ReduceByKey, GroupByKey, Join,
+// RedistributeByKey) share one data plane, the pooled kernel of
+// kernel.go: an open-addressing combine table, a byte-native
+// partition/exchange that computes each key's PE once, and buffers
+// that circulate between sender, transport and receiver.
 package ops

@@ -1,7 +1,8 @@
 package ops
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/dist"
@@ -38,14 +39,8 @@ func Join(w *dist.Worker, pt Partitioner, left, right []data.Pair) ([]JoinRow, e
 			out = append(out, JoinRow{Key: p.Key, Left: lv, Right: p.Value})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Key != out[j].Key {
-			return out[i].Key < out[j].Key
-		}
-		if out[i].Left != out[j].Left {
-			return out[i].Left < out[j].Left
-		}
-		return out[i].Right < out[j].Right
+	slices.SortFunc(out, func(a, b JoinRow) int {
+		return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Left, b.Left), cmp.Compare(a.Right, b.Right))
 	})
 	return out, nil
 }

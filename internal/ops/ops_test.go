@@ -21,6 +21,24 @@ func shardPairs(ps []data.Pair, p, r int) []data.Pair {
 
 var testSizes = []int{1, 2, 3, 4, 7, 8}
 
+// encodePairs flattens pairs for transport: key, value per pair.
+func encodePairs(ps []data.Pair) []uint64 {
+	out := make([]uint64, 0, 2*len(ps))
+	for _, p := range ps {
+		out = append(out, p.Key, p.Value)
+	}
+	return out
+}
+
+// decodePairs parses a flat pair payload.
+func decodePairs(ws []uint64) []data.Pair {
+	out := make([]data.Pair, 0, len(ws)/2)
+	for i := 0; i+1 < len(ws); i += 2 {
+		out = append(out, data.Pair{Key: ws[i], Value: ws[i+1]})
+	}
+	return out
+}
+
 func TestReduceByKeyMatchesSequential(t *testing.T) {
 	global := workload.ZipfPairs(5000, 200, 1000, 1)
 	want := data.PairsToMapSum(global)

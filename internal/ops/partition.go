@@ -1,10 +1,6 @@
 package ops
 
-import (
-	"repro/internal/data"
-	"repro/internal/dist"
-	"repro/internal/hashing"
-)
+import "repro/internal/hashing"
 
 // Partitioner assigns keys to PEs by hash, the redistribution rule of
 // reductions, GroupBy and hash Join. The GroupBy/Join redistribution
@@ -29,47 +25,4 @@ func (pt Partitioner) PE(key uint64) int {
 // the global order the redistribution phase of GroupBy/Join induces.
 func (pt Partitioner) KeyOrder(key uint64) (pe int, h uint64) {
 	return pt.PE(key), key
-}
-
-// encodePairs flattens pairs for transport: key, value per pair.
-func encodePairs(ps []data.Pair) []uint64 {
-	out := make([]uint64, 0, 2*len(ps))
-	for _, p := range ps {
-		out = append(out, p.Key, p.Value)
-	}
-	return out
-}
-
-// decodePairs parses a flat pair payload.
-func decodePairs(ws []uint64) []data.Pair {
-	out := make([]data.Pair, 0, len(ws)/2)
-	for i := 0; i+1 < len(ws); i += 2 {
-		out = append(out, data.Pair{Key: ws[i], Value: ws[i+1]})
-	}
-	return out
-}
-
-// exchangePairsByKey routes each pair to its partition PE with one
-// all-to-all and returns the pairs received, concatenated in source
-// order.
-func exchangePairsByKey(w *dist.Worker, pt Partitioner, ps []data.Pair) ([]data.Pair, error) {
-	p := w.Size()
-	parts := make([][]data.Pair, p)
-	for _, pr := range ps {
-		dst := pt.PE(pr.Key)
-		parts[dst] = append(parts[dst], pr)
-	}
-	enc := make([][]uint64, p)
-	for i, part := range parts {
-		enc[i] = encodePairs(part)
-	}
-	got, err := w.Coll.AllToAll(enc)
-	if err != nil {
-		return nil, err
-	}
-	var out []data.Pair
-	for _, ws := range got {
-		out = append(out, decodePairs(ws)...)
-	}
-	return out, nil
 }

@@ -1,7 +1,8 @@
 package ops
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/dist"
@@ -21,32 +22,32 @@ func XorFn(a, b uint64) uint64 { return a ^ b }
 // fn, as in Section 2 "Reduction": local hash-table combine, hash
 // partition all-to-all, final local combine. The result is hash
 // partitioned over the PEs; each PE returns its share sorted by key.
+//
+// The received payloads are folded into the table as they are, and the
+// distinct keys are radix sorted into the returned slice — the one
+// allocation of a warmed call.
 func ReduceByKey(w *dist.Worker, pt Partitioner, local []data.Pair, fn ReduceFn) ([]data.Pair, error) {
-	combined := combineLocal(local, fn)
-	received, err := exchangePairsByKey(w, pt, combined)
+	k := getKernel()
+	defer k.release()
+	if err := k.reset(len(local)); err != nil {
+		return nil, err
+	}
+	k.fold(local, fn)
+	got, n, err := k.exchange(w, pt, k.pairs)
 	if err != nil {
 		return nil, err
 	}
-	out := combineLocal(received, fn)
-	data.SortPairsByKey(out)
+	if err := k.reset(n); err != nil {
+		return nil, err
+	}
+	for _, b := range got {
+		k.foldPayload(b, fn)
+	}
+	k.recycle(got)
+	out := make([]data.Pair, len(k.pairs))
+	k.tmp = grow(k.tmp, len(out))
+	data.RadixSortPairsByKey(out, k.pairs, k.tmp)
 	return out, nil
-}
-
-// combineLocal folds pairs with equal keys using fn.
-func combineLocal(ps []data.Pair, fn ReduceFn) []data.Pair {
-	m := make(map[uint64]uint64, len(ps))
-	for _, p := range ps {
-		if v, ok := m[p.Key]; ok {
-			m[p.Key] = fn(v, p.Value)
-		} else {
-			m[p.Key] = p.Value
-		}
-	}
-	out := make([]data.Pair, 0, len(m))
-	for k, v := range m {
-		out = append(out, data.Pair{Key: k, Value: v})
-	}
-	return out
 }
 
 // Group is one key with all of its values collected.
@@ -73,6 +74,6 @@ func GroupByKey(w *dist.Worker, pt Partitioner, local []data.Pair) ([]Group, err
 		data.SortU64(vs)
 		out = append(out, Group{Key: k, Values: vs})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out, func(a, b Group) int { return cmp.Compare(a.Key, b.Key) })
 	return out, nil
 }

@@ -171,3 +171,52 @@ func wordName(rank uint64) string {
 	}
 	return string(buf)
 }
+
+// PairShares is a named distributed pair input: Shares[r] is PE r's
+// local share.
+type PairShares struct {
+	Name   string
+	Shares [][]data.Pair
+}
+
+// EdgePairShares returns the degenerate and skewed pair inputs the
+// one-sidedness and differential gates run over, laid out for p PEs:
+// no input anywhere, input on every other PE only, one key, one pair
+// repeated, the extreme keys 0 and MaxUint64 side by side, values of
+// MaxUint64 on distinct keys, the same on repeated keys (so sums wrap
+// around 2^64), Zipf skew, and a single pair. Only "wraparound" has a
+// key whose values sum past 2^64.
+func EdgePairShares(p int, seed uint64) []PairShares {
+	const maxU64 = ^uint64(0)
+	rng := hashing.NewMT19937_64(seed)
+	fill := func(n int, gen func(r, i int) data.Pair) [][]data.Pair {
+		shares := make([][]data.Pair, p)
+		for r := range shares {
+			shares[r] = make([]data.Pair, n)
+			for i := range shares[r] {
+				shares[r][i] = gen(r, i)
+			}
+		}
+		return shares
+	}
+	zipf := NewZipf(100, rng)
+	zipfPair := func(r, i int) data.Pair { return data.Pair{Key: zipf.Sample(), Value: rng.Uint64n(1000)} }
+	someEmpty := fill(200, zipfPair)
+	for r := 1; r < p; r += 2 {
+		someEmpty[r] = nil
+	}
+	extremes := []uint64{0, maxU64, 1, maxU64 - 1}
+	onePair := make([][]data.Pair, p)
+	onePair[p-1] = []data.Pair{{Key: rng.Uint64(), Value: rng.Uint64()}}
+	return []PairShares{
+		{"all-empty", make([][]data.Pair, p)},
+		{"some-empty", someEmpty},
+		{"single-key", fill(50, func(r, i int) data.Pair { return data.Pair{Key: 7, Value: rng.Uint64n(1 << 32)} })},
+		{"all-duplicate", fill(64, func(r, i int) data.Pair { return data.Pair{Key: 5, Value: 9} })},
+		{"extreme-keys", fill(40, func(r, i int) data.Pair { return data.Pair{Key: extremes[(r+i)%4], Value: rng.Uint64n(1 << 32)} })},
+		{"max-values", fill(30, func(r, i int) data.Pair { return data.Pair{Key: uint64(1000*r + i), Value: maxU64} })},
+		{"wraparound", fill(60, func(r, i int) data.Pair { return data.Pair{Key: uint64(i % 6), Value: maxU64} })},
+		{"zipf", fill(150, zipfPair)},
+		{"one-pair", onePair},
+	}
+}

@@ -2,7 +2,9 @@ package repro_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -565,6 +567,72 @@ func TestParallelismEquivalence(t *testing.T) {
 	for _, v := range refVerdicts {
 		if v != repro.VerdictPass {
 			t.Fatalf("clean pipeline verdicts %v, want all pass", refVerdicts)
+		}
+	}
+}
+
+// TestReduceByKeyEdgeShapesOneSided is the one-sidedness gate for the
+// reduce data plane: an eagerly checked ReduceByKey over the edge
+// shapes, on every PE count and over mem and tcp, is never rejected,
+// returns the sequential sums, and pays the same checker bytes on
+// every shape — the checker's volume depends on its configuration and
+// p, never on the data. The "wraparound" shape is left out: the sum
+// checker verifies sums over the integers, so it rejects a SumFn
+// result that wrapped around 2^64 however it was computed.
+func TestReduceByKeyEdgeShapesOneSided(t *testing.T) {
+	opts := repro.DefaultOptions()
+	opts.Mode = repro.CheckEager
+	// The bottleneck PE's checker bytes under the default options, as
+	// measured before the reduce data plane was rewritten.
+	wantMaxBytes := map[int]int64{1: 0, 2: 1544, 3: 1544, 5: 1552, 8: 1560}
+	for _, transport := range []repro.Transport{repro.TransportMem, repro.TransportTCP} {
+		for _, p := range []int{1, 2, 3, 5, 8} {
+			shapes := slices.DeleteFunc(workload.EdgePairShares(p, uint64(200+p)), func(s workload.PairShares) bool {
+				return s.Name == "wraparound"
+			})
+			// bytes[shape][rank], outs[shape][rank]; each rank writes its own column.
+			bytes := make([][]int64, len(shapes))
+			outs := make([][][]repro.Pair, len(shapes))
+			for s := range shapes {
+				bytes[s], outs[s] = make([]int64, p), make([][]repro.Pair, p)
+			}
+			err := repro.RunConfig(repro.Config{Transport: transport}, p, 9, func(w *repro.Worker) error {
+				for s, shape := range shapes {
+					ctx, err := repro.NewContext(w, opts)
+					if err != nil {
+						return err
+					}
+					out, err := ctx.Pairs(shape.Shares[w.Rank()]).ReduceByKey(repro.SumFn).Collect()
+					if err != nil {
+						return fmt.Errorf("%s: %w", shape.Name, err)
+					}
+					if err := ctx.Verify(); err != nil {
+						return fmt.Errorf("%s: %w", shape.Name, err)
+					}
+					outs[s][w.Rank()], bytes[s][w.Rank()] = out, ctx.TotalCheckerBytes()
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s p=%d: clean run rejected or failed: %v", transport, p, err)
+			}
+			if got := slices.Max(bytes[0]); got != wantMaxBytes[p] {
+				t.Errorf("%s p=%d: bottleneck checker bytes = %d, want %d", transport, p, got, wantMaxBytes[p])
+			}
+			for s, shape := range shapes {
+				if !reflect.DeepEqual(bytes[s], bytes[0]) {
+					t.Errorf("%s p=%d %s: checker bytes per PE %v differ from %s's %v", transport, p, shape.Name, bytes[s], shapes[0].Name, bytes[0])
+				}
+				var all, got []repro.Pair
+				for r := range shape.Shares {
+					all = append(all, shape.Shares[r]...)
+					got = append(got, outs[s][r]...)
+				}
+				data.SortPairsByKey(got)
+				if want := data.MapToPairs(data.PairsToMapSum(all)); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+					t.Errorf("%s p=%d %s: reduced to %v, want %v", transport, p, shape.Name, got, want)
+				}
+			}
 		}
 	}
 }
