@@ -22,16 +22,19 @@ const (
 	n   = 400000
 )
 
-// buggySort does everything ops.Sort does except the final local merge:
-// each PE returns the runs it received concatenated, not merged — the
-// classic "works on my single-node test" bug.
+// buggySort is a sample sort without its last step, ordering what a PE
+// receives. ops.Sort exchanges unsorted elements and orders them with
+// one local sort afterwards; this one sorts before the exchange, so
+// what arrives is one sorted run per peer, and it returns the runs
+// concatenated, never merged into one order — the classic "works on my
+// single-node test" bug.
 func buggySort(w *dist.Worker, local []uint64) ([]uint64, error) {
 	mine := data.CloneU64s(local)
 	data.SortU64(mine)
 	if w.Size() == 1 {
 		return mine, nil // single PE hides the bug
 	}
-	// Sample splitters exactly like the real sort would.
+	// Splitters from 16 sample values per PE, as many as ops.Sort takes.
 	sample := make([]uint64, 0, 16)
 	for i := 0; i < 16 && len(mine) > 0; i++ {
 		sample = append(sample, mine[i*len(mine)/16])

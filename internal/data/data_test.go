@@ -158,3 +158,52 @@ func TestRadixSortPairsByKey(t *testing.T) {
 		}
 	}
 }
+
+// TestRadixSortU64 checks the word radix sort against slices.Sort on
+// inputs that exercise every pass count and both parities of it — no
+// byte varies, only the low or only the top byte, 0 and MaxUint64
+// together — on ordered and reversed input, and on random lengths.
+func TestRadixSortU64(t *testing.T) {
+	const maxU64 = ^uint64(0)
+	rng := rand.New(rand.NewSource(3))
+	check := func(name string, src []uint64) {
+		t.Helper()
+		want := slices.Clone(src)
+		slices.Sort(want)
+		orig := slices.Clone(src)
+		dst, tmp := make([]uint64, len(src)), make([]uint64, len(src))
+		RadixSortU64(dst, src, tmp)
+		if !slices.Equal(dst, want) {
+			t.Fatalf("%s n=%d: radix order differs from slices.Sort", name, len(src))
+		}
+		if !slices.Equal(src, orig) {
+			t.Fatalf("%s n=%d: src was modified", name, len(src))
+		}
+	}
+	gens := map[string]func(i int) uint64{
+		"constant":  func(int) uint64 { return 0xabcdef0123456789 },
+		"low-byte":  func(int) uint64 { return 0xabcdef0123456700 | uint64(rng.Intn(256)) },
+		"top-byte":  func(int) uint64 { return uint64(rng.Intn(256))<<56 | 0x123456 },
+		"two-bytes": func(int) uint64 { return uint64(rng.Intn(256))<<40 | uint64(rng.Intn(256))<<8 },
+		"full":      func(int) uint64 { return rng.Uint64() },
+		"extremes":  func(i int) uint64 { return []uint64{maxU64, 0, maxU64 - 1, 1}[i%4] },
+		"sorted":    func(i int) uint64 { return uint64(i) * 0x0101010101 },
+		"reversed":  func(i int) uint64 { return maxU64 - uint64(i)*0x0101010101 },
+	}
+	for name, gen := range gens {
+		for _, n := range []int{0, 1, 2, 3, 257, 5000} {
+			src := make([]uint64, n)
+			for i := range src {
+				src[i] = gen(i)
+			}
+			check(name, src)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		src := make([]uint64, 1+rng.Intn(1000))
+		for j := range src {
+			src[j] = rng.Uint64() >> uint(rng.Intn(64))
+		}
+		check("random", src)
+	}
+}

@@ -20,6 +20,23 @@ func reduceOnce(t *testing.T, w *dist.Worker, pairs []data.Pair) {
 	}
 }
 
+func sortOnce(t *testing.T, w *dist.Worker, xs []uint64) {
+	if _, err := Sort(w, xs); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// bytesPerCall returns what one call of f allocates, averaged over runs.
+func bytesPerCall(runs int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 // TestReduceByKeyWarmAllocs pins what a warmed ReduceByKey allocates:
 // the result slice and the all-to-all's slice of received parts. The
 // table, the partition bookkeeping and the payload buffers come from
@@ -42,17 +59,43 @@ func TestSmallReduceAfterBigStaysSmall(t *testing.T) {
 	reduceOnce(t, w, workload.ZipfPairs(125_000, 1_000_000, 1000, 4))
 	small := workload.ZipfPairs(2000, 1_000_000, 1000, 5)
 	reduceOnce(t, w, small)
-	const runs = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		reduceOnce(t, w, small)
-	}
-	runtime.ReadMemStats(&after)
-	perCall := (after.TotalAlloc - before.TotalAlloc) / runs
+	perCall := bytesPerCall(20, func() { reduceOnce(t, w, small) })
 	// The result is at most 16 bytes per input pair; twice that leaves
 	// room for the runtime's own bookkeeping.
 	if limit := uint64(32 * len(small)); perCall > limit {
 		t.Errorf("2000-pair ReduceByKey after a 125k-pair one allocates %d bytes per call, want at most %d", perCall, limit)
+	}
+}
+
+// TestSortWarmAllocs pins what a warmed Sort allocates: the result
+// slice and the all-to-all's slice of received parts. The partition
+// bookkeeping, the payload buffers, the decoded words and the radix
+// scratch come from the kernel pool.
+func TestSortWarmAllocs(t *testing.T) {
+	w := soloWorker(t)
+	xs := workload.UniformU64s(100_000, ^uint64(0), 6)
+	sortOnce(t, w, xs)
+	if n := testing.AllocsPerRun(10, func() { sortOnce(t, w, xs) }); n > 2 {
+		t.Errorf("warmed Sort of 100k values allocates %.0f objects per call, want at most 2", n)
+	}
+	// The result is 8 bytes per value; a tenth more leaves room for the
+	// size class it is rounded up to.
+	if got, limit := bytesPerCall(10, func() { sortOnce(t, w, xs) }), uint64(8*len(xs)*11/10); got > limit {
+		t.Errorf("warmed Sort of 100k values allocates %d bytes per call, want at most %d", got, limit)
+	}
+}
+
+// TestSmallSortAfterBigStaysSmall is the same trap for the sequence
+// plane: a 2000-value Sort that inherits the scratch of a 125k-value
+// one must allocate in proportion to its own input.
+func TestSmallSortAfterBigStaysSmall(t *testing.T) {
+	w := soloWorker(t)
+	sortOnce(t, w, workload.UniformU64s(125_000, ^uint64(0), 7))
+	small := workload.UniformU64s(2000, ^uint64(0), 8)
+	sortOnce(t, w, small)
+	// The result is 8 bytes per value; twice that leaves room for the
+	// runtime's own bookkeeping.
+	if got, limit := bytesPerCall(20, func() { sortOnce(t, w, small) }), uint64(16*len(small)); got > limit {
+		t.Errorf("2000-value Sort after a 125k-value one allocates %d bytes per call, want at most %d", got, limit)
 	}
 }

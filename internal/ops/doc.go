@@ -10,9 +10,14 @@
 // checkers treat them as black boxes (invasive checkers observe only the
 // declared redistribution interfaces).
 //
-// The key-partitioned operations (ReduceByKey, GroupByKey, Join,
-// RedistributeByKey) share one data plane, the pooled kernel of
-// kernel.go: an open-addressing combine table, a byte-native
-// partition/exchange that computes each key's PE once, and buffers
-// that circulate between sender, transport and receiver.
+// All operations share one data plane, the pooled kernel of kernel.go:
+// a byte-native partition/exchange that computes each element's PE
+// once and writes it onto the wire once, and buffers that circulate
+// between sender, transport and receiver. On it the key-partitioned
+// operations (ReduceByKey, GroupByKey, Join, RedistributeByKey) put an
+// open-addressing combine table and a radix sort of the result by key;
+// the sequence operations put a sample sort that sorts each element
+// once, where it ends up (Sort, Merge: classify against sampled
+// splitters, exchange, radix sort), or contiguous index ranges decoded
+// in source order (Union, Zip).
 package ops

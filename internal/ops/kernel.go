@@ -15,20 +15,28 @@ import (
 	"repro/internal/hashing"
 )
 
-// pairBytes is the wire size of one pair: key then value, little-endian.
-const pairBytes = 16
+// Wire sizes: a pair is key then value, a sequence element one word,
+// all little-endian.
+const (
+	pairBytes = 16
+	wordBytes = 8
+)
 
-// ErrBadPairPayload reports a received pair payload whose length is not
-// a whole number of pairs. The bytes are a peer's, so they are rejected,
-// never truncated.
-var ErrBadPairPayload = errors.New("pair payload length is not a multiple of 16 bytes")
+// ErrBadPairPayload and ErrBadSeqPayload report a received payload
+// whose length is not a whole number of pairs or of words. The bytes
+// are a peer's, so they are rejected, never truncated.
+var (
+	ErrBadPairPayload = errors.New("pair payload length is not a multiple of 16 bytes")
+	ErrBadSeqPayload  = errors.New("sequence payload length is not a multiple of 8 bytes")
+)
 
-// kernel is the scratch of one key-partitioned operation call: the
-// combine table, the partition bookkeeping and the payload buffers of
-// the all-to-all. Kernels are recycled through kernelPool, so a warmed
-// call allocates nothing here; every slice is resliced to the size of
-// the call at hand, so a small call after a big one costs what a small
-// call costs.
+// kernel is the scratch of one operation call: the combine table of
+// the key-partitioned operations, the sort scratch of the sequence
+// operations, and the partition bookkeeping and payload buffers of the
+// all-to-all they share. Kernels are recycled through kernelPool, so a
+// warmed call allocates nothing here; every slice is resliced to the
+// size of the call at hand, so a small call after a big one costs what
+// a small call costs.
 type kernel struct {
 	// slots is the open-addressing index over pairs, linear probing on
 	// a power-of-two table: 0 marks an empty slot, s > 0 refers to
@@ -40,9 +48,13 @@ type kernel struct {
 	pairs []data.Pair
 	// tmp is the ping-pong buffer of the output radix sort.
 	tmp []data.Pair
-	// dest[i] is the partition PE of the i-th pair being exchanged.
+	// words holds the decoded elements a sequence operation received,
+	// wtmp is the ping-pong buffer of their radix sort.
+	words, wtmp []uint64
+	// dest[i] is the destination PE of the i-th element being exchanged.
 	dest []int32
-	// offs[d] is the write offset into parts[d].
+	// offs[d] counts the elements for PE d while an exchange is being
+	// sized, and is the write offset into parts[d] while it is filled.
 	offs  []int
 	parts [][]byte
 	// bufs are payload buffers kept from earlier receives. A buffer
@@ -126,47 +138,110 @@ func appendPairs(dst []data.Pair, b []byte) []data.Pair {
 	return dst
 }
 
-// checkPayload rejects a payload from PE src that is not whole pairs.
-func checkPayload(src int, b []byte) error {
-	if len(b)%pairBytes != 0 {
-		return fmt.Errorf("ops: %d bytes from PE %d: %w", len(b), src, ErrBadPairPayload)
+// appendWords decodes a payload of whole words onto dst.
+func appendWords(dst []uint64, b []byte) []uint64 {
+	for ; len(b) >= wordBytes; b = b[wordBytes:] {
+		dst = append(dst, binary.LittleEndian.Uint64(b))
+	}
+	return dst
+}
+
+// putWords encodes xs at the front of b, which must have room.
+func putWords(b []byte, xs []uint64) {
+	for i, x := range xs {
+		binary.LittleEndian.PutUint64(b[i*wordBytes:], x)
+	}
+}
+
+// checkPayload rejects a payload from PE src that is not whole
+// elements of unit bytes, with the sentinel bad of its kind.
+func checkPayload(src int, b []byte, unit int, bad error) error {
+	if len(b)%unit != 0 {
+		return fmt.Errorf("ops: %d bytes from PE %d: %w", len(b), src, bad)
 	}
 	return nil
 }
 
-// exchange routes each pair of ps to its partition PE with one
-// all-to-all and returns the payloads received, indexed by source and
-// checked to be whole pairs, with the number of pairs in them. One pass computes every pair's PE and
-// counts the destinations; a second writes the pairs straight into
-// exact-size payloads, which the transport owns once sent. The caller
-// hands the received payloads back through recycle when it has read
-// them.
-func (k *kernel) exchange(w *dist.Worker, pt Partitioner, ps []data.Pair) (got [][]byte, pairs int, err error) {
-	p := w.Size()
-	k.dest = grow(k.dest, len(ps))
-	k.offs = grow(k.offs, p)
+// An exchange is four steps on the kernel: stage, fill parts — either
+// part by part, or by counting elements per destination into offs,
+// open, and writing each element at its destination's offset — then
+// swap, and recycle once the received payloads have been read.
+
+// stage sizes the partition bookkeeping for p destinations and zeroes
+// the per-destination counts.
+func (k *kernel) stage(p int) {
+	// Both passes of an exchange bump offs once per element, so it is
+	// given at least two cache lines, which the allocator aligns: on a
+	// line shared with another PE's kernel the counts would bounce
+	// between cores.
+	k.offs = grow(k.offs, max(p, 16))[:p]
+	clear(k.offs)
 	k.parts = grow(k.parts, p)
 	if len(k.bufs) < p {
 		k.bufs = append(k.bufs, make([][]byte, p-len(k.bufs))...)
 	}
-	clear(k.offs)
+}
+
+// part makes the payload for PE d an exact-size buffer of size bytes,
+// one of the buffers in circulation if it fits, and returns it.
+func (k *kernel) part(d, size int) []byte {
+	buf := k.bufs[d]
+	k.bufs[d] = nil
+	if cap(buf) < size {
+		// Headroom, so shares that vary a little from call to call
+		// keep fitting the buffers in circulation.
+		buf = make([]byte, size, size+size/8)
+	}
+	k.parts[d] = buf[:size]
+	return k.parts[d]
+}
+
+// open turns the element counts in offs into exact-size payloads of
+// unit bytes an element, and offs into their write offsets.
+func (k *kernel) open(unit int) {
+	for d, n := range k.offs {
+		k.part(d, n*unit)
+		k.offs[d] = 0
+	}
+}
+
+// swap sends the payloads, which the transport owns from here, with one
+// all-to-all and returns the payloads received, indexed by source and
+// checked to be whole elements of unit bytes, with the number of
+// elements in them.
+func (k *kernel) swap(w *dist.Worker, unit int, bad error) (got [][]byte, elems int, err error) {
+	got, err = w.Coll.AllToAllBytes(k.parts)
+	clear(k.parts)
+	if err != nil {
+		return nil, 0, err
+	}
+	for src, b := range got {
+		if err := checkPayload(src, b, unit, bad); err != nil {
+			return nil, 0, err
+		}
+		elems += len(b) / unit
+	}
+	return got, elems, nil
+}
+
+// recycle keeps received payloads, which belong to the receiver, as
+// the buffers of a later exchange.
+func (k *kernel) recycle(got [][]byte) {
+	copy(k.bufs, got)
+}
+
+// exchange routes each pair of ps to its partition PE: one pass
+// computes every pair's PE and counts the destinations, a second
+// writes the pairs straight into the payloads.
+func (k *kernel) exchange(w *dist.Worker, pt Partitioner, ps []data.Pair) (got [][]byte, pairs int, err error) {
+	k.stage(w.Size())
+	k.dest = grow(k.dest, len(ps))
 	for i, pr := range ps {
 		d := pt.PE(pr.Key)
 		k.dest[i] = int32(d)
 		k.offs[d]++
 	}
-	for d, n := range k.offs {
-		size := n * pairBytes
-		buf := k.bufs[d]
-		k.bufs[d] = nil
-		if cap(buf) < size {
-			// Headroom, so shares that vary a little from call to call
-			// keep fitting the buffers in circulation.
-			buf = make([]byte, size, size+size/8)
-		}
-		k.parts[d] = buf[:size]
-		k.offs[d] = 0
-	}
+	k.open(pairBytes)
 	for i, pr := range ps {
 		d := k.dest[i]
 		b := k.parts[d][k.offs[d]:]
@@ -174,24 +249,7 @@ func (k *kernel) exchange(w *dist.Worker, pt Partitioner, ps []data.Pair) (got [
 		binary.LittleEndian.PutUint64(b[8:], pr.Value)
 		k.offs[d] += pairBytes
 	}
-	got, err = w.Coll.AllToAllBytes(k.parts)
-	clear(k.parts)
-	if err != nil {
-		return nil, 0, err
-	}
-	for src, b := range got {
-		if err := checkPayload(src, b); err != nil {
-			return nil, 0, err
-		}
-		pairs += len(b) / pairBytes
-	}
-	return got, pairs, nil
-}
-
-// recycle keeps received payloads, which belong to the receiver, as
-// the buffers of a later exchange.
-func (k *kernel) recycle(got [][]byte) {
-	copy(k.bufs, got)
+	return k.swap(w, pairBytes, ErrBadPairPayload)
 }
 
 // exchangePairsByKey routes each pair to its partition PE and returns

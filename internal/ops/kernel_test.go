@@ -235,7 +235,7 @@ func FuzzPairPayload(f *testing.F) {
 	f.Add([]byte{1, 2, 3})
 	w, pt := soloWorker(f), NewPartitioner(1, 1)
 	f.Fuzz(func(t *testing.T, b []byte) {
-		err := checkPayload(0, b)
+		err := checkPayload(0, b, pairBytes, ErrBadPairPayload)
 		if len(b)%pairBytes != 0 {
 			if !errors.Is(err, ErrBadPairPayload) {
 				t.Fatalf("%d bytes: got %v, want ErrBadPairPayload", len(b), err)

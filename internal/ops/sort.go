@@ -1,159 +1,139 @@
 package ops
 
 import (
-	"sort"
+	"encoding/binary"
+	"math/bits"
 
 	"repro/internal/data"
 	"repro/internal/dist"
+	"repro/internal/hashing"
 )
 
 // oversample is the number of splitter candidates each PE contributes.
 const oversample = 16
 
-// Sort globally sorts a distributed sequence with sample sort: local
-// sort, splitter selection from an all-gathered sample, range partition
-// all-to-all, local merge. On return, each PE's share is sorted and all
-// of PE i's elements precede PE i+1's.
+// Sort globally sorts a distributed sequence with sample sort: splitter
+// selection from an all-gathered sample of the unsorted shares, range
+// partition all-to-all, one local radix sort of what arrives. On
+// return, each PE's share is sorted and all of PE i's elements precede
+// PE i+1's. Where the boundaries between PEs fall depends on the sample
+// and is not part of the contract.
 func Sort(w *dist.Worker, local []uint64) ([]uint64, error) {
-	mine := data.CloneU64s(local)
-	data.SortU64(mine)
-	p := w.Size()
-	if p == 1 {
-		return mine, nil
-	}
-	splitters, err := pickSplitters(w, mine)
-	if err != nil {
-		return nil, err
-	}
-	parts := partitionByRange(mine, splitters, p)
-	got, err := w.Coll.AllToAll(parts)
-	if err != nil {
-		return nil, err
-	}
-	return mergeRuns(got), nil
+	return sampleSort(w, local, nil)
 }
 
-// pickSplitters all-gathers an evenly spaced sample of each PE's sorted
-// share and returns the p-1 global quantile splitters.
-func pickSplitters(w *dist.Worker, sorted []uint64) ([]uint64, error) {
-	p := w.Size()
+// Merge combines two distributed sequences into one globally sorted
+// sequence holding every element of both (Section 6.5.2). It is Sort
+// over the two inputs — one splitter set, one exchange, one radix sort
+// — so it does not need the shares to arrive sorted.
+func Merge(w *dist.Worker, a, b []uint64) ([]uint64, error) {
+	return sampleSort(w, a, b)
+}
+
+// sampleSort sorts the sequence whose local share is a followed by b.
+// Every element is classified against the splitters once, written onto
+// the wire once, and sorted once, at the PE that keeps it; the result
+// is the only allocation of a warmed call.
+func sampleSort(w *dist.Worker, a, b []uint64) ([]uint64, error) {
+	splitters, err := pickSplitters(w, a, b)
+	if err != nil {
+		return nil, err
+	}
+	k := getKernel()
+	defer k.release()
+	k.stage(w.Size())
+	k.dest = grow(k.dest, len(a)+len(b))
+	inputs := [2][]uint64{a, b}
+	dest := k.dest
+	for _, xs := range inputs {
+		for i, x := range xs {
+			d := classify(splitters, x)
+			dest[i] = int32(d)
+			k.offs[d]++
+		}
+		dest = dest[len(xs):]
+	}
+	k.open(wordBytes)
+	dest = k.dest
+	for _, xs := range inputs {
+		for i, x := range xs {
+			d := dest[i]
+			binary.LittleEndian.PutUint64(k.parts[d][k.offs[d]:], x)
+			k.offs[d] += wordBytes
+		}
+		dest = dest[len(xs):]
+	}
+	got, n, err := k.swap(w, wordBytes, ErrBadSeqPayload)
+	if err != nil {
+		return nil, err
+	}
+	k.words = grow(k.words, n)[:0]
+	for _, payload := range got {
+		k.words = appendWords(k.words, payload)
+	}
+	k.recycle(got)
+	out := make([]uint64, n)
+	k.wtmp = grow(k.wtmp, n)
+	data.RadixSortU64(out, k.words, k.wtmp)
+	return out, nil
+}
+
+// classify returns the part of x: the number of splitters s with
+// x >= s, found by binary search, so that part j holds the elements
+// with splitters[j-1] <= x < splitters[j].
+func classify(splitters []uint64, x uint64) int {
+	lo, n := 0, len(splitters)
+	for n > 0 {
+		half := (n + 1) / 2
+		// less is 1 when x < the probed splitter, and the step is taken
+		// when it is 0; a borrow, not a branch the data would make
+		// unpredictable.
+		_, less := bits.Sub64(x, splitters[lo+half-1], 0)
+		lo += half & (int(less) - 1)
+		n -= half
+	}
+	return lo
+}
+
+// pickSplitters all-gathers a sample of each PE's share — a followed by
+// b, in whatever order it is in — and returns the p-1 global quantile
+// splitters. The sample is stratified: one position from each of
+// oversample equal stretches of the share, offset inside its stretch by
+// a hash of (length, rank, stretch). It is a pure function of the call,
+// consumes no worker randomness, and its positions have no common
+// period for periodic input to fall in step with.
+func pickSplitters(w *dist.Worker, a, b []uint64) ([]uint64, error) {
+	p, n := w.Size(), len(a)+len(b)
+	if p == 1 {
+		return nil, nil
+	}
 	sample := make([]uint64, 0, oversample)
-	for i := 0; i < oversample && len(sorted) > 0; i++ {
-		idx := i * len(sorted) / oversample
-		sample = append(sample, sorted[idx])
+	seed := hashing.Mix64(hashing.Mix64(uint64(n)) + uint64(w.Rank()))
+	for i := 0; i < oversample && n > 0; i++ {
+		lo, hi := i*n/oversample, (i+1)*n/oversample
+		if hi > lo {
+			lo += int(hashing.Mix64(seed+uint64(i)) % uint64(hi-lo))
+		}
+		if lo < len(a) {
+			sample = append(sample, a[lo])
+		} else {
+			sample = append(sample, b[lo-len(a)])
+		}
 	}
 	parts, err := w.Coll.AllGather(sample)
 	if err != nil {
 		return nil, err
 	}
-	var all []uint64
+	all := make([]uint64, 0, oversample*p)
 	for _, ws := range parts {
 		all = append(all, ws...)
 	}
 	data.SortU64(all)
-	splitters := make([]uint64, 0, p-1)
-	for i := 1; i < p; i++ {
-		if len(all) == 0 {
-			splitters = append(splitters, 0)
-			continue
+	splitters := make([]uint64, p-1)
+	for i := range splitters {
+		if len(all) > 0 {
+			splitters[i] = all[(i+1)*len(all)/p]
 		}
-		splitters = append(splitters, all[i*len(all)/p])
 	}
 	return splitters, nil
-}
-
-// partitionByRange splits a sorted slice into p contiguous ranges
-// bounded by the splitters: part j holds elements x with
-// splitters[j-1] <= x < splitters[j].
-func partitionByRange(sorted []uint64, splitters []uint64, p int) [][]uint64 {
-	parts := make([][]uint64, p)
-	start := 0
-	for j := 0; j < p-1; j++ {
-		end := start + sort.Search(len(sorted)-start, func(i int) bool {
-			return sorted[start+i] >= splitters[j]
-		})
-		parts[j] = sorted[start:end]
-		start = end
-	}
-	parts[p-1] = sorted[start:]
-	return parts
-}
-
-// mergeRuns merges sorted runs into one sorted slice (pairwise merging;
-// the number of runs is at most p).
-func mergeRuns(runs [][]uint64) []uint64 {
-	nonEmpty := make([][]uint64, 0, len(runs))
-	for _, r := range runs {
-		if len(r) > 0 {
-			nonEmpty = append(nonEmpty, r)
-		}
-	}
-	if len(nonEmpty) == 0 {
-		return nil
-	}
-	for len(nonEmpty) > 1 {
-		var next [][]uint64
-		for i := 0; i+1 < len(nonEmpty); i += 2 {
-			next = append(next, mergeTwo(nonEmpty[i], nonEmpty[i+1]))
-		}
-		if len(nonEmpty)%2 == 1 {
-			next = append(next, nonEmpty[len(nonEmpty)-1])
-		}
-		nonEmpty = next
-	}
-	return nonEmpty[0]
-}
-
-func mergeTwo(a, b []uint64) []uint64 {
-	out := make([]uint64, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// Merge combines two globally sorted distributed sequences into one
-// (Section 6.5.2): splitters are sampled from both inputs, both are
-// range partitioned with the same splitters, and each PE merges the
-// sorted runs it receives.
-func Merge(w *dist.Worker, a, b []uint64) ([]uint64, error) {
-	p := w.Size()
-	if !data.IsSortedU64(a) || !data.IsSortedU64(b) {
-		// Local shares of globally sorted sequences must be sorted.
-		// Tolerate it (the checker exists to catch misuse downstream).
-		a = data.CloneU64s(a)
-		b = data.CloneU64s(b)
-		data.SortU64(a)
-		data.SortU64(b)
-	}
-	if p == 1 {
-		return mergeTwo(a, b), nil
-	}
-	both := make([]uint64, 0, len(a)+len(b))
-	both = append(both, a...)
-	both = append(both, b...)
-	data.SortU64(both)
-	splitters, err := pickSplitters(w, both)
-	if err != nil {
-		return nil, err
-	}
-	partsA := partitionByRange(a, splitters, p)
-	partsB := partitionByRange(b, splitters, p)
-	gotA, err := w.Coll.AllToAll(partsA)
-	if err != nil {
-		return nil, err
-	}
-	gotB, err := w.Coll.AllToAll(partsB)
-	if err != nil {
-		return nil, err
-	}
-	return mergeTwo(mergeRuns(gotA), mergeRuns(gotB)), nil
 }

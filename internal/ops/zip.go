@@ -1,26 +1,34 @@
 package ops
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/data"
 	"repro/internal/dist"
 )
 
-// globalOffsets returns this PE's starting global index for a local
-// share of size n, the global total, and the start offset of every PE.
-func globalOffsets(w *dist.Worker, n int) (start, total uint64, starts []uint64, err error) {
+// globalOffsets returns the starting global index of every PE's share
+// of a sequence of which this PE holds n elements; starts[p] is the
+// global total.
+func globalOffsets(w *dist.Worker, n int) (starts []uint64, err error) {
 	parts, err := w.Coll.AllGather([]uint64{uint64(n)})
 	if err != nil {
-		return 0, 0, nil, err
+		return nil, err
 	}
-	starts = make([]uint64, w.Size())
-	var acc uint64
-	for r := 0; r < w.Size(); r++ {
-		starts[r] = acc
-		acc += parts[r][0]
+	starts = make([]uint64, w.Size()+1)
+	for r, part := range parts {
+		starts[r+1] = starts[r] + part[0]
 	}
-	return starts[w.Rank()], acc, starts, nil
+	return starts, nil
+}
+
+// overlap returns the local index range [i, j) of the elements of a
+// share holding the global indices [start, start+n) that fall inside
+// the global range [lo, hi).
+func overlap(start uint64, n int, lo, hi uint64) (i, j int) {
+	end := start + uint64(n)
+	return int(min(max(lo, start), end) - start), int(min(max(hi, start), end) - start)
 }
 
 // Zip pairs two distributed sequences index-wise (Section 6.4). The
@@ -28,53 +36,43 @@ func globalOffsets(w *dist.Worker, n int) (start, total uint64, starts []uint64,
 // to match the first. PE i returns pairs for its share of the first
 // sequence, in order.
 func Zip(w *dist.Worker, a, b []uint64) ([]data.Pair, error) {
-	_, aTotal, aStarts, err := globalOffsets(w, len(a))
+	p, rank := w.Size(), w.Rank()
+	aStarts, err := globalOffsets(w, len(a))
 	if err != nil {
 		return nil, err
 	}
-	bStart, bTotal, _, err := globalOffsets(w, len(b))
+	bStarts, err := globalOffsets(w, len(b))
 	if err != nil {
 		return nil, err
 	}
-	if aTotal != bTotal {
-		return nil, fmt.Errorf("ops: Zip length mismatch: %d vs %d", aTotal, bTotal)
+	if aStarts[p] != bStarts[p] {
+		return nil, fmt.Errorf("ops: Zip length mismatch: %d vs %d", aStarts[p], bStarts[p])
 	}
-	p := w.Size()
-	aEnd := func(r int) uint64 {
-		if r+1 < p {
-			return aStarts[r+1]
-		}
-		return aTotal
+	// PE d owns the global indices of its share of a, so it is sent
+	// the stretch of the local b that overlaps them.
+	k := getKernel()
+	defer k.release()
+	k.stage(p)
+	for d := 0; d < p; d++ {
+		i, j := overlap(bStarts[rank], len(b), aStarts[d], aStarts[d+1])
+		putWords(k.part(d, (j-i)*wordBytes), b[i:j])
 	}
-	// Route each local b element to the PE owning that global index in
-	// a's distribution. Global indices increase with the loop, so the
-	// destination rank only moves forward.
-	parts := make([][]uint64, p)
-	dst := 0
-	for i, x := range b {
-		g := bStart + uint64(i)
-		for dst < p-1 && g >= aEnd(dst) {
-			dst++
-		}
-		parts[dst] = append(parts[dst], x)
-	}
-	got, err := w.Coll.AllToAll(parts)
+	got, n, err := k.swap(w, wordBytes, ErrBadSeqPayload)
 	if err != nil {
 		return nil, err
+	}
+	if n != len(a) {
+		return nil, fmt.Errorf("ops: Zip redistribution produced %d elements for %d slots", n, len(a))
 	}
 	// Sources arrive in rank order, which for contiguous b shares is
 	// also global-index order.
-	matched := make([]uint64, 0, len(a))
-	for _, ws := range got {
-		matched = append(matched, ws...)
+	out := make([]data.Pair, 0, len(a))
+	for _, payload := range got {
+		for ; len(payload) >= wordBytes; payload = payload[wordBytes:] {
+			out = append(out, data.Pair{Key: a[len(out)], Value: binary.LittleEndian.Uint64(payload)})
+		}
 	}
-	if len(matched) != len(a) {
-		return nil, fmt.Errorf("ops: Zip redistribution produced %d elements for %d slots", len(matched), len(a))
-	}
-	out := make([]data.Pair, len(a))
-	for i := range a {
-		out[i] = data.Pair{Key: a[i], Value: matched[i]}
-	}
+	k.recycle(got)
 	return out, nil
 }
 
@@ -84,46 +82,40 @@ func Zip(w *dist.Worker, a, b []uint64) ([]data.Pair, error) {
 // checker (Corollary 12) verifies it as a permutation of the
 // concatenation.
 func Union(w *dist.Worker, a, b []uint64) ([]uint64, error) {
-	aStart, aTotal, _, err := globalOffsets(w, len(a))
+	p, rank := w.Size(), w.Rank()
+	aStarts, err := globalOffsets(w, len(a))
 	if err != nil {
 		return nil, err
 	}
-	bStart, bTotal, _, err := globalOffsets(w, len(b))
+	bStarts, err := globalOffsets(w, len(b))
 	if err != nil {
 		return nil, err
 	}
-	p := w.Size()
-	total := int(aTotal + bTotal)
-	base := total / p
-	rem := total % p
-	bigSpan := uint64(rem) * uint64(base+1)
-	// destOf inverts data.SplitEven: the first rem PEs hold base+1
-	// elements, the rest hold base.
-	destOf := func(g uint64) int {
-		if g < bigSpan {
-			return int(g / uint64(base+1))
-		}
-		if base == 0 {
-			return p - 1
-		}
-		return rem + int((g-bigSpan)/uint64(base))
+	// The union is a followed by b, indexed globally, and PE d gets the
+	// d-th even share of those indices: a stretch of the local a, then
+	// a stretch of the local b.
+	aTotal := aStarts[p]
+	total := int(aTotal + bStarts[p])
+	k := getKernel()
+	defer k.release()
+	k.stage(p)
+	for d := 0; d < p; d++ {
+		s, e := data.SplitEven(total, p, d)
+		lo, hi := uint64(s), uint64(e)
+		ai, aj := overlap(aStarts[rank], len(a), lo, hi)
+		bi, bj := overlap(aTotal+bStarts[rank], len(b), lo, hi)
+		part := k.part(d, (aj-ai+bj-bi)*wordBytes)
+		putWords(part, a[ai:aj])
+		putWords(part[(aj-ai)*wordBytes:], b[bi:bj])
 	}
-	parts := make([][]uint64, p)
-	for i, x := range a {
-		d := destOf(aStart + uint64(i))
-		parts[d] = append(parts[d], x)
-	}
-	for i, x := range b {
-		d := destOf(aTotal + bStart + uint64(i))
-		parts[d] = append(parts[d], x)
-	}
-	got, err := w.Coll.AllToAll(parts)
+	got, n, err := k.swap(w, wordBytes, ErrBadSeqPayload)
 	if err != nil {
 		return nil, err
 	}
-	var out []uint64
-	for _, ws := range got {
-		out = append(out, ws...)
+	out := make([]uint64, 0, n)
+	for _, payload := range got {
+		out = appendWords(out, payload)
 	}
+	k.recycle(got)
 	return out, nil
 }

@@ -220,3 +220,71 @@ func EdgePairShares(p int, seed uint64) []PairShares {
 		{"one-pair", onePair},
 	}
 }
+
+// SeqShares is a named distributed sequence input: Shares[r] is PE r's
+// local share.
+type SeqShares struct {
+	Name   string
+	Shares [][]uint64
+}
+
+// EdgeSeqShares returns the degenerate and skewed sequence inputs the
+// one-sidedness and differential gates run over, laid out for p PEs:
+// no input anywhere, input on every other PE only, everything on one
+// PE, a single element, one value repeated, uniform 64-bit values, a
+// globally ascending and a globally descending sequence, shares that
+// repeat with a period of one sixteenth of their length (in step with
+// any sample taken at regular positions), Zipf skew, and the extreme
+// values 0 and MaxUint64 among others. The "uniform", "presorted" and
+// "periodic" shapes hold 320 elements per PE and are the ones a sample
+// sort is expected to balance.
+func EdgeSeqShares(p int, seed uint64) []SeqShares {
+	const (
+		maxU64 = ^uint64(0)
+		n      = 320
+	)
+	rng := hashing.NewMT19937_64(seed)
+	fill := func(n int, gen func(r, i int) uint64) [][]uint64 {
+		shares := make([][]uint64, p)
+		for r := range shares {
+			shares[r] = make([]uint64, n)
+			for i := range shares[r] {
+				shares[r][i] = gen(r, i)
+			}
+		}
+		return shares
+	}
+	uniform := func(r, i int) uint64 { return rng.Uint64() }
+	someEmpty := fill(200, uniform)
+	for r := 1; r < p; r += 2 {
+		someEmpty[r] = nil
+	}
+	onePE := make([][]uint64, p)
+	onePE[0] = fill(500, uniform)[0]
+	oneElement := make([][]uint64, p)
+	oneElement[p-1] = []uint64{rng.Uint64()}
+	period := make([]uint64, n/16)
+	for i := range period {
+		period[i] = rng.Uint64()
+	}
+	zipf := NewZipf(100, rng)
+	extremes := []uint64{0, maxU64, 1, maxU64 - 1}
+	return []SeqShares{
+		{"all-empty", make([][]uint64, p)},
+		{"some-empty", someEmpty},
+		{"one-pe", onePE},
+		{"one-element", oneElement},
+		{"all-duplicate", fill(64, func(r, i int) uint64 { return 5 })},
+		{"uniform", fill(n, uniform)},
+		{"presorted", fill(n, func(r, i int) uint64 { return uint64(1000 * (r*n + i)) })},
+		{"reversed", fill(n, func(r, i int) uint64 { return uint64(1000 * (p*n - r*n - i)) })},
+		{"periodic", fill(n, func(r, i int) uint64 { return period[i%len(period)] + uint64(r) })},
+		{"zipf", fill(150, func(r, i int) uint64 { return zipf.Sample() })},
+		{"extremes", fill(40, func(r, i int) uint64 {
+			if i%2 == 0 {
+				return extremes[(r+i/2)%4]
+			}
+			return rng.Uint64()
+		})},
+	}
+}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/hashing"
@@ -135,5 +136,36 @@ func TestWordNameInjectiveOnSmallRanks(t *testing.T) {
 			t.Fatalf("wordName collision: ranks %d and %d both map to %q", prev, r, w)
 		}
 		seen[w] = r
+	}
+}
+
+func TestEdgeSeqShares(t *testing.T) {
+	for _, p := range []int{1, 3, 8} {
+		byName := make(map[string][][]uint64)
+		for _, s := range EdgeSeqShares(p, 7) {
+			if len(s.Shares) != p {
+				t.Fatalf("p=%d %s: %d shares", p, s.Name, len(s.Shares))
+			}
+			if _, dup := byName[s.Name]; dup {
+				t.Fatalf("p=%d: shape %s appears twice", p, s.Name)
+			}
+			byName[s.Name] = s.Shares
+		}
+		var presorted []uint64
+		for _, share := range byName["presorted"] {
+			presorted = append(presorted, share...)
+		}
+		if !slices.IsSorted(presorted) {
+			t.Errorf("p=%d: presorted is not globally ascending", p)
+		}
+		for r, share := range byName["periodic"] {
+			step := len(share) / 16
+			if step == 0 || !slices.Equal(share[step:], share[:len(share)-step]) {
+				t.Errorf("p=%d: periodic share %d does not repeat every 1/16 of its length", p, r)
+			}
+		}
+		if slices.Index(byName["extremes"][0], 0) < 0 || slices.Index(byName["extremes"][0], ^uint64(0)) < 0 {
+			t.Errorf("p=%d: extremes lacks 0 or MaxUint64 on PE 0", p)
+		}
 	}
 }

@@ -636,3 +636,97 @@ func TestReduceByKeyEdgeShapesOneSided(t *testing.T) {
 		}
 	}
 }
+
+// TestSeqOpsEdgeShapesOneSided is the one-sidedness gate for the
+// sequence data plane: eagerly checked Sort, Merge, Union and Zip over
+// the edge shapes, on every PE count and over mem and tcp, are never
+// rejected, return the right sequence, and pay the same checker bytes
+// on every shape. The second input of the binary operations is the
+// same shape shifted by one PE.
+func TestSeqOpsEdgeShapesOneSided(t *testing.T) {
+	opts := repro.DefaultOptions()
+	opts.Mode = repro.CheckEager
+	// The bottleneck PE's checker bytes for the four stages together
+	// under the default options, as measured before the sequence data
+	// plane was rewritten.
+	wantMaxBytes := map[int]int64{1: 0, 2: 200, 3: 224, 5: 304, 8: 360}
+	for _, transport := range []repro.Transport{repro.TransportMem, repro.TransportTCP} {
+		for _, p := range []int{1, 2, 3, 5, 8} {
+			shapes := workload.EdgeSeqShares(p, uint64(400+p))
+			// bytes[shape][rank]; each rank writes its own column.
+			bytes := make([][]int64, len(shapes))
+			sorted, merged, unioned := make([][][]uint64, len(shapes)), make([][][]uint64, len(shapes)), make([][][]uint64, len(shapes))
+			zipped := make([][][]repro.Pair, len(shapes))
+			for s := range shapes {
+				bytes[s] = make([]int64, p)
+				sorted[s], merged[s], unioned[s] = make([][]uint64, p), make([][]uint64, p), make([][]uint64, p)
+				zipped[s] = make([][]repro.Pair, p)
+			}
+			err := repro.RunConfig(repro.Config{Transport: transport}, p, 9, func(w *repro.Worker) error {
+				r := w.Rank()
+				for s, shape := range shapes {
+					ctx, err := repro.NewContext(w, opts)
+					if err != nil {
+						return err
+					}
+					a, b := shape.Shares[r], shape.Shares[(r+1)%p]
+					if sorted[s][r], err = ctx.Seq(a).Sort().Collect(); err != nil {
+						return fmt.Errorf("%s: Sort: %w", shape.Name, err)
+					}
+					if merged[s][r], err = ctx.Seq(a).Merge(ctx.Seq(b)).Collect(); err != nil {
+						return fmt.Errorf("%s: Merge: %w", shape.Name, err)
+					}
+					if unioned[s][r], err = ctx.Seq(a).Union(ctx.Seq(b)).Collect(); err != nil {
+						return fmt.Errorf("%s: Union: %w", shape.Name, err)
+					}
+					if zipped[s][r], err = ctx.Seq(a).Zip(ctx.Seq(b)).Collect(); err != nil {
+						return fmt.Errorf("%s: Zip: %w", shape.Name, err)
+					}
+					if err := ctx.Verify(); err != nil {
+						return fmt.Errorf("%s: %w", shape.Name, err)
+					}
+					bytes[s][r] = ctx.TotalCheckerBytes()
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s p=%d: clean run rejected or failed: %v", transport, p, err)
+			}
+			if got := slices.Max(bytes[0]); got != wantMaxBytes[p] {
+				t.Errorf("%s p=%d: bottleneck checker bytes = %d, want %d", transport, p, got, wantMaxBytes[p])
+			}
+			for s, shape := range shapes {
+				if !reflect.DeepEqual(bytes[s], bytes[0]) {
+					t.Errorf("%s p=%d %s: checker bytes per PE %v differ from %s's %v", transport, p, shape.Name, bytes[s], shapes[0].Name, bytes[0])
+				}
+				all := slices.Concat(shape.Shares...)
+				twice := slices.Concat(all, all)
+				slices.Sort(all)
+				slices.Sort(twice)
+				if got := slices.Concat(sorted[s]...); !slices.Equal(got, all) {
+					t.Errorf("%s p=%d %s: sorted to %v, want %v", transport, p, shape.Name, got, all)
+				}
+				if got := slices.Concat(merged[s]...); !slices.Equal(got, twice) {
+					t.Errorf("%s p=%d %s: merged to %v, want %v", transport, p, shape.Name, got, twice)
+				}
+				got := slices.Concat(unioned[s]...)
+				slices.Sort(got)
+				if !slices.Equal(got, twice) {
+					t.Errorf("%s p=%d %s: union holds %v, want %v", transport, p, shape.Name, got, twice)
+				}
+				// Zipped against itself shifted by one PE: the keys are
+				// the shares in rank order, the values start at PE 1's.
+				var keys, values []uint64
+				for _, pr := range slices.Concat(zipped[s]...) {
+					keys, values = append(keys, pr.Key), append(values, pr.Value)
+				}
+				if want := slices.Concat(shape.Shares...); !slices.Equal(keys, want) {
+					t.Errorf("%s p=%d %s: zip keys %v, want %v", transport, p, shape.Name, keys, want)
+				}
+				if want := slices.Concat(slices.Concat(shape.Shares[1:]...), shape.Shares[0]); !slices.Equal(values, want) {
+					t.Errorf("%s p=%d %s: zip values %v, want %v", transport, p, shape.Name, values, want)
+				}
+			}
+		}
+	}
+}
