@@ -75,41 +75,50 @@ func BenchmarkTable5SumCheckerLocal(b *testing.B) {
 
 // BenchmarkSumAccumulateEngine compares the three forms of the Table 5
 // local loop on the default scaling configuration: the element-major
-// scalar reference (the seed implementation), the blocked batch-hash
-// loop, and the ParallelAccumulator at 2 and 4 workers. All variants
-// compute identical residues; only wall time differs.
+// scalar reference (the seed implementation), the accumulate kernel,
+// and the ParallelAccumulator at 2 and 4 workers. All variants compute
+// identical residues; only wall time differs. The zipf-125k row is the
+// kernel on the benchmark of record's reduce_zipf share (125k pairs,
+// Zipf keys over 1e6, values below 2^30): heavy keys hit one cell over
+// and over, which the uniform rows cannot show.
 func BenchmarkSumAccumulateEngine(b *testing.B) {
 	const elements = 200000
 	pairs := workload.UniformPairs(elements, 1<<62, 1<<62, 1)
 	cfg := core.SumConfig{Iterations: 6, Buckets: 32, RHatLog: 9, Family: hashing.FamilyCRC}
 	c := core.NewSumChecker(cfg, 7)
 	table := c.NewTable()
-	perElem := func(b *testing.B) {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(elements), "ns/elem")
+	perElem := func(b *testing.B, n int) {
+		b.SetBytes(int64(16 * n))
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
 	}
 	b.Run("scalar", func(b *testing.B) {
-		b.SetBytes(int64(16 * elements))
 		for i := 0; i < b.N; i++ {
 			c.AccumulateScalar(table, pairs, false)
 		}
-		perElem(b)
+		perElem(b, elements)
 	})
 	b.Run("batch", func(b *testing.B) {
-		b.SetBytes(int64(16 * elements))
 		for i := 0; i < b.N; i++ {
 			c.Accumulate(table, pairs)
 		}
-		perElem(b)
+		perElem(b, elements)
+	})
+	b.Run("batch/zipf-125k", func(b *testing.B) {
+		zipf := workload.ZipfPairs(125000, 1000000, 1<<30, 1)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Accumulate(table, zipf)
+		}
+		perElem(b, len(zipf))
 	})
 	for _, w := range []int{2, 4} {
 		w := w
 		b.Run(fmt.Sprintf("parallel-%d", w), func(b *testing.B) {
 			par := core.NewParallelAccumulator(w)
-			b.SetBytes(int64(16 * elements))
 			for i := 0; i < b.N; i++ {
 				par.AccumulateSum(c, table, pairs)
 			}
-			perElem(b)
+			perElem(b, elements)
 		})
 	}
 }

@@ -640,6 +640,16 @@ func (c *Context) sameContext(other *Context) error {
 // ReduceByKey aggregates values per key with fn, verified by the sum
 // aggregation checker (Theorem 1). fn must be associative, commutative,
 // and satisfy x⊕y ≠ x for y ≠ 0 — SumFn and XorFn qualify.
+//
+// The checker verifies sums over the integers, not mod 2^64 — literally
+// so: it adds the input's values into exact 128-bit cells and reduces
+// them mod r only afterwards, and does the same with the asserted
+// output. SumFn wraps. A correct SumFn reduce in which some key's true
+// sum reaches 2^64 therefore reports a value 2^64 (or a multiple) short
+// of what the checker summed, and the stage is rejected like any other
+// wrong sum. Keep per-key sums below 2^64 for a checked SumFn reduce;
+// the one-sided guarantee (a correct result is never rejected) holds on
+// that domain.
 func (d *Dataset) ReduceByKey(fn ReduceFn) *Dataset {
 	c := d.ctx
 	var out []Pair

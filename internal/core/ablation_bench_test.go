@@ -72,7 +72,7 @@ func BenchmarkAblationBitParallel(b *testing.B) {
 		reportPerElem(b, ablationElements)
 	})
 	b.Run("hash-per-iteration", func(b *testing.B) {
-		c := newSumChecker(cfg, 7, true)
+		c := newSumChecker(cfg, 7, true, 0)
 		table := c.NewTable()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -215,6 +215,36 @@ func BenchmarkAblationParallelShards(b *testing.B) {
 	}
 }
 
+// BenchmarkAblationGroupWidth measures the two constants of the
+// accumulate kernel's plan (groupSize) by forcing the group size on the
+// default 6×32 CRC m9 checker: g = 1 (192 cells, six updates per
+// element), g = 2 (three tables of 1024 cells, three updates — what the
+// rule picks from 8192 pairs up) and g = 3 (two tables of 32k cells,
+// two updates — past maxGroupBits and past L1). Each row is one whole
+// call, fold included, so the short calls show why a table must be
+// small beside its input: a 256-pair stream chunk or a 2 000-pair
+// stage pays the grouped tables' scan without the elements to amortise
+// it.
+func BenchmarkAblationGroupWidth(b *testing.B) {
+	cfg := SumConfig{Iterations: 6, Buckets: 32, RHatLog: 9, Family: hashing.FamilyCRC}
+	all := workload.ZipfPairs(125000, 1000000, 1<<30, 1)
+	for _, n := range []int{256, 2000, 8192, len(all)} {
+		pairs := all[:n]
+		for _, g := range []int{1, 2, 3} {
+			c := newSumChecker(cfg, 7, false, g)
+			b.Run(fmt.Sprintf("n-%d/g-%d", n, g), func(b *testing.B) {
+				table := c.NewTable()
+				c.Accumulate(table, pairs)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c.Accumulate(table, pairs)
+				}
+				reportPerElem(b, n)
+			})
+		}
+	}
+}
+
 var sinkBench uint64
 
 // TestGeneralPathMatchesBitParallelSemantics guards the ablation knob:
@@ -225,7 +255,7 @@ func TestGeneralPathMatchesBitParallelSemantics(t *testing.T) {
 	input := workload.ZipfPairs(500, 100, 100, 3)
 	output := refSumAgg(input)
 	for _, general := range []bool{false, true} {
-		c := newSumChecker(cfg, 42, general)
+		c := newSumChecker(cfg, 42, general, 0)
 		tv, to := c.NewTable(), c.NewTable()
 		c.Accumulate(tv, input)
 		c.Accumulate(to, output)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -59,6 +60,10 @@ func (c SumConfig) Validate() error {
 	}
 	if c.Family.New == nil {
 		return fmt.Errorf("core: config: missing hash family")
+	}
+	if need := bits.Len(uint(c.Buckets - 1)); need > c.Family.Bits {
+		return fmt.Errorf("core: config %s: a bucket index needs %d bits, family %s hashes to %d",
+			c.Name(), need, c.Family.Name, c.Family.Bits)
 	}
 	return nil
 }

@@ -37,9 +37,31 @@
 //
 // The checkers' O(n/p) local phase (Table 5) runs on a shared
 // accumulation engine: blocked batch hashing (hashing.Hasher's
-// Hash64Batch), iteration-major counter sweeps with a branch-free
-// deferred modulo, unrolled polynomial products, and an optional
+// Hash64Batch), unrolled polynomial products, and an optional
 // ParallelAccumulator that shards the scan across goroutines with
 // residue-identical merges — per-PE fan-out never changes a checker
 // state.
+//
+// The sum checker's part of it is one kernel (SumChecker.accumulate)
+// built on exact cells and grouped tables. A cell is a 128-bit integer
+// {lo, hi} updated by lo += v; hi += carry: no modulus in the loop at
+// all. g consecutive iterations that take their bucket bits from the
+// same hash value share one table of 2^(g*width) cells, indexed by
+// their g indices side by side, so an element costs ceil(its/g) updates
+// rather than its — three for 6×32, not six. When the call ends, one
+// fold adds every non-zero cell's value mod r into the counter of each
+// of its g iterations (the cell's index names the bucket in each) and
+// zeroes it. g is derived per call, never configured (groupSize): as
+// large as keeps a table within 2^10 cells (L1), inside one hash value,
+// and at most an eighth of the call long, so the fold stays a small
+// share of the call; otherwise 1, where the cell tables have the
+// its×d shape of the table itself.
+//
+// None of this can change a verdict. The checker is linear: a counter
+// holds, mod r, the sum over the integers of the values whose key falls
+// in its bucket, and an exact sum does not depend on how it was
+// bracketed — per cell first, per shard, per chunk. The table after
+// Normalize is therefore bit-identical for every g, chunking and worker
+// count, and equal to the element-by-element reference
+// (AccumulateScalar), which stays in the package as the test oracle.
 package core

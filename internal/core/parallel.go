@@ -74,10 +74,11 @@ func (p ParallelAccumulator) shards(n int) int {
 
 // AccumulateSum is c.Accumulate sharded across the accumulator's
 // goroutines: per-shard tables are normalized and merged with the
-// checker's modular ReduceOp, then folded into table with the same
-// deferred-overflow add Accumulate uses, so the caller's table ends up
+// checker's modular ReduceOp, then folded into table with the
+// checker's deferred-overflow add, so the caller's table ends up
 // congruent entry-wise to the serial result (bit-identical after
-// Normalize) for every worker count.
+// Normalize) for every worker count. Every shard is one kernel call and
+// plans its own group size from its own length.
 func (p ParallelAccumulator) AccumulateSum(c *SumChecker, table []uint64, pairs []data.Pair) {
 	p.accumulateSum(c, table, pairs, false)
 }
@@ -90,7 +91,7 @@ func (p ParallelAccumulator) AccumulateCount(c *SumChecker, table []uint64, pair
 func (p ParallelAccumulator) accumulateSum(c *SumChecker, table []uint64, pairs []data.Pair, count bool) {
 	w := p.shards(len(pairs))
 	if w == 1 {
-		c.accumulateBlocked(table, pairs, count)
+		c.accumulate(table, pairs, count)
 		return
 	}
 	tables := make([][]uint64, w)
@@ -102,7 +103,7 @@ func (p ParallelAccumulator) accumulateSum(c *SumChecker, table []uint64, pairs 
 		wg.Add(1)
 		go func(chunk []data.Pair, tbl []uint64) {
 			defer wg.Done()
-			c.accumulateBlocked(tbl, chunk, count)
+			c.accumulate(tbl, chunk, count)
 			c.Normalize(tbl)
 		}(pairs[lo:hi], tbl)
 	}

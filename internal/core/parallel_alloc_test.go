@@ -6,6 +6,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/hashing"
@@ -51,5 +52,46 @@ func TestSmallChunkAccumulationAllocs(t *testing.T) {
 	}
 }
 
-// sinkAlloc defeats dead-code elimination in the alloc guards.
-var sinkAlloc uint64
+// TestWarmSumAggStateAllocs pins what a whole sum-checker state costs
+// the heap once the scratch pool is warm, on the benchmark of
+// record's reduce_zipf share (125k Zipf pairs in, their reduction out,
+// 6×32 CRC m9, serial): the checker, its moduli and hashers, two
+// tables — and no cell scratch, which at 48 KiB a side would be two
+// thirds of the total if a state allocated its own. The figures are
+// the parent's (PR 15, before the kernel had cells), measured by
+// running this test there: 11 objects, 3 560 bytes.
+func TestWarmSumAggStateAllocs(t *testing.T) {
+	cfg := SumConfig{Iterations: 6, Buckets: 32, RHatLog: 9, Family: hashing.FamilyCRC}
+	input := workload.ZipfPairs(125000, 1000000, 1<<30, 1)
+	output := refSumAgg(input)
+	run := func() { sinkState = NewSumAggStatePar("warm", cfg, 7, Serial, input, output) }
+	run()
+	// Counted by hand: testing.AllocsPerRun changes GOMAXPROCS, which
+	// makes sync.Pool drop what it holds — the measurement would start
+	// cold.
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	objects := (after.Mallocs - before.Mallocs) / runs
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("warm 125k-pair sum state: %d objects, %d bytes", objects, bytes)
+	if objects > 11 {
+		t.Errorf("warm state allocates %d objects, parent allocated 11", objects)
+	}
+	// A stray runtime allocation during the loop is a few bytes a
+	// run; one cell scratch is 49 152.
+	if bytes > 3600 {
+		t.Errorf("warm state allocates %d bytes, parent allocated 3560", bytes)
+	}
+}
+
+// sinkAlloc and sinkState defeat dead-code elimination in the alloc
+// guards.
+var (
+	sinkAlloc uint64
+	sinkState *SumAggState
+)

@@ -196,10 +196,3 @@ func medianOfSorted2(vs []uint64) uint64 {
 	}
 	return vs[n/2-1] + vs[n/2]
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -14,10 +14,22 @@ import (
 // Iterations × Buckets counters, each accumulated modulo a per-iteration
 // random modulus r in (rhat, 2*rhat].
 //
-// Engineering follows Section 7.1: all iterations share one wide hash
-// evaluation that is partitioned bit-parallel into bucket indices (for
-// power-of-two d), and counters are plain 64-bit adds with the expensive
-// modulo performed only when an addition overflows.
+// Engineering follows Section 7.1 and takes it one step further. All
+// iterations share one wide hash evaluation that is partitioned
+// bit-parallel into bucket indices (for power-of-two d), and the modulo
+// is deferred — past overflow, to the end of the call: the accumulate
+// kernel sums values exactly, into 128-bit cells {lo, hi} updated by
+// lo += v; hi += carry, and lets g consecutive iterations that draw
+// their bucket bits from the same hash value share one cell table
+// indexed by the g concatenated indices, so an element costs
+// ceil(its/g) updates (6×32: three tables of 1024 cells, three
+// updates). One fold per call then adds each non-zero cell's value
+// mod r into the counter of each of its g iterations. The checker is
+// linear — a counter is the sum of the values in its bucket, however
+// those were summed on the way — so the table after Normalize is
+// bit-identical for every g, to AccumulateScalar's and to every
+// earlier version's: verdicts, table size and delta do not depend on
+// the kernel's plan. See accumulate and groupSize.
 //
 // Every PE builds its own SumChecker from the shared seed, which yields
 // identical hash functions and moduli everywhere. After construction
@@ -32,24 +44,31 @@ type SumChecker struct {
 	mods    []uint64 // modulus r per iteration
 	pow64   []uint64 // 2^64 mod r per iteration, the overflow correction
 	hashers []hashing.Hasher
-	split   hashing.Splitter
 	pow2    bool
 	hbuf    []uint64 // scratch hash values for the current element
+	// How bucket bits lie in the hash values: an iteration's index is
+	// width bits wide and perHash consecutive iterations draw theirs
+	// from one value (hashing.Splitter's partition). General d is the
+	// degenerate case: one hash per iteration, reduced mod d, which the
+	// accumulate kernel keeps in a row of 2^width >= d cells.
+	width, perHash int
+	forceG         int // ablation only: fixed group size, 0 = groupSize
 }
 
 // NewSumChecker derives a checker instance from cfg and a shared seed.
 func NewSumChecker(cfg SumConfig, seed uint64) *SumChecker {
-	return newSumChecker(cfg, seed, false)
+	return newSumChecker(cfg, seed, false, 0)
 }
 
 // newSumChecker optionally disables the Section 7.1 bit-parallel path
-// (one hash evaluation feeding all iterations) so the ablation
-// benchmarks can quantify what that optimisation buys.
-func newSumChecker(cfg SumConfig, seed uint64, forceGeneral bool) *SumChecker {
+// (one hash evaluation feeding all iterations), or pins the accumulate
+// kernel's group size instead of deriving it per call, so the ablation
+// benchmarks can quantify what each buys.
+func newSumChecker(cfg SumConfig, seed uint64, forceGeneral bool, forceG int) *SumChecker {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &SumChecker{cfg: cfg}
+	c := &SumChecker{cfg: cfg, forceG: forceG}
 	rng := hashing.NewMT19937_64(hashing.Mix64(seed ^ 0xc0dec0dec0dec0de))
 	rhat := uint64(1) << cfg.RHatLog
 	c.mods = make([]uint64, cfg.Iterations)
@@ -61,21 +80,18 @@ func newSumChecker(cfg SumConfig, seed uint64, forceGeneral bool) *SumChecker {
 		c.pow64[i] = (((1 << 63) % r) * 2) % r
 	}
 	c.pow2 = hashing.IsPow2(cfg.Buckets) && !forceGeneral
+	nHashes := cfg.Iterations // general d: one independent hash per iteration, bucket = h mod d
+	c.width, c.perHash = bits.Len(uint(cfg.Buckets-1)), 1
 	if c.pow2 {
-		c.split = hashing.NewSplitter(cfg.Buckets, cfg.Iterations, cfg.Family.Bits)
-		seeds := hashing.SubSeeds(seed^0x5eed5eed5eed5eed, c.split.HashesNeeded())
-		c.hashers = make([]hashing.Hasher, len(seeds))
-		for i, s := range seeds {
-			c.hashers[i] = cfg.Family.New(s)
-		}
-		c.hbuf = make([]uint64, len(c.hashers))
-	} else {
-		// General d: one independent hash per iteration, bucket = h mod d.
-		seeds := hashing.SubSeeds(seed^0x5eed5eed5eed5eed, cfg.Iterations)
-		c.hashers = make([]hashing.Hasher, len(seeds))
-		for i, s := range seeds {
-			c.hashers[i] = cfg.Family.New(s)
-		}
+		split := hashing.NewSplitter(cfg.Buckets, cfg.Iterations, cfg.Family.Bits)
+		c.perHash = split.PerHash()
+		nHashes = split.HashesNeeded()
+		c.hbuf = make([]uint64, nHashes)
+	}
+	seeds := hashing.SubSeeds(seed^0x5eed5eed5eed5eed, nHashes)
+	c.hashers = make([]hashing.Hasher, len(seeds))
+	for i, s := range seeds {
+		c.hashers[i] = cfg.Family.New(s)
 	}
 	return c
 }
@@ -89,27 +105,27 @@ func (c *SumChecker) TableWords() int { return c.cfg.Iterations * c.cfg.Buckets 
 // NewTable allocates a zeroed counter table.
 func (c *SumChecker) NewTable() []uint64 { return make([]uint64, c.TableWords()) }
 
-// add accumulates v into counter idx of iteration it, deferring the
-// modulo to overflow events: the counter always stays congruent to the
-// true partial sum modulo r. The fold is division-free — a wrap lost
-// exactly 2^64 ≡ pow64 (mod r), so adding pow64 restores congruence;
-// if that addition wraps again the same identity folds the second loss
-// (and then cannot wrap a third time, since the twice-wrapped value is
-// below pow64 < r <= 2^63).
-func (c *SumChecker) add(table []uint64, idx, it int, v uint64) {
-	sum, carry := bits.Add64(table[idx], v, 0)
-	if carry != 0 {
-		p64 := c.pow64[it]
-		sum += p64
-		if sum < p64 {
-			sum += p64
-		}
-	}
-	table[idx] = sum
+// addFold returns counter a plus v, deferring the modulo to overflow
+// events: the result stays congruent to the true sum modulo r, given
+// p64 = 2^64 mod r. The fold is division-free — a wrap lost exactly
+// 2^64 ≡ p64 (mod r), so adding p64 restores congruence; if that
+// addition wraps again the same identity folds the second loss (and
+// then cannot wrap a third time, since the twice-wrapped value is below
+// p64 < r <= 2^63). It is also branch-free, through the 0/-1 carry
+// masks: for full-width values the carry is a coin flip.
+func addFold(a, v, p64 uint64) uint64 {
+	sum, c1 := bits.Add64(a, v, 0)
+	sum, c2 := bits.Add64(sum, p64&-c1, 0)
+	return sum + p64&-c2
 }
 
-// bucketOf returns the bucket of key in iteration it, using the hash
-// values prepared in c.hbuf for the bit-parallel path.
+// add accumulates v into counter idx of iteration it; see addFold.
+func (c *SumChecker) add(table []uint64, idx, it int, v uint64) {
+	table[idx] = addFold(table[idx], v, c.pow64[it])
+}
+
+// prepare evaluates the bit-parallel path's hash functions on key into
+// c.hbuf, for bucketOf to split.
 func (c *SumChecker) prepare(key uint64) {
 	if c.pow2 {
 		for j := range c.hashers {
@@ -118,155 +134,257 @@ func (c *SumChecker) prepare(key uint64) {
 	}
 }
 
+// bucketOf returns the bucket of key in iteration it, using the hash
+// values prepared in c.hbuf for the bit-parallel path.
 func (c *SumChecker) bucketOf(key uint64, it int) int {
 	if c.pow2 {
-		return int(c.split.Group(c.hbuf, it))
+		h := c.hbuf[it/c.perHash] >> (it % c.perHash * c.width)
+		return int(h & uint64(c.cfg.Buckets-1))
 	}
 	return int(c.hashers[it].Hash64(key) % uint64(c.cfg.Buckets))
 }
 
 // accBlock is the number of elements gathered per batch-hash block:
-// large enough to amortise the batch call and keep one iteration's
-// counter row hot across the block, small enough that the three
-// per-block scratch arrays (keys, hashes, values — 6 KiB total) fit L1
-// alongside the table.
+// large enough to amortise the batch call and keep one group's cell
+// table hot across the block, small enough that the two per-block
+// scratch arrays (keys, hashes — 4 KiB total) fit L1 alongside the
+// cells.
 const accBlock = 256
 
-// accScratch is one set of batch-hash block buffers. The buffers are
+// cell is one exact counter of the accumulate kernel: the integer
+// lo + hi·2^64, where hi counts the carries out of lo. An update is two
+// adds — no modulus, no 2^64 mod r — and a cell cannot overflow (hi
+// grows by at most one per element).
+type cell struct{ lo, hi uint64 }
+
+// accScratch is what one accumulate call borrows: the batch-hash block
+// buffers and, for the sum kernel, its cell tables. The buffers are
 // handed to Hash64Batch through the Hasher interface, which makes them
 // escape — declared as locals they would be fresh heap allocations on
 // every Accumulate call, a real cost when chunked streaming issues one
-// call per small chunk. A sync.Pool caps that at one live scratch per
-// concurrently accumulating goroutine; sub-threshold chunks therefore
-// allocate nothing (guarded by parallel_alloc_test.go).
+// call per small chunk, and the grouped plan's cells are 48 KiB for
+// 6×32. A sync.Pool caps that at one live scratch per concurrently
+// accumulating goroutine; sub-threshold chunks therefore allocate
+// nothing (guarded by parallel_alloc_test.go).
+//
+// Every cell of a pooled scratch is zero, over the slice's whole
+// capacity: the fold that ends a sum call zeroes what the call dirtied,
+// and a call that does not reach its fold (a panicking hasher) does not
+// return its scratch.
 type accScratch struct {
-	keys, hs, vals [accBlock]uint64
+	keys, hs [accBlock]uint64
+	cells    []cell
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(accScratch) }}
 
+// maxGroupBits caps a group's cell table at 2^10 cells = 16 KiB, so
+// the table a block streams through stays L1-resident; one step wider
+// (32k cells for three 5-bit iterations) is slower than no grouping at
+// all. BenchmarkAblationGroupWidth re-measures it.
+const maxGroupBits = 10
+
+// groupSize is the plan of one accumulate call: how many consecutive
+// iterations share one cell table, indexed by their concatenated
+// bucket bits, so that an element costs ceil(its/g) cell updates
+// instead of its. It is the largest g such that
+//
+//   - g*width <= maxGroupBits (the table stays in L1),
+//   - g <= perHash (a group's bits come from one hash value), and
+//   - 8 * 2^(g*width) <= n: the fold that ends the call scans every
+//     cell of every group, so a table must be small beside the call —
+//     without this a 256-pair stream chunk would pay a 48 KiB scan;
+//
+// and 1 otherwise. A pure function of its arguments.
+func groupSize(width, perHash, n int) int {
+	g := max(1, min(maxGroupBits/width, perHash))
+	for g > 1 && 8<<(g*width) > n {
+		g--
+	}
+	return g
+}
+
+// group is one step of a call's plan: n iterations starting at it
+// share the cell table cells[off:off+size], indexed by the size bits of
+// hash value hash that start at shift.
+type group struct {
+	it, n, hash int
+	shift       uint
+	off, size   int
+}
+
+// eachGroup walks the plan with group size g in iteration order and
+// returns the number of cells it lays out. A group is g iterations, cut
+// short at the end of the hash value it draws its bits from and at the
+// last iteration.
+func (c *SumChecker) eachGroup(g int, visit func(group)) int {
+	off := 0
+	for hash, first := 0, 0; first < c.cfg.Iterations; hash, first = hash+1, first+c.perHash {
+		last := min(first+c.perHash, c.cfg.Iterations)
+		for it := first; it < last; it += g {
+			n := min(g, last-it)
+			size := 1 << (n * c.width)
+			if visit != nil {
+				visit(group{it: it, n: n, hash: hash, shift: uint((it - first) * c.width), off: off, size: size})
+			}
+			off += size
+		}
+	}
+	return off
+}
+
 // Accumulate folds pairs into the table (the cRed inner loop of
-// Algorithm 1). Scratch comes from a shared pool, one block per
+// Algorithm 1). Scratch comes from a shared pool, one set per
 // accumulating goroutine, so concurrent calls on the same checker with
 // disjoint tables are safe — the ParallelAccumulator contract — and
 // repeated small-chunk calls allocate nothing.
 func (c *SumChecker) Accumulate(table []uint64, pairs []data.Pair) {
-	c.accumulateBlocked(table, pairs, false)
+	c.accumulate(table, pairs, false)
 }
 
 // AccumulateCount folds pairs into the table counting 1 per pair,
 // regardless of values (count aggregation: "sum aggregation where the
-// value of every element is mapped to 1", Section 4). It takes the same
-// blocked batch-hash path as Accumulate — including the pow2
-// single-hash fast path — and is likewise safe on disjoint tables.
+// value of every element is mapped to 1", Section 4). It runs the same
+// kernel as Accumulate and is likewise safe on disjoint tables.
 func (c *SumChecker) AccumulateCount(table []uint64, pairs []data.Pair) {
-	c.accumulateBlocked(table, pairs, true)
+	c.accumulate(table, pairs, true)
 }
 
-// accumulateBlocked is the shared hot loop: keys (and values) are
-// gathered into fixed-size stack blocks, hashed through the family's
-// Hash64Batch, and swept iteration-major — one iteration's d-counter
-// row and overflow correction 2^64 mod r stay cache/register resident
-// while a whole block streams through, and each hash function is
-// evaluated exactly once per block (the Section 7.1 bit-parallel
+// accumulate is the one accumulate kernel. Keys are gathered into
+// fixed-size blocks and hashed through the family's Hash64Batch, each
+// hash function exactly once per block (the Section 7.1 bit-parallel
 // optimisation: for pow2 d, hash j covers iterations j*perHash ..
-// (j+1)*perHash-1 via bit groups).
+// (j+1)*perHash-1 via bit groups). The block then streams through one
+// cell table per group of groupSize iterations: the group's
+// concatenated bucket bits pick a cell and the element's value is added
+// to it exactly. When the call ends, each non-zero cell is folded into
+// the counter of every iteration of its group — the cell's bits name
+// the bucket in each — and zeroed.
 //
-// The sweep order is immaterial to the result: the elements hitting
-// any one counter arrive in the same index order as in the
-// element-major scalar reference, so per-counter add sequences — and
-// therefore the residues — agree (tables are bit-identical to
-// AccumulateScalar's after Normalize; the raw words differ only in
-// when the two folds canonicalise).
-func (c *SumChecker) accumulateBlocked(table []uint64, pairs []data.Pair, count bool) {
-	d := c.cfg.Buckets
-	its := c.cfg.Iterations
-	pow64 := c.pow64
-	s := scratchPool.Get().(*accScratch)
-	defer scratchPool.Put(s)
-	keys, hs, vals := &s.keys, &s.hs, &s.vals
-	if count {
-		for i := range vals {
-			vals[i] = 1
-		}
-	}
-	var width, perHash int
-	if c.pow2 {
-		width = c.split.Width()
-		perHash = c.split.PerHash()
-	}
-	for start := 0; start < len(pairs); start += accBlock {
-		n := len(pairs) - start
-		if n > accBlock {
-			n = accBlock
-		}
-		blk := pairs[start : start+n]
-		for i := range blk {
-			keys[i] = blk[i].Key
-		}
-		if !count {
-			for i := range blk {
-				vals[i] = blk[i].Value
-			}
-		}
-		hb, vb := hs[:n], vals[:n]
-		if c.pow2 {
-			for it := 0; it < its; it++ {
-				if it%perHash == 0 {
-					c.hashers[it/perHash].Hash64Batch(hb, keys[:n])
-				}
-				shift := uint((it % perHash) * width)
-				sumRowUpdate(table[it*d:(it+1)*d], hb, vb, shift, pow64[it])
-			}
-		} else {
-			// General d: one independent hash per iteration,
-			// bucket = h mod d.
-			for it := 0; it < its; it++ {
-				c.hashers[it].Hash64Batch(hb, keys[:n])
-				sumRowUpdateMod(table[it*d:(it+1)*d], hb, vb, pow64[it])
-			}
-		}
-	}
-}
-
-// sumRowUpdate streams one block of hashed elements through one
-// iteration's counter row (pow2 bucket count: bucket bits at shift).
-// A standalone leaf so the prover eliminates every bounds check —
-// masking with len(row)-1 is exactly the bucket mask d-1.
+// Grouping cannot change a residue: a counter of the table receives
+// the exact integer sum of the values of the elements that map to its
+// bucket, merely summed per cell first, and addition is associative.
+// Tables are therefore bit-identical to AccumulateScalar's after
+// Normalize for every plan (the raw words differ only in when the
+// folds canonicalise).
 //
-// The fold is branch-free: a wrapped add lost exactly 2^64 ≡ p64
-// (mod r), folded back via the 0/-1 carry masks — as a branch the
-// random carry (every ~4 adds for large values) would mispredict. A
-// second wrap is folded the same way and cannot recur (the
-// twice-wrapped value is below p64 < r <= 2^63).
-func sumRowUpdate(row []uint64, hb, vb []uint64, shift uint, p64 uint64) {
-	if len(row) == 0 {
-		return // lets the prover see m below cannot wrap
-	}
-	m := uint64(len(row) - 1)
-	vb = vb[:len(hb)]
-	for i, h := range hb {
-		idx := (h >> shift) & m
-		sum, c1 := bits.Add64(row[idx], vb[i], 0)
-		sum, c2 := bits.Add64(sum, p64&-c1, 0)
-		row[idx] = sum + p64&-c2
-	}
-}
-
-// sumRowUpdateMod is sumRowUpdate for general (non-pow2) bucket
-// counts: bucket = h mod d, with d recovered from len(row) so the
-// prover sees idx < len(row).
-func sumRowUpdateMod(row []uint64, hb, vb []uint64, p64 uint64) {
-	if len(row) == 0 {
+// With g = 1 the cell tables have the table's own its×d shape. That
+// plan also carries general (non-pow2) d: one hash per iteration,
+// bucket = h mod d, in a row of the next power of two cells.
+//
+// A call costs n*ceil(its/g) updates plus a scan of its cells — at
+// g = 1 its*d of them whatever n is, which is what a call of a few
+// pairs against a wide table then mostly pays.
+func (c *SumChecker) accumulate(table []uint64, pairs []data.Pair, count bool) {
+	if len(pairs) == 0 {
 		return
 	}
-	d := uint64(len(row))
-	vb = vb[:len(hb)]
+	d, g := c.cfg.Buckets, c.forceG
+	if g == 0 {
+		g = groupSize(c.width, c.perHash, len(pairs))
+	}
+	need := c.eachGroup(g, nil)
+	// The scratch goes back to the pool only after the fold below has
+	// zeroed its cells — deliberately not deferred.
+	s := scratchPool.Get().(*accScratch)
+	if cap(s.cells) < need {
+		s.cells = make([]cell, need)
+	}
+	cells := s.cells[:need]
+	// value&vmask|one is the value in sum mode and 1 in count mode.
+	vmask, one := ^uint64(0), uint64(0)
+	if count {
+		vmask, one = 0, 1
+	}
+	for start := 0; start < len(pairs); start += accBlock {
+		blk := pairs[start:min(start+accBlock, len(pairs))]
+		keys, hb := s.keys[:len(blk)], s.hs[:len(blk)]
+		gatherKeys(keys, blk)
+		c.eachGroup(g, func(gr group) {
+			if gr.shift == 0 { // the first group to read this hash value
+				c.hashers[gr.hash].Hash64Batch(hb, keys)
+				if !c.pow2 {
+					for i := range hb {
+						hb[i] %= uint64(d)
+					}
+				}
+			}
+			cellsAdd(cells[gr.off:gr.off+gr.size], hb, blk, gr.shift, vmask, one)
+		})
+	}
+	c.eachGroup(g, func(gr group) {
+		grp := cells[gr.off : gr.off+gr.size]
+		for t := 0; t < gr.n; t++ {
+			it := gr.it + t
+			c.foldCells(table[it*d:(it+1)*d], grp, uint(t*c.width), it)
+		}
+		clear(grp)
+	})
+	scratchPool.Put(s)
+}
+
+// foldCells ends a call for one iteration of one group: every non-zero
+// cell's exact value goes into the counter its index bits at shift
+// name in row, the iteration's d counters, which stay congruent mod r.
+// lo goes in as any value does; the carries weigh 2^64 each, so they
+// go in as hi * (2^64 mod r) — reduced by a division only if that
+// product itself passes 2^64, which takes both a large modulus and a
+// cell that wrapped many times.
+func (c *SumChecker) foldCells(row []uint64, grp []cell, shift uint, it int) {
+	p64, r := c.pow64[it], c.mods[it]
+	m := 1<<c.width - 1
+	for x, cl := range grp {
+		if cl.lo|cl.hi == 0 {
+			continue
+		}
+		b := (x >> (shift & 63)) & m
+		sum := addFold(row[b], cl.lo, p64)
+		if cl.hi != 0 {
+			ph, pl := bits.Mul64(cl.hi, p64)
+			if ph != 0 {
+				// ph < p64 < r, so the quotient fits.
+				_, pl = bits.Div64(ph, pl, r)
+			}
+			sum = addFold(sum, pl, p64)
+		}
+		row[b] = sum
+	}
+}
+
+// gatherKeys copies a block's keys into the contiguous buffer
+// Hash64Batch reads. A standalone leaf for the registers, like
+// cellsAdd: inlined into accumulate, whose closures keep every register
+// busy, the loop index can end up on the stack, and the copy then
+// costs more than the hash it feeds.
+//
+//go:noinline
+func gatherKeys(keys []uint64, blk []data.Pair) {
+	keys = keys[:len(blk)]
+	for i := range blk {
+		keys[i] = blk[i].Key
+	}
+}
+
+// cellsAdd streams one block of hashed elements through one group's
+// cell table (a power of two cells: index bits at shift). A standalone
+// leaf so the prover eliminates every bounds check — masking with
+// len(cells)-1 is exactly the index mask. Values are read from the
+// pairs in place, and the carry is counted rather than branched on: as
+// a branch the random carry (every other add for full-width values)
+// would mispredict.
+//
+//go:noinline
+func cellsAdd(cells []cell, hb []uint64, blk []data.Pair, shift uint, vmask, one uint64) {
+	if len(cells) == 0 {
+		return // lets the prover see m below cannot wrap
+	}
+	m := uint64(len(cells) - 1)
+	blk = blk[:len(hb)]
 	for i, h := range hb {
-		idx := h % d
-		sum, c1 := bits.Add64(row[idx], vb[i], 0)
-		sum, c2 := bits.Add64(sum, p64&-c1, 0)
-		row[idx] = sum + p64&-c2
+		cl := &cells[(h>>(shift&63))&m]
+		lo, carry := bits.Add64(cl.lo, blk[i].Value&vmask|one, 0)
+		cl.lo = lo
+		cl.hi += carry
 	}
 }
 
@@ -296,7 +414,7 @@ func (c *SumChecker) AccumulateScalar(table []uint64, pairs []data.Pair, count b
 		// The historical Section 7.1 fast path: one hash evaluation per
 		// element, bucket bits peeled off iteration by iteration.
 		its := c.cfg.Iterations
-		width := c.split.Width()
+		width := c.width
 		mask := uint64(d - 1)
 		hasher := c.hashers[0]
 		for i := range pairs {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/big"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -339,6 +340,45 @@ func TestParseSumConfigErrors(t *testing.T) {
 		if _, err := ParseSumConfig(bad); err == nil {
 			t.Errorf("ParseSumConfig(%q) succeeded, want error", bad)
 		}
+	}
+}
+
+// TestSumConfigRejectsBucketsWiderThanHash: a bucket index wider than
+// the family's hash value used to pass Validate and kill NewSumChecker
+// with "integer divide by zero" (zero indices per hash value). It is a
+// configuration error and must read like one, from Validate, from
+// ParseSumConfig, and in the panic NewSumChecker raises on any invalid
+// configuration.
+func TestSumConfigRejectsBucketsWiderThanHash(t *testing.T) {
+	bad := SumConfig{Iterations: 1, Buckets: 1 << 33, RHatLog: 9, Family: hashing.FamilyCRC}
+	err := bad.Validate()
+	if err == nil || !strings.Contains(err.Error(), bad.Name()) || !strings.Contains(err.Error(), "33 bits") {
+		t.Fatalf("Validate(%s) = %v, want an error naming the configuration and the 33 bits it needs", bad.Name(), err)
+	}
+	if _, perr := ParseSumConfig("1x8589934592 CRC m9"); perr == nil || perr.Error() != err.Error() {
+		t.Errorf("ParseSumConfig = %v, want Validate's error %v", perr, err)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r == nil || r.(error).Error() != err.Error() {
+				t.Errorf("NewSumChecker panicked with %v, want Validate's error %v", r, err)
+			}
+		}()
+		NewSumChecker(bad, 1)
+	}()
+	// The widest index each family can serve stays valid, general d
+	// included; 64-bit families have no limit an int can reach.
+	for _, ok := range []SumConfig{
+		{Iterations: 1, Buckets: 1 << 32, RHatLog: 9, Family: hashing.FamilyCRC},
+		{Iterations: 2, Buckets: 1<<32 - 5, RHatLog: 9, Family: hashing.FamilyTab},
+		{Iterations: 1, Buckets: 1 << 40, RHatLog: 9, Family: hashing.FamilyTab64},
+	} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("Validate(%s) = %v, want nil", ok.Name(), err)
+		}
+	}
+	if err := (SumConfig{Iterations: 1, Buckets: 1<<32 + 1, RHatLog: 9, Family: hashing.FamilyTab}).Validate(); err == nil {
+		t.Error("general d beyond the hash range accepted")
 	}
 }
 
