@@ -1,5 +1,6 @@
 // Benchmarks regenerating the paper's evaluation, one target per table
-// and figure (see DESIGN.md's experiment index):
+// and figure (README "Reproducing the paper's evaluation" is the
+// experiment index):
 //
 //	BenchmarkTable2Optimizer        — Table 2 parameter search
 //	BenchmarkTable5SumCheckerLocal  — Table 5 local overhead per config
@@ -8,7 +9,10 @@
 //	BenchmarkFig4WeakScaling        — Fig. 4 checked/unchecked pipeline
 //	BenchmarkFig5PermAccuracy       — Fig. 5 accuracy harness
 //	BenchmarkCommVolumeAudit        — bottleneck-volume audit
-//	BenchmarkReduceByKeyChecked     — end-to-end checked operation
+//	BenchmarkPipelineEagerVsDeferred — eager vs one batched Verify
+//
+// Whole checked jobs (reduce_zipf, sort_uniform, ...) are measured by
+// the benchmark of record, bash benchmark/run.sh, not here.
 //
 // Run with: go test -bench=. -benchmem
 package repro_test
@@ -304,25 +308,6 @@ func BenchmarkModeledScaling(b *testing.B) {
 	b.ReportMetric(overhead, "chk/op-modeled")
 }
 
-// BenchmarkReduceByKeyChecked measures the full checked operation via
-// the public API.
-func BenchmarkReduceByKeyChecked(b *testing.B) {
-	global := workload.ZipfPairs(40000, 10000, 100, 8)
-	const p = 4
-	b.SetBytes(int64(16 * len(global)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		err := repro.Run(p, uint64(i), func(w *repro.Worker) error {
-			s, e := data.SplitEven(len(global), p, w.Rank())
-			_, err := repro.ReduceByKeyChecked(w, repro.DefaultOptions(), global[s:e], repro.SumFn)
-			return err
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPipelineEagerVsDeferred times the same chained three-stage
 // checked pipeline (ReduceByKey, Sort, Union) with per-operation eager
 // verification versus one batched deferred Verify — the round savings
@@ -365,24 +350,5 @@ func BenchmarkPipelineEagerVsDeferred(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkSortChecked measures the full checked sort via the public
-// API.
-func BenchmarkSortChecked(b *testing.B) {
-	global := workload.UniformU64s(40000, 1e9, 9)
-	const p = 4
-	b.SetBytes(int64(8 * len(global)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		err := repro.Run(p, uint64(i), func(w *repro.Worker) error {
-			s, e := data.SplitEven(len(global), p, w.Rank())
-			_, err := repro.SortChecked(w, repro.DefaultOptions(), global[s:e])
-			return err
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
 	}
 }

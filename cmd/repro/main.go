@@ -1,137 +1,129 @@
 // Command repro regenerates every table and figure of the paper
 // "Communication Efficient Checking of Big Data Operations"
 // (Hübschle-Schneider and Sanders) from this repository's
-// implementation.
+// implementation, and drives the resident verification service.
 //
 // Usage:
 //
-//	repro <experiment> [flags]
+//	repro <subcommand> [flags]
 //
-// Experiments: table1 table2 table3 table4 table5 table6 fig3 fig4 fig5
-// permoverhead commvolume all. Flags (where applicable) scale the
-// defaults up to paper scale, e.g.
+// Subcommands: table1 table2 table3 table4 table5 table6 fig3 fig4 fig5
+// permoverhead commvolume modeled serve soak launch all (the table in
+// commands is the one place they are declared; `repro` with no
+// arguments prints it). Flags, where applicable, scale the defaults up
+// to paper scale, e.g.
 //
 //	repro fig3 -elements 50000 -max-runs 100000
 //	repro fig4 -items 125000 -pes 32,64,128,256,512
+//
+// Performance is measured by the benchmark of record, not from here:
+// bash benchmark/run.sh.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"repro"
 	"repro/internal/comm"
-	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/exp"
-	"repro/internal/obs"
 	"repro/internal/params"
 )
 
+// subcommand is one row of the table that dispatch, the usage text and
+// `all` are all derived from.
+type subcommand struct {
+	name  string
+	help  string // one line, shown by usage
+	run   func(args []string) error
+	inAll bool // run by `all`, at default scale
+}
+
+// commands returns the subcommand table, in usage order. `all` closes
+// over the rows before it, so it is declared here like any other.
+func commands() []subcommand {
+	cmds := []subcommand{
+		{"table1", "checker properties (paper Table 1)", printer(exp.RenderTable1), true},
+		{"table2", "optimal (d, rhat, #its) per message size (paper Table 2)", runTable2, true},
+		{"table3", "tested checker configurations (paper Table 3)", printer(exp.RenderTable3), true},
+		{"table4", "sum checker manipulators (paper Table 4)", printer(exp.RenderTable4), true},
+		{"table5", "sum checker local overhead, ns/element (paper Table 5)", runTable5, true},
+		{"table6", "permutation checker manipulators (paper Table 6)", printer(exp.RenderTable6), true},
+		{"fig3", "sum checker detection accuracy sweep (paper Fig. 3)", runFig3, true},
+		{"fig4", "weak scaling of the checked reduce pipeline (paper Fig. 4)", runFig4, true},
+		{"fig5", "permutation checker accuracy sweep (paper Fig. 5 / App. A)", runFig5, true},
+		{"permoverhead", "permutation checker local overhead (paper Sec. 7.2)", runPermOverhead, true},
+		{"commvolume", "bottleneck communication volume audit (Sec. 1 claim)", runCommVolume, true},
+		{"modeled", "alpha-beta-model comm makespans up to p=4096 (Sec. 2 model)", runModeled, true},
+		{"serve", "resident verification service under synthetic concurrent jobs, live stats", runServe, false},
+		{"soak", "soak-and-chaos gate over the service; -kill-rank N adds the elastic-recovery episode", runSoak, false},
+		{"launch", "checked pipeline across OS processes, verdicts proven bit-identical to in-process", runLaunch, false},
+	}
+	return append(cmds, subcommand{"all", "every paper table and figure above at default scale",
+		func([]string) error { return runAll(cmds) }, false})
+}
+
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+	os.Exit(run(commands(), os.Args[1:], os.Stderr))
+}
+
+// run dispatches args[0] over cmds and returns the process exit code:
+// 2 with the usage text for a missing or unknown subcommand, 1 for a
+// subcommand that failed.
+func run(cmds []subcommand, args []string, stderr io.Writer) int {
+	if len(args) > 0 {
+		for _, c := range cmds {
+			if c.name != args[0] {
+				continue
+			}
+			if err := c.run(args[1:]); err != nil {
+				fmt.Fprintln(stderr, "repro:", err)
+				return 1
+			}
+			return 0
+		}
 	}
-	cmd, args := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "table1":
-		fmt.Print(exp.RenderTable1())
-	case "table2":
-		err = runTable2()
-	case "table3":
-		fmt.Print(exp.RenderTable3())
-	case "table4":
-		fmt.Print(exp.RenderTable4())
-	case "table5":
-		err = runTable5(args)
-	case "table6":
-		fmt.Print(exp.RenderTable6())
-	case "fig3":
-		err = runFig3(args)
-	case "fig4":
-		err = runFig4(args)
-	case "fig5":
-		err = runFig5(args)
-	case "permoverhead":
-		err = runPermOverhead(args)
-	case "commvolume":
-		err = runCommVolume(args)
-	case "modeled":
-		err = runModeled(args)
-	case "bench":
-		err = runBench(args)
-	case "stream":
-		err = runStream(args)
-	case "serve":
-		err = runServe(args)
-	case "soak":
-		err = runSoak(args)
-	case "launch":
-		err = runLaunch(args)
-	case "all":
-		err = runAll()
-	default:
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "repro:", err)
-		os.Exit(1)
+	usage(stderr, cmds)
+	return 2
+}
+
+func usage(w io.Writer, cmds []subcommand) {
+	fmt.Fprint(w, "usage: repro <subcommand> [flags]   (repro <subcommand> -h lists its flags)\n\nsubcommands:\n")
+	for _, c := range cmds {
+		fmt.Fprintf(w, "  %-13s %s\n", c.name, c.help)
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: repro <experiment> [flags]
-
-experiments:
-  table1        checker properties (paper Table 1)
-  table2        optimal (d, rhat, #its) per message size (paper Table 2)
-  table3        tested checker configurations (paper Table 3)
-  table4        sum checker manipulators (paper Table 4)
-  table5        sum checker local overhead, ns/element (paper Table 5)
-  table6        permutation checker manipulators (paper Table 6)
-  fig3          sum checker detection accuracy sweep (paper Fig. 3)
-  fig4          weak scaling of the checked reduce pipeline (paper Fig. 4)
-  fig5          permutation checker accuracy sweep (paper Fig. 5 / App. A)
-  permoverhead  permutation checker local overhead (paper Sec. 7.2)
-  commvolume    bottleneck communication volume audit (Sec. 1 claim)
-  modeled       alpha-beta-model comm makespans up to p=4096 (Sec. 2 model)
-  bench         local accumulation engine (scalar vs batch vs parallel),
-                the TCP transport codec comparison (gob vs framed), the
-                streaming throughput sweep, and the verification-policy
-                makespan benchmark (eager vs deferred vs overlapped);
-                -out bench.json writes the artifact, -baseline prev.json
-                diffs against a committed baseline (warns on >10%)
-  stream        streaming checked operations: chunked accumulate/merge/
-                seal residue cost vs one-shot across chunk sizes
-                (-chunk 65536 or -chunks 1024,8192,65536)
-  serve         resident verification service: one persistent mesh
-                serving synthetic concurrent jobs with live stats
-                (-duration 10s -p 4 -concurrency 64 -transport mem)
-  soak          soak-and-chaos harness over the service: manipulated
-                claimed outputs plus transport bitflips and hard
-                faults; exits nonzero if any corruption escapes, any
-                clean job fails, or fault fallout leaks across jobs;
-                -kill-rank N additionally crashes PE N on an elastic
-                pool mid-flight and asserts detection, a single view
-                change, and checked recovery bit-identical to a
-                serial rerun
-  launch        run a checked pipeline across OS processes: the default
-                spawn mode forks -p ranks on loopback via a local
-                rendezvous and proves their verdicts bit-identical to an
-                in-process run; -rank joins an existing run by host list
-                (-hosts) or rendezvous (-rendezvous, with
-                -serve-rendezvous on one rank)
-  all           everything above at default scale`)
+// runAll runs every row marked inAll, in table order, at default scale.
+func runAll(cmds []subcommand) error {
+	sep := ""
+	for _, c := range cmds {
+		if !c.inAll {
+			continue
+		}
+		fmt.Print(sep)
+		sep = "\n"
+		if err := c.run(nil); err != nil {
+			return fmt.Errorf("%s: %w", c.name, err)
+		}
+	}
+	return nil
 }
 
-func runTable2() error {
+// printer adapts a flagless table renderer to a subcommand.
+func printer(render func() string) func([]string) error {
+	return func([]string) error {
+		fmt.Print(render())
+		return nil
+	}
+}
+
+func runTable2([]string) error {
 	rows, err := params.Table2()
 	if err != nil {
 		return err
@@ -288,226 +280,6 @@ func runPermOverhead(args []string) error {
 	return nil
 }
 
-func runBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	opt := exp.DefaultLocalBenchOptions()
-	netOpt := exp.DefaultNetBenchOptions()
-	ovOpt := exp.DefaultOverlapBenchOptions()
-	fs.IntVar(&opt.Elements, "elements", opt.Elements, "elements per loop")
-	fs.IntVar(&opt.Repeats, "repeats", opt.Repeats, "repetitions, fastest wins")
-	fs.Uint64Var(&opt.Seed, "seed", opt.Seed, "workload seed")
-	sumCfg := fs.String("sum", opt.Sum.Name(), "sum checker configuration (Table 3 syntax)")
-	workers := fs.String("workers", "", "comma-separated parallel worker counts (default 2..GOMAXPROCS doubling)")
-	withNet := fs.Bool("net", true, "include the TCP allreduce codec benchmark (gob baseline vs framed)")
-	withStream := fs.Bool("stream", true, "include the streaming chunked-vs-oneshot throughput sweep")
-	withOverlap := fs.Bool("overlap", true, "include the verification-policy makespan benchmark (eager vs deferred vs overlapped)")
-	withService := fs.Bool("service", true, "include the service-pool job throughput benchmark (serial vs concurrent)")
-	withRecovery := fs.Bool("recovery", true, "include the elastic-recovery latency benchmark (kill a PE, measure detect + recover)")
-	withTopo := fs.Bool("topology", true, "include the topology benchmark (full-mesh vs hypercube setup latency and connection count)")
-	topoOpt := exp.TopoBenchOptions{}
-	topoPEs := fs.String("topology-pes", "", "comma-separated PE counts for the topology benchmark (default 4,8,16)")
-	recOpt := exp.RecoveryBenchOptions{}
-	fs.IntVar(&recOpt.Jobs, "recovery-jobs", recOpt.Jobs, "in-flight recoverable jobs per recovery episode (default 8)")
-	fs.IntVar(&recOpt.Elements, "recovery-elements", recOpt.Elements, "elements per PE per recovery job (default 1000)")
-	svcOpt := exp.ServiceBenchOptions{}
-	fs.IntVar(&svcOpt.P, "service-pes", svcOpt.P, "PEs in the service benchmark mesh (default 4)")
-	fs.IntVar(&svcOpt.Concurrency, "service-concurrency", svcOpt.Concurrency, "concurrent jobs in the service benchmark (default 64)")
-	fs.IntVar(&svcOpt.Jobs, "service-jobs", svcOpt.Jobs, "jobs per measured service benchmark row (default 256)")
-	fs.IntVar(&svcOpt.Elements, "service-elements", svcOpt.Elements, "elements per PE per service benchmark job (default 2000)")
-	fs.IntVar(&netOpt.P, "net-pes", netOpt.P, "PEs in the TCP benchmark mesh")
-	fs.IntVar(&netOpt.Words, "net-words", netOpt.Words, "words per PE per benchmarked allreduce")
-	fs.IntVar(&netOpt.Rounds, "net-rounds", netOpt.Rounds, "allreduces per TCP benchmark repetition")
-	fs.IntVar(&ovOpt.P, "overlap-pes", ovOpt.P, "PEs in the overlap benchmark mesh")
-	fs.IntVar(&ovOpt.Stages, "overlap-stages", ovOpt.Stages, "checked pipeline stages in the overlap benchmark")
-	fs.IntVar(&ovOpt.Elements, "overlap-elements", ovOpt.Elements, "pairs per PE per stage in the overlap benchmark")
-	fs.DurationVar(&ovOpt.WireLatency, "overlap-latency", ovOpt.WireLatency,
-		"emulated interconnect latency per message in the overlap benchmark (0 = raw loopback)")
-	baseline := fs.String("baseline", "", "diff the fresh rows against this committed bench JSON (trajectory mode)")
-	out := fs.String("out", "", "write the rows as JSON to this file")
-	history := fs.String("history", "",
-		"render the cross-PR trajectory of every committed artifact matching this glob (e.g. 'BENCH_*.json') and exit without benchmarking")
-	traceOut := fs.String("trace", "", "write a Chrome trace of the overlap benchmark's spans to this file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *history != "" {
-		entries, err := exp.LoadBenchHistory(*history)
-		if err != nil {
-			return err
-		}
-		fmt.Print(exp.RenderBenchHistory(entries))
-		return nil
-	}
-	cfg, err := core.ParseSumConfig(*sumCfg)
-	if err != nil {
-		return err
-	}
-	opt.Sum = cfg
-	if *workers != "" {
-		parsed, err := parseInts(*workers)
-		if err != nil {
-			return err
-		}
-		opt.Workers = parsed
-	}
-	rows, err := exp.LocalBench(opt)
-	if err != nil {
-		return err
-	}
-	fmt.Print(exp.RenderLocalBench(rows))
-	var netRows []exp.NetBenchRow
-	if *withNet {
-		netOpt.Seed = opt.Seed
-		netRows, err = exp.NetBench(netOpt)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		fmt.Print(exp.RenderNetBench(netRows))
-	}
-	var streamRows []exp.StreamBenchRow
-	if *withStream {
-		streamOpt := exp.DefaultStreamBenchOptions()
-		streamOpt.Elements = opt.Elements
-		streamOpt.Repeats = opt.Repeats
-		streamOpt.Seed = opt.Seed
-		streamOpt.Sum = opt.Sum
-		streamRows, err = exp.StreamBench(streamOpt)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		fmt.Print(exp.RenderStreamBench(streamRows))
-	}
-	var overlapRows []exp.OverlapBenchRow
-	if *withOverlap {
-		// Repeats stay at the overlap default: single-machine makespans
-		// are noisy and the mode comparison needs best-of-N to converge.
-		ovOpt.Seed = opt.Seed
-		ovOpt.Sum = exp.DefaultOverlapBenchOptions().Sum // deliberately large table; -sum tunes the local bench
-		if *traceOut != "" {
-			ovOpt.Tracer = obs.NewTracer(ovOpt.P, obs.DefaultCapacity)
-		}
-		overlapRows, err = exp.OverlapBench(ovOpt)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		fmt.Print(exp.RenderOverlapBench(overlapRows))
-		if *traceOut != "" {
-			if err := writeTracerFile(*traceOut, ovOpt.Tracer); err != nil {
-				return err
-			}
-		}
-	}
-	var svcRows []exp.ServiceBenchRow
-	if *withService {
-		svcOpt.Seed = opt.Seed
-		svcRows, err = exp.RunServiceBench(svcOpt)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		fmt.Print(exp.RenderServiceBench(svcRows))
-	}
-	var recRows []exp.RecoveryBenchRow
-	if *withRecovery {
-		recOpt.Seed = opt.Seed
-		recRows, err = exp.RunRecoveryBench(recOpt)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		fmt.Print(exp.RenderRecoveryBench(recRows))
-	}
-	var topoRows []exp.TopoBenchRow
-	if *withTopo {
-		topoOpt.Seed = opt.Seed
-		if *topoPEs != "" {
-			parsed, err := parseInts(*topoPEs)
-			if err != nil {
-				return err
-			}
-			topoOpt.PEs = parsed
-		}
-		topoRows, err = exp.TopoBench(topoOpt)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		fmt.Print(exp.RenderTopoBench(topoRows))
-	}
-	artifact := exp.BenchArtifact{Local: rows, Net: netRows, Stream: streamRows, Overlap: overlapRows, Service: svcRows, Recovery: recRows, Topology: topoRows}
-	if *baseline != "" {
-		base, err := exp.ReadBenchArtifact(*baseline)
-		if err != nil {
-			return err
-		}
-		fmt.Println()
-		fmt.Print(exp.RenderBenchDiff(exp.DiffBench(base, artifact)))
-	}
-	if *out != "" {
-		blob, err := json.MarshalIndent(artifact, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %d local, %d net, %d stream, %d overlap, %d service, %d recovery, and %d topology rows to %s\n",
-			len(rows), len(netRows), len(streamRows), len(overlapRows), len(svcRows), len(recRows), len(topoRows), *out)
-	}
-	return nil
-}
-
-func runStream(args []string) error {
-	fs := flag.NewFlagSet("stream", flag.ExitOnError)
-	opt := exp.DefaultStreamBenchOptions()
-	fs.IntVar(&opt.Elements, "elements", opt.Elements, "elements per streamed side")
-	fs.IntVar(&opt.Repeats, "repeats", opt.Repeats, "repetitions, fastest wins")
-	fs.Uint64Var(&opt.Seed, "seed", opt.Seed, "workload seed")
-	fs.IntVar(&opt.Parallelism, "par", opt.Parallelism,
-		parFlagHelp+"; chunks below the 8192-element fan-out threshold stay serial regardless")
-	chunk := fs.Int("chunk", 0, "single resident chunk size to measure (overrides -chunks)")
-	chunks := fs.String("chunks", "", "comma-separated resident chunk sizes (default 1024,8192,65536)")
-	sumCfg := fs.String("sum", opt.Sum.Name(), "sum checker configuration (Table 3 syntax)")
-	out := fs.String("out", "", "write the rows as JSON to this file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	cfg, err := core.ParseSumConfig(*sumCfg)
-	if err != nil {
-		return err
-	}
-	opt.Sum = cfg
-	if *chunks != "" {
-		parsed, err := parseInts(*chunks)
-		if err != nil {
-			return err
-		}
-		opt.Chunks = parsed
-	}
-	if *chunk > 0 {
-		opt.Chunks = []int{*chunk}
-	}
-	rows, err := exp.StreamBench(opt)
-	if err != nil {
-		return err
-	}
-	fmt.Print(exp.RenderStreamBench(rows))
-	if *out != "" {
-		blob, err := json.MarshalIndent(rows, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %d stream rows to %s\n", len(rows), *out)
-	}
-	return nil
-}
-
 func runCommVolume(args []string) error {
 	fs := flag.NewFlagSet("commvolume", flag.ExitOnError)
 	opt := exp.DefaultCommVolumeOptions()
@@ -563,50 +335,6 @@ func runModeled(args []string) error {
 	}
 	fmt.Print(exp.RenderModeled(rows))
 	return nil
-}
-
-func runAll() error {
-	fmt.Print(exp.RenderTable1())
-	fmt.Println()
-	if err := runTable2(); err != nil {
-		return err
-	}
-	fmt.Println()
-	fmt.Print(exp.RenderTable3())
-	fmt.Println()
-	fmt.Print(exp.RenderTable4())
-	fmt.Println()
-	fmt.Print(exp.RenderTable6())
-	fmt.Println()
-	if err := runTable5(nil); err != nil {
-		return err
-	}
-	fmt.Println()
-	if err := runPermOverhead(nil); err != nil {
-		return err
-	}
-	fmt.Println()
-	if err := runCommVolume(nil); err != nil {
-		return err
-	}
-	fmt.Println()
-	if err := runModeled(nil); err != nil {
-		return err
-	}
-	fmt.Println()
-	if err := runBench(nil); err != nil {
-		return err
-	}
-	fmt.Println()
-	if err := runFig3(nil); err != nil {
-		return err
-	}
-	fmt.Println()
-	if err := runFig5(nil); err != nil {
-		return err
-	}
-	fmt.Println()
-	return runFig4(nil)
 }
 
 func parseInts(s string) ([]int, error) {

@@ -19,8 +19,7 @@ type CheckMode int
 const (
 	// CheckEager resolves every operation's checker inline, immediately
 	// after the operation: k chained operations pay k serialized
-	// verification rounds. This is the default and matches the behavior
-	// of the deprecated XxxChecked wrappers.
+	// verification rounds. This is the default.
 	CheckEager CheckMode = iota
 	// CheckDeferred runs only the checkers' local accumulation phase
 	// per operation and batches all pending collective rounds into a
@@ -217,9 +216,10 @@ type pendingCheck struct {
 // NewContext builds a pipeline context for this Worker. It derives the
 // run-wide checker seed and shared partitioner, so like any collective
 // the first NewContext must happen at the same point of every PE's
-// program. opts.Mode selects the check mode. Checker configurations
-// are validated by the stages that use them, so an Options that only
-// fills the configs its operations need keeps working.
+// program. opts.Mode selects the check mode. Each checked stage
+// validates the checker configuration it uses before it runs (see
+// validSum), so an Options that only fills the configs its operations
+// need keeps working.
 func NewContext(w *Worker, opts Options) (*Context, error) {
 	if opts.Tracer != nil {
 		w.SetTracer(opts.Tracer)
@@ -303,20 +303,45 @@ func (c *Context) fail(err error) error {
 	return c.err
 }
 
+// validSum, validPerm and validZip check the Options field a stage's
+// checker is configured from; a checked stage hands the one it uses to
+// runStage, which runs it before the operation communicates. A bad
+// configuration is thereby the same error on every PE with nothing
+// sent, instead of a checker constructor's panic after the operation
+// ran — which a service.Pool would treat as an infrastructure abort.
+func (c *Context) validSum() error  { return optionErr("Sum", c.opts.Sum.Validate()) }
+func (c *Context) validPerm() error { return optionErr("Perm", c.opts.Perm.Validate()) }
+func (c *Context) validZip() error {
+	// A zero-iteration zip checker has an empty fingerprint and would
+	// silently accept anything.
+	if c.opts.Zip.Iterations < 1 {
+		return optionErr("Zip", errors.New("iterations must be >= 1"))
+	}
+	return nil
+}
+
+func optionErr(field string, err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("repro: Options.%s: %w", field, err)
+}
+
 // runStage executes one pipeline stage: the operation via exec (which
 // returns this PE's output record count), then the checker per the
-// mode. mkState builds the checker's local-phase states from the stage
-// label; it must not communicate. A nil mkState marks an unchecked
-// stage.
-func (c *Context) runStage(op string, elemsIn int, exec func() (int, error), mkState func(label string) []core.CheckState) error {
-	return c.runStagePrep(op, elemsIn, exec, nil, mkState)
+// mode. valid is the stage's configuration check (nil for a checker
+// without one); it runs first and is skipped under CheckOff. mkState
+// builds the checker's local-phase states from the stage label; it must
+// not communicate. A nil mkState marks an unchecked stage.
+func (c *Context) runStage(op string, elemsIn int, valid func() error, exec func() (int, error), mkState func(label string) []core.CheckState) error {
+	return c.runStagePrep(op, elemsIn, valid, exec, nil, mkState)
 }
 
 // runStagePrep is runStage with an optional checker preparation step:
 // checkPrep runs after the operation and may communicate (e.g. the zip
 // checker's global-offset prefix sum); its traffic and time are charged
 // to the checker, and it is skipped entirely under CheckOff.
-func (c *Context) runStagePrep(op string, elemsIn int, exec func() (int, error), checkPrep func() error, mkState func(label string) []core.CheckState) error {
+func (c *Context) runStagePrep(op string, elemsIn int, valid func() error, exec func() (int, error), checkPrep func() error, mkState func(label string) []core.CheckState) error {
 	if c.err != nil {
 		return c.err
 	}
@@ -324,6 +349,15 @@ func (c *Context) runStagePrep(op string, elemsIn int, exec func() (int, error),
 	st := CheckStats{Stage: label, Op: op, ElementsIn: elemsIn, Verdict: VerdictSkipped}
 	span := c.w.Span(obs.KindStage, label)
 	defer span.End()
+
+	checked := c.mode != CheckOff && mkState != nil
+	if checked && valid != nil {
+		if err := valid(); err != nil {
+			st.Verdict = VerdictError
+			c.stats = append(c.stats, st)
+			return c.fail(err)
+		}
+	}
 
 	b0, _, _ := c.commSnapshot()
 	t0 := time.Now()
@@ -338,7 +372,7 @@ func (c *Context) runStagePrep(op string, elemsIn int, exec func() (int, error),
 	}
 	st.ElementsOut = elemsOut
 
-	if c.mode == CheckOff || mkState == nil {
+	if !checked {
 		c.stats = append(c.stats, st)
 		return nil
 	}
@@ -415,8 +449,9 @@ func (c *Context) settle(st CheckStats, states []core.CheckState, prepBytes, pre
 // input-side and output-side metering. There is no operation to run —
 // the data already streamed past — so the drive is charged entirely to
 // the checker, and under CheckOff the sources are not consumed at all.
-// Drives must not communicate.
-func (c *Context) runStreamStage(op string, drive func(label string) ([]core.CheckState, stream.Meter, stream.Meter, error)) error {
+// valid is the stage's configuration check, as for runStage; a stream
+// stage always has one. Drives must not communicate.
+func (c *Context) runStreamStage(op string, valid func() error, drive func(label string) ([]core.CheckState, stream.Meter, stream.Meter, error)) error {
 	if c.err != nil {
 		return c.err
 	}
@@ -427,6 +462,11 @@ func (c *Context) runStreamStage(op string, drive func(label string) ([]core.Che
 	if c.mode == CheckOff {
 		c.stats = append(c.stats, st)
 		return nil
+	}
+	if err := valid(); err != nil {
+		st.Verdict = VerdictError
+		c.stats = append(c.stats, st)
+		return c.fail(err)
 	}
 	t0 := time.Now()
 	states, in, out, err := drive(label)
@@ -653,7 +693,7 @@ func (c *Context) sameContext(other *Context) error {
 func (d *Dataset) ReduceByKey(fn ReduceFn) *Dataset {
 	c := d.ctx
 	var out []Pair
-	c.runStage("ReduceByKey", len(d.pairs), func() (int, error) {
+	c.runStage("ReduceByKey", len(d.pairs), c.validSum, func() (int, error) {
 		var err error
 		out, err = ops.ReduceByKey(c.w, c.pt, d.pairs, fn)
 		return len(out), err
@@ -670,7 +710,7 @@ func (d *Dataset) GroupByKey() ([]Group, error) {
 	c := d.ctx
 	var red ops.RedistInputs
 	var groups []Group
-	err := c.runStage("GroupByKey", len(d.pairs), func() (int, error) {
+	err := c.runStage("GroupByKey", len(d.pairs), c.validPerm, func() (int, error) {
 		var err error
 		red, err = ops.RedistributeByKey(c.w, c.pt, d.pairs)
 		if err != nil {
@@ -699,7 +739,7 @@ func (d *Dataset) Join(other *Dataset) ([]JoinRow, error) {
 	}
 	var redL, redR ops.RedistInputs
 	var rows []JoinRow
-	err := c.runStage("Join", len(d.pairs)+len(other.pairs), func() (int, error) {
+	err := c.runStage("Join", len(d.pairs)+len(other.pairs), c.validPerm, func() (int, error) {
 		var err error
 		redL, err = ops.RedistributeByKey(c.w, c.pt, d.pairs)
 		if err != nil {
@@ -738,7 +778,7 @@ func (d *Dataset) MaxByKey() (MinMaxResult, error) {
 func (d *Dataset) optByKey(op string, wantMin bool) (MinMaxResult, error) {
 	c := d.ctx
 	var res MinMaxResult
-	err := c.runStage(op, len(d.pairs), func() (int, error) {
+	err := c.runStage(op, len(d.pairs), nil, func() (int, error) {
 		var err error
 		if wantMin {
 			res, err = ops.MinByKey(c.w, c.pt, d.pairs)
@@ -766,7 +806,7 @@ func (d *Dataset) MedianByKey() ([]Pair, error) {
 	c := d.ctx
 	var medians []Pair
 	ties := make(map[uint64]core.TieCert)
-	err := c.runStage("MedianByKey", len(d.pairs), func() (int, error) {
+	err := c.runStage("MedianByKey", len(d.pairs), c.validSum, func() (int, error) {
 		groups, err := ops.GroupByKey(c.w, c.pt, d.pairs)
 		if err != nil {
 			return 0, err
@@ -806,7 +846,7 @@ func (d *Dataset) MedianByKey() ([]Pair, error) {
 func (d *Dataset) AverageByKey() ([]Triple, error) {
 	c := d.ctx
 	var out []Triple
-	err := c.runStage("AverageByKey", len(d.pairs), func() (int, error) {
+	err := c.runStage("AverageByKey", len(d.pairs), c.validSum, func() (int, error) {
 		var err error
 		out, err = ops.AverageByKey(c.w, c.pt, d.pairs)
 		return len(out), err
@@ -824,7 +864,7 @@ func (d *Dataset) AverageByKey() ([]Triple, error) {
 func (s *Seq) Sort() *Seq {
 	c := s.ctx
 	var out []uint64
-	c.runStage("Sort", len(s.vals), func() (int, error) {
+	c.runStage("Sort", len(s.vals), c.validPerm, func() (int, error) {
 		var err error
 		out, err = ops.Sort(c.w, s.vals)
 		return len(out), err
@@ -842,7 +882,7 @@ func (s *Seq) Merge(other *Seq) *Seq {
 		return &Seq{ctx: c}
 	}
 	var out []uint64
-	c.runStage("Merge", len(s.vals)+len(other.vals), func() (int, error) {
+	c.runStage("Merge", len(s.vals)+len(other.vals), c.validPerm, func() (int, error) {
 		var err error
 		out, err = ops.Merge(c.w, s.vals, other.vals)
 		return len(out), err
@@ -860,7 +900,7 @@ func (s *Seq) Union(other *Seq) *Seq {
 		return &Seq{ctx: c}
 	}
 	var out []uint64
-	c.runStage("Union", len(s.vals)+len(other.vals), func() (int, error) {
+	c.runStage("Union", len(s.vals)+len(other.vals), c.validPerm, func() (int, error) {
 		var err error
 		out, err = ops.Union(c.w, s.vals, other.vals)
 		return len(out), err
@@ -880,13 +920,7 @@ func (s *Seq) Zip(other *Seq) *Dataset {
 	}
 	var out []Pair
 	var starts, totals []uint64
-	c.runStagePrep("Zip", len(s.vals)+len(other.vals), func() (int, error) {
-		// Guard here rather than in the state constructor: a
-		// zero-iteration zip checker has an empty fingerprint and would
-		// silently accept anything.
-		if c.mode != CheckOff && c.opts.Zip.Iterations < 1 {
-			return 0, errors.New("repro: Options.Zip: iterations must be >= 1")
-		}
+	c.runStagePrep("Zip", len(s.vals)+len(other.vals), c.validZip, func() (int, error) {
 		var err error
 		out, err = ops.Zip(c.w, s.vals, other.vals)
 		return len(out), err
@@ -912,7 +946,7 @@ func (s *Seq) Zip(other *Seq) *Dataset {
 // mode the verdict returns immediately; in deferred mode it surfaces at
 // Verify.
 func (c *Context) AssertSum(input, output []Pair) error {
-	return c.runStage("AssertSum", len(input), func() (int, error) {
+	return c.runStage("AssertSum", len(input), c.validSum, func() (int, error) {
 		return len(output), nil
 	}, func(label string) []core.CheckState {
 		return []core.CheckState{core.NewSumAggStatePar(label, c.opts.Sum, c.seed, c.par, input, output)}
@@ -923,7 +957,7 @@ func (c *Context) AssertSum(input, output []Pair) error {
 // input — the pure sort checker (Theorem 7) in pipeline form; see
 // AssertSum.
 func (c *Context) AssertSorted(input, output []uint64) error {
-	return c.runStage("AssertSorted", len(input), func() (int, error) {
+	return c.runStage("AssertSorted", len(input), c.validPerm, func() (int, error) {
 		return len(output), nil
 	}, func(label string) []core.CheckState {
 		return []core.CheckState{core.NewSortedStatePar(label, c.opts.Perm, c.seed, c.par, [][]uint64{input}, output)}

@@ -8,10 +8,10 @@ import (
 	"repro/internal/data"
 )
 
-// ExampleReduceByKeyChecked aggregates values per key on four PEs with
+// ExampleDataset_ReduceByKey aggregates values per key on four PEs with
 // the sum checker attached; the result is provably correct up to the
 // checker's failure probability (< 1.3e-9 with default options).
-func ExampleReduceByKeyChecked() {
+func ExampleDataset_ReduceByKey() {
 	global := []repro.Pair{
 		{Key: 1, Value: 10}, {Key: 2, Value: 5},
 		{Key: 1, Value: 7}, {Key: 2, Value: 1},
@@ -19,7 +19,11 @@ func ExampleReduceByKeyChecked() {
 	total := make(chan uint64, 1)
 	err := repro.Run(4, 42, func(w *repro.Worker) error {
 		s, e := data.SplitEven(len(global), w.Size(), w.Rank())
-		out, err := repro.ReduceByKeyChecked(w, repro.DefaultOptions(), global[s:e], repro.SumFn)
+		ctx, err := repro.NewContext(w, repro.DefaultOptions())
+		if err != nil {
+			return err
+		}
+		out, err := ctx.Pairs(global[s:e]).ReduceByKey(repro.SumFn).Collect()
 		if err != nil {
 			return err
 		}
@@ -38,14 +42,18 @@ func ExampleReduceByKeyChecked() {
 	// Output: sum of key 1: 17
 }
 
-// ExampleSortChecked sorts a distributed sequence; the checker verifies
+// ExampleSeq_Sort sorts a distributed sequence; the checker verifies
 // the output is a sorted permutation of the input.
-func ExampleSortChecked() {
+func ExampleSeq_Sort() {
 	global := []uint64{9, 3, 7, 1, 8, 2, 6, 4}
 	shares := make([][]uint64, 2)
 	err := repro.Run(2, 7, func(w *repro.Worker) error {
 		s, e := data.SplitEven(len(global), w.Size(), w.Rank())
-		out, err := repro.SortChecked(w, repro.DefaultOptions(), global[s:e])
+		ctx, err := repro.NewContext(w, repro.DefaultOptions())
+		if err != nil {
+			return err
+		}
+		out, err := ctx.Seq(global[s:e]).Sort().Collect()
 		if err != nil {
 			return err
 		}

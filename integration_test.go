@@ -47,37 +47,41 @@ func TestFullSuiteOverTCP(t *testing.T) {
 	opts := repro.DefaultOptions()
 	err = dist.RunNetwork(net, 7, func(w *dist.Worker) error {
 		r := w.Rank()
-		if _, err := repro.ReduceByKeyChecked(w, opts, shardPairs(pairs, p, r), repro.SumFn); err != nil {
+		ctx, err := repro.NewContext(w, opts)
+		if err != nil {
 			return err
 		}
-		if _, err := repro.SortChecked(w, opts, shardU64(seqA, p, r)); err != nil {
+		if _, err := ctx.Pairs(shardPairs(pairs, p, r)).ReduceByKey(repro.SumFn).Collect(); err != nil {
 			return err
 		}
-		if _, err := repro.MergeChecked(w, opts, shardU64(sortedA, p, r), shardU64(sortedB, p, r)); err != nil {
+		if _, err := ctx.Seq(shardU64(seqA, p, r)).Sort().Collect(); err != nil {
 			return err
 		}
-		if _, err := repro.UnionChecked(w, opts, shardU64(seqA, p, r), shardU64(seqB, p, r)); err != nil {
+		if _, err := ctx.Seq(shardU64(sortedA, p, r)).Merge(ctx.Seq(shardU64(sortedB, p, r))).Collect(); err != nil {
 			return err
 		}
-		if _, err := repro.ZipChecked(w, opts, shardU64(seqA, p, r), shardU64(seqB, p, r)); err != nil {
+		if _, err := ctx.Seq(shardU64(seqA, p, r)).Union(ctx.Seq(shardU64(seqB, p, r))).Collect(); err != nil {
 			return err
 		}
-		if _, err := repro.MinByKeyChecked(w, opts, shardPairs(pairs, p, r)); err != nil {
+		if _, err := ctx.Seq(shardU64(seqA, p, r)).Zip(ctx.Seq(shardU64(seqB, p, r))).Collect(); err != nil {
 			return err
 		}
-		if _, err := repro.MaxByKeyChecked(w, opts, shardPairs(pairs, p, r)); err != nil {
+		if _, err := ctx.Pairs(shardPairs(pairs, p, r)).MinByKey(); err != nil {
 			return err
 		}
-		if _, err := repro.MedianByKeyChecked(w, opts, shardPairs(pairs, p, r)); err != nil {
+		if _, err := ctx.Pairs(shardPairs(pairs, p, r)).MaxByKey(); err != nil {
 			return err
 		}
-		if _, err := repro.AverageByKeyChecked(w, opts, shardPairs(pairs, p, r)); err != nil {
+		if _, err := ctx.Pairs(shardPairs(pairs, p, r)).MedianByKey(); err != nil {
 			return err
 		}
-		if _, err := repro.JoinChecked(w, opts, shardPairs(pairs, p, r), shardPairs(pairs, p, r)); err != nil {
+		if _, err := ctx.Pairs(shardPairs(pairs, p, r)).AverageByKey(); err != nil {
 			return err
 		}
-		if _, err := repro.GroupByKeyChecked(w, opts, shardPairs(pairs, p, r)); err != nil {
+		if _, err := ctx.Pairs(shardPairs(pairs, p, r)).Join(ctx.Pairs(shardPairs(pairs, p, r))); err != nil {
+			return err
+		}
+		if _, err := ctx.Pairs(shardPairs(pairs, p, r)).GroupByKey(); err != nil {
 			return err
 		}
 		return nil
@@ -97,16 +101,20 @@ func TestFullSuiteManyPEs(t *testing.T) {
 		p := p
 		err := repro.Run(p, uint64(p), func(w *repro.Worker) error {
 			r := w.Rank()
-			if _, err := repro.ReduceByKeyChecked(w, opts, shardPairs(pairs, p, r), repro.SumFn); err != nil {
+			ctx, err := repro.NewContext(w, opts)
+			if err != nil {
 				return err
 			}
-			if _, err := repro.SortChecked(w, opts, shardU64(seq, p, r)); err != nil {
+			if _, err := ctx.Pairs(shardPairs(pairs, p, r)).ReduceByKey(repro.SumFn).Collect(); err != nil {
 				return err
 			}
-			if _, err := repro.MedianByKeyChecked(w, opts, shardPairs(pairs, p, r)); err != nil {
+			if _, err := ctx.Seq(shardU64(seq, p, r)).Sort().Collect(); err != nil {
 				return err
 			}
-			if _, err := repro.MinByKeyChecked(w, opts, shardPairs(pairs, p, r)); err != nil {
+			if _, err := ctx.Pairs(shardPairs(pairs, p, r)).MedianByKey(); err != nil {
+				return err
+			}
+			if _, err := ctx.Pairs(shardPairs(pairs, p, r)).MinByKey(); err != nil {
 				return err
 			}
 			return nil
@@ -157,7 +165,7 @@ func TestFaultInjectionThroughRealOperation(t *testing.T) {
 	}
 }
 
-// TestCheckedWrapperErrorType confirms the wrapper's sentinel error is
+// TestCheckedWrapperErrorType confirms the stages' sentinel error is
 // distinguishable for programmatic fallback ("graceful degradation ...
 // falling back to a simpler but slower method", Section 8).
 func TestCheckedWrapperErrorType(t *testing.T) {
@@ -176,7 +184,11 @@ func TestTransportsAgreeOnResults(t *testing.T) {
 	collect := func(net comm.Network) (map[uint64]uint64, error) {
 		out := make(map[uint64]uint64)
 		err := dist.RunNetwork(net, 21, func(w *dist.Worker) error {
-			res, err := repro.ReduceByKeyChecked(w, opts, shardPairs(pairs, p, w.Rank()), repro.SumFn)
+			ctx, err := repro.NewContext(w, opts)
+			if err != nil {
+				return err
+			}
+			res, err := ctx.Pairs(shardPairs(pairs, p, w.Rank())).ReduceByKey(repro.SumFn).Collect()
 			if err != nil {
 				return err
 			}
@@ -232,7 +244,11 @@ func TestCheckerOverSimNetwork(t *testing.T) {
 	net := comm.NewSimNetwork(p, 1000, 1)
 	defer net.Close()
 	err := dist.RunNetwork(net, 13, func(w *dist.Worker) error {
-		_, err := repro.ReduceByKeyChecked(w, repro.DefaultOptions(), shardPairs(pairs, p, w.Rank()), repro.SumFn)
+		ctx, err := repro.NewContext(w, repro.DefaultOptions())
+		if err != nil {
+			return err
+		}
+		_, err = ctx.Pairs(shardPairs(pairs, p, w.Rank())).ReduceByKey(repro.SumFn).Collect()
 		return err
 	})
 	if err != nil {

@@ -40,44 +40,39 @@ func BenchmarkFrameCodec(b *testing.B) {
 }
 
 // BenchmarkTCPPingPong round-trips one message between two PEs over
-// real sockets, per codec — the end-to-end latency the frame rewrite
-// targets.
+// real sockets — the end-to-end latency of the framed transport.
 func BenchmarkTCPPingPong(b *testing.B) {
-	for _, codec := range []TCPCodec{CodecGob, CodecFrame} {
-		b.Run(string(codec), func(b *testing.B) {
-			n, err := NewTCPNetworkOpts(2, TCPOptions{Codec: codec})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer n.Close()
-			payload := make([]byte, 1024)
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				ep := n.Endpoint(1)
-				for i := 0; i < b.N; i++ {
-					got, err := ep.Recv(0, 1)
-					if err != nil {
-						return
-					}
-					if err := ep.Send(0, 2, got); err != nil {
-						return
-					}
-				}
-			}()
-			ep := n.Endpoint(0)
-			b.SetBytes(int64(len(payload)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := ep.Send(1, 1, payload); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := ep.Recv(1, 2); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			<-done
-		})
+	n, err := NewTCPNetwork(2)
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer n.Close()
+	payload := make([]byte, 1024)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ep := n.Endpoint(1)
+		for i := 0; i < b.N; i++ {
+			got, err := ep.Recv(0, 1)
+			if err != nil {
+				return
+			}
+			if err := ep.Send(0, 2, got); err != nil {
+				return
+			}
+		}
+	}()
+	ep := n.Endpoint(0)
+	b.SetBytes(int64(len(payload)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ep.Send(1, 1, payload); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ep.Recv(1, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	<-done
 }

@@ -96,8 +96,8 @@ type Message struct {
 	// demultiplexer hands the message to its matched receiver. It
 	// defers per-message bookkeeping that must not happen at pull time
 	// — e.g. simnet observes a message's modeled arrival time only when
-	// the receive completes, not when the message is parked. Unexported
-	// so the wire codecs never see it.
+	// the receive completes, not when the message is parked. Never
+	// on the wire.
 	onMatch func()
 
 	// err, when set by a wrapper's RecvAny (FaultyNetwork's hard-fault

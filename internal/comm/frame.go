@@ -13,11 +13,9 @@ import (
 //
 // Varint headers cost 3 bytes for the typical small-src/small-tag/
 // short-payload case and never more than 30, with no reflection or
-// type metadata on the wire (encoding/gob re-describes the Message
-// struct per stream and walks it per message). A frame is
-// self-delimiting, so a reader needs no out-of-band length and a
-// corrupted length prefix is caught by maxFramePayload before any
-// allocation.
+// type metadata on the wire. A frame is self-delimiting, so a reader
+// needs no out-of-band length and a corrupted length prefix is caught
+// by maxFramePayload before any allocation.
 
 // maxFramePayload bounds a single frame's payload. It exists to turn a
 // corrupted or malicious length prefix into an error instead of a

@@ -3,7 +3,6 @@ package comm
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -38,7 +37,6 @@ type TCPNetwork struct {
 // TCPNode owns a core of its own.
 type tcpCore struct {
 	p            int
-	codec        TCPCodec
 	timeout      time.Duration // per-operation deadline; 0 = none
 	setupTimeout time.Duration
 	dialAttempts int
@@ -105,28 +103,14 @@ type connSlot struct {
 }
 
 // tcpConn is one side of a pair link: the socket plus this side's
-// message writer. Senders serialise on mu; the reader goroutine owns
+// frame writer. Senders serialise on mu; the reader goroutine owns
 // the receive direction independently.
 type tcpConn struct {
 	c       net.Conn
 	mu      sync.Mutex // serialises writers on this side of the connection
-	w       msgWriter
+	w       *frameWriter
 	timeout time.Duration
 }
-
-// TCPCodec selects the wire encoding of a TCPNetwork.
-type TCPCodec string
-
-const (
-	// CodecFrame is the default: the varint-framed binary format of
-	// frame.go, with per-connection write buffering — no per-message
-	// reflection and a 3-byte typical header.
-	CodecFrame TCPCodec = "frame"
-	// CodecGob is the seed implementation's encoding/gob stream. It is
-	// kept solely as the measured baseline for the transport benchmarks
-	// (exp.NetBench, BenchmarkTCPAllReduce); new code should not use it.
-	CodecGob TCPCodec = "gob"
-)
 
 // Default TCP setup knobs; every one of them is overridable through
 // TCPOptions (and from there through dist.Config), so deployments with
@@ -144,8 +128,8 @@ const (
 )
 
 // TCPOptions configures NewTCPNetworkOpts and NewTCPNode. The zero
-// value selects the frame codec, the DefaultTimeout per-operation
-// deadline, the default setup knobs above, and the full-mesh topology.
+// value selects the DefaultTimeout per-operation deadline, the default
+// setup knobs above, and the full-mesh topology.
 type TCPOptions struct {
 	// Timeout is the per-operation deadline: every blocking Send or Recv
 	// that exceeds it fails with an error naming the stuck operation.
@@ -167,35 +151,14 @@ type TCPOptions struct {
 	// value is TopoFullMesh (the historic eager mesh). Any edge outside
 	// the topology is dialed lazily on first use.
 	Topology Topology
-	// Codec selects the wire encoding; zero value is CodecFrame.
-	Codec TCPCodec
 	// dialFunc overrides the dialer, letting tests inject setup
 	// failures for specific (from, to) pairs and observe the effective
 	// setup timeout.
 	dialFunc func(from, to int, addr string, timeout time.Duration) (net.Conn, error)
 }
 
-// msgWriter encodes messages onto one connection; writeMsg may buffer,
-// flush pushes everything to the socket.
-type msgWriter interface {
-	writeMsg(m Message) error
-	flush() error
-}
-
-// msgReader decodes messages from one connection.
-type msgReader interface {
-	readMsg() (Message, error)
-}
-
 // newTCPCore validates and resolves opt into a core.
 func newTCPCore(p int, opt TCPOptions) (*tcpCore, error) {
-	codec := opt.Codec
-	if codec == "" {
-		codec = CodecFrame
-	}
-	if codec != CodecFrame && codec != CodecGob {
-		return nil, fmt.Errorf("comm: unknown TCP codec %q", codec)
-	}
 	topo := opt.Topology
 	if topo == "" {
 		topo = TopoFullMesh
@@ -205,7 +168,6 @@ func newTCPCore(p int, opt TCPOptions) (*tcpCore, error) {
 	}
 	c := &tcpCore{
 		p:            p,
-		codec:        codec,
 		timeout:      resolveTimeout(opt.Timeout),
 		setupTimeout: opt.SetupTimeout,
 		dialAttempts: opt.DialAttempts,
@@ -251,7 +213,7 @@ func newTCPNode(core *tcpCore, rank int, l net.Listener) *tcpNode {
 }
 
 // NewTCPNetwork builds a p-endpoint network over loopback TCP with
-// default options: frame codec, full-mesh topology established eagerly
+// default options: full-mesh topology established eagerly
 // before it returns. Any setup failure aborts the network and returns
 // an error — it never blocks indefinitely.
 func NewTCPNetwork(p int) (*TCPNetwork, error) {
@@ -465,7 +427,7 @@ func (nd *tcpNode) dialHandshake(peer int) (*tcpConn, error) {
 		return nil, fmt.Errorf("handshake to %d: %w", peer, err)
 	}
 	cc := &countingConn{Conn: conn, core: core}
-	return &tcpConn{c: cc, w: core.newMsgWriter(cc), timeout: core.timeout}, nil
+	return &tcpConn{c: cc, w: newFrameWriter(cc), timeout: core.timeout}, nil
 }
 
 // dialRetry wraps each dial in bounded exponential backoff with jitter:
@@ -539,7 +501,7 @@ func (nd *tcpNode) handleAccept(conn net.Conn) {
 		return
 	}
 	cc := &countingConn{Conn: conn, core: core}
-	tc := &tcpConn{c: cc, w: core.newMsgWriter(cc), timeout: core.timeout}
+	tc := &tcpConn{c: cc, w: newFrameWriter(cc), timeout: core.timeout}
 	wasDialing := s.state == slotDialing
 	s.tc = tc
 	s.state = slotReady
@@ -556,8 +518,8 @@ func (nd *tcpNode) handleAccept(conn net.Conn) {
 }
 
 // Handshake wire format. HELLO identifies the dialer and the expected
-// world size, codec-independent so the message codec starts on a clean
-// stream right after; ACK is the acceptor's single-byte go-ahead, which
+// world size, written raw so the frame stream starts clean right
+// after; ACK is the acceptor's single-byte go-ahead, which
 // doubles as the simultaneous-dial tie-break verdict (a rejected dial
 // sees its connection closed instead).
 const (
@@ -625,7 +587,7 @@ func readAck(conn net.Conn, timeout time.Duration) error {
 func (nd *tcpNode) readLoop(ep *tcpEndpoint, peer int, tc *tcpConn) {
 	core := nd.core
 	defer core.workers.Done()
-	r := core.newMsgReader(tc.c)
+	r := &frameReader{c: tc.c, br: bufio.NewReaderSize(tc.c, tcpBufSize), timeout: core.timeout}
 	for {
 		m, err := r.readMsg()
 		if err != nil {
@@ -694,21 +656,13 @@ func (c *tcpCore) close() {
 // reaches the socket in one write.
 const tcpBufSize = 32 << 10
 
-func (c *tcpCore) newMsgWriter(conn net.Conn) msgWriter {
-	if c.codec == CodecGob {
-		return &gobWriter{enc: gob.NewEncoder(conn)}
-	}
+// frameWriter encodes frames (frame.go) onto one connection: writeMsg
+// buffers, flush pushes everything to the socket — once per message.
+type frameWriter struct{ bw *bufio.Writer }
+
+func newFrameWriter(conn net.Conn) *frameWriter {
 	return &frameWriter{bw: bufio.NewWriterSize(conn, tcpBufSize)}
 }
-
-func (c *tcpCore) newMsgReader(conn net.Conn) msgReader {
-	if c.codec == CodecGob {
-		return &gobReader{dec: gob.NewDecoder(conn)}
-	}
-	return &frameReader{c: conn, br: bufio.NewReaderSize(conn, tcpBufSize), timeout: c.timeout}
-}
-
-type frameWriter struct{ bw *bufio.Writer }
 
 func (w *frameWriter) writeMsg(m Message) error { return writeFrame(w.bw, m) }
 func (w *frameWriter) flush() error             { return w.bw.Flush() }
@@ -736,19 +690,6 @@ func (r *frameReader) readMsg() (Message, error) {
 		}
 	}
 	return readFrame(r.br)
-}
-
-type gobWriter struct{ enc *gob.Encoder }
-
-func (w *gobWriter) writeMsg(m Message) error { return w.enc.Encode(m) }
-func (w *gobWriter) flush() error             { return nil } // gob writes through
-
-type gobReader struct{ dec *gob.Decoder }
-
-func (r *gobReader) readMsg() (Message, error) {
-	var m Message
-	err := r.dec.Decode(&m)
-	return m, err
 }
 
 // countingConn meters raw socket traffic — framing included — into the

@@ -283,56 +283,40 @@ func TestMemRecvTimeoutPerNetwork(t *testing.T) {
 	}
 }
 
-// TestTCPGobCodecStillWorks keeps the benchmark baseline honest: the
-// gob codec must remain a functioning transport.
-func TestTCPGobCodecStillWorks(t *testing.T) {
-	n, err := NewTCPNetworkOpts(2, TCPOptions{Codec: CodecGob})
+// TestTCPFrameWireOverhead pins what the wire format costs beyond the
+// payload: socket bytes minus payload bytes, per 64-byte message, from
+// WireBytes (which meters the connection after the handshake). With a
+// small source rank, a small tag and a short payload the header is
+// three one-byte varints.
+func TestTCPFrameWireOverhead(t *testing.T) {
+	const msgs, payload = 50, 64
+	n, err := NewTCPNetwork(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	runPair(t, n)
-}
-
-// TestTCPUnknownCodecRejected guards the options validation.
-func TestTCPUnknownCodecRejected(t *testing.T) {
-	if _, err := NewTCPNetworkOpts(2, TCPOptions{Codec: "morse"}); err == nil {
-		t.Fatal("unknown codec accepted")
-	}
-}
-
-// TestTCPWireOverheadBelowGob sends identical traffic through both
-// codecs and requires the framed wire format to cost fewer socket bytes
-// than the gob stream.
-func TestTCPWireOverheadBelowGob(t *testing.T) {
-	wire := func(codec TCPCodec) int64 {
-		n, err := NewTCPNetworkOpts(2, TCPOptions{Codec: codec})
-		if err != nil {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < msgs; i++ {
+			if err := n.Endpoint(0).Send(1, i, make([]byte, payload)); err != nil {
+				t.Errorf("send: %v", err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < msgs; i++ {
+		if _, err := n.Endpoint(1).Recv(0, i); err != nil {
 			t.Fatal(err)
 		}
-		defer n.Close()
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				if err := n.Endpoint(0).Send(1, i, make([]byte, 64)); err != nil {
-					t.Errorf("send: %v", err)
-					return
-				}
-			}
-		}()
-		for i := 0; i < 50; i++ {
-			if _, err := n.Endpoint(1).Recv(0, i); err != nil {
-				t.Fatal(err)
-			}
-		}
-		wg.Wait()
-		sent, _ := n.WireBytes()
-		return sent
 	}
-	gob, frame := wire(CodecGob), wire(CodecFrame)
-	if frame >= gob {
-		t.Fatalf("framed wire bytes %d not below gob %d", frame, gob)
+	wg.Wait()
+	sent, recv := n.WireBytes()
+	if sent != recv {
+		t.Errorf("wire bytes sent %d != received %d", sent, recv)
+	}
+	if overhead := sent - msgs*payload; overhead != 3*msgs {
+		t.Fatalf("framing overhead %d bytes over %d messages, want 3 per message", overhead, msgs)
 	}
 }

@@ -95,8 +95,8 @@ func (t Topology) Neighbors(rank, p int) []int {
 }
 
 // Edges returns the number of undirected connections the topology
-// pre-opens for p PEs — the setup-time connection bill a bench or test
-// compares against ConnsOpen.
+// pre-opens for p PEs — the setup-time connection bill a test compares
+// against ConnsOpen.
 func (t Topology) Edges(p int) int {
 	n := 0
 	for r := 0; r < p; r++ {

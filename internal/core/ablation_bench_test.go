@@ -9,8 +9,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Ablation benchmarks for the engineering decisions DESIGN.md calls
-// out. Run with: go test -bench=Ablation ./internal/core -benchmem
+// Ablation benchmarks for the engineering decisions doc.go and README
+// "Performance" call out. Run with:
+// go test -bench=Ablation ./internal/core -benchmem
 
 const ablationElements = 100000
 

@@ -1,7 +1,9 @@
 // Package exp is the experiment harness: it regenerates every table and
 // figure of the paper's evaluation (Section 7) from the checkers,
-// operations, manipulators and workload generators of this repository.
-// See DESIGN.md for the experiment index.
+// operations, manipulators and workload generators of this repository
+// (README "Reproducing the paper's evaluation" is the experiment index),
+// and carries the soak-and-chaos and recovery episodes behind
+// `repro soak`. It measures no performance claim: that is benchmark/.
 package exp
 
 import (

@@ -318,3 +318,60 @@ func TestRenderModeled(t *testing.T) {
 		t.Error("modeled rendering incomplete")
 	}
 }
+
+func TestCommVolumeStageBreakdown(t *testing.T) {
+	opt := DefaultCommVolumeOptions()
+	opt.P = 2
+	opt.Ns = []int{3000}
+	opt.Seed = 21
+	rows, err := CommVolume(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages := rows[0].Stages
+	if len(stages) != 2 || stages[0].Op != "ReduceByKey" || stages[1].Op != "Sort" {
+		t.Fatalf("unexpected stage breakdown: %+v", stages)
+	}
+	for _, st := range stages {
+		if st.Verdict != "pass" {
+			t.Errorf("stage %s verdict %s", st.Stage, st.Verdict)
+		}
+		if st.CheckerBytes <= 0 || st.Rounds <= 0 {
+			t.Errorf("stage %s missing checker accounting: %+v", st.Stage, st)
+		}
+	}
+	// The totals columns must keep describing the reduce stage alone.
+	if rows[0].OpBytes != stages[0].OpBytes || rows[0].CheckerBytes != stages[0].CheckerBytes {
+		t.Error("volume totals diverged from the reduce stage's breakdown")
+	}
+	out := RenderVolume(rows)
+	if !strings.Contains(out, "per-stage breakdown") || !strings.Contains(out, "Sort#1") {
+		t.Error("volume rendering lacks the stage breakdown")
+	}
+}
+
+func TestWeakScalingStageBreakdown(t *testing.T) {
+	opt := WeakScalingOptions{
+		ItemsPerPE:  1500,
+		KeyUniverse: 5000,
+		PEs:         []int{1, 2},
+		Repeats:     1,
+		Seed:        23,
+	}
+	rows, err := WeakScaling(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if len(r.Stages) != 1 || r.Stages[0].Op != "ReduceByKey" {
+			t.Fatalf("row p=%d missing checked-run breakdown: %+v", r.P, r.Stages)
+		}
+	}
+	out := RenderScaling(rows)
+	if !strings.Contains(out, "per-stage breakdown, p=2") {
+		t.Error("scaling rendering lacks the largest-P stage breakdown")
+	}
+	if strings.Contains(out, "per-stage breakdown, p=1") {
+		t.Error("scaling rendering should only break down the largest P")
+	}
+}

@@ -3,7 +3,6 @@ package exp
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -321,95 +320,4 @@ func serialRecoveryVerdict(h *service.Job, doctor bool, baseSeed uint64, jobOpts
 		return false, fmt.Errorf("exp: serial rerun of job %d died on infrastructure: %w", h.ID(), serialErr)
 	}
 	return serialRejected == h.Rejected() && serialPassed == (h.Err() == nil), nil
-}
-
-// RecoveryBenchRow is one measured recovery configuration: detection
-// latency and kill-to-recovered-verdict wall time on an elastic pool of
-// P PEs. RecoverNs is the row's primary metric for the trajectory diff.
-type RecoveryBenchRow struct {
-	Benchmark string `json:"benchmark"` // "recovery"
-	Transport string `json:"transport"`
-	P         int    `json:"p"`
-	Jobs      int    `json:"jobs"` // recoverable jobs in flight at the kill
-	Elements  int    `json:"elements"`
-	DetectNs  int64  `json:"detect_ns"`
-	RecoverNs int64  `json:"recover_ns"`
-	Recovered int    `json:"recovered"`
-}
-
-// RecoveryBenchOptions configures RunRecoveryBench. Zero fields take
-// the defaults noted on them.
-type RecoveryBenchOptions struct {
-	PEs      []int // meshes to measure (default 4, 8)
-	Jobs     int   // in-flight recoverable jobs per episode (default 8)
-	Elements int   // elements per PE per job (default 1000)
-	Seed     uint64
-	Dist     dist.Config // transport (default mem)
-}
-
-// RunRecoveryBench measures the kill-to-recovery path per mesh width:
-// each row is one full episode (kill the middle rank, detect, reshard,
-// replay), and a row whose episode violates the recovery contract is an
-// error, not a number — a fast broken recovery must not enter the
-// trajectory.
-func RunRecoveryBench(opt RecoveryBenchOptions) ([]RecoveryBenchRow, error) {
-	if len(opt.PEs) == 0 {
-		opt.PEs = []int{4, 8}
-	}
-	if opt.Jobs == 0 {
-		opt.Jobs = 8
-	}
-	if opt.Elements == 0 {
-		opt.Elements = 1000
-	}
-	transport := string(opt.Dist.Transport)
-	if transport == "" {
-		transport = string(dist.TransportMem)
-	}
-	var rows []RecoveryBenchRow
-	for _, p := range opt.PEs {
-		if p < 2 {
-			return nil, fmt.Errorf("exp: recovery bench needs p >= 2, got %d", p)
-		}
-		ep, err := RunRecoveryEpisode(SoakOptions{
-			P:           p,
-			Concurrency: opt.Jobs,
-			WaveJobs:    opt.Jobs,
-			Elements:    opt.Elements,
-			Seed:        opt.Seed,
-			Dist:        opt.Dist,
-			KillRank:    p / 2,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if !ep.OK {
-			return nil, fmt.Errorf("exp: recovery bench episode at p=%d violated the recovery contract: %+v", p, ep)
-		}
-		rows = append(rows, RecoveryBenchRow{
-			Benchmark: "recovery",
-			Transport: transport,
-			P:         p,
-			Jobs:      ep.InFlight,
-			Elements:  opt.Elements,
-			DetectNs:  ep.DetectNs,
-			RecoverNs: ep.RecoverNs,
-			Recovered: ep.Recovered,
-		})
-	}
-	return rows, nil
-}
-
-// RenderRecoveryBench prints the recovery latency table.
-func RenderRecoveryBench(rows []RecoveryBenchRow) string {
-	var b strings.Builder
-	b.WriteString("Recovery: PE death to recovered verdicts on the survivor view\n\n")
-	fmt.Fprintf(&b, "%-10s %4s %6s %10s %12s %12s\n",
-		"transport", "p", "jobs", "recovered", "detect ms", "recover ms")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10s %4d %6d %10d %12.1f %12.1f\n",
-			r.Transport, r.P, r.Jobs, r.Recovered,
-			float64(r.DetectNs)/1e6, float64(r.RecoverNs)/1e6)
-	}
-	return b.String()
 }

@@ -52,19 +52,3 @@ func TestSoakKillRank(t *testing.T) {
 		t.Fatalf("soak failed:\n%s", RenderSoak(res))
 	}
 }
-
-// TestRecoveryBench exercises the bench rows at a tiny scale.
-func TestRecoveryBench(t *testing.T) {
-	rows, err := RunRecoveryBench(RecoveryBenchOptions{
-		PEs: []int{4}, Jobs: 4, Elements: 200, Seed: 11,
-	})
-	if err != nil {
-		t.Fatalf("recovery bench: %v", err)
-	}
-	if len(rows) != 1 || rows[0].Recovered != 4 || rows[0].RecoverNs <= 0 {
-		t.Fatalf("bad rows: %+v", rows)
-	}
-	if RenderRecoveryBench(rows) == "" {
-		t.Fatal("empty render")
-	}
-}

@@ -170,48 +170,6 @@ func RenderPermOverhead(rows []PermOverheadRow) string {
 	return b.String()
 }
 
-// RenderLocalBench prints the serial-vs-batch-vs-parallel hot loop
-// measurement.
-func RenderLocalBench(rows []LocalBenchRow) string {
-	var b strings.Builder
-	b.WriteString("Local accumulation engine: scalar vs batch-hash vs parallel (ns/element)\n\n")
-	fmt.Fprintf(&b, "%-8s %-10s %-16s %8s %12s %14s %10s\n",
-		"loop", "variant", "config", "workers", "elements", "ns/elem", "speedup")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-8s %-10s %-16s %8d %12d %14.2f %9.2fx\n",
-			r.Benchmark, r.Variant, r.Config, r.Workers, r.Elements, r.NsPerElem, r.Speedup)
-	}
-	return b.String()
-}
-
-// RenderNetBench prints the TCP transport codec comparison.
-func RenderNetBench(rows []NetBenchRow) string {
-	var b strings.Builder
-	b.WriteString("TCP transport: allreduce over gob baseline vs framed codec\n\n")
-	fmt.Fprintf(&b, "%-14s %-8s %4s %8s %14s %18s %10s\n",
-		"benchmark", "codec", "p", "words", "ns/op", "wire bytes/op", "speedup")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %-8s %4d %8d %14.0f %18.1f %9.2fx\n",
-			r.Benchmark, r.Variant, r.P, r.Words, r.NsPerOp, r.WireBytesPerOp, r.SpeedupVsGob)
-	}
-	return b.String()
-}
-
-// RenderOverlapBench prints the verification-policy makespan
-// comparison.
-func RenderOverlapBench(rows []OverlapBenchRow) string {
-	var b strings.Builder
-	b.WriteString("Pipeline verification policy: eager vs sync-deferred vs overlapped resolve (makespan)\n\n")
-	fmt.Fprintf(&b, "%-18s %-10s %4s %8s %10s %12s %14s %12s %14s\n",
-		"benchmark", "mode", "p", "stages", "elements", "wire ms", "makespan ms", "vs eager", "vs deferred")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-18s %-10s %4d %8d %10d %12.2f %14.2f %11.2fx %13.2fx\n",
-			r.Benchmark, r.Mode, r.P, r.Stages, r.Elements, float64(r.WireLatencyNs)/1e6,
-			r.MakespanNs/1e6, r.SpeedupVsEager, r.SpeedupVsDeferred)
-	}
-	return b.String()
-}
-
 // RenderVolume prints the communication-volume audit: the totals table
 // (the sublinearity claim, reduce stage only) followed by each input
 // size's per-stage CheckStats breakdown over the whole pipeline.
@@ -228,21 +186,6 @@ func RenderVolume(rows []VolumeRow) string {
 		}
 		fmt.Fprintf(&b, "\nper-stage breakdown, n=%d (bottleneck over PEs):\n", r.N)
 		b.WriteString(RenderStages(r.Stages))
-	}
-	return b.String()
-}
-
-// RenderStreamBench prints the streaming-vs-one-shot residue cost
-// measurement.
-func RenderStreamBench(rows []StreamBenchRow) string {
-	var b strings.Builder
-	b.WriteString("Streaming checkers: chunked accumulate/merge/seal vs one-shot (residues bit-identical)\n\n")
-	fmt.Fprintf(&b, "%-8s %-8s %10s %8s %12s %14s %10s %10s %12s\n",
-		"checker", "variant", "chunk", "chunks", "elements", "peak resident", "ns/elem", "Melem/s", "vs one-shot")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-8s %-8s %10d %8d %12d %14d %10.2f %10.1f %11.2fx\n",
-			r.Benchmark, r.Variant, r.Chunk, r.Chunks, r.Elements, r.PeakResident,
-			r.NsPerElem, r.MElemsPerSec, r.Overhead)
 	}
 	return b.String()
 }

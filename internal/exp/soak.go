@@ -328,6 +328,31 @@ func (g *soakGen) job(i int) soakJob {
 	}
 }
 
+// ServeTraffic generates an endless stream of clean mixed checked jobs
+// for the `repro serve` subcommand: the soak generator's traffic kinds
+// with corruption disabled.
+type ServeTraffic struct {
+	gen *soakGen
+}
+
+// NewServeTraffic builds a generator for a pool of p PEs with the given
+// per-PE job size. Not safe for concurrent use; drive it from one
+// submission loop.
+func NewServeTraffic(p, elements int, seed uint64) *ServeTraffic {
+	opt := SoakOptions{P: p, Elements: elements, Seed: seed, CorruptEvery: -1}
+	opt.fill()
+	return &ServeTraffic{gen: newSoakGen(opt)}
+}
+
+// SubmitOne submits the i-th synthetic job. Blocks on the pool's
+// backpressure when it is saturated; the job's completion is tracked by
+// the pool's own stats, so the caller needs no handle.
+func (tr *ServeTraffic) SubmitOne(pool *service.Pool, i int) error {
+	sj := tr.gen.job(i)
+	_, err := sj.submit(pool, fmt.Sprintf("serve-%s-%d", sj.kind, i))
+	return err
+}
+
 // Soak runs the service-mode soak-and-chaos harness: one resident mesh,
 // mixed concurrent verification traffic with manipulator-corrupted
 // jobs (phase A), then armed transport bitflips and hard receive

@@ -29,21 +29,3 @@ func TestSoakSmoke(t *testing.T) {
 		t.Fatalf("soak failed: %+v", res)
 	}
 }
-
-func TestServiceBenchSmoke(t *testing.T) {
-	rows, err := RunServiceBench(ServiceBenchOptions{
-		P: 4, Concurrency: 8, Jobs: 24, Elements: 300, Seed: 3,
-	})
-	if err != nil {
-		t.Fatalf("RunServiceBench: %v", err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("want serial + concurrent rows, got %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.JobsPerSec <= 0 || r.NsPerJob <= 0 {
-			t.Fatalf("empty metrics: %+v", r)
-		}
-	}
-	t.Logf("\n%s", RenderServiceBench(rows))
-}

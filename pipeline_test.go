@@ -368,7 +368,7 @@ func TestDeferredFailureAttribution(t *testing.T) {
 	}
 }
 
-// TestJoinDeterministicOrder asserts JoinChecked output is sorted by
+// TestJoinDeterministicOrder asserts Join output is sorted by
 // (key, left, right) and identical across repeated runs — the build
 // side is a hash map, so unsorted output would vary with map iteration
 // order.
@@ -379,7 +379,11 @@ func TestJoinDeterministicOrder(t *testing.T) {
 	collect := func() [][]repro.JoinRow {
 		perPE := make([][]repro.JoinRow, p)
 		err := repro.Run(p, 3, func(w *repro.Worker) error {
-			rows, err := repro.JoinChecked(w, repro.DefaultOptions(), shardPairs(left, p, w.Rank()), shardPairs(right, p, w.Rank()))
+			ctx, err := repro.NewContext(w, repro.DefaultOptions())
+			if err != nil {
+				return err
+			}
+			rows, err := ctx.Pairs(shardPairs(left, p, w.Rank())).Join(ctx.Pairs(shardPairs(right, p, w.Rank())))
 			if err != nil {
 				return err
 			}
@@ -459,7 +463,7 @@ func TestZipCheckOffSkipsOffsetPrefixSum(t *testing.T) {
 // Zip config must be rejected by the Zip stage — a zero-iteration zip
 // checker has an empty fingerprint and would silently accept anything —
 // while partial Options keep working for stages that don't need the
-// missing config (wrapper compatibility).
+// missing config.
 func TestZipValidatesIterations(t *testing.T) {
 	err := repro.Run(2, 1, func(w *repro.Worker) error {
 		opts := repro.DefaultOptions()
@@ -480,6 +484,102 @@ func TestZipValidatesIterations(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBadCheckerConfigFailsStageBeforeExec: a stage whose checker
+// configuration is invalid fails the Context with an error naming the
+// Options field — on every rank alike, before the operation sent a byte
+// — instead of panicking in the checker's constructor after the
+// operation ran. Without checking the configuration is never read.
+func TestBadCheckerConfigFailsStageBeforeExec(t *testing.T) {
+	pairs := []repro.Pair{{Key: 1, Value: 2}, {Key: 3, Value: 4}, {Key: 1, Value: 6}}
+	seq := []uint64{5, 1, 4}
+	zeroSum := func(o *repro.Options) { o.Sum = repro.SumConfig{} }
+	zeroPerm := func(o *repro.Options) { o.Perm = repro.PermConfig{} }
+	cases := []struct {
+		stage, option string
+		breakIt       func(*repro.Options)
+		run           func(ctx *repro.Context) error
+	}{
+		{"ReduceByKey", "Options.Sum", zeroSum, func(ctx *repro.Context) error {
+			_, err := ctx.Pairs(pairs).ReduceByKey(repro.SumFn).Collect()
+			return err
+		}},
+		{"StreamSum", "Options.Sum", zeroSum, func(ctx *repro.Context) error {
+			return ctx.StreamPairs(repro.SlicePairs(pairs, 2)).AssertSum(repro.SlicePairs(pairs, 2))
+		}},
+		{"Sort", "Options.Perm", zeroPerm, func(ctx *repro.Context) error {
+			_, err := ctx.Seq(seq).Sort().Collect()
+			return err
+		}},
+		{"GroupByKey", "Options.Perm", zeroPerm, func(ctx *repro.Context) error {
+			_, err := ctx.Pairs(pairs).GroupByKey()
+			return err
+		}},
+		{"StreamPerm", "Options.Perm", zeroPerm, func(ctx *repro.Context) error {
+			return ctx.StreamSeq(repro.SliceSeq(seq, 2)).AssertPermutation(repro.SliceSeq(seq, 2))
+		}},
+		{"Zip", "Options.Zip", func(o *repro.Options) { o.Zip.Iterations = 0 }, func(ctx *repro.Context) error {
+			_, err := ctx.Seq(seq).Zip(ctx.Seq(seq)).Collect()
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		for _, p := range []int{1, 3} {
+			for _, mode := range []repro.CheckMode{repro.CheckEager, repro.CheckDeferred, repro.CheckOff} {
+				t.Run(fmt.Sprintf("%s/p%d/%s", tc.stage, p, mode), func(t *testing.T) {
+					stageErrs := make([]error, p)
+					stats := make([][]repro.CheckStats, p)
+					err := repro.Run(p, 5, func(w *repro.Worker) error {
+						opts := repro.DefaultOptions()
+						opts.Mode = mode
+						tc.breakIt(&opts)
+						ctx, err := repro.NewContext(w, opts)
+						if err != nil {
+							return err
+						}
+						stageErrs[w.Rank()] = tc.run(ctx)
+						stats[w.Rank()] = ctx.Stats()
+						// The error is sticky and nothing is left pending. Returned
+						// through neither: a failing body tears the run down under
+						// ranks that have not got this far.
+						if verr := ctx.Verify(); verr != stageErrs[w.Rank()] || ctx.Pending() != 0 {
+							t.Errorf("rank %d: Verify = %v after stage error %v, %d pending",
+								w.Rank(), verr, stageErrs[w.Rank()], ctx.Pending())
+						}
+						return nil
+					})
+					if err != nil {
+						t.Fatalf("run failed (a panic is reported here): %v", err)
+					}
+					if mode == repro.CheckOff {
+						if stageErrs[0] != nil {
+							t.Fatalf("CheckOff read the checker configuration: %v", stageErrs[0])
+						}
+						return
+					}
+					for r, serr := range stageErrs {
+						if serr == nil || !strings.HasPrefix(serr.Error(), "repro: "+tc.option+": ") {
+							t.Fatalf("rank %d: stage error %v does not name %s", r, serr, tc.option)
+						}
+						if serr.Error() != stageErrs[0].Error() {
+							t.Errorf("rank %d: error %q differs from rank 0's %q", r, serr, stageErrs[0])
+						}
+						if errors.Is(serr, repro.ErrCheckFailed) {
+							t.Errorf("rank %d: a configuration error reads as a checker rejection", r)
+						}
+						if len(stats[r]) != 1 {
+							t.Fatalf("rank %d: %d stats entries, want the failed stage alone", r, len(stats[r]))
+						}
+						st := stats[r][0]
+						if st.Op != tc.stage || st.Verdict != repro.VerdictError || st.OpBytes != 0 || st.CheckerBytes != 0 {
+							t.Errorf("rank %d: stage ran before its configuration was checked: %+v", r, st)
+						}
+					}
+				})
+			}
+		}
 	}
 }
 

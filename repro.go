@@ -44,9 +44,6 @@
 // states are bit-identical to the one-shot path, and CheckStats
 // reports chunk counts and the peak resident footprint.
 //
-// The former top-level operations (ReduceByKeyChecked and friends)
-// remain as deprecated thin wrappers over an eager Context.
-//
 // See examples/ for runnable programs and internal/exp for the
 // experiment harness that regenerates the paper's tables and figures.
 package repro
@@ -199,148 +196,6 @@ func CheckSum(w *Worker, opts Options, input, output []Pair) (bool, error) {
 // Context.AssertSorted.
 func CheckSorted(w *Worker, opts Options, input, output []uint64) (bool, error) {
 	return core.CheckSorted(w, opts.Perm, input, output)
-}
-
-// eagerContext builds the Context backing a deprecated wrapper: always
-// eager, so the wrapped operation verifies inline like it always did.
-func eagerContext(w *Worker, opts Options) (*Context, error) {
-	opts.Mode = CheckEager
-	return NewContext(w, opts)
-}
-
-// ReduceByKeyChecked aggregates values per key with fn and verifies the
-// result with the sum aggregation checker (Theorem 1).
-//
-// Deprecated: use Context.Pairs(local).ReduceByKey(fn) — it supports
-// deferred verification and stats; this wrapper remains for
-// compatibility and always verifies eagerly.
-func ReduceByKeyChecked(w *Worker, opts Options, local []Pair, fn ReduceFn) ([]Pair, error) {
-	ctx, err := eagerContext(w, opts)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.Pairs(local).ReduceByKey(fn).Collect()
-}
-
-// SortChecked sorts a distributed sequence and verifies the result with
-// the sort checker (Theorem 7).
-//
-// Deprecated: use Context.Seq(local).Sort().
-func SortChecked(w *Worker, opts Options, local []uint64) ([]uint64, error) {
-	ctx, err := eagerContext(w, opts)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.Seq(local).Sort().Collect()
-}
-
-// MergeChecked merges two sorted distributed sequences and verifies the
-// result (Corollary 13).
-//
-// Deprecated: use Context.Seq(a).Merge(ctx.Seq(b)).
-func MergeChecked(w *Worker, opts Options, a, b []uint64) ([]uint64, error) {
-	ctx, err := eagerContext(w, opts)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.Seq(a).Merge(ctx.Seq(b)).Collect()
-}
-
-// UnionChecked combines two distributed sequences and verifies the
-// result (Corollary 12).
-//
-// Deprecated: use Context.Seq(a).Union(ctx.Seq(b)).
-func UnionChecked(w *Worker, opts Options, a, b []uint64) ([]uint64, error) {
-	ctx, err := eagerContext(w, opts)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.Seq(a).Union(ctx.Seq(b)).Collect()
-}
-
-// ZipChecked zips two distributed sequences index-wise and verifies the
-// result (Theorem 11).
-//
-// Deprecated: use Context.Seq(a).Zip(ctx.Seq(b)).
-func ZipChecked(w *Worker, opts Options, a, b []uint64) ([]Pair, error) {
-	ctx, err := eagerContext(w, opts)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.Seq(a).Zip(ctx.Seq(b)).Collect()
-}
-
-// MinByKeyChecked computes per-key minima and verifies them with the
-// deterministic certificate checker (Theorem 9).
-//
-// Deprecated: use Context.Pairs(local).MinByKey().
-func MinByKeyChecked(w *Worker, opts Options, local []Pair) (MinMaxResult, error) {
-	ctx, err := eagerContext(w, opts)
-	if err != nil {
-		return MinMaxResult{}, err
-	}
-	return ctx.Pairs(local).MinByKey()
-}
-
-// MaxByKeyChecked computes per-key maxima; see MinByKeyChecked.
-//
-// Deprecated: use Context.Pairs(local).MaxByKey().
-func MaxByKeyChecked(w *Worker, opts Options, local []Pair) (MinMaxResult, error) {
-	ctx, err := eagerContext(w, opts)
-	if err != nil {
-		return MinMaxResult{}, err
-	}
-	return ctx.Pairs(local).MaxByKey()
-}
-
-// MedianByKeyChecked computes per-key medians (returned as doubled
-// values, replicated at every PE) and verifies them with the median
-// checker using tie-breaking certificates (Theorem 10).
-//
-// Deprecated: use Context.Pairs(local).MedianByKey().
-func MedianByKeyChecked(w *Worker, opts Options, local []Pair) ([]Pair, error) {
-	ctx, err := eagerContext(w, opts)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.Pairs(local).MedianByKey()
-}
-
-// AverageByKeyChecked computes per-key averages as (key, sum, count)
-// triples and verifies them with the average checker (Corollary 8).
-//
-// Deprecated: use Context.Pairs(local).AverageByKey().
-func AverageByKeyChecked(w *Worker, opts Options, local []Pair) ([]Triple, error) {
-	ctx, err := eagerContext(w, opts)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.Pairs(local).AverageByKey()
-}
-
-// JoinChecked computes the inner hash join of two relations with the
-// redistribution phase verified invasively (Corollary 15). Rows are
-// sorted by (key, left, right).
-//
-// Deprecated: use Context.Pairs(left).Join(ctx.Pairs(right)).
-func JoinChecked(w *Worker, opts Options, left, right []Pair) ([]JoinRow, error) {
-	ctx, err := eagerContext(w, opts)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.Pairs(left).Join(ctx.Pairs(right))
-}
-
-// GroupByKeyChecked groups all values per key with the redistribution
-// phase verified invasively (Corollary 14).
-//
-// Deprecated: use Context.Pairs(local).GroupByKey().
-func GroupByKeyChecked(w *Worker, opts Options, local []Pair) ([]Group, error) {
-	ctx, err := eagerContext(w, opts)
-	if err != nil {
-		return nil, err
-	}
-	return ctx.Pairs(local).GroupByKey()
 }
 
 // sortGroupsByKey orders groups ascending by key.

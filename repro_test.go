@@ -24,7 +24,11 @@ func TestReduceByKeyChecked(t *testing.T) {
 	const p = 4
 	total := make(map[uint64]uint64)
 	err := Run(p, 1, func(w *Worker) error {
-		out, err := ReduceByKeyChecked(w, DefaultOptions(), shard(global, p, w.Rank()), SumFn)
+		ctx, err := NewContext(w, DefaultOptions())
+		if err != nil {
+			return err
+		}
+		out, err := ctx.Pairs(shard(global, p, w.Rank())).ReduceByKey(SumFn).Collect()
 		if err != nil {
 			return err
 		}
@@ -59,7 +63,11 @@ func TestSortChecked(t *testing.T) {
 	global := workload.UniformU64s(3000, 1e9, 2)
 	const p = 4
 	err := Run(p, 1, func(w *Worker) error {
-		out, err := SortChecked(w, DefaultOptions(), shardU(global, p, w.Rank()))
+		ctx, err := NewContext(w, DefaultOptions())
+		if err != nil {
+			return err
+		}
+		out, err := ctx.Seq(shardU(global, p, w.Rank())).Sort().Collect()
 		if err != nil {
 			return err
 		}
@@ -80,10 +88,15 @@ func TestMergeAndUnionChecked(t *testing.T) {
 	data.SortU64(b)
 	const p = 3
 	err := Run(p, 1, func(w *Worker) error {
-		if _, err := MergeChecked(w, DefaultOptions(), shardU(a, p, w.Rank()), shardU(b, p, w.Rank())); err != nil {
+		ctx, err := NewContext(w, DefaultOptions())
+		if err != nil {
 			return err
 		}
-		_, err := UnionChecked(w, DefaultOptions(), shardU(a, p, w.Rank()), shardU(b, p, w.Rank()))
+		la, lb := shardU(a, p, w.Rank()), shardU(b, p, w.Rank())
+		if _, err := ctx.Seq(la).Merge(ctx.Seq(lb)).Collect(); err != nil {
+			return err
+		}
+		_, err = ctx.Seq(la).Union(ctx.Seq(lb)).Collect()
 		return err
 	})
 	if err != nil {
@@ -96,7 +109,11 @@ func TestZipChecked(t *testing.T) {
 	b := workload.UniformU64s(2000, 1e9, 6)
 	const p = 4
 	err := Run(p, 1, func(w *Worker) error {
-		out, err := ZipChecked(w, DefaultOptions(), shardU(a, p, w.Rank()), shardU(b, p, w.Rank()))
+		ctx, err := NewContext(w, DefaultOptions())
+		if err != nil {
+			return err
+		}
+		out, err := ctx.Seq(shardU(a, p, w.Rank())).Zip(ctx.Seq(shardU(b, p, w.Rank()))).Collect()
 		if err != nil {
 			return err
 		}
@@ -118,21 +135,25 @@ func TestMinMedianAverageChecked(t *testing.T) {
 	global := workload.UniformPairs(2000, 25, 1000, 7)
 	const p = 4
 	err := Run(p, 1, func(w *Worker) error {
+		ctx, err := NewContext(w, DefaultOptions())
+		if err != nil {
+			return err
+		}
 		local := shard(global, p, w.Rank())
-		if _, err := MinByKeyChecked(w, DefaultOptions(), local); err != nil {
+		if _, err := ctx.Pairs(local).MinByKey(); err != nil {
 			return err
 		}
-		if _, err := MaxByKeyChecked(w, DefaultOptions(), local); err != nil {
+		if _, err := ctx.Pairs(local).MaxByKey(); err != nil {
 			return err
 		}
-		medians, err := MedianByKeyChecked(w, DefaultOptions(), local)
+		medians, err := ctx.Pairs(local).MedianByKey()
 		if err != nil {
 			return err
 		}
 		if len(medians) == 0 {
 			t.Error("no medians returned")
 		}
-		if _, err := AverageByKeyChecked(w, DefaultOptions(), local); err != nil {
+		if _, err := ctx.Pairs(local).AverageByKey(); err != nil {
 			return err
 		}
 		return nil
@@ -147,10 +168,14 @@ func TestJoinAndGroupByChecked(t *testing.T) {
 	right := workload.UniformPairs(600, 40, 100, 9)
 	const p = 3
 	err := Run(p, 1, func(w *Worker) error {
-		if _, err := JoinChecked(w, DefaultOptions(), shard(left, p, w.Rank()), shard(right, p, w.Rank())); err != nil {
+		ctx, err := NewContext(w, DefaultOptions())
+		if err != nil {
 			return err
 		}
-		groups, err := GroupByKeyChecked(w, DefaultOptions(), shard(left, p, w.Rank()))
+		if _, err := ctx.Pairs(shard(left, p, w.Rank())).Join(ctx.Pairs(shard(right, p, w.Rank()))); err != nil {
+			return err
+		}
+		groups, err := ctx.Pairs(shard(left, p, w.Rank())).GroupByKey()
 		if err != nil {
 			return err
 		}
@@ -167,17 +192,21 @@ func TestJoinAndGroupByChecked(t *testing.T) {
 	}
 }
 
-// faultyReduce drops one key from a correct reduction, simulating a
-// silent error inside the operation; the checked wrapper must surface
-// ErrCheckFailed.
+// TestCheckedWrapperSurfacesFaults corrupts one PE's share of a correct
+// reduction, simulating a silent error inside the operation; the sum
+// checker the stage uses must surface ErrCheckFailed.
 func TestCheckedWrapperSurfacesFaults(t *testing.T) {
 	global := workload.ZipfPairs(1000, 100, 100, 10)
 	const p = 2
 	err := Run(p, 1, func(w *Worker) error {
 		local := shard(global, p, w.Rank())
 		// Run the real operation, then corrupt this PE's output share
-		// and verify directly via the checker used by the wrapper.
-		out, err := ReduceByKeyChecked(w, DefaultOptions(), local, SumFn)
+		// and verify directly via the checker the stage uses.
+		ctx, err := NewContext(w, DefaultOptions())
+		if err != nil {
+			return err
+		}
+		out, err := ctx.Pairs(local).ReduceByKey(SumFn).Collect()
 		if err != nil {
 			return err
 		}
@@ -198,7 +227,7 @@ func TestCheckedWrapperSurfacesFaults(t *testing.T) {
 	}
 }
 
-// checkAgainst runs the sum checker the way the wrapper does.
+// checkAgainst runs the sum checker the way the ReduceByKey stage does.
 func checkAgainst(w *Worker, input, output []Pair) error {
 	ok, err := CheckSum(w, DefaultOptions(), input, output)
 	if err != nil {

@@ -127,7 +127,7 @@ func (s *StreamedPairs) assertAgg(op string, count bool, output PairSource) erro
 	if err := claimStream(c, &s.used); err != nil {
 		return err
 	}
-	return c.runStreamStage(op, func(label string) ([]core.CheckState, stream.Meter, stream.Meter, error) {
+	return c.runStreamStage(op, c.validSum, func(label string) ([]core.CheckState, stream.Meter, stream.Meter, error) {
 		acc := stream.NewSumAccumulator(label, c.opts.Sum, c.seed, c.par, count)
 		if err := acc.DrainInput(s.src); err != nil {
 			return nil, acc.In, acc.Out, err
@@ -149,7 +149,7 @@ func (s *StreamedPairs) AssertRedistributed(after PairSource) error {
 	if err := claimStream(c, &s.used); err != nil {
 		return err
 	}
-	return c.runStreamStage("StreamRedist", func(label string) ([]core.CheckState, stream.Meter, stream.Meter, error) {
+	return c.runStreamStage("StreamRedist", c.validPerm, func(label string) ([]core.CheckState, stream.Meter, stream.Meter, error) {
 		acc := stream.NewRedistAccumulator(label, c.opts.Perm, c.seed, c.par, c.pt, c.w.Rank())
 		if err := acc.DrainBefore(s.src); err != nil {
 			return nil, acc.Before, acc.After, err
@@ -171,7 +171,7 @@ func (s *StreamedSeq) AssertSorted(output SeqSource) error {
 	if err := claimStream(c, &s.used); err != nil {
 		return err
 	}
-	return c.runStreamStage("StreamSorted", func(label string) ([]core.CheckState, stream.Meter, stream.Meter, error) {
+	return c.runStreamStage("StreamSorted", c.validPerm, func(label string) ([]core.CheckState, stream.Meter, stream.Meter, error) {
 		acc := stream.NewSortAccumulator(label, c.opts.Perm, c.seed, c.par)
 		if err := acc.DrainInput(s.src); err != nil {
 			return nil, acc.In, acc.Out, err
@@ -192,7 +192,7 @@ func (s *StreamedSeq) AssertPermutation(output SeqSource) error {
 	if err := claimStream(c, &s.used); err != nil {
 		return err
 	}
-	return c.runStreamStage("StreamPerm", func(label string) ([]core.CheckState, stream.Meter, stream.Meter, error) {
+	return c.runStreamStage("StreamPerm", c.validPerm, func(label string) ([]core.CheckState, stream.Meter, stream.Meter, error) {
 		acc := stream.NewPermAccumulator(label, c.opts.Perm, c.seed, c.par)
 		if err := acc.DrainInput(s.src); err != nil {
 			return nil, acc.In, acc.Out, err
