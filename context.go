@@ -304,9 +304,9 @@ func (c *Context) fail(err error) error {
 }
 
 // validSum, validPerm and validZip check the Options field a stage's
-// checker is configured from; a checked stage hands the one it uses to
-// runStage, which runs it before the operation communicates. A bad
-// configuration is thereby the same error on every PE with nothing
+// checker is configured from; a checked stage names the one it uses in
+// its stage value, and run calls it before the operation communicates. A
+// bad configuration is thereby the same error on every PE with nothing
 // sent, instead of a checker constructor's panic after the operation
 // ran — which a service.Pool would treat as an infrastructure abort.
 func (c *Context) validSum() error  { return optionErr("Sum", c.opts.Sum.Validate()) }
@@ -327,162 +327,137 @@ func optionErr(field string, err error) error {
 	return fmt.Errorf("repro: Options.%s: %w", field, err)
 }
 
-// runStage executes one pipeline stage: the operation via exec (which
-// returns this PE's output record count), then the checker per the
-// mode. valid is the stage's configuration check (nil for a checker
-// without one); it runs first and is skipped under CheckOff. mkState
-// builds the checker's local-phase states from the stage label; it must
-// not communicate. A nil mkState marks an unchecked stage.
-func (c *Context) runStage(op string, elemsIn int, valid func() error, exec func() (int, error), mkState func(label string) []core.CheckState) error {
-	return c.runStagePrep(op, elemsIn, valid, exec, nil, mkState)
+// stage is one pipeline stage as the runner sees it. The operation's
+// name travels beside it, not in it: the name ends up in the Context's
+// stats, and escape analysis treats a struct as one location, so a name
+// inside the struct would move every stage's closures to the heap.
+type stage struct {
+	// elemsIn is this PE's input record count, where it is known before
+	// the stage runs (a streamed stage learns it from its meters).
+	elemsIn int
+	// valid is the stage's configuration check (nil for a checker without
+	// one); it runs first and is skipped under CheckOff.
+	valid func() error
+	// exec runs the operation and returns this PE's output record count.
+	// Nil for a streamed stage: the data already streamed past, so there
+	// is no operation to run and everything is charged to the checker.
+	exec func() (int, error)
+	// prep is checker-side preparation that communicates (the zip
+	// checker's global-offset prefix sum). It runs after the operation,
+	// its traffic and time are charged to the checker, and it is skipped
+	// under CheckOff. Nil for every other stage.
+	prep func() error
+	// check builds the checker's local-phase states and must not
+	// communicate. A streamed stage consumes its sources here and returns
+	// the input-side and output-side meters; a one-shot stage returns
+	// zero meters. Not called under CheckOff — a streamed stage's sources
+	// are then not consumed at all. Nil marks an unchecked stage.
+	check func(label string) (states []core.CheckState, in, out stream.Meter, err error)
 }
 
-// runStagePrep is runStage with an optional checker preparation step:
-// checkPrep runs after the operation and may communicate (e.g. the zip
-// checker's global-offset prefix sum); its traffic and time are charged
-// to the checker, and it is skipped entirely under CheckOff.
-func (c *Context) runStagePrep(op string, elemsIn int, valid func() error, exec func() (int, error), checkPrep func() error, mkState func(label string) []core.CheckState) error {
+// oneShot adapts the local phase of a materialised stage — states built
+// from slices at hand, nothing to meter, nothing to fail — to
+// stage.check.
+func oneShot(mk func(label string) []core.CheckState) func(string) ([]core.CheckState, stream.Meter, stream.Meter, error) {
+	return func(label string) ([]core.CheckState, stream.Meter, stream.Meter, error) {
+		return mk(label), stream.Meter{}, stream.Meter{}, nil
+	}
+}
+
+// run executes one pipeline stage of the operation named op (the runner
+// derives the unique stage label from it) — configuration check,
+// operation, checker preparation, local accumulation — and then
+// registers the checker states per the check mode: queued for the
+// batched Verify in deferred mode, resolved inline in eager mode. Every
+// exit appends exactly one CheckStats entry.
+func (c *Context) run(op string, s stage) error {
 	if c.err != nil {
 		return c.err
 	}
 	label := fmt.Sprintf("%s#%d", op, len(c.stats))
-	st := CheckStats{Stage: label, Op: op, ElementsIn: elemsIn, Verdict: VerdictSkipped}
+	st := CheckStats{Stage: label, Op: op, ElementsIn: s.elemsIn}
 	span := c.w.Span(obs.KindStage, label)
 	defer span.End()
 
-	checked := c.mode != CheckOff && mkState != nil
-	if checked && valid != nil {
-		if err := valid(); err != nil {
-			st.Verdict = VerdictError
-			c.stats = append(c.stats, st)
-			return c.fail(err)
+	checked := c.mode != CheckOff && s.check != nil
+	if checked && s.valid != nil {
+		if err := s.valid(); err != nil {
+			return c.record(st, VerdictError, err)
 		}
 	}
-
-	b0, _, _ := c.commSnapshot()
-	t0 := time.Now()
-	elemsOut, err := exec()
-	st.OpNs = time.Since(t0).Nanoseconds()
-	b1, _, _ := c.commSnapshot()
-	st.OpBytes = b1 - b0
-	if err != nil {
-		st.Verdict = VerdictError
-		c.stats = append(c.stats, st)
-		return c.fail(err)
+	if s.exec != nil {
+		b0, _, _ := c.commSnapshot()
+		t0 := time.Now()
+		elemsOut, err := s.exec()
+		st.OpNs = time.Since(t0).Nanoseconds()
+		b1, _, _ := c.commSnapshot()
+		st.OpBytes = b1 - b0
+		if err != nil {
+			return c.record(st, VerdictError, err)
+		}
+		st.ElementsOut = elemsOut
 	}
-	st.ElementsOut = elemsOut
-
 	if !checked {
-		c.stats = append(c.stats, st)
-		return nil
+		return c.record(st, VerdictSkipped, nil)
 	}
 
 	t1 := time.Now()
-	var prepBytes, prepMsgs int64
-	var prepRounds int
-	if checkPrep != nil {
-		pb0, pm0, pr0 := c.commSnapshot()
-		err := checkPrep()
-		pb1, pm1, pr1 := c.commSnapshot()
-		prepBytes, prepMsgs, prepRounds = pb1-pb0, pm1-pm0, pr1-pr0
+	if s.prep != nil {
+		b0, m0, r0 := c.commSnapshot()
+		err := s.prep()
+		b1, m1, r1 := c.commSnapshot()
+		st.CheckerBytes, st.CheckerMsgs, st.CheckerRounds = b1-b0, m1-m0, r1-r0
 		if err != nil {
-			st.Verdict = VerdictError
-			st.CheckerBytes, st.CheckerMsgs, st.CheckerRounds = prepBytes, prepMsgs, prepRounds
 			st.CheckNs = time.Since(t1).Nanoseconds()
-			c.stats = append(c.stats, st)
-			return c.fail(err)
+			return c.record(st, VerdictError, err)
 		}
 	}
-	states := mkState(label)
+	states, in, out, err := s.check(label)
 	st.CheckNs = time.Since(t1).Nanoseconds()
-	return c.settle(st, states, prepBytes, prepMsgs, prepRounds)
-}
+	if s.exec == nil {
+		st.ElementsIn, st.ElementsOut = in.Elements, out.Elements
+	}
+	in.Merge(out)
+	st.Chunks, st.PeakResident = in.Chunks, in.PeakResident
+	if err != nil {
+		return c.record(st, VerdictError, err)
+	}
 
-// settle registers a stage's checker states per the check mode — queued
-// for the batched Verify in deferred mode, resolved inline in eager
-// mode — and appends the finished stats entry. The prep figures are any
-// checker-side communication the stage already paid (zero for stages
-// without a preparation step).
-func (c *Context) settle(st CheckStats, states []core.CheckState, prepBytes, prepMsgs int64, prepRounds int) error {
-	switch c.mode {
-	case CheckDeferred:
-		st.Verdict = VerdictPending
-		st.CheckerBytes, st.CheckerMsgs, st.CheckerRounds = prepBytes, prepMsgs, prepRounds
-		for _, s := range states {
-			st.BatchWords += len(s.Words()) + 1
+	if c.mode == CheckDeferred {
+		for _, cs := range states {
+			st.BatchWords += len(cs.Words()) + 1
 		}
 		c.pending = append(c.pending, pendingCheck{states: states, stats: len(c.stats)})
-		c.stats = append(c.stats, st)
-		return nil
-	default: // CheckEager
-		cb0, cm0, cr0 := c.commSnapshot()
-		t2 := time.Now()
-		verdicts, err := core.Resolve(c.w, states...)
-		st.CheckNs += time.Since(t2).Nanoseconds()
-		cb1, cm1, cr1 := c.commSnapshot()
-		st.CheckerBytes = prepBytes + cb1 - cb0
-		st.CheckerMsgs = prepMsgs + cm1 - cm0
-		st.CheckerRounds = prepRounds + cr1 - cr0
-		if err != nil {
-			st.Verdict = VerdictError
-			c.stats = append(c.stats, st)
-			return c.fail(err)
-		}
-		ok := true
-		for _, v := range verdicts {
-			ok = ok && v
-		}
-		if ok {
-			st.Verdict = VerdictPass
-			c.stats = append(c.stats, st)
-			return nil
-		}
-		st.Verdict = VerdictFail
-		c.stats = append(c.stats, st)
-		return c.fail(&StageError{Stage: st.Stage, Op: st.Op})
+		return c.record(st, VerdictPending, nil)
 	}
+	b0, m0, r0 := c.commSnapshot()
+	t2 := time.Now()
+	verdicts, err := core.Resolve(c.w, states...)
+	st.CheckNs += time.Since(t2).Nanoseconds()
+	b1, m1, r1 := c.commSnapshot()
+	st.CheckerBytes += b1 - b0
+	st.CheckerMsgs += m1 - m0
+	st.CheckerRounds += r1 - r0
+	if err != nil {
+		return c.record(st, VerdictError, err)
+	}
+	for _, ok := range verdicts {
+		if !ok {
+			return c.record(st, VerdictFail, &StageError{Stage: st.Stage, Op: st.Op})
+		}
+	}
+	return c.record(st, VerdictPass, nil)
 }
 
-// runStreamStage executes one streaming verification stage: drive
-// consumes this PE's sources chunk by chunk and accumulates the
-// checker's local phase, returning the sealed states plus the
-// input-side and output-side metering. There is no operation to run —
-// the data already streamed past — so the drive is charged entirely to
-// the checker, and under CheckOff the sources are not consumed at all.
-// valid is the stage's configuration check, as for runStage; a stream
-// stage always has one. Drives must not communicate.
-func (c *Context) runStreamStage(op string, valid func() error, drive func(label string) ([]core.CheckState, stream.Meter, stream.Meter, error)) error {
-	if c.err != nil {
-		return c.err
-	}
-	label := fmt.Sprintf("%s#%d", op, len(c.stats))
-	st := CheckStats{Stage: label, Op: op, Verdict: VerdictSkipped}
-	span := c.w.Span(obs.KindStage, label)
-	defer span.End()
-	if c.mode == CheckOff {
-		c.stats = append(c.stats, st)
-		return nil
-	}
-	if err := valid(); err != nil {
-		st.Verdict = VerdictError
-		c.stats = append(c.stats, st)
-		return c.fail(err)
-	}
-	t0 := time.Now()
-	states, in, out, err := drive(label)
-	st.CheckNs = time.Since(t0).Nanoseconds()
-	st.ElementsIn = in.Elements
-	st.ElementsOut = out.Elements
-	total := in
-	total.Merge(out)
-	st.Chunks = total.Chunks
-	st.PeakResident = total.PeakResident
+// record appends a stage's finished stats entry with its verdict and
+// makes err, if any, the Context's sticky error.
+func (c *Context) record(st CheckStats, v Verdict, err error) error {
+	st.Verdict = v
+	c.stats = append(c.stats, st)
 	if err != nil {
-		st.Verdict = VerdictError
-		c.stats = append(c.stats, st)
 		return c.fail(err)
 	}
-	return c.settle(st, states, 0, 0, 0)
+	return nil
 }
 
 // Verify resolves every pending checker in one batched collective round
@@ -535,11 +510,11 @@ func (c *Context) Verify() error {
 //
 // At most one round is outstanding: if a previous VerifyAsync round is
 // still in flight, it is awaited (and its verdicts applied) before the
-// new one launches. Outside CheckDeferred mode, or when
-// Options.NoOverlap is set, VerifyAsync degrades to Verify. Like every
-// collective, all PEs must call it at the same point of their pipeline.
+// new one launches. Outside CheckDeferred mode VerifyAsync degrades to
+// Verify. Like every collective, all PEs must call it at the same point
+// of their pipeline.
 func (c *Context) VerifyAsync() error {
-	if c.mode != CheckDeferred || c.opts.NoOverlap {
+	if c.mode != CheckDeferred {
 		return c.Verify()
 	}
 	if err := c.awaitOutstanding(); err != nil {
@@ -693,13 +668,13 @@ func (c *Context) sameContext(other *Context) error {
 func (d *Dataset) ReduceByKey(fn ReduceFn) *Dataset {
 	c := d.ctx
 	var out []Pair
-	c.runStage("ReduceByKey", len(d.pairs), c.validSum, func() (int, error) {
+	c.run("ReduceByKey", stage{elemsIn: len(d.pairs), valid: c.validSum, exec: func() (int, error) {
 		var err error
 		out, err = ops.ReduceByKey(c.w, c.pt, d.pairs, fn)
 		return len(out), err
-	}, func(label string) []core.CheckState {
-		return []core.CheckState{core.NewSumAggStatePar(label, c.opts.Sum, c.seed, c.par, d.pairs, out)}
-	})
+	}, check: oneShot(func(label string) []core.CheckState {
+		return []core.CheckState{core.NewSumAggState(label, c.opts.Sum, c.seed, c.par, d.pairs, out)}
+	})})
 	return &Dataset{ctx: c, pairs: out}
 }
 
@@ -710,17 +685,17 @@ func (d *Dataset) GroupByKey() ([]Group, error) {
 	c := d.ctx
 	var red ops.RedistInputs
 	var groups []Group
-	err := c.runStage("GroupByKey", len(d.pairs), c.validPerm, func() (int, error) {
+	err := c.run("GroupByKey", stage{elemsIn: len(d.pairs), valid: c.validPerm, exec: func() (int, error) {
 		var err error
 		red, err = ops.RedistributeByKey(c.w, c.pt, d.pairs)
 		if err != nil {
 			return 0, err
 		}
-		groups = groupPairs(red.After)
+		groups = ops.GroupPairs(red.After)
 		return len(groups), nil
-	}, func(label string) []core.CheckState {
-		return []core.CheckState{core.NewRedistStatePar(label, c.opts.Perm, c.seed, c.par, c.pt, c.w.Rank(), red.Before, red.After)}
-	})
+	}, check: oneShot(func(label string) []core.CheckState {
+		return []core.CheckState{core.NewRedistState(label, c.opts.Perm, c.seed, c.par, c.pt, c.w.Rank(), red.Before, red.After)}
+	})})
 	if err != nil {
 		return nil, err
 	}
@@ -739,7 +714,7 @@ func (d *Dataset) Join(other *Dataset) ([]JoinRow, error) {
 	}
 	var redL, redR ops.RedistInputs
 	var rows []JoinRow
-	err := c.runStage("Join", len(d.pairs)+len(other.pairs), c.validPerm, func() (int, error) {
+	err := c.run("Join", stage{elemsIn: len(d.pairs) + len(other.pairs), valid: c.validPerm, exec: func() (int, error) {
 		var err error
 		redL, err = ops.RedistributeByKey(c.w, c.pt, d.pairs)
 		if err != nil {
@@ -749,14 +724,14 @@ func (d *Dataset) Join(other *Dataset) ([]JoinRow, error) {
 		if err != nil {
 			return 0, err
 		}
-		rows = joinLocal(redL.After, redR.After)
+		rows = ops.JoinPairs(redL.After, redR.After)
 		return len(rows), nil
-	}, func(label string) []core.CheckState {
+	}, check: oneShot(func(label string) []core.CheckState {
 		return []core.CheckState{
-			core.NewRedistStatePar(label+"/left", c.opts.Perm, c.seed, c.par, c.pt, c.w.Rank(), redL.Before, redL.After),
-			core.NewRedistStatePar(label+"/right", c.opts.Perm, c.seed, c.par, c.pt, c.w.Rank(), redR.Before, redR.After),
+			core.NewRedistState(label+"/left", c.opts.Perm, c.seed, c.par, c.pt, c.w.Rank(), redL.Before, redL.After),
+			core.NewRedistState(label+"/right", c.opts.Perm, c.seed, c.par, c.pt, c.w.Rank(), redR.Before, redR.After),
 		}
-	})
+	})})
 	if err != nil {
 		return nil, err
 	}
@@ -778,7 +753,7 @@ func (d *Dataset) MaxByKey() (MinMaxResult, error) {
 func (d *Dataset) optByKey(op string, wantMin bool) (MinMaxResult, error) {
 	c := d.ctx
 	var res MinMaxResult
-	err := c.runStage(op, len(d.pairs), nil, func() (int, error) {
+	err := c.run(op, stage{elemsIn: len(d.pairs), exec: func() (int, error) {
 		var err error
 		if wantMin {
 			res, err = ops.MinByKey(c.w, c.pt, d.pairs)
@@ -786,12 +761,12 @@ func (d *Dataset) optByKey(op string, wantMin bool) (MinMaxResult, error) {
 			res, err = ops.MaxByKey(c.w, c.pt, d.pairs)
 		}
 		return len(res.Result), err
-	}, func(label string) []core.CheckState {
+	}, check: oneShot(func(label string) []core.CheckState {
 		if wantMin {
 			return []core.CheckState{core.NewMinAggState(label, c.seed, c.w.Rank(), c.w.Size(), d.pairs, res.Result, res.Witness)}
 		}
 		return []core.CheckState{core.NewMaxAggState(label, c.seed, c.w.Rank(), c.w.Size(), d.pairs, res.Result, res.Witness)}
-	})
+	})})
 	if err != nil {
 		return MinMaxResult{}, err
 	}
@@ -806,7 +781,7 @@ func (d *Dataset) MedianByKey() ([]Pair, error) {
 	c := d.ctx
 	var medians []Pair
 	ties := make(map[uint64]core.TieCert)
-	err := c.runStage("MedianByKey", len(d.pairs), c.validSum, func() (int, error) {
+	err := c.run("MedianByKey", stage{elemsIn: len(d.pairs), valid: c.validSum, exec: func() (int, error) {
 		groups, err := ops.GroupByKey(c.w, c.pt, d.pairs)
 		if err != nil {
 			return 0, err
@@ -831,9 +806,9 @@ func (d *Dataset) MedianByKey() ([]Pair, error) {
 		}
 		data.SortPairsByKey(medians)
 		return len(medians), nil
-	}, func(label string) []core.CheckState {
+	}, check: oneShot(func(label string) []core.CheckState {
 		return []core.CheckState{core.NewMedianAggState(label, c.opts.Sum, c.seed, c.w.Rank(), d.pairs, medians, ties)}
-	})
+	})})
 	if err != nil {
 		return nil, err
 	}
@@ -846,13 +821,13 @@ func (d *Dataset) MedianByKey() ([]Pair, error) {
 func (d *Dataset) AverageByKey() ([]Triple, error) {
 	c := d.ctx
 	var out []Triple
-	err := c.runStage("AverageByKey", len(d.pairs), c.validSum, func() (int, error) {
+	err := c.run("AverageByKey", stage{elemsIn: len(d.pairs), valid: c.validSum, exec: func() (int, error) {
 		var err error
 		out, err = ops.AverageByKey(c.w, c.pt, d.pairs)
 		return len(out), err
-	}, func(label string) []core.CheckState {
-		return []core.CheckState{core.NewAvgAggStatePar(label, c.opts.Sum, c.seed, c.par, d.pairs, core.AvgAssertionsFromTriples(out))}
-	})
+	}, check: oneShot(func(label string) []core.CheckState {
+		return []core.CheckState{core.NewAvgAggState(label, c.opts.Sum, c.seed, c.par, d.pairs, core.AvgAssertionsFromTriples(out))}
+	})})
 	if err != nil {
 		return nil, err
 	}
@@ -864,13 +839,13 @@ func (d *Dataset) AverageByKey() ([]Triple, error) {
 func (s *Seq) Sort() *Seq {
 	c := s.ctx
 	var out []uint64
-	c.runStage("Sort", len(s.vals), c.validPerm, func() (int, error) {
+	c.run("Sort", stage{elemsIn: len(s.vals), valid: c.validPerm, exec: func() (int, error) {
 		var err error
 		out, err = ops.Sort(c.w, s.vals)
 		return len(out), err
-	}, func(label string) []core.CheckState {
-		return []core.CheckState{core.NewSortedStatePar(label, c.opts.Perm, c.seed, c.par, [][]uint64{s.vals}, out)}
-	})
+	}, check: oneShot(func(label string) []core.CheckState {
+		return []core.CheckState{core.NewSortedState(label, c.opts.Perm, c.seed, c.par, [][]uint64{s.vals}, out)}
+	})})
 	return &Seq{ctx: c, vals: out}
 }
 
@@ -882,13 +857,13 @@ func (s *Seq) Merge(other *Seq) *Seq {
 		return &Seq{ctx: c}
 	}
 	var out []uint64
-	c.runStage("Merge", len(s.vals)+len(other.vals), c.validPerm, func() (int, error) {
+	c.run("Merge", stage{elemsIn: len(s.vals) + len(other.vals), valid: c.validPerm, exec: func() (int, error) {
 		var err error
 		out, err = ops.Merge(c.w, s.vals, other.vals)
 		return len(out), err
-	}, func(label string) []core.CheckState {
-		return []core.CheckState{core.NewSortedStatePar(label, c.opts.Perm, c.seed, c.par, [][]uint64{s.vals, other.vals}, out)}
-	})
+	}, check: oneShot(func(label string) []core.CheckState {
+		return []core.CheckState{core.NewSortedState(label, c.opts.Perm, c.seed, c.par, [][]uint64{s.vals, other.vals}, out)}
+	})})
 	return &Seq{ctx: c, vals: out}
 }
 
@@ -900,13 +875,13 @@ func (s *Seq) Union(other *Seq) *Seq {
 		return &Seq{ctx: c}
 	}
 	var out []uint64
-	c.runStage("Union", len(s.vals)+len(other.vals), c.validPerm, func() (int, error) {
+	c.run("Union", stage{elemsIn: len(s.vals) + len(other.vals), valid: c.validPerm, exec: func() (int, error) {
 		var err error
 		out, err = ops.Union(c.w, s.vals, other.vals)
 		return len(out), err
-	}, func(label string) []core.CheckState {
-		return []core.CheckState{core.NewPermStatePar(label, c.opts.Perm, c.seed, c.par, [][]uint64{s.vals, other.vals}, out)}
-	})
+	}, check: oneShot(func(label string) []core.CheckState {
+		return []core.CheckState{core.NewPermState(label, c.opts.Perm, c.seed, c.par, [][]uint64{s.vals, other.vals}, out)}
+	})})
 	return &Seq{ctx: c, vals: out}
 }
 
@@ -920,11 +895,11 @@ func (s *Seq) Zip(other *Seq) *Dataset {
 	}
 	var out []Pair
 	var starts, totals []uint64
-	c.runStagePrep("Zip", len(s.vals)+len(other.vals), c.validZip, func() (int, error) {
+	c.run("Zip", stage{elemsIn: len(s.vals) + len(other.vals), valid: c.validZip, exec: func() (int, error) {
 		var err error
 		out, err = ops.Zip(c.w, s.vals, other.vals)
 		return len(out), err
-	}, func() error {
+	}, prep: func() error {
 		// The checker's position-dependent fingerprints need the global
 		// start offsets: one vectorized prefix sum, charged to the
 		// checker and skipped entirely under CheckOff (the local
@@ -932,11 +907,11 @@ func (s *Seq) Zip(other *Seq) *Dataset {
 		var err error
 		starts, totals, err = core.ExclusiveCounts(c.w, len(s.vals), len(other.vals), len(out))
 		return err
-	}, func(label string) []core.CheckState {
+	}, check: oneShot(func(label string) []core.CheckState {
 		lengthsOK := totals[0] == totals[1] && totals[1] == totals[2]
 		return []core.CheckState{core.NewZipState(label, c.opts.Zip, c.seed, s.vals, other.vals, out,
 			starts[0], starts[1], starts[2], lengthsOK)}
-	})
+	})})
 	return &Dataset{ctx: c, pairs: out}
 }
 
@@ -946,53 +921,20 @@ func (s *Seq) Zip(other *Seq) *Dataset {
 // mode the verdict returns immediately; in deferred mode it surfaces at
 // Verify.
 func (c *Context) AssertSum(input, output []Pair) error {
-	return c.runStage("AssertSum", len(input), c.validSum, func() (int, error) {
+	return c.run("AssertSum", stage{elemsIn: len(input), valid: c.validSum, exec: func() (int, error) {
 		return len(output), nil
-	}, func(label string) []core.CheckState {
-		return []core.CheckState{core.NewSumAggStatePar(label, c.opts.Sum, c.seed, c.par, input, output)}
-	})
+	}, check: oneShot(func(label string) []core.CheckState {
+		return []core.CheckState{core.NewSumAggState(label, c.opts.Sum, c.seed, c.par, input, output)}
+	})})
 }
 
 // AssertSorted registers a check that output is a sorted permutation of
 // input — the pure sort checker (Theorem 7) in pipeline form; see
 // AssertSum.
 func (c *Context) AssertSorted(input, output []uint64) error {
-	return c.runStage("AssertSorted", len(input), c.validPerm, func() (int, error) {
+	return c.run("AssertSorted", stage{elemsIn: len(input), valid: c.validPerm, exec: func() (int, error) {
 		return len(output), nil
-	}, func(label string) []core.CheckState {
-		return []core.CheckState{core.NewSortedStatePar(label, c.opts.Perm, c.seed, c.par, [][]uint64{input}, output)}
-	})
-}
-
-// groupPairs builds sorted groups from redistributed pairs.
-func groupPairs(after []Pair) []Group {
-	m := make(map[uint64][]uint64)
-	for _, p := range after {
-		m[p.Key] = append(m[p.Key], p.Value)
-	}
-	groups := make([]Group, 0, len(m))
-	for k, vs := range m {
-		data.SortU64(vs)
-		groups = append(groups, Group{Key: k, Values: vs})
-	}
-	sortGroupsByKey(groups)
-	return groups
-}
-
-// joinLocal computes the local inner join of two redistributed
-// relations, rows sorted by (key, left, right) for deterministic
-// output.
-func joinLocal(left, right []Pair) []JoinRow {
-	build := make(map[uint64][]uint64, len(left))
-	for _, p := range left {
-		build[p.Key] = append(build[p.Key], p.Value)
-	}
-	var rows []JoinRow
-	for _, p := range right {
-		for _, lv := range build[p.Key] {
-			rows = append(rows, JoinRow{Key: p.Key, Left: lv, Right: p.Value})
-		}
-	}
-	sortJoinRows(rows)
-	return rows
+	}, check: oneShot(func(label string) []core.CheckState {
+		return []core.CheckState{core.NewSortedState(label, c.opts.Perm, c.seed, c.par, [][]uint64{input}, output)}
+	})})
 }

@@ -311,7 +311,7 @@ func TestHypercubeConnectionBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	conns := net.ConnsOpen()
-	edges := int64(comm.TopoHypercube.Edges(p))   // 80
+	edges := int64(p / 2 * bits.Len(uint(p-1)))   // p/2·log2(p) = 80
 	bound := int64(p * (bits.Len(uint(p-1)) + 1)) // 192
 	mesh := int64(p * (p - 1) / 2)                // 496
 	if setupConns != edges {

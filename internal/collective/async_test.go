@@ -1,10 +1,10 @@
 package collective
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -116,122 +116,46 @@ func TestSubConcurrentCollectives(t *testing.T) {
 	}
 }
 
-// TestIAllReduceMatchesBlocking checks a nonblocking all-reduction is
-// bit-identical to the blocking one, while the parent communicator
-// keeps working between start and await.
-func TestIAllReduceMatchesBlocking(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 5, 8} {
-		runSPMD(t, p, func(c *Comm) error {
-			words := make([]uint64, 257)
-			for i := range words {
-				words[i] = uint64(c.Rank()+1) * uint64(i+1)
-			}
-			pend := c.IAllReduce(words, OpSum)
-			// Overlapped traffic on the parent while the async op flies.
-			if _, err := c.Barrier(), error(nil); err != nil {
-				return err
-			}
-			got, err := pend.Await()
-			if err != nil {
-				return err
-			}
-			want, err := c.AllReduce(words, OpSum)
-			if err != nil {
-				return err
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					return fmt.Errorf("word %d: async %d vs blocking %d", i, got[i], want[i])
-				}
-			}
-			if pend.Comm().BytesSent() < 0 {
-				return errors.New("negative metering")
-			}
-			return nil
-		})
-	}
-}
-
-// TestIBroadcastIGather exercises the remaining nonblocking collectives
-// concurrently with each other.
-func TestIBroadcastIGather(t *testing.T) {
-	const p = 5
-	runSPMD(t, p, func(c *Comm) error {
-		var bcast []uint64
-		if c.Rank() == 2 {
-			bcast = []uint64{7, 8, 9}
-		}
-		pb := c.IBroadcast(2, bcast)
-		pg := c.IGather(0, []uint64{uint64(c.Rank()) * 3})
-		gotB, err := pb.Await()
-		if err != nil {
-			return err
-		}
-		if len(gotB) != 3 || gotB[0] != 7 || gotB[2] != 9 {
-			return fmt.Errorf("IBroadcast = %v", gotB)
-		}
-		gotG, err := pg.Await()
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			var vals []int
-			for _, part := range gotG {
-				vals = append(vals, int(part[0]))
-			}
-			sort.Ints(vals)
-			for i, v := range vals {
-				if v != i*3 {
-					return fmt.Errorf("IGather parts = %v", gotG)
-				}
-			}
-		}
-		return nil
-	})
-}
-
-// TestAsyncFirstErrorTeardown injects a hard receive fault into one of
-// two concurrent collectives and checks the failure (a) surfaces on the
-// faulted handle, (b) does not deadlock the sibling collective once the
-// network is torn down, mirroring dist's first-error semantics. The
-// whole dance is bounded by the network timeout; we require it to
-// finish far sooner.
+// TestAsyncFirstErrorTeardown runs two all-reductions concurrently per
+// PE, each on its own sub-communicator in its own goroutine — how every
+// asynchronous round in this repository is built (core.ResolveAsync) —
+// injects a hard receive fault into one of them, and checks the failure
+// (a) surfaces on a faulted round, (b) does not deadlock the sibling
+// round once the network is torn down, mirroring dist's first-error
+// semantics. The whole dance is bounded by the network timeout; we
+// require it to finish far sooner.
 func TestAsyncFirstErrorTeardown(t *testing.T) {
 	const p = 4
-	inner := comm.NewMemNetworkTimeout(p, time.Minute)
-	net := comm.NewFaultyNetworkRecvErr(inner, 3)
+	net := comm.NewFaultyNetwork(comm.NewMemNetworkTimeout(p, time.Minute), 0, 0)
+	net.ArmRecvErr(3)
 	defer net.Close()
 
+	var failed atomic.Int64
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		p2 := p
 		var wg sync.WaitGroup
-		for r := 0; r < p2; r++ {
-			r := r
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				c := New(net.Endpoint(r))
-				pend1 := c.IAllReduce([]uint64{uint64(r)}, OpSum)
-				pend2 := c.IAllReduce([]uint64{uint64(r) * 7}, OpSum)
-				// First-error teardown, as dist does it: the moment either
-				// in-flight collective fails, close the network so every
-				// sibling unblocks (with ErrClosed or the same fault)
-				// instead of waiting for messages that will never come.
-				var aw sync.WaitGroup
-				for _, pend := range []*Pending[[]uint64]{pend1, pend2} {
-					pend := pend
-					aw.Add(1)
-					go func() {
-						defer aw.Done()
-						if _, err := pend.Await(); err != nil {
-							net.Close()
-						}
-					}()
+		for r := 0; r < p; r++ {
+			c := New(net.Endpoint(r))
+			for round := uint64(1); round <= 2; round++ {
+				sub, err := c.Sub()
+				if err != nil {
+					t.Error(err)
+					return
 				}
-				aw.Wait()
-			}()
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					// First-error teardown, as dist does it: the moment either
+					// in-flight round fails, close the network so every sibling
+					// unblocks (with ErrClosed or the same fault) instead of
+					// waiting for messages that will never come.
+					if _, err := sub.AllReduce([]uint64{uint64(r) * round}, OpSum); err != nil {
+						failed.Add(1)
+						net.Close()
+					}
+				}()
+			}
 		}
 		wg.Wait()
 	}()
@@ -243,6 +167,9 @@ func TestAsyncFirstErrorTeardown(t *testing.T) {
 	}
 	if !net.DidInject() {
 		t.Fatal("fault was never injected")
+	}
+	if failed.Load() == 0 {
+		t.Fatal("the injected fault surfaced on no round")
 	}
 }
 

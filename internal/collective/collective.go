@@ -10,28 +10,40 @@
 // fresh tag per collective, so consecutive collectives cannot confuse
 // each other's messages.
 //
+// # One word channel
+//
+// Every collective moves its words through one unexported pair,
+// sendU64s/recvU64s, over a tag the communicator allocated for that
+// operation: little-endian words on Comm.send/Comm.recv, which meter the
+// traffic against the communicator and translate logical to physical
+// ranks. There is no tagged point-to-point API beside it — a neighbour
+// pattern is the Exchange collective — so whatever changes how words
+// reach the wire changes it there, once. AllToAllBytes and Barrier use
+// send/recv directly because their payloads are not words; the
+// membership control plane (ctl.go) bypasses metering on purpose.
+//
 // # Tag-space partitioning
 //
 // One endpoint's 63-bit tag space is carved into disjoint regions so
 // several logical communication streams can share the wire without a
 // message from one ever matching a receive of another:
 //
-//	[0, 1<<30)          the root communicator's collective sequence
+//	[0, 1<<31)          the root communicator's collective sequence
 //	                    (one or more tags per operation, allocated by
 //	                    the atomic tag counter)
-//	[1<<30, 1<<31)      user tags: SendTagged/RecvTagged traffic, offset
-//	                    by userTagBase; shared by all communicators over
-//	                    the endpoint, so callers own disjointness there
-//	[1<<31, 1<<62)      sub-communicator blocks, handed out by Sub in
+//	[1<<31, ctl)        sub-communicator blocks, handed out by Sub in
 //	                    allocation order and returned for reuse by
 //	                    Release
+//	[ctl, 1<<62)        membership control streams, one tag per sending
+//	                    PE (ctl.go); ctl = 1<<62 - 1<<20
 //	[1<<62, ...)        control messages (comm.KickTag); never allocated
 //
 // Sub carves a block out of the parent's space; the resulting Comm runs
 // its own collective sequence concurrently with the parent's (and with
-// other siblings'), which is what makes nonblocking collectives
-// (IAllReduce and friends), resolve/compute overlap, and concurrent
-// verification jobs on one resident mesh possible. Allocation is
+// other siblings'), which is what makes asynchronous rounds — a blocking
+// collective on a Sub in a goroutine, as core.ResolveAsync does —
+// resolve/compute overlap, and concurrent verification jobs on one
+// resident mesh possible. Allocation is
 // hierarchical: a sub-communicator's block is split into its own ops
 // region and a child region it can Sub from in turn (an async round
 // inside a job inside the root), until blocks get too small to split.
@@ -60,10 +72,8 @@ import (
 )
 
 const (
-	// userTagBase separates explicitly tagged point-to-point traffic
-	// from the tags the collectives allocate.
-	userTagBase = 1 << 30
-	// subTagBase is where sub-communicator tag blocks begin.
+	// subTagBase is where the root communicator's own collective
+	// sequence ends and sub-communicator tag blocks begin.
 	subTagBase int64 = 1 << 31
 	// ctlSpan is the width of the membership control region: one tag per
 	// sending PE, so a heartbeat/view-change stream between a pair of PEs
@@ -97,6 +107,13 @@ const (
 // allocated with nothing released, or its own block is too small to
 // subdivide further.
 var ErrTagSpaceExhausted = errors.New("collective: sub-communicator tag space exhausted")
+
+// ErrBadBundle is reported by Gather and AllGather when a peer's bundle
+// of gathered parts does not decode: a count, rank or length word that
+// does not fit the message or the communicator, a rank that appears
+// twice, or trailing words. The words come off the wire, so they are
+// validated, never trusted.
+var ErrBadBundle = errors.New("collective: malformed gather bundle")
 
 // childSpace hands out the child blocks of one communicator: fresh
 // blocks ascend from the region's start; released blocks are reused
@@ -158,8 +175,8 @@ type Comm struct {
 	// from. Abort poisons and Release recycles the whole block.
 	end int64
 	// tag is the next unallocated offset within the ops region. Atomic:
-	// nonblocking collectives allocate tags from worker goroutines
-	// while the PE's main goroutine keeps issuing collectives.
+	// allocation is safe from any goroutine, although a communicator
+	// still admits only one collective at a time.
 	tag atomic.Int64
 	ops atomic.Int64
 
@@ -204,8 +221,8 @@ func New(ep comm.Endpoint) *Comm {
 	return &Comm{
 		mux:   comm.NewMux(ep),
 		base:  0,
-		limit: userTagBase,
-		end:   userTagBase,
+		limit: subTagBase,
+		end:   subTagBase,
 		kids:  &childSpace{span: subTagSpan, next: subTagBase, limit: subTagLimit},
 	}
 }
@@ -535,33 +552,6 @@ func (c *Comm) recvU64s(src, tag int) ([]uint64, error) {
 	return BytesToU64s(buf)
 }
 
-// SendTagged sends words to dst on the user tag space (point-to-point
-// traffic outside the collective sequence).
-func (c *Comm) SendTagged(dst, tag int, words []uint64) error {
-	return c.sendU64s(dst, userTagBase+tag, words)
-}
-
-// RecvTagged receives words from src on the user tag space.
-func (c *Comm) RecvTagged(src, tag int) ([]uint64, error) {
-	return c.recvU64s(src, userTagBase+tag)
-}
-
-// ReserveTag allocates a tag from the collective sequence for a custom
-// point-to-point protocol (e.g. the sort checker's boundary chain).
-// Like any collective, all PEs must call it at the same point in their
-// operation sequence. Use SendWords/RecvWords with the returned tag.
-func (c *Comm) ReserveTag() int { return c.nextTag() }
-
-// SendWords sends on a tag obtained from ReserveTag.
-func (c *Comm) SendWords(dst, tag int, words []uint64) error {
-	return c.sendU64s(dst, tag, words)
-}
-
-// RecvWords receives on a tag obtained from ReserveTag.
-func (c *Comm) RecvWords(src, tag int) ([]uint64, error) {
-	return c.recvU64s(src, tag)
-}
-
 // ReduceOp combines src into dst element-wise. Implementations must be
 // associative over the element encoding. Commutativity is not required
 // for Reduce with root 0 (and hence AllReduce): the binomial tree only
@@ -579,48 +569,10 @@ func OpSum(dst, src []uint64) {
 	}
 }
 
-// OpXor combines bitwise.
-func OpXor(dst, src []uint64) {
-	for i := range dst {
-		dst[i] ^= src[i]
-	}
-}
-
-// OpMin keeps the element-wise minimum.
-func OpMin(dst, src []uint64) {
-	for i := range dst {
-		if src[i] < dst[i] {
-			dst[i] = src[i]
-		}
-	}
-}
-
-// OpMax keeps the element-wise maximum.
-func OpMax(dst, src []uint64) {
-	for i := range dst {
-		if src[i] > dst[i] {
-			dst[i] = src[i]
-		}
-	}
-}
-
 // OpAnd combines bitwise (used for verdict vectors).
 func OpAnd(dst, src []uint64) {
 	for i := range dst {
 		dst[i] &= src[i]
-	}
-}
-
-// OpSumMod returns addition modulo r; inputs must already be < r.
-func OpSumMod(r uint64) ReduceOp {
-	return func(dst, src []uint64) {
-		for i := range dst {
-			s := dst[i] + src[i] // no overflow: both < r <= 2^63
-			if s >= r {
-				s -= r
-			}
-			dst[i] = s
-		}
 	}
 }
 
@@ -729,7 +681,7 @@ func (c *Comm) Gather(root int, words []uint64) ([][]uint64, error) {
 				if err != nil {
 					return nil, err
 				}
-				if err := decodeBundle(got, bundle); err != nil {
+				if err := decodeBundle(got, p, bundle); err != nil {
 					return nil, err
 				}
 			}
@@ -740,6 +692,9 @@ func (c *Comm) Gather(root int, words []uint64) ([][]uint64, error) {
 			}
 			return nil, nil
 		}
+	}
+	if len(bundle) != p {
+		return nil, fmt.Errorf("%w: %d of %d parts arrived at the root", ErrBadBundle, len(bundle), p)
 	}
 	out := make([][]uint64, p)
 	for v, w := range bundle {
@@ -767,11 +722,15 @@ func (c *Comm) AllGather(words []uint64) ([][]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	bundle := make(map[int][]uint64)
-	if err := decodeBundle(flat, bundle); err != nil {
+	p := c.Size()
+	bundle := make(map[int][]uint64, p)
+	if err := decodeBundle(flat, p, bundle); err != nil {
 		return nil, err
 	}
-	out := make([][]uint64, c.Size())
+	if len(bundle) != p {
+		return nil, fmt.Errorf("%w: %d of %d parts in the broadcast", ErrBadBundle, len(bundle), p)
+	}
+	out := make([][]uint64, p)
 	for r, w := range bundle {
 		out[r] = w
 	}
@@ -792,24 +751,35 @@ func encodeBundle(bundle map[int][]uint64) []uint64 {
 	return out
 }
 
-func decodeBundle(flat []uint64, into map[int][]uint64) error {
+// decodeBundle adds the entries of a peer's encoded bundle to into,
+// which holds the parts gathered so far keyed by rank in [0, p). Every
+// word is validated before it is used as a count, an index or a length;
+// anything that does not fit is ErrBadBundle.
+func decodeBundle(flat []uint64, p int, into map[int][]uint64) error {
 	if len(flat) == 0 {
-		return fmt.Errorf("collective: empty bundle")
+		return fmt.Errorf("%w: empty", ErrBadBundle)
 	}
-	count := int(flat[0])
-	pos := 1
-	for i := 0; i < count; i++ {
-		if pos+2 > len(flat) {
-			return fmt.Errorf("collective: truncated bundle header")
+	rest := flat[1:]
+	for i := uint64(0); i < flat[0]; i++ {
+		if len(rest) < 2 {
+			return fmt.Errorf("%w: %d entries announced, words end in entry %d", ErrBadBundle, flat[0], i)
 		}
-		v := int(flat[pos])
-		n := int(flat[pos+1])
-		pos += 2
-		if pos+n > len(flat) {
-			return fmt.Errorf("collective: truncated bundle payload")
+		v, n := rest[0], rest[1]
+		rest = rest[2:]
+		if v >= uint64(p) {
+			return fmt.Errorf("%w: rank %d outside [0, %d)", ErrBadBundle, v, p)
 		}
-		into[v] = append([]uint64(nil), flat[pos:pos+n]...)
-		pos += n
+		if n > uint64(len(rest)) {
+			return fmt.Errorf("%w: part of %d words in %d remaining", ErrBadBundle, n, len(rest))
+		}
+		if _, dup := into[int(v)]; dup {
+			return fmt.Errorf("%w: rank %d appears twice", ErrBadBundle, v)
+		}
+		into[int(v)] = append([]uint64(nil), rest[:n]...)
+		rest = rest[n:]
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("%w: %d trailing words", ErrBadBundle, len(rest))
 	}
 	return nil
 }

@@ -89,16 +89,30 @@ func TestReduceDoesNotClobberInput(t *testing.T) {
 	})
 }
 
+// opMin and opMax are order-insensitive ReduceOps other than the sum, for
+// exercising the trees with more than one combine.
+func opMin(dst, src []uint64) {
+	for i := range dst {
+		dst[i] = min(dst[i], src[i])
+	}
+}
+
+func opMax(dst, src []uint64) {
+	for i := range dst {
+		dst[i] = max(dst[i], src[i])
+	}
+}
+
 func TestAllReduceMinMax(t *testing.T) {
 	for _, p := range sizes {
 		p := p
 		runSPMD(t, p, func(c *Comm) error {
 			in := []uint64{uint64(c.Rank() + 10), uint64(c.Rank() + 10)}
-			gotMin, err := c.AllReduce(in[:1], OpMin)
+			gotMin, err := c.AllReduce(in[:1], opMin)
 			if err != nil {
 				return err
 			}
-			gotMax, err := c.AllReduce(in[1:], OpMax)
+			gotMax, err := c.AllReduce(in[1:], opMax)
 			if err != nil {
 				return err
 			}
@@ -117,7 +131,13 @@ func TestAllReduceSumMod(t *testing.T) {
 	const r = 97
 	runSPMD(t, 8, func(c *Comm) error {
 		in := []uint64{uint64(c.Rank()*13) % r}
-		got, err := c.AllReduce(in, OpSumMod(r))
+		// Addition modulo r on canonical residues, the shape of the sum
+		// checker's combine.
+		got, err := c.AllReduce(in, func(dst, src []uint64) {
+			for i := range dst {
+				dst[i] = (dst[i] + src[i]) % r
+			}
+		})
 		if err != nil {
 			return err
 		}

@@ -87,7 +87,7 @@ func TestHypercubeCollectivesMatchDefault(t *testing.T) {
 					res.gather[rank] = parts
 				}
 			}
-			ar, err := c.AllReduce(inputs[rank], OpMin)
+			ar, err := c.AllReduce(inputs[rank], opMin)
 			if err != nil {
 				return err
 			}
@@ -179,7 +179,7 @@ func TestHypercubeCollectivesStayOnEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer net.Close()
-	edges := int64(comm.TopoHypercube.Edges(p))
+	edges := int64(p / 2 * 3) // the hypercube's p/2·log2(p)
 	if got := net.ConnsOpen(); got != edges {
 		t.Fatalf("setup: ConnsOpen=%d, want %d", got, edges)
 	}
@@ -198,7 +198,7 @@ func TestHypercubeCollectivesStayOnEdges(t *testing.T) {
 				return err
 			}
 		}
-		if _, err := c.AllReduce([]uint64{uint64(rank)}, OpMax); err != nil {
+		if _, err := c.AllReduce([]uint64{uint64(rank)}, opMax); err != nil {
 			return err
 		}
 		if _, err := c.AllGather([]uint64{uint64(rank)}); err != nil {

@@ -48,10 +48,6 @@ func (e *PeerDownError) Unwrap() error { return ErrPeerDown }
 // raced when concurrent runs reconfigured it.
 const DefaultTimeout = 120 * time.Second
 
-// NoTimeout disables the per-operation deadline entirely when passed as
-// a network's timeout.
-const NoTimeout time.Duration = -1
-
 // KickTag is the first tag of the control range: messages tagged at or
 // above it carry no data and are never delivered to a receiver. Their
 // only effect is to complete a pending RecvAny, which is how a service
@@ -64,7 +60,7 @@ const KickTag = 1 << 62
 
 // resolveTimeout maps a constructor's timeout argument to the effective
 // per-operation deadline: zero selects the DefaultTimeout backstop,
-// negative (NoTimeout) disables deadlines, positive is used as given.
+// negative disables deadlines, positive is used as given.
 func resolveTimeout(d time.Duration) time.Duration {
 	switch {
 	case d == 0:
@@ -184,44 +180,6 @@ func (m *Metrics) Snapshot() Metrics {
 	}
 }
 
-// Reset zeroes the counters.
-func (m *Metrics) Reset() {
-	atomic.StoreInt64(&m.BytesSent, 0)
-	atomic.StoreInt64(&m.BytesRecv, 0)
-	atomic.StoreInt64(&m.MsgsSent, 0)
-	atomic.StoreInt64(&m.MsgsRecv, 0)
-}
-
-// Bottleneck summarises a network's traffic by the paper's criterion:
-// the maximum over PEs of bytes (and messages) sent or received.
-type Bottleneck struct {
-	MaxBytes int64 // max over PEs of max(sent, received) bytes
-	MaxMsgs  int64 // max over PEs of max(sent, received) messages
-	SumBytes int64 // total bytes sent across all PEs
-}
-
-// NetworkBottleneck computes the bottleneck summary over all endpoints.
-func NetworkBottleneck(n Network) Bottleneck {
-	var b Bottleneck
-	for r := 0; r < n.Size(); r++ {
-		s := n.Endpoint(r).Metrics().Snapshot()
-		if s.BytesSent > b.MaxBytes {
-			b.MaxBytes = s.BytesSent
-		}
-		if s.BytesRecv > b.MaxBytes {
-			b.MaxBytes = s.BytesRecv
-		}
-		if s.MsgsSent > b.MaxMsgs {
-			b.MaxMsgs = s.MsgsSent
-		}
-		if s.MsgsRecv > b.MaxMsgs {
-			b.MaxMsgs = s.MsgsRecv
-		}
-		b.SumBytes += s.BytesSent
-	}
-	return b
-}
-
 // MeterSnapshot is the unified transport meter: one struct covering
 // every counter any network in the package exposes, so callers stop
 // type-asserting for TCPNetwork-only accessors. Counters a transport
@@ -269,13 +227,6 @@ func NetworkMeter(n Network) MeterSnapshot {
 		return m.Meter()
 	}
 	return endpointMeter(n)
-}
-
-// ResetNetwork zeroes the metrics of every endpoint.
-func ResetNetwork(n Network) {
-	for r := 0; r < n.Size(); r++ {
-		n.Endpoint(r).Metrics().Reset()
-	}
 }
 
 func validRank(r, p int) error {

@@ -136,14 +136,6 @@ func TestMetricsCount(t *testing.T) {
 	if s1.BytesRecv != 100 || s1.MsgsRecv != 1 {
 		t.Fatalf("receiver metrics: %+v", s1)
 	}
-	b := NetworkBottleneck(n)
-	if b.MaxBytes != 100 || b.MaxMsgs != 1 || b.SumBytes != 100 {
-		t.Fatalf("bottleneck: %+v", b)
-	}
-	ResetNetwork(n)
-	if got := NetworkBottleneck(n); got.MaxBytes != 0 {
-		t.Fatalf("reset failed: %+v", got)
-	}
 }
 
 func TestInvalidRank(t *testing.T) {

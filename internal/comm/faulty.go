@@ -6,9 +6,9 @@ import (
 	"sync/atomic"
 )
 
-// ErrInjected is the synthetic receive failure a FaultyNetwork built
-// with NewFaultyNetworkRecvErr reports on its target message — a hard
-// transport fault (link down, peer crash) rather than a soft error.
+// ErrInjected is the synthetic receive failure a FaultyNetwork armed
+// with ArmRecvErr reports on its target message — a hard transport fault
+// (link down, peer crash) rather than a soft error.
 var ErrInjected = errors.New("comm: injected receive fault")
 
 // FaultyNetwork wraps a network and flips one bit in the payload of a
@@ -16,8 +16,8 @@ var ErrInjected = errors.New("comm: injected receive fault")
 // motivating the paper ("spontaneous bitflips in memory ... caused for
 // example by cosmic rays", Section 1). Checkers must catch corruption
 // that happens while data is in flight, not only in final outputs.
-// Alternatively (NewFaultyNetworkRecvErr) it fails the chosen receive
-// outright, for exercising first-error teardown paths.
+// Alternatively (ArmRecvErr) it fails the chosen receive outright, for
+// exercising first-error teardown paths.
 //
 // The injector is re-armable (ArmBitflip/ArmRecvErr), so one long-lived
 // wrapped network can carry many independent chaos episodes — the soak
@@ -68,16 +68,6 @@ func NewFaultyNetwork(inner Network, target int64, bit int) *FaultyNetwork {
 	return n
 }
 
-// NewFaultyNetworkRecvErr wraps inner, failing the `target`-th non-empty
-// receive anywhere in the network (1-based) with ErrInjected. The
-// message itself is consumed, modeling a hard transport fault rather
-// than silent corruption.
-func NewFaultyNetworkRecvErr(inner Network, target int64) *FaultyNetwork {
-	n := NewFaultyNetwork(inner, target, 0)
-	n.recvErr.Store(true)
-	return n
-}
-
 // ArmBitflip re-arms the injector: the delta-th non-empty payload
 // received anywhere in the network from now on gets bit `bit` flipped.
 // Resets DidInject and InjectedAt. Arm only while no earlier fault is
@@ -120,9 +110,6 @@ func (n *FaultyNetwork) ArmPeerDown(rank int) {
 		go func() { _ = n.inner.Endpoint(src).Send(rank, KickTag, nil) }()
 	}
 }
-
-// DeadRank returns the rank killed by ArmPeerDown, or -1.
-func (n *FaultyNetwork) DeadRank() int { return int(n.dead.Load()) }
 
 func (n *FaultyNetwork) arm(delta int64) {
 	if delta <= 0 {

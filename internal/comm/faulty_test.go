@@ -13,12 +13,12 @@ func TestArmPeerDown(t *testing.T) {
 	inner := NewMemNetwork(3)
 	defer inner.Close()
 	fn := NewFaultyNetwork(inner, 0, 0)
-	if fn.DeadRank() != -1 {
-		t.Fatalf("fresh network reports dead rank %d", fn.DeadRank())
+	if int(fn.dead.Load()) != -1 {
+		t.Fatalf("fresh network reports dead rank %d", int(fn.dead.Load()))
 	}
 	fn.ArmPeerDown(1)
-	if fn.DeadRank() != 1 {
-		t.Fatalf("DeadRank = %d, want 1", fn.DeadRank())
+	if int(fn.dead.Load()) != 1 {
+		t.Fatalf("DeadRank = %d, want 1", int(fn.dead.Load()))
 	}
 
 	// The dead rank's own operations fail with ErrClosed.
@@ -55,8 +55,8 @@ func TestArmPeerDownOutOfRange(t *testing.T) {
 	fn := NewFaultyNetwork(inner, 0, 0)
 	fn.ArmPeerDown(-1)
 	fn.ArmPeerDown(2)
-	if fn.DeadRank() != -1 {
-		t.Fatalf("out-of-range ArmPeerDown killed rank %d", fn.DeadRank())
+	if int(fn.dead.Load()) != -1 {
+		t.Fatalf("out-of-range ArmPeerDown killed rank %d", int(fn.dead.Load()))
 	}
 	if err := fn.Endpoint(0).Send(1, 3, []byte{9}); err != nil {
 		t.Fatalf("send: %v", err)

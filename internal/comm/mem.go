@@ -34,8 +34,8 @@ func NewMemNetwork(p int) Network {
 
 // NewMemNetworkTimeout is NewMemNetwork with an explicit per-operation
 // deadline: every blocking Send or Recv that exceeds it fails with an
-// error naming the stuck operation. Zero selects DefaultTimeout,
-// NoTimeout disables the deadline.
+// error naming the stuck operation. Zero selects DefaultTimeout, a
+// negative value disables the deadline.
 func NewMemNetworkTimeout(p int, timeout time.Duration) Network {
 	if p < 1 {
 		panic("comm: NewMemNetwork requires p >= 1")

@@ -164,8 +164,9 @@ func TestRecvAnyDrainsParkedFirst(t *testing.T) {
 // TestFaultyRecvErrInjection checks hard-fault mode: the target receive
 // reports ErrInjected, and DidInject flips.
 func TestFaultyRecvErrInjection(t *testing.T) {
-	f := NewFaultyNetworkRecvErr(NewMemNetwork(2), 2)
+	f := NewFaultyNetwork(NewMemNetwork(2), 0, 0)
 	defer f.Close()
+	f.ArmRecvErr(2)
 	sender, ep := f.Endpoint(0), f.Endpoint(1)
 	for i := 0; i < 2; i++ {
 		if err := sender.Send(1, 3, []byte{byte(i)}); err != nil {

@@ -18,7 +18,7 @@ import (
 // beyond the physical core count (the paper's Fig. 4 runs to 2^12 PEs).
 //
 // Virtual time covers communication only; local computation does not
-// advance clocks unless the caller does so explicitly via AdvanceClock.
+// advance clocks.
 type SimNetwork struct {
 	inner Network
 	eps   []*simEndpoint
@@ -73,7 +73,7 @@ func NewSimNetwork(p int, alphaNs, betaNsPerByte float64) *SimNetwork {
 // NewSimNetworkTimeout is NewSimNetwork with an explicit per-operation
 // deadline on the underlying in-memory network (in wall-clock time —
 // virtual clocks model transfer cost, not liveness). Zero selects
-// DefaultTimeout, NoTimeout disables the deadline.
+// DefaultTimeout, a negative value disables the deadline.
 func NewSimNetworkTimeout(p int, alphaNs, betaNsPerByte float64, timeout time.Duration) *SimNetwork {
 	n := &SimNetwork{
 		inner:         NewMemNetworkTimeout(p, timeout),
@@ -102,10 +102,6 @@ func (n *SimNetwork) Close() error { return n.inner.Close() }
 // connectionless.
 func (n *SimNetwork) Meter() MeterSnapshot { return endpointMeter(n) }
 
-// VirtualTimeNs returns rank's virtual clock. Only meaningful after the
-// SPMD body has finished.
-func (n *SimNetwork) VirtualTimeNs(rank int) float64 { return n.eps[rank].clockNs() }
-
 // MakespanNs returns the maximum virtual clock over all PEs — the
 // modeled completion time of the communication schedule.
 func (n *SimNetwork) MakespanNs() float64 {
@@ -125,12 +121,6 @@ func (n *SimNetwork) ResetClocks() {
 		ep.clock = 0
 		ep.mu.Unlock()
 	}
-}
-
-// AdvanceClock adds local-computation time to rank's clock, letting
-// harnesses blend measured local work into the model.
-func (n *SimNetwork) AdvanceClock(rank int, ns float64) {
-	n.eps[rank].advance(ns)
 }
 
 func (e *simEndpoint) Rank() int         { return e.inner.Rank() }

@@ -26,10 +26,10 @@ func TestSimNetworkModelsAlphaBeta(t *testing.T) {
 	}()
 	wg.Wait()
 	// Sender: 100 + 2*50 = 200 ns. Receiver clock jumps to arrival.
-	if got := n.VirtualTimeNs(0); got != 200 {
+	if got := n.eps[0].clockNs(); got != 200 {
 		t.Errorf("sender clock %f, want 200", got)
 	}
-	if got := n.VirtualTimeNs(1); got != 200 {
+	if got := n.eps[1].clockNs(); got != 200 {
 		t.Errorf("receiver clock %f, want 200", got)
 	}
 	if n.MakespanNs() != 200 {
@@ -63,10 +63,10 @@ func TestSimNetworkSequentialSendsAccumulate(t *testing.T) {
 	wg.Wait()
 	// Three sends of 10 bytes: 3 * (10 + 10) = 60 ns at the sender; the
 	// last arrival dominates the receiver.
-	if got := n.VirtualTimeNs(0); got != 60 {
+	if got := n.eps[0].clockNs(); got != 60 {
 		t.Errorf("sender clock %f, want 60", got)
 	}
-	if got := n.VirtualTimeNs(1); got != 60 {
+	if got := n.eps[1].clockNs(); got != 60 {
 		t.Errorf("receiver clock %f, want 60", got)
 	}
 }
@@ -75,7 +75,7 @@ func TestSimNetworkIdleReceiverWaits(t *testing.T) {
 	// A receiver that was already ahead keeps its clock.
 	n := NewSimNetwork(2, 10, 0)
 	defer n.Close()
-	n.AdvanceClock(1, 1000)
+	n.eps[1].advance(1000)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -87,7 +87,7 @@ func TestSimNetworkIdleReceiverWaits(t *testing.T) {
 		n.Endpoint(1).Recv(0, 0)
 	}()
 	wg.Wait()
-	if got := n.VirtualTimeNs(1); got != 1000 {
+	if got := n.eps[1].clockNs(); got != 1000 {
 		t.Errorf("receiver clock %f, want 1000 (already ahead)", got)
 	}
 }
@@ -95,7 +95,7 @@ func TestSimNetworkIdleReceiverWaits(t *testing.T) {
 func TestSimNetworkResetClocks(t *testing.T) {
 	n := NewSimNetwork(1, 10, 1)
 	defer n.Close()
-	n.AdvanceClock(0, 500)
+	n.eps[0].advance(500)
 	n.ResetClocks()
 	if n.MakespanNs() != 0 {
 		t.Error("clocks not reset")

@@ -135,7 +135,7 @@ type TCPOptions struct {
 	// that exceeds it fails with an error naming the stuck operation.
 	// On this transport it is enforced as net.Conn write deadlines on
 	// sends, read deadlines on mid-frame stalls, and a timer on inbox
-	// matching. Zero selects DefaultTimeout, NoTimeout disables it.
+	// matching. Zero selects DefaultTimeout, a negative value disables it.
 	Timeout time.Duration
 	// SetupTimeout bounds every dial and handshake, both during setup
 	// and on later lazy dials; zero selects DefaultSetupTimeout.
@@ -732,8 +732,7 @@ func (n *TCPNetwork) WireBytes() (sent, recv int64) {
 // ConnsOpen returns how many TCP connections the network has
 // established, each pair link counted once (at its dialer). A full mesh
 // costs p(p-1)/2; a hypercube run that stays on its edges costs
-// Topology.Edges(p) ∈ O(p log p) — the quantity the acceptance tests
-// bound.
+// p/2·log2(p) — the quantity the acceptance tests bound.
 func (n *TCPNetwork) ConnsOpen() int64 { return n.core.connsDialed.Load() }
 
 // DialsAttempted returns how many TCP dial attempts (including retries)

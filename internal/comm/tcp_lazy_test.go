@@ -63,7 +63,7 @@ func TestTCPHypercubePreopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	edges := int64(TopoHypercube.Edges(p)) // 12 for p=8
+	edges := int64(edges(TopoHypercube, p)) // 12 for p=8
 	if got := n.ConnsOpen(); got != edges {
 		t.Fatalf("hypercube setup: ConnsOpen=%d, want %d", got, edges)
 	}

@@ -94,21 +94,6 @@ func (t Topology) Neighbors(rank, p int) []int {
 	}
 }
 
-// Edges returns the number of undirected connections the topology
-// pre-opens for p PEs — the setup-time connection bill a test compares
-// against ConnsOpen.
-func (t Topology) Edges(p int) int {
-	n := 0
-	for r := 0; r < p; r++ {
-		for _, q := range t.Neighbors(r, p) {
-			if q > r {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // sortInts is a tiny insertion sort: neighbor lists are O(log p) long,
 // not worth pulling in package sort.
 func sortInts(a []int) {

@@ -111,7 +111,7 @@ func BenchmarkAblationPermVariants(b *testing.B) {
 		c := NewPermChecker(PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 1}, 3)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sums := c.LocalSums(xs)
+			sums := localSums(c, xs)
 			sinkBench = sums[0]
 		}
 		reportPerElem(b, ablationElements)
@@ -150,7 +150,7 @@ func BenchmarkAblationPermVariants(b *testing.B) {
 func BenchmarkAblationBucketTradeoff(b *testing.B) {
 	pairs := ablationPairs()
 	for _, name := range []string{"8×16 CRC m15", "6×32 CRC m9", "4×256 CRC m15"} {
-		cfg, err := ParseSumConfig(name)
+		cfg, err := parseSumConfig(name)
 		if err != nil {
 			b.Fatal(err)
 		}

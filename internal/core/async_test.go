@@ -33,8 +33,8 @@ func TestResolveAsyncMatchesSync(t *testing.T) {
 			build := func(w *dist.Worker) []CheckState {
 				r := w.Rank()
 				return []CheckState{
-					NewSumAggState("agg", smallCfg, seed, shardPairs(input, p, r), shardPairs(asserted, p, r)),
-					NewSumAggState("agg2", smallCfg, seed+1, shardPairs(input, p, r), shardPairs(output, p, r)),
+					NewSumAggState("agg", smallCfg, seed, Serial, shardPairs(input, p, r), shardPairs(asserted, p, r)),
+					NewSumAggState("agg2", smallCfg, seed+1, Serial, shardPairs(input, p, r), shardPairs(output, p, r)),
 				}
 			}
 			var syncV, asyncV []bool
@@ -88,7 +88,7 @@ func TestResolveAsyncCost(t *testing.T) {
 	output := refSumAgg(input)
 	const p = 3
 	err := dist.Run(p, 5, func(w *dist.Worker) error {
-		st := NewSumAggState("agg", smallCfg, 9, shardPairs(input, p, w.Rank()), shardPairs(output, p, w.Rank()))
+		st := NewSumAggState("agg", smallCfg, 9, Serial, shardPairs(input, p, w.Rank()), shardPairs(output, p, w.Rank()))
 		pend := ResolveAsync(w, st)
 		if _, err := pend.Await(); err != nil {
 			return err

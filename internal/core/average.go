@@ -42,5 +42,5 @@ func CheckAvgAgg(w *dist.Worker, cfg SumConfig, input []data.Pair, asserted []Av
 	if err != nil {
 		return false, err
 	}
-	return resolveOne(w, NewAvgAggState("AvgAgg", cfg, seed, input, asserted))
+	return resolveOne(w, NewAvgAggState("AvgAgg", cfg, seed, Serial, input, asserted))
 }

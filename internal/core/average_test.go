@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/data"
@@ -18,7 +20,7 @@ func buildAvgReference(global []data.Pair) []AvgAssertion {
 		counts[pr.Key]++
 	}
 	out := make([]AvgAssertion, 0, len(sums))
-	for _, k := range data.Keys(sums) {
+	for _, k := range slices.Sorted(maps.Keys(sums)) {
 		s, c := sums[k], counts[k]
 		g := gcd(s, c)
 		if g == 0 {
@@ -72,7 +74,7 @@ func TestAvgCheckerAcceptsTripleForm(t *testing.T) {
 		counts[pr.Key]++
 	}
 	var triples []data.Triple
-	for _, k := range data.Keys(sums) {
+	for _, k := range slices.Sorted(maps.Keys(sums)) {
 		triples = append(triples, data.Triple{Key: k, Value: sums[k], Count: counts[k]})
 	}
 	asserted := AvgAssertionsFromTriples(triples)

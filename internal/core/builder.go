@@ -5,39 +5,39 @@ import (
 	"repro/internal/hashing"
 )
 
-// This file holds the mergeable partial forms of the checker states:
-// builders with an add-chunk / merge / seal lifecycle. A builder
-// accumulates any number of input and output chunks (in any interleaving
-// that respects the per-builder ordering rules below), two builders over
-// disjoint chunk sets merge into one, and Seal freezes the accumulated
-// partial into the corresponding CheckState.
+// This file holds the chunked partial forms of the checker states:
+// builders with an add-chunk / seal lifecycle. A builder accumulates any
+// number of input and output chunks (in any interleaving that respects
+// the per-builder ordering rules below) and Seal freezes the accumulated
+// partial into the corresponding CheckState. The permutation and
+// redistribution partials additionally merge: two builders over disjoint
+// chunk sets fold into one (internal/recover reshards a dead PE's chunks
+// that way).
 //
 // The sealed state is bit-identical to the one-shot state built over the
 // concatenation of all chunks, for every chunking and every
 // ParallelAccumulator worker count:
 //
-//   - sum checker tables stay congruent mod r under chunked accumulation
-//     and raw-table merge, and Seal normalizes before differencing — so
-//     the residues agree exactly;
+//   - sum checker tables stay congruent mod r under chunked
+//     accumulation, and Seal normalizes before differencing — so the
+//     residues agree exactly;
 //   - permutation fingerprints combine by wraparound addition mod 2^64,
 //     which is commutative and associative;
-//   - the sortedness boundary summary merges with the same rank-ordered
-//     interval combine the collective resolution uses, applied to chunk
-//     positions instead of PE ranks.
+//   - the sortedness boundary summary extends chunk by chunk with the
+//     same interval rule the collective resolution applies rank by rank.
 //
 // Builders are the foundation of the internal/stream subsystem: the
 // one-shot New...State constructors in state.go are thin wrappers that
 // feed a builder exactly one chunk per side.
 //
 // Builders are single-use (Seal at most once) and not safe for
-// concurrent use; two builders may accumulate concurrently and merge
-// afterwards — that is the point.
+// concurrent use.
 
 // ---------------------------------------------------------------------
 // Sum/count aggregation
 // ---------------------------------------------------------------------
 
-// SumAggBuilder is the mergeable partial form of SumAggState: two raw
+// SumAggBuilder is the chunked partial form of SumAggState: two raw
 // counter tables (input side, output side) that chunks accumulate into.
 // Chunk order is immaterial on both sides.
 type SumAggBuilder struct {
@@ -68,26 +68,6 @@ func (b *SumAggBuilder) AddInput(pairs []data.Pair) {
 // AddOutput accumulates one chunk of the asserted result.
 func (b *SumAggBuilder) AddOutput(pairs []data.Pair) {
 	b.par.AccumulateSum(b.c, b.to, pairs)
-}
-
-// Merge folds src's partial tables into b. src is consumed: its tables
-// are normalized in place and must not receive further chunks.
-func (b *SumAggBuilder) Merge(src *SumAggBuilder) {
-	b.c.Normalize(src.tv)
-	b.c.Normalize(src.to)
-	b.foldTable(b.tv, src.tv)
-	b.foldTable(b.to, src.to)
-}
-
-// foldTable adds a normalized table into a raw one with the checker's
-// congruence-preserving deferred-overflow add.
-func (b *SumAggBuilder) foldTable(dst, src []uint64) {
-	d := b.c.cfg.Buckets
-	for it := 0; it < b.c.cfg.Iterations; it++ {
-		for i := it * d; i < (it+1)*d; i++ {
-			b.c.add(dst, i, it, src[i])
-		}
-	}
 }
 
 // Seal freezes the partial into the two-phase checker state. The
@@ -145,13 +125,11 @@ func (b *PermBuilder) Seal() *PermState {
 // Sort / merge
 // ---------------------------------------------------------------------
 
-// SortedBuilder is the mergeable partial form of SortedState: a
+// SortedBuilder is the chunked partial form of SortedState: a
 // permutation partial plus the sortedness interval summary maintained
 // across output chunks. Input chunks may arrive in any order; output
 // chunks must arrive in sequence order (each chunk is the next
-// contiguous segment of this PE's asserted output), and Merge treats
-// src's output chunks as positioned after b's — the same rank-ordered
-// interval combine the collective resolution uses.
+// contiguous segment of this PE's asserted output).
 type SortedBuilder struct {
 	perm *PermBuilder
 	b    [sortWords]uint64
@@ -189,25 +167,6 @@ func (s *SortedBuilder) AddOutput(xs []uint64) {
 	}
 	s.b[sortLast] = xs[len(xs)-1]
 	s.b[sortOK] = ok
-}
-
-// Merge folds src's partial into b; src's output chunks are taken to
-// cover the positions after b's. src is consumed.
-func (s *SortedBuilder) Merge(src *SortedBuilder) {
-	s.perm.Merge(src.perm)
-	d, r := &s.b, &src.b
-	ok := d[sortOK] & r[sortOK]
-	if d[sortHas] == 1 && r[sortHas] == 1 && d[sortLast] > r[sortFirst] {
-		ok = 0
-	}
-	if r[sortHas] == 1 {
-		if d[sortHas] == 0 {
-			d[sortFirst] = r[sortFirst]
-		}
-		d[sortLast] = r[sortLast]
-		d[sortHas] = 1
-	}
-	d[sortOK] = ok
 }
 
 // Seal freezes the partial into the two-phase checker state.
@@ -259,16 +218,16 @@ func (b *RedistBuilder) fold(ps []data.Pair) []uint64 {
 	return out
 }
 
-// AddBefore accumulates one chunk of this PE's pairs before the
+// AddInput accumulates one chunk of this PE's pairs before the
 // exchange.
-func (b *RedistBuilder) AddBefore(ps []data.Pair) {
+func (b *RedistBuilder) AddInput(ps []data.Pair) {
 	b.perm.AddInput(b.fold(ps))
 }
 
-// AddAfter accumulates one chunk of this PE's pairs after the exchange,
+// AddOutput accumulates one chunk of this PE's pairs after the exchange,
 // including the placement scan: every received key must belong to this
 // PE under the locator.
-func (b *RedistBuilder) AddAfter(ps []data.Pair) {
+func (b *RedistBuilder) AddOutput(ps []data.Pair) {
 	b.perm.AddOutput(b.fold(ps))
 	for _, pr := range ps {
 		if b.loc.PE(pr.Key) != b.rank {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"strconv"
-	"strings"
 
 	"repro/internal/hashing"
 )
@@ -66,40 +64,6 @@ func (c SumConfig) Validate() error {
 			c.Name(), need, c.Family.Name, c.Family.Bits)
 	}
 	return nil
-}
-
-// ParseSumConfig parses the paper's configuration syntax
-// "#its×d Hashfn m<log2 rhat>" ("x" is accepted for "×").
-func ParseSumConfig(s string) (SumConfig, error) {
-	fields := strings.Fields(strings.ReplaceAll(s, "×", "x"))
-	if len(fields) != 3 {
-		return SumConfig{}, fmt.Errorf("core: config %q: want \"#itsxd Hashfn m<bits>\"", s)
-	}
-	parts := strings.SplitN(fields[0], "x", 2)
-	if len(parts) != 2 {
-		return SumConfig{}, fmt.Errorf("core: config %q: bad its×d part", s)
-	}
-	its, err := strconv.Atoi(parts[0])
-	if err != nil {
-		return SumConfig{}, fmt.Errorf("core: config %q: %v", s, err)
-	}
-	d, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return SumConfig{}, fmt.Errorf("core: config %q: %v", s, err)
-	}
-	fam, err := hashing.FamilyByName(fields[1])
-	if err != nil {
-		return SumConfig{}, err
-	}
-	if !strings.HasPrefix(fields[2], "m") {
-		return SumConfig{}, fmt.Errorf("core: config %q: modulus must look like m7", s)
-	}
-	m, err := strconv.Atoi(fields[2][1:])
-	if err != nil {
-		return SumConfig{}, fmt.Errorf("core: config %q: %v", s, err)
-	}
-	cfg := SumConfig{Iterations: its, Buckets: d, RHatLog: m, Family: fam}
-	return cfg, cfg.Validate()
 }
 
 // AccuracyConfigs is the first configuration set of Table 3, used for

@@ -14,8 +14,9 @@
 //   - CheckMinAgg / CheckMaxAgg — deterministic minimum/maximum checking
 //     with result and witness certificate replicated at all PEs
 //     (Section 6.2, Theorem 9).
-//   - CheckMedianAgg — median aggregation reduced to a zero-sum check
-//     (Section 6.3, Theorem 10, Algorithm 2).
+//   - CheckMedianAgg / CheckMedianAggTies — median aggregation reduced
+//     to a zero-sum check, for unique values and with tie-breaking
+//     certificates (Section 6.3, Theorem 10, Algorithm 2).
 //   - CheckPermutation — hash-sum fingerprints (Section 5, Lemma 4),
 //     with the polynomial variants CheckPermutationPoly (prime field,
 //     Lemma 5) and CheckPermutationGF (GF(2^64), carry-less).
@@ -25,15 +26,39 @@
 //     Theorem 11).
 //   - CheckUnion / CheckMerge — permutation over multiple inputs
 //     (Section 6.5.1/6.5.2, Corollaries 12 and 13).
-//   - CheckRedistribution — invasive checker for the GroupBy/Join
-//     element redistribution phase (Section 6.5.3/6.5.4, Corollaries 14
-//     and 15).
+//   - CheckRedistribution / CheckJoinRedistribution — invasive checker
+//     for the GroupBy/Join element redistribution phase (Section
+//     6.5.3/6.5.4, Corollaries 14 and 15).
 //   - CheckReplicated — result-integrity hash comparison for data that
 //     must be identical at all PEs (Section 2, "Result Integrity").
 //
 // Every distributed checker is SPMD: all PEs call it with their local
 // shares, shared randomness is drawn by PE 0 and broadcast, and the
 // returned verdict is identical on every PE.
+//
+// # Layering
+//
+// Each checker exists in three layers, each a thin wrapper of the one
+// before, and nothing else builds a checker state:
+//
+//   - the builder (builder.go): the chunked partial. AddInput and
+//     AddOutput accumulate any number of chunks, sharded across a
+//     ParallelAccumulator, and Seal freezes the partial into a
+//     CheckState. The streaming stages (internal/stream) and resharding
+//     (internal/recover) drive builders directly.
+//   - the one-chunk state constructor (state.go): New...State feeds a
+//     builder exactly one chunk per side. There is one per checker and
+//     it takes the ParallelAccumulator; a serial caller passes Serial.
+//     The pipeline stages of the root package call these and hand the
+//     states to Resolve — eagerly, batched, or asynchronously
+//     (ResolveAsync).
+//   - the one-shot Check... function: state constructor plus Resolve of
+//     that single state, the paper's Sections 4–6 as calls. These
+//     functions, everything the list above names, are the documented
+//     pure-checker API of this package — verify a result computed
+//     elsewhere with one call — and are kept as such although only
+//     CheckSumAgg and CheckSorted have a caller outside the tests today
+//     (repro.CheckSum, repro.CheckSorted).
 //
 // The checkers' O(n/p) local phase (Table 5) runs on a shared
 // accumulation engine: blocked batch hashing (hashing.Hasher's

@@ -64,7 +64,7 @@ func TestWarmSumAggStateAllocs(t *testing.T) {
 	cfg := SumConfig{Iterations: 6, Buckets: 32, RHatLog: 9, Family: hashing.FamilyCRC}
 	input := workload.ZipfPairs(125000, 1000000, 1<<30, 1)
 	output := refSumAgg(input)
-	run := func() { sinkState = NewSumAggStatePar("warm", cfg, 7, Serial, input, output) }
+	run := func() { sinkState = NewSumAggState("warm", cfg, 7, Serial, input, output) }
 	run()
 	// Counted by hand: testing.AllocsPerRun changes GOMAXPROCS, which
 	// makes sync.Pool drop what it holds — the measurement would start

@@ -194,33 +194,42 @@ func TestStateParMatchesSerial(t *testing.T) {
 	sorted := data.CloneU64s(seq)
 	data.SortU64(sorted)
 
-	refSum := NewSumAggState("s", sumCfg, 77, input, output).Words()
-	refCnt := NewCountAggState("c", sumCfg, 77, input, output).Words()
-	refPerm := NewPermState("p", permCfg, 77, [][]uint64{seq}, sorted).Words()
-	refSort := NewSortedState("o", permCfg, 77, [][]uint64{seq}, sorted).Words()
+	refSum := NewSumAggState("s", sumCfg, 77, Serial, input, output).Words()
+	refCnt := NewCountAggState("c", sumCfg, 77, Serial, input, output).Words()
+	refPerm := NewPermState("p", permCfg, 77, Serial, [][]uint64{seq}, sorted).Words()
+	refSort := NewSortedState("o", permCfg, 77, Serial, [][]uint64{seq}, sorted).Words()
 	for _, w := range []int{2, 4} {
 		par := NewParallelAccumulator(w)
 		requireTablesEq(t, fmt.Sprintf("sum state workers=%d", w), refSum,
-			NewSumAggStatePar("s", sumCfg, 77, par, input, output).Words())
+			NewSumAggState("s", sumCfg, 77, par, input, output).Words())
 		requireTablesEq(t, fmt.Sprintf("count state workers=%d", w), refCnt,
-			NewCountAggStatePar("c", sumCfg, 77, par, input, output).Words())
+			NewCountAggState("c", sumCfg, 77, par, input, output).Words())
 		requireTablesEq(t, fmt.Sprintf("perm state workers=%d", w), refPerm,
-			NewPermStatePar("p", permCfg, 77, par, [][]uint64{seq}, sorted).Words())
+			NewPermState("p", permCfg, 77, par, [][]uint64{seq}, sorted).Words())
 		requireTablesEq(t, fmt.Sprintf("sorted state workers=%d", w), refSort,
-			NewSortedStatePar("o", permCfg, 77, par, [][]uint64{seq}, sorted).Words())
+			NewSortedState("o", permCfg, 77, par, [][]uint64{seq}, sorted).Words())
 	}
 }
 
-// TestLocalSumsIntoAndDiffInto covers the allocation-free variants: the
-// Into forms must equal their allocating counterparts, including an
-// aliased DiffInto destination.
+// localSums returns the per-iteration sums of truncated hash values of
+// xs.
+func localSums(c *PermChecker, xs []uint64) []uint64 {
+	sums := make([]uint64, c.cfg.Iterations)
+	c.AccumulateInto(sums, xs, false)
+	return sums
+}
+
+// TestLocalSumsIntoAndDiffInto covers the allocation-free Into forms:
+// AccumulateInto adds to what its buffer holds, so two calls over the
+// halves of a sequence equal one call over the whole, and DiffInto's
+// destination may alias an operand.
 func TestLocalSumsIntoAndDiffInto(t *testing.T) {
 	xs := workload.UniformU64s(5000, 1e9, 41)
 	c := NewPermChecker(PermConfig{Family: hashing.FamilyTab, LogH: 16, Iterations: 4}, 13)
-	want := c.LocalSums(xs)
-	got := []uint64{9, 9, 9, 9} // stale content must be overwritten
-	c.LocalSumsInto(got, xs)
-	requireTablesEq(t, "LocalSumsInto", want, got)
+	got := make([]uint64, 4)
+	c.AccumulateInto(got, xs[:1234], false)
+	c.AccumulateInto(got, xs[1234:], false)
+	requireTablesEq(t, "AccumulateInto in two calls", localSums(c, xs), got)
 
 	cfg := SumConfig{Iterations: 4, Buckets: 16, RHatLog: 9, Family: hashing.FamilyCRC}
 	sc := NewSumChecker(cfg, 14)
@@ -231,7 +240,8 @@ func TestLocalSumsIntoAndDiffInto(t *testing.T) {
 	sc.Accumulate(b, out)
 	sc.Normalize(a)
 	sc.Normalize(b)
-	want = sc.Diff(a, b)
+	want := make([]uint64, len(a))
+	sc.DiffInto(want, a, b)
 	sc.DiffInto(a, a, b) // aliased destination
 	requireTablesEq(t, "DiffInto aliased", want, a)
 }

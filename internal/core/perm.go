@@ -83,27 +83,10 @@ func NewPermChecker(cfg PermConfig, seed uint64) *PermChecker {
 // Config returns the checker's configuration.
 func (c *PermChecker) Config() PermConfig { return c.cfg }
 
-// LocalSums returns the per-iteration sums of truncated hash values of
-// xs. Sums are accumulated in 64-bit words; because H is a power of
-// two, wraparound addition stays congruent modulo H.
-func (c *PermChecker) LocalSums(xs []uint64) []uint64 {
-	sums := make([]uint64, c.cfg.Iterations)
-	c.LocalSumsInto(sums, xs)
-	return sums
-}
-
-// LocalSumsInto is LocalSums for callers that already hold a buffer:
-// sums must have length Iterations and is overwritten, not added to.
-func (c *PermChecker) LocalSumsInto(sums, xs []uint64) {
-	for i := range sums {
-		sums[i] = 0
-	}
-	c.AccumulateInto(sums, xs, false)
-}
-
 // AccumulateInto adds (or, with negate, subtracts) the truncated hash
-// values of xs into sums, one slot per iteration. The sequence is
-// hashed in blocks through the family's Hash64Batch and summed in four
+// values of xs into sums, one slot per iteration. Sums are accumulated
+// in 64-bit words; because H is a power of two, wraparound addition
+// stays congruent modulo H. The sequence is hashed in blocks through the family's Hash64Batch and summed in four
 // independent lanes; wraparound addition mod 2^64 is commutative, so
 // the sums are bit-identical to the scalar element-order loop. Scratch
 // comes from a shared pool, one block per accumulating goroutine —
@@ -179,7 +162,7 @@ func CheckPermutationMulti(w *dist.Worker, cfg PermConfig, inputs [][]uint64, ou
 	if err != nil {
 		return false, err
 	}
-	return resolveOne(w, NewPermState("Permutation", cfg, seed, inputs, output))
+	return resolveOne(w, NewPermState("Permutation", cfg, seed, Serial, inputs, output))
 }
 
 // CheckUnion checks Union(s1, s2) = out as a permutation of the

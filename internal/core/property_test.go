@@ -75,21 +75,21 @@ func TestPermFingerprintPropertiesQuick(t *testing.T) {
 			elems[i] = uint64(x)
 		}
 		c := NewPermChecker(cfg, uint64(seed))
-		s1 := c.LocalSums(elems)
+		s1 := localSums(c, elems)
 		shuf := data.CloneU64s(elems)
 		rng := hashing.NewMT19937_64(uint64(shuffleSeed))
 		for i := len(shuf) - 1; i > 0; i-- {
 			j := int(rng.Uint64n(uint64(i + 1)))
 			shuf[i], shuf[j] = shuf[j], shuf[i]
 		}
-		s2 := c.LocalSums(shuf)
+		s2 := localSums(c, shuf)
 		if s1[0] != s2[0] {
 			return false // permutation changed the fingerprint
 		}
 		// A changed element must change the fingerprint except with
 		// probability ~2^-64; treat a collision as failure.
 		shuf[0] ^= 1
-		s3 := c.LocalSums(shuf)
+		s3 := localSums(c, shuf)
 		return s1[0] != s3[0]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -30,7 +30,7 @@ func CheckRedistribution(w *dist.Worker, cfg PermConfig, loc KeyLocator, before,
 	if err != nil {
 		return false, err
 	}
-	st := NewRedistState("Redistribution", cfg, seed, loc, w.Rank(), before, after)
+	st := NewRedistState("Redistribution", cfg, seed, Serial, loc, w.Rank(), before, after)
 	return resolveOne(w, st)
 }
 
@@ -46,8 +46,8 @@ func CheckJoinRedistribution(w *dist.Worker, cfg PermConfig, loc KeyLocator, lef
 	if err != nil {
 		return false, err
 	}
-	stL := NewRedistState("Join/left", cfg, seed, loc, w.Rank(), leftBefore, leftAfter)
-	stR := NewRedistState("Join/right", cfg, seed, loc, w.Rank(), rightBefore, rightAfter)
+	stL := NewRedistState("Join/left", cfg, seed, Serial, loc, w.Rank(), leftBefore, leftAfter)
+	stR := NewRedistState("Join/right", cfg, seed, Serial, loc, w.Rank(), rightBefore, rightAfter)
 	v, err := Resolve(w, stL, stR)
 	if err != nil {
 		return false, err

@@ -17,7 +17,7 @@ func CheckSorted(w *dist.Worker, cfg PermConfig, input, output []uint64) (bool, 
 	if err != nil {
 		return false, err
 	}
-	return resolveOne(w, NewSortedState("Sorted", cfg, seed, [][]uint64{input}, output))
+	return resolveOne(w, NewSortedState("Sorted", cfg, seed, Serial, [][]uint64{input}, output))
 }
 
 // CheckMerge checks Merge(s1, s2) = out (Corollary 13): out must be
@@ -27,5 +27,5 @@ func CheckMerge(w *dist.Worker, cfg PermConfig, s1, s2, out []uint64) (bool, err
 	if err != nil {
 		return false, err
 	}
-	return resolveOne(w, NewSortedState("Merge", cfg, seed, [][]uint64{s1, s2}, out))
+	return resolveOne(w, NewSortedState("Merge", cfg, seed, Serial, [][]uint64{s1, s2}, out))
 }

@@ -143,15 +143,11 @@ type SumAggState struct {
 }
 
 // NewSumAggState accumulates the sum aggregation checker's local phase:
-// input and output are this PE's shares. No communication.
-func NewSumAggState(stage string, cfg SumConfig, seed uint64, input, output []data.Pair) *SumAggState {
-	return NewSumAggStatePar(stage, cfg, seed, Serial, input, output)
-}
-
-// NewSumAggStatePar is NewSumAggState with the local accumulation
-// sharded across par's goroutines; the state is identical for every
-// worker count. It is the one-chunk special case of SumAggBuilder.
-func NewSumAggStatePar(stage string, cfg SumConfig, seed uint64, par ParallelAccumulator, input, output []data.Pair) *SumAggState {
+// input and output are this PE's shares. No communication. The
+// accumulation is sharded across par's goroutines (Serial for none); the
+// state is identical for every worker count. It is the one-chunk special
+// case of SumAggBuilder.
+func NewSumAggState(stage string, cfg SumConfig, seed uint64, par ParallelAccumulator, input, output []data.Pair) *SumAggState {
 	b := NewSumAggBuilder(stage, cfg, seed, par, false)
 	b.AddInput(input)
 	b.AddOutput(output)
@@ -160,12 +156,7 @@ func NewSumAggStatePar(stage string, cfg SumConfig, seed uint64, par ParallelAcc
 
 // NewCountAggState is NewSumAggState for count aggregation: every input
 // pair counts 1 regardless of its value.
-func NewCountAggState(stage string, cfg SumConfig, seed uint64, input, output []data.Pair) *SumAggState {
-	return NewCountAggStatePar(stage, cfg, seed, Serial, input, output)
-}
-
-// NewCountAggStatePar is NewCountAggState sharded across par.
-func NewCountAggStatePar(stage string, cfg SumConfig, seed uint64, par ParallelAccumulator, input, output []data.Pair) *SumAggState {
+func NewCountAggState(stage string, cfg SumConfig, seed uint64, par ParallelAccumulator, input, output []data.Pair) *SumAggState {
 	b := NewSumAggBuilder(stage, cfg, seed, par, true)
 	b.AddInput(input)
 	b.AddOutput(output)
@@ -204,15 +195,10 @@ type PermState struct {
 
 // NewPermState accumulates the permutation checker's local phase:
 // output must be a permutation of the concatenation of inputs. No
-// communication.
-func NewPermState(stage string, cfg PermConfig, seed uint64, inputs [][]uint64, output []uint64) *PermState {
-	return NewPermStatePar(stage, cfg, seed, Serial, inputs, output)
-}
-
-// NewPermStatePar is NewPermState with the fingerprinting sharded
-// across par's goroutines; the fingerprints are bit-identical for
-// every worker count. It is the one-chunk special case of PermBuilder.
-func NewPermStatePar(stage string, cfg PermConfig, seed uint64, par ParallelAccumulator, inputs [][]uint64, output []uint64) *PermState {
+// communication. The fingerprinting is sharded across par's goroutines;
+// the fingerprints are bit-identical for every worker count. It is the
+// one-chunk special case of PermBuilder.
+func NewPermState(stage string, cfg PermConfig, seed uint64, par ParallelAccumulator, inputs [][]uint64, output []uint64) *PermState {
 	b := NewPermBuilder(stage, cfg, seed, par)
 	for _, in := range inputs {
 		b.AddInput(in)
@@ -223,18 +209,13 @@ func NewPermStatePar(stage string, cfg PermConfig, seed uint64, par ParallelAccu
 
 // NewRedistState accumulates the redistribution checker's local phase
 // (Corollaries 14 and 15): a permutation fingerprint over folded whole
-// pairs plus the deterministic placement scan against loc. rank is this
-// PE's rank. No communication.
-func NewRedistState(stage string, cfg PermConfig, seed uint64, loc KeyLocator, rank int, before, after []data.Pair) *PermState {
-	return NewRedistStatePar(stage, cfg, seed, Serial, loc, rank, before, after)
-}
-
-// NewRedistStatePar is NewRedistState with the fingerprinting sharded
-// across par. It is the one-chunk special case of RedistBuilder.
-func NewRedistStatePar(stage string, cfg PermConfig, seed uint64, par ParallelAccumulator, loc KeyLocator, rank int, before, after []data.Pair) *PermState {
+// pairs, sharded across par, plus the deterministic placement scan
+// against loc. rank is this PE's rank. No communication. It is the
+// one-chunk special case of RedistBuilder.
+func NewRedistState(stage string, cfg PermConfig, seed uint64, par ParallelAccumulator, loc KeyLocator, rank int, before, after []data.Pair) *PermState {
 	b := NewRedistBuilder(stage, cfg, seed, par, loc, rank)
-	b.AddBefore(before)
-	b.AddAfter(after)
+	b.AddInput(before)
+	b.AddOutput(after)
 	return b.Seal()
 }
 
@@ -284,14 +265,9 @@ type SortedState struct {
 
 // NewSortedState accumulates the sort checker's local phase: output
 // must be a sorted permutation of the concatenation of inputs (one
-// input for Sort, two for Merge). No communication.
-func NewSortedState(stage string, cfg PermConfig, seed uint64, inputs [][]uint64, output []uint64) *SortedState {
-	return NewSortedStatePar(stage, cfg, seed, Serial, inputs, output)
-}
-
-// NewSortedStatePar is NewSortedState with the fingerprinting sharded
-// across par. It is the one-chunk special case of SortedBuilder.
-func NewSortedStatePar(stage string, cfg PermConfig, seed uint64, par ParallelAccumulator, inputs [][]uint64, output []uint64) *SortedState {
+// input for Sort, two for Merge), the fingerprinting sharded across par.
+// No communication. It is the one-chunk special case of SortedBuilder.
+func NewSortedState(stage string, cfg PermConfig, seed uint64, par ParallelAccumulator, inputs [][]uint64, output []uint64) *SortedState {
 	b := NewSortedBuilder(stage, cfg, seed, par)
 	for _, in := range inputs {
 		b.AddInput(in)
@@ -557,15 +533,9 @@ type AvgAggState struct {
 	localOK bool
 }
 
-// NewAvgAggState accumulates the average checker's local phase. No
-// communication.
-func NewAvgAggState(stage string, cfg SumConfig, seed uint64, input []data.Pair, asserted []AvgAssertion) *AvgAggState {
-	return NewAvgAggStatePar(stage, cfg, seed, Serial, input, asserted)
-}
-
-// NewAvgAggStatePar is NewAvgAggState with both table lanes sharded
-// across par.
-func NewAvgAggStatePar(stage string, cfg SumConfig, seed uint64, par ParallelAccumulator, input []data.Pair, asserted []AvgAssertion) *AvgAggState {
+// NewAvgAggState accumulates the average checker's local phase, both
+// table lanes sharded across par. No communication.
+func NewAvgAggState(stage string, cfg SumConfig, seed uint64, par ParallelAccumulator, input []data.Pair, asserted []AvgAssertion) *AvgAggState {
 	c := NewSumChecker(cfg, seed)
 	// Certificate sanity is deterministic: a correct average in lowest
 	// terms must divide the certified count. An indivisible certificate

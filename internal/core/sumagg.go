@@ -476,13 +476,6 @@ func (c *SumChecker) Normalize(table []uint64) {
 	}
 }
 
-// Diff returns (a - b) mod r entry-wise; both tables must be normalized.
-func (c *SumChecker) Diff(a, b []uint64) []uint64 {
-	out := make([]uint64, len(a))
-	c.DiffInto(out, a, b)
-	return out
-}
-
 // DiffInto computes (a - b) mod r entry-wise into out, which must have
 // len(a); both tables must be normalized. out may alias a or b, so
 // callers that are done with a table can reuse it as the destination
@@ -545,7 +538,7 @@ func CheckSumAgg(w *dist.Worker, cfg SumConfig, input, output []data.Pair) (bool
 	if err != nil {
 		return false, err
 	}
-	return resolveOne(w, NewSumAggState("SumAgg", cfg, seed, input, output))
+	return resolveOne(w, NewSumAggState("SumAgg", cfg, seed, Serial, input, output))
 }
 
 // CheckCountAgg checks count aggregation: output must hold, per key,
@@ -555,18 +548,13 @@ func CheckCountAgg(w *dist.Worker, cfg SumConfig, input, output []data.Pair) (bo
 	if err != nil {
 		return false, err
 	}
-	return resolveOne(w, NewCountAggState("CountAgg", cfg, seed, input, output))
+	return resolveOne(w, NewCountAggState("CountAgg", cfg, seed, Serial, input, output))
 }
 
 // SumCheckLocalWork exposes the local processing step in isolation for
-// the overhead measurements of Table 5: it accumulates pairs into a
-// fresh table and returns it (no communication).
-func SumCheckLocalWork(c *SumChecker, pairs []data.Pair) []uint64 {
-	return SumCheckLocalWorkPar(c, Serial, pairs)
-}
-
-// SumCheckLocalWorkPar is SumCheckLocalWork sharded across par.
-func SumCheckLocalWorkPar(c *SumChecker, par ParallelAccumulator, pairs []data.Pair) []uint64 {
+// the overhead measurements of Table 5: it accumulates pairs, sharded
+// across par, into a fresh table and returns it (no communication).
+func SumCheckLocalWork(c *SumChecker, par ParallelAccumulator, pairs []data.Pair) []uint64 {
 	t := c.NewTable()
 	par.AccumulateSum(c, t, pairs)
 	return t

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/big"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -310,7 +312,7 @@ func TestSumConfigTable3Values(t *testing.T) {
 		{"16×16 Tab64 m15", 4096, 5.4e-20},
 	}
 	for _, cs := range cases {
-		cfg, err := ParseSumConfig(cs.name)
+		cfg, err := parseSumConfig(cs.name)
 		if err != nil {
 			t.Fatalf("%s: %v", cs.name, err)
 		}
@@ -323,7 +325,7 @@ func TestSumConfigTable3Values(t *testing.T) {
 		}
 	}
 	// 8×256 Tab64 m15: paper lists 32769 bits (a typo for 8*256*16=32768).
-	cfg, err := ParseSumConfig("8×256 Tab64 m15")
+	cfg, err := parseSumConfig("8×256 Tab64 m15")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,10 +337,45 @@ func TestSumConfigTable3Values(t *testing.T) {
 	}
 }
 
+// parseSumConfig parses the paper's configuration syntax
+// "#its×d Hashfn m<log2 rhat>" ("x" is accepted for "×"), so the tests
+// can name configurations the way Table 3 does.
+func parseSumConfig(s string) (SumConfig, error) {
+	fields := strings.Fields(strings.ReplaceAll(s, "×", "x"))
+	if len(fields) != 3 {
+		return SumConfig{}, fmt.Errorf("core: config %q: want \"#itsxd Hashfn m<bits>\"", s)
+	}
+	parts := strings.SplitN(fields[0], "x", 2)
+	if len(parts) != 2 {
+		return SumConfig{}, fmt.Errorf("core: config %q: bad its×d part", s)
+	}
+	its, err := strconv.Atoi(parts[0])
+	if err != nil {
+		return SumConfig{}, fmt.Errorf("core: config %q: %v", s, err)
+	}
+	d, err := strconv.Atoi(parts[1])
+	if err != nil {
+		return SumConfig{}, fmt.Errorf("core: config %q: %v", s, err)
+	}
+	fam, err := hashing.FamilyByName(fields[1])
+	if err != nil {
+		return SumConfig{}, err
+	}
+	if !strings.HasPrefix(fields[2], "m") {
+		return SumConfig{}, fmt.Errorf("core: config %q: modulus must look like m7", s)
+	}
+	m, err := strconv.Atoi(fields[2][1:])
+	if err != nil {
+		return SumConfig{}, fmt.Errorf("core: config %q: %v", s, err)
+	}
+	cfg := SumConfig{Iterations: its, Buckets: d, RHatLog: m, Family: fam}
+	return cfg, cfg.Validate()
+}
+
 func TestParseSumConfigErrors(t *testing.T) {
 	for _, bad := range []string{"", "4x8", "4x8 Tab", "4x8 Nope m3", "ax8 Tab m3", "4x8 Tab q3", "0x8 Tab m3", "4x1 Tab m3", "4x8 Tab m99"} {
-		if _, err := ParseSumConfig(bad); err == nil {
-			t.Errorf("ParseSumConfig(%q) succeeded, want error", bad)
+		if _, err := parseSumConfig(bad); err == nil {
+			t.Errorf("parseSumConfig(%q) succeeded, want error", bad)
 		}
 	}
 }
@@ -347,7 +384,7 @@ func TestParseSumConfigErrors(t *testing.T) {
 // the family's hash value used to pass Validate and kill NewSumChecker
 // with "integer divide by zero" (zero indices per hash value). It is a
 // configuration error and must read like one, from Validate, from
-// ParseSumConfig, and in the panic NewSumChecker raises on any invalid
+// parseSumConfig, and in the panic NewSumChecker raises on any invalid
 // configuration.
 func TestSumConfigRejectsBucketsWiderThanHash(t *testing.T) {
 	bad := SumConfig{Iterations: 1, Buckets: 1 << 33, RHatLog: 9, Family: hashing.FamilyCRC}
@@ -355,7 +392,7 @@ func TestSumConfigRejectsBucketsWiderThanHash(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), bad.Name()) || !strings.Contains(err.Error(), "33 bits") {
 		t.Fatalf("Validate(%s) = %v, want an error naming the configuration and the 33 bits it needs", bad.Name(), err)
 	}
-	if _, perr := ParseSumConfig("1x8589934592 CRC m9"); perr == nil || perr.Error() != err.Error() {
+	if _, perr := parseSumConfig("1x8589934592 CRC m9"); perr == nil || perr.Error() != err.Error() {
 		t.Errorf("ParseSumConfig = %v, want Validate's error %v", perr, err)
 	}
 	func() {
@@ -384,7 +421,7 @@ func TestSumConfigRejectsBucketsWiderThanHash(t *testing.T) {
 
 func TestParseSumConfigRoundTrip(t *testing.T) {
 	for _, cfg := range append(AccuracyConfigs(), ScalingConfigs()...) {
-		parsed, err := ParseSumConfig(cfg.Name())
+		parsed, err := parseSumConfig(cfg.Name())
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name(), err)
 		}

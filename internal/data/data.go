@@ -169,16 +169,6 @@ func PairsToMapSum(ps []Pair) map[uint64]uint64 {
 	return m
 }
 
-// Keys returns the sorted distinct keys of m.
-func Keys(m map[uint64]uint64) []uint64 {
-	ks := make([]uint64, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	SortU64(ks)
-	return ks
-}
-
 // MapToPairs converts m into pairs sorted by key.
 func MapToPairs(m map[uint64]uint64) []Pair {
 	out := make([]Pair, 0, len(m))

@@ -83,13 +83,6 @@ func TestClonesAreIndependent(t *testing.T) {
 	}
 }
 
-func TestKeysSorted(t *testing.T) {
-	ks := Keys(map[uint64]uint64{3: 0, 1: 0, 2: 0})
-	if len(ks) != 3 || ks[0] != 1 || ks[1] != 2 || ks[2] != 3 {
-		t.Fatalf("Keys not sorted: %v", ks)
-	}
-}
-
 // TestSortsMatchSortSlice holds the slices-based sorts to the order of
 // the reflection-based sort.Slice calls they replaced, ties included.
 func TestSortsMatchSortSlice(t *testing.T) {

@@ -90,16 +90,6 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
-// DefaultConfig returns the in-memory transport with the documented
-// simnet parameters pre-filled (so switching Transport alone works).
-func DefaultConfig() Config {
-	return Config{
-		Transport:        TransportMem,
-		SimAlphaNs:       DefaultSimAlphaNs,
-		SimBetaNsPerByte: DefaultSimBetaNsPerByte,
-	}
-}
-
 // NewNetwork builds the configured transport for p PEs. The caller owns
 // the returned network and must Close it.
 func (c Config) NewNetwork(p int) (comm.Network, error) {

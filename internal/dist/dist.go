@@ -69,9 +69,6 @@ func (w *Worker) Rank() int { return w.rank }
 // Size returns the number of PEs p.
 func (w *Worker) Size() int { return w.size }
 
-// RunSeed returns the seed the run was started with (equal on all PEs).
-func (w *Worker) RunSeed() uint64 { return w.seed }
-
 // Endpoint exposes this PE's port into the network, e.g. for metrics.
 func (w *Worker) Endpoint() comm.Endpoint { return w.Coll.Endpoint() }
 

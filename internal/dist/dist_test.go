@@ -320,7 +320,7 @@ func TestRunConfigTimeout(t *testing.T) {
 	err := RunConfig(cfg, 2, 1, func(w *Worker) error {
 		if w.Rank() == 1 {
 			// Wait for a message rank 0 never sends.
-			_, err := w.Coll.RecvTagged(0, 77)
+			_, err := w.Coll.Exchange(-1, nil, 0)
 			return err
 		}
 		return nil

@@ -29,14 +29,6 @@ func FullView(p int) View {
 	return View{members: m}
 }
 
-// NewView builds a view directly from an epoch and member list (for
-// tests and serialization); members is copied and sorted.
-func NewView(epoch int, members []int) View {
-	m := append([]int(nil), members...)
-	sort.Ints(m)
-	return View{epoch: epoch, members: m}
-}
-
 // Epoch returns the number of removals this view has applied.
 func (v View) Epoch() int { return v.epoch }
 

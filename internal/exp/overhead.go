@@ -67,7 +67,7 @@ func OverheadSum(opt OverheadOptions) []OverheadRow {
 	for _, cfg := range configs {
 		c := core.NewSumChecker(cfg, opt.Seed)
 		best := minDuration(opt.Repeats, func() {
-			t := core.SumCheckLocalWorkPar(c, par, pairs)
+			t := core.SumCheckLocalWork(c, par, pairs)
 			sinkU64 = t[0]
 		})
 		rows = append(rows, OverheadRow{

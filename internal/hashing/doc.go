@@ -3,8 +3,8 @@
 // strong mixer standing in for the paper's "random hash function" model,
 // the MT19937 and MT19937-64 Mersenne Twister generators the paper draws
 // pseudo-random numbers from, carry-less GF(2^64) multiplication, modular
-// arithmetic over the Mersenne prime 2^61-1, and prime search for the
-// polynomial permutation checker (Lemma 5).
+// arithmetic over the Mersenne prime 2^61-1 for the polynomial
+// permutation checker (Lemma 5), and a deterministic primality test.
 //
 // All hash functions are keyed: a Family produces independent Hasher
 // instances from seeds, so each checker iteration can draw a fresh

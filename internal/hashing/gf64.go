@@ -56,20 +56,6 @@ func GF64Mul(a, b uint64) uint64 {
 	return lo ^ l3
 }
 
-// GF64Pow raises a to the k-th power in GF(2^64) by square-and-multiply.
-func GF64Pow(a uint64, k uint64) uint64 {
-	result := uint64(1)
-	base := a
-	for k > 0 {
-		if k&1 != 0 {
-			result = GF64Mul(result, base)
-		}
-		base = GF64Mul(base, base)
-		k >>= 1
-	}
-	return result
-}
-
 // Mersenne61 is the prime 2^61 - 1 used for fast modular arithmetic in
 // the polynomial permutation checker.
 const Mersenne61 uint64 = (1 << 61) - 1

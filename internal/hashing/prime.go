@@ -2,10 +2,11 @@ package hashing
 
 import "math/bits"
 
-// Prime machinery for Lemma 5: the polynomial permutation checker needs a
-// prime r > max(n/δ, U-1); Bertrand's postulate guarantees one in
-// [2^(w-1), 2^w]. We test 64-bit candidates with a deterministic
-// Miller-Rabin using a base set proven exhaustive below 2^64.
+// Primality for Lemma 5: the polynomial permutation checker needs a
+// prime r > max(n/δ, U-1). We test 64-bit candidates with a
+// deterministic Miller-Rabin using a base set proven exhaustive below
+// 2^64. (The checker in core/permpoly.go fixes r = 2^61-1, so nothing
+// searches for a prime today.)
 
 // mulMod returns a*b mod m without overflow for any a, b, m < 2^64.
 func mulMod(a, b, m uint64) uint64 {
@@ -71,45 +72,3 @@ func IsPrime(n uint64) bool {
 	}
 	return true
 }
-
-// NextPrime returns the smallest prime >= n, or 0 if none fits in uint64.
-func NextPrime(n uint64) uint64 {
-	if n <= 2 {
-		return 2
-	}
-	if n%2 == 0 {
-		n++
-	}
-	for ; n >= 3; n += 2 {
-		if IsPrime(n) {
-			return n
-		}
-	}
-	return 0
-}
-
-// RandomPrimeInWord draws a uniform-ish prime from [2^(w-1), 2^w) by
-// sampling random odd candidates from rng until one is prime. Bertrand's
-// postulate guarantees existence; the prime number theorem makes the
-// expected number of trials O(w). w must be in [3, 63].
-func RandomPrimeInWord(w int, rng *MT19937_64) uint64 {
-	if w < 3 || w > 63 {
-		panic("hashing: RandomPrimeInWord requires 3 <= w <= 63")
-	}
-	lo := uint64(1) << (w - 1)
-	span := uint64(1) << (w - 1)
-	for {
-		candidate := lo + rng.Uint64n(span)
-		candidate |= 1
-		if IsPrime(candidate) {
-			return candidate
-		}
-	}
-}
-
-// MulMod exposes mulMod for packages implementing modular polynomial
-// evaluation over general primes.
-func MulMod(a, b, m uint64) uint64 { return mulMod(a, b, m) }
-
-// PowMod exposes powMod.
-func PowMod(a, e, m uint64) uint64 { return powMod(a, e, m) }

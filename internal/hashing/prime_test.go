@@ -63,34 +63,12 @@ func TestIsPrimeMatchesBigProbablyPrime(t *testing.T) {
 	}
 }
 
-func TestNextPrime(t *testing.T) {
-	cases := map[uint64]uint64{0: 2, 2: 2, 3: 3, 4: 5, 14: 17, 90: 97, 7919: 7919, 7920: 7927}
-	for in, want := range cases {
-		if got := NextPrime(in); got != want {
-			t.Errorf("NextPrime(%d) = %d, want %d", in, got, want)
-		}
-	}
-}
-
-func TestRandomPrimeInWord(t *testing.T) {
-	rng := NewMT19937_64(42)
-	for _, w := range []int{3, 16, 32, 61, 63} {
-		p := RandomPrimeInWord(w, rng)
-		if !IsPrime(p) {
-			t.Fatalf("RandomPrimeInWord(%d) returned composite %d", w, p)
-		}
-		if p < 1<<(w-1) || p >= 1<<w {
-			t.Fatalf("RandomPrimeInWord(%d) = %d out of [2^%d, 2^%d)", w, p, w-1, w)
-		}
-	}
-}
-
 func TestMulModMatchesBig(t *testing.T) {
 	f := func(a, b, m uint64) bool {
 		if m == 0 {
 			return true
 		}
-		got := MulMod(a, b, m)
+		got := mulMod(a, b, m)
 		want := new(big.Int).Mul(new(big.Int).SetUint64(a), new(big.Int).SetUint64(b))
 		want.Mod(want, new(big.Int).SetUint64(m))
 		return got == want.Uint64()
@@ -106,7 +84,7 @@ func TestPowModMatchesBig(t *testing.T) {
 			return true
 		}
 		e %= 1 << 20 // keep the reference fast
-		got := PowMod(a, e, m)
+		got := powMod(a, e, m)
 		want := new(big.Int).Exp(
 			new(big.Int).SetUint64(a),
 			new(big.Int).SetUint64(e),

@@ -49,9 +49,6 @@ func (s Splitter) Group(hs []uint64, i int) uint64 {
 	return (h >> shift) & s.mask
 }
 
-// Width returns the number of bits per group.
-func (s Splitter) Width() int { return s.width }
-
 // PerHash returns how many groups fit in one hash value.
 func (s Splitter) PerHash() int { return s.perHash }
 

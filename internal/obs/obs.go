@@ -132,15 +132,6 @@ func (a Active) End() {
 	})
 }
 
-// Record inserts an externally completed span — used when merging
-// spans gathered from other ranks or processes into a local tracer.
-func (t *Tracer) Record(s Span) {
-	if t == nil {
-		return
-	}
-	t.record(s)
-}
-
 func (t *Tracer) record(s Span) {
 	r := int(s.Rank)
 	if r < 0 || r >= len(t.rings) {

@@ -21,9 +21,6 @@ func (c *Counter) Add(d int64) {
 	}
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
 // Value reads the counter.
 func (c *Counter) Value() int64 {
 	if c == nil {

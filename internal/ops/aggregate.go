@@ -95,16 +95,11 @@ func optByKey(w *dist.Worker, pt Partitioner, local []data.Pair, wantMin bool) (
 	return res, nil
 }
 
-// MedianResult is the output of median aggregation: per-key doubled
-// medians (2x the median, so that the even-count "mean of the two middle
-// elements" case stays integral), replicated at every PE as the checker
-// of Section 6.3 requires.
-type MedianResult struct {
-	// Medians2 holds (key, 2*median) pairs, sorted by key.
-	Medians2 []data.Pair
-}
-
-// MedianOfSorted2 returns twice the median of a sorted value slice.
+// MedianOfSorted2 returns twice the median of a sorted value slice —
+// doubled so that the even-count "mean of the two middle elements" case
+// stays integral. Per-key medians come from GroupByKey (the paper's
+// Section 2 "GroupBy" enables "more powerful operators such as computing
+// median") followed by this on every group's values.
 func MedianOfSorted2(vs []uint64) uint64 {
 	n := len(vs)
 	if n == 0 {
@@ -114,32 +109,6 @@ func MedianOfSorted2(vs []uint64) uint64 {
 		return 2 * vs[n/2]
 	}
 	return vs[n/2-1] + vs[n/2]
-}
-
-// MedianByKey computes the per-key median via GroupBy (the paper's
-// Section 2 "GroupBy" enables "more powerful operators such as computing
-// median") and replicates the result at all PEs.
-func MedianByKey(w *dist.Worker, pt Partitioner, local []data.Pair) (MedianResult, error) {
-	groups, err := GroupByKey(w, pt, local)
-	if err != nil {
-		return MedianResult{}, err
-	}
-	flat := make([]uint64, 0, 2*len(groups))
-	for _, g := range groups {
-		flat = append(flat, g.Key, MedianOfSorted2(g.Values))
-	}
-	all, err := w.Coll.AllGather(flat)
-	if err != nil {
-		return MedianResult{}, err
-	}
-	var res MedianResult
-	for _, ws := range all {
-		for i := 0; i+1 < len(ws); i += 2 {
-			res.Medians2 = append(res.Medians2, data.Pair{Key: ws[i], Value: ws[i+1]})
-		}
-	}
-	data.SortPairsByKey(res.Medians2)
-	return res, nil
 }
 
 // AverageByKey computes per-key averages with the (key, value, count)

@@ -16,25 +16,18 @@ type JoinRow struct {
 	Right uint64
 }
 
-// Join computes the inner hash join of two distributed (key, value)
-// relations (Section 6.5.4): both sides are hash partitioned by key with
-// the same partitioner, then joined locally. Each PE returns its share
-// of the result sorted by (key, left, right).
-func Join(w *dist.Worker, pt Partitioner, left, right []data.Pair) ([]JoinRow, error) {
-	gotL, err := exchangePairsByKey(w, pt, left)
-	if err != nil {
-		return nil, err
-	}
-	gotR, err := exchangePairsByKey(w, pt, right)
-	if err != nil {
-		return nil, err
-	}
-	build := make(map[uint64][]uint64, len(gotL))
-	for _, p := range gotL {
+// JoinPairs is the local step of the inner hash join (Section 6.5.4):
+// once both relations are hash partitioned by key with the same
+// partitioner (RedistributeByKey), every match is local. It returns this
+// PE's share of the result sorted by (key, left, right), so identical
+// runs produce identical output.
+func JoinPairs(left, right []data.Pair) []JoinRow {
+	build := make(map[uint64][]uint64, len(left))
+	for _, p := range left {
 		build[p.Key] = append(build[p.Key], p.Value)
 	}
 	var out []JoinRow
-	for _, p := range gotR {
+	for _, p := range right {
 		for _, lv := range build[p.Key] {
 			out = append(out, JoinRow{Key: p.Key, Left: lv, Right: p.Value})
 		}
@@ -42,7 +35,7 @@ func Join(w *dist.Worker, pt Partitioner, left, right []data.Pair) ([]JoinRow, e
 	slices.SortFunc(out, func(a, b JoinRow) int {
 		return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Left, b.Left), cmp.Compare(a.Right, b.Right))
 	})
-	return out, nil
+	return out
 }
 
 // RedistInputs captures the redistribution phase of a key-partitioned
@@ -55,8 +48,8 @@ type RedistInputs struct {
 
 // RedistributeByKey performs only the redistribution phase of
 // GroupBy/Join and reports before/after, so invasive checkers can verify
-// the data movement while the caller applies its own local group or join
-// logic afterwards.
+// the data movement while the caller applies the local step (GroupPairs,
+// JoinPairs) afterwards.
 func RedistributeByKey(w *dist.Worker, pt Partitioner, local []data.Pair) (RedistInputs, error) {
 	after, err := exchangePairsByKey(w, pt, local)
 	if err != nil {

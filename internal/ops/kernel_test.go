@@ -174,7 +174,7 @@ func TestKernelMatchesMapOracle(t *testing.T) {
 						if !slices.EqualFunc(groups, want.group[r], sameGroup) {
 							t.Errorf("%s: GroupByKey on PE %d = %v, want %v", shape.Name, r, groups, want.group[r])
 						}
-						rows, err := Join(w, pt, local, rotate(shape.Shares)[r])
+						rows, err := join(w, pt, local, rotate(shape.Shares)[r])
 						if err != nil {
 							return err
 						}

@@ -368,6 +368,20 @@ func TestUnionIsPermutationOfConcat(t *testing.T) {
 	}
 }
 
+// join is the inner hash join as Dataset.Join runs it: both relations
+// redistributed by key, then the local step.
+func join(w *dist.Worker, pt Partitioner, left, right []data.Pair) ([]JoinRow, error) {
+	l, err := RedistributeByKey(w, pt, left)
+	if err != nil {
+		return nil, err
+	}
+	r, err := RedistributeByKey(w, pt, right)
+	if err != nil {
+		return nil, err
+	}
+	return JoinPairs(l.After, r.After), nil
+}
+
 func TestJoinMatchesSequential(t *testing.T) {
 	left := workload.UniformPairs(600, 50, 100, 12)
 	right := workload.UniformPairs(400, 50, 100, 13)
@@ -385,7 +399,7 @@ func TestJoinMatchesSequential(t *testing.T) {
 	const p = 4
 	gotCount := make(map[JoinRow]int)
 	err := dist.Run(p, 7, func(w *dist.Worker) error {
-		rows, err := Join(w, NewPartitioner(21, p), shardPairs(left, p, w.Rank()), shardPairs(right, p, w.Rank()))
+		rows, err := join(w, NewPartitioner(21, p), shardPairs(left, p, w.Rank()), shardPairs(right, p, w.Rank()))
 		if err != nil {
 			return err
 		}
@@ -492,23 +506,31 @@ func TestMedianByKey(t *testing.T) {
 		want[k] = MedianOfSorted2(vs)
 	}
 	const p = 5
+	counts := make([]int, p)
 	err := dist.Run(p, 7, func(w *dist.Worker) error {
-		res, err := MedianByKey(w, NewPartitioner(5, p), shardPairs(global, p, w.Rank()))
+		// Per-key medians are GroupByKey followed by MedianOfSorted2 on
+		// every group (what Dataset.MedianByKey runs before replicating).
+		groups, err := GroupByKey(w, NewPartitioner(5, p), shardPairs(global, p, w.Rank()))
 		if err != nil {
 			return err
 		}
-		if len(res.Medians2) != len(want) {
-			t.Errorf("rank %d: %d medians, want %d", w.Rank(), len(res.Medians2), len(want))
-		}
-		for _, pr := range res.Medians2 {
-			if want[pr.Key] != pr.Value {
-				t.Errorf("median2[%d] = %d, want %d", pr.Key, pr.Value, want[pr.Key])
+		counts[w.Rank()] = len(groups)
+		for _, g := range groups {
+			if got := MedianOfSorted2(g.Values); got != want[g.Key] {
+				t.Errorf("median2[%d] = %d, want %d", g.Key, got, want[g.Key])
 			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	if total != len(want) {
+		t.Errorf("%d medians over all PEs, want %d", total, len(want))
 	}
 }
 

@@ -20,9 +20,3 @@ func NewPartitioner(seed uint64, p int) Partitioner {
 func (pt Partitioner) PE(key uint64) int {
 	return int(hashing.Mix64(key^pt.seed) % uint64(pt.p))
 }
-
-// KeyOrder returns a value that sorts keys by (responsible PE, key),
-// the global order the redistribution phase of GroupBy/Join induces.
-func (pt Partitioner) KeyOrder(key uint64) (pe int, h uint64) {
-	return pt.PE(key), key
-}

@@ -57,14 +57,20 @@ type Group struct {
 }
 
 // GroupByKey routes all pairs of a key to one PE (Section 2 "GroupBy")
-// and returns this PE's groups sorted by key. Values within a group are
-// sorted, which fixes a deterministic processing order for the group
-// function.
+// and returns this PE's groups: the exchange, then GroupPairs.
 func GroupByKey(w *dist.Worker, pt Partitioner, local []data.Pair) ([]Group, error) {
 	received, err := exchangePairsByKey(w, pt, local)
 	if err != nil {
 		return nil, err
 	}
+	return GroupPairs(received), nil
+}
+
+// GroupPairs is the local step of GroupBy: the groups of the pairs a PE
+// holds after the exchange, sorted by key. Values within a group are
+// sorted, which fixes a deterministic processing order for the group
+// function.
+func GroupPairs(received []data.Pair) []Group {
 	m := make(map[uint64][]uint64)
 	for _, p := range received {
 		m[p.Key] = append(m[p.Key], p.Value)
@@ -75,5 +81,5 @@ func GroupByKey(w *dist.Worker, pt Partitioner, local []data.Pair) ([]Group, err
 		out = append(out, Group{Key: k, Values: vs})
 	}
 	slices.SortFunc(out, func(a, b Group) int { return cmp.Compare(a.Key, b.Key) })
-	return out, nil
+	return out
 }

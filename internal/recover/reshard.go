@@ -56,7 +56,7 @@ func Reshard(w *dist.Worker, cfg core.PermConfig, held []Chunk) ([]data.Pair, er
 	parts := make([][]data.Pair, p)
 	for _, c := range held {
 		cb := core.NewRedistBuilder("Recovery/reshard", cfg, rseed, core.Serial, pt, rank)
-		cb.AddBefore(c.Pairs)
+		cb.AddInput(c.Pairs)
 		b.Merge(cb)
 		for _, pr := range c.Pairs {
 			dst := pt.PE(pr.Key)
@@ -78,7 +78,7 @@ func Reshard(w *dist.Worker, cfg core.PermConfig, held []Chunk) ([]data.Pair, er
 		if err != nil {
 			return nil, fmt.Errorf("recover: reshard decode: %w", err)
 		}
-		b.AddAfter(chunk)
+		b.AddOutput(chunk)
 		received = append(received, chunk...)
 	}
 

@@ -126,7 +126,7 @@ func (s *Store) Own(jobID uint64) []Chunk {
 
 // Held returns the chunks this PE holds as dead's replica — non-empty
 // only at dead's ring successor in the submit view, the single holder
-// Reshard's AddBefore side runs at.
+// Reshard's AddInput side runs at.
 func (s *Store) Held(jobID uint64, dead int) []Chunk {
 	s.mu.Lock()
 	defer s.mu.Unlock()

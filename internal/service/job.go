@@ -116,10 +116,6 @@ func (j *Job) Members() []int { return append([]int(nil), j.members...) }
 // Epoch returns the view epoch the job was admitted under.
 func (j *Job) Epoch() int { return j.epoch }
 
-// DeadRank returns the physical rank whose death was attributed to this
-// job's failure, or -1 when no death was involved. Valid after Done.
-func (j *Job) DeadRank() int { return j.deadRank }
-
 // Recovered reports whether the job's outcome came from a checked
 // replay on the survivor view after a peer death (true even when that
 // replay's verdict was a rejection — the verdict was still recovered).

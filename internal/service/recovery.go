@@ -41,19 +41,13 @@ type ElasticOptions struct {
 // verdict bit-identical to a serial rerun.
 type RecoverableBody func(ctx *repro.Context, share []data.Pair) error
 
-// SubmitRecoverable schedules a recoverable job under the pool's
-// default checker options: shares[i] is logical rank i's input share
-// under the current view (len(shares) must equal the view size). The
-// pool retains each share — chunked, plus a ring-buddy replica minted
-// with one neighbour exchange — so that if a PE dies mid-job the job
-// replays on the survivors instead of failing. Without ElasticOptions
-// the job runs like a plain Submit (no retention, no replay).
-func (p *Pool) SubmitRecoverable(name string, shares [][]data.Pair, body RecoverableBody) (*Job, error) {
-	return p.SubmitRecoverableWith(name, p.opts.Repro, shares, body)
-}
-
-// SubmitRecoverableWith is SubmitRecoverable with per-job checker
-// options.
+// SubmitRecoverableWith schedules a recoverable job under the given
+// checker options: shares[i] is logical rank i's input share under the
+// current view (len(shares) must equal the view size). The pool retains
+// each share — chunked, plus a ring-buddy replica minted with one
+// neighbour exchange — so that if a PE dies mid-job the job replays on
+// the survivors instead of failing. Without ElasticOptions the job runs
+// like a plain Submit (no retention, no replay).
 func (p *Pool) SubmitRecoverableWith(name string, opts repro.Options, shares [][]data.Pair, body RecoverableBody) (*Job, error) {
 	if body == nil {
 		return nil, errors.New("service: nil recoverable job body")

@@ -278,9 +278,24 @@ var serialStats []repro.CheckStats
 func serialRerun(t *testing.T, p int, seed uint64, job *Job, kind string, stream uint64, perRank int) error {
 	t.Helper()
 	var (
-		mu    sync.Mutex
-		stats []repro.CheckStats
+		mu      sync.Mutex
+		stats   []repro.CheckStats
+		verdict error
 	)
+	// A rejection is recorded, not returned: a body that fails tears the
+	// network down under ranks still forwarding the verdict broadcast,
+	// which would turn their stage's verdict into an error.
+	rejection := func(rank int, err error) error {
+		if !errors.Is(err, repro.ErrCheckFailed) {
+			return err
+		}
+		if rank == 0 {
+			mu.Lock()
+			verdict = err
+			mu.Unlock()
+		}
+		return nil
+	}
 	err := dist.Run(p, seed, func(w *dist.Worker) error {
 		common, err := w.CommonSeed()
 		if err != nil {
@@ -305,19 +320,22 @@ func serialRerun(t *testing.T, p int, seed uint64, job *Job, kind string, stream
 		case "reduce":
 			corrupt := job.Rejected()
 			if err := reduceBody(stream, perRank, corrupt)(ctx); err != nil {
-				return err
+				return rejection(w.Rank(), err)
 			}
 		case "sort":
 			if err := sortBody(stream, perRank)(ctx); err != nil {
-				return err
+				return rejection(w.Rank(), err)
 			}
 		case "stream-perm":
 			spec := permSpec(stream, p, perRank, job.Rejected())
 			r := w.Rank()
 			ctx.StreamSeq(spec.SeqInput(r)).AssertPermutation(spec.SeqOutput(r))
 		}
-		return ctx.Verify()
+		return rejection(w.Rank(), ctx.Verify())
 	})
+	if err == nil {
+		err = verdict
+	}
 	serialStats = stats
 	return err
 }

@@ -25,8 +25,7 @@ func (m *Meter) observe(n int) {
 
 // Merge folds another meter into m: chunk and element totals add, the
 // peak footprint is the maximum (the sides were resident one at a
-// time). It is the one place meters combine — accumulator merges and
-// the in+out totals of stats reporting both go through it.
+// time): the in+out total a stage's stats report.
 func (m *Meter) Merge(o Meter) {
 	m.Chunks += o.Chunks
 	m.Elements += o.Elements
@@ -35,216 +34,77 @@ func (m *Meter) Merge(o Meter) {
 	}
 }
 
-// The accumulators below wrap the core builders with the
-// AddChunk/MergeState/Seal lifecycle plus chunk metering. Each is
-// single-use and owned by one goroutine; independent accumulators over
-// disjoint chunk sets may run concurrently and MergeState afterwards.
-// Sealed states are bit-identical to the one-shot constructors for
-// every chunking and worker count (see internal/core/builder.go).
-
-// ---------------------------------------------------------------------
-// Sum/count aggregation
-// ---------------------------------------------------------------------
-
-// SumAccumulator streams the sum (or count) aggregation checker's local
-// phase: input chunks and asserted-output chunks, in any order on
-// either side.
-type SumAccumulator struct {
-	b       *core.SumAggBuilder
-	In, Out Meter
+// builder is what the core builders (internal/core/builder.go) have in
+// common: chunks of the operation's input and of its asserted output
+// accumulate into a mergeable partial that Seal freezes into the
+// two-phase checker state S.
+type builder[T, S any] interface {
+	AddInput([]T)
+	AddOutput([]T)
+	Seal() S
 }
 
-// NewSumAccumulator starts an empty streamed sum (with count: count)
-// aggregation check; every chunk's accumulation is sharded across par.
-func NewSumAccumulator(stage string, cfg core.SumConfig, seed uint64, par core.ParallelAccumulator, count bool) *SumAccumulator {
-	return &SumAccumulator{b: core.NewSumAggBuilder(stage, cfg, seed, par, count)}
+// Accumulator wraps a core builder with chunk metering and the source
+// drive loops: the streamed form of one checker's local phase over
+// chunks of T. An Accumulator is single-use and owned by one goroutine.
+// The sealed state is bit-identical to the one-shot constructor's for
+// every chunking and worker count (see internal/core/builder.go).
+type Accumulator[T, S any] struct {
+	b builder[T, S]
+	// In and Out meter the input and the asserted-output side.
+	In, Out Meter
 }
 
 // AddInputChunk accumulates one chunk of the operation's input.
-func (a *SumAccumulator) AddInputChunk(ps []data.Pair) {
-	a.In.observe(len(ps))
-	a.b.AddInput(ps)
+func (a *Accumulator[T, S]) AddInputChunk(xs []T) {
+	a.In.observe(len(xs))
+	a.b.AddInput(xs)
 }
 
 // AddOutputChunk accumulates one chunk of the asserted result.
-func (a *SumAccumulator) AddOutputChunk(ps []data.Pair) {
-	a.Out.observe(len(ps))
-	a.b.AddOutput(ps)
+func (a *Accumulator[T, S]) AddOutputChunk(xs []T) {
+	a.Out.observe(len(xs))
+	a.b.AddOutput(xs)
 }
-
-// MergeState folds src's partial (and metering) into a; src is
-// consumed.
-func (a *SumAccumulator) MergeState(src *SumAccumulator) {
-	a.b.Merge(src.b)
-	a.In.Merge(src.In)
-	a.Out.Merge(src.Out)
-}
-
-// Seal freezes the partial into the two-phase checker state.
-func (a *SumAccumulator) Seal() *core.SumAggState { return a.b.Seal() }
 
 // DrainInput pulls every chunk of src through AddInputChunk.
-func (a *SumAccumulator) DrainInput(src PairSource) error {
-	return DrainPairs(src, a.AddInputChunk)
-}
+func (a *Accumulator[T, S]) DrainInput(src Source[T]) error { return Drain(src, a.AddInputChunk) }
 
 // DrainOutput pulls every chunk of src through AddOutputChunk.
-func (a *SumAccumulator) DrainOutput(src PairSource) error {
-	return DrainPairs(src, a.AddOutputChunk)
+func (a *Accumulator[T, S]) DrainOutput(src Source[T]) error { return Drain(src, a.AddOutputChunk) }
+
+// Seal freezes the partial into the two-phase checker state.
+func (a *Accumulator[T, S]) Seal() S { return a.b.Seal() }
+
+// NewSumAccumulator starts an empty streamed sum (with count: count)
+// aggregation check — input chunks and asserted-output chunks, in any
+// order on either side; every chunk's accumulation is sharded across
+// par.
+func NewSumAccumulator(stage string, cfg core.SumConfig, seed uint64, par core.ParallelAccumulator, count bool) *Accumulator[data.Pair, *core.SumAggState] {
+	return &Accumulator[data.Pair, *core.SumAggState]{b: core.NewSumAggBuilder(stage, cfg, seed, par, count)}
 }
 
-// ---------------------------------------------------------------------
-// Permutation / union
-// ---------------------------------------------------------------------
-
-// PermAccumulator streams the permutation checker's local phase: chunks
+// NewPermAccumulator starts an empty streamed permutation check: chunks
 // of the input sequence(s) and of the asserted output, any order on
 // either side.
-type PermAccumulator struct {
-	b       *core.PermBuilder
-	In, Out Meter
+func NewPermAccumulator(stage string, cfg core.PermConfig, seed uint64, par core.ParallelAccumulator) *Accumulator[uint64, *core.PermState] {
+	return &Accumulator[uint64, *core.PermState]{b: core.NewPermBuilder(stage, cfg, seed, par)}
 }
 
-// NewPermAccumulator starts an empty streamed permutation check.
-func NewPermAccumulator(stage string, cfg core.PermConfig, seed uint64, par core.ParallelAccumulator) *PermAccumulator {
-	return &PermAccumulator{b: core.NewPermBuilder(stage, cfg, seed, par)}
-}
-
-// AddInputChunk accumulates one chunk of (one of) the input sequences.
-func (a *PermAccumulator) AddInputChunk(xs []uint64) {
-	a.In.observe(len(xs))
-	a.b.AddInput(xs)
-}
-
-// AddOutputChunk accumulates one chunk of the asserted output.
-func (a *PermAccumulator) AddOutputChunk(xs []uint64) {
-	a.Out.observe(len(xs))
-	a.b.AddOutput(xs)
-}
-
-// MergeState folds src's partial into a; src is consumed.
-func (a *PermAccumulator) MergeState(src *PermAccumulator) {
-	a.b.Merge(src.b)
-	a.In.Merge(src.In)
-	a.Out.Merge(src.Out)
-}
-
-// Seal freezes the partial into the two-phase checker state.
-func (a *PermAccumulator) Seal() *core.PermState { return a.b.Seal() }
-
-// DrainInput pulls every chunk of src through AddInputChunk.
-func (a *PermAccumulator) DrainInput(src SeqSource) error {
-	return DrainSeq(src, a.AddInputChunk)
-}
-
-// DrainOutput pulls every chunk of src through AddOutputChunk.
-func (a *PermAccumulator) DrainOutput(src SeqSource) error {
-	return DrainSeq(src, a.AddOutputChunk)
-}
-
-// ---------------------------------------------------------------------
-// Sort / merge
-// ---------------------------------------------------------------------
-
-// SortAccumulator streams the sort checker's local phase. Input chunks
+// NewSortAccumulator starts an empty streamed sort check. Input chunks
 // may arrive in any order; output chunks must arrive in sequence order
 // — each AddOutputChunk is the next contiguous segment of this PE's
-// asserted sorted output — and MergeState(src) treats src's output
-// chunks as positioned after a's.
-type SortAccumulator struct {
-	b       *core.SortedBuilder
-	In, Out Meter
+// asserted sorted output, which is what DrainOutput feeds it from any
+// source of this package.
+func NewSortAccumulator(stage string, cfg core.PermConfig, seed uint64, par core.ParallelAccumulator) *Accumulator[uint64, *core.SortedState] {
+	return &Accumulator[uint64, *core.SortedState]{b: core.NewSortedBuilder(stage, cfg, seed, par)}
 }
 
-// NewSortAccumulator starts an empty streamed sort check.
-func NewSortAccumulator(stage string, cfg core.PermConfig, seed uint64, par core.ParallelAccumulator) *SortAccumulator {
-	return &SortAccumulator{b: core.NewSortedBuilder(stage, cfg, seed, par)}
-}
-
-// AddInputChunk accumulates one chunk of (one of) the input sequences.
-func (a *SortAccumulator) AddInputChunk(xs []uint64) {
-	a.In.observe(len(xs))
-	a.b.AddInput(xs)
-}
-
-// AddOutputChunk accumulates the next contiguous chunk of this PE's
-// asserted sorted output.
-func (a *SortAccumulator) AddOutputChunk(xs []uint64) {
-	a.Out.observe(len(xs))
-	a.b.AddOutput(xs)
-}
-
-// MergeState folds src's partial into a, src's output positioned after
-// a's; src is consumed.
-func (a *SortAccumulator) MergeState(src *SortAccumulator) {
-	a.b.Merge(src.b)
-	a.In.Merge(src.In)
-	a.Out.Merge(src.Out)
-}
-
-// Seal freezes the partial into the two-phase checker state.
-func (a *SortAccumulator) Seal() *core.SortedState { return a.b.Seal() }
-
-// DrainInput pulls every chunk of src through AddInputChunk.
-func (a *SortAccumulator) DrainInput(src SeqSource) error {
-	return DrainSeq(src, a.AddInputChunk)
-}
-
-// DrainOutput pulls every chunk of src through AddOutputChunk; src must
-// yield the asserted output in sequence order, as all the sources in
-// this package do.
-func (a *SortAccumulator) DrainOutput(src SeqSource) error {
-	return DrainSeq(src, a.AddOutputChunk)
-}
-
-// ---------------------------------------------------------------------
-// Redistribution
-// ---------------------------------------------------------------------
-
-// RedistAccumulator streams the redistribution checker's local phase
-// (Corollaries 14, 15): chunks of this PE's pairs before and after the
-// exchange, any order on either side.
-type RedistAccumulator struct {
-	b             *core.RedistBuilder
-	Before, After Meter
-}
-
-// NewRedistAccumulator starts an empty streamed redistribution check;
-// loc and rank pin this PE's placement contract.
-func NewRedistAccumulator(stage string, cfg core.PermConfig, seed uint64, par core.ParallelAccumulator, loc core.KeyLocator, rank int) *RedistAccumulator {
-	return &RedistAccumulator{b: core.NewRedistBuilder(stage, cfg, seed, par, loc, rank)}
-}
-
-// AddBeforeChunk accumulates one chunk of the pairs before the
-// exchange.
-func (a *RedistAccumulator) AddBeforeChunk(ps []data.Pair) {
-	a.Before.observe(len(ps))
-	a.b.AddBefore(ps)
-}
-
-// AddAfterChunk accumulates one chunk of the pairs after the exchange,
-// including the placement scan.
-func (a *RedistAccumulator) AddAfterChunk(ps []data.Pair) {
-	a.After.observe(len(ps))
-	a.b.AddAfter(ps)
-}
-
-// MergeState folds src's partial into a; src is consumed.
-func (a *RedistAccumulator) MergeState(src *RedistAccumulator) {
-	a.b.Merge(src.b)
-	a.Before.Merge(src.Before)
-	a.After.Merge(src.After)
-}
-
-// Seal freezes the partial into the two-phase checker state.
-func (a *RedistAccumulator) Seal() *core.PermState { return a.b.Seal() }
-
-// DrainBefore pulls every chunk of src through AddBeforeChunk.
-func (a *RedistAccumulator) DrainBefore(src PairSource) error {
-	return DrainPairs(src, a.AddBeforeChunk)
-}
-
-// DrainAfter pulls every chunk of src through AddAfterChunk.
-func (a *RedistAccumulator) DrainAfter(src PairSource) error {
-	return DrainPairs(src, a.AddAfterChunk)
+// NewRedistAccumulator starts an empty streamed redistribution check
+// (Corollaries 14, 15): the input side is this PE's pairs before the
+// exchange, the output side its pairs after it (placement scan
+// included), any order on either side; loc and rank pin this PE's
+// placement contract.
+func NewRedistAccumulator(stage string, cfg core.PermConfig, seed uint64, par core.ParallelAccumulator, loc core.KeyLocator, rank int) *Accumulator[data.Pair, *core.PermState] {
+	return &Accumulator[data.Pair, *core.PermState]{b: core.NewRedistBuilder(stage, cfg, seed, par, loc, rank)}
 }

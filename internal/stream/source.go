@@ -8,10 +8,10 @@
 // accumulation itself is mergeable over arbitrary input partitions (the
 // core builders). Verification therefore never needs a PE's whole share
 // resident in memory: a Source yields chunks, a per-checker Accumulator
-// folds each chunk into a constant-size partial (AddChunk), partials
-// over disjoint chunk sets combine (MergeState), and Seal freezes the
-// result into the same two-phase CheckState a one-shot accumulation
-// would have produced — bit-identically, for every chunking. This is
+// folds each chunk into a constant-size partial (AddChunk) and Seal
+// freezes the result into the same two-phase CheckState a one-shot
+// accumulation would have produced — bit-identically, for every
+// chunking. This is
 // the regime of streaming verification (cf. "Annotations for Sparse
 // Data Streams", Chakrabarti et al.): space is bounded by one chunk
 // plus the checker sketch, while soundness is unchanged.
@@ -24,23 +24,24 @@ import "repro/internal/data"
 // enough to stay cache-friendly.
 const defaultChunk = 1 << 16
 
-// PairSource yields successive chunks of this PE's share of a
-// distributed pair collection. Next returns a nil or empty chunk when
-// the source is exhausted; a returned chunk is only valid until the
-// next call — sources may reuse their buffer, which is what keeps
-// larger-than-RAM streams at one resident chunk.
-type PairSource interface {
-	Next() ([]data.Pair, error)
+// Source yields successive chunks of this PE's share of a distributed
+// collection of T. Next returns a nil or empty chunk when the source is
+// exhausted; a returned chunk is only valid until the next call —
+// sources may reuse their buffer, which is what keeps larger-than-RAM
+// streams at one resident chunk.
+type Source[T any] interface {
+	Next() ([]T, error)
 }
 
-// SeqSource is PairSource for distributed sequences of 64-bit words.
-type SeqSource interface {
-	Next() ([]uint64, error)
-}
+// PairSource is a Source of (key, value) pairs.
+type PairSource = Source[data.Pair]
 
-// drain pulls every chunk from src into add; it is the shared drive
-// loop behind every accumulator's Drain methods.
-func drain[T any](src interface{ Next() ([]T, error) }, add func([]T)) error {
+// SeqSource is a Source of 64-bit words.
+type SeqSource = Source[uint64]
+
+// Drain pulls every chunk from src into add; it is the drive loop behind
+// the accumulators' Drain methods.
+func Drain[T any](src Source[T], add func([]T)) error {
 	for {
 		chunk, err := src.Next()
 		if err != nil {
@@ -52,12 +53,6 @@ func drain[T any](src interface{ Next() ([]T, error) }, add func([]T)) error {
 		add(chunk)
 	}
 }
-
-// DrainPairs pulls every chunk from src into add.
-func DrainPairs(src PairSource, add func([]data.Pair)) error { return drain(src, add) }
-
-// DrainSeq is DrainPairs for word sequences.
-func DrainSeq(src SeqSource, add func([]uint64)) error { return drain(src, add) }
 
 // The three source kinds are generic over the element type; the
 // exported constructors instantiate them for pairs and words.

@@ -65,9 +65,9 @@ func TestChunkedSumBitIdentical(t *testing.T) {
 				input := workload.UniformPairs(n, 1<<62, ^uint64(0), 0xabc^uint64(n))
 				output := workload.UniformPairs(n/2+1, 1<<62, ^uint64(0), 0xdef^uint64(n))
 				for _, count := range []bool{false, true} {
-					oneShot := core.NewSumAggStatePar("s", cfg, 42, core.Serial, input, output)
+					oneShot := core.NewSumAggState("s", cfg, 42, core.Serial, input, output)
 					if count {
-						oneShot = core.NewCountAggStatePar("s", cfg, 42, core.Serial, input, output)
+						oneShot = core.NewCountAggState("s", cfg, 42, core.Serial, input, output)
 					}
 					for _, chunk := range chunks {
 						for _, w := range workers {
@@ -104,7 +104,7 @@ func TestChunkedSortBitIdentical(t *testing.T) {
 			corrupt[n/2], corrupt[n/2+1] = corrupt[n/2+1], corrupt[n/2] // local disorder
 		}
 		for _, out := range [][]uint64{output, corrupt} {
-			oneShot := core.NewSortedStatePar("s", cfg, 7, core.Serial, [][]uint64{input}, out)
+			oneShot := core.NewSortedState("s", cfg, 7, core.Serial, [][]uint64{input}, out)
 			for _, chunk := range []int{1, 100, 1024} {
 				for _, w := range []int{1, 4} {
 					par := core.NewParallelAccumulator(w)
@@ -131,7 +131,7 @@ func TestChunkedPermAndRedistBitIdentical(t *testing.T) {
 	xs := workload.UniformU64s(n, 1e9, 11)
 	ys := data.CloneU64s(xs)
 	ys[n-1]++ // not a permutation; residues must match one-shot anyway
-	oneShot := core.NewPermStatePar("s", cfg, 5, core.Serial, [][]uint64{xs}, ys)
+	oneShot := core.NewPermState("s", cfg, 5, core.Serial, [][]uint64{xs}, ys)
 	for _, chunk := range []int{1, 250, 5000} {
 		acc := NewPermAccumulator("s", cfg, 5, core.NewParallelAccumulator(2))
 		for _, c := range chunksOf(xs, chunk) {
@@ -162,69 +162,17 @@ func TestChunkedPermAndRedistBitIdentical(t *testing.T) {
 				a[len(a)-1].Key++
 			}
 		}
-		oneShot := core.NewRedistStatePar("s", cfg, 5, core.Serial, loc, rank, before, a)
+		oneShot := core.NewRedistState("s", cfg, 5, core.Serial, loc, rank, before, a)
 		for _, chunk := range []int{1, 777} {
 			acc := NewRedistAccumulator("s", cfg, 5, core.NewParallelAccumulator(3), loc, rank)
 			for _, c := range chunksOf(before, chunk) {
-				acc.AddBeforeChunk(c)
+				acc.AddInputChunk(c)
 			}
 			for _, c := range chunksOf(a, chunk) {
-				acc.AddAfterChunk(c)
+				acc.AddOutputChunk(c)
 			}
 			sameWords(t, "redist", acc.Seal(), oneShot)
 		}
-	}
-}
-
-// TestMergeStateEquivalence splits a chunk stream across independent
-// accumulators and merges them, asserting the merged partial equals the
-// one-shot state — including the position-ordered sort boundary merge.
-func TestMergeStateEquivalence(t *testing.T) {
-	sumCfg := core.SumConfig{Iterations: 4, Buckets: 16, RHatLog: 7, Family: hashing.FamilyCRC}
-	input := workload.UniformPairs(7001, 1<<62, ^uint64(0), 17)
-	output := workload.UniformPairs(999, 1<<62, ^uint64(0), 19)
-	oneShot := core.NewSumAggStatePar("s", sumCfg, 9, core.Serial, input, output)
-	a := NewSumAccumulator("s", sumCfg, 9, core.Serial, false)
-	b := NewSumAccumulator("s", sumCfg, 9, core.Serial, false)
-	a.AddInputChunk(input[:3000])
-	b.AddInputChunk(input[3000:])
-	b.AddOutputChunk(output)
-	a.MergeState(b)
-	sameWords(t, "sum merge", a.Seal(), oneShot)
-	if a.In.Chunks != 2 || a.In.Elements != 7001 || a.In.PeakResident != 4001 {
-		t.Fatalf("merged input meter wrong: %+v", a.In)
-	}
-
-	permCfg := core.PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}
-	xs := workload.UniformU64s(6007, 1e9, 23)
-	sorted := data.CloneU64s(xs)
-	data.SortU64(sorted)
-	oneShotSort := core.NewSortedStatePar("s", permCfg, 9, core.Serial, [][]uint64{xs}, sorted)
-	sa := NewSortAccumulator("s", permCfg, 9, core.Serial)
-	sb := NewSortAccumulator("s", permCfg, 9, core.Serial)
-	sa.AddInputChunk(xs[:1000])
-	sa.AddOutputChunk(sorted[:2500])
-	sb.AddInputChunk(xs[1000:])
-	sb.AddOutputChunk(sorted[2500:])
-	sa.MergeState(sb) // sb's output covers the later positions
-	sameWords(t, "sort merge", sa.Seal(), oneShotSort)
-
-	// Merging in the wrong position order must trip the boundary check
-	// (unless the halves happen to be disjoint-ordered, which a sorted
-	// split is not when values interleave).
-	sa2 := NewSortAccumulator("s", permCfg, 9, core.Serial)
-	sb2 := NewSortAccumulator("s", permCfg, 9, core.Serial)
-	sa2.AddOutputChunk(sorted[2500:])
-	sb2.AddOutputChunk(sorted[:2500])
-	sa2.AddInputChunk(xs)
-	sa2.MergeState(sb2)
-	st := sa2.Seal()
-	words := st.Words()
-	if sorted[2499] > sorted[2500] {
-		t.Fatal("test premise broken")
-	}
-	if sorted[2499] != sorted[2500] && words[len(words)-1] != 0 {
-		t.Fatal("out-of-order merge not flagged by boundary summary")
 	}
 }
 
@@ -234,7 +182,7 @@ func TestSources(t *testing.T) {
 	ps := workload.UniformPairs(1000, 1e6, 1e6, 29)
 
 	var fromSlice []data.Pair
-	if err := DrainPairs(SlicePairs(ps, 64), func(c []data.Pair) {
+	if err := Drain(SlicePairs(ps, 64), func(c []data.Pair) {
 		fromSlice = append(fromSlice, c...)
 	}); err != nil {
 		t.Fatal(err)
@@ -251,7 +199,7 @@ func TestSources(t *testing.T) {
 		close(ch)
 	}()
 	var fromChan []data.Pair
-	if err := DrainPairs(ChanPairs(ch), func(c []data.Pair) {
+	if err := Drain(ChanPairs(ch), func(c []data.Pair) {
 		fromChan = append(fromChan, c...)
 	}); err != nil {
 		t.Fatal(err)
@@ -260,7 +208,7 @@ func TestSources(t *testing.T) {
 	gen := GenPairs(1000, 64, func(i int) data.Pair { return ps[i] })
 	var fromGen []data.Pair
 	chunks := 0
-	if err := DrainPairs(gen, func(c []data.Pair) {
+	if err := Drain(gen, func(c []data.Pair) {
 		chunks++
 		fromGen = append(fromGen, c...)
 	}); err != nil {

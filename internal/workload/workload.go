@@ -126,26 +126,6 @@ func UniformPairs(n int, keyMax, valueMax uint64, seed uint64) []data.Pair {
 	return out
 }
 
-// DistinctU64s generates n distinct values (uniform draws with
-// collision retry over a universe at least 4x larger than n).
-func DistinctU64s(n int, seed uint64) []uint64 {
-	rng := hashing.NewMT19937_64(seed)
-	max := uint64(4 * n)
-	if max < 16 {
-		max = 16
-	}
-	seen := make(map[uint64]bool, n)
-	out := make([]uint64, 0, n)
-	for len(out) < n {
-		v := rng.Uint64n(max)
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // Words returns n synthetic words following the Zipf distribution over a
 // vocabulary of the given size, for the wordcount example.
 func Words(n, vocabulary int, seed uint64) []string {

@@ -97,17 +97,6 @@ func TestUniformU64sRange(t *testing.T) {
 	}
 }
 
-func TestDistinctU64s(t *testing.T) {
-	xs := DistinctU64s(5000, 13)
-	seen := make(map[uint64]bool, len(xs))
-	for _, x := range xs {
-		if seen[x] {
-			t.Fatal("duplicate in DistinctU64s")
-		}
-		seen[x] = true
-	}
-}
-
 func TestWords(t *testing.T) {
 	ws := Words(1000, 50, 21)
 	if len(ws) != 1000 {

@@ -12,15 +12,21 @@ import (
 	"repro/internal/workload"
 )
 
+// The two stage-boundary functions the equivalence tests compare.
+var (
+	overlapped  = (*repro.Context).VerifyAsync
+	synchronous = (*repro.Context).Verify
+)
+
 // overlapRun executes a four-stage pipeline — ReduceByKey, Sort, a
 // streamed AssertSum, and a one-shot AssertSum over possibly corrupted
-// data — with a VerifyAsync at every stage boundary and a final Verify,
+// data — calling boundary at every stage boundary and a final Verify,
 // and returns rank 0's verdicts, summaries (wall times zeroed: only
 // placement differs between overlapped and synchronous runs), and
-// whether the pipeline rejected. With noOverlap set the exact same
-// program runs, but every VerifyAsync degrades to the synchronous
-// Verify — the equivalence baseline.
-func overlapRun(t *testing.T, noOverlap bool, corrupt *manipulate.PairManipulator) ([]repro.Verdict, []repro.VerifySummary, bool) {
+// whether the pipeline rejected. boundary is overlapped (VerifyAsync)
+// or synchronous (Verify, the equivalence baseline); the program is
+// otherwise the same.
+func overlapRun(t *testing.T, boundary func(*repro.Context) error, corrupt *manipulate.PairManipulator) ([]repro.Verdict, []repro.VerifySummary, bool) {
 	t.Helper()
 	const p = 3
 	clean := workload.ZipfPairs(1200, 100, 600, 51)
@@ -31,7 +37,6 @@ func overlapRun(t *testing.T, noOverlap bool, corrupt *manipulate.PairManipulato
 	var rejected bool
 	opts := repro.DefaultOptions()
 	opts.Mode = repro.CheckDeferred
-	opts.NoOverlap = noOverlap
 	err := repro.Run(p, 61, func(w *repro.Worker) error {
 		ctx, err := repro.NewContext(w, opts)
 		if err != nil {
@@ -44,13 +49,13 @@ func overlapRun(t *testing.T, noOverlap bool, corrupt *manipulate.PairManipulato
 		if err != nil {
 			return err
 		}
-		if err := ctx.VerifyAsync(); err != nil {
+		if err := boundary(ctx); err != nil {
 			return err
 		}
 		if _, err := ctx.Seq(shardU64(seq, p, r)).Sort().Collect(); err != nil {
 			return err
 		}
-		if err := ctx.VerifyAsync(); err != nil {
+		if err := boundary(ctx); err != nil {
 			return err
 		}
 		// A streamed stage's chunk drains run while the previous round
@@ -59,7 +64,7 @@ func overlapRun(t *testing.T, noOverlap bool, corrupt *manipulate.PairManipulato
 		if serr != nil && !errors.Is(serr, repro.ErrCheckFailed) {
 			return serr
 		}
-		if err := ctx.VerifyAsync(); err != nil && !errors.Is(err, repro.ErrCheckFailed) {
+		if err := boundary(ctx); err != nil && !errors.Is(err, repro.ErrCheckFailed) {
 			return err
 		}
 		asserted := data.ClonePairs(out)
@@ -100,8 +105,8 @@ func overlapRun(t *testing.T, noOverlap bool, corrupt *manipulate.PairManipulato
 // of the synchronous deferred path — Bytes, Msgs, Rounds, Words, batch
 // boundaries, everything except wall-clock placement.
 func TestOverlapEquivalenceClean(t *testing.T) {
-	ov, osums, orej := overlapRun(t, false, nil)
-	sv, ssums, srej := overlapRun(t, true, nil)
+	ov, osums, orej := overlapRun(t, overlapped, nil)
+	sv, ssums, srej := overlapRun(t, synchronous, nil)
 	if orej || srej {
 		t.Fatalf("clean pipeline rejected: overlap=%v sync=%v", orej, srej)
 	}
@@ -134,8 +139,8 @@ func TestOverlapEquivalenceCorrupted(t *testing.T) {
 			if !m.Apply(probe, hashing.NewMT19937_64(7), 80) || !manipulate.ChangesAggregation(clean, probe) {
 				t.Skip("manipulator not applicable to this workload")
 			}
-			ov, osums, orej := overlapRun(t, false, &m)
-			sv, ssums, srej := overlapRun(t, true, &m)
+			ov, osums, orej := overlapRun(t, overlapped, &m)
+			sv, ssums, srej := overlapRun(t, synchronous, &m)
 			if !orej || !srej {
 				t.Fatalf("corruption not rejected: overlap=%v sync=%v", orej, srej)
 			}
@@ -159,12 +164,11 @@ func TestOverlapEquivalenceCorrupted(t *testing.T) {
 func TestOverlapStreamedCorruption(t *testing.T) {
 	const p = 3
 	clean := workload.ZipfPairs(1500, 120, 700, 71)
-	run := func(noOverlap bool) (string, bool) {
+	run := func(boundary func(*repro.Context) error) (string, bool) {
 		var failedStage string
 		var rejected bool
 		opts := repro.DefaultOptions()
 		opts.Mode = repro.CheckDeferred
-		opts.NoOverlap = noOverlap
 		err := repro.Run(p, 72, func(w *repro.Worker) error {
 			ctx, err := repro.NewContext(w, opts)
 			if err != nil {
@@ -176,7 +180,7 @@ func TestOverlapStreamedCorruption(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if err := ctx.VerifyAsync(); err != nil {
+			if err := boundary(ctx); err != nil {
 				return err
 			}
 			asserted := data.ClonePairs(out)
@@ -206,8 +210,8 @@ func TestOverlapStreamedCorruption(t *testing.T) {
 		}
 		return failedStage, rejected
 	}
-	oStage, oRej := run(false)
-	sStage, sRej := run(true)
+	oStage, oRej := run(overlapped)
+	sStage, sRej := run(synchronous)
 	if !oRej || !sRej {
 		t.Fatalf("streamed corruption not rejected: overlap=%v sync=%v", oRej, sRej)
 	}
@@ -216,25 +220,15 @@ func TestOverlapStreamedCorruption(t *testing.T) {
 	}
 }
 
-// TestVerifyAsyncDegrades checks the escape hatches: outside deferred
-// mode VerifyAsync is exactly Verify (verdicts immediate), and with
-// NoOverlap no round is ever left outstanding.
+// TestVerifyAsyncDegrades checks that outside deferred mode VerifyAsync
+// is exactly Verify: verdicts immediate, no round left outstanding.
 func TestVerifyAsyncDegrades(t *testing.T) {
 	pairs := workload.ZipfPairs(600, 60, 300, 81)
-	for _, tc := range []struct {
-		name      string
-		mode      repro.CheckMode
-		noOverlap bool
-	}{
-		{"eager", repro.CheckEager, false},
-		{"deferred-nooverlap", repro.CheckDeferred, true},
-		{"off", repro.CheckOff, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, mode := range []repro.CheckMode{repro.CheckEager, repro.CheckOff} {
+		t.Run(mode.String(), func(t *testing.T) {
 			const p = 2
 			opts := repro.DefaultOptions()
-			opts.Mode = tc.mode
-			opts.NoOverlap = tc.noOverlap
+			opts.Mode = mode
 			err := repro.Run(p, 82, func(w *repro.Worker) error {
 				ctx, err := repro.NewContext(w, opts)
 				if err != nil {
@@ -248,10 +242,10 @@ func TestVerifyAsyncDegrades(t *testing.T) {
 					return err
 				}
 				if ctx.Outstanding() {
-					return errors.New("VerifyAsync left a round outstanding despite degrade mode")
+					return errors.New("VerifyAsync left a round outstanding outside deferred mode")
 				}
 				want := repro.VerdictPass
-				if tc.mode == repro.CheckOff {
+				if mode == repro.CheckOff {
 					want = repro.VerdictSkipped
 				}
 				if got := ctx.Stats()[0].Verdict; got != want {

@@ -50,7 +50,6 @@ package repro
 
 import (
 	"errors"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -147,14 +146,6 @@ type Options struct {
 	// only the local wall time changes. Small inputs stay serial
 	// regardless.
 	Parallelism int
-	// NoOverlap disables resolve/compute overlap in CheckDeferred mode:
-	// Context.VerifyAsync degrades to the synchronous Verify instead of
-	// launching the batched resolution on a sub-communicator and
-	// returning immediately. Verdicts, VerifySummary attribution, and
-	// checker residues are identical either way — overlap changes only
-	// when the round rides the wire — so this is a debugging and
-	// measurement switch, not a soundness one.
-	NoOverlap bool
 	// Tracer, when non-nil, is installed on the Context's worker by
 	// NewContext: every stage, collective round, receive wait, and
 	// resolve round records a span (internal/obs). Export the result
@@ -171,10 +162,16 @@ func (o Options) WithParallelism(n int) Options {
 	return o
 }
 
-// DefaultOptions returns a configuration with failure probability below
-// 1e-9 for every checker at modest cost (the paper's "6×32 CRC m9"
-// scaling configuration and a 32-bit two-iteration fingerprint), in
-// eager mode.
+// DefaultOptions returns a configuration in eager mode whose every
+// checker accepts an incorrect result with probability at most 1.4e-9,
+// at modest cost. The bound is the sum checker's: the paper's "6×32 CRC
+// m9" scaling configuration achieves (1/512 + 1/32)^6 ≈ 1.34e-9
+// (SumConfig.AchievedDelta; 1e-9 itself would take a seventh iteration).
+// The permutation family's two 32-bit tabulation fingerprints achieve
+// 2^-64 ≈ 5.4e-20 (PermConfig.Delta) and the zip checker's two
+// iterations over F_(2^61-1) about 2^-122.
+// TestDefaultOptionsAchieveDocumentedDelta holds the defaults to this
+// figure.
 func DefaultOptions() Options {
 	return Options{
 		Sum:  core.SumConfig{Iterations: 6, Buckets: 32, RHatLog: 9, Family: hashing.FamilyCRC},
@@ -196,23 +193,4 @@ func CheckSum(w *Worker, opts Options, input, output []Pair) (bool, error) {
 // Context.AssertSorted.
 func CheckSorted(w *Worker, opts Options, input, output []uint64) (bool, error) {
 	return core.CheckSorted(w, opts.Perm, input, output)
-}
-
-// sortGroupsByKey orders groups ascending by key.
-func sortGroupsByKey(groups []Group) {
-	sort.Slice(groups, func(i, j int) bool { return groups[i].Key < groups[j].Key })
-}
-
-// sortJoinRows orders join rows by (key, left, right), making join
-// output independent of map iteration order.
-func sortJoinRows(rows []JoinRow) {
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Key != rows[j].Key {
-			return rows[i].Key < rows[j].Key
-		}
-		if rows[i].Left != rows[j].Left {
-			return rows[i].Left < rows[j].Left
-		}
-		return rows[i].Right < rows[j].Right
-	})
 }

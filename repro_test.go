@@ -238,3 +238,28 @@ func checkAgainst(w *Worker, input, output []Pair) error {
 	}
 	return nil
 }
+
+// TestDefaultOptionsAchieveDocumentedDelta holds every default checker
+// configuration to the failure probability DefaultOptions' comment
+// states. The comment used to promise "below 1e-9", which 6×32 CRC m9
+// (1.34e-9) does not achieve; whoever changes a default, or the figure,
+// changes both here.
+func TestDefaultOptionsAchieveDocumentedDelta(t *testing.T) {
+	const documented = 1.4e-9
+	opts := DefaultOptions()
+	if got := opts.Sum.AchievedDelta(); got > documented {
+		t.Errorf("Sum %s achieves delta %.3g, documented as at most %.3g", opts.Sum.Name(), got, documented)
+	}
+	if got := opts.Perm.Delta(); got > documented {
+		t.Errorf("Perm %s achieves delta %.3g, documented as at most %.3g", opts.Perm.Name(), got, documented)
+	}
+	// One zip iteration errs with probability at most 1/H over the field
+	// F_H, H = 2^61-1 (ZipConfig, Theorem 11).
+	zip := 1.0
+	for i := 0; i < opts.Zip.Iterations; i++ {
+		zip /= float64(uint64(1)<<61 - 1)
+	}
+	if zip > documented {
+		t.Errorf("Zip with %d iterations achieves delta %.3g, documented as at most %.3g", opts.Zip.Iterations, zip, documented)
+	}
+}

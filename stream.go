@@ -85,19 +85,8 @@ type StreamedSeq struct {
 	used bool
 }
 
-// errStreamReused guards the single-use contract: an Assert over an
-// already-consumed stream would verify zero elements and vacuously
-// pass, which a verification library must never do silently.
+// errStreamReused reports a second Assert on a streamed view.
 var errStreamReused = errors.New("repro: streamed view is single-use: its source was already consumed by an earlier Assert")
-
-// claim marks a streamed view consumed, failing the Context on reuse.
-func claimStream(c *Context, used *bool) error {
-	if *used {
-		return c.fail(errStreamReused)
-	}
-	*used = true
-	return nil
-}
 
 // StreamSeq wraps a chunked source of this PE's local word-sequence
 // share for streaming verification; see StreamedSeq.
@@ -124,18 +113,8 @@ func (s *StreamedPairs) AssertCount(output PairSource) error {
 
 func (s *StreamedPairs) assertAgg(op string, count bool, output PairSource) error {
 	c := s.ctx
-	if err := claimStream(c, &s.used); err != nil {
-		return err
-	}
-	return c.runStreamStage(op, c.validSum, func(label string) ([]core.CheckState, stream.Meter, stream.Meter, error) {
-		acc := stream.NewSumAccumulator(label, c.opts.Sum, c.seed, c.par, count)
-		if err := acc.DrainInput(s.src); err != nil {
-			return nil, acc.In, acc.Out, err
-		}
-		if err := acc.DrainOutput(output); err != nil {
-			return nil, acc.In, acc.Out, err
-		}
-		return []core.CheckState{acc.Seal()}, acc.In, acc.Out, nil
+	return streamStage(c, &s.used, op, c.validSum, s.src, output, func(label string) *stream.Accumulator[Pair, *core.SumAggState] {
+		return stream.NewSumAccumulator(label, c.opts.Sum, c.seed, c.par, count)
 	})
 }
 
@@ -146,18 +125,8 @@ func (s *StreamedPairs) assertAgg(op string, count bool, output PairSource) erro
 // streaming form. Chunk order is immaterial on either side.
 func (s *StreamedPairs) AssertRedistributed(after PairSource) error {
 	c := s.ctx
-	if err := claimStream(c, &s.used); err != nil {
-		return err
-	}
-	return c.runStreamStage("StreamRedist", c.validPerm, func(label string) ([]core.CheckState, stream.Meter, stream.Meter, error) {
-		acc := stream.NewRedistAccumulator(label, c.opts.Perm, c.seed, c.par, c.pt, c.w.Rank())
-		if err := acc.DrainBefore(s.src); err != nil {
-			return nil, acc.Before, acc.After, err
-		}
-		if err := acc.DrainAfter(after); err != nil {
-			return nil, acc.Before, acc.After, err
-		}
-		return []core.CheckState{acc.Seal()}, acc.Before, acc.After, nil
+	return streamStage(c, &s.used, "StreamRedist", c.validPerm, s.src, after, func(label string) *stream.Accumulator[Pair, *core.PermState] {
+		return stream.NewRedistAccumulator(label, c.opts.Perm, c.seed, c.par, c.pt, c.w.Rank())
 	})
 }
 
@@ -168,18 +137,8 @@ func (s *StreamedPairs) AssertRedistributed(after PairSource) error {
 // contiguous segment — which every source in this package does.
 func (s *StreamedSeq) AssertSorted(output SeqSource) error {
 	c := s.ctx
-	if err := claimStream(c, &s.used); err != nil {
-		return err
-	}
-	return c.runStreamStage("StreamSorted", c.validPerm, func(label string) ([]core.CheckState, stream.Meter, stream.Meter, error) {
-		acc := stream.NewSortAccumulator(label, c.opts.Perm, c.seed, c.par)
-		if err := acc.DrainInput(s.src); err != nil {
-			return nil, acc.In, acc.Out, err
-		}
-		if err := acc.DrainOutput(output); err != nil {
-			return nil, acc.In, acc.Out, err
-		}
-		return []core.CheckState{acc.Seal()}, acc.In, acc.Out, nil
+	return streamStage(c, &s.used, "StreamSorted", c.validPerm, s.src, output, func(label string) *stream.Accumulator[uint64, *core.SortedState] {
+		return stream.NewSortAccumulator(label, c.opts.Perm, c.seed, c.par)
 	})
 }
 
@@ -189,17 +148,31 @@ func (s *StreamedSeq) AssertSorted(output SeqSource) error {
 // either side.
 func (s *StreamedSeq) AssertPermutation(output SeqSource) error {
 	c := s.ctx
-	if err := claimStream(c, &s.used); err != nil {
-		return err
+	return streamStage(c, &s.used, "StreamPerm", c.validPerm, s.src, output, func(label string) *stream.Accumulator[uint64, *core.PermState] {
+		return stream.NewPermAccumulator(label, c.opts.Perm, c.seed, c.par)
+	})
+}
+
+// streamStage runs one streaming verification stage over a single-use
+// view: claim it, then — unless checking is off — drain the input
+// source and the asserted-output source through a fresh accumulator,
+// one chunk resident at a time, and seal it.
+func streamStage[T any, S core.CheckState](c *Context, used *bool, op string, valid func() error, in, out stream.Source[T], mk func(label string) *stream.Accumulator[T, S]) error {
+	// An Assert over an already-consumed stream would verify zero elements
+	// and vacuously pass, which a verification library must never do
+	// silently.
+	if *used {
+		return c.fail(errStreamReused)
 	}
-	return c.runStreamStage("StreamPerm", c.validPerm, func(label string) ([]core.CheckState, stream.Meter, stream.Meter, error) {
-		acc := stream.NewPermAccumulator(label, c.opts.Perm, c.seed, c.par)
-		if err := acc.DrainInput(s.src); err != nil {
+	*used = true
+	return c.run(op, stage{valid: valid, check: func(label string) ([]core.CheckState, stream.Meter, stream.Meter, error) {
+		acc := mk(label)
+		if err := acc.DrainInput(in); err != nil {
 			return nil, acc.In, acc.Out, err
 		}
-		if err := acc.DrainOutput(output); err != nil {
+		if err := acc.DrainOutput(out); err != nil {
 			return nil, acc.In, acc.Out, err
 		}
 		return []core.CheckState{acc.Seal()}, acc.In, acc.Out, nil
-	})
+	}})
 }

@@ -177,7 +177,7 @@ func TestStreamResiduesMatchOneShot(t *testing.T) {
 	opts := repro.DefaultOptions()
 
 	var input, output []data.Pair
-	if err := stream.DrainPairs(sumInput(1, false), func(c []data.Pair) {
+	if err := stream.Drain(sumInput(1, false), func(c []data.Pair) {
 		input = append(input, data.ClonePairs(c)...)
 	}); err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestStreamResiduesMatchOneShot(t *testing.T) {
 	for _, o := range sumOutputs(2) {
 		output = append(output, o...)
 	}
-	oneShot := core.NewSumAggState("s", opts.Sum, 99, input, output)
+	oneShot := core.NewSumAggState("s", opts.Sum, 99, core.Serial, input, output)
 	acc := stream.NewSumAccumulator("s", opts.Sum, 99, core.Serial, false)
 	if err := acc.DrainInput(sumInput(1, false)); err != nil {
 		t.Fatal(err)
@@ -201,13 +201,13 @@ func TestStreamResiduesMatchOneShot(t *testing.T) {
 
 	in, out := sortShare(0, 1<<14, 512, "")
 	var xs, sorted []uint64
-	if err := stream.DrainSeq(in, func(c []uint64) { xs = append(xs, data.CloneU64s(c)...) }); err != nil {
+	if err := stream.Drain(in, func(c []uint64) { xs = append(xs, data.CloneU64s(c)...) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := stream.DrainSeq(out, func(c []uint64) { sorted = append(sorted, data.CloneU64s(c)...) }); err != nil {
+	if err := stream.Drain(out, func(c []uint64) { sorted = append(sorted, data.CloneU64s(c)...) }); err != nil {
 		t.Fatal(err)
 	}
-	oneShotSort := core.NewSortedState("s", opts.Perm, 99, [][]uint64{xs}, sorted)
+	oneShotSort := core.NewSortedState("s", opts.Perm, 99, core.Serial, [][]uint64{xs}, sorted)
 	sacc := stream.NewSortAccumulator("s", opts.Perm, 99, core.Serial)
 	in, out = sortShare(0, 1<<14, 512, "")
 	if err := sacc.DrainInput(in); err != nil {
