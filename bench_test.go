@@ -10,6 +10,7 @@
 //	BenchmarkFig5PermAccuracy       — Fig. 5 accuracy harness
 //	BenchmarkCommVolumeAudit        — bottleneck-volume audit
 //	BenchmarkPipelineEagerVsDeferred — eager vs one batched Verify
+//	BenchmarkCheckerSetup           — what a checker costs before its first element
 //
 // Whole checked jobs (reduce_zipf, sort_uniform, ...) are measured by
 // the benchmark of record, bash benchmark/run.sh, not here.
@@ -22,8 +23,10 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/dist"
 	"repro/internal/exp"
 	"repro/internal/hashing"
 	"repro/internal/params"
@@ -351,4 +354,54 @@ func BenchmarkPipelineEagerVsDeferred(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkCheckerSetup measures what a checker costs before it has
+// seen an element — the fixed cost a 2 000-element service job pays per
+// stage and per rank, which the paper's 125 000-element jobs never see:
+// construct each builder of the default configuration and seal it on
+// empty input, and derive a job worker whose body never draws a random
+// number. Run with -benchmem: the perm and sorted rows allocate no hash
+// table once the first iteration has handed its tables back.
+func BenchmarkCheckerSetup(b *testing.B) {
+	opts := repro.DefaultOptions()
+	var sink uint64
+	b.Run("sum", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink += core.NewSumAggBuilder("setup", opts.Sum, uint64(i), core.Serial, false).Seal().Words()[0]
+		}
+	})
+	b.Run("perm", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink += core.NewPermBuilder("setup", opts.Perm, uint64(i), core.Serial).Seal().Words()[0]
+		}
+	})
+	b.Run("sorted", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink += core.NewSortedBuilder("setup", opts.Perm, uint64(i), core.Serial).Seal().Words()[0]
+		}
+	})
+	b.Run("zip", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sink += core.NewZipState("setup", opts.Zip, uint64(i), nil, nil, nil, 0, 0, 0, true).Words()[0]
+		}
+	})
+	b.Run("jobworker", func(b *testing.B) {
+		net := comm.NewMemNetwork(1)
+		defer net.Close()
+		ws, err := dist.NewWorkers(net, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sink += uint64(ws[0].JobWorker(ws[0].Coll, 7, uint64(i)).Rank())
+		}
+	})
+	_ = sink
 }

@@ -31,7 +31,23 @@ import (
 // feed a builder exactly one chunk per side.
 //
 // Builders are single-use (Seal at most once) and not safe for
-// concurrent use.
+// concurrent use. Seal — and Merge, for its source — consumes the
+// builder: its checker's hash tables go back to the hashing package for
+// the next checker to fill (recycleHashers), and a later Add panics.
+
+// recycleHashers hands the tables of hs back to the hashing package
+// and forgets them, under scratchPool's rule: only once nothing reads
+// them any more. The builders call it when they are consumed (Seal, or
+// as the source of a Merge) — a sealed state keeps the fingerprints,
+// not the functions — so the checker a small job builds per stage
+// allocates no hash table in the steady state. A checker that was
+// never handed to a builder keeps its hashers for as long as it lives.
+func recycleHashers(hs []hashing.Hasher) {
+	for i, h := range hs {
+		hashing.Recycle(h)
+		hs[i] = nil
+	}
+}
 
 // ---------------------------------------------------------------------
 // Sum/count aggregation
@@ -73,7 +89,10 @@ func (b *SumAggBuilder) AddOutput(pairs []data.Pair) {
 // Seal freezes the partial into the two-phase checker state. The
 // builder's tables are consumed.
 func (b *SumAggBuilder) Seal() *SumAggState {
-	return newSumDiffState(b.stage, b.c, b.tv, b.to)
+	st := newSumDiffState(b.stage, b.c, b.tv, b.to)
+	recycleHashers(b.c.hashers)
+	b.c = nil
+	return st
 }
 
 // ---------------------------------------------------------------------
@@ -114,11 +133,20 @@ func (b *PermBuilder) Merge(src *PermBuilder) {
 		b.lambda[i] += src.lambda[i]
 	}
 	b.localOK = b.localOK && src.localOK
+	src.consume()
 }
 
 // Seal freezes the partial into the two-phase checker state.
 func (b *PermBuilder) Seal() *PermState {
-	return &PermState{stage: b.stage, c: b.c, lambda: b.lambda, localOK: b.localOK}
+	st := &PermState{stage: b.stage, mask: b.c.mask, lambda: b.lambda, localOK: b.localOK}
+	b.consume()
+	return st
+}
+
+// consume ends the builder's accumulating life.
+func (b *PermBuilder) consume() {
+	recycleHashers(b.c.hashers)
+	b.c = nil
 }
 
 // ---------------------------------------------------------------------

@@ -7,6 +7,7 @@ package core
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/hashing"
@@ -86,6 +87,44 @@ func TestWarmSumAggStateAllocs(t *testing.T) {
 	// run; one cell scratch is 49 152.
 	if bytes > 3600 {
 		t.Errorf("warm state allocates %d bytes, parent allocated 3560", bytes)
+	}
+}
+
+// TestCheckerSetupAllocs pins what building and sealing a permutation or
+// sort checker costs the heap in the steady state: no hash table. The
+// Tab family's tables are 8 KiB each and there are two per checker, so
+// a builder that allocated its own would cost sixteen times the limit.
+// Measured on one P with the collector held off, after a warming call
+// there: a sync.Pool hands back what was put on the same P and drops
+// its contents over two collections.
+func TestCheckerSetupAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cfg := PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}
+	xs := workload.UniformU64s(64, 1e9, 3)
+	for name, run := range map[string]func(seed uint64){
+		"NewPermBuilder": func(seed uint64) {
+			b := NewPermBuilder("setup", cfg, seed, Serial)
+			b.AddInput(xs)
+			sinkAlloc += b.Seal().Words()[0]
+		},
+		"NewSortedBuilder": func(seed uint64) {
+			b := NewSortedBuilder("setup", cfg, seed, Serial)
+			b.AddInput(xs)
+			sinkAlloc += b.Seal().Words()[0]
+		},
+	} {
+		run(0)
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := uint64(1); i <= runs; i++ {
+			run(i)
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1024 {
+			t.Errorf("%s + Seal allocates %d bytes per call in the steady state, want under 1024 (one Tab table is 8192)", name, per)
+		}
 	}
 }
 

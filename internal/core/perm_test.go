@@ -6,6 +6,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/dist"
 	"repro/internal/hashing"
+	"repro/internal/manipulate"
 	"repro/internal/workload"
 )
 
@@ -316,5 +317,104 @@ func TestUnionChecker(t *testing.T) {
 	}
 	if detected < 49 {
 		t.Fatalf("lost element detected only %d of 50 times", detected)
+	}
+}
+
+// TestRecycledTablesNeverLeak is TestCellScratchNeverLeaks for the hash
+// tables a consumed builder hands back: whatever function they held —
+// another seed's, another width's — the next checker built on them
+// fingerprints exactly like one whose tables nobody else ever touched.
+func TestRecycledTablesNeverLeak(t *testing.T) {
+	xs := workload.UniformU64s(3000, 1e9, 11)
+	for _, fam := range []hashing.Family{hashing.FamilyTab, hashing.FamilyTab64} {
+		cfg := PermConfig{Family: fam, LogH: 32, Iterations: 2}
+		want := func(seed uint64) []uint64 {
+			// Never handed to a builder: its tables are never recycled.
+			lambda := make([]uint64, cfg.Iterations)
+			NewPermChecker(cfg, seed).AccumulateIntoScalar(lambda, xs, false)
+			return lambda
+		}
+		wantA, wantB := want(0xa), want(0xb)
+		for round := 0; round < 4; round++ {
+			// Consume several builders at once — by Seal and by Merge —
+			// so the pool holds more tables than the next checker
+			// takes, all of them dirty with seed 0xa's function.
+			var held []*PermBuilder
+			for i := 0; i < 3; i++ {
+				b := NewPermBuilder("dirty", cfg, 0xa, Serial)
+				b.AddInput(xs)
+				held = append(held, b)
+			}
+			held[0].Merge(held[1])
+			for i, b := range []*PermBuilder{held[0], held[2]} {
+				st := b.Seal()
+				for it, v := range st.Words() {
+					if v != uint64(2-i)*wantA[it] {
+						t.Fatalf("%s round %d: builder %d sealed to %#x in iteration %d, want %d × %#x", fam.Name, round, i, v, it, 2-i, wantA[it])
+					}
+				}
+			}
+			b := NewPermBuilder("victim", cfg, 0xb, Serial)
+			b.AddInput(xs)
+			if got := b.Seal().Words(); got[0] != wantB[0] || got[1] != wantB[1] {
+				t.Fatalf("%s round %d: checker on recycled tables fingerprints to %#x, want %#x", fam.Name, round, got, wantB)
+			}
+		}
+	}
+}
+
+// TestPermCheckerEscapeRateWithinDelta is the permutation slice of
+// ROADMAP's delta gate, owed because the generator under the Tab
+// family's tables changed: at deliberately weak parameters, over seeded
+// trials of every Table 6 manipulator, the observed escape rate must be
+// statistically consistent with Delta — the exact binomial test of
+// TestSumCheckerEscapeRateWithinDelta, at 0.1 %. Every trial also checks
+// the one-sided contract: a shuffle of the input is accepted. Checkers
+// are built and sealed through the builder, so all but the first run on
+// recycled tables.
+func TestPermCheckerEscapeRateWithinDelta(t *testing.T) {
+	const (
+		n        = 512
+		universe = 1 << 20
+		trials   = 200
+	)
+	cfgs := []PermConfig{
+		{Family: hashing.FamilyTab, LogH: 4, Iterations: 1}, // 1/16
+		{Family: hashing.FamilyTab, LogH: 8, Iterations: 1}, // 1/256
+		{Family: hashing.FamilyTab, LogH: 4, Iterations: 2}, // 1/256
+	}
+	input := workload.UniformU64s(n, universe, 0xde17a)
+	clean := shuffled(input, 0x5bff1e)
+	bad := make([]uint64, n)
+	accepts := func(cfg PermConfig, seed uint64, output []uint64) bool {
+		st := NewPermState("gate", cfg, seed, Serial, [][]uint64{input}, output)
+		return st.LocalOK() && st.Verdict(st.Words()) // p = 1: the combined vector is the local one
+	}
+	for _, cfg := range cfgs {
+		delta := cfg.Delta()
+		for mi, m := range manipulate.SeqManipulators() {
+			escapes, ran := 0, 0
+			for trial := 0; trial < trials; trial++ {
+				seed := hashing.Mix64(uint64(trial)*0x9e3779b97f4a7c15 ^ uint64(mi)<<32 ^ 0xe5ca9e)
+				copy(bad, input)
+				if !m.Apply(bad, hashing.NewMT19937_64(seed), universe) || !manipulate.ChangesMultiset(input, bad) {
+					continue
+				}
+				ran++
+				if !accepts(cfg, seed, clean) {
+					t.Fatalf("%s ×%d seed %#x: clean permutation rejected", cfg.Name(), cfg.Iterations, seed)
+				}
+				if accepts(cfg, seed, bad) {
+					escapes++
+				}
+			}
+			if ran < trials*9/10 {
+				t.Fatalf("%s ×%d %s: only %d of %d trials injected a fault", cfg.Name(), cfg.Iterations, m.Name, ran, trials)
+			}
+			if pval := binomTailGE(ran, escapes, delta); pval < 0.001 {
+				t.Errorf("%s ×%d %s: %d of %d faults escaped (%.3f), not consistent with delta %.4f (p = %.2g)",
+					cfg.Name(), cfg.Iterations, m.Name, escapes, ran, float64(escapes)/float64(ran), delta, pval)
+			}
+		}
 	}
 }

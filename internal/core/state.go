@@ -188,7 +188,7 @@ func (s *SumAggState) LocalOK() bool                  { return true }
 // redistribution checker's placement scan).
 type PermState struct {
 	stage   string
-	c       *PermChecker
+	mask    uint64 // H-1: the hash bits a fingerprint is summed over
 	lambda  []uint64
 	localOK bool
 }
@@ -228,7 +228,7 @@ func (s *PermState) Combine(dst, src []uint64) {
 }
 func (s *PermState) Verdict(combined []uint64) bool {
 	for _, v := range combined {
-		if v&s.c.mask != 0 {
+		if v&s.mask != 0 {
 			return false
 		}
 	}

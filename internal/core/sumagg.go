@@ -69,13 +69,16 @@ func newSumChecker(cfg SumConfig, seed uint64, forceGeneral bool, forceG int) *S
 		panic(err)
 	}
 	c := &SumChecker{cfg: cfg, forceG: forceG}
-	rng := hashing.NewMT19937_64(hashing.Mix64(seed ^ 0xc0dec0dec0dec0de))
+	// The moduli come from the same kind of stream as the hash seeds
+	// below, in a domain of their own; rhat is a power of two, so
+	// masking an output is an exactly uniform draw below it.
+	ms := seed ^ 0xc0dec0dec0dec0de
 	rhat := uint64(1) << cfg.RHatLog
 	c.mods = make([]uint64, cfg.Iterations)
 	c.pow64 = make([]uint64, cfg.Iterations)
 	for i := range c.mods {
 		// r uniform in rhat+1 .. 2*rhat.
-		r := rhat + 1 + rng.Uint64n(rhat)
+		r := rhat + 1 + hashing.SplitMix64(&ms)&(rhat-1)
 		c.mods[i] = r
 		c.pow64[i] = (((1 << 63) % r) * 2) % r
 	}

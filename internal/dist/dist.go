@@ -51,7 +51,9 @@ type Worker struct {
 	Coll *collective.Comm
 	// Rng is this PE's private generator, derived deterministically from
 	// the run seed and rank, so a run's results depend only on (p, seed)
-	// and never on the transport or goroutine scheduling.
+	// and never on the transport or goroutine scheduling. Its state is
+	// built on the first draw: a worker (a service job's, typically)
+	// whose body never draws pays for the seed word only.
 	Rng *hashing.MT19937_64
 
 	commonSeed uint64

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/collective"
 	"repro/internal/comm"
+	"repro/internal/hashing"
 )
 
 func TestRunBasic(t *testing.T) {
@@ -399,5 +400,51 @@ func TestConfigTimeoutReachesRecv(t *testing.T) {
 				t.Fatalf("per-operation deadline took %v to fire", elapsed)
 			}
 		})
+	}
+}
+
+// TestJobWorkerRngStreamUnchanged: a job worker's generator builds its
+// state on the first draw, and that must not show in a single number it
+// hands out — the digests are the first 1000 draws (and the one after)
+// of the eagerly seeded generator this one replaced — nor cost a job
+// that never draws more than the seed word.
+func TestJobWorkerRngStreamUnchanged(t *testing.T) {
+	net := comm.NewMemNetwork(4)
+	defer net.Close()
+	ws, err := NewWorkers(net, 0xfeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		rank         int
+		stream       uint64
+		digest, next uint64
+	}{
+		{0, 0, 0xa27d7034e2fb8c31, 0x8d3452a006e919f},
+		{0, 41, 0x29429faa6b81a252, 0xde7891c5f2985426},
+		{3, 0, 0xcce690c41e4a93a9, 0x777b74cef0f17938},
+		{3, 41, 0x4fc4bd7d8a0aab28, 0xe8d40974cce3fa78},
+	} {
+		jw := ws[tc.rank].JobWorker(ws[tc.rank].Coll, 7, tc.stream)
+		var d uint64
+		for i := 0; i < 1000; i++ {
+			d = hashing.Mix64(d ^ jw.Rng.Uint64())
+		}
+		if next := jw.Rng.Uint64(); d != tc.digest || next != tc.next {
+			t.Errorf("rank %d stream %d: 1000 draws digest to %#x, then %#x; the eager stream gives %#x, then %#x",
+				tc.rank, tc.stream, d, next, tc.digest, tc.next)
+		}
+	}
+
+	w := ws[1]
+	var before, after runtime.MemStats
+	const runs = 100
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		w.JobWorker(w.Coll, 7, uint64(i))
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 256 {
+		t.Errorf("a JobWorker that never draws allocates %d bytes, want under 256", per)
 	}
 }

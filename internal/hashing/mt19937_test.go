@@ -2,10 +2,8 @@ package hashing
 
 import "testing"
 
-// Reference outputs of the canonical C implementations seeded with 5489
-// (the default seed of std::mt19937 / std::mt19937_64).
-var mt32Known = []uint32{3499211612, 581869302, 3890346734, 3586334585, 545404204}
-
+// Reference outputs of the canonical C implementation seeded with 5489
+// (the default seed of std::mt19937_64).
 var mt64Known = []uint64{
 	14514284786278117030,
 	4620546740167642908,
@@ -14,58 +12,11 @@ var mt64Known = []uint64{
 	355488278567739596,
 }
 
-func TestMT19937KnownAnswer(t *testing.T) {
-	m := NewMT19937(5489)
-	for i, want := range mt32Known {
-		if got := m.Uint32(); got != want {
-			t.Fatalf("MT19937 output %d: got %d, want %d", i, got, want)
-		}
-	}
-}
-
 func TestMT19937_64KnownAnswer(t *testing.T) {
 	m := NewMT19937_64(5489)
 	for i, want := range mt64Known {
 		if got := m.Uint64(); got != want {
 			t.Fatalf("MT19937-64 output %d: got %d, want %d", i, got, want)
-		}
-	}
-}
-
-func TestMT19937Reseed(t *testing.T) {
-	m := NewMT19937(12345)
-	first := make([]uint32, 10)
-	for i := range first {
-		first[i] = m.Uint32()
-	}
-	m.Seed(12345)
-	for i := range first {
-		if got := m.Uint32(); got != first[i] {
-			t.Fatalf("reseeded stream diverges at %d: got %d, want %d", i, got, first[i])
-		}
-	}
-}
-
-func TestMT19937DistinctSeedsDistinctStreams(t *testing.T) {
-	a, b := NewMT19937(1), NewMT19937(2)
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Uint32() == b.Uint32() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("streams for different seeds collide on %d of 100 outputs", same)
-	}
-}
-
-func TestUint32nBounds(t *testing.T) {
-	m := NewMT19937(7)
-	for _, n := range []uint32{1, 2, 3, 10, 1 << 20, 1<<31 + 3} {
-		for i := 0; i < 200; i++ {
-			if v := m.Uint32n(n); v >= n {
-				t.Fatalf("Uint32n(%d) returned %d", n, v)
-			}
 		}
 	}
 }
@@ -108,11 +59,53 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestUint32nZeroPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for Uint32n(0)")
+// eagerMT64 is the reference mt19937-64 with init_genrand64 run by the
+// constructor, as this package's generator did before it deferred it.
+type eagerMT64 struct {
+	state [mt64N]uint64
+	index int
+}
+
+func newEagerMT64(seed uint64) *eagerMT64 {
+	m := &eagerMT64{index: mt64N}
+	m.state[0] = seed
+	for i := uint64(1); i < mt64N; i++ {
+		prev := m.state[i-1]
+		m.state[i] = 6364136223846793005*(prev^(prev>>62)) + i
+	}
+	return m
+}
+
+func (m *eagerMT64) Uint64() uint64 {
+	if m.index >= mt64N {
+		for i := 0; i < mt64N; i++ {
+			y := (m.state[i] & mt64UpperMask) | (m.state[(i+1)%mt64N] & mt64LowerMask)
+			m.state[i] = m.state[(i+mt64M)%mt64N] ^ (y >> 1) ^ (y&1)*mt64MatrixA
 		}
-	}()
-	NewMT19937(1).Uint32n(0)
+		m.index = 0
+	}
+	y := m.state[m.index]
+	m.index++
+	y ^= (y >> 29) & 0x5555555555555555
+	y ^= (y << 17) & 0x71D67FFFEDA60000
+	y ^= (y << 37) & 0xFFF7EEE000000000
+	y ^= y >> 43
+	return y
+}
+
+// TestMT19937_64DeferredStateSameStream: building the state on the
+// first draw changes no output, across several refills of the block,
+// and a generator nobody draws from holds no state.
+func TestMT19937_64DeferredStateSameStream(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 5489, 0xdeadbeefcafef00d, ^uint64(0)} {
+		m, ref := NewMT19937_64(seed), newEagerMT64(seed)
+		if m.state != nil {
+			t.Fatalf("seed %#x: state built before the first draw", seed)
+		}
+		for i := 0; i < 3*mt64N+17; i++ {
+			if got, want := m.Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("seed %#x output %d: got %d, want %d", seed, i, got, want)
+			}
+		}
+	}
 }

@@ -1,26 +1,65 @@
 package hashing
 
+import "sync"
+
 // Tabulation32 is simple tabulation hashing over the 8 bytes of a uint64
-// with 32-bit output: h(x) = T_0[b_0] xor ... xor T_7[b_7]. The paper's
-// "Tab" configuration uses 256-entry tables filled from a Mersenne
-// Twister; we do the same. Simple tabulation is 3-independent and, per
-// Pătraşcu and Thorup (reference [28]), behaves like a fully random
-// function for many applications.
+// with 32-bit output: h(x) = T_0[b_0] xor ... xor T_7[b_7], the paper's
+// "Tab" configuration with 256-entry tables. Simple tabulation is
+// 3-independent and, per Pătraşcu and Thorup (reference [28]), behaves
+// like a fully random function for many applications.
+//
+// The paper fills the tables from a Mersenne Twister. This reproduction
+// fills them from the SplitMix64 stream that already expands every
+// checker seed (SubSeeds), for two measured reasons: seeding and
+// stepping a Mersenne Twister made one table cost 18 µs, twice the
+// hashing of a 2 000-element job it was built for, against under 2 µs
+// for the block fill; and the 32-bit twister takes a 32-bit seed, so
+// two of the 64-bit sub-seeds that agree on those bits gave the same
+// function. The stream is keyed by all 64 bits. What the checkers need
+// of the table entries — independent uniform words — both generators
+// supply; TestHashUniformityCoarse and the checker delta gates in
+// internal/core hold the new fill to it.
 type Tabulation32 struct {
 	tables [8][256]uint32
 }
 
-// NewTabulation32 returns a tabulation hasher whose tables are filled
-// from an MT19937 seeded with seed.
+// The tables of recycled hashers, see Recycle. A fill overwrites every
+// entry, so a pooled table needs no clearing.
+var (
+	tab32Pool = sync.Pool{New: func() any { return new(Tabulation32) }}
+	tab64Pool = sync.Pool{New: func() any { return new(Tabulation64) }}
+)
+
+// NewTabulation32 returns the tabulation hasher keyed by seed: one block
+// loop over the SplitMix64 stream started at Mix64(seed) — a bijection
+// of the whole seed, so distinct seeds give distinct streams, and seeds
+// one stream increment apart do not give shifted copies of one table —
+// two entries per output.
 func NewTabulation32(seed uint64) *Tabulation32 {
-	t := &Tabulation32{}
-	mt := NewMT19937(uint32(Mix64(seed)))
+	t := tab32Pool.Get().(*Tabulation32)
+	s := Mix64(seed)
 	for i := range t.tables {
-		for j := range t.tables[i] {
-			t.tables[i][j] = mt.Uint32()
+		row := &t.tables[i]
+		for j := 0; j < len(row); j += 2 {
+			z := SplitMix64(&s)
+			row[j], row[j+1] = uint32(z), uint32(z>>32)
 		}
 	}
 	return t
+}
+
+// Recycle hands the tables of a hasher made by Family.New back for the
+// next New to fill, so building a checker per small job allocates no
+// table in the steady state. The caller must be h's only holder and
+// must not use h afterwards: the next hasher built shares its memory.
+// Hashers without tables (CRC, Mix) need no recycling and are ignored.
+func Recycle(h Hasher) {
+	switch t := h.(type) {
+	case *Tabulation32:
+		tab32Pool.Put(t)
+	case *Tabulation64:
+		tab64Pool.Put(t)
+	}
 }
 
 // Hash64 hashes x byte-wise through the tables.
@@ -63,14 +102,15 @@ type Tabulation64 struct {
 	tables [8][256]uint64
 }
 
-// NewTabulation64 returns a 64-bit tabulation hasher whose tables are
-// filled from an MT19937-64 seeded with seed.
+// NewTabulation64 returns the 64-bit tabulation hasher keyed by seed,
+// filled like NewTabulation32's tables, one entry per output.
 func NewTabulation64(seed uint64) *Tabulation64 {
-	t := &Tabulation64{}
-	mt := NewMT19937_64(Mix64(seed))
+	t := tab64Pool.Get().(*Tabulation64)
+	s := Mix64(seed)
 	for i := range t.tables {
-		for j := range t.tables[i] {
-			t.tables[i][j] = mt.Uint64()
+		row := &t.tables[i]
+		for j := range row {
+			row[j] = SplitMix64(&s)
 		}
 	}
 	return t

@@ -7,6 +7,7 @@ package ops
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/data"
@@ -27,7 +28,17 @@ func sortOnce(t *testing.T, w *dist.Worker, xs []uint64) {
 }
 
 // bytesPerCall returns what one call of f allocates, averaged over runs.
+// The kernel scratch lives in a sync.Pool, and two things make a warmed
+// call find it empty and bill the re-allocation to the call: a
+// collector cycle in the middle of the loop (ten 0.8 MB sort results
+// are enough to trigger one), and the goroutine moving to another P,
+// whose private pool slot is not the one it put the kernel in. So the
+// loop runs with the collector held off and, like testing.AllocsPerRun,
+// on one P, after one more warming call there.
 func bytesPerCall(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	f()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"repro"
@@ -218,51 +217,9 @@ func (p *Pool) recoverJob(j *Job, spec jobSpec, dead int) error {
 	p.mu.Unlock()
 
 	shares := make([][]data.Pair, len(newMembers))
-	var (
-		jmu      sync.Mutex
-		firstErr error
-		finished bool
-	)
-	fail := func(err error) {
-		jmu.Lock()
-		defer jmu.Unlock()
-		if finished || firstErr != nil {
-			return
-		}
-		firstErr = err
-		if errors.Is(err, repro.ErrCheckFailed) {
-			return
-		}
-		cause := fmt.Errorf("%w: %v", errJobAborted, err)
-		for _, sub := range subs {
-			sub.Abort(cause)
-		}
-		p.kickAll()
-	}
-	var watchdog *time.Timer
-	if p.opts.JobTimeout > 0 {
-		watchdog = time.AfterFunc(p.opts.JobTimeout, func() {
-			fail(fmt.Errorf("service: job %d %q recovery exceeded timeout %v", j.id, j.name, p.opts.JobTimeout))
-		})
-	}
-	var wg sync.WaitGroup
-	for i, phys := range newMembers {
-		wg.Add(1)
-		go func(i, phys int) {
-			defer wg.Done()
-			if err := p.runRecoveryRank(j, i, phys, subs[i], spec, dead, shares); err != nil {
-				fail(err)
-			}
-		}(i, phys)
-	}
-	wg.Wait()
-	if watchdog != nil {
-		watchdog.Stop()
-	}
-	jmu.Lock()
-	finished = true
-	err := firstErr
-	jmu.Unlock()
+	err := p.runRanks(j, " recovery", newMembers, subs, func(i, phys int) error {
+		return p.runRecoveryRank(j, i, phys, subs[i], spec, dead, shares)
+	})
 
 	if err == nil || errors.Is(err, repro.ErrCheckFailed) {
 		p.mu.Lock()

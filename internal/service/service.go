@@ -109,6 +109,7 @@ type Pool struct {
 	sem     chan struct{} // concurrency slots; held per in-flight job
 	closing chan struct{} // closed by Close; unblocks waiting Submits
 	start   time.Time
+	run     runners // the goroutines jobs and their ranks run on
 
 	// Elastic membership (nil/zero when Options.Elastic is nil): one
 	// detector and one retention store per physical rank, plus the
@@ -339,21 +340,28 @@ func (p *Pool) submit(name string, opts repro.Options, spec jobSpec) (*Job, erro
 		recoverable: spec.rbody != nil,
 		deadRank:    -1,
 	}
-	go p.runJob(j, subs, spec)
+	// The handle resolves, and the slot frees, only once the job's
+	// runner is idle again: whoever they wake finds it parked.
+	p.run.start(func() { p.runJob(j, subs, spec) }, func() {
+		close(j.done)
+		<-p.sem
+	})
 	return j, nil
 }
 
-// runJob drives one job: one goroutine per view member over the job's
-// sub-communicators, first-error collection, scoped abort on
-// infrastructure failure, death attribution and checked recovery when
-// elastic membership is on, then accounting and block retirement.
-func (p *Pool) runJob(j *Job, subs []*collective.Comm, spec jobSpec) {
-	var (
-		jmu      sync.Mutex
+// runRanks fans one run of job j out over a view: rank(i, phys) on a
+// runner per member (logical rank i on physical rank phys), first-error
+// collection, and a scoped abort on infrastructure failure. what names
+// the run in the timeout error. It returns the first error once every
+// rank has finished.
+func (p *Pool) runRanks(j *Job, what string, members []int, subs []*collective.Comm, rank func(i, phys int) error) error {
+	var st struct {
+		mu       sync.Mutex
 		firstErr error
 		finished bool
-	)
-	// fail records the job's first error. A checker rejection is a
+		wg       sync.WaitGroup
+	}
+	// fail records the run's first error. A checker rejection is a
 	// replicated verdict — every rank reaches it on its own, no abort
 	// needed. Anything else (panic, transport fault, timeout) poisons
 	// the job's tag block on every rank so peers stuck in the job's
@@ -361,12 +369,12 @@ func (p *Pool) runJob(j *Job, subs []*collective.Comm, spec jobSpec) {
 	// finished guard keeps a late watchdog from poisoning a block that
 	// has already been retired (and possibly recycled to another job).
 	fail := func(err error) {
-		jmu.Lock()
-		defer jmu.Unlock()
-		if finished || firstErr != nil {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		if st.finished || st.firstErr != nil {
 			return
 		}
-		firstErr = err
+		st.firstErr = err
 		if errors.Is(err, repro.ErrCheckFailed) {
 			return
 		}
@@ -380,28 +388,37 @@ func (p *Pool) runJob(j *Job, subs []*collective.Comm, spec jobSpec) {
 	var watchdog *time.Timer
 	if p.opts.JobTimeout > 0 {
 		watchdog = time.AfterFunc(p.opts.JobTimeout, func() {
-			fail(fmt.Errorf("service: job %d %q exceeded timeout %v", j.id, j.name, p.opts.JobTimeout))
+			fail(fmt.Errorf("service: job %d %q%s exceeded timeout %v", j.id, j.name, what, p.opts.JobTimeout))
 		})
 	}
 
-	var wg sync.WaitGroup
-	for i, phys := range j.members {
-		wg.Add(1)
-		go func(i, phys int) {
-			defer wg.Done()
-			if err := p.runRank(j, i, phys, subs[i], spec); err != nil {
+	done := st.wg.Done
+	st.wg.Add(len(members))
+	for i, phys := range members {
+		p.run.start(func() {
+			if err := rank(i, phys); err != nil {
 				fail(err)
 			}
-		}(i, phys)
+		}, done)
 	}
-	wg.Wait()
+	st.wg.Wait()
 	if watchdog != nil {
 		watchdog.Stop()
 	}
-	jmu.Lock()
-	finished = true
-	err := firstErr
-	jmu.Unlock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.finished = true
+	return st.firstErr
+}
+
+// runJob drives one job: its ranks over the job's sub-communicators
+// (runRanks), death attribution and checked recovery when elastic
+// membership is on, then accounting and block retirement. The caller
+// publishes the handle (done) and frees the slot afterwards.
+func (p *Pool) runJob(j *Job, subs []*collective.Comm, spec jobSpec) {
+	err := p.runRanks(j, "", j.members, subs, func(i, phys int) error {
+		return p.runRank(j, i, phys, subs[i], spec)
+	})
 
 	// Attribution and recovery: an infrastructure failure on an elastic
 	// pool may really be a peer death. Give the detector its bounded
@@ -492,8 +509,6 @@ func (p *Pool) runJob(j *Job, subs []*collective.Comm, spec jobSpec) {
 	p.dropRetention(j)
 	j.cost = cost
 	j.err = err
-	close(j.done)
-	<-p.sem
 }
 
 // runRank is one PE's share of a job: derive the job worker over the
@@ -617,6 +632,8 @@ func (p *Pool) Close() error {
 	for i := 0; i < cap(p.sem); i++ {
 		p.sem <- struct{}{}
 	}
+	// Every job has retired, so every runner is parked.
+	p.run.stop()
 	// Detectors outlive the last job (recovery needs them) and stop
 	// before the mesh goes away.
 	for _, m := range p.memberships {
