@@ -29,6 +29,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/exp"
 	"repro/internal/hashing"
+	"repro/internal/ops"
 	"repro/internal/params"
 	"repro/internal/workload"
 )
@@ -65,18 +66,24 @@ func BenchmarkTable5SumCheckerLocal(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(elements), "ns/elem")
 		})
 	}
-	// The reduce operation's own local work, the paper's ~88 ns
-	// comparison point.
+	// The reduce operation itself, the paper's ~88 ns comparison point:
+	// the kernel a pipeline runs, on one PE (no message is sent at p = 1).
 	b.Run("Reduce-reference", func(b *testing.B) {
-		b.SetBytes(int64(16 * elements))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m := make(map[uint64]uint64, 1024)
-			for _, pr := range pairs {
-				m[pr.Key] += pr.Value
+		err := dist.Run(1, 1, func(w *dist.Worker) error {
+			pt := ops.NewPartitioner(1, 1)
+			b.SetBytes(int64(16 * elements))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ops.ReduceByKey(w, pt, pairs, ops.SumFn); err != nil {
+					return err
+				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(elements), "ns/elem")
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(elements), "ns/elem")
 	})
 }
 
@@ -180,13 +187,15 @@ func BenchmarkPermCheckerLocal(b *testing.B) {
 		b.Run(fam.Name, func(b *testing.B) {
 			cfg := core.PermConfig{Family: fam, LogH: 32, Iterations: 1}
 			c := core.NewPermChecker(cfg, 3)
+			lambda := make([]uint64, cfg.Iterations)
 			b.SetBytes(int64(16 * elements))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				lambda := core.PermCheckLocalWork(c, input, output)
-				if len(lambda) != 1 {
-					b.Fatal("bad lambda")
-				}
+				c.AccumulateInto(lambda, input, false)
+				c.AccumulateInto(lambda, output, true)
+			}
+			if lambda[0] != 0 {
+				b.Fatal("a permutation's fingerprints must cancel")
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*elements), "ns/elem")
 		})
@@ -195,20 +204,7 @@ func BenchmarkPermCheckerLocal(b *testing.B) {
 
 // BenchmarkFig3AccuracySweep runs a reduced Fig. 3 sweep end to end.
 func BenchmarkFig3AccuracySweep(b *testing.B) {
-	opt := exp.AccuracySumOptions{
-		Elements:    500,
-		KeyUniverse: 100000,
-		MinRuns:     200,
-		MaxRuns:     200,
-		TargetFails: 1,
-		Seed:        4,
-	}
-	// Warm the one-time clean-accept confirmation cache so the timed
-	// region measures only the sweep.
-	if _, err := exp.AccuracySum(opt); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
+	opt := exp.AccuracyOptions{Elements: 500, KeyUniverse: 100000, MinRuns: 200, MaxRuns: 200, Seed: 4}
 	for i := 0; i < b.N; i++ {
 		rows, err := exp.AccuracySum(opt)
 		if err != nil {
@@ -223,41 +219,26 @@ func BenchmarkFig3AccuracySweep(b *testing.B) {
 // BenchmarkFig4WeakScaling times the checked reduce pipeline at p=8 and
 // reports the overhead ratio.
 func BenchmarkFig4WeakScaling(b *testing.B) {
-	opt := exp.WeakScalingOptions{
-		ItemsPerPE:  5000,
-		KeyUniverse: 100000,
-		PEs:         []int{8},
-		Repeats:     1,
-		Seed:        5,
-		Configs:     []core.SumConfig{{Iterations: 6, Buckets: 32, RHatLog: 9, Family: hashing.FamilyCRC}},
+	opt := exp.SweepOptions{
+		Points:  exp.Grid([]int{8}, 5000),
+		Configs: []core.SumConfig{{Iterations: 6, Buckets: 32, RHatLog: 9, Family: hashing.FamilyCRC}},
+		Repeats: 1,
+		Seed:    5,
 	}
 	var lastRatio float64
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.WeakScaling(opt)
+		rows, err := exp.Sweep(opt)
 		if err != nil {
 			b.Fatal(err)
 		}
-		lastRatio = rows[0].Ratio
+		lastRatio = rows[0].CheckedSec / rows[0].BaseSec
 	}
 	b.ReportMetric(lastRatio, "overhead-ratio")
 }
 
 // BenchmarkFig5PermAccuracy runs a reduced Fig. 5 sweep end to end.
 func BenchmarkFig5PermAccuracy(b *testing.B) {
-	opt := exp.AccuracyPermOptions{
-		Elements:    500,
-		Universe:    1e8,
-		MinRuns:     200,
-		MaxRuns:     200,
-		TargetFails: 1,
-		Seed:        6,
-	}
-	// Warm the one-time clean-accept confirmation cache so the timed
-	// region measures only the sweep.
-	if _, err := exp.AccuracyPerm(opt); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
+	opt := exp.AccuracyOptions{Elements: 500, MinRuns: 200, MaxRuns: 200, Seed: 6}
 	for i := 0; i < b.N; i++ {
 		rows, err := exp.AccuracyPerm(opt)
 		if err != nil {
@@ -272,15 +253,12 @@ func BenchmarkFig5PermAccuracy(b *testing.B) {
 // BenchmarkCommVolumeAudit measures the bottleneck-volume audit of the
 // Section 1 claim and reports the checker's bottleneck bytes.
 func BenchmarkCommVolumeAudit(b *testing.B) {
-	opt := exp.CommVolumeOptions{
-		P:      4,
-		Ns:     []int{20000},
-		Config: core.SumConfig{Iterations: 5, Buckets: 16, RHatLog: 5, Family: hashing.FamilyCRC},
-		Seed:   7,
-	}
+	opt := exp.DefaultCommVolume()
+	opt.Points = []exp.Point{{P: 4, ItemsPerPE: 5000}}
+	opt.Seed = 7
 	var bytes int64
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.CommVolume(opt)
+		rows, err := exp.Sweep(opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -290,25 +268,21 @@ func BenchmarkCommVolumeAudit(b *testing.B) {
 }
 
 // BenchmarkModeledScaling runs the alpha-beta-model scaling sweep at
-// p=1024 and reports the checker's share of modeled communication time.
+// p=1024 and reports the checked job's modeled makespan over the
+// CheckOff job's.
 func BenchmarkModeledScaling(b *testing.B) {
-	opt := exp.ModeledScalingOptions{
-		ItemsPerPE: 2000,
-		PEs:        []int{1024},
-		AlphaNs:    10000,
-		BetaNsPerB: 1,
-		Config:     core.SumConfig{Iterations: 6, Buckets: 32, RHatLog: 9, Family: hashing.FamilyCRC},
-		Seed:       10,
-	}
-	var overhead float64
+	opt := exp.DefaultModeled()
+	opt.Points = exp.Grid([]int{1024}, 2000)
+	opt.Seed = 10
+	var ratio float64
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.ModeledScaling(opt)
+		rows, err := exp.Sweep(opt)
 		if err != nil {
 			b.Fatal(err)
 		}
-		overhead = rows[0].Overhead
+		ratio = rows[0].CheckedModelMs / rows[0].BaseModelMs
 	}
-	b.ReportMetric(overhead, "chk/op-modeled")
+	b.ReportMetric(ratio, "checked/off-modeled")
 }
 
 // BenchmarkPipelineEagerVsDeferred times the same chained three-stage

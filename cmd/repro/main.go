@@ -52,12 +52,16 @@ func commands() []subcommand {
 		{"table2", "optimal (d, rhat, #its) per message size (paper Table 2)", runTable2, true},
 		{"table3", "tested checker configurations (paper Table 3)", printer(exp.RenderTable3), true},
 		{"table4", "sum checker manipulators (paper Table 4)", printer(exp.RenderTable4), true},
-		{"table5", "sum checker local overhead, ns/element (paper Table 5)", runTable5, true},
+		{"table5", "sum checker local overhead, ns/element (paper Table 5)",
+			runOverhead("table5", "Table 5: sum aggregation checker local processing overhead", "Configuration", exp.OverheadSum), true},
 		{"table6", "permutation checker manipulators (paper Table 6)", printer(exp.RenderTable6), true},
-		{"fig3", "sum checker detection accuracy sweep (paper Fig. 3)", runFig3, true},
+		{"fig3", "sum checker detection accuracy sweep (paper Fig. 3)",
+			runAccuracy("fig3", "Fig. 3: sum aggregation checker accuracy (failure rate / delta)", exp.DefaultAccuracySum(), true, exp.AccuracySum), true},
 		{"fig4", "weak scaling of the checked reduce pipeline (paper Fig. 4)", runFig4, true},
-		{"fig5", "permutation checker accuracy sweep (paper Fig. 5 / App. A)", runFig5, true},
-		{"permoverhead", "permutation checker local overhead (paper Sec. 7.2)", runPermOverhead, true},
+		{"fig5", "permutation checker accuracy sweep (paper Fig. 5 / App. A)",
+			runAccuracy("fig5", "Fig. 5: permutation/sort checker accuracy (failure rate / delta)", exp.DefaultAccuracyPerm(), false, exp.AccuracyPerm), true},
+		{"permoverhead", "permutation checker local overhead (paper Sec. 7.2)",
+			runOverhead("permoverhead", "Section 7.2: permutation/sort checker local overhead", "Hash", exp.OverheadPerm), true},
 		{"commvolume", "bottleneck communication volume audit (Sec. 1 claim)", runCommVolume, true},
 		{"modeled", "alpha-beta-model comm makespans up to p=4096 (Sec. 2 model)", runModeled, true},
 		{"serve", "resident verification service under synthetic concurrent jobs, live stats", runServe, false},
@@ -156,108 +160,53 @@ func transportFlags(fs *flag.FlagSet, cfg *dist.Config) func() error {
 	}
 }
 
-func runFig3(args []string) error {
-	fs := flag.NewFlagSet("fig3", flag.ExitOnError)
-	opt := exp.DefaultAccuracySumOptions()
-	fs.IntVar(&opt.Elements, "elements", opt.Elements, "input elements per trial (paper: 50000)")
-	fs.IntVar(&opt.KeyUniverse, "universe", opt.KeyUniverse, "power-law key universe (paper: 1e6)")
-	fs.IntVar(&opt.MinRuns, "min-runs", opt.MinRuns, "minimum trials per point")
-	fs.IntVar(&opt.MaxRuns, "max-runs", opt.MaxRuns, "maximum trials per point (paper: 100000)")
-	fs.Uint64Var(&opt.Seed, "seed", opt.Seed, "experiment seed")
-	resolve := transportFlags(fs, &opt.Dist)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := resolve(); err != nil {
-		return err
-	}
-	rows, err := exp.AccuracySum(opt)
-	if err != nil {
-		return err
-	}
-	fmt.Print(exp.RenderAccuracy("Fig. 3: sum aggregation checker accuracy (failure rate / delta)", rows))
-	return nil
-}
-
-func runFig4(args []string) error {
-	fs := flag.NewFlagSet("fig4", flag.ExitOnError)
-	opt := exp.DefaultWeakScalingOptions()
-	fs.IntVar(&opt.ItemsPerPE, "items", opt.ItemsPerPE, "items per PE (paper: 125000)")
-	fs.IntVar(&opt.Repeats, "repeats", opt.Repeats, "timing repetitions")
-	pes := fs.String("pes", "", "comma-separated PE counts (default 1..512 doubling)")
-	fs.Uint64Var(&opt.Seed, "seed", opt.Seed, "experiment seed")
-	fs.IntVar(&opt.Parallelism, "par", opt.Parallelism,
-		"per-PE "+parFlagHelp+"; default serial — the PEs are goroutines sharing this process (pipelines outside this harness default to GOMAXPROCS)")
-	deferred := fs.Bool("deferred", false, "resolve checkers in one batched round per pipeline (CheckDeferred)")
-	resolve := transportFlags(fs, &opt.Dist)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := resolve(); err != nil {
-		return err
-	}
-	if *deferred {
-		opt.Mode = repro.CheckDeferred
-	}
-	if opt.Dist.Transport == dist.TransportTCP && *pes == "" {
-		// The full TCP mesh needs p(p-1)/2 loopback connections; the
-		// default sweep to 512 PEs would exhaust file descriptors. Cap it
-		// unless the user picks PE counts explicitly — sparse topologies
-		// (-topology hypercube) open O(p log p) and can go further.
-		opt.PEs = []int{1, 2, 4, 8, 16}
-		if opt.Dist.Topology != comm.TopoFullMesh && opt.Dist.Topology != "" {
-			opt.PEs = []int{1, 2, 4, 8, 16, 32}
+// runAccuracy is fig3 and fig5: one flag block over one AccuracyOptions.
+// universe registers Fig. 3's -universe flag; Fig. 5's value range is
+// fixed.
+func runAccuracy(name, title string, opt exp.AccuracyOptions, universe bool,
+	sweep func(exp.AccuracyOptions) ([]exp.AccuracyRow, error)) func([]string) error {
+	return func(args []string) error {
+		opt := opt // each invocation parses into its own copy
+		fs := flag.NewFlagSet(name, flag.ExitOnError)
+		fs.IntVar(&opt.Elements, "elements", opt.Elements, "input elements per trial (paper: 50000 for Fig. 3, 1e6 for Fig. 5)")
+		if universe {
+			fs.IntVar(&opt.KeyUniverse, "universe", opt.KeyUniverse, "power-law key universe (paper: 1e6)")
 		}
-	}
-	if *pes != "" {
-		parsed, err := parseInts(*pes)
+		fs.IntVar(&opt.MinRuns, "min-runs", opt.MinRuns, "minimum trials per point")
+		fs.IntVar(&opt.MaxRuns, "max-runs", opt.MaxRuns, "maximum trials per point (paper: 100000)")
+		fs.Uint64Var(&opt.Seed, "seed", opt.Seed, "experiment seed")
+		if err := fs.Parse(args); err != nil {
+			return err
+		}
+		rows, err := sweep(opt)
 		if err != nil {
 			return err
 		}
-		opt.PEs = parsed
+		fmt.Print(exp.RenderAccuracy(title, rows))
+		return nil
 	}
-	rows, err := exp.WeakScaling(opt)
-	if err != nil {
-		return err
-	}
-	fmt.Print(exp.RenderScaling(rows))
-	return nil
 }
 
-func runFig5(args []string) error {
-	fs := flag.NewFlagSet("fig5", flag.ExitOnError)
-	opt := exp.DefaultAccuracyPermOptions()
-	fs.IntVar(&opt.Elements, "elements", opt.Elements, "input elements per trial (paper: 1e6)")
-	fs.IntVar(&opt.MinRuns, "min-runs", opt.MinRuns, "minimum trials per point")
-	fs.IntVar(&opt.MaxRuns, "max-runs", opt.MaxRuns, "maximum trials per point (paper: 100000)")
-	fs.Uint64Var(&opt.Seed, "seed", opt.Seed, "experiment seed")
-	resolve := transportFlags(fs, &opt.Dist)
-	if err := fs.Parse(args); err != nil {
-		return err
+// runOverhead is table5 and permoverhead: one flag block over one
+// OverheadOptions.
+func runOverhead(name, title, head string, measure func(exp.OverheadOptions) ([]exp.OverheadRow, error)) func([]string) error {
+	return func(args []string) error {
+		fs := flag.NewFlagSet(name, flag.ExitOnError)
+		opt := exp.DefaultOverhead()
+		fs.IntVar(&opt.Elements, "elements", opt.Elements, "elements to process (paper: 1e6)")
+		fs.IntVar(&opt.Repeats, "repeats", opt.Repeats, "repetitions, fastest wins")
+		fs.IntVar(&opt.Parallelism, "par", opt.Parallelism,
+			parFlagHelp+"; default serial, the paper-faithful single-core measurement")
+		if err := fs.Parse(args); err != nil {
+			return err
+		}
+		rows, err := measure(opt)
+		if err != nil {
+			return err
+		}
+		fmt.Print(exp.RenderOverhead(title, head, rows))
+		return nil
 	}
-	if err := resolve(); err != nil {
-		return err
-	}
-	rows, err := exp.AccuracyPerm(opt)
-	if err != nil {
-		return err
-	}
-	fmt.Print(exp.RenderAccuracy("Fig. 5: permutation/sort checker accuracy (failure rate / delta)", rows))
-	return nil
-}
-
-func runTable5(args []string) error {
-	fs := flag.NewFlagSet("table5", flag.ExitOnError)
-	opt := exp.DefaultOverheadOptions()
-	fs.IntVar(&opt.Elements, "elements", opt.Elements, "pairs to process (paper: 1e6)")
-	fs.IntVar(&opt.Repeats, "repeats", opt.Repeats, "repetitions, fastest wins")
-	fs.IntVar(&opt.Parallelism, "par", opt.Parallelism,
-		parFlagHelp+"; default serial, the paper-faithful single-core measurement")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	fmt.Print(exp.RenderOverhead(exp.OverheadSum(opt)))
-	return nil
 }
 
 // parFlagHelp gives every -par flag the same encoding — the exp
@@ -266,75 +215,109 @@ func runTable5(args []string) error {
 // for all cores.
 const parFlagHelp = "accumulation goroutines: n > 1 = n workers, 0 or 1 = serial"
 
-func runPermOverhead(args []string) error {
-	fs := flag.NewFlagSet("permoverhead", flag.ExitOnError)
-	opt := exp.DefaultOverheadOptions()
-	fs.IntVar(&opt.Elements, "elements", opt.Elements, "elements to process (paper: 1e6)")
-	fs.IntVar(&opt.Repeats, "repeats", opt.Repeats, "repetitions, fastest wins")
-	fs.IntVar(&opt.Parallelism, "par", opt.Parallelism,
-		parFlagHelp+"; default serial, the paper-faithful single-core measurement")
+// runSweep parses args, lets finish turn the experiment's own flags
+// into sweep points, runs the pipeline sweep and prints it as table.
+func runSweep(fs *flag.FlagSet, args []string, opt *exp.SweepOptions, table exp.Table, finish func() error) error {
+	resolve := transportFlags(fs, &opt.Dist)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	fmt.Print(exp.RenderPermOverhead(exp.OverheadPerm(opt)))
+	if err := resolve(); err != nil {
+		return err
+	}
+	if err := finish(); err != nil {
+		return err
+	}
+	rows, err := exp.Sweep(*opt)
+	if err != nil {
+		return err
+	}
+	fmt.Print(table.Render(rows))
 	return nil
+}
+
+// regrid applies a weak-scaling experiment's -pes and -items flags to
+// its default points: an empty pes keeps the default PE counts.
+func regrid(pts []exp.Point, pes string, items int) ([]exp.Point, error) {
+	if pes != "" {
+		counts, err := parseInts(pes)
+		return exp.Grid(counts, items), err
+	}
+	for i := range pts {
+		pts[i].ItemsPerPE = items
+	}
+	return pts, nil
+}
+
+func runFig4(args []string) error {
+	fs := flag.NewFlagSet("fig4", flag.ExitOnError)
+	opt := exp.DefaultFig4()
+	items := fs.Int("items", opt.Points[0].ItemsPerPE, "items per PE (paper: 125000)")
+	fs.IntVar(&opt.Repeats, "repeats", opt.Repeats, "timed repetitions after one warm-up (0 = one cold run)")
+	pes := fs.String("pes", "", "comma-separated PE counts (default 1..512 doubling)")
+	fs.Uint64Var(&opt.Seed, "seed", opt.Seed, "experiment seed")
+	fs.IntVar(&opt.Parallelism, "par", opt.Parallelism,
+		"per-PE "+parFlagHelp+"; default serial — the PEs are goroutines sharing this process (pipelines outside this harness default to GOMAXPROCS)")
+	deferred := fs.Bool("deferred", false, "resolve checkers in one batched round per pipeline (CheckDeferred)")
+	return runSweep(fs, args, &opt, exp.Fig4Table(), func() (err error) {
+		if *deferred {
+			opt.Mode = repro.CheckDeferred
+		}
+		if opt.Dist.Transport == dist.TransportTCP {
+			// The full TCP mesh needs p(p-1)/2 loopback connections; the
+			// default sweep to 512 PEs would exhaust file descriptors. Cap it
+			// at 16 unless the user picks PE counts explicitly — sparse
+			// topologies (-topology hypercube) open O(p log p) and go to 32.
+			opt.Points = opt.Points[:5]
+			if opt.Dist.Topology != comm.TopoFullMesh && opt.Dist.Topology != "" {
+				opt.Points = opt.Points[:6]
+			}
+		}
+		opt.Points, err = regrid(opt.Points, *pes, *items)
+		return err
+	})
 }
 
 func runCommVolume(args []string) error {
 	fs := flag.NewFlagSet("commvolume", flag.ExitOnError)
-	opt := exp.DefaultCommVolumeOptions()
-	fs.IntVar(&opt.P, "p", opt.P, "number of PEs")
-	ns := fs.String("ns", "", "comma-separated input sizes")
-	resolve := transportFlags(fs, &opt.Dist)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := resolve(); err != nil {
-		return err
-	}
-	if *ns != "" {
-		parsed, err := parseInts(*ns)
-		if err != nil {
-			return err
+	opt := exp.DefaultCommVolume()
+	p := fs.Int("p", opt.Points[0].P, "number of PEs")
+	ns := fs.String("ns", "", "comma-separated total input sizes (default 10000,100000,1000000)")
+	return runSweep(fs, args, &opt, exp.VolumeTable(), func() (err error) {
+		sizes := make([]int, len(opt.Points))
+		for i, pt := range opt.Points {
+			sizes[i] = pt.P * pt.ItemsPerPE
 		}
-		opt.Ns = parsed
-	}
-	rows, err := exp.CommVolume(opt)
-	if err != nil {
-		return err
-	}
-	fmt.Print(exp.RenderVolume(rows))
-	return nil
+		if *ns != "" {
+			if sizes, err = parseInts(*ns); err != nil {
+				return err
+			}
+		}
+		if *p < 1 {
+			return fmt.Errorf("commvolume needs -p >= 1, got %d", *p)
+		}
+		opt.Points = opt.Points[:0]
+		for _, n := range sizes {
+			opt.Points = append(opt.Points, exp.Point{P: *p, ItemsPerPE: n / *p})
+		}
+		return nil
+	})
 }
 
 func runModeled(args []string) error {
 	fs := flag.NewFlagSet("modeled", flag.ExitOnError)
-	opt := exp.DefaultModeledScalingOptions()
-	fs.IntVar(&opt.ItemsPerPE, "items", opt.ItemsPerPE, "items per PE")
-	fs.Float64Var(&opt.AlphaNs, "alpha", opt.AlphaNs, "startup latency in ns")
-	fs.Float64Var(&opt.BetaNsPerB, "beta", opt.BetaNsPerB, "per-byte time in ns")
+	opt := exp.DefaultModeled()
+	items := fs.Int("items", opt.Points[0].ItemsPerPE, "items per PE")
+	fs.Float64Var(&opt.Dist.SimAlphaNs, "alpha", dist.DefaultSimAlphaNs, "startup latency in ns")
+	fs.Float64Var(&opt.Dist.SimBetaNsPerByte, "beta", dist.DefaultSimBetaNsPerByte, "per-byte time in ns")
 	pes := fs.String("pes", "", "comma-separated PE counts (default 32..4096 doubling)")
-	opt.Dist.Transport = dist.TransportSim
-	resolve := transportFlags(fs, &opt.Dist)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := resolve(); err != nil {
-		return err
-	}
-	if *pes != "" {
-		parsed, err := parseInts(*pes)
-		if err != nil {
-			return err
+	return runSweep(fs, args, &opt, exp.ModeledTable(), func() (err error) {
+		if opt.Dist.Transport != dist.TransportSim {
+			return fmt.Errorf("modeled reads virtual clocks and requires the simnet transport, got %q", opt.Dist.Transport)
 		}
-		opt.PEs = parsed
-	}
-	rows, err := exp.ModeledScaling(opt)
-	if err != nil {
+		opt.Points, err = regrid(opt.Points, *pes, *items)
 		return err
-	}
-	fmt.Print(exp.RenderModeled(rows))
-	return nil
+	})
 }
 
 func parseInts(s string) ([]int, error) {

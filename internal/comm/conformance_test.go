@@ -3,6 +3,7 @@ package comm
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -259,6 +260,49 @@ func TestConformanceKickTagDropped(t *testing.T) {
 			}
 			if got, err := mux.Recv(0, 70); err != nil || got[0] != 42 {
 				t.Fatalf("post-kick recv: %v %v", got, err)
+			}
+		})
+	}
+}
+
+// TestConformanceClosedBeatsDeadline pins the taxonomy of a receive
+// that blocks with nothing to match, on every transport: a likely
+// deadlock while the network is open, ErrClosed once it is closed —
+// also when the deadline is as due as the close signal. select picks
+// among ready cases at random, so with a 1 ns deadline a transport
+// whose deadline branch does not look at the close signal again reports
+// "timeout … likely deadlock" for about half of these receives.
+func TestConformanceClosedBeatsDeadline(t *testing.T) {
+	const p = 2
+	tcp, err := NewTCPNetworkOpts(p, TCPOptions{Timeout: time.Nanosecond})
+	if err != nil {
+		t.Fatalf("tcp setup: %v", err)
+	}
+	nets := map[string]Network{
+		"mem":    NewMemNetworkTimeout(p, time.Nanosecond),
+		"simnet": NewSimNetworkTimeout(p, 1000, 1, time.Nanosecond),
+		"tcp":    tcp,
+	}
+	for name, net := range nets {
+		t.Run(name, func(t *testing.T) {
+			defer net.Close()
+			ep := net.Endpoint(0)
+			receives := map[string]func() error{
+				"Recv":    func() error { _, err := ep.Recv(1, 3); return err },
+				"RecvAny": func() error { _, err := ep.RecvAny(); return err },
+			}
+			for op, recv := range receives {
+				if err := recv(); err == nil || errors.Is(err, ErrClosed) || !strings.Contains(err.Error(), "likely deadlock") {
+					t.Errorf("%s on an open, silent network: got %v, want a likely-deadlock timeout", op, err)
+				}
+			}
+			net.Close()
+			for op, recv := range receives {
+				for i := 0; i < 100; i++ {
+					if err := recv(); !errors.Is(err, ErrClosed) {
+						t.Fatalf("%s #%d on a closed network: got %v, want ErrClosed", op, i, err)
+					}
+				}
 			}
 		})
 	}

@@ -1,0 +1,120 @@
+package comm
+
+import (
+	"fmt"
+	"time"
+)
+
+// inbox is everything of an Endpoint but Send, embedded by the mem and
+// TCP endpoints: the buffered channel senders (or TCP reader goroutines)
+// deliver into, the messages a tag-matched Recv pulled but did not
+// want, the endpoint's traffic counters, and one taxonomy for a blocked
+// operation — ErrClosed when the network went down, a "likely deadlock"
+// timeout otherwise. Only the owning PE's goroutine receives; any
+// goroutine may deliver.
+type inbox struct {
+	rank    int
+	size    int
+	ch      chan Message
+	pending []Message // received but not yet matched
+	metrics Metrics
+	closed  <-chan struct{} // the network's close signal
+	timeout time.Duration   // per-operation deadline; 0 = none
+}
+
+// newInbox sizes the channel at 2p+16 slots, enough for the direct
+// all-to-all worst case where every PE has one message in flight to
+// every other.
+func newInbox(rank, p int, closed <-chan struct{}, timeout time.Duration) inbox {
+	return inbox{rank: rank, size: p, ch: make(chan Message, 2*p+16), closed: closed, timeout: timeout}
+}
+
+func (b *inbox) Rank() int         { return b.rank }
+func (b *inbox) Size() int         { return b.size }
+func (b *inbox) Metrics() *Metrics { return &b.metrics }
+
+// expired names PE pe's blocked operation whose deadline fired. select
+// picks pseudo-randomly among ready cases, so the timer can win against
+// a closed channel that is just as ready: a straggler on a closed
+// network is closure, not deadlock.
+func (b *inbox) expired(pe int, op string) error {
+	select {
+	case <-b.closed:
+		return ErrClosed
+	default:
+		return fmt.Errorf("comm: PE %d %s: timeout after %v; likely deadlock", pe, op, b.timeout)
+	}
+}
+
+// deliver buffers m for this inbox's owner on behalf of a same-process
+// sender, blocking while the channel is full.
+func (b *inbox) deliver(m Message) error {
+	// Fast path: room in the inbox, no timer needed.
+	select {
+	case b.ch <- m:
+		return nil
+	default:
+	}
+	deadline, stop := opDeadline(b.timeout)
+	defer stop()
+	select {
+	case b.ch <- m:
+		return nil
+	case <-b.closed:
+		return ErrClosed
+	case <-deadline:
+		return b.expired(m.Src, fmt.Sprintf("send to %d (tag=%d)", b.rank, m.Tag))
+	}
+}
+
+func (b *inbox) Recv(src, tag int) ([]byte, error) {
+	if err := validRank(src, b.size); err != nil {
+		return nil, err
+	}
+	// Check messages parked by earlier mismatched receives.
+	for i, m := range b.pending {
+		if m.Src == src && m.Tag == tag {
+			b.pending = append(b.pending[:i], b.pending[i+1:]...)
+			b.metrics.addRecv(len(m.Payload))
+			return m.Payload, nil
+		}
+	}
+	deadline, stop := opDeadline(b.timeout)
+	defer stop()
+	for {
+		select {
+		case m := <-b.ch:
+			if m.Src == src && m.Tag == tag {
+				b.metrics.addRecv(len(m.Payload))
+				return m.Payload, nil
+			}
+			b.pending = append(b.pending, m)
+		case <-b.closed:
+			return nil, ErrClosed
+		case <-deadline:
+			return nil, b.expired(b.rank, fmt.Sprintf("recv (src=%d, tag=%d)", src, tag))
+		}
+	}
+}
+
+func (b *inbox) RecvAny() (Message, error) {
+	// Oldest parked message first, so per-(src,tag) FIFO order survives
+	// interleaving with tag-matched Recv calls.
+	if len(b.pending) > 0 {
+		m := b.pending[0]
+		b.pending = b.pending[1:]
+		b.metrics.addRecv(len(m.Payload))
+		return m, nil
+	}
+	deadline, stop := opDeadline(b.timeout)
+	defer stop()
+	select {
+	case m := <-b.ch:
+		b.metrics.addRecv(len(m.Payload))
+		return m, nil
+	case <-b.closed:
+		return Message{}, ErrClosed
+	case <-deadline:
+		return Message{}, b.expired(b.rank, "recv (any)")
+	}
+}

@@ -75,11 +75,8 @@ type tcpNode struct {
 }
 
 type tcpEndpoint struct {
-	node    *tcpNode
-	rank    int
-	inbox   chan Message
-	pending []Message
-	metrics Metrics
+	node *tcpNode
+	inbox
 }
 
 // Connection slot states. A slot serializes all connection
@@ -204,11 +201,7 @@ func newTCPNode(core *tcpCore, rank int, l net.Listener) *tcpNode {
 	for i := range nd.slots {
 		nd.slots[i] = &connSlot{}
 	}
-	nd.ep = &tcpEndpoint{
-		node:  nd,
-		rank:  rank,
-		inbox: make(chan Message, 2*core.p+16),
-	}
+	nd.ep = &tcpEndpoint{node: nd, inbox: newInbox(rank, core.p, core.closed, core.timeout)}
 	return nd
 }
 
@@ -597,7 +590,7 @@ func (nd *tcpNode) readLoop(ep *tcpEndpoint, peer int, tc *tcpConn) {
 			return // protocol violation; drop the link
 		}
 		select {
-		case ep.inbox <- m:
+		case ep.ch <- m:
 		case <-core.closed:
 			return
 		}
@@ -781,10 +774,6 @@ func (c *tcpCore) mapConnErr(err error) error {
 	return err
 }
 
-func (e *tcpEndpoint) Rank() int         { return e.rank }
-func (e *tcpEndpoint) Size() int         { return e.node.core.p }
-func (e *tcpEndpoint) Metrics() *Metrics { return &e.metrics }
-
 // ConnsOpen exposes the dialed-connection count through the endpoint,
 // so layers that only hold an Endpoint (collective.Comm) can meter the
 // connection bill. Counted at the dialer: in-process networks report
@@ -802,23 +791,11 @@ func (e *tcpEndpoint) Send(dst, tag int, payload []byte) error {
 		return fmt.Errorf("comm: PE %d send to %d: %w", e.rank, dst, ErrClosed)
 	}
 	if dst == e.rank {
-		select {
-		case e.inbox <- msg:
-			e.metrics.addSent(len(payload))
-			return nil
-		default:
+		if err := e.deliver(msg); err != nil {
+			return err
 		}
-		deadline, stop := opDeadline(core.timeout)
-		defer stop()
-		select {
-		case e.inbox <- msg:
-			e.metrics.addSent(len(payload))
-			return nil
-		case <-core.closed:
-			return ErrClosed
-		case <-deadline:
-			return fmt.Errorf("comm: PE %d send to self (tag=%d): timeout after %v; likely deadlock", e.rank, tag, core.timeout)
-		}
+		e.metrics.addSent(len(payload))
+		return nil
 	}
 	// Lazy establishment: the first send along an edge dials it (or
 	// joins an in-flight handshake); later sends find the slot ready.
@@ -847,55 +824,4 @@ func (tc *tcpConn) send(m Message) error {
 		return err
 	}
 	return tc.w.flush()
-}
-
-func (e *tcpEndpoint) Recv(src, tag int) ([]byte, error) {
-	core := e.node.core
-	if err := validRank(src, e.Size()); err != nil {
-		return nil, err
-	}
-	for i, m := range e.pending {
-		if m.Src == src && m.Tag == tag {
-			e.pending = append(e.pending[:i], e.pending[i+1:]...)
-			e.metrics.addRecv(len(m.Payload))
-			return m.Payload, nil
-		}
-	}
-	deadline, stop := opDeadline(core.timeout)
-	defer stop()
-	for {
-		select {
-		case m := <-e.inbox:
-			if m.Src == src && m.Tag == tag {
-				e.metrics.addRecv(len(m.Payload))
-				return m.Payload, nil
-			}
-			e.pending = append(e.pending, m)
-		case <-core.closed:
-			return nil, ErrClosed
-		case <-deadline:
-			return nil, fmt.Errorf("comm: PE %d recv (src=%d, tag=%d): timeout after %v; likely deadlock", e.rank, src, tag, core.timeout)
-		}
-	}
-}
-
-func (e *tcpEndpoint) RecvAny() (Message, error) {
-	core := e.node.core
-	if len(e.pending) > 0 {
-		m := e.pending[0]
-		e.pending = e.pending[1:]
-		e.metrics.addRecv(len(m.Payload))
-		return m, nil
-	}
-	deadline, stop := opDeadline(core.timeout)
-	defer stop()
-	select {
-	case m := <-e.inbox:
-		e.metrics.addRecv(len(m.Payload))
-		return m, nil
-	case <-core.closed:
-		return Message{}, ErrClosed
-	case <-deadline:
-		return Message{}, fmt.Errorf("comm: PE %d recv (any): timeout after %v; likely deadlock", e.rank, core.timeout)
-	}
 }

@@ -109,3 +109,17 @@ func ScalingConfigs() []SumConfig {
 		{Iterations: 16, Buckets: 16, RHatLog: 15, Family: tab64},
 	}
 }
+
+// PermAccuracyConfigs is the configuration set of the permutation
+// checker's detection-accuracy experiment (Fig. 5, Appendix A): CRC-32C
+// and tabulation hashing, one iteration, truncated to each hash width
+// of the figure's x-axis.
+func PermAccuracyConfigs() []PermConfig {
+	var out []PermConfig
+	for _, fam := range []hashing.Family{hashing.FamilyCRC, hashing.FamilyTab} {
+		for _, logH := range []int{1, 2, 3, 4, 6, 8, 12} {
+			out = append(out, PermConfig{Family: fam, LogH: logH, Iterations: 1})
+		}
+	}
+	return out
+}

@@ -170,17 +170,3 @@ func CheckPermutationMulti(w *dist.Worker, cfg PermConfig, inputs [][]uint64, ou
 func CheckUnion(w *dist.Worker, cfg PermConfig, s1, s2, out []uint64) (bool, error) {
 	return CheckPermutationMulti(w, cfg, [][]uint64{s1, s2}, out)
 }
-
-// PermCheckLocalWork exposes the local fingerprinting step in isolation
-// for the Section 7.2 overhead measurements (no communication).
-func PermCheckLocalWork(c *PermChecker, input, output []uint64) []uint64 {
-	return PermCheckLocalWorkPar(c, Serial, input, output)
-}
-
-// PermCheckLocalWorkPar is PermCheckLocalWork sharded across par.
-func PermCheckLocalWorkPar(c *PermChecker, par ParallelAccumulator, input, output []uint64) []uint64 {
-	lambda := make([]uint64, c.cfg.Iterations)
-	par.AccumulatePerm(c, lambda, input, false)
-	par.AccumulatePerm(c, lambda, output, true)
-	return lambda
-}

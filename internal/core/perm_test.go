@@ -50,6 +50,29 @@ func TestPermCheckerAcceptsPermutation(t *testing.T) {
 	}
 }
 
+// TestPermCheckerAcceptsAllConfigs is the permutation counterpart of
+// TestSumCheckerAcceptsAllConfigs: every Fig. 5 configuration accepts a
+// correct permutation, distributed — however few hash bits it keeps.
+func TestPermCheckerAcceptsAllConfigs(t *testing.T) {
+	input := workload.UniformU64s(400, 1e8, 5)
+	output := shuffled(input, 9)
+	for _, cfg := range PermAccuracyConfigs() {
+		err := dist.Run(2, 11, func(w *dist.Worker) error {
+			ok, err := CheckPermutation(w, cfg, shardU64(input, 2, w.Rank()), shardU64(output, 2, w.Rank()))
+			if err != nil {
+				return err
+			}
+			if !ok {
+				t.Errorf("config %s rejected a correct permutation", cfg.Name())
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestPermCheckerAcceptsWithDuplicates(t *testing.T) {
 	input := make([]uint64, 1000)
 	for i := range input {

@@ -553,12 +553,3 @@ func CheckCountAgg(w *dist.Worker, cfg SumConfig, input, output []data.Pair) (bo
 	}
 	return resolveOne(w, NewCountAggState("CountAgg", cfg, seed, Serial, input, output))
 }
-
-// SumCheckLocalWork exposes the local processing step in isolation for
-// the overhead measurements of Table 5: it accumulates pairs, sharded
-// across par, into a fresh table and returns it (no communication).
-func SumCheckLocalWork(c *SumChecker, par ParallelAccumulator, pairs []data.Pair) []uint64 {
-	t := c.NewTable()
-	par.AccumulateSum(c, t, pairs)
-	return t
-}

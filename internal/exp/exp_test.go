@@ -1,24 +1,21 @@
 package exp
 
 import (
+	"os"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/core"
 	"repro/internal/hashing"
 	"repro/internal/params"
 )
 
 // fastSumOpts keeps accuracy sweeps quick in unit tests.
-func fastSumOpts() AccuracySumOptions {
-	return AccuracySumOptions{
-		Elements:    300,
-		KeyUniverse: 10000,
-		MinRuns:     300,
-		MaxRuns:     300,
-		TargetFails: 1,
-		Seed:        1,
-	}
+func fastSumOpts() AccuracyOptions {
+	return AccuracyOptions{Elements: 300, KeyUniverse: 10000, MinRuns: 300, MaxRuns: 300, Seed: 1}
 }
 
 func TestAccuracySumShape(t *testing.T) {
@@ -84,19 +81,11 @@ func TestAccuracySumRatioWithinBoundForTab(t *testing.T) {
 }
 
 func TestAccuracyPermShape(t *testing.T) {
-	opt := AccuracyPermOptions{
-		Elements:    300,
-		Universe:    1e8,
-		MinRuns:     200,
-		MaxRuns:     200,
-		TargetFails: 1,
-		Seed:        2,
-	}
-	rows, err := AccuracyPerm(opt)
+	rows, err := AccuracyPerm(AccuracyOptions{Elements: 300, MinRuns: 200, MaxRuns: 200, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRows := 2 * len(PermLogHs) * 5 // CRC+Tab, 5 Table 6 manipulators
+	wantRows := len(core.PermAccuracyConfigs()) * 5 // 5 Table 6 manipulators
 	if len(rows) != wantRows {
 		t.Fatalf("got %d rows, want %d", len(rows), wantRows)
 	}
@@ -108,15 +97,7 @@ func TestAccuracyPermCRCIncrementAnomaly(t *testing.T) {
 	// does not. Check the contrast at logH=1..4 where statistics are
 	// cheap. CRC's linearity makes increments collide structurally, so
 	// its ratio should noticeably exceed Tab's.
-	opt := AccuracyPermOptions{
-		Elements:    500,
-		Universe:    1e8,
-		MinRuns:     1500,
-		MaxRuns:     1500,
-		TargetFails: 1,
-		Seed:        3,
-	}
-	rows, err := AccuracyPerm(opt)
+	rows, err := AccuracyPerm(AccuracyOptions{Elements: 500, MinRuns: 1500, MaxRuns: 1500, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,16 +131,16 @@ func TestAccuracyPermCRCIncrementAnomaly(t *testing.T) {
 	}
 }
 
+// smallConfig is the one checker configuration of the small sweeps.
+var smallConfig = []core.SumConfig{{Iterations: 5, Buckets: 16, RHatLog: 5, Family: hashing.FamilyCRC}}
+
 func TestWeakScalingSmall(t *testing.T) {
-	opt := WeakScalingOptions{
-		ItemsPerPE:  2000,
-		KeyUniverse: 10000,
-		PEs:         []int{1, 2, 4},
-		Repeats:     1,
-		Seed:        4,
-		Configs:     []core.SumConfig{{Iterations: 4, Buckets: 16, RHatLog: 5, Family: hashing.FamilyCRC}},
-	}
-	rows, err := WeakScaling(opt)
+	rows, err := Sweep(SweepOptions{
+		Points:  Grid([]int{1, 2, 4}, 2000),
+		Configs: []core.SumConfig{{Iterations: 4, Buckets: 16, RHatLog: 5, Family: hashing.FamilyCRC}},
+		Repeats: 1,
+		Seed:    4,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +148,12 @@ func TestWeakScalingSmall(t *testing.T) {
 		t.Fatalf("got %d rows", len(rows))
 	}
 	for _, r := range rows {
-		if r.Ratio <= 0 {
-			t.Fatalf("nonpositive ratio: %+v", r)
+		ratio := r.CheckedSec / r.BaseSec
+		if r.BaseSec <= 0 || ratio <= 0 {
+			t.Fatalf("nonpositive timing: %+v", r)
 		}
-		if r.Ratio > 5 {
-			t.Errorf("checker overhead ratio %.2f implausibly high at p=%d", r.Ratio, r.P)
+		if ratio > 5 {
+			t.Errorf("checker overhead ratio %.2f implausibly high at p=%d", ratio, r.P)
 		}
 	}
 }
@@ -179,8 +161,10 @@ func TestWeakScalingSmall(t *testing.T) {
 func TestOverheadSumSmall(t *testing.T) {
 	// Parallelism 1: the Table 5 claim compares single-core checker
 	// work against the single-core reduce reference.
-	opt := OverheadOptions{Elements: 20000, Repeats: 2, Seed: 5, Parallelism: 1}
-	rows := OverheadSum(opt)
+	rows, err := OverheadSum(OverheadOptions{Elements: 20000, Repeats: 2, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != len(core.ScalingConfigs())+1 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -209,26 +193,27 @@ func TestOverheadSumSmall(t *testing.T) {
 }
 
 func TestOverheadPermSmall(t *testing.T) {
-	opt := OverheadOptions{Elements: 20000, Repeats: 2, Seed: 6, Parallelism: 1}
-	rows := OverheadPerm(opt)
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows", len(rows))
+	rows, err := OverheadPerm(OverheadOptions{Elements: 20000, Repeats: 2, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 3 || rows[2].Config != "Sort (reference)" {
+		t.Fatalf("got rows %+v", rows)
 	}
 	for _, r := range rows {
 		if r.NsPerElement <= 0 {
-			t.Errorf("%s: nonpositive ns/element", r.Hash)
+			t.Errorf("%s: nonpositive ns/element", r.Config)
 		}
+	}
+	// The reference is the operation a pipeline runs — the radix sample
+	// sort — so at n = 20000 it must beat a comparison sort's ~n log n.
+	if !raceEnabled && rows[2].NsPerElement > 60 {
+		t.Errorf("sort reference at %.1f ns/element: not the radix sample sort?", rows[2].NsPerElement)
 	}
 }
 
 func TestCommVolumeSublinear(t *testing.T) {
-	opt := CommVolumeOptions{
-		P:      4,
-		Ns:     []int{2000, 20000},
-		Config: core.SumConfig{Iterations: 5, Buckets: 16, RHatLog: 5, Family: hashing.FamilyCRC},
-		Seed:   7,
-	}
-	rows, err := CommVolume(opt)
+	rows, err := Sweep(SweepOptions{Points: []Point{{4, 500}, {4, 5000}}, Configs: smallConfig, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,103 +260,212 @@ func TestRenderers(t *testing.T) {
 	if s := RenderAccuracy("Fig. 3", rows); !strings.Contains(s, "[Bitflip]") {
 		t.Error("accuracy rendering incomplete")
 	}
+	over := RenderOverhead("Section 7.2", "Hash", []OverheadRow{{Config: "CRC", Elements: 10, NsPerElement: 2.5}})
+	if !strings.Contains(over, "Hash") || !strings.Contains(over, "2.50") {
+		t.Errorf("overhead rendering incomplete:\n%s", over)
+	}
+}
+
+// modeledSmall is the modeled sweep at test scale: alpha = 10 us,
+// beta = 1 ns/byte (the simnet defaults), 500 items per PE.
+func modeledSmall(pes ...int) SweepOptions {
+	opt := DefaultModeled()
+	opt.Points = Grid(pes, 500)
+	opt.Seed = 9
+	return opt
 }
 
 func TestModeledScalingCheckerGrowsLogarithmically(t *testing.T) {
-	opt := ModeledScalingOptions{
-		ItemsPerPE: 500,
-		PEs:        []int{8, 64, 512},
-		AlphaNs:    10000,
-		BetaNsPerB: 1,
-		Config:     core.SumConfig{Iterations: 6, Buckets: 32, RHatLog: 9, Family: hashing.FamilyCRC},
-		Seed:       9,
-	}
-	rows, err := ModeledScaling(opt)
+	rows, err := Sweep(modeledSmall(8, 64, 512))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 3 {
 		t.Fatalf("got %d rows", len(rows))
 	}
-	// The checker's modeled time must fall below the operation's once
-	// the operation actually exchanges data (at p=8 with 500 items the
-	// all-to-all is nearly empty, so only assert from p=64 up), and the
-	// relative overhead must shrink with p.
+	// The checker's share of the critical path is the checked job's
+	// makespan over the CheckOff job's. It must fall below the
+	// operation's once the operation actually exchanges data (at p=8
+	// with 500 items the all-to-all is nearly empty, so only assert
+	// from p=64 up), and the checked/CheckOff ratio must shrink with p.
+	chk := func(r Row) float64 { return r.CheckedModelMs - r.BaseModelMs }
 	for _, r := range rows {
-		if r.P >= 64 && r.ChkMakespanMs >= r.OpMakespanMs {
-			t.Errorf("p=%d: checker comm %.3f ms not below op %.3f ms", r.P, r.ChkMakespanMs, r.OpMakespanMs)
+		if r.BaseModelMs <= 0 || chk(r) <= 0 {
+			t.Fatalf("p=%d: makespans %.4f -> %.4f ms: the checker must add to a positive base", r.P, r.BaseModelMs, r.CheckedModelMs)
+		}
+		if r.P >= 64 && chk(r) >= r.BaseModelMs {
+			t.Errorf("p=%d: checker increment %.3f ms not below the job's %.3f ms", r.P, chk(r), r.BaseModelMs)
 		}
 	}
-	if rows[2].Overhead >= rows[0].Overhead {
-		t.Errorf("checker relative overhead did not shrink: %.3f at p=8 vs %.3f at p=512",
-			rows[0].Overhead, rows[2].Overhead)
+	ratio := func(r Row) float64 { return r.CheckedModelMs / r.BaseModelMs }
+	if ratio(rows[2]) >= ratio(rows[0]) {
+		t.Errorf("modeled overhead ratio did not shrink: %.3f at p=8 vs %.3f at p=512", ratio(rows[0]), ratio(rows[2]))
 	}
-	growth := rows[2].ChkMakespanMs / rows[0].ChkMakespanMs
-	if growth > 8 {
-		t.Errorf("checker modeled time grew %.1fx from p=8 to p=512; want logarithmic growth", growth)
+	// alpha*log p: log2 512 / log2 8 = 3, so the increment triples —
+	// nowhere near the 64x of anything linear in p.
+	if growth := chk(rows[2]) / chk(rows[0]); growth > 4 {
+		t.Errorf("checker increment grew %.1fx from p=8 to p=512; want logarithmic growth", growth)
 	}
 }
 
 func TestRenderModeled(t *testing.T) {
-	rows := []ModeledRow{{P: 8, OpMakespanMs: 1, ChkMakespanMs: 0.1, Overhead: 0.1}}
-	if s := RenderModeled(rows); !strings.Contains(s, "chk/op") {
-		t.Error("modeled rendering incomplete")
+	rows := []Row{{P: 8, BaseModelMs: 1, CheckedModelMs: 1.1}}
+	s := ModeledTable().Render(rows)
+	if !strings.Contains(s, "checked/off") || !strings.Contains(s, "0.1000") || !strings.Contains(s, "1.1000") {
+		t.Errorf("modeled rendering incomplete:\n%s", s)
+	}
+	if strings.Contains(s, "per-stage breakdown") {
+		t.Error("modeled rendering must not carry wall-clock stage times: its output is deterministic")
 	}
 }
 
 func TestCommVolumeStageBreakdown(t *testing.T) {
-	opt := DefaultCommVolumeOptions()
-	opt.P = 2
-	opt.Ns = []int{3000}
+	opt := DefaultCommVolume()
+	opt.Points = []Point{{2, 1500}}
 	opt.Seed = 21
-	rows, err := CommVolume(opt)
+	rows, err := Sweep(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stages := rows[0].Stages
-	if len(stages) != 2 || stages[0].Op != "ReduceByKey" || stages[1].Op != "Sort" {
+	if len(stages) != 1 || stages[0].Op != "ReduceByKey" {
 		t.Fatalf("unexpected stage breakdown: %+v", stages)
 	}
-	for _, st := range stages {
-		if st.Verdict != "pass" {
-			t.Errorf("stage %s verdict %s", st.Stage, st.Verdict)
-		}
-		if st.CheckerBytes <= 0 || st.Rounds <= 0 {
-			t.Errorf("stage %s missing checker accounting: %+v", st.Stage, st)
-		}
+	st := stages[0]
+	if st.Verdict != repro.VerdictPass {
+		t.Errorf("stage %s verdict %s", st.Stage, st.Verdict)
 	}
-	// The totals columns must keep describing the reduce stage alone.
-	if rows[0].OpBytes != stages[0].OpBytes || rows[0].CheckerBytes != stages[0].CheckerBytes {
-		t.Error("volume totals diverged from the reduce stage's breakdown")
+	if st.CheckerBytes <= 0 || st.CheckerRounds <= 0 {
+		t.Errorf("stage %s missing checker accounting: %+v", st.Stage, st)
 	}
-	out := RenderVolume(rows)
-	if !strings.Contains(out, "per-stage breakdown") || !strings.Contains(out, "Sort#1") {
-		t.Error("volume rendering lacks the stage breakdown")
+	// The totals columns describe the same run as the breakdown.
+	if rows[0].OpBytes != st.OpBytes || rows[0].CheckerBytes != st.CheckerBytes || rows[0].CheckerRounds != st.CheckerRounds {
+		t.Errorf("volume totals diverged from the stage breakdown: %+v vs %+v", rows[0], st)
+	}
+	out := VolumeTable().Render(rows)
+	if !strings.Contains(out, "per-stage breakdown, p=2 n=3000") || !strings.Contains(out, "ReduceByKey#0") {
+		t.Errorf("volume rendering lacks the stage breakdown:\n%s", out)
 	}
 }
 
 func TestWeakScalingStageBreakdown(t *testing.T) {
-	opt := WeakScalingOptions{
-		ItemsPerPE:  1500,
-		KeyUniverse: 5000,
-		PEs:         []int{1, 2},
-		Repeats:     1,
-		Seed:        23,
-	}
-	rows, err := WeakScaling(opt)
+	opt := DefaultFig4()
+	opt.Points = Grid([]int{1, 2}, 1500)
+	opt.Repeats = 1
+	opt.Seed = 23
+	rows, err := Sweep(opt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(rows) != 2*len(core.ScalingConfigs()) {
+		t.Fatalf("got %d rows", len(rows))
 	}
 	for _, r := range rows {
 		if len(r.Stages) != 1 || r.Stages[0].Op != "ReduceByKey" {
 			t.Fatalf("row p=%d missing checked-run breakdown: %+v", r.P, r.Stages)
 		}
 	}
-	out := RenderScaling(rows)
+	out := Fig4Table().Render(rows)
 	if !strings.Contains(out, "per-stage breakdown, p=2") {
 		t.Error("scaling rendering lacks the largest-P stage breakdown")
 	}
 	if strings.Contains(out, "per-stage breakdown, p=1") {
 		t.Error("scaling rendering should only break down the largest P")
+	}
+}
+
+// TestSweepDeferredCountsTheBatchedVerify: in deferred mode the stage
+// itself sends no checker traffic — the Row's checker columns must
+// still carry it, from the batched Verify.
+func TestSweepDeferredCountsTheBatchedVerify(t *testing.T) {
+	opt := SweepOptions{Points: Grid([]int{4}, 1000), Configs: smallConfig, Seed: 3}
+	eager, err := Sweep(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Mode = repro.CheckDeferred
+	deferred, err := Sweep(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, d := eager[0], deferred[0]
+	if d.CheckerBytes <= 0 || d.CheckerRounds <= 0 || d.CheckerMsgs <= 0 {
+		t.Fatalf("deferred row lost the batched Verify's traffic: %+v", d)
+	}
+	if d.OpBytes != e.OpBytes {
+		t.Errorf("op bytes differ between modes: eager %d, deferred %d", e.OpBytes, d.OpBytes)
+	}
+}
+
+// TestSweepRowFeedsAllThreeTables: one simnet point is everything fig4,
+// commvolume and modeled print — which is what makes "commvolume's
+// checker bytes are fig4's" checkable at all — and everything but the
+// wall-clock columns is bit-identical on a rerun.
+func TestSweepRowFeedsAllThreeTables(t *testing.T) {
+	run := func() Row {
+		t.Helper()
+		rows, err := Sweep(modeledSmall(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 1 {
+			t.Fatalf("got %d rows", len(rows))
+		}
+		return rows[0]
+	}
+	a, b := run(), run()
+	for _, tab := range []Table{Fig4Table(), VolumeTable(), ModeledTable()} {
+		out := tab.Render([]Row{a})
+		lines := strings.Split(out, "\n")
+		if len(lines) < 4 || len(strings.Fields(lines[3])) == 0 {
+			t.Fatalf("%s: no data line:\n%s", tab.title, out)
+		}
+		for _, c := range tab.cols {
+			if !strings.Contains(lines[2], c.head) {
+				t.Errorf("%s: header line %q lacks column %q", tab.title, lines[2], c.head)
+			}
+		}
+	}
+	// The same Row backs fig4's breakdown and commvolume's totals.
+	if len(a.Stages) != 1 || a.Stages[0].CheckerBytes != a.CheckerBytes || a.CheckerBytes <= 0 {
+		t.Errorf("fig4's per-stage checker bytes %+v differ from commvolume's column %d", a.Stages, a.CheckerBytes)
+	}
+	if a.BaseModelMs <= 0 || a.CheckedModelMs <= a.BaseModelMs {
+		t.Errorf("virtual makespans %.4f -> %.4f ms: checking must add to a positive base", a.BaseModelMs, a.CheckedModelMs)
+	}
+	if a.BaseSec <= 0 || a.CheckedSec <= 0 {
+		t.Errorf("wall columns unset: %+v", a)
+	}
+	// Deterministic columns: compare with the wall-clock fields blanked.
+	blank := func(r Row) Row {
+		r.BaseSec, r.CheckedSec = 0, 0
+		r.Stages = slices.Clone(r.Stages)
+		for i := range r.Stages {
+			r.Stages[i].OpNs, r.Stages[i].CheckNs = 0, 0
+		}
+		return r
+	}
+	if x, y := blank(a), blank(b); !reflect.DeepEqual(x, y) {
+		t.Errorf("rerun differs beyond wall time:\n%+v\n%+v", x, y)
+	}
+}
+
+// TestTableHeadersMatchREADME is the golden test of the three column
+// lists: README's "Reproducing the paper's evaluation" documents each
+// table's fields as `a` · `b` · …, in print order.
+func TestTableHeadersMatchREADME(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tab := range map[string]Table{"fig4": Fig4Table(), "commvolume": VolumeTable(), "modeled": ModeledTable()} {
+		heads := make([]string, len(tab.cols))
+		for i, c := range tab.cols {
+			heads[i] = c.head
+		}
+		want := "| `" + name + "` | `" + strings.Join(heads, "` · `") + "` |"
+		if !strings.Contains(string(readme), want) {
+			t.Errorf("README does not document %s's columns as printed; want the line\n%s", name, want)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -64,16 +63,8 @@ func RenderTable3() string {
 func RenderTable4() string {
 	var b strings.Builder
 	b.WriteString("Table 4: manipulators for the sum aggregation checker\n\n")
-	desc := map[string]string{
-		"Bitflip":      "flips a random bit in the input",
-		"RandKey":      "randomises the key of a random element",
-		"SwitchValues": "switches the values of two random elements",
-		"IncKey":       "increments the key of a random element",
-		"IncDec1":      "increments one key, decrements another (n=1)",
-		"IncDec2":      "increments two keys, decrements two others (n=2)",
-	}
 	for _, m := range manipulate.PairManipulators() {
-		fmt.Fprintf(&b, "%-14s %s\n", m.Name, desc[m.Name])
+		fmt.Fprintf(&b, "%-14s %s\n", m.Name, m.Desc)
 	}
 	return b.String()
 }
@@ -82,110 +73,139 @@ func RenderTable4() string {
 func RenderTable6() string {
 	var b strings.Builder
 	b.WriteString("Table 6: manipulators for the sort/permutation checker\n\n")
-	desc := map[string]string{
-		"Bitflip":   "flips a random bit in the input",
-		"Increment": "increments some element's value",
-		"Randomize": "sets some element to a random value",
-		"Reset":     "resets some element to the default value (0)",
-		"SetEqual":  "sets some element equal to a different one",
-	}
 	for _, m := range manipulate.SeqManipulators() {
-		fmt.Fprintf(&b, "%-12s %s\n", m.Name, desc[m.Name])
+		fmt.Fprintf(&b, "%-12s %s\n", m.Name, m.Desc)
 	}
 	return b.String()
 }
 
 // RenderAccuracy prints Fig. 3 / Fig. 5 rows as a matrix of
 // failure-rate/delta ratios: manipulators as row blocks, configurations
-// as lines (matching the paper's plot layout).
+// as lines (matching the paper's plot layout) — the order the sweeps
+// generate them in.
 func RenderAccuracy(title string, rows []AccuracyRow) string {
 	var b strings.Builder
 	b.WriteString(title + "\n\n")
-	byManip := map[string][]AccuracyRow{}
-	var manipOrder []string
-	for _, r := range rows {
-		if _, seen := byManip[r.Manipulator]; !seen {
-			manipOrder = append(manipOrder, r.Manipulator)
+	for i, r := range rows {
+		if i == 0 || r.Manipulator != rows[i-1].Manipulator {
+			fmt.Fprintf(&b, "[%s]\n", r.Manipulator)
+			fmt.Fprintf(&b, "  %-20s %9s %10s %10s %12s %8s\n", "config", "runs", "failures", "rate", "delta", "rate/d")
 		}
-		byManip[r.Manipulator] = append(byManip[r.Manipulator], r)
-	}
-	for _, m := range manipOrder {
-		fmt.Fprintf(&b, "[%s]\n", m)
-		fmt.Fprintf(&b, "  %-20s %9s %10s %10s %12s %8s\n", "config", "runs", "failures", "rate", "delta", "rate/d")
-		rs := byManip[m]
-		sort.SliceStable(rs, func(i, j int) bool { return rs[i].Config < rs[j].Config })
-		for _, r := range rs {
-			fmt.Fprintf(&b, "  %-20s %9d %10d %10.2e %12.2e %8.3f\n",
-				r.Config, r.Runs, r.Failures, r.Rate, r.Delta, r.Ratio)
-		}
+		fmt.Fprintf(&b, "  %-20s %9d %10d %10.2e %12.2e %8.3f\n",
+			r.Config, r.Runs, r.Failures, r.Rate, r.Delta, r.Ratio)
 	}
 	return b.String()
 }
 
-// RenderScaling prints Fig. 4 rows, followed by the per-stage
-// CheckStats breakdown of the checked run at the largest PE count per
-// configuration (all rows carry one; rendering every P would drown the
-// totals table).
-func RenderScaling(rows []ScalingRow) string {
+// RenderOverhead prints Table 5 or Section 7.2 rows under title, the
+// first column headed head.
+func RenderOverhead(title, head string, rows []OverheadRow) string {
 	var b strings.Builder
-	b.WriteString("Fig. 4: weak scaling — time with checker / time without\n\n")
-	fmt.Fprintf(&b, "%6s %-20s %12s %12s %8s\n", "PEs", "config", "base (s)", "checked (s)", "ratio")
-	maxP := 0
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%6d %-20s %12.4f %12.4f %8.3f\n", r.P, r.Config, r.BaseSec, r.CheckSec, r.Ratio)
-		if r.P > maxP {
-			maxP = r.P
-		}
-	}
-	for _, r := range rows {
-		if r.P != maxP || len(r.Stages) == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "\nper-stage breakdown, p=%d %s (bottleneck over PEs; +%d batched verify rounds):\n",
-			r.P, r.Config, r.Rounds)
-		b.WriteString(RenderStages(r.Stages))
-	}
-	return b.String()
-}
-
-// RenderOverhead prints Table 5 rows.
-func RenderOverhead(rows []OverheadRow) string {
-	var b strings.Builder
-	b.WriteString("Table 5: sum aggregation checker local processing overhead\n\n")
-	fmt.Fprintf(&b, "%-22s %12s %16s\n", "Configuration", "elements", "ns per element")
+	b.WriteString(title + "\n\n")
+	fmt.Fprintf(&b, "%-22s %12s %16s\n", head, "elements", "ns per element")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-22s %12d %16.2f\n", r.Config, r.Elements, r.NsPerElement)
 	}
 	return b.String()
 }
 
-// RenderPermOverhead prints the Section 7.2 running-time rows.
-func RenderPermOverhead(rows []PermOverheadRow) string {
-	var b strings.Builder
-	b.WriteString("Section 7.2: permutation/sort checker local overhead\n\n")
-	fmt.Fprintf(&b, "%-18s %12s %16s\n", "Hash", "elements", "ns per element")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-18s %12d %16.2f\n", r.Hash, r.Elements, r.NsPerElement)
-	}
-	return b.String()
+// column is one column of a sweep table: header, width (negative is
+// left-aligned) and the cell a Row renders to.
+type column struct {
+	head  string
+	width int
+	cell  func(Row) string
 }
 
-// RenderVolume prints the communication-volume audit: the totals table
-// (the sublinearity claim, reduce stage only) followed by each input
-// size's per-stage CheckStats breakdown over the whole pipeline.
-func RenderVolume(rows []VolumeRow) string {
+func intCol(head string, width int, v func(Row) int64) column {
+	return column{head, width, func(r Row) string { return fmt.Sprintf("%d", v(r)) }}
+}
+
+func floatCol(head string, width, prec int, v func(Row) float64) column {
+	return column{head, width, func(r Row) string { return fmt.Sprintf("%.*f", prec, v(r)) }}
+}
+
+// Table is one view of the pipeline sweep's rows: fig4, commvolume and
+// modeled differ only in their column lists and in whether the
+// per-stage breakdown (whose wall times vary from run to run) follows.
+type Table struct {
+	title  string
+	cols   []column
+	stages bool
+}
+
+// Fig4Table is Fig. 4: wall time with the checker over time without.
+func Fig4Table() Table {
+	return Table{"Fig. 4: weak scaling — time with checker / time without", []column{
+		intCol("PEs", 6, func(r Row) int64 { return int64(r.P) }),
+		{"config", -20, func(r Row) string { return r.Config }},
+		floatCol("base (s)", 12, 4, func(r Row) float64 { return r.BaseSec }),
+		floatCol("checked (s)", 12, 4, func(r Row) float64 { return r.CheckedSec }),
+		floatCol("ratio", 8, 3, func(r Row) float64 { return r.CheckedSec / r.BaseSec }),
+	}, true}
+}
+
+// VolumeTable is the communication-volume audit: the operation's
+// bottleneck volume grows with n while the checker's stays constant —
+// o(n/p), the Section 1 criterion.
+func VolumeTable() Table {
+	return Table{"Bottleneck communication volume: operation vs checker (bytes, max over PEs)", []column{
+		intCol("n", 10, func(r Row) int64 { return int64(r.P) * int64(r.ItemsPerPE) }),
+		intCol("p", 4, func(r Row) int64 { return int64(r.P) }),
+		intCol("op bytes", 14, func(r Row) int64 { return r.OpBytes }),
+		intCol("checker bytes", 16, func(r Row) int64 { return r.CheckerBytes }),
+		intCol("checker msgs", 14, func(r Row) int64 { return r.CheckerMsgs }),
+		intCol("table bits", 12, func(r Row) int64 { return int64(r.TableBits) }),
+	}, true}
+}
+
+// ModeledTable is the modeled weak-scaling experiment: the job's
+// communication makespan under the alpha-beta model of Section 2 with
+// checking off and on. The checker column is their difference — what
+// the checker's messages add to the critical path, which should grow as
+// alpha*log p while the operation's share grows with the exchanged
+// volume: the separation behind Fig. 4's flat overhead curves.
+func ModeledTable() Table {
+	return Table{"Modeled communication makespan of the job (alpha-beta model, Section 2), checking off vs on", []column{
+		intCol("PEs", 6, func(r Row) int64 { return int64(r.P) }),
+		floatCol("CheckOff (ms)", 16, 4, func(r Row) float64 { return r.BaseModelMs }),
+		floatCol("checked (ms)", 16, 4, func(r Row) float64 { return r.CheckedModelMs }),
+		floatCol("checker (ms)", 16, 4, func(r Row) float64 { return r.CheckedModelMs - r.BaseModelMs }),
+		floatCol("checked/off", 12, 4, func(r Row) float64 { return r.CheckedModelMs / r.BaseModelMs }),
+	}, false}
+}
+
+// Render is the one column printer: the title, one line per row, and —
+// for tables that carry it — the per-stage CheckStats breakdown of the
+// last point's rows (every row has one; printing all would drown the
+// table).
+func (t Table) Render(rows []Row) string {
 	var b strings.Builder
-	b.WriteString("Bottleneck communication volume: operation vs checker (bytes, max over PEs)\n\n")
-	fmt.Fprintf(&b, "%10s %4s %14s %16s %14s %12s\n", "n", "p", "op bytes", "checker bytes", "checker msgs", "table bits")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%10d %4d %14d %16d %14d %12d\n", r.N, r.P, r.OpBytes, r.CheckerBytes, r.CheckerMsgs, r.TableBits)
+	b.WriteString(t.title + "\n\n")
+	line := func(cell func(column) string) {
+		for i, c := range t.cols {
+			if i > 0 {
+				b.WriteByte(' ')
+			}
+			fmt.Fprintf(&b, "%*s", c.width, cell(c))
+		}
+		b.WriteByte('\n')
 	}
+	line(func(c column) string { return c.head })
 	for _, r := range rows {
-		if len(r.Stages) == 0 {
+		line(func(c column) string { return c.cell(r) })
+	}
+	if !t.stages || len(rows) == 0 {
+		return b.String()
+	}
+	last := rows[len(rows)-1]
+	for _, r := range rows {
+		if r.P != last.P || r.ItemsPerPE != last.ItemsPerPE {
 			continue
 		}
-		fmt.Fprintf(&b, "\nper-stage breakdown, n=%d (bottleneck over PEs):\n", r.N)
-		b.WriteString(RenderStages(r.Stages))
+		fmt.Fprintf(&b, "\nper-stage breakdown, p=%d n=%d %s (bottleneck over PEs; %d checker rounds in all):\n",
+			r.P, r.P*r.ItemsPerPE, r.Config, r.CheckerRounds)
+		b.WriteString(renderStages(r.Stages))
 	}
 	return b.String()
 }

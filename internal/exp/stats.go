@@ -2,56 +2,35 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro"
 )
 
-// StageStat is one pipeline stage's rendered breakdown, reduced over
-// PEs: communication figures are bottleneck maxima (the paper's
-// metric), wall times are maxima (the straggler defines the stage), and
-// the verdict is shared — all PEs agree by construction.
-type StageStat struct {
-	Stage        string
-	Op           string
-	ElementsIn   int
-	ElementsOut  int
-	OpBytes      int64
-	CheckerBytes int64
-	Rounds       int
-	BatchWords   int
-	OpMs         float64
-	CheckMs      float64
-	Chunks       int
-	PeakResident int
-	Verdict      string
-}
-
-// BottleneckStages folds per-PE CheckStats into per-stage bottleneck
-// rows: entry i of every PE's slice describes the same pipeline stage
-// (the SPMD contract), so the fold is element-wise max.
-func BottleneckStages(perPE [][]repro.CheckStats) []StageStat {
+// bottleneckStages folds per-PE CheckStats into one entry per pipeline
+// stage: entry i of every PE's slice describes the same stage (the SPMD
+// contract), so the fold is element-wise — communication figures and
+// wall times become maxima over PEs (the paper's bottleneck metric; the
+// straggler defines the stage), names and the verdict are PE 0's, all
+// PEs agreeing by construction.
+func bottleneckStages(perPE [][]repro.CheckStats) []repro.CheckStats {
 	if len(perPE) == 0 {
 		return nil
 	}
-	out := make([]StageStat, len(perPE[0]))
-	for i, st := range perPE[0] {
-		out[i] = StageStat{Stage: st.Stage, Op: st.Op, Verdict: st.Verdict.String()}
-	}
-	for _, stats := range perPE {
-		for i, st := range stats {
-			if i >= len(out) {
-				break
-			}
+	out := slices.Clone(perPE[0])
+	for _, stats := range perPE[1:] {
+		for i, st := range stats[:min(len(stats), len(out))] {
 			r := &out[i]
 			r.ElementsIn = max(r.ElementsIn, st.ElementsIn)
 			r.ElementsOut = max(r.ElementsOut, st.ElementsOut)
 			r.OpBytes = max(r.OpBytes, st.OpBytes)
+			r.OpNs = max(r.OpNs, st.OpNs)
 			r.CheckerBytes = max(r.CheckerBytes, st.CheckerBytes)
-			r.Rounds = max(r.Rounds, st.CheckerRounds)
+			r.CheckerMsgs = max(r.CheckerMsgs, st.CheckerMsgs)
+			r.CheckerRounds = max(r.CheckerRounds, st.CheckerRounds)
 			r.BatchWords = max(r.BatchWords, st.BatchWords)
-			r.OpMs = max(r.OpMs, float64(st.OpNs)/1e6)
-			r.CheckMs = max(r.CheckMs, float64(st.CheckNs)/1e6)
+			r.CheckNs = max(r.CheckNs, st.CheckNs)
 			r.Chunks = max(r.Chunks, st.Chunks)
 			r.PeakResident = max(r.PeakResident, st.PeakResident)
 		}
@@ -59,22 +38,18 @@ func BottleneckStages(perPE [][]repro.CheckStats) []StageStat {
 	return out
 }
 
-// RenderStages prints a per-stage CheckStats breakdown — op versus
+// renderStages prints a per-stage CheckStats breakdown — op versus
 // checker bytes, collective rounds, wall times, and (for streaming
-// stages) chunk metering — indented under whichever experiment table it
-// details.
-func RenderStages(rows []StageStat) string {
-	if len(rows) == 0 {
-		return ""
-	}
+// stages) chunk metering — indented under the table it details.
+func renderStages(rows []repro.CheckStats) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  %-16s %10s %10s %10s %12s %7s %6s %9s %9s %8s %8s %9s\n",
 		"stage", "elems in", "elems out", "op bytes", "check bytes", "rounds", "batchW",
 		"op ms", "check ms", "chunks", "peak", "verdict")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "  %-16s %10d %10d %10d %12d %7d %6d %9.2f %9.2f %8d %8d %9s\n",
-			r.Stage, r.ElementsIn, r.ElementsOut, r.OpBytes, r.CheckerBytes, r.Rounds,
-			r.BatchWords, r.OpMs, r.CheckMs, r.Chunks, r.PeakResident, r.Verdict)
+			r.Stage, r.ElementsIn, r.ElementsOut, r.OpBytes, r.CheckerBytes, r.CheckerRounds,
+			r.BatchWords, float64(r.OpNs)/1e6, float64(r.CheckNs)/1e6, r.Chunks, r.PeakResident, r.Verdict)
 	}
 	return b.String()
 }

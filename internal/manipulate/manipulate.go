@@ -21,8 +21,8 @@ const maxAttempts = 64
 
 // PairManipulator corrupts a (key, value) input in place.
 type PairManipulator struct {
-	// Name as listed in Table 4.
-	Name string
+	// Name and Desc as listed in Table 4.
+	Name, Desc string
 	// Apply injects one fault. keyUniverse is the key domain 1..U used
 	// by RandKey. It reports whether an effective fault was injected.
 	Apply func(ps []data.Pair, rng *hashing.MT19937_64, keyUniverse uint64) bool
@@ -30,8 +30,8 @@ type PairManipulator struct {
 
 // SeqManipulator corrupts a plain element sequence in place.
 type SeqManipulator struct {
-	// Name as listed in Table 6.
-	Name string
+	// Name and Desc as listed in Table 6.
+	Name, Desc string
 	// Apply injects one fault; valueUniverse is the element domain
 	// 0..U-1 used by Randomize. It reports success.
 	Apply func(xs []uint64, rng *hashing.MT19937_64, valueUniverse uint64) bool
@@ -41,23 +41,23 @@ type SeqManipulator struct {
 // n = 1 and n = 2 as in the paper (IncDec1, IncDec2).
 func PairManipulators() []PairManipulator {
 	return []PairManipulator{
-		{Name: "Bitflip", Apply: pairBitflip},
-		{Name: "RandKey", Apply: pairRandKey},
-		{Name: "SwitchValues", Apply: pairSwitchValues},
-		{Name: "IncKey", Apply: pairIncKey},
-		{Name: "IncDec1", Apply: incDecN(1)},
-		{Name: "IncDec2", Apply: incDecN(2)},
+		{"Bitflip", "flips a random bit in the input", pairBitflip},
+		{"RandKey", "randomises the key of a random element", pairRandKey},
+		{"SwitchValues", "switches the values of two random elements", pairSwitchValues},
+		{"IncKey", "increments the key of a random element", pairIncKey},
+		{"IncDec1", "increments one key, decrements another (n=1)", incDecN(1)},
+		{"IncDec2", "increments two keys, decrements two others (n=2)", incDecN(2)},
 	}
 }
 
 // SeqManipulators returns the Table 6 set.
 func SeqManipulators() []SeqManipulator {
 	return []SeqManipulator{
-		{Name: "Bitflip", Apply: seqBitflip},
-		{Name: "Increment", Apply: seqIncrement},
-		{Name: "Randomize", Apply: seqRandomize},
-		{Name: "Reset", Apply: seqReset},
-		{Name: "SetEqual", Apply: seqSetEqual},
+		{"Bitflip", "flips a random bit in the input", seqBitflip},
+		{"Increment", "increments some element's value", seqIncrement},
+		{"Randomize", "sets some element to a random value", seqRandomize},
+		{"Reset", "resets some element to the default value (0)", seqReset},
+		{"SetEqual", "sets some element equal to a different one", seqSetEqual},
 	}
 }
 

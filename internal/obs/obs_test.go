@@ -170,7 +170,8 @@ func TestRegistryRender(t *testing.T) {
 	}
 	r.Gauge("pool_inflight", func() int64 { return 7 })
 	r.GaugeFloat("pool_jobs_per_sec", func() float64 { return 12.5 })
-	q := r.Quantile("job_latency_ns")
+	var q Quantile
+	r.Quantile("job_latency_ns", &q)
 	for i := 1; i <= 100; i++ {
 		q.Observe(int64(i))
 	}

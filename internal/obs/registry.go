@@ -29,9 +29,10 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Quantile is a bounded ring of observations rendered as p50/p99/max
-// plus a running count — the registry form of the service latency
-// ring.
+// Quantile is a bounded ring of the most recent observations, read as
+// nearest-rank p50/p99/max plus a running count — a sliding window, so
+// a long-running pool's p99 tracks recent behaviour instead of
+// averaging over its whole history. The zero value is ready to use.
 type Quantile struct {
 	mu    sync.Mutex
 	buf   []int64
@@ -60,8 +61,9 @@ func (q *Quantile) Observe(v int64) {
 	q.mu.Unlock()
 }
 
-// snapshot returns (count, p50, p99, max) over the retained window.
-func (q *Quantile) snapshot() (count, p50, p99, max int64) {
+// Snapshot returns the lifetime count and the p50, p99 and max of the
+// retained window (zeros while it is empty).
+func (q *Quantile) Snapshot() (count, p50, p99, max int64) {
 	q.mu.Lock()
 	vals := make([]int64, q.n)
 	copy(vals, q.buf[:q.n])
@@ -127,17 +129,13 @@ func (r *Registry) GaugeFloat(name string, fn func() float64) {
 	r.mu.Unlock()
 }
 
-// Quantile returns the named quantile ring, creating it on first use.
-// It renders as name_count, name_p50, name_p99, name_max.
-func (r *Registry) Quantile(name string) *Quantile {
+// Quantile registers its owner's quantile ring under name, like a
+// gauge: read in place at render time, as name_count, name_p50,
+// name_p99 and name_max.
+func (r *Registry) Quantile(name string, q *Quantile) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.entries[name]; ok && e.quant != nil {
-		return e.quant
-	}
-	q := &Quantile{}
 	r.entries[name] = entry{quant: q}
-	return q
+	r.mu.Unlock()
 }
 
 // Snapshot evaluates every metric into a flat name → value map;
@@ -163,7 +161,7 @@ func (r *Registry) Snapshot() map[string]float64 {
 		case e.fgauge != nil:
 			out[name] = e.fgauge()
 		case e.quant != nil:
-			count, p50, p99, max := e.quant.snapshot()
+			count, p50, p99, max := e.quant.Snapshot()
 			out[name+"_count"] = float64(count)
 			out[name+"_p50"] = float64(p50)
 			out[name+"_p99"] = float64(p99)

@@ -1,49 +1,5 @@
 package service
 
-import "sort"
-
-// latencyRing keeps the last ringSize job latencies for quantile
-// estimation — a sliding window, so a long-running pool's p99 tracks
-// recent behaviour instead of averaging over its whole history.
-const ringSize = 4096
-
-type latencyRing struct {
-	buf  [ringSize]int64
-	n    int // valid entries (saturates at ringSize)
-	next int
-}
-
-func (r *latencyRing) add(ns int64) {
-	r.buf[r.next] = ns
-	r.next = (r.next + 1) % ringSize
-	if r.n < ringSize {
-		r.n++
-	}
-}
-
-// quantiles returns the q-quantiles (nearest-rank) of the window, one
-// per requested q, or zeros when the window is empty.
-func (r *latencyRing) quantiles(qs ...float64) []int64 {
-	out := make([]int64, len(qs))
-	if r.n == 0 {
-		return out
-	}
-	window := make([]int64, r.n)
-	copy(window, r.buf[:r.n])
-	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-	for i, q := range qs {
-		idx := int(q * float64(r.n-1))
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= r.n {
-			idx = r.n - 1
-		}
-		out[i] = window[idx]
-	}
-	return out
-}
-
 // PoolStats is a snapshot of the pool's service-level metrics.
 type PoolStats struct {
 	// Submitted / Completed count jobs accepted and finished; Passed,

@@ -11,9 +11,10 @@ import (
 // included), collective rounds, the pool's own job accounting
 // (PoolStats stays as the struct API; the registry re-exposes it), and
 // — on an elastic pool — the failure detectors' heartbeat and
-// conviction counts. Gauges read live state at render time; the
-// service_job_latency_ns quantile is fed per completed job from the
-// moment the registry exists. Safe from any goroutine.
+// conviction counts. Gauges read live state at render time, and
+// service_job_latency_ns is the pool's own latency ring — the one
+// Stats reads P50Ns/P99Ns from — so it covers the pool's whole life.
+// Safe from any goroutine.
 func (p *Pool) Registry() *obs.Registry {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -36,7 +37,7 @@ func (p *Pool) Registry() *obs.Registry {
 	reg.GaugeFloat("service_jobs_per_sec", func() float64 { return p.Stats().JobsPerSec })
 	reg.GaugeFloat("service_bytes_per_job", func() float64 { return p.Stats().BytesPerJob })
 	reg.GaugeFloat("service_rounds_per_job", func() float64 { return p.Stats().RoundsPerJob })
-	p.jobLat = reg.Quantile("service_job_latency_ns")
+	reg.Quantile("service_job_latency_ns", &p.lat)
 
 	net := p.net
 	meter := func(read func(comm.MeterSnapshot) int64) func() int64 {

@@ -132,11 +132,10 @@ type Pool struct {
 	viewChanges   int64
 	totalBytes    int64
 	totalRound    int64
-	lat           latencyRing
+	lat           obs.Quantile  // job latencies, submission to completion
 	view          dist.View     // current view; meaningful when memberships != nil
 	viewChangedCh chan struct{} // closed and replaced on every view change
 	reg           *obs.Registry // lazily built by Registry()
-	jobLat        *obs.Quantile // registry's job-latency ring; nil until then
 }
 
 // New builds the mesh per opt.Dist and starts a pool over it. The pool
@@ -502,8 +501,7 @@ func (p *Pool) runJob(j *Job, subs []*collective.Comm, spec jobSpec) {
 	}
 	p.totalBytes += cost.Bytes
 	p.totalRound += int64(cost.Rounds)
-	p.lat.add(cost.WallNs)
-	p.jobLat.Observe(cost.WallNs) // nil-safe until Registry() is called
+	p.lat.Observe(cost.WallNs)
 	p.mu.Unlock()
 
 	p.dropRetention(j)
@@ -586,9 +584,9 @@ func (p *Pool) kickAll() {
 
 // Stats snapshots the pool's service-level metrics.
 func (p *Pool) Stats() PoolStats {
+	_, p50, p99, _ := p.lat.Snapshot()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	qs := p.lat.quantiles(0.50, 0.99)
 	v := p.viewLocked()
 	s := PoolStats{
 		Submitted:   p.submitted,
@@ -602,8 +600,8 @@ func (p *Pool) Stats() PoolStats {
 		ViewChanges: p.viewChanges,
 		Epoch:       v.Epoch(),
 		Alive:       v.Size(),
-		P50Ns:       qs[0],
-		P99Ns:       qs[1],
+		P50Ns:       p50,
+		P99Ns:       p99,
 	}
 	if up := time.Since(p.start).Seconds(); up > 0 {
 		s.JobsPerSec = float64(p.completed) / up
