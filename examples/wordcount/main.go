@@ -61,7 +61,7 @@ func main() {
 		for _, pr := range out {
 			flat = append(flat, pr.Key, pr.Value)
 		}
-		all, err := w.Coll.Gather(0, flat)
+		all, err := w.Coll.Gather(flat)
 		if err != nil {
 			return err
 		}

@@ -2,7 +2,6 @@ package collective
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -173,9 +172,9 @@ func TestAsyncFirstErrorTeardown(t *testing.T) {
 	}
 }
 
-// TestTagAllocationRace hammers tag reservation from many goroutines
-// and checks every allocated block is distinct and non-overlapping —
-// the nextTag/nextTags concurrency-safety satellite.
+// TestTagAllocationRace hammers tag allocation from many goroutines and
+// checks every allocated tag is distinct — the nextTag
+// concurrency-safety satellite.
 func TestTagAllocationRace(t *testing.T) {
 	net := comm.NewMemNetwork(1)
 	defer net.Close()
@@ -187,30 +186,26 @@ func TestTagAllocationRace(t *testing.T) {
 	got := make([][]int, workers)
 	var wg sync.WaitGroup
 	for wkr := 0; wkr < workers; wkr++ {
-		wkr := wkr
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				n := 1 + (i % 3)
-				base := c.nextTags(n)
-				got[wkr] = append(got[wkr], base, n)
+				got[wkr] = append(got[wkr], c.nextTag())
 			}
 		}()
 	}
 	wg.Wait()
-	type span struct{ lo, hi int }
-	var spans []span
+	seen := map[int]bool{}
 	for _, g := range got {
-		for i := 0; i < len(g); i += 2 {
-			spans = append(spans, span{g[i], g[i] + g[i+1]})
+		for _, tag := range g {
+			if seen[tag] {
+				t.Fatalf("tag %d allocated twice", tag)
+			}
+			seen[tag] = true
 		}
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
-	for i := 1; i < len(spans); i++ {
-		if spans[i].lo < spans[i-1].hi {
-			t.Fatalf("overlapping tag blocks: [%d,%d) and [%d,%d)", spans[i-1].lo, spans[i-1].hi, spans[i].lo, spans[i].hi)
-		}
+	if c.OpsStarted() != workers*each {
+		t.Fatalf("OpsStarted = %d after %d allocations", c.OpsStarted(), workers*each)
 	}
 	// Sub blocks are distinct too.
 	s1, err := c.Sub()

@@ -4,72 +4,77 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 )
 
+// encodeParts is the bundle a subtree holding parts sends: appendPart
+// over them in rank order.
+func encodeParts(parts ...[]uint64) []uint64 {
+	var flat []uint64
+	for _, part := range parts {
+		flat = appendPart(flat, part)
+	}
+	return flat
+}
+
 // A gather bundle's words come off the wire. Each case is a bundle a
-// faulty or hostile peer could send; the reproducer of the slice-bounds
-// panic (a length word ≥ 2^63 went negative as an int and passed the
-// bounds check) is the first.
+// faulty or hostile peer could send to a parent expecting a two-rank
+// subtree; the reproducer of the slice-bounds panic (a length word
+// ≥ 2^63 went negative as an int and passed the bounds check) is the
+// first.
 func TestDecodeBundleRejectsMalformed(t *testing.T) {
 	for name, flat := range map[string][]uint64{
-		"length wraps negative":   {1, 0, ^uint64(0)},
-		"rank out of range":       {1, 4, 0},
-		"rank wraps negative":     {1, ^uint64(0), 0},
-		"count beyond the words":  {3, 0, 0},
-		"count wraps negative":    {^uint64(0), 0, 0},
-		"truncated header":        {2, 0, 1, 7, 1},
-		"part longer than bundle": {1, 0, 2, 7},
-		"rank twice":              {2, 1, 0, 1, 0},
-		"rank already gathered":   {1, 3, 0},
-		"trailing words":          {1, 0, 0, 9},
+		"length wraps negative":   {0, ^uint64(0)},
+		"part longer than bundle": {0, 2, 7},
+		"truncated second part":   {1, 7, 3, 1},
+		"one part too few":        {1, 7},
+		"one part too many":       {1, 7, 0, 0},
+		"trailing word is a part": {0, 0, 9},
 		"empty":                   {},
 	} {
-		into := map[int][]uint64{3: {42}}
-		if err := decodeBundle(flat, 4, into); !errors.Is(err, ErrBadBundle) {
-			t.Errorf("%s: decodeBundle(%v) = %v, want ErrBadBundle", name, flat, err)
+		if _, err := decodeBundle(flat, 2); !errors.Is(err, ErrBadBundle) {
+			t.Errorf("%s: decodeBundle(%v, 2) = %v, want ErrBadBundle", name, flat, err)
 		}
 	}
-	into := map[int][]uint64{}
-	if err := decodeBundle([]uint64{2, 2, 1, 7, 0, 0}, 4, into); err != nil {
+	got, err := decodeBundle([]uint64{1, 7, 0, 2, 8, 9}, 3)
+	if err != nil {
 		t.Fatalf("well-formed bundle rejected: %v", err)
 	}
-	if want := (map[int][]uint64{2: {7}, 0: nil}); !reflect.DeepEqual(into, want) {
-		t.Fatalf("decoded %v, want %v", into, want)
+	if want := [][]uint64{{7}, {}, {8, 9}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %v, want %v", got, want)
+	}
+	if got, err := decodeBundle(nil, 0); err != nil || len(got) != 0 {
+		t.Fatalf("empty bundle of an empty subtree: %v, %v", got, err)
 	}
 }
 
-// FuzzDecodeBundle: any words either fail with ErrBadBundle or decode to
-// parts with ranks in [0, p) that survive an encode/decode round trip.
-// Never a panic.
+// FuzzDecodeBundle: any words and any expected entry count either fail
+// with ErrBadBundle or decode to exactly that many parts whose encoding
+// is the input, word for word — the format has one encoding per list of
+// parts. Never a panic.
 func FuzzDecodeBundle(f *testing.F) {
-	f.Add(U64sToBytes([]uint64{1, 0, ^uint64(0)}), uint8(4))
-	f.Add(U64sToBytes([]uint64{2, 2, 1, 7, 0, 0}), uint8(4))
-	f.Add(U64sToBytes(encodeBundle(map[int][]uint64{0: {1, 2}, 5: nil, 6: {9}})), uint8(8))
-	f.Add([]byte{}, uint8(1))
-	f.Fuzz(func(t *testing.T, raw []byte, p uint8) {
+	f.Add(U64sToBytes([]uint64{0, ^uint64(0)}), uint8(2))
+	f.Add(U64sToBytes([]uint64{1, 7, 0, 2, 8, 9}), uint8(3))
+	f.Add(U64sToBytes(encodeParts([]uint64{1, 2}, nil, []uint64{9})), uint8(8)) // wrong entry count
+	f.Add([]byte{}, uint8(0))
+	f.Fuzz(func(t *testing.T, raw []byte, want uint8) {
 		flat, err := BytesToU64s(raw[:len(raw)&^7])
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := map[int][]uint64{}
-		if err := decodeBundle(flat, int(p), got); err != nil {
+		parts, err := decodeBundle(flat, int(want))
+		if err != nil {
 			if !errors.Is(err, ErrBadBundle) {
 				t.Fatalf("decodeBundle failed with an unnamed error: %v", err)
 			}
 			return
 		}
-		for r := range got {
-			if r < 0 || r >= int(p) {
-				t.Fatalf("decoded rank %d outside [0, %d)", r, p)
-			}
+		if len(parts) != int(want) {
+			t.Fatalf("decoded %d parts, want %d", len(parts), want)
 		}
-		again := map[int][]uint64{}
-		if err := decodeBundle(encodeBundle(got), int(p), again); err != nil {
-			t.Fatalf("re-encoded bundle does not decode: %v", err)
-		}
-		if !reflect.DeepEqual(got, again) {
-			t.Fatalf("round trip changed the bundle: %v -> %v", got, again)
+		if again := encodeParts(parts...); !slices.Equal(again, flat) {
+			t.Fatalf("round trip changed the bundle: %v -> %v", flat, again)
 		}
 	})
 }

@@ -1,14 +1,33 @@
 // Package collective implements the collective communication toolbox of
 // Section 2 on top of a comm.Endpoint: binomial-tree broadcast and
 // reduction, all-reduction, gather/all-gather, exclusive prefix scan,
-// dissemination barrier, and direct-delivery all-to-all. Broadcast,
-// reduction and all-reduction run in Tcoll(k) = O(beta*k + alpha*log p),
+// barrier, and direct-delivery all-to-all. Broadcast, reduction,
+// all-reduction and the scan run in Tcoll(k) = O(beta*k + alpha*log p),
 // the bound the checkers' analyses rely on.
 //
 // All operations are SPMD: every PE must call the same sequence of
 // collectives on its own Comm. An internal operation counter derives a
 // fresh tag per collective, so consecutive collectives cannot confuse
 // each other's messages.
+//
+// # One tree
+//
+// Every rooted collective is a sweep of one binomial tree rooted at rank
+// 0: rank v's parent is v minus its lowest set bit, its children are
+// v|mask for each power of two mask below that bit with v|mask < p.
+// Reduce, Gather and the scan's first phase are the child-to-parent
+// sweep (sweepUp), Broadcast and the scan's second phase the
+// parent-to-child sweep (sweepDown). The subtree of v is the contiguous
+// interval [v, v+lowbit(v)) ∩ [0, p) and a node folds its children in
+// ascending mask order, so a partial always covers an interval and is
+// only ever combined with the interval right above it: a ReduceOp needs
+// associativity, never commutativity, and a gather bundle no rank words.
+// Every tree edge joins ranks that differ in one bit, for any p, so over
+// a TopoHypercube transport trees and scan stay on pre-opened
+// connections without being told the topology. Barrier is the one
+// unrooted schedule: exchange with rank^d when p is a power of two (cube
+// edges again), dissemination to rank+d mod p otherwise, where rank^d
+// may leave [0, p) — p·log p empty messages in log p rounds either way.
 //
 // # One word channel
 //
@@ -64,6 +83,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -97,8 +118,8 @@ const (
 	// 2^12 tags at depths 1..3.
 	subFanout int64 = 64
 	// minSubSpan is the smallest block worth splitting further: below
-	// it the ops region could not hold a multi-round collective per
-	// nesting level, so such blocks are leaves and their Sub fails.
+	// it a child's ops region would hold too few collectives to be of
+	// use, so such blocks are leaves and their Sub fails.
 	minSubSpan int64 = 1 << 12
 )
 
@@ -109,9 +130,9 @@ const (
 var ErrTagSpaceExhausted = errors.New("collective: sub-communicator tag space exhausted")
 
 // ErrBadBundle is reported by Gather and AllGather when a peer's bundle
-// of gathered parts does not decode: a count, rank or length word that
-// does not fit the message or the communicator, a rank that appears
-// twice, or trailing words. The words come off the wire, so they are
+// of gathered parts does not decode: a length word that does not fit the
+// message, trailing words, or a number of parts other than the width of
+// the sender's subtree. The words come off the wire, so they are
 // validated, never trusted.
 var ErrBadBundle = errors.New("collective: malformed gather bundle")
 
@@ -200,18 +221,6 @@ type Comm struct {
 	// the hot path (obs.Tracer's disabled contract).
 	tr       *obs.Tracer
 	traceJob int64
-
-	// topo is the transport's pre-opened connection graph, installed by
-	// SetTopology and inherited by sub-communicators. It is a routing
-	// hint, not a restriction: on a hypercube the collectives switch to
-	// XOR-mapped virtual ranks so every tree, scan, and barrier round
-	// travels a pre-opened edge; any other pattern still works, paying a
-	// lazy dial. Results are unchanged either way — the XOR variants
-	// engage only where the ReduceOp contract already demands
-	// commutativity (non-zero roots, ExclusiveScan), and the root-0
-	// trees, which carry the order-sensitive combines, are identical
-	// under both mappings.
-	topo comm.Topology
 }
 
 // New returns the root collective communicator over ep. All receiving
@@ -289,16 +298,6 @@ func (c *Comm) span(kind obs.Kind, name string) obs.Active {
 	return c.tr.Start(c.mux.Endpoint().Rank(), c.traceJob, c.base, kind, name)
 }
 
-// SetTopology installs the transport's connection-graph hint (see the
-// topo field). Call it right after New, before any collective; every PE
-// must install the same topology or tree shapes diverge and the
-// collectives deadlock. dist does this automatically for networks that
-// expose a Topology.
-func (c *Comm) SetTopology(t comm.Topology) { c.topo = t }
-
-// Topology returns the installed connection-graph hint ("" if none).
-func (c *Comm) Topology() comm.Topology { return c.topo }
-
 // ConnsOpen reports how many transport connections are currently
 // established under this communicator's endpoint, or -1 when the
 // transport does not meter connections (mem, simnet). On a hypercube
@@ -310,36 +309,6 @@ func (c *Comm) ConnsOpen() int64 {
 		return m.ConnsOpen()
 	}
 	return -1
-}
-
-// onHypercube reports whether the XOR-mapped (hypercube-edge) variants
-// of the collectives should be used: the transport pre-opened a
-// hypercube and the communicator spans a power of two of PEs (XOR
-// virtual ranks permute [0,p) only then).
-func (c *Comm) onHypercube() bool {
-	p := c.Size()
-	return c.topo == comm.TopoHypercube && p > 1 && p&(p-1) == 0
-}
-
-// vinv maps a virtual tree rank back to a logical rank. The default
-// mapping is the rotation (vrank+root) mod p; on a hypercube it is the
-// involution vrank XOR root, which keeps every tree edge (virtual ranks
-// differing in one bit) a physical hypercube edge. Both map virtual
-// rank 0 to root. For root 0 the two mappings — and therefore the tree
-// shapes and combine orders — coincide.
-func (c *Comm) vinv(vrank, root, p int) int {
-	if c.onHypercube() {
-		return vrank ^ root
-	}
-	return (vrank + root) % p
-}
-
-// vmap is the inverse of vinv: the virtual tree rank of a logical rank.
-func (c *Comm) vmap(rank, root, p int) int {
-	if c.onHypercube() {
-		return rank ^ root
-	}
-	return (rank - root + p) % p
 }
 
 // Sub carves a sub-communicator out of this communicator's tag space: a
@@ -375,7 +344,6 @@ func (c *Comm) Sub() (*Comm, error) {
 		limit:    base + span/2,
 		end:      base + span,
 		parent:   c,
-		topo:     c.topo,
 		tr:       c.tr,
 		traceJob: c.traceJob,
 	}
@@ -388,9 +356,9 @@ func (c *Comm) Sub() (*Comm, error) {
 // SubMembers is Sub restricted to a survivor view: the returned
 // communicator spans only the given physical endpoint ranks, renumbered
 // contiguously in slice order as logical ranks 0..len(members)-1, so
-// the recursive-doubling collectives run correctly over the shrunken
-// set. members must be strictly ascending, valid endpoint ranks, and
-// include the calling PE. Every member PE must call SubMembers with the
+// the tree collectives run correctly over the shrunken set. members
+// must be strictly ascending, valid endpoint ranks, and include the
+// calling PE. Every member PE must call SubMembers with the
 // identical slice at the same point of its Sub/Release sequence on this
 // parent; non-members simply do not call (their allocators are allowed
 // to diverge — they are no longer part of the view).
@@ -469,20 +437,13 @@ func (c *Comm) BytesSent() int64 { return c.bytesSent.Load() }
 // MsgsSent returns how many messages this communicator has sent.
 func (c *Comm) MsgsSent() int64 { return c.msgsSent.Load() }
 
-// nextTag allocates the tag for the next collective operation. Because
-// every PE executes the same collective sequence, counters stay aligned
-// across PEs without communication.
+// nextTag allocates the tag for the next collective operation — one
+// tag each: within an operation a PE hears from any peer at most once per
+// direction. Because every PE executes the same collective sequence,
+// counters stay aligned across PEs without communication.
 func (c *Comm) nextTag() int {
-	return c.nextTags(1)
-}
-
-// nextTags reserves a contiguous block of n tags for multi-round
-// collectives (scan, barrier), one tag per round, so rounds of the same
-// operation cannot be confused with each other or with later operations.
-func (c *Comm) nextTags(n int) int {
-	off := c.tag.Add(int64(n)) - int64(n)
-	t := c.base + off
-	if t+int64(n) > c.limit {
+	t := c.base + c.tag.Add(1) - 1
+	if t >= c.limit {
 		panic(fmt.Sprintf("collective: tag block [%d, %d) exhausted", c.base, c.limit))
 	}
 	c.ops.Add(1)
@@ -554,12 +515,11 @@ func (c *Comm) recvU64s(src, tag int) ([]uint64, error) {
 
 // ReduceOp combines src into dst element-wise. Implementations must be
 // associative over the element encoding. Commutativity is not required
-// for Reduce with root 0 (and hence AllReduce): the binomial tree only
-// ever combines rank-contiguous partial results in ascending rank
-// order, so dst always covers lower ranks than src. Order-sensitive
+// by Reduce, AllReduce or ExclusiveScan: the tree only ever combines
+// rank-contiguous partial results in ascending rank order, so dst always
+// covers the ranks right below src's (see "One tree"). Order-sensitive
 // combines (e.g. the sort checker's boundary-interval merge) rely on
-// this contract. For other roots, or for ExclusiveScan, the op must
-// additionally be commutative.
+// this contract.
 type ReduceOp func(dst, src []uint64)
 
 // OpSum adds with wraparound (the natural operation in Z/2^64Z).
@@ -576,324 +536,223 @@ func OpAnd(dst, src []uint64) {
 	}
 }
 
-// Broadcast distributes root's words to all PEs along a binomial tree:
-// O(beta*k + alpha*log p). Every PE returns the broadcast data.
-func (c *Comm) Broadcast(root int, words []uint64) ([]uint64, error) {
-	sp := c.span(obs.KindCollective, "broadcast")
-	defer sp.End()
-	tag := c.nextTag()
+// sweepUp is this PE's part of the child-to-parent sweep. acc starts as
+// the PE's own contribution; the words of each child rank|mask, which
+// speaks for ranks [rank|mask, rank|mask+mask) ∩ [0, p), are folded in
+// narrowest subtree first, and the result goes to the parent. It returns
+// the final acc: the whole tree's at rank 0, a subtree's elsewhere.
+func (c *Comm) sweepUp(tag int, acc []uint64, fold func(mask int, acc, got []uint64) ([]uint64, error)) ([]uint64, error) {
 	p, rank := c.Size(), c.Rank()
-	if p == 1 {
-		return words, nil
-	}
-	vrank := c.vmap(rank, root, p)
-	data := words
-	// Receive phase: the lowest set bit of vrank identifies the parent.
-	mask := 1
-	for ; mask < p; mask <<= 1 {
-		if vrank&mask != 0 {
-			parent := c.vinv(vrank-mask, root, p)
-			got, err := c.recvU64s(parent, tag)
+	for mask := 1; mask < p; mask <<= 1 {
+		if rank&mask != 0 {
+			return acc, c.sendU64s(rank-mask, tag, acc)
+		}
+		if child := rank | mask; child < p {
+			got, err := c.recvU64s(child, tag)
 			if err != nil {
 				return nil, err
 			}
-			data = got
-			break
-		}
-	}
-	// Send phase: forward to children at decreasing bit positions.
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if vrank+mask < p {
-			child := c.vinv(vrank+mask, root, p)
-			if err := c.sendU64s(child, tag, data); err != nil {
+			if acc, err = fold(mask, acc, got); err != nil {
 				return nil, err
 			}
-		}
-	}
-	return data, nil
-}
-
-// Reduce combines all PEs' words with op along a binomial tree; the
-// result is meaningful only at root (other PEs receive their partial).
-// words is not modified. O(beta*k + alpha*log p).
-func (c *Comm) Reduce(root int, words []uint64, op ReduceOp) ([]uint64, error) {
-	sp := c.span(obs.KindCollective, "reduce")
-	defer sp.End()
-	tag := c.nextTag()
-	p, rank := c.Size(), c.Rank()
-	acc := make([]uint64, len(words))
-	copy(acc, words)
-	if p == 1 {
-		return acc, nil
-	}
-	vrank := c.vmap(rank, root, p)
-	for mask := 1; mask < p; mask <<= 1 {
-		if vrank&mask == 0 {
-			partner := vrank | mask
-			if partner < p {
-				got, err := c.recvU64s(c.vinv(partner, root, p), tag)
-				if err != nil {
-					return nil, err
-				}
-				if len(got) != len(acc) {
-					return nil, fmt.Errorf("collective: reduce length mismatch: %d vs %d", len(got), len(acc))
-				}
-				op(acc, got)
-			}
-		} else {
-			parent := c.vinv(vrank-mask, root, p)
-			if err := c.sendU64s(parent, tag, acc); err != nil {
-				return nil, err
-			}
-			break
 		}
 	}
 	return acc, nil
 }
 
+// sweepDown is this PE's part of the parent-to-child sweep: every PE
+// but rank 0 first replaces words by what its parent sends (want words,
+// when want >= 0), then sends forChild(mask, words) to each child
+// rank|mask, widest subtree first. It returns the words this PE ends up
+// holding.
+func (c *Comm) sweepDown(tag int, words []uint64, want int, forChild func(mask int, words []uint64) []uint64) ([]uint64, error) {
+	p, rank := c.Size(), c.Rank()
+	mask := 1
+	for mask < p && rank&mask == 0 {
+		mask <<= 1
+	}
+	if mask < p { // rank != 0, and mask is its lowest set bit
+		got, err := c.recvU64s(rank-mask, tag)
+		if err != nil {
+			return nil, err
+		}
+		if want >= 0 && len(got) != want {
+			return nil, fmt.Errorf("collective: parent %d sent %d words, want %d", rank-mask, len(got), want)
+		}
+		words = got
+	}
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if child := rank | mask; child < p {
+			if err := c.sendU64s(child, tag, forChild(mask, words)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return words, nil
+}
+
+// Broadcast distributes rank 0's words to all PEs along the tree:
+// O(beta*k + alpha*log p). Every PE returns the broadcast data; the
+// argument is ignored at every other rank.
+func (c *Comm) Broadcast(words []uint64) ([]uint64, error) {
+	sp := c.span(obs.KindCollective, "broadcast")
+	defer sp.End()
+	return c.sweepDown(c.nextTag(), words, -1, func(_ int, words []uint64) []uint64 { return words })
+}
+
+// Reduce combines all PEs' words with op along the tree; the result is
+// meaningful only at rank 0 (other PEs receive their subtree's partial).
+// words is not modified. O(beta*k + alpha*log p).
+func (c *Comm) Reduce(words []uint64, op ReduceOp) ([]uint64, error) {
+	sp := c.span(obs.KindCollective, "reduce")
+	defer sp.End()
+	return c.sweepUp(c.nextTag(), slices.Clone(words), func(_ int, acc, got []uint64) ([]uint64, error) {
+		if len(got) != len(acc) {
+			return nil, fmt.Errorf("collective: reduce length mismatch: %d vs %d", len(got), len(acc))
+		}
+		op(acc, got)
+		return acc, nil
+	})
+}
+
 // AllReduce combines all PEs' words and distributes the result to every
 // PE (reduce to 0, then broadcast).
 func (c *Comm) AllReduce(words []uint64, op ReduceOp) ([]uint64, error) {
-	red, err := c.Reduce(0, words, op)
+	red, err := c.Reduce(words, op)
 	if err != nil {
 		return nil, err
 	}
-	return c.Broadcast(0, red)
+	return c.Broadcast(red)
 }
 
-// Gather collects every PE's words at root, returned as a slice indexed
-// by rank (nil at non-root PEs). Payload lengths may differ across PEs.
-// Uses a binomial tree, so no PE handles more than O(log p) messages.
-func (c *Comm) Gather(root int, words []uint64) ([][]uint64, error) {
+// Gather collects every PE's words at rank 0, returned as a slice
+// indexed by rank (nil at every other PE). Payload lengths may differ
+// across PEs. One sweep up the tree, so no PE handles more than
+// O(log p) messages.
+func (c *Comm) Gather(words []uint64) ([][]uint64, error) {
+	flat, err := c.gather(words)
+	if err != nil || c.Rank() != 0 {
+		return nil, err
+	}
+	return decodeBundle(flat, c.Size())
+}
+
+// AllGather collects every PE's words at every PE: a gather, then a
+// broadcast of rank 0's bundle.
+func (c *Comm) AllGather(words []uint64) ([][]uint64, error) {
+	flat, err := c.gather(words)
+	if err != nil {
+		return nil, err
+	}
+	if flat, err = c.Broadcast(flat); err != nil {
+		return nil, err
+	}
+	return decodeBundle(flat, c.Size())
+}
+
+// gather sweeps the PEs' words up the tree as bundles: the (len, words)
+// entries of the ranks a subtree covers, in rank order. Subtrees are
+// contiguous and arrive in ascending order, so appending keeps a bundle
+// sorted without rank words; what a child sends is checked against the
+// width of its subtree before it is passed on.
+func (c *Comm) gather(words []uint64) ([]uint64, error) {
 	sp := c.span(obs.KindCollective, "gather")
 	defer sp.End()
-	tag := c.nextTag()
 	p, rank := c.Size(), c.Rank()
-	vrank := c.vmap(rank, root, p)
-	// bundle maps virtual rank -> payload, encoded for transport as
-	// (count, then per entry: vrank, len, words...).
-	bundle := map[int][]uint64{vrank: words}
-	for mask := 1; mask < p; mask <<= 1 {
-		if vrank&mask == 0 {
-			partner := vrank | mask
-			if partner < p {
-				got, err := c.recvU64s(c.vinv(partner, root, p), tag)
-				if err != nil {
-					return nil, err
-				}
-				if err := decodeBundle(got, p, bundle); err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			parent := c.vinv(vrank-mask, root, p)
-			if err := c.sendU64s(parent, tag, encodeBundle(bundle)); err != nil {
-				return nil, err
-			}
-			return nil, nil
+	return c.sweepUp(c.nextTag(), appendPart(nil, words), func(mask int, acc, got []uint64) ([]uint64, error) {
+		if _, err := decodeBundle(got, min(mask, p-(rank|mask))); err != nil {
+			return nil, err
 		}
-	}
-	if len(bundle) != p {
-		return nil, fmt.Errorf("%w: %d of %d parts arrived at the root", ErrBadBundle, len(bundle), p)
-	}
-	out := make([][]uint64, p)
-	for v, w := range bundle {
-		out[c.vinv(v, root, p)] = w
-	}
-	return out, nil
+		return append(acc, got...), nil
+	})
 }
 
-// AllGather collects every PE's words at every PE.
-func (c *Comm) AllGather(words []uint64) ([][]uint64, error) {
-	parts, err := c.Gather(0, words)
-	if err != nil {
-		return nil, err
-	}
-	// Broadcast the gathered bundle.
-	var flat []uint64
-	if c.Rank() == 0 {
-		bundle := make(map[int][]uint64, len(parts))
-		for r, w := range parts {
-			bundle[r] = w
-		}
-		flat = encodeBundle(bundle)
-	}
-	flat, err = c.Broadcast(0, flat)
-	if err != nil {
-		return nil, err
-	}
-	p := c.Size()
-	bundle := make(map[int][]uint64, p)
-	if err := decodeBundle(flat, p, bundle); err != nil {
-		return nil, err
-	}
-	if len(bundle) != p {
-		return nil, fmt.Errorf("%w: %d of %d parts in the broadcast", ErrBadBundle, len(bundle), p)
-	}
-	out := make([][]uint64, p)
-	for r, w := range bundle {
-		out[r] = w
-	}
-	return out, nil
+// appendPart appends one bundle entry: the part's length, then its words.
+func appendPart(bundle, part []uint64) []uint64 {
+	return append(append(bundle, uint64(len(part))), part...)
 }
 
-func encodeBundle(bundle map[int][]uint64) []uint64 {
-	size := 1
-	for _, w := range bundle {
-		size += 2 + len(w)
-	}
-	out := make([]uint64, 0, size)
-	out = append(out, uint64(len(bundle)))
-	for v, w := range bundle {
-		out = append(out, uint64(v), uint64(len(w)))
-		out = append(out, w...)
-	}
-	return out
-}
-
-// decodeBundle adds the entries of a peer's encoded bundle to into,
-// which holds the parts gathered so far keyed by rank in [0, p). Every
-// word is validated before it is used as a count, an index or a length;
-// anything that does not fit is ErrBadBundle.
-func decodeBundle(flat []uint64, p int, into map[int][]uint64) error {
-	if len(flat) == 0 {
-		return fmt.Errorf("%w: empty", ErrBadBundle)
-	}
-	rest := flat[1:]
-	for i := uint64(0); i < flat[0]; i++ {
-		if len(rest) < 2 {
-			return fmt.Errorf("%w: %d entries announced, words end in entry %d", ErrBadBundle, flat[0], i)
-		}
-		v, n := rest[0], rest[1]
-		rest = rest[2:]
-		if v >= uint64(p) {
-			return fmt.Errorf("%w: rank %d outside [0, %d)", ErrBadBundle, v, p)
-		}
+// decodeBundle splits a bundle into its parts, which alias flat. Every
+// length word is validated before it is used; a part that overruns the
+// bundle, or a number of parts other than want, is ErrBadBundle.
+func decodeBundle(flat []uint64, want int) ([][]uint64, error) {
+	parts := make([][]uint64, 0, want)
+	for len(flat) > 0 {
+		n, rest := flat[0], flat[1:]
 		if n > uint64(len(rest)) {
-			return fmt.Errorf("%w: part of %d words in %d remaining", ErrBadBundle, n, len(rest))
+			return nil, fmt.Errorf("%w: part %d of %d words in %d remaining", ErrBadBundle, len(parts), n, len(rest))
 		}
-		if _, dup := into[int(v)]; dup {
-			return fmt.Errorf("%w: rank %d appears twice", ErrBadBundle, v)
-		}
-		into[int(v)] = append([]uint64(nil), rest[:n]...)
-		rest = rest[n:]
+		parts = append(parts, rest[:n:n])
+		flat = rest[n:]
 	}
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing words", ErrBadBundle, len(rest))
+	if len(parts) != want {
+		return nil, fmt.Errorf("%w: %d parts, want %d", ErrBadBundle, len(parts), want)
 	}
-	return nil
+	return parts, nil
 }
 
 // ExclusiveScan computes the exclusive prefix combination of words
-// across ranks: PE i receives op(words_0, ..., words_{i-1}), and PE 0
-// receives identity. Dissemination (Hillis-Steele) in O(log p) rounds.
-func (c *Comm) ExclusiveScan(words []uint64, op ReduceOp, identity []uint64) ([]uint64, error) {
+// across ranks and the combination over all of them: PE i receives
+// prefix = op(words_0, ..., words_{i-1}) — PE 0 identity, which must be
+// op's identity element — and every PE total. One sweep up the tree and
+// one down, 2(p-1) messages in 2·log p hops: going up a PE keeps the
+// partial it held before each child was folded in; going down it hands
+// child rank|mask its own prefix extended by that partial — exactly the
+// ranks between them — along with the total.
+func (c *Comm) ExclusiveScan(words []uint64, op ReduceOp, identity []uint64) (prefix, total []uint64, err error) {
 	sp := c.span(obs.KindCollective, "scan")
 	defer sp.End()
-	tag := c.nextTags(64)
-	p, rank := c.Size(), c.Rank()
-	incl := make([]uint64, len(words))
-	copy(incl, words)
-	excl := make([]uint64, len(identity))
-	copy(excl, identity)
-	hasExcl := false
-	round := 0
-	if c.onHypercube() {
-		// Recursive doubling over hypercube edges: each round swaps block
-		// partials with the rank^d partner; a partner below this rank
-		// contributes to the exclusive prefix. ExclusiveScan already
-		// requires a commutative op, so the out-of-rank-order
-		// accumulation yields the same result as dissemination.
-		for d := 1; d < p; d <<= 1 {
-			roundTag := tag + round
-			round++
-			partner := rank ^ d
-			if err := c.sendU64s(partner, roundTag, incl); err != nil {
-				return nil, err
-			}
-			got, err := c.recvU64s(partner, roundTag)
-			if err != nil {
-				return nil, err
-			}
-			if partner < rank {
-				if hasExcl {
-					op(excl, got)
-				} else {
-					copy(excl, got)
-					hasExcl = true
-				}
-			}
-			op(incl, got)
-		}
-		if !hasExcl {
-			copy(excl, identity)
-		}
-		return excl, nil
+	tag, k := c.nextTag(), len(words)
+	if len(identity) != k {
+		return nil, nil, fmt.Errorf("collective: scan identity has %d words, input %d", len(identity), k)
 	}
-	for d := 1; d < p; d <<= 1 {
-		// Tags differ per round: the same pair can communicate in
-		// multiple rounds of different distance.
-		roundTag := tag + round
-		round++
-		if rank+d < p {
-			if err := c.sendU64s(rank+d, roundTag, incl); err != nil {
-				return nil, err
-			}
+	// left[i] is the partial over ranks [rank, rank+1<<i): what this PE
+	// held before child rank|1<<i was folded in.
+	left := make([][]uint64, bits.Len(uint(c.Size())))
+	acc, err := c.sweepUp(tag, slices.Clone(words), func(mask int, acc, got []uint64) ([]uint64, error) {
+		if len(got) != k {
+			return nil, fmt.Errorf("collective: scan length mismatch: %d vs %d", len(got), k)
 		}
-		if rank-d >= 0 {
-			got, err := c.recvU64s(rank-d, roundTag)
-			if err != nil {
-				return nil, err
-			}
-			op(incl, got)
-			if hasExcl {
-				op(excl, got)
-			} else {
-				copy(excl, got)
-				hasExcl = true
-			}
-		}
+		left[bits.TrailingZeros(uint(mask))] = slices.Clone(acc)
+		op(acc, got)
+		return acc, nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	if !hasExcl {
-		copy(excl, identity)
+	// Downward a message is prefix then total; rank 0 starts it.
+	var down []uint64
+	if c.Rank() == 0 {
+		down = append(slices.Clone(identity), acc...)
 	}
-	return excl, nil
+	down, err = c.sweepDown(tag, down, 2*k, func(mask int, down []uint64) []uint64 {
+		child := slices.Clone(down)
+		op(child[:k], left[bits.TrailingZeros(uint(mask))])
+		return child
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return down[:k:k], down[k:], nil
 }
 
-// Barrier blocks until all PEs have entered it (dissemination barrier,
-// O(alpha*log p)).
+// Barrier blocks until all PEs have entered it: log p rounds of empty
+// messages, to rank^d when p is a power of two and by dissemination to
+// rank+d mod p otherwise (see "One tree"). O(alpha*log p).
 func (c *Comm) Barrier() error {
 	sp := c.span(obs.KindCollective, "barrier")
 	defer sp.End()
-	tag := c.nextTags(64)
+	tag := c.nextTag()
 	p, rank := c.Size(), c.Rank()
-	round := 0
-	if c.onHypercube() {
-		// Pairwise-exchange barrier: round d swaps an empty message with
-		// the rank^d partner, so every round is a pre-opened edge. After
-		// log2(p) rounds each PE has (transitively) heard from all.
-		for d := 1; d < p; d <<= 1 {
-			roundTag := tag + round
-			round++
-			partner := rank ^ d
-			if err := c.send(partner, roundTag, nil); err != nil {
-				return err
-			}
-			if _, err := c.recv(partner, roundTag); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	for d := 1; d < p; d <<= 1 {
-		roundTag := tag + round
-		round++
-		dst := (rank + d) % p
-		src := (rank - d + p) % p
-		if err := c.send(dst, roundTag, nil); err != nil {
+		dst, src := (rank+d)%p, (rank-d+p)%p
+		if p&(p-1) == 0 {
+			dst, src = rank^d, rank^d
+		}
+		if err := c.send(dst, tag, nil); err != nil {
 			return err
 		}
-		if _, err := c.recv(src, roundTag); err != nil {
+		if _, err := c.recv(src, tag); err != nil {
 			return err
 		}
 	}
@@ -981,16 +840,4 @@ func (c *Comm) AllAgree(ok bool) (bool, error) {
 		return false, err
 	}
 	return res[0] == 1, nil
-}
-
-// BroadcastU64 broadcasts a single word from root.
-func (c *Comm) BroadcastU64(root int, x uint64) (uint64, error) {
-	res, err := c.Broadcast(root, []uint64{x})
-	if err != nil {
-		return 0, err
-	}
-	if len(res) != 1 {
-		return 0, fmt.Errorf("collective: BroadcastU64 got %d words", len(res))
-	}
-	return res[0], nil
 }

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -36,23 +37,20 @@ var sizes = []int{1, 2, 3, 4, 5, 7, 8, 13, 16}
 
 func TestBroadcast(t *testing.T) {
 	for _, p := range sizes {
-		for root := 0; root < p; root += 3 {
-			p, root := p, root
-			runSPMD(t, p, func(c *Comm) error {
-				var in []uint64
-				if c.Rank() == root {
-					in = []uint64{42, 99, uint64(root)}
-				}
-				got, err := c.Broadcast(root, in)
-				if err != nil {
-					return err
-				}
-				if len(got) != 3 || got[0] != 42 || got[1] != 99 || got[2] != uint64(root) {
-					t.Errorf("p=%d root=%d rank=%d: got %v", p, root, c.Rank(), got)
-				}
-				return nil
-			})
-		}
+		runSPMD(t, p, func(c *Comm) error {
+			in := []uint64{uint64(c.Rank())} // ignored everywhere but at rank 0
+			if c.Rank() == 0 {
+				in = []uint64{42, 99, uint64(p)}
+			}
+			got, err := c.Broadcast(in)
+			if err != nil {
+				return err
+			}
+			if len(got) != 3 || got[0] != 42 || got[1] != 99 || got[2] != uint64(p) {
+				t.Errorf("p=%d rank=%d: got %v", p, c.Rank(), got)
+			}
+			return nil
+		})
 	}
 }
 
@@ -61,7 +59,7 @@ func TestReduceSum(t *testing.T) {
 		p := p
 		runSPMD(t, p, func(c *Comm) error {
 			in := []uint64{uint64(c.Rank()), 1}
-			got, err := c.Reduce(0, in, OpSum)
+			got, err := c.Reduce(in, OpSum)
 			if err != nil {
 				return err
 			}
@@ -79,7 +77,7 @@ func TestReduceSum(t *testing.T) {
 func TestReduceDoesNotClobberInput(t *testing.T) {
 	runSPMD(t, 4, func(c *Comm) error {
 		in := []uint64{uint64(c.Rank())}
-		if _, err := c.Reduce(0, in, OpSum); err != nil {
+		if _, err := c.Reduce(in, OpSum); err != nil {
 			return err
 		}
 		if in[0] != uint64(c.Rank()) {
@@ -87,6 +85,45 @@ func TestReduceDoesNotClobberInput(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// opConcat is an order-sensitive ReduceOp: a vector is a count followed
+// by that many entries (the rest is padding), and the combination is src's
+// entries appended to dst's. Associative, not commutative, with the
+// zero vector as identity — so a result lists the ranks it covers in
+// the order they were combined.
+func opConcat(dst, src []uint64) {
+	copy(dst[1+dst[0]:], src[1:1+src[0]])
+	dst[0] += src[0]
+}
+
+// concatOf is the opConcat vector, with room for p entries, holding
+// ranks [lo, hi).
+func concatOf(p, lo, hi int) []uint64 {
+	v := make([]uint64, 1+p)
+	for r := lo; r < hi; r++ {
+		v[1+v[0]] = uint64(r)
+		v[0]++
+	}
+	return v
+}
+
+// TestReduceRankOrder: the tree combines rank-contiguous partials in
+// ascending order at every size, which is what lets the sort checker
+// reduce with an order-sensitive op.
+func TestReduceRankOrder(t *testing.T) {
+	for _, p := range sizes {
+		runSPMD(t, p, func(c *Comm) error {
+			got, err := c.AllReduce(concatOf(p, c.Rank(), c.Rank()+1), opConcat)
+			if err != nil {
+				return err
+			}
+			if want := concatOf(p, 0, p); !slices.Equal(got, want) {
+				t.Errorf("p=%d rank %d: reduced in order %v, want %v", p, c.Rank(), got, want)
+			}
+			return nil
+		})
+	}
 }
 
 // opMin and opMax are order-insensitive ReduceOps other than the sum, for
@@ -161,7 +198,7 @@ func TestGatherVariableLengths(t *testing.T) {
 			for i := range in {
 				in[i] = uint64(r*100 + i)
 			}
-			parts, err := c.Gather(0, in)
+			parts, err := c.Gather(in)
 			if err != nil {
 				return err
 			}
@@ -190,41 +227,88 @@ func TestGatherVariableLengths(t *testing.T) {
 	}
 }
 
+// TestAllGather gives every PE every part, at every size, with unequal
+// parts and empty ones (every third rank contributes nothing).
 func TestAllGather(t *testing.T) {
-	runSPMD(t, 5, func(c *Comm) error {
-		in := []uint64{uint64(c.Rank() * 7)}
-		parts, err := c.AllGather(in)
-		if err != nil {
-			return err
+	part := func(r int) []uint64 {
+		in := make([]uint64, r%3)
+		for i := range in {
+			in[i] = uint64(r*7 + i)
 		}
-		for src, ws := range parts {
-			if len(ws) != 1 || ws[0] != uint64(src*7) {
-				t.Errorf("rank %d: part %d = %v", c.Rank(), src, ws)
-			}
-		}
-		return nil
-	})
-}
-
-func TestExclusiveScan(t *testing.T) {
+		return in
+	}
 	for _, p := range sizes {
-		p := p
 		runSPMD(t, p, func(c *Comm) error {
-			in := []uint64{uint64(c.Rank() + 1)}
-			got, err := c.ExclusiveScan(in, OpSum, []uint64{0})
+			parts, err := c.AllGather(part(c.Rank()))
 			if err != nil {
 				return err
 			}
-			want := uint64(0)
-			for i := 0; i < c.Rank(); i++ {
-				want += uint64(i + 1)
+			if len(parts) != p {
+				t.Errorf("p=%d rank %d: %d parts", p, c.Rank(), len(parts))
+				return nil
 			}
-			if got[0] != want {
-				t.Errorf("p=%d rank %d: scan got %d, want %d", p, c.Rank(), got[0], want)
+			for src, ws := range parts {
+				if !slices.Equal(ws, part(src)) {
+					t.Errorf("p=%d rank %d: part %d = %v, want %v", p, c.Rank(), src, ws, part(src))
+				}
 			}
 			return nil
 		})
 	}
+}
+
+func TestExclusiveScan(t *testing.T) {
+	for _, p := range sizes {
+		runSPMD(t, p, func(c *Comm) error {
+			in := []uint64{uint64(c.Rank() + 1)}
+			got, total, err := c.ExclusiveScan(in, OpSum, []uint64{0})
+			if err != nil {
+				return err
+			}
+			want := uint64(c.Rank() * (c.Rank() + 1) / 2)
+			if len(got) != 1 || got[0] != want {
+				t.Errorf("p=%d rank %d: scan got %v, want %d", p, c.Rank(), got, want)
+			}
+			if wantTotal := uint64(p * (p + 1) / 2); len(total) != 1 || total[0] != wantTotal {
+				t.Errorf("p=%d rank %d: total %v, want %d", p, c.Rank(), total, wantTotal)
+			}
+			if in[0] != uint64(c.Rank()+1) {
+				t.Errorf("p=%d rank %d: input clobbered to %d", p, c.Rank(), in[0])
+			}
+			return nil
+		})
+	}
+}
+
+// TestExclusiveScanRankOrder: with an order-sensitive op the prefix at
+// rank r is exactly ranks 0..r-1 in order and the total all of them —
+// the one sweep needs associativity only.
+func TestExclusiveScanRankOrder(t *testing.T) {
+	for _, p := range sizes {
+		runSPMD(t, p, func(c *Comm) error {
+			r := c.Rank()
+			prefix, total, err := c.ExclusiveScan(concatOf(p, r, r+1), opConcat, concatOf(p, 0, 0))
+			if err != nil {
+				return err
+			}
+			if want := concatOf(p, 0, r); !slices.Equal(prefix, want) {
+				t.Errorf("p=%d rank %d: prefix %v, want %v", p, r, prefix, want)
+			}
+			if want := concatOf(p, 0, p); !slices.Equal(total, want) {
+				t.Errorf("p=%d rank %d: total %v, want %v", p, r, total, want)
+			}
+			return nil
+		})
+	}
+}
+
+func TestExclusiveScanIdentityLength(t *testing.T) {
+	runSPMD(t, 1, func(c *Comm) error {
+		if _, _, err := c.ExclusiveScan([]uint64{1, 2}, OpSum, []uint64{0}); err == nil {
+			t.Error("a one-word identity for a two-word scan was accepted")
+		}
+		return nil
+	})
 }
 
 func TestBarrier(t *testing.T) {
@@ -337,12 +421,16 @@ func TestManyCollectivesTagDiscipline(t *testing.T) {
 	// collisions between rounds and operations.
 	runSPMD(t, 5, func(c *Comm) error {
 		for i := 0; i < 200; i++ {
-			v, err := c.BroadcastU64(i%5, uint64(i))
+			var in []uint64
+			if c.Rank() == 0 {
+				in = []uint64{uint64(i)}
+			}
+			v, err := c.Broadcast(in)
 			if err != nil {
 				return err
 			}
-			if v != uint64(i) {
-				t.Errorf("iteration %d: broadcast got %d", i, v)
+			if len(v) != 1 || v[0] != uint64(i) {
+				t.Errorf("iteration %d: broadcast got %v", i, v)
 				return nil
 			}
 			sum, err := c.AllReduce([]uint64{1}, OpSum)

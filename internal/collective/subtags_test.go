@@ -229,21 +229,22 @@ func TestAbortPoisonsOnlyOwnBlock(t *testing.T) {
 	cause := errors.New("chaos")
 	a0.Abort(cause)
 
-	// The aborted block on rank 0 fails immediately.
-	if _, err := a0.BroadcastU64(1, 7); err == nil {
+	// The aborted block on rank 0 fails immediately: rank 0 receives in
+	// a Reduce.
+	if _, err := a0.Reduce([]uint64{7}, OpSum); err == nil {
 		t.Fatal("aborted sub still works")
 	}
 	// The sibling still carries collectives end to end.
 	errs := make(chan error, 2)
-	var got0, got1 uint64
-	go func() { v, err := b0.BroadcastU64(0, 41); got0 = v; errs <- err }()
-	go func() { v, err := b1.BroadcastU64(0, 0); got1 = v; errs <- err }()
+	var got0, got1 []uint64
+	go func() { v, err := b0.Broadcast([]uint64{41}); got0 = v; errs <- err }()
+	go func() { v, err := b1.Broadcast(nil); got1 = v; errs <- err }()
 	for i := 0; i < 2; i++ {
 		if err := <-errs; err != nil {
 			t.Fatalf("sibling broadcast after abort: %v", err)
 		}
 	}
-	if got0 != 41 || got1 != 41 {
-		t.Fatalf("sibling broadcast got %d/%d, want 41", got0, got1)
+	if len(got0) != 1 || got0[0] != 41 || len(got1) != 1 || got1[0] != 41 {
+		t.Fatalf("sibling broadcast got %v/%v, want [41]", got0, got1)
 	}
 }

@@ -41,18 +41,32 @@ func TestSubMembersCollectives(t *testing.T) {
 			if sum[0] != 5 { // 0 + 2 + 3
 				t.Errorf("phys %d: allreduce sum %d, want 5", phys, sum[0])
 			}
-			// Broadcast from logical root 1 (physical 2).
+			// Broadcast from the view's root, logical rank 0.
 			var in []uint64
-			if sub.Rank() == 1 {
+			if sub.Rank() == 0 {
 				in = []uint64{77}
 			}
-			got, err := sub.Broadcast(1, in)
+			got, err := sub.Broadcast(in)
 			if err != nil {
 				errs[i] = err
 				return
 			}
 			if len(got) != 1 || got[0] != 77 {
 				t.Errorf("phys %d: broadcast got %v", phys, got)
+			}
+			// Both sweeps address the view's logical ranks: the prefix at
+			// logical i is the sum of the physical ranks before it.
+			prefix, total, err := sub.ExclusiveScan([]uint64{uint64(phys)}, OpSum, []uint64{0})
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			want := uint64(0)
+			for _, m := range members[:i] {
+				want += uint64(m)
+			}
+			if prefix[0] != want || total[0] != 5 {
+				t.Errorf("phys %d: scan = %d of %d, want %d of 5", phys, prefix[0], total[0], want)
 			}
 			errs[i] = sub.Barrier()
 		}(i, phys)

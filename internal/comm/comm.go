@@ -210,13 +210,18 @@ type Meterer interface {
 func endpointMeter(n Network) MeterSnapshot {
 	s := MeterSnapshot{ConnsOpen: -1}
 	for r := 0; r < n.Size(); r++ {
-		m := n.Endpoint(r).Metrics().Snapshot()
-		s.BytesSent += m.BytesSent
-		s.BytesRecv += m.BytesRecv
-		s.MsgsSent += m.MsgsSent
-		s.MsgsRecv += m.MsgsRecv
+		s.addPayload(n.Endpoint(r))
 	}
 	return s
+}
+
+// addPayload adds one endpoint's payload counters to s.
+func (s *MeterSnapshot) addPayload(ep Endpoint) {
+	m := ep.Metrics().Snapshot()
+	s.BytesSent += m.BytesSent
+	s.BytesRecv += m.BytesRecv
+	s.MsgsSent += m.MsgsSent
+	s.MsgsRecv += m.MsgsRecv
 }
 
 // NetworkMeter returns n's unified meter: the transport's own Meter

@@ -9,73 +9,27 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// TCPNetwork is the in-process TCP transport: p per-rank nodes over
-// loopback, length-prefixed binary frames (frame.go), a buffered writer
-// per connection flushed once per message, and a reader goroutine per
+// TCPNetwork is the in-process TCP transport: p TCPNodes over loopback,
+// length-prefixed binary frames (frame.go), a buffered writer per
+// connection flushed once per message, and a reader goroutine per
 // connection feeding the destination inbox.
 //
-// Connections are opened by need, not by census: at setup only the
+// There is one bring-up — NewTCPNode binds a rank's listener, Connect
+// pre-opens its share of the topology — which NewTCPNetworkOpts runs p
+// times in one process and the launcher (internal/dist) once per OS
+// process. Connections are opened by need, not by census: only the
 // edges of the configured Topology are pre-opened (the full mesh by
-// default, for compatibility; a hypercube for O(p log p) scaling), and
-// the first Send along any other edge triggers a lazy,
-// handshake-deduplicated dial. ConnsOpen and DialsAttempted meter the
-// resulting connection bill. The same node machinery, exported as
-// TCPNode, runs one rank per OS process for multi-process and
-// multi-host deployments (see internal/dist's launcher).
-type TCPNetwork struct {
-	core  *tcpCore
-	nodes []*tcpNode
-}
-
-// tcpCore is the state shared by every node of one network: resolved
-// options, the closed channel, wire/connection counters, and the
-// goroutine ledger Close waits on. A single-node (cross-process)
-// TCPNode owns a core of its own.
-type tcpCore struct {
-	p            int
-	timeout      time.Duration // per-operation deadline; 0 = none
-	setupTimeout time.Duration
-	dialAttempts int
-	dialBackoff  time.Duration
-	topo         Topology
-	dial         func(from, to int, addr string, timeout time.Duration) (net.Conn, error)
-
-	closed chan struct{}
-	once   sync.Once
-	// ready flips once setup (construction or Connect) has completed:
-	// from then on a failed dial is an attributable peer death
-	// (PeerDownError), not a setup abort.
-	ready atomic.Bool
-
-	wireSent, wireRecv atomic.Int64
-	connsDialed        atomic.Int64
-	connsAccepted      atomic.Int64
-	dialsAttempted     atomic.Int64
-
-	mu       sync.Mutex
-	inflight map[net.Conn]struct{} // conns mid-handshake, closed on shutdown
-	nodes    []*tcpNode
-	workers  sync.WaitGroup // accept loops, handshake handlers, readers
-}
-
-// tcpNode is one rank's worth of transport: its listener, its endpoint,
-// and one connection slot per peer. In a TCPNetwork all p nodes share a
-// core and a process; in a TCPNode exactly one does.
-type tcpNode struct {
-	core  *tcpCore
-	rank  int
-	addrs []string // peer listen addresses, indexed by rank
-	l     net.Listener
-	slots []*connSlot
-	ep    *tcpEndpoint
-}
+// default; a hypercube for O(p log p) scaling), and the first Send along
+// any other edge triggers a lazy, handshake-deduplicated dial. ConnsOpen
+// (one definition: links dialed, so each pair link counts once) and
+// DialsAttempted meter the resulting connection bill.
+type TCPNetwork struct{ nodes []*TCPNode }
 
 type tcpEndpoint struct {
-	node *tcpNode
+	node *TCPNode
 	inbox
 }
 
@@ -100,12 +54,13 @@ type connSlot struct {
 }
 
 // tcpConn is one side of a pair link: the socket plus this side's
-// frame writer. Senders serialise on mu; the reader goroutine owns
-// the receive direction independently.
+// write buffer, which takes a frame (frame.go) and is flushed once per
+// message. Senders serialise on mu; the reader goroutine owns the
+// receive direction independently.
 type tcpConn struct {
 	c       net.Conn
 	mu      sync.Mutex // serialises writers on this side of the connection
-	w       *frameWriter
+	w       *bufio.Writer
 	timeout time.Duration
 }
 
@@ -154,134 +109,68 @@ type TCPOptions struct {
 	dialFunc func(from, to int, addr string, timeout time.Duration) (net.Conn, error)
 }
 
-// newTCPCore validates and resolves opt into a core.
-func newTCPCore(p int, opt TCPOptions) (*tcpCore, error) {
-	topo := opt.Topology
-	if topo == "" {
-		topo = TopoFullMesh
-	}
-	if _, err := ParseTopology(string(topo)); err != nil {
-		return nil, err
-	}
-	c := &tcpCore{
-		p:            p,
-		timeout:      resolveTimeout(opt.Timeout),
-		setupTimeout: opt.SetupTimeout,
-		dialAttempts: opt.DialAttempts,
-		dialBackoff:  opt.DialBackoff,
-		topo:         topo,
-		closed:       make(chan struct{}),
-		inflight:     make(map[net.Conn]struct{}),
-	}
-	if c.setupTimeout <= 0 {
-		c.setupTimeout = DefaultSetupTimeout
-	}
-	if c.dialAttempts <= 0 {
-		c.dialAttempts = DefaultDialAttempts
-	}
-	if c.dialBackoff <= 0 {
-		c.dialBackoff = DefaultDialBackoff
-	}
-	c.dial = opt.dialFunc
-	if c.dial == nil {
-		c.dial = func(from, to int, addr string, timeout time.Duration) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, timeout)
-		}
-	}
-	return c, nil
-}
-
-func newTCPNode(core *tcpCore, rank int, l net.Listener) *tcpNode {
-	nd := &tcpNode{
-		core:  core,
-		rank:  rank,
-		l:     l,
-		slots: make([]*connSlot, core.p),
-	}
-	for i := range nd.slots {
-		nd.slots[i] = &connSlot{}
-	}
-	nd.ep = &tcpEndpoint{node: nd, inbox: newInbox(rank, core.p, core.closed, core.timeout)}
-	return nd
-}
-
 // NewTCPNetwork builds a p-endpoint network over loopback TCP with
-// default options: full-mesh topology established eagerly
-// before it returns. Any setup failure aborts the network and returns
-// an error — it never blocks indefinitely.
+// default options: the full mesh, established before it returns. Any
+// setup failure aborts the network and returns an error.
 func NewTCPNetwork(p int) (*TCPNetwork, error) {
 	return NewTCPNetworkOpts(p, TCPOptions{})
 }
 
-// NewTCPNetworkOpts is NewTCPNetwork with explicit options. Only the
-// configured topology's edges are pre-opened (and any pre-open failure
-// aborts setup with the causal error); every other pair is connected
-// lazily by its first Send, and a lazy dial failure surfaces as
-// comm.PeerDownError instead of aborting the network.
+// NewTCPNetworkOpts is NewTCPNetwork with explicit options: p nodes,
+// their addresses collected, their Connects run concurrently. The first
+// pre-open failure shuts every node down and is returned as the causal
+// error; pairs outside the topology are connected lazily by their first
+// Send, and a lazy dial failure surfaces as comm.PeerDownError instead
+// of aborting the network.
 func NewTCPNetworkOpts(p int, opt TCPOptions) (*TCPNetwork, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("comm: NewTCPNetwork requires p >= 1, got %d", p)
 	}
-	core, err := newTCPCore(p, opt)
+	n := &TCPNetwork{nodes: make([]*TCPNode, 0, p)}
+	addrs := make([]string, p)
+	for r := range addrs {
+		nd, err := NewTCPNode(r, p, "", opt)
+		if err != nil {
+			n.Close()
+			return nil, err
+		}
+		n.nodes = append(n.nodes, nd)
+		// One connection bill per network, readable from any endpoint.
+		nd.dialed = n.nodes[0].dialed
+		addrs[r] = nd.Addr()
+	}
+	err := firstFailure(p, func(r int) error { return n.nodes[r].Connect(addrs) }, n.shutdown)
 	if err != nil {
+		n.Close()
 		return nil, err
 	}
-	nodes := make([]*tcpNode, p)
-	addrs := make([]string, p)
-	for i := 0; i < p; i++ {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			for _, nd := range nodes[:i] {
-				nd.l.Close()
-			}
-			return nil, fmt.Errorf("comm: listen for rank %d: %w", i, err)
-		}
-		nodes[i] = newTCPNode(core, i, l)
-		addrs[i] = l.Addr().String()
-	}
-	for _, nd := range nodes {
-		nd.addrs = addrs
-	}
-	core.nodes = nodes
-	for _, nd := range nodes {
-		core.workers.Add(1)
-		go nd.acceptLoop()
-	}
-	n := &TCPNetwork{core: core, nodes: nodes}
-	// Pre-open the topology's edges, lower rank dialing higher. The
-	// first failure shuts the sockets down so every other in-flight
-	// dial and accept fails fast, and the causal error is returned.
+	return n, nil
+}
+
+// firstFailure runs task(0..n-1) concurrently and waits for all of them.
+// The first failure is the one returned, and calls abort before any
+// later one is looked at — so the tasks still running fail fast, and
+// what they then report cannot mask the cause.
+func firstFailure(n int, task func(i int) error, abort func()) error {
 	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
+		wg    sync.WaitGroup
+		once  sync.Once
+		first error
 	)
-	for _, nd := range nodes {
-		for _, q := range core.topo.Neighbors(nd.rank, p) {
-			if q <= nd.rank {
-				continue
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := task(i); err != nil {
+				once.Do(func() {
+					first = err
+					abort()
+				})
 			}
-			wg.Add(1)
-			go func(nd *tcpNode, q int) {
-				defer wg.Done()
-				if _, err := nd.ensure(q); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					core.shutdown()
-				}
-			}(nd, q)
-		}
+		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		core.close()
-		return nil, firstErr
-	}
-	core.ready.Store(true)
-	return n, nil
+	return first
 }
 
 // ensure returns the established connection to peer, dialing it first
@@ -289,7 +178,7 @@ func NewTCPNetworkOpts(p int, opt TCPOptions) (*TCPNetwork, error) {
 // simultaneous cross-dial adopts the winner's connection. A slot whose
 // dial has conclusively failed stays dead and keeps returning its
 // error.
-func (nd *tcpNode) ensure(peer int) (*tcpConn, error) {
+func (nd *TCPNode) ensure(peer int) (*tcpConn, error) {
 	s := nd.slots[peer]
 	for {
 		s.mu.Lock()
@@ -312,7 +201,7 @@ func (nd *tcpNode) ensure(peer int) (*tcpConn, error) {
 			s.mu.Unlock()
 			select {
 			case <-ch:
-			case <-nd.core.closed:
+			case <-nd.closed:
 				return nil, ErrClosed
 			}
 		}
@@ -327,8 +216,7 @@ var errDialRejected = errors.New("comm: dial superseded by peer's connection")
 // dialPeer performs one connection establishment toward peer and
 // resolves the slot. The caller must have moved the slot to
 // slotDialing.
-func (nd *tcpNode) dialPeer(peer int) {
-	core := nd.core
+func (nd *TCPNode) dialPeer(peer int) {
 	s := nd.slots[peer]
 	tc, err := nd.dialHandshake(peer)
 	if err == nil {
@@ -344,15 +232,15 @@ func (nd *tcpNode) dialPeer(peer int) {
 		s.state = slotReady
 		close(s.wait)
 		s.mu.Unlock()
-		core.connsDialed.Add(1)
-		core.workers.Add(1)
-		go nd.readLoop(nd.ep, peer, tc)
+		nd.dialed.Add(1)
+		nd.workers.Add(1)
+		go nd.readLoop(peer, tc)
 		return
 	}
 	if errors.Is(err, errDialRejected) {
 		// The peer is dialing us and won the tie-break; its connection
 		// lands via our accept loop, which flips the slot to ready.
-		timer := time.NewTimer(core.setupTimeout)
+		timer := time.NewTimer(nd.setupTimeout)
 		defer timer.Stop()
 		s.mu.Lock()
 		if s.state != slotDialing {
@@ -364,11 +252,11 @@ func (nd *tcpNode) dialPeer(peer int) {
 		select {
 		case <-ch:
 			return
-		case <-core.closed:
+		case <-nd.closed:
 			nd.failDial(peer, ErrClosed)
 			return
 		case <-timer.C:
-			nd.failDial(peer, fmt.Errorf("peer %d superseded our dial but its connection never arrived within %v", peer, core.setupTimeout))
+			nd.failDial(peer, fmt.Errorf("peer %d superseded our dial but its connection never arrived within %v", peer, nd.setupTimeout))
 			return
 		}
 	}
@@ -380,7 +268,7 @@ func (nd *tcpNode) dialPeer(peer int) {
 // network); after setup it is wrapped in PeerDownError so lazy-dial
 // failures flow into the membership/attribution taxonomy — a peer that
 // cannot be dialed mid-run is down, not "timed out".
-func (nd *tcpNode) failDial(peer int, cause error) {
+func (nd *TCPNode) failDial(peer int, cause error) {
 	s := nd.slots[peer]
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -388,7 +276,7 @@ func (nd *tcpNode) failDial(peer int, cause error) {
 		return
 	}
 	s.state = slotDead
-	if nd.core.ready.Load() {
+	if nd.ready.Load() {
 		s.err = fmt.Errorf("%w (lazy dial %s failed: %v)", &PeerDownError{Rank: peer}, nd.addrs[peer], cause)
 	} else {
 		s.err = fmt.Errorf("comm: rank %d dial %d: %w", nd.rank, peer, cause)
@@ -400,27 +288,26 @@ func (nd *tcpNode) failDial(peer int, cause error) {
 // side of the handshake: send HELLO, await the acceptor's ACK. A
 // connection that reaches the peer but is closed without an ACK lost a
 // simultaneous-dial tie-break and reports errDialRejected.
-func (nd *tcpNode) dialHandshake(peer int) (*tcpConn, error) {
-	core := nd.core
+func (nd *TCPNode) dialHandshake(peer int) (*tcpConn, error) {
 	conn, err := nd.dialRetry(peer, nd.addrs[peer])
 	if err != nil {
 		return nil, err
 	}
-	core.registerInflight(conn)
-	defer core.unregisterInflight(conn)
-	if err := writeHello(conn, nd.rank, core.p, core.setupTimeout); err != nil {
+	nd.registerInflight(conn)
+	defer nd.unregisterInflight(conn)
+	if err := writeHello(conn, nd.rank, nd.p, nd.setupTimeout); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("handshake to %d: %w", peer, err)
 	}
-	if err := readAck(conn, core.setupTimeout); err != nil {
+	if err := readAck(conn, nd.setupTimeout); err != nil {
 		conn.Close()
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
 			return nil, errDialRejected
 		}
 		return nil, fmt.Errorf("handshake to %d: %w", peer, err)
 	}
-	cc := &countingConn{Conn: conn, core: core}
-	return &tcpConn{c: cc, w: newFrameWriter(cc), timeout: core.timeout}, nil
+	cc := &countingConn{Conn: conn, node: nd}
+	return &tcpConn{c: cc, w: bufio.NewWriterSize(cc, tcpBufSize), timeout: nd.ep.timeout}, nil
 }
 
 // dialRetry wraps each dial in bounded exponential backoff with jitter:
@@ -428,24 +315,23 @@ func (nd *tcpNode) dialHandshake(peer int) (*tcpConn, error) {
 // yet, and its refused connection must not fail the link. The attempt
 // cap keeps a genuinely dead peer failing well inside the setup budget,
 // and the loop bails out early once the network is shutting down.
-func (nd *tcpNode) dialRetry(peer int, addr string) (net.Conn, error) {
-	core := nd.core
-	backoff := core.dialBackoff
+func (nd *TCPNode) dialRetry(peer int, addr string) (net.Conn, error) {
+	backoff := nd.dialBackoff
 	var err error
-	for attempt := 0; attempt < core.dialAttempts; attempt++ {
-		if core.isClosed() {
+	for attempt := 0; attempt < nd.dialAttempts; attempt++ {
+		if nd.isClosed() {
 			if err == nil {
 				err = ErrClosed
 			}
 			break
 		}
-		core.dialsAttempted.Add(1)
+		nd.dialsAttempted.Add(1)
 		var conn net.Conn
-		conn, err = core.dial(nd.rank, peer, addr, core.setupTimeout)
+		conn, err = nd.dial(nd.rank, peer, addr, nd.setupTimeout)
 		if err == nil {
 			return conn, nil
 		}
-		if attempt == core.dialAttempts-1 {
+		if attempt == nd.dialAttempts-1 {
 			break
 		}
 		time.Sleep(backoff/2 + time.Duration(rand.Int63n(int64(backoff)/2+1)))
@@ -457,27 +343,26 @@ func (nd *tcpNode) dialRetry(peer int, addr string) (net.Conn, error) {
 // acceptLoop admits inbound connections for this node's lifetime; each
 // handshake runs in its own goroutine so a stalled peer cannot block
 // later accepts.
-func (nd *tcpNode) acceptLoop() {
-	defer nd.core.workers.Done()
+func (nd *TCPNode) acceptLoop() {
+	defer nd.workers.Done()
 	for {
 		conn, err := nd.l.Accept()
 		if err != nil {
 			return // listener closed: network shutting down
 		}
-		nd.core.registerInflight(conn)
-		nd.core.workers.Add(1)
+		nd.registerInflight(conn)
+		nd.workers.Add(1)
 		go nd.handleAccept(conn)
 	}
 }
 
 // handleAccept runs the acceptor side of the handshake: read HELLO,
 // decide the tie-break under the slot lock, attach-and-ACK or close.
-func (nd *tcpNode) handleAccept(conn net.Conn) {
-	core := nd.core
-	defer core.workers.Done()
-	defer core.unregisterInflight(conn)
-	peer, p, err := readHello(conn, core.setupTimeout)
-	if err != nil || p != core.p || peer < 0 || peer >= core.p || peer == nd.rank {
+func (nd *TCPNode) handleAccept(conn net.Conn) {
+	defer nd.workers.Done()
+	defer nd.unregisterInflight(conn)
+	peer, p, err := readHello(conn, nd.setupTimeout)
+	if err != nil || p != nd.p || peer < 0 || peer >= nd.p || peer == nd.rank {
 		conn.Close()
 		return
 	}
@@ -488,13 +373,17 @@ func (nd *tcpNode) handleAccept(conn net.Conn) {
 	// mirrored rule, so exactly one of two simultaneous dials survives);
 	// ready and dead slots refuse duplicates.
 	accept := s.state == slotEmpty || (s.state == slotDialing && peer < nd.rank)
-	if !accept {
+	// ACK before the slot is published: from then on this side's senders
+	// may write frames, and the dialer takes the first byte it reads for
+	// the ACK. Frames the dialer sends on seeing it wait in the socket
+	// until the reader below is live.
+	if !accept || writeAck(conn, nd.setupTimeout) != nil {
 		s.mu.Unlock()
 		conn.Close()
 		return
 	}
-	cc := &countingConn{Conn: conn, core: core}
-	tc := &tcpConn{c: cc, w: newFrameWriter(cc), timeout: core.timeout}
+	cc := &countingConn{Conn: conn, node: nd}
+	tc := &tcpConn{c: cc, w: bufio.NewWriterSize(cc, tcpBufSize), timeout: nd.ep.timeout}
 	wasDialing := s.state == slotDialing
 	s.tc = tc
 	s.state = slotReady
@@ -502,12 +391,8 @@ func (nd *tcpNode) handleAccept(conn net.Conn) {
 		close(s.wait)
 	}
 	s.mu.Unlock()
-	core.connsAccepted.Add(1)
-	core.workers.Add(1)
-	go nd.readLoop(nd.ep, peer, tc)
-	// ACK after the reader is live so no frame can race past us. A
-	// failed ACK write leaves the conn broken; the reader notices.
-	_ = writeAck(conn, core.setupTimeout)
+	nd.workers.Add(1)
+	go nd.readLoop(peer, tc)
 }
 
 // Handshake wire format. HELLO identifies the dialer and the expected
@@ -575,12 +460,11 @@ func readAck(conn net.Conn, timeout time.Duration) error {
 	return nil
 }
 
-// readLoop delivers peer's inbound messages to ep's inbox until the
-// connection or the network goes down.
-func (nd *tcpNode) readLoop(ep *tcpEndpoint, peer int, tc *tcpConn) {
-	core := nd.core
-	defer core.workers.Done()
-	r := &frameReader{c: tc.c, br: bufio.NewReaderSize(tc.c, tcpBufSize), timeout: core.timeout}
+// readLoop delivers peer's inbound messages to the node's inbox until
+// the connection or the node goes down.
+func (nd *TCPNode) readLoop(peer int, tc *tcpConn) {
+	defer nd.workers.Done()
+	r := &frameReader{c: tc.c, br: bufio.NewReaderSize(tc.c, tcpBufSize), timeout: nd.ep.timeout}
 	for {
 		m, err := r.readMsg()
 		if err != nil {
@@ -590,75 +474,29 @@ func (nd *tcpNode) readLoop(ep *tcpEndpoint, peer int, tc *tcpConn) {
 			return // protocol violation; drop the link
 		}
 		select {
-		case ep.ch <- m:
-		case <-core.closed:
+		case nd.ep.ch <- m:
+		case <-nd.closed:
 			return
 		}
 	}
 }
 
-func (c *tcpCore) registerInflight(conn net.Conn) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.inflight != nil {
-		c.inflight[conn] = struct{}{}
-	}
+func (nd *TCPNode) registerInflight(conn net.Conn) {
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	nd.inflight[conn] = struct{}{}
 }
 
-func (c *tcpCore) unregisterInflight(conn net.Conn) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.inflight, conn)
-}
-
-// shutdown closes every socket exactly once: listeners, established
-// connections, and connections still mid-handshake, so every blocked
-// accept, dial, handshake, and read fails fast. It does not wait for
-// the workers; close does.
-func (c *tcpCore) shutdown() {
-	c.once.Do(func() {
-		close(c.closed)
-		c.mu.Lock()
-		nodes := c.nodes
-		for conn := range c.inflight {
-			conn.Close()
-		}
-		c.mu.Unlock()
-		for _, nd := range nodes {
-			nd.l.Close()
-			for _, s := range nd.slots {
-				s.mu.Lock()
-				if s.tc != nil {
-					s.tc.c.Close()
-				}
-				s.mu.Unlock()
-			}
-		}
-	})
-}
-
-// close shuts the sockets down and waits until every transport
-// goroutine has exited.
-func (c *tcpCore) close() {
-	c.shutdown()
-	c.workers.Wait()
+func (nd *TCPNode) unregisterInflight(conn net.Conn) {
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	delete(nd.inflight, conn)
 }
 
 // tcpBufSize is the per-connection read and write buffer. Large enough
 // that a typical collective message (header plus a few KB of words)
 // reaches the socket in one write.
 const tcpBufSize = 32 << 10
-
-// frameWriter encodes frames (frame.go) onto one connection: writeMsg
-// buffers, flush pushes everything to the socket — once per message.
-type frameWriter struct{ bw *bufio.Writer }
-
-func newFrameWriter(conn net.Conn) *frameWriter {
-	return &frameWriter{bw: bufio.NewWriterSize(conn, tcpBufSize)}
-}
-
-func (w *frameWriter) writeMsg(m Message) error { return writeFrame(w.bw, m) }
-func (w *frameWriter) flush() error             { return w.bw.Flush() }
 
 // frameReader decodes frames off one connection. An idle connection may
 // legitimately stay silent forever, so the wait for a frame's first
@@ -686,51 +524,55 @@ func (r *frameReader) readMsg() (Message, error) {
 }
 
 // countingConn meters raw socket traffic — framing included — into the
-// owning core's wire counters. The per-endpoint Metrics count payload
+// owning node's wire counters. The per-endpoint Metrics count payload
 // bytes only (the paper's volume metric); the difference between the
 // two is the codec's framing overhead.
 type countingConn struct {
 	net.Conn
-	core *tcpCore
+	node *TCPNode
 }
 
 func (c *countingConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	c.core.wireRecv.Add(int64(n))
+	c.node.wireRecv.Add(int64(n))
 	return n, err
 }
 
 func (c *countingConn) Write(p []byte) (int, error) {
 	n, err := c.Conn.Write(p)
-	c.core.wireSent.Add(int64(n))
+	c.node.wireSent.Add(int64(n))
 	return n, err
 }
 
 // Size returns the number of PEs.
-func (n *TCPNetwork) Size() int { return n.core.p }
+func (n *TCPNetwork) Size() int { return len(n.nodes) }
 
 // Endpoint returns rank's endpoint.
 func (n *TCPNetwork) Endpoint(r int) Endpoint { return n.nodes[r].ep }
 
-// Topology returns the connection graph pre-opened at setup. The dist
-// runtime sniffs it to route the collectives over pre-opened edges.
-func (n *TCPNetwork) Topology() Topology { return n.core.topo }
-
 // WireBytes returns the total bytes written to and read from the
 // network's sockets across all connections, message framing included.
 func (n *TCPNetwork) WireBytes() (sent, recv int64) {
-	return n.core.wireSent.Load(), n.core.wireRecv.Load()
+	for _, nd := range n.nodes {
+		s, r := nd.WireBytes()
+		sent, recv = sent+s, recv+r
+	}
+	return sent, recv
 }
 
 // ConnsOpen returns how many TCP connections the network has
-// established, each pair link counted once (at its dialer). A full mesh
-// costs p(p-1)/2; a hypercube run that stays on its edges costs
-// p/2·log2(p) — the quantity the acceptance tests bound.
-func (n *TCPNetwork) ConnsOpen() int64 { return n.core.connsDialed.Load() }
+// established: TCPNode.ConnsOpen over the counter its nodes share, the
+// quantity the acceptance tests bound.
+func (n *TCPNetwork) ConnsOpen() int64 { return n.nodes[0].ConnsOpen() }
 
 // DialsAttempted returns how many TCP dial attempts (including retries)
 // the network has made.
-func (n *TCPNetwork) DialsAttempted() int64 { return n.core.dialsAttempted.Load() }
+func (n *TCPNetwork) DialsAttempted() (dials int64) {
+	for _, nd := range n.nodes {
+		dials += nd.DialsAttempted()
+	}
+	return dials
+}
 
 // Meter returns the unified transport meter: per-endpoint payload
 // sums plus the socket-level wire and connection counters.
@@ -742,20 +584,21 @@ func (n *TCPNetwork) Meter() MeterSnapshot {
 	return s
 }
 
+// shutdown closes every node's sockets without waiting for workers.
+func (n *TCPNetwork) shutdown() {
+	for _, nd := range n.nodes {
+		nd.shutdown()
+	}
+}
+
 // Close tears the network down: pending and future operations fail with
 // ErrClosed, and all transport goroutines have exited when it returns.
 func (n *TCPNetwork) Close() error {
-	n.core.close()
-	return nil
-}
-
-func (c *tcpCore) isClosed() bool {
-	select {
-	case <-c.closed:
-		return true
-	default:
-		return false
+	n.shutdown()
+	for _, nd := range n.nodes {
+		nd.Close()
 	}
+	return nil
 }
 
 // mapConnErr folds socket-level failures into the transport's error
@@ -763,31 +606,27 @@ func (c *tcpCore) isClosed() bool {
 // dist's first-error teardown attributes the root cause instead of the
 // victims' "use of closed network connection" noise), and deadline
 // expiries say "timeout".
-func (c *tcpCore) mapConnErr(err error) error {
-	if errors.Is(err, net.ErrClosed) || c.isClosed() {
+func (nd *TCPNode) mapConnErr(err error) error {
+	if errors.Is(err, net.ErrClosed) || nd.isClosed() {
 		return ErrClosed
 	}
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
-		return fmt.Errorf("timeout after %v: %w", c.timeout, err)
+		return fmt.Errorf("timeout after %v: %w", nd.ep.timeout, err)
 	}
 	return err
 }
 
-// ConnsOpen exposes the dialed-connection count through the endpoint,
-// so layers that only hold an Endpoint (collective.Comm) can meter the
-// connection bill. Counted at the dialer: in-process networks report
-// each pair link once; across processes the per-rank counts sum to the
-// network-wide total.
-func (e *tcpEndpoint) ConnsOpen() int64 { return e.node.core.connsDialed.Load() }
+// ConnsOpen is the node's, readable by layers that only hold an
+// Endpoint (collective.Comm).
+func (e *tcpEndpoint) ConnsOpen() int64 { return e.node.ConnsOpen() }
 
 func (e *tcpEndpoint) Send(dst, tag int, payload []byte) error {
-	core := e.node.core
 	if err := validRank(dst, e.Size()); err != nil {
 		return err
 	}
 	msg := Message{Src: e.rank, Tag: tag, Payload: payload}
-	if core.isClosed() {
+	if e.node.isClosed() {
 		return fmt.Errorf("comm: PE %d send to %d: %w", e.rank, dst, ErrClosed)
 	}
 	if dst == e.rank {
@@ -804,7 +643,7 @@ func (e *tcpEndpoint) Send(dst, tag int, payload []byte) error {
 		return fmt.Errorf("comm: PE %d send to %d: %w", e.rank, dst, err)
 	}
 	if err := tc.send(msg); err != nil {
-		return fmt.Errorf("comm: PE %d send to %d: %w", e.rank, dst, core.mapConnErr(err))
+		return fmt.Errorf("comm: PE %d send to %d: %w", e.rank, dst, e.node.mapConnErr(err))
 	}
 	e.metrics.addSent(len(payload))
 	return nil
@@ -820,8 +659,8 @@ func (tc *tcpConn) send(m Message) error {
 			return err
 		}
 	}
-	if err := tc.w.writeMsg(m); err != nil {
+	if err := writeFrame(tc.w, m); err != nil {
 		return err
 	}
-	return tc.w.flush()
+	return tc.w.Flush()
 }

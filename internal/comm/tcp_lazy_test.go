@@ -282,7 +282,7 @@ func TestTCPDialsAttemptedMetering(t *testing.T) {
 }
 
 // TestTCPNodePair runs two TCPNodes as if they were two processes: own
-// cores, own listeners, address book exchanged out of band. Traffic,
+// listeners, address book exchanged out of band. Traffic,
 // metering, and topology must behave like one network split in half.
 func TestTCPNodePair(t *testing.T) {
 	n0, err := NewTCPNode(0, 2, "", TCPOptions{})
@@ -327,12 +327,13 @@ func TestTCPNodePair(t *testing.T) {
 		t.Fatalf("recv = %q, %v", got, err)
 	}
 	// Full mesh at p=2 is one edge: rank 0 dialed it, rank 1 accepted
-	// it, each process holds exactly one conn.
+	// it. ConnsOpen counts a link at its dialer, so the per-node values
+	// add up to the run's connections.
 	if got := n0.ConnsOpen(); got != 1 {
 		t.Fatalf("rank 0 ConnsOpen=%d, want 1", got)
 	}
-	if got := n1.ConnsOpen(); got != 1 {
-		t.Fatalf("rank 1 ConnsOpen=%d, want 1", got)
+	if got := n1.ConnsOpen(); got != 0 {
+		t.Fatalf("rank 1 ConnsOpen=%d, want 0 (it accepted the link)", got)
 	}
 	s0, _ := n0.WireBytes()
 	_, r1 := n1.WireBytes()
@@ -375,5 +376,43 @@ func TestTCPNodeConnectValidation(t *testing.T) {
 	}
 	if !strings.Contains(fmt.Sprint(n.Addr()), ":") {
 		t.Fatalf("Addr() = %q, want host:port", n.Addr())
+	}
+}
+
+// TestTCPNodeConnectFailsFast: the first failed pre-open cancels its
+// siblings. One edge fails at once, the other's dial blocks until the
+// node closes (or its 30 s budget runs out); Connect must return the
+// first edge's error promptly, with the node closed.
+func TestTCPNodeConnectFailsFast(t *testing.T) {
+	var nd *TCPNode
+	nd, err := NewTCPNode(0, 3, "", TCPOptions{
+		SetupTimeout: 30 * time.Second,
+		DialAttempts: 1,
+		dialFunc: func(from, to int, addr string, timeout time.Duration) (net.Conn, error) {
+			if to == 1 {
+				return nil, errors.New("injected dial failure")
+			}
+			select {
+			case <-nd.closed:
+				return nil, errors.New("dial cancelled by shutdown")
+			case <-time.After(timeout):
+				return nil, errors.New("black-holed dial ran out its budget")
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+	start := time.Now()
+	err = nd.Connect([]string{nd.Addr(), "127.0.0.1:1", "127.0.0.1:2"})
+	if err == nil || !strings.Contains(err.Error(), "injected dial failure") {
+		t.Fatalf("Connect = %v, want the failed edge's error", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Connect took %v: the blocked sibling was not cancelled", took)
+	}
+	if !nd.isClosed() {
+		t.Fatal("failed Connect left the node open")
 	}
 }

@@ -4,22 +4,48 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
+	"time"
 )
 
-// TCPNode is one rank's worth of TCP transport for cross-process (and
-// cross-host) deployments: the same node machinery TCPNetwork runs p of
-// in one process, owning its listener, its connection slots, and its
-// single local endpoint. Lifecycle: NewTCPNode binds the listener (so
+// TCPNode is one rank's worth of TCP transport: its listener, one
+// connection slot per peer, its endpoint, its wire and dial counters,
+// its closed channel and the ledger of goroutines Close waits on. A
+// TCPNetwork is p of them in one process; the launcher (internal/dist)
+// runs one per OS process. Lifecycle: NewTCPNode binds the listener (so
 // Addr can be exchanged through a rendezvous or host list while peers
 // are still starting), Connect installs the address book and pre-opens
 // this rank's share of the topology, and from then on it is a
 // comm.Network whose only usable endpoint is the local rank's.
 type TCPNode struct {
-	core *tcpCore
-	node *tcpNode
+	rank, p      int
+	setupTimeout time.Duration
+	dialAttempts int
+	dialBackoff  time.Duration
+	topo         Topology
+	dial         func(from, to int, addr string, timeout time.Duration) (net.Conn, error)
 
-	mu        sync.Mutex
-	connected bool
+	l     net.Listener
+	addrs []string // peer listen addresses, indexed by rank; set by Connect
+	slots []*connSlot
+	ep    *tcpEndpoint
+
+	closed chan struct{}
+	once   sync.Once
+	// connected flips when Connect is entered, ready once it has
+	// completed: from then on a failed dial is an attributable peer death
+	// (PeerDownError), not a setup abort.
+	connected, ready atomic.Bool
+
+	wireSent, wireRecv atomic.Int64
+	dialsAttempted     atomic.Int64
+	// dialed counts the links this node dialed. The nodes of one
+	// TCPNetwork share a single counter, so there it is the network's.
+	dialed *atomic.Int64
+
+	mu       sync.Mutex
+	inflight map[net.Conn]struct{} // conns mid-handshake, closed on shutdown
+	workers  sync.WaitGroup        // accept loop, handshake handlers, readers
 }
 
 // NewTCPNode binds a listener for rank (one of p) on bind and starts
@@ -34,138 +60,172 @@ func NewTCPNode(rank, p int, bind string, opt TCPOptions) (*TCPNode, error) {
 	if rank < 0 || rank >= p {
 		return nil, fmt.Errorf("comm: NewTCPNode rank %d out of range [0,%d)", rank, p)
 	}
-	core, err := newTCPCore(p, opt)
+	topo, err := ParseTopology(string(opt.Topology))
 	if err != nil {
 		return nil, err
 	}
+	nd := &TCPNode{
+		rank:         rank,
+		p:            p,
+		setupTimeout: opt.SetupTimeout,
+		dialAttempts: opt.DialAttempts,
+		dialBackoff:  opt.DialBackoff,
+		topo:         topo,
+		dial:         opt.dialFunc,
+		slots:        make([]*connSlot, p),
+		closed:       make(chan struct{}),
+		dialed:       new(atomic.Int64),
+		inflight:     make(map[net.Conn]struct{}),
+	}
+	if nd.setupTimeout <= 0 {
+		nd.setupTimeout = DefaultSetupTimeout
+	}
+	if nd.dialAttempts <= 0 {
+		nd.dialAttempts = DefaultDialAttempts
+	}
+	if nd.dialBackoff <= 0 {
+		nd.dialBackoff = DefaultDialBackoff
+	}
+	if nd.dial == nil {
+		nd.dial = func(from, to int, addr string, timeout time.Duration) (net.Conn, error) {
+			return net.DialTimeout("tcp", addr, timeout)
+		}
+	}
+	for i := range nd.slots {
+		nd.slots[i] = &connSlot{}
+	}
+	nd.ep = &tcpEndpoint{node: nd, inbox: newInbox(rank, p, nd.closed, resolveTimeout(opt.Timeout))}
 	if bind == "" {
 		bind = "127.0.0.1:0"
 	}
-	l, err := net.Listen("tcp", bind)
-	if err != nil {
+	if nd.l, err = net.Listen("tcp", bind); err != nil {
 		return nil, fmt.Errorf("comm: listen for rank %d on %s: %w", rank, bind, err)
 	}
-	nd := newTCPNode(core, rank, l)
-	core.nodes = []*tcpNode{nd}
-	core.workers.Add(1)
+	nd.workers.Add(1)
 	go nd.acceptLoop()
-	return &TCPNode{core: core, node: nd}, nil
+	return nd, nil
 }
 
 // Addr returns the listener's address — the string peers must be given
 // (via host list or rendezvous) to reach this rank. When bound to an
 // unspecified host ("0.0.0.0", ":0") the caller is responsible for
 // substituting a routable host before advertising it.
-func (n *TCPNode) Addr() string { return n.node.l.Addr().String() }
+func (nd *TCPNode) Addr() string { return nd.l.Addr().String() }
 
 // Connect installs the address book (addrs[r] is rank r's listener
 // address; this rank's own entry is ignored) and pre-opens this rank's
 // lower-rank-dials-higher share of the topology's edges. It returns
 // once those connections are established — peers' dials toward this
-// rank land asynchronously via the accept loop — and any pre-open
-// failure is a setup error that leaves the node closed.
-func (n *TCPNode) Connect(addrs []string) error {
-	core := n.core
-	if len(addrs) != core.p {
-		return fmt.Errorf("comm: Connect wants %d addresses, got %d", core.p, len(addrs))
+// rank land asynchronously via the accept loop. The first failed edge
+// shuts the node down, so its siblings fail fast instead of running out
+// their dial budgets, and Connect returns that edge's error.
+func (nd *TCPNode) Connect(addrs []string) error {
+	if len(addrs) != nd.p {
+		return fmt.Errorf("comm: Connect wants %d addresses, got %d", nd.p, len(addrs))
 	}
-	n.mu.Lock()
-	if n.connected {
-		n.mu.Unlock()
-		return fmt.Errorf("comm: node %d already connected", n.node.rank)
+	if !nd.connected.CompareAndSwap(false, true) {
+		return fmt.Errorf("comm: node %d already connected", nd.rank)
 	}
-	n.connected = true
-	n.node.addrs = append([]string(nil), addrs...)
-	n.mu.Unlock()
-
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	for _, q := range core.topo.Neighbors(n.node.rank, core.p) {
-		if q <= n.node.rank {
-			continue // the lower rank of each edge dials it
+	nd.addrs = append([]string(nil), addrs...)
+	var dials []int // the lower rank of each edge dials it
+	for _, q := range nd.topo.Neighbors(nd.rank, nd.p) {
+		if q > nd.rank {
+			dials = append(dials, q)
 		}
-		wg.Add(1)
-		go func(q int) {
-			defer wg.Done()
-			if _, err := n.node.ensure(q); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-			}
-		}(q)
 	}
-	wg.Wait()
-	if firstErr != nil {
-		core.close()
-		return firstErr
+	err := firstFailure(len(dials), func(i int) error {
+		_, err := nd.ensure(dials[i])
+		return err
+	}, nd.shutdown)
+	if err != nil {
+		nd.Close()
+		return err
 	}
-	core.ready.Store(true)
+	nd.ready.Store(true)
 	return nil
 }
 
 // Rank returns the local rank this node hosts.
-func (n *TCPNode) Rank() int { return n.node.rank }
+func (nd *TCPNode) Rank() int { return nd.rank }
 
 // Size returns the number of PEs in the distributed run.
-func (n *TCPNode) Size() int { return n.core.p }
+func (nd *TCPNode) Size() int { return nd.p }
 
 // Endpoint returns the local rank's endpoint. Unlike the in-process
 // transports a TCPNode hosts exactly one rank, so asking for any other
 // rank's endpoint is a programming error and panics.
-func (n *TCPNode) Endpoint(r int) Endpoint {
-	if r != n.node.rank {
-		panic(fmt.Sprintf("comm: TCPNode hosts only rank %d; Endpoint(%d) lives in another process", n.node.rank, r))
+func (nd *TCPNode) Endpoint(r int) Endpoint {
+	if r != nd.rank {
+		panic(fmt.Sprintf("comm: TCPNode hosts only rank %d; Endpoint(%d) lives in another process", nd.rank, r))
 	}
-	return n.node.ep
+	return nd.ep
 }
 
-// Topology returns the connection graph pre-opened at Connect.
-func (n *TCPNode) Topology() Topology { return n.core.topo }
-
-// ConnsOpen returns how many TCP connections this process holds —
-// dialed plus accepted, the process's fd bill. (TCPNetwork's ConnsOpen
-// counts each pair link once network-wide; a cross-process run's
-// network-wide count is the sum of per-node dialed counts, or
-// equivalently half the sum of per-node ConnsOpen.)
-func (n *TCPNode) ConnsOpen() int64 {
-	return n.core.connsDialed.Load() + n.core.connsAccepted.Load()
-}
+// ConnsOpen returns how many pair links this node dialed. Every link is
+// dialed by exactly one of its two ends, so over the nodes of a run the
+// values add up to the number of connections: p(p-1)/2 for a full mesh,
+// p/2·log2(p) for a hypercube run that stays on its edges.
+func (nd *TCPNode) ConnsOpen() int64 { return nd.dialed.Load() }
 
 // DialsAttempted returns how many TCP dial attempts (including retries)
 // this node has made.
-func (n *TCPNode) DialsAttempted() int64 { return n.core.dialsAttempted.Load() }
+func (nd *TCPNode) DialsAttempted() int64 { return nd.dialsAttempted.Load() }
 
 // WireBytes returns the raw socket traffic through this node, framing
 // included.
-func (n *TCPNode) WireBytes() (sent, recv int64) {
-	return n.core.wireSent.Load(), n.core.wireRecv.Load()
+func (nd *TCPNode) WireBytes() (sent, recv int64) {
+	return nd.wireSent.Load(), nd.wireRecv.Load()
 }
 
-// Meter returns this process's unified transport meter. A TCPNode
-// hosts exactly one rank, so the payload sums cover the local
-// endpoint only (endpointMeter would panic asking for remote ranks);
-// network-wide totals are the sum over processes.
-func (n *TCPNode) Meter() MeterSnapshot {
-	m := n.node.ep.Metrics().Snapshot()
-	s := MeterSnapshot{
-		BytesSent: m.BytesSent, BytesRecv: m.BytesRecv,
-		MsgsSent: m.MsgsSent, MsgsRecv: m.MsgsRecv,
-	}
-	s.WireSent, s.WireRecv = n.WireBytes()
-	s.ConnsOpen = n.ConnsOpen()
-	s.Dials = n.DialsAttempted()
+// Meter returns this node's unified transport meter: the local
+// endpoint's payload counters plus the node's wire, connection and dial
+// counters. Network-wide totals are the sum over nodes.
+func (nd *TCPNode) Meter() (s MeterSnapshot) {
+	s.addPayload(nd.ep)
+	s.WireSent, s.WireRecv = nd.WireBytes()
+	s.ConnsOpen = nd.ConnsOpen()
+	s.Dials = nd.DialsAttempted()
 	return s
 }
 
-// Close tears the node down; pending and future operations fail with
-// ErrClosed. Peers observe the usual connection loss semantics
-// (their sends to this rank fail, their reads return).
-func (n *TCPNode) Close() error {
-	n.core.close()
+// shutdown closes every socket of the node exactly once: the listener,
+// established connections, and connections still mid-handshake, so every
+// blocked accept, dial, handshake, and read fails fast. It does not wait
+// for the workers; Close does.
+func (nd *TCPNode) shutdown() {
+	nd.once.Do(func() {
+		close(nd.closed)
+		nd.l.Close()
+		nd.mu.Lock()
+		for conn := range nd.inflight {
+			conn.Close()
+		}
+		nd.mu.Unlock()
+		for _, s := range nd.slots {
+			s.mu.Lock()
+			if s.tc != nil {
+				s.tc.c.Close()
+			}
+			s.mu.Unlock()
+		}
+	})
+}
+
+// Close tears the node down: pending and future operations fail with
+// ErrClosed, and all its transport goroutines have exited when it
+// returns. Peers observe the usual connection loss semantics (their
+// sends to this rank fail, their reads return).
+func (nd *TCPNode) Close() error {
+	nd.shutdown()
+	nd.workers.Wait()
 	return nil
+}
+
+func (nd *TCPNode) isClosed() bool {
+	select {
+	case <-nd.closed:
+		return true
+	default:
+		return false
+	}
 }

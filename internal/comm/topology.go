@@ -10,9 +10,10 @@ import (
 // pattern's *worst case*: any pair of PEs may still talk — a send along
 // an edge outside the topology triggers a lazy, handshake-deduplicated
 // dial — but only the pre-opened neighbor set costs connections up
-// front. Since the collectives are recursive-doubling shaped, a
-// hypercube keeps a whole checked pipeline on O(p log p) connections
-// network-wide instead of the full mesh's O(p^2).
+// front. Since the collectives are sweeps of a binomial tree, whose
+// edges join ranks one bit apart, a hypercube keeps a whole checked
+// pipeline on O(p log p) connections network-wide instead of the full
+// mesh's O(p^2).
 type Topology string
 
 const (
@@ -24,10 +25,10 @@ const (
 	// ring live entirely on these edges.
 	TopoRing Topology = "ring"
 	// TopoHypercube pre-opens rank^2^k for all k: ~p/2*ceil(log2 p)
-	// connections. The binomial-tree and recursive-doubling collectives
-	// (broadcast, reduce, allreduce, gather, scan, barrier — the whole
-	// checker resolution path) run entirely on these edges when p is a
-	// power of two.
+	// connections. The tree collectives and the scan (broadcast, reduce,
+	// allreduce, gather — the whole checker resolution path) run
+	// entirely on these edges for every p, the barrier when p is a power
+	// of two.
 	TopoHypercube Topology = "hypercube"
 	// TopoNone pre-opens nothing: every connection is dialed lazily on
 	// first use. Minimal setup latency; first-message latency pays the
@@ -55,7 +56,7 @@ func ParseTopology(s string) (Topology, error) {
 // Neighbors returns the peers of rank whose connections the topology
 // pre-opens in a p-PE network, in ascending order. Self is never a
 // neighbor. For TopoHypercube with p not a power of two, partners
-// beyond p-1 are simply absent (the binomial trees skip them the same
+// beyond p-1 are simply absent (the binomial tree skips them the same
 // way).
 func (t Topology) Neighbors(rank, p int) []int {
 	switch t {

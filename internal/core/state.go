@@ -96,7 +96,7 @@ func ResolveOn(c *collective.Comm, states ...CheckState) ([]bool, error) {
 			dst[i] &= src[i]
 		}
 	}
-	red, err := c.Reduce(0, vec, op)
+	red, err := c.Reduce(vec, op)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +108,7 @@ func ResolveOn(c *collective.Comm, states ...CheckState) ([]bool, error) {
 			}
 		}
 	}
-	flags, err = c.Broadcast(0, flags)
+	flags, err = c.Broadcast(flags)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/collective"
 	"repro/internal/data"
 	"repro/internal/dist"
 	"repro/internal/hashing"
@@ -61,26 +62,14 @@ func CheckZip(w *dist.Worker, cfg ZipConfig, s1, s2 []uint64, out []data.Pair) (
 
 // ExclusiveCounts returns, for each local share size in ns, this PE's
 // global start offset and the global total — one vectorized exclusive
-// prefix sum plus one all-reduction, regardless of how many sizes are
-// asked for. Operations use it to learn the global indexing their
-// checkers' position-dependent fingerprints need.
+// scan, a single sweep up and down the collective tree that yields both,
+// regardless of how many sizes are asked for. Operations use it to learn
+// the global indexing their checkers' position-dependent fingerprints
+// need.
 func ExclusiveCounts(w *dist.Worker, ns ...int) (starts, totals []uint64, err error) {
 	vec := make([]uint64, len(ns))
 	for i, n := range ns {
 		vec[i] = uint64(n)
 	}
-	sum := func(dst, src []uint64) {
-		for i := range dst {
-			dst[i] += src[i]
-		}
-	}
-	starts, err = w.Coll.ExclusiveScan(vec, sum, make([]uint64, len(ns)))
-	if err != nil {
-		return nil, nil, err
-	}
-	totals, err = w.Coll.AllReduce(vec, sum)
-	if err != nil {
-		return nil, nil, err
-	}
-	return starts, totals, nil
+	return w.Coll.ExclusiveScan(vec, collective.OpSum, make([]uint64, len(ns)))
 }

@@ -71,9 +71,9 @@ type Config struct {
 	// Topology selects the connection graph the TCP transport pre-opens
 	// (comm.TopoFullMesh, TopoRing, TopoHypercube, TopoNone); empty
 	// means full mesh. Ignored by mem and simnet, which have no
-	// connections. The workers' collectives pick the topology up
-	// automatically and route their recursive-doubling rounds over its
-	// edges, so a hypercube run's connection bill stays O(p log p).
+	// connections. The workers' collectives are never told: their tree
+	// edges join ranks one bit apart at any p, so a hypercube run's
+	// connection bill stays O(p log p) on its own.
 	Topology comm.Topology
 	// SetupTimeout bounds each TCP dial and handshake (setup and lazy);
 	// zero means comm.DefaultSetupTimeout.

@@ -106,12 +106,15 @@ func (w *Worker) CommonSeed() (uint64, error) {
 	if w.haveCommon {
 		return w.commonSeed, nil
 	}
-	got, err := w.Coll.BroadcastU64(0, hashing.Mix64(w.seed^commonSeedDomain))
+	got, err := w.Coll.Broadcast([]uint64{hashing.Mix64(w.seed ^ commonSeedDomain)})
 	if err != nil {
 		return 0, err
 	}
-	w.commonSeed, w.haveCommon = got, true
-	return got, nil
+	if len(got) != 1 {
+		return 0, fmt.Errorf("dist: common seed broadcast carried %d words", len(got))
+	}
+	w.commonSeed, w.haveCommon = got[0], true
+	return got[0], nil
 }
 
 // workerSeed derives rank's private RNG seed from the run seed. Mix64
@@ -121,22 +124,15 @@ func workerSeed(seed uint64, rank int) uint64 {
 	return hashing.Mix64(seed + workerSeedGamma*uint64(rank+1))
 }
 
-// newWorker builds rank's execution context over net. Networks that
-// expose their connection topology (the TCP transport) get it installed
-// as the collectives' routing hint, so a hypercube run's trees, scans,
-// and barriers travel only pre-opened edges.
+// newWorker builds rank's execution context over net.
 func newWorker(net comm.Network, rank int, seed uint64) *Worker {
-	w := &Worker{
+	return &Worker{
 		rank: rank,
 		size: net.Size(),
 		seed: seed,
 		Coll: collective.New(net.Endpoint(rank)),
 		Rng:  hashing.NewMT19937_64(workerSeed(seed, rank)),
 	}
-	if tn, ok := net.(interface{ Topology() comm.Topology }); ok {
-		w.Coll.SetTopology(tn.Topology())
-	}
-	return w
 }
 
 // NewWorkers builds one persistent Worker per endpoint of net and

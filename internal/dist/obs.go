@@ -30,7 +30,7 @@ func GatherSpans(w *Worker) ([]obs.Span, error) {
 		}
 		words[1+i] = binary.LittleEndian.Uint64(chunk[:])
 	}
-	parts, err := w.Coll.Gather(0, words)
+	parts, err := w.Coll.Gather(words)
 	if err != nil {
 		return nil, fmt.Errorf("dist: span gather: %w", err)
 	}

@@ -57,7 +57,7 @@ func TestReduceByKeyMatchesSequential(t *testing.T) {
 					t.Errorf("p=%d: key %d on wrong PE %d", p, pr.Key, w.Rank())
 				}
 			}
-			all, err := w.Coll.Gather(0, encodePairs(out))
+			all, err := w.Coll.Gather(encodePairs(out))
 			if err != nil {
 				return err
 			}
@@ -97,7 +97,7 @@ func TestReduceByKeyXor(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		all, err := w.Coll.Gather(0, encodePairs(out))
+		all, err := w.Coll.Gather(encodePairs(out))
 		if err != nil {
 			return err
 		}
@@ -140,7 +140,7 @@ func TestGroupByKeyCollectsAllValues(t *testing.T) {
 			}
 			flat = append(flat, g.Key, uint64(len(g.Values)))
 		}
-		all, err := w.Coll.Gather(0, flat)
+		all, err := w.Coll.Gather(flat)
 		if err != nil {
 			return err
 		}
@@ -407,7 +407,7 @@ func TestJoinMatchesSequential(t *testing.T) {
 		for _, r := range rows {
 			flat = append(flat, r.Key, r.Left, r.Right)
 		}
-		all, err := w.Coll.Gather(0, flat)
+		all, err := w.Coll.Gather(flat)
 		if err != nil {
 			return err
 		}
@@ -572,7 +572,7 @@ func TestAverageByKey(t *testing.T) {
 		for _, tr := range triples {
 			flat = append(flat, tr.Key, tr.Value, tr.Count)
 		}
-		all, err := w.Coll.Gather(0, flat)
+		all, err := w.Coll.Gather(flat)
 		if err != nil {
 			return err
 		}

@@ -36,7 +36,7 @@ func TestReduceByKeyChecked(t *testing.T) {
 		for _, pr := range out {
 			flat = append(flat, pr.Key, pr.Value)
 		}
-		all, err := w.Coll.Gather(0, flat)
+		all, err := w.Coll.Gather(flat)
 		if err != nil {
 			return err
 		}

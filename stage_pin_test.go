@@ -32,7 +32,8 @@ func pinOf(st repro.CheckStats) statPin {
 // only one with a communicating checker preparation) and a streamed
 // assertion — in every check mode, and compares the CheckStats entry on
 // every rank, field by field, with the values recorded from the commit
-// that still had three runners (runStage, runStagePrep, runStreamStage).
+// that still had three runners (runStage, runStagePrep, runStreamStage)
+// — the Zip rows from the commit that made its preparation one scan.
 // The three error exits are pinned the same way.
 func TestStageRunnerStatsPinned(t *testing.T) {
 	const p = 3
@@ -88,12 +89,13 @@ func TestStageRunnerStatsPinned(t *testing.T) {
 			{pass, 500, 32, 0, 0, 0, 193, 0, 0}, {pass, 500, 40, 0, 0, 0, 193, 0, 0}, {pass, 500, 46, 0, 0, 0, 193, 0, 0}}},
 		{"ReduceByKey", repro.CheckOff, "", [p]statPin{
 			{skip, 500, 32, 0, 0, 0, 0, 0, 0}, {skip, 500, 40, 0, 0, 0, 0, 0, 0}, {skip, 500, 46, 0, 0, 0, 0, 0, 0}}},
-		// Eager zip: three preparation rounds (scan, reduce, broadcast) plus
-		// the two of the resolve; deferred keeps the preparation's alone.
+		// Eager zip: the preparation's one round (the scan, a sweep up and
+		// down the tree that yields offsets and totals) plus the two of the
+		// resolve; deferred keeps the preparation's alone.
 		{"Zip", repro.CheckEager, "", [p]statPin{
-			{pass, 400, 300, 112, 6, 5, 0, 0, 0}, {pass, 450, 300, 88, 3, 5, 0, 0, 0}, {pass, 950, 300, 64, 2, 5, 0, 0, 0}}},
+			{pass, 400, 300, 112, 4, 3, 0, 0, 0}, {pass, 450, 300, 64, 2, 3, 0, 0, 0}, {pass, 950, 300, 64, 2, 3, 0, 0, 0}}},
 		{"Zip", repro.CheckDeferred, "", [p]statPin{
-			{pass, 400, 300, 96, 4, 3, 5, 0, 0}, {pass, 450, 300, 48, 2, 3, 5, 0, 0}, {pass, 950, 300, 24, 1, 3, 5, 0, 0}}},
+			{pass, 400, 300, 96, 2, 1, 5, 0, 0}, {pass, 450, 300, 24, 1, 1, 5, 0, 0}, {pass, 950, 300, 24, 1, 1, 5, 0, 0}}},
 		{"Zip", repro.CheckOff, "", [p]statPin{
 			{skip, 400, 300, 0, 0, 0, 0, 0, 0}, {skip, 450, 300, 0, 0, 0, 0, 0, 0}, {skip, 950, 300, 0, 0, 0, 0, 0, 0}}},
 		{"StreamSum", repro.CheckEager, "", [p]statPin{
@@ -152,9 +154,9 @@ func TestStageRunnerStatsPinned(t *testing.T) {
 }
 
 // TestStageRunnerPrepErrorPinned is the third error exit: the zip
-// checker's preparation (the offset prefix sum) fails on the wire after
-// the operation succeeded. The receive that fails is rank 0's half of
-// the preparation's all-reduce — the seventh non-empty message of a
+// checker's preparation (the offset scan) fails on the wire after the
+// operation succeeded. The receive that fails is rank 0's, of rank 1's
+// partial on the scan's way up — the sixth non-empty message of a
 // two-PE run whose zip moves no data — so rank 0's entry is
 // deterministic: an error verdict charged with the preparation's traffic
 // so far, and nothing pending.
@@ -163,7 +165,7 @@ func TestStageRunnerPrepErrorPinned(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			net := comm.NewFaultyNetwork(comm.NewMemNetwork(2), 0, 0)
 			defer net.Close()
-			net.ArmRecvErr(7)
+			net.ArmRecvErr(6)
 			var got statPin
 			var pending int
 			err := dist.RunNetwork(net, 7, func(w *dist.Worker) error {
@@ -186,8 +188,9 @@ func TestStageRunnerPrepErrorPinned(t *testing.T) {
 			if !errors.Is(err, comm.ErrInjected) {
 				t.Fatalf("run error %v, want the injected receive fault", err)
 			}
-			// One scan message sent, the scan and the reduce started.
-			want := statPin{Verdict: repro.VerdictError, In: 8, Out: 4, Bytes: 24, Msgs: 1, Rounds: 2}
+			// The scan started and nothing sent yet: rank 0 speaks only on
+			// the way down.
+			want := statPin{Verdict: repro.VerdictError, In: 8, Out: 4, Rounds: 1}
 			if got != want || pending != 0 {
 				t.Errorf("CheckStats moved (%d pending):\n got  %#v\n want %#v", pending, got, want)
 			}
