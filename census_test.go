@@ -32,8 +32,6 @@ import (
 // Keys are "<package dir>.<Name>" or "<package dir>.<Type>.<Method>"; a
 // trailing * stands for any suffix.
 var censusAllow = map[string]string{
-	"internal/core.Check*": "the paper's checkers as one-shot calls (Sections 4–6): the documented pure-checker API, listed in core/doc.go",
-
 	"internal/core.SumChecker.AccumulateScalar":      "scalar oracle the root package's BenchmarkSumAccumulateEngine measures the kernel against",
 	"internal/core.PermChecker.AccumulateIntoScalar": "scalar oracle the root package's BenchmarkPermAccumulateEngine measures the kernel against",
 

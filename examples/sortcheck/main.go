@@ -136,11 +136,11 @@ func main() {
 		// Shard the local polynomial products across this PE's cores;
 		// the verdict is identical for any worker count.
 		par := core.NewParallelAccumulator(0)
-		okPoly, err := core.CheckPermutationPolyPar(w, core.PolyPermConfig{Iterations: 2}, par, local, sorted)
+		okPoly, err := core.CheckPermutationPoly(w, core.PolyPermConfig{Iterations: 2}, par, local, sorted)
 		if err != nil {
 			return err
 		}
-		okGF, err := core.CheckPermutationGFPar(w, 2, par, local, sorted)
+		okGF, err := core.CheckPermutationGF(w, 2, par, local, sorted)
 		if err != nil {
 			return err
 		}

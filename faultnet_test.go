@@ -3,11 +3,10 @@ package repro_test
 import (
 	"testing"
 
+	"repro"
 	"repro/internal/comm"
-	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/dist"
-	"repro/internal/hashing"
 	"repro/internal/ops"
 	"repro/internal/workload"
 )
@@ -20,7 +19,7 @@ import (
 func TestNetworkBitflipDuringRedistributionCaught(t *testing.T) {
 	const p = 4
 	clean := workload.ZipfPairs(2000, 200, 1<<30, 1)
-	cfg := core.SumConfig{Iterations: 6, Buckets: 32, RHatLog: 9, Family: hashing.FamilyCRC}
+	opts := repro.DefaultOptions() // 6×32 CRC m9
 
 	caught, injected, runs := 0, 0, 0
 	// Sweep the corrupted-message index so faults land in different
@@ -56,7 +55,7 @@ func TestNetworkBitflipDuringRedistributionCaught(t *testing.T) {
 		// Phase 2: check on a clean network (the checker itself must
 		// not be confused by earlier transport faults).
 		err = dist.Run(p, uint64(target)+99, func(w *dist.Worker) error {
-			ok, err := core.CheckSumAgg(w, cfg, shardPairs(clean, p, w.Rank()), outs[w.Rank()])
+			ok, err := repro.CheckSum(w, opts, shardPairs(clean, p, w.Rank()), outs[w.Rank()])
 			if err != nil {
 				return err
 			}
@@ -89,7 +88,7 @@ func TestNetworkBitflipDuringRedistributionCaught(t *testing.T) {
 func TestSortVerdictMatchesGroundTruthUnderNetworkFaults(t *testing.T) {
 	const p = 3
 	clean := workload.UniformU64s(1200, 1e8, 2)
-	cfg := core.PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}
+	opts := repro.DefaultOptions() // Tab, 32 bits, 2 iterations
 	ref := data.CloneU64s(clean)
 	data.SortU64(ref)
 
@@ -146,7 +145,7 @@ func TestSortVerdictMatchesGroundTruthUnderNetworkFaults(t *testing.T) {
 		injected++
 		want := groundTruth(outs)
 		err = dist.Run(p, uint64(target)+7, func(w *dist.Worker) error {
-			got, err := core.CheckSorted(w, cfg, shardU64(clean, p, w.Rank()), outs[w.Rank()])
+			got, err := repro.CheckSorted(w, opts, shardU64(clean, p, w.Rank()), outs[w.Rank()])
 			if err != nil {
 				return err
 			}

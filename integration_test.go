@@ -8,7 +8,6 @@ import (
 	"repro"
 	"repro/internal/collective"
 	"repro/internal/comm"
-	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/dist"
 	"repro/internal/hashing"
@@ -131,7 +130,7 @@ func TestFullSuiteManyPEs(t *testing.T) {
 func TestFaultInjectionThroughRealOperation(t *testing.T) {
 	const p = 4
 	clean := workload.ZipfPairs(3000, 400, 1<<30, 6)
-	cfg := core.SumConfig{Iterations: 6, Buckets: 32, RHatLog: 9, Family: hashing.FamilyCRC}
+	opts := repro.DefaultOptions() // 6×32 CRC m9
 	rng := hashing.NewMT19937_64(9)
 	for _, m := range manipulate.PairManipulators() {
 		m := m
@@ -149,7 +148,7 @@ func TestFaultInjectionThroughRealOperation(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				ok, err := core.CheckSumAgg(w, cfg, shardPairs(clean, p, w.Rank()), out)
+				ok, err := repro.CheckSum(w, opts, shardPairs(clean, p, w.Rank()), out)
 				if err != nil {
 					return err
 				}

@@ -105,9 +105,9 @@ func TestSubConcurrentCollectives(t *testing.T) {
 					}
 				}
 				// The parent communicator stayed usable throughout.
-				ok, err := c.AllAgree(true)
-				if err != nil || !ok {
-					return fmt.Errorf("parent AllAgree after concurrent subs: %v %v", ok, err)
+				n, err := c.AllReduce([]uint64{1}, OpSum)
+				if err != nil || n[0] != uint64(p) {
+					return fmt.Errorf("parent AllReduce after concurrent subs: %v %v", n, err)
 				}
 				return nil
 			})

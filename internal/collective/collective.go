@@ -529,13 +529,6 @@ func OpSum(dst, src []uint64) {
 	}
 }
 
-// OpAnd combines bitwise (used for verdict vectors).
-func OpAnd(dst, src []uint64) {
-	for i := range dst {
-		dst[i] &= src[i]
-	}
-}
-
 // sweepUp is this PE's part of the child-to-parent sweep. acc starts as
 // the PE's own contribution; the words of each child rank|mask, which
 // speaks for ranks [rank|mask, rank|mask+mask) ∩ [0, p), are folded in
@@ -826,18 +819,4 @@ func (c *Comm) Exchange(dst int, words []uint64, src int) ([]uint64, error) {
 		return nil, nil
 	}
 	return c.recvU64s(src, tag)
-}
-
-// AllAgree all-reduces a boolean verdict: the result is true iff every
-// PE passed true. This is the checkers' final accept/reject step.
-func (c *Comm) AllAgree(ok bool) (bool, error) {
-	v := uint64(1)
-	if !ok {
-		v = 0
-	}
-	res, err := c.AllReduce([]uint64{v}, OpAnd)
-	if err != nil {
-		return false, err
-	}
-	return res[0] == 1, nil
 }

@@ -396,26 +396,6 @@ func TestExchangeRing(t *testing.T) {
 	})
 }
 
-func TestAllAgree(t *testing.T) {
-	runSPMD(t, 7, func(c *Comm) error {
-		ok, err := c.AllAgree(true)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			t.Error("unanimous true reported as false")
-		}
-		ok, err = c.AllAgree(c.Rank() != 3)
-		if err != nil {
-			return err
-		}
-		if ok {
-			t.Error("dissent not detected")
-		}
-		return nil
-	})
-}
-
 func TestManyCollectivesTagDiscipline(t *testing.T) {
 	// Interleave different collectives many times to shake out tag
 	// collisions between rounds and operations.

@@ -46,10 +46,7 @@ func treeWorkout(c *Comm, rank int) error {
 	if _, err := c.AllGather([]uint64{uint64(rank)}); err != nil {
 		return err
 	}
-	if _, _, err := c.ExclusiveScan([]uint64{1}, OpSum, []uint64{0}); err != nil {
-		return err
-	}
-	_, err := c.AllAgree(true)
+	_, _, err := c.ExclusiveScan([]uint64{1}, OpSum, []uint64{0})
 	return err
 }
 

@@ -48,7 +48,9 @@ func TestAvgCheckerAcceptsCorrect(t *testing.T) {
 	asserted := buildAvgReference(global)
 	for _, p := range []int{1, 2, 4} {
 		err := dist.Run(p, 1, func(w *dist.Worker) error {
-			ok, err := CheckAvgAgg(w, smallCfg, shardPairs(global, p, w.Rank()), shardAvg(asserted, p, w.Rank()))
+			ok, err := check(w, func(seed uint64) CheckState {
+				return NewAvgAggState("AvgAgg", smallCfg, seed, Serial, shardPairs(global, p, w.Rank()), shardAvg(asserted, p, w.Rank()))
+			})
 			if err != nil {
 				return err
 			}
@@ -80,7 +82,9 @@ func TestAvgCheckerAcceptsTripleForm(t *testing.T) {
 	asserted := AvgAssertionsFromTriples(triples)
 	err := dist.Run(3, 1, func(w *dist.Worker) error {
 		s, e := data.SplitEven(len(asserted), 3, w.Rank())
-		ok, err := CheckAvgAgg(w, smallCfg, shardPairs(global, 3, w.Rank()), asserted[s:e])
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewAvgAggState("AvgAgg", smallCfg, seed, Serial, shardPairs(global, 3, w.Rank()), asserted[s:e])
+		})
 		if err != nil {
 			return err
 		}
@@ -104,7 +108,9 @@ func TestAvgCheckerDetectsWrongAverage(t *testing.T) {
 		i := int(seed) % len(bad)
 		bad[i].AvgNum++ // average off by 1/Den
 		err := dist.Run(3, seed, func(w *dist.Worker) error {
-			ok, err := CheckAvgAgg(w, smallCfg, shardPairs(global, 3, w.Rank()), shardAvg(bad, 3, w.Rank()))
+			ok, err := check(w, func(seed uint64) CheckState {
+				return NewAvgAggState("AvgAgg", smallCfg, seed, Serial, shardPairs(global, 3, w.Rank()), shardAvg(bad, 3, w.Rank()))
+			})
 			if err != nil {
 				return err
 			}
@@ -141,7 +147,9 @@ func TestAvgCheckerDetectsScaledPair(t *testing.T) {
 			if w.Rank() == 0 {
 				mine = forged
 			}
-			ok, err := CheckAvgAgg(w, smallCfg, shardPairs(global, 2, w.Rank()), mine)
+			ok, err := check(w, func(seed uint64) CheckState {
+				return NewAvgAggState("AvgAgg", smallCfg, seed, Serial, shardPairs(global, 2, w.Rank()), mine)
+			})
 			if err != nil {
 				return err
 			}
@@ -169,12 +177,42 @@ func TestAvgCheckerRejectsIndivisibleCertificate(t *testing.T) {
 		if w.Rank() == 0 {
 			mine = bad
 		}
-		ok, err := CheckAvgAgg(w, smallCfg, shardPairs(global, 2, w.Rank()), mine)
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewAvgAggState("AvgAgg", smallCfg, seed, Serial, shardPairs(global, 2, w.Rank()), mine)
+		})
 		if err != nil {
 			return err
 		}
 		if ok {
 			t.Error("indivisible certificate accepted")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAvgCheckerRejectsZeroCount: an invented row with count 0 adds
+// nothing to either lane, so it passed both; no correct result asserts a
+// key without input elements, so a zero count is a deterministic reject.
+func TestAvgCheckerRejectsZeroCount(t *testing.T) {
+	global := workload.UniformPairs(600, 10, 100, 5)
+	asserted := buildAvgReference(global)
+	invented := AvgAssertion{Key: 1 << 40, AvgNum: 7, AvgDen: 1, Count: 0}
+	err := dist.Run(2, 1, func(w *dist.Worker) error {
+		mine := shardAvg(asserted, 2, w.Rank())
+		if w.Rank() == 0 {
+			mine = append(append([]AvgAssertion(nil), mine...), invented)
+		}
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewAvgAggState("AvgAgg", smallCfg, seed, Serial, shardPairs(global, 2, w.Rank()), mine)
+		})
+		if err != nil {
+			return err
+		}
+		if ok {
+			t.Error("zero-count row accepted")
 		}
 		return nil
 	})
@@ -195,7 +233,9 @@ func TestAvgCheckerDetectsWrongCount(t *testing.T) {
 	const trials = 30
 	for seed := uint64(0); seed < trials; seed++ {
 		err := dist.Run(2, seed, func(w *dist.Worker) error {
-			ok, err := CheckAvgAgg(w, smallCfg, shardPairs(global, 2, w.Rank()), shardAvg(bad, 2, w.Rank()))
+			ok, err := check(w, func(seed uint64) CheckState {
+				return NewAvgAggState("AvgAgg", smallCfg, seed, Serial, shardPairs(global, 2, w.Rank()), shardAvg(bad, 2, w.Rank()))
+			})
 			if err != nil {
 				return err
 			}

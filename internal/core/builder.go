@@ -5,17 +5,17 @@ import (
 	"repro/internal/hashing"
 )
 
-// This file holds the chunked partial forms of the checker states:
-// builders with an add-chunk / seal lifecycle. A builder accumulates any
-// number of input and output chunks (in any interleaving that respects
-// the per-builder ordering rules below) and Seal freezes the accumulated
-// partial into the corresponding CheckState. The permutation and
-// redistribution partials additionally merge: two builders over disjoint
-// chunk sets fold into one (internal/recover reshards a dead PE's chunks
-// that way).
+// This file holds the checkers that accumulate in chunks: builders with
+// an add-chunk / seal lifecycle, each followed by its one-chunk
+// constructor. A builder accumulates any number of input and output
+// chunks (in any interleaving that respects the per-builder ordering
+// rules below) and Seal freezes the accumulated partial into a
+// CheckState. The permutation and redistribution partials additionally
+// merge: two builders over disjoint chunk sets fold into one
+// (internal/recover reshards a dead PE's chunks that way).
 //
-// The sealed state is bit-identical to the one-shot state built over the
-// concatenation of all chunks, for every chunking and every
+// The sealed state is bit-identical to the one-chunk constructor's over
+// the concatenation of all chunks, for every chunking and every
 // ParallelAccumulator worker count:
 //
 //   - sum checker tables stay congruent mod r under chunked
@@ -23,12 +23,10 @@ import (
 //     residues agree exactly;
 //   - permutation fingerprints combine by wraparound addition mod 2^64,
 //     which is commutative and associative;
-//   - the sortedness boundary summary extends chunk by chunk with the
-//     same interval rule the collective resolution applies rank by rank.
+//   - the sortedness interval extends chunk by chunk with the same merge
+//     the collective resolution applies rank by rank.
 //
-// Builders are the foundation of the internal/stream subsystem: the
-// one-shot New...State constructors in state.go are thin wrappers that
-// feed a builder exactly one chunk per side.
+// Builders are the foundation of the internal/stream subsystem.
 //
 // Builders are single-use (Seal at most once) and not safe for
 // concurrent use. Seal — and Merge, for its source — consumes the
@@ -50,12 +48,12 @@ func recycleHashers(hs []hashing.Hasher) {
 }
 
 // ---------------------------------------------------------------------
-// Sum/count aggregation
+// Sum/count aggregation (Theorem 1, Algorithm 1)
 // ---------------------------------------------------------------------
 
-// SumAggBuilder is the chunked partial form of SumAggState: two raw
-// counter tables (input side, output side) that chunks accumulate into.
-// Chunk order is immaterial on both sides.
+// SumAggBuilder is the chunked sum aggregation checker: two raw counter
+// tables (input side, output side) that chunks accumulate into. Chunk
+// order is immaterial on both sides.
 type SumAggBuilder struct {
 	stage  string
 	c      *SumChecker
@@ -66,7 +64,8 @@ type SumAggBuilder struct {
 
 // NewSumAggBuilder starts an empty sum (or, with count, count)
 // aggregation partial for the given stage. Accumulation of every chunk
-// is sharded across par.
+// is sharded across par. With count, every input pair counts 1
+// regardless of its value.
 func NewSumAggBuilder(stage string, cfg SumConfig, seed uint64, par ParallelAccumulator, count bool) *SumAggBuilder {
 	c := NewSumChecker(cfg, seed)
 	return &SumAggBuilder{stage: stage, c: c, par: par, count: count, tv: c.NewTable(), to: c.NewTable()}
@@ -86,22 +85,36 @@ func (b *SumAggBuilder) AddOutput(pairs []data.Pair) {
 	b.par.AccumulateSum(b.c, b.to, pairs)
 }
 
-// Seal freezes the partial into the two-phase checker state. The
-// builder's tables are consumed.
-func (b *SumAggBuilder) Seal() *SumAggState {
-	st := newSumDiffState(b.stage, b.c, b.tv, b.to)
+// Seal freezes the partial into one table: the normalized difference of
+// the input and output sides, correct iff the global modular sum of
+// differences is all-zero. The builder's tables are consumed.
+func (b *SumAggBuilder) Seal() CheckState {
+	st := newState(b.stage, b.c.diff(b.tv, b.to), true, b.c, tableSeg(b.c))
 	recycleHashers(b.c.hashers)
 	b.c = nil
 	return st
 }
 
+// NewSumAggState is SumAggBuilder over one chunk per side: input and
+// output are this PE's shares of the aggregation input and of the
+// asserted result (one pair per key, any distribution). A correct
+// result is always accepted; an incorrect one with probability at most
+// cfg.AchievedDelta(). Communication at resolution: #its * d *
+// ceil(log 2rhat) bits, O(beta*d*log(rhat) + alpha*log p), per Lemma 3.
+func NewSumAggState(stage string, cfg SumConfig, seed uint64, par ParallelAccumulator, input, output []data.Pair) CheckState {
+	b := NewSumAggBuilder(stage, cfg, seed, par, false)
+	b.AddInput(input)
+	b.AddOutput(output)
+	return b.Seal()
+}
+
 // ---------------------------------------------------------------------
-// Permutation / union
+// Permutation / union (Lemma 4, Corollary 12)
 // ---------------------------------------------------------------------
 
-// PermBuilder is the mergeable partial form of PermState: the
-// per-iteration truncated hash sums, inputs added and outputs
-// subtracted. Chunk order is immaterial on both sides.
+// PermBuilder is the mergeable permutation checker: the per-iteration
+// truncated hash sums, inputs added and outputs subtracted. Chunk order
+// is immaterial on both sides.
 type PermBuilder struct {
 	stage   string
 	c       *PermChecker
@@ -136,9 +149,9 @@ func (b *PermBuilder) Merge(src *PermBuilder) {
 	src.consume()
 }
 
-// Seal freezes the partial into the two-phase checker state.
-func (b *PermBuilder) Seal() *PermState {
-	st := &PermState{stage: b.stage, mask: b.c.mask, lambda: b.lambda, localOK: b.localOK}
+// Seal freezes the partial into one hash sum segment.
+func (b *PermBuilder) Seal() CheckState {
+	st := newState(b.stage, b.lambda, b.localOK, nil, hashSumSeg(b.c))
 	b.consume()
 	return st
 }
@@ -149,24 +162,37 @@ func (b *PermBuilder) consume() {
 	b.c = nil
 }
 
+// NewPermState is PermBuilder over one chunk per input and one of the
+// output: output must be a permutation of the concatenation of inputs
+// — with two inputs the Union checker of Corollary 12. Running time
+// O(n/p + beta*logH*its + alpha*log p) — Theorem 6.
+func NewPermState(stage string, cfg PermConfig, seed uint64, par ParallelAccumulator, inputs [][]uint64, output []uint64) CheckState {
+	b := NewPermBuilder(stage, cfg, seed, par)
+	for _, in := range inputs {
+		b.AddInput(in)
+	}
+	b.AddOutput(output)
+	return b.Seal()
+}
+
 // ---------------------------------------------------------------------
-// Sort / merge
+// Sort / merge (Theorem 7, Corollary 13)
 // ---------------------------------------------------------------------
 
-// SortedBuilder is the chunked partial form of SortedState: a
-// permutation partial plus the sortedness interval summary maintained
-// across output chunks. Input chunks may arrive in any order; output
-// chunks must arrive in sequence order (each chunk is the next
-// contiguous segment of this PE's asserted output).
+// SortedBuilder is the chunked sort checker: a permutation partial plus
+// the sortedness interval maintained across output chunks. Input chunks
+// may arrive in any order; output chunks must arrive in sequence order
+// (each chunk is the next contiguous segment of this PE's asserted
+// output).
 type SortedBuilder struct {
-	perm *PermBuilder
-	b    [sortWords]uint64
+	perm     *PermBuilder
+	interval [sortWords]uint64
 }
 
 // NewSortedBuilder starts an empty sort partial for the given stage.
 func NewSortedBuilder(stage string, cfg PermConfig, seed uint64, par ParallelAccumulator) *SortedBuilder {
 	sb := &SortedBuilder{perm: NewPermBuilder(stage, cfg, seed, par)}
-	sb.b[sortOK] = 1
+	sb.interval[sortOK] = 1
 	return sb
 }
 
@@ -174,46 +200,63 @@ func NewSortedBuilder(stage string, cfg PermConfig, seed uint64, par ParallelAcc
 func (s *SortedBuilder) AddInput(xs []uint64) { s.perm.AddInput(xs) }
 
 // AddOutput accumulates the next contiguous chunk of this PE's asserted
-// sorted output: the fingerprint subtracts it, and the interval summary
-// extends — the chunk must be internally sorted and must not fall below
-// the previous chunk's last element.
+// sorted output: the fingerprint subtracts it, and the interval extends
+// by the chunk's own — the chunk must be internally sorted and must not
+// fall below the previous chunk's last element.
 func (s *SortedBuilder) AddOutput(xs []uint64) {
 	s.perm.AddOutput(xs)
 	if len(xs) == 0 {
 		return
 	}
-	ok := s.b[sortOK]
-	if !data.IsSortedU64(xs) {
-		ok = 0
+	chunk := [sortWords]uint64{sortHas: 1, sortFirst: xs[0], sortLast: xs[len(xs)-1]}
+	if data.IsSortedU64(xs) {
+		chunk[sortOK] = 1
 	}
-	if s.b[sortHas] == 1 && s.b[sortLast] > xs[0] {
-		ok = 0
-	}
-	if s.b[sortHas] == 0 {
-		s.b[sortFirst] = xs[0]
-		s.b[sortHas] = 1
-	}
-	s.b[sortLast] = xs[len(xs)-1]
-	s.b[sortOK] = ok
+	mergeInterval(s.interval[:], chunk[:])
 }
 
-// Seal freezes the partial into the two-phase checker state.
-func (s *SortedBuilder) Seal() *SortedState {
-	perm := s.perm.Seal()
-	words := make([]uint64, len(perm.lambda)+sortWords)
-	copy(words, perm.lambda)
-	copy(words[len(perm.lambda):], s.b[:])
-	return &SortedState{perm: perm, words: words}
+// Seal freezes the partial into a hash sum segment followed by the
+// sortedness interval.
+func (s *SortedBuilder) Seal() CheckState {
+	b := s.perm
+	st := newState(b.stage, append(b.lambda, s.interval[:]...), true, nil, hashSumSeg(b.c), intervalSeg)
+	b.consume()
+	return st
+}
+
+// NewSortedState is SortedBuilder over one chunk per input and one of
+// the output: output must be a sorted permutation of the concatenation
+// of inputs (one input for Sort, two for Merge). Both properties travel
+// in one reduction — the boundary condition as the rank-ordered
+// interval merge. Time O(Tcheck-perm(n, p, delta)).
+func NewSortedState(stage string, cfg PermConfig, seed uint64, par ParallelAccumulator, inputs [][]uint64, output []uint64) CheckState {
+	b := NewSortedBuilder(stage, cfg, seed, par)
+	for _, in := range inputs {
+		b.AddInput(in)
+	}
+	b.AddOutput(output)
+	return b.Seal()
 }
 
 // ---------------------------------------------------------------------
-// Redistribution
+// Redistribution (Corollaries 14, 15)
 // ---------------------------------------------------------------------
 
-// RedistBuilder is the mergeable partial form of the redistribution
-// checker state (Corollaries 14, 15): a permutation partial over folded
-// whole pairs plus the deterministic placement scan, both applied chunk
-// by chunk. Chunk order is immaterial on both sides.
+// KeyLocator reports which PE is responsible for a key — the contract
+// of the redistribution phase of GroupBy and hash Join. ops.Partitioner
+// satisfies it.
+type KeyLocator interface {
+	PE(key uint64) int
+}
+
+// RedistBuilder is the mergeable invasive checker for the element
+// redistribution phase of GroupBy (Corollary 14) and, applied to each
+// relation, of hash Join (Corollary 15): a permutation partial over
+// folded whole pairs plus the deterministic placement scan — every
+// received pair's key must belong to this PE under the locator, which
+// pins the hash-induced global order — both applied chunk by chunk.
+// Chunk order is immaterial on both sides. The group/join function
+// applied afterwards needs a local checker, which the paper scopes out.
 type RedistBuilder struct {
 	perm     *PermBuilder
 	foldSeed []uint64
@@ -253,8 +296,7 @@ func (b *RedistBuilder) AddInput(ps []data.Pair) {
 }
 
 // AddOutput accumulates one chunk of this PE's pairs after the exchange,
-// including the placement scan: every received key must belong to this
-// PE under the locator.
+// including the placement scan.
 func (b *RedistBuilder) AddOutput(ps []data.Pair) {
 	b.perm.AddOutput(b.fold(ps))
 	for _, pr := range ps {
@@ -268,5 +310,17 @@ func (b *RedistBuilder) AddOutput(ps []data.Pair) {
 // Merge folds src's partial into b. src is consumed.
 func (b *RedistBuilder) Merge(src *RedistBuilder) { b.perm.Merge(src.perm) }
 
-// Seal freezes the partial into the two-phase checker state.
-func (b *RedistBuilder) Seal() *PermState { return b.perm.Seal() }
+// Seal freezes the partial into one hash sum segment, the placement
+// scan in its local predicate.
+func (b *RedistBuilder) Seal() CheckState { return b.perm.Seal() }
+
+// NewRedistState is RedistBuilder over one chunk per side: before and
+// after are this PE's pairs around the exchange and rank is this PE's
+// rank. A hash join checks each relation with one state; both resolve
+// in one batched round.
+func NewRedistState(stage string, cfg PermConfig, seed uint64, par ParallelAccumulator, loc KeyLocator, rank int, before, after []data.Pair) CheckState {
+	b := NewRedistBuilder(stage, cfg, seed, par, loc, rank)
+	b.AddInput(before)
+	b.AddOutput(after)
+	return b.Seal()
+}

@@ -4,61 +4,70 @@
 // incorrect result is accepted with probability at most delta — and
 // sublinear bottleneck communication volume.
 //
-// Checkers (paper reference in parentheses):
+// Checkers, by constructor (paper reference in parentheses):
 //
-//   - CheckSumAgg / CheckCountAgg — sum/count aggregation via condensed
-//     reduction to d buckets modulo a random r in (rhat, 2*rhat]
-//     (Section 4, Theorem 1, Algorithm 1).
-//   - CheckAvgAgg — average aggregation with a per-key count certificate
-//     (Section 6.1, Corollary 8).
-//   - CheckMinAgg / CheckMaxAgg — deterministic minimum/maximum checking
-//     with result and witness certificate replicated at all PEs
-//     (Section 6.2, Theorem 9).
-//   - CheckMedianAgg / CheckMedianAggTies — median aggregation reduced
-//     to a zero-sum check, for unique values and with tie-breaking
-//     certificates (Section 6.3, Theorem 10, Algorithm 2).
-//   - CheckPermutation — hash-sum fingerprints (Section 5, Lemma 4),
-//     with the polynomial variants CheckPermutationPoly (prime field,
-//     Lemma 5) and CheckPermutationGF (GF(2^64), carry-less).
-//   - CheckSorted — permutation plus local sortedness plus boundary
-//     exchange (Section 5, Theorem 7).
-//   - CheckZip — position-dependent fingerprints (Section 6.4,
+//   - NewSumAggState, NewSumAggBuilder (count: true for count
+//     aggregation) — condensed reduction to d buckets modulo a random r
+//     in (rhat, 2*rhat] (Section 4, Theorem 1, Algorithm 1).
+//   - NewAvgAggState — average aggregation with a per-key count
+//     certificate (Section 6.1, Corollary 8).
+//   - NewMinAggState / NewMaxAggState — deterministic minimum/maximum
+//     checking with result and witness certificate replicated at all
+//     PEs (Section 6.2, Theorem 9).
+//   - NewMedianAggState — median aggregation reduced to a zero-sum
+//     check, for unique values and with tie-breaking certificates
+//     (Section 6.3, Theorem 10, Algorithm 2).
+//   - NewPermState, NewPermBuilder — hash-sum fingerprints (Section 5,
+//     Lemma 4); with two inputs, Union (Corollary 12).
+//   - NewSortedState, NewSortedBuilder — permutation plus the
+//     sortedness interval (Section 5, Theorem 7); with two inputs,
+//     Merge (Corollary 13).
+//   - NewZipState — position-dependent fingerprints (Section 6.4,
 //     Theorem 11).
-//   - CheckUnion / CheckMerge — permutation over multiple inputs
-//     (Section 6.5.1/6.5.2, Corollaries 12 and 13).
-//   - CheckRedistribution / CheckJoinRedistribution — invasive checker
-//     for the GroupBy/Join element redistribution phase (Section
-//     6.5.3/6.5.4, Corollaries 14 and 15).
-//   - CheckReplicated — result-integrity hash comparison for data that
-//     must be identical at all PEs (Section 2, "Result Integrity").
+//   - NewRedistState, NewRedistBuilder — invasive checker for the
+//     GroupBy/Join element redistribution phase (Section 6.5.3/6.5.4,
+//     Corollaries 14 and 15).
+//   - CheckPermutationPoly (prime field) and CheckPermutationGF
+//     (GF(2^64), carry-less) — the polynomial permutation checkers of
+//     Lemma 5, which need no trusted hash function. They are the only
+//     checkers without a state: each is one all-reduction.
 //
-// Every distributed checker is SPMD: all PEs call it with their local
-// shares, shared randomness is drawn by PE 0 and broadcast, and the
-// returned verdict is identical on every PE.
+// Every distributed checker is SPMD: all PEs build their states from
+// their local shares and a common seed (dist.Worker.CommonSeed), and the
+// verdict is identical on every PE.
 //
-// # Layering
+// # One shape
 //
-// Each checker exists in three layers, each a thin wrapper of the one
-// before, and nothing else builds a checker state:
+// Every checker makes one O(n/p) local pass and then one reduction of a
+// few words with an accept test. Its state is one CheckState
+// implementation whose words are a short list of segments, each one of
+// five sketches with its own combine and accept test:
 //
-//   - the builder (builder.go): the chunked partial. AddInput and
-//     AddOutput accumulate any number of chunks, sharded across a
-//     ParallelAccumulator, and Seal freezes the partial into a
+//   - a sum-checker table mod r (accept: all zero);
+//   - truncated hash sums (accept: zero under the mask);
+//   - the 4-word sortedness interval (rank-ordered merge; accept: the
+//     sorted flag survived);
+//   - F_(2^61-1) fingerprints (accept: all zero);
+//   - the replica digest min/max pair (accept: min = max).
+//
+// SumAgg is one table, Avg two; Median is one or two tables plus a
+// replica digest; Min/Max is a replica digest; Perm and Redist are a
+// hash sum; Sorted is a hash sum plus an interval; Zip is fingerprints.
+//
+// A checker exists in two layers, and nothing else builds a state:
+//
+//   - the builder (builder.go), where a checker accumulates in chunks:
+//     AddInput and AddOutput accumulate any number of chunks, sharded
+//     across a ParallelAccumulator, and Seal freezes the partial into a
 //     CheckState. The streaming stages (internal/stream) and resharding
 //     (internal/recover) drive builders directly.
-//   - the one-chunk state constructor (state.go): New...State feeds a
-//     builder exactly one chunk per side. There is one per checker and
-//     it takes the ParallelAccumulator; a serial caller passes Serial.
-//     The pipeline stages of the root package call these and hand the
-//     states to Resolve — eagerly, batched, or asynchronously
-//     (ResolveAsync).
-//   - the one-shot Check... function: state constructor plus Resolve of
-//     that single state, the paper's Sections 4–6 as calls. These
-//     functions, everything the list above names, are the documented
-//     pure-checker API of this package — verify a result computed
-//     elsewhere with one call — and are kept as such although only
-//     CheckSumAgg and CheckSorted have a caller outside the tests today
-//     (repro.CheckSum, repro.CheckSorted).
+//   - the one-chunk constructor, New...State: a builder fed exactly one
+//     chunk per side, or for the checkers without a builder the whole
+//     local phase. It takes the ParallelAccumulator where the checker
+//     shards; a serial caller passes Serial.
+//
+// Resolve — eagerly, batched, or asynchronously (ResolveAsync) — is the
+// only way from states to verdicts.
 //
 // The checkers' O(n/p) local phase (Table 5) runs on a shared
 // accumulation engine: blocked batch hashing (hashing.Hasher's

@@ -4,31 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/data"
-	"repro/internal/dist"
 )
-
-// CheckMedianAgg checks median aggregation (Theorem 10, Algorithm 2)
-// under the paper's uniqueness assumption: within each key, values
-// occur at most once (except the asserted median value itself, which an
-// odd-count key necessarily contains). medians2 must hold, for every
-// key, twice the asserted median — the doubling keeps the even-count
-// "mean of the two middle elements" case integral — replicated
-// identically at every PE (verified first via the result-integrity
-// check; pass it sorted by key).
-//
-// The reduction: an asserted median is correct iff the number of
-// smaller elements equals the number of larger elements. Each local
-// element contributes -1 (smaller) or +1 (larger), equal elements
-// contribute nothing, and the per-key sums are verified to be zero by
-// the sum aggregation checker (the asserted side is the all-zero
-// vector, so it costs nothing to accumulate). A local deterministic
-// reject covers input keys missing from the asserted result.
-//
-// For inputs with duplicated values use CheckMedianAggTies, which takes
-// the tie-breaking certificate Theorem 10 requires.
-func CheckMedianAgg(w *dist.Worker, cfg SumConfig, input []data.Pair, medians2 []data.Pair) (bool, error) {
-	return checkMedian(w, cfg, input, medians2, nil)
-}
 
 // TieCert is the tie-breaking certificate of Theorem 10 for one key:
 // among the input elements whose value equals the asserted median,
@@ -69,40 +45,102 @@ func ComputeTieCert(sortedValues []uint64, median2 uint64) TieCert {
 	return cert
 }
 
-// CheckMedianAggTies is CheckMedianAgg extended with tie-breaking
-// certificates (required for every key): the balance condition becomes
+// NewMedianAggState accumulates the median checker's local phase
+// (Theorem 10, Algorithm 2). medians2 must hold, for every key, twice
+// the asserted median — the doubling keeps the even-count "mean of the
+// two middle elements" case integral — replicated identically at every
+// PE, which the state's replica digest verifies. rank identifies this
+// PE. No communication.
+//
+// The reduction: an asserted median is correct iff the number of
+// smaller elements equals the number of larger elements. Each local
+// element contributes -1 (smaller) or +1 (larger), equal elements
+// contribute nothing, and one table segment verifies the per-key sums
+// are zero (the asserted side is the all-zero vector, so it costs
+// nothing to accumulate). This needs the paper's uniqueness assumption:
+// within each key, values occur at most once, except the asserted
+// median value itself.
+//
+// For duplicated values pass the tie-breaking certificates ties (nil:
+// the unique-values variant), replicated like the medians. The balance
+// condition becomes
 //
 //	#smaller + EqLow == #larger + EqHigh,
 //
-// and a second zero-sum lane verifies the certificate itself:
+// and a second table segment verifies the certificate itself:
 //
 //	#equal == EqLow + EqHigh + AtSlot,
 //
-// with the local deterministic check AtSlot <= 2. The certificate must
-// be replicated at all PEs along with the medians.
-func CheckMedianAggTies(w *dist.Worker, cfg SumConfig, input []data.Pair, medians2 []data.Pair, ties map[uint64]TieCert) (bool, error) {
-	if ties == nil {
-		ties = map[uint64]TieCert{}
-	}
-	return checkMedian(w, cfg, input, medians2, ties)
-}
+// with the local deterministic check AtSlot <= 2. Local deterministic
+// rejects also cover input keys missing from the asserted result and a
+// result that asserts a key twice.
+func NewMedianAggState(stage string, cfg SumConfig, seed uint64, rank int, input, medians2 []data.Pair, ties map[uint64]TieCert) CheckState {
+	c := NewSumChecker(cfg, seed)
 
-func checkMedian(w *dist.Worker, cfg SumConfig, input []data.Pair, medians2 []data.Pair, ties map[uint64]TieCert) (bool, error) {
-	seed, err := w.CommonSeed()
-	if err != nil {
-		return false, err
+	localOK := true
+	m2 := make(map[uint64]uint64, len(medians2))
+	for _, pr := range medians2 {
+		if _, dup := m2[pr.Key]; dup {
+			localOK = false
+		}
+		m2[pr.Key] = pr.Value
 	}
-	st := NewMedianAggState("MedianAgg", cfg, seed, w.Rank(), input, medians2, ties)
-	return resolveOne(w, st)
-}
 
-// normalizeBlocks normalizes a table consisting of `blocks` consecutive
-// checker tables.
-func (c *SumChecker) normalizeBlocks(t []uint64, blocks int) {
-	words := c.TableWords()
-	for b := 0; b < blocks; b++ {
-		c.Normalize(t[b*words : (b+1)*words])
+	s := make(map[uint64]int64) // balance: #larger - #smaller
+	e := make(map[uint64]int64) // equality: #equal to median
+	for _, pr := range input {
+		m, exists := m2[pr.Key]
+		if !exists {
+			// Key dropped from the result: deterministic reject.
+			localOK = false
+			break
+		}
+		v2 := 2 * pr.Value
+		switch {
+		case v2 < m:
+			s[pr.Key]--
+		case v2 > m:
+			s[pr.Key]++
+		default:
+			e[pr.Key]++
+		}
 	}
+
+	// Balance lane, shifted by the certificate where present:
+	// s[k] + EqHigh - EqLow must be zero for every key.
+	tv := c.NewTable()
+	for k, cnt := range s {
+		c.AccumulateSigned(tv, k, cnt)
+	}
+	segs := []segment{tableSeg(c)}
+	var te []uint64
+	if ties != nil {
+		// The certificate is replicated at every PE but must enter the
+		// global sum exactly once: only PE 0 folds it in. The AtSlot
+		// bound is a local deterministic check everywhere.
+		for _, tc := range ties {
+			if tc.AtSlot > 2 {
+				localOK = false
+			}
+		}
+		// Equality lane: #equal(k) - (EqLow+EqHigh+AtSlot) must be zero.
+		te = c.NewTable()
+		for k, cnt := range e {
+			c.AccumulateSigned(te, k, cnt)
+		}
+		if rank == 0 {
+			for k, tc := range ties {
+				c.AccumulateSigned(tv, k, int64(tc.EqHigh)-int64(tc.EqLow))
+				c.AccumulateSigned(te, k, -int64(tc.EqLow+tc.EqHigh+tc.AtSlot))
+			}
+		}
+		c.Normalize(te)
+		segs = append(segs, tableSeg(c))
+	}
+	c.Normalize(tv)
+
+	d := DigestU64s(flattenMedianAssertion(medians2, ties), seed)
+	return newState(stage, append(append(tv, te...), d, d), localOK, c, append(segs, replicaSeg)...)
 }
 
 // flattenMedianAssertion encodes medians and tie certificates in key

@@ -56,7 +56,9 @@ func TestMedianCheckerAcceptsUniqueValues(t *testing.T) {
 	medians, _ := buildMedianReference(global)
 	for _, p := range []int{1, 2, 4} {
 		err := dist.Run(p, 1, func(w *dist.Worker) error {
-			ok, err := CheckMedianAgg(w, smallCfg, shardPairs(global, p, w.Rank()), medians)
+			ok, err := check(w, func(seed uint64) CheckState {
+				return NewMedianAggState("MedianAgg", smallCfg, seed, w.Rank(), shardPairs(global, p, w.Rank()), medians, nil)
+			})
 			if err != nil {
 				return err
 			}
@@ -81,7 +83,9 @@ func TestMedianCheckerDetectsWrongMedian(t *testing.T) {
 		// Shift one median enough to unbalance at least one element.
 		bad[int(seed)%len(bad)].Value += 1 << 41
 		err := dist.Run(3, seed, func(w *dist.Worker) error {
-			ok, err := CheckMedianAgg(w, smallCfg, shardPairs(global, 3, w.Rank()), bad)
+			ok, err := check(w, func(seed uint64) CheckState {
+				return NewMedianAggState("MedianAgg", smallCfg, seed, w.Rank(), shardPairs(global, 3, w.Rank()), bad, nil)
+			})
 			if err != nil {
 				return err
 			}
@@ -104,12 +108,38 @@ func TestMedianCheckerDetectsDroppedKey(t *testing.T) {
 	medians, _ := buildMedianReference(global)
 	bad := medians[1:]
 	err := dist.Run(3, 1, func(w *dist.Worker) error {
-		ok, err := CheckMedianAgg(w, smallCfg, shardPairs(global, 3, w.Rank()), bad)
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewMedianAggState("MedianAgg", smallCfg, seed, w.Rank(), shardPairs(global, 3, w.Rank()), bad, nil)
+		})
 		if err != nil {
 			return err
 		}
 		if ok {
 			t.Error("dropped key accepted")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMedianCheckerDetectsRepeatedKey is TestMinCheckerDetectsRepeatedKey
+// for the replicated medians: a spurious row ahead of the correct one
+// passed while the balance scan read only the last row of each key.
+func TestMedianCheckerDetectsRepeatedKey(t *testing.T) {
+	global := distinctPairs(800, 10, 10)
+	medians, _ := buildMedianReference(global)
+	bad := append([]data.Pair{{Key: medians[0].Key, Value: medians[0].Value + 12345}}, medians...)
+	err := dist.Run(3, 1, func(w *dist.Worker) error {
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewMedianAggState("MedianAgg", smallCfg, seed, w.Rank(), shardPairs(global, 3, w.Rank()), bad, nil)
+		})
+		if err != nil {
+			return err
+		}
+		if ok {
+			t.Error("repeated key accepted")
 		}
 		return nil
 	})
@@ -124,7 +154,9 @@ func TestMedianCheckerTiesAcceptCorrect(t *testing.T) {
 	medians, ties := buildMedianReference(global)
 	for _, p := range []int{1, 3, 5} {
 		err := dist.Run(p, 1, func(w *dist.Worker) error {
-			ok, err := CheckMedianAggTies(w, smallCfg, shardPairs(global, p, w.Rank()), medians, ties)
+			ok, err := check(w, func(seed uint64) CheckState {
+				return NewMedianAggState("MedianAgg", smallCfg, seed, w.Rank(), shardPairs(global, p, w.Rank()), medians, ties)
+			})
 			if err != nil {
 				return err
 			}
@@ -149,7 +181,9 @@ func TestMedianCheckerTiesDetectWrongMedian(t *testing.T) {
 		i := int(seed) % len(bad)
 		bad[i].Value += 2 // move the median by a full value step
 		err := dist.Run(3, seed, func(w *dist.Worker) error {
-			ok, err := CheckMedianAggTies(w, smallCfg, shardPairs(global, 3, w.Rank()), bad, ties)
+			ok, err := check(w, func(seed uint64) CheckState {
+				return NewMedianAggState("MedianAgg", smallCfg, seed, w.Rank(), shardPairs(global, 3, w.Rank()), bad, ties)
+			})
 			if err != nil {
 				return err
 			}
@@ -187,7 +221,9 @@ func TestMedianCheckerTiesDetectForgedCertificate(t *testing.T) {
 	}
 	for i, cert := range forgeries {
 		err := dist.Run(2, uint64(i), func(w *dist.Worker) error {
-			ok, err := CheckMedianAggTies(w, smallCfg, shardPairs(global, 2, w.Rank()), badMedians, map[uint64]TieCert{1: cert})
+			ok, err := check(w, func(seed uint64) CheckState {
+				return NewMedianAggState("MedianAgg", smallCfg, seed, w.Rank(), shardPairs(global, 2, w.Rank()), badMedians, map[uint64]TieCert{1: cert})
+			})
 			if err != nil {
 				return err
 			}
@@ -207,7 +243,9 @@ func TestMedianCheckerTiesRejectOversizedAtSlot(t *testing.T) {
 	medians := []data.Pair{{Key: 1, Value: 10}}
 	bad := map[uint64]TieCert{1: {EqLow: 0, EqHigh: 0, AtSlot: 3}}
 	err := dist.Run(2, 1, func(w *dist.Worker) error {
-		ok, err := CheckMedianAggTies(w, smallCfg, shardPairs(global, 2, w.Rank()), medians, bad)
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewMedianAggState("MedianAgg", smallCfg, seed, w.Rank(), shardPairs(global, 2, w.Rank()), medians, bad)
+		})
 		if err != nil {
 			return err
 		}

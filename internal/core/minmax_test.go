@@ -35,7 +35,9 @@ func TestMinCheckerAcceptsCorrect(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 5} {
 		result, witness := buildMinReference(global, p, true)
 		err := dist.Run(p, 1, func(w *dist.Worker) error {
-			ok, err := CheckMinAgg(w, shardPairs(global, p, w.Rank()), result, witness)
+			ok, err := check(w, func(seed uint64) CheckState {
+				return NewMinAggState("MinAgg", seed, w.Rank(), w.Size(), shardPairs(global, p, w.Rank()), result, witness)
+			})
 			if err != nil {
 				return err
 			}
@@ -55,7 +57,9 @@ func TestMaxCheckerAcceptsCorrect(t *testing.T) {
 	const p = 4
 	result, witness := buildMinReference(global, p, false)
 	err := dist.Run(p, 1, func(w *dist.Worker) error {
-		ok, err := CheckMaxAgg(w, shardPairs(global, p, w.Rank()), result, witness)
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewMaxAggState("MaxAgg", seed, w.Rank(), w.Size(), shardPairs(global, p, w.Rank()), result, witness)
+		})
 		if err != nil {
 			return err
 		}
@@ -78,7 +82,9 @@ func TestMinCheckerDetectsTooSmallAssertion(t *testing.T) {
 	bad := data.ClonePairs(result)
 	bad[0].Value-- // smaller than any input element: witness PE lacks it
 	err := dist.Run(p, 1, func(w *dist.Worker) error {
-		ok, err := CheckMinAgg(w, shardPairs(global, p, w.Rank()), bad, witness)
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewMinAggState("MinAgg", seed, w.Rank(), w.Size(), shardPairs(global, p, w.Rank()), bad, witness)
+		})
 		if err != nil {
 			return err
 		}
@@ -99,7 +105,9 @@ func TestMinCheckerDetectsTooLargeAssertion(t *testing.T) {
 	bad := data.ClonePairs(result)
 	bad[0].Value++ // some input element now beats the assertion
 	err := dist.Run(p, 1, func(w *dist.Worker) error {
-		ok, err := CheckMinAgg(w, shardPairs(global, p, w.Rank()), bad, witness)
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewMinAggState("MinAgg", seed, w.Rank(), w.Size(), shardPairs(global, p, w.Rank()), bad, witness)
+		})
 		if err != nil {
 			return err
 		}
@@ -123,7 +131,9 @@ func TestMinCheckerDetectsDroppedKey(t *testing.T) {
 		badWitness[pr.Key] = witness[pr.Key]
 	}
 	err := dist.Run(p, 1, func(w *dist.Worker) error {
-		ok, err := CheckMinAgg(w, shardPairs(global, p, w.Rank()), bad, badWitness)
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewMinAggState("MinAgg", seed, w.Rank(), w.Size(), shardPairs(global, p, w.Rank()), bad, badWitness)
+		})
 		if err != nil {
 			return err
 		}
@@ -148,7 +158,9 @@ func TestMinCheckerDetectsInventedKey(t *testing.T) {
 	}
 	badWitness[999999] = 1
 	err := dist.Run(p, 1, func(w *dist.Worker) error {
-		ok, err := CheckMinAgg(w, shardPairs(global, p, w.Rank()), bad, badWitness)
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewMinAggState("MinAgg", seed, w.Rank(), w.Size(), shardPairs(global, p, w.Rank()), bad, badWitness)
+		})
 		if err != nil {
 			return err
 		}
@@ -169,7 +181,9 @@ func TestMinCheckerDetectsWrongWitness(t *testing.T) {
 	result := []data.Pair{{Key: 1, Value: 5}}
 	badWitness := map[uint64]int{1: 1} // PE 1 does not have value 5
 	err := dist.Run(p, 1, func(w *dist.Worker) error {
-		ok, err := CheckMinAgg(w, shardPairs(global, p, w.Rank()), result, badWitness)
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewMinAggState("MinAgg", seed, w.Rank(), w.Size(), shardPairs(global, p, w.Rank()), result, badWitness)
+		})
 		if err != nil {
 			return err
 		}
@@ -197,7 +211,9 @@ func TestMinCheckerDetectsIncompleteCertificate(t *testing.T) {
 		incomplete[k] = v
 	}
 	err := dist.Run(p, 1, func(w *dist.Worker) error {
-		ok, err := CheckMinAgg(w, shardPairs(global, p, w.Rank()), result, incomplete)
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewMinAggState("MinAgg", seed, w.Rank(), w.Size(), shardPairs(global, p, w.Rank()), result, incomplete)
+		})
 		if err != nil {
 			return err
 		}
@@ -221,7 +237,9 @@ func TestMinCheckerDetectsDivergentReplicas(t *testing.T) {
 		if w.Rank() == 2 {
 			mine[0].Value ^= 4 // silent corruption of one replica
 		}
-		ok, err := CheckMinAgg(w, shardPairs(global, p, w.Rank()), mine, witness)
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewMinAggState("MinAgg", seed, w.Rank(), w.Size(), shardPairs(global, p, w.Rank()), mine, witness)
+		})
 		if err != nil {
 			return err
 		}
@@ -235,38 +253,24 @@ func TestMinCheckerDetectsDivergentReplicas(t *testing.T) {
 	}
 }
 
-func TestCheckReplicated(t *testing.T) {
-	err := dist.Run(4, 1, func(w *dist.Worker) error {
-		ok, err := CheckReplicated(w, []uint64{1, 2, 3})
-		if err != nil {
-			return err
-		}
-		if !ok {
-			t.Error("identical replicas rejected")
-		}
-		// Divergent copy.
-		words := []uint64{1, 2, 3}
-		if w.Rank() == 1 {
-			words[2] = 4
-		}
-		ok, err = CheckReplicated(w, words)
-		if err != nil {
-			return err
-		}
-		if ok {
-			t.Error("divergent replicas accepted")
-		}
-		// Reordered copy: digest is position sensitive.
-		words = []uint64{1, 2, 3}
-		if w.Rank() == 2 {
-			words = []uint64{3, 2, 1}
-		}
-		ok, err = CheckReplicated(w, words)
+// TestMinCheckerDetectsRepeatedKey: a replicated result that asserts a
+// key twice — a spurious row ahead of the correct one — passed while the
+// scan kept only the last row of each key. No correct result repeats a
+// key, so the scan rejects it on every PE.
+func TestMinCheckerDetectsRepeatedKey(t *testing.T) {
+	global := workload.UniformPairs(500, 10, 1e6, 9)
+	const p = 3
+	result, witness := buildMinReference(global, p, true)
+	bad := append([]data.Pair{{Key: result[0].Key, Value: result[0].Value + 12345}}, result...)
+	err := dist.Run(p, 1, func(w *dist.Worker) error {
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewMinAggState("MinAgg", seed, w.Rank(), w.Size(), shardPairs(global, p, w.Rank()), bad, witness)
+		})
 		if err != nil {
 			return err
 		}
 		if ok {
-			t.Error("reordered replicas accepted")
+			t.Error("repeated key accepted")
 		}
 		return nil
 	})

@@ -34,8 +34,7 @@ type ParallelAccumulator struct {
 	workers int
 }
 
-// Serial preserves the single-goroutine behavior; it is what the
-// non-Par state constructors use.
+// Serial preserves the single-goroutine behavior.
 var Serial = ParallelAccumulator{workers: 1}
 
 // NewParallelAccumulator returns an accumulator fanning out to at most
@@ -74,7 +73,7 @@ func (p ParallelAccumulator) shards(n int) int {
 
 // AccumulateSum is c.Accumulate sharded across the accumulator's
 // goroutines: per-shard tables are normalized and merged with the
-// checker's modular ReduceOp, then folded into table with the
+// checker's modular addition, then folded into table with the
 // checker's deferred-overflow add, so the caller's table ends up
 // congruent entry-wise to the serial result (bit-identical after
 // Normalize) for every worker count. Every shard is one kernel call and
@@ -112,10 +111,9 @@ func (p ParallelAccumulator) accumulateSum(c *SumChecker, table []uint64, pairs 
 	// is commutative, but fixed order keeps this deterministic by
 	// construction), then fold the canonical sums into the caller's
 	// table, which may hold prior raw counters.
-	op := c.ReduceOp()
 	merged := tables[0]
 	for s := 1; s < w; s++ {
-		op(merged, tables[s])
+		addMod(merged, tables[s], c.mods)
 	}
 	d := c.cfg.Buckets
 	for it := 0; it < c.cfg.Iterations; it++ {

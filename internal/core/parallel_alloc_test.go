@@ -132,5 +132,5 @@ func TestCheckerSetupAllocs(t *testing.T) {
 // guards.
 var (
 	sinkAlloc uint64
-	sinkState *SumAggState
+	sinkState CheckState
 )

@@ -181,7 +181,7 @@ func TestPolyProdMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestStateParMatchesSerial: the Par state constructors must emit
+// TestStateParMatchesSerial: the state constructors must emit
 // byte-identical checker states for every worker count — the property
 // the SPMD contract rests on (every PE computes the same residues no
 // matter its local fan-out).
@@ -195,7 +195,7 @@ func TestStateParMatchesSerial(t *testing.T) {
 	data.SortU64(sorted)
 
 	refSum := NewSumAggState("s", sumCfg, 77, Serial, input, output).Words()
-	refCnt := NewCountAggState("c", sumCfg, 77, Serial, input, output).Words()
+	refCnt := countState(sumCfg, 77, Serial, input, output).Words()
 	refPerm := NewPermState("p", permCfg, 77, Serial, [][]uint64{seq}, sorted).Words()
 	refSort := NewSortedState("o", permCfg, 77, Serial, [][]uint64{seq}, sorted).Words()
 	for _, w := range []int{2, 4} {
@@ -203,7 +203,7 @@ func TestStateParMatchesSerial(t *testing.T) {
 		requireTablesEq(t, fmt.Sprintf("sum state workers=%d", w), refSum,
 			NewSumAggState("s", sumCfg, 77, par, input, output).Words())
 		requireTablesEq(t, fmt.Sprintf("count state workers=%d", w), refCnt,
-			NewCountAggState("c", sumCfg, 77, par, input, output).Words())
+			countState(sumCfg, 77, par, input, output).Words())
 		requireTablesEq(t, fmt.Sprintf("perm state workers=%d", w), refPerm,
 			NewPermState("p", permCfg, 77, par, [][]uint64{seq}, sorted).Words())
 		requireTablesEq(t, fmt.Sprintf("sorted state workers=%d", w), refSort,

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/dist"
 	"repro/internal/hashing"
 )
 
@@ -68,10 +67,12 @@ func NewPermChecker(cfg PermConfig, seed uint64) *PermChecker {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	seeds := hashing.SubSeeds(seed^0x9e37c0ffee37c0ff, cfg.Iterations)
-	hs := make([]hashing.Hasher, len(seeds))
-	for i, s := range seeds {
-		hs[i] = cfg.Family.New(s)
+	// hashing.SubSeeds' stream, drawn in place: the checker a job builds
+	// per stage allocates no seed slice.
+	s := seed ^ 0x9e37c0ffee37c0ff
+	hs := make([]hashing.Hasher, cfg.Iterations)
+	for i := range hs {
+		hs[i] = cfg.Family.New(hashing.SplitMix64(&s))
 	}
 	mask := ^uint64(0)
 	if cfg.LogH < 64 {
@@ -144,29 +145,4 @@ func (c *PermChecker) AccumulateIntoScalar(sums []uint64, xs []uint64, negate bo
 			sums[it] += acc
 		}
 	}
-}
-
-// CheckPermutation checks that the distributed sequence output is a
-// permutation of the distributed sequence input (Lemma 4): lambda =
-// sum(h(e)) - sum(h(o)) mod H must be zero. Running time
-// O(n/p + beta*logH*its + alpha*log p) — Theorem 6.
-func CheckPermutation(w *dist.Worker, cfg PermConfig, input, output []uint64) (bool, error) {
-	return CheckPermutationMulti(w, cfg, [][]uint64{input}, output)
-}
-
-// CheckPermutationMulti checks that output is a permutation of the
-// concatenation of several input sequences — directly yielding the
-// Union checker of Corollary 12.
-func CheckPermutationMulti(w *dist.Worker, cfg PermConfig, inputs [][]uint64, output []uint64) (bool, error) {
-	seed, err := w.CommonSeed()
-	if err != nil {
-		return false, err
-	}
-	return resolveOne(w, NewPermState("Permutation", cfg, seed, Serial, inputs, output))
-}
-
-// CheckUnion checks Union(s1, s2) = out as a permutation of the
-// concatenation of s1 and s2 (Corollary 12).
-func CheckUnion(w *dist.Worker, cfg PermConfig, s1, s2, out []uint64) (bool, error) {
-	return CheckPermutationMulti(w, cfg, [][]uint64{s1, s2}, out)
 }

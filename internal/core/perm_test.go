@@ -34,7 +34,9 @@ func TestPermCheckerAcceptsPermutation(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 7} {
 		for seed := uint64(0); seed < 5; seed++ {
 			err := dist.Run(p, seed, func(w *dist.Worker) error {
-				ok, err := CheckPermutation(w, permCfg, shardU64(input, p, w.Rank()), shardU64(output, p, w.Rank()))
+				ok, err := check(w, func(seed uint64) CheckState {
+					return NewPermState("Permutation", permCfg, seed, Serial, [][]uint64{shardU64(input, p, w.Rank())}, shardU64(output, p, w.Rank()))
+				})
 				if err != nil {
 					return err
 				}
@@ -58,7 +60,9 @@ func TestPermCheckerAcceptsAllConfigs(t *testing.T) {
 	output := shuffled(input, 9)
 	for _, cfg := range PermAccuracyConfigs() {
 		err := dist.Run(2, 11, func(w *dist.Worker) error {
-			ok, err := CheckPermutation(w, cfg, shardU64(input, 2, w.Rank()), shardU64(output, 2, w.Rank()))
+			ok, err := check(w, func(seed uint64) CheckState {
+				return NewPermState("Permutation", cfg, seed, Serial, [][]uint64{shardU64(input, 2, w.Rank())}, shardU64(output, 2, w.Rank()))
+			})
 			if err != nil {
 				return err
 			}
@@ -80,7 +84,9 @@ func TestPermCheckerAcceptsWithDuplicates(t *testing.T) {
 	}
 	output := shuffled(input, 7)
 	err := dist.Run(4, 3, func(w *dist.Worker) error {
-		ok, err := CheckPermutation(w, permCfg, shardU64(input, 4, w.Rank()), shardU64(output, 4, w.Rank()))
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewPermState("Permutation", permCfg, seed, Serial, [][]uint64{shardU64(input, 4, w.Rank())}, shardU64(output, 4, w.Rank()))
+		})
 		if err != nil {
 			return err
 		}
@@ -102,7 +108,9 @@ func TestPermCheckerDetectsChangedElement(t *testing.T) {
 		bad := shuffled(input, seed)
 		bad[int(seed)%len(bad)] ^= 1 << (seed % 27)
 		err := dist.Run(3, seed, func(w *dist.Worker) error {
-			ok, err := CheckPermutation(w, permCfg, shardU64(input, 3, w.Rank()), shardU64(bad, 3, w.Rank()))
+			ok, err := check(w, func(seed uint64) CheckState {
+				return NewPermState("Permutation", permCfg, seed, Serial, [][]uint64{shardU64(input, 3, w.Rank())}, shardU64(bad, 3, w.Rank()))
+			})
 			if err != nil {
 				return err
 			}
@@ -132,7 +140,9 @@ func TestPermCheckerTruncatedFailureRate(t *testing.T) {
 		bad := data.CloneU64s(input)
 		bad[int(seed)%len(bad)] = hashing.Mix64(seed) % 1e8
 		err := dist.Run(2, seed, func(w *dist.Worker) error {
-			ok, err := CheckPermutation(w, cfg, shardU64(input, 2, w.Rank()), shardU64(bad, 2, w.Rank()))
+			ok, err := check(w, func(seed uint64) CheckState {
+				return NewPermState("Permutation", cfg, seed, Serial, [][]uint64{shardU64(input, 2, w.Rank())}, shardU64(bad, 2, w.Rank()))
+			})
 			if err != nil {
 				return err
 			}
@@ -167,7 +177,9 @@ func TestPermCheckerIterationsBoost(t *testing.T) {
 		}{{cfgWeak, &missWeak}, {cfgBoost, &missBoost}} {
 			mode := mode
 			err := dist.Run(2, seed, func(w *dist.Worker) error {
-				ok, err := CheckPermutation(w, mode.cfg, shardU64(input, 2, w.Rank()), shardU64(bad, 2, w.Rank()))
+				ok, err := check(w, func(seed uint64) CheckState {
+					return NewPermState("Permutation", mode.cfg, seed, Serial, [][]uint64{shardU64(input, 2, w.Rank())}, shardU64(bad, 2, w.Rank()))
+				})
 				if err != nil {
 					return err
 				}
@@ -214,7 +226,7 @@ func TestPolyPermChecker(t *testing.T) {
 	input := workload.UniformU64s(1000, 1e8, 5)
 	output := shuffled(input, 9)
 	err := dist.Run(4, 1, func(w *dist.Worker) error {
-		ok, err := CheckPermutationPoly(w, PolyPermConfig{Iterations: 2}, shardU64(input, 4, w.Rank()), shardU64(output, 4, w.Rank()))
+		ok, err := CheckPermutationPoly(w, PolyPermConfig{Iterations: 2}, Serial, shardU64(input, 4, w.Rank()), shardU64(output, 4, w.Rank()))
 		if err != nil {
 			return err
 		}
@@ -232,7 +244,7 @@ func TestPolyPermChecker(t *testing.T) {
 		bad := shuffled(input, seed)
 		bad[3] += 1
 		err := dist.Run(2, seed, func(w *dist.Worker) error {
-			ok, err := CheckPermutationPoly(w, PolyPermConfig{Iterations: 1}, shardU64(input, 2, w.Rank()), shardU64(bad, 2, w.Rank()))
+			ok, err := CheckPermutationPoly(w, PolyPermConfig{Iterations: 1}, Serial, shardU64(input, 2, w.Rank()), shardU64(bad, 2, w.Rank()))
 			if err != nil {
 				return err
 			}
@@ -250,11 +262,52 @@ func TestPolyPermChecker(t *testing.T) {
 	}
 }
 
+// TestPolyPermCheckerUniverseGuard: one PE holding an element outside
+// the field's universe is an error on every PE.
 func TestPolyPermCheckerUniverseGuard(t *testing.T) {
-	err := dist.Run(2, 1, func(w *dist.Worker) error {
-		_, err := CheckPermutationPoly(w, PolyPermConfig{Iterations: 1}, []uint64{^uint64(0)}, []uint64{^uint64(0)})
+	err := dist.Run(3, 1, func(w *dist.Worker) error {
+		xs := []uint64{uint64(w.Rank())}
+		if w.Rank() == 1 {
+			xs = []uint64{^uint64(0)}
+		}
+		_, err := CheckPermutationPoly(w, PolyPermConfig{Iterations: 1}, Serial, xs, xs)
 		if err == nil {
-			t.Error("expected universe violation error")
+			t.Errorf("rank %d: expected universe violation error", w.Rank())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPolyCheckersOneAllReduction pins what one Lemma 5 check costs in
+// collective operations once the common seed is cached: a single
+// all-reduction, the universe flag riding along as an AND word.
+func TestPolyCheckersOneAllReduction(t *testing.T) {
+	input := workload.UniformU64s(400, 1e8, 8)
+	output := shuffled(input, 2)
+	err := dist.Run(3, 1, func(w *dist.Worker) error {
+		if _, err := w.CommonSeed(); err != nil {
+			return err
+		}
+		in, out := shardU64(input, 3, w.Rank()), shardU64(output, 3, w.Rank())
+		// Every PE runs the checks in the same order: a slice, not a map.
+		for _, c := range []struct {
+			name string
+			run  func() (bool, error)
+		}{
+			{"Poly", func() (bool, error) { return CheckPermutationPoly(w, PolyPermConfig{Iterations: 2}, Serial, in, out) }},
+			{"GF", func() (bool, error) { return CheckPermutationGF(w, 2, Serial, in, out) }},
+		} {
+			before := w.Coll.OpsStarted()
+			ok, err := c.run()
+			if err != nil {
+				return err
+			}
+			if ops := w.Coll.OpsStarted() - before; ops != 2 || !ok {
+				t.Errorf("%s rank %d: verdict %v after %d collective ops, want true after 2", c.name, w.Rank(), ok, ops)
+			}
 		}
 		return nil
 	})
@@ -268,7 +321,7 @@ func TestGFPermChecker(t *testing.T) {
 	input := []uint64{^uint64(0), 0, 1 << 63, 12345, ^uint64(0) - 7}
 	output := shuffled(input, 3)
 	err := dist.Run(3, 1, func(w *dist.Worker) error {
-		ok, err := CheckPermutationGF(w, 2, shardU64(input, 3, w.Rank()), shardU64(output, 3, w.Rank()))
+		ok, err := CheckPermutationGF(w, 2, Serial, shardU64(input, 3, w.Rank()), shardU64(output, 3, w.Rank()))
 		if err != nil {
 			return err
 		}
@@ -285,7 +338,7 @@ func TestGFPermChecker(t *testing.T) {
 		bad := data.CloneU64s(input)
 		bad[int(seed)%len(bad)] ^= 2
 		err := dist.Run(2, seed, func(w *dist.Worker) error {
-			ok, err := CheckPermutationGF(w, 1, shardU64(input, 2, w.Rank()), shardU64(bad, 2, w.Rank()))
+			ok, err := CheckPermutationGF(w, 1, Serial, shardU64(input, 2, w.Rank()), shardU64(bad, 2, w.Rank()))
 			if err != nil {
 				return err
 			}
@@ -308,7 +361,9 @@ func TestUnionChecker(t *testing.T) {
 	b := workload.UniformU64s(1200, 1e8, 7)
 	out := shuffled(append(data.CloneU64s(a), b...), 11)
 	err := dist.Run(4, 1, func(w *dist.Worker) error {
-		ok, err := CheckUnion(w, permCfg, shardU64(a, 4, w.Rank()), shardU64(b, 4, w.Rank()), shardU64(out, 4, w.Rank()))
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewPermState("Union", permCfg, seed, Serial, [][]uint64{shardU64(a, 4, w.Rank()), shardU64(b, 4, w.Rank())}, shardU64(out, 4, w.Rank()))
+		})
 		if err != nil {
 			return err
 		}
@@ -325,7 +380,9 @@ func TestUnionChecker(t *testing.T) {
 	for seed := uint64(0); seed < 50; seed++ {
 		bad := shuffled(append(data.CloneU64s(a), b...), seed)[1:]
 		err := dist.Run(2, seed, func(w *dist.Worker) error {
-			ok, err := CheckUnion(w, permCfg, shardU64(a, 2, w.Rank()), shardU64(b, 2, w.Rank()), shardU64(bad, 2, w.Rank()))
+			ok, err := check(w, func(seed uint64) CheckState {
+				return NewPermState("Union", permCfg, seed, Serial, [][]uint64{shardU64(a, 2, w.Rank()), shardU64(b, 2, w.Rank())}, shardU64(bad, 2, w.Rank()))
+			})
 			if err != nil {
 				return err
 			}

@@ -20,72 +20,71 @@ type PolyPermConfig struct {
 }
 
 // CheckPermutationPoly checks the permutation property over the prime
-// field F_r with r = 2^61 - 1 (a Mersenne prime, for fast reduction).
-// Elements must lie in 0..r-1 — Lemma 5 requires the prime to exceed
-// the universe so that distinct elements stay distinct modulo r. The
-// failure bound is (n/r)^Iterations for n total elements. Local
-// products run serially; CheckPermutationPolyPar shards them.
-func CheckPermutationPoly(w *dist.Worker, cfg PolyPermConfig, input, output []uint64) (bool, error) {
-	return CheckPermutationPolyPar(w, cfg, Serial, input, output)
-}
-
-// CheckPermutationPolyPar is CheckPermutationPoly with the local
-// polynomial products sharded across par's goroutines — partial
-// products merge by field multiplication, so the verdict is identical
-// for every worker count.
-func CheckPermutationPolyPar(w *dist.Worker, cfg PolyPermConfig, par ParallelAccumulator, input, output []uint64) (bool, error) {
+// field F_r with r = 2^61 - 1 (a Mersenne prime, for fast reduction),
+// the local polynomial products sharded across par's goroutines —
+// partial products merge by field multiplication, so the verdict is
+// identical for every worker count. Elements must lie in 0..r-1 —
+// Lemma 5 requires the prime to exceed the universe so that distinct
+// elements stay distinct modulo r; an element outside it on any PE is
+// an error on every PE. The failure bound is (n/r)^Iterations for n
+// total elements. One all-reduction: the products of every iteration
+// plus the universe flag as an AND word, which is identical on every PE
+// once reduced, so each PE reads the verdict off it.
+func CheckPermutationPoly(w *dist.Worker, cfg PolyPermConfig, par ParallelAccumulator, input, output []uint64) (bool, error) {
 	if cfg.Iterations < 1 {
 		return false, fmt.Errorf("core: poly perm checker: iterations must be >= 1")
 	}
 	const r = hashing.Mersenne61
-	// Universe validation is local; agree on it collectively so every
-	// PE takes the same branch (returning early on one PE only would
-	// deadlock the others in the collectives below).
-	localValid := true
-	for _, x := range input {
-		if x >= r {
-			localValid = false
-		}
-	}
-	for _, x := range output {
-		if x >= r {
-			localValid = false
-		}
-	}
-	valid, err := w.Coll.AllAgree(localValid)
-	if err != nil {
-		return false, err
-	}
-	if !valid {
-		return false, fmt.Errorf("core: poly perm checker: elements outside universe 0..2^61-2 (Lemma 5 requires the prime to exceed the universe)")
-	}
 	seed, err := w.CommonSeed()
 	if err != nil {
 		return false, err
 	}
+	valid := uint64(1)
+	for _, xs := range [][]uint64{input, output} {
+		for _, x := range xs {
+			if x >= r {
+				valid = 0
+			}
+		}
+	}
+	// A PE outside the universe contributes the field's 1s: it must
+	// still join the reduction, or the others would deadlock in it.
+	n := 2 * cfg.Iterations
+	prods := make([]uint64, n+1)
+	for i := range prods {
+		prods[i] = 1
+	}
+	prods[n] = valid
 	rng := hashing.NewMT19937_64(hashing.Mix64(seed ^ 0x9071e57a9071e57a))
-	ok := true
-	// Batch the per-iteration products into one reduction.
-	prods := make([]uint64, 2*cfg.Iterations)
-	for it := 0; it < cfg.Iterations; it++ {
+	for it := 0; it < cfg.Iterations && valid == 1; it++ {
 		z := rng.Uint64n(r)
 		prods[2*it] = par.PolyProd61(z, input)
 		prods[2*it+1] = par.PolyProd61(z, output)
 	}
 	red, err := w.Coll.AllReduce(prods, func(dst, src []uint64) {
-		for i := range dst {
+		for i := 0; i < n; i++ {
 			dst[i] = hashing.MulMod61(dst[i], src[i])
 		}
+		dst[n] &= src[n]
 	})
 	if err != nil {
 		return false, err
 	}
-	for it := 0; it < cfg.Iterations; it++ {
-		if red[2*it] != red[2*it+1] {
-			ok = false
+	if red[n] == 0 {
+		return false, fmt.Errorf("core: poly perm checker: elements outside universe 0..2^61-2 (Lemma 5 requires the prime to exceed the universe)")
+	}
+	return pairsEqual(red[:n]), nil
+}
+
+// pairsEqual reports whether every (input, output) product pair of the
+// reduced vector agrees.
+func pairsEqual(prods []uint64) bool {
+	for i := 0; i < len(prods); i += 2 {
+		if prods[i] != prods[i+1] {
+			return false
 		}
 	}
-	return w.Coll.AllAgree(ok)
+	return true
 }
 
 // PolyProd61 evaluates prod over xs of (z - x) in F_(2^61-1); all
@@ -130,16 +129,10 @@ func PolyProdGF(z uint64, xs []uint64) uint64 {
 // CheckPermutationGF checks the permutation property in GF(2^64) with
 // carry-less multiplication (the Section 5 optimisation referencing
 // Galois-field SIMD arithmetic): q(z) = prod(z xor e_i) over the full
-// 64-bit universe, no universe restriction. Failure bound about
-// (n/2^64)^Iterations. Local products run serially;
-// CheckPermutationGFPar shards them.
-func CheckPermutationGF(w *dist.Worker, iterations int, input, output []uint64) (bool, error) {
-	return CheckPermutationGFPar(w, iterations, Serial, input, output)
-}
-
-// CheckPermutationGFPar is CheckPermutationGF with the local products
-// sharded across par's goroutines; see CheckPermutationPolyPar.
-func CheckPermutationGFPar(w *dist.Worker, iterations int, par ParallelAccumulator, input, output []uint64) (bool, error) {
+// 64-bit universe, no universe restriction, the local products sharded
+// across par's goroutines; see CheckPermutationPoly. Failure bound
+// about (n/2^64)^Iterations. One all-reduction.
+func CheckPermutationGF(w *dist.Worker, iterations int, par ParallelAccumulator, input, output []uint64) (bool, error) {
 	if iterations < 1 {
 		return false, fmt.Errorf("core: GF perm checker: iterations must be >= 1")
 	}
@@ -162,11 +155,5 @@ func CheckPermutationGFPar(w *dist.Worker, iterations int, par ParallelAccumulat
 	if err != nil {
 		return false, err
 	}
-	ok := true
-	for it := 0; it < iterations; it++ {
-		if red[2*it] != red[2*it+1] {
-			ok = false
-		}
-	}
-	return w.Coll.AllAgree(ok)
+	return pairsEqual(red), nil
 }

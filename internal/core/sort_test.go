@@ -26,7 +26,9 @@ func TestSortCheckerAcceptsSortedOutput(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 6} {
 		shards := globalSortShards(input, p)
 		err := dist.Run(p, 1, func(w *dist.Worker) error {
-			ok, err := CheckSorted(w, permCfg, shardU64(input, p, w.Rank()), shards[w.Rank()])
+			ok, err := check(w, func(seed uint64) CheckState {
+				return NewSortedState("Sorted", permCfg, seed, Serial, [][]uint64{shardU64(input, p, w.Rank())}, shards[w.Rank()])
+			})
 			if err != nil {
 				return err
 			}
@@ -56,7 +58,9 @@ func TestSortCheckerDetectsLocalDisorder(t *testing.T) {
 	}
 	bad[2][0], bad[2][len(bad[2])-1] = bad[2][len(bad[2])-1], bad[2][0]
 	err := dist.Run(p, 1, func(w *dist.Worker) error {
-		ok, err := CheckSorted(w, permCfg, shardU64(input, p, w.Rank()), bad[w.Rank()])
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewSortedState("Sorted", permCfg, seed, Serial, [][]uint64{shardU64(input, p, w.Rank())}, bad[w.Rank()])
+		})
 		if err != nil {
 			return err
 		}
@@ -95,7 +99,9 @@ func TestSortCheckerDetectsBoundaryViolation(t *testing.T) {
 	data.SortU64(bad[1])
 	data.SortU64(bad[2])
 	err := dist.Run(p, 1, func(w *dist.Worker) error {
-		ok, err := CheckSorted(w, permCfg, shardU64(input, p, w.Rank()), bad[w.Rank()])
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewSortedState("Sorted", permCfg, seed, Serial, [][]uint64{shardU64(input, p, w.Rank())}, bad[w.Rank()])
+		})
 		if err != nil {
 			return err
 		}
@@ -128,7 +134,9 @@ func TestSortCheckerDetectsValueChange(t *testing.T) {
 		}
 		last[len(last)-1] += 1 + seed
 		err := dist.Run(p, seed, func(w *dist.Worker) error {
-			ok, err := CheckSorted(w, permCfg, shardU64(input, p, w.Rank()), bad[w.Rank()])
+			ok, err := check(w, func(seed uint64) CheckState {
+				return NewSortedState("Sorted", permCfg, seed, Serial, [][]uint64{shardU64(input, p, w.Rank())}, bad[w.Rank()])
+			})
 			if err != nil {
 				return err
 			}
@@ -161,7 +169,9 @@ func TestSortCheckerEmptyShards(t *testing.T) {
 		if w.Rank() == p-1 {
 			out = sorted
 		}
-		ok, err := CheckSorted(w, permCfg, in, out)
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewSortedState("Sorted", permCfg, seed, Serial, [][]uint64{in}, out)
+		})
 		if err != nil {
 			return err
 		}
@@ -186,7 +196,9 @@ func TestSortCheckerEmptyMiddleBoundary(t *testing.T) {
 		if w.Rank() == 0 {
 			in = input
 		}
-		ok, err := CheckSorted(w, permCfg, in, shares[w.Rank()])
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewSortedState("Sorted", permCfg, seed, Serial, [][]uint64{in}, shares[w.Rank()])
+		})
 		if err != nil {
 			return err
 		}
@@ -210,7 +222,9 @@ func TestMergeChecker(t *testing.T) {
 	const p = 4
 	shards := globalSortShards(merged, p)
 	err := dist.Run(p, 1, func(w *dist.Worker) error {
-		ok, err := CheckMerge(w, permCfg, shardU64(a, p, w.Rank()), shardU64(b, p, w.Rank()), shards[w.Rank()])
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewSortedState("Merge", permCfg, seed, Serial, [][]uint64{shardU64(a, p, w.Rank()), shardU64(b, p, w.Rank())}, shards[w.Rank()])
+		})
 		if err != nil {
 			return err
 		}
@@ -229,7 +243,9 @@ func TestMergeChecker(t *testing.T) {
 	detected := 0
 	for seed := uint64(0); seed < 30; seed++ {
 		err := dist.Run(p, seed, func(w *dist.Worker) error {
-			ok, err := CheckMerge(w, permCfg, shardU64(a, p, w.Rank()), shardU64(b, p, w.Rank()), badShards[w.Rank()])
+			ok, err := check(w, func(seed uint64) CheckState {
+				return NewSortedState("Merge", permCfg, seed, Serial, [][]uint64{shardU64(a, p, w.Rank()), shardU64(b, p, w.Rank())}, badShards[w.Rank()])
+			})
 			if err != nil {
 				return err
 			}

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/data"
-	"repro/internal/dist"
 	"repro/internal/hashing"
 )
 
@@ -91,10 +90,11 @@ func newSumChecker(cfg SumConfig, seed uint64, forceGeneral bool, forceG int) *S
 		nHashes = split.HashesNeeded()
 		c.hbuf = make([]uint64, nHashes)
 	}
-	seeds := hashing.SubSeeds(seed^0x5eed5eed5eed5eed, nHashes)
-	c.hashers = make([]hashing.Hasher, len(seeds))
-	for i, s := range seeds {
-		c.hashers[i] = cfg.Family.New(s)
+	// hashing.SubSeeds' stream, drawn in place as NewPermChecker does.
+	hs := seed ^ 0x5eed5eed5eed5eed
+	c.hashers = make([]hashing.Hasher, nHashes)
+	for i := range c.hashers {
+		c.hashers[i] = cfg.Family.New(hashing.SplitMix64(&hs))
 	}
 	return c
 }
@@ -497,20 +497,29 @@ func (c *SumChecker) DiffInto(out, a, b []uint64) {
 	}
 }
 
-// ReduceOp returns the vector addition mod r (per iteration block) used
-// to combine tables across PEs.
-func (c *SumChecker) ReduceOp() func(dst, src []uint64) {
-	its, d, mods := c.cfg.Iterations, c.cfg.Buckets, c.mods
-	return func(dst, src []uint64) {
-		for it := 0; it < its; it++ {
-			r := mods[it]
-			for i := it * d; i < (it+1)*d; i++ {
-				s := dst[i] + src[i] // both < r <= 2^63: no overflow
-				if s >= r {
-					s -= r
-				}
-				dst[i] = s
+// diff normalizes the input-side table tv and the output-side table to
+// and overwrites tv with their difference mod r, which it returns: both
+// scratch tables are dead after this, so a sealed table allocates
+// nothing further.
+func (c *SumChecker) diff(tv, to []uint64) []uint64 {
+	c.Normalize(tv)
+	c.Normalize(to)
+	c.DiffInto(tv, tv, to)
+	return tv
+}
+
+// addMod adds src into dst entry-wise, each iteration's row of d
+// counters modulo that iteration's r (mods): the combine of normalized
+// tables across PEs, shards and lanes.
+func addMod(dst, src, mods []uint64) {
+	d := len(dst) / len(mods)
+	for it, r := range mods {
+		for i := it * d; i < (it+1)*d; i++ {
+			s := dst[i] + src[i] // both < r <= 2^63: no overflow
+			if s >= r {
+				s -= r
 			}
+			dst[i] = s
 		}
 	}
 }
@@ -523,33 +532,4 @@ func allZero(table []uint64) bool {
 		}
 	}
 	return true
-}
-
-// CheckSumAgg checks that output is the correct sum aggregation of
-// input (Theorem 1). input is this PE's share of the aggregation input;
-// output is this PE's share of the asserted result (one pair per key,
-// any distribution). The verdict is identical on all PEs. A correct
-// result is always accepted; an incorrect one is accepted with
-// probability at most cfg.AchievedDelta().
-//
-// Communication: one all-reduction of the normalized difference table —
-// #its * d * ceil(log 2rhat) bits, O(beta*d*log(rhat) + alpha*log p),
-// per Lemma 3. The two-phase form (NewSumAggState + Resolve) lets
-// pipelines batch this round with other pending checkers.
-func CheckSumAgg(w *dist.Worker, cfg SumConfig, input, output []data.Pair) (bool, error) {
-	seed, err := w.CommonSeed()
-	if err != nil {
-		return false, err
-	}
-	return resolveOne(w, NewSumAggState("SumAgg", cfg, seed, Serial, input, output))
-}
-
-// CheckCountAgg checks count aggregation: output must hold, per key,
-// the number of input pairs with that key. Input values are ignored.
-func CheckCountAgg(w *dist.Worker, cfg SumConfig, input, output []data.Pair) (bool, error) {
-	seed, err := w.CommonSeed()
-	if err != nil {
-		return false, err
-	}
-	return resolveOne(w, NewCountAggState("CountAgg", cfg, seed, Serial, input, output))
 }

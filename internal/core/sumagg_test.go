@@ -35,7 +35,9 @@ func TestSumCheckerAcceptsCorrectResult(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		for seed := uint64(0); seed < 8; seed++ {
 			err := dist.Run(p, seed, func(w *dist.Worker) error {
-				ok, err := CheckSumAgg(w, smallCfg, shardPairs(input, p, w.Rank()), shardPairs(output, p, w.Rank()))
+				ok, err := check(w, func(seed uint64) CheckState {
+					return NewSumAggState("SumAgg", smallCfg, seed, Serial, shardPairs(input, p, w.Rank()), shardPairs(output, p, w.Rank()))
+				})
 				if err != nil {
 					return err
 				}
@@ -60,7 +62,9 @@ func TestSumCheckerAcceptsAllConfigs(t *testing.T) {
 	for _, cfg := range configs {
 		cfg := cfg
 		err := dist.Run(4, 11, func(w *dist.Worker) error {
-			ok, err := CheckSumAgg(w, cfg, shardPairs(input, 4, w.Rank()), shardPairs(output, 4, w.Rank()))
+			ok, err := check(w, func(seed uint64) CheckState {
+				return NewSumAggState("SumAgg", cfg, seed, Serial, shardPairs(input, 4, w.Rank()), shardPairs(output, 4, w.Rank()))
+			})
 			if err != nil {
 				return err
 			}
@@ -84,7 +88,9 @@ func TestSumCheckerDetectsSingleValueError(t *testing.T) {
 		bad := data.ClonePairs(output)
 		bad[int(seed)%len(bad)].Value++
 		err := dist.Run(2, seed, func(w *dist.Worker) error {
-			ok, err := CheckSumAgg(w, smallCfg, shardPairs(input, 2, w.Rank()), shardPairs(bad, 2, w.Rank()))
+			ok, err := check(w, func(seed uint64) CheckState {
+				return NewSumAggState("SumAgg", smallCfg, seed, Serial, shardPairs(input, 2, w.Rank()), shardPairs(bad, 2, w.Rank()))
+			})
 			if err != nil {
 				return err
 			}
@@ -111,7 +117,9 @@ func TestSumCheckerDetectsDroppedKey(t *testing.T) {
 	for seed := uint64(0); seed < trials; seed++ {
 		bad := data.ClonePairs(output)[1:] // drop one key entirely
 		err := dist.Run(3, seed, func(w *dist.Worker) error {
-			ok, err := CheckSumAgg(w, smallCfg, shardPairs(input, 3, w.Rank()), shardPairs(bad, 3, w.Rank()))
+			ok, err := check(w, func(seed uint64) CheckState {
+				return NewSumAggState("SumAgg", smallCfg, seed, Serial, shardPairs(input, 3, w.Rank()), shardPairs(bad, 3, w.Rank()))
+			})
 			if err != nil {
 				return err
 			}
@@ -136,7 +144,9 @@ func TestSumCheckerVerdictIdenticalOnAllPEs(t *testing.T) {
 	const p = 5
 	verdicts := make([]bool, p)
 	err := dist.Run(p, 1, func(w *dist.Worker) error {
-		ok, err := CheckSumAgg(w, smallCfg, shardPairs(input, p, w.Rank()), shardPairs(bad, p, w.Rank()))
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewSumAggState("SumAgg", smallCfg, seed, Serial, shardPairs(input, p, w.Rank()), shardPairs(bad, p, w.Rank()))
+		})
 		if err != nil {
 			return err
 		}
@@ -153,6 +163,15 @@ func TestSumCheckerVerdictIdenticalOnAllPEs(t *testing.T) {
 	}
 }
 
+// countState is NewSumAggState for count aggregation: every input pair
+// counts 1 regardless of its value.
+func countState(cfg SumConfig, seed uint64, par ParallelAccumulator, input, output []data.Pair) CheckState {
+	b := NewSumAggBuilder("CountAgg", cfg, seed, par, true)
+	b.AddInput(input)
+	b.AddOutput(output)
+	return b.Seal()
+}
+
 func TestCountChecker(t *testing.T) {
 	input := workload.ZipfPairs(2000, 100, 1000, 6) // values arbitrary
 	counts := make(map[uint64]uint64)
@@ -161,7 +180,9 @@ func TestCountChecker(t *testing.T) {
 	}
 	output := data.MapToPairs(counts)
 	err := dist.Run(4, 3, func(w *dist.Worker) error {
-		ok, err := CheckCountAgg(w, smallCfg, shardPairs(input, 4, w.Rank()), shardPairs(output, 4, w.Rank()))
+		ok, err := check(w, func(seed uint64) CheckState {
+			return countState(smallCfg, seed, Serial, shardPairs(input, 4, w.Rank()), shardPairs(output, 4, w.Rank()))
+		})
 		if err != nil {
 			return err
 		}
@@ -179,7 +200,9 @@ func TestCountChecker(t *testing.T) {
 	detected := 0
 	for seed := uint64(0); seed < 50; seed++ {
 		err := dist.Run(4, seed, func(w *dist.Worker) error {
-			ok, err := CheckCountAgg(w, smallCfg, shardPairs(input, 4, w.Rank()), shardPairs(bad, 4, w.Rank()))
+			ok, err := check(w, func(seed uint64) CheckState {
+				return countState(smallCfg, seed, Serial, shardPairs(input, 4, w.Rank()), shardPairs(bad, 4, w.Rank()))
+			})
 			if err != nil {
 				return err
 			}
@@ -281,7 +304,7 @@ func TestSumCheckerSplitInvariance(t *testing.T) {
 	c.Accumulate(h2, input[500:])
 	c.Normalize(h1)
 	c.Normalize(h2)
-	c.ReduceOp()(h1, h2)
+	addMod(h1, h2, c.mods)
 	for i := range whole {
 		if whole[i] != h1[i] {
 			t.Fatal("split accumulation diverges from single pass")
@@ -447,7 +470,9 @@ func TestSumCheckerQuickCorrectAlwaysAccepted(t *testing.T) {
 		output := refSumAgg(input)
 		accepted := true
 		err := dist.Run(3, uint64(seed), func(w *dist.Worker) error {
-			ok, err := CheckSumAgg(w, smallCfg, shardPairs(input, 3, w.Rank()), shardPairs(output, 3, w.Rank()))
+			ok, err := check(w, func(seed uint64) CheckState {
+				return NewSumAggState("SumAgg", smallCfg, seed, Serial, shardPairs(input, 3, w.Rank()), shardPairs(output, 3, w.Rank()))
+			})
 			if err != nil {
 				return err
 			}
@@ -465,7 +490,9 @@ func TestSumCheckerQuickCorrectAlwaysAccepted(t *testing.T) {
 
 func TestSumCheckerEmptyInput(t *testing.T) {
 	err := dist.Run(3, 1, func(w *dist.Worker) error {
-		ok, err := CheckSumAgg(w, smallCfg, nil, nil)
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewSumAggState("SumAgg", smallCfg, seed, Serial, nil, nil)
+		})
 		if err != nil {
 			return err
 		}
@@ -488,7 +515,9 @@ func TestSumCheckerNonEmptyVsEmptyOutput(t *testing.T) {
 			if w.Rank() == 0 {
 				in = input
 			}
-			ok, err := CheckSumAgg(w, smallCfg, in, nil)
+			ok, err := check(w, func(seed uint64) CheckState {
+				return NewSumAggState("SumAgg", smallCfg, seed, Serial, in, nil)
+			})
 			if err != nil {
 				return err
 			}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/collective"
 	"repro/internal/data"
 	"repro/internal/dist"
@@ -35,29 +33,35 @@ func zipFingerprint(xs []uint64, start uint64, seeds []uint64) []uint64 {
 	return out
 }
 
-// CheckZip checks Zip(s1, s2) = out (Theorem 11): the first components
-// of out must equal s1 in order, the second components s2 in order,
-// even though the three sequences may be distributed differently.
-// Each sequence is fingerprinted with position-dependent weights keyed
-// by the global element index (obtained from one vectorized prefix sum
-// over the three local sizes); matching fingerprints accept. Failure
-// probability about (1/2^61)^Iterations per component. Time
-// O(n/p * its + beta*its + alpha*log p).
-func CheckZip(w *dist.Worker, cfg ZipConfig, s1, s2 []uint64, out []data.Pair) (bool, error) {
-	if cfg.Iterations < 1 {
-		return false, fmt.Errorf("core: zip checker: iterations must be >= 1")
+// NewZipState accumulates the zip checker's local phase (Theorem 11):
+// the first components of out must equal s1 in order, the second
+// components s2 in order, even though the three sequences may be
+// distributed differently. Each sequence is fingerprinted with
+// position-dependent weights keyed by the global element index; the
+// state is one field segment of the differences, both components per
+// iteration. start1, start2, startO are the global start indices of
+// this PE's shares and lengthsOK asserts the three global lengths agree
+// — both established alongside the offsets (ExclusiveCounts). No
+// communication. Failure probability about (1/2^61)^Iterations per
+// component; time O(n/p * its + beta*its + alpha*log p).
+func NewZipState(stage string, cfg ZipConfig, seed uint64, s1, s2 []uint64, out []data.Pair, start1, start2, startO uint64, lengthsOK bool) CheckState {
+	seeds := hashing.SubSeeds(seed^0x21b021b021b021b0, cfg.Iterations)
+	outFirst := make([]uint64, len(out))
+	outSecond := make([]uint64, len(out))
+	for i, pr := range out {
+		outFirst[i] = pr.Key
+		outSecond[i] = pr.Value
 	}
-	seed, err := w.CommonSeed()
-	if err != nil {
-		return false, err
+	f1 := zipFingerprint(s1, start1, seeds)
+	f2 := zipFingerprint(s2, start2, seeds)
+	fo1 := zipFingerprint(outFirst, startO, seeds)
+	fo2 := zipFingerprint(outSecond, startO, seeds)
+	lambda := make([]uint64, 2*cfg.Iterations)
+	for it := 0; it < cfg.Iterations; it++ {
+		lambda[2*it] = hashing.SubMod61(f1[it], fo1[it])
+		lambda[2*it+1] = hashing.SubMod61(f2[it], fo2[it])
 	}
-	starts, totals, err := ExclusiveCounts(w, len(s1), len(s2), len(out))
-	if err != nil {
-		return false, err
-	}
-	lengthsOK := totals[0] == totals[1] && totals[1] == totals[2]
-	st := NewZipState("Zip", cfg, seed, s1, s2, out, starts[0], starts[1], starts[2], lengthsOK)
-	return resolveOne(w, st)
+	return newState(stage, lambda, lengthsOK, nil, segment{kind: segField, n: uint32(len(lambda))})
 }
 
 // ExclusiveCounts returns, for each local share size in ns, this PE's

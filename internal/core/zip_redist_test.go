@@ -18,6 +18,20 @@ func zipPairsOf(a, b []uint64) []data.Pair {
 
 var zipCfg = ZipConfig{Iterations: 2}
 
+// checkZip checks Zip(s1, s2) = out: the start offsets and global
+// lengths come from one vectorized prefix sum over the three local
+// sizes, as at the Zip stage.
+func checkZip(w *dist.Worker, cfg ZipConfig, s1, s2 []uint64, out []data.Pair) (bool, error) {
+	starts, totals, err := ExclusiveCounts(w, len(s1), len(s2), len(out))
+	if err != nil {
+		return false, err
+	}
+	lengthsOK := totals[0] == totals[1] && totals[1] == totals[2]
+	return check(w, func(seed uint64) CheckState {
+		return NewZipState("Zip", cfg, seed, s1, s2, out, starts[0], starts[1], starts[2], lengthsOK)
+	})
+}
+
 func TestZipCheckerAcceptsCorrect(t *testing.T) {
 	n := 2000
 	a := workload.UniformU64s(n, 1e8, 1)
@@ -25,7 +39,7 @@ func TestZipCheckerAcceptsCorrect(t *testing.T) {
 	out := zipPairsOf(a, b)
 	for _, p := range []int{1, 2, 4, 5} {
 		err := dist.Run(p, 1, func(w *dist.Worker) error {
-			ok, err := CheckZip(w, zipCfg, shardU64(a, p, w.Rank()), shardU64(b, p, w.Rank()), shardPairs(out, p, w.Rank()))
+			ok, err := checkZip(w, zipCfg, shardU64(a, p, w.Rank()), shardU64(b, p, w.Rank()), shardPairs(out, p, w.Rank()))
 			if err != nil {
 				return err
 			}
@@ -58,7 +72,7 @@ func TestZipCheckerAcceptsSkewedDistributions(t *testing.T) {
 		case 2:
 			lo = out
 		}
-		ok, err := CheckZip(w, zipCfg, la, lb, lo)
+		ok, err := checkZip(w, zipCfg, la, lb, lo)
 		if err != nil {
 			return err
 		}
@@ -86,7 +100,7 @@ func TestZipCheckerDetectsSwappedNeighbours(t *testing.T) {
 		i := int(seed) % (n - 1)
 		out[i], out[i+1] = out[i+1], out[i]
 		err := dist.Run(3, seed, func(w *dist.Worker) error {
-			ok, err := CheckZip(w, zipCfg, shardU64(a, 3, w.Rank()), shardU64(b, 3, w.Rank()), shardPairs(out, 3, w.Rank()))
+			ok, err := checkZip(w, zipCfg, shardU64(a, 3, w.Rank()), shardU64(b, 3, w.Rank()), shardPairs(out, 3, w.Rank()))
 			if err != nil {
 				return err
 			}
@@ -115,7 +129,7 @@ func TestZipCheckerDetectsComponentCrosstalk(t *testing.T) {
 		t.Skip("degenerate pair")
 	}
 	err := dist.Run(2, 1, func(w *dist.Worker) error {
-		ok, err := CheckZip(w, zipCfg, shardU64(a, 2, w.Rank()), shardU64(b, 2, w.Rank()), shardPairs(out, 2, w.Rank()))
+		ok, err := checkZip(w, zipCfg, shardU64(a, 2, w.Rank()), shardU64(b, 2, w.Rank()), shardPairs(out, 2, w.Rank()))
 		if err != nil {
 			return err
 		}
@@ -134,7 +148,7 @@ func TestZipCheckerDetectsLengthMismatch(t *testing.T) {
 	b := workload.UniformU64s(100, 1e8, 10)
 	out := zipPairsOf(a, b)[:99]
 	err := dist.Run(2, 1, func(w *dist.Worker) error {
-		ok, err := CheckZip(w, zipCfg, shardU64(a, 2, w.Rank()), shardU64(b, 2, w.Rank()), shardPairs(out, 2, w.Rank()))
+		ok, err := checkZip(w, zipCfg, shardU64(a, 2, w.Rank()), shardU64(b, 2, w.Rank()), shardPairs(out, 2, w.Rank()))
 		if err != nil {
 			return err
 		}
@@ -166,7 +180,9 @@ func TestRedistCheckerAcceptsCorrect(t *testing.T) {
 		after[d] = append(after[d], pr)
 	}
 	err := dist.Run(p, 1, func(w *dist.Worker) error {
-		ok, err := CheckRedistribution(w, permCfg, loc, shardPairs(global, p, w.Rank()), after[w.Rank()])
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewRedistState("Redistribution", permCfg, seed, Serial, loc, w.Rank(), shardPairs(global, p, w.Rank()), after[w.Rank()])
+		})
 		if err != nil {
 			return err
 		}
@@ -196,7 +212,9 @@ func TestRedistCheckerDetectsMisplacedPair(t *testing.T) {
 	after[0] = after[0][1:]
 	after[1] = append(after[1], moved)
 	err := dist.Run(p, 1, func(w *dist.Worker) error {
-		ok, err := CheckRedistribution(w, permCfg, loc, shardPairs(global, p, w.Rank()), after[w.Rank()])
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewRedistState("Redistribution", permCfg, seed, Serial, loc, w.Rank(), shardPairs(global, p, w.Rank()), after[w.Rank()])
+		})
 		if err != nil {
 			return err
 		}
@@ -226,7 +244,9 @@ func TestRedistCheckerDetectsDroppedPair(t *testing.T) {
 	const trials = 30
 	for seed := uint64(0); seed < trials; seed++ {
 		err := dist.Run(p, seed, func(w *dist.Worker) error {
-			ok, err := CheckRedistribution(w, permCfg, loc, shardPairs(global, p, w.Rank()), after[w.Rank()])
+			ok, err := check(w, func(seed uint64) CheckState {
+				return NewRedistState("Redistribution", permCfg, seed, Serial, loc, w.Rank(), shardPairs(global, p, w.Rank()), after[w.Rank()])
+			})
 			if err != nil {
 				return err
 			}
@@ -259,7 +279,9 @@ func TestRedistCheckerDetectsValueCorruption(t *testing.T) {
 	}
 	after[1][0].Value ^= 1 << 13
 	err := dist.Run(p, 1, func(w *dist.Worker) error {
-		ok, err := CheckRedistribution(w, permCfg, loc, shardPairs(global, p, w.Rank()), after[w.Rank()])
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewRedistState("Redistribution", permCfg, seed, Serial, loc, w.Rank(), shardPairs(global, p, w.Rank()), after[w.Rank()])
+		})
 		if err != nil {
 			return err
 		}
@@ -287,9 +309,11 @@ func TestJoinRedistChecker(t *testing.T) {
 	}
 	la, ra := route(left), route(right)
 	err := dist.Run(p, 1, func(w *dist.Worker) error {
-		ok, err := CheckJoinRedistribution(w, permCfg, loc,
-			shardPairs(left, p, w.Rank()), la[w.Rank()],
-			shardPairs(right, p, w.Rank()), ra[w.Rank()])
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewRedistState("Join/left", permCfg, seed, Serial, loc, w.Rank(), shardPairs(left, p, w.Rank()), la[w.Rank()])
+		}, func(seed uint64) CheckState {
+			return NewRedistState("Join/right", permCfg, seed, Serial, loc, w.Rank(), shardPairs(right, p, w.Rank()), ra[w.Rank()])
+		})
 		if err != nil {
 			return err
 		}
@@ -307,9 +331,11 @@ func TestJoinRedistChecker(t *testing.T) {
 	}
 	ra[0][0].Key++
 	err = dist.Run(p, 1, func(w *dist.Worker) error {
-		ok, err := CheckJoinRedistribution(w, permCfg, loc,
-			shardPairs(left, p, w.Rank()), la[w.Rank()],
-			shardPairs(right, p, w.Rank()), ra[w.Rank()])
+		ok, err := check(w, func(seed uint64) CheckState {
+			return NewRedistState("Join/left", permCfg, seed, Serial, loc, w.Rank(), shardPairs(left, p, w.Rank()), la[w.Rank()])
+		}, func(seed uint64) CheckState {
+			return NewRedistState("Join/right", permCfg, seed, Serial, loc, w.Rank(), shardPairs(right, p, w.Rank()), ra[w.Rank()])
+		})
 		if err != nil {
 			return err
 		}

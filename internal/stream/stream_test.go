@@ -65,10 +65,10 @@ func TestChunkedSumBitIdentical(t *testing.T) {
 				input := workload.UniformPairs(n, 1<<62, ^uint64(0), 0xabc^uint64(n))
 				output := workload.UniformPairs(n/2+1, 1<<62, ^uint64(0), 0xdef^uint64(n))
 				for _, count := range []bool{false, true} {
-					oneShot := core.NewSumAggState("s", cfg, 42, core.Serial, input, output)
-					if count {
-						oneShot = core.NewCountAggState("s", cfg, 42, core.Serial, input, output)
-					}
+					b := core.NewSumAggBuilder("s", cfg, 42, core.Serial, count)
+					b.AddInput(input)
+					b.AddOutput(output)
+					oneShot := b.Seal()
 					for _, chunk := range chunks {
 						for _, w := range workers {
 							par := core.NewParallelAccumulator(w)

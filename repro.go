@@ -185,12 +185,30 @@ func DefaultOptions() Options {
 // for outputs produced elsewhere (Theorem 1). For the pipeline form see
 // Context.AssertSum.
 func CheckSum(w *Worker, opts Options, input, output []Pair) (bool, error) {
-	return core.CheckSumAgg(w, opts.Sum, input, output)
+	return checkOne(w, func(seed uint64) core.CheckState {
+		return core.NewSumAggState("SumAgg", opts.Sum, seed, core.Serial, input, output)
+	})
 }
 
 // CheckSorted verifies that output is a sorted permutation of input
 // without re-running the sort (Theorem 7). For the pipeline form see
 // Context.AssertSorted.
 func CheckSorted(w *Worker, opts Options, input, output []uint64) (bool, error) {
-	return core.CheckSorted(w, opts.Perm, input, output)
+	return checkOne(w, func(seed uint64) core.CheckState {
+		return core.NewSortedState("Sorted", opts.Perm, seed, core.Serial, [][]uint64{input}, output)
+	})
+}
+
+// checkOne resolves the one state mk builds from the workers' common
+// seed.
+func checkOne(w *Worker, mk func(seed uint64) core.CheckState) (bool, error) {
+	seed, err := w.CommonSeed()
+	if err != nil {
+		return false, err
+	}
+	v, err := core.Resolve(w, mk(seed))
+	if err != nil {
+		return false, err
+	}
+	return v[0], nil
 }

@@ -113,7 +113,7 @@ func (s *StreamedPairs) AssertCount(output PairSource) error {
 
 func (s *StreamedPairs) assertAgg(op string, count bool, output PairSource) error {
 	c := s.ctx
-	return streamStage(c, &s.used, op, c.validSum, s.src, output, func(label string) *stream.Accumulator[Pair, *core.SumAggState] {
+	return streamStage(c, &s.used, op, c.validSum, s.src, output, func(label string) *stream.Accumulator[Pair] {
 		return stream.NewSumAccumulator(label, c.opts.Sum, c.seed, c.par, count)
 	})
 }
@@ -125,7 +125,7 @@ func (s *StreamedPairs) assertAgg(op string, count bool, output PairSource) erro
 // streaming form. Chunk order is immaterial on either side.
 func (s *StreamedPairs) AssertRedistributed(after PairSource) error {
 	c := s.ctx
-	return streamStage(c, &s.used, "StreamRedist", c.validPerm, s.src, after, func(label string) *stream.Accumulator[Pair, *core.PermState] {
+	return streamStage(c, &s.used, "StreamRedist", c.validPerm, s.src, after, func(label string) *stream.Accumulator[Pair] {
 		return stream.NewRedistAccumulator(label, c.opts.Perm, c.seed, c.par, c.pt, c.w.Rank())
 	})
 }
@@ -137,7 +137,7 @@ func (s *StreamedPairs) AssertRedistributed(after PairSource) error {
 // contiguous segment — which every source in this package does.
 func (s *StreamedSeq) AssertSorted(output SeqSource) error {
 	c := s.ctx
-	return streamStage(c, &s.used, "StreamSorted", c.validPerm, s.src, output, func(label string) *stream.Accumulator[uint64, *core.SortedState] {
+	return streamStage(c, &s.used, "StreamSorted", c.validPerm, s.src, output, func(label string) *stream.Accumulator[uint64] {
 		return stream.NewSortAccumulator(label, c.opts.Perm, c.seed, c.par)
 	})
 }
@@ -148,7 +148,7 @@ func (s *StreamedSeq) AssertSorted(output SeqSource) error {
 // either side.
 func (s *StreamedSeq) AssertPermutation(output SeqSource) error {
 	c := s.ctx
-	return streamStage(c, &s.used, "StreamPerm", c.validPerm, s.src, output, func(label string) *stream.Accumulator[uint64, *core.PermState] {
+	return streamStage(c, &s.used, "StreamPerm", c.validPerm, s.src, output, func(label string) *stream.Accumulator[uint64] {
 		return stream.NewPermAccumulator(label, c.opts.Perm, c.seed, c.par)
 	})
 }
@@ -157,7 +157,7 @@ func (s *StreamedSeq) AssertPermutation(output SeqSource) error {
 // view: claim it, then — unless checking is off — drain the input
 // source and the asserted-output source through a fresh accumulator,
 // one chunk resident at a time, and seal it.
-func streamStage[T any, S core.CheckState](c *Context, used *bool, op string, valid func() error, in, out stream.Source[T], mk func(label string) *stream.Accumulator[T, S]) error {
+func streamStage[T any](c *Context, used *bool, op string, valid func() error, in, out stream.Source[T], mk func(label string) *stream.Accumulator[T]) error {
 	// An Assert over an already-consumed stream would verify zero elements
 	// and vacuously pass, which a verification library must never do
 	// silently.
