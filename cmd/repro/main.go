@@ -65,7 +65,7 @@ func commands() []subcommand {
 		{"commvolume", "bottleneck communication volume audit (Sec. 1 claim)", runCommVolume, true},
 		{"modeled", "alpha-beta-model comm makespans up to p=4096 (Sec. 2 model)", runModeled, true},
 		{"serve", "resident verification service under synthetic concurrent jobs, live stats", runServe, false},
-		{"soak", "soak-and-chaos gate over the service; -kill-rank N adds the elastic-recovery episode", runSoak, false},
+		{"soak", "chaos runner: one fault schedule over the service, gated on named violations; -kill-rank N adds the kill-rank rows", runSoak, false},
 		{"launch", "checked pipeline across OS processes, verdicts proven bit-identical to in-process", runLaunch, false},
 	}
 	return append(cmds, subcommand{"all", "every paper table and figure above at default scale",

@@ -1,14 +1,15 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"time"
 
-	"repro"
 	"repro/internal/dist"
 	"repro/internal/exp"
 	"repro/internal/obs"
@@ -122,26 +123,22 @@ func transportName(cfg dist.Config) string {
 	return string(cfg.Transport)
 }
 
-// runSoak runs the soak-and-chaos harness: mixed checked traffic with
-// manipulated claimed outputs, then transport bitflips and hard
-// receive faults, verifying every injected corruption is caught and
-// every fault stays contained to the job that absorbed it. Exits
-// nonzero when the run's invariants do not hold.
+// runSoak runs the chaos runner: one fault schedule — clean traffic
+// with doctored claims, transport bitflips, hard receive faults and an
+// optional killed rank — gated on named violations. Exits nonzero when
+// any invariant breaks.
 func runSoak(args []string) error {
 	fs := flag.NewFlagSet("soak", flag.ExitOnError)
 	var opt exp.SoakOptions
-	fs.IntVar(&opt.P, "p", 0, "PEs in the resident mesh (default 4)")
-	fs.IntVar(&opt.Concurrency, "concurrency", 0, "in-flight job bound (default 64)")
-	fs.IntVar(&opt.Jobs, "jobs", 0, "phase-A traffic jobs (default 512)")
-	fs.IntVar(&opt.Elements, "elements", 0, "elements per PE per job (default 2000)")
-	fs.IntVar(&opt.CorruptEvery, "corrupt-every", 0, "corrupt every n-th corruptible job (default 3, <0 disables)")
-	fs.IntVar(&opt.Flips, "flips", 0, "transport bitflip episodes (default 4, <0 disables)")
-	fs.IntVar(&opt.Faults, "faults", 0, "hard receive-fault episodes (default 4, <0 disables)")
+	fs.IntVar(&opt.P, "p", 4, "PEs in the resident mesh")
+	fs.IntVar(&opt.Concurrency, "concurrency", 64, "in-flight job bound")
+	fs.IntVar(&opt.Jobs, "jobs", 512, "clean-row jobs, every third claim doctored (<0 skips the row)")
+	fs.IntVar(&opt.Elements, "elements", 2000, "elements per PE per job")
+	fs.IntVar(&opt.Flips, "flips", 4, "transport bitflip rows (<0 disables)")
+	fs.IntVar(&opt.Faults, "faults", 4, "hard receive-fault rows, each with a probe wave (<0 disables)")
 	fs.IntVar(&opt.KillRank, "kill-rank", 0,
-		"phase C: crash this rank on an elastic pool mid-flight and assert checked recovery (0 disables; rank 0 unsupported)")
+		"add the kill-rank row: crash this rank on an elastic pool mid-flight and assert checked recovery (0 disables; 1 <= rank < p)")
 	fs.Uint64Var(&opt.Seed, "seed", 0, "soak seed")
-	eager := fs.Bool("eager", false, "run jobs in CheckEager mode instead of CheckDeferred")
-	verbose := fs.Bool("v", false, "log escapes, false alarms, and chaos attribution")
 	out := fs.String("out", "", "write the SoakResult as JSON to this file")
 	traceOut := fs.String("trace", "", "write a Chrome trace of the soak's spans to this file")
 	resolve := transportFlags(fs, &opt.Dist)
@@ -152,23 +149,7 @@ func runSoak(args []string) error {
 		return err
 	}
 	if *traceOut != "" {
-		p := opt.P
-		if p == 0 {
-			p = 4 // SoakOptions.fill default
-		}
-		opt.Tracer = obs.NewTracer(p, obs.DefaultCapacity)
-	}
-	if *eager {
-		// fill() maps the CheckEager zero value to CheckDeferred, so
-		// eager mode rides the explicit flag. Detection works either
-		// way: an eager assertion rejects inline, a deferred one at the
-		// job's Verify.
-		opt.Mode = repro.CheckEager
-	}
-	if *verbose {
-		opt.Verbose = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
+		opt.Tracer = obs.NewTracer(cmp.Or(opt.P, 4), obs.DefaultCapacity) // -p 0 selects Soak's default
 	}
 	res, err := exp.Soak(opt)
 	if err != nil {
@@ -190,15 +171,8 @@ func runSoak(args []string) error {
 			return werr
 		}
 	}
-	if !res.OK {
-		msg := fmt.Sprintf("soak failed: %d escapes, %d false alarms, %d/%d flips contained, %d/%d faults contained, high-water %d",
-			res.Escapes, res.FalseAlarms, res.FlipContained, res.Flips, res.FaultContained, res.Faults, res.HighWater)
-		if ep := res.Recovery; ep != nil && !ep.OK {
-			msg += fmt.Sprintf("; recovery episode violated its contract (detected=%v, %d view changes, %d/%d recovered, %d/%d verdicts matched serial, %d wrong, %d unattributed, %d/%d post-epoch passed)",
-				ep.Detected, ep.ViewChanges, ep.Recovered, ep.InFlight,
-				ep.VerdictMatch, ep.VerdictTotal, ep.WrongVerdict, ep.Unattributed, ep.PostPassed, ep.PostJobs)
-		}
-		return fmt.Errorf("%s", msg)
+	if !res.OK() {
+		return fmt.Errorf("soak failed: %s", strings.Join(res.Violations, "; "))
 	}
 	return nil
 }

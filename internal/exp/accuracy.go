@@ -2,8 +2,10 @@
 // figure of the paper's evaluation (Section 7) from the checkers,
 // operations, manipulators and workload generators of this repository
 // (README "Reproducing the paper's evaluation" is the experiment index),
-// and carries the soak-and-chaos and recovery episodes behind
-// `repro soak`. It measures no performance claim: that is benchmark/.
+// and carries the chaos runner behind `repro soak` (chaos.go: one fault
+// schedule whose phases are rows, one checker per phase and op kind, a
+// gate of named violations). It measures no performance claim: that is
+// benchmark/.
 //
 // The paper half is three mechanisms, each used by every experiment of
 // its kind: one trial loop (accuracy.go: Fig. 3 and Fig. 5 are two
