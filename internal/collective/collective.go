@@ -215,6 +215,10 @@ type Comm struct {
 	bytesSent atomic.Int64
 	msgsSent  atomic.Int64
 
+	// up is sweepUp's receive buffer: each child's words are decoded
+	// into it and folded before the next receive.
+	up []uint64
+
 	// tr, when non-nil, records a collective-kind span per operation
 	// and a recv-wait span per blocking receive, attributed to
 	// traceJob. Inherited by sub-communicators; nil costs nothing on
@@ -491,10 +495,17 @@ func U64sToBytes(words []uint64) []byte {
 
 // BytesToU64s decodes a little-endian word payload.
 func BytesToU64s(buf []byte) ([]uint64, error) {
+	return decodeU64s(make([]uint64, 0, len(buf)/8), buf)
+}
+
+// decodeU64s decodes a little-endian word payload into dst's storage,
+// growing it only when it is too small.
+func decodeU64s(dst []uint64, buf []byte) ([]uint64, error) {
 	if len(buf)%8 != 0 {
 		return nil, fmt.Errorf("collective: payload length %d not a multiple of 8", len(buf))
 	}
-	words := make([]uint64, len(buf)/8)
+	n := len(buf) / 8
+	words := slices.Grow(dst[:0], n)[:n]
 	for i := range words {
 		words[i] = binary.LittleEndian.Uint64(buf[i*8:])
 	}
@@ -514,12 +525,13 @@ func (c *Comm) recvU64s(src, tag int) ([]uint64, error) {
 }
 
 // ReduceOp combines src into dst element-wise. Implementations must be
-// associative over the element encoding. Commutativity is not required
-// by Reduce, AllReduce or ExclusiveScan: the tree only ever combines
-// rank-contiguous partial results in ascending rank order, so dst always
-// covers the ranks right below src's (see "One tree"). Order-sensitive
-// combines (e.g. the sort checker's boundary-interval merge) rely on
-// this contract.
+// associative over the element encoding, and must not keep src: it is
+// the communicator's receive buffer, overwritten by the next child.
+// Commutativity is not required by Reduce, AllReduce or ExclusiveScan:
+// the tree only ever combines rank-contiguous partial results in
+// ascending rank order, so dst always covers the ranks right below src's
+// (see "One tree"). Order-sensitive combines (e.g. the sort checker's
+// boundary-interval merge) rely on this contract.
 type ReduceOp func(dst, src []uint64)
 
 // OpSum adds with wraparound (the natural operation in Z/2^64Z).
@@ -534,6 +546,10 @@ func OpSum(dst, src []uint64) {
 // speaks for ranks [rank|mask, rank|mask+mask) ∩ [0, p), are folded in
 // narrowest subtree first, and the result goes to the parent. It returns
 // the final acc: the whole tree's at rank 0, a subtree's elsewhere.
+//
+// A child's words are decoded into c.up, so fold must consume or copy
+// got before it returns; the buffer is reused by the next child and the
+// next collective, which is safe because a Comm runs one at a time.
 func (c *Comm) sweepUp(tag int, acc []uint64, fold func(mask int, acc, got []uint64) ([]uint64, error)) ([]uint64, error) {
 	p, rank := c.Size(), c.Rank()
 	for mask := 1; mask < p; mask <<= 1 {
@@ -541,11 +557,14 @@ func (c *Comm) sweepUp(tag int, acc []uint64, fold func(mask int, acc, got []uin
 			return acc, c.sendU64s(rank-mask, tag, acc)
 		}
 		if child := rank | mask; child < p {
-			got, err := c.recvU64s(child, tag)
+			buf, err := c.recv(child, tag)
 			if err != nil {
 				return nil, err
 			}
-			if acc, err = fold(mask, acc, got); err != nil {
+			if c.up, err = decodeU64s(c.up, buf); err != nil {
+				return nil, err
+			}
+			if acc, err = fold(mask, acc, c.up); err != nil {
 				return nil, err
 			}
 		}
@@ -653,7 +672,7 @@ func (c *Comm) gather(words []uint64) ([]uint64, error) {
 	defer sp.End()
 	p, rank := c.Size(), c.Rank()
 	return c.sweepUp(c.nextTag(), appendPart(nil, words), func(mask int, acc, got []uint64) ([]uint64, error) {
-		if _, err := decodeBundle(got, min(mask, p-(rank|mask))); err != nil {
+		if err := checkBundle(got, min(mask, p-(rank|mask))); err != nil {
 			return nil, err
 		}
 		return append(acc, got...), nil
@@ -665,21 +684,37 @@ func appendPart(bundle, part []uint64) []uint64 {
 	return append(append(bundle, uint64(len(part))), part...)
 }
 
-// decodeBundle splits a bundle into its parts, which alias flat. Every
-// length word is validated before it is used; a part that overruns the
-// bundle, or a number of parts other than want, is ErrBadBundle.
-func decodeBundle(flat []uint64, want int) ([][]uint64, error) {
-	parts := make([][]uint64, 0, want)
+// checkBundle walks a bundle's length words without keeping its parts.
+// Every length word is validated before it is used; a part that
+// overruns the bundle, or a number of parts other than want, is
+// ErrBadBundle.
+func checkBundle(flat []uint64, want int) error {
+	parts := 0
 	for len(flat) > 0 {
 		n, rest := flat[0], flat[1:]
 		if n > uint64(len(rest)) {
-			return nil, fmt.Errorf("%w: part %d of %d words in %d remaining", ErrBadBundle, len(parts), n, len(rest))
+			return fmt.Errorf("%w: part %d of %d words in %d remaining", ErrBadBundle, parts, n, len(rest))
 		}
-		parts = append(parts, rest[:n:n])
 		flat = rest[n:]
+		parts++
 	}
-	if len(parts) != want {
-		return nil, fmt.Errorf("%w: %d parts, want %d", ErrBadBundle, len(parts), want)
+	if parts != want {
+		return fmt.Errorf("%w: %d parts, want %d", ErrBadBundle, parts, want)
+	}
+	return nil
+}
+
+// decodeBundle splits a bundle that checkBundle accepts into its parts,
+// which alias flat.
+func decodeBundle(flat []uint64, want int) ([][]uint64, error) {
+	if err := checkBundle(flat, want); err != nil {
+		return nil, err
+	}
+	parts := make([][]uint64, want)
+	for i := range parts {
+		n := flat[0]
+		parts[i] = flat[1 : 1+n : 1+n]
+		flat = flat[1+n:]
 	}
 	return parts, nil
 }

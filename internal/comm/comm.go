@@ -71,9 +71,12 @@ func resolveTimeout(d time.Duration) time.Duration {
 	return d
 }
 
-// opDeadline arms a timer channel for one blocking operation under the
-// network's timeout; the returned stop must be deferred. A disabled
-// timeout yields a nil channel (blocks forever in a select).
+// opDeadline arms a fresh timer channel for one blocking operation
+// under the network's timeout; the returned stop must be deferred. A
+// disabled timeout yields a nil channel (blocks forever in a select).
+// Only a send blocked on a full inbox uses it, because any number of
+// senders may block there at once; receives, which only the owner
+// makes, share the inbox's one re-armed timer (inbox.arm).
 func opDeadline(timeout time.Duration) (<-chan time.Time, func()) {
 	if timeout <= 0 {
 		return nil, func() {}

@@ -307,3 +307,54 @@ func TestConformanceClosedBeatsDeadline(t *testing.T) {
 		})
 	}
 }
+
+// TestConformanceDeadlineRearms pins the receive deadline on every
+// transport now that one timer per endpoint serves all of the owner's
+// receives. A silent receive times out, and not early; the next two
+// receives each get their message 30 ms after the call, inside the
+// 50 ms deadline, so an expiry left over from the first would fail
+// them; and a last silent receive waits the whole deadline again.
+func TestConformanceDeadlineRearms(t *testing.T) {
+	const timeout, late = 50 * time.Millisecond, 30 * time.Millisecond
+	builds := map[string]func() (Network, error){
+		"mem":    func() (Network, error) { return NewMemNetworkTimeout(2, timeout), nil },
+		"simnet": func() (Network, error) { return NewSimNetworkTimeout(2, 1000, 1, timeout), nil },
+		"tcp":    func() (Network, error) { return NewTCPNetworkOpts(2, TCPOptions{Timeout: timeout}) },
+	}
+	receives := map[string]func(ep Endpoint) error{
+		"Recv":    func(ep Endpoint) error { _, err := ep.Recv(1, 3); return err },
+		"RecvAny": func(ep Endpoint) error { _, err := ep.RecvAny(); return err },
+	}
+	for name, build := range builds {
+		for op, recv := range receives {
+			t.Run(name+"/"+op, func(t *testing.T) {
+				net, err := build()
+				if err != nil {
+					t.Fatalf("setup: %v", err)
+				}
+				defer net.Close()
+				ep, peer := net.Endpoint(0), net.Endpoint(1)
+				silent := func(which string) {
+					start := time.Now()
+					err := recv(ep)
+					if waited := time.Since(start); err == nil || !strings.Contains(err.Error(), "likely deadlock") || waited < timeout {
+						t.Fatalf("%s silent %s: got %v after %v, want a likely-deadlock timeout after at least %v", which, op, err, waited, timeout)
+					}
+				}
+				silent("first")
+				for i := range 2 {
+					sent := make(chan error, 1)
+					time.AfterFunc(late, func() { sent <- peer.Send(0, 3, []byte{byte(i)}) })
+					start := time.Now()
+					if err := recv(ep); err != nil {
+						t.Fatalf("%s #%d, message sent %v after the call: got %v after %v", op, i, late, err, time.Since(start))
+					}
+					if err := <-sent; err != nil {
+						t.Fatalf("send #%d: %v", i, err)
+					}
+				}
+				silent("last")
+			})
+		}
+	}
+}

@@ -3,8 +3,11 @@ package comm
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
@@ -98,6 +101,27 @@ func TestFrameRejectsOversizedLength(t *testing.T) {
 	huge = append(huge, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)
 	if _, err := readFrame(bufio.NewReader(bytes.NewReader(huge))); err == nil {
 		t.Fatal("oversized length prefix accepted")
+	}
+}
+
+// TestFrameLyingLengthStaysSmall feeds a frame whose length prefix
+// claims 1 GiB but which carries 10 payload bytes before the stream
+// ends: readFrame must fail without allocating for the claim. Measured
+// on one P with the collector held off, like a warmed call.
+func TestFrameLyingLengthStaysSmall(t *testing.T) {
+	frame := appendHeader(nil, Message{Src: 1, Tag: 2, Payload: make([]byte, 1<<30)})
+	frame = append(frame, make([]byte, 10)...)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readFrame(bufio.NewReader(bytes.NewReader(frame)))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("1 GiB claim with 10 bytes: got %v, want io.ErrUnexpectedEOF", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 4<<20 {
+		t.Errorf("readFrame allocated %d bytes for a 10-byte payload claiming 1 GiB, want < 4 MiB", n)
 	}
 }
 

@@ -20,6 +20,13 @@ type inbox struct {
 	metrics Metrics
 	closed  <-chan struct{} // the network's close signal
 	timeout time.Duration   // per-operation deadline; 0 = none
+	// timer is the owner's receive deadline, created by the first
+	// receive that blocks and re-armed by every later one. One timer
+	// serves every receive because only the owner receives, one call at
+	// a time; Reset and Stop drop an expiry still pending (the timer
+	// semantics of Go 1.23 on, which go.mod's go line selects), so a
+	// receive never sees the deadline of an earlier one.
+	timer *time.Timer
 }
 
 // newInbox sizes the channel at 2p+16 slots, enough for the direct
@@ -67,11 +74,43 @@ func (b *inbox) deliver(m Message) error {
 	}
 }
 
+// poll takes a message that has already arrived, without blocking.
+func (b *inbox) poll() (Message, bool) {
+	select {
+	case m := <-b.ch:
+		return m, true
+	default:
+		return Message{}, false
+	}
+}
+
+// arm starts the owner's deadline for a receive about to block; the
+// caller defers disarm. A disabled timeout yields a nil channel, which
+// blocks forever in a select.
+func (b *inbox) arm() <-chan time.Time {
+	if b.timeout <= 0 {
+		return nil
+	}
+	if b.timer == nil {
+		b.timer = time.NewTimer(b.timeout)
+	} else {
+		b.timer.Reset(b.timeout)
+	}
+	return b.timer.C
+}
+
+func (b *inbox) disarm() {
+	if b.timer != nil {
+		b.timer.Stop()
+	}
+}
+
 func (b *inbox) Recv(src, tag int) ([]byte, error) {
 	if err := validRank(src, b.size); err != nil {
 		return nil, err
 	}
-	// Check messages parked by earlier mismatched receives.
+	// Check messages parked by earlier mismatched receives, then those
+	// already in the channel: neither needs the deadline.
 	for i, m := range b.pending {
 		if m.Src == src && m.Tag == tag {
 			b.pending = append(b.pending[:i], b.pending[i+1:]...)
@@ -79,8 +118,15 @@ func (b *inbox) Recv(src, tag int) ([]byte, error) {
 			return m.Payload, nil
 		}
 	}
-	deadline, stop := opDeadline(b.timeout)
-	defer stop()
+	for m, ok := b.poll(); ok; m, ok = b.poll() {
+		if m.Src == src && m.Tag == tag {
+			b.metrics.addRecv(len(m.Payload))
+			return m.Payload, nil
+		}
+		b.pending = append(b.pending, m)
+	}
+	deadline := b.arm()
+	defer b.disarm()
 	for {
 		select {
 		case m := <-b.ch:
@@ -106,15 +152,18 @@ func (b *inbox) RecvAny() (Message, error) {
 		b.metrics.addRecv(len(m.Payload))
 		return m, nil
 	}
-	deadline, stop := opDeadline(b.timeout)
-	defer stop()
-	select {
-	case m := <-b.ch:
-		b.metrics.addRecv(len(m.Payload))
-		return m, nil
-	case <-b.closed:
-		return Message{}, ErrClosed
-	case <-deadline:
-		return Message{}, b.expired(b.rank, "recv (any)")
+	m, ok := b.poll()
+	if !ok {
+		deadline := b.arm()
+		defer b.disarm()
+		select {
+		case m = <-b.ch:
+		case <-b.closed:
+			return Message{}, ErrClosed
+		case <-deadline:
+			return Message{}, b.expired(b.rank, "recv (any)")
+		}
 	}
+	b.metrics.addRecv(len(m.Payload))
+	return m, nil
 }

@@ -86,8 +86,9 @@ type TCPOptions struct {
 	// Timeout is the per-operation deadline: every blocking Send or Recv
 	// that exceeds it fails with an error naming the stuck operation.
 	// On this transport it is enforced as net.Conn write deadlines on
-	// sends, read deadlines on mid-frame stalls, and a timer on inbox
-	// matching. Zero selects DefaultTimeout, a negative value disables it.
+	// sends, read deadlines on mid-frame stalls, and the endpoint's one
+	// receive timer, re-armed only by a receive that has to wait for its
+	// message. Zero selects DefaultTimeout, a negative value disables it.
 	Timeout time.Duration
 	// SetupTimeout bounds every dial and handshake, both during setup
 	// and on later lazy dials; zero selects DefaultSetupTimeout.

@@ -366,15 +366,16 @@ func TestBadSeqPayloadIsRejected(t *testing.T) {
 	local := []uint64{1, 2, 3}
 	seqOps := []struct {
 		name string
-		// collectives is how many the operation starts before its
-		// all-to-all; the misbehaving peer has to keep step.
-		collectives int
-		run         func(w *dist.Worker) error
+		// gathered is what the peer contributes to each all-gather the
+		// operation starts before its all-to-all, so that it keeps step:
+		// Union and Zip gather both sequence lengths at once.
+		gathered [][]uint64
+		run      func(w *dist.Worker) error
 	}{
-		{"Sort", 1, func(w *dist.Worker) error { _, err := Sort(w, local); return err }},
-		{"Merge", 1, func(w *dist.Worker) error { _, err := Merge(w, local, local); return err }},
-		{"Union", 2, func(w *dist.Worker) error { _, err := Union(w, local, local); return err }},
-		{"Zip", 2, func(w *dist.Worker) error { _, err := Zip(w, local, local); return err }},
+		{"Sort", [][]uint64{{3}}, func(w *dist.Worker) error { _, err := Sort(w, local); return err }},
+		{"Merge", [][]uint64{{3}}, func(w *dist.Worker) error { _, err := Merge(w, local, local); return err }},
+		{"Union", [][]uint64{{3, 3}}, func(w *dist.Worker) error { _, err := Union(w, local, local); return err }},
+		{"Zip", [][]uint64{{3, 3}}, func(w *dist.Worker) error { _, err := Zip(w, local, local); return err }},
 	}
 	for _, op := range seqOps {
 		var got error
@@ -383,8 +384,8 @@ func TestBadSeqPayloadIsRejected(t *testing.T) {
 				got = op.run(w)
 				return nil
 			}
-			for i := 0; i < op.collectives; i++ {
-				if _, err := w.Coll.AllGather([]uint64{uint64(len(local))}); err != nil {
+			for _, words := range op.gathered {
+				if _, err := w.Coll.AllGather(words); err != nil {
 					return err
 				}
 			}

@@ -8,19 +8,26 @@ import (
 	"repro/internal/dist"
 )
 
-// globalOffsets returns the starting global index of every PE's share
-// of a sequence of which this PE holds n elements; starts[p] is the
-// global total.
-func globalOffsets(w *dist.Worker, n int) (starts []uint64, err error) {
-	parts, err := w.Coll.AllGather([]uint64{uint64(n)})
+// globalOffsets returns, for two sequences of which this PE holds na
+// and nb elements, the starting global index of every PE's share of
+// each; aStarts[p] and bStarts[p] are the global totals. One all-gather
+// of two words per PE serves both sequences.
+func globalOffsets(w *dist.Worker, na, nb int) (aStarts, bStarts []uint64, err error) {
+	parts, err := w.Coll.AllGather([]uint64{uint64(na), uint64(nb)})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	starts = make([]uint64, w.Size()+1)
+	p := w.Size()
+	starts := make([]uint64, 2*(p+1))
+	aStarts, bStarts = starts[:p+1], starts[p+1:]
 	for r, part := range parts {
-		starts[r+1] = starts[r] + part[0]
+		if len(part) != 2 {
+			return nil, nil, fmt.Errorf("ops: PE %d sent %d sequence lengths, want 2", r, len(part))
+		}
+		aStarts[r+1] = aStarts[r] + part[0]
+		bStarts[r+1] = bStarts[r] + part[1]
 	}
-	return starts, nil
+	return aStarts, bStarts, nil
 }
 
 // overlap returns the local index range [i, j) of the elements of a
@@ -37,11 +44,7 @@ func overlap(start uint64, n int, lo, hi uint64) (i, j int) {
 // sequence, in order.
 func Zip(w *dist.Worker, a, b []uint64) ([]data.Pair, error) {
 	p, rank := w.Size(), w.Rank()
-	aStarts, err := globalOffsets(w, len(a))
-	if err != nil {
-		return nil, err
-	}
-	bStarts, err := globalOffsets(w, len(b))
+	aStarts, bStarts, err := globalOffsets(w, len(a), len(b))
 	if err != nil {
 		return nil, err
 	}
@@ -83,11 +86,7 @@ func Zip(w *dist.Worker, a, b []uint64) ([]data.Pair, error) {
 // concatenation.
 func Union(w *dist.Worker, a, b []uint64) ([]uint64, error) {
 	p, rank := w.Size(), w.Rank()
-	aStarts, err := globalOffsets(w, len(a))
-	if err != nil {
-		return nil, err
-	}
-	bStarts, err := globalOffsets(w, len(b))
+	aStarts, bStarts, err := globalOffsets(w, len(a), len(b))
 	if err != nil {
 		return nil, err
 	}

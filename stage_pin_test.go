@@ -156,7 +156,7 @@ func TestStageRunnerStatsPinned(t *testing.T) {
 // TestStageRunnerPrepErrorPinned is the third error exit: the zip
 // checker's preparation (the offset scan) fails on the wire after the
 // operation succeeded. The receive that fails is rank 0's, of rank 1's
-// partial on the scan's way up — the sixth non-empty message of a
+// partial on the scan's way up — the fourth non-empty message of a
 // two-PE run whose zip moves no data — so rank 0's entry is
 // deterministic: an error verdict charged with the preparation's traffic
 // so far, and nothing pending.
@@ -165,7 +165,7 @@ func TestStageRunnerPrepErrorPinned(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			net := comm.NewFaultyNetwork(comm.NewMemNetwork(2), 0, 0)
 			defer net.Close()
-			net.ArmRecvErr(6)
+			net.ArmRecvErr(4)
 			var got statPin
 			var pending int
 			err := dist.RunNetwork(net, 7, func(w *dist.Worker) error {
