@@ -32,7 +32,9 @@ func (c SumConfig) Name() string {
 }
 
 // TableBits is the size of the minireduction result in bits:
-// #its * d * ceil(log2(2*rhat)), the "Table size" column of Table 3.
+// #its * d * ceil(log2(2*rhat)), the "Table size" column of Table 3. A
+// sealed sum state carries its table in exactly these bits, rounded up
+// to a 64-bit word.
 func (c SumConfig) TableBits() int {
 	return c.Iterations * c.Buckets * (c.RHatLog + 1)
 }

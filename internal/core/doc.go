@@ -54,6 +54,19 @@
 // replica digest; Min/Max is a replica digest; Perm and Redist are a
 // hash sum; Sorted is a hash sum plus an interval; Zip is fingerprints.
 //
+// Tables and hash sums travel at the paper's bit count. A state packs
+// them when it seals: each table counter into m+1 bits and each hash
+// sum into logH bits, lane after lane, iteration-major, in
+// ceil(lanes*width/64) words. Both packings are lossless. A counter is
+// a residue below r <= 2^(m+1), so m+1 bits hold it exactly; and the low
+// logH bits of a hash sum, the only ones its accept test reads, are the
+// same whether the sum is masked at seal or after adding mod 2^64.
+// Combine adds packed lanes in place, mod r_i or mod 2^logH, without a
+// carry crossing lanes, and a packed segment is all zero exactly when
+// every lane is. A sum checker's wire bits are therefore TableBits
+// rounded up to a word (Lemma 3, Table 2), a permutation checker's
+// #its·logH; the other three sketches stay 64-bit words.
+//
 // A checker exists in two layers, and nothing else builds a state:
 //
 //   - the builder (builder.go), where a checker accumulates in chunks:

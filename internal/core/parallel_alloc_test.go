@@ -90,6 +90,16 @@ func TestWarmSumAggStateAllocs(t *testing.T) {
 	}
 }
 
+// TestPackedCombineAllocs pins that combining two packed 6×32 m9 tables,
+// what every tree edge of a resolve does, works lane by lane in place.
+func TestPackedCombineAllocs(t *testing.T) {
+	st := packedSumState()
+	dst, src := append([]uint64(nil), st.Words()...), st.Words()
+	if n := testing.AllocsPerRun(100, func() { st.Combine(dst, src) }); n != 0 {
+		t.Errorf("Combine allocates %.0f objects per call, want 0", n)
+	}
+}
+
 // TestCheckerSetupAllocs pins what building and sealing a permutation or
 // sort checker costs the heap in the steady state: no hash table. The
 // Tab family's tables are 8 KiB each and there are two per checker, so

@@ -415,6 +415,9 @@ func TestRecycledTablesNeverLeak(t *testing.T) {
 			return lambda
 		}
 		wantA, wantB := want(0xa), want(0xb)
+		// A sealed state keeps each sum's low LogH bits, the only ones a
+		// verdict reads, packed one lane per iteration.
+		width, mask := uint(cfg.LogH), uint64(1)<<cfg.LogH-1
 		for round := 0; round < 4; round++ {
 			// Consume several builders at once — by Seal and by Merge —
 			// so the pool holds more tables than the next checker
@@ -427,17 +430,20 @@ func TestRecycledTablesNeverLeak(t *testing.T) {
 			}
 			held[0].Merge(held[1])
 			for i, b := range []*PermBuilder{held[0], held[2]} {
-				st := b.Seal()
-				for it, v := range st.Words() {
-					if v != uint64(2-i)*wantA[it] {
-						t.Fatalf("%s round %d: builder %d sealed to %#x in iteration %d, want %d × %#x", fam.Name, round, i, v, it, 2-i, wantA[it])
+				words := b.Seal().Words()
+				for it := range cfg.Iterations {
+					if v, w := lane(words, it, width), uint64(2-i)*wantA[it]&mask; v != w {
+						t.Fatalf("%s round %d: builder %d sealed to %#x in iteration %d, want %#x", fam.Name, round, i, v, it, w)
 					}
 				}
 			}
 			b := NewPermBuilder("victim", cfg, 0xb, Serial)
 			b.AddInput(xs)
-			if got := b.Seal().Words(); got[0] != wantB[0] || got[1] != wantB[1] {
-				t.Fatalf("%s round %d: checker on recycled tables fingerprints to %#x, want %#x", fam.Name, round, got, wantB)
+			words := b.Seal().Words()
+			for it := range cfg.Iterations {
+				if v, w := lane(words, it, width), wantB[it]&mask; v != w {
+					t.Fatalf("%s round %d: checker on recycled tables fingerprints to %#x in iteration %d, want %#x", fam.Name, round, v, it, w)
+				}
 			}
 		}
 	}

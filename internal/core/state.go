@@ -128,12 +128,12 @@ type segKind uint8
 
 const (
 	// segTable is one sum-checker table (Algorithm 1): a row of d
-	// counters mod r per iteration. Rows add mod their r; a correct
-	// result leaves every counter zero.
+	// counters mod r per iteration, packed at m+1 bits a counter. Rows
+	// add mod their r; a correct result leaves every counter zero.
 	segTable segKind = iota
 	// segHashSum is the truncated hash sums of the permutation checker
-	// (Lemma 4), one word per iteration. They add mod 2^64; a correct
-	// result leaves every sum zero under the mask.
+	// (Lemma 4), one logH-bit lane per iteration, packed. They add mod
+	// 2^logH; a correct result leaves every sum zero.
 	segHashSum
 	// segInterval is the 4-word sortedness interval of the sort checker
 	// (Theorem 7): merged in rank order, a sorted result keeps its
@@ -148,11 +148,19 @@ const (
 	segReplica
 )
 
-// segment is one sketch in a state's words: its kind and its length.
+// segment is one sketch in a state's words: its kind and its lanes,
+// each width bits wide. Table and hash-sum lanes are packed back to
+// back, iteration-major, into ceil(lanes*width/64) words when the state
+// seals (newState); the other sketches are whole words (width 64).
 type segment struct {
-	n    uint32
-	kind segKind
-	logH uint8 // segHashSum: the hash bits a sum keeps
+	lanes uint32
+	kind  segKind
+	width uint8
+}
+
+// words is the segment's length in a sealed state's words.
+func (sg segment) words() int {
+	return int((uint64(sg.lanes)*uint64(sg.width) + 63) / 64)
 }
 
 // Word layouts of the fixed-size segments. The sortedness interval is
@@ -176,17 +184,27 @@ const (
 	replWords
 )
 
+// tableSeg is c's table: TableWords counters, each a residue below
+// r <= 2^(m+1), so m+1 bits hold one exactly — TableBits in all.
 func tableSeg(c *SumChecker) segment {
-	return segment{kind: segTable, n: uint32(c.TableWords())}
+	return segment{kind: segTable, lanes: uint32(c.TableWords()), width: uint8(c.cfg.RHatLog + 1)}
 }
 
+// hashSumSeg is c's hash sums, one per iteration. Only the low logH bits
+// of a sum decide a verdict, and they are the same whether a sum is
+// masked at seal or after adding mod 2^64.
 func hashSumSeg(c *PermChecker) segment {
-	return segment{kind: segHashSum, n: uint32(c.cfg.Iterations), logH: uint8(c.cfg.LogH)}
+	return segment{kind: segHashSum, lanes: uint32(c.cfg.Iterations), width: uint8(c.cfg.LogH)}
+}
+
+// wordSeg is a segment of n whole words.
+func wordSeg(kind segKind, n int) segment {
+	return segment{kind: kind, lanes: uint32(n), width: 64}
 }
 
 var (
-	intervalSeg = segment{kind: segInterval, n: sortWords}
-	replicaSeg  = segment{kind: segReplica, n: replWords}
+	intervalSeg = wordSeg(segInterval, sortWords)
+	replicaSeg  = wordSeg(segReplica, replWords)
 )
 
 // maxSegments is the longest segment list a checker needs: the median
@@ -208,11 +226,21 @@ type state struct {
 	localOK bool
 }
 
-// newState seals words, laid out as segs in order, into a CheckState;
-// sum is the checker of its table segments, if any.
+// newState seals words, one word per lane laid out as segs in order,
+// into a CheckState; sum is the checker of its table segments, if any.
+// It packs every segment to its lanes' width in place — a packed
+// segment is never longer than its source, so the packing never
+// overtakes what it has still to read — and takes ownership of words.
 func newState(stage string, words []uint64, localOK bool, sum *SumChecker, segs ...segment) CheckState {
-	st := &state{stage: stage, words: words, localOK: localOK, sum: sum}
+	st := &state{stage: stage, localOK: localOK, sum: sum}
 	st.nsegs = uint8(copy(st.segs[:], segs))
+	in, out := 0, 0
+	for _, sg := range segs {
+		n := int(sg.lanes)
+		out += packLanes(words[out:], words[in:in+n], uint(sg.width))
+		in += n
+	}
+	st.words = words[:out]
 	return st
 }
 
@@ -222,15 +250,14 @@ func (s *state) LocalOK() bool   { return s.localOK }
 
 func (s *state) Combine(dst, src []uint64) {
 	for _, sg := range s.segs[:s.nsegs] {
-		d, r := dst[:sg.n], src[:sg.n]
-		dst, src = dst[sg.n:], src[sg.n:]
+		n := sg.words()
+		d, r := dst[:n], src[:n]
+		dst, src = dst[n:], src[n:]
 		switch sg.kind {
 		case segTable:
-			addMod(d, r, s.sum.mods)
+			addLanes(d, r, int(sg.lanes), uint(sg.width), s.sum.mods)
 		case segHashSum:
-			for i := range d {
-				d[i] += r[i]
-			}
+			addLanes(d, r, int(sg.lanes), uint(sg.width), nil)
 		case segInterval:
 			mergeInterval(d, r)
 		case segField:
@@ -246,8 +273,9 @@ func (s *state) Combine(dst, src []uint64) {
 
 func (s *state) Verdict(combined []uint64) bool {
 	for _, sg := range s.segs[:s.nsegs] {
-		w := combined[:sg.n]
-		combined = combined[sg.n:]
+		n := sg.words()
+		w := combined[:n]
+		combined = combined[n:]
 		if !sg.accepts(w) {
 			return false
 		}
@@ -255,23 +283,95 @@ func (s *state) Verdict(combined []uint64) bool {
 	return true
 }
 
-// accepts is the segment's accept test on its combined words.
+// accepts is the segment's accept test on its combined words. Packed
+// words are all zero exactly when every lane is: the bits past the last
+// lane are zero from the seal on.
 func (sg segment) accepts(w []uint64) bool {
 	switch sg.kind {
-	case segHashSum:
-		mask := ^uint64(0) >> (64 - sg.logH)
-		for _, v := range w {
-			if v&mask != 0 {
-				return false
-			}
-		}
-		return true
 	case segInterval:
 		return w[sortOK] == 1
 	case segReplica:
 		return w[replMin] == w[replMax]
-	default: // segTable, segField
+	default: // segTable, segHashSum, segField
 		return allZero(w)
+	}
+}
+
+// packLanes packs the low width bits of every word of src into dst as
+// one bit stream, lane i at bits i*width.., and returns the
+// ceil(len(src)*width/64) words it wrote; the bits past the last lane
+// are zero. dst may alias src if it starts no later: word k is written
+// only after lane k has been read.
+func packLanes(dst, src []uint64, width uint) int {
+	if width == 64 {
+		return copy(dst, src)
+	}
+	mask := uint64(1)<<width - 1
+	var acc uint64
+	var fill uint // bits of acc holding lanes
+	n := 0
+	for _, v := range src {
+		v &= mask
+		acc |= v << fill
+		fill += width
+		if fill >= 64 {
+			dst[n] = acc
+			n++
+			fill -= 64
+			acc = v >> (width - fill) // what of v did not fit
+		}
+	}
+	if fill > 0 {
+		dst[n] = acc
+		n++
+	}
+	return n
+}
+
+// lane returns lane i of packed width-bit lanes.
+func lane(w []uint64, i int, width uint) uint64 {
+	bit := uint(i) * width
+	k, off := bit/64, bit%64
+	v := w[k] >> off
+	if off+width > 64 {
+		v |= w[k+1] << (64 - off)
+	}
+	return v & (1<<width - 1)
+}
+
+// setLane overwrites lane i of packed width-bit lanes with the low
+// width bits of v, leaving its neighbours alone.
+func setLane(w []uint64, i int, width uint, v uint64) {
+	bit := uint(i) * width
+	k, off := bit/64, bit%64
+	mask := uint64(1)<<width - 1
+	v &= mask
+	w[k] = w[k]&^(mask<<off) | v<<off
+	if off+width > 64 {
+		w[k+1] = w[k+1]&^(mask>>(64-off)) | v>>(64-off)
+	}
+}
+
+// addLanes adds src's packed width-bit lanes into dst's, lane by lane:
+// given mods, the lanes are a table and each iteration's row of
+// lanes/len(mods) residues adds mod its r, as addMod does unpacked;
+// without, every lane adds mod 2^width.
+func addLanes(dst, src []uint64, lanes int, width uint, mods []uint64) {
+	if mods == nil {
+		for i := range lanes {
+			setLane(dst, i, width, lane(dst, i, width)+lane(src, i, width))
+		}
+		return
+	}
+	d := lanes / len(mods)
+	for it, r := range mods {
+		for i := it * d; i < (it+1)*d; i++ {
+			s := lane(dst, i, width) + lane(src, i, width) // both < r <= 2^63
+			if s >= r {
+				s -= r
+			}
+			setLane(dst, i, width, s)
+		}
 	}
 }
 

@@ -99,15 +99,17 @@ func pinCases() []pinCase {
 		}
 	}
 	return []pinCase{
-		{"SumAgg", [2]string{"words=32 ok=true fnv=d80ac658736bb725", "words=32 ok=true fnv=6d9f04206bb3c6af"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
+		// One 4×8 m7 table: 32 lanes × 8 bits = 4 words.
+		{"SumAgg", [2]string{"words=4 ok=true fnv=0c8210784d8af5a5", "words=4 ok=true fnv=477aa3128e8a32af"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
 			out := bad(sums, corrupt, func(ps []data.Pair) { ps[0].Value++ })
 			return NewSumAggState("Sum", smallCfg, seed, Serial, shardPairs(pairs, p, rank), shardPairs(out, p, rank))
 		}},
-		{"CountBuilder", [2]string{"words=32 ok=true fnv=d80ac658736bb725", "words=32 ok=true fnv=27886a8058711b2b"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
+		{"CountBuilder", [2]string{"words=4 ok=true fnv=0c8210784d8af5a5", "words=4 ok=true fnv=8ba4c297c5201a5b"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
 			out := bad(countOut, corrupt, func(ps []data.Pair) { ps[len(ps)-1].Value += 2 })
 			return countState(smallCfg, seed, Serial, shardPairs(pairs, p, rank), shardPairs(out, p, rank))
 		}},
-		{"Avg", [2]string{"words=64 ok=true fnv=7da144b97d054b25", "words=64 ok=true fnv=866e10e6124582af"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
+		// Two tables, sum lane and count lane: 4 + 4 words.
+		{"Avg", [2]string{"words=8 ok=true fnv=b9b23f3a46fd0825", "words=8 ok=true fnv=1e287415d2794a2f"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
 			as := avgs
 			if corrupt {
 				as = append([]AvgAssertion(nil), avgs...)
@@ -118,11 +120,13 @@ func pinCases() []pinCase {
 		}},
 		{"Min", [2]string{"words=2 ok=true fnv=fcb21ca91c6cf625", "words=2 ok=false fnv=15280977c785c951"}, minmax(true)},
 		{"Max", [2]string{"words=2 ok=true fnv=73fa549501497965", "words=2 ok=false fnv=94ca215da5a94d95"}, minmax(false)},
-		{"Median", [2]string{"words=34 ok=true fnv=d505db416a2410dd", "words=34 ok=true fnv=619142f2e594b5cb"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
+		// One table and the 2-word replica digest: 4 + 2 words.
+		{"Median", [2]string{"words=6 ok=true fnv=183cb22b8025c35d", "words=6 ok=true fnv=6c96ffdb6384c6a3"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
 			ms := bad(medians, corrupt, func(ps []data.Pair) { ps[0].Value += 1 << 41 })
 			return NewMedianAggState("Median", smallCfg, seed, rank, shardPairs(distinct, p, rank), ms, nil)
 		}},
-		{"MedianTies", [2]string{"words=66 ok=true fnv=f34e89da614995b9", "words=66 ok=false fnv=687bd73037b017c5"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
+		// Balance and equality tables and the replica digest: 4 + 4 + 2 words.
+		{"MedianTies", [2]string{"words=10 ok=true fnv=88b4d3d663e892b9", "words=10 ok=false fnv=6957bebdef1fe9b7"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
 			ms := tiedMedians
 			if corrupt {
 				ms = ms[1:] // a dropped key: its input elements have no median

@@ -102,7 +102,9 @@ func newSumChecker(cfg SumConfig, seed uint64, forceGeneral bool, forceG int) *S
 // Config returns the checker's configuration.
 func (c *SumChecker) Config() SumConfig { return c.cfg }
 
-// TableWords is the number of 64-bit counters (#its * d).
+// TableWords is the number of 64-bit counters (#its * d) a table holds
+// in memory while it accumulates. It is not what goes on the wire: a
+// sealed state packs each counter into RHatLog+1 bits, TableBits in all.
 func (c *SumChecker) TableWords() int { return c.cfg.Iterations * c.cfg.Buckets }
 
 // NewTable allocates a zeroed counter table.

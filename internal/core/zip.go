@@ -61,7 +61,7 @@ func NewZipState(stage string, cfg ZipConfig, seed uint64, s1, s2 []uint64, out 
 		lambda[2*it] = hashing.SubMod61(f1[it], fo1[it])
 		lambda[2*it+1] = hashing.SubMod61(f2[it], fo2[it])
 	}
-	return newState(stage, lambda, lengthsOK, nil, segment{kind: segField, n: uint32(len(lambda))})
+	return newState(stage, lambda, lengthsOK, nil, wordSeg(segField, len(lambda)))
 }
 
 // ExclusiveCounts returns, for each local share size in ns, this PE's

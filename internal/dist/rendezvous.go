@@ -146,7 +146,9 @@ func decodeBook(payload []byte) ([]string, error) {
 	}
 	p := int(binary.LittleEndian.Uint32(payload))
 	pos := 4
-	addrs := make([]string, 0, p)
+	// The count is the sender's claim: size the book by what the payload
+	// can hold, at least 2 bytes an entry, not by p.
+	addrs := make([]string, 0, min(p, (len(payload)-4)/2))
 	for i := 0; i < p; i++ {
 		if pos+2 > len(payload) {
 			return nil, fmt.Errorf("dist: truncated BOOK entry %d", i)

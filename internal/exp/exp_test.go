@@ -233,6 +233,24 @@ func TestCommVolumeSublinear(t *testing.T) {
 	}
 }
 
+// TestCheckerBytesAreTableBits holds the wire to the paper's count: on
+// the commvolume job at p = 4, the bottleneck PE sends its table in
+// TableBits rounded up to words, one flag word beside it, and one
+// verdict word down the tree — for the default configuration and every
+// configuration of Fig. 4.
+func TestCheckerBytesAreTableBits(t *testing.T) {
+	cfgs := append([]core.SumConfig{repro.DefaultOptions().Sum}, core.ScalingConfigs()...)
+	rows, err := Sweep(SweepOptions{Points: []Point{{4, 500}}, Configs: cfgs, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if want := int64(8 * ((r.TableBits+63)/64 + 2)); r.CheckerBytes != want {
+			t.Errorf("%s: %d checker bytes, want %d: a %d-bit table in words, a flag and a verdict", r.Config, r.CheckerBytes, want, r.TableBits)
+		}
+	}
+}
+
 func TestRenderers(t *testing.T) {
 	if s := RenderTable1(); !strings.Contains(s, "Sum/Count") {
 		t.Error("Table 1 rendering incomplete")

@@ -682,9 +682,11 @@ func TestParallelismEquivalence(t *testing.T) {
 func TestReduceByKeyEdgeShapesOneSided(t *testing.T) {
 	opts := repro.DefaultOptions()
 	opts.Mode = repro.CheckEager
-	// The bottleneck PE's checker bytes under the default options, as
-	// measured before the reduce data plane was rewritten.
-	wantMaxBytes := map[int]int64{1: 0, 2: 1544, 3: 1544, 5: 1552, 8: 1560}
+	// The bottleneck PE's checker bytes under the default options: the
+	// 6×32 m9 table packed (1 920 bits = 30 words) and the flag word up,
+	// plus one verdict word down per tree child — 31 words at p = 2 and
+	// 3, 32 at p = 5, 33 at p = 8.
+	wantMaxBytes := map[int]int64{1: 0, 2: 248, 3: 248, 5: 256, 8: 264}
 	for _, transport := range []repro.Transport{repro.TransportMem, repro.TransportTCP} {
 		for _, p := range []int{1, 2, 3, 5, 8} {
 			shapes := slices.DeleteFunc(workload.EdgePairShares(p, uint64(200+p)), func(s workload.PairShares) bool {
@@ -749,7 +751,9 @@ func TestSeqOpsEdgeShapesOneSided(t *testing.T) {
 	// The bottleneck PE's checker bytes for the four stages together
 	// under the default options: a pin that data-plane work must not
 	// move (the Zip stage's share includes its one-scan preparation).
-	wantMaxBytes := map[int]int64{1: 0, 2: 200, 3: 200, 5: 280, 8: 360}
+	// Sort, Merge and Union each send their 2 × Tab 32 hash sums packed
+	// into one word, not two: 8 bytes a stage below 200/280/360 unpacked.
+	wantMaxBytes := map[int]int64{1: 0, 2: 176, 3: 176, 5: 256, 8: 336}
 	for _, transport := range []repro.Transport{repro.TransportMem, repro.TransportTCP} {
 		for _, p := range []int{1, 2, 3, 5, 8} {
 			shapes := workload.EdgeSeqShares(p, uint64(400+p))
