@@ -14,10 +14,10 @@ import (
 // allReduceAllocsCeiling is what one warmed 32-word AllReduce on four
 // mem PEs may allocate, summed over the PEs. Measured at 13 after the
 // receive deadline became one timer per endpoint and sweepUp started
-// decoding into the communicator's buffer (40 before); what is left is
-// each PE's accumulator, the payloads it sends and the broadcast's
-// decoded words.
-const allReduceAllocsCeiling = 13
+// decoding into the communicator's buffer (40 before), and at 4 once
+// payloads came from comm's pool and the broadcast decoded into the
+// communicator's buffer too: what is left is each PE's result.
+const allReduceAllocsCeiling = 4
 
 // TestAllReduceAllocs pins the collective message path: resident PE
 // goroutines run one AllReduce per round, so only what the collective

@@ -41,6 +41,25 @@
 // send/recv directly because their payloads are not words; the
 // membership control plane (ctl.go) bypasses metering on purpose.
 //
+// Words are encoded into payloads from comm's payload pool, which the
+// transport owns once they are sent, and a received payload goes back
+// to the pool as soon as it is decoded, so a warmed collective
+// allocates no payloads.
+//
+// # Per-Comm scratch
+//
+// A Comm runs one collective at a time, so each keeps the buffers its
+// collectives decode into and build in, and reuses them from one call
+// to the next: up (a child's words in the upward sweep), down (what a
+// parent sends in the downward sweep), bundle (the gather bundle),
+// scan (ExclusiveScan's partials) and a2a (AllToAllBytes' slice of
+// parts). Two results are scratch, valid until the Comm's next
+// collective: Broadcast's words at every rank but 0, and the slice
+// AllToAllBytes returns (the parts in it are the caller's). Reduce
+// folds into the words it is given. Everything else a collective
+// returns — AllReduce, Gather, AllGather, ExclusiveScan, Exchange and
+// AllToAll — is the caller's.
+//
 // # Tag-space partitioning
 //
 // One endpoint's 63-bit tag space is carved into disjoint regions so
@@ -215,9 +234,11 @@ type Comm struct {
 	bytesSent atomic.Int64
 	msgsSent  atomic.Int64
 
-	// up is sweepUp's receive buffer: each child's words are decoded
-	// into it and folded before the next receive.
-	up []uint64
+	// The scratch of the collectives (see "Per-Comm scratch"): up is
+	// sweepUp's receive buffer, down sweepDown's; bundle is the gather
+	// bundle, scan ExclusiveScan's partials, a2a AllToAllBytes' parts.
+	up, down, bundle, scan []uint64
+	a2a                    [][]byte
 
 	// tr, when non-nil, records a collective-kind span per operation
 	// and a recv-wait span per blocking receive, attributed to
@@ -484,9 +505,10 @@ func (c *Comm) recv(src, tag int) ([]byte, error) {
 	return buf, err
 }
 
-// U64sToBytes encodes words little-endian, 8 bytes per word.
+// U64sToBytes encodes words little-endian, 8 bytes per word, into a
+// payload from comm's pool.
 func U64sToBytes(words []uint64) []byte {
-	buf := make([]byte, 8*len(words))
+	buf := comm.GetPayload(8 * len(words))
 	for i, w := range words {
 		binary.LittleEndian.PutUint64(buf[i*8:], w)
 	}
@@ -516,12 +538,16 @@ func (c *Comm) sendU64s(dst, tag int, words []uint64) error {
 	return c.send(dst, tag, U64sToBytes(words))
 }
 
-func (c *Comm) recvU64s(src, tag int) ([]uint64, error) {
+// recvU64s receives words from src into dst's storage, growing it only
+// when it is too small, and hands the payload back to the pool.
+func (c *Comm) recvU64s(dst []uint64, src, tag int) ([]uint64, error) {
 	buf, err := c.recv(src, tag)
 	if err != nil {
 		return nil, err
 	}
-	return BytesToU64s(buf)
+	words, err := decodeU64s(dst, buf)
+	comm.PutPayload(buf)
+	return words, err
 }
 
 // ReduceOp combines src into dst element-wise. Implementations must be
@@ -557,11 +583,8 @@ func (c *Comm) sweepUp(tag int, acc []uint64, fold func(mask int, acc, got []uin
 			return acc, c.sendU64s(rank-mask, tag, acc)
 		}
 		if child := rank | mask; child < p {
-			buf, err := c.recv(child, tag)
-			if err != nil {
-				return nil, err
-			}
-			if c.up, err = decodeU64s(c.up, buf); err != nil {
+			var err error
+			if c.up, err = c.recvU64s(c.up, child, tag); err != nil {
 				return nil, err
 			}
 			if acc, err = fold(mask, acc, c.up); err != nil {
@@ -574,9 +597,9 @@ func (c *Comm) sweepUp(tag int, acc []uint64, fold func(mask int, acc, got []uin
 
 // sweepDown is this PE's part of the parent-to-child sweep: every PE
 // but rank 0 first replaces words by what its parent sends (want words,
-// when want >= 0), then sends forChild(mask, words) to each child
-// rank|mask, widest subtree first. It returns the words this PE ends up
-// holding.
+// when want >= 0), decoded into c.down, then sends forChild(mask, words)
+// to each child rank|mask, widest subtree first. It returns the words
+// this PE ends up holding: c.down everywhere but at rank 0.
 func (c *Comm) sweepDown(tag int, words []uint64, want int, forChild func(mask int, words []uint64) []uint64) ([]uint64, error) {
 	p, rank := c.Size(), c.Rank()
 	mask := 1
@@ -584,14 +607,14 @@ func (c *Comm) sweepDown(tag int, words []uint64, want int, forChild func(mask i
 		mask <<= 1
 	}
 	if mask < p { // rank != 0, and mask is its lowest set bit
-		got, err := c.recvU64s(rank-mask, tag)
-		if err != nil {
+		var err error
+		if c.down, err = c.recvU64s(c.down, rank-mask, tag); err != nil {
 			return nil, err
 		}
-		if want >= 0 && len(got) != want {
-			return nil, fmt.Errorf("collective: parent %d sent %d words, want %d", rank-mask, len(got), want)
+		if want >= 0 && len(c.down) != want {
+			return nil, fmt.Errorf("collective: parent %d sent %d words, want %d", rank-mask, len(c.down), want)
 		}
-		words = got
+		words = c.down
 	}
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if child := rank | mask; child < p {
@@ -605,20 +628,21 @@ func (c *Comm) sweepDown(tag int, words []uint64, want int, forChild func(mask i
 
 // Broadcast distributes rank 0's words to all PEs along the tree:
 // O(beta*k + alpha*log p). Every PE returns the broadcast data; the
-// argument is ignored at every other rank.
+// argument is ignored at every other rank, where the result is the
+// Comm's scratch, valid until its next collective.
 func (c *Comm) Broadcast(words []uint64) ([]uint64, error) {
 	sp := c.span(obs.KindCollective, "broadcast")
 	defer sp.End()
 	return c.sweepDown(c.nextTag(), words, -1, func(_ int, words []uint64) []uint64 { return words })
 }
 
-// Reduce combines all PEs' words with op along the tree; the result is
-// meaningful only at rank 0 (other PEs receive their subtree's partial).
-// words is not modified. O(beta*k + alpha*log p).
+// Reduce combines all PEs' words with op along the tree, folding them
+// into words, which it returns: the result at rank 0, the PE's
+// subtree's partial everywhere else. O(beta*k + alpha*log p).
 func (c *Comm) Reduce(words []uint64, op ReduceOp) ([]uint64, error) {
 	sp := c.span(obs.KindCollective, "reduce")
 	defer sp.End()
-	return c.sweepUp(c.nextTag(), slices.Clone(words), func(_ int, acc, got []uint64) ([]uint64, error) {
+	return c.sweepUp(c.nextTag(), words, func(_ int, acc, got []uint64) ([]uint64, error) {
 		if len(got) != len(acc) {
 			return nil, fmt.Errorf("collective: reduce length mismatch: %d vs %d", len(got), len(acc))
 		}
@@ -628,13 +652,17 @@ func (c *Comm) Reduce(words []uint64, op ReduceOp) ([]uint64, error) {
 }
 
 // AllReduce combines all PEs' words and distributes the result to every
-// PE (reduce to 0, then broadcast).
+// PE (reduce to 0, then broadcast). words is not modified.
 func (c *Comm) AllReduce(words []uint64, op ReduceOp) ([]uint64, error) {
-	red, err := c.Reduce(words, op)
+	red, err := c.Reduce(slices.Clone(words), op)
 	if err != nil {
 		return nil, err
 	}
-	return c.Broadcast(red)
+	got, err := c.Broadcast(red)
+	if err != nil {
+		return nil, err
+	}
+	return append(red[:0], got...), nil
 }
 
 // Gather collects every PE's words at rank 0, returned as a slice
@@ -666,17 +694,23 @@ func (c *Comm) AllGather(words []uint64) ([][]uint64, error) {
 // entries of the ranks a subtree covers, in rank order. Subtrees are
 // contiguous and arrive in ascending order, so appending keeps a bundle
 // sorted without rank words; what a child sends is checked against the
-// width of its subtree before it is passed on.
+// width of its subtree before it is passed on. The bundle is built in
+// c.bundle.
 func (c *Comm) gather(words []uint64) ([]uint64, error) {
 	sp := c.span(obs.KindCollective, "gather")
 	defer sp.End()
 	p, rank := c.Size(), c.Rank()
-	return c.sweepUp(c.nextTag(), appendPart(nil, words), func(mask int, acc, got []uint64) ([]uint64, error) {
+	flat, err := c.sweepUp(c.nextTag(), appendPart(c.bundle[:0], words), func(mask int, acc, got []uint64) ([]uint64, error) {
 		if err := checkBundle(got, min(mask, p-(rank|mask))); err != nil {
 			return nil, err
 		}
 		return append(acc, got...), nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	c.bundle = flat
+	return flat, nil
 }
 
 // appendPart appends one bundle entry: the part's length, then its words.
@@ -705,16 +739,17 @@ func checkBundle(flat []uint64, want int) error {
 }
 
 // decodeBundle splits a bundle that checkBundle accepts into its parts,
-// which alias flat.
+// copied out of flat into one slice the caller owns.
 func decodeBundle(flat []uint64, want int) ([][]uint64, error) {
 	if err := checkBundle(flat, want); err != nil {
 		return nil, err
 	}
+	own := make([]uint64, len(flat)-want)
 	parts := make([][]uint64, want)
 	for i := range parts {
-		n := flat[0]
-		parts[i] = flat[1 : 1+n : 1+n]
-		flat = flat[1+n:]
+		n := copy(own, flat[1:1+flat[0]])
+		parts[i] = own[:n:n]
+		own, flat = own[n:], flat[1+n:]
 	}
 	return parts, nil
 }
@@ -734,14 +769,19 @@ func (c *Comm) ExclusiveScan(words []uint64, op ReduceOp, identity []uint64) (pr
 	if len(identity) != k {
 		return nil, nil, fmt.Errorf("collective: scan identity has %d words, input %d", len(identity), k)
 	}
-	// left[i] is the partial over ranks [rank, rank+1<<i): what this PE
-	// held before child rank|1<<i was folded in.
-	left := make([][]uint64, bits.Len(uint(c.Size())))
-	acc, err := c.sweepUp(tag, slices.Clone(words), func(mask int, acc, got []uint64) ([]uint64, error) {
+	// c.scan holds the accumulator, then left[i] for every level i: the
+	// partial over ranks [rank, rank+1<<i), what this PE held before
+	// child rank|1<<i was folded in; then the message to a child.
+	levels := bits.Len(uint(c.Size()))
+	c.scan = slices.Grow(c.scan[:0], (levels+3)*k)[:(levels+3)*k]
+	acc, left, child := c.scan[:k], c.scan[k:(levels+1)*k], c.scan[(levels+1)*k:]
+	copy(acc, words)
+	acc, err = c.sweepUp(tag, acc, func(mask int, acc, got []uint64) ([]uint64, error) {
 		if len(got) != k {
 			return nil, fmt.Errorf("collective: scan length mismatch: %d vs %d", len(got), k)
 		}
-		left[bits.TrailingZeros(uint(mask))] = slices.Clone(acc)
+		i := bits.TrailingZeros(uint(mask))
+		copy(left[i*k:(i+1)*k], acc)
 		op(acc, got)
 		return acc, nil
 	})
@@ -749,18 +789,21 @@ func (c *Comm) ExclusiveScan(words []uint64, op ReduceOp, identity []uint64) (pr
 		return nil, nil, err
 	}
 	// Downward a message is prefix then total; rank 0 starts it.
-	var down []uint64
+	down := make([]uint64, 2*k)
 	if c.Rank() == 0 {
-		down = append(slices.Clone(identity), acc...)
+		copy(down, identity)
+		copy(down[k:], acc)
 	}
-	down, err = c.sweepDown(tag, down, 2*k, func(mask int, down []uint64) []uint64 {
-		child := slices.Clone(down)
-		op(child[:k], left[bits.TrailingZeros(uint(mask))])
+	got, err := c.sweepDown(tag, down, 2*k, func(mask int, down []uint64) []uint64 {
+		i := bits.TrailingZeros(uint(mask))
+		copy(child, down)
+		op(child[:k], left[i*k:(i+1)*k])
 		return child
 	})
 	if err != nil {
 		return nil, nil, err
 	}
+	copy(down, got)
 	return down[:k:k], down[k:], nil
 }
 
@@ -791,7 +834,10 @@ func (c *Comm) Barrier() error {
 // indexed by source. Direct delivery with an offset schedule:
 // O(beta*k + alpha*p), matching Section 2's Tall-to-all. Ownership
 // follows Endpoint.Send: the caller gives up every part it passes in
-// and owns every part returned (its own part comes back as it went in).
+// and owns every part returned (its own part comes back as it went in),
+// and may hand each back to comm's pool once it has read it. The
+// returned slice itself is the Comm's scratch, valid until its next
+// AllToAllBytes.
 func (c *Comm) AllToAllBytes(parts [][]byte) ([][]byte, error) {
 	sp := c.span(obs.KindCollective, "alltoall")
 	defer sp.End()
@@ -800,7 +846,9 @@ func (c *Comm) AllToAllBytes(parts [][]byte) ([][]byte, error) {
 	if len(parts) != p {
 		return nil, fmt.Errorf("collective: AllToAll needs %d parts, got %d", p, len(parts))
 	}
-	out := make([][]byte, p)
+	c.a2a = slices.Grow(c.a2a[:0], p)[:p]
+	out := c.a2a
+	clear(out)
 	out[rank] = parts[rank]
 	for offset := 1; offset < p; offset++ {
 		dst := (rank + offset) % p
@@ -833,6 +881,7 @@ func (c *Comm) AllToAll(parts [][]uint64) ([][]uint64, error) {
 		if err != nil {
 			return nil, err
 		}
+		comm.PutPayload(b)
 	}
 	return out, nil
 }
@@ -853,5 +902,5 @@ func (c *Comm) Exchange(dst int, words []uint64, src int) ([]uint64, error) {
 	if src < 0 {
 		return nil, nil
 	}
-	return c.recvU64s(src, tag)
+	return c.recvU64s(nil, src, tag)
 }

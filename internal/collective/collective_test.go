@@ -74,14 +74,40 @@ func TestReduceSum(t *testing.T) {
 	}
 }
 
-func TestReduceDoesNotClobberInput(t *testing.T) {
+// TestReduceFoldsIntoInput pins Reduce's contract: it folds into the
+// words it is given and returns them, so rank 0's input ends up holding
+// the whole reduction and no PE pays for a copy.
+func TestReduceFoldsIntoInput(t *testing.T) {
 	runSPMD(t, 4, func(c *Comm) error {
 		in := []uint64{uint64(c.Rank())}
-		if _, err := c.Reduce(in, OpSum); err != nil {
+		got, err := c.Reduce(in, OpSum)
+		if err != nil {
+			return err
+		}
+		if &got[0] != &in[0] {
+			t.Errorf("rank %d: Reduce returned a copy, want its input", c.Rank())
+		}
+		if c.Rank() == 0 && in[0] != 6 {
+			t.Errorf("rank 0: input holds %d after the reduction, want 6", in[0])
+		}
+		return nil
+	})
+}
+
+// TestAllReduceKeepsInput: AllReduce, unlike Reduce, leaves its input
+// alone and returns a result of the caller's.
+func TestAllReduceKeepsInput(t *testing.T) {
+	runSPMD(t, 4, func(c *Comm) error {
+		in := []uint64{uint64(c.Rank())}
+		got, err := c.AllReduce(in, OpSum)
+		if err != nil {
 			return err
 		}
 		if in[0] != uint64(c.Rank()) {
 			t.Errorf("rank %d: input clobbered to %d", c.Rank(), in[0])
+		}
+		if &got[0] == &in[0] || got[0] != 6 {
+			t.Errorf("rank %d: AllReduce returned %v (aliasing its input: %v), want a fresh [6]", c.Rank(), got, &got[0] == &in[0])
 		}
 		return nil
 	})

@@ -35,7 +35,9 @@ func (c *Comm) RecvCtl(src int, timeout time.Duration) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return BytesToU64s(buf)
+	words, err := BytesToU64s(buf)
+	comm.PutPayload(buf)
+	return words, err
 }
 
 // PoisonCtl fails every current and future RecvCtl from physical rank

@@ -96,3 +96,63 @@ func TestPingPongAllocs(t *testing.T) {
 		t.Errorf("warmed mem ping-pong allocates %.2f objects per message, want at most 1 (its payload)", perMsg)
 	}
 }
+
+// TestPayloadPoolAllocs pins that a warmed pool hands out and takes back
+// a payload of every class, and one between two classes, without
+// allocating.
+func TestPayloadPoolAllocs(t *testing.T) {
+	for _, n := range []int{1, 64, 100, 4096, 5000, 1 << maxPayloadShift} {
+		PutPayload(GetPayload(n))
+		if a := testing.AllocsPerRun(100, func() { PutPayload(GetPayload(n)) }); a != 0 {
+			t.Errorf("GetPayload(%d) and PutPayload allocate %.1f objects, want 0", n, a)
+		}
+	}
+}
+
+// TestTCPPingPongAllocs pins a warmed TCP ping-pong of pooled payloads:
+// the sender's payload goes back to the pool once its frame is written,
+// the receiver reads the frame into one from the pool, and the echo
+// sends the payload it received, so no message allocates anything.
+func TestTCPPingPongAllocs(t *testing.T) {
+	const runs = 200
+	net, err := NewTCPNetwork(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	a, b := net.Endpoint(0), net.Endpoint(1)
+	echo := make(chan error, 1)
+	go func() {
+		// Two more legs than AllocsPerRun runs: its warm-up call and
+		// the one below.
+		for i := 0; i < runs+2; i++ {
+			buf, err := b.Recv(0, 1)
+			if err == nil {
+				err = b.Send(0, 2, buf)
+			}
+			if err != nil {
+				echo <- err
+				return
+			}
+		}
+		echo <- nil
+	}()
+	leg := func() {
+		if err := a.Send(1, 1, GetPayload(64)); err != nil {
+			t.Fatal(err)
+		}
+		buf, err := a.Recv(1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		PutPayload(buf)
+	}
+	leg()
+	n := testing.AllocsPerRun(runs, leg)
+	if err := <-echo; err != nil {
+		t.Fatal(err)
+	}
+	if perMsg := n / 2; perMsg != 0 {
+		t.Errorf("warmed TCP ping-pong of pooled payloads allocates %.2f objects per message, want 0", perMsg)
+	}
+}

@@ -132,11 +132,16 @@ type Endpoint interface {
 	// Size is the number of PEs p.
 	Size() int
 	// Send delivers payload to dst with the given tag. The payload is
-	// owned by the transport after the call.
+	// owned by the transport after the call: the sender never touches
+	// it again, and never sends one buffer twice. The transport may pass
+	// it to the receiver as it is (mem) or return it to the payload pool
+	// once its frame is written (tcp).
 	Send(dst, tag int, payload []byte) error
 	// Recv blocks until a message with the given source and tag is
 	// available and returns its payload. Messages from other sources or
-	// with other tags are queued, not lost.
+	// with other tags are queued, not lost. The payload is the
+	// receiver's: once it has read it, it may hand it back with
+	// PutPayload.
 	Recv(src, tag int) ([]byte, error)
 	// RecvAny blocks until any message addressed to this endpoint is
 	// available and returns it, earliest queued first. It is the pull

@@ -22,11 +22,12 @@ import (
 // (checker states, collective bundles) are orders of magnitude smaller.
 const maxFramePayload = 1 << 31
 
-// frameChunk is what readFrame allocates for a payload before any of it
-// has arrived. A longer payload grows by doubling as its bytes come in,
-// so a length prefix that lies — corrupted, or sent by a faulty peer —
-// costs at most twice the bytes actually received, plus frameChunk.
-const frameChunk = 1 << 20
+// frameChunk is what readFrame takes for a payload before any of it has
+// arrived: a buffer from the payload pool, whose largest class it is. A
+// longer payload grows by doubling as its bytes come in, so a length
+// prefix that lies — corrupted, or sent by a faulty peer — costs at most
+// twice the bytes actually received, plus frameChunk.
+const frameChunk = 1 << maxPayloadShift
 
 // frameHeaderMax is the worst-case encoded header size.
 const frameHeaderMax = 3 * binary.MaxVarintLen64
@@ -62,10 +63,11 @@ func writeFrame(w *bufio.Writer, m Message) error {
 	return err
 }
 
-// readFrame decodes the next message from r. A zero-length payload
-// decodes as nil. Errors are the reader's raw errors (io.EOF at a clean
-// stream end, io.ErrUnexpectedEOF inside a frame) or a framing error
-// for an over-limit length.
+// readFrame decodes the next message from r into a payload from the
+// pool, which the receiver may hand back (PutPayload) once it has read
+// it. A zero-length payload decodes as nil. Errors are the reader's raw
+// errors (io.EOF at a clean stream end, io.ErrUnexpectedEOF inside a
+// frame) or a framing error for an over-limit length.
 func readFrame(r *bufio.Reader) (Message, error) {
 	src, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -84,10 +86,11 @@ func readFrame(r *bufio.Reader) (Message, error) {
 	}
 	var payload []byte
 	if ln > 0 {
-		payload = make([]byte, min(ln, frameChunk))
+		payload = GetPayload(int(min(ln, frameChunk)))
 		for read := 0; ; {
 			n, err := io.ReadFull(r, payload[read:])
 			if read += n; err != nil {
+				PutPayload(payload)
 				if err == io.EOF {
 					err = io.ErrUnexpectedEOF
 				}

@@ -3,6 +3,7 @@ package comm
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -49,15 +50,19 @@ var ErrRecvDeadline = errors.New("comm: mux receive deadline expired")
 type Mux struct {
 	ep Endpoint
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queues  map[muxKey][]Message
+	mu   sync.Mutex
+	cond *sync.Cond
+	// early holds the messages the puller drew for other receivers, in
+	// arrival order; a receiver takes the first one with its (src, tag),
+	// which keeps each stream FIFO. It is scanned, not indexed by key:
+	// it holds only what the collectives in flight have not yet asked
+	// for, a few messages at a time, and queueing one reuses its storage
+	// instead of allocating per message.
+	early   []Message
 	pulling bool
 	err     error
 	poisons []poisonRange
 }
-
-type muxKey struct{ src, tag int }
 
 // poisonRange marks the half-open tag interval [lo, hi) as failed with
 // err on this endpoint.
@@ -70,7 +75,7 @@ type poisonRange struct {
 // Mux from then on; sends may keep using ep directly (transports
 // serialize sends internally).
 func NewMux(ep Endpoint) *Mux {
-	m := &Mux{ep: ep, queues: make(map[muxKey][]Message)}
+	m := &Mux{ep: ep}
 	m.cond = sync.NewCond(&m.mu)
 	return m
 }
@@ -94,11 +99,7 @@ func (m *Mux) PoisonRange(lo, hi int, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.poisons = append(m.poisons, poisonRange{lo: lo, hi: hi, err: err})
-	for key := range m.queues {
-		if key.tag >= lo && key.tag < hi {
-			delete(m.queues, key)
-		}
-	}
+	m.early = slices.DeleteFunc(m.early, func(msg Message) bool { return msg.Tag >= lo && msg.Tag < hi })
 	m.cond.Broadcast()
 }
 
@@ -167,7 +168,6 @@ func (m *Mux) RecvDeadline(src, tag int, timeout time.Duration) ([]byte, error) 
 // checked after the queue, so a message that arrived by the deadline
 // still wins.
 func (m *Mux) recv(src, tag int, expired *bool) ([]byte, error) {
-	key := muxKey{src, tag}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
@@ -177,13 +177,9 @@ func (m *Mux) recv(src, tag int, expired *bool) ([]byte, error) {
 		if perr := m.poisonFor(tag); perr != nil {
 			return nil, perr
 		}
-		if q := m.queues[key]; len(q) > 0 {
-			msg := q[0]
-			if len(q) == 1 {
-				delete(m.queues, key)
-			} else {
-				m.queues[key] = q[1:]
-			}
+		if i := slices.IndexFunc(m.early, func(msg Message) bool { return msg.Src == src && msg.Tag == tag }); i >= 0 {
+			msg := m.early[i]
+			m.early = slices.Delete(m.early, i, i+1)
 			return deliver(msg)
 		}
 		if expired != nil && *expired {
@@ -221,14 +217,14 @@ func (m *Mux) recv(src, tag int, expired *bool) ([]byte, error) {
 			continue
 		}
 		if msg.Src == src && msg.Tag == tag {
-			// Our own message, and the key's queue was empty when we
+			// Our own message, and none of ours was queued when we
 			// started pulling (only the single active puller enqueues,
-			// so it still is): return it directly, and wake the others
+			// so none is now): return it directly, and wake the others
 			// so one of them takes over pulling.
 			m.cond.Broadcast()
 			return deliver(msg)
 		}
-		m.queues[muxKey{msg.Src, msg.Tag}] = append(m.queues[muxKey{msg.Src, msg.Tag}], msg)
+		m.early = append(m.early, msg)
 		m.cond.Broadcast()
 	}
 }

@@ -138,6 +138,7 @@ func (e *simEndpoint) Send(dst, tag int, payload []byte) error {
 	buf := make([]byte, simHeader+len(payload))
 	binary.LittleEndian.PutUint64(buf, math.Float64bits(departure))
 	copy(buf[simHeader:], payload)
+	PutPayload(payload)
 	return e.inner.Send(dst, tag, buf)
 }
 

@@ -643,10 +643,13 @@ func (e *tcpEndpoint) Send(dst, tag int, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("comm: PE %d send to %d: %w", e.rank, dst, err)
 	}
-	if err := tc.send(msg); err != nil {
+	// The frame is written, or failed: either way the payload is spent.
+	err = tc.send(msg)
+	PutPayload(payload)
+	if err != nil {
 		return fmt.Errorf("comm: PE %d send to %d: %w", e.rank, dst, e.node.mapConnErr(err))
 	}
-	e.metrics.addSent(len(payload))
+	e.metrics.addSent(len(msg.Payload))
 	return nil
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/collective"
 	"repro/internal/dist"
 	"repro/internal/hashing"
@@ -76,11 +78,16 @@ func ResolveOn(c *collective.Comm, states ...CheckState) ([]bool, error) {
 	if len(states) == 0 {
 		return nil, nil
 	}
-	offsets := make([]int, len(states)+1)
-	var vec []uint64
-	for i, st := range states {
+	// One vector at its exact size: every state's words, then a local-OK
+	// flag word per state. Reduce folds into it, and at rank 0 the flag
+	// words then become the verdict flags that are broadcast.
+	n := len(states)
+	for _, st := range states {
+		n += len(st.Words())
+	}
+	vec := make([]uint64, 0, n)
+	for _, st := range states {
 		vec = append(vec, st.Words()...)
-		offsets[i+1] = len(vec)
 	}
 	flagBase := len(vec)
 	for _, st := range states {
@@ -91,28 +98,36 @@ func ResolveOn(c *collective.Comm, states ...CheckState) ([]bool, error) {
 		vec = append(vec, flag)
 	}
 	op := func(dst, src []uint64) {
-		for i, st := range states {
-			st.Combine(dst[offsets[i]:offsets[i+1]], src[offsets[i]:offsets[i+1]])
+		off := 0
+		for _, st := range states {
+			end := off + len(st.Words())
+			st.Combine(dst[off:end], src[off:end])
+			off = end
 		}
 		for i := flagBase; i < len(dst); i++ {
 			dst[i] &= src[i]
 		}
 	}
-	red, err := c.Reduce(vec, op)
-	if err != nil {
+	if _, err := c.Reduce(vec, op); err != nil {
 		return nil, err
 	}
-	flags := make([]uint64, len(states))
+	flags := vec[flagBase:]
 	if c.Rank() == 0 {
+		off := 0
 		for i, st := range states {
-			if red[flagBase+i] == 1 && st.Verdict(red[offsets[i]:offsets[i+1]]) {
-				flags[i] = 1
+			end := off + len(st.Words())
+			if flags[i] != 1 || !st.Verdict(vec[off:end]) {
+				flags[i] = 0
 			}
+			off = end
 		}
 	}
-	flags, err = c.Broadcast(flags)
+	flags, err := c.Broadcast(flags)
 	if err != nil {
 		return nil, err
+	}
+	if len(flags) != len(states) {
+		return nil, fmt.Errorf("core: verdict broadcast of %d flags for %d states", len(flags), len(states))
 	}
 	verdicts := make([]bool, len(states))
 	for i := range states {

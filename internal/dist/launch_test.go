@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"os/exec"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -44,6 +45,28 @@ func TestParseHosts(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "rank 0") || !strings.Contains(err.Error(), "rank 2") {
 		t.Fatalf("duplicate error %v does not name both ranks", err)
 	}
+}
+
+// FuzzParseHosts: every host list either errors or parses to entries
+// that, joined with commas, parse back to the same list.
+func FuzzParseHosts(f *testing.F) {
+	f.Add(" 10.0.0.1:9000, 10.0.0.2:9000 ,localhost:9001")
+	f.Add("[::1]:7,a:1")
+	f.Add("a:1,,b:2")
+	f.Add("a:0")
+	f.Fuzz(func(t *testing.T, list string) {
+		hosts, err := ParseHosts(list)
+		if err != nil {
+			return
+		}
+		again, err := ParseHosts(strings.Join(hosts, ","))
+		if err != nil {
+			t.Fatalf("%q parses to %q, whose join fails: %v", list, hosts, err)
+		}
+		if !slices.Equal(again, hosts) {
+			t.Fatalf("%q parses to %q, whose join parses to %q", list, hosts, again)
+		}
+	})
 }
 
 // startRendezvous serves a rendezvous for p ranks on a fresh loopback

@@ -103,7 +103,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 func EncodeSpans(spans []Span) []byte {
 	n := 4
 	for _, s := range spans {
-		n += 4 + 1 + 8*4 + 2 + len(s.Name)
+		n += spanFixed + len(s.Name)
 	}
 	buf := make([]byte, 0, n)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(spans)))
@@ -123,17 +123,21 @@ func EncodeSpans(spans []Span) []byte {
 	return buf
 }
 
-// DecodeSpans unpacks an EncodeSpans blob.
+// spanFixed is the encoded size of a span without its name.
+const spanFixed = 4 + 1 + 8*4 + 2
+
+// DecodeSpans unpacks an EncodeSpans blob. The blob is a peer's, so its
+// span count is not trusted: the slice is sized by what the bytes can
+// hold, and bytes left over after the last span are an error.
 func DecodeSpans(b []byte) ([]Span, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("obs: span blob truncated: %d bytes", len(b))
 	}
 	count := binary.LittleEndian.Uint32(b)
 	b = b[4:]
-	spans := make([]Span, 0, count)
+	spans := make([]Span, 0, min(int(count), len(b)/spanFixed))
 	for i := uint32(0); i < count; i++ {
-		const fixed = 4 + 1 + 8*4 + 2
-		if len(b) < fixed {
+		if len(b) < spanFixed {
 			return nil, fmt.Errorf("obs: span %d truncated", i)
 		}
 		var s Span
@@ -144,13 +148,16 @@ func DecodeSpans(b []byte) ([]Span, error) {
 		s.StartNs = int64(binary.LittleEndian.Uint64(b[21:]))
 		s.EndNs = int64(binary.LittleEndian.Uint64(b[29:]))
 		nameLen := int(binary.LittleEndian.Uint16(b[37:]))
-		b = b[fixed:]
+		b = b[spanFixed:]
 		if len(b) < nameLen {
 			return nil, fmt.Errorf("obs: span %d name truncated", i)
 		}
 		s.Name = string(b[:nameLen])
 		b = b[nameLen:]
 		spans = append(spans, s)
+	}
+	if len(b) > 0 {
+		return nil, fmt.Errorf("obs: %d bytes after the last of %d spans", len(b), count)
 	}
 	return spans, nil
 }

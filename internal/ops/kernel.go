@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/comm"
 	"repro/internal/data"
 	"repro/internal/dist"
 	"repro/internal/hashing"
@@ -32,11 +33,11 @@ var (
 
 // kernel is the scratch of one operation call: the combine table of
 // the key-partitioned operations, the sort scratch of the sequence
-// operations, and the partition bookkeeping and payload buffers of the
-// all-to-all they share. Kernels are recycled through kernelPool, so a
-// warmed call allocates nothing here; every slice is resliced to the
-// size of the call at hand, so a small call after a big one costs what
-// a small call costs.
+// operations, and the partition bookkeeping of the all-to-all they
+// share. Kernels are recycled through kernelPool, so a warmed call
+// allocates nothing here; every slice is resliced to the size of the
+// call at hand, so a small call after a big one costs what a small call
+// costs. The payloads themselves come from comm's payload pool.
 type kernel struct {
 	// slots is the open-addressing index over pairs, linear probing on
 	// a power-of-two table: 0 marks an empty slot, s > 0 refers to
@@ -57,10 +58,6 @@ type kernel struct {
 	// sized, and is the write offset into parts[d] while it is filled.
 	offs  []int
 	parts [][]byte
-	// bufs are payload buffers kept from earlier receives. A buffer
-	// handed to the all-to-all belongs to the transport, and then to
-	// whoever receives it; what this PE receives it keeps here.
-	bufs [][]byte
 }
 
 var kernelPool = sync.Pool{New: func() any { return new(kernel) }}
@@ -165,7 +162,7 @@ func checkPayload(src int, b []byte, unit int, bad error) error {
 // An exchange is four steps on the kernel: stage, fill parts — either
 // part by part, or by counting elements per destination into offs,
 // open, and writing each element at its destination's offset — then
-// swap, and recycle once the received payloads have been read.
+// swap, and putPayloads once the received payloads have been read.
 
 // stage sizes the partition bookkeeping for p destinations and zeroes
 // the per-destination counts.
@@ -177,22 +174,12 @@ func (k *kernel) stage(p int) {
 	k.offs = grow(k.offs, max(p, 16))[:p]
 	clear(k.offs)
 	k.parts = grow(k.parts, p)
-	if len(k.bufs) < p {
-		k.bufs = append(k.bufs, make([][]byte, p-len(k.bufs))...)
-	}
 }
 
-// part makes the payload for PE d an exact-size buffer of size bytes,
-// one of the buffers in circulation if it fits, and returns it.
+// part makes the payload for PE d a buffer of size bytes from comm's
+// payload pool, and returns it.
 func (k *kernel) part(d, size int) []byte {
-	buf := k.bufs[d]
-	k.bufs[d] = nil
-	if cap(buf) < size {
-		// Headroom, so shares that vary a little from call to call
-		// keep fitting the buffers in circulation.
-		buf = make([]byte, size, size+size/8)
-	}
-	k.parts[d] = buf[:size]
+	k.parts[d] = comm.GetPayload(size)
 	return k.parts[d]
 }
 
@@ -224,10 +211,12 @@ func (k *kernel) swap(w *dist.Worker, unit int, bad error) (got [][]byte, elems 
 	return got, elems, nil
 }
 
-// recycle keeps received payloads, which belong to the receiver, as
-// the buffers of a later exchange.
-func (k *kernel) recycle(got [][]byte) {
-	copy(k.bufs, got)
+// putPayloads hands received payloads, which belong to the receiver,
+// back to comm's pool once they have been read.
+func putPayloads(got [][]byte) {
+	for _, b := range got {
+		comm.PutPayload(b)
+	}
 }
 
 // exchange routes each pair of ps to its partition PE: one pass
@@ -266,6 +255,6 @@ func exchangePairsByKey(w *dist.Worker, pt Partitioner, ps []data.Pair) ([]data.
 	for _, b := range got {
 		out = appendPairs(out, b)
 	}
-	k.recycle(got)
+	putPayloads(got)
 	return out, nil
 }

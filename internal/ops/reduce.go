@@ -43,7 +43,7 @@ func ReduceByKey(w *dist.Worker, pt Partitioner, local []data.Pair, fn ReduceFn)
 	for _, b := range got {
 		k.foldPayload(b, fn)
 	}
-	k.recycle(got)
+	putPayloads(got)
 	out := make([]data.Pair, len(k.pairs))
 	k.tmp = grow(k.tmp, len(out))
 	data.RadixSortPairsByKey(out, k.pairs, k.tmp)

@@ -71,7 +71,7 @@ func sampleSort(w *dist.Worker, a, b []uint64) ([]uint64, error) {
 	for _, payload := range got {
 		k.words = appendWords(k.words, payload)
 	}
-	k.recycle(got)
+	putPayloads(got)
 	out := make([]uint64, n)
 	k.wtmp = grow(k.wtmp, n)
 	data.RadixSortU64(out, k.words, k.wtmp)

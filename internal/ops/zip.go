@@ -75,7 +75,7 @@ func Zip(w *dist.Worker, a, b []uint64) ([]data.Pair, error) {
 			out = append(out, data.Pair{Key: a[len(out)], Value: binary.LittleEndian.Uint64(payload)})
 		}
 	}
-	k.recycle(got)
+	putPayloads(got)
 	return out, nil
 }
 
@@ -115,6 +115,6 @@ func Union(w *dist.Worker, a, b []uint64) ([]uint64, error) {
 	for _, payload := range got {
 		out = appendWords(out, payload)
 	}
-	k.recycle(got)
+	putPayloads(got)
 	return out, nil
 }
