@@ -36,7 +36,6 @@ var censusAllow = map[string]string{
 	"internal/core.PermChecker.AccumulateIntoScalar": "scalar oracle the root package's BenchmarkPermAccumulateEngine measures the kernel against",
 
 	"internal/comm.NewSimNetwork":           "cross-package test fixture (root, collective, dist); dist itself builds simnet with an explicit timeout",
-	"internal/comm.NewLatencyNetwork":       "cross-package test fixture: the root trace test needs a wire slow enough for overlap to show",
 	"internal/comm.FaultyNetwork.DidInject": "cross-package test fixture: root, collective and dist tests ask whether the armed fault landed",
 	"internal/hashing.FamilyByName":         "cross-package test fixture: core's tests name Table 3 configurations in the paper's syntax",
 	"internal/workload.EdgePairShares":      "cross-package test fixture: the edge shapes of the ops and root one-sidedness gates",

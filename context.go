@@ -187,22 +187,10 @@ type Context struct {
 	seed uint64
 	par  core.ParallelAccumulator
 
-	pending     []pendingCheck
-	outstanding *asyncRound
-	stats       []CheckStats
-	summaries   []VerifySummary
-	err         error
-}
-
-// asyncRound is a batched resolution launched by VerifyAsync and not
-// yet applied: the stages it covers, the summary skeleton (Stages and
-// Words filled at launch, traffic and wall time at completion), and
-// the in-flight collective phase riding a dedicated sub-communicator.
-// At most one round is outstanding per Context.
-type asyncRound struct {
-	pending []pendingCheck
-	sum     VerifySummary
-	res     *core.PendingVerdicts
+	pending   []pendingCheck
+	stats     []CheckStats
+	summaries []VerifySummary
+	err       error
 }
 
 // pendingCheck links a deferred stage's checker states to its stats
@@ -250,10 +238,6 @@ func (c *Context) Err() error { return c.err }
 
 // Pending returns how many stages await Verify.
 func (c *Context) Pending() int { return len(c.pending) }
-
-// Outstanding reports whether a VerifyAsync round is in flight (its
-// stages' verdicts arrive at the next VerifyAsync or Verify call).
-func (c *Context) Outstanding() bool { return c.outstanding != nil }
 
 // Stats returns a copy of the per-stage instrumentation recorded so
 // far, in pipeline order.
@@ -464,26 +448,28 @@ func (c *Context) record(st CheckStats, v Verdict, err error) error {
 // and reports the verdicts: nil if all stages passed, or an error
 // naming each stage whose checker rejected (unwrapping to
 // ErrCheckFailed). In eager or off mode — or with nothing pending — it
-// returns the Context's sticky error, if any. If a VerifyAsync round is
-// still in flight, Verify awaits and applies it first, so after Verify
-// returns every stage so far has its final verdict — Verify is the
-// pipeline's synchronous barrier whether or not overlap is in play.
+// returns the Context's sticky error, if any. After Verify returns every
+// stage so far has its final verdict.
 //
 // Like every collective, all PEs must call Verify at the same point of
 // their pipeline. The batch costs a single all-reduction of the
 // concatenated checker states regardless of how many stages are
 // pending; per-batch accounting is appended to VerifySummaries.
 func (c *Context) Verify() error {
-	if err := c.awaitOutstanding(); err != nil {
-		return err
-	}
 	if c.err != nil {
 		return c.err
 	}
 	if len(c.pending) == 0 {
 		return nil
 	}
-	states, sum := c.batchStates()
+	var states []core.CheckState
+	for _, p := range c.pending {
+		states = append(states, p.states...)
+	}
+	sum := VerifySummary{Stages: len(c.pending)}
+	for _, s := range states {
+		sum.Words += len(s.Words()) + 1
+	}
 	b0, m0, r0 := c.commSnapshot()
 	t0 := time.Now()
 	verdicts, err := core.Resolve(c.w, states...)
@@ -495,87 +481,9 @@ func (c *Context) Verify() error {
 	}
 	pending := c.pending
 	c.pending = nil
-	return c.applyBatch(pending, verdicts, sum)
-}
 
-// VerifyAsync launches the batched resolution of every pending checker
-// on a dedicated sub-communicator and returns without waiting for the
-// verdicts: the reduction rides the wire while the caller runs the next
-// stage's local work (accumulator scans, streamed chunk drains). The
-// round is awaited and applied at the next VerifyAsync or Verify call —
-// so verdicts surface one boundary later than with Verify, but the
-// resolution latency hides behind compute. Verdicts, attribution, and
-// checker residues are bit-identical to the synchronous path; only the
-// wall-clock placement changes.
-//
-// At most one round is outstanding: if a previous VerifyAsync round is
-// still in flight, it is awaited (and its verdicts applied) before the
-// new one launches. Outside CheckDeferred mode VerifyAsync degrades to
-// Verify. Like every collective, all PEs must call it at the same point
-// of their pipeline.
-func (c *Context) VerifyAsync() error {
-	if c.mode != CheckDeferred {
-		return c.Verify()
-	}
-	if err := c.awaitOutstanding(); err != nil {
-		return err
-	}
-	if c.err != nil {
-		return c.err
-	}
-	if len(c.pending) == 0 {
-		return nil
-	}
-	states, sum := c.batchStates()
-	c.outstanding = &asyncRound{pending: c.pending, sum: sum, res: core.ResolveAsync(c.w, states...)}
-	c.pending = nil
-	return nil
-}
-
-// awaitOutstanding blocks on the in-flight VerifyAsync round, if any,
-// and applies its verdicts exactly as the synchronous Verify would.
-// The summary's traffic figures come from the round's dedicated
-// sub-communicator, so they meter the resolution alone even though
-// other traffic overlapped it.
-func (c *Context) awaitOutstanding() error {
-	round := c.outstanding
-	if round == nil {
-		return nil
-	}
-	c.outstanding = nil
-	verdicts, err := round.res.Await()
-	round.sum.Bytes, round.sum.Msgs, round.sum.Rounds, round.sum.WallNs = round.res.Cost()
-	// The round is done and the at-most-one-outstanding discipline makes
-	// this await SPMD-ordered, so its tag block can be recycled — a
-	// long-lived Context (service job) launches unboundedly many rounds
-	// from a finite block space.
-	round.res.Release()
-	if err != nil {
-		return c.fail(err)
-	}
-	return c.applyBatch(round.pending, verdicts, round.sum)
-}
-
-// batchStates concatenates the pending stages' checker states and
-// builds the summary skeleton for one batched resolution.
-func (c *Context) batchStates() ([]core.CheckState, VerifySummary) {
-	var states []core.CheckState
-	for _, p := range c.pending {
-		states = append(states, p.states...)
-	}
-	sum := VerifySummary{Stages: len(c.pending)}
-	for _, s := range states {
-		sum.Words += len(s.Words()) + 1
-	}
-	return states, sum
-}
-
-// applyBatch records one resolved batch: per-stage verdicts into the
-// stats entries, failed stage labels into the summary, the summary into
-// the Context, and the joined StageErrors as the result (nil if every
-// stage passed). Shared by the synchronous Verify and the async path,
-// which is what keeps their attribution identical.
-func (c *Context) applyBatch(pending []pendingCheck, verdicts []bool, sum VerifySummary) error {
+	// Per-stage verdicts into the stats entries, failed stage labels
+	// into the summary, and the joined StageErrors as the result.
 	var failures []error
 	vi := 0
 	for _, p := range pending {

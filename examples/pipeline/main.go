@@ -1,12 +1,11 @@
 // Pipeline: a multi-stage analytics job — zip two metric streams,
 // aggregate averages, medians and minima per sensor — expressed on the
-// Context/Dataset API with deferred, overlapped verification: every
-// stage registers its checker, a mid-pipeline ctx.VerifyAsync() puts
-// the first stages' batched resolution on the wire while the later
-// stages compute, and the final ctx.Verify() resolves the rest and
-// settles the in-flight round. Runs over real TCP sockets to show the
-// framework is transport agnostic, and prints the per-stage stats the
-// Context records.
+// Context/Dataset API with deferred verification: every stage
+// registers its checker, a mid-pipeline ctx.Verify() resolves the
+// first two stages' checkers in one batched round, and the final
+// ctx.Verify() resolves the rest. Runs over real TCP sockets to show
+// the framework is transport agnostic, and prints the per-stage stats
+// the Context records.
 package main
 
 import (
@@ -71,11 +70,9 @@ func main() {
 			return err
 		}
 
-		// Zip and average are done computing: launch their checkers'
-		// batched resolution asynchronously. The reduction rides the
-		// TCP sockets on a tag-safe sub-communicator while the median
-		// and minimum stages compute; the final Verify awaits it.
-		if err := ctx.VerifyAsync(); err != nil {
+		// Zip and average are done: settle their checkers in one
+		// batched round before the later stages build on them.
+		if err := ctx.Verify(); err != nil {
 			return err
 		}
 
@@ -93,8 +90,7 @@ func main() {
 			return err
 		}
 
-		// One batched round resolves the remaining checkers; the
-		// overlapped round launched above is awaited here too.
+		// One batched round resolves the remaining checkers.
 		if err := ctx.Verify(); err != nil {
 			return err
 		}

@@ -116,9 +116,8 @@ func TestSubConcurrentCollectives(t *testing.T) {
 }
 
 // TestAsyncFirstErrorTeardown runs two all-reductions concurrently per
-// PE, each on its own sub-communicator in its own goroutine — how every
-// asynchronous round in this repository is built (core.ResolveAsync) —
-// injects a hard receive fault into one of them, and checks the failure
+// PE, each on its own sub-communicator in its own goroutine — how the
+// service pool runs concurrent jobs on one resident mesh — injects a hard receive fault into one of them, and checks the failure
 // (a) surfaces on a faulted round, (b) does not deadlock the sibling
 // round once the network is torn down, mirroring dist's first-error
 // semantics. The whole dance is bounded by the network timeout; we

@@ -76,23 +76,19 @@
 //	                    PE (ctl.go); ctl = 1<<62 - 1<<20
 //	[1<<62, ...)        control messages (comm.KickTag); never allocated
 //
-// Sub carves a block out of the parent's space; the resulting Comm runs
-// its own collective sequence concurrently with the parent's (and with
-// other siblings'), which is what makes asynchronous rounds — a blocking
-// collective on a Sub in a goroutine, as core.ResolveAsync does —
-// resolve/compute overlap, and concurrent verification jobs on one
-// resident mesh possible. Allocation is
-// hierarchical: a sub-communicator's block is split into its own ops
-// region and a child region it can Sub from in turn (an async round
-// inside a job inside the root), until blocks get too small to split.
-// Release returns a retired block to its parent's free list, so a
-// long-lived communicator can mint sub-communicators indefinitely;
-// exhausting a level without releasing reports ErrTagSpaceExhausted
-// instead of silently colliding.
+// Sub carves a block out of the root's space; the resulting Comm runs
+// its own collective sequence concurrently with the root's (and with
+// other siblings'), which is what makes concurrent verification jobs
+// on one resident mesh possible. Sub-communicators do not nest: a
+// block is all ops region, and Sub on a sub-communicator fails with
+// ErrTagSpaceExhausted. Release returns a retired block to the root's
+// free list, so a long-lived root can mint sub-communicators
+// indefinitely; exhausting the space without releasing reports
+// ErrTagSpaceExhausted instead of silently colliding.
 //
 // Since tags are how PEs match messages, all PEs must call Sub — and
-// Release — in the same order relative to one another on any given
-// parent — the usual SPMD contract, extended to communicator lifecycle.
+// Release — in the same order relative to one another on the root —
+// the usual SPMD contract, extended to communicator lifecycle.
 // Tag counters are atomic, so concurrent collectives on *different*
 // communicators of one endpoint are safe; a single communicator still
 // admits only one collective at a time.
@@ -127,25 +123,15 @@ const (
 	// belong to the membership control region (ctlTagBase) and the kick
 	// range (comm.KickTag).
 	subTagLimit int64 = ctlTagBase
-	// subTagSpan is the tag-block width of a first-level
-	// sub-communicator: room for millions of collective operations, far
-	// beyond any round's needs, while permitting billions of
-	// sub-communicators.
+	// subTagSpan is the tag-block width of a sub-communicator: room
+	// for millions of collective operations, far beyond any job's
+	// needs, while permitting billions of sub-communicators.
 	subTagSpan int64 = 1 << 24
-	// subFanout divides a block's child region into child blocks: each
-	// nesting level shrinks spans by 64×, giving blocks of 2^24, 2^18,
-	// 2^12 tags at depths 1..3.
-	subFanout int64 = 64
-	// minSubSpan is the smallest block worth splitting further: below
-	// it a child's ops region would hold too few collectives to be of
-	// use, so such blocks are leaves and their Sub fails.
-	minSubSpan int64 = 1 << 12
 )
 
-// ErrTagSpaceExhausted is reported by Sub when the parent communicator
-// has no free tag block left — either its child region is fully
-// allocated with nothing released, or its own block is too small to
-// subdivide further.
+// ErrTagSpaceExhausted is reported by Sub when the root communicator's
+// child region is fully allocated with nothing released, or when Sub
+// is called on a sub-communicator, which does not nest.
 var ErrTagSpaceExhausted = errors.New("collective: sub-communicator tag space exhausted")
 
 // ErrBadBundle is reported by Gather and AllGather when a peer's bundle
@@ -155,12 +141,12 @@ var ErrTagSpaceExhausted = errors.New("collective: sub-communicator tag space ex
 // validated, never trusted.
 var ErrBadBundle = errors.New("collective: malformed gather bundle")
 
-// childSpace hands out the child blocks of one communicator: fresh
+// childSpace hands out the root communicator's child blocks: fresh
 // blocks ascend from the region's start; released blocks are reused
 // LIFO. Allocation order is deterministic given the call sequence,
 // which is what keeps ranks aligned — every PE performs the same
-// Sub/Release sequence on a given parent, so every PE's allocator is in
-// the same state at each call.
+// Sub/Release sequence on the root, so every PE's allocator is in the
+// same state at each call.
 type childSpace struct {
 	mu    sync.Mutex
 	span  int64 // width of each child block
@@ -208,29 +194,26 @@ type Comm struct {
 	myIdx   int
 
 	// base and limit bound this communicator's ops region: the tags its
-	// own collective sequence allocates from.
+	// own collective sequence allocates from. On a sub-communicator the
+	// region is its whole tag block, which Abort poisons and Release
+	// recycles.
 	base, limit int64
-	// end bounds the communicator's whole tag block [base, end): ops
-	// region plus the child region its sub-communicators are carved
-	// from. Abort poisons and Release recycles the whole block.
-	end int64
 	// tag is the next unallocated offset within the ops region. Atomic:
 	// allocation is safe from any goroutine, although a communicator
 	// still admits only one collective at a time.
 	tag atomic.Int64
 	ops atomic.Int64
 
-	// kids allocates this communicator's child blocks; nil on leaf
-	// communicators whose block is too small to subdivide.
+	// kids allocates the root's child blocks; nil on sub-communicators.
 	kids *childSpace
-	// parent is the communicator this block was carved from; nil at the
-	// root. Release returns the block to parent.kids.
+	// parent is the root this block was carved from; nil at the root.
+	// Release returns the block to parent.kids.
 	parent   *Comm
 	released atomic.Bool
 
 	// bytesSent/msgsSent meter traffic sent through this communicator
 	// alone — unlike endpoint metrics, unpolluted by concurrent
-	// streams, so an async round can report its own exact cost.
+	// streams, so a job on a shared mesh can report its own exact cost.
 	bytesSent atomic.Int64
 	msgsSent  atomic.Int64
 
@@ -256,7 +239,6 @@ func New(ep comm.Endpoint) *Comm {
 		mux:   comm.NewMux(ep),
 		base:  0,
 		limit: subTagBase,
-		end:   subTagBase,
 		kids:  &childSpace{span: subTagSpan, next: subTagBase, limit: subTagLimit},
 	}
 }
@@ -336,46 +318,40 @@ func (c *Comm) ConnsOpen() int64 {
 	return -1
 }
 
-// Sub carves a sub-communicator out of this communicator's tag space: a
-// Comm over the same endpoint whose collectives use a disjoint tag
-// block and may therefore be in flight concurrently with the parent's
-// (and with other subs'). Like any collective, all PEs must call Sub —
-// and Release — at the same point of their program relative to other
-// Sub/Release calls on the same parent, so ranks agree on the block.
+// Sub carves a sub-communicator out of the root communicator's tag
+// space: a Comm over the same endpoint whose collectives use a disjoint
+// tag block and may therefore be in flight concurrently with the
+// root's (and with other subs'). Like any collective, all PEs must call
+// Sub — and Release — at the same point of their program relative to
+// other Sub/Release calls on the root, so ranks agree on the block.
 // The allocation itself is locked and may race with collectives on any
 // communicator.
 //
-// The child's block is itself subdividable (its Sub mints
-// grandchildren) until spans shrink below the useful minimum. Blocks
-// are a finite resource per parent: a retired sub-communicator should
-// be Released so its block is reused; a parent whose region is
-// exhausted reports ErrTagSpaceExhausted rather than wrapping into a
-// sibling's tags.
+// Sub-communicators do not nest: Sub on one fails with
+// ErrTagSpaceExhausted. Blocks are a finite resource: a retired
+// sub-communicator should be Released so its block is reused; a root
+// whose region is exhausted reports ErrTagSpaceExhausted rather than
+// wrapping into a sibling's tags.
 func (c *Comm) Sub() (*Comm, error) {
 	if c.kids == nil {
-		return nil, fmt.Errorf("%w: block [%d, %d) is too small to subdivide", ErrTagSpaceExhausted, c.base, c.end)
+		return nil, fmt.Errorf("%w: block [%d, %d) belongs to a sub-communicator, and sub-communicators do not nest",
+			ErrTagSpaceExhausted, c.base, c.limit)
 	}
 	base, ok := c.kids.alloc()
 	if !ok {
 		return nil, fmt.Errorf("%w: no free block of span %d in [%d, %d); Release retired sub-communicators to recycle their blocks",
 			ErrTagSpaceExhausted, c.kids.span, c.kids.next, c.kids.limit)
 	}
-	span := c.kids.span
-	sub := &Comm{
+	return &Comm{
 		mux:      c.mux,
 		members:  c.members,
 		myIdx:    c.myIdx,
 		base:     base,
-		limit:    base + span/2,
-		end:      base + span,
+		limit:    base + c.kids.span,
 		parent:   c,
 		tr:       c.tr,
 		traceJob: c.traceJob,
-	}
-	if childSpan := span / subFanout; childSpan >= minSubSpan {
-		sub.kids = &childSpace{span: childSpan, next: base + span/2, limit: base + span}
-	}
-	return sub, nil
+	}, nil
 }
 
 // SubMembers is Sub restricted to a survivor view: the returned
@@ -384,8 +360,8 @@ func (c *Comm) Sub() (*Comm, error) {
 // the tree collectives run correctly over the shrunken set. members
 // must be strictly ascending, valid endpoint ranks, and include the
 // calling PE. Every member PE must call SubMembers with the
-// identical slice at the same point of its Sub/Release sequence on this
-// parent; non-members simply do not call (their allocators are allowed
+// identical slice at the same point of its Sub/Release sequence on the
+// root; non-members simply do not call (their allocators are allowed
 // to diverge — they are no longer part of the view).
 func (c *Comm) SubMembers(members []int) (*Comm, error) {
 	if len(members) == 0 {
@@ -417,13 +393,12 @@ func (c *Comm) SubMembers(members []int) (*Comm, error) {
 	return sub, nil
 }
 
-// Release returns this sub-communicator's tag block to its parent for
+// Release returns this sub-communicator's tag block to the root for
 // reuse by a later Sub and clears any Abort poison on the block. Like
-// Sub, Release is part of the parent's allocation sequence: every PE
-// must call it at the same point relative to the parent's other
-// Sub/Release calls, and only once the communicator — including any
-// sub-communicators carved from it — is quiescent on every PE (no
-// in-flight collectives, no undelivered messages). A block that may
+// Sub, Release is part of the root's allocation sequence: every PE
+// must call it at the same point relative to the root's other
+// Sub/Release calls, and only once the communicator is quiescent on
+// every PE (no in-flight collectives, no undelivered messages). A block that may
 // still have stragglers on the wire (an aborted job) must NOT be
 // released: a recycled tag could then match a dead stream's message.
 // Releasing the root or releasing twice is a no-op.
@@ -431,28 +406,26 @@ func (c *Comm) Release() {
 	if c.parent == nil || !c.released.CompareAndSwap(false, true) {
 		return
 	}
-	c.mux.ClearRange(int(c.base), int(c.end))
+	c.mux.ClearRange(int(c.base), int(c.limit))
 	c.parent.kids.release(c.base)
 }
 
 // Abort poisons this communicator's whole tag block on this PE: every
-// current and future receive inside [base, end) — the communicator's
-// own collectives and those of any sub-communicator carved from it —
-// fails with err, and the block's queued and straggling messages are
+// current and future receive inside [base, limit) fails with err, and the block's queued and straggling messages are
 // dropped. Traffic outside the block is untouched, which is what lets
 // one job die on a resident mesh without tearing the mesh down. Abort
 // only unblocks receivers on this PE's endpoint; a goroutine currently
 // blocked inside the endpoint's RecvAny on an idle mesh additionally
 // needs a comm.KickTag control message from a peer to notice.
 func (c *Comm) Abort(err error) {
-	c.mux.PoisonRange(int(c.base), int(c.end), err)
+	c.mux.PoisonRange(int(c.base), int(c.limit), err)
 }
 
-// Block reports the communicator's full tag block [lo, hi): ops region
-// plus child region. Fault-attribution code uses it to decide whether
+// Block reports the communicator's tag block [lo, hi), the tags of its
+// own collectives. Fault-attribution code uses it to decide whether
 // an injected fault's tag belongs to this communicator's traffic.
 func (c *Comm) Block() (lo, hi int) {
-	return int(c.base), int(c.end)
+	return int(c.base), int(c.limit)
 }
 
 // BytesSent returns how many payload bytes this communicator has sent

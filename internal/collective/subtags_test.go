@@ -15,7 +15,7 @@ func sumOp(dst, src []uint64) {
 }
 
 // TestSubBlocksDisjoint checks sibling sub-communicators get disjoint
-// tag blocks nested inside the parent's space.
+// tag blocks inside the root's space.
 func TestSubBlocksDisjoint(t *testing.T) {
 	net := comm.NewMemNetwork(1)
 	defer net.Close()
@@ -38,47 +38,41 @@ func TestSubBlocksDisjoint(t *testing.T) {
 	}
 }
 
-// TestSubDepthExhaustion descends until blocks are too small to
-// subdivide: the failure must be the explicit ErrTagSpaceExhausted,
-// never a silent tag collision.
+// TestSubDepthExhaustion checks sub-communicators do not nest: Sub on
+// a sub fails with the explicit ErrTagSpaceExhausted, never a silent
+// tag collision.
 func TestSubDepthExhaustion(t *testing.T) {
 	net := comm.NewMemNetwork(1)
 	defer net.Close()
-	c := New(net.Endpoint(0))
-	depth := 0
-	for {
-		sub, err := c.Sub()
-		if err != nil {
-			if !errors.Is(err, ErrTagSpaceExhausted) {
-				t.Fatalf("depth %d: %v, want ErrTagSpaceExhausted", depth, err)
-			}
-			break
-		}
-		c = sub
-		depth++
-		if depth > 16 {
-			t.Fatal("nesting never exhausted")
-		}
-	}
-	if depth < 2 {
-		t.Fatalf("only %d nesting levels before exhaustion", depth)
-	}
-}
-
-// TestSubWidthExhaustionAndRecycle fills one parent's child space,
-// hits the explicit exhaustion error, then releases one child and
-// checks its block is recycled to the next Sub.
-func TestSubWidthExhaustionAndRecycle(t *testing.T) {
-	net := comm.NewMemNetwork(1)
-	defer net.Close()
-	root := New(net.Endpoint(0))
-	parent, err := root.Sub()
+	sub, err := New(net.Endpoint(0)).Sub()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := sub.Sub(); !errors.Is(err, ErrTagSpaceExhausted) {
+		t.Fatalf("Sub on a sub-communicator: %v, want ErrTagSpaceExhausted", err)
+	}
+}
+
+// smallRoot returns a root communicator over ep whose child space holds
+// only blocks blocks: the real root holds about 2^38, far too many to
+// exhaust in a test.
+func smallRoot(ep comm.Endpoint, blocks int64) *Comm {
+	root := New(ep)
+	root.kids = &childSpace{span: subTagSpan, next: subTagBase, limit: subTagBase + blocks*subTagSpan}
+	return root
+}
+
+// TestSubWidthExhaustionAndRecycle fills a root's child space, hits
+// the explicit exhaustion error, then releases one child and checks its
+// block is recycled to the next Sub.
+func TestSubWidthExhaustionAndRecycle(t *testing.T) {
+	net := comm.NewMemNetwork(1)
+	defer net.Close()
+	const blocks = 8
+	root := smallRoot(net.Endpoint(0), blocks)
 	var kids []*Comm
 	for {
-		k, err := parent.Sub()
+		k, err := root.Sub()
 		if err != nil {
 			if !errors.Is(err, ErrTagSpaceExhausted) {
 				t.Fatalf("kid %d: %v, want ErrTagSpaceExhausted", len(kids), err)
@@ -86,18 +80,18 @@ func TestSubWidthExhaustionAndRecycle(t *testing.T) {
 			break
 		}
 		kids = append(kids, k)
-		if len(kids) > 1<<12 {
+		if len(kids) > blocks {
 			t.Fatal("child space never exhausted")
 		}
 	}
-	if len(kids) == 0 {
-		t.Fatal("no children allocated before exhaustion")
+	if len(kids) != blocks {
+		t.Fatalf("%d children allocated before exhaustion, want %d", len(kids), blocks)
 	}
 
 	victim := kids[len(kids)/2]
 	vlo, vhi := victim.Block()
 	victim.Release()
-	reborn, err := parent.Sub()
+	reborn, err := root.Sub()
 	if err != nil {
 		t.Fatalf("Sub after Release: %v", err)
 	}
@@ -113,12 +107,8 @@ func TestSubWidthExhaustionAndRecycle(t *testing.T) {
 func TestReleaseIsIdempotent(t *testing.T) {
 	net := comm.NewMemNetwork(1)
 	defer net.Close()
-	root := New(net.Endpoint(0))
-	parent, err := root.Sub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := parent.Sub()
+	root := smallRoot(net.Endpoint(0), 4)
+	a, err := root.Sub()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +116,11 @@ func TestReleaseIsIdempotent(t *testing.T) {
 	a.Release()
 	a.Release() // must be a no-op
 
-	b, err := parent.Sub()
+	b, err := root.Sub()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := parent.Sub()
+	c, err := root.Sub()
 	if err != nil {
 		t.Fatal(err)
 	}

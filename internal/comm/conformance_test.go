@@ -18,10 +18,10 @@ import (
 func conformanceNetworks(t *testing.T, p int) map[string]Network {
 	t.Helper()
 	nets := map[string]Network{
-		"mem":         NewMemNetwork(p),
-		"simnet":      NewSimNetwork(p, 1000, 1),
-		"latency+mem": NewLatencyNetwork(NewMemNetwork(p), 100*time.Microsecond),
-		"faulty+mem":  disarmedFaulty(NewMemNetwork(p)),
+		"mem":           NewMemNetwork(p),
+		"simnet":        NewSimNetwork(p, 1000, 1),
+		"faulty+mem":    disarmedFaulty(NewMemNetwork(p)),
+		"faulty+simnet": disarmedFaulty(NewSimNetwork(p, 1000, 1)),
 	}
 	tcp, err := NewTCPNetwork(p)
 	if err != nil {
@@ -33,7 +33,6 @@ func conformanceNetworks(t *testing.T, p int) map[string]Network {
 		t.Fatalf("tcp setup: %v", err)
 	}
 	nets["faulty+tcp"] = disarmedFaulty(tcp2)
-	nets["faulty+latency+simnet"] = disarmedFaulty(NewLatencyNetwork(NewSimNetwork(p, 1000, 1), 50*time.Microsecond))
 	return nets
 }
 

@@ -1,9 +1,6 @@
 package comm
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // Every network and wrapper in the package implements Meterer —
 // including TCPNode, whose cross-process form the in-process sweep
@@ -13,7 +10,6 @@ var (
 	_ Meterer = (*SimNetwork)(nil)
 	_ Meterer = (*TCPNetwork)(nil)
 	_ Meterer = (*TCPNode)(nil)
-	_ Meterer = (*LatencyNetwork)(nil)
 	_ Meterer = (*FaultyNetwork)(nil)
 )
 
@@ -63,25 +59,15 @@ func TestMeterAllTransportsAndWrappers(t *testing.T) {
 			}
 			return n
 		}, true, true, true},
-		{"latency-over-mem", func(t *testing.T) Network {
-			return NewLatencyNetwork(NewMemNetwork(2), time.Millisecond)
-		}, false, false, true},
-		{"latency-over-tcp", func(t *testing.T) Network {
-			n, err := NewTCPNetwork(2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return NewLatencyNetwork(n, time.Millisecond)
-		}, true, true, true},
 		{"faulty-over-mem", func(t *testing.T) Network {
 			return NewFaultyNetwork(NewMemNetwork(2), 0, 0)
 		}, false, false, true},
-		{"faulty-over-latency-over-tcp", func(t *testing.T) Network {
+		{"faulty-over-tcp", func(t *testing.T) Network {
 			n, err := NewTCPNetwork(2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return NewFaultyNetwork(NewLatencyNetwork(n, time.Millisecond), 0, 0)
+			return NewFaultyNetwork(n, 0, 0)
 		}, true, true, true},
 	}
 	for _, tc := range cases {

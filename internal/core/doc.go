@@ -79,8 +79,8 @@
 //     local phase. It takes the ParallelAccumulator where the checker
 //     shards; a serial caller passes Serial.
 //
-// Resolve — eagerly, batched, or asynchronously (ResolveAsync) — is the
-// only way from states to verdicts.
+// Resolve — eagerly, one state per stage, or batched over every
+// pending stage — is the only way from states to verdicts.
 //
 // The checkers' O(n/p) local phase (Table 5) runs on a shared
 // accumulation engine: blocked batch hashing (hashing.Hasher's

@@ -70,10 +70,9 @@ func Resolve(w *dist.Worker, states ...CheckState) ([]bool, error) {
 	return ResolveOn(w.Coll, states...)
 }
 
-// ResolveOn is Resolve over an explicit communicator. Passing a
-// tag-safe sub-communicator (collective.Comm.Sub) lets a resolution
-// round ride the wire concurrently with other traffic on the same
-// endpoint — the mechanism beneath ResolveAsync.
+// ResolveOn is Resolve over an explicit communicator, e.g. a job's
+// tag-safe sub-communicator (collective.Comm.Sub) on a shared
+// endpoint.
 func ResolveOn(c *collective.Comm, states ...CheckState) ([]bool, error) {
 	if len(states) == 0 {
 		return nil, nil

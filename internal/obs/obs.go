@@ -22,7 +22,7 @@ import (
 
 // Kind classifies a span. The kinds mirror the runtime's phases: a
 // pipeline stage's local accumulation, a collective operation, a
-// deferred batch resolution (the thing that overlaps compute), the
+// checker resolution (one stage's, or a deferred batch's), the
 // receive wait inside a collective, and elastic recovery.
 type Kind uint8
 

@@ -48,10 +48,7 @@ type Job struct {
 // JobCost is the communication and wall-clock cost of one job: the
 // bottleneck (maximum over ranks) of the job communicator's own
 // metering, unpolluted by whatever ran concurrently. Bytes/Msgs/Rounds
-// cover the job's synchronous collectives; traffic of async
-// verification rounds rides dedicated child communicators and is
-// reported, per round, in the job's VerifySummaries instead — nothing
-// is double-counted.
+// cover every collective of the job, its Verify rounds included.
 type JobCost struct {
 	Bytes  int64
 	Msgs   int64
@@ -71,9 +68,9 @@ func (j *Job) Name() string { return j.name }
 // reproduce the job bit-identically.
 func (j *Job) Seed() uint64 { return j.seed }
 
-// TagBlock returns the job communicator's tag block [lo, hi) —
-// including the child blocks of any async rounds the job launched.
-// A fault injected on a tag inside the block hit this job's traffic.
+// TagBlock returns the job communicator's tag block [lo, hi): every
+// tag the job's collectives use. A fault injected on a tag inside the
+// block hit this job's traffic.
 func (j *Job) TagBlock() (lo, hi int) { return j.block[0], j.block[1] }
 
 // Done is closed when the job has completed on every rank.

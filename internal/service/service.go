@@ -158,9 +158,8 @@ func New(opt Options) (*Pool, error) {
 }
 
 // NewOnNetwork starts a pool over a caller-built network — the entry
-// point for wrapping the transport first (comm.NewFaultyNetwork,
-// comm.NewLatencyNetwork). The caller keeps ownership of net and must
-// close it after Close.
+// point for wrapping the transport first (comm.NewFaultyNetwork). The
+// caller keeps ownership of net and must close it after Close.
 func NewOnNetwork(net comm.Network, opt Options) (*Pool, error) {
 	if opt.P == 0 {
 		opt.P = net.Size()
@@ -525,15 +524,6 @@ func (p *Pool) runRank(j *Job, i, phys int, sub *collective.Comm, spec jobSpec) 
 		return cerr
 	}
 	defer func() {
-		// Drain an in-flight async round before the block can be
-		// retired: its goroutine still owns tags in the job's block.
-		// Verify is the Context's synchronous barrier and awaits it.
-		if ctx.Outstanding() {
-			verr := ctx.Verify()
-			if err == nil {
-				err = verr
-			}
-		}
 		if i == 0 {
 			j.stats = ctx.Stats()
 			j.sums = ctx.VerifySummaries()

@@ -3,6 +3,7 @@ package repro_test
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro"
@@ -12,20 +13,20 @@ import (
 	"repro/internal/workload"
 )
 
-// The two stage-boundary functions the equivalence tests compare.
+// The two stage-boundary placements the equivalence tests compare: a
+// Verify at every boundary resolves each stage in a round of its own,
+// and no boundary leaves every stage to the final Verify's one batch.
 var (
-	overlapped  = (*repro.Context).VerifyAsync
-	synchronous = (*repro.Context).Verify
+	perBoundary = (*repro.Context).Verify
+	batched     = func(*repro.Context) error { return nil }
 )
 
 // overlapRun executes a four-stage pipeline — ReduceByKey, Sort, a
 // streamed AssertSum, and a one-shot AssertSum over possibly corrupted
 // data — calling boundary at every stage boundary and a final Verify,
-// and returns rank 0's verdicts, summaries (wall times zeroed: only
-// placement differs between overlapped and synchronous runs), and
-// whether the pipeline rejected. boundary is overlapped (VerifyAsync)
-// or synchronous (Verify, the equivalence baseline); the program is
-// otherwise the same.
+// and returns rank 0's verdicts, summaries (wall times zeroed), and
+// whether the pipeline rejected. boundary is perBoundary or batched;
+// the program is otherwise the same.
 func overlapRun(t *testing.T, boundary func(*repro.Context) error, corrupt *manipulate.PairManipulator) ([]repro.Verdict, []repro.VerifySummary, bool) {
 	t.Helper()
 	const p = 3
@@ -58,8 +59,6 @@ func overlapRun(t *testing.T, boundary func(*repro.Context) error, corrupt *mani
 		if err := boundary(ctx); err != nil {
 			return err
 		}
-		// A streamed stage's chunk drains run while the previous round
-		// is on the wire — the PR 5 machinery under overlap.
 		serr := ctx.StreamPairs(repro.SlicePairs(local, 97)).AssertSum(repro.SlicePairs(data.ClonePairs(out), 97))
 		if serr != nil && !errors.Is(serr, repro.ErrCheckFailed) {
 			return serr
@@ -79,9 +78,6 @@ func overlapRun(t *testing.T, boundary func(*repro.Context) error, corrupt *mani
 		if verr != nil && !errors.Is(verr, repro.ErrCheckFailed) {
 			return verr
 		}
-		if ctx.Outstanding() {
-			return errors.New("round still outstanding after Verify")
-		}
 		if r == 0 {
 			for _, st := range ctx.Stats() {
 				verdicts = append(verdicts, st.Verdict)
@@ -100,36 +96,58 @@ func overlapRun(t *testing.T, boundary func(*repro.Context) error, corrupt *mani
 	return verdicts, sums, rejected
 }
 
-// TestOverlapEquivalenceClean checks a clean overlapped-deferred
-// pipeline produces exactly the verdicts and VerifySummary attribution
-// of the synchronous deferred path — Bytes, Msgs, Rounds, Words, batch
-// boundaries, everything except wall-clock placement.
-func TestOverlapEquivalenceClean(t *testing.T) {
-	ov, osums, orej := overlapRun(t, overlapped, nil)
-	sv, ssums, srej := overlapRun(t, synchronous, nil)
-	if orej || srej {
-		t.Fatalf("clean pipeline rejected: overlap=%v sync=%v", orej, srej)
+// checkBatches checks the per-boundary run's summaries against the
+// batched run's: one single-stage batch per stage, each resolved in as
+// many rounds as the one batch, together carrying its words, and only
+// the final batch naming the failures the one batch names.
+func checkBatches(t *testing.T, batches, one []repro.VerifySummary) {
+	t.Helper()
+	if len(batches) != 4 || len(one) != 1 {
+		t.Fatalf("got %d per-boundary and %d batched summaries, want 4 (one per stage boundary) and 1", len(batches), len(one))
 	}
-	for _, v := range ov {
-		if v != repro.VerdictPass {
-			t.Fatalf("overlapped verdicts not all pass: %v", ov)
+	words := 0
+	for i, b := range batches {
+		if b.Stages != 1 || b.Rounds != one[0].Rounds || b.Bytes <= 0 || b.Msgs <= 0 {
+			t.Errorf("batch %d: %+v, want one stage resolved in %d rounds", i, b, one[0].Rounds)
 		}
+		if i < len(batches)-1 && len(b.Failed) != 0 {
+			t.Errorf("batch %d names failures %v before the corrupted stage", i, b.Failed)
+		}
+		words += b.Words
 	}
-	if !reflect.DeepEqual(ov, sv) {
-		t.Fatalf("verdicts differ: overlap %v, sync %v", ov, sv)
+	if words != one[0].Words {
+		t.Errorf("per-boundary batches carry %d words, the one batch %d", words, one[0].Words)
 	}
-	if !reflect.DeepEqual(osums, ssums) {
-		t.Fatalf("verify summaries differ:\noverlap: %+v\nsync:    %+v", osums, ssums)
-	}
-	if len(osums) != 4 {
-		t.Fatalf("got %d summaries, want 4 (one per stage boundary)", len(osums))
+	if last := batches[len(batches)-1]; !reflect.DeepEqual(last.Failed, one[0].Failed) {
+		t.Errorf("final batch failures %v, batched run's %v", last.Failed, one[0].Failed)
 	}
 }
 
+// TestOverlapEquivalenceClean checks a clean deferred pipeline with a
+// Verify at every stage boundary accepts with exactly the verdicts of
+// the same pipeline resolved in one batch, and that its VerifySummary
+// attribution splits the one batch stage by stage.
+func TestOverlapEquivalenceClean(t *testing.T) {
+	bv, bsums, brej := overlapRun(t, perBoundary, nil)
+	ov, osums, orej := overlapRun(t, batched, nil)
+	if brej || orej {
+		t.Fatalf("clean pipeline rejected: per-boundary=%v batched=%v", brej, orej)
+	}
+	for _, v := range bv {
+		if v != repro.VerdictPass {
+			t.Fatalf("per-boundary verdicts not all pass: %v", bv)
+		}
+	}
+	if !reflect.DeepEqual(bv, ov) {
+		t.Fatalf("verdicts differ: per-boundary %v, batched %v", bv, ov)
+	}
+	checkBatches(t, bsums, osums)
+}
+
 // TestOverlapEquivalenceCorrupted corrupts the final stage with every
-// applicable Table 4 manipulator: the overlapped and synchronous runs
-// must reject identically, attribute the failure to the same stage, and
-// agree on every summary.
+// applicable Table 4 manipulator: the per-boundary and batched runs
+// must reject identically, attribute the failure to the same stage,
+// and name it only in the per-boundary run's final batch.
 func TestOverlapEquivalenceCorrupted(t *testing.T) {
 	clean := workload.ZipfPairs(1200, 100, 600, 51)
 	for _, m := range manipulate.PairManipulators() {
@@ -139,27 +157,28 @@ func TestOverlapEquivalenceCorrupted(t *testing.T) {
 			if !m.Apply(probe, hashing.NewMT19937_64(7), 80) || !manipulate.ChangesAggregation(clean, probe) {
 				t.Skip("manipulator not applicable to this workload")
 			}
-			ov, osums, orej := overlapRun(t, overlapped, &m)
-			sv, ssums, srej := overlapRun(t, synchronous, &m)
-			if !orej || !srej {
-				t.Fatalf("corruption not rejected: overlap=%v sync=%v", orej, srej)
+			bv, bsums, brej := overlapRun(t, perBoundary, &m)
+			ov, osums, orej := overlapRun(t, batched, &m)
+			if !brej || !orej {
+				t.Fatalf("corruption not rejected: per-boundary=%v batched=%v", brej, orej)
 			}
-			if !reflect.DeepEqual(ov, sv) {
-				t.Fatalf("verdicts differ: overlap %v, sync %v", ov, sv)
+			if !reflect.DeepEqual(bv, ov) {
+				t.Fatalf("verdicts differ: per-boundary %v, batched %v", bv, ov)
 			}
-			if !reflect.DeepEqual(osums, ssums) {
-				t.Fatalf("summaries differ:\noverlap: %+v\nsync:    %+v", osums, ssums)
+			checkBatches(t, bsums, osums)
+			if len(osums[0].Failed) != 1 {
+				t.Errorf("batched run names failures %v, want the final stage only", osums[0].Failed)
 			}
-			if ov[len(ov)-1] != repro.VerdictFail {
-				t.Errorf("final stage verdict %s, want fail", ov[len(ov)-1])
+			if bv[len(bv)-1] != repro.VerdictFail {
+				t.Errorf("final stage verdict %s, want fail", bv[len(bv)-1])
 			}
 		})
 	}
 }
 
 // TestOverlapStreamedCorruption corrupts one chunk of a streamed
-// stage's asserted output while the previous round is in flight; the
-// overlapped and synchronous paths must both pin the failure on the
+// stage's asserted output; with a Verify at the boundary before the
+// streamed stage and without one, the failure must be pinned on the
 // streamed stage.
 func TestOverlapStreamedCorruption(t *testing.T) {
 	const p = 3
@@ -210,91 +229,12 @@ func TestOverlapStreamedCorruption(t *testing.T) {
 		}
 		return failedStage, rejected
 	}
-	oStage, oRej := run(overlapped)
-	sStage, sRej := run(synchronous)
-	if !oRej || !sRej {
-		t.Fatalf("streamed corruption not rejected: overlap=%v sync=%v", oRej, sRej)
+	bStage, bRej := run(perBoundary)
+	oStage, oRej := run(batched)
+	if !bRej || !oRej {
+		t.Fatalf("streamed corruption not rejected: per-boundary=%v batched=%v", bRej, oRej)
 	}
-	if oStage != sStage || oStage == "" {
-		t.Fatalf("failure attribution differs: overlap %q, sync %q", oStage, sStage)
-	}
-}
-
-// TestVerifyAsyncDegrades checks that outside deferred mode VerifyAsync
-// is exactly Verify: verdicts immediate, no round left outstanding.
-func TestVerifyAsyncDegrades(t *testing.T) {
-	pairs := workload.ZipfPairs(600, 60, 300, 81)
-	for _, mode := range []repro.CheckMode{repro.CheckEager, repro.CheckOff} {
-		t.Run(mode.String(), func(t *testing.T) {
-			const p = 2
-			opts := repro.DefaultOptions()
-			opts.Mode = mode
-			err := repro.Run(p, 82, func(w *repro.Worker) error {
-				ctx, err := repro.NewContext(w, opts)
-				if err != nil {
-					return err
-				}
-				local := shardPairs(pairs, p, w.Rank())
-				if _, err := ctx.Pairs(local).ReduceByKey(repro.SumFn).Collect(); err != nil {
-					return err
-				}
-				if err := ctx.VerifyAsync(); err != nil {
-					return err
-				}
-				if ctx.Outstanding() {
-					return errors.New("VerifyAsync left a round outstanding outside deferred mode")
-				}
-				want := repro.VerdictPass
-				if mode == repro.CheckOff {
-					want = repro.VerdictSkipped
-				}
-				if got := ctx.Stats()[0].Verdict; got != want {
-					return errors.New("verdict not settled after degraded VerifyAsync: " + got.String())
-				}
-				return ctx.Verify()
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestOverlapVerdictsDeferOneBoundary pins the contract: under overlap
-// a stage's verdict is still pending right after its VerifyAsync and
-// settles at the next boundary.
-func TestOverlapVerdictsDeferOneBoundary(t *testing.T) {
-	pairs := workload.ZipfPairs(600, 60, 300, 91)
-	const p = 2
-	opts := repro.DefaultOptions()
-	opts.Mode = repro.CheckDeferred
-	err := repro.Run(p, 92, func(w *repro.Worker) error {
-		ctx, err := repro.NewContext(w, opts)
-		if err != nil {
-			return err
-		}
-		local := shardPairs(pairs, p, w.Rank())
-		if _, err := ctx.Pairs(local).ReduceByKey(repro.SumFn).Collect(); err != nil {
-			return err
-		}
-		if err := ctx.VerifyAsync(); err != nil {
-			return err
-		}
-		if !ctx.Outstanding() {
-			return errors.New("no round outstanding after VerifyAsync in deferred mode")
-		}
-		if got := ctx.Stats()[0].Verdict; got != repro.VerdictPending {
-			return errors.New("verdict settled too early: " + got.String())
-		}
-		if err := ctx.Verify(); err != nil {
-			return err
-		}
-		if got := ctx.Stats()[0].Verdict; got != repro.VerdictPass {
-			return errors.New("verdict not settled after Verify: " + got.String())
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	if bStage != oStage || !strings.HasPrefix(bStage, "StreamSum#") {
+		t.Fatalf("failure attribution differs or misses the streamed stage: per-boundary %q, batched %q", bStage, oStage)
 	}
 }
