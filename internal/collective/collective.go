@@ -39,7 +39,7 @@
 // pattern is the Exchange collective — so whatever changes how words
 // reach the wire changes it there, once. AllToAllBytes and Barrier use
 // send/recv directly because their payloads are not words; the
-// membership control plane (ctl.go) bypasses metering on purpose.
+// failure detector's heartbeats (ctl.go) bypass metering on purpose.
 //
 // Words are encoded into payloads from comm's payload pool, which the
 // transport owns once they are sent, and a received payload goes back
@@ -72,8 +72,8 @@
 //	[1<<31, ctl)        sub-communicator blocks, handed out by Sub in
 //	                    allocation order and returned for reuse by
 //	                    Release
-//	[ctl, 1<<62)        membership control streams, one tag per sending
-//	                    PE (ctl.go); ctl = 1<<62 - 1<<20
+//	[ctl, 1<<62)        heartbeat streams, one tag per sending PE
+//	                    (ctl.go); ctl = 1<<62 - 1<<20
 //	[1<<62, ...)        control messages (comm.KickTag); never allocated
 //
 // Sub carves a block out of the root's space; the resulting Comm runs
@@ -111,16 +111,16 @@ const (
 	// subTagBase is where the root communicator's own collective
 	// sequence ends and sub-communicator tag blocks begin.
 	subTagBase int64 = 1 << 31
-	// ctlSpan is the width of the membership control region: one tag per
-	// sending PE, so a heartbeat/view-change stream between a pair of PEs
-	// never collides with any collective or sub-communicator traffic.
+	// ctlSpan is the width of the heartbeat control region: one tag per
+	// sending PE, so the heartbeat stream between a pair of PEs never
+	// collides with any collective or sub-communicator traffic.
 	// 2^20 tags bounds the supported PE count — far above any simulated p.
 	ctlSpan int64 = 1 << 20
-	// ctlTagBase is the first membership control tag; the stream from
+	// ctlTagBase is the first heartbeat control tag; the stream from
 	// physical rank r uses tag ctlTagBase+r.
 	ctlTagBase int64 = comm.KickTag - ctlSpan
 	// subTagLimit caps the sub-communicator space; tags at and above it
-	// belong to the membership control region (ctlTagBase) and the kick
+	// belong to the heartbeat control region (ctlTagBase) and the kick
 	// range (comm.KickTag).
 	subTagLimit int64 = ctlTagBase
 	// subTagSpan is the tag-block width of a sub-communicator: room

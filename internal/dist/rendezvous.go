@@ -20,11 +20,10 @@ import (
 // Only then does anyone dial a peer, so the topology pre-open never
 // races a listener that is not up yet.
 //
-// Frames are checksummed the same way as the membership control plane:
-// a chained Mix64 over the frame bytes under a domain constant, so a
-// corrupted or alien byte stream is rejected instead of misparsed —
-// the bootstrap path gets the same integrity discipline as the checked
-// collectives it sets up.
+// Frames are checksummed with a chained Mix64 over the frame bytes
+// under a domain constant, so a corrupted or alien byte stream is
+// rejected instead of misparsed — the bootstrap path gets the same
+// integrity discipline as the checked collectives it sets up.
 //
 // Wire format, little-endian:
 //

@@ -7,10 +7,8 @@ import (
 
 // View is an epoch-numbered membership snapshot: the physical endpoint
 // ranks currently believed alive, in ascending order. Epoch counts
-// removals — every PE that has applied the same set of deaths reports
-// the same epoch and the same member list, with no consensus round:
-// removals are idempotent and commutative, so views converge under
-// arbitrary delivery orders of the DOWN announcements.
+// removals, so two views that applied the same set of deaths report
+// the same epoch and the same member list in any order of removal.
 //
 // A View is immutable; Remove returns a derived View. The zero View is
 // invalid — start from FullView.
@@ -53,9 +51,8 @@ func (v View) Index(rank int) int {
 func (v View) Contains(rank int) bool { return v.Index(rank) >= 0 }
 
 // Remove returns the view with rank deleted and the epoch advanced.
-// Removing a non-member is the identity (idempotent deletes are what
-// lets duplicated DOWN announcements converge instead of double-
-// counting).
+// Removing a non-member is the identity, so a repeated conviction
+// never counts twice.
 func (v View) Remove(rank int) View {
 	i := v.Index(rank)
 	if i < 0 {

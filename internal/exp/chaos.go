@@ -176,7 +176,7 @@ func Soak(opt SoakOptions) (SoakResult, error) {
 			}
 			defer pool.Close()
 			if first = cmp.Or(first, pool); ph.elastic != nil {
-				time.Sleep(4 * killHeartbeat) // warm the ring, or a death waits out the detector's cold-start grace too
+				time.Sleep(4 * killHeartbeat) // warm the ring: the kill lands mid-stream, so detection takes a full suspicion window
 			}
 		}
 		if err := res.run(ph, fn, pool, opt.Seed); err != nil {

@@ -10,7 +10,7 @@ import (
 // the layers — transport traffic (comm.NetworkMeter, wrappers
 // included), collective rounds, the pool's own job accounting
 // (PoolStats stays as the struct API; the registry re-exposes it), and
-// — on an elastic pool — the failure detectors' heartbeat and
+// — on an elastic pool — the failure detector's heartbeat and
 // conviction counts. Gauges read live state at render time, and
 // service_job_latency_ns is the pool's own latency ring — the one
 // Stats reads P50Ns/P99Ns from — so it covers the pool's whole life.
@@ -62,22 +62,11 @@ func (p *Pool) Registry() *obs.Registry {
 		return total
 	})
 
-	if p.memberships != nil {
-		members := p.memberships
-		reg.Gauge("membership_heartbeats", func() int64 {
-			var total int64
-			for _, m := range members {
-				total += m.Heartbeats()
-			}
-			return total
-		})
-		reg.Gauge("membership_convictions", func() int64 {
-			var total int64
-			for _, m := range members {
-				total += m.Convictions()
-			}
-			return total
-		})
+	if p.opts.Elastic != nil {
+		reg.Gauge("membership_heartbeats", p.det.heartbeats.Load)
+		// Every conviction is one view change: the pool's view is the
+		// only one.
+		reg.Gauge("membership_convictions", stat(func(s PoolStats) int64 { return s.ViewChanges }))
 		reg.Gauge("membership_epoch", stat(func(s PoolStats) int64 { return int64(s.Epoch) }))
 		reg.Gauge("membership_alive", stat(func(s PoolStats) int64 { return int64(s.Alive) }))
 		reg.Gauge("membership_view_changes", stat(func(s PoolStats) int64 { return s.ViewChanges }))

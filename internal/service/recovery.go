@@ -14,11 +14,10 @@ import (
 	recov "repro/internal/recover"
 )
 
-// ElasticOptions enables elastic membership on a pool: a per-rank
-// failure detector (heartbeats over the control tag plane), an agreed
-// epoch-numbered view, and checked recovery for recoverable jobs. The
-// zero value of each field selects the dist.MembershipOptions /
-// recover.Store defaults.
+// ElasticOptions enables elastic membership on a pool: a heartbeat
+// failure detector over the control tag plane (detector.go), one
+// epoch-numbered view owned by the pool, and checked recovery for
+// recoverable jobs. The zero value of each field selects its default.
 type ElasticOptions struct {
 	// Heartbeat is the probe period (default 50ms).
 	Heartbeat time.Duration
@@ -26,9 +25,6 @@ type ElasticOptions struct {
 	// 20*Heartbeat); it lower-bounds detection latency and upper-bounds
 	// the false-alarm rate.
 	SuspectAfter time.Duration
-	// RetainChunk is the retention chunk granularity in pairs for
-	// recoverable jobs (default recover.DefaultChunkPairs).
-	RetainChunk int
 }
 
 // RecoverableBody is the body of a recoverable job: SPMD code over the
@@ -63,7 +59,7 @@ func (p *Pool) View() dist.View {
 }
 
 func (p *Pool) viewLocked() dist.View {
-	if p.memberships == nil {
+	if p.opts.Elastic == nil {
 		return dist.FullView(p.opts.P)
 	}
 	return p.view
@@ -99,26 +95,6 @@ func (p *Pool) WaitEpoch(epoch int, timeout time.Duration) bool {
 	}
 }
 
-// onViewChange is every rank's Membership callback. The detectors
-// converge to identical views, so the first rank to report an epoch
-// wins and the duplicates are dropped; the pool-level view is what
-// submissions and recovery key off.
-func (p *Pool) onViewChange(v dist.View) {
-	p.mu.Lock()
-	if v.Epoch() <= p.view.Epoch() {
-		p.mu.Unlock()
-		return
-	}
-	p.view = v
-	p.viewChanges++
-	close(p.viewChangedCh)
-	p.viewChangedCh = make(chan struct{})
-	p.mu.Unlock()
-	// Wake parked pullers everywhere: in-flight jobs touching the dead
-	// rank must observe their aborts promptly even on an idle mesh.
-	p.kickAll()
-}
-
 // awaitDeath gives the failure detector time to attribute a job's
 // infrastructure failure to a peer death: it waits (bounded by a
 // multiple of the suspicion threshold) for the pool view to advance
@@ -127,32 +103,16 @@ func (p *Pool) onViewChange(v dist.View) {
 // leaves the view unchanged and returns ok=false, preserving the
 // tier-2 abort-and-quarantine classification.
 func (p *Pool) awaitDeath(j *Job) (dead int, ok bool) {
-	bound := 4 * p.elasticOpts.SuspectAfter
-	deadline := time.Now().Add(bound)
-	for {
-		v := p.View()
-		if v.Epoch() > j.epoch {
-			for _, m := range j.members {
-				if !v.Contains(m) {
-					return m, true
-				}
-			}
-		}
-		p.mu.Lock()
-		ch := p.viewChangedCh
-		p.mu.Unlock()
-		remaining := time.Until(deadline)
-		if remaining <= 0 || ch == nil {
-			return -1, false
-		}
-		timer := time.NewTimer(remaining)
-		select {
-		case <-ch:
-			timer.Stop()
-		case <-timer.C:
-			return -1, false
+	if !p.WaitEpoch(j.epoch+1, 4*p.opts.Elastic.SuspectAfter) {
+		return -1, false
+	}
+	v := p.View()
+	for _, m := range j.members {
+		if !v.Contains(m) {
+			return m, true
 		}
 	}
+	return -1, false
 }
 
 // recoverJob replays a recoverable job on the survivors of its view

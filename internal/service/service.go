@@ -76,8 +76,8 @@ type Options struct {
 	// duration — scoped to the job's tag block, so a wedged job dies
 	// without waiting for the network's global deadline backstop.
 	JobTimeout time.Duration
-	// Elastic, when non-nil, turns on elastic membership: per-rank
-	// failure detectors, epoch-numbered views, PeerDown attribution for
+	// Elastic, when non-nil, turns on elastic membership: a heartbeat
+	// failure detector, an epoch-numbered view, PeerDown attribution for
 	// jobs that lose a rank, and checked recovery for recoverable jobs.
 	// Nil keeps the classic fixed-membership pool with zero overhead.
 	Elastic *ElasticOptions
@@ -111,12 +111,11 @@ type Pool struct {
 	start   time.Time
 	run     runners // the goroutines jobs and their ranks run on
 
-	// Elastic membership (nil/zero when Options.Elastic is nil): one
-	// detector and one retention store per physical rank, plus the
-	// pool-level view that submissions and recovery key off.
-	memberships []*dist.Membership
-	stores      []*recov.Store
-	elasticOpts dist.MembershipOptions // resolved; bounds awaitDeath
+	// Elastic membership (zero when Options.Elastic is nil): the
+	// failure detector (detector.go), which convicts ranks out of view
+	// below, and one retention store per physical rank.
+	det    detector
+	stores []*recov.Store
 
 	mu            sync.Mutex
 	closed        bool
@@ -133,7 +132,7 @@ type Pool struct {
 	totalBytes    int64
 	totalRound    int64
 	lat           obs.Quantile  // job latencies, submission to completion
-	view          dist.View     // current view; meaningful when memberships != nil
+	view          dist.View     // current view; meaningful when opts.Elastic != nil
 	viewChangedCh chan struct{} // closed and replaced on every view change
 	reg           *obs.Registry // lazily built by Registry()
 }
@@ -201,25 +200,15 @@ func NewOnNetwork(net comm.Network, opt Options) (*Pool, error) {
 		start:   time.Now(),
 	}
 	if opt.Elastic != nil {
+		e := opt.Elastic.withDefaults()
+		pool.opts.Elastic = &e
 		pool.view = dist.FullView(opt.P)
 		pool.viewChangedCh = make(chan struct{})
-		pool.elasticOpts = dist.MembershipOptions{
-			Interval:     opt.Elastic.Heartbeat,
-			SuspectAfter: opt.Elastic.SuspectAfter,
-		}.WithDefaults()
 		pool.stores = make([]*recov.Store, opt.P)
-		pool.memberships = make([]*dist.Membership, opt.P)
-		for r := 0; r < opt.P; r++ {
-			pool.stores[r] = recov.NewStore(opt.Elastic.RetainChunk)
-			m := dist.NewMembership(workers[r], pool.elasticOpts)
-			m.OnChange = pool.onViewChange
-			pool.memberships[r] = m
+		for r := range pool.stores {
+			pool.stores[r] = recov.NewStore(recov.DefaultChunkPairs)
 		}
-		// Start probing only after every detector exists: the first
-		// OnChange may fire from any rank's listener.
-		for _, m := range pool.memberships {
-			m.Start()
-		}
+		pool.startDetector()
 	}
 	return pool, nil
 }
@@ -424,7 +413,7 @@ func (p *Pool) runJob(j *Job, subs []*collective.Comm, spec jobSpec) {
 	// attributed to the lost rank (PeerDownError) — and a recoverable
 	// job replays on the survivors with the dead share resharded under
 	// redistribution-checker verification instead of failing at all.
-	if err != nil && !errors.Is(err, repro.ErrCheckFailed) && p.memberships != nil {
+	if err != nil && !errors.Is(err, repro.ErrCheckFailed) && p.opts.Elastic != nil {
 		if dead, ok := p.awaitDeath(j); ok {
 			j.deadRank = dead
 			attributed := peerDownError(j, dead)
@@ -622,10 +611,10 @@ func (p *Pool) Close() error {
 	}
 	// Every job has retired, so every runner is parked.
 	p.run.stop()
-	// Detectors outlive the last job (recovery needs them) and stop
+	// The detector outlives the last job (recovery needs it) and stops
 	// before the mesh goes away.
-	for _, m := range p.memberships {
-		m.Stop()
+	if p.opts.Elastic != nil {
+		p.stopDetector()
 	}
 	if p.ownNet {
 		return p.net.Close()
