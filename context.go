@@ -3,6 +3,7 @@ package repro
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -187,17 +188,32 @@ type Context struct {
 	seed uint64
 	par  core.ParallelAccumulator
 
+	// pending, states, stats and summaries start out in the inline
+	// arrays below, so a Context of a few stages — a service job's —
+	// keeps its bookkeeping in its own allocation.
 	pending   []pendingCheck
+	states    []core.CheckState // the pending stages' states, in stage order
 	stats     []CheckStats
 	summaries []VerifySummary
 	err       error
+
+	pendingBuf [inlineStages]pendingCheck
+	stateBuf   [inlineStages]core.CheckState
+	statsBuf   [inlineStages]CheckStats
+	sumBuf     [1]VerifySummary
 }
 
-// pendingCheck links a deferred stage's checker states to its stats
-// entry (most stages register one state; Join registers one per
-// relation).
+// inlineStages is how many stages a Context tracks before its
+// bookkeeping moves to the heap. A service job's claim check is one
+// stage; room for more would cost every Context more bytes than the
+// allocations it saves a longer pipeline.
+const inlineStages = 2
+
+// pendingCheck links a deferred stage's checker states — the next
+// states entries of Context.states — to its stats entry (most stages
+// register one state; Join registers one per relation).
 type pendingCheck struct {
-	states []core.CheckState
+	states int
 	stats  int
 }
 
@@ -216,14 +232,17 @@ func NewContext(w *Worker, opts Options) (*Context, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Context{
+	c := &Context{
 		w:    w,
 		opts: opts,
 		mode: opts.Mode,
 		pt:   ops.NewPartitioner(seed, w.Size()),
 		seed: seed,
 		par:  core.NewParallelAccumulator(opts.Parallelism),
-	}, nil
+	}
+	c.pending, c.states = c.pendingBuf[:0], c.stateBuf[:0]
+	c.stats, c.summaries = c.statsBuf[:0], c.sumBuf[:0]
+	return c, nil
 }
 
 // Worker returns the Worker this Context runs on.
@@ -331,21 +350,48 @@ type stage struct {
 	// its traffic and time are charged to the checker, and it is skipped
 	// under CheckOff. Nil for every other stage.
 	prep func() error
-	// check builds the checker's local-phase states and must not
-	// communicate. A streamed stage consumes its sources here and returns
-	// the input-side and output-side meters; a one-shot stage returns
-	// zero meters. Not called under CheckOff — a streamed stage's sources
-	// are then not consumed at all. Nil marks an unchecked stage.
-	check func(label string) (states []core.CheckState, in, out stream.Meter, err error)
+	// check builds the checker's local-phase states, appends them to
+	// states and returns the result; it must not communicate. A streamed
+	// stage consumes its sources here and returns the input-side and
+	// output-side meters; a one-shot stage returns zero meters. Not
+	// called under CheckOff — a streamed stage's sources are then not
+	// consumed at all. Nil marks an unchecked stage.
+	check func(label string, states []core.CheckState) (_ []core.CheckState, in, out stream.Meter, err error)
 }
 
-// oneShot adapts the local phase of a materialised stage — states built
-// from slices at hand, nothing to meter, nothing to fail — to
+// oneShot adapts the local phase of a materialised stage — one state
+// built from slices at hand, nothing to meter, nothing to fail — to
 // stage.check.
-func oneShot(mk func(label string) []core.CheckState) func(string) ([]core.CheckState, stream.Meter, stream.Meter, error) {
-	return func(label string) ([]core.CheckState, stream.Meter, stream.Meter, error) {
-		return mk(label), stream.Meter{}, stream.Meter{}, nil
+func oneShot(mk func(label string) core.CheckState) func(string, []core.CheckState) ([]core.CheckState, stream.Meter, stream.Meter, error) {
+	return func(label string, states []core.CheckState) ([]core.CheckState, stream.Meter, stream.Meter, error) {
+		return append(states, mk(label)), stream.Meter{}, stream.Meter{}, nil
 	}
+}
+
+// stageLabels interns the stage labels "op#i": the ops are a fixed set
+// and a pipeline's stages are numbered from 0, so every job's labels
+// are the first few of the same lists. Indices from maxInternedStage on
+// are formatted per stage.
+var stageLabels = struct {
+	sync.Mutex
+	byOp map[string][]string
+}{byOp: make(map[string][]string)}
+
+const maxInternedStage = 64
+
+// stageLabel returns the label of stage i, the operation op.
+func stageLabel(op string, i int) string {
+	if i >= maxInternedStage {
+		return fmt.Sprintf("%s#%d", op, i)
+	}
+	stageLabels.Lock()
+	defer stageLabels.Unlock()
+	labels := stageLabels.byOp[op]
+	for j := len(labels); j <= i; j++ {
+		labels = append(labels, fmt.Sprintf("%s#%d", op, j))
+	}
+	stageLabels.byOp[op] = labels
+	return labels[i]
 }
 
 // run executes one pipeline stage of the operation named op (the runner
@@ -358,7 +404,7 @@ func (c *Context) run(op string, s stage) error {
 	if c.err != nil {
 		return c.err
 	}
-	label := fmt.Sprintf("%s#%d", op, len(c.stats))
+	label := stageLabel(op, len(c.stats))
 	st := CheckStats{Stage: label, Op: op, ElementsIn: s.elemsIn}
 	span := c.w.Span(obs.KindStage, label)
 	defer span.End()
@@ -396,7 +442,7 @@ func (c *Context) run(op string, s stage) error {
 			return c.record(st, VerdictError, err)
 		}
 	}
-	states, in, out, err := s.check(label)
+	all, in, out, err := s.check(label, c.states)
 	st.CheckNs = time.Since(t1).Nanoseconds()
 	if s.exec == nil {
 		st.ElementsIn, st.ElementsOut = in.Elements, out.Elements
@@ -406,17 +452,22 @@ func (c *Context) run(op string, s stage) error {
 	if err != nil {
 		return c.record(st, VerdictError, err)
 	}
+	states := all[len(c.states):]
 
 	if c.mode == CheckDeferred {
 		for _, cs := range states {
 			st.BatchWords += len(cs.Words()) + 1
 		}
-		c.pending = append(c.pending, pendingCheck{states: states, stats: len(c.stats)})
+		c.states = all
+		c.pending = append(c.pending, pendingCheck{states: len(states), stats: len(c.stats)})
 		return c.record(st, VerdictPending, nil)
 	}
 	b0, m0, r0 := c.commSnapshot()
 	t2 := time.Now()
 	verdicts, err := core.Resolve(c.w, states...)
+	// Keep the storage the states were appended to, not the states.
+	clear(states)
+	c.states = all[:len(c.states)]
 	st.CheckNs += time.Since(t2).Nanoseconds()
 	b1, m1, r1 := c.commSnapshot()
 	st.CheckerBytes += b1 - b0
@@ -462,17 +513,13 @@ func (c *Context) Verify() error {
 	if len(c.pending) == 0 {
 		return nil
 	}
-	var states []core.CheckState
-	for _, p := range c.pending {
-		states = append(states, p.states...)
-	}
 	sum := VerifySummary{Stages: len(c.pending)}
-	for _, s := range states {
+	for _, s := range c.states {
 		sum.Words += len(s.Words()) + 1
 	}
 	b0, m0, r0 := c.commSnapshot()
 	t0 := time.Now()
-	verdicts, err := core.Resolve(c.w, states...)
+	verdicts, err := core.Resolve(c.w, c.states...)
 	sum.WallNs = time.Since(t0).Nanoseconds()
 	b1, m1, r1 := c.commSnapshot()
 	sum.Bytes, sum.Msgs, sum.Rounds = b1-b0, m1-m0, r1-r0
@@ -480,7 +527,9 @@ func (c *Context) Verify() error {
 		return c.fail(err)
 	}
 	pending := c.pending
-	c.pending = nil
+	c.pending = c.pending[:0]
+	clear(c.states)
+	c.states = c.states[:0]
 
 	// Per-stage verdicts into the stats entries, failed stage labels
 	// into the summary, and the joined StageErrors as the result.
@@ -580,8 +629,8 @@ func (d *Dataset) ReduceByKey(fn ReduceFn) *Dataset {
 		var err error
 		out, err = ops.ReduceByKey(c.w, c.pt, d.pairs, fn)
 		return len(out), err
-	}, check: oneShot(func(label string) []core.CheckState {
-		return []core.CheckState{core.NewSumAggState(label, c.opts.Sum, c.seed, c.par, d.pairs, out)}
+	}, check: oneShot(func(label string) core.CheckState {
+		return core.NewSumAggState(label, c.opts.Sum, c.seed, c.par, d.pairs, out)
 	})})
 	return &Dataset{ctx: c, pairs: out}
 }
@@ -601,8 +650,8 @@ func (d *Dataset) GroupByKey() ([]Group, error) {
 		}
 		groups = ops.GroupPairs(red.After)
 		return len(groups), nil
-	}, check: oneShot(func(label string) []core.CheckState {
-		return []core.CheckState{core.NewRedistState(label, c.opts.Perm, c.seed, c.par, c.pt, c.w.Rank(), red.Before, red.After)}
+	}, check: oneShot(func(label string) core.CheckState {
+		return core.NewRedistState(label, c.opts.Perm, c.seed, c.par, c.pt, c.w.Rank(), red.Before, red.After)
 	})})
 	if err != nil {
 		return nil, err
@@ -634,12 +683,12 @@ func (d *Dataset) Join(other *Dataset) ([]JoinRow, error) {
 		}
 		rows = ops.JoinPairs(redL.After, redR.After)
 		return len(rows), nil
-	}, check: oneShot(func(label string) []core.CheckState {
-		return []core.CheckState{
+	}, check: func(label string, states []core.CheckState) ([]core.CheckState, stream.Meter, stream.Meter, error) {
+		return append(states,
 			core.NewRedistState(label+"/left", c.opts.Perm, c.seed, c.par, c.pt, c.w.Rank(), redL.Before, redL.After),
 			core.NewRedistState(label+"/right", c.opts.Perm, c.seed, c.par, c.pt, c.w.Rank(), redR.Before, redR.After),
-		}
-	})})
+		), stream.Meter{}, stream.Meter{}, nil
+	}})
 	if err != nil {
 		return nil, err
 	}
@@ -669,11 +718,11 @@ func (d *Dataset) optByKey(op string, wantMin bool) (MinMaxResult, error) {
 			res, err = ops.MaxByKey(c.w, c.pt, d.pairs)
 		}
 		return len(res.Result), err
-	}, check: oneShot(func(label string) []core.CheckState {
+	}, check: oneShot(func(label string) core.CheckState {
 		if wantMin {
-			return []core.CheckState{core.NewMinAggState(label, c.seed, c.w.Rank(), c.w.Size(), d.pairs, res.Result, res.Witness)}
+			return core.NewMinAggState(label, c.seed, c.w.Rank(), c.w.Size(), d.pairs, res.Result, res.Witness)
 		}
-		return []core.CheckState{core.NewMaxAggState(label, c.seed, c.w.Rank(), c.w.Size(), d.pairs, res.Result, res.Witness)}
+		return core.NewMaxAggState(label, c.seed, c.w.Rank(), c.w.Size(), d.pairs, res.Result, res.Witness)
 	})})
 	if err != nil {
 		return MinMaxResult{}, err
@@ -714,8 +763,8 @@ func (d *Dataset) MedianByKey() ([]Pair, error) {
 		}
 		data.SortPairsByKey(medians)
 		return len(medians), nil
-	}, check: oneShot(func(label string) []core.CheckState {
-		return []core.CheckState{core.NewMedianAggState(label, c.opts.Sum, c.seed, c.w.Rank(), d.pairs, medians, ties)}
+	}, check: oneShot(func(label string) core.CheckState {
+		return core.NewMedianAggState(label, c.opts.Sum, c.seed, c.w.Rank(), d.pairs, medians, ties)
 	})})
 	if err != nil {
 		return nil, err
@@ -733,8 +782,8 @@ func (d *Dataset) AverageByKey() ([]Triple, error) {
 		var err error
 		out, err = ops.AverageByKey(c.w, c.pt, d.pairs)
 		return len(out), err
-	}, check: oneShot(func(label string) []core.CheckState {
-		return []core.CheckState{core.NewAvgAggState(label, c.opts.Sum, c.seed, c.par, d.pairs, core.AvgAssertionsFromTriples(out))}
+	}, check: oneShot(func(label string) core.CheckState {
+		return core.NewAvgAggState(label, c.opts.Sum, c.seed, c.par, d.pairs, core.AvgAssertionsFromTriples(out))
 	})})
 	if err != nil {
 		return nil, err
@@ -751,8 +800,8 @@ func (s *Seq) Sort() *Seq {
 		var err error
 		out, err = ops.Sort(c.w, s.vals)
 		return len(out), err
-	}, check: oneShot(func(label string) []core.CheckState {
-		return []core.CheckState{core.NewSortedState(label, c.opts.Perm, c.seed, c.par, [][]uint64{s.vals}, out)}
+	}, check: oneShot(func(label string) core.CheckState {
+		return core.NewSortedState(label, c.opts.Perm, c.seed, c.par, [][]uint64{s.vals}, out)
 	})})
 	return &Seq{ctx: c, vals: out}
 }
@@ -769,8 +818,8 @@ func (s *Seq) Merge(other *Seq) *Seq {
 		var err error
 		out, err = ops.Merge(c.w, s.vals, other.vals)
 		return len(out), err
-	}, check: oneShot(func(label string) []core.CheckState {
-		return []core.CheckState{core.NewSortedState(label, c.opts.Perm, c.seed, c.par, [][]uint64{s.vals, other.vals}, out)}
+	}, check: oneShot(func(label string) core.CheckState {
+		return core.NewSortedState(label, c.opts.Perm, c.seed, c.par, [][]uint64{s.vals, other.vals}, out)
 	})})
 	return &Seq{ctx: c, vals: out}
 }
@@ -787,8 +836,8 @@ func (s *Seq) Union(other *Seq) *Seq {
 		var err error
 		out, err = ops.Union(c.w, s.vals, other.vals)
 		return len(out), err
-	}, check: oneShot(func(label string) []core.CheckState {
-		return []core.CheckState{core.NewPermState(label, c.opts.Perm, c.seed, c.par, [][]uint64{s.vals, other.vals}, out)}
+	}, check: oneShot(func(label string) core.CheckState {
+		return core.NewPermState(label, c.opts.Perm, c.seed, c.par, [][]uint64{s.vals, other.vals}, out)
 	})})
 	return &Seq{ctx: c, vals: out}
 }
@@ -815,10 +864,10 @@ func (s *Seq) Zip(other *Seq) *Dataset {
 		var err error
 		starts, totals, err = core.ExclusiveCounts(c.w, len(s.vals), len(other.vals), len(out))
 		return err
-	}, check: oneShot(func(label string) []core.CheckState {
+	}, check: oneShot(func(label string) core.CheckState {
 		lengthsOK := totals[0] == totals[1] && totals[1] == totals[2]
-		return []core.CheckState{core.NewZipState(label, c.opts.Zip, c.seed, s.vals, other.vals, out,
-			starts[0], starts[1], starts[2], lengthsOK)}
+		return core.NewZipState(label, c.opts.Zip, c.seed, s.vals, other.vals, out,
+			starts[0], starts[1], starts[2], lengthsOK)
 	})})
 	return &Dataset{ctx: c, pairs: out}
 }
@@ -831,8 +880,8 @@ func (s *Seq) Zip(other *Seq) *Dataset {
 func (c *Context) AssertSum(input, output []Pair) error {
 	return c.run("AssertSum", stage{elemsIn: len(input), valid: c.validSum, exec: func() (int, error) {
 		return len(output), nil
-	}, check: oneShot(func(label string) []core.CheckState {
-		return []core.CheckState{core.NewSumAggState(label, c.opts.Sum, c.seed, c.par, input, output)}
+	}, check: oneShot(func(label string) core.CheckState {
+		return core.NewSumAggState(label, c.opts.Sum, c.seed, c.par, input, output)
 	})})
 }
 
@@ -842,7 +891,7 @@ func (c *Context) AssertSum(input, output []Pair) error {
 func (c *Context) AssertSorted(input, output []uint64) error {
 	return c.run("AssertSorted", stage{elemsIn: len(input), valid: c.validPerm, exec: func() (int, error) {
 		return len(output), nil
-	}, check: oneShot(func(label string) []core.CheckState {
-		return []core.CheckState{core.NewSortedState(label, c.opts.Perm, c.seed, c.par, [][]uint64{input}, output)}
+	}, check: oneShot(func(label string) core.CheckState {
+		return core.NewSortedState(label, c.opts.Perm, c.seed, c.par, [][]uint64{input}, output)
 	})})
 }

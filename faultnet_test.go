@@ -163,3 +163,60 @@ func TestSortVerdictMatchesGroundTruthUnderNetworkFaults(t *testing.T) {
 		t.Fatalf("fault sweep ineffective: %d injected, %d fail-stopped", injected, failStop)
 	}
 }
+
+// TestVerdictBitflipCannotForgeAccept flips one bit of one message of a
+// sum check whose claimed output is wrong — every message of the run in
+// turn, at bits 0, 1 and 63, the common-seed broadcast, the reduction
+// and the verdict broadcast alike. The check must never accept: a rank
+// rejects or reports an error.
+// With plain 0/1 verdict words, a flipped bit 0 in the verdict
+// broadcast made the ranks below it accept.
+func TestVerdictBitflipCannotForgeAccept(t *testing.T) {
+	const p = 4
+	input := workload.ZipfPairs(2000, 200, 1<<30, 1)
+	wrong := sumByKey(input)
+	wrong[len(wrong)/2].Value++
+	opts := repro.DefaultOptions()
+	for _, bit := range []int{0, 1, 63} {
+		for k := int64(1); ; k++ {
+			net := comm.NewFaultyNetwork(comm.NewMemNetwork(p), k, bit)
+			var verdicts [p]struct {
+				ok  bool
+				err error
+			}
+			_ = dist.RunNetwork(net, 5, func(w *dist.Worker) error {
+				r := w.Rank()
+				ok, err := repro.CheckSum(w, opts, shardPairs(input, p, r), shardPairs(wrong, p, r))
+				verdicts[r].ok, verdicts[r].err = ok, err
+				return err
+			})
+			injected := net.DidInject()
+			net.Close()
+			if !injected {
+				if k == 1 {
+					t.Fatal("no message of the check was corrupted")
+				}
+				break
+			}
+			for r, v := range verdicts {
+				if v.err == nil && v.ok {
+					t.Errorf("bit %d of message %d: rank %d accepted a wrong sum", bit, k, r)
+				}
+			}
+		}
+	}
+}
+
+// sumByKey is the correct sum reduction of pairs, sorted by key.
+func sumByKey(pairs []repro.Pair) []repro.Pair {
+	sums := make(map[uint64]uint64)
+	for _, pr := range pairs {
+		sums[pr.Key] += pr.Value
+	}
+	out := make([]repro.Pair, 0, len(sums))
+	for k, v := range sums {
+		out = append(out, repro.Pair{Key: k, Value: v})
+	}
+	data.SortPairsByKey(out)
+	return out
+}

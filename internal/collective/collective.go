@@ -58,7 +58,9 @@
 // AllToAllBytes returns (the parts in it are the caller's). Reduce
 // folds into the words it is given. Everything else a collective
 // returns — AllReduce, Gather, AllGather, ExclusiveScan, Exchange and
-// AllToAll — is the caller's.
+// AllToAll — is the caller's. One more buffer, Words, is the caller's
+// scratch: a vector to build an operation's input in. A communicator
+// that is kept and Reset between jobs keeps all of these.
 //
 // # Tag-space partitioning
 //
@@ -84,7 +86,10 @@
 // ErrTagSpaceExhausted. Release returns a retired block to the root's
 // free list, so a long-lived root can mint sub-communicators
 // indefinitely; exhausting the space without releasing reports
-// ErrTagSpaceExhausted instead of silently colliding.
+// ErrTagSpaceExhausted instead of silently colliding. A holder that
+// keeps its sub-communicator for a sequence of users (a service pool's
+// job slot) calls Reset between them instead: the block is cleared
+// as Release would clear it, but stays with the holder.
 //
 // Since tags are how PEs match messages, all PEs must call Sub — and
 // Release — in the same order relative to one another on the root —
@@ -219,9 +224,10 @@ type Comm struct {
 
 	// The scratch of the collectives (see "Per-Comm scratch"): up is
 	// sweepUp's receive buffer, down sweepDown's; bundle is the gather
-	// bundle, scan ExclusiveScan's partials, a2a AllToAllBytes' parts.
-	up, down, bundle, scan []uint64
-	a2a                    [][]byte
+	// bundle, scan ExclusiveScan's partials, a2a AllToAllBytes' parts;
+	// words is the caller's (Words).
+	up, down, bundle, scan, words []uint64
+	a2a                           [][]byte
 
 	// tr, when non-nil, records a collective-kind span per operation
 	// and a recv-wait span per blocking receive, attributed to
@@ -410,6 +416,27 @@ func (c *Comm) Release() {
 	c.parent.kids.release(c.base)
 }
 
+// Reset readies a quiescent sub-communicator for its next user without
+// retiring its block: it clears the block on this PE's demultiplexer
+// as Release does, restarts the tag sequence and zeroes the byte,
+// message and operation counters, so the next collective sequence on
+// it runs and meters exactly as on a freshly minted Sub of the same
+// block — only the scratch buffers are kept. The quiescence contract is
+// Release's: no in-flight collective, no undelivered message, on any
+// PE. Unlike Release it leaves the root's allocator alone, so each PE
+// may reset on its own. Resetting the root or a released communicator
+// is a no-op.
+func (c *Comm) Reset() {
+	if c.parent == nil || c.released.Load() {
+		return
+	}
+	c.mux.ClearRange(int(c.base), int(c.limit))
+	c.tag.Store(0)
+	c.ops.Store(0)
+	c.bytesSent.Store(0)
+	c.msgsSent.Store(0)
+}
+
 // Abort poisons this communicator's whole tag block on this PE: every
 // current and future receive inside [base, limit) fails with err, and the block's queued and straggling messages are
 // dropped. Traffic outside the block is untouched, which is what lets
@@ -426,6 +453,16 @@ func (c *Comm) Abort(err error) {
 // an injected fault's tag belongs to this communicator's traffic.
 func (c *Comm) Block() (lo, hi int) {
 	return int(c.base), int(c.limit)
+}
+
+// Words returns n words of scratch for the caller to build a
+// collective's input in — a vector that Reduce then folds in place,
+// say. No collective touches it; the next Words call reuses it, so it
+// is valid until then. Like the collectives, it is for the one
+// goroutine that runs the communicator's operations.
+func (c *Comm) Words(n int) []uint64 {
+	c.words = slices.Grow(c.words[:0], n)[:n]
+	return c.words
 }
 
 // BytesSent returns how many payload bytes this communicator has sent

@@ -53,13 +53,17 @@ func recycleHashers(hs []hashing.Hasher) {
 
 // SumAggBuilder is the chunked sum aggregation checker: two raw counter
 // tables (input side, output side) that chunks accumulate into. Chunk
-// order is immaterial on both sides.
+// order is immaterial on both sides. The builder holds its checker and
+// the state it seals, and both tables come from one slice: a builder is
+// three allocations.
 type SumAggBuilder struct {
 	stage  string
-	c      *SumChecker
+	c      *SumChecker // &chk until the builder is consumed
 	par    ParallelAccumulator
 	count  bool
 	tv, to []uint64
+	chk    SumChecker
+	st     state
 }
 
 // NewSumAggBuilder starts an empty sum (or, with count, count)
@@ -67,8 +71,13 @@ type SumAggBuilder struct {
 // is sharded across par. With count, every input pair counts 1
 // regardless of its value.
 func NewSumAggBuilder(stage string, cfg SumConfig, seed uint64, par ParallelAccumulator, count bool) *SumAggBuilder {
-	c := NewSumChecker(cfg, seed)
-	return &SumAggBuilder{stage: stage, c: c, par: par, count: count, tv: c.NewTable(), to: c.NewTable()}
+	b := &SumAggBuilder{stage: stage, par: par, count: count}
+	b.chk.init(cfg, seed, false, 0)
+	b.c = &b.chk
+	n := b.c.TableWords()
+	tables := make([]uint64, 2*n)
+	b.tv, b.to = tables[:n:n], tables[n:]
+	return b
 }
 
 // AddInput accumulates one chunk of the operation's input.
@@ -89,10 +98,10 @@ func (b *SumAggBuilder) AddOutput(pairs []data.Pair) {
 // the input and output sides, correct iff the global modular sum of
 // differences is all-zero. The builder's tables are consumed.
 func (b *SumAggBuilder) Seal() CheckState {
-	st := newState(b.stage, b.c.diff(b.tv, b.to), true, b.c, tableSeg(b.c))
+	b.st.seal(b.stage, b.c.diff(b.tv, b.to), true, b.c, tableSeg(b.c))
 	recycleHashers(b.c.hashers)
 	b.c = nil
-	return st
+	return &b.st
 }
 
 // NewSumAggState is SumAggBuilder over one chunk per side: input and
@@ -114,20 +123,40 @@ func NewSumAggState(stage string, cfg SumConfig, seed uint64, par ParallelAccumu
 
 // PermBuilder is the mergeable permutation checker: the per-iteration
 // truncated hash sums, inputs added and outputs subtracted. Chunk order
-// is immaterial on both sides.
+// is immaterial on both sides. The checker, the sums and the sealed
+// state live in the builder: one allocation for up to inlineHashers
+// iterations.
 type PermBuilder struct {
 	stage   string
-	c       *PermChecker
+	c       *PermChecker // &chk until the builder is consumed
 	par     ParallelAccumulator
 	lambda  []uint64
 	localOK bool
+	chk     PermChecker
+	st      state
+	// lam backs lambda, with room for the sortedness interval a
+	// SortedBuilder seals behind the sums.
+	lam [inlineHashers + sortWords]uint64
 }
 
 // NewPermBuilder starts an empty permutation partial for the given
 // stage. Accumulation of every chunk is sharded across par.
 func NewPermBuilder(stage string, cfg PermConfig, seed uint64, par ParallelAccumulator) *PermBuilder {
-	c := NewPermChecker(cfg, seed)
-	return &PermBuilder{stage: stage, c: c, par: par, lambda: make([]uint64, cfg.Iterations), localOK: true}
+	b := new(PermBuilder)
+	b.init(stage, cfg, seed, par)
+	return b
+}
+
+// init starts the builder in place.
+func (b *PermBuilder) init(stage string, cfg PermConfig, seed uint64, par ParallelAccumulator) {
+	b.stage, b.par, b.localOK = stage, par, true
+	b.chk.init(cfg, seed)
+	b.c = &b.chk
+	if its := cfg.Iterations; its <= inlineHashers {
+		b.lambda = b.lam[:its]
+	} else {
+		b.lambda = make([]uint64, its, its+sortWords)
+	}
 }
 
 // AddInput accumulates one chunk of (one of) the input sequences.
@@ -151,9 +180,9 @@ func (b *PermBuilder) Merge(src *PermBuilder) {
 
 // Seal freezes the partial into one hash sum segment.
 func (b *PermBuilder) Seal() CheckState {
-	st := newState(b.stage, b.lambda, b.localOK, nil, hashSumSeg(b.c))
+	b.st.seal(b.stage, b.lambda, b.localOK, nil, hashSumSeg(b.c))
 	b.consume()
-	return st
+	return &b.st
 }
 
 // consume ends the builder's accumulating life.
@@ -185,13 +214,14 @@ func NewPermState(stage string, cfg PermConfig, seed uint64, par ParallelAccumul
 // (each chunk is the next contiguous segment of this PE's asserted
 // output).
 type SortedBuilder struct {
-	perm     *PermBuilder
+	perm     PermBuilder
 	interval [sortWords]uint64
 }
 
 // NewSortedBuilder starts an empty sort partial for the given stage.
 func NewSortedBuilder(stage string, cfg PermConfig, seed uint64, par ParallelAccumulator) *SortedBuilder {
-	sb := &SortedBuilder{perm: NewPermBuilder(stage, cfg, seed, par)}
+	sb := new(SortedBuilder)
+	sb.perm.init(stage, cfg, seed, par)
 	sb.interval[sortOK] = 1
 	return sb
 }
@@ -218,10 +248,10 @@ func (s *SortedBuilder) AddOutput(xs []uint64) {
 // Seal freezes the partial into a hash sum segment followed by the
 // sortedness interval.
 func (s *SortedBuilder) Seal() CheckState {
-	b := s.perm
-	st := newState(b.stage, append(b.lambda, s.interval[:]...), true, nil, hashSumSeg(b.c), intervalSeg)
+	b := &s.perm
+	b.st.seal(b.stage, append(b.lambda, s.interval[:]...), true, nil, hashSumSeg(b.c), intervalSeg)
 	b.consume()
-	return st
+	return &b.st
 }
 
 // NewSortedState is SortedBuilder over one chunk per input and one of
@@ -258,7 +288,7 @@ type KeyLocator interface {
 // Chunk order is immaterial on both sides. The group/join function
 // applied afterwards needs a local checker, which the paper scopes out.
 type RedistBuilder struct {
-	perm     *PermBuilder
+	perm     PermBuilder
 	foldSeed []uint64
 	loc      KeyLocator
 	rank     int
@@ -268,12 +298,13 @@ type RedistBuilder struct {
 // NewRedistBuilder starts an empty redistribution partial for the given
 // stage; loc and rank pin this PE's placement contract.
 func NewRedistBuilder(stage string, cfg PermConfig, seed uint64, par ParallelAccumulator, loc KeyLocator, rank int) *RedistBuilder {
-	return &RedistBuilder{
-		perm:     NewPermBuilder(stage, cfg, seed, par),
+	b := &RedistBuilder{
 		foldSeed: hashing.SubSeeds(seed^0x4ed154ed154ed151, 2),
 		loc:      loc,
 		rank:     rank,
 	}
+	b.perm.init(stage, cfg, seed, par)
+	return b
 }
 
 // fold digests whole pairs into single words through the builder's
@@ -308,7 +339,7 @@ func (b *RedistBuilder) AddOutput(ps []data.Pair) {
 }
 
 // Merge folds src's partial into b. src is consumed.
-func (b *RedistBuilder) Merge(src *RedistBuilder) { b.perm.Merge(src.perm) }
+func (b *RedistBuilder) Merge(src *RedistBuilder) { b.perm.Merge(&src.perm) }
 
 // Seal freezes the partial into one hash sum segment, the placement
 // scan in its local predicate.

@@ -80,7 +80,10 @@
 //     shards; a serial caller passes Serial.
 //
 // Resolve — eagerly, one state per stage, or batched over every
-// pending stage — is the only way from states to verdicts.
+// pending stage — is the only way from states to verdicts. Its flag
+// words are keyed accept tokens against a zero reject, so a bit flipped
+// in flight turns a verdict into ErrCorruptVerdict on the ranks it
+// reaches, never a rejection into an acceptance.
 //
 // The checkers' O(n/p) local phase (Table 5) runs on a shared
 // accumulation engine: blocked batch hashing (hashing.Hasher's

@@ -60,25 +60,32 @@ type PermChecker struct {
 	cfg     PermConfig
 	hashers []hashing.Hasher
 	mask    uint64
+	hs      [inlineHashers]hashing.Hasher // the hashers, when they fit
 }
 
 // NewPermChecker derives a checker instance from cfg and a shared seed.
 func NewPermChecker(cfg PermConfig, seed uint64) *PermChecker {
+	c := new(PermChecker)
+	c.init(cfg, seed)
+	return c
+}
+
+// init builds the checker in place, its hashers in c.hs when they fit.
+func (c *PermChecker) init(cfg PermConfig, seed uint64) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
+	}
+	*c = PermChecker{cfg: cfg, mask: ^uint64(0)}
+	if cfg.LogH < 64 {
+		c.mask = (uint64(1) << cfg.LogH) - 1
 	}
 	// hashing.SubSeeds' stream, drawn in place: the checker a job builds
 	// per stage allocates no seed slice.
 	s := seed ^ 0x9e37c0ffee37c0ff
-	hs := make([]hashing.Hasher, cfg.Iterations)
-	for i := range hs {
-		hs[i] = cfg.Family.New(hashing.SplitMix64(&s))
+	c.hashers = inlineOr(&c.hs, cfg.Iterations)
+	for i := range c.hashers {
+		c.hashers[i] = cfg.Family.New(hashing.SplitMix64(&s))
 	}
-	mask := ^uint64(0)
-	if cfg.LogH < 64 {
-		mask = (uint64(1) << cfg.LogH) - 1
-	}
-	return &PermChecker{cfg: cfg, hashers: hs, mask: mask}
 }
 
 // Config returns the checker's configuration.

@@ -18,8 +18,9 @@ import (
 // permutation state on four mem PEs may allocate, summed over the PEs.
 // Measured at 8 once payloads came from comm's pool and ResolveOn built
 // its vector once and reduced in place (33 before): each PE's vector
-// and its verdict slice.
-const resolveAllocsCeiling = 8
+// and its verdict slice. 4 since the vector is the communicator's
+// scratch (collective.Comm.Words): each PE's verdict slice.
+const resolveAllocsCeiling = 4
 
 // TestResolveOnAllocs pins the resolve path: resident PE goroutines
 // resolve the same two sealed states once per round (Combine and

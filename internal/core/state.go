@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/collective"
 	"repro/internal/dist"
@@ -70,13 +72,46 @@ func Resolve(w *dist.Worker, states ...CheckState) ([]bool, error) {
 	return ResolveOn(w.Coll, states...)
 }
 
+// ErrCorruptVerdict reports that a flag word of the resolve round — a
+// local-OK word in the reduction or a verdict in the broadcast — was
+// neither the accept token nor the reject word: a message of the round
+// was damaged in flight. It is an infrastructure failure, not a
+// rejection: no verdict was reached.
+var ErrCorruptVerdict = errors.New("core: corrupt verdict flag in the resolve round")
+
+// verdictDomain separates the accept tokens from every other Mix64
+// stream in the package.
+const verdictDomain = 0x7665726469637421 // "verdict!"
+
+// acceptToken is the flag word that means accept for state i of the
+// resolve round that starts when the communicator has started ops
+// collectives — a value every rank derives alone. Reject is 0. The
+// token has at least two bits set, so no single flipped bit turns a
+// flag into the other verdict: a flipped accept is neither word, and
+// a flipped reject ANDed with tokens, or broadcast, is neither either.
+func acceptToken(ops, i int) uint64 {
+	t := hashing.Mix64(verdictDomain ^ uint64(ops)<<32 ^ uint64(i))
+	if bits.OnesCount64(t) < 2 {
+		return verdictDomain
+	}
+	return t
+}
+
 // ResolveOn is Resolve over an explicit communicator, e.g. a job's
 // tag-safe sub-communicator (collective.Comm.Sub) on a shared
-// endpoint.
+// endpoint. The vector is built in the communicator's scratch
+// (collective.Comm.Words).
+//
+// A flag is acceptToken(ops, i) for accept and 0 for reject, both in
+// the reduction, where they combine by AND, and in the broadcast. Any
+// other value on any rank is ErrCorruptVerdict there. So a bit flipped
+// in flight can turn a verdict into an error on some ranks, but never
+// a rejection into an acceptance: ranks agree or error.
 func ResolveOn(c *collective.Comm, states ...CheckState) ([]bool, error) {
 	if len(states) == 0 {
 		return nil, nil
 	}
+	ops := c.OpsStarted()
 	// One vector at its exact size: every state's words, then a local-OK
 	// flag word per state. Reduce folds into it, and at rank 0 the flag
 	// words then become the verdict flags that are broadcast.
@@ -84,15 +119,15 @@ func ResolveOn(c *collective.Comm, states ...CheckState) ([]bool, error) {
 	for _, st := range states {
 		n += len(st.Words())
 	}
-	vec := make([]uint64, 0, n)
+	vec := c.Words(n)[:0]
 	for _, st := range states {
 		vec = append(vec, st.Words()...)
 	}
 	flagBase := len(vec)
-	for _, st := range states {
+	for i, st := range states {
 		flag := uint64(0)
 		if st.LocalOK() {
-			flag = 1
+			flag = acceptToken(ops, i)
 		}
 		vec = append(vec, flag)
 	}
@@ -115,7 +150,8 @@ func ResolveOn(c *collective.Comm, states ...CheckState) ([]bool, error) {
 		off := 0
 		for i, st := range states {
 			end := off + len(st.Words())
-			if flags[i] != 1 || !st.Verdict(vec[off:end]) {
+			// A corrupt flag stays as it is, so every rank reports it.
+			if flags[i] == acceptToken(ops, i) && !st.Verdict(vec[off:end]) {
 				flags[i] = 0
 			}
 			off = end
@@ -129,8 +165,14 @@ func ResolveOn(c *collective.Comm, states ...CheckState) ([]bool, error) {
 		return nil, fmt.Errorf("core: verdict broadcast of %d flags for %d states", len(flags), len(states))
 	}
 	verdicts := make([]bool, len(states))
-	for i := range states {
-		verdicts[i] = flags[i] == 1
+	for i, f := range flags {
+		switch f {
+		case acceptToken(ops, i):
+			verdicts[i] = true
+		case 0:
+		default:
+			return nil, fmt.Errorf("%w: state %d (%s) on rank %d", ErrCorruptVerdict, i, states[i].Stage(), c.Rank())
+		}
 	}
 	return verdicts, nil
 }
@@ -228,8 +270,9 @@ const maxSegments = 3
 // state is the one CheckState implementation: a stage label, the words,
 // the local predicate and the segments that lay the words out. The
 // table segments of a state are one sum checker's and share its moduli.
-// Every stage of every job seals one, so it is kept to one 80-byte
-// allocation — 8-byte segments, the moduli behind one pointer
+// Every stage of every job seals one, so it is kept small — 8-byte
+// segments, the moduli behind one pointer — and the builders seal it
+// into a field of their own instead of allocating it
 // (TestWarmSumAggStateAllocs).
 type state struct {
 	stage   string
@@ -240,13 +283,20 @@ type state struct {
 	localOK bool
 }
 
-// newState seals words, one word per lane laid out as segs in order,
-// into a CheckState; sum is the checker of its table segments, if any.
-// It packs every segment to its lanes' width in place — a packed
-// segment is never longer than its source, so the packing never
-// overtakes what it has still to read — and takes ownership of words.
+// newState seals words into a new state; see seal.
 func newState(stage string, words []uint64, localOK bool, sum *SumChecker, segs ...segment) CheckState {
-	st := &state{stage: stage, localOK: localOK, sum: sum}
+	st := new(state)
+	st.seal(stage, words, localOK, sum, segs...)
+	return st
+}
+
+// seal makes st the state of words, one word per lane laid out as segs
+// in order; sum is the checker of its table segments, if any. It packs
+// every segment to its lanes' width in place — a packed segment is
+// never longer than its source, so the packing never overtakes what it
+// has still to read — and takes ownership of words.
+func (st *state) seal(stage string, words []uint64, localOK bool, sum *SumChecker, segs ...segment) {
+	*st = state{stage: stage, localOK: localOK, sum: sum}
 	st.nsegs = uint8(copy(st.segs[:], segs))
 	in, out := 0, 0
 	for _, sg := range segs {
@@ -255,7 +305,6 @@ func newState(stage string, words []uint64, localOK bool, sum *SumChecker, segs 
 		in += n
 	}
 	st.words = words[:out]
-	return st
 }
 
 func (s *state) Stage() string   { return s.stage }

@@ -52,7 +52,17 @@ type SumChecker struct {
 	// accumulate kernel keeps in a row of 2^width >= d cells.
 	width, perHash int
 	forceG         int // ablation only: fixed group size, 0 = groupSize
+	// hs holds the hashers of a checker that needs at most inlineHashers
+	// of them, as the default configurations do.
+	hs [inlineHashers]hashing.Hasher
 }
+
+// inlineHashers is how many hash functions a checker holds without an
+// allocation of their own (SumChecker.hs, PermChecker.hs): one 6×32 CRC
+// hash value feeds all six iterations of the default sum checker, and
+// the default permutation checker has two iterations. A larger array
+// would cost every builder more bytes than the allocation it saves.
+const inlineHashers = 2
 
 // NewSumChecker derives a checker instance from cfg and a shared seed.
 func NewSumChecker(cfg SumConfig, seed uint64) *SumChecker {
@@ -64,39 +74,58 @@ func NewSumChecker(cfg SumConfig, seed uint64) *SumChecker {
 // kernel's group size instead of deriving it per call, so the ablation
 // benchmarks can quantify what each buys.
 func newSumChecker(cfg SumConfig, seed uint64, forceGeneral bool, forceG int) *SumChecker {
+	c := new(SumChecker)
+	c.init(cfg, seed, forceGeneral, forceG)
+	return c
+}
+
+// init builds the checker in place. Its per-iteration arrays (mods,
+// pow64) and the hash scratch share one allocation, and the hashers sit
+// in c.hs when they fit — a checker is built per stage, per job, per
+// rank in service mode.
+func (c *SumChecker) init(cfg SumConfig, seed uint64, forceGeneral bool, forceG int) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &SumChecker{cfg: cfg, forceG: forceG}
+	*c = SumChecker{cfg: cfg, forceG: forceG}
+	c.pow2 = hashing.IsPow2(cfg.Buckets) && !forceGeneral
+	its := cfg.Iterations
+	nHashes, nbuf := its, 0 // general d: one independent hash per iteration, bucket = h mod d
+	c.width, c.perHash = bits.Len(uint(cfg.Buckets-1)), 1
+	if c.pow2 {
+		split := hashing.NewSplitter(cfg.Buckets, its, cfg.Family.Bits)
+		c.perHash = split.PerHash()
+		nHashes = split.HashesNeeded()
+		nbuf = nHashes
+	}
+	words := make([]uint64, 2*its+nbuf)
+	c.mods, c.pow64, c.hbuf = words[:its:its], words[its:2*its:2*its], words[2*its:]
 	// The moduli come from the same kind of stream as the hash seeds
 	// below, in a domain of their own; rhat is a power of two, so
 	// masking an output is an exactly uniform draw below it.
 	ms := seed ^ 0xc0dec0dec0dec0de
 	rhat := uint64(1) << cfg.RHatLog
-	c.mods = make([]uint64, cfg.Iterations)
-	c.pow64 = make([]uint64, cfg.Iterations)
 	for i := range c.mods {
 		// r uniform in rhat+1 .. 2*rhat.
 		r := rhat + 1 + hashing.SplitMix64(&ms)&(rhat-1)
 		c.mods[i] = r
 		c.pow64[i] = (((1 << 63) % r) * 2) % r
 	}
-	c.pow2 = hashing.IsPow2(cfg.Buckets) && !forceGeneral
-	nHashes := cfg.Iterations // general d: one independent hash per iteration, bucket = h mod d
-	c.width, c.perHash = bits.Len(uint(cfg.Buckets-1)), 1
-	if c.pow2 {
-		split := hashing.NewSplitter(cfg.Buckets, cfg.Iterations, cfg.Family.Bits)
-		c.perHash = split.PerHash()
-		nHashes = split.HashesNeeded()
-		c.hbuf = make([]uint64, nHashes)
-	}
 	// hashing.SubSeeds' stream, drawn in place as NewPermChecker does.
 	hs := seed ^ 0x5eed5eed5eed5eed
-	c.hashers = make([]hashing.Hasher, nHashes)
+	c.hashers = inlineOr(&c.hs, nHashes)
 	for i := range c.hashers {
 		c.hashers[i] = cfg.Family.New(hashing.SplitMix64(&hs))
 	}
-	return c
+}
+
+// inlineOr returns the first n entries of inline, or a new slice when n
+// exceeds it.
+func inlineOr[T any](inline *[inlineHashers]T, n int) []T {
+	if n <= len(inline) {
+		return inline[:n:n]
+	}
+	return make([]T, n)
 }
 
 // Config returns the checker's configuration.

@@ -13,24 +13,33 @@ type ZipConfig struct {
 	Iterations int
 }
 
-// zipFingerprint computes per-iteration position-weighted fingerprints
-// of a local slice: sum over i of r_{start+i} * fold(x_i) in the field
-// F_(2^61-1), where r_j = h'(j) is a pseudo-random weight derived from
-// the global index — "the inner product of the input and a sequence of
-// n random values r_i = h'(i)", computable on the fly and without
-// communication (Section 6.4).
-func zipFingerprint(xs []uint64, start uint64, seeds []uint64) []uint64 {
+// zipFingerprint computes the position-weighted fingerprint of a local
+// slice for one iteration's seed s: sum over i of r_{start+i} * fold(x_i)
+// in the field F_(2^61-1), where r_j = h'(j) is a pseudo-random weight
+// derived from the global index — "the inner product of the input and a
+// sequence of n random values r_i = h'(i)", computable on the fly and
+// without communication (Section 6.4).
+func zipFingerprint(xs []uint64, start, s uint64) uint64 {
 	const r = hashing.Mersenne61
-	out := make([]uint64, len(seeds))
-	for it, s := range seeds {
-		var acc uint64
-		for i, x := range xs {
-			weight := hashing.Mix64(s ^ (start + uint64(i)))
-			acc = hashing.AddMod61(acc, hashing.MulMod61(weight%r, hashing.Mix64(x^s)%r))
-		}
-		out[it] = acc
+	var acc uint64
+	for i, x := range xs {
+		weight := hashing.Mix64(s^(start+uint64(i))) % r
+		acc = hashing.AddMod61(acc, hashing.MulMod61(weight, hashing.Mix64(x^s)%r))
 	}
-	return out
+	return acc
+}
+
+// zipPairFingerprint is zipFingerprint of the pairs' first and of their
+// second components at once, read in place: both sequences share the
+// global positions, so each position's weight is computed once.
+func zipPairFingerprint(ps []data.Pair, start, s uint64) (first, second uint64) {
+	const r = hashing.Mersenne61
+	for i, pr := range ps {
+		weight := hashing.Mix64(s^(start+uint64(i))) % r
+		first = hashing.AddMod61(first, hashing.MulMod61(weight, hashing.Mix64(pr.Key^s)%r))
+		second = hashing.AddMod61(second, hashing.MulMod61(weight, hashing.Mix64(pr.Value^s)%r))
+	}
+	return first, second
 }
 
 // NewZipState accumulates the zip checker's local phase (Theorem 11):
@@ -45,21 +54,14 @@ func zipFingerprint(xs []uint64, start uint64, seeds []uint64) []uint64 {
 // communication. Failure probability about (1/2^61)^Iterations per
 // component; time O(n/p * its + beta*its + alpha*log p).
 func NewZipState(stage string, cfg ZipConfig, seed uint64, s1, s2 []uint64, out []data.Pair, start1, start2, startO uint64, lengthsOK bool) CheckState {
-	seeds := hashing.SubSeeds(seed^0x21b021b021b021b0, cfg.Iterations)
-	outFirst := make([]uint64, len(out))
-	outSecond := make([]uint64, len(out))
-	for i, pr := range out {
-		outFirst[i] = pr.Key
-		outSecond[i] = pr.Value
-	}
-	f1 := zipFingerprint(s1, start1, seeds)
-	f2 := zipFingerprint(s2, start2, seeds)
-	fo1 := zipFingerprint(outFirst, startO, seeds)
-	fo2 := zipFingerprint(outSecond, startO, seeds)
 	lambda := make([]uint64, 2*cfg.Iterations)
+	// hashing.SubSeeds' stream, drawn in place.
+	ss := seed ^ 0x21b021b021b021b0
 	for it := 0; it < cfg.Iterations; it++ {
-		lambda[2*it] = hashing.SubMod61(f1[it], fo1[it])
-		lambda[2*it+1] = hashing.SubMod61(f2[it], fo2[it])
+		s := hashing.SplitMix64(&ss)
+		o1, o2 := zipPairFingerprint(out, startO, s)
+		lambda[2*it] = hashing.SubMod61(zipFingerprint(s1, start1, s), o1)
+		lambda[2*it+1] = hashing.SubMod61(zipFingerprint(s2, start2, s), o2)
 	}
 	return newState(stage, lambda, lengthsOK, nil, wordSeg(segField, len(lambda)))
 }

@@ -186,16 +186,32 @@ func NewWorkers(net comm.Network, seed uint64) ([]*Worker, error) {
 // PEs. On a full view logical and physical coincide, so existing
 // behavior is unchanged.
 func (w *Worker) JobWorker(coll *collective.Comm, commonSeed, stream uint64) *Worker {
-	jw := &Worker{
+	jw := &Worker{Coll: coll, Rng: new(hashing.MT19937_64)}
+	w.ResetJobWorker(jw, commonSeed, stream)
+	return jw
+}
+
+// ResetJobWorker makes jw, a job worker derived from w, what
+// JobWorker(jw.Coll, commonSeed, stream) returns — in place, keeping
+// its generator's storage — so a resident job slot hands the same
+// worker from job to job. The stream is JobWorker's bit for bit, and a
+// tracer an earlier job installed is replaced by w's.
+func (w *Worker) ResetJobWorker(jw *Worker, commonSeed, stream uint64) {
+	coll, rng, tr := jw.Coll, jw.Rng, jw.tr
+	if rng == nil {
+		rng = new(hashing.MT19937_64)
+	}
+	rng.Seed(hashing.Mix64(workerSeed(w.seed, coll.Rank()) ^ hashing.Mix64(stream+jobStreamDomain)))
+	*jw = Worker{
 		rank:       coll.Rank(),
 		size:       coll.Size(),
 		seed:       w.seed,
 		Coll:       coll,
-		Rng:        hashing.NewMT19937_64(hashing.Mix64(workerSeed(w.seed, coll.Rank()) ^ hashing.Mix64(stream+jobStreamDomain))),
+		Rng:        rng,
 		commonSeed: commonSeed,
 		haveCommon: true,
 	}
-	if w.tr != nil {
+	if w.tr != nil || tr != nil {
 		// The job inherits the resident worker's tracer with the
 		// stream id as its span attribution, and the job's
 		// sub-communicator is stamped too, so collective and recv-wait
@@ -204,7 +220,6 @@ func (w *Worker) JobWorker(coll *collective.Comm, commonSeed, stream uint64) *Wo
 		jw.job = int64(stream)
 		coll.SetTracer(w.tr, jw.job)
 	}
-	return jw
 }
 
 // Run executes body as p SPMD workers over a fresh in-memory network,

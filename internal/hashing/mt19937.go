@@ -6,14 +6,15 @@ package hashing
 // owns its own instance.
 //
 // The 312-word state is built on the first draw, not by the
-// constructor: a generator that is handed out but never drawn from —
-// the private Rng of a service job whose body needs no randomness —
-// costs one small allocation instead of 2.5 KB and 312 multiplies. The
-// stream is the reference implementation's (init_genrand64), bit for
-// bit.
+// constructor or by Seed: a generator that is handed out but never
+// drawn from — the private Rng of a service job whose body needs no
+// randomness — costs one small allocation instead of 2.5 KB and 312
+// multiplies. The stream is the reference implementation's
+// (init_genrand64), bit for bit.
 type MT19937_64 struct {
 	seed  uint64
-	state *[mt64N]uint64 // nil until the first draw
+	state *[mt64N]uint64 // nil until the first draw; kept across Seed
+	built bool           // state holds seed's stream
 	index int
 }
 
@@ -31,18 +32,27 @@ func NewMT19937_64(seed uint64) *MT19937_64 {
 	return &MT19937_64{seed: seed, index: mt64N}
 }
 
-// generate refills the state block; the first call also builds the
-// state from the seed, so Uint64's hot path has the one index check it
-// always had.
+// Seed restarts the generator on seed's stream, as NewMT19937_64(seed)
+// would, keeping the state storage of earlier draws.
+func (m *MT19937_64) Seed(seed uint64) {
+	m.seed, m.built, m.index = seed, false, mt64N
+}
+
+// generate refills the state block; the first call after a seed also
+// builds the state from it, so Uint64's hot path has the one index
+// check it always had.
 func (m *MT19937_64) generate() {
-	if m.state == nil {
-		st := new([mt64N]uint64)
+	if !m.built {
+		if m.state == nil {
+			m.state = new([mt64N]uint64)
+		}
+		st := m.state
 		st[0] = m.seed
 		for i := uint64(1); i < mt64N; i++ {
 			prev := st[i-1]
 			st[i] = 6364136223846793005*(prev^(prev>>62)) + i
 		}
-		m.state = st
+		m.built = true
 	}
 	st := m.state
 	for i := 0; i < mt64N; i++ {

@@ -55,13 +55,6 @@ func (p *Pool) SubmitRecoverableWith(name string, opts repro.Options, shares [][
 func (p *Pool) View() dist.View {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.viewLocked()
-}
-
-func (p *Pool) viewLocked() dist.View {
-	if p.opts.Elastic == nil {
-		return dist.FullView(p.opts.P)
-	}
 	return p.view
 }
 
@@ -72,7 +65,7 @@ func (p *Pool) WaitEpoch(epoch int, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {
 		p.mu.Lock()
-		if p.viewLocked().Epoch() >= epoch {
+		if p.view.Epoch() >= epoch {
 			p.mu.Unlock()
 			return true
 		}
@@ -147,48 +140,32 @@ func (p *Pool) recoverJob(j *Job, spec jobSpec, dead int) error {
 		return fmt.Errorf("service: job %d %q unrecoverable: replica holder %d of dead PE %d is gone too (double failure)", j.id, j.name, holder, dead)
 	}
 
-	// Mint the survivor-view sub-communicators inside one critical
-	// section, exactly like submission: every survivor's allocator sees
-	// the same sequence, so the blocks agree.
+	// Mint a frame on the survivor view inside one critical section,
+	// exactly like admission: every survivor's allocator sees the same
+	// sequence, so the blocks agree. It serves this replay only.
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return ErrPoolClosed
 	}
-	subs := make([]*collective.Comm, len(newMembers))
-	for i, phys := range newMembers {
-		sub, err := p.workers[phys].Coll.SubMembers(newMembers)
-		if err != nil {
-			for _, s := range subs[:i] {
-				s.Release()
-			}
-			p.mu.Unlock()
-			return fmt.Errorf("service: job %d %q recovery: %w", j.id, j.name, err)
-		}
-		subs[i] = sub
-	}
-	lo, hi := subs[0].Block()
-	for i, s := range subs[1:] {
-		if l, h := s.Block(); l != lo || h != hi {
-			p.mu.Unlock()
-			return fmt.Errorf("service: internal: job %d recovery tag blocks diverged: rank %d [%d,%d) vs rank %d [%d,%d)", j.id, newMembers[0], lo, hi, newMembers[i+1], l, h)
-		}
-	}
+	rf, err := p.mintLocked(newMembers, p.view.Epoch())
 	p.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("service: job %d %q recovery: %w", j.id, j.name, err)
+	}
+	rf.j = j
 
 	shares := make([][]data.Pair, len(newMembers))
-	err := p.runRanks(j, " recovery", newMembers, subs, func(i, phys int) error {
-		return p.runRecoveryRank(j, i, phys, subs[i], spec, dead, shares)
+	err = rf.runRanks(j, " recovery", func(i int) error {
+		return p.runRecoveryRank(j, i, newMembers[i], rf.workers[i], spec, dead, shares)
 	})
 
-	if err == nil || errors.Is(err, repro.ErrCheckFailed) {
+	// As in runJob, an aborted replay quarantines its block.
+	if !rf.aborted {
 		p.mu.Lock()
-		for _, sub := range subs {
-			sub.Release()
-		}
+		rf.releaseLocked()
 		p.mu.Unlock()
 	}
-	// As in runJob, an aborted replay quarantines its block.
 	j.recoveryMembers = newMembers
 	j.recoveredShares = shares
 	return err
@@ -198,13 +175,13 @@ func (p *Pool) recoverJob(j *Job, spec jobSpec, dead int) error {
 // rank's chunks (held in full only at the replica holder) under
 // checker verification, rebuild this rank's share as own + received,
 // and rerun the body over a fresh Context on the survivor view.
-func (p *Pool) runRecoveryRank(j *Job, i, phys int, sub *collective.Comm, spec jobSpec, dead int, shares [][]data.Pair) (err error) {
+func (p *Pool) runRecoveryRank(j *Job, i, phys int, w *dist.Worker, spec jobSpec, dead int, shares [][]data.Pair) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("service: job %d %q recovery: PE %d panicked: %v\n%s", j.id, j.name, phys, v, debug.Stack())
 		}
 	}()
-	w := p.workers[phys].JobWorker(sub, j.seed, uint64(j.id))
+	p.workers[phys].ResetJobWorker(w, j.seed, uint64(j.id))
 	ctx, cerr := repro.NewContext(w, spec.opts)
 	if cerr != nil {
 		return cerr

@@ -6,16 +6,19 @@
 // sub-communicator (collective.Comm.Sub) and its own repro.Context per
 // rank, so many checked pipelines — one-shot and streamed, eager and
 // deferred — share one transport without stealing each other's traffic,
-// the service shape the paper's always-on cheap checkers invite.
+// the service shape the paper's always-on cheap checkers invite. The
+// sub-communicators and job workers stay resident too, one frame per
+// concurrency slot (frame.go): a body's Worker and its communicator are
+// valid until the body returns.
 //
 // Failure isolation is the design center: a checker rejection is a
 // normal, replicated verdict (the job reports it; nothing else
 // notices); an infrastructure failure — panic, injected transport
 // fault, timeout — aborts only the job's tag block (Comm.Abort poisons
 // the block on every rank, a control kick wakes stuck pullers) and the
-// mesh keeps serving. Retired blocks from cleanly finished jobs are
-// recycled; aborted jobs' blocks stay quarantined, since a block with
-// possible stragglers on the wire must never be re-matched.
+// mesh keeps serving. The blocks of cleanly finished jobs are reused;
+// aborted jobs' blocks stay quarantined, since a block with possible
+// stragglers on the wire must never be re-matched.
 package service
 
 import (
@@ -26,7 +29,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/collective"
 	"repro/internal/comm"
 	"repro/internal/data"
 	"repro/internal/dist"
@@ -52,7 +54,9 @@ var errJobAborted = errors.New("service: job aborted after a PE failed")
 // exactly as a body passed to dist.Run — every rank runs the same
 // pipeline; the rank is ctx.Worker().Rank(). The pool calls
 // ctx.Verify() after a nil return, so bodies may simply queue deferred
-// assertions and return.
+// assertions and return. The Context's Worker — its communicator and
+// its Rng — belongs to the job's slot: it is valid until the body
+// returns, and the slot's next job reuses it.
 type Body func(ctx *repro.Context) error
 
 // Options configures a Pool.
@@ -106,7 +110,10 @@ type Pool struct {
 	ownNet  bool
 	workers []*dist.Worker // one per rank, resident across all jobs
 	common  uint64
-	sem     chan struct{} // concurrency slots; held per in-flight job
+	// sem holds one entry per concurrency slot that is free: the slot's
+	// frame, or nil until the slot mints one (frame.go). A job takes an
+	// entry at admission and puts it back when it is done.
+	sem     chan *frame
 	closing chan struct{} // closed by Close; unblocks waiting Submits
 	start   time.Time
 	run     runners // the goroutines jobs and their ranks run on
@@ -132,7 +139,7 @@ type Pool struct {
 	totalBytes    int64
 	totalRound    int64
 	lat           obs.Quantile  // job latencies, submission to completion
-	view          dist.View     // current view; meaningful when opts.Elastic != nil
+	view          dist.View     // current view; the full view unless opts.Elastic != nil
 	viewChangedCh chan struct{} // closed and replaced on every view change
 	reg           *obs.Registry // lazily built by Registry()
 }
@@ -195,14 +202,17 @@ func NewOnNetwork(net comm.Network, opt Options) (*Pool, error) {
 		net:     net,
 		workers: workers,
 		common:  common,
-		sem:     make(chan struct{}, opt.MaxConcurrent),
+		sem:     make(chan *frame, opt.MaxConcurrent),
 		closing: make(chan struct{}),
 		start:   time.Now(),
+		view:    dist.FullView(opt.P),
+	}
+	for range opt.MaxConcurrent {
+		pool.sem <- nil
 	}
 	if opt.Elastic != nil {
 		e := opt.Elastic.withDefaults()
 		pool.opts.Elastic = &e
-		pool.view = dist.FullView(opt.P)
 		pool.viewChangedCh = make(chan struct{})
 		pool.stores = make([]*recov.Store, opt.P)
 		for r := range pool.stores {
@@ -247,67 +257,44 @@ func (p *Pool) SubmitWith(name string, opts repro.Options, body Body) (*Job, err
 	return p.submit(name, opts, jobSpec{opts: opts, body: body})
 }
 
-// submit admits one job onto the current view: it mints the job's
-// sub-communicators on every live member lock-step and spawns the
-// runner. Jobs admitted after a view change run entirely on the
-// survivor set (the view sub renumbers them contiguously), so new work
-// flows while dead ranks stay quarantined.
+// submit admits one job onto the current view: it takes a slot and its
+// frame — minting one when the slot has none or its frame predates the
+// view — and spawns the job's runner on it. Jobs admitted after a view
+// change run entirely on the survivor set (the view sub renumbers them
+// contiguously), so new work flows while dead ranks stay quarantined.
 func (p *Pool) submit(name string, opts repro.Options, spec jobSpec) (*Job, error) {
-	// Backpressure: block for a slot, released when the job finishes —
+	// Backpressure: block for a slot, returned when the job finishes —
 	// but never wait out a Close, which holds every slot forever.
+	var f *frame
 	select {
-	case p.sem <- struct{}{}:
+	case f = <-p.sem:
 	case <-p.closing:
 		return nil, ErrPoolClosed
 	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		<-p.sem
+		p.sem <- f
 		return nil, ErrPoolClosed
 	}
-	v := p.viewLocked()
-	members := v.Members()
-	if spec.shares != nil && len(spec.shares) != len(members) {
+	if f == nil || f.epoch != p.view.Epoch() {
+		if f != nil {
+			f.releaseLocked()
+		}
+		var err error
+		if f, err = p.mintLocked(p.view.Members(), p.view.Epoch()); err != nil {
+			p.mu.Unlock()
+			p.sem <- nil
+			return nil, fmt.Errorf("service: job %d %q: %w", p.nextID, name, err)
+		}
+	}
+	if spec.shares != nil && len(spec.shares) != len(f.members) {
 		p.mu.Unlock()
-		<-p.sem
-		return nil, fmt.Errorf("service: recoverable job %q: %d shares for a view of %d members", name, len(spec.shares), len(members))
+		p.sem <- f
+		return nil, fmt.Errorf("service: recoverable job %q: %d shares for a view of %d members", name, len(spec.shares), len(f.members))
 	}
 	id := p.nextID
 	p.nextID++
-	// Mint the job's sub-communicator on every live rank inside one
-	// critical section: each rank's allocator sees the same
-	// alloc/release sequence, so all ranks agree on the block — the
-	// SPMD Sub contract, enforced pool-side. On the full view the plain
-	// Sub is the allocation-free identity path; on a shrunken view the
-	// sub also carries the member remapping.
-	subs := make([]*collective.Comm, len(members))
-	for i, phys := range members {
-		var sub *collective.Comm
-		var err error
-		if v.Epoch() == 0 {
-			sub, err = p.workers[phys].Coll.Sub()
-		} else {
-			sub, err = p.workers[phys].Coll.SubMembers(members)
-		}
-		if err != nil {
-			for _, s := range subs[:i] {
-				s.Release()
-			}
-			p.mu.Unlock()
-			<-p.sem
-			return nil, fmt.Errorf("service: job %d %q: %w", id, name, err)
-		}
-		subs[i] = sub
-	}
-	lo, hi := subs[0].Block()
-	for i, s := range subs[1:] {
-		if l, h := s.Block(); l != lo || h != hi {
-			p.mu.Unlock()
-			<-p.sem
-			return nil, fmt.Errorf("service: internal: job %d tag blocks diverged: rank %d [%d,%d) vs rank %d [%d,%d)", id, members[0], lo, hi, members[i+1], l, h)
-		}
-	}
 	p.submitted++
 	p.inflight++
 	if p.inflight > p.highWater {
@@ -315,6 +302,7 @@ func (p *Pool) submit(name string, opts repro.Options, spec jobSpec) (*Job, erro
 	}
 	p.mu.Unlock()
 
+	lo, hi := f.subs[0].Block()
 	j := &Job{
 		id:          id,
 		name:        name,
@@ -322,90 +310,22 @@ func (p *Pool) submit(name string, opts repro.Options, spec jobSpec) (*Job, erro
 		block:       [2]int{lo, hi},
 		start:       time.Now(),
 		done:        make(chan struct{}),
-		members:     members,
-		epoch:       v.Epoch(),
+		members:     f.members,
+		epoch:       f.epoch,
 		recoverable: spec.rbody != nil,
 		deadRank:    -1,
 	}
-	// The handle resolves, and the slot frees, only once the job's
-	// runner is idle again: whoever they wake finds it parked.
-	p.run.start(func() { p.runJob(j, subs, spec) }, func() {
-		close(j.done)
-		<-p.sem
-	})
+	f.start(j, spec)
 	return j, nil
 }
 
-// runRanks fans one run of job j out over a view: rank(i, phys) on a
-// runner per member (logical rank i on physical rank phys), first-error
-// collection, and a scoped abort on infrastructure failure. what names
-// the run in the timeout error. It returns the first error once every
-// rank has finished.
-func (p *Pool) runRanks(j *Job, what string, members []int, subs []*collective.Comm, rank func(i, phys int) error) error {
-	var st struct {
-		mu       sync.Mutex
-		firstErr error
-		finished bool
-		wg       sync.WaitGroup
-	}
-	// fail records the run's first error. A checker rejection is a
-	// replicated verdict — every rank reaches it on its own, no abort
-	// needed. Anything else (panic, transport fault, timeout) poisons
-	// the job's tag block on every rank so peers stuck in the job's
-	// collectives die fast, and kicks each endpoint's puller awake. The
-	// finished guard keeps a late watchdog from poisoning a block that
-	// has already been retired (and possibly recycled to another job).
-	fail := func(err error) {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		if st.finished || st.firstErr != nil {
-			return
-		}
-		st.firstErr = err
-		if errors.Is(err, repro.ErrCheckFailed) {
-			return
-		}
-		cause := fmt.Errorf("%w: %v", errJobAborted, err)
-		for _, sub := range subs {
-			sub.Abort(cause)
-		}
-		p.kickAll()
-	}
-
-	var watchdog *time.Timer
-	if p.opts.JobTimeout > 0 {
-		watchdog = time.AfterFunc(p.opts.JobTimeout, func() {
-			fail(fmt.Errorf("service: job %d %q%s exceeded timeout %v", j.id, j.name, what, p.opts.JobTimeout))
-		})
-	}
-
-	done := st.wg.Done
-	st.wg.Add(len(members))
-	for i, phys := range members {
-		p.run.start(func() {
-			if err := rank(i, phys); err != nil {
-				fail(err)
-			}
-		}, done)
-	}
-	st.wg.Wait()
-	if watchdog != nil {
-		watchdog.Stop()
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.finished = true
-	return st.firstErr
-}
-
-// runJob drives one job: its ranks over the job's sub-communicators
-// (runRanks), death attribution and checked recovery when elastic
-// membership is on, then accounting and block retirement. The caller
-// publishes the handle (done) and frees the slot afterwards.
-func (p *Pool) runJob(j *Job, subs []*collective.Comm, spec jobSpec) {
-	err := p.runRanks(j, "", j.members, subs, func(i, phys int) error {
-		return p.runRank(j, i, phys, subs[i], spec)
-	})
+// runJob drives the frame's job: its ranks (runRanks), death
+// attribution and checked recovery when elastic membership is on, then
+// accounting and the frame's retirement. The frame's finish publishes
+// the handle and returns the slot afterwards.
+func (p *Pool) runJob(f *frame) {
+	j, spec := f.j, f.spec
+	err := f.runRanks(j, "", f.jobRank)
 
 	// Attribution and recovery: an infrastructure failure on an elastic
 	// pool may really be a peer death. Give the detector its bounded
@@ -449,7 +369,7 @@ func (p *Pool) runJob(j *Job, subs []*collective.Comm, spec jobSpec) {
 	}
 
 	cost := JobCost{WallNs: time.Since(j.start).Nanoseconds()}
-	for _, sub := range subs {
+	for _, sub := range f.subs {
 		if b := sub.BytesSent(); b > cost.Bytes {
 			cost.Bytes = b
 		}
@@ -461,19 +381,20 @@ func (p *Pool) runJob(j *Job, subs []*collective.Comm, spec jobSpec) {
 		}
 	}
 
-	p.mu.Lock()
-	if err == nil || errors.Is(err, repro.ErrCheckFailed) {
-		// Clean completion (verdicts included): every collective of the
-		// job matched on every rank, so no stragglers can exist and the
-		// block is safe to recycle. Released in rank order under the
-		// pool lock — the same sequence on every rank's allocator.
-		for _, sub := range subs {
-			sub.Release()
-		}
-	}
-	// Aborted jobs leak their block by design (quarantine): a message
+	// A job whose ranks all finished without an abort (verdicts
+	// included) matched every collective on every rank, so no
+	// stragglers can exist and the frame's block is safe to reuse: it
+	// is reset for the slot's next job. An aborted job's frame is
+	// dropped and its block leaks by design (quarantine): a message
 	// still on the wire for a poisoned tag must never match a future
 	// job. The space holds billions of blocks; chaos is the rare case.
+	f.clean = !f.aborted
+	if f.clean {
+		for _, sub := range f.subs {
+			sub.Reset()
+		}
+	}
+	p.mu.Lock()
 	p.inflight--
 	p.completed++
 	switch {
@@ -497,17 +418,17 @@ func (p *Pool) runJob(j *Job, subs []*collective.Comm, spec jobSpec) {
 	j.err = err
 }
 
-// runRank is one PE's share of a job: derive the job worker over the
-// rank's resident worker, build the Context, run the body, settle all
-// pending verification. i is the logical (view) rank, phys the
-// physical endpoint rank; logical rank 0's stats become the job's.
-func (p *Pool) runRank(j *Job, i, phys int, sub *collective.Comm, spec jobSpec) (err error) {
+// runRank is one PE's share of a job: key the rank's job worker for the
+// job, build the Context, run the body, settle all pending
+// verification. i is the logical (view) rank, phys the physical
+// endpoint rank; logical rank 0's stats become the job's.
+func (p *Pool) runRank(j *Job, i, phys int, w *dist.Worker, spec jobSpec) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("service: job %d %q: PE %d panicked: %v\n%s", j.id, j.name, phys, v, debug.Stack())
 		}
 	}()
-	w := p.workers[phys].JobWorker(sub, j.seed, uint64(j.id))
+	p.workers[phys].ResetJobWorker(w, j.seed, uint64(j.id))
 	ctx, cerr := repro.NewContext(w, spec.opts)
 	if cerr != nil {
 		return cerr
@@ -545,7 +466,7 @@ func (p *Pool) runRank(j *Job, i, phys int, sub *collective.Comm, spec jobSpec) 
 // drops control tags on sight).
 func (p *Pool) kickAll() {
 	p.mu.Lock()
-	members := p.viewLocked().Members()
+	members := p.view.Members()
 	p.mu.Unlock()
 	if len(members) < 2 {
 		return
@@ -566,7 +487,7 @@ func (p *Pool) Stats() PoolStats {
 	_, p50, p99, _ := p.lat.Snapshot()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	v := p.viewLocked()
+	v := p.view
 	s := PoolStats{
 		Submitted:   p.submitted,
 		Completed:   p.completed,
@@ -606,8 +527,8 @@ func (p *Pool) Close() error {
 	p.mu.Unlock()
 	// Acquire every concurrency slot: once all are held, no job is in
 	// flight and no Submit can start one (it would observe closed).
-	for i := 0; i < cap(p.sem); i++ {
-		p.sem <- struct{}{}
+	for range cap(p.sem) {
+		<-p.sem
 	}
 	// Every job has retired, so every runner is parked.
 	p.run.stop()

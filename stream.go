@@ -165,14 +165,14 @@ func streamStage[T any](c *Context, used *bool, op string, valid func() error, i
 		return c.fail(errStreamReused)
 	}
 	*used = true
-	return c.run(op, stage{valid: valid, check: func(label string) ([]core.CheckState, stream.Meter, stream.Meter, error) {
+	return c.run(op, stage{valid: valid, check: func(label string, states []core.CheckState) ([]core.CheckState, stream.Meter, stream.Meter, error) {
 		acc := mk(label)
 		if err := acc.DrainInput(in); err != nil {
-			return nil, acc.In, acc.Out, err
+			return states, acc.In, acc.Out, err
 		}
 		if err := acc.DrainOutput(out); err != nil {
-			return nil, acc.In, acc.Out, err
+			return states, acc.In, acc.Out, err
 		}
-		return []core.CheckState{acc.Seal()}, acc.In, acc.Out, nil
+		return append(states, acc.Seal()), acc.In, acc.Out, nil
 	}})
 }
