@@ -41,7 +41,7 @@ var censusAllow = map[string]string{
 	"internal/workload.EdgePairShares":      "cross-package test fixture: the edge shapes of the ops and root one-sidedness gates",
 	"internal/workload.EdgeSeqShares":       "cross-package test fixture: the edge shapes of the ops and root one-sidedness gates",
 
-	"internal/params.MinVolume":     "closed form of the paper's Section 4 volume bound; due a golden test in ROADMAP item 7",
+	"internal/params.MinVolume":     "closed form of the paper's Section 4 volume bound; due a golden test in ROADMAP item 14",
 	"internal/obs.Registry.Counter": "the registry's owned-counter kind; ROADMAP item 6 (seven meters → one) makes it the single source",
 }
 

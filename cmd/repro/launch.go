@@ -26,34 +26,29 @@ const launchDigestDomain = 0x6c61756e63684467 // "launchDg"
 // spawning parent (or the operator) to collect.
 const launchDigestPrefix = "LAUNCH-DIGEST"
 
-// runLaunch drives a checked pipeline across OS processes. Three modes:
+// runLaunch drives a checked pipeline across OS processes. Two modes:
 //
-//	repro launch -p 4                          spawn: fork 4 ranks on
-//	                                           loopback via a local
-//	                                           rendezvous, then verify
-//	                                           their verdicts are
-//	                                           bit-identical to an
-//	                                           in-process run
-//	repro launch -rank 2 -p 4 -rendezvous A    join: become rank 2 of a
-//	                                           run bootstrapped at A
-//	repro launch -rank 1 -hosts h0:p,h1:p,...  join: static host list
+//	repro launch -p 4                          spawn: bind 4 loopback
+//	                                           listeners, fork one rank
+//	                                           on each, then verify their
+//	                                           verdicts are bit-identical
+//	                                           to an in-process run
+//	repro launch -rank 1 -hosts h0:p,h1:p,...  join: become rank 1 of a
+//	                                           run with this host list
 //
-// In join mode, -serve-rendezvous makes this process (typically rank 0)
-// also host the rendezvous service at the -rendezvous address.
+// Spawn mode runs its children in join mode with -inherit-listener:
+// each binds nothing and accepts on the listener its parent bound.
 func runLaunch(args []string) error {
 	fs := flag.NewFlagSet("launch", flag.ExitOnError)
 	rank := fs.Int("rank", -1, "this process's rank; -1 (default) spawns the whole run as child processes")
 	p := fs.Int("p", 4, "world size (with -hosts: must match the list length or be left at default)")
 	hostsFlag := fs.String("hosts", "", "comma-separated static host list h0:p0,h1:p1,...; rank r binds entry r")
-	rdv := fs.String("rendezvous", "", "rendezvous service address to register with")
-	serveRdv := fs.Bool("serve-rendezvous", false, "host the rendezvous service at -rendezvous from this process (exactly one rank does this)")
-	bind := fs.String("bind", "", "listen address in rendezvous mode (default loopback with an OS port)")
-	advertise := fs.String("advertise", "", "host (or host:port) peers should dial instead of the bind address")
+	inherit := fs.Bool("inherit-listener", false, "accept on the listener inherited as fd 3 instead of binding the host list entry (spawn mode passes it to its children)")
 	topoFlag := fs.String("topology", string(comm.TopoHypercube), "connection topology: full, ring, hypercube, or none (fully lazy)")
 	seed := fs.Uint64("seed", 42, "run seed; verdicts are a pure function of (p, seed, elements)")
 	elements := fs.Int("elements", 4096, "pairs per PE in the checked pipeline")
 	timeout := fs.Duration("timeout", 60*time.Second, "per-run communication deadline")
-	setupTimeout := fs.Duration("setup-timeout", 0, "bootstrap deadline: rendezvous, dials, handshakes (0 = default)")
+	setupTimeout := fs.Duration("setup-timeout", 0, "bootstrap deadline: dials, handshakes (0 = default)")
 	verifyIdentical := fs.Bool("verify-identical", true, "spawn mode: rerun in-process over the mem transport and require bit-identical digests")
 	traceOut := fs.String("trace", "",
 		"gather every rank's spans over the collectives and write a Chrome trace at rank 0 (join mode: every rank must pass the same flag; spawn mode forwards it)")
@@ -72,42 +67,29 @@ func runLaunch(args []string) error {
 	}
 	cfg := dist.Config{Topology: topo, Timeout: *timeout, SetupTimeout: *setupTimeout}
 	if *rank < 0 {
-		if *hostsFlag != "" || *rdv != "" {
-			return fmt.Errorf("launch: -hosts/-rendezvous describe an existing run; joining one needs -rank")
+		if *hostsFlag != "" || *inherit {
+			return fmt.Errorf("launch: -hosts/-inherit-listener describe an existing run; joining one needs -rank")
 		}
 		return launchSpawn(cfg, *p, *seed, *elements, *topoFlag, *setupTimeout, *verifyIdentical, *traceOut)
 	}
-	lc := dist.LaunchConfig{
-		Rank:       *rank,
-		P:          *p,
-		Rendezvous: *rdv,
-		Bind:       *bind,
-		Advertise:  *advertise,
-		Config:     cfg,
+	if *hostsFlag == "" {
+		return fmt.Errorf("launch: joining a run needs -hosts")
 	}
-	if *hostsFlag != "" {
-		hosts, err := dist.ParseHosts(*hostsFlag)
-		if err != nil {
-			return err
-		}
-		lc.Hosts = hosts
-		if !pSet { // -p left at its default: the host list dictates p
-			lc.P = 0
-		}
+	hosts, err := dist.ParseHosts(*hostsFlag)
+	if err != nil {
+		return err
 	}
-	if *serveRdv {
-		if *rdv == "" {
-			return fmt.Errorf("launch: -serve-rendezvous needs -rendezvous to name the address to host")
-		}
-		l, err := net.Listen("tcp", *rdv)
+	if pSet && *p != len(hosts) {
+		return fmt.Errorf("launch: -p %d contradicts a host list of %d entries", *p, len(hosts))
+	}
+	lc := dist.LaunchConfig{Rank: *rank, Hosts: hosts, Config: cfg}
+	if *inherit {
+		f := os.NewFile(3, "listener")
+		lc.Listener, err = net.FileListener(f)
+		f.Close()
 		if err != nil {
-			return fmt.Errorf("launch: hosting rendezvous at %s: %w", *rdv, err)
+			return fmt.Errorf("launch: inheriting the listener on fd 3: %w", err)
 		}
-		go func() {
-			if _, err := dist.ServeRendezvous(l, lc.P, *setupTimeout); err != nil {
-				fmt.Fprintln(os.Stderr, "repro launch:", err)
-			}
-		}()
 	}
 	return launchJoin(lc, *seed, *elements, *traceOut)
 }
@@ -160,7 +142,9 @@ func launchJoin(lc dist.LaunchConfig, seed uint64, elements int, traceOut string
 // launchSpawn forks p child ranks of this binary on loopback, collects
 // their digest lines, and (by default) reruns the identical pipeline
 // in-process over the mem transport to prove the cross-process verdicts
-// are bit-identical.
+// are bit-identical. The parent binds every child's listener before any
+// child starts, so the host list names live sockets and no dial races a
+// listener that is not up yet; child r inherits its listener as fd 3.
 func launchSpawn(cfg dist.Config, p int, seed uint64, elements int, topo string, setupTimeout time.Duration, verifyIdentical bool, traceOut string) error {
 	if p < 1 {
 		return fmt.Errorf("launch: need p >= 1, got %d", p)
@@ -169,25 +153,31 @@ func launchSpawn(cfg dist.Config, p int, seed uint64, elements int, topo string,
 	if err != nil {
 		return fmt.Errorf("launch: locating own binary: %w", err)
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	rdvAddr := l.Addr().String()
-	rdvDone := make(chan error, 1)
-	go func() {
-		_, err := dist.ServeRendezvous(l, p, setupTimeout)
-		rdvDone <- err
+	ls := make([]*net.TCPListener, 0, p)
+	defer func() {
+		for _, l := range ls {
+			l.Close()
+		}
 	}()
+	hosts := make([]string, p)
+	for r := range hosts {
+		l, err := net.ListenTCP("tcp", &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			return fmt.Errorf("launch: binding rank %d's listener: %w", r, err)
+		}
+		ls = append(ls, l)
+		hosts[r] = l.Addr().String()
+	}
+	hostList := strings.Join(hosts, ",")
 
-	fmt.Printf("launch: spawning %d ranks (topology %s, rendezvous %s)\n", p, topo, rdvAddr)
+	fmt.Printf("launch: spawning %d ranks (topology %s, hosts %s)\n", p, topo, hostList)
 	cmds := make([]*exec.Cmd, p)
 	outs := make([]bytes.Buffer, p)
 	for r := 0; r < p; r++ {
 		childArgs := []string{"launch",
 			"-rank", strconv.Itoa(r),
-			"-p", strconv.Itoa(p),
-			"-rendezvous", rdvAddr,
+			"-hosts", hostList,
+			"-inherit-listener",
 			"-topology", topo,
 			"-seed", strconv.FormatUint(seed, 10),
 			"-elements", strconv.Itoa(elements),
@@ -199,10 +189,19 @@ func launchSpawn(cfg dist.Config, p int, seed uint64, elements int, topo string,
 			// writes the merged file.
 			childArgs = append(childArgs, "-trace", traceOut)
 		}
+		f, err := ls[r].File()
+		if err != nil {
+			return fmt.Errorf("launch: rank %d's listener: %w", r, err)
+		}
 		cmds[r] = exec.Command(exe, childArgs...)
 		cmds[r].Stdout = &outs[r]
 		cmds[r].Stderr = os.Stderr
-		if err := cmds[r].Start(); err != nil {
+		cmds[r].ExtraFiles = []*os.File{f}
+		err = cmds[r].Start()
+		// The child holds its own copy of the socket; the parent's go.
+		f.Close()
+		ls[r].Close()
+		if err != nil {
 			return fmt.Errorf("launch: starting rank %d: %w", r, err)
 		}
 	}
@@ -211,9 +210,6 @@ func launchSpawn(cfg dist.Config, p int, seed uint64, elements int, topo string,
 		if err := cmds[r].Wait(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("launch: rank %d process: %w", r, err)
 		}
-	}
-	if err := <-rdvDone; err != nil && firstErr == nil {
-		firstErr = err
 	}
 	if firstErr != nil {
 		return firstErr

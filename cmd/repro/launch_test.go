@@ -69,35 +69,54 @@ func TestParseDigestLine(t *testing.T) {
 }
 
 // TestLaunchJoinDigestLine runs launchJoin end to end for a 2-rank
-// world inside this process (two TCPNodes over a rendezvous), checking
-// the join path the spawn-mode children execute.
+// world inside this process (two TCPNodes on pre-bound listeners named
+// by one host list), checking the join path the spawn-mode children
+// execute.
 func TestLaunchJoinDigestLine(t *testing.T) {
-	addr, done := startTestRendezvous(t, 2)
+	ls, hosts := testHostList(t, 2)
 	errs := make(chan error, 1)
 	go func() {
-		errs <- launchJoin(dist.LaunchConfig{Rank: 1, P: 2, Rendezvous: addr}, 7, 300, "")
+		errs <- launchJoin(dist.LaunchConfig{Rank: 1, Hosts: hosts, Listener: ls[1]}, 7, 300, "")
 	}()
-	if err := launchJoin(dist.LaunchConfig{Rank: 0, P: 2, Rendezvous: addr}, 7, 300, ""); err != nil {
+	if err := launchJoin(dist.LaunchConfig{Rank: 0, Hosts: hosts, Listener: ls[0]}, 7, 300, ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-errs; err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+}
+
+// TestLaunchJoinFlags covers the join-mode flag checks that run before
+// any socket is opened.
+func TestLaunchJoinFlags(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-rank", "0", "-p", "3", "-hosts", "127.0.0.1:1,127.0.0.1:2"}, "-p 3 contradicts a host list of 2 entries"},
+		{[]string{"-rank", "0"}, "needs -hosts"},
+		{[]string{"-hosts", "127.0.0.1:1"}, "needs -rank"},
+		{[]string{"-inherit-listener"}, "needs -rank"},
+	} {
+		if err := runLaunch(c.args); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("launch %v = %v, want an error containing %q", c.args, err, c.want)
+		}
 	}
 }
 
-func startTestRendezvous(t *testing.T, p int) (string, chan error) {
+// testHostList binds p listeners on OS-assigned loopback ports and
+// returns them with the host list that names them.
+func testHostList(t *testing.T, p int) ([]net.Listener, []string) {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	ls := make([]net.Listener, p)
+	hosts := make([]string, p)
+	for r := range ls {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		ls[r], hosts[r] = l, l.Addr().String()
 	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := dist.ServeRendezvous(l, p, 0)
-		done <- err
-	}()
-	return l.Addr().String(), done
+	return ls, hosts
 }

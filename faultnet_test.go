@@ -165,42 +165,61 @@ func TestSortVerdictMatchesGroundTruthUnderNetworkFaults(t *testing.T) {
 }
 
 // TestVerdictBitflipCannotForgeAccept flips one bit of one message of a
-// sum check whose claimed output is wrong — every message of the run in
-// turn, at bits 0, 1 and 63, the common-seed broadcast, the reduction
-// and the verdict broadcast alike. The check must never accept: a rank
-// rejects or reports an error.
+// sum check — every message of the run in turn, at bits 0, 1 and 63, the
+// common-seed broadcast, the reduction and the verdict broadcast alike —
+// once with the correct output and once with a wrong one. Two contracts
+// hold for every flip: the ranks that return no error all return the
+// same verdict, and a wrong output is never accepted. A flip may make
+// every rank reject the correct output: that is the checker's one-sided
+// error, not a split verdict.
 // With plain 0/1 verdict words, a flipped bit 0 in the verdict
 // broadcast made the ranks below it accept.
 func TestVerdictBitflipCannotForgeAccept(t *testing.T) {
 	const p = 4
 	input := workload.ZipfPairs(2000, 200, 1<<30, 1)
+	correct := sumByKey(input)
 	wrong := sumByKey(input)
 	wrong[len(wrong)/2].Value++
 	opts := repro.DefaultOptions()
-	for _, bit := range []int{0, 1, 63} {
-		for k := int64(1); ; k++ {
-			net := comm.NewFaultyNetwork(comm.NewMemNetwork(p), k, bit)
-			var verdicts [p]struct {
-				ok  bool
-				err error
-			}
-			_ = dist.RunNetwork(net, 5, func(w *dist.Worker) error {
-				r := w.Rank()
-				ok, err := repro.CheckSum(w, opts, shardPairs(input, p, r), shardPairs(wrong, p, r))
-				verdicts[r].ok, verdicts[r].err = ok, err
-				return err
-			})
-			injected := net.DidInject()
-			net.Close()
-			if !injected {
-				if k == 1 {
-					t.Fatal("no message of the check was corrupted")
+	for _, c := range []struct {
+		name   string
+		output []repro.Pair
+	}{{"correct", correct}, {"wrong", wrong}} {
+		for _, bit := range []int{0, 1, 63} {
+			for k := int64(1); ; k++ {
+				net := comm.NewFaultyNetwork(comm.NewMemNetwork(p), k, bit)
+				var verdicts [p]struct {
+					ok  bool
+					err error
 				}
-				break
-			}
-			for r, v := range verdicts {
-				if v.err == nil && v.ok {
-					t.Errorf("bit %d of message %d: rank %d accepted a wrong sum", bit, k, r)
+				_ = dist.RunNetwork(net, 5, func(w *dist.Worker) error {
+					r := w.Rank()
+					ok, err := repro.CheckSum(w, opts, shardPairs(input, p, r), shardPairs(c.output, p, r))
+					verdicts[r].ok, verdicts[r].err = ok, err
+					return err
+				})
+				injected := net.DidInject()
+				net.Close()
+				if !injected {
+					if k == 1 {
+						t.Fatalf("%s output: no message of the check was corrupted", c.name)
+					}
+					break
+				}
+				first := -1
+				for r, v := range verdicts {
+					if v.err != nil {
+						continue
+					}
+					if first < 0 {
+						first = r
+					} else if v.ok != verdicts[first].ok {
+						t.Errorf("%s output, bit %d of message %d: rank %d says %v, rank %d says %v",
+							c.name, bit, k, first, verdicts[first].ok, r, v.ok)
+					}
+					if c.name == "wrong" && v.ok {
+						t.Errorf("bit %d of message %d: rank %d accepted a wrong sum", bit, k, r)
+					}
 				}
 			}
 		}

@@ -17,10 +17,10 @@ import (
 // connection flushed once per message, and a reader goroutine per
 // connection feeding the destination inbox.
 //
-// There is one bring-up — NewTCPNode binds a rank's listener, Connect
-// pre-opens its share of the topology — which NewTCPNetworkOpts runs p
-// times in one process and the launcher (internal/dist) once per OS
-// process. Connections are opened by need, not by census: only the
+// There is one bring-up — NewTCPNode accepts on a rank's bound
+// listener, Connect pre-opens its share of the topology — which
+// NewTCPNetworkOpts runs p times in one process and the launcher
+// (internal/dist) once per OS process. Connections are opened by need, not by census: only the
 // edges of the configured Topology are pre-opened (the full mesh by
 // default; a hypercube for O(p log p) scaling), and the first Send along
 // any other edge triggers a lazy, handshake-deduplicated dial. ConnsOpen
@@ -130,7 +130,12 @@ func NewTCPNetworkOpts(p int, opt TCPOptions) (*TCPNetwork, error) {
 	n := &TCPNetwork{nodes: make([]*TCPNode, 0, p)}
 	addrs := make([]string, p)
 	for r := range addrs {
-		nd, err := NewTCPNode(r, p, "", opt)
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			n.Close()
+			return nil, fmt.Errorf("comm: listen for rank %d: %w", r, err)
+		}
+		nd, err := NewTCPNode(r, p, l, opt)
 		if err != nil {
 			n.Close()
 			return nil, err

@@ -281,16 +281,27 @@ func TestTCPDialsAttemptedMetering(t *testing.T) {
 	runPair(t, n)
 }
 
+// loopback binds a listener on an OS-assigned loopback port, the way
+// NewTCPNetworkOpts binds each of its nodes'.
+func loopback(t *testing.T) net.Listener {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 // TestTCPNodePair runs two TCPNodes as if they were two processes: own
 // listeners, address book exchanged out of band. Traffic,
 // metering, and topology must behave like one network split in half.
 func TestTCPNodePair(t *testing.T) {
-	n0, err := NewTCPNode(0, 2, "", TCPOptions{})
+	n0, err := NewTCPNode(0, 2, loopback(t), TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n0.Close()
-	n1, err := NewTCPNode(1, 2, "", TCPOptions{})
+	n1, err := NewTCPNode(1, 2, loopback(t), TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +356,7 @@ func TestTCPNodePair(t *testing.T) {
 // TestTCPNodeRemoteEndpointPanics pins the sharp edge: a TCPNode hosts
 // one rank, and asking for any other endpoint is a programming error.
 func TestTCPNodeRemoteEndpointPanics(t *testing.T) {
-	n, err := NewTCPNode(1, 4, "", TCPOptions{})
+	n, err := NewTCPNode(1, 4, loopback(t), TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,13 +371,17 @@ func TestTCPNodeRemoteEndpointPanics(t *testing.T) {
 
 // TestTCPNodeConnectValidation covers the bootstrap error paths.
 func TestTCPNodeConnectValidation(t *testing.T) {
-	if _, err := NewTCPNode(4, 4, "", TCPOptions{}); err == nil {
-		t.Fatal("rank out of range accepted")
+	for _, rank := range []int{4, -1} {
+		l := loopback(t)
+		if _, err := NewTCPNode(rank, 4, l, TCPOptions{}); err == nil {
+			t.Fatalf("rank %d of 4 accepted", rank)
+		}
+		// A failed NewTCPNode still owns the listener and closes it.
+		if _, err := l.Accept(); err == nil {
+			t.Fatalf("rank %d: the rejected node left its listener open", rank)
+		}
 	}
-	if _, err := NewTCPNode(-1, 4, "", TCPOptions{}); err == nil {
-		t.Fatal("negative rank accepted")
-	}
-	n, err := NewTCPNode(0, 3, "", TCPOptions{})
+	n, err := NewTCPNode(0, 3, loopback(t), TCPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +400,7 @@ func TestTCPNodeConnectValidation(t *testing.T) {
 // first edge's error promptly, with the node closed.
 func TestTCPNodeConnectFailsFast(t *testing.T) {
 	var nd *TCPNode
-	nd, err := NewTCPNode(0, 3, "", TCPOptions{
+	nd, err := NewTCPNode(0, 3, loopback(t), TCPOptions{
 		SetupTimeout: 30 * time.Second,
 		DialAttempts: 1,
 		dialFunc: func(from, to int, addr string, timeout time.Duration) (net.Conn, error) {

@@ -12,11 +12,12 @@ import (
 // connection slot per peer, its endpoint, its wire and dial counters,
 // its closed channel and the ledger of goroutines Close waits on. A
 // TCPNetwork is p of them in one process; the launcher (internal/dist)
-// runs one per OS process. Lifecycle: NewTCPNode binds the listener (so
-// Addr can be exchanged through a rendezvous or host list while peers
-// are still starting), Connect installs the address book and pre-opens
-// this rank's share of the topology, and from then on it is a
-// comm.Network whose only usable endpoint is the local rank's.
+// runs one per OS process. Lifecycle: the caller binds the listener
+// before any peer dials (so the host list names live addresses while
+// peers are still starting), NewTCPNode starts accepting on it, Connect
+// installs the address book and pre-opens this rank's share of the
+// topology, and from then on it is a comm.Network whose only usable
+// endpoint is the local rank's.
 type TCPNode struct {
 	rank, p      int
 	setupTimeout time.Duration
@@ -48,20 +49,22 @@ type TCPNode struct {
 	workers  sync.WaitGroup        // accept loop, handshake handlers, readers
 }
 
-// NewTCPNode binds a listener for rank (one of p) on bind and starts
-// accepting peer connections. bind may be "" for loopback with an
-// OS-assigned port, "host:0" to pick a port on a specific interface, or
-// a full "host:port". The node is not usable for traffic until Connect
-// has installed the address book.
-func NewTCPNode(rank, p int, bind string, opt TCPOptions) (*TCPNode, error) {
+// NewTCPNode starts accepting peer connections for rank (one of p) on
+// the already-bound listener l. The node owns l from then on: Close
+// closes it, and so does a failed NewTCPNode. The node is not usable for
+// traffic until Connect has installed the address book.
+func NewTCPNode(rank, p int, l net.Listener, opt TCPOptions) (*TCPNode, error) {
 	if p < 1 {
+		l.Close()
 		return nil, fmt.Errorf("comm: NewTCPNode requires p >= 1, got %d", p)
 	}
 	if rank < 0 || rank >= p {
+		l.Close()
 		return nil, fmt.Errorf("comm: NewTCPNode rank %d out of range [0,%d)", rank, p)
 	}
 	topo, err := ParseTopology(string(opt.Topology))
 	if err != nil {
+		l.Close()
 		return nil, err
 	}
 	nd := &TCPNode{
@@ -72,6 +75,7 @@ func NewTCPNode(rank, p int, bind string, opt TCPOptions) (*TCPNode, error) {
 		dialBackoff:  opt.DialBackoff,
 		topo:         topo,
 		dial:         opt.dialFunc,
+		l:            l,
 		slots:        make([]*connSlot, p),
 		closed:       make(chan struct{}),
 		dialed:       new(atomic.Int64),
@@ -95,21 +99,14 @@ func NewTCPNode(rank, p int, bind string, opt TCPOptions) (*TCPNode, error) {
 		nd.slots[i] = &connSlot{}
 	}
 	nd.ep = &tcpEndpoint{node: nd, inbox: newInbox(rank, p, nd.closed, resolveTimeout(opt.Timeout))}
-	if bind == "" {
-		bind = "127.0.0.1:0"
-	}
-	if nd.l, err = net.Listen("tcp", bind); err != nil {
-		return nil, fmt.Errorf("comm: listen for rank %d on %s: %w", rank, bind, err)
-	}
 	nd.workers.Add(1)
 	go nd.acceptLoop()
 	return nd, nil
 }
 
-// Addr returns the listener's address — the string peers must be given
-// (via host list or rendezvous) to reach this rank. When bound to an
-// unspecified host ("0.0.0.0", ":0") the caller is responsible for
-// substituting a routable host before advertising it.
+// Addr returns the listener's address. Peers reach this rank through
+// its host list entry, which need not be this string: a listener bound
+// to an unspecified host ("0.0.0.0") is listed under a routable one.
 func (nd *TCPNode) Addr() string { return nd.l.Addr().String() }
 
 // Connect installs the address book (addrs[r] is rank r's listener

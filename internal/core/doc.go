@@ -33,8 +33,12 @@
 //     checkers without a state: each is one all-reduction.
 //
 // Every distributed checker is SPMD: all PEs build their states from
-// their local shares and a common seed (dist.Worker.CommonSeed), and the
-// verdict is identical on every PE.
+// their local shares and a common seed (dist.Worker.CommonSeed), and
+// every PE returns the same verdict or a named error. A bit flipped in
+// a checker word in flight cannot split the verdict or make a PE accept
+// an incorrect result, but it can make every PE reject a correct one:
+// that is one-sided error as the checker sees it, since the words it
+// reduced no longer describe a correct result.
 //
 // # One shape
 //

@@ -8,30 +8,18 @@ import (
 	"repro/internal/comm"
 )
 
-// LaunchConfig describes one rank's membership in a multi-process run.
-// Exactly one of Hosts (static host list: every rank's listen address
-// known up front) or Rendezvous (dynamic: ranks bind anywhere and
-// exchange addresses through the rendezvous service) must be set.
+// LaunchConfig describes one rank's membership in a multi-process run:
+// a static host list, every rank's listen address known up front.
 type LaunchConfig struct {
 	// Rank is this process's rank.
 	Rank int
-	// P is the world size. With a host list it may be left 0 (it is
-	// len(Hosts)); with a rendezvous it is required.
-	P int
-	// Hosts is the static address book: Hosts[r] is rank r's listen
-	// address, with an explicit port. This process binds Hosts[Rank].
+	// Hosts is the address book: Hosts[r] is rank r's listen address,
+	// with an explicit port. The world size is len(Hosts).
 	Hosts []string
-	// Rendezvous is the rendezvous service's address.
-	Rendezvous string
-	// Bind is the local listen address in rendezvous mode ("" means
-	// loopback with an OS-assigned port). Ignored in host-list mode,
-	// where Hosts[Rank] dictates it.
-	Bind string
-	// Advertise, when non-empty, replaces the host part of the address
-	// announced to the rendezvous — for machines where the bind address
-	// (e.g. "0.0.0.0") is not what peers should dial. The listener's
-	// actual port is kept.
-	Advertise string
+	// Listener, when set, is this rank's already-bound listener (for
+	// instance one a spawning parent bound and handed down), and Join
+	// takes ownership of it. When nil, Join binds Hosts[Rank].
+	Listener net.Listener
 	// Config carries the transport knobs (topology, timeouts, dial
 	// budget). The Transport field is ignored: a multi-process run is
 	// TCP by construction.
@@ -66,77 +54,33 @@ func ParseHosts(s string) ([]string, error) {
 	return hosts, nil
 }
 
-// Join bootstraps this process's rank into the distributed run: bind
-// the listener, learn the address book (statically from the host list
-// or dynamically through the rendezvous), and pre-open this rank's
-// share of the configured topology. The returned node is a
-// comm.Network hosting the local rank's endpoint — run the SPMD body
-// on it with RunLocal.
+// Join bootstraps this process's rank into the distributed run: take
+// or bind this rank's listener, install the host list, and pre-open this
+// rank's share of the configured topology. The returned node is a
+// comm.Network hosting the local rank's endpoint — run the SPMD body on
+// it with RunLocal.
 func Join(lc LaunchConfig) (*comm.TCPNode, error) {
-	opt := lc.Config.TCPOptions()
-	switch {
-	case len(lc.Hosts) > 0 && lc.Rendezvous != "":
-		return nil, fmt.Errorf("dist: Join wants a host list or a rendezvous, not both")
-	case len(lc.Hosts) > 0:
-		p := len(lc.Hosts)
-		if lc.P != 0 && lc.P != p {
-			return nil, fmt.Errorf("dist: Join: P=%d contradicts a host list of %d entries", lc.P, p)
+	p := len(lc.Hosts)
+	if lc.Rank < 0 || lc.Rank >= p {
+		if lc.Listener != nil {
+			lc.Listener.Close()
 		}
-		if lc.Rank < 0 || lc.Rank >= p {
-			return nil, fmt.Errorf("dist: Join: rank %d out of range for %d hosts", lc.Rank, p)
-		}
-		node, err := comm.NewTCPNode(lc.Rank, p, lc.Hosts[lc.Rank], opt)
-		if err != nil {
-			return nil, err
-		}
-		if err := node.Connect(lc.Hosts); err != nil {
-			node.Close()
-			return nil, fmt.Errorf("dist: rank %d connecting to host list: %w", lc.Rank, err)
-		}
-		return node, nil
-	case lc.Rendezvous != "":
-		if lc.P < 1 {
-			return nil, fmt.Errorf("dist: Join via rendezvous requires P >= 1, got %d", lc.P)
-		}
-		if lc.Rank < 0 || lc.Rank >= lc.P {
-			return nil, fmt.Errorf("dist: Join: rank %d out of range [0, %d)", lc.Rank, lc.P)
-		}
-		node, err := comm.NewTCPNode(lc.Rank, lc.P, lc.Bind, opt)
-		if err != nil {
-			return nil, err
-		}
-		selfAddr, err := advertisedAddr(node.Addr(), lc.Advertise)
-		if err != nil {
-			node.Close()
-			return nil, err
-		}
-		book, err := Register(lc.Rendezvous, lc.Rank, lc.P, selfAddr, opt.SetupTimeout)
-		if err != nil {
-			node.Close()
-			return nil, err
-		}
-		if err := node.Connect(book); err != nil {
-			node.Close()
-			return nil, fmt.Errorf("dist: rank %d connecting to rendezvous book: %w", lc.Rank, err)
-		}
-		return node, nil
+		return nil, fmt.Errorf("dist: Join: rank %d out of range for %d hosts", lc.Rank, p)
 	}
-	return nil, fmt.Errorf("dist: Join needs a host list or a rendezvous address")
-}
-
-// advertisedAddr swaps the host part of the bound listen address for
-// the advertise host, keeping the actual port.
-func advertisedAddr(bound, advertise string) (string, error) {
-	if advertise == "" {
-		return bound, nil
+	l := lc.Listener
+	if l == nil {
+		var err error
+		if l, err = net.Listen("tcp", lc.Hosts[lc.Rank]); err != nil {
+			return nil, fmt.Errorf("dist: rank %d listening on %s: %w", lc.Rank, lc.Hosts[lc.Rank], err)
+		}
 	}
-	_, port, err := net.SplitHostPort(bound)
+	node, err := comm.NewTCPNode(lc.Rank, p, l, lc.Config.TCPOptions())
 	if err != nil {
-		return "", fmt.Errorf("dist: bound address %q: %w", bound, err)
+		return nil, err
 	}
-	if h, _, err := net.SplitHostPort(advertise); err == nil && h != "" {
-		// A full host:port advertise address is taken verbatim.
-		return advertise, nil
+	if err := node.Connect(lc.Hosts); err != nil {
+		node.Close()
+		return nil, fmt.Errorf("dist: rank %d connecting to host list: %w", lc.Rank, err)
 	}
-	return net.JoinHostPort(advertise, port), nil
+	return node, nil
 }

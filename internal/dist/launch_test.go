@@ -69,143 +69,55 @@ func FuzzParseHosts(f *testing.F) {
 	})
 }
 
-// startRendezvous serves a rendezvous for p ranks on a fresh loopback
-// listener and returns its address plus a channel with the result.
-func startRendezvous(t *testing.T, p int, timeout time.Duration) (string, chan error) {
+// loopbackHosts binds p listeners on OS-assigned loopback ports and
+// returns them with the host list that names them, the way spawn mode
+// bootstraps its children.
+func loopbackHosts(t *testing.T, p int) ([]net.Listener, []string) {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := ServeRendezvous(l, p, timeout)
-		done <- err
-	}()
-	return l.Addr().String(), done
-}
-
-func TestRendezvousRoundTrip(t *testing.T) {
-	const p = 3
-	addr, done := startRendezvous(t, p, 5*time.Second)
-	books := make([][]string, p)
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			book, err := Register(addr, r, p, fmt.Sprintf("10.0.0.%d:900%d", r, r), 5*time.Second)
-			if err != nil {
-				t.Errorf("rank %d: %v", r, err)
-				return
-			}
-			books[r] = book
-		}(r)
-	}
-	wg.Wait()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < p; r++ {
-		for i, a := range books[r] {
-			if want := fmt.Sprintf("10.0.0.%d:900%d", i, i); a != want {
-				t.Fatalf("rank %d book[%d] = %q, want %q", r, i, a, want)
-			}
+	ls := make([]net.Listener, p)
+	hosts := make([]string, p)
+	for r := range ls {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
 		}
+		t.Cleanup(func() { l.Close() })
+		ls[r], hosts[r] = l, l.Addr().String()
 	}
-}
-
-func TestRendezvousDuplicateRankRejected(t *testing.T) {
-	addr, done := startRendezvous(t, 2, 5*time.Second)
-	first := make(chan error, 1)
-	go func() {
-		_, err := Register(addr, 0, 2, "10.0.0.1:9000", 5*time.Second)
-		first <- err
-	}()
-	time.Sleep(100 * time.Millisecond) // let the first registration land
-	_, dupErr := Register(addr, 0, 2, "10.0.0.9:9000", 5*time.Second)
-	if dupErr == nil || !strings.Contains(dupErr.Error(), "duplicate registration for rank 0") {
-		t.Fatalf("duplicate client error = %v", dupErr)
-	}
-	srvErr := <-done
-	if srvErr == nil || !strings.Contains(srvErr.Error(), "duplicate registration for rank 0") {
-		t.Fatalf("server error = %v", srvErr)
-	}
-	if err := <-first; err == nil {
-		t.Fatal("first registrant got a book from an aborted rendezvous")
-	}
-}
-
-func TestRendezvousRejectsBadRankAndWorldSize(t *testing.T) {
-	addr, done := startRendezvous(t, 2, 5*time.Second)
-	if _, err := Register(addr, 7, 2, "a:1", 5*time.Second); err == nil {
-		t.Fatal("out-of-range rank accepted")
-	}
-	if err := <-done; err == nil || !strings.Contains(err.Error(), "rank 7 out of range") {
-		t.Fatalf("server error = %v", err)
-	}
-	addr, done = startRendezvous(t, 2, 5*time.Second)
-	if _, err := Register(addr, 0, 3, "a:1", 5*time.Second); err == nil {
-		t.Fatal("world-size mismatch accepted")
-	}
-	if err := <-done; err == nil || !strings.Contains(err.Error(), "world size") {
-		t.Fatalf("server error = %v", err)
-	}
-}
-
-// TestRendezvousTimeoutNamesMissingRanks is the attribution test: a
-// rendezvous that never completes must say exactly who failed to show.
-func TestRendezvousTimeoutNamesMissingRanks(t *testing.T) {
-	addr, done := startRendezvous(t, 4, 400*time.Millisecond)
-	for _, r := range []int{0, 2} {
-		go func(r int) {
-			// These registrations block for the book that never comes;
-			// their failure is expected and uninteresting.
-			_, _ = Register(addr, r, 4, fmt.Sprintf("10.0.0.%d:9000", r), 2*time.Second)
-		}(r)
-	}
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("incomplete rendezvous succeeded")
-		}
-		if !strings.Contains(err.Error(), "missing ranks [1 3]") {
-			t.Fatalf("timeout error %q does not name the missing ranks", err)
-		}
-		if !strings.Contains(err.Error(), "2/4") {
-			t.Fatalf("timeout error %q does not report progress", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("rendezvous never timed out")
-	}
+	return ls, hosts
 }
 
 func TestJoinValidation(t *testing.T) {
 	if _, err := Join(LaunchConfig{Rank: 0}); err == nil {
-		t.Fatal("Join without hosts or rendezvous accepted")
-	}
-	if _, err := Join(LaunchConfig{Rank: 0, Hosts: []string{"a:1"}, Rendezvous: "b:2"}); err == nil {
-		t.Fatal("Join with both hosts and rendezvous accepted")
+		t.Fatal("Join without hosts accepted")
 	}
 	if _, err := Join(LaunchConfig{Rank: 2, Hosts: []string{"a:1", "b:2"}}); err == nil {
 		t.Fatal("Join with out-of-range rank accepted")
 	}
-	if _, err := Join(LaunchConfig{Rank: 0, P: 3, Hosts: []string{"a:1", "b:2"}}); err == nil {
-		t.Fatal("Join with P contradicting host list accepted")
+	// Join owns a listener it is handed, so a rejected Join closes it.
+	ls, hosts := loopbackHosts(t, 1)
+	if _, err := Join(LaunchConfig{Rank: 1, Hosts: hosts, Listener: ls[0]}); err == nil {
+		t.Fatal("Join with out-of-range rank accepted")
 	}
-	if _, err := Join(LaunchConfig{Rank: 0, Rendezvous: "a:1"}); err == nil {
-		t.Fatal("Join via rendezvous without P accepted")
+	if _, err := ls[0].Accept(); err == nil {
+		t.Fatal("a rejected Join left its listener open")
+	}
+	// Without a listener Join binds Hosts[Rank]; an address in use is a
+	// named error.
+	ls, hosts = loopbackHosts(t, 2)
+	if _, err := Join(LaunchConfig{Rank: 0, Hosts: hosts}); err == nil || !strings.Contains(err.Error(), "listening on "+hosts[0]) {
+		t.Fatalf("Join binding a taken address = %v, want a listen error naming it", err)
 	}
 }
 
-// TestJoinRendezvousWorkers bootstraps four single-rank nodes through a
-// rendezvous (all in this process, as four independent cores — the same
-// code path four OS processes would take), runs a worker body on each
-// via RunLocal, and checks collective results plus the hypercube
-// connection bill.
-func TestJoinRendezvousWorkers(t *testing.T) {
+// TestJoinHostListWorkers bootstraps four single-rank nodes from a host
+// list on pre-bound listeners (all in this process, as four independent
+// cores — the same code path four OS processes would take), runs a
+// worker body on each via RunLocal, and checks collective results plus
+// the hypercube connection bill.
+func TestJoinHostListWorkers(t *testing.T) {
 	const p = 4
-	addr, done := startRendezvous(t, p, 10*time.Second)
+	ls, hosts := loopbackHosts(t, p)
 	cfg := Config{Topology: comm.TopoHypercube, Timeout: 30 * time.Second}
 	nodes := make([]*comm.TCPNode, p)
 	var joinWg sync.WaitGroup
@@ -213,7 +125,7 @@ func TestJoinRendezvousWorkers(t *testing.T) {
 		joinWg.Add(1)
 		go func(r int) {
 			defer joinWg.Done()
-			node, err := Join(LaunchConfig{Rank: r, P: p, Rendezvous: addr, Config: cfg})
+			node, err := Join(LaunchConfig{Rank: r, Hosts: hosts, Listener: ls[r], Config: cfg})
 			if err != nil {
 				t.Errorf("rank %d join: %v", r, err)
 				return
@@ -222,9 +134,6 @@ func TestJoinRendezvousWorkers(t *testing.T) {
 		}(r)
 	}
 	joinWg.Wait()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
 	if t.Failed() {
 		t.FailNow()
 	}
@@ -312,34 +221,40 @@ func TestJoinRendezvousWorkers(t *testing.T) {
 }
 
 // TestTwoProcessRoundTrip runs a real second OS process: the test
-// re-execs itself as rank 1 (helper-process pattern) while the parent
-// serves the rendezvous and runs rank 0, and both sides must agree on
-// an allreduce and the common seed.
+// re-execs itself as rank 1 (helper-process pattern), handing it its
+// bound listener as fd 3 and the host list in the environment, while
+// the parent runs rank 0. Both sides must agree on an allreduce and the
+// common seed.
 func TestTwoProcessRoundTrip(t *testing.T) {
 	if os.Getenv("DIST_LAUNCH_HELPER") == "1" {
 		return // the helper entry point is TestLaunchHelperChild
 	}
-	addr, done := startRendezvous(t, 2, 15*time.Second)
+	ls, hosts := loopbackHosts(t, 2)
+	f, err := ls[1].(*net.TCPListener).File()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cmd := exec.Command(os.Args[0], "-test.run", "^TestLaunchHelperChild$", "-test.v")
 	cmd.Env = append(os.Environ(),
 		"DIST_LAUNCH_HELPER=1",
-		"DIST_LAUNCH_RDV="+addr,
+		"DIST_LAUNCH_HOSTS="+strings.Join(hosts, ","),
 	)
+	cmd.ExtraFiles = []*os.File{f}
 	out := &strings.Builder{}
 	cmd.Stdout = out
 	cmd.Stderr = out
-	if err := cmd.Start(); err != nil {
+	err = cmd.Start()
+	f.Close()
+	ls[1].Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := Join(LaunchConfig{Rank: 0, P: 2, Rendezvous: addr,
+	node, err := Join(LaunchConfig{Rank: 0, Hosts: hosts, Listener: ls[0],
 		Config: Config{Topology: comm.TopoHypercube, Timeout: 20 * time.Second}})
 	if err != nil {
 		t.Fatalf("parent join: %v", err)
 	}
 	defer node.Close()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
 	var sum, cs uint64
 	err = RunLocal(node, 0, 7, func(w *Worker) error {
 		c, err := w.CommonSeed()
@@ -375,8 +290,17 @@ func TestLaunchHelperChild(t *testing.T) {
 	if os.Getenv("DIST_LAUNCH_HELPER") != "1" {
 		t.Skip("helper entry point")
 	}
-	addr := os.Getenv("DIST_LAUNCH_RDV")
-	node, err := Join(LaunchConfig{Rank: 1, P: 2, Rendezvous: addr,
+	hosts, err := ParseHosts(os.Getenv("DIST_LAUNCH_HOSTS"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := os.NewFile(3, "listener")
+	l, err := net.FileListener(f)
+	f.Close()
+	if err != nil {
+		t.Fatalf("child inheriting fd 3: %v", err)
+	}
+	node, err := Join(LaunchConfig{Rank: 1, Hosts: hosts, Listener: l,
 		Config: Config{Topology: comm.TopoHypercube, Timeout: 20 * time.Second}})
 	if err != nil {
 		t.Fatalf("child join: %v", err)
