@@ -94,7 +94,9 @@ func BenchmarkTable5SumCheckerLocal(b *testing.B) {
 // identical residues; only wall time differs. The zipf-125k row is the
 // kernel on the benchmark of record's reduce_zipf share (125k pairs,
 // Zipf keys over 1e6, values below 2^30): heavy keys hit one cell over
-// and over, which the uniform rows cannot show.
+// and over, which the uniform rows cannot show. The 2k rows are a
+// service job's share (2 000 pairs, g = 1), in one call and in the
+// 256-pair chunks a stream stage feeds.
 func BenchmarkSumAccumulateEngine(b *testing.B) {
 	const elements = 200000
 	pairs := workload.UniformPairs(elements, 1<<62, 1<<62, 1)
@@ -125,6 +127,21 @@ func BenchmarkSumAccumulateEngine(b *testing.B) {
 		}
 		perElem(b, len(zipf))
 	})
+	job := pairs[:serviceJob]
+	b.Run("batch/2k", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.Accumulate(table, job)
+		}
+		perElem(b, len(job))
+	})
+	b.Run("batch/2k-chunk256", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for lo := 0; lo < len(job); lo += jobChunk {
+				c.Accumulate(table, job[lo:min(lo+jobChunk, len(job))])
+			}
+		}
+		perElem(b, len(job))
+	})
 	for _, w := range []int{2, 4} {
 		w := w
 		b.Run(fmt.Sprintf("parallel-%d", w), func(b *testing.B) {
@@ -137,40 +154,57 @@ func BenchmarkSumAccumulateEngine(b *testing.B) {
 	}
 }
 
+// The job size of the AccumulateEngine benchmarks' service rows, and
+// the chunk a stream stage hands a checker.
+const serviceJob, jobChunk = 2000, 256
+
 // BenchmarkPermAccumulateEngine is BenchmarkSumAccumulateEngine for the
-// permutation fingerprint loop.
+// permutation fingerprint loop, on the default 2×Tab 32 checker.
 func BenchmarkPermAccumulateEngine(b *testing.B) {
 	const elements = 200000
 	xs := workload.UniformU64s(elements, 1e8, 2)
 	cfg := core.PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}
 	c := core.NewPermChecker(cfg, 3)
 	sums := make([]uint64, cfg.Iterations)
-	perElem := func(b *testing.B) {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(elements), "ns/elem")
+	perElem := func(b *testing.B, n int) {
+		b.SetBytes(int64(8 * n))
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
 	}
 	b.Run("scalar", func(b *testing.B) {
-		b.SetBytes(int64(8 * elements))
 		for i := 0; i < b.N; i++ {
 			c.AccumulateIntoScalar(sums, xs, false)
 		}
-		perElem(b)
+		perElem(b, elements)
 	})
 	b.Run("batch", func(b *testing.B) {
-		b.SetBytes(int64(8 * elements))
 		for i := 0; i < b.N; i++ {
 			c.AccumulateInto(sums, xs, false)
 		}
-		perElem(b)
+		perElem(b, elements)
+	})
+	job := xs[:serviceJob]
+	b.Run("batch/2k", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.AccumulateInto(sums, job, false)
+		}
+		perElem(b, len(job))
+	})
+	b.Run("batch/2k-chunk256", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for lo := 0; lo < len(job); lo += jobChunk {
+				c.AccumulateInto(sums, job[lo:min(lo+jobChunk, len(job))], false)
+			}
+		}
+		perElem(b, len(job))
 	})
 	for _, w := range []int{2, 4} {
 		w := w
 		b.Run(fmt.Sprintf("parallel-%d", w), func(b *testing.B) {
 			par := core.NewParallelAccumulator(w)
-			b.SetBytes(int64(8 * elements))
 			for i := 0; i < b.N; i++ {
 				par.AccumulatePerm(c, sums, xs, false)
 			}
-			perElem(b)
+			perElem(b, elements)
 		})
 	}
 }

@@ -33,7 +33,7 @@ import (
 // trailing * stands for any suffix.
 var censusAllow = map[string]string{
 	"internal/core.SumChecker.AccumulateScalar":      "scalar oracle the root package's BenchmarkSumAccumulateEngine measures the kernel against",
-	"internal/core.PermChecker.AccumulateIntoScalar": "scalar oracle the root package's BenchmarkPermAccumulateEngine measures the kernel against",
+	"internal/core.PermChecker.AccumulateIntoScalar": "per-iteration oracle, its functions rebuilt unpaired from the same sub-seeds: FuzzPermAccumulate holds the paired kernel to it and the root package's BenchmarkPermAccumulateEngine measures against it",
 
 	"internal/comm.NewSimNetwork":           "cross-package test fixture (root, collective, dist); dist itself builds simnet with an explicit timeout",
 	"internal/comm.FaultyNetwork.DidInject": "cross-package test fixture: root, collective and dist tests ask whether the armed fault landed",
@@ -41,7 +41,6 @@ var censusAllow = map[string]string{
 	"internal/workload.EdgePairShares":      "cross-package test fixture: the edge shapes of the ops and root one-sidedness gates",
 	"internal/workload.EdgeSeqShares":       "cross-package test fixture: the edge shapes of the ops and root one-sidedness gates",
 
-	"internal/params.MinVolume":     "closed form of the paper's Section 4 volume bound; due a golden test in ROADMAP item 14",
 	"internal/obs.Registry.Counter": "the registry's owned-counter kind; ROADMAP item 6 (seven meters → one) makes it the single source",
 }
 

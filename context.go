@@ -183,7 +183,6 @@ func (e *StageError) Unwrap() error { return ErrCheckFailed }
 type Context struct {
 	w    *Worker
 	opts Options
-	mode CheckMode
 	pt   ops.Partitioner
 	seed uint64
 	par  core.ParallelAccumulator
@@ -235,7 +234,6 @@ func NewContext(w *Worker, opts Options) (*Context, error) {
 	c := &Context{
 		w:    w,
 		opts: opts,
-		mode: opts.Mode,
 		pt:   ops.NewPartitioner(seed, w.Size()),
 		seed: seed,
 		par:  core.NewParallelAccumulator(opts.Parallelism),
@@ -249,7 +247,7 @@ func NewContext(w *Worker, opts Options) (*Context, error) {
 func (c *Context) Worker() *Worker { return c.w }
 
 // Mode returns the Context's check mode.
-func (c *Context) Mode() CheckMode { return c.mode }
+func (c *Context) Mode() CheckMode { return c.opts.Mode }
 
 // Err returns the Context's sticky error: the first checker rejection
 // or communication failure, or nil.
@@ -409,7 +407,7 @@ func (c *Context) run(op string, s stage) error {
 	span := c.w.Span(obs.KindStage, label)
 	defer span.End()
 
-	checked := c.mode != CheckOff && s.check != nil
+	checked := c.opts.Mode != CheckOff && s.check != nil
 	if checked && s.valid != nil {
 		if err := s.valid(); err != nil {
 			return c.record(st, VerdictError, err)
@@ -454,7 +452,7 @@ func (c *Context) run(op string, s stage) error {
 	}
 	states := all[len(c.states):]
 
-	if c.mode == CheckDeferred {
+	if c.opts.Mode == CheckDeferred {
 		for _, cs := range states {
 			st.BatchWords += len(cs.Words()) + 1
 		}

@@ -3,6 +3,7 @@ package collective
 import (
 	"fmt"
 	"os"
+	"os/signal"
 	"runtime"
 	"testing"
 	"time"
@@ -12,6 +13,12 @@ import (
 // every network and resident PE goroutine a test brings up must be
 // gone after it.
 func TestMain(m *testing.M) {
+	// A fuzzing run (-fuzz) installs a signal handler, and the
+	// os/signal goroutine behind it lives as long as the process: start
+	// it here, so the count below includes it.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt)
+	signal.Stop(sig)
 	before := runtime.NumGoroutine()
 	code := m.Run()
 	for deadline := time.Now().Add(5 * time.Second); code == 0 && runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {

@@ -104,18 +104,31 @@ func BenchmarkAblationHashFamilies(b *testing.B) {
 
 // BenchmarkAblationPermVariants compares the three permutation checker
 // mechanisms' local work: hash-sum (Lemma 4), prime-field polynomial
-// (Lemma 5) and GF(2^64) carry-less polynomial.
+// (Lemma 5) and GF(2^64) carry-less polynomial. The hash-sum rows run
+// one Tab iteration, and the default two: as two passes over their own
+// tables (the family's Pair cleared) and as one pass over a pair's.
 func BenchmarkAblationPermVariants(b *testing.B) {
 	xs := workload.UniformU64s(ablationElements, 1e8, 2)
-	b.Run("hash-sum-Tab", func(b *testing.B) {
-		c := NewPermChecker(PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 1}, 3)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sums := localSums(c, xs)
-			sinkBench = sums[0]
-		}
-		reportPerElem(b, ablationElements)
-	})
+	unpaired := hashing.FamilyTab
+	unpaired.Pair = nil
+	for _, row := range []struct {
+		name string
+		cfg  PermConfig
+	}{
+		{"hash-sum-Tab", PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 1}},
+		{"hash-sum-Tab×2", PermConfig{Family: unpaired, LogH: 32, Iterations: 2}},
+		{"hash-sum-Tab×2-paired", PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			c := NewPermChecker(row.cfg, 3)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sums := localSums(c, xs)
+				sinkBench = sums[0]
+			}
+			reportPerElem(b, ablationElements)
+		})
+	}
 	b.Run("poly-mersenne61", func(b *testing.B) {
 		const r = hashing.Mersenne61
 		z := uint64(123456789123456789) % r

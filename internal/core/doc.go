@@ -96,6 +96,17 @@
 // residue-identical merges — per-PE fan-out never changes a checker
 // state.
 //
+// Both checker kernels read each key's hash lookups once, the Section
+// 7.1 idea of one wide hash value feeding several iterations. The
+// permutation checker evaluates Tab iterations two at a time: the
+// family's Pair stores two tabulation functions in one table of 64-bit
+// entries, low half and high half, so eight lookups give both 32-bit
+// values, and an odd last iteration keeps a table of its own. The halves
+// are the functions the iterations' own sub-seeds name, filled exactly
+// as a lone table would be, so fingerprints, sealed words and delta are
+// those of separate tables; AccumulateIntoScalar rebuilds each
+// iteration's function alone and is the oracle the kernel is held to.
+//
 // The sum checker's part of it is one kernel (SumChecker.accumulate)
 // built on exact cells and grouped tables. A cell is a 128-bit integer
 // {lo, hi} updated by lo += v; hi += carry: no modulus in the loop at
@@ -109,7 +120,12 @@
 // large as keeps a table within 2^10 cells (L1), inside one hash value,
 // and at most an eighth of the call long, so the fold stays a small
 // share of the call; otherwise 1, where the cell tables have the
-// its×d shape of the table itself.
+// its×d shape of the table itself. Each block is read once per hash
+// value: where the groups drawn from one value have the default 6×32
+// checker's shapes — six 5-bit groups at g = 1, three 10-bit ones at
+// g = 2 — a hand-unrolled lane kernel updates all of them in one pass
+// with constant shifts and masks; any other plan takes one pass per
+// group.
 //
 // None of this can change a verdict. The checker is linear: a counter
 // holds, mod r, the sum over the integers of the values whose key falls

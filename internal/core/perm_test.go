@@ -404,10 +404,16 @@ func TestUnionChecker(t *testing.T) {
 // tables a consumed builder hands back: whatever function they held —
 // another seed's, another width's — the next checker built on them
 // fingerprints exactly like one whose tables nobody else ever touched.
+// Tab ×2 runs on a pair's tables, Tab ×3 on a pair's and a single
+// function's, and the oracle builds each iteration's function alone.
 func TestRecycledTablesNeverLeak(t *testing.T) {
 	xs := workload.UniformU64s(3000, 1e9, 11)
-	for _, fam := range []hashing.Family{hashing.FamilyTab, hashing.FamilyTab64} {
-		cfg := PermConfig{Family: fam, LogH: 32, Iterations: 2}
+	for _, cfg := range []PermConfig{
+		{Family: hashing.FamilyTab, LogH: 32, Iterations: 2},
+		{Family: hashing.FamilyTab, LogH: 32, Iterations: 3},
+		{Family: hashing.FamilyTab64, LogH: 32, Iterations: 2},
+	} {
+		fam := cfg.Family
 		want := func(seed uint64) []uint64 {
 			// Never handed to a builder: its tables are never recycled.
 			lambda := make([]uint64, cfg.Iterations)
@@ -433,7 +439,7 @@ func TestRecycledTablesNeverLeak(t *testing.T) {
 				words := b.Seal().Words()
 				for it := range cfg.Iterations {
 					if v, w := lane(words, it, width), uint64(2-i)*wantA[it]&mask; v != w {
-						t.Fatalf("%s round %d: builder %d sealed to %#x in iteration %d, want %#x", fam.Name, round, i, v, it, w)
+						t.Fatalf("%s ×%d round %d: builder %d sealed to %#x in iteration %d, want %#x", fam.Name, cfg.Iterations, round, i, v, it, w)
 					}
 				}
 			}
@@ -442,11 +448,51 @@ func TestRecycledTablesNeverLeak(t *testing.T) {
 			words := b.Seal().Words()
 			for it := range cfg.Iterations {
 				if v, w := lane(words, it, width), wantB[it]&mask; v != w {
-					t.Fatalf("%s round %d: checker on recycled tables fingerprints to %#x in iteration %d, want %#x", fam.Name, round, v, it, w)
+					t.Fatalf("%s ×%d round %d: checker on recycled tables fingerprints to %#x in iteration %d, want %#x", fam.Name, cfg.Iterations, round, v, it, w)
 				}
 			}
 		}
 	}
+}
+
+// FuzzPermAccumulate: bytes → a checker (seed, 1–5 iterations, LogH
+// 1–32, a family), a sign and a sequence of 0–3 000 keys; the kernel's
+// sums must equal the per-iteration scalar oracle's in all 64 bits,
+// added into sums that already hold a value. Tab takes the paired path
+// (an odd count ends on a single function); the other families keep
+// one function per iteration.
+func FuzzPermAccumulate(f *testing.F) {
+	f.Add(uint64(1), uint16(2000), byte(1), byte(31), byte(0))
+	f.Add(uint64(0xdeadbeef), uint16(3000), byte(2), byte(3), byte(1))
+	f.Add(uint64(7), uint16(257), byte(4), byte(0), byte(5))
+	f.Add(uint64(42), uint16(0), byte(3), byte(15), byte(2))
+	fams := []hashing.Family{hashing.FamilyTab, hashing.FamilyTab, hashing.FamilyCRC, hashing.FamilyTab64}
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, its, logH, mode byte) {
+		cfg := PermConfig{Family: fams[int(mode>>1)%len(fams)], LogH: 1 + int(logH)%32, Iterations: 1 + int(its)%5}
+		negate := mode&1 == 1
+		xs := make([]uint64, int(n)%3001)
+		s := seed
+		for i := range xs {
+			xs[i] = hashing.SplitMix64(&s)
+			if i%3 == 0 {
+				xs[i] &= 0xff // repeated small keys
+			}
+		}
+		c := NewPermChecker(cfg, seed)
+		got, want := make([]uint64, cfg.Iterations), make([]uint64, cfg.Iterations)
+		for it := range got {
+			got[it] = uint64(it) * 0x9e3779b97f4a7c15
+			want[it] = got[it]
+		}
+		c.AccumulateInto(got, xs, negate)
+		c.AccumulateIntoScalar(want, xs, negate)
+		for it := range got {
+			if got[it] != want[it] {
+				t.Fatalf("%s ×%d n=%d negate=%v: iteration %d sums to %#x, the scalar oracle to %#x",
+					cfg.Name(), cfg.Iterations, len(xs), negate, it, got[it], want[it])
+			}
+		}
+	})
 }
 
 // TestPermCheckerEscapeRateWithinDelta is the permutation slice of

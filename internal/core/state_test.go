@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/dist"
+	"repro/internal/hashing"
 	"repro/internal/workload"
 )
 
@@ -141,6 +142,14 @@ func pinCases() []pinCase {
 			}
 			return NewPermState("Perm", permCfg, seed, Serial, [][]uint64{shardU64(xs, p, rank)}, shardU64(out, p, rank))
 		}},
+		// The default 2×Tab 32 — one paired table — and 3×Tab 20, a pair
+		// and a single function: 64 and 60 bits, one word each.
+		{"Perm2Tab", [2]string{"words=1 ok=true fnv=a8c7f832281a39c5", "words=1 ok=true fnv=8a70e8df9738cc8d"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
+			return pairedPermState(PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}, seed, xs, ys, p, rank, corrupt)
+		}},
+		{"Perm3Tab", [2]string{"words=1 ok=true fnv=a8c7f832281a39c5", "words=1 ok=true fnv=d1a505a78600bb46"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
+			return pairedPermState(PermConfig{Family: hashing.FamilyTab, LogH: 20, Iterations: 3}, seed, xs, ys, p, rank, corrupt)
+		}},
 		{"Redist", [2]string{"words=1 ok=true fnv=a8c7f832281a39c5", "words=1 ok=true fnv=b0d2d53cb852bfae"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
 			loc := fixedLocator{p: p}
 			var after []data.Pair
@@ -167,6 +176,16 @@ func pinCases() []pinCase {
 				uint64(start), uint64(start), uint64(start), true)
 		}},
 	}
+}
+
+// pairedPermState is the Perm pin case's state under cfg.
+func pairedPermState(cfg PermConfig, seed uint64, xs, ys []uint64, p, rank int, corrupt bool) CheckState {
+	out := ys
+	if corrupt {
+		out = data.CloneU64s(ys)
+		out[0] ^= 1
+	}
+	return NewPermState("Perm", cfg, seed, Serial, [][]uint64{shardU64(xs, p, rank)}, shardU64(out, p, rank))
 }
 
 // TestStateWordsPinned pins every checker constructor's contribution to

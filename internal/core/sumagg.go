@@ -44,14 +44,17 @@ type SumChecker struct {
 	pow64   []uint64 // 2^64 mod r per iteration, the overflow correction
 	hashers []hashing.Hasher
 	pow2    bool
-	hbuf    []uint64 // scratch hash values for the current element
+	// forceG is for the ablation benchmarks only: a fixed group size,
+	// 0 = groupSize. 32 bits, so that it shares pow2's word: one more
+	// word would carry a builder into the next allocation size class.
+	forceG int32
+	hbuf   []uint64 // scratch hash values for the current element
 	// How bucket bits lie in the hash values: an iteration's index is
 	// width bits wide and perHash consecutive iterations draw theirs
 	// from one value (hashing.Splitter's partition). General d is the
 	// degenerate case: one hash per iteration, reduced mod d, which the
 	// accumulate kernel keeps in a row of 2^width >= d cells.
 	width, perHash int
-	forceG         int // ablation only: fixed group size, 0 = groupSize
 	// hs holds the hashers of a checker that needs at most inlineHashers
 	// of them, as the default configurations do.
 	hs [inlineHashers]hashing.Hasher
@@ -87,7 +90,7 @@ func (c *SumChecker) init(cfg SumConfig, seed uint64, forceGeneral bool, forceG 
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	*c = SumChecker{cfg: cfg, forceG: forceG}
+	*c = SumChecker{cfg: cfg, forceG: int32(forceG)}
 	c.pow2 = hashing.IsPow2(cfg.Buckets) && !forceGeneral
 	its := cfg.Iterations
 	nHashes, nbuf := its, 0 // general d: one independent hash per iteration, bucket = h mod d
@@ -208,9 +211,18 @@ type cell struct{ lo, hi uint64 }
 type accScratch struct {
 	keys, hs [accBlock]uint64
 	cells    []cell
+	plan     []group // the sum call's plan, see appendPlan
+	// planBuf backs plan up to the six groups of the default 6×32
+	// checker, so a fresh scratch's plan allocates nothing; the scratch
+	// stays in the allocation size class it had without a plan.
+	planBuf [6]group
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(accScratch) }}
+var scratchPool = sync.Pool{New: func() any {
+	s := new(accScratch)
+	s.plan = s.planBuf[:0]
+	return s
+}}
 
 // maxGroupBits caps a group's cell table at 2^10 cells = 16 KiB, so
 // the table a block streams through stays L1-resident; one step wider
@@ -240,31 +252,58 @@ func groupSize(width, perHash, n int) int {
 
 // group is one step of a call's plan: n iterations starting at it
 // share the cell table cells[off:off+size], indexed by the size bits of
-// hash value hash that start at shift.
+// hash value hash that start at shift. lanes, on the first group of a
+// hash value, says that a hand-unrolled lane kernel updates this group
+// and the lanes-1 after it in one pass (cellLanes6x5, cellLanes3x10);
+// it is 0 where each group takes its own pass (cellsAdd).
 type group struct {
 	it, n, hash int
 	shift       uint
 	off, size   int
+	lanes       int
 }
 
-// eachGroup walks the plan with group size g in iteration order and
-// returns the number of cells it lays out. A group is g iterations, cut
-// short at the end of the hash value it draws its bits from and at the
-// last iteration.
-func (c *SumChecker) eachGroup(g int, visit func(group)) int {
+// appendPlan appends the plan with group size g to plan in iteration
+// order and returns it. A group is g iterations, cut short at the end
+// of the hash value it draws its bits from and at the last iteration.
+// The groups of a hash value lie side by side in the cells, and where
+// they have one of the lane kernels' shapes their first group says so.
+func (c *SumChecker) appendPlan(g int, plan []group) []group {
 	off := 0
 	for hash, first := 0, 0; first < c.cfg.Iterations; hash, first = hash+1, first+c.perHash {
 		last := min(first+c.perHash, c.cfg.Iterations)
+		head := len(plan)
 		for it := first; it < last; it += g {
 			n := min(g, last-it)
 			size := 1 << (n * c.width)
-			if visit != nil {
-				visit(group{it: it, n: n, hash: hash, shift: uint((it - first) * c.width), off: off, size: size})
-			}
+			plan = append(plan, group{it: it, n: n, hash: hash, shift: uint((it - first) * c.width), off: off, size: size})
 			off += size
 		}
+		plan[head].lanes = laneShape(plan[head:])
 	}
-	return off
+	return plan
+}
+
+// laneShape is the lane kernel that serves the groups of one hash
+// value: 6 for six 5-bit groups, 3 for three 10-bit ones — the two
+// plans of the default 6×32 sum checker, at g = 1 and g = 2 — and 0
+// for any other plan, which keeps one cellsAdd pass per group. A loop
+// over a runtime lane count measured slower than those passes; the
+// gain needs constant shifts and masks.
+func laneShape(gs []group) int {
+	for _, lanes := range []int{6, 3} {
+		if len(gs) != lanes {
+			continue
+		}
+		bits := 30 / lanes
+		for _, gr := range gs {
+			if gr.size != 1<<bits {
+				return 0
+			}
+		}
+		return lanes
+	}
+	return 0
 }
 
 // Accumulate folds pairs into the table (the cRed inner loop of
@@ -291,7 +330,9 @@ func (c *SumChecker) AccumulateCount(table []uint64, pairs []data.Pair) {
 // (j+1)*perHash-1 via bit groups). The block then streams through one
 // cell table per group of groupSize iterations: the group's
 // concatenated bucket bits pick a cell and the element's value is added
-// to it exactly. When the call ends, each non-zero cell is folded into
+// to it exactly — in one pass for all the groups of a hash value where
+// the plan has a lane kernel's shape (laneShape), one pass per group
+// otherwise. When the call ends, each non-zero cell is folded into
 // the counter of every iteration of its group — the cell's bits name
 // the bucket in each — and zeroed.
 //
@@ -313,14 +354,17 @@ func (c *SumChecker) accumulate(table []uint64, pairs []data.Pair, count bool) {
 	if len(pairs) == 0 {
 		return
 	}
-	d, g := c.cfg.Buckets, c.forceG
+	d, g := c.cfg.Buckets, int(c.forceG)
 	if g == 0 {
 		g = groupSize(c.width, c.perHash, len(pairs))
 	}
-	need := c.eachGroup(g, nil)
 	// The scratch goes back to the pool only after the fold below has
 	// zeroed its cells — deliberately not deferred.
 	s := scratchPool.Get().(*accScratch)
+	plan := c.appendPlan(g, s.plan[:0])
+	s.plan = plan
+	tail := plan[len(plan)-1]
+	need := tail.off + tail.size
 	if cap(s.cells) < need {
 		s.cells = make([]cell, need)
 	}
@@ -334,7 +378,8 @@ func (c *SumChecker) accumulate(table []uint64, pairs []data.Pair, count bool) {
 		blk := pairs[start:min(start+accBlock, len(pairs))]
 		keys, hb := s.keys[:len(blk)], s.hs[:len(blk)]
 		gatherKeys(keys, blk)
-		c.eachGroup(g, func(gr group) {
+		for i := 0; i < len(plan); i++ {
+			gr := &plan[i]
 			if gr.shift == 0 { // the first group to read this hash value
 				c.hashers[gr.hash].Hash64Batch(hb, keys)
 				if !c.pow2 {
@@ -343,17 +388,26 @@ func (c *SumChecker) accumulate(table []uint64, pairs []data.Pair, count bool) {
 					}
 				}
 			}
-			cellsAdd(cells[gr.off:gr.off+gr.size], hb, blk, gr.shift, vmask, one)
-		})
+			switch gr.lanes {
+			case 6:
+				cellLanes6x5(cells[gr.off:gr.off+6<<5], hb, blk, vmask, one)
+				i += 5
+			case 3:
+				cellLanes3x10(cells[gr.off:gr.off+3<<10], hb, blk, vmask, one)
+				i += 2
+			default:
+				cellsAdd(cells[gr.off:gr.off+gr.size], hb, blk, gr.shift, vmask, one)
+			}
+		}
 	}
-	c.eachGroup(g, func(gr group) {
+	for _, gr := range plan {
 		grp := cells[gr.off : gr.off+gr.size]
 		for t := 0; t < gr.n; t++ {
 			it := gr.it + t
 			c.foldCells(table[it*d:(it+1)*d], grp, uint(t*c.width), it)
 		}
 		clear(grp)
-	})
+	}
 	scratchPool.Put(s)
 }
 
@@ -399,6 +453,54 @@ func gatherKeys(keys []uint64, blk []data.Pair) {
 	}
 }
 
+// addCell adds v to a cell exactly: the carry out of lo is counted,
+// not branched on.
+func addCell(cl *cell, v uint64) {
+	lo, carry := bits.Add64(cl.lo, v, 0)
+	cl.lo = lo
+	cl.hi += carry
+}
+
+// cellLanes6x5 is cellsAdd for six groups of 32 cells that draw their
+// indices from bits 0–29 of one hash value, five bits each: the g = 1
+// plan of a 6×32 checker. One pass over the block reads each hash value
+// and each value once and updates all six cells. The lanes lie side by
+// side in one fixed-size array, so a lane's offset plus its mask bounds
+// every index and the loop has no bounds check; the constant shifts
+// and masks are what make it faster than six cellsAdd passes.
+//
+//go:noinline
+func cellLanes6x5(cells []cell, hb []uint64, blk []data.Pair, vmask, one uint64) {
+	const w, m = 5, 1<<5 - 1
+	l := (*[6 << w]cell)(cells)
+	blk = blk[:len(hb)]
+	for i, h := range hb {
+		v := blk[i].Value&vmask | one
+		addCell(&l[h&m], v)
+		addCell(&l[1<<w+h>>w&m], v)
+		addCell(&l[2<<w+h>>(2*w)&m], v)
+		addCell(&l[3<<w+h>>(3*w)&m], v)
+		addCell(&l[4<<w+h>>(4*w)&m], v)
+		addCell(&l[5<<w+h>>(5*w)&m], v)
+	}
+}
+
+// cellLanes3x10 is cellLanes6x5 for three groups of 1024 cells on bits
+// 0–29, ten bits each: the g = 2 plan of a 6×32 checker.
+//
+//go:noinline
+func cellLanes3x10(cells []cell, hb []uint64, blk []data.Pair, vmask, one uint64) {
+	const w, m = 10, 1<<10 - 1
+	l := (*[3 << w]cell)(cells)
+	blk = blk[:len(hb)]
+	for i, h := range hb {
+		v := blk[i].Value&vmask | one
+		addCell(&l[h&m], v)
+		addCell(&l[1<<w+h>>w&m], v)
+		addCell(&l[2<<w+h>>(2*w)&m], v)
+	}
+}
+
 // cellsAdd streams one block of hashed elements through one group's
 // cell table (a power of two cells: index bits at shift). A standalone
 // leaf so the prover eliminates every bounds check — masking with
@@ -415,10 +517,7 @@ func cellsAdd(cells []cell, hb []uint64, blk []data.Pair, shift uint, vmask, one
 	m := uint64(len(cells) - 1)
 	blk = blk[:len(hb)]
 	for i, h := range hb {
-		cl := &cells[(h>>(shift&63))&m]
-		lo, carry := bits.Add64(cl.lo, blk[i].Value&vmask|one, 0)
-		cl.lo = lo
-		cl.hi += carry
+		addCell(&cells[(h>>(shift&63))&m], blk[i].Value&vmask|one)
 	}
 }
 

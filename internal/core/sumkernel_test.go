@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -20,8 +21,11 @@ import (
 
 // kernelConfigs is every configuration the repo names plus the shapes
 // that stress the plan: a group cut at a hash boundary, g = 3, g = 10,
-// a group that ends short of g, g = 1 by width, general d, and a
-// modulus wide enough that a carry count times 2^64 mod r passes 2^64.
+// a group that ends short of g, g = 1 by width, general d, a modulus
+// wide enough that a carry count times 2^64 mod r passes 2^64, and the
+// lane kernels' shapes reached other than by 6×32 — three 10-bit
+// groups at g = 1, and six 5-bit or three 10-bit groups of 1-bit
+// iterations.
 func kernelConfigs() []SumConfig {
 	crc, tab, tab64, mix := hashing.FamilyCRC, hashing.FamilyTab, hashing.FamilyTab64, hashing.FamilyMix
 	cfgs := append(AccuracyConfigs(), ScalingConfigs()...)
@@ -34,6 +38,8 @@ func kernelConfigs() []SumConfig {
 		SumConfig{Iterations: 8, Buckets: 256, RHatLog: 15, Family: tab64},
 		SumConfig{Iterations: 6, Buckets: 33, RHatLog: 9, Family: crc}, // general d
 		SumConfig{Iterations: 3, Buckets: 4, RHatLog: 62, Family: mix},
+		SumConfig{Iterations: 3, Buckets: 1024, RHatLog: 12, Family: crc}, // 3 lanes at g = 1
+		SumConfig{Iterations: 30, Buckets: 2, RHatLog: 5, Family: crc},    // 6 lanes at g = 5, 3 at g = 10
 	)
 }
 
@@ -103,11 +109,30 @@ func requireTable(t *testing.T, c *SumChecker, got, want []uint64, what string) 
 // scalar oracle's after Normalize — for every configuration, value
 // shape and plan, in sum and count mode, into a table that already
 // holds raw counters, and through SumAggBuilder for every chunking and
-// worker count.
+// worker count. Among the plans are both lane kernels', at g = 1 and
+// grouped: the default 6×32 checker takes six lanes at 8 191 pairs and
+// three at 8 192.
 func TestGroupedAccumulateMatchesScalar(t *testing.T) {
+	// lanesAt records, per lane kernel, the group sizes it ran at.
+	lanesAt := map[int]map[int]bool{6: {}, 3: {}}
+	defer func() {
+		for lanes, gs := range lanesAt {
+			if !gs[1] || len(gs) < 2 {
+				t.Errorf("the %d-lane kernel ran at group sizes %v, want g = 1 and a grouped plan", lanes, gs)
+			}
+		}
+	}()
 	for ci, cfg := range kernelConfigs() {
 		c := NewSumChecker(cfg, 1000+uint64(ci))
 		lengths := planLengths(c)
+		for _, n := range lengths {
+			g := groupSize(c.width, c.perHash, n)
+			for _, gr := range c.appendPlan(g, nil) {
+				if gr.lanes != 0 {
+					lanesAt[gr.lanes][g] = true
+				}
+			}
+		}
 		for si, shape := range []string{"small", "full", "ones", "hot"} {
 			ns := lengths
 			if shape == "hot" {
@@ -189,20 +214,33 @@ func TestGroupSizeRule(t *testing.T) {
 }
 
 // FuzzSumAccumulate: bytes → a configuration, a mode, and pairs tiled
-// long enough to reach the grouped plans; same assertion as
-// TestGroupedAccumulateMatchesScalar.
+// long enough to reach the grouped plans, less a cut of up to 255 from
+// the end; same assertion as TestGroupedAccumulateMatchesScalar. The
+// seeds include the default 6×32 checker at 8 191 and 8 192 pairs, its
+// six-lane and its three-lane plan.
 func FuzzSumAccumulate(f *testing.F) {
-	f.Add([]byte{1, 0})
-	f.Add([]byte{17, 3, 1, 255, 255, 255, 255, 255, 255, 255, 255})
-	f.Add(append([]byte{23, 0x7e}, make([]byte, 90)...))
 	cfgs := kernelConfigs()
+	def := slices.IndexFunc(cfgs, func(c SumConfig) bool { return c.Name() == "6×32 CRC m9" })
+	if def < 0 {
+		f.Fatal("kernelConfigs lacks the default 6×32 CRC m9")
+	}
+	f.Add([]byte{1, 0, 0})
+	f.Add([]byte{17, 3, 0, 1, 255, 255, 255, 255, 255, 255, 255, 255})
+	f.Add(append([]byte{23, 0x7e, 0}, make([]byte, 90)...))
+	for _, cut := range []byte{1, 0} { // 64 pairs × 128 - cut
+		in := append([]byte{byte(def), 127 << 1, cut}, make([]byte, 64*9)...)
+		for i := 3; i < len(in); i += 9 {
+			in[i], in[i+8] = byte(i), byte(i*7) // key, top value byte
+		}
+		f.Add(in)
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		if len(in) < 2 {
+		if len(in) < 3 {
 			return
 		}
 		cfg := cfgs[int(in[0])%len(cfgs)]
-		count, tile := in[1]&1 == 1, 1+int(in[1]>>1)
-		in = in[2:]
+		count, tile, cut := in[1]&1 == 1, 1+int(in[1]>>1), int(in[2])
+		in = in[3:]
 		// Nine bytes a pair: a one-byte key (collisions) and a value.
 		base := make([]data.Pair, len(in)/9)
 		for i := range base {
@@ -215,6 +253,7 @@ func FuzzSumAccumulate(f *testing.F) {
 				pairs = append(pairs, data.Pair{Key: p.Key + uint64(r%5)<<40, Value: p.Value})
 			}
 		}
+		pairs = pairs[:len(pairs)-min(cut, len(pairs))]
 		c := NewSumChecker(cfg, uint64(len(in)))
 		got := c.NewTable()
 		c.accumulate(got, pairs, count)

@@ -142,6 +142,11 @@ func newWorker(net comm.Network, rank int, seed uint64) *Worker {
 // of building a world per run. The caller keeps ownership of net; on
 // error the network is left open but must not be reused (a failed
 // broadcast poisons the root communicators' demultiplexers).
+//
+// All p workers live in this process, so their broadcast seeds are
+// compared directly: a bit flipped in flight, which would leave ranks
+// keyed apart for the mesh's whole life, is a named error here rather
+// than a silent disagreement.
 func NewWorkers(net comm.Network, seed uint64) ([]*Worker, error) {
 	p := net.Size()
 	if p < 1 {
@@ -164,6 +169,12 @@ func NewWorkers(net comm.Network, seed uint64) ([]*Worker, error) {
 	for r, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("dist: NewWorkers: PE %d common-seed broadcast: %w", r, err)
+		}
+	}
+	for r, w := range ws[1:] {
+		if w.commonSeed != ws[0].commonSeed {
+			return nil, fmt.Errorf("dist: NewWorkers: PE %d received common seed %#x, PE 0 sent %#x: the broadcast was corrupted in flight",
+				r+1, w.commonSeed, ws[0].commonSeed)
 		}
 	}
 	return ws, nil

@@ -448,3 +448,34 @@ func TestJobWorkerRngStreamUnchanged(t *testing.T) {
 		t.Errorf("a JobWorker that never draws allocates %d bytes, want under 256", per)
 	}
 }
+
+// TestNewWorkersRejectsCorruptSeed: a bit flipped in any message of the
+// common-seed broadcast fails NewWorkers with a named error instead of
+// leaving ranks keyed apart; a clean broadcast gives every rank PE 0's
+// seed.
+func TestNewWorkersRejectsCorruptSeed(t *testing.T) {
+	const p = 4
+	for k := int64(1); ; k++ {
+		inner := comm.NewMemNetwork(p)
+		net := comm.NewFaultyNetwork(inner, k, 17)
+		ws, err := NewWorkers(net, 0xfeed)
+		inner.Close()
+		if !net.DidInject() {
+			if k == 1 {
+				t.Fatal("the broadcast carried no message")
+			}
+			if err != nil {
+				t.Fatalf("clean broadcast: %v", err)
+			}
+			for r, w := range ws {
+				if w.commonSeed != ws[0].commonSeed {
+					t.Fatalf("clean broadcast: PE %d holds %#x, PE 0 %#x", r, w.commonSeed, ws[0].commonSeed)
+				}
+			}
+			return
+		}
+		if err == nil || !strings.Contains(err.Error(), "corrupted in flight") {
+			t.Errorf("flip in message %d of the broadcast: NewWorkers returned %v", k, err)
+		}
+	}
+}

@@ -20,7 +20,9 @@
 //
 // All hash functions are keyed: a Family produces independent Hasher
 // instances from seeds, so each checker iteration can draw a fresh
-// function from the family. Families are registered by the names used in
+// function from the family. Tab can also build two members in one
+// table (Family.Pair), so a checker's two iterations share each key's
+// lookups. Families are registered by the names used in
 // the paper's plots: "CRC", "Tab", "Tab64", and "Mix" (the ideal model).
 //
 // Every Hasher also provides Hash64Batch, a block form of Hash64 with a

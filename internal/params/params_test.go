@@ -147,3 +147,24 @@ func TestMinVolume(t *testing.T) {
 		t.Errorf("per-iteration size %d bits, want 8", o.D*(o.RHatLog+1))
 	}
 }
+
+// TestMinVolumeUndercutsTable2: the closed-form minimiser is the least
+// volume at which delta is reachable at all, so on every Table 2 case it
+// needs no more bits than the optimum that minimises iterations within
+// the message size — 160 to 1 568 bits against 960 to 65 520 — and it
+// reaches the case's delta.
+func TestMinVolumeUndercutsTable2(t *testing.T) {
+	for _, c := range Table2Cases() {
+		opt, err := Optimize(c.B, c.Delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mv := MinVolume(c.Delta)
+		if mv.SizeBits() > opt.SizeBits() {
+			t.Errorf("b=%d delta=%g: MinVolume needs %d bits, Optimize %d", c.B, c.Delta, mv.SizeBits(), opt.SizeBits())
+		}
+		if mv.Achieved > c.Delta {
+			t.Errorf("b=%d delta=%g: MinVolume achieves only %g", c.B, c.Delta, mv.Achieved)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -607,5 +608,101 @@ func TestJobSeedsDiffer(t *testing.T) {
 	bl, bh := b.TagBlock()
 	if al == bl {
 		t.Fatalf("jobs share tag block [%d,%d)/[%d,%d)", al, ah, bl, bh)
+	}
+}
+
+// TestPoolVerdictBitflipCannotForgeAccept is the root package's
+// TestVerdictBitflipCannotForgeAccept for a service.Pool job: one
+// AssertSum job on a pool built over a network that flips one bit of
+// one message — every message of the run in turn, at bits 0, 1 and 63,
+// pool set-up and job alike — once with the correct output and once
+// with a wrong one. The ranks whose share of the job returns no error
+// all return the same verdict, a wrong output is never accepted, and a
+// flip during set-up ends in a named error.
+func TestPoolVerdictBitflipCannotForgeAccept(t *testing.T) {
+	const p, n = 4, 500
+	in := make([][]repro.Pair, p)
+	correct := make([][]repro.Pair, p)
+	wrong := make([][]repro.Pair, p)
+	for r := range p {
+		in[r] = jobData(9, r, p, n)
+		sums := map[uint64]uint64{}
+		for _, pr := range in[r] {
+			sums[pr.Key] += pr.Value
+		}
+		for k, v := range sums {
+			correct[r] = append(correct[r], repro.Pair{Key: k, Value: v})
+		}
+		wrong[r] = slices.Clone(correct[r])
+	}
+	wrong[1][0].Value++
+	for _, c := range []struct {
+		name   string
+		output [][]repro.Pair
+	}{{"correct", correct}, {"wrong", wrong}} {
+		for _, bit := range []int{0, 1, 63} {
+			setupFlips, jobFlips := 0, 0
+			for k := int64(1); ; k++ {
+				inner := comm.NewMemNetwork(p)
+				net := comm.NewFaultyNetwork(inner, k, bit)
+				pool, err := NewOnNetwork(net, Options{Seed: 5, MaxConcurrent: 1})
+				if net.DidInject() {
+					setupFlips++
+					if err == nil {
+						t.Errorf("%s output, bit %d of message %d: a flip during pool set-up went unnoticed", c.name, bit, k)
+						pool.Close()
+					}
+					inner.Close()
+					continue
+				}
+				if err != nil {
+					t.Fatalf("NewOnNetwork without a fault: %v", err)
+				}
+				var verdicts [p]struct {
+					ok  bool
+					err error
+				}
+				j, err := pool.Submit("flip", func(ctx *repro.Context) error {
+					r := ctx.Worker().Rank()
+					err := ctx.AssertSum(in[r], c.output[r])
+					if err == nil {
+						err = ctx.Verify()
+					}
+					verdicts[r].ok = err == nil
+					if err != nil && !errors.Is(err, repro.ErrCheckFailed) {
+						verdicts[r].err = err
+					}
+					return err
+				})
+				if err != nil {
+					t.Fatalf("Submit: %v", err)
+				}
+				j.Await()
+				pool.Close()
+				inner.Close()
+				if !net.DidInject() {
+					if setupFlips == 0 || jobFlips == 0 {
+						t.Fatalf("%s output, bit %d: %d flips during set-up and %d during the job, want some of each", c.name, bit, setupFlips, jobFlips)
+					}
+					break
+				}
+				jobFlips++
+				first := -1
+				for r, v := range verdicts {
+					if v.err != nil {
+						continue
+					}
+					if first < 0 {
+						first = r
+					} else if v.ok != verdicts[first].ok {
+						t.Errorf("%s output, bit %d of message %d: rank %d says %v, rank %d says %v",
+							c.name, bit, k, first, verdicts[first].ok, r, v.ok)
+					}
+					if c.name == "wrong" && v.ok {
+						t.Errorf("bit %d of message %d: rank %d accepted a wrong sum", bit, k, r)
+					}
+				}
+			}
+		}
 	}
 }
