@@ -299,9 +299,6 @@ func (c *Comm) SetTracer(tr *obs.Tracer, job int64) {
 	c.traceJob = job
 }
 
-// Tracer returns the installed tracer (nil when disabled) and job id.
-func (c *Comm) Tracer() (*obs.Tracer, int64) { return c.tr, c.traceJob }
-
 // span opens a span on this PE's physical rank; the zero Active of a
 // disabled tracer makes End a no-op.
 func (c *Comm) span(kind obs.Kind, name string) obs.Active {

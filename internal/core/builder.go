@@ -10,9 +10,7 @@ import (
 // constructor. A builder accumulates any number of input and output
 // chunks (in any interleaving that respects the per-builder ordering
 // rules below) and Seal freezes the accumulated partial into a
-// CheckState. The permutation and redistribution partials additionally
-// merge: two builders over disjoint chunk sets fold into one
-// (internal/recover reshards a dead PE's chunks that way).
+// CheckState.
 //
 // The sealed state is bit-identical to the one-chunk constructor's over
 // the concatenation of all chunks, for every chunking and every
@@ -29,17 +27,17 @@ import (
 // Builders are the foundation of the internal/stream subsystem.
 //
 // Builders are single-use (Seal at most once) and not safe for
-// concurrent use. Seal — and Merge, for its source — consumes the
-// builder: its checker's hash tables go back to the hashing package for
-// the next checker to fill (recycleHashers), and a later Add panics.
+// concurrent use. Seal consumes the builder: its checker's hash tables
+// go back to the hashing package for the next checker to fill
+// (recycleHashers), and a later Add panics.
 
 // recycleHashers hands the tables of hs back to the hashing package
 // and forgets them, under scratchPool's rule: only once nothing reads
-// them any more. The builders call it when they are consumed (Seal, or
-// as the source of a Merge) — a sealed state keeps the fingerprints,
-// not the functions — so the checker a small job builds per stage
-// allocates no hash table in the steady state. A checker that was
-// never handed to a builder keeps its hashers for as long as it lives.
+// them any more. The builders call it when Seal consumes them — a
+// sealed state keeps the fingerprints, not the functions — so the
+// checker a small job builds per stage allocates no hash table in the
+// steady state. A checker that was never handed to a builder keeps its
+// hashers for as long as it lives.
 func recycleHashers(hs []hashing.Hasher) {
 	for i, h := range hs {
 		hashing.Recycle(h)
@@ -121,7 +119,7 @@ func NewSumAggState(stage string, cfg SumConfig, seed uint64, par ParallelAccumu
 // Permutation / union (Lemma 4, Corollary 12)
 // ---------------------------------------------------------------------
 
-// PermBuilder is the mergeable permutation checker: the per-iteration
+// PermBuilder is the chunked permutation checker: the per-iteration
 // truncated hash sums, inputs added and outputs subtracted. Chunk order
 // is immaterial on both sides. The checker, the sums and the sealed
 // state live in the builder: one allocation for up to inlineHashers
@@ -167,15 +165,6 @@ func (b *PermBuilder) AddInput(xs []uint64) {
 // AddOutput accumulates one chunk of the asserted output sequence.
 func (b *PermBuilder) AddOutput(xs []uint64) {
 	b.par.AccumulatePerm(b.c, b.lambda, xs, true)
-}
-
-// Merge folds src's partial fingerprint into b. src is consumed.
-func (b *PermBuilder) Merge(src *PermBuilder) {
-	for i := range b.lambda {
-		b.lambda[i] += src.lambda[i]
-	}
-	b.localOK = b.localOK && src.localOK
-	src.consume()
 }
 
 // Seal freezes the partial into one hash sum segment.
@@ -279,7 +268,7 @@ type KeyLocator interface {
 	PE(key uint64) int
 }
 
-// RedistBuilder is the mergeable invasive checker for the element
+// RedistBuilder is the chunked invasive checker for the element
 // redistribution phase of GroupBy (Corollary 14) and, applied to each
 // relation, of hash Join (Corollary 15): a permutation partial over
 // folded whole pairs plus the deterministic placement scan — every
@@ -337,9 +326,6 @@ func (b *RedistBuilder) AddOutput(ps []data.Pair) {
 		}
 	}
 }
-
-// Merge folds src's partial into b. src is consumed.
-func (b *RedistBuilder) Merge(src *RedistBuilder) { b.perm.Merge(&src.perm) }
 
 // Seal freezes the partial into one hash sum segment, the placement
 // scan in its local predicate.

@@ -76,8 +76,8 @@
 //   - the builder (builder.go), where a checker accumulates in chunks:
 //     AddInput and AddOutput accumulate any number of chunks, sharded
 //     across a ParallelAccumulator, and Seal freezes the partial into a
-//     CheckState. The streaming stages (internal/stream) and resharding
-//     (internal/recover) drive builders directly.
+//     CheckState. The streaming stages (internal/stream) drive builders
+//     directly.
 //   - the one-chunk constructor, New...State: a builder fed exactly one
 //     chunk per side, or for the checkers without a builder the whole
 //     local phase. It takes the ParallelAccumulator where the checker

@@ -118,9 +118,6 @@ func (c *PermChecker) pairs() int {
 	return c.cfg.Iterations / 2
 }
 
-// Config returns the checker's configuration.
-func (c *PermChecker) Config() PermConfig { return c.cfg }
-
 // AccumulateInto adds (or, with negate, subtracts) the truncated hash
 // values of xs into sums, one slot per iteration. Sums are accumulated
 // in 64-bit words; because H is a power of two, wraparound addition

@@ -131,9 +131,6 @@ func inlineOr[T any](inline *[inlineHashers]T, n int) []T {
 	return make([]T, n)
 }
 
-// Config returns the checker's configuration.
-func (c *SumChecker) Config() SumConfig { return c.cfg }
-
 // TableWords is the number of 64-bit counters (#its * d) a table holds
 // in memory while it accumulates. It is not what goes on the wire: a
 // sealed state packs each counter into RHatLog+1 bits, TableBits in all.

@@ -78,12 +78,6 @@ type Config struct {
 	// SetupTimeout bounds each TCP dial and handshake (setup and lazy);
 	// zero means comm.DefaultSetupTimeout.
 	SetupTimeout time.Duration
-	// DialAttempts caps per-connection dial retries on the TCP
-	// transport; zero means comm.DefaultDialAttempts.
-	DialAttempts int
-	// DialBackoff is the TCP dial retry backoff base; zero means
-	// comm.DefaultDialBackoff.
-	DialBackoff time.Duration
 	// Tracer, when non-nil, is installed on every worker RunConfig
 	// builds, so collectives, stage boundaries, and resolve rounds
 	// record spans (internal/obs). Nil — the default — is free.
@@ -119,8 +113,6 @@ func (c Config) TCPOptions() comm.TCPOptions {
 	return comm.TCPOptions{
 		Timeout:      c.Timeout,
 		SetupTimeout: c.SetupTimeout,
-		DialAttempts: c.DialAttempts,
-		DialBackoff:  c.DialBackoff,
 		Topology:     c.Topology,
 	}
 }

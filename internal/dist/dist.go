@@ -82,9 +82,6 @@ func (w *Worker) SetTracer(tr *obs.Tracer) {
 	w.Coll.SetTracer(tr, w.job)
 }
 
-// Tracer returns the installed tracer, nil when tracing is disabled.
-func (w *Worker) Tracer() *obs.Tracer { return w.tr }
-
 // Span opens a span on this worker's physical endpoint rank,
 // attributed to its job and its root tag block. The zero Active of a
 // disabled tracer makes End free.

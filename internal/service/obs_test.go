@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -169,4 +171,66 @@ func TestPoolRegistryElasticMetrics(t *testing.T) {
 	if got := snap["membership_alive"]; got != 3 {
 		t.Errorf("membership_alive = %v, want 3", got)
 	}
+}
+
+// TestRegistryNamesMatchREADME holds README's Metrics paragraph to what
+// an elastic, traced pool's registry renders: every backticked name
+// there, brace groups expanded, against every rendered line's name.
+func TestRegistryNamesMatchREADME(t *testing.T) {
+	pool, err := New(Options{P: 3, Seed: 5, Elastic: &ElasticOptions{}, Tracer: obs.NewTracer(3, obs.DefaultCapacity)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	var buf bytes.Buffer
+	if err := pool.Registry().Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rendered := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		rendered[strings.Fields(line)[0]] = true
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, para, ok := strings.Cut(string(readme), "**Metrics.**")
+	if !ok {
+		t.Fatal("README has no **Metrics.** paragraph")
+	}
+	para, _, _ = strings.Cut(para, "\n\n")
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile("`([a-z0-9_{},]+)`").FindAllStringSubmatch(para, -1) {
+		for _, name := range expandBraces(m[1]) {
+			documented[name] = true
+		}
+	}
+	for name := range rendered {
+		if !documented[name] {
+			t.Errorf("registry renders %q, README's Metrics paragraph does not name it", name)
+		}
+	}
+	for name := range documented {
+		if !rendered[name] {
+			t.Errorf("README's Metrics paragraph names %q, the registry does not render it", name)
+		}
+	}
+}
+
+// expandBraces expands the brace groups of s, as a shell would:
+// "a_{b,c}_{d,e}" is a_b_d, a_b_e, a_c_d, a_c_e.
+func expandBraces(s string) []string {
+	pre, rest, ok := strings.Cut(s, "{")
+	if !ok {
+		return []string{s}
+	}
+	alts, post, _ := strings.Cut(rest, "}")
+	var out []string
+	for _, alt := range strings.Split(alts, ",") {
+		for _, tail := range expandBraces(post) {
+			out = append(out, pre+alt+tail)
+		}
+	}
+	return out
 }

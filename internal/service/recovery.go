@@ -4,15 +4,28 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"time"
 
 	"repro"
 	"repro/internal/collective"
 	"repro/internal/comm"
+	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/dist"
-	recov "repro/internal/recover"
+	"repro/internal/hashing"
+	"repro/internal/ops"
 )
+
+// errReshardRejected reports that the redistribution checker refused
+// the recovery move: the pairs that arrived at the survivors are not a
+// correctly placed permutation of the dead rank's share, so the job is
+// failed rather than replayed on corrupt input.
+var errReshardRejected = errors.New("service: redistribution checker rejected the reshard")
+
+// reshardSeedDomain separates the reshard's partitioner and checker
+// keys from the job's own checker seeds.
+const reshardSeedDomain = 0x7265736861726421 // "reshard!"
 
 // ElasticOptions enables elastic membership on a pool: a heartbeat
 // failure detector over the control tag plane (detector.go), one
@@ -38,8 +51,8 @@ type RecoverableBody func(ctx *repro.Context, share []data.Pair) error
 
 // SubmitRecoverableWith schedules a recoverable job under the given
 // checker options: shares[i] is logical rank i's input share under the
-// current view (len(shares) must equal the view size). The pool retains
-// each share — chunked, plus a ring-buddy replica minted with one
+// current view (len(shares) must equal the view size). The job retains
+// each share — a copy, plus a ring-buddy replica minted with one
 // neighbour exchange — so that if a PE dies mid-job the job replays on
 // the survivors instead of failing. Without ElasticOptions the job runs
 // like a plain Submit (no retention, no replay).
@@ -47,7 +60,91 @@ func (p *Pool) SubmitRecoverableWith(name string, opts repro.Options, shares [][
 	if body == nil {
 		return nil, errors.New("service: nil recoverable job body")
 	}
-	return p.submit(name, opts, jobSpec{opts: opts, rbody: body, shares: shares})
+	spec := jobSpec{opts: opts, rbody: body, shares: shares}
+	if p.opts.Elastic != nil {
+		spec.kept = make([]retained, p.opts.P)
+	}
+	return p.submit(name, opts, spec)
+}
+
+// retained is what one physical rank keeps of a recoverable job: a
+// copy of its own share, and the replica of its ring predecessor's
+// share, pred being that predecessor's physical rank (-1 on a
+// one-member view). So a dead share's replica is held by its ring
+// successor in the submit view. Each rank writes its entry before
+// compute and reads it only in its own replay.
+type retained struct {
+	own, replica []data.Pair
+	pred         int
+}
+
+// retain checkpoints a recoverable job's share on this rank: a copy of
+// the share itself, plus one neighbour exchange to the ring successor
+// in the communicator's view that leaves each share's replica there —
+// the invariant that keeps every share held somewhere after any single
+// death. Cost: one O(n/p) exchange per recoverable job.
+func retain(kept *retained, coll *collective.Comm, share []data.Pair) error {
+	kept.own = slices.Clone(share)
+	kept.pred = -1
+	p, rank := coll.Size(), coll.Rank()
+	if p < 2 {
+		return nil
+	}
+	words := make([]uint64, 0, 2*len(share))
+	for _, pr := range share {
+		words = append(words, pr.Key, pr.Value)
+	}
+	pred := (rank - 1 + p) % p
+	got, err := coll.Exchange((rank+1)%p, words, pred)
+	if err != nil {
+		return fmt.Errorf("service: replica exchange: %w", err)
+	}
+	if len(got)%2 != 0 {
+		return fmt.Errorf("service: odd replica payload length %d", len(got))
+	}
+	kept.replica = make([]data.Pair, len(got)/2)
+	for i := range kept.replica {
+		kept.replica[i] = data.Pair{Key: got[2*i], Value: got[2*i+1]}
+	}
+	kept.pred = pred
+	if m := coll.Members(); m != nil {
+		kept.pred = m[pred]
+	}
+	return nil
+}
+
+// reshard is the checked recovery move on the survivor view: the dead
+// rank's share — held in full by one survivor, its ring successor, and
+// passed as held there (nil elsewhere) — is redistributed across w's
+// view by key hash with the exchange GroupByKey runs, and the move is
+// verified with the same redistribution checker (Corollary 14) before
+// anything is returned. The partitioner and checker keys derive from
+// w's common seed under their own domain.
+//
+// All survivors call it at the same point: it is a collective. Each
+// receives the pairs of the dead share whose keys hash to it, in source
+// order, and the sealed state the verdict was reached on; a move the
+// checker voted down on any PE is errReshardRejected on every PE.
+func reshard(w *dist.Worker, cfg core.PermConfig, held []data.Pair) ([]data.Pair, core.CheckState, error) {
+	seed, err := w.CommonSeed()
+	if err != nil {
+		return nil, nil, err
+	}
+	rseed := hashing.Mix64(seed ^ reshardSeedDomain)
+	pt := ops.NewPartitioner(rseed, w.Size())
+	moved, err := ops.RedistributeByKey(w, pt, held)
+	if err != nil {
+		return nil, nil, fmt.Errorf("service: reshard exchange: %w", err)
+	}
+	st := core.NewRedistState("Recovery/reshard", cfg, rseed, core.Serial, pt, w.Rank(), moved.Before, moved.After)
+	v, err := core.Resolve(w, st)
+	if err != nil {
+		return nil, nil, fmt.Errorf("service: reshard resolve: %w", err)
+	}
+	if !v[0] {
+		return nil, nil, fmt.Errorf("%w (view of %d survivors)", errReshardRejected, w.Size())
+	}
+	return moved.After, st, nil
 }
 
 // View returns the pool's current membership view (the full view when
@@ -110,34 +207,28 @@ func (p *Pool) awaitDeath(j *Job) (dead int, ok bool) {
 
 // recoverJob replays a recoverable job on the survivors of its view
 // after dead's death: fresh view sub-communicators are minted
-// lock-step, the dead rank's retained chunks are resharded onto the
+// lock-step, the dead rank's retained share is resharded onto the
 // survivors under redistribution-checker verification, and the body
 // reruns with the augmented shares. Returns nil on a clean replay, an
 // error unwrapping to repro.ErrCheckFailed when the replayed checkers
 // rejected (a verdict, faithfully recovered), or any other error when
 // recovery itself failed (reshard rejected, double failure, transport).
 func (p *Pool) recoverJob(j *Job, spec jobSpec, dead int) error {
-	newMembers := make([]int, 0, len(j.members)-1)
-	wasMember := false
+	// Every other member must still be in the pool's view: a second
+	// death loses that member's share, or the dead share's replica.
+	v := p.View()
+	newMembers := make([]int, 0, len(j.members))
 	for _, m := range j.members {
 		if m == dead {
-			wasMember = true
 			continue
+		}
+		if !v.Contains(m) {
+			return fmt.Errorf("service: job %d %q unrecoverable: PE %d is gone too after PE %d died (double failure)", j.id, j.name, m, dead)
 		}
 		newMembers = append(newMembers, m)
 	}
-	if !wasMember || len(newMembers) == 0 {
+	if len(newMembers) == len(j.members) || len(newMembers) == 0 {
 		return fmt.Errorf("service: job %d %q: no survivor view after PE %d died", j.id, j.name, dead)
-	}
-	holder := recov.ReplicaHolder(j.members, dead)
-	holderAlive := false
-	for _, m := range newMembers {
-		if m == holder {
-			holderAlive = true
-		}
-	}
-	if !holderAlive {
-		return fmt.Errorf("service: job %d %q unrecoverable: replica holder %d of dead PE %d is gone too (double failure)", j.id, j.name, holder, dead)
 	}
 
 	// Mint a frame on the survivor view inside one critical section,
@@ -172,7 +263,7 @@ func (p *Pool) recoverJob(j *Job, spec jobSpec, dead int) error {
 }
 
 // runRecoveryRank is one survivor's share of a replay: reshard the dead
-// rank's chunks (held in full only at the replica holder) under
+// rank's share (held in full only at the replica holder) under
 // checker verification, rebuild this rank's share as own + received,
 // and rerun the body over a fresh Context on the survivor view.
 func (p *Pool) runRecoveryRank(j *Job, i, phys int, w *dist.Worker, spec jobSpec, dead int, shares [][]data.Pair) (err error) {
@@ -196,46 +287,22 @@ func (p *Pool) runRecoveryRank(j *Job, i, phys int, w *dist.Worker, spec jobSpec
 	if permCfg.Iterations == 0 {
 		permCfg = repro.DefaultOptions().Perm
 	}
-	held := p.stores[phys].Held(uint64(j.id), dead)
-	received, rerr := recov.Reshard(w, permCfg, held)
+	kept := &spec.kept[phys]
+	var held []data.Pair
+	if kept.pred == dead {
+		held = kept.replica
+	}
+	received, _, rerr := reshard(w, permCfg, held)
 	if rerr != nil {
 		return rerr
 	}
-	share := append(recov.Pairs(p.stores[phys].Own(uint64(j.id))), received...)
+	share := make([]data.Pair, 0, len(kept.own)+len(received))
+	share = append(append(share, kept.own...), received...)
 	shares[i] = share
 	if berr := spec.rbody(ctx, share); berr != nil {
 		return berr
 	}
 	return ctx.Verify()
-}
-
-// retain checkpoints a recoverable job's share on this rank: the share
-// itself, chunked, plus one neighbour exchange that leaves each share's
-// replica at its ring successor — the invariant that keeps every share
-// held somewhere after any single death.
-func (p *Pool) retain(j *Job, phys int, coll *collective.Comm, share []data.Pair) error {
-	if p.stores == nil {
-		return nil // elastic membership disabled: run like a plain job
-	}
-	p.stores[phys].Retain(uint64(j.id), phys, j.members, share)
-	pred, predShare, err := recov.ExchangeReplicas(coll, share)
-	if err != nil {
-		return err
-	}
-	if pred >= 0 {
-		p.stores[phys].RetainReplica(uint64(j.id), pred, predShare)
-	}
-	return nil
-}
-
-// dropRetention forgets a completed job's chunks on every rank.
-func (p *Pool) dropRetention(j *Job) {
-	if p.stores == nil {
-		return
-	}
-	for _, s := range p.stores {
-		s.Drop(uint64(j.id))
-	}
 }
 
 // peerDownError builds the attributed outcome for a job that lost a

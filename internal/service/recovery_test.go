@@ -73,7 +73,7 @@ func TestPoolRecoversInFlightJobs(t *testing.T) {
 	jobs := make([]*Job, nJobs)
 	for i := range jobs {
 		doctor := i == 1
-		j, err := pool.SubmitRecoverableWith(fmt.Sprintf("recov-%d", i), pool.opts.Repro,
+		j, err := pool.SubmitRecoverableWith(fmt.Sprintf("recov-%d", i), jobOptions(),
 			recoveryShares(uint64(i), p, 50), mkBody(doctor))
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
@@ -131,7 +131,7 @@ func TestPoolRecoversInFlightJobs(t *testing.T) {
 	if v.Size() != p-1 || v.Contains(victim) {
 		t.Fatalf("post-death view %v", v)
 	}
-	j, err := pool.SubmitRecoverableWith("post", pool.opts.Repro, recoveryShares(77, v.Size(), 50),
+	j, err := pool.SubmitRecoverableWith("post", jobOptions(), recoveryShares(77, v.Size(), 50),
 		func(ctx *repro.Context, share []repro.Pair) error {
 			return ctx.AssertSum(share, share)
 		})
@@ -200,7 +200,7 @@ func TestPoolElasticDisabled(t *testing.T) {
 	if v.Epoch() != 0 || v.Size() != 3 {
 		t.Fatalf("implicit view %v", v)
 	}
-	j, err := pool.SubmitRecoverableWith("flat", pool.opts.Repro, recoveryShares(1, 3, 40),
+	j, err := pool.SubmitRecoverableWith("flat", jobOptions(), recoveryShares(1, 3, 40),
 		func(ctx *repro.Context, share []repro.Pair) error {
 			return ctx.AssertSum(share, share)
 		})
@@ -222,7 +222,7 @@ func TestPoolElasticDisabled(t *testing.T) {
 // TestPoolRecoverableShareCountValidated: shares must match the view.
 func TestPoolRecoverableShareCountValidated(t *testing.T) {
 	pool, _ := newElasticPool(t, 3, Options{Seed: 8})
-	_, err := pool.SubmitRecoverableWith("short", pool.opts.Repro, recoveryShares(1, 2, 10),
+	_, err := pool.SubmitRecoverableWith("short", jobOptions(), recoveryShares(1, 2, 10),
 		func(ctx *repro.Context, share []repro.Pair) error { return nil })
 	if err == nil {
 		t.Fatal("submit accepted 2 shares on a 3-PE view")

@@ -34,7 +34,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/hashing"
 	"repro/internal/obs"
-	recov "repro/internal/recover"
 )
 
 // DefaultMaxConcurrent bounds in-flight jobs when Options does not.
@@ -69,9 +68,6 @@ type Options struct {
 	Seed uint64
 	// Dist selects the transport for New (mem when zero).
 	Dist dist.Config
-	// Repro is the default checker configuration for submitted jobs;
-	// zero value is replaced by repro.DefaultOptions with CheckDeferred.
-	Repro repro.Options
 	// MaxConcurrent bounds in-flight jobs; Submit blocks when the pool
 	// is saturated (backpressure, not rejection). Default
 	// DefaultMaxConcurrent.
@@ -92,12 +88,16 @@ type Options struct {
 }
 
 // jobSpec is what a submitted job runs: exactly one of body/rbody is
-// set; shares are a recoverable job's per-logical-rank input slices.
+// set; shares are a recoverable job's per-logical-rank input slices,
+// and on an elastic pool kept is its retention, one entry per physical
+// rank (recovery.go). The spec is dropped, retention with it, when the
+// frame hands the job back.
 type jobSpec struct {
 	opts   repro.Options
 	body   Body
 	rbody  RecoverableBody
 	shares [][]data.Pair
+	kept   []retained
 }
 
 // Pool is the resident verification service. Create with New (pool
@@ -120,9 +120,8 @@ type Pool struct {
 
 	// Elastic membership (zero when Options.Elastic is nil): the
 	// failure detector (detector.go), which convicts ranks out of view
-	// below, and one retention store per physical rank.
-	det    detector
-	stores []*recov.Store
+	// below.
+	det detector
 
 	mu            sync.Mutex
 	closed        bool
@@ -176,11 +175,6 @@ func NewOnNetwork(net comm.Network, opt Options) (*Pool, error) {
 	if opt.MaxConcurrent <= 0 {
 		opt.MaxConcurrent = DefaultMaxConcurrent
 	}
-	if opt.Repro.Sum.Iterations == 0 && opt.Repro.Perm.Iterations == 0 {
-		r := repro.DefaultOptions()
-		r.Mode = repro.CheckDeferred
-		opt.Repro = r
-	}
 	workers, err := dist.NewWorkers(net, opt.Seed)
 	if err != nil {
 		return nil, err
@@ -214,10 +208,6 @@ func NewOnNetwork(net comm.Network, opt Options) (*Pool, error) {
 		e := opt.Elastic.withDefaults()
 		pool.opts.Elastic = &e
 		pool.viewChangedCh = make(chan struct{})
-		pool.stores = make([]*recov.Store, opt.P)
-		for r := range pool.stores {
-			pool.stores[r] = recov.NewStore(recov.DefaultChunkPairs)
-		}
 		pool.startDetector()
 	}
 	return pool, nil
@@ -225,11 +215,6 @@ func NewOnNetwork(net comm.Network, opt Options) (*Pool, error) {
 
 // Size returns the mesh width p.
 func (p *Pool) Size() int { return p.opts.P }
-
-// CommonSeed returns the pool's run-wide checker seed (established once
-// at startup by the PE-0 broadcast). Together with a job's ID it
-// determines the job's checker seed — see JobSeed.
-func (p *Pool) CommonSeed() uint64 { return p.common }
 
 // JobSeed derives a job's checker seed from a pool's common seed and
 // the job's ID. Exported so a serial rerun (plain dist.Run over a fresh
@@ -239,12 +224,19 @@ func JobSeed(commonSeed uint64, id int64) uint64 {
 	return hashing.Mix64(commonSeed + jobSeedGamma*uint64(id+1))
 }
 
-// Submit schedules body as one verification job under the pool's
-// default checker options and returns its handle. Blocks while the
-// pool is at MaxConcurrent in-flight jobs (backpressure). Safe from
-// any goroutine.
+// Submit schedules body as one verification job under jobOptions and
+// returns its handle. Blocks while the pool is at MaxConcurrent
+// in-flight jobs (backpressure). Safe from any goroutine.
 func (p *Pool) Submit(name string, body Body) (*Job, error) {
-	return p.SubmitWith(name, p.opts.Repro, body)
+	return p.SubmitWith(name, jobOptions(), body)
+}
+
+// jobOptions is the checker configuration Submit gives a job:
+// repro.DefaultOptions in deferred mode.
+func jobOptions() repro.Options {
+	o := repro.DefaultOptions()
+	o.Mode = repro.CheckDeferred
+	return o
 }
 
 // SubmitWith is Submit with per-job checker options (mode, checker
@@ -413,7 +405,6 @@ func (p *Pool) runJob(f *frame) {
 	p.lat.Observe(cost.WallNs)
 	p.mu.Unlock()
 
-	p.dropRetention(j)
 	j.cost = cost
 	j.err = err
 }
@@ -443,8 +434,10 @@ func (p *Pool) runRank(j *Job, i, phys int, w *dist.Worker, spec jobSpec) (err e
 		share := spec.shares[i]
 		// Checkpoint before compute: the share and its ring-buddy
 		// replica must be retained while every member is still alive.
-		if rerr := p.retain(j, phys, w.Coll, share); rerr != nil {
-			return rerr
+		if spec.kept != nil {
+			if rerr := retain(&spec.kept[phys], w.Coll, share); rerr != nil {
+				return rerr
+			}
 		}
 		if berr := spec.rbody(ctx, share); berr != nil {
 			return berr

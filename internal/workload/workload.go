@@ -71,9 +71,6 @@ func NewZipf(n int, rng *hashing.MT19937_64) *Zipf {
 	return z
 }
 
-// N returns the size of the rank universe.
-func (z *Zipf) N() int { return z.n }
-
 // Sample draws one rank in 1..N.
 func (z *Zipf) Sample() uint64 { return z.SampleR(z.rng) }
 
