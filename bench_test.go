@@ -87,72 +87,86 @@ func BenchmarkTable5SumCheckerLocal(b *testing.B) {
 	})
 }
 
-// BenchmarkSumAccumulateEngine compares the three forms of the Table 5
-// local loop on the default scaling configuration: the element-major
-// scalar reference (the seed implementation), the accumulate kernel,
-// and the ParallelAccumulator at 2 and 4 workers. All variants compute
-// identical residues; only wall time differs. The zipf-125k row is the
-// kernel on the benchmark of record's reduce_zipf share (125k pairs,
-// Zipf keys over 1e6, values below 2^30): heavy keys hit one cell over
-// and over, which the uniform rows cannot show. The 2k rows are a
-// service job's share (2 000 pairs, g = 1), in one call and in the
-// 256-pair chunks a stream stage feeds.
+// BenchmarkSumAccumulateEngine compares the forms of the Table 5 local
+// loop on the default configuration, DefaultOptions().Sum, and on the
+// paper's 6×32 CRC m9 scaling configuration, the default before it: the
+// element-major scalar reference (the seed implementation), the
+// per-call accumulate kernel, the ParallelAccumulator at 2 and 4
+// workers, and SumAggBuilder. All variants compute identical residues;
+// only wall time differs. The zipf-125k rows are the benchmark of
+// record's reduce_zipf share (125k pairs, Zipf keys over 1e6, values
+// below 2^30): heavy keys hit one cell over and over, which the
+// uniform rows cannot show. The 2k rows are a service job's share
+// (2 000 pairs), in one call and in the 256-pair chunks a stream stage
+// feeds. The builder rows are what a checked stage pays: a builder,
+// the share added, its reduction subtracted, Seal — per element of
+// both sides.
 func BenchmarkSumAccumulateEngine(b *testing.B) {
 	const elements = 200000
 	pairs := workload.UniformPairs(elements, 1<<62, 1<<62, 1)
-	cfg := core.SumConfig{Iterations: 6, Buckets: 32, RHatLog: 9, Family: hashing.FamilyCRC}
-	c := core.NewSumChecker(cfg, 7)
-	table := c.NewTable()
+	zipf := workload.ZipfPairs(125000, 1000000, 1<<30, 1)
+	job := pairs[:serviceJob]
+	paper := core.SumConfig{Iterations: 6, Buckets: 32, RHatLog: 9, Family: hashing.FamilyCRC}
 	perElem := func(b *testing.B, n int) {
 		b.SetBytes(int64(16 * n))
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
 	}
-	b.Run("scalar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c.AccumulateScalar(table, pairs, false)
+	for _, cfg := range []core.SumConfig{repro.DefaultOptions().Sum, paper} {
+		c := core.NewSumChecker(cfg, 7)
+		table := c.NewTable()
+		calls := func(name string, in []data.Pair, chunk int) {
+			b.Run(cfg.Name()+"/batch/"+name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for lo := 0; lo < len(in); lo += chunk {
+						c.Accumulate(table, in[lo:min(lo+chunk, len(in))])
+					}
+				}
+				perElem(b, len(in))
+			})
 		}
-		perElem(b, elements)
-	})
-	b.Run("batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c.Accumulate(table, pairs)
+		builder := func(name string, in []data.Pair, chunk int) {
+			out := data.MapToPairs(data.PairsToMapSum(in))
+			b.Run(cfg.Name()+"/builder/"+name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					sb := core.NewSumAggBuilder("bench", cfg, 7, core.Serial, false)
+					for lo := 0; lo < len(in); lo += chunk {
+						sb.AddInput(in[lo:min(lo+chunk, len(in))])
+					}
+					for lo := 0; lo < len(out); lo += chunk {
+						sb.AddOutput(out[lo:min(lo+chunk, len(out))])
+					}
+					sinkState = sb.Seal()
+				}
+				perElem(b, len(in)+len(out))
+			})
 		}
-		perElem(b, elements)
-	})
-	b.Run("batch/zipf-125k", func(b *testing.B) {
-		zipf := workload.ZipfPairs(125000, 1000000, 1<<30, 1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c.Accumulate(table, zipf)
-		}
-		perElem(b, len(zipf))
-	})
-	job := pairs[:serviceJob]
-	b.Run("batch/2k", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c.Accumulate(table, job)
-		}
-		perElem(b, len(job))
-	})
-	b.Run("batch/2k-chunk256", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for lo := 0; lo < len(job); lo += jobChunk {
-				c.Accumulate(table, job[lo:min(lo+jobChunk, len(job))])
-			}
-		}
-		perElem(b, len(job))
-	})
-	for _, w := range []int{2, 4} {
-		w := w
-		b.Run(fmt.Sprintf("parallel-%d", w), func(b *testing.B) {
-			par := core.NewParallelAccumulator(w)
+		b.Run(cfg.Name()+"/scalar", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				par.AccumulateSum(c, table, pairs)
+				c.AccumulateScalar(table, pairs, false)
 			}
 			perElem(b, elements)
 		})
+		calls("uniform-200k", pairs, len(pairs))
+		calls("zipf-125k", zipf, len(zipf))
+		calls("2k", job, len(job))
+		calls("2k-chunk256", job, jobChunk)
+		for _, w := range []int{2, 4} {
+			b.Run(fmt.Sprintf("%s/parallel-%d", cfg.Name(), w), func(b *testing.B) {
+				par := core.NewParallelAccumulator(w)
+				for i := 0; i < b.N; i++ {
+					par.AccumulateSum(c, table, pairs)
+				}
+				perElem(b, elements)
+			})
+		}
+		builder("2k", job, len(job))
+		builder("2k-chunk256", job, jobChunk)
+		builder("zipf-125k", zipf, len(zipf))
 	}
 }
+
+// sinkState keeps the builder rows' sealed states live.
+var sinkState core.CheckState
 
 // The job size of the AccumulateEngine benchmarks' service rows, and
 // the chunk a stream stage hands a checker.

@@ -229,32 +229,43 @@ func BenchmarkAblationParallelShards(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationGroupWidth measures the two constants of the
-// accumulate kernel's plan (groupSize) by forcing the group size on the
-// default 6×32 CRC m9 checker: g = 1 (192 cells, six updates per
-// element), g = 2 (three tables of 1024 cells, three updates — what the
-// rule picks from 8192 pairs up) and g = 3 (two tables of 32k cells,
-// two updates — past maxGroupBits and past L1). Each row is one whole
-// call, fold included, so the short calls show why a table must be
-// small beside its input: a 256-pair stream chunk or a 2 000-pair
-// stage pays the grouped tables' scan without the elements to amortise
-// it.
+// BenchmarkAblationGroupWidth measures the constants of the accumulate
+// kernel's plan (groupSize) by forcing the group size, on a
+// configuration axis: the paper's 6×32 CRC m9 — g = 1 (192 cells, six
+// updates per element), g = 2 (three tables of 1024 cells, three
+// updates) and g = 3 (two tables of 32k cells, past maxGroupBits and
+// past L1) — the default 15×4 CRC m10, whose g = 3 and g = 5 have lane
+// kernels and g = 4 does not, and 30×2 CRC m10, the same 660 bits as
+// one-bit iterations. Each row is one whole call, fold included, so
+// the short calls show why a table must be small beside its input: a
+// 256-pair stream chunk or a 2 000-pair stage pays the grouped tables'
+// scan without the elements to amortise it. ChooseSum's ranking by
+// updates per element is checked against the machine here.
 func BenchmarkAblationGroupWidth(b *testing.B) {
-	cfg := SumConfig{Iterations: 6, Buckets: 32, RHatLog: 9, Family: hashing.FamilyCRC}
 	all := workload.ZipfPairs(125000, 1000000, 1<<30, 1)
-	for _, n := range []int{256, 2000, 8192, len(all)} {
-		pairs := all[:n]
-		for _, g := range []int{1, 2, 3} {
-			c := newSumChecker(cfg, 7, false, g)
-			b.Run(fmt.Sprintf("n-%d/g-%d", n, g), func(b *testing.B) {
-				table := c.NewTable()
-				c.Accumulate(table, pairs)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
+	crc := hashing.FamilyCRC
+	for _, row := range []struct {
+		cfg SumConfig
+		gs  []int
+	}{
+		{SumConfig{Iterations: 6, Buckets: 32, RHatLog: 9, Family: crc}, []int{1, 2, 3}},
+		{SumConfig{Iterations: 15, Buckets: 4, RHatLog: 10, Family: crc}, []int{1, 2, 3, 4, 5, 6}},
+		{SumConfig{Iterations: 30, Buckets: 2, RHatLog: 10, Family: crc}, []int{3, 5, 6, 10}},
+	} {
+		for _, n := range []int{256, 2000, 8192, len(all)} {
+			pairs := all[:n]
+			for _, g := range row.gs {
+				c := newSumChecker(row.cfg, 7, false, g)
+				b.Run(fmt.Sprintf("%s/n-%d/g-%d", row.cfg.Name(), n, g), func(b *testing.B) {
+					table := c.NewTable()
 					c.Accumulate(table, pairs)
-				}
-				reportPerElem(b, n)
-			})
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						c.Accumulate(table, pairs)
+					}
+					reportPerElem(b, n)
+				})
+			}
 		}
 	}
 }

@@ -57,12 +57,15 @@ func NewAvgAggState(stage string, cfg SumConfig, seed uint64, par ParallelAccumu
 		counts = append(counts, data.Pair{Key: a.Key, Value: a.Count})
 	}
 
-	tvSum, toSum := c.NewTable(), c.NewTable()
-	par.AccumulateSum(c, tvSum, input)
-	par.AccumulateSum(c, toSum, sums)
-	tvCnt, toCnt := c.NewTable(), c.NewTable()
-	par.AccumulateCount(c, tvCnt, input)
-	par.AccumulateSum(c, toCnt, counts)
-	words := append(c.diff(tvSum, toSum), c.diff(tvCnt, toCnt)...)
+	// Each lane is one table, input added and assertions subtracted.
+	n := c.TableWords()
+	words := make([]uint64, 2*n)
+	sumLane, cntLane := words[:n:n], words[n:]
+	par.AccumulateSum(c, sumLane, input)
+	par.accumulateSum(c, sumLane, sums, outFeed)
+	par.AccumulateCount(c, cntLane, input)
+	par.accumulateSum(c, cntLane, counts, outFeed)
+	c.Normalize(sumLane)
+	c.Normalize(cntLane)
 	return newState(stage, words, localOK, c, tableSeg(c), tableSeg(c))
 }

@@ -16,9 +16,9 @@ import (
 // the concatenation of all chunks, for every chunking and every
 // ParallelAccumulator worker count:
 //
-//   - sum checker tables stay congruent mod r under chunked
-//     accumulation, and Seal normalizes before differencing — so the
-//     residues agree exactly;
+//   - a sum checker's cells hold exact integer sums, input minus
+//     output, whatever the chunking, and Seal folds them mod r and
+//     normalizes — so the residues agree exactly;
 //   - permutation fingerprints combine by wraparound addition mod 2^64,
 //     which is commutative and associative;
 //   - the sortedness interval extends chunk by chunk with the same merge
@@ -49,54 +49,91 @@ func recycleHashers(hs []hashing.Hasher) {
 // Sum/count aggregation (Theorem 1, Algorithm 1)
 // ---------------------------------------------------------------------
 
-// SumAggBuilder is the chunked sum aggregation checker: two raw counter
-// tables (input side, output side) that chunks accumulate into. Chunk
-// order is immaterial on both sides. The builder holds its checker and
-// the state it seals, and both tables come from one slice: a builder is
-// three allocations.
+// SumAggBuilder is the chunked sum aggregation checker: one set of
+// exact cells that input chunks add to and output chunks subtract from,
+// held from the first chunk to Seal, and one counter table they fold
+// into. Chunk order is immaterial on both sides. The plan is the
+// state's, not a chunk's: it is picked from the running element count
+// (groupSize), and a fold happens only when a grown count widens the
+// groups and once at Seal — a stream of 256-pair chunks runs the same
+// grouped plan as one call of the whole input. The builder holds its
+// checker and the state it seals: a builder is two allocations and its
+// table.
 type SumAggBuilder struct {
-	stage  string
-	c      *SumChecker // &chk until the builder is consumed
-	par    ParallelAccumulator
-	count  bool
-	tv, to []uint64
-	chk    SumChecker
-	st     state
+	stage string
+	c     *SumChecker // &chk until the builder is consumed
+	par   ParallelAccumulator
+	count bool
+	table []uint64    // input minus output, congruent mod r
+	s     *accScratch // the cells and plan, from the first chunk to Seal
+	n, g  int         // elements run through the cells, and their plan
+	chk   SumChecker
+	st    state
 }
 
 // NewSumAggBuilder starts an empty sum (or, with count, count)
-// aggregation partial for the given stage. Accumulation of every chunk
-// is sharded across par. With count, every input pair counts 1
-// regardless of its value.
+// aggregation partial for the given stage. A chunk long enough to fan
+// out across par is accumulated in shards instead of in the builder's
+// cells. With count, every input pair counts 1 regardless of its value.
 func NewSumAggBuilder(stage string, cfg SumConfig, seed uint64, par ParallelAccumulator, count bool) *SumAggBuilder {
 	b := &SumAggBuilder{stage: stage, par: par, count: count}
 	b.chk.init(cfg, seed, false, 0)
 	b.c = &b.chk
-	n := b.c.TableWords()
-	tables := make([]uint64, 2*n)
-	b.tv, b.to = tables[:n:n], tables[n:]
+	b.table = b.c.NewTable()
 	return b
 }
 
 // AddInput accumulates one chunk of the operation's input.
 func (b *SumAggBuilder) AddInput(pairs []data.Pair) {
 	if b.count {
-		b.par.AccumulateCount(b.c, b.tv, pairs)
+		b.add(pairs, countFeed)
 		return
 	}
-	b.par.AccumulateSum(b.c, b.tv, pairs)
+	b.add(pairs, sumFeed)
 }
 
-// AddOutput accumulates one chunk of the asserted result.
+// AddOutput accumulates one chunk of the asserted result, subtracted.
 func (b *SumAggBuilder) AddOutput(pairs []data.Pair) {
-	b.par.AccumulateSum(b.c, b.to, pairs)
+	b.add(pairs, outFeed)
 }
 
-// Seal freezes the partial into one table: the normalized difference of
-// the input and output sides, correct iff the global modular sum of
-// differences is all-zero. The builder's tables are consumed.
+// add runs one chunk through the builder's cells with feed f, first
+// folding the cells and re-planning if the running count now picks
+// wider groups.
+func (b *SumAggBuilder) add(pairs []data.Pair, f feed) {
+	if len(pairs) == 0 {
+		return
+	}
+	if b.par.shards(len(pairs)) > 1 {
+		b.par.accumulateSum(b.c, b.table, pairs, f)
+		return
+	}
+	if b.s == nil {
+		b.s = scratchPool.Get().(*accScratch)
+	}
+	b.n += len(pairs)
+	if g := b.c.planFor(b.n); g != b.g {
+		if b.g != 0 {
+			b.c.fold(b.table, b.s)
+		}
+		b.c.plan(b.s, g)
+		b.g = g
+	}
+	b.c.addCells(b.s, pairs, f)
+}
+
+// Seal freezes the partial into one table: the cells folded once more
+// and the counters normalized — input minus output, correct iff the
+// global modular sum is all-zero. The builder's table and cells are
+// consumed.
 func (b *SumAggBuilder) Seal() CheckState {
-	b.st.seal(b.stage, b.c.diff(b.tv, b.to), true, b.c, tableSeg(b.c))
+	if b.s != nil {
+		b.c.fold(b.table, b.s)
+		scratchPool.Put(b.s)
+		b.s = nil
+	}
+	b.c.Normalize(b.table)
+	b.st.seal(b.stage, b.table, true, b.c, tableSeg(b.c))
 	recycleHashers(b.c.hashers)
 	b.c = nil
 	return &b.st

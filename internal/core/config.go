@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/hashing"
 )
@@ -66,6 +68,74 @@ func (c SumConfig) Validate() error {
 			c.Name(), need, c.Family.Name, c.Family.Bits)
 	}
 	return nil
+}
+
+// ChooseSum returns the sum checker configuration with hash family fam
+// that reaches failure probability delta at the least cost to the
+// kernel and the wire — the Section 4 optimisation with this kernel's
+// objectives in place of Table 2's fewest iterations (params.Optimize).
+// Over power-of-two bucket counts d <= 2^maxGroupBits, every m, and the
+// fewest iterations with AchievedDelta <= delta for each, it minimises,
+// in this order:
+//
+//   - cell updates per element at the group size of a large state,
+//     g = min(maxGroupBits/width, perHash) (groupSize without its
+//     size limit),
+//   - hash evaluations per element,
+//   - wire words: TableBits rounded up to 64-bit words, and
+//   - iterations, which the fold and the checker's set-up scale with;
+//
+// and it breaks what ties remain by the lower AchievedDelta and then
+// the fewer TableBits. Buckets stop at 2^maxGroupBits because a wider
+// row leaves the cell tables' L1 budget, where an update no longer
+// costs what the order assumes. At delta = 1e-9 with CRC it returns
+// 15×4 CRC m10: three updates and one hash an element, 11 words.
+func ChooseSum(delta float64, fam hashing.Family) (SumConfig, error) {
+	if !(delta > 0 && delta < 1) {
+		return SumConfig{}, fmt.Errorf("core: ChooseSum: delta must be in (0, 1), got %g", delta)
+	}
+	var best SumConfig
+	var bestCost [4]int
+	for w := 1; w <= min(maxGroupBits, fam.Bits); w++ {
+		for m := 1; m <= 62; m++ {
+			cfg := SumConfig{Iterations: 1, Buckets: 1 << w, RHatLog: m, Family: fam}
+			single := cfg.AchievedDelta()
+			if single >= 1 {
+				continue // d = 2 with r in {3, 4}: no iteration count helps
+			}
+			// One below the closed form, then up to the first count
+			// that AchievedDelta itself accepts.
+			cfg.Iterations = max(1, int(math.Log(delta)/math.Log(single))-1)
+			for cfg.AchievedDelta() > delta {
+				cfg.Iterations++
+			}
+			cost := cfg.bulkCost()
+			if best.Iterations == 0 || cmp.Or(
+				slices.Compare(cost[:], bestCost[:]),
+				cmp.Compare(cfg.AchievedDelta(), best.AchievedDelta()),
+				cmp.Compare(cfg.TableBits(), best.TableBits())) < 0 {
+				best, bestCost = cfg, cost
+			}
+		}
+	}
+	return best, nil
+}
+
+// bulkCost is ChooseSum's cost vector of a power-of-two configuration:
+// cell updates and hash evaluations per element at the group size of a
+// large state, wire words and iterations. Its bucket bits lie in its
+// hash values as SumChecker.init lays them (hashing.Splitter).
+func (c SumConfig) bulkCost() [4]int {
+	width := bits.Len(uint(c.Buckets - 1))
+	perHash := hashing.NewSplitter(c.Buckets, c.Iterations, c.Family.Bits).PerHash()
+	g := max(1, min(maxGroupBits/width, perHash))
+	updates, hashes := 0, 0
+	for first := 0; first < c.Iterations; first += perHash {
+		k := min(perHash, c.Iterations-first)
+		updates += (k + g - 1) / g
+		hashes++
+	}
+	return [4]int{updates, hashes, (c.TableBits() + 63) / 64, c.Iterations}
 }
 
 // AccuracyConfigs is the first configuration set of Table 3, used for

@@ -107,25 +107,43 @@
 // those of separate tables; AccumulateIntoScalar rebuilds each
 // iteration's function alone and is the oracle the kernel is held to.
 //
-// The sum checker's part of it is one kernel (SumChecker.accumulate)
-// built on exact cells and grouped tables. A cell is a 128-bit integer
-// {lo, hi} updated by lo += v; hi += carry: no modulus in the loop at
-// all. g consecutive iterations that take their bucket bits from the
-// same hash value share one table of 2^(g*width) cells, indexed by
+// The sum checker's part of it is one kernel (SumChecker.addCells)
+// built on exact cells and grouped tables. A cell is a signed 128-bit
+// integer {lo, hi} in two's complement, updated by one add and one
+// add-with-carry: no modulus in the loop at all. An input element adds
+// its value and an output element subtracts it, so a builder keeps one
+// set of cells for both sides, and the cells of a correct result end
+// at zero. g consecutive iterations that take their bucket bits from
+// the same hash value share one table of 2^(g*width) cells, indexed by
 // their g indices side by side, so an element costs ceil(its/g) updates
-// rather than its — three for 6×32, not six. When the call ends, one
-// fold adds every non-zero cell's value mod r into the counter of each
-// of its g iterations (the cell's index names the bucket in each) and
-// zeroes it. g is derived per call, never configured (groupSize): as
-// large as keeps a table within 2^10 cells (L1), inside one hash value,
-// and at most an eighth of the call long, so the fold stays a small
-// share of the call; otherwise 1, where the cell tables have the
-// its×d shape of the table itself. Each block is read once per hash
-// value: where the groups drawn from one value have the default 6×32
-// checker's shapes — six 5-bit groups at g = 1, three 10-bit ones at
-// g = 2 — a hand-unrolled lane kernel updates all of them in one pass
-// with constant shifts and masks; any other plan takes one pass per
-// group.
+// rather than its — three for the default 15×4, not fifteen. A fold
+// reads each cell once, adds every non-zero cell's value mod r into the
+// counter of each of its g iterations (the cell's index names the
+// bucket in each) and zeroes it. g is derived, never configured
+// (groupSize): as large as keeps a table within 2^10 cells (L1), inside
+// one hash value, and at most an eighth of the run long, so the fold
+// stays a small share of it; below that, the largest g whose groups
+// have a lane kernel's shape; otherwise 1, where the cell tables have
+// the its×d shape of the table itself. Each block is read once per
+// hash value: where the groups drawn from one value have one of three
+// shapes — six 5-bit groups (6×32 at g = 1), five 6-bit ones (15×4 at
+// g = 3) or three 10-bit ones (the bulk plan of 6×32, 15×4 and 30×2) —
+// a hand-unrolled lane kernel updates all of them in one pass with
+// constant shifts and masks; any other plan takes one pass per group.
+//
+// A run of the kernel folds once. SumAggBuilder holds its cells from
+// the first chunk to Seal and plans on its running element count, so
+// it folds when a grown count widens its groups and once at Seal: a
+// stream of 256-pair chunks, or one pair at a time, runs the plan of
+// the whole state. Accumulate and AccumulateCount, the form for a
+// caller with no builder (the average checker, the ParallelAccumulator's
+// shards, the benchmarks), fold when the call ends.
+//
+// The default configuration comes from ChooseSum, which minimises
+// cell updates per element at the bulk plan, then hash evaluations,
+// wire words and iterations, over every configuration that reaches the
+// target delta: Section 4's optimisation (internal/params) with this
+// kernel's cost in place of Table 2's fewest iterations.
 //
 // None of this can change a verdict. The checker is linear: a counter
 // holds, mod r, the sum over the integers of the values whose key falls

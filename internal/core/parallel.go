@@ -79,18 +79,21 @@ func (p ParallelAccumulator) shards(n int) int {
 // Normalize) for every worker count. Every shard is one kernel call and
 // plans its own group size from its own length.
 func (p ParallelAccumulator) AccumulateSum(c *SumChecker, table []uint64, pairs []data.Pair) {
-	p.accumulateSum(c, table, pairs, false)
+	p.accumulateSum(c, table, pairs, sumFeed)
 }
 
 // AccumulateCount is c.AccumulateCount sharded; see AccumulateSum.
 func (p ParallelAccumulator) AccumulateCount(c *SumChecker, table []uint64, pairs []data.Pair) {
-	p.accumulateSum(c, table, pairs, true)
+	p.accumulateSum(c, table, pairs, countFeed)
 }
 
-func (p ParallelAccumulator) accumulateSum(c *SumChecker, table []uint64, pairs []data.Pair, count bool) {
+// accumulateSum runs pairs through the kernel with feed f, one call per
+// shard. A subtracting feed leaves each shard table the negated sums'
+// residues, which merge and fold like any others.
+func (p ParallelAccumulator) accumulateSum(c *SumChecker, table []uint64, pairs []data.Pair, f feed) {
 	w := p.shards(len(pairs))
 	if w == 1 {
-		c.accumulate(table, pairs, count)
+		c.accumulate(table, pairs, f)
 		return
 	}
 	tables := make([][]uint64, w)
@@ -102,7 +105,7 @@ func (p ParallelAccumulator) accumulateSum(c *SumChecker, table []uint64, pairs 
 		wg.Add(1)
 		go func(chunk []data.Pair, tbl []uint64) {
 			defer wg.Done()
-			c.accumulate(tbl, chunk, count)
+			c.accumulate(tbl, chunk, f)
 			c.Normalize(tbl)
 		}(pairs[lo:hi], tbl)
 	}

@@ -219,6 +219,24 @@ func localSums(c *PermChecker, xs []uint64) []uint64 {
 	return sums
 }
 
+// DiffInto computes (a - b) mod r entry-wise into out, which must have
+// len(a); both tables must be normalized. out may alias a or b. The
+// checkers subtract the output side in the kernel's cells; the tests
+// difference two tables of the scalar oracle with this.
+func (c *SumChecker) DiffInto(out, a, b []uint64) {
+	d := c.cfg.Buckets
+	for it := 0; it < c.cfg.Iterations; it++ {
+		r := c.mods[it]
+		for i := it * d; i < (it+1)*d; i++ {
+			if a[i] >= b[i] {
+				out[i] = a[i] - b[i]
+			} else {
+				out[i] = a[i] + r - b[i]
+			}
+		}
+	}
+}
+
 // TestLocalSumsIntoAndDiffInto covers the allocation-free Into forms:
 // AccumulateInto adds to what its buffer holds, so two calls over the
 // halves of a sequence equal one call over the whole, and DiffInto's

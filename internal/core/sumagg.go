@@ -16,19 +16,19 @@ import (
 // Engineering follows Section 7.1 and takes it one step further. All
 // iterations share one wide hash evaluation that is partitioned
 // bit-parallel into bucket indices (for power-of-two d), and the modulo
-// is deferred — past overflow, to the end of the call: the accumulate
-// kernel sums values exactly, into 128-bit cells {lo, hi} updated by
-// lo += v; hi += carry, and lets g consecutive iterations that draw
-// their bucket bits from the same hash value share one cell table
-// indexed by the g concatenated indices, so an element costs
-// ceil(its/g) updates (6×32: three tables of 1024 cells, three
-// updates). One fold per call then adds each non-zero cell's value
-// mod r into the counter of each of its g iterations. The checker is
+// is deferred — past overflow, to the end of a run of the kernel: the
+// kernel sums values exactly, into signed 128-bit cells, and lets g
+// consecutive iterations that draw their bucket bits from the same hash
+// value share one cell table indexed by the g concatenated indices, so
+// an element costs ceil(its/g) updates (15×4: three tables of 1024
+// cells, three updates). One fold per run then adds each non-zero
+// cell's value mod r into the counter of each of its g iterations — per
+// call for Accumulate, per state for SumAggBuilder. The checker is
 // linear — a counter is the sum of the values in its bucket, however
 // those were summed on the way — so the table after Normalize is
-// bit-identical for every g, to AccumulateScalar's and to every
-// earlier version's: verdicts, table size and delta do not depend on
-// the kernel's plan. See accumulate and groupSize.
+// bit-identical for every g and chunking, to AccumulateScalar's and to
+// every earlier version's: verdicts, table size and delta do not
+// depend on the kernel's plan. See addCells and groupSize.
 //
 // Every PE builds its own SumChecker from the shared seed, which yields
 // identical hash functions and moduli everywhere. After construction
@@ -61,9 +61,9 @@ type SumChecker struct {
 }
 
 // inlineHashers is how many hash functions a checker holds without an
-// allocation of their own (SumChecker.hs, PermChecker.hs): one 6×32 CRC
-// hash value feeds all six iterations of the default sum checker, and
-// the default permutation checker has two iterations. A larger array
+// allocation of their own (SumChecker.hs, PermChecker.hs): one CRC hash
+// value feeds all fifteen iterations of the default 15×4 sum checker,
+// and the default permutation checker has two iterations. A larger array
 // would cost every builder more bytes than the allocation it saves.
 const inlineHashers = 2
 
@@ -74,7 +74,7 @@ func NewSumChecker(cfg SumConfig, seed uint64) *SumChecker {
 
 // newSumChecker optionally disables the Section 7.1 bit-parallel path
 // (one hash evaluation feeding all iterations), or pins the accumulate
-// kernel's group size instead of deriving it per call, so the ablation
+// kernel's group size instead of deriving it per run, so the ablation
 // benchmarks can quantify what each buys.
 func newSumChecker(cfg SumConfig, seed uint64, forceGeneral bool, forceG int) *SumChecker {
 	c := new(SumChecker)
@@ -185,34 +185,56 @@ func (c *SumChecker) bucketOf(key uint64, it int) int {
 // cells.
 const accBlock = 256
 
-// cell is one exact counter of the accumulate kernel: the integer
-// lo + hi·2^64, where hi counts the carries out of lo. An update is two
+// cell is one exact counter of the accumulate kernel: the signed
+// integer lo + hi·2^64 in 128-bit two's complement, where hi counts the
+// carries out of lo (and, negatively, its borrows). An update is two
 // adds — no modulus, no 2^64 mod r — and a cell cannot overflow (hi
-// grows by at most one per element).
+// moves by at most one per element).
 type cell struct{ lo, hi uint64 }
 
-// accScratch is what one accumulate call borrows: the batch-hash block
-// buffers and, for the sum kernel, its cell tables. The buffers are
-// handed to Hash64Batch through the Hasher interface, which makes them
-// escape — declared as locals they would be fresh heap allocations on
-// every Accumulate call, a real cost when chunked streaming issues one
-// call per small chunk, and the grouped plan's cells are 48 KiB for
-// 6×32. A sync.Pool caps that at one live scratch per concurrently
-// accumulating goroutine; sub-threshold chunks therefore allocate
-// nothing (guarded by parallel_alloc_test.go).
+// feed is how one kernel run reads its elements: value&vmask|one is an
+// element's value (vmask = 0, one = 1 in count mode), and neg = ^0
+// subtracts it instead of adding it. A builder's output side is a
+// subtracting feed, so its cells hold input minus output — the checker
+// is linear — and one fold serves both sides.
+type feed struct{ vmask, one, neg uint64 }
+
+var (
+	sumFeed   = feed{vmask: ^uint64(0)}
+	countFeed = feed{one: 1}
+	outFeed   = feed{vmask: ^uint64(0), neg: ^uint64(0)}
+)
+
+// term returns an element's signed value as a 128-bit two's complement
+// addend: x is its low word and adj its high word, ^0 for a subtracted
+// non-zero value and 0 otherwise.
+func (f feed) term(v uint64) (x, adj uint64) {
+	x, b := bits.Sub64((v&f.vmask|f.one)^f.neg, f.neg, 0)
+	return x, -b
+}
+
+// accScratch is what one run of the kernel borrows: the batch-hash
+// block buffers, its cell tables and its plan. The buffers are handed
+// to Hash64Batch through the Hasher interface, which makes them escape
+// — declared as locals they would be fresh heap allocations on every
+// call — and the bulk plan's cells are 48 KiB. A sync.Pool caps that at
+// one live scratch per concurrently accumulating call or builder, so
+// the steady state allocates none (guarded by parallel_alloc_test.go).
+// A per-call accumulate holds a scratch for the call; a SumAggBuilder
+// holds one from its first chunk to Seal.
 //
 // Every cell of a pooled scratch is zero, over the slice's whole
-// capacity: the fold that ends a sum call zeroes what the call dirtied,
-// and a call that does not reach its fold (a panicking hasher) does not
-// return its scratch.
+// capacity: the fold that ends a run zeroes what the run dirtied, and a
+// run that does not reach its fold (a panicking hasher) does not return
+// its scratch.
 type accScratch struct {
 	keys, hs [accBlock]uint64
 	cells    []cell
-	plan     []group // the sum call's plan, see appendPlan
-	// planBuf backs plan up to the six groups of the default 6×32
-	// checker, so a fresh scratch's plan allocates nothing; the scratch
-	// stays in the allocation size class it had without a plan.
-	planBuf [6]group
+	plan     []group // the run's plan, see appendPlan
+	// planBuf backs plan up to the fifteen groups of the default 15×4
+	// checker's g = 1 plan (a state of under 128 elements), so a fresh
+	// scratch's plan allocates nothing.
+	planBuf [15]group
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -227,32 +249,51 @@ var scratchPool = sync.Pool{New: func() any {
 // all. BenchmarkAblationGroupWidth re-measures it.
 const maxGroupBits = 10
 
-// groupSize is the plan of one accumulate call: how many consecutive
-// iterations share one cell table, indexed by their concatenated
-// bucket bits, so that an element costs ceil(its/g) cell updates
-// instead of its. It is the largest g such that
+// groupSize is the plan of a run of the kernel over n elements: how
+// many consecutive iterations share one cell table, indexed by their
+// concatenated bucket bits, so that an element costs ceil(its/g) cell
+// updates instead of its. The size rule takes the largest g such that
 //
 //   - g*width <= maxGroupBits (the table stays in L1),
 //   - g <= perHash (a group's bits come from one hash value), and
-//   - 8 * 2^(g*width) <= n: the fold that ends the call scans every
-//     cell of every group, so a table must be small beside the call —
-//     without this a 256-pair stream chunk would pay a 48 KiB scan;
+//   - 8 * 2^(g*width) <= n: the fold that ends the run scans every
+//     cell of every group, so a table must be small beside the run;
 //
-// and 1 otherwise. A pure function of its arguments.
-func groupSize(width, perHash, n int) int {
+// and 1 otherwise. Below that g it then prefers the largest group size
+// at which the groups of the first hash value have a lane kernel's
+// shape (lanesFor), if there is one: one pass that updates five cells
+// an element beats four passes that update one each. The preferred g
+// never falls as n grows, so a builder that re-plans on its running
+// count only ever widens its groups. A pure function of its arguments.
+func groupSize(width, perHash, its, n int) int {
 	g := max(1, min(maxGroupBits/width, perHash))
 	for g > 1 && 8<<(g*width) > n {
 		g--
 	}
+	k := min(perHash, its)
+	for l := g; l >= 1; l-- {
+		if k%l == 0 && lanesFor(k/l, l*width) != 0 {
+			return l
+		}
+	}
 	return g
 }
 
-// group is one step of a call's plan: n iterations starting at it
-// share the cell table cells[off:off+size], indexed by the size bits of
-// hash value hash that start at shift. lanes, on the first group of a
-// hash value, says that a hand-unrolled lane kernel updates this group
-// and the lanes-1 after it in one pass (cellLanes6x5, cellLanes3x10);
-// it is 0 where each group takes its own pass (cellsAdd).
+// planFor is the group size of a run over n elements: groupSize, or
+// the ablation benchmarks' fixed forceG.
+func (c *SumChecker) planFor(n int) int {
+	if c.forceG != 0 {
+		return int(c.forceG)
+	}
+	return groupSize(c.width, c.perHash, c.cfg.Iterations, n)
+}
+
+// group is one step of a run's plan: n iterations starting at it share
+// the cell table cells[off:off+size], indexed by the size bits of hash
+// value hash that start at shift. lanes, on the first group of a hash
+// value, says that a lane kernel updates this group and the lanes-1
+// after it in one pass (lanesFor); it is 0 where each group takes its
+// own pass (cellsAdd).
 type group struct {
 	it, n, hash int
 	shift       uint
@@ -276,31 +317,35 @@ func (c *SumChecker) appendPlan(g int, plan []group) []group {
 			plan = append(plan, group{it: it, n: n, hash: hash, shift: uint((it - first) * c.width), off: off, size: size})
 			off += size
 		}
-		plan[head].lanes = laneShape(plan[head:])
+		if gs := plan[head:]; gs[len(gs)-1].size == gs[0].size {
+			plan[head].lanes = lanesFor(len(gs), gs[0].n*c.width)
+		}
 	}
 	return plan
 }
 
-// laneShape is the lane kernel that serves the groups of one hash
-// value: 6 for six 5-bit groups, 3 for three 10-bit ones — the two
-// plans of the default 6×32 sum checker, at g = 1 and g = 2 — and 0
-// for any other plan, which keeps one cellsAdd pass per group. A loop
-// over a runtime lane count measured slower than those passes; the
-// gain needs constant shifts and masks.
-func laneShape(gs []group) int {
-	for _, lanes := range []int{6, 3} {
-		if len(gs) != lanes {
-			continue
-		}
-		bits := 30 / lanes
-		for _, gr := range gs {
-			if gr.size != 1<<bits {
-				return 0
-			}
-		}
-		return lanes
+// lanesFor is the lane kernel that serves the groups of one hash value
+// when there are groups of them, each of bits index bits: 6 for six
+// 5-bit groups (cellLanes6x5), 5 for five 6-bit ones (cellLanes5x6)
+// and 3 for three 10-bit ones (cellLanes3x10) — the 30 low bits of a
+// value either way — and 0 for any other shape, which keeps one
+// cellsAdd pass per group. A loop over a runtime lane count measured
+// slower than those passes; the gain needs constant shifts and masks.
+func lanesFor(groups, bits int) int {
+	if groups*bits == 30 && (groups == 6 || groups == 5 || groups == 3) {
+		return groups
 	}
 	return 0
+}
+
+// plan makes s the scratch of a run at group size g: its plan and
+// enough zero cells for it.
+func (c *SumChecker) plan(s *accScratch, g int) {
+	s.plan = c.appendPlan(g, s.plan[:0])
+	tail := s.plan[len(s.plan)-1]
+	if need := tail.off + tail.size; cap(s.cells) < need {
+		s.cells = make([]cell, need)
+	}
 }
 
 // Accumulate folds pairs into the table (the cRed inner loop of
@@ -309,7 +354,7 @@ func laneShape(gs []group) int {
 // disjoint tables are safe — the ParallelAccumulator contract — and
 // repeated small-chunk calls allocate nothing.
 func (c *SumChecker) Accumulate(table []uint64, pairs []data.Pair) {
-	c.accumulate(table, pairs, false)
+	c.accumulate(table, pairs, sumFeed)
 }
 
 // AccumulateCount folds pairs into the table counting 1 per pair,
@@ -317,60 +362,50 @@ func (c *SumChecker) Accumulate(table []uint64, pairs []data.Pair) {
 // value of every element is mapped to 1", Section 4). It runs the same
 // kernel as Accumulate and is likewise safe on disjoint tables.
 func (c *SumChecker) AccumulateCount(table []uint64, pairs []data.Pair) {
-	c.accumulate(table, pairs, true)
+	c.accumulate(table, pairs, countFeed)
 }
 
-// accumulate is the one accumulate kernel. Keys are gathered into
+// accumulate is one run of the kernel that folds when the call ends:
+// the form for a caller with no builder to hold the cells. A call costs
+// n*ceil(its/g) updates plus a scan of its cells.
+func (c *SumChecker) accumulate(table []uint64, pairs []data.Pair, f feed) {
+	if len(pairs) == 0 {
+		return
+	}
+	// The scratch goes back to the pool only after the fold has zeroed
+	// its cells — deliberately not deferred.
+	s := scratchPool.Get().(*accScratch)
+	c.plan(s, c.planFor(len(pairs)))
+	c.addCells(s, pairs, f)
+	c.fold(table, s)
+	scratchPool.Put(s)
+}
+
+// addCells is the one accumulate kernel. Keys are gathered into
 // fixed-size blocks and hashed through the family's Hash64Batch, each
 // hash function exactly once per block (the Section 7.1 bit-parallel
 // optimisation: for pow2 d, hash j covers iterations j*perHash ..
 // (j+1)*perHash-1 via bit groups). The block then streams through one
-// cell table per group of groupSize iterations: the group's
-// concatenated bucket bits pick a cell and the element's value is added
-// to it exactly — in one pass for all the groups of a hash value where
-// the plan has a lane kernel's shape (laneShape), one pass per group
-// otherwise. When the call ends, each non-zero cell is folded into
-// the counter of every iteration of its group — the cell's bits name
-// the bucket in each — and zeroed.
+// cell table per group of the plan's g iterations: the group's
+// concatenated bucket bits pick a cell and the element's signed value
+// is added to it exactly — in one pass for all the groups of a hash
+// value where the plan has a lane kernel's shape, one pass per group
+// otherwise. Nothing is folded: fold does that, once per run.
 //
 // Grouping cannot change a residue: a counter of the table receives
 // the exact integer sum of the values of the elements that map to its
 // bucket, merely summed per cell first, and addition is associative.
 // Tables are therefore bit-identical to AccumulateScalar's after
-// Normalize for every plan (the raw words differ only in when the
-// folds canonicalise).
+// Normalize for every plan and every chunking (the raw words differ
+// only in when the folds canonicalise).
 //
 // With g = 1 the cell tables have the table's own its×d shape. That
 // plan also carries general (non-pow2) d: one hash per iteration,
 // bucket = h mod d, in a row of the next power of two cells.
-//
-// A call costs n*ceil(its/g) updates plus a scan of its cells — at
-// g = 1 its*d of them whatever n is, which is what a call of a few
-// pairs against a wide table then mostly pays.
-func (c *SumChecker) accumulate(table []uint64, pairs []data.Pair, count bool) {
-	if len(pairs) == 0 {
-		return
-	}
-	d, g := c.cfg.Buckets, int(c.forceG)
-	if g == 0 {
-		g = groupSize(c.width, c.perHash, len(pairs))
-	}
-	// The scratch goes back to the pool only after the fold below has
-	// zeroed its cells — deliberately not deferred.
-	s := scratchPool.Get().(*accScratch)
-	plan := c.appendPlan(g, s.plan[:0])
-	s.plan = plan
+func (c *SumChecker) addCells(s *accScratch, pairs []data.Pair, f feed) {
+	d, plan := c.cfg.Buckets, s.plan
 	tail := plan[len(plan)-1]
-	need := tail.off + tail.size
-	if cap(s.cells) < need {
-		s.cells = make([]cell, need)
-	}
-	cells := s.cells[:need]
-	// value&vmask|one is the value in sum mode and 1 in count mode.
-	vmask, one := ^uint64(0), uint64(0)
-	if count {
-		vmask, one = 0, 1
-	}
+	cells := s.cells[:tail.off+tail.size]
 	for start := 0; start < len(pairs); start += accBlock {
 		blk := pairs[start:min(start+accBlock, len(pairs))]
 		keys, hb := s.keys[:len(blk)], s.hs[:len(blk)]
@@ -387,58 +422,114 @@ func (c *SumChecker) accumulate(table []uint64, pairs []data.Pair, count bool) {
 			}
 			switch gr.lanes {
 			case 6:
-				cellLanes6x5(cells[gr.off:gr.off+6<<5], hb, blk, vmask, one)
+				cellLanes6x5(cells[gr.off:gr.off+6<<5], hb, blk, f)
 				i += 5
+			case 5:
+				cellLanes5x6(cells[gr.off:gr.off+5<<6], hb, blk, f)
+				i += 4
 			case 3:
-				cellLanes3x10(cells[gr.off:gr.off+3<<10], hb, blk, vmask, one)
+				cellLanes3x10(cells[gr.off:gr.off+3<<10], hb, blk, f)
 				i += 2
 			default:
-				cellsAdd(cells[gr.off:gr.off+gr.size], hb, blk, gr.shift, vmask, one)
+				cellsAdd(cells[gr.off:gr.off+gr.size], hb, blk, gr.shift, f)
 			}
 		}
 	}
-	for _, gr := range plan {
-		grp := cells[gr.off : gr.off+gr.size]
-		for t := 0; t < gr.n; t++ {
-			it := gr.it + t
-			c.foldCells(table[it*d:(it+1)*d], grp, uint(t*c.width), it)
-		}
-		clear(grp)
-	}
-	scratchPool.Put(s)
 }
 
-// foldCells ends a call for one iteration of one group: every non-zero
-// cell's exact value goes into the counter its index bits at shift
-// name in row, the iteration's d counters, which stay congruent mod r.
-// lo goes in as any value does; the carries weigh 2^64 each, so they
-// go in as hi * (2^64 mod r) — reduced by a division only if that
-// product itself passes 2^64, which takes both a large modulus and a
-// cell that wrapped many times.
-func (c *SumChecker) foldCells(row []uint64, grp []cell, shift uint, it int) {
-	p64, r := c.pow64[it], c.mods[it]
-	m := 1<<c.width - 1
-	for x, cl := range grp {
-		if cl.lo|cl.hi == 0 {
+// fold ends a run: every non-zero cell's exact signed value goes into
+// the counter that its index bits name in each iteration of its group,
+// and the cell is zeroed. The counters stay congruent mod r. A cell is
+// read once, whatever its group's size, so a cell whose additions and
+// subtractions cancelled — every cell, at the Seal of a builder whose
+// result is correct — costs that read alone. A group of several
+// iterations first sums its cells exactly per iteration and bucket
+// (two adds a cell and iteration) and folds only those g·d sums mod r;
+// the sums cannot overflow, since every element adds into one cell of
+// a group.
+func (c *SumChecker) fold(table []uint64, s *accScratch) {
+	d, w := c.cfg.Buckets, uint(c.width)
+	m := 1<<w - 1
+	// g·d sums for g >= 2: at most 64 within maxGroupBits (two 5-bit
+	// iterations); only the ablation benchmarks force wider groups.
+	var sums [64]cell
+	for _, gr := range s.plan {
+		grp := s.cells[gr.off : gr.off+gr.size]
+		if gr.n == 1 { // the cells are the sums
+			row := table[gr.it*d : (gr.it+1)*d]
+			for b, cl := range grp {
+				if cl.lo|cl.hi != 0 {
+					row[b] = foldCell(row[b], cl, c.pow64[gr.it], c.mods[gr.it])
+					grp[b] = cell{}
+				}
+			}
 			continue
 		}
-		b := (x >> (shift & 63)) & m
-		sum := addFold(row[b], cl.lo, p64)
-		if cl.hi != 0 {
-			ph, pl := bits.Mul64(cl.hi, p64)
-			if ph != 0 {
-				// ph < p64 < r, so the quotient fits.
-				_, pl = bits.Div64(ph, pl, r)
-			}
-			sum = addFold(sum, pl, p64)
+		marg := sums[:]
+		if gr.n<<w > len(sums) {
+			marg = make([]cell, gr.n<<w)
 		}
-		row[b] = sum
+		marg = marg[:gr.n<<w]
+		for x, cl := range grp {
+			if cl.lo|cl.hi == 0 {
+				continue
+			}
+			grp[x] = cell{}
+			for t := 0; t < gr.n; t++ {
+				sm := &marg[t<<w+x>>(uint(t)*w)&m]
+				lo, carry := bits.Add64(sm.lo, cl.lo, 0)
+				sm.lo = lo
+				sm.hi, _ = bits.Add64(sm.hi, cl.hi, carry)
+			}
+		}
+		for t := 0; t < gr.n; t++ {
+			it := gr.it + t
+			row := table[it*d : (it+1)*d]
+			for b, cl := range marg[t<<w : (t+1)<<w] {
+				if cl.lo|cl.hi != 0 {
+					row[b] = foldCell(row[b], cl, c.pow64[it], c.mods[it])
+				}
+			}
+		}
+		clear(marg)
 	}
+}
+
+// foldCell returns counter a plus the signed value of cl, congruent mod
+// r given p64 = 2^64 mod r. A magnitude lo + hi·2^64 goes in as lo plus
+// hi * (2^64 mod r) — reduced by a division only if that product itself
+// passes 2^64, which takes both a large modulus and a cell that wrapped
+// many times. A negative cell's magnitude u goes in negated: adding
+// 2^64 - u adds p64 - u mod r, and adding r - p64 takes the p64 out.
+func foldCell(a uint64, cl cell, p64, r uint64) uint64 {
+	lo, hi := cl.lo, cl.hi
+	neg := int64(hi) < 0
+	if neg {
+		var b uint64
+		lo, b = bits.Sub64(0, lo, 0)
+		hi, _ = bits.Sub64(0, hi, b)
+	}
+	u := lo
+	if hi != 0 {
+		ph, pl := bits.Mul64(hi, p64)
+		if ph != 0 {
+			// hi <= 2^63 and p64 < r, so ph < r and the quotient fits.
+			_, pl = bits.Div64(ph, pl, r)
+		}
+		u = addFold(u, pl, p64)
+	}
+	if !neg {
+		return addFold(a, u, p64)
+	}
+	if u == 0 {
+		return a
+	}
+	return addFold(addFold(a, -u, p64), r-p64, p64)
 }
 
 // gatherKeys copies a block's keys into the contiguous buffer
 // Hash64Batch reads. A standalone leaf for the registers, like
-// cellsAdd: inlined into accumulate, whose closures keep every register
+// cellsAdd: inlined into addCells, whose loops keep every register
 // busy, the loop index can end up on the stack, and the copy then
 // costs more than the hash it feeds.
 //
@@ -450,12 +541,12 @@ func gatherKeys(keys []uint64, blk []data.Pair) {
 	}
 }
 
-// addCell adds v to a cell exactly: the carry out of lo is counted,
-// not branched on.
-func addCell(cl *cell, v uint64) {
-	lo, carry := bits.Add64(cl.lo, v, 0)
+// addCell adds the addend (x, adj) of feed.term to a cell exactly: the
+// carry out of lo goes into hi with adj, not through a branch.
+func addCell(cl *cell, x, adj uint64) {
+	lo, carry := bits.Add64(cl.lo, x, 0)
 	cl.lo = lo
-	cl.hi += carry
+	cl.hi, _ = bits.Add64(cl.hi, adj, carry)
 }
 
 // cellLanes6x5 is cellsAdd for six groups of 32 cells that draw their
@@ -467,34 +558,54 @@ func addCell(cl *cell, v uint64) {
 // and masks are what make it faster than six cellsAdd passes.
 //
 //go:noinline
-func cellLanes6x5(cells []cell, hb []uint64, blk []data.Pair, vmask, one uint64) {
+func cellLanes6x5(cells []cell, hb []uint64, blk []data.Pair, f feed) {
 	const w, m = 5, 1<<5 - 1
 	l := (*[6 << w]cell)(cells)
 	blk = blk[:len(hb)]
 	for i, h := range hb {
-		v := blk[i].Value&vmask | one
-		addCell(&l[h&m], v)
-		addCell(&l[1<<w+h>>w&m], v)
-		addCell(&l[2<<w+h>>(2*w)&m], v)
-		addCell(&l[3<<w+h>>(3*w)&m], v)
-		addCell(&l[4<<w+h>>(4*w)&m], v)
-		addCell(&l[5<<w+h>>(5*w)&m], v)
+		x, adj := f.term(blk[i].Value)
+		addCell(&l[h&m], x, adj)
+		addCell(&l[1<<w+h>>w&m], x, adj)
+		addCell(&l[2<<w+h>>(2*w)&m], x, adj)
+		addCell(&l[3<<w+h>>(3*w)&m], x, adj)
+		addCell(&l[4<<w+h>>(4*w)&m], x, adj)
+		addCell(&l[5<<w+h>>(5*w)&m], x, adj)
+	}
+}
+
+// cellLanes5x6 is cellLanes6x5 for five groups of 64 cells on bits
+// 0–29, six bits each: the g = 3 plan of a 15×4 checker (and g = 6 of
+// 30×2).
+//
+//go:noinline
+func cellLanes5x6(cells []cell, hb []uint64, blk []data.Pair, f feed) {
+	const w, m = 6, 1<<6 - 1
+	l := (*[5 << w]cell)(cells)
+	blk = blk[:len(hb)]
+	for i, h := range hb {
+		x, adj := f.term(blk[i].Value)
+		addCell(&l[h&m], x, adj)
+		addCell(&l[1<<w+h>>w&m], x, adj)
+		addCell(&l[2<<w+h>>(2*w)&m], x, adj)
+		addCell(&l[3<<w+h>>(3*w)&m], x, adj)
+		addCell(&l[4<<w+h>>(4*w)&m], x, adj)
 	}
 }
 
 // cellLanes3x10 is cellLanes6x5 for three groups of 1024 cells on bits
-// 0–29, ten bits each: the g = 2 plan of a 6×32 checker.
+// 0–29, ten bits each: the bulk plan of 6×32 (g = 2), 15×4 (g = 5) and
+// 30×2 (g = 10).
 //
 //go:noinline
-func cellLanes3x10(cells []cell, hb []uint64, blk []data.Pair, vmask, one uint64) {
+func cellLanes3x10(cells []cell, hb []uint64, blk []data.Pair, f feed) {
 	const w, m = 10, 1<<10 - 1
 	l := (*[3 << w]cell)(cells)
 	blk = blk[:len(hb)]
 	for i, h := range hb {
-		v := blk[i].Value&vmask | one
-		addCell(&l[h&m], v)
-		addCell(&l[1<<w+h>>w&m], v)
-		addCell(&l[2<<w+h>>(2*w)&m], v)
+		x, adj := f.term(blk[i].Value)
+		addCell(&l[h&m], x, adj)
+		addCell(&l[1<<w+h>>w&m], x, adj)
+		addCell(&l[2<<w+h>>(2*w)&m], x, adj)
 	}
 }
 
@@ -507,14 +618,15 @@ func cellLanes3x10(cells []cell, hb []uint64, blk []data.Pair, vmask, one uint64
 // would mispredict.
 //
 //go:noinline
-func cellsAdd(cells []cell, hb []uint64, blk []data.Pair, shift uint, vmask, one uint64) {
+func cellsAdd(cells []cell, hb []uint64, blk []data.Pair, shift uint, f feed) {
 	if len(cells) == 0 {
 		return // lets the prover see m below cannot wrap
 	}
 	m := uint64(len(cells) - 1)
 	blk = blk[:len(hb)]
 	for i, h := range hb {
-		addCell(&cells[(h>>(shift&63))&m], blk[i].Value&vmask|one)
+		x, adj := f.term(blk[i].Value)
+		addCell(&cells[(h>>(shift&63))&m], x, adj)
 	}
 }
 
@@ -604,35 +716,6 @@ func (c *SumChecker) Normalize(table []uint64) {
 			table[it*d+b] %= r
 		}
 	}
-}
-
-// DiffInto computes (a - b) mod r entry-wise into out, which must have
-// len(a); both tables must be normalized. out may alias a or b, so
-// callers that are done with a table can reuse it as the destination
-// and stay allocation-free.
-func (c *SumChecker) DiffInto(out, a, b []uint64) {
-	d := c.cfg.Buckets
-	for it := 0; it < c.cfg.Iterations; it++ {
-		r := c.mods[it]
-		for i := it * d; i < (it+1)*d; i++ {
-			if a[i] >= b[i] {
-				out[i] = a[i] - b[i]
-			} else {
-				out[i] = a[i] + r - b[i]
-			}
-		}
-	}
-}
-
-// diff normalizes the input-side table tv and the output-side table to
-// and overwrites tv with their difference mod r, which it returns: both
-// scratch tables are dead after this, so a sealed table allocates
-// nothing further.
-func (c *SumChecker) diff(tv, to []uint64) []uint64 {
-	c.Normalize(tv)
-	c.Normalize(to)
-	c.DiffInto(tv, tv, to)
-	return tv
 }
 
 // addMod adds src into dst entry-wise, each iteration's row of d

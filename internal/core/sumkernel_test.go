@@ -14,18 +14,19 @@ import (
 	"repro/internal/workload"
 )
 
-// This file gates the accumulate kernel (sumagg.go: cells, groups, one
-// fold per call): equivalence with the scalar oracle over every plan
-// the size rule can pick, scratch-pool hygiene, and a first slice of
-// the escape-rate gate run through the grouped plan.
+// This file gates the accumulate kernel (sumagg.go: signed cells,
+// groups, one fold per run): equivalence with the scalar oracle over
+// every plan the size rule can pick, per call and through builders fed
+// in any chunking, scratch-pool hygiene, and a first slice of the
+// escape-rate gate run through the grouped plans.
 
 // kernelConfigs is every configuration the repo names plus the shapes
 // that stress the plan: a group cut at a hash boundary, g = 3, g = 10,
 // a group that ends short of g, g = 1 by width, general d, a modulus
-// wide enough that a carry count times 2^64 mod r passes 2^64, and the
-// lane kernels' shapes reached other than by 6×32 — three 10-bit
-// groups at g = 1, and six 5-bit or three 10-bit groups of 1-bit
-// iterations.
+// wide enough that a carry count times 2^64 mod r passes 2^64, the
+// default 15×4 CRC m10, and the lane kernels' shapes reached other than
+// by 6×32 and 15×4 — three 10-bit and five 6-bit groups at g = 1, and
+// six 5-bit, five 6-bit or three 10-bit groups of 1-bit iterations.
 func kernelConfigs() []SumConfig {
 	crc, tab, tab64, mix := hashing.FamilyCRC, hashing.FamilyTab, hashing.FamilyTab64, hashing.FamilyMix
 	cfgs := append(AccuracyConfigs(), ScalingConfigs()...)
@@ -39,7 +40,9 @@ func kernelConfigs() []SumConfig {
 		SumConfig{Iterations: 6, Buckets: 33, RHatLog: 9, Family: crc}, // general d
 		SumConfig{Iterations: 3, Buckets: 4, RHatLog: 62, Family: mix},
 		SumConfig{Iterations: 3, Buckets: 1024, RHatLog: 12, Family: crc}, // 3 lanes at g = 1
-		SumConfig{Iterations: 30, Buckets: 2, RHatLog: 5, Family: crc},    // 6 lanes at g = 5, 3 at g = 10
+		SumConfig{Iterations: 30, Buckets: 2, RHatLog: 5, Family: crc},    // 6 lanes at g = 5, 5 at g = 6, 3 at g = 10
+		SumConfig{Iterations: 15, Buckets: 4, RHatLog: 10, Family: crc},   // the default: 5 lanes at g = 3, 3 at g = 5
+		SumConfig{Iterations: 5, Buckets: 64, RHatLog: 7, Family: crc},    // 5 lanes at g = 1
 	)
 }
 
@@ -105,16 +108,62 @@ func requireTable(t *testing.T, c *SumChecker, got, want []uint64, what string) 
 	}
 }
 
+// feedOf is the per-call kernel's feed in sum or count mode.
+func feedOf(count bool) feed {
+	if count {
+		return countFeed
+	}
+	return sumFeed
+}
+
+// builderWant is the oracle of a builder fed in and out: the scalar
+// tables of both sides, normalized, input minus output.
+func builderWant(c *SumChecker, in, out []data.Pair, count bool) []uint64 {
+	want := scalarTable(c, in, count)
+	c.DiffInto(want, want, scalarTable(c, out, false))
+	return want
+}
+
+// feedBuilder runs in and out through one builder in chunks of chunk
+// pairs, the two sides' chunks interleaved, and seals it.
+func feedBuilder(cfg SumConfig, seed uint64, par ParallelAccumulator, count bool, in, out []data.Pair, chunk int) CheckState {
+	b := NewSumAggBuilder("eq", cfg, seed, par, count)
+	for lo := 0; lo < max(len(in), len(out)); lo += chunk {
+		b.AddInput(in[min(lo, len(in)):min(lo+chunk, len(in))])
+		b.AddOutput(out[min(lo, len(out)):min(lo+chunk, len(out))])
+	}
+	return b.Seal()
+}
+
+// requireSealed fails unless the sealed state st carries want, a
+// normalized table, packed as a state packs it.
+func requireSealed(t *testing.T, c *SumChecker, st CheckState, want []uint64, what string) {
+	t.Helper()
+	exp := newState("want", slices.Clone(want), true, c, tableSeg(c)).(*state).words
+	got := st.(*state).words
+	if !slices.Equal(got, exp) {
+		i := 0
+		for got[i] == exp[i] {
+			i++
+		}
+		t.Fatalf("%s %s: sealed word %d of %d = %#x, the scalar oracle's is %#x",
+			c.cfg.Name(), what, i, len(exp), got[i], exp[i])
+	}
+}
+
 // TestGroupedAccumulateMatchesScalar: the kernel's table equals the
 // scalar oracle's after Normalize — for every configuration, value
 // shape and plan, in sum and count mode, into a table that already
-// holds raw counters, and through SumAggBuilder for every chunking and
-// worker count. Among the plans are both lane kernels', at g = 1 and
-// grouped: the default 6×32 checker takes six lanes at 8 191 pairs and
-// three at 8 192.
+// holds raw counters, and through SumAggBuilder, input added and an
+// unrelated output subtracted, in 1-, 256- and 8192-pair chunks, whole,
+// and at every worker count. Among the plans are all three lane
+// kernels', at g = 1 and grouped: the 15×4 default takes five lanes at
+// 8 191 pairs and three at 8 192, 6×32 six lanes at 8 191 and three at
+// 8 192. A builder fed one pair at a time re-plans as its count grows,
+// through every plan of its configuration.
 func TestGroupedAccumulateMatchesScalar(t *testing.T) {
 	// lanesAt records, per lane kernel, the group sizes it ran at.
-	lanesAt := map[int]map[int]bool{6: {}, 3: {}}
+	lanesAt := map[int]map[int]bool{6: {}, 5: {}, 3: {}}
 	defer func() {
 		for lanes, gs := range lanesAt {
 			if !gs[1] || len(gs) < 2 {
@@ -123,10 +172,11 @@ func TestGroupedAccumulateMatchesScalar(t *testing.T) {
 		}
 	}()
 	for ci, cfg := range kernelConfigs() {
-		c := NewSumChecker(cfg, 1000+uint64(ci))
+		seed := 1000 + uint64(ci)
+		c := NewSumChecker(cfg, seed)
 		lengths := planLengths(c)
 		for _, n := range lengths {
-			g := groupSize(c.width, c.perHash, n)
+			g := c.planFor(n)
 			for _, gr := range c.appendPlan(g, nil) {
 				if gr.lanes != 0 {
 					lanesAt[gr.lanes][g] = true
@@ -148,38 +198,41 @@ func TestGroupedAccumulateMatchesScalar(t *testing.T) {
 					what := fmt.Sprintf("%s n=%d count=%v", shape, n, count)
 
 					got := c.NewTable()
-					c.accumulate(got, pairs, count)
+					c.accumulate(got, pairs, feedOf(count))
 					requireTable(t, c, got, want, what)
 
 					// Two calls into one table: the second finds raw
 					// (unnormalized) counters, and the pooled cells the
 					// first one used.
 					got = c.NewTable()
-					c.accumulate(got, pairs[:n/3], count)
-					c.accumulate(got, pairs[n/3:], count)
+					c.accumulate(got, pairs[:n/3], feedOf(count))
+					c.accumulate(got, pairs[n/3:], feedOf(count))
 					requireTable(t, c, got, want, what+" in two calls")
 				}
-				// The builder route: every chunking and worker count at
-				// the longest plan length, whole and fanned out for the
-				// hot key (its 70k-pair input is what makes the test
-				// slow under -race).
-				chunks, workers := []int{1, accBlock, n}, []int{1, 2, 8}
+				// The builder route at the longest plan length, and
+				// whole and fanned out for the hot key (its 70k-pair
+				// input is what makes the test slow under -race).
+				chunks, workers := []int{1, accBlock, 8192, n}, []int{1, 2, 8}
 				switch {
 				case n == hotLen:
 					chunks, workers = []int{n}, []int{8}
 				case n != lengths[len(lengths)-1]:
 					continue
-				case n > 2*accBlock:
-					chunks[0] = 97 // one-pair chunks of a long input only cost time
 				}
-				want := scalarTable(c, pairs, false)
-				for _, chunk := range chunks {
-					for _, w := range workers {
-						b := NewSumAggBuilder("eq", cfg, 1000+uint64(ci), NewParallelAccumulator(w), false)
-						for lo := 0; lo < n; lo += chunk {
-							b.AddInput(pairs[lo:min(lo+chunk, n)])
+				out := kernelPairs(shape, n/2, uint64(ci*100+si+50))
+				for _, count := range []bool{false, true} {
+					if count && shape != "small" {
+						continue
+					}
+					want := builderWant(c, pairs, out, count)
+					for _, chunk := range chunks {
+						for _, w := range workers {
+							if w > 1 && chunk < 2*parMinShard {
+								continue // a chunk this short never fans out
+							}
+							st := feedBuilder(cfg, seed, NewParallelAccumulator(w), count, pairs, out, chunk)
+							requireSealed(t, c, st, want, fmt.Sprintf("builder %s n=%d count=%v chunk=%d workers=%d", shape, n, count, chunk, w))
 						}
-						requireTable(t, c, b.tv, want, fmt.Sprintf("%s n=%d chunk=%d workers=%d", shape, n, chunk, w))
 					}
 				}
 			}
@@ -188,51 +241,92 @@ func TestGroupedAccumulateMatchesScalar(t *testing.T) {
 }
 
 // TestGroupSizeRule pins the plan: a pure function of (width, perHash,
-// n) with the three limits the kernel's comment states.
+// its, n) with the three limits the kernel's comment states and its
+// preference for a lane kernel's shape.
 func TestGroupSizeRule(t *testing.T) {
-	cases := []struct{ width, perHash, n, want int }{
-		{5, 6, 125000, 2}, // 6×32 CRC, the benchmark's share
-		{5, 6, 8192, 2},
-		{5, 6, 8191, 1}, // the n/8 rule
-		{5, 6, 256, 1},  // a stream chunk
-		{5, 6, 0, 1},
-		{3, 10, 4096, 3},
-		{3, 10, 4095, 2},
-		{3, 10, 511, 1},
-		{1, 32, 8192, 10},
-		{1, 32, 1 << 30, 10}, // the L1 cap
-		{1, 3, 1 << 30, 3},   // the hash boundary
-		{8, 8, 1 << 30, 1},
-		{12, 2, 1 << 30, 1}, // wider than the cap
-		{6, 1, 1 << 30, 1},  // general d: one hash per iteration
+	cases := []struct{ width, perHash, its, n, want int }{
+		{5, 6, 6, 125000, 2}, // 6×32 CRC, the benchmark's share: three lanes
+		{5, 6, 6, 8192, 2},
+		{5, 6, 6, 8191, 1}, // the n/8 rule: six lanes
+		{5, 6, 6, 256, 1},  // a stream chunk
+		{5, 6, 6, 0, 1},
+		{2, 16, 15, 125000, 5}, // 15×4 CRC, the default: three lanes
+		{2, 16, 15, 8192, 5},
+		{2, 16, 15, 8191, 3}, // four 8-bit groups have no lane kernel, five 6-bit ones do
+		{2, 16, 15, 2000, 3}, // a service job's share
+		{2, 16, 15, 511, 2},  // no lane kernel at or below g = 2
+		{2, 16, 15, 127, 1},
+		{1, 32, 30, 1 << 30, 10}, // the L1 cap: three lanes
+		{1, 32, 30, 8191, 6},     // nine 1-bit iterations: five lanes of six
+		{1, 32, 30, 511, 5},      // six lanes of five
+		{3, 10, 3, 4096, 3},
+		{3, 10, 3, 4095, 2},
+		{3, 10, 3, 511, 1},
+		{1, 32, 32, 8192, 10},
+		{1, 3, 3, 1 << 30, 3}, // the hash boundary
+		{8, 8, 8, 1 << 30, 1},
+		{12, 2, 2, 1 << 30, 1}, // wider than the cap
+		{6, 1, 6, 1 << 30, 1},  // general d: one hash per iteration
 	}
 	for _, cs := range cases {
-		if got := groupSize(cs.width, cs.perHash, cs.n); got != cs.want {
-			t.Errorf("groupSize(width %d, perHash %d, n %d) = %d, want %d", cs.width, cs.perHash, cs.n, got, cs.want)
+		if got := groupSize(cs.width, cs.perHash, cs.its, cs.n); got != cs.want {
+			t.Errorf("groupSize(width %d, perHash %d, its %d, n %d) = %d, want %d", cs.width, cs.perHash, cs.its, cs.n, got, cs.want)
 		}
 	}
+}
+
+// fuzzPairs decodes a fuzz input's pairs: nine bytes a pair, a one-byte
+// key (collisions) and a value, tiled tile times with the tiles' keys
+// set apart, less a cut of up to 255 from the end.
+func fuzzPairs(in []byte, tile, cut int) []data.Pair {
+	base := make([]data.Pair, len(in)/9)
+	for i := range base {
+		rec := in[i*9:]
+		base[i] = data.Pair{Key: uint64(rec[0]), Value: binary.LittleEndian.Uint64(rec[1:9])}
+	}
+	pairs := make([]data.Pair, 0, len(base)*tile)
+	for r := 0; r < tile; r++ {
+		for _, p := range base {
+			pairs = append(pairs, data.Pair{Key: p.Key + uint64(r%5)<<40, Value: p.Value})
+		}
+	}
+	return pairs[:len(pairs)-min(cut, len(pairs))]
+}
+
+// fuzzSeedPairs is a fuzz input of header followed by 64 pairs with
+// distinct keys and a set top value byte; tiled 128 times they are
+// 8 192 pairs.
+func fuzzSeedPairs(header ...byte) []byte {
+	in := append(header, make([]byte, 64*9)...)
+	for i := len(header); i < len(in); i += 9 {
+		in[i], in[i+8] = byte(i), byte(i*7) // key, top value byte
+	}
+	return in
+}
+
+// configIndex is the index of the named configuration in cfgs.
+func configIndex(f *testing.F, cfgs []SumConfig, name string) byte {
+	i := slices.IndexFunc(cfgs, func(c SumConfig) bool { return c.Name() == name })
+	if i < 0 {
+		f.Fatalf("kernelConfigs lacks %s", name)
+	}
+	return byte(i)
 }
 
 // FuzzSumAccumulate: bytes → a configuration, a mode, and pairs tiled
 // long enough to reach the grouped plans, less a cut of up to 255 from
 // the end; same assertion as TestGroupedAccumulateMatchesScalar. The
-// seeds include the default 6×32 checker at 8 191 and 8 192 pairs, its
-// six-lane and its three-lane plan.
+// seeds include the 15×4 default and 6×32 at 8 191 and 8 192 pairs,
+// each at its last two plans.
 func FuzzSumAccumulate(f *testing.F) {
 	cfgs := kernelConfigs()
-	def := slices.IndexFunc(cfgs, func(c SumConfig) bool { return c.Name() == "6×32 CRC m9" })
-	if def < 0 {
-		f.Fatal("kernelConfigs lacks the default 6×32 CRC m9")
-	}
 	f.Add([]byte{1, 0, 0})
 	f.Add([]byte{17, 3, 0, 1, 255, 255, 255, 255, 255, 255, 255, 255})
 	f.Add(append([]byte{23, 0x7e, 0}, make([]byte, 90)...))
-	for _, cut := range []byte{1, 0} { // 64 pairs × 128 - cut
-		in := append([]byte{byte(def), 127 << 1, cut}, make([]byte, 64*9)...)
-		for i := 3; i < len(in); i += 9 {
-			in[i], in[i+8] = byte(i), byte(i*7) // key, top value byte
+	for _, name := range []string{"15×4 CRC m10", "6×32 CRC m9"} {
+		for _, cut := range []byte{1, 0} { // 64 pairs × 128 - cut
+			f.Add(fuzzSeedPairs(configIndex(f, cfgs, name), 127<<1, cut))
 		}
-		f.Add(in)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) < 3 {
@@ -240,24 +334,46 @@ func FuzzSumAccumulate(f *testing.F) {
 		}
 		cfg := cfgs[int(in[0])%len(cfgs)]
 		count, tile, cut := in[1]&1 == 1, 1+int(in[1]>>1), int(in[2])
-		in = in[3:]
-		// Nine bytes a pair: a one-byte key (collisions) and a value.
-		base := make([]data.Pair, len(in)/9)
-		for i := range base {
-			rec := in[i*9:]
-			base[i] = data.Pair{Key: uint64(rec[0]), Value: binary.LittleEndian.Uint64(rec[1:9])}
-		}
-		pairs := make([]data.Pair, 0, len(base)*tile)
-		for r := 0; r < tile; r++ {
-			for _, p := range base {
-				pairs = append(pairs, data.Pair{Key: p.Key + uint64(r%5)<<40, Value: p.Value})
-			}
-		}
-		pairs = pairs[:len(pairs)-min(cut, len(pairs))]
+		pairs := fuzzPairs(in[3:], tile, cut)
 		c := NewSumChecker(cfg, uint64(len(in)))
 		got := c.NewTable()
-		c.accumulate(got, pairs, count)
+		c.accumulate(got, pairs, feedOf(count))
 		requireTable(t, c, got, scalarTable(c, pairs, count), fmt.Sprintf("fuzz n=%d count=%v", len(pairs), count))
+	})
+}
+
+// FuzzSumAggBuilderChunks: bytes → a configuration, a mode, a chunk
+// size, a worker count and tiled pairs split into an input and an
+// output side; the builder fed those chunks, interleaved, seals the
+// scalar oracle's input-minus-output table. The seeds include the 15×4
+// default across its replans, in one-pair, stream-sized and whole
+// chunks.
+func FuzzSumAggBuilderChunks(f *testing.F) {
+	cfgs := kernelConfigs()
+	def := configIndex(f, cfgs, "15×4 CRC m10")
+	f.Add([]byte{1, 0, 0, 128})
+	for _, chunk := range []byte{0, 8, 15} { // 1, 256 and 32 768 pairs
+		f.Add(fuzzSeedPairs(def, 127<<1, chunk, 200))
+		f.Add(fuzzSeedPairs(def, 127<<1|1, chunk, 64))
+	}
+	f.Add(fuzzSeedPairs(configIndex(f, cfgs, "6×32 CRC m9"), 127<<1, 8|0x30, 128))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 4 {
+			return
+		}
+		cfg := cfgs[int(in[0])%len(cfgs)]
+		count, tile := in[1]&1 == 1, 1+int(in[1]>>1)
+		// The low nibble picks a power of two, the high one takes a
+		// little off it; the top bit fans the long chunks out.
+		chunk := max(1, 1<<(in[2]&15)-int(in[2]>>4&7))
+		workers := 1 + int(in[2]>>7)
+		pairs := fuzzPairs(in[4:], tile, 0)
+		split := len(pairs) * int(in[3]) / 256
+		in0, out := pairs[:split], pairs[split:]
+		c := NewSumChecker(cfg, uint64(len(in)))
+		st := feedBuilder(cfg, uint64(len(in)), NewParallelAccumulator(workers), count, in0, out, chunk)
+		requireSealed(t, c, st, builderWant(c, in0, out, count),
+			fmt.Sprintf("fuzz in=%d out=%d count=%v chunk=%d workers=%d", len(in0), len(out), count, chunk, workers))
 	})
 }
 
@@ -324,7 +440,7 @@ func TestCellScratchNeverLeaks(t *testing.T) {
 		}
 		b := NewSumAggBuilder("victim", cfg, 5, Serial, false)
 		b.AddInput(victim)
-		requireTable(t, c, b.tv, wantVictim, when+": next builder")
+		requireSealed(t, c, b.Seal(), wantVictim, when+": next builder")
 	}
 
 	for round := 0; round < 3; round++ {
@@ -369,67 +485,101 @@ func binomTailGE(n, k int, p float64) float64 {
 }
 
 // TestSumCheckerEscapeRateWithinDelta is the first slice of ROADMAP's
-// delta gate, run on the kernel's grouped plan: at deliberately weak
-// parameters, over seeded trials of every Table 4 manipulator, the
-// observed escape rate must be statistically consistent with
-// AchievedDelta — the test fails when the one-sided 99.9 % lower
-// confidence bound of the rate exceeds delta, which is the event that
-// a Binomial(trials, delta) reaches the observed escapes with
-// probability below 0.001 (Clopper–Pearson). Every trial also checks
-// the one-sided contract: the clean result's table equals the input's.
+// delta gate (item 7), run on the kernel's grouped plans: at
+// deliberately weak parameters, over seeded trials of every Table 4
+// manipulator, the observed escape rate must be statistically
+// consistent with AchievedDelta — the test fails when the one-sided
+// 99.9 % lower confidence bound of the rate exceeds delta, which is the
+// event that a Binomial(trials, delta) reaches the observed escapes
+// with probability below 0.001 (Clopper–Pearson). Every trial also
+// checks the one-sided contract: the clean result's table equals the
+// input's.
 //
-// Inputs are 8192 pairs, the shortest length at which every one of
-// these configurations takes its widest grouped plan (10 index bits);
-// the clean output side is ~1000 pairs and takes a narrower one.
+// Three fixed configurations run through the per-call kernel: inputs
+// of 8192 pairs take their widest grouped plan, the clean output side
+// of ~1000 pairs a narrower one. The configurations ChooseSum returns
+// at weak delta run through SumAggBuilder in one-pair and stream-sized
+// chunks, output subtracted in the builder's own cells, then Seal; the
+// one-pair route runs fewer trials, since each costs 25 000 kernel
+// runs. ChooseSum's configurations are drawn for tabulation hashing,
+// whose pairwise collisions Lemma 2 assumes. CRC-32C is affine — two
+// keys that differ by a fixed pattern share a bucket for every seed or
+// for none — and its single-iteration 1×8 m7 escapes IncKey faults
+// at about 0.43 against a bound of 0.133.
 func TestSumCheckerEscapeRateWithinDelta(t *testing.T) {
 	const (
 		n        = 8192
 		universe = 1000
 		trials   = 200
 	)
-	cfgs := []SumConfig{
+	type route struct {
+		cfg    SumConfig
+		chunk  int // 0: the per-call kernel over each side whole
+		trials int
+	}
+	var routes []route
+	for _, cfg := range []SumConfig{
 		{Iterations: 2, Buckets: 2, RHatLog: 2, Family: hashing.FamilyCRC}, // 0.56
 		{Iterations: 2, Buckets: 4, RHatLog: 3, Family: hashing.FamilyTab}, // 0.14
 		{Iterations: 4, Buckets: 2, RHatLog: 4, Family: hashing.FamilyTab}, // 0.10
+	} {
+		if c := NewSumChecker(cfg, 0); c.planFor(n) < 2 {
+			t.Fatalf("%s: an input of %d pairs takes g = 1, the test means to run a grouped plan", cfg.Name(), n)
+		}
+		routes = append(routes, route{cfg, 0, trials})
+	}
+	for _, delta := range []float64{0.2, 0.05} {
+		cfg, err := ChooseSum(delta, hashing.FamilyTab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cfg.AchievedDelta(); got > delta {
+			t.Fatalf("ChooseSum(%g) = %s achieves %.3g", delta, cfg.Name(), got)
+		}
+		routes = append(routes, route{cfg, 1, trials / 4}, route{cfg, accBlock, trials})
 	}
 	input := workload.ZipfPairs(n, universe, 1<<32, 0xde17a)
 	output := refSumAgg(input)
 	bad := make([]data.Pair, n)
-	for _, cfg := range cfgs {
-		if c := NewSumChecker(cfg, 0); groupSize(c.width, c.perHash, n) < 2 {
-			t.Fatalf("%s: an input of %d pairs takes g = 1, the test means to run a grouped plan", cfg.Name(), n)
+	for _, rt := range routes {
+		cfg := rt.cfg
+		// accepts runs one side pair through the route and reports
+		// whether the check accepts it.
+		accepts := func(seed uint64, out []data.Pair) bool {
+			if rt.chunk != 0 {
+				return allZero(feedBuilder(cfg, seed, Serial, false, input, out, rt.chunk).(*state).words)
+			}
+			c := NewSumChecker(cfg, seed)
+			tv, to := c.NewTable(), c.NewTable()
+			c.Accumulate(tv, input)
+			c.Accumulate(to, out)
+			c.Normalize(tv)
+			c.Normalize(to)
+			return tablesEq(tv, to)
 		}
 		delta := cfg.AchievedDelta()
 		for mi, m := range manipulate.PairManipulators() {
 			escapes, ran := 0, 0
-			for trial := 0; trial < trials; trial++ {
+			for trial := 0; trial < rt.trials; trial++ {
 				seed := hashing.Mix64(uint64(trial)*0x9e3779b97f4a7c15 ^ uint64(mi)<<32 ^ 0xe5ca9e)
 				copy(bad, input)
 				if !m.Apply(bad, hashing.NewMT19937_64(seed), universe) {
 					continue
 				}
 				ran++
-				c := NewSumChecker(cfg, seed)
-				tv, to, tb := c.NewTable(), c.NewTable(), c.NewTable()
-				c.Accumulate(tv, input)
-				c.Accumulate(to, output)
-				c.Accumulate(tb, bad)
-				c.Normalize(tv)
-				c.Normalize(to)
-				c.Normalize(tb)
-				if !tablesEq(tv, to) {
-					t.Fatalf("%s seed %#x: clean result rejected", cfg.Name(), seed)
+				if !accepts(seed, output) {
+					t.Fatalf("%s chunk %d seed %#x: clean result rejected", cfg.Name(), rt.chunk, seed)
 				}
-				if tablesEq(tv, tb) {
+				if accepts(seed, bad) {
 					escapes++
 				}
 			}
-			if ran < trials*9/10 {
-				t.Fatalf("%s %s: only %d of %d trials injected a fault", cfg.Name(), m.Name, ran, trials)
+			if ran < rt.trials*9/10 {
+				t.Fatalf("%s %s: only %d of %d trials injected a fault", cfg.Name(), m.Name, ran, rt.trials)
 			}
 			if pval := binomTailGE(ran, escapes, delta); pval < 0.001 {
-				t.Errorf("%s %s: %d of %d faults escaped (%.3f), not consistent with delta %.3f (p = %.2g)",
-					cfg.Name(), m.Name, escapes, ran, float64(escapes)/float64(ran), delta, pval)
+				t.Errorf("%s chunk %d %s: %d of %d faults escaped (%.3f), not consistent with delta %.3f (p = %.2g)",
+					cfg.Name(), rt.chunk, m.Name, escapes, ran, float64(escapes)/float64(ran), delta, pval)
 			}
 		}
 	}

@@ -683,10 +683,10 @@ func TestReduceByKeyEdgeShapesOneSided(t *testing.T) {
 	opts := repro.DefaultOptions()
 	opts.Mode = repro.CheckEager
 	// The bottleneck PE's checker bytes under the default options: the
-	// 6×32 m9 table packed (1 920 bits = 30 words) and the flag word up,
-	// plus one verdict word down per tree child — 31 words at p = 2 and
-	// 3, 32 at p = 5, 33 at p = 8.
-	wantMaxBytes := map[int]int64{1: 0, 2: 248, 3: 248, 5: 256, 8: 264}
+	// 15×4 m10 table packed (660 bits = 11 words) and the flag word up,
+	// plus one verdict word down per tree child — 12 words at p = 2 and
+	// 3, 13 at p = 5, 14 at p = 8.
+	wantMaxBytes := map[int]int64{1: 0, 2: 96, 3: 96, 5: 104, 8: 112}
 	for _, transport := range []repro.Transport{repro.TransportMem, repro.TransportTCP} {
 		for _, p := range []int{1, 2, 3, 5, 8} {
 			shapes := slices.DeleteFunc(workload.EdgePairShares(p, uint64(200+p)), func(s workload.PairShares) bool {

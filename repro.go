@@ -163,22 +163,40 @@ func (o Options) WithParallelism(n int) Options {
 }
 
 // DefaultOptions returns a configuration in eager mode whose every
-// checker accepts an incorrect result with probability at most 1.4e-9,
-// at modest cost. The bound is the sum checker's: the paper's "6×32 CRC
-// m9" scaling configuration achieves (1/512 + 1/32)^6 ≈ 1.34e-9
-// (SumConfig.AchievedDelta; 1e-9 itself would take a seventh iteration).
-// The permutation family's two 32-bit tabulation fingerprints achieve
-// 2^-64 ≈ 5.4e-20 (PermConfig.Delta) and the zip checker's two
+// checker accepts an incorrect result with probability at most 1e-9,
+// at the least cost. The bound is the sum checker's: its configuration
+// is core.ChooseSum(1e-9, CRC), the one with the fewest cell updates,
+// hash evaluations and wire words per element that achieves the bound
+// (15×4 CRC m10: (1/1024 + 1/4)^15 ≈ 9.87e-10, SumConfig.AchievedDelta,
+// in 11 words on the wire). The bound is Lemma 2's, which takes the
+// hash family to be random: CRC-32C is affine, so whether two keys that
+// differ by a fixed bit pattern share a bucket does not depend on the
+// seed. The permutation family's two 32-bit tabulation fingerprints
+// achieve 2^-64 ≈ 5.4e-20 (PermConfig.Delta) and the zip checker's two
 // iterations over F_(2^61-1) about 2^-122.
 // TestDefaultOptionsAchieveDocumentedDelta holds the defaults to this
 // figure.
 func DefaultOptions() Options {
 	return Options{
-		Sum:  core.SumConfig{Iterations: 6, Buckets: 32, RHatLog: 9, Family: hashing.FamilyCRC},
+		Sum:  defaultSum,
 		Perm: core.PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2},
 		Zip:  core.ZipConfig{Iterations: 2},
 	}
 }
+
+// defaultDelta is the failure probability DefaultOptions' sum checker
+// is chosen for.
+const defaultDelta = 1e-9
+
+// defaultSum is chosen once, at package initialisation: a service pool
+// calls DefaultOptions for every job.
+var defaultSum = func() core.SumConfig {
+	cfg, err := core.ChooseSum(defaultDelta, hashing.FamilyCRC)
+	if err != nil {
+		panic(err)
+	}
+	return cfg
+}()
 
 // CheckSum verifies an asserted sum aggregation result against its
 // input without re-running the operation — the pure checker interface

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/hashing"
 	"repro/internal/workload"
 )
 
@@ -241,11 +243,19 @@ func checkAgainst(w *Worker, input, output []Pair) error {
 
 // TestDefaultOptionsAchieveDocumentedDelta holds every default checker
 // configuration to the failure probability DefaultOptions' comment
-// states. The comment used to promise "below 1e-9", which 6×32 CRC m9
-// (1.34e-9) does not achieve; whoever changes a default, or the figure,
-// changes both here.
+// states, and the sum checker to the one ChooseSum picks for it. The
+// figure was 1.4e-9 while the default was the literal 6×32 CRC m9
+// (1.34e-9); whoever changes a default, or the figure, changes both
+// here.
 func TestDefaultOptionsAchieveDocumentedDelta(t *testing.T) {
-	const documented = 1.4e-9
+	const documented = 1e-9
+	want, err := core.ChooseSum(documented, hashing.FamilyCRC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := DefaultOptions().Sum; got.Name() != want.Name() {
+		t.Errorf("DefaultOptions().Sum is %s, ChooseSum(%g, CRC) is %s", got.Name(), documented, want.Name())
+	}
 	opts := DefaultOptions()
 	if got := opts.Sum.AchievedDelta(); got > documented {
 		t.Errorf("Sum %s achieves delta %.3g, documented as at most %.3g", opts.Sum.Name(), got, documented)

@@ -35,8 +35,9 @@ func pinOf(st repro.CheckStats) statPin {
 // that still had three runners (runStage, runStagePrep, runStreamStage)
 // — the Zip rows from the commit that made its preparation one scan.
 // The three error exits are pinned the same way. The sum-checked rows
-// carry the 6×32 m9 table packed: 30 words and the flag, 248 bytes up
-// eagerly, and 31 batch words deferred.
+// carry the default 15×4 m10 table packed: 11 words and the flag, 96
+// bytes up eagerly, and 12 batch words deferred (the 6×32 m9 default
+// before it: 248 bytes, 31 words).
 func TestStageRunnerStatsPinned(t *testing.T) {
 	const p = 3
 	pairs := workload.ZipfPairs(1500, 120, 1000, 31)
@@ -86,9 +87,9 @@ func TestStageRunnerStatsPinned(t *testing.T) {
 		want    [p]statPin
 	}{
 		{"ReduceByKey", repro.CheckEager, "", [p]statPin{
-			{pass, 500, 32, 16, 2, 2, 0, 0, 0}, {pass, 500, 40, 248, 1, 2, 0, 0, 0}, {pass, 500, 46, 248, 1, 2, 0, 0, 0}}},
+			{pass, 500, 32, 16, 2, 2, 0, 0, 0}, {pass, 500, 40, 96, 1, 2, 0, 0, 0}, {pass, 500, 46, 96, 1, 2, 0, 0, 0}}},
 		{"ReduceByKey", repro.CheckDeferred, "", [p]statPin{
-			{pass, 500, 32, 0, 0, 0, 31, 0, 0}, {pass, 500, 40, 0, 0, 0, 31, 0, 0}, {pass, 500, 46, 0, 0, 0, 31, 0, 0}}},
+			{pass, 500, 32, 0, 0, 0, 12, 0, 0}, {pass, 500, 40, 0, 0, 0, 12, 0, 0}, {pass, 500, 46, 0, 0, 0, 12, 0, 0}}},
 		{"ReduceByKey", repro.CheckOff, "", [p]statPin{
 			{skip, 500, 32, 0, 0, 0, 0, 0, 0}, {skip, 500, 40, 0, 0, 0, 0, 0, 0}, {skip, 500, 46, 0, 0, 0, 0, 0, 0}}},
 		// Eager zip: the preparation's one round (the scan, a sweep up and
@@ -101,9 +102,9 @@ func TestStageRunnerStatsPinned(t *testing.T) {
 		{"Zip", repro.CheckOff, "", [p]statPin{
 			{skip, 400, 300, 0, 0, 0, 0, 0, 0}, {skip, 450, 300, 0, 0, 0, 0, 0, 0}, {skip, 950, 300, 0, 0, 0, 0, 0, 0}}},
 		{"StreamSum", repro.CheckEager, "", [p]statPin{
-			{pass, 500, 39, 16, 2, 2, 0, 9, 64}, {pass, 500, 40, 248, 1, 2, 0, 9, 64}, {pass, 500, 39, 248, 1, 2, 0, 9, 64}}},
+			{pass, 500, 39, 16, 2, 2, 0, 9, 64}, {pass, 500, 40, 96, 1, 2, 0, 9, 64}, {pass, 500, 39, 96, 1, 2, 0, 9, 64}}},
 		{"StreamSum", repro.CheckDeferred, "", [p]statPin{
-			{pass, 500, 39, 0, 0, 0, 31, 9, 64}, {pass, 500, 40, 0, 0, 0, 31, 9, 64}, {pass, 500, 39, 0, 0, 0, 31, 9, 64}}},
+			{pass, 500, 39, 0, 0, 0, 12, 9, 64}, {pass, 500, 40, 0, 0, 0, 12, 9, 64}, {pass, 500, 39, 0, 0, 0, 12, 9, 64}}},
 		// Under CheckOff a streamed stage consumes nothing.
 		{"StreamSum", repro.CheckOff, "", [p]statPin{{Verdict: skip}, {Verdict: skip}, {Verdict: skip}}},
 		{"ReduceByKey/badSum", repro.CheckEager, "repro: Options.Sum: ", [p]statPin{
