@@ -93,14 +93,18 @@ func BenchmarkTable5SumCheckerLocal(b *testing.B) {
 // element-major scalar reference (the seed implementation), the
 // per-call accumulate kernel, the ParallelAccumulator at 2 and 4
 // workers, and SumAggBuilder. All variants compute identical residues;
-// only wall time differs. The zipf-125k rows are the benchmark of
-// record's reduce_zipf share (125k pairs, Zipf keys over 1e6, values
-// below 2^30): heavy keys hit one cell over and over, which the
-// uniform rows cannot show. The 2k rows are a service job's share
-// (2 000 pairs), in one call and in the 256-pair chunks a stream stage
+// only wall time differs. The uniform rows have values below 2^62, so
+// their blocks take the kernel's 128-bit cells. The zipf-125k rows are
+// the benchmark of record's reduce_zipf share (125k pairs, Zipf keys
+// over 1e6, values below 2^30): heavy keys hit one cell over and over,
+// which the uniform rows cannot show. The 2k rows are 2 000 of the
+// uniform pairs, in one call and in the 256-pair chunks a stream stage
 // feeds. The builder rows are what a checked stage pays: a builder,
-// the share added, its reduction subtracted, Seal — per element of
-// both sides.
+// the share added, an output subtracted, Seal — per element of both
+// sides. The 2k and zipf-125k builders subtract their own input's
+// reduction, so their cells cancel and the fold reads zeros; the svc
+// rows are a service_mixed claim's share (svcShare), whose output is
+// reduced elsewhere and whose fold is dense.
 func BenchmarkSumAccumulateEngine(b *testing.B) {
 	const elements = 200000
 	pairs := workload.UniformPairs(elements, 1<<62, 1<<62, 1)
@@ -111,6 +115,9 @@ func BenchmarkSumAccumulateEngine(b *testing.B) {
 		b.SetBytes(int64(16 * n))
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
 	}
+	reduced := func(in []data.Pair) []data.Pair { return data.MapToPairs(data.PairsToMapSum(in)) }
+	svcIn, svcOut := svcShare(false)
+	cntIn, cntOut := svcShare(true)
 	for _, cfg := range []core.SumConfig{repro.DefaultOptions().Sum, paper} {
 		c := core.NewSumChecker(cfg, 7)
 		table := c.NewTable()
@@ -124,11 +131,10 @@ func BenchmarkSumAccumulateEngine(b *testing.B) {
 				perElem(b, len(in))
 			})
 		}
-		builder := func(name string, in []data.Pair, chunk int) {
-			out := data.MapToPairs(data.PairsToMapSum(in))
+		builder := func(name string, in, out []data.Pair, chunk int, count bool) {
 			b.Run(cfg.Name()+"/builder/"+name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					sb := core.NewSumAggBuilder("bench", cfg, 7, core.Serial, false)
+					sb := core.NewSumAggBuilder("bench", cfg, 7, core.Serial, count)
 					for lo := 0; lo < len(in); lo += chunk {
 						sb.AddInput(in[lo:min(lo+chunk, len(in))])
 					}
@@ -159,10 +165,33 @@ func BenchmarkSumAccumulateEngine(b *testing.B) {
 				perElem(b, elements)
 			})
 		}
-		builder("2k", job, len(job))
-		builder("2k-chunk256", job, jobChunk)
-		builder("zipf-125k", zipf, len(zipf))
+		builder("2k", job, reduced(job), len(job), false)
+		builder("2k-chunk256", job, reduced(job), jobChunk, false)
+		builder("zipf-125k", zipf, reduced(zipf), len(zipf), false)
+		builder("svc-2k", svcIn, svcOut, len(svcIn), false)
+		builder("svc-2k-count-chunk256", cntIn, cntOut, jobChunk, true)
 	}
+}
+
+// svcShare is rank 0's share of a service_mixed sum claim, or with
+// count of a count claim, at p = 4: 2 000 pairs over keys below 2 000
+// with values below 2^30, and the first quarter of the reduction of
+// all four ranks' pairs, by key. Input and output do not cancel in
+// the cells, so the fold that ends the state is dense.
+func svcShare(count bool) (in, out []data.Pair) {
+	const p = 4
+	all := workload.UniformPairs(p*serviceJob, serviceJob, 1<<30, 5)
+	red := make(map[uint64]uint64)
+	for _, pr := range all {
+		if count {
+			red[pr.Key]++
+		} else {
+			red[pr.Key] += pr.Value
+		}
+	}
+	res := data.MapToPairs(red)
+	lo, hi := data.SplitEven(len(res), p, 0)
+	return all[:serviceJob], res[lo:hi]
 }
 
 // sinkState keeps the builder rows' sealed states live.
@@ -173,53 +202,57 @@ var sinkState core.CheckState
 const serviceJob, jobChunk = 2000, 256
 
 // BenchmarkPermAccumulateEngine is BenchmarkSumAccumulateEngine for the
-// permutation fingerprint loop, on the default 2×Tab 32 checker.
+// permutation fingerprint loop, on the default DefaultOptions().Perm
+// (one Tab64 function) and on two paired 32-bit Tab functions, the
+// default before it: same δ, same wire bits.
 func BenchmarkPermAccumulateEngine(b *testing.B) {
 	const elements = 200000
 	xs := workload.UniformU64s(elements, 1e8, 2)
-	cfg := core.PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}
-	c := core.NewPermChecker(cfg, 3)
-	sums := make([]uint64, cfg.Iterations)
+	job := xs[:serviceJob]
 	perElem := func(b *testing.B, n int) {
 		b.SetBytes(int64(8 * n))
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
 	}
-	b.Run("scalar", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c.AccumulateIntoScalar(sums, xs, false)
-		}
-		perElem(b, elements)
-	})
-	b.Run("batch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c.AccumulateInto(sums, xs, false)
-		}
-		perElem(b, elements)
-	})
-	job := xs[:serviceJob]
-	b.Run("batch/2k", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c.AccumulateInto(sums, job, false)
-		}
-		perElem(b, len(job))
-	})
-	b.Run("batch/2k-chunk256", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for lo := 0; lo < len(job); lo += jobChunk {
-				c.AccumulateInto(sums, job[lo:min(lo+jobChunk, len(job))], false)
-			}
-		}
-		perElem(b, len(job))
-	})
-	for _, w := range []int{2, 4} {
-		w := w
-		b.Run(fmt.Sprintf("parallel-%d", w), func(b *testing.B) {
-			par := core.NewParallelAccumulator(w)
+	paired := core.PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}
+	for _, cfg := range []core.PermConfig{repro.DefaultOptions().Perm, paired} {
+		c := core.NewPermChecker(cfg, 3)
+		sums := make([]uint64, cfg.Iterations)
+		name := fmt.Sprintf("%s×%d/", cfg.Name(), cfg.Iterations)
+		b.Run(name+"scalar", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				par.AccumulatePerm(c, sums, xs, false)
+				c.AccumulateIntoScalar(sums, xs, false)
 			}
 			perElem(b, elements)
 		})
+		b.Run(name+"batch", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.AccumulateInto(sums, xs, false)
+			}
+			perElem(b, elements)
+		})
+		b.Run(name+"batch/2k", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.AccumulateInto(sums, job, false)
+			}
+			perElem(b, len(job))
+		})
+		b.Run(name+"batch/2k-chunk256", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for lo := 0; lo < len(job); lo += jobChunk {
+					c.AccumulateInto(sums, job[lo:min(lo+jobChunk, len(job))], false)
+				}
+			}
+			perElem(b, len(job))
+		})
+		for _, w := range []int{2, 4} {
+			b.Run(fmt.Sprintf("%sparallel-%d", name, w), func(b *testing.B) {
+				par := core.NewParallelAccumulator(w)
+				for i := 0; i < b.N; i++ {
+					par.AccumulatePerm(c, sums, xs, false)
+				}
+				perElem(b, elements)
+			})
+		}
 	}
 }
 

@@ -270,6 +270,42 @@ func BenchmarkAblationGroupWidth(b *testing.B) {
 	}
 }
 
+// BenchmarkAblationDenseFold times the fold that ends a run on dense
+// cells — every cell non-zero, as a share leaves them whose output is
+// reduced on other PEs — at the plans a service-sized and a bulk state
+// take: the default 15×4 CRC m10 at g = 3 (five groups of 64 cells)
+// and g = 5 (three of 1024), and 6×32 CRC m9 at g = 1 and g = 2. Each
+// iteration copies the cells back first, since a fold zeroes them.
+func BenchmarkAblationDenseFold(b *testing.B) {
+	crc := hashing.FamilyCRC
+	for _, row := range []struct {
+		cfg SumConfig
+		g   int
+	}{
+		{SumConfig{Iterations: 15, Buckets: 4, RHatLog: 10, Family: crc}, 3},
+		{SumConfig{Iterations: 15, Buckets: 4, RHatLog: 10, Family: crc}, 5},
+		{SumConfig{Iterations: 6, Buckets: 32, RHatLog: 9, Family: crc}, 1},
+		{SumConfig{Iterations: 6, Buckets: 32, RHatLog: 9, Family: crc}, 2},
+	} {
+		c := NewSumChecker(row.cfg, 7)
+		s := new(accScratch)
+		c.plan(s, row.g)
+		dense := make([]int64, s.cellCount())
+		rng := hashing.NewMT19937_64(9)
+		for i := range dense {
+			dense[i] = int64(rng.Uint64n(1<<40)) - 1<<39 | 1
+		}
+		b.Run(fmt.Sprintf("%s/g-%d/cells-%d", row.cfg.Name(), row.g, len(dense)), func(b *testing.B) {
+			table := c.NewTable()
+			for i := 0; i < b.N; i++ {
+				copy(s.cells, dense)
+				c.fold(table, s)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e3, "us/fold")
+		})
+	}
+}
+
 var sinkBench uint64
 
 // TestGeneralPathMatchesBitParallelSemantics guards the ablation knob:

@@ -53,12 +53,12 @@ func recycleHashers(hs []hashing.Hasher) {
 // exact cells that input chunks add to and output chunks subtract from,
 // held from the first chunk to Seal, and one counter table they fold
 // into. Chunk order is immaterial on both sides. The plan is the
-// state's, not a chunk's: it is picked from the running element count
-// (groupSize), and a fold happens only when a grown count widens the
-// groups and once at Seal — a stream of 256-pair chunks runs the same
-// grouped plan as one call of the whole input. The builder holds its
-// checker and the state it seals: a builder is two allocations and its
-// table.
+// state's, not a chunk's: it is picked from the running element count,
+// but never for fewer than minPlanElems (groupSize), and a fold happens
+// only when a grown count widens the groups and once at Seal — a
+// stream of 256-pair chunks runs the same grouped plan as one call of
+// the whole input. The builder holds its checker and the state it
+// seals: a builder is two allocations and its table.
 type SumAggBuilder struct {
 	stage string
 	c     *SumChecker // &chk until the builder is consumed
@@ -70,6 +70,14 @@ type SumAggBuilder struct {
 	chk   SumChecker
 	st    state
 }
+
+// minPlanElems is the fewest elements a builder plans for: two
+// blocks. A service-sized share — 2 000 pairs fed in 256-pair chunks —
+// then runs its lane plan from the first chunk and folds once, at Seal,
+// instead of starting on narrow groups and folding them when its count
+// grows; a builder of the default 15×4 or of 6×32 re-plans at most
+// once, into the bulk plan.
+const minPlanElems = 2 * accBlock
 
 // NewSumAggBuilder starts an empty sum (or, with count, count)
 // aggregation partial for the given stage. A chunk long enough to fan
@@ -112,14 +120,14 @@ func (b *SumAggBuilder) add(pairs []data.Pair, f feed) {
 		b.s = scratchPool.Get().(*accScratch)
 	}
 	b.n += len(pairs)
-	if g := b.c.planFor(b.n); g != b.g {
+	if g := b.c.planFor(max(b.n, minPlanElems)); g != b.g {
 		if b.g != 0 {
 			b.c.fold(b.table, b.s)
 		}
 		b.c.plan(b.s, g)
 		b.g = g
 	}
-	b.c.addCells(b.s, pairs, f)
+	b.c.addCells(b.table, b.s, pairs, f)
 }
 
 // Seal freezes the partial into one table: the cells folded once more

@@ -98,46 +98,73 @@
 //
 // Both checker kernels read each key's hash lookups once, the Section
 // 7.1 idea of one wide hash value feeding several iterations. The
-// permutation checker evaluates Tab iterations two at a time: the
-// family's Pair stores two tabulation functions in one table of 64-bit
-// entries, low half and high half, so eight lookups give both 32-bit
-// values, and an odd last iteration keeps a table of its own. The halves
-// are the functions the iterations' own sub-seeds name, filled exactly
-// as a lone table would be, so fingerprints, sealed words and delta are
-// those of separate tables; AccumulateIntoScalar rebuilds each
-// iteration's function alone and is the oracle the kernel is held to.
+// default permutation checker is one Tab64 function whose 64 bits are
+// summed whole: δ = 2^-64 at one table walk and one add per element.
+// A configuration of several Tab iterations evaluates them two at a
+// time: the family's Pair stores two tabulation functions in one table
+// of 64-bit entries, low half and high half, so eight lookups give both
+// 32-bit values, and an odd last iteration keeps a table of its own.
+// The halves are the functions the iterations' own sub-seeds name,
+// filled exactly as a lone table would be, so fingerprints, sealed
+// words and delta are those of separate tables; AccumulateIntoScalar
+// rebuilds each iteration's function alone and is the oracle the
+// kernel is held to.
 //
 // The sum checker's part of it is one kernel (SumChecker.addCells)
-// built on exact cells and grouped tables. A cell is a signed 128-bit
-// integer {lo, hi} in two's complement, updated by one add and one
-// add-with-carry: no modulus in the loop at all. An input element adds
-// its value and an output element subtracts it, so a builder keeps one
-// set of cells for both sides, and the cells of a correct result end
-// at zero. g consecutive iterations that take their bucket bits from
-// the same hash value share one table of 2^(g*width) cells, indexed by
-// their g indices side by side, so an element costs ceil(its/g) updates
-// rather than its — three for the default 15×4, not fifteen. A fold
-// reads each cell once, adds every non-zero cell's value mod r into the
-// counter of each of its g iterations (the cell's index names the
-// bucket in each) and zeroes it. g is derived, never configured
-// (groupSize): as large as keeps a table within 2^10 cells (L1), inside
-// one hash value, and at most an eighth of the run long, so the fold
-// stays a small share of it; below that, the largest g whose groups
-// have a lane kernel's shape; otherwise 1, where the cell tables have
-// the its×d shape of the table itself. Each block is read once per
-// hash value: where the groups drawn from one value have one of three
-// shapes — six 5-bit groups (6×32 at g = 1), five 6-bit ones (15×4 at
-// g = 3) or three 10-bit ones (the bulk plan of 6×32, 15×4 and 30×2) —
-// a hand-unrolled lane kernel updates all of them in one pass with
-// constant shifts and masks; any other plan takes one pass per group.
+// built on exact cells and grouped tables. A cell is a signed int64,
+// updated by one add: no modulus in the loop at all. An input element
+// adds its value and an output element subtracts it, so a builder
+// keeps one set of cells for both sides, and the cells of a correct
+// result end at zero. g consecutive iterations that take their bucket
+// bits from the same hash value share one table of 2^(g*width) cells,
+// indexed by their g indices side by side, so an element costs
+// ceil(its/g) updates rather than its — three for the default 15×4, not
+// fifteen. g is derived, never configured (groupSize): as large as
+// keeps a table within 2^10 cells (L1; the bulk plan's three tables
+// are 24 KiB), inside one hash value, and at most an eighth of the run
+// long, so the fold stays a small share of it; below that, the largest
+// g whose groups have a lane kernel's shape; otherwise 1, where the
+// cell tables have the its×d shape of the table itself. Each block is
+// read once per hash value: where the groups drawn from one value have
+// one of three shapes — six 5-bit groups (6×32 at g = 1), five 6-bit
+// ones (15×4 at g = 3) or three 10-bit ones (the bulk plan of 6×32,
+// 15×4 and 30×2) — a hand-unrolled lane kernel updates all of them in
+// one pass with constant shifts and masks; any other plan takes one
+// pass per group. That is the one family of lane kernels, on int64
+// cells.
 //
-// A run of the kernel folds once. SumAggBuilder holds its cells from
-// the first chunk to Seal and plans on its running element count, so
-// it folds when a grown count widens its groups and once at Seal: a
-// stream of 256-pair chunks, or one pair at a time, runs the plan of
-// the whole state. Accumulate and AccumulateCount, the form for a
-// caller with no builder (the average checker, the ParallelAccumulator's
-// shards, the benchmarks), fold when the call ends.
+// An int64 cell is exact because of two bounds. A block goes into the
+// int64 cells only if every value in it, as the run reads it, is below
+// 2^40 (count mode reads every value as 1); the gather that copies the
+// block's keys for the hash also writes the values, signed, for the
+// lane kernels and ORs them, so the test costs no pass of its own. And a run folds its int64 cells before they have taken
+// 2^23 elements (foldTerms), so a cell, or any sum of a group's cells,
+// stays below 2^23 · 2^40 = 2^63 in magnitude. A block with a wider
+// value goes into a second, 128-bit cell array (lo + hi·2^64, an add
+// and an add-with-carry, one pass per group), which a scratch grows
+// only when such a block appears. Both arrays fold into the same
+// counters: the checker is linear.
+//
+// A fold reads the cells the way the lanes fill them. A group of one
+// iteration folds its cells as they are. A group of several folds one
+// iteration per pass: the pass reads the cells in runs of d, adds each
+// run into that iteration's d marginals (the cells of a run differ in
+// their low index bits, the iteration's bucket) and writes the run's
+// sum back in place, so that the next iteration's bucket is in the low
+// bits of d times fewer cells. No pass shifts an index or checks a
+// bound per cell, and only the d marginals of an iteration are reduced
+// mod r (BenchmarkAblationDenseFold times it on dense cells).
+//
+// A run of the kernel folds once, unless it passes 2^23 elements.
+// SumAggBuilder holds its cells from the first chunk to Seal and plans
+// on its running element count, but never on fewer than two blocks
+// (512 elements): a 2 000-pair share fed in 256-pair chunks runs the
+// lane plan it ends in from its first chunk and folds once, at Seal,
+// and a builder re-plans — folding first — only when a grown count
+// widens its groups, for the default and 6×32 once, into the bulk
+// plan. Accumulate and AccumulateCount, the form for a caller with no
+// builder (the average checker, the ParallelAccumulator's shards, the
+// benchmarks), plan on the call's length and fold when the call ends.
 //
 // The default configuration comes from ChooseSum, which minimises
 // cell updates per element at the bulk plan, then hash evaluations,
@@ -148,8 +175,9 @@
 // None of this can change a verdict. The checker is linear: a counter
 // holds, mod r, the sum over the integers of the values whose key falls
 // in its bucket, and an exact sum does not depend on how it was
-// bracketed — per cell first, per shard, per chunk. The table after
-// Normalize is therefore bit-identical for every g, chunking and worker
-// count, and equal to the element-by-element reference
-// (AccumulateScalar), which stays in the package as the test oracle.
+// bracketed — per cell first, per cell array, per shard, per chunk. The
+// table after Normalize is therefore bit-identical for every g,
+// chunking, value width and worker count, and equal to the
+// element-by-element reference (AccumulateScalar), which stays in the
+// package as the test oracle.
 package core

@@ -58,7 +58,7 @@ func TestSmallChunkAccumulationAllocs(t *testing.T) {
 // record's reduce_zipf share (125k Zipf pairs in, their reduction out,
 // 6×32 CRC m9, serial): the builder with its checker and state, the
 // checker's per-iteration arrays, its one table — and no cell scratch,
-// which at 48 KiB would be most of the total if a state allocated its
+// which at 24 KiB would be most of the total if a state allocated its
 // own. The byte ceiling is what this test measured before the kernel
 // had cells: 3 560 bytes, in 11 objects. A builder that held its
 // checker and state made them 4 objects and 3 572 bytes, and one that
@@ -89,7 +89,7 @@ func TestWarmSumAggStateAllocs(t *testing.T) {
 		t.Errorf("warm state allocates %d objects, want at most 4", objects)
 	}
 	// A stray runtime allocation during the loop is a few bytes a
-	// run; one cell scratch is 49 152.
+	// run; one cell scratch is 24 576.
 	if bytes > 3600 {
 		t.Errorf("warm state allocates %d bytes, parent allocated 3560", bytes)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/hashing"
 )
@@ -25,13 +26,11 @@ func (c PermConfig) Name() string {
 	return fmt.Sprintf("%s %d", c.Family.Name, c.LogH)
 }
 
-// Delta is the per-checker failure bound H^-Iterations.
+// Delta is the per-checker failure bound H^-Iterations =
+// 2^-(LogH·Iterations), computed as a power of two: H = 2^64 does not
+// fit a uint64.
 func (c PermConfig) Delta() float64 {
-	d := 1.0
-	for i := 0; i < c.Iterations; i++ {
-		d /= float64(uint64(1) << c.LogH)
-	}
-	return d
+	return math.Ldexp(1, -c.LogH*c.Iterations)
 }
 
 // Validate reports configuration errors.
@@ -57,12 +56,14 @@ func (c PermConfig) Validate() error {
 // AccumulateInto calls on one instance are safe as long as they target
 // disjoint sums vectors (the ParallelAccumulator contract).
 //
-// A family with a Pair constructor (Tab) has its iterations evaluated
-// two at a time: iterations 2k and 2k+1 share one table of 64-bit
-// entries whose halves are their two functions, so a key's eight
-// lookups serve both. With an odd count the last iteration keeps a
-// function of its own. Either way iteration i is the function of the
-// i-th sub-seed, so the sums do not depend on the pairing.
+// The default configuration is one Tab64 function, all 64 bits summed:
+// δ = 2^-64 at one lookup walk and one sum per element. A family with a
+// Pair constructor (Tab) has its iterations evaluated two at a time:
+// iterations 2k and 2k+1 share one table of 64-bit entries whose
+// halves are their two functions, so a key's eight lookups serve both.
+// With an odd count the last iteration keeps a function of its own.
+// Either way iteration i is the function of the i-th sub-seed, so the
+// sums do not depend on the pairing.
 type PermChecker struct {
 	cfg  PermConfig
 	seed uint64 // rebuilds the per-iteration functions for AccumulateIntoScalar

@@ -202,10 +202,23 @@ func TestPermCheckerIterationsBoost(t *testing.T) {
 }
 
 func TestPermConfigDeltaAndValidate(t *testing.T) {
-	cfg := PermConfig{Family: hashing.FamilyTab, LogH: 4, Iterations: 2}
-	if d := cfg.Delta(); d != 1.0/256 {
-		t.Errorf("Delta = %g, want 1/256", d)
+	for _, tc := range []struct {
+		cfg  PermConfig
+		want float64
+	}{
+		{PermConfig{Family: hashing.FamilyTab, LogH: 4, Iterations: 2}, 0x1p-8},
+		{PermConfig{Family: hashing.FamilyTab64, LogH: 64, Iterations: 1}, 0x1p-64}, // H = 2^64 does not fit a uint64
+		{PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}, 0x1p-64},
+		{PermConfig{Family: hashing.FamilyCRC, LogH: 4, Iterations: 3}, 0x1p-12},
+	} {
+		if err := tc.cfg.Validate(); err != nil {
+			t.Errorf("%s ×%d: %v", tc.cfg.Name(), tc.cfg.Iterations, err)
+		}
+		if d := tc.cfg.Delta(); d != tc.want {
+			t.Errorf("%s ×%d: Delta = %g, want %g", tc.cfg.Name(), tc.cfg.Iterations, d, tc.want)
+		}
 	}
+	cfg := PermConfig{Family: hashing.FamilyTab, LogH: 4, Iterations: 2}
 	bad := []PermConfig{
 		{Family: hashing.FamilyTab, LogH: 0, Iterations: 1},
 		{Family: hashing.FamilyTab, LogH: 33, Iterations: 1}, // Tab is 32-bit

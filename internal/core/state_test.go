@@ -142,8 +142,12 @@ func pinCases() []pinCase {
 			}
 			return NewPermState("Perm", permCfg, seed, Serial, [][]uint64{shardU64(xs, p, rank)}, shardU64(out, p, rank))
 		}},
-		// The default 2×Tab 32 — one paired table — and 3×Tab 20, a pair
-		// and a single function: 64 and 60 bits, one word each.
+		// The default Tab64 64 ×1 — one 64-bit function — 2×Tab 32, one
+		// paired table and the default before it, and 3×Tab 20, a pair
+		// and a single function: 64, 64 and 60 bits, one word each.
+		{"PermTab64", [2]string{"words=1 ok=true fnv=a8c7f832281a39c5", "words=1 ok=true fnv=204c0cfd15daec3b"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
+			return pairedPermState(PermConfig{Family: hashing.FamilyTab64, LogH: 64, Iterations: 1}, seed, xs, ys, p, rank, corrupt)
+		}},
 		{"Perm2Tab", [2]string{"words=1 ok=true fnv=a8c7f832281a39c5", "words=1 ok=true fnv=8a70e8df9738cc8d"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
 			return pairedPermState(PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}, seed, xs, ys, p, rank, corrupt)
 		}},

@@ -17,18 +17,20 @@ import (
 // iterations share one wide hash evaluation that is partitioned
 // bit-parallel into bucket indices (for power-of-two d), and the modulo
 // is deferred — past overflow, to the end of a run of the kernel: the
-// kernel sums values exactly, into signed 128-bit cells, and lets g
-// consecutive iterations that draw their bucket bits from the same hash
-// value share one cell table indexed by the g concatenated indices, so
-// an element costs ceil(its/g) updates (15×4: three tables of 1024
-// cells, three updates). One fold per run then adds each non-zero
-// cell's value mod r into the counter of each of its g iterations — per
-// call for Accumulate, per state for SumAggBuilder. The checker is
-// linear — a counter is the sum of the values in its bucket, however
-// those were summed on the way — so the table after Normalize is
-// bit-identical for every g and chunking, to AccumulateScalar's and to
-// every earlier version's: verdicts, table size and delta do not
-// depend on the kernel's plan. See addCells and groupSize.
+// kernel sums values exactly, into signed int64 cells (128-bit ones for
+// a block with a value of 2^40 or more), and lets g consecutive
+// iterations that draw their bucket bits from the same hash value share
+// one cell table indexed by the g concatenated indices, so an element
+// costs ceil(its/g) updates (15×4: three tables of 1024 cells, three
+// updates). One fold per run then adds each cell's value mod r into the
+// counter of each of its g iterations — per call for Accumulate, per
+// state for SumAggBuilder — or one per 2^23 elements, before an int64
+// cell could overflow. The checker is linear — a counter is the sum of
+// the values in its bucket, however those were summed on the way — so
+// the table after Normalize is bit-identical for every g, chunking and
+// value width, to AccumulateScalar's and to every earlier version's:
+// verdicts, table size and delta do not depend on the kernel's plan.
+// See addCells and groupSize.
 //
 // Every PE builds its own SumChecker from the shared seed, which yields
 // identical hash functions and moduli everywhere. After construction
@@ -63,8 +65,10 @@ type SumChecker struct {
 // inlineHashers is how many hash functions a checker holds without an
 // allocation of their own (SumChecker.hs, PermChecker.hs): one CRC hash
 // value feeds all fifteen iterations of the default 15×4 sum checker,
-// and the default permutation checker has two iterations. A larger array
-// would cost every builder more bytes than the allocation it saves.
+// the default permutation checker has one Tab64 function, and a
+// permutation checker of Tab iterations one paired table per two. A
+// larger array would cost every builder more bytes than the allocation
+// it saves.
 const inlineHashers = 2
 
 // NewSumChecker derives a checker instance from cfg and a shared seed.
@@ -180,16 +184,29 @@ func (c *SumChecker) bucketOf(key uint64, it int) int {
 
 // accBlock is the number of elements gathered per batch-hash block:
 // large enough to amortise the batch call and keep one group's cell
-// table hot across the block, small enough that the two per-block
-// scratch arrays (keys, hashes — 4 KiB total) fit L1 alongside the
-// cells.
+// table hot across the block, small enough that the per-block scratch
+// arrays (keys, hashes, signed values — 6 KiB total) fit L1 alongside
+// the cells.
 const accBlock = 256
 
-// cell is one exact counter of the accumulate kernel: the signed
+// narrowBits splits the blocks of a run: a block whose every value, as
+// its feed reads it, is below 2^narrowBits updates the kernel's int64
+// cells, and a block with a wider value the 128-bit ones.
+const narrowBits = 40
+
+// foldTerms is how many elements a run adds into its int64 cells
+// before it folds them: 2^23 terms below 2^40 in magnitude sum to less
+// than 2^63, so neither a cell nor a sum of a group's cells (the fold's
+// marginals) can overflow. A variable only so that tests can lower it
+// and run the fold that comes before the bound.
+var foldTerms = 1 << 23
+
+// cell is one wide counter of the accumulate kernel: the signed
 // integer lo + hi·2^64 in 128-bit two's complement, where hi counts the
 // carries out of lo (and, negatively, its borrows). An update is two
-// adds — no modulus, no 2^64 mod r — and a cell cannot overflow (hi
-// moves by at most one per element).
+// adds, and a cell cannot overflow (hi moves by at most one per
+// element). The kernel's own cells are int64; these take the blocks
+// whose values are too wide for them.
 type cell struct{ lo, hi uint64 }
 
 // feed is how one kernel run reads its elements: value&vmask|one is an
@@ -205,11 +222,18 @@ var (
 	outFeed   = feed{vmask: ^uint64(0), neg: ^uint64(0)}
 )
 
+// value returns an element's value as the feed reads it, unsigned.
+func (f feed) value(v uint64) uint64 { return v&f.vmask | f.one }
+
+// term64 returns an element's signed value for the int64 cells; the
+// value must be narrow.
+func (f feed) term64(v uint64) int64 { return int64(f.value(v) ^ f.neg - f.neg) }
+
 // term returns an element's signed value as a 128-bit two's complement
 // addend: x is its low word and adj its high word, ^0 for a subtracted
 // non-zero value and 0 otherwise.
 func (f feed) term(v uint64) (x, adj uint64) {
-	x, b := bits.Sub64((v&f.vmask|f.one)^f.neg, f.neg, 0)
+	x, b := bits.Sub64(f.value(v)^f.neg, f.neg, 0)
 	return x, -b
 }
 
@@ -217,23 +241,34 @@ func (f feed) term(v uint64) (x, adj uint64) {
 // block buffers, its cell tables and its plan. The buffers are handed
 // to Hash64Batch through the Hasher interface, which makes them escape
 // — declared as locals they would be fresh heap allocations on every
-// call — and the bulk plan's cells are 48 KiB. A sync.Pool caps that at
-// one live scratch per concurrently accumulating call or builder, so
-// the steady state allocates none (guarded by parallel_alloc_test.go).
-// A per-call accumulate holds a scratch for the call; a SumAggBuilder
-// holds one from its first chunk to Seal.
+// call — and the bulk plan's int64 cells are 24 KiB. A sync.Pool caps
+// that at one live scratch per concurrently accumulating call or
+// builder, so the steady state allocates none (guarded by
+// parallel_alloc_test.go). A per-call accumulate holds a scratch for
+// the call; a SumAggBuilder holds one from its first chunk to Seal.
 //
-// Every cell of a pooled scratch is zero, over the slice's whole
-// capacity: the fold that ends a run zeroes what the run dirtied, and a
-// run that does not reach its fold (a panicking hasher) does not return
-// its scratch.
+// Every cell of a pooled scratch is zero, in both arrays, over each
+// slice's whole capacity: the fold that ends a run zeroes what the run
+// dirtied, and a run that does not reach its fold (a panicking hasher)
+// does not return its scratch.
 type accScratch struct {
 	keys, hs [accBlock]uint64
-	cells    []cell
-	plan     []group // the run's plan, see appendPlan
+	// terms holds a block's signed values for the int64 cells, as its
+	// feed reads them: the lane kernels then read one word an element
+	// and keep no feed in their registers.
+	terms [accBlock]int64
+	cells []int64 // the plan's cells
+	// wide mirrors cells in 128 bits for the blocks with a value of
+	// 2^narrowBits or more. It grows on the first such block, so a run
+	// that has none, every run of a count checker among them, never
+	// pays for it.
+	wide   []cell
+	plan   []group // the run's plan, see appendPlan
+	unfold int     // elements added into cells since they were folded
+	// wideUsed says that a block of this run went into wide.
+	wideUsed bool
 	// planBuf backs plan up to the fifteen groups of the default 15×4
-	// checker's g = 1 plan (a state of under 128 elements), so a fresh
-	// scratch's plan allocates nothing.
+	// checker's g = 1 plan, so a fresh scratch's plan allocates nothing.
 	planBuf [15]group
 }
 
@@ -243,7 +278,7 @@ var scratchPool = sync.Pool{New: func() any {
 	return s
 }}
 
-// maxGroupBits caps a group's cell table at 2^10 cells = 16 KiB, so
+// maxGroupBits caps a group's cell table at 2^10 cells = 8 KiB, so
 // the table a block streams through stays L1-resident; one step wider
 // (32k cells for three 5-bit iterations) is slower than no grouping at
 // all. BenchmarkAblationGroupWidth re-measures it.
@@ -338,13 +373,18 @@ func lanesFor(groups, bits int) int {
 	return 0
 }
 
+// cellCount is how many cells the plan of s indexes.
+func (s *accScratch) cellCount() int {
+	tail := s.plan[len(s.plan)-1]
+	return tail.off + tail.size
+}
+
 // plan makes s the scratch of a run at group size g: its plan and
-// enough zero cells for it.
+// enough zero int64 cells for it.
 func (c *SumChecker) plan(s *accScratch, g int) {
 	s.plan = c.appendPlan(g, s.plan[:0])
-	tail := s.plan[len(s.plan)-1]
-	if need := tail.off + tail.size; cap(s.cells) < need {
-		s.cells = make([]cell, need)
+	if need := s.cellCount(); cap(s.cells) < need {
+		s.cells = make([]int64, need)
 	}
 }
 
@@ -376,7 +416,7 @@ func (c *SumChecker) accumulate(table []uint64, pairs []data.Pair, f feed) {
 	// its cells — deliberately not deferred.
 	s := scratchPool.Get().(*accScratch)
 	c.plan(s, c.planFor(len(pairs)))
-	c.addCells(s, pairs, f)
+	c.addCells(table, s, pairs, f)
 	c.fold(table, s)
 	scratchPool.Put(s)
 }
@@ -388,28 +428,46 @@ func (c *SumChecker) accumulate(table []uint64, pairs []data.Pair, f feed) {
 // (j+1)*perHash-1 via bit groups). The block then streams through one
 // cell table per group of the plan's g iterations: the group's
 // concatenated bucket bits pick a cell and the element's signed value
-// is added to it exactly — in one pass for all the groups of a hash
-// value where the plan has a lane kernel's shape, one pass per group
-// otherwise. Nothing is folded: fold does that, once per run.
+// is added to it exactly. A block whose values are all narrow (below
+// 2^narrowBits; every block in count mode) goes into the int64 cells —
+// in one pass for all the groups of a hash value where the plan has a
+// lane kernel's shape, one pass per group otherwise — and a block with
+// a wider value into the 128-bit cells, one pass per group. The gather
+// that copies a block's keys also writes its signed values for the
+// int64 cells and ORs the raw ones, so telling the two apart costs no
+// pass of its own. Nothing is folded, unless the int64 cells have taken
+// foldTerms elements: fold does that, once per run.
 //
-// Grouping cannot change a residue: a counter of the table receives
-// the exact integer sum of the values of the elements that map to its
-// bucket, merely summed per cell first, and addition is associative.
-// Tables are therefore bit-identical to AccumulateScalar's after
-// Normalize for every plan and every chunking (the raw words differ
-// only in when the folds canonicalise).
+// Neither the split nor grouping can change a residue: a counter of
+// the table receives the exact integer sum of the values of the
+// elements that map to its bucket, merely summed per cell and per
+// array first, and addition is associative. Tables are therefore
+// bit-identical to AccumulateScalar's after Normalize for every plan
+// and every chunking (the raw words differ only in when the folds
+// canonicalise).
 //
 // With g = 1 the cell tables have the table's own its×d shape. That
 // plan also carries general (non-pow2) d: one hash per iteration,
 // bucket = h mod d, in a row of the next power of two cells.
-func (c *SumChecker) addCells(s *accScratch, pairs []data.Pair, f feed) {
+func (c *SumChecker) addCells(table []uint64, s *accScratch, pairs []data.Pair, f feed) {
 	d, plan := c.cfg.Buckets, s.plan
-	tail := plan[len(plan)-1]
-	cells := s.cells[:tail.off+tail.size]
+	cells := s.cells[:s.cellCount()]
 	for start := 0; start < len(pairs); start += accBlock {
 		blk := pairs[start:min(start+accBlock, len(pairs))]
-		keys, hb := s.keys[:len(blk)], s.hs[:len(blk)]
-		gatherKeys(keys, blk)
+		keys, hb, vs := s.keys[:len(blk)], s.hs[:len(blk)], s.terms[:len(blk)]
+		narrow := f.value(gather(keys, vs, blk, f)) < 1<<narrowBits
+		switch {
+		case !narrow && !s.wideUsed:
+			if cap(s.wide) < len(cells) {
+				s.wide = make([]cell, len(cells))
+			}
+			s.wideUsed = true
+		case narrow && s.unfold+len(blk) > foldTerms:
+			c.fold(table, s)
+		}
+		if narrow {
+			s.unfold += len(blk)
+		}
 		for i := 0; i < len(plan); i++ {
 			gr := &plan[i]
 			if gr.shift == 0 { // the first group to read this hash value
@@ -420,87 +478,165 @@ func (c *SumChecker) addCells(s *accScratch, pairs []data.Pair, f feed) {
 					}
 				}
 			}
+			if !narrow {
+				cellsAddWide(s.wide[gr.off:gr.off+gr.size], hb, blk, gr.shift, f)
+				continue
+			}
 			switch gr.lanes {
 			case 6:
-				cellLanes6x5(cells[gr.off:gr.off+6<<5], hb, blk, f)
+				cellLanes6x5(cells[gr.off:gr.off+6<<5], hb, vs)
 				i += 5
 			case 5:
-				cellLanes5x6(cells[gr.off:gr.off+5<<6], hb, blk, f)
+				cellLanes5x6(cells[gr.off:gr.off+5<<6], hb, vs)
 				i += 4
 			case 3:
-				cellLanes3x10(cells[gr.off:gr.off+3<<10], hb, blk, f)
+				cellLanes3x10(cells[gr.off:gr.off+3<<10], hb, vs)
 				i += 2
 			default:
-				cellsAdd(cells[gr.off:gr.off+gr.size], hb, blk, gr.shift, f)
+				cellsAdd(cells[gr.off:gr.off+gr.size], hb, vs, gr.shift)
 			}
 		}
 	}
 }
 
-// fold ends a run: every non-zero cell's exact signed value goes into
-// the counter that its index bits name in each iteration of its group,
-// and the cell is zeroed. The counters stay congruent mod r. A cell is
-// read once, whatever its group's size, so a cell whose additions and
-// subtractions cancelled — every cell, at the Seal of a builder whose
-// result is correct — costs that read alone. A group of several
-// iterations first sums its cells exactly per iteration and bucket
-// (two adds a cell and iteration) and folds only those g·d sums mod r;
-// the sums cannot overflow, since every element adds into one cell of
-// a group.
+// fold ends a run, or a stretch of foldTerms elements of one: every
+// cell's exact signed value goes into the counter that its index bits
+// name in each iteration of its group, and the cell is zeroed; the
+// counters stay congruent mod r. A group of one iteration folds its
+// cells as they are. A group of several is folded the way the lanes
+// fill it, one pass per iteration: the pass reads the cells in runs of
+// d, adds each run into the iteration's d marginals — a run's cells
+// differ in their low index bits, the iteration's bucket — and writes
+// the run's sum back in place, so that the next iteration's bits are
+// the low ones of cells d times fewer. No pass shifts an index or
+// checks a bound per cell, and only the marginals are reduced mod r.
+// Nothing overflows: every element adds into one cell of a group, so a
+// marginal or a run's sum is a sum over some of the at most foldTerms
+// elements the int64 cells have taken; the 128-bit cells sum in 128
+// bits.
 func (c *SumChecker) fold(table []uint64, s *accScratch) {
-	d, w := c.cfg.Buckets, uint(c.width)
-	m := 1<<w - 1
-	// g·d sums for g >= 2: at most 64 within maxGroupBits (two 5-bit
-	// iterations); only the ablation benchmarks force wider groups.
-	var sums [64]cell
-	for _, gr := range s.plan {
+	d := c.cfg.Buckets
+	var wide []cell
+	if s.wideUsed {
+		wide = s.wide
+	}
+	var sums [maxMarginals]int64
+	var wsums [maxMarginals]cell
+	for i := range s.plan {
+		gr := &s.plan[i]
 		grp := s.cells[gr.off : gr.off+gr.size]
+		var wgrp []cell
+		if wide != nil {
+			wgrp = wide[gr.off : gr.off+gr.size]
+		}
 		if gr.n == 1 { // the cells are the sums
 			row := table[gr.it*d : (gr.it+1)*d]
-			for b, cl := range grp {
-				if cl.lo|cl.hi != 0 {
-					row[b] = foldCell(row[b], cl, c.pow64[gr.it], c.mods[gr.it])
-					grp[b] = cell{}
-				}
+			foldSums(row, grp[:d], c.pow64[gr.it], c.mods[gr.it])
+			if wgrp != nil {
+				foldWideSums(row, wgrp[:d], c.pow64[gr.it], c.mods[gr.it])
 			}
 			continue
 		}
-		marg := sums[:]
-		if gr.n<<w > len(sums) {
-			marg = make([]cell, gr.n<<w)
-		}
-		marg = marg[:gr.n<<w]
-		for x, cl := range grp {
-			if cl.lo|cl.hi == 0 {
-				continue
-			}
-			grp[x] = cell{}
-			for t := 0; t < gr.n; t++ {
-				sm := &marg[t<<w+x>>(uint(t)*w)&m]
-				lo, carry := bits.Add64(sm.lo, cl.lo, 0)
-				sm.lo = lo
-				sm.hi, _ = bits.Add64(sm.hi, cl.hi, carry)
-			}
-		}
-		for t := 0; t < gr.n; t++ {
-			it := gr.it + t
+		cur, wcur := grp, wgrp
+		for it := gr.it; it < gr.it+gr.n; it++ {
 			row := table[it*d : (it+1)*d]
-			for b, cl := range marg[t<<w : (t+1)<<w] {
-				if cl.lo|cl.hi != 0 {
-					row[b] = foldCell(row[b], cl, c.pow64[it], c.mods[it])
-				}
+			cur = marginals(sums[:d], cur)
+			foldSums(row, sums[:d], c.pow64[it], c.mods[it])
+			if wcur != nil {
+				wcur = marginalsWide(wsums[:d], wcur)
+				foldWideSums(row, wsums[:d], c.pow64[it], c.mods[it])
 			}
 		}
-		clear(marg)
+		clear(grp)
+		clear(wgrp)
+	}
+	s.unfold, s.wideUsed = 0, false
+}
+
+// maxMarginals is the most buckets a group of several iterations has:
+// 2^5, since two iterations share at most maxGroupBits index bits. The
+// groups the ablation benchmarks force stay within it too.
+const maxMarginals = 32
+
+// marginals adds each run of len(sums) cells into sums, element-wise,
+// and replaces the cells by the runs' sums: it returns the first
+// len(cells)/len(sums) cells, which hold them.
+func marginals(sums, cells []int64) []int64 {
+	d := len(sums)
+	n := len(cells) / d
+	if d == 4 { // the default 15×4's groups, with the sums in registers
+		var m0, m1, m2, m3 int64
+		for i := 0; i < n; i++ {
+			run := (*[4]int64)(cells[4*i:])
+			m0, m1, m2, m3 = m0+run[0], m1+run[1], m2+run[2], m3+run[3]
+			cells[i] = run[0] + run[1] + run[2] + run[3]
+		}
+		sums[0], sums[1], sums[2], sums[3] = sums[0]+m0, sums[1]+m1, sums[2]+m2, sums[3]+m3
+		return cells[:n]
+	}
+	for i := 0; i < n; i++ {
+		run := cells[i*d : i*d+d]
+		m := sums[:len(run)]
+		var sum int64
+		for b, v := range run {
+			m[b] += v
+			sum += v
+		}
+		cells[i] = sum
+	}
+	return cells[:n]
+}
+
+// marginalsWide is marginals for the 128-bit cells.
+func marginalsWide(sums, cells []cell) []cell {
+	d := len(sums)
+	n := len(cells) / d
+	for i := 0; i < n; i++ {
+		run := cells[i*d : i*d+d]
+		m := sums[:len(run)]
+		var sum cell
+		for b, cl := range run {
+			addCell(&m[b], cl.lo, cl.hi)
+			addCell(&sum, cl.lo, cl.hi)
+		}
+		cells[i] = sum
+	}
+	return cells[:n]
+}
+
+// foldSums adds each non-zero sum into the counter of its bucket in
+// row, congruent mod r given p64 = 2^64 mod r, and zeroes the sums. The
+// sign costs no branch: a negative sum goes in as its two's complement
+// word, which adds 2^64 too many, and then r - p64, which takes the
+// p64 ≡ 2^64 out again.
+func foldSums(row []uint64, sums []int64, p64, r uint64) {
+	row = row[:len(sums)]
+	for b, v := range sums {
+		if v != 0 {
+			row[b] = addFold(addFold(row[b], uint64(v), p64), (r-p64)&uint64(v>>63), p64)
+			sums[b] = 0
+		}
+	}
+}
+
+// foldWideSums is foldSums for 128-bit sums.
+func foldWideSums(row []uint64, sums []cell, p64, r uint64) {
+	row = row[:len(sums)]
+	for b, cl := range sums {
+		if cl.lo|cl.hi != 0 {
+			row[b] = foldCell(row[b], cl, p64, r)
+			sums[b] = cell{}
+		}
 	}
 }
 
 // foldCell returns counter a plus the signed value of cl, congruent mod
 // r given p64 = 2^64 mod r. A magnitude lo + hi·2^64 goes in as lo plus
-// hi * (2^64 mod r) — reduced by a division only if that product itself
-// passes 2^64, which takes both a large modulus and a cell that wrapped
-// many times. A negative cell's magnitude u goes in negated: adding
-// 2^64 - u adds p64 - u mod r, and adding r - p64 takes the p64 out.
+// hi * (2^64 mod r) — reduced by a division only if that
+// product itself passes 2^64, which takes both a large modulus and a
+// cell that wrapped many times. A negative cell's magnitude u goes in
+// negated: adding 2^64 - u adds p64 - u mod r, and adding r - p64 takes
+// the p64 out.
 func foldCell(a uint64, cl cell, p64, r uint64) uint64 {
 	lo, hi := cl.lo, cl.hi
 	neg := int64(hi) < 0
@@ -527,18 +663,23 @@ func foldCell(a uint64, cl cell, p64, r uint64) uint64 {
 	return addFold(addFold(a, -u, p64), r-p64, p64)
 }
 
-// gatherKeys copies a block's keys into the contiguous buffer
-// Hash64Batch reads. A standalone leaf for the registers, like
-// cellsAdd: inlined into addCells, whose loops keep every register
-// busy, the loop index can end up on the stack, and the copy then
-// costs more than the hash it feeds.
+// gather copies a block's keys into the contiguous buffer Hash64Batch
+// reads and its values, signed as feed f reads them, into terms, and
+// returns the OR of the block's raw values, which says whether they
+// are all narrow. A standalone leaf for the registers, like cellsAdd:
+// inlined into addCells, whose loops keep every register busy, the
+// loop index can end up on the stack, and the copy then costs more
+// than the hash it feeds.
 //
 //go:noinline
-func gatherKeys(keys []uint64, blk []data.Pair) {
-	keys = keys[:len(blk)]
+func gather(keys []uint64, terms []int64, blk []data.Pair, f feed) (or uint64) {
+	keys, terms = keys[:len(blk)], terms[:len(blk)]
 	for i := range blk {
 		keys[i] = blk[i].Key
+		terms[i] = f.term64(blk[i].Value)
+		or |= blk[i].Value
 	}
+	return or
 }
 
 // addCell adds the addend (x, adj) of feed.term to a cell exactly: the
@@ -552,24 +693,24 @@ func addCell(cl *cell, x, adj uint64) {
 // cellLanes6x5 is cellsAdd for six groups of 32 cells that draw their
 // indices from bits 0–29 of one hash value, five bits each: the g = 1
 // plan of a 6×32 checker. One pass over the block reads each hash value
-// and each value once and updates all six cells. The lanes lie side by
+// and each signed value once and updates all six cells. The lanes lie side by
 // side in one fixed-size array, so a lane's offset plus its mask bounds
 // every index and the loop has no bounds check; the constant shifts
 // and masks are what make it faster than six cellsAdd passes.
 //
 //go:noinline
-func cellLanes6x5(cells []cell, hb []uint64, blk []data.Pair, f feed) {
+func cellLanes6x5(cells []int64, hb []uint64, terms []int64) {
 	const w, m = 5, 1<<5 - 1
-	l := (*[6 << w]cell)(cells)
-	blk = blk[:len(hb)]
+	l := (*[6 << w]int64)(cells)
+	terms = terms[:len(hb)]
 	for i, h := range hb {
-		x, adj := f.term(blk[i].Value)
-		addCell(&l[h&m], x, adj)
-		addCell(&l[1<<w+h>>w&m], x, adj)
-		addCell(&l[2<<w+h>>(2*w)&m], x, adj)
-		addCell(&l[3<<w+h>>(3*w)&m], x, adj)
-		addCell(&l[4<<w+h>>(4*w)&m], x, adj)
-		addCell(&l[5<<w+h>>(5*w)&m], x, adj)
+		x := terms[i]
+		l[h&m] += x
+		l[1<<w+h>>w&m] += x
+		l[2<<w+h>>(2*w)&m] += x
+		l[3<<w+h>>(3*w)&m] += x
+		l[4<<w+h>>(4*w)&m] += x
+		l[5<<w+h>>(5*w)&m] += x
 	}
 }
 
@@ -578,17 +719,17 @@ func cellLanes6x5(cells []cell, hb []uint64, blk []data.Pair, f feed) {
 // 30×2).
 //
 //go:noinline
-func cellLanes5x6(cells []cell, hb []uint64, blk []data.Pair, f feed) {
+func cellLanes5x6(cells []int64, hb []uint64, terms []int64) {
 	const w, m = 6, 1<<6 - 1
-	l := (*[5 << w]cell)(cells)
-	blk = blk[:len(hb)]
+	l := (*[5 << w]int64)(cells)
+	terms = terms[:len(hb)]
 	for i, h := range hb {
-		x, adj := f.term(blk[i].Value)
-		addCell(&l[h&m], x, adj)
-		addCell(&l[1<<w+h>>w&m], x, adj)
-		addCell(&l[2<<w+h>>(2*w)&m], x, adj)
-		addCell(&l[3<<w+h>>(3*w)&m], x, adj)
-		addCell(&l[4<<w+h>>(4*w)&m], x, adj)
+		x := terms[i]
+		l[h&m] += x
+		l[1<<w+h>>w&m] += x
+		l[2<<w+h>>(2*w)&m] += x
+		l[3<<w+h>>(3*w)&m] += x
+		l[4<<w+h>>(4*w)&m] += x
 	}
 }
 
@@ -597,30 +738,44 @@ func cellLanes5x6(cells []cell, hb []uint64, blk []data.Pair, f feed) {
 // 30×2 (g = 10).
 //
 //go:noinline
-func cellLanes3x10(cells []cell, hb []uint64, blk []data.Pair, f feed) {
+func cellLanes3x10(cells []int64, hb []uint64, terms []int64) {
 	const w, m = 10, 1<<10 - 1
-	l := (*[3 << w]cell)(cells)
-	blk = blk[:len(hb)]
+	l := (*[3 << w]int64)(cells)
+	terms = terms[:len(hb)]
 	for i, h := range hb {
-		x, adj := f.term(blk[i].Value)
-		addCell(&l[h&m], x, adj)
-		addCell(&l[1<<w+h>>w&m], x, adj)
-		addCell(&l[2<<w+h>>(2*w)&m], x, adj)
+		x := terms[i]
+		l[h&m] += x
+		l[1<<w+h>>w&m] += x
+		l[2<<w+h>>(2*w)&m] += x
 	}
 }
 
-// cellsAdd streams one block of hashed elements through one group's
-// cell table (a power of two cells: index bits at shift). A standalone
-// leaf so the prover eliminates every bounds check — masking with
-// len(cells)-1 is exactly the index mask. Values are read from the
-// pairs in place, and the carry is counted rather than branched on: as
-// a branch the random carry (every other add for full-width values)
+// cellsAdd streams one block of hashed narrow elements through one
+// group's int64 cells (a power of two of them: index bits at shift). A
+// standalone leaf so the prover eliminates every bounds check — masking
+// with len(cells)-1 is exactly the index mask.
+//
+//go:noinline
+func cellsAdd(cells []int64, hb []uint64, terms []int64, shift uint) {
+	if len(cells) == 0 {
+		return // lets the prover see m below cannot wrap
+	}
+	m := uint64(len(cells) - 1)
+	terms = terms[:len(hb)]
+	for i, h := range hb {
+		cells[(h>>(shift&63))&m] += terms[i]
+	}
+}
+
+// cellsAddWide is cellsAdd for a block with a wide value, into the
+// group's 128-bit cells. The carry is counted rather than branched on:
+// as a branch the random carry (every other add for full-width values)
 // would mispredict.
 //
 //go:noinline
-func cellsAdd(cells []cell, hb []uint64, blk []data.Pair, shift uint, f feed) {
+func cellsAddWide(cells []cell, hb []uint64, blk []data.Pair, shift uint, f feed) {
 	if len(cells) == 0 {
-		return // lets the prover see m below cannot wrap
+		return
 	}
 	m := uint64(len(cells) - 1)
 	blk = blk[:len(hb)]

@@ -61,8 +61,15 @@ func planLengths(c *SumChecker) []int {
 // 2^64-1 a single cell carries hotLen-1 times.
 const hotLen = 70001
 
+// kernelShapes are kernelPairs' value shapes.
+var kernelShapes = []string{"small", "full", "ones", "hot", "edge"}
+
 // kernelPairs builds n pairs in one of the value shapes. Keys mix a
 // small universe (shared cells, repeated keys) with full-width ones.
+// "edge" takes its values at the split: stretches of 300 pairs of
+// 2^40-1, the largest narrow value, and small ones alternate with
+// stretches of 2^40 and 2^64-1, so a run has narrow blocks, wide blocks
+// and blocks that mix both, and a builder chunks of either kind.
 func kernelPairs(shape string, n int, seed uint64) []data.Pair {
 	rng := hashing.NewMT19937_64(seed)
 	ps := make([]data.Pair, n)
@@ -81,6 +88,18 @@ func kernelPairs(shape string, n int, seed uint64) []data.Pair {
 			v = ^uint64(0)
 		case "hot":
 			key, v = 42, ^uint64(0)
+		case "edge":
+			if i/300%2 == 0 { // narrow: the largest narrow value or a small one
+				v = 1<<narrowBits - 1
+				if rng.Uint64n(2) == 0 {
+					v = rng.Uint64n(1 << 30)
+				}
+			} else { // wide: the smallest wide value or the largest
+				v = 1 << narrowBits
+				if rng.Uint64n(2) == 0 {
+					v = ^uint64(0)
+				}
+			}
 		default:
 			panic("unknown shape " + shape)
 		}
@@ -151,12 +170,21 @@ func requireSealed(t *testing.T, c *SumChecker, st CheckState, want []uint64, wh
 	}
 }
 
+// countShape says whether a value shape runs in count mode too: count
+// mode reads every value as 1, so one shape of narrow values and the
+// one at the narrow/wide split (whose wide values count mode must not
+// read) stand for all.
+func countShape(shape string) bool { return shape == "small" || shape == "edge" }
+
 // TestGroupedAccumulateMatchesScalar: the kernel's table equals the
 // scalar oracle's after Normalize — for every configuration, value
 // shape and plan, in sum and count mode, into a table that already
 // holds raw counters, and through SumAggBuilder, input added and an
 // unrelated output subtracted, in 1-, 256- and 8192-pair chunks, whole,
-// and at every worker count. Among the plans are all three lane
+// and at every worker count. The edge shape has values either side of
+// the int64 cells' bound, 2^40-1 and 2^40, and 2^64-1, in narrow, wide
+// and mixed blocks, so the builder gets narrow and wide chunks
+// interleaved, and in count mode narrow input beside wide output. Among the plans are all three lane
 // kernels', at g = 1 and grouped: the 15×4 default takes five lanes at
 // 8 191 pairs and three at 8 192, 6×32 six lanes at 8 191 and three at
 // 8 192. A builder fed one pair at a time re-plans as its count grows,
@@ -183,7 +211,7 @@ func TestGroupedAccumulateMatchesScalar(t *testing.T) {
 				}
 			}
 		}
-		for si, shape := range []string{"small", "full", "ones", "hot"} {
+		for si, shape := range kernelShapes {
 			ns := lengths
 			if shape == "hot" {
 				ns = []int{hotLen}
@@ -191,7 +219,7 @@ func TestGroupedAccumulateMatchesScalar(t *testing.T) {
 			for _, n := range ns {
 				pairs := kernelPairs(shape, n, uint64(ci*100+si))
 				for _, count := range []bool{false, true} {
-					if count && shape != "small" {
+					if count && !countShape(shape) {
 						continue // count mode ignores values
 					}
 					want := scalarTable(c, pairs, count)
@@ -221,7 +249,7 @@ func TestGroupedAccumulateMatchesScalar(t *testing.T) {
 				}
 				out := kernelPairs(shape, n/2, uint64(ci*100+si+50))
 				for _, count := range []bool{false, true} {
-					if count && shape != "small" {
+					if count && !countShape(shape) {
 						continue
 					}
 					want := builderWant(c, pairs, out, count)
@@ -275,6 +303,73 @@ func TestGroupSizeRule(t *testing.T) {
 	}
 }
 
+// TestFoldBeforeCellBound lowers foldTerms to a block and a half, so a
+// run folds its int64 cells every block or two, as a run of 2^23
+// narrow elements does before a cell could overflow: per call and
+// through builders in 1-, 256- and 8192-pair chunks, in sum and count
+// mode, the tables stay the oracle's, and no builder's scratch holds
+// more unfolded elements than foldTerms.
+func TestFoldBeforeCellBound(t *testing.T) {
+	defer func(n int) { foldTerms = n }(foldTerms)
+	foldTerms = accBlock * 3 / 2
+	crc := hashing.FamilyCRC
+	for _, cfg := range []SumConfig{
+		{Iterations: 15, Buckets: 4, RHatLog: 10, Family: crc},
+		{Iterations: 6, Buckets: 32, RHatLog: 9, Family: crc},
+		{Iterations: 6, Buckets: 33, RHatLog: 9, Family: crc},
+		{Iterations: 3, Buckets: 4, RHatLog: 62, Family: hashing.FamilyMix},
+	} {
+		c := NewSumChecker(cfg, 3)
+		for _, shape := range []string{"small", "edge"} {
+			in, out := kernelPairs(shape, 9000, 5), kernelPairs(shape, 3000, 6)
+			for _, count := range []bool{false, true} {
+				what := fmt.Sprintf("%s count=%v", shape, count)
+				got := c.NewTable()
+				c.accumulate(got, in, feedOf(count))
+				requireTable(t, c, got, scalarTable(c, in, count), what)
+				want := builderWant(c, in, out, count)
+				for _, chunk := range []int{1, accBlock, 8192} {
+					b := NewSumAggBuilder("bound", cfg, 3, Serial, count)
+					for lo := 0; lo < len(in); lo += chunk {
+						b.AddInput(in[lo:min(lo+chunk, len(in))])
+						b.AddOutput(out[min(lo, len(out)):min(lo+chunk, len(out))])
+						// Every chunk of the small shape is narrow, so the
+						// int64 cells hold some of its elements unfolded.
+						if n := b.s.unfold; n > foldTerms || n == 0 && shape == "small" {
+							t.Fatalf("%s %s chunk=%d: %d unfolded elements, want 1 to %d", cfg.Name(), what, chunk, n, foldTerms)
+						}
+					}
+					requireSealed(t, c, b.Seal(), want, fmt.Sprintf("builder %s chunk=%d", what, chunk))
+				}
+			}
+		}
+	}
+}
+
+// TestBuilderPlansLanesFromFirstChunk pins the builder's plan floor:
+// from its first 256-pair chunk a default 15×4 builder runs five 6-bit
+// lanes (g = 3), the plan a 2 000-pair share ends in, and it re-plans
+// once, into the bulk plan's three 10-bit lanes (g = 5), when its count
+// reaches 8 192.
+func TestBuilderPlansLanesFromFirstChunk(t *testing.T) {
+	cfg := SumConfig{Iterations: 15, Buckets: 4, RHatLog: 10, Family: hashing.FamilyCRC}
+	pairs := kernelPairs("small", 8192, 1)
+	for _, count := range []bool{false, true} {
+		b := NewSumAggBuilder("plan", cfg, 1, Serial, count)
+		for lo := 0; lo < len(pairs); lo += accBlock {
+			b.AddInput(pairs[lo : lo+accBlock])
+			g, lanes := 3, 5
+			if lo+accBlock >= 8192 {
+				g, lanes = 5, 3
+			}
+			if b.g != g || b.s.plan[0].lanes != lanes {
+				t.Fatalf("count=%v after %d pairs: g = %d with %d lanes, want g = %d with %d", count, lo+accBlock, b.g, b.s.plan[0].lanes, g, lanes)
+			}
+		}
+		b.Seal()
+	}
+}
+
 // fuzzPairs decodes a fuzz input's pairs: nine bytes a pair, a one-byte
 // key (collisions) and a value, tiled tile times with the tiles' keys
 // set apart, less a cut of up to 255 from the end.
@@ -304,6 +399,19 @@ func fuzzSeedPairs(header ...byte) []byte {
 	return in
 }
 
+// fuzzEdgeSeed is a fuzz input of header followed by 512 pairs over 256
+// keys: 256 of narrow values, 2^40-1 and a small one in turn, then 256
+// of wide ones, 2^40 and 2^64-1 in turn. Tiled whole, its blocks are
+// narrow or wide; cut, they mix both.
+func fuzzEdgeSeed(header ...byte) []byte {
+	vals := [4]uint64{1<<narrowBits - 1, 1 << 29, 1 << narrowBits, ^uint64(0)}
+	in := header
+	for i := 0; i < 2*accBlock; i++ {
+		in = binary.LittleEndian.AppendUint64(append(in, byte(i)), vals[i/accBlock*2+i%2])
+	}
+	return in
+}
+
 // configIndex is the index of the named configuration in cfgs.
 func configIndex(f *testing.F, cfgs []SumConfig, name string) byte {
 	i := slices.IndexFunc(cfgs, func(c SumConfig) bool { return c.Name() == name })
@@ -317,7 +425,8 @@ func configIndex(f *testing.F, cfgs []SumConfig, name string) byte {
 // long enough to reach the grouped plans, less a cut of up to 255 from
 // the end; same assertion as TestGroupedAccumulateMatchesScalar. The
 // seeds include the 15×4 default and 6×32 at 8 191 and 8 192 pairs,
-// each at its last two plans.
+// each at its last two plans, and both with values either side of the
+// narrow/wide split.
 func FuzzSumAccumulate(f *testing.F) {
 	cfgs := kernelConfigs()
 	f.Add([]byte{1, 0, 0})
@@ -326,7 +435,9 @@ func FuzzSumAccumulate(f *testing.F) {
 	for _, name := range []string{"15×4 CRC m10", "6×32 CRC m9"} {
 		for _, cut := range []byte{1, 0} { // 64 pairs × 128 - cut
 			f.Add(fuzzSeedPairs(configIndex(f, cfgs, name), 127<<1, cut))
+			f.Add(fuzzEdgeSeed(configIndex(f, cfgs, name), 3<<1, cut)) // 512 × 4 - cut
 		}
+		f.Add(fuzzEdgeSeed(configIndex(f, cfgs, name), 3<<1|1, 0))
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) < 3 {
@@ -347,7 +458,8 @@ func FuzzSumAccumulate(f *testing.F) {
 // output side; the builder fed those chunks, interleaved, seals the
 // scalar oracle's input-minus-output table. The seeds include the 15×4
 // default across its replans, in one-pair, stream-sized and whole
-// chunks.
+// chunks, and with values either side of the narrow/wide split in
+// narrow, wide and mixed chunks.
 func FuzzSumAggBuilderChunks(f *testing.F) {
 	cfgs := kernelConfigs()
 	def := configIndex(f, cfgs, "15×4 CRC m10")
@@ -357,6 +469,10 @@ func FuzzSumAggBuilderChunks(f *testing.F) {
 		f.Add(fuzzSeedPairs(def, 127<<1|1, chunk, 64))
 	}
 	f.Add(fuzzSeedPairs(configIndex(f, cfgs, "6×32 CRC m9"), 127<<1, 8|0x30, 128))
+	for _, chunk := range []byte{0, 8, 8 | 0x10} { // 1, 256 and 255 pairs
+		f.Add(fuzzEdgeSeed(def, 7<<1, chunk, 128))
+		f.Add(fuzzEdgeSeed(def, 7<<1|1, chunk, 160))
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) < 4 {
 			return
@@ -378,15 +494,24 @@ func FuzzSumAggBuilderChunks(f *testing.F) {
 }
 
 // takeCells removes one scratch from the pool the way accumulate does
-// and fails unless every cell over its whole capacity is zero — the
-// pool's invariant.
+// and fails unless every cell of both arrays, over each one's whole
+// capacity, is zero — the pool's invariant — and the scratch owes no
+// fold.
 func takeCells(t *testing.T, when string) *accScratch {
 	t.Helper()
 	cs := scratchPool.Get().(*accScratch)
-	for i, cl := range cs.cells[:cap(cs.cells)] {
-		if cl != (cell{}) {
-			t.Fatalf("%s: pooled cell %d of %d holds %+v, want zero", when, i, cap(cs.cells), cl)
+	for i, v := range cs.cells[:cap(cs.cells)] {
+		if v != 0 {
+			t.Fatalf("%s: pooled int64 cell %d of %d holds %d, want zero", when, i, cap(cs.cells), v)
 		}
+	}
+	for i, cl := range cs.wide[:cap(cs.wide)] {
+		if cl != (cell{}) {
+			t.Fatalf("%s: pooled 128-bit cell %d of %d holds %+v, want zero", when, i, cap(cs.wide), cl)
+		}
+	}
+	if cs.unfold != 0 || cs.wideUsed {
+		t.Fatalf("%s: pooled scratch owes a fold: %d unfolded elements, wide used %v", when, cs.unfold, cs.wideUsed)
 	}
 	return cs
 }
@@ -416,15 +541,18 @@ func (p poisonHasher) Hash64Batch(dst, keys []uint64) {
 }
 
 // TestCellScratchNeverLeaks: whatever an accumulate did with its cells
-// — a grouped plan, a g = 1 plan, full-width values, a panic half way
-// through the input — the next taker of a pooled scratch finds it
-// zero, and the next builder's tables are the oracle's.
+// — a grouped plan, a g = 1 plan, narrow, wide and mixed blocks, a
+// panic half way through the input — the next taker of a pooled
+// scratch finds both its cell arrays zero, and the next builder's
+// tables are the oracle's.
 func TestCellScratchNeverLeaks(t *testing.T) {
 	cfg := SumConfig{Iterations: 6, Buckets: 32, RHatLog: 9, Family: hashing.FamilyCRC}
 	c := NewSumChecker(cfg, 5)
-	big := kernelPairs("full", 20000, 1)   // grouped: three tables of 1024
-	small := kernelPairs("ones", 2000, 2)  // g = 1: 192 cells of the same scratch
-	victim := kernelPairs("small", 300, 3) // what the next builder checks
+	big := kernelPairs("full", 20000, 1)    // grouped: three tables of 1024, wide
+	small := kernelPairs("ones", 2000, 2)   // g = 1: 192 cells of the same scratch, wide
+	edge := kernelPairs("edge", 20000, 4)   // grouped, both arrays
+	narrow := kernelPairs("small", 2000, 5) // g = 1, int64 cells only
+	victim := kernelPairs("edge", 900, 3)   // what the next builder checks
 	wantVictim := scalarTable(c, victim, false)
 
 	check := func(when string) {
@@ -445,16 +573,20 @@ func TestCellScratchNeverLeaks(t *testing.T) {
 
 	for round := 0; round < 3; round++ {
 		c.Accumulate(c.NewTable(), big)
-		check("after a grouped accumulate")
+		check("after a grouped wide accumulate")
 		c.Accumulate(c.NewTable(), small)
-		check("after a g = 1 accumulate")
+		check("after a g = 1 wide accumulate")
+		c.Accumulate(c.NewTable(), edge)
+		check("after a grouped accumulate of narrow and wide blocks")
+		c.Accumulate(c.NewTable(), narrow)
+		check("after a g = 1 narrow accumulate")
 	}
 
 	var fuse atomic.Int64
 	pcfg := cfg
 	pcfg.Family = poisonFamily(&fuse)
 	pc := NewSumChecker(pcfg, 5)
-	for _, pairs := range [][]data.Pair{big, small} {
+	for _, pairs := range [][]data.Pair{big, small, edge, narrow} {
 		fuse.Store(3) // dies hashing the fourth block
 		func() {
 			defer func() {

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/data"
@@ -19,9 +18,12 @@ import (
 	"repro/internal/ops"
 )
 
-// reshardCfg is the checker configuration a replay without options
-// runs the reshard under.
-var reshardCfg = repro.DefaultOptions().Perm
+// reshardCfg is the checker configuration the reshard runs under in
+// these tests: two paired 32-bit Tab functions, the configuration
+// TestReshardPinned's digests were derived with. The tests hold the
+// reshard path to its bit identity, not to the permutation default,
+// which a replay without options takes (DefaultOptions().Perm).
+var reshardCfg = core.PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}
 
 // deadShare is n seeded pairs over 4 096 keys: the share of a rank that
 // died.

@@ -171,15 +171,17 @@ func (o Options) WithParallelism(n int) Options {
 // in 11 words on the wire). The bound is Lemma 2's, which takes the
 // hash family to be random: CRC-32C is affine, so whether two keys that
 // differ by a fixed bit pattern share a bucket does not depend on the
-// seed. The permutation family's two 32-bit tabulation fingerprints
-// achieve 2^-64 ≈ 5.4e-20 (PermConfig.Delta) and the zip checker's two
-// iterations over F_(2^61-1) about 2^-122.
+// seed. The permutation checker's one 64-bit tabulation fingerprint
+// (Tab64 64 ×1) achieves 2^-64 ≈ 5.4e-20 (PermConfig.Delta), as two
+// paired 32-bit Tab functions do in the same 64 wire bits, at one sum
+// per element instead of two; the zip checker's two iterations over
+// F_(2^61-1) achieve about 2^-122.
 // TestDefaultOptionsAchieveDocumentedDelta holds the defaults to this
 // figure.
 func DefaultOptions() Options {
 	return Options{
 		Sum:  defaultSum,
-		Perm: core.PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2},
+		Perm: core.PermConfig{Family: hashing.FamilyTab64, LogH: 64, Iterations: 1},
 		Zip:  core.ZipConfig{Iterations: 2},
 	}
 }
