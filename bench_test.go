@@ -91,8 +91,7 @@ func BenchmarkTable5SumCheckerLocal(b *testing.B) {
 // loop on the default configuration, DefaultOptions().Sum, and on the
 // paper's 6×32 CRC m9 scaling configuration, the default before it: the
 // element-major scalar reference (the seed implementation), the
-// per-call accumulate kernel, the ParallelAccumulator at 2 and 4
-// workers, and SumAggBuilder. All variants compute identical residues;
+// per-call accumulate kernel, and SumAggBuilder. All variants compute identical residues;
 // only wall time differs. The uniform rows have values below 2^62, so
 // their blocks take the kernel's 128-bit cells. The zipf-125k rows are
 // the benchmark of record's reduce_zipf share (125k pairs, Zipf keys
@@ -156,15 +155,6 @@ func BenchmarkSumAccumulateEngine(b *testing.B) {
 		calls("zipf-125k", zipf, len(zipf))
 		calls("2k", job, len(job))
 		calls("2k-chunk256", job, jobChunk)
-		for _, w := range []int{2, 4} {
-			b.Run(fmt.Sprintf("%s/parallel-%d", cfg.Name(), w), func(b *testing.B) {
-				par := core.NewParallelAccumulator(w)
-				for i := 0; i < b.N; i++ {
-					par.AccumulateSum(c, table, pairs)
-				}
-				perElem(b, elements)
-			})
-		}
 		builder("2k", job, reduced(job), len(job), false)
 		builder("2k-chunk256", job, reduced(job), jobChunk, false)
 		builder("zipf-125k", zipf, reduced(zipf), len(zipf), false)
@@ -244,15 +234,6 @@ func BenchmarkPermAccumulateEngine(b *testing.B) {
 			}
 			perElem(b, len(job))
 		})
-		for _, w := range []int{2, 4} {
-			b.Run(fmt.Sprintf("%sparallel-%d", name, w), func(b *testing.B) {
-				par := core.NewParallelAccumulator(w)
-				for i := 0; i < b.N; i++ {
-					par.AccumulatePerm(c, sums, xs, false)
-				}
-				perElem(b, elements)
-			})
-		}
 	}
 }
 

@@ -195,8 +195,6 @@ func runOverhead(name, title, head string, measure func(exp.OverheadOptions) ([]
 		opt := exp.DefaultOverhead()
 		fs.IntVar(&opt.Elements, "elements", opt.Elements, "elements to process (paper: 1e6)")
 		fs.IntVar(&opt.Repeats, "repeats", opt.Repeats, "repetitions, fastest wins")
-		fs.IntVar(&opt.Parallelism, "par", opt.Parallelism,
-			parFlagHelp+"; default serial, the paper-faithful single-core measurement")
 		if err := fs.Parse(args); err != nil {
 			return err
 		}
@@ -208,12 +206,6 @@ func runOverhead(name, title, head string, measure func(exp.OverheadOptions) ([]
 		return nil
 	}
 }
-
-// parFlagHelp gives every -par flag the same encoding — the exp
-// harnesses': n > 1 fans out to n goroutines, anything below 2 stays
-// serial. Timing experiments default to serial; pass e.g. -par $(nproc)
-// for all cores.
-const parFlagHelp = "accumulation goroutines: n > 1 = n workers, 0 or 1 = serial"
 
 // runSweep parses args, lets finish turn the experiment's own flags
 // into sweep points, runs the pipeline sweep and prints it as table.
@@ -256,8 +248,6 @@ func runFig4(args []string) error {
 	fs.IntVar(&opt.Repeats, "repeats", opt.Repeats, "timed repetitions after one warm-up (0 = one cold run)")
 	pes := fs.String("pes", "", "comma-separated PE counts (default 1..512 doubling)")
 	fs.Uint64Var(&opt.Seed, "seed", opt.Seed, "experiment seed")
-	fs.IntVar(&opt.Parallelism, "par", opt.Parallelism,
-		"per-PE "+parFlagHelp+"; default serial — the PEs are goroutines sharing this process (pipelines outside this harness default to GOMAXPROCS)")
 	deferred := fs.Bool("deferred", false, "resolve checkers in one batched round per pipeline (CheckDeferred)")
 	return runSweep(fs, args, &opt, exp.Fig4Table(), func() (err error) {
 		if *deferred {

@@ -185,7 +185,6 @@ type Context struct {
 	opts Options
 	pt   ops.Partitioner
 	seed uint64
-	par  core.ParallelAccumulator
 
 	// pending, states, stats and summaries start out in the inline
 	// arrays below, so a Context of a few stages — a service job's —
@@ -236,7 +235,6 @@ func NewContext(w *Worker, opts Options) (*Context, error) {
 		opts: opts,
 		pt:   ops.NewPartitioner(seed, w.Size()),
 		seed: seed,
-		par:  core.NewParallelAccumulator(opts.Parallelism),
 	}
 	c.pending, c.states = c.pendingBuf[:0], c.stateBuf[:0]
 	c.stats, c.summaries = c.statsBuf[:0], c.sumBuf[:0]
@@ -628,7 +626,7 @@ func (d *Dataset) ReduceByKey(fn ReduceFn) *Dataset {
 		out, err = ops.ReduceByKey(c.w, c.pt, d.pairs, fn)
 		return len(out), err
 	}, check: oneShot(func(label string) core.CheckState {
-		return core.NewSumAggState(label, c.opts.Sum, c.seed, c.par, d.pairs, out)
+		return core.NewSumAggState(label, c.opts.Sum, c.seed, d.pairs, out)
 	})})
 	return &Dataset{ctx: c, pairs: out}
 }
@@ -649,7 +647,7 @@ func (d *Dataset) GroupByKey() ([]Group, error) {
 		groups = ops.GroupPairs(red.After)
 		return len(groups), nil
 	}, check: oneShot(func(label string) core.CheckState {
-		return core.NewRedistState(label, c.opts.Perm, c.seed, c.par, c.pt, c.w.Rank(), red.Before, red.After)
+		return core.NewRedistState(label, c.opts.Perm, c.seed, c.pt, c.w.Rank(), red.Before, red.After)
 	})})
 	if err != nil {
 		return nil, err
@@ -683,8 +681,8 @@ func (d *Dataset) Join(other *Dataset) ([]JoinRow, error) {
 		return len(rows), nil
 	}, check: func(label string, states []core.CheckState) ([]core.CheckState, stream.Meter, stream.Meter, error) {
 		return append(states,
-			core.NewRedistState(label+"/left", c.opts.Perm, c.seed, c.par, c.pt, c.w.Rank(), redL.Before, redL.After),
-			core.NewRedistState(label+"/right", c.opts.Perm, c.seed, c.par, c.pt, c.w.Rank(), redR.Before, redR.After),
+			core.NewRedistState(label+"/left", c.opts.Perm, c.seed, c.pt, c.w.Rank(), redL.Before, redL.After),
+			core.NewRedistState(label+"/right", c.opts.Perm, c.seed, c.pt, c.w.Rank(), redR.Before, redR.After),
 		), stream.Meter{}, stream.Meter{}, nil
 	}})
 	if err != nil {
@@ -781,7 +779,7 @@ func (d *Dataset) AverageByKey() ([]Triple, error) {
 		out, err = ops.AverageByKey(c.w, c.pt, d.pairs)
 		return len(out), err
 	}, check: oneShot(func(label string) core.CheckState {
-		return core.NewAvgAggState(label, c.opts.Sum, c.seed, c.par, d.pairs, core.AvgAssertionsFromTriples(out))
+		return core.NewAvgAggState(label, c.opts.Sum, c.seed, d.pairs, core.AvgAssertionsFromTriples(out))
 	})})
 	if err != nil {
 		return nil, err
@@ -799,7 +797,7 @@ func (s *Seq) Sort() *Seq {
 		out, err = ops.Sort(c.w, s.vals)
 		return len(out), err
 	}, check: oneShot(func(label string) core.CheckState {
-		return core.NewSortedState(label, c.opts.Perm, c.seed, c.par, [][]uint64{s.vals}, out)
+		return core.NewSortedState(label, c.opts.Perm, c.seed, [][]uint64{s.vals}, out)
 	})})
 	return &Seq{ctx: c, vals: out}
 }
@@ -817,7 +815,7 @@ func (s *Seq) Merge(other *Seq) *Seq {
 		out, err = ops.Merge(c.w, s.vals, other.vals)
 		return len(out), err
 	}, check: oneShot(func(label string) core.CheckState {
-		return core.NewSortedState(label, c.opts.Perm, c.seed, c.par, [][]uint64{s.vals, other.vals}, out)
+		return core.NewSortedState(label, c.opts.Perm, c.seed, [][]uint64{s.vals, other.vals}, out)
 	})})
 	return &Seq{ctx: c, vals: out}
 }
@@ -835,7 +833,7 @@ func (s *Seq) Union(other *Seq) *Seq {
 		out, err = ops.Union(c.w, s.vals, other.vals)
 		return len(out), err
 	}, check: oneShot(func(label string) core.CheckState {
-		return core.NewPermState(label, c.opts.Perm, c.seed, c.par, [][]uint64{s.vals, other.vals}, out)
+		return core.NewPermState(label, c.opts.Perm, c.seed, [][]uint64{s.vals, other.vals}, out)
 	})})
 	return &Seq{ctx: c, vals: out}
 }
@@ -879,7 +877,7 @@ func (c *Context) AssertSum(input, output []Pair) error {
 	return c.run("AssertSum", stage{elemsIn: len(input), valid: c.validSum, exec: func() (int, error) {
 		return len(output), nil
 	}, check: oneShot(func(label string) core.CheckState {
-		return core.NewSumAggState(label, c.opts.Sum, c.seed, c.par, input, output)
+		return core.NewSumAggState(label, c.opts.Sum, c.seed, input, output)
 	})})
 }
 
@@ -890,6 +888,6 @@ func (c *Context) AssertSorted(input, output []uint64) error {
 	return c.run("AssertSorted", stage{elemsIn: len(input), valid: c.validPerm, exec: func() (int, error) {
 		return len(output), nil
 	}, check: oneShot(func(label string) core.CheckState {
-		return core.NewSortedState(label, c.opts.Perm, c.seed, c.par, [][]uint64{input}, output)
+		return core.NewSortedState(label, c.opts.Perm, c.seed, [][]uint64{input}, output)
 	})})
 }

@@ -133,14 +133,11 @@ func main() {
 		local := global[s:e]
 		sorted := data.CloneU64s(local)
 		data.SortU64(sorted) // local stand-in for a permuted sequence
-		// Shard the local polynomial products across this PE's cores;
-		// the verdict is identical for any worker count.
-		par := core.NewParallelAccumulator(0)
-		okPoly, err := core.CheckPermutationPoly(w, core.PolyPermConfig{Iterations: 2}, par, local, sorted)
+		okPoly, err := core.CheckPermutationPoly(w, core.PolyPermConfig{Iterations: 2}, local, sorted)
 		if err != nil {
 			return err
 		}
-		okGF, err := core.CheckPermutationGF(w, 2, par, local, sorted)
+		okGF, err := core.CheckPermutationGF(w, 2, local, sorted)
 		if err != nil {
 			return err
 		}

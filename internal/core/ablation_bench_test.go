@@ -208,27 +208,6 @@ func BenchmarkAblationBatchHash(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationParallelShards sweeps the ParallelAccumulator's
-// worker count on the sum checker hot loop. On a multi-core machine
-// the per-element time should fall near-linearly until the memory
-// system saturates; on one core it measures the sharding overhead.
-func BenchmarkAblationParallelShards(b *testing.B) {
-	cfg := SumConfig{Iterations: 6, Buckets: 32, RHatLog: 9, Family: hashing.FamilyCRC}
-	pairs := workload.UniformPairs(4*ablationElements, 1<<62, 1<<62, 1)
-	c := NewSumChecker(cfg, 7)
-	table := c.NewTable()
-	for _, w := range []int{1, 2, 4, 8} {
-		w := w
-		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
-			par := NewParallelAccumulator(w)
-			for i := 0; i < b.N; i++ {
-				par.AccumulateSum(c, table, pairs)
-			}
-			reportPerElem(b, 4*ablationElements)
-		})
-	}
-}
-
 // BenchmarkAblationGroupWidth measures the constants of the accumulate
 // kernel's plan (groupSize) by forcing the group size, on a
 // configuration axis: the paper's 6×32 CRC m9 — g = 1 (192 cells, six

@@ -14,30 +14,30 @@ import (
 	"repro/internal/workload"
 )
 
-// TestSmallChunkAccumulationAllocs pins the streaming fast path: a
-// chunk below the parMinShard threshold must take the serial loop
-// without allocating per-shard scratch, on every accumulation kind,
-// even when the accumulator is configured for heavy fan-out. Chunked
-// verification feeds millions of such calls; one table allocation per
-// chunk would dominate the hot loop.
+// TestSmallChunkAccumulationAllocs pins the streaming fast path: one
+// call of an accumulation kernel on a stream-sized chunk (4 095
+// elements) allocates nothing, on every accumulation kind — its
+// scratch comes from scratchPool. Chunked verification feeds millions
+// of such calls; one table allocation per chunk would dominate the hot
+// loop.
 func TestSmallChunkAccumulationAllocs(t *testing.T) {
-	par := NewParallelAccumulator(8)
-	pairs := workload.UniformPairs(parMinShard-1, 1<<62, 1<<62, 31)
-	xs := workload.UniformU64s(parMinShard-1, 1e9, 37)
+	const chunk = 4095
+	pairs := workload.UniformPairs(chunk, 1<<62, 1<<62, 31)
+	xs := workload.UniformU64s(chunk, 1e9, 37)
 
 	sc := NewSumChecker(SumConfig{Iterations: 4, Buckets: 16, RHatLog: 7, Family: hashing.FamilyCRC}, 1)
 	table := sc.NewTable()
-	if n := testing.AllocsPerRun(10, func() { par.AccumulateSum(sc, table, pairs) }); n != 0 {
-		t.Errorf("AccumulateSum allocates %.0f objects per sub-threshold chunk, want 0", n)
+	if n := testing.AllocsPerRun(10, func() { sc.Accumulate(table, pairs) }); n != 0 {
+		t.Errorf("Accumulate allocates %.0f objects per chunk, want 0", n)
 	}
-	if n := testing.AllocsPerRun(10, func() { par.AccumulateCount(sc, table, pairs) }); n != 0 {
-		t.Errorf("AccumulateCount allocates %.0f objects per sub-threshold chunk, want 0", n)
+	if n := testing.AllocsPerRun(10, func() { sc.AccumulateCount(table, pairs) }); n != 0 {
+		t.Errorf("AccumulateCount allocates %.0f objects per chunk, want 0", n)
 	}
 
 	pc := NewPermChecker(PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}, 1)
 	sums := make([]uint64, 2)
-	if n := testing.AllocsPerRun(10, func() { par.AccumulatePerm(pc, sums, xs, false) }); n != 0 {
-		t.Errorf("AccumulatePerm allocates %.0f objects per sub-threshold chunk, want 0", n)
+	if n := testing.AllocsPerRun(10, func() { pc.AccumulateInto(sums, xs, false) }); n != 0 {
+		t.Errorf("AccumulateInto allocates %.0f objects per chunk, want 0", n)
 	}
 
 	zs := make([]uint64, len(xs))
@@ -45,11 +45,11 @@ func TestSmallChunkAccumulationAllocs(t *testing.T) {
 		zs[i] = x % hashing.Mersenne61
 	}
 	z := hashing.Mix64(41) % hashing.Mersenne61
-	if n := testing.AllocsPerRun(10, func() { sinkAlloc = par.PolyProd61(z, zs) }); n != 0 {
-		t.Errorf("PolyProd61 allocates %.0f objects per sub-threshold chunk, want 0", n)
+	if n := testing.AllocsPerRun(10, func() { sinkAlloc = PolyProd61(z, zs) }); n != 0 {
+		t.Errorf("PolyProd61 allocates %.0f objects per chunk, want 0", n)
 	}
-	if n := testing.AllocsPerRun(10, func() { sinkAlloc = par.PolyProdGF(z, zs) }); n != 0 {
-		t.Errorf("PolyProdGF allocates %.0f objects per sub-threshold chunk, want 0", n)
+	if n := testing.AllocsPerRun(10, func() { sinkAlloc = PolyProdGF(z, zs) }); n != 0 {
+		t.Errorf("PolyProdGF allocates %.0f objects per chunk, want 0", n)
 	}
 }
 
@@ -70,7 +70,7 @@ func TestWarmSumAggStateAllocs(t *testing.T) {
 	cfg := SumConfig{Iterations: 6, Buckets: 32, RHatLog: 9, Family: hashing.FamilyCRC}
 	input := workload.ZipfPairs(125000, 1000000, 1<<30, 1)
 	output := refSumAgg(input)
-	run := func() { sinkState = NewSumAggState("warm", cfg, 7, Serial, input, output) }
+	run := func() { sinkState = NewSumAggState("warm", cfg, 7, input, output) }
 	run()
 	// Counted by hand: testing.AllocsPerRun changes GOMAXPROCS, which
 	// makes sync.Pool drop what it holds — the measurement would start

@@ -33,10 +33,9 @@ func AvgAssertionsFromTriples(ts []data.Triple) []AvgAssertion {
 // sum lane (reconstructed sums vs input values) and the count lane
 // (certified counts vs input multiplicities) — check them against the
 // input: the (key, value, count) triple trick, which also catches
-// matched avg/count rescalings. Both lanes are sharded across par.
-// Assertions and input may be distributed arbitrarily. No
+// matched avg/count rescalings. Assertions and input may be distributed arbitrarily. No
 // communication.
-func NewAvgAggState(stage string, cfg SumConfig, seed uint64, par ParallelAccumulator, input []data.Pair, asserted []AvgAssertion) CheckState {
+func NewAvgAggState(stage string, cfg SumConfig, seed uint64, input []data.Pair, asserted []AvgAssertion) CheckState {
 	c := NewSumChecker(cfg, seed)
 	// Certificate sanity is deterministic: a correct result asserts only
 	// keys that occur in the input, so every count is positive, and an
@@ -61,10 +60,10 @@ func NewAvgAggState(stage string, cfg SumConfig, seed uint64, par ParallelAccumu
 	n := c.TableWords()
 	words := make([]uint64, 2*n)
 	sumLane, cntLane := words[:n:n], words[n:]
-	par.AccumulateSum(c, sumLane, input)
-	par.accumulateSum(c, sumLane, sums, outFeed)
-	par.AccumulateCount(c, cntLane, input)
-	par.accumulateSum(c, cntLane, counts, outFeed)
+	c.Accumulate(sumLane, input)
+	c.accumulate(sumLane, sums, outFeed)
+	c.AccumulateCount(cntLane, input)
+	c.accumulate(cntLane, counts, outFeed)
 	c.Normalize(sumLane)
 	c.Normalize(cntLane)
 	return newState(stage, words, localOK, c, tableSeg(c), tableSeg(c))

@@ -49,7 +49,7 @@ func TestAvgCheckerAcceptsCorrect(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
 		err := dist.Run(p, 1, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
-				return NewAvgAggState("AvgAgg", smallCfg, seed, Serial, shardPairs(global, p, w.Rank()), shardAvg(asserted, p, w.Rank()))
+				return NewAvgAggState("AvgAgg", smallCfg, seed, shardPairs(global, p, w.Rank()), shardAvg(asserted, p, w.Rank()))
 			})
 			if err != nil {
 				return err
@@ -83,7 +83,7 @@ func TestAvgCheckerAcceptsTripleForm(t *testing.T) {
 	err := dist.Run(3, 1, func(w *dist.Worker) error {
 		s, e := data.SplitEven(len(asserted), 3, w.Rank())
 		ok, err := check(w, func(seed uint64) CheckState {
-			return NewAvgAggState("AvgAgg", smallCfg, seed, Serial, shardPairs(global, 3, w.Rank()), asserted[s:e])
+			return NewAvgAggState("AvgAgg", smallCfg, seed, shardPairs(global, 3, w.Rank()), asserted[s:e])
 		})
 		if err != nil {
 			return err
@@ -109,7 +109,7 @@ func TestAvgCheckerDetectsWrongAverage(t *testing.T) {
 		bad[i].AvgNum++ // average off by 1/Den
 		err := dist.Run(3, seed, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
-				return NewAvgAggState("AvgAgg", smallCfg, seed, Serial, shardPairs(global, 3, w.Rank()), shardAvg(bad, 3, w.Rank()))
+				return NewAvgAggState("AvgAgg", smallCfg, seed, shardPairs(global, 3, w.Rank()), shardAvg(bad, 3, w.Rank()))
 			})
 			if err != nil {
 				return err
@@ -148,7 +148,7 @@ func TestAvgCheckerDetectsScaledPair(t *testing.T) {
 				mine = forged
 			}
 			ok, err := check(w, func(seed uint64) CheckState {
-				return NewAvgAggState("AvgAgg", smallCfg, seed, Serial, shardPairs(global, 2, w.Rank()), mine)
+				return NewAvgAggState("AvgAgg", smallCfg, seed, shardPairs(global, 2, w.Rank()), mine)
 			})
 			if err != nil {
 				return err
@@ -178,7 +178,7 @@ func TestAvgCheckerRejectsIndivisibleCertificate(t *testing.T) {
 			mine = bad
 		}
 		ok, err := check(w, func(seed uint64) CheckState {
-			return NewAvgAggState("AvgAgg", smallCfg, seed, Serial, shardPairs(global, 2, w.Rank()), mine)
+			return NewAvgAggState("AvgAgg", smallCfg, seed, shardPairs(global, 2, w.Rank()), mine)
 		})
 		if err != nil {
 			return err
@@ -206,7 +206,7 @@ func TestAvgCheckerRejectsZeroCount(t *testing.T) {
 			mine = append(append([]AvgAssertion(nil), mine...), invented)
 		}
 		ok, err := check(w, func(seed uint64) CheckState {
-			return NewAvgAggState("AvgAgg", smallCfg, seed, Serial, shardPairs(global, 2, w.Rank()), mine)
+			return NewAvgAggState("AvgAgg", smallCfg, seed, shardPairs(global, 2, w.Rank()), mine)
 		})
 		if err != nil {
 			return err
@@ -234,7 +234,7 @@ func TestAvgCheckerDetectsWrongCount(t *testing.T) {
 	for seed := uint64(0); seed < trials; seed++ {
 		err := dist.Run(2, seed, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
-				return NewAvgAggState("AvgAgg", smallCfg, seed, Serial, shardPairs(global, 2, w.Rank()), shardAvg(bad, 2, w.Rank()))
+				return NewAvgAggState("AvgAgg", smallCfg, seed, shardPairs(global, 2, w.Rank()), shardAvg(bad, 2, w.Rank()))
 			})
 			if err != nil {
 				return err

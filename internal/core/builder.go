@@ -13,8 +13,7 @@ import (
 // CheckState.
 //
 // The sealed state is bit-identical to the one-chunk constructor's over
-// the concatenation of all chunks, for every chunking and every
-// ParallelAccumulator worker count:
+// the concatenation of all chunks, for every chunking:
 //
 //   - a sum checker's cells hold exact integer sums, input minus
 //     output, whatever the chunking, and Seal folds them mod r and
@@ -62,7 +61,6 @@ func recycleHashers(hs []hashing.Hasher) {
 type SumAggBuilder struct {
 	stage string
 	c     *SumChecker // &chk until the builder is consumed
-	par   ParallelAccumulator
 	count bool
 	table []uint64    // input minus output, congruent mod r
 	s     *accScratch // the cells and plan, from the first chunk to Seal
@@ -80,11 +78,11 @@ type SumAggBuilder struct {
 const minPlanElems = 2 * accBlock
 
 // NewSumAggBuilder starts an empty sum (or, with count, count)
-// aggregation partial for the given stage. A chunk long enough to fan
-// out across par is accumulated in shards instead of in the builder's
-// cells. With count, every input pair counts 1 regardless of its value.
-func NewSumAggBuilder(stage string, cfg SumConfig, seed uint64, par ParallelAccumulator, count bool) *SumAggBuilder {
-	b := &SumAggBuilder{stage: stage, par: par, count: count}
+// aggregation partial for the given stage. With count, every input pair
+// counts 1 regardless of its value. The ParallelAccumulator is ignored
+// (shims_benchmark.go).
+func NewSumAggBuilder(stage string, cfg SumConfig, seed uint64, _ ParallelAccumulator, count bool) *SumAggBuilder {
+	b := &SumAggBuilder{stage: stage, count: count}
 	b.chk.init(cfg, seed, false, 0)
 	b.c = &b.chk
 	b.table = b.c.NewTable()
@@ -110,10 +108,6 @@ func (b *SumAggBuilder) AddOutput(pairs []data.Pair) {
 // wider groups.
 func (b *SumAggBuilder) add(pairs []data.Pair, f feed) {
 	if len(pairs) == 0 {
-		return
-	}
-	if b.par.shards(len(pairs)) > 1 {
-		b.par.accumulateSum(b.c, b.table, pairs, f)
 		return
 	}
 	if b.s == nil {
@@ -153,8 +147,8 @@ func (b *SumAggBuilder) Seal() CheckState {
 // result is always accepted; an incorrect one with probability at most
 // cfg.AchievedDelta(). Communication at resolution: #its * d *
 // ceil(log 2rhat) bits, O(beta*d*log(rhat) + alpha*log p), per Lemma 3.
-func NewSumAggState(stage string, cfg SumConfig, seed uint64, par ParallelAccumulator, input, output []data.Pair) CheckState {
-	b := NewSumAggBuilder(stage, cfg, seed, par, false)
+func NewSumAggState(stage string, cfg SumConfig, seed uint64, input, output []data.Pair) CheckState {
+	b := NewSumAggBuilder(stage, cfg, seed, Serial, false)
 	b.AddInput(input)
 	b.AddOutput(output)
 	return b.Seal()
@@ -172,7 +166,6 @@ func NewSumAggState(stage string, cfg SumConfig, seed uint64, par ParallelAccumu
 type PermBuilder struct {
 	stage   string
 	c       *PermChecker // &chk until the builder is consumed
-	par     ParallelAccumulator
 	lambda  []uint64
 	localOK bool
 	chk     PermChecker
@@ -183,16 +176,16 @@ type PermBuilder struct {
 }
 
 // NewPermBuilder starts an empty permutation partial for the given
-// stage. Accumulation of every chunk is sharded across par.
-func NewPermBuilder(stage string, cfg PermConfig, seed uint64, par ParallelAccumulator) *PermBuilder {
+// stage. The ParallelAccumulator is ignored (shims_benchmark.go).
+func NewPermBuilder(stage string, cfg PermConfig, seed uint64, _ ParallelAccumulator) *PermBuilder {
 	b := new(PermBuilder)
-	b.init(stage, cfg, seed, par)
+	b.init(stage, cfg, seed)
 	return b
 }
 
 // init starts the builder in place.
-func (b *PermBuilder) init(stage string, cfg PermConfig, seed uint64, par ParallelAccumulator) {
-	b.stage, b.par, b.localOK = stage, par, true
+func (b *PermBuilder) init(stage string, cfg PermConfig, seed uint64) {
+	b.stage, b.localOK = stage, true
 	b.chk.init(cfg, seed)
 	b.c = &b.chk
 	if its := cfg.Iterations; its <= inlineHashers {
@@ -204,12 +197,12 @@ func (b *PermBuilder) init(stage string, cfg PermConfig, seed uint64, par Parall
 
 // AddInput accumulates one chunk of (one of) the input sequences.
 func (b *PermBuilder) AddInput(xs []uint64) {
-	b.par.AccumulatePerm(b.c, b.lambda, xs, false)
+	b.c.AccumulateInto(b.lambda, xs, false)
 }
 
 // AddOutput accumulates one chunk of the asserted output sequence.
 func (b *PermBuilder) AddOutput(xs []uint64) {
-	b.par.AccumulatePerm(b.c, b.lambda, xs, true)
+	b.c.AccumulateInto(b.lambda, xs, true)
 }
 
 // Seal freezes the partial into one hash sum segment.
@@ -229,8 +222,8 @@ func (b *PermBuilder) consume() {
 // output: output must be a permutation of the concatenation of inputs
 // — with two inputs the Union checker of Corollary 12. Running time
 // O(n/p + beta*logH*its + alpha*log p) — Theorem 6.
-func NewPermState(stage string, cfg PermConfig, seed uint64, par ParallelAccumulator, inputs [][]uint64, output []uint64) CheckState {
-	b := NewPermBuilder(stage, cfg, seed, par)
+func NewPermState(stage string, cfg PermConfig, seed uint64, inputs [][]uint64, output []uint64) CheckState {
+	b := NewPermBuilder(stage, cfg, seed, Serial)
 	for _, in := range inputs {
 		b.AddInput(in)
 	}
@@ -253,9 +246,10 @@ type SortedBuilder struct {
 }
 
 // NewSortedBuilder starts an empty sort partial for the given stage.
-func NewSortedBuilder(stage string, cfg PermConfig, seed uint64, par ParallelAccumulator) *SortedBuilder {
+// The ParallelAccumulator is ignored (shims_benchmark.go).
+func NewSortedBuilder(stage string, cfg PermConfig, seed uint64, _ ParallelAccumulator) *SortedBuilder {
 	sb := new(SortedBuilder)
-	sb.perm.init(stage, cfg, seed, par)
+	sb.perm.init(stage, cfg, seed)
 	sb.interval[sortOK] = 1
 	return sb
 }
@@ -293,8 +287,8 @@ func (s *SortedBuilder) Seal() CheckState {
 // of inputs (one input for Sort, two for Merge). Both properties travel
 // in one reduction — the boundary condition as the rank-ordered
 // interval merge. Time O(Tcheck-perm(n, p, delta)).
-func NewSortedState(stage string, cfg PermConfig, seed uint64, par ParallelAccumulator, inputs [][]uint64, output []uint64) CheckState {
-	b := NewSortedBuilder(stage, cfg, seed, par)
+func NewSortedState(stage string, cfg PermConfig, seed uint64, inputs [][]uint64, output []uint64) CheckState {
+	b := NewSortedBuilder(stage, cfg, seed, Serial)
 	for _, in := range inputs {
 		b.AddInput(in)
 	}
@@ -331,13 +325,13 @@ type RedistBuilder struct {
 
 // NewRedistBuilder starts an empty redistribution partial for the given
 // stage; loc and rank pin this PE's placement contract.
-func NewRedistBuilder(stage string, cfg PermConfig, seed uint64, par ParallelAccumulator, loc KeyLocator, rank int) *RedistBuilder {
+func NewRedistBuilder(stage string, cfg PermConfig, seed uint64, loc KeyLocator, rank int) *RedistBuilder {
 	b := &RedistBuilder{
 		foldSeed: hashing.SubSeeds(seed^0x4ed154ed154ed151, 2),
 		loc:      loc,
 		rank:     rank,
 	}
-	b.perm.init(stage, cfg, seed, par)
+	b.perm.init(stage, cfg, seed)
 	return b
 }
 
@@ -380,8 +374,8 @@ func (b *RedistBuilder) Seal() CheckState { return b.perm.Seal() }
 // after are this PE's pairs around the exchange and rank is this PE's
 // rank. A hash join checks each relation with one state; both resolve
 // in one batched round.
-func NewRedistState(stage string, cfg PermConfig, seed uint64, par ParallelAccumulator, loc KeyLocator, rank int, before, after []data.Pair) CheckState {
-	b := NewRedistBuilder(stage, cfg, seed, par, loc, rank)
+func NewRedistState(stage string, cfg PermConfig, seed uint64, loc KeyLocator, rank int, before, after []data.Pair) CheckState {
+	b := NewRedistBuilder(stage, cfg, seed, loc, rank)
 	b.AddInput(before)
 	b.AddOutput(after)
 	return b.Seal()

@@ -74,14 +74,12 @@
 // A checker exists in two layers, and nothing else builds a state:
 //
 //   - the builder (builder.go), where a checker accumulates in chunks:
-//     AddInput and AddOutput accumulate any number of chunks, sharded
-//     across a ParallelAccumulator, and Seal freezes the partial into a
-//     CheckState. The streaming stages (internal/stream) drive builders
-//     directly.
+//     AddInput and AddOutput accumulate any number of chunks and Seal
+//     freezes the partial into a CheckState. The streaming stages
+//     (internal/stream) drive builders directly.
 //   - the one-chunk constructor, New...State: a builder fed exactly one
 //     chunk per side, or for the checkers without a builder the whole
-//     local phase. It takes the ParallelAccumulator where the checker
-//     shards; a serial caller passes Serial.
+//     local phase.
 //
 // Resolve — eagerly, one state per stage, or batched over every
 // pending stage — is the only way from states to verdicts. Its flag
@@ -91,10 +89,10 @@
 //
 // The checkers' O(n/p) local phase (Table 5) runs on a shared
 // accumulation engine: blocked batch hashing (hashing.Hasher's
-// Hash64Batch), unrolled polynomial products, and an optional
-// ParallelAccumulator that shards the scan across goroutines with
-// residue-identical merges — per-PE fan-out never changes a checker
-// state.
+// Hash64Batch) and unrolled polynomial products. It runs on the
+// calling PE's goroutine and starts none: the PE is the unit of
+// parallelism, as in the paper's machine model of p single-threaded
+// PEs.
 //
 // Both checker kernels read each key's hash lookups once, the Section
 // 7.1 idea of one wide hash value feeding several iterations. The
@@ -163,8 +161,8 @@
 // and a builder re-plans — folding first — only when a grown count
 // widens its groups, for the default and 6×32 once, into the bulk
 // plan. Accumulate and AccumulateCount, the form for a caller with no
-// builder (the average checker, the ParallelAccumulator's shards, the
-// benchmarks), plan on the call's length and fold when the call ends.
+// builder (the average checker, the benchmarks), plan on the call's
+// length and fold when the call ends.
 //
 // The default configuration comes from ChooseSum, which minimises
 // cell updates per element at the bulk plan, then hash evaluations,
@@ -175,9 +173,8 @@
 // None of this can change a verdict. The checker is linear: a counter
 // holds, mod r, the sum over the integers of the values whose key falls
 // in its bucket, and an exact sum does not depend on how it was
-// bracketed — per cell first, per cell array, per shard, per chunk. The
-// table after Normalize is therefore bit-identical for every g,
-// chunking, value width and worker count, and equal to the
-// element-by-element reference (AccumulateScalar), which stays in the
-// package as the test oracle.
+// bracketed — per cell first, per cell array, per chunk. The table
+// after Normalize is therefore bit-identical for every g, chunking and
+// value width, and equal to the element-by-element reference
+// (AccumulateScalar), which stays in the package as the test oracle.
 package core

@@ -162,5 +162,21 @@ func packedSumState() CheckState {
 	input := workload.ZipfPairs(2000, 1000, 1<<30, 1)
 	output := refSumAgg(input)
 	output[0].Value++
-	return NewSumAggState("packed", cfg, 7, Serial, input, output)
+	return NewSumAggState("packed", cfg, 7, input, output)
+}
+
+// addMod adds src into dst entry-wise, each iteration's row of d
+// counters modulo that iteration's r (mods): the combine of normalized
+// tables, unpacked — the reference addLanes is tested against.
+func addMod(dst, src, mods []uint64) {
+	d := len(dst) / len(mods)
+	for it, r := range mods {
+		for i := it * d; i < (it+1)*d; i++ {
+			s := dst[i] + src[i] // both < r <= 2^63: no overflow
+			if s >= r {
+				s -= r
+			}
+			dst[i] = s
+		}
+	}
 }

@@ -54,7 +54,8 @@ func (c PermConfig) Validate() error {
 // SumChecker, every PE builds an identical instance from the shared
 // seed. After construction an instance is read-only: concurrent
 // AccumulateInto calls on one instance are safe as long as they target
-// disjoint sums vectors (the ParallelAccumulator contract).
+// disjoint sums vectors: each call hashes into its own block of
+// scratchPool.
 //
 // The default configuration is one Tab64 function, all 64 bits summed:
 // δ = 2^-64 at one lookup walk and one sum per element. A family with a
@@ -126,10 +127,10 @@ func (c *PermChecker) pairs() int {
 // each hasher's Hash64Batch — a pair's once for both its iterations —
 // and summed in independent lanes; wraparound addition mod 2^64 is
 // commutative, so the sums are bit-identical to the scalar
-// element-order loop. Scratch comes from a shared pool, one block per
-// accumulating goroutine — concurrent calls on the same checker with
-// disjoint sums are safe (the ParallelAccumulator contract) and
-// repeated small-chunk calls allocate nothing.
+// element-order loop. Each call takes its hash block from scratchPool
+// and puts it back when it returns, so concurrent calls on the same
+// checker with disjoint sums are safe and repeated small-chunk calls
+// allocate nothing.
 func (c *PermChecker) AccumulateInto(sums []uint64, xs []uint64, negate bool) {
 	mask := c.mask
 	s := scratchPool.Get().(*accScratch)

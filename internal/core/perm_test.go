@@ -35,7 +35,7 @@ func TestPermCheckerAcceptsPermutation(t *testing.T) {
 		for seed := uint64(0); seed < 5; seed++ {
 			err := dist.Run(p, seed, func(w *dist.Worker) error {
 				ok, err := check(w, func(seed uint64) CheckState {
-					return NewPermState("Permutation", permCfg, seed, Serial, [][]uint64{shardU64(input, p, w.Rank())}, shardU64(output, p, w.Rank()))
+					return NewPermState("Permutation", permCfg, seed, [][]uint64{shardU64(input, p, w.Rank())}, shardU64(output, p, w.Rank()))
 				})
 				if err != nil {
 					return err
@@ -61,7 +61,7 @@ func TestPermCheckerAcceptsAllConfigs(t *testing.T) {
 	for _, cfg := range PermAccuracyConfigs() {
 		err := dist.Run(2, 11, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
-				return NewPermState("Permutation", cfg, seed, Serial, [][]uint64{shardU64(input, 2, w.Rank())}, shardU64(output, 2, w.Rank()))
+				return NewPermState("Permutation", cfg, seed, [][]uint64{shardU64(input, 2, w.Rank())}, shardU64(output, 2, w.Rank()))
 			})
 			if err != nil {
 				return err
@@ -85,7 +85,7 @@ func TestPermCheckerAcceptsWithDuplicates(t *testing.T) {
 	output := shuffled(input, 7)
 	err := dist.Run(4, 3, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
-			return NewPermState("Permutation", permCfg, seed, Serial, [][]uint64{shardU64(input, 4, w.Rank())}, shardU64(output, 4, w.Rank()))
+			return NewPermState("Permutation", permCfg, seed, [][]uint64{shardU64(input, 4, w.Rank())}, shardU64(output, 4, w.Rank()))
 		})
 		if err != nil {
 			return err
@@ -109,7 +109,7 @@ func TestPermCheckerDetectsChangedElement(t *testing.T) {
 		bad[int(seed)%len(bad)] ^= 1 << (seed % 27)
 		err := dist.Run(3, seed, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
-				return NewPermState("Permutation", permCfg, seed, Serial, [][]uint64{shardU64(input, 3, w.Rank())}, shardU64(bad, 3, w.Rank()))
+				return NewPermState("Permutation", permCfg, seed, [][]uint64{shardU64(input, 3, w.Rank())}, shardU64(bad, 3, w.Rank()))
 			})
 			if err != nil {
 				return err
@@ -141,7 +141,7 @@ func TestPermCheckerTruncatedFailureRate(t *testing.T) {
 		bad[int(seed)%len(bad)] = hashing.Mix64(seed) % 1e8
 		err := dist.Run(2, seed, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
-				return NewPermState("Permutation", cfg, seed, Serial, [][]uint64{shardU64(input, 2, w.Rank())}, shardU64(bad, 2, w.Rank()))
+				return NewPermState("Permutation", cfg, seed, [][]uint64{shardU64(input, 2, w.Rank())}, shardU64(bad, 2, w.Rank()))
 			})
 			if err != nil {
 				return err
@@ -178,7 +178,7 @@ func TestPermCheckerIterationsBoost(t *testing.T) {
 			mode := mode
 			err := dist.Run(2, seed, func(w *dist.Worker) error {
 				ok, err := check(w, func(seed uint64) CheckState {
-					return NewPermState("Permutation", mode.cfg, seed, Serial, [][]uint64{shardU64(input, 2, w.Rank())}, shardU64(bad, 2, w.Rank()))
+					return NewPermState("Permutation", mode.cfg, seed, [][]uint64{shardU64(input, 2, w.Rank())}, shardU64(bad, 2, w.Rank()))
 				})
 				if err != nil {
 					return err
@@ -239,7 +239,7 @@ func TestPolyPermChecker(t *testing.T) {
 	input := workload.UniformU64s(1000, 1e8, 5)
 	output := shuffled(input, 9)
 	err := dist.Run(4, 1, func(w *dist.Worker) error {
-		ok, err := CheckPermutationPoly(w, PolyPermConfig{Iterations: 2}, Serial, shardU64(input, 4, w.Rank()), shardU64(output, 4, w.Rank()))
+		ok, err := CheckPermutationPoly(w, PolyPermConfig{Iterations: 2}, shardU64(input, 4, w.Rank()), shardU64(output, 4, w.Rank()))
 		if err != nil {
 			return err
 		}
@@ -257,7 +257,7 @@ func TestPolyPermChecker(t *testing.T) {
 		bad := shuffled(input, seed)
 		bad[3] += 1
 		err := dist.Run(2, seed, func(w *dist.Worker) error {
-			ok, err := CheckPermutationPoly(w, PolyPermConfig{Iterations: 1}, Serial, shardU64(input, 2, w.Rank()), shardU64(bad, 2, w.Rank()))
+			ok, err := CheckPermutationPoly(w, PolyPermConfig{Iterations: 1}, shardU64(input, 2, w.Rank()), shardU64(bad, 2, w.Rank()))
 			if err != nil {
 				return err
 			}
@@ -283,7 +283,7 @@ func TestPolyPermCheckerUniverseGuard(t *testing.T) {
 		if w.Rank() == 1 {
 			xs = []uint64{^uint64(0)}
 		}
-		_, err := CheckPermutationPoly(w, PolyPermConfig{Iterations: 1}, Serial, xs, xs)
+		_, err := CheckPermutationPoly(w, PolyPermConfig{Iterations: 1}, xs, xs)
 		if err == nil {
 			t.Errorf("rank %d: expected universe violation error", w.Rank())
 		}
@@ -310,8 +310,8 @@ func TestPolyCheckersOneAllReduction(t *testing.T) {
 			name string
 			run  func() (bool, error)
 		}{
-			{"Poly", func() (bool, error) { return CheckPermutationPoly(w, PolyPermConfig{Iterations: 2}, Serial, in, out) }},
-			{"GF", func() (bool, error) { return CheckPermutationGF(w, 2, Serial, in, out) }},
+			{"Poly", func() (bool, error) { return CheckPermutationPoly(w, PolyPermConfig{Iterations: 2}, in, out) }},
+			{"GF", func() (bool, error) { return CheckPermutationGF(w, 2, in, out) }},
 		} {
 			before := w.Coll.OpsStarted()
 			ok, err := c.run()
@@ -334,7 +334,7 @@ func TestGFPermChecker(t *testing.T) {
 	input := []uint64{^uint64(0), 0, 1 << 63, 12345, ^uint64(0) - 7}
 	output := shuffled(input, 3)
 	err := dist.Run(3, 1, func(w *dist.Worker) error {
-		ok, err := CheckPermutationGF(w, 2, Serial, shardU64(input, 3, w.Rank()), shardU64(output, 3, w.Rank()))
+		ok, err := CheckPermutationGF(w, 2, shardU64(input, 3, w.Rank()), shardU64(output, 3, w.Rank()))
 		if err != nil {
 			return err
 		}
@@ -351,7 +351,7 @@ func TestGFPermChecker(t *testing.T) {
 		bad := data.CloneU64s(input)
 		bad[int(seed)%len(bad)] ^= 2
 		err := dist.Run(2, seed, func(w *dist.Worker) error {
-			ok, err := CheckPermutationGF(w, 1, Serial, shardU64(input, 2, w.Rank()), shardU64(bad, 2, w.Rank()))
+			ok, err := CheckPermutationGF(w, 1, shardU64(input, 2, w.Rank()), shardU64(bad, 2, w.Rank()))
 			if err != nil {
 				return err
 			}
@@ -375,7 +375,7 @@ func TestUnionChecker(t *testing.T) {
 	out := shuffled(append(data.CloneU64s(a), b...), 11)
 	err := dist.Run(4, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
-			return NewPermState("Union", permCfg, seed, Serial, [][]uint64{shardU64(a, 4, w.Rank()), shardU64(b, 4, w.Rank())}, shardU64(out, 4, w.Rank()))
+			return NewPermState("Union", permCfg, seed, [][]uint64{shardU64(a, 4, w.Rank()), shardU64(b, 4, w.Rank())}, shardU64(out, 4, w.Rank()))
 		})
 		if err != nil {
 			return err
@@ -394,7 +394,7 @@ func TestUnionChecker(t *testing.T) {
 		bad := shuffled(append(data.CloneU64s(a), b...), seed)[1:]
 		err := dist.Run(2, seed, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
-				return NewPermState("Union", permCfg, seed, Serial, [][]uint64{shardU64(a, 2, w.Rank()), shardU64(b, 2, w.Rank())}, shardU64(bad, 2, w.Rank()))
+				return NewPermState("Union", permCfg, seed, [][]uint64{shardU64(a, 2, w.Rank()), shardU64(b, 2, w.Rank())}, shardU64(bad, 2, w.Rank()))
 			})
 			if err != nil {
 				return err
@@ -531,7 +531,7 @@ func TestPermCheckerEscapeRateWithinDelta(t *testing.T) {
 	clean := shuffled(input, 0x5bff1e)
 	bad := make([]uint64, n)
 	accepts := func(cfg PermConfig, seed uint64, output []uint64) bool {
-		st := NewPermState("gate", cfg, seed, Serial, [][]uint64{input}, output)
+		st := NewPermState("gate", cfg, seed, [][]uint64{input}, output)
 		return st.LocalOK() && st.Verdict(st.Words()) // p = 1: the combined vector is the local one
 	}
 	for _, cfg := range cfgs {

@@ -20,17 +20,15 @@ type PolyPermConfig struct {
 }
 
 // CheckPermutationPoly checks the permutation property over the prime
-// field F_r with r = 2^61 - 1 (a Mersenne prime, for fast reduction),
-// the local polynomial products sharded across par's goroutines —
-// partial products merge by field multiplication, so the verdict is
-// identical for every worker count. Elements must lie in 0..r-1 —
-// Lemma 5 requires the prime to exceed the universe so that distinct
-// elements stay distinct modulo r; an element outside it on any PE is
-// an error on every PE. The failure bound is (n/r)^Iterations for n
-// total elements. One all-reduction: the products of every iteration
-// plus the universe flag as an AND word, which is identical on every PE
-// once reduced, so each PE reads the verdict off it.
-func CheckPermutationPoly(w *dist.Worker, cfg PolyPermConfig, par ParallelAccumulator, input, output []uint64) (bool, error) {
+// field F_r with r = 2^61 - 1 (a Mersenne prime, for fast reduction).
+// Elements must lie in 0..r-1 — Lemma 5 requires the prime to exceed
+// the universe so that distinct elements stay distinct modulo r; an
+// element outside it on any PE is an error on every PE. The failure
+// bound is (n/r)^Iterations for n total elements. One all-reduction:
+// the products of every iteration plus the universe flag as an AND
+// word, which is identical on every PE once reduced, so each PE reads
+// the verdict off it.
+func CheckPermutationPoly(w *dist.Worker, cfg PolyPermConfig, input, output []uint64) (bool, error) {
 	if cfg.Iterations < 1 {
 		return false, fmt.Errorf("core: poly perm checker: iterations must be >= 1")
 	}
@@ -58,8 +56,8 @@ func CheckPermutationPoly(w *dist.Worker, cfg PolyPermConfig, par ParallelAccumu
 	rng := hashing.NewMT19937_64(hashing.Mix64(seed ^ 0x9071e57a9071e57a))
 	for it := 0; it < cfg.Iterations && valid == 1; it++ {
 		z := rng.Uint64n(r)
-		prods[2*it] = par.PolyProd61(z, input)
-		prods[2*it+1] = par.PolyProd61(z, output)
+		prods[2*it] = PolyProd61(z, input)
+		prods[2*it+1] = PolyProd61(z, output)
 	}
 	red, err := w.Coll.AllReduce(prods, func(dst, src []uint64) {
 		for i := 0; i < n; i++ {
@@ -129,10 +127,9 @@ func PolyProdGF(z uint64, xs []uint64) uint64 {
 // CheckPermutationGF checks the permutation property in GF(2^64) with
 // carry-less multiplication (the Section 5 optimisation referencing
 // Galois-field SIMD arithmetic): q(z) = prod(z xor e_i) over the full
-// 64-bit universe, no universe restriction, the local products sharded
-// across par's goroutines; see CheckPermutationPoly. Failure bound
-// about (n/2^64)^Iterations. One all-reduction.
-func CheckPermutationGF(w *dist.Worker, iterations int, par ParallelAccumulator, input, output []uint64) (bool, error) {
+// 64-bit universe, no universe restriction; see CheckPermutationPoly.
+// Failure bound about (n/2^64)^Iterations. One all-reduction.
+func CheckPermutationGF(w *dist.Worker, iterations int, input, output []uint64) (bool, error) {
 	if iterations < 1 {
 		return false, fmt.Errorf("core: GF perm checker: iterations must be >= 1")
 	}
@@ -144,8 +141,8 @@ func CheckPermutationGF(w *dist.Worker, iterations int, par ParallelAccumulator,
 	prods := make([]uint64, 2*iterations)
 	for it := 0; it < iterations; it++ {
 		z := rng.Uint64()
-		prods[2*it] = par.PolyProdGF(z, input)
-		prods[2*it+1] = par.PolyProdGF(z, output)
+		prods[2*it] = PolyProdGF(z, input)
+		prods[2*it+1] = PolyProdGF(z, output)
 	}
 	red, err := w.Coll.AllReduce(prods, func(dst, src []uint64) {
 		for i := range dst {

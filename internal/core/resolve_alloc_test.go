@@ -39,8 +39,8 @@ func TestResolveOnAllocs(t *testing.T) {
 		start[r] = make(chan struct{})
 		c := collective.New(net.Endpoint(r))
 		states := []CheckState{
-			NewSumAggState("sum", smallCfg, 7, Serial, shardPairs(pairs, p, r), shardPairs(refSumAgg(pairs), p, r)),
-			NewPermState("perm", permCfg, 8, Serial, [][]uint64{shardU64(values, p, r)}, shardU64(values, p, r)),
+			NewSumAggState("sum", smallCfg, 7, shardPairs(pairs, p, r), shardPairs(refSumAgg(pairs), p, r)),
+			NewPermState("perm", permCfg, 8, [][]uint64{shardU64(values, p, r)}, shardU64(values, p, r)),
 		}
 		go func() {
 			for range start[r] {

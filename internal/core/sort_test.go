@@ -27,7 +27,7 @@ func TestSortCheckerAcceptsSortedOutput(t *testing.T) {
 		shards := globalSortShards(input, p)
 		err := dist.Run(p, 1, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
-				return NewSortedState("Sorted", permCfg, seed, Serial, [][]uint64{shardU64(input, p, w.Rank())}, shards[w.Rank()])
+				return NewSortedState("Sorted", permCfg, seed, [][]uint64{shardU64(input, p, w.Rank())}, shards[w.Rank()])
 			})
 			if err != nil {
 				return err
@@ -59,7 +59,7 @@ func TestSortCheckerDetectsLocalDisorder(t *testing.T) {
 	bad[2][0], bad[2][len(bad[2])-1] = bad[2][len(bad[2])-1], bad[2][0]
 	err := dist.Run(p, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
-			return NewSortedState("Sorted", permCfg, seed, Serial, [][]uint64{shardU64(input, p, w.Rank())}, bad[w.Rank()])
+			return NewSortedState("Sorted", permCfg, seed, [][]uint64{shardU64(input, p, w.Rank())}, bad[w.Rank()])
 		})
 		if err != nil {
 			return err
@@ -100,7 +100,7 @@ func TestSortCheckerDetectsBoundaryViolation(t *testing.T) {
 	data.SortU64(bad[2])
 	err := dist.Run(p, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
-			return NewSortedState("Sorted", permCfg, seed, Serial, [][]uint64{shardU64(input, p, w.Rank())}, bad[w.Rank()])
+			return NewSortedState("Sorted", permCfg, seed, [][]uint64{shardU64(input, p, w.Rank())}, bad[w.Rank()])
 		})
 		if err != nil {
 			return err
@@ -135,7 +135,7 @@ func TestSortCheckerDetectsValueChange(t *testing.T) {
 		last[len(last)-1] += 1 + seed
 		err := dist.Run(p, seed, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
-				return NewSortedState("Sorted", permCfg, seed, Serial, [][]uint64{shardU64(input, p, w.Rank())}, bad[w.Rank()])
+				return NewSortedState("Sorted", permCfg, seed, [][]uint64{shardU64(input, p, w.Rank())}, bad[w.Rank()])
 			})
 			if err != nil {
 				return err
@@ -170,7 +170,7 @@ func TestSortCheckerEmptyShards(t *testing.T) {
 			out = sorted
 		}
 		ok, err := check(w, func(seed uint64) CheckState {
-			return NewSortedState("Sorted", permCfg, seed, Serial, [][]uint64{in}, out)
+			return NewSortedState("Sorted", permCfg, seed, [][]uint64{in}, out)
 		})
 		if err != nil {
 			return err
@@ -197,7 +197,7 @@ func TestSortCheckerEmptyMiddleBoundary(t *testing.T) {
 			in = input
 		}
 		ok, err := check(w, func(seed uint64) CheckState {
-			return NewSortedState("Sorted", permCfg, seed, Serial, [][]uint64{in}, shares[w.Rank()])
+			return NewSortedState("Sorted", permCfg, seed, [][]uint64{in}, shares[w.Rank()])
 		})
 		if err != nil {
 			return err
@@ -223,7 +223,7 @@ func TestMergeChecker(t *testing.T) {
 	shards := globalSortShards(merged, p)
 	err := dist.Run(p, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
-			return NewSortedState("Merge", permCfg, seed, Serial, [][]uint64{shardU64(a, p, w.Rank()), shardU64(b, p, w.Rank())}, shards[w.Rank()])
+			return NewSortedState("Merge", permCfg, seed, [][]uint64{shardU64(a, p, w.Rank()), shardU64(b, p, w.Rank())}, shards[w.Rank()])
 		})
 		if err != nil {
 			return err
@@ -244,7 +244,7 @@ func TestMergeChecker(t *testing.T) {
 	for seed := uint64(0); seed < 30; seed++ {
 		err := dist.Run(p, seed, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
-				return NewSortedState("Merge", permCfg, seed, Serial, [][]uint64{shardU64(a, p, w.Rank()), shardU64(b, p, w.Rank())}, badShards[w.Rank()])
+				return NewSortedState("Merge", permCfg, seed, [][]uint64{shardU64(a, p, w.Rank()), shardU64(b, p, w.Rank())}, badShards[w.Rank()])
 			})
 			if err != nil {
 				return err

@@ -417,8 +417,8 @@ func setLane(w []uint64, i int, width uint, v uint64) {
 
 // addLanes adds src's packed width-bit lanes into dst's, lane by lane:
 // given mods, the lanes are a table and each iteration's row of
-// lanes/len(mods) residues adds mod its r, as addMod does unpacked;
-// without, every lane adds mod 2^width.
+// lanes/len(mods) residues adds mod its r; without, every lane adds
+// mod 2^width.
 func addLanes(dst, src []uint64, lanes int, width uint, mods []uint64) {
 	if mods == nil {
 		for i := range lanes {

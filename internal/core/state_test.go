@@ -103,11 +103,11 @@ func pinCases() []pinCase {
 		// One 4×8 m7 table: 32 lanes × 8 bits = 4 words.
 		{"SumAgg", [2]string{"words=4 ok=true fnv=0c8210784d8af5a5", "words=4 ok=true fnv=477aa3128e8a32af"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
 			out := bad(sums, corrupt, func(ps []data.Pair) { ps[0].Value++ })
-			return NewSumAggState("Sum", smallCfg, seed, Serial, shardPairs(pairs, p, rank), shardPairs(out, p, rank))
+			return NewSumAggState("Sum", smallCfg, seed, shardPairs(pairs, p, rank), shardPairs(out, p, rank))
 		}},
 		{"CountBuilder", [2]string{"words=4 ok=true fnv=0c8210784d8af5a5", "words=4 ok=true fnv=8ba4c297c5201a5b"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
 			out := bad(countOut, corrupt, func(ps []data.Pair) { ps[len(ps)-1].Value += 2 })
-			return countState(smallCfg, seed, Serial, shardPairs(pairs, p, rank), shardPairs(out, p, rank))
+			return countState(smallCfg, seed, shardPairs(pairs, p, rank), shardPairs(out, p, rank))
 		}},
 		// Two tables, sum lane and count lane: 4 + 4 words.
 		{"Avg", [2]string{"words=8 ok=true fnv=b9b23f3a46fd0825", "words=8 ok=true fnv=1e287415d2794a2f"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
@@ -117,7 +117,7 @@ func pinCases() []pinCase {
 				as[0].AvgNum++
 			}
 			s, e := data.SplitEven(len(as), p, rank)
-			return NewAvgAggState("Avg", smallCfg, seed, Serial, shardPairs(pairs, p, rank), as[s:e])
+			return NewAvgAggState("Avg", smallCfg, seed, shardPairs(pairs, p, rank), as[s:e])
 		}},
 		{"Min", [2]string{"words=2 ok=true fnv=fcb21ca91c6cf625", "words=2 ok=false fnv=15280977c785c951"}, minmax(true)},
 		{"Max", [2]string{"words=2 ok=true fnv=73fa549501497965", "words=2 ok=false fnv=94ca215da5a94d95"}, minmax(false)},
@@ -140,7 +140,7 @@ func pinCases() []pinCase {
 				out = data.CloneU64s(ys)
 				out[0] ^= 1
 			}
-			return NewPermState("Perm", permCfg, seed, Serial, [][]uint64{shardU64(xs, p, rank)}, shardU64(out, p, rank))
+			return NewPermState("Perm", permCfg, seed, [][]uint64{shardU64(xs, p, rank)}, shardU64(out, p, rank))
 		}},
 		// The default Tab64 64 ×1 — one 64-bit function — 2×Tab 32, one
 		// paired table and the default before it, and 3×Tab 20, a pair
@@ -163,7 +163,7 @@ func pinCases() []pinCase {
 				}
 			}
 			after = bad(after, corrupt && len(after) > 0, func(ps []data.Pair) { ps[0].Value ^= 1 << 13 })
-			return NewRedistState("Redist", permCfg, seed, Serial, loc, rank, shardPairs(pairs, p, rank), after)
+			return NewRedistState("Redist", permCfg, seed, loc, rank, shardPairs(pairs, p, rank), after)
 		}},
 		{"Sorted", [2]string{"words=5 ok=true fnv=66994ea1f9e00514", "words=5 ok=true fnv=838169e5904f1f21"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
 			out := sorted
@@ -171,7 +171,7 @@ func pinCases() []pinCase {
 				out = data.CloneU64s(sorted)
 				out[0], out[len(out)-1] = out[len(out)-1], out[0]
 			}
-			return NewSortedState("Sorted", permCfg, seed, Serial, [][]uint64{shardU64(xs, p, rank)}, shardU64(out, p, rank))
+			return NewSortedState("Sorted", permCfg, seed, [][]uint64{shardU64(xs, p, rank)}, shardU64(out, p, rank))
 		}},
 		{"Zip", [2]string{"words=4 ok=true fnv=0c8210784d8af5a5", "words=4 ok=true fnv=ea71b7c1281a74ea"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
 			out := bad(zipped, corrupt, func(ps []data.Pair) { ps[10], ps[11] = ps[11], ps[10] })
@@ -189,7 +189,7 @@ func pairedPermState(cfg PermConfig, seed uint64, xs, ys []uint64, p, rank int, 
 		out = data.CloneU64s(ys)
 		out[0] ^= 1
 	}
-	return NewPermState("Perm", cfg, seed, Serial, [][]uint64{shardU64(xs, p, rank)}, shardU64(out, p, rank))
+	return NewPermState("Perm", cfg, seed, [][]uint64{shardU64(xs, p, rank)}, shardU64(out, p, rank))
 }
 
 // TestStateWordsPinned pins every checker constructor's contribution to

@@ -36,10 +36,10 @@ import (
 // identical hash functions and moduli everywhere. After construction
 // the checker itself is read-only on the accumulation paths: concurrent
 // Accumulate/AccumulateCount calls on one instance are safe as long as
-// they target disjoint tables (the ParallelAccumulator contract; their
-// scratch is pooled per goroutine). The prepare/bucketOf helpers used
-// by AccumulateSigned and AccumulateScalar mutate the shared hbuf
-// scratch and are NOT safe to call concurrently.
+// they target disjoint tables, because each call holds its own cells
+// from scratchPool until it has folded them. The prepare/bucketOf
+// helpers used by AccumulateSigned and AccumulateScalar mutate the
+// shared hbuf scratch and are NOT safe to call concurrently.
 type SumChecker struct {
 	cfg     SumConfig
 	mods    []uint64 // modulus r per iteration
@@ -389,10 +389,10 @@ func (c *SumChecker) plan(s *accScratch, g int) {
 }
 
 // Accumulate folds pairs into the table (the cRed inner loop of
-// Algorithm 1). Scratch comes from a shared pool, one set per
-// accumulating goroutine, so concurrent calls on the same checker with
-// disjoint tables are safe — the ParallelAccumulator contract — and
-// repeated small-chunk calls allocate nothing.
+// Algorithm 1). Each call takes its cells from scratchPool and puts
+// them back zeroed, so concurrent calls on the same checker with
+// disjoint tables are safe and repeated small-chunk calls allocate
+// nothing.
 func (c *SumChecker) Accumulate(table []uint64, pairs []data.Pair) {
 	c.accumulate(table, pairs, sumFeed)
 }
@@ -869,22 +869,6 @@ func (c *SumChecker) Normalize(table []uint64) {
 		r := c.mods[it]
 		for b := 0; b < d; b++ {
 			table[it*d+b] %= r
-		}
-	}
-}
-
-// addMod adds src into dst entry-wise, each iteration's row of d
-// counters modulo that iteration's r (mods): the combine of normalized
-// tables across PEs, shards and lanes.
-func addMod(dst, src, mods []uint64) {
-	d := len(dst) / len(mods)
-	for it, r := range mods {
-		for i := it * d; i < (it+1)*d; i++ {
-			s := dst[i] + src[i] // both < r <= 2^63: no overflow
-			if s >= r {
-				s -= r
-			}
-			dst[i] = s
 		}
 	}
 }

@@ -36,7 +36,7 @@ func TestSumCheckerAcceptsCorrectResult(t *testing.T) {
 		for seed := uint64(0); seed < 8; seed++ {
 			err := dist.Run(p, seed, func(w *dist.Worker) error {
 				ok, err := check(w, func(seed uint64) CheckState {
-					return NewSumAggState("SumAgg", smallCfg, seed, Serial, shardPairs(input, p, w.Rank()), shardPairs(output, p, w.Rank()))
+					return NewSumAggState("SumAgg", smallCfg, seed, shardPairs(input, p, w.Rank()), shardPairs(output, p, w.Rank()))
 				})
 				if err != nil {
 					return err
@@ -63,7 +63,7 @@ func TestSumCheckerAcceptsAllConfigs(t *testing.T) {
 		cfg := cfg
 		err := dist.Run(4, 11, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
-				return NewSumAggState("SumAgg", cfg, seed, Serial, shardPairs(input, 4, w.Rank()), shardPairs(output, 4, w.Rank()))
+				return NewSumAggState("SumAgg", cfg, seed, shardPairs(input, 4, w.Rank()), shardPairs(output, 4, w.Rank()))
 			})
 			if err != nil {
 				return err
@@ -89,7 +89,7 @@ func TestSumCheckerDetectsSingleValueError(t *testing.T) {
 		bad[int(seed)%len(bad)].Value++
 		err := dist.Run(2, seed, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
-				return NewSumAggState("SumAgg", smallCfg, seed, Serial, shardPairs(input, 2, w.Rank()), shardPairs(bad, 2, w.Rank()))
+				return NewSumAggState("SumAgg", smallCfg, seed, shardPairs(input, 2, w.Rank()), shardPairs(bad, 2, w.Rank()))
 			})
 			if err != nil {
 				return err
@@ -118,7 +118,7 @@ func TestSumCheckerDetectsDroppedKey(t *testing.T) {
 		bad := data.ClonePairs(output)[1:] // drop one key entirely
 		err := dist.Run(3, seed, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
-				return NewSumAggState("SumAgg", smallCfg, seed, Serial, shardPairs(input, 3, w.Rank()), shardPairs(bad, 3, w.Rank()))
+				return NewSumAggState("SumAgg", smallCfg, seed, shardPairs(input, 3, w.Rank()), shardPairs(bad, 3, w.Rank()))
 			})
 			if err != nil {
 				return err
@@ -145,7 +145,7 @@ func TestSumCheckerVerdictIdenticalOnAllPEs(t *testing.T) {
 	verdicts := make([]bool, p)
 	err := dist.Run(p, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
-			return NewSumAggState("SumAgg", smallCfg, seed, Serial, shardPairs(input, p, w.Rank()), shardPairs(bad, p, w.Rank()))
+			return NewSumAggState("SumAgg", smallCfg, seed, shardPairs(input, p, w.Rank()), shardPairs(bad, p, w.Rank()))
 		})
 		if err != nil {
 			return err
@@ -165,8 +165,8 @@ func TestSumCheckerVerdictIdenticalOnAllPEs(t *testing.T) {
 
 // countState is NewSumAggState for count aggregation: every input pair
 // counts 1 regardless of its value.
-func countState(cfg SumConfig, seed uint64, par ParallelAccumulator, input, output []data.Pair) CheckState {
-	b := NewSumAggBuilder("CountAgg", cfg, seed, par, true)
+func countState(cfg SumConfig, seed uint64, input, output []data.Pair) CheckState {
+	b := NewSumAggBuilder("CountAgg", cfg, seed, Serial, true)
 	b.AddInput(input)
 	b.AddOutput(output)
 	return b.Seal()
@@ -181,7 +181,7 @@ func TestCountChecker(t *testing.T) {
 	output := data.MapToPairs(counts)
 	err := dist.Run(4, 3, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
-			return countState(smallCfg, seed, Serial, shardPairs(input, 4, w.Rank()), shardPairs(output, 4, w.Rank()))
+			return countState(smallCfg, seed, shardPairs(input, 4, w.Rank()), shardPairs(output, 4, w.Rank()))
 		})
 		if err != nil {
 			return err
@@ -201,7 +201,7 @@ func TestCountChecker(t *testing.T) {
 	for seed := uint64(0); seed < 50; seed++ {
 		err := dist.Run(4, seed, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
-				return countState(smallCfg, seed, Serial, shardPairs(input, 4, w.Rank()), shardPairs(bad, 4, w.Rank()))
+				return countState(smallCfg, seed, shardPairs(input, 4, w.Rank()), shardPairs(bad, 4, w.Rank()))
 			})
 			if err != nil {
 				return err
@@ -471,7 +471,7 @@ func TestSumCheckerQuickCorrectAlwaysAccepted(t *testing.T) {
 		accepted := true
 		err := dist.Run(3, uint64(seed), func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
-				return NewSumAggState("SumAgg", smallCfg, seed, Serial, shardPairs(input, 3, w.Rank()), shardPairs(output, 3, w.Rank()))
+				return NewSumAggState("SumAgg", smallCfg, seed, shardPairs(input, 3, w.Rank()), shardPairs(output, 3, w.Rank()))
 			})
 			if err != nil {
 				return err
@@ -491,7 +491,7 @@ func TestSumCheckerQuickCorrectAlwaysAccepted(t *testing.T) {
 func TestSumCheckerEmptyInput(t *testing.T) {
 	err := dist.Run(3, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
-			return NewSumAggState("SumAgg", smallCfg, seed, Serial, nil, nil)
+			return NewSumAggState("SumAgg", smallCfg, seed, nil, nil)
 		})
 		if err != nil {
 			return err
@@ -516,7 +516,7 @@ func TestSumCheckerNonEmptyVsEmptyOutput(t *testing.T) {
 				in = input
 			}
 			ok, err := check(w, func(seed uint64) CheckState {
-				return NewSumAggState("SumAgg", smallCfg, seed, Serial, in, nil)
+				return NewSumAggState("SumAgg", smallCfg, seed, in, nil)
 			})
 			if err != nil {
 				return err

@@ -145,8 +145,8 @@ func builderWant(c *SumChecker, in, out []data.Pair, count bool) []uint64 {
 
 // feedBuilder runs in and out through one builder in chunks of chunk
 // pairs, the two sides' chunks interleaved, and seals it.
-func feedBuilder(cfg SumConfig, seed uint64, par ParallelAccumulator, count bool, in, out []data.Pair, chunk int) CheckState {
-	b := NewSumAggBuilder("eq", cfg, seed, par, count)
+func feedBuilder(cfg SumConfig, seed uint64, count bool, in, out []data.Pair, chunk int) CheckState {
+	b := NewSumAggBuilder("eq", cfg, seed, Serial, count)
 	for lo := 0; lo < max(len(in), len(out)); lo += chunk {
 		b.AddInput(in[min(lo, len(in)):min(lo+chunk, len(in))])
 		b.AddOutput(out[min(lo, len(out)):min(lo+chunk, len(out))])
@@ -180,8 +180,8 @@ func countShape(shape string) bool { return shape == "small" || shape == "edge" 
 // scalar oracle's after Normalize — for every configuration, value
 // shape and plan, in sum and count mode, into a table that already
 // holds raw counters, and through SumAggBuilder, input added and an
-// unrelated output subtracted, in 1-, 256- and 8192-pair chunks, whole,
-// and at every worker count. The edge shape has values either side of
+// unrelated output subtracted, in 1-, 256- and 8192-pair chunks and
+// whole. The edge shape has values either side of
 // the int64 cells' bound, 2^40-1 and 2^40, and 2^64-1, in narrow, wide
 // and mixed blocks, so the builder gets narrow and wide chunks
 // interleaved, and in count mode narrow input beside wide output. Among the plans are all three lane
@@ -238,12 +238,12 @@ func TestGroupedAccumulateMatchesScalar(t *testing.T) {
 					requireTable(t, c, got, want, what+" in two calls")
 				}
 				// The builder route at the longest plan length, and
-				// whole and fanned out for the hot key (its 70k-pair
-				// input is what makes the test slow under -race).
-				chunks, workers := []int{1, accBlock, 8192, n}, []int{1, 2, 8}
+				// whole for the hot key (its 70k-pair input is what
+				// makes the test slow under -race).
+				chunks := []int{1, accBlock, 8192, n}
 				switch {
 				case n == hotLen:
-					chunks, workers = []int{n}, []int{8}
+					chunks = []int{n}
 				case n != lengths[len(lengths)-1]:
 					continue
 				}
@@ -254,13 +254,8 @@ func TestGroupedAccumulateMatchesScalar(t *testing.T) {
 					}
 					want := builderWant(c, pairs, out, count)
 					for _, chunk := range chunks {
-						for _, w := range workers {
-							if w > 1 && chunk < 2*parMinShard {
-								continue // a chunk this short never fans out
-							}
-							st := feedBuilder(cfg, seed, NewParallelAccumulator(w), count, pairs, out, chunk)
-							requireSealed(t, c, st, want, fmt.Sprintf("builder %s n=%d count=%v chunk=%d workers=%d", shape, n, count, chunk, w))
-						}
+						st := feedBuilder(cfg, seed, count, pairs, out, chunk)
+						requireSealed(t, c, st, want, fmt.Sprintf("builder %s n=%d count=%v chunk=%d", shape, n, count, chunk))
 					}
 				}
 			}
@@ -454,7 +449,7 @@ func FuzzSumAccumulate(f *testing.F) {
 }
 
 // FuzzSumAggBuilderChunks: bytes → a configuration, a mode, a chunk
-// size, a worker count and tiled pairs split into an input and an
+// size and tiled pairs split into an input and an
 // output side; the builder fed those chunks, interleaved, seals the
 // scalar oracle's input-minus-output table. The seeds include the 15×4
 // default across its replans, in one-pair, stream-sized and whole
@@ -480,16 +475,15 @@ func FuzzSumAggBuilderChunks(f *testing.F) {
 		cfg := cfgs[int(in[0])%len(cfgs)]
 		count, tile := in[1]&1 == 1, 1+int(in[1]>>1)
 		// The low nibble picks a power of two, the high one takes a
-		// little off it; the top bit fans the long chunks out.
+		// little off it.
 		chunk := max(1, 1<<(in[2]&15)-int(in[2]>>4&7))
-		workers := 1 + int(in[2]>>7)
 		pairs := fuzzPairs(in[4:], tile, 0)
 		split := len(pairs) * int(in[3]) / 256
 		in0, out := pairs[:split], pairs[split:]
 		c := NewSumChecker(cfg, uint64(len(in)))
-		st := feedBuilder(cfg, uint64(len(in)), NewParallelAccumulator(workers), count, in0, out, chunk)
+		st := feedBuilder(cfg, uint64(len(in)), count, in0, out, chunk)
 		requireSealed(t, c, st, builderWant(c, in0, out, count),
-			fmt.Sprintf("fuzz in=%d out=%d count=%v chunk=%d workers=%d", len(in0), len(out), count, chunk, workers))
+			fmt.Sprintf("fuzz in=%d out=%d count=%v chunk=%d", len(in0), len(out), count, chunk))
 	})
 }
 
@@ -679,7 +673,7 @@ func TestSumCheckerEscapeRateWithinDelta(t *testing.T) {
 		// whether the check accepts it.
 		accepts := func(seed uint64, out []data.Pair) bool {
 			if rt.chunk != 0 {
-				return allZero(feedBuilder(cfg, seed, Serial, false, input, out, rt.chunk).(*state).words)
+				return allZero(feedBuilder(cfg, seed, false, input, out, rt.chunk).(*state).words)
 			}
 			c := NewSumChecker(cfg, seed)
 			tv, to := c.NewTable(), c.NewTable()
@@ -715,4 +709,117 @@ func TestSumCheckerEscapeRateWithinDelta(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sumTestConfigs covers every hash family, pow2 and non-pow2 bucket
+// counts, and a multi-hash bit-parallel shape (16 iterations of 4 bits
+// exceed CRC's 32 output bits, so the splitter needs two hashers).
+func sumTestConfigs() []SumConfig {
+	return []SumConfig{
+		{Iterations: 5, Buckets: 16, RHatLog: 5, Family: hashing.FamilyCRC},
+		{Iterations: 6, Buckets: 32, RHatLog: 9, Family: hashing.FamilyCRC},
+		{Iterations: 16, Buckets: 16, RHatLog: 15, Family: hashing.FamilyCRC},
+		{Iterations: 4, Buckets: 10, RHatLog: 7, Family: hashing.FamilyCRC},
+		{Iterations: 3, Buckets: 7, RHatLog: 5, Family: hashing.FamilyTab},
+		{Iterations: 8, Buckets: 256, RHatLog: 15, Family: hashing.FamilyTab64},
+		{Iterations: 4, Buckets: 8, RHatLog: 6, Family: hashing.FamilyMix},
+	}
+}
+
+func requireTablesEq(t *testing.T, label string, want, got []uint64) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: table length %d != %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("%s: tables diverge at word %d: got %#x want %#x", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestAccumulateBatchMatchesScalar: the blocked batch-hash hot loop
+// must compute the same residues as the element-major scalar reference
+// (the seed implementation) for every family, pow2/non-pow2 bucket
+// count, and both value and count modes. Tables are compared after
+// Normalize — the two folds canonicalise at different moments, but the
+// residues they maintain must agree word for word.
+func TestAccumulateBatchMatchesScalar(t *testing.T) {
+	// Values near 2^64 force overflow folds; the mix covers both fold
+	// branches.
+	pairs := workload.UniformPairs(4*accBlock+37, 1<<62, 1<<62, 11)
+	for i := range pairs {
+		if i%3 == 0 {
+			pairs[i].Value = ^uint64(0) - uint64(i)
+		}
+	}
+	for _, cfg := range sumTestConfigs() {
+		for _, count := range []bool{false, true} {
+			label := fmt.Sprintf("%s count=%v", cfg.Name(), count)
+			c := NewSumChecker(cfg, 99)
+			ref, got := c.NewTable(), c.NewTable()
+			c.AccumulateScalar(ref, pairs, count)
+			if count {
+				c.AccumulateCount(got, pairs)
+			} else {
+				c.Accumulate(got, pairs)
+			}
+			c.Normalize(ref)
+			c.Normalize(got)
+			requireTablesEq(t, label, ref, got)
+		}
+	}
+}
+
+// localSums returns the per-iteration sums of truncated hash values of
+// xs.
+func localSums(c *PermChecker, xs []uint64) []uint64 {
+	sums := make([]uint64, c.cfg.Iterations)
+	c.AccumulateInto(sums, xs, false)
+	return sums
+}
+
+// DiffInto computes (a - b) mod r entry-wise into out, which must have
+// len(a); both tables must be normalized. out may alias a or b. The
+// checkers subtract the output side in the kernel's cells; the tests
+// difference two tables of the scalar oracle with this.
+func (c *SumChecker) DiffInto(out, a, b []uint64) {
+	d := c.cfg.Buckets
+	for it := 0; it < c.cfg.Iterations; it++ {
+		r := c.mods[it]
+		for i := it * d; i < (it+1)*d; i++ {
+			if a[i] >= b[i] {
+				out[i] = a[i] - b[i]
+			} else {
+				out[i] = a[i] + r - b[i]
+			}
+		}
+	}
+}
+
+// TestLocalSumsIntoAndDiffInto covers the allocation-free Into forms:
+// AccumulateInto adds to what its buffer holds, so two calls over the
+// halves of a sequence equal one call over the whole, and DiffInto's
+// destination may alias an operand.
+func TestLocalSumsIntoAndDiffInto(t *testing.T) {
+	xs := workload.UniformU64s(5000, 1e9, 41)
+	c := NewPermChecker(PermConfig{Family: hashing.FamilyTab, LogH: 16, Iterations: 4}, 13)
+	got := make([]uint64, 4)
+	c.AccumulateInto(got, xs[:1234], false)
+	c.AccumulateInto(got, xs[1234:], false)
+	requireTablesEq(t, "AccumulateInto in two calls", localSums(c, xs), got)
+
+	cfg := SumConfig{Iterations: 4, Buckets: 16, RHatLog: 9, Family: hashing.FamilyCRC}
+	sc := NewSumChecker(cfg, 14)
+	pairs := workload.UniformPairs(4000, 1<<30, 1<<30, 42)
+	out := refSumAgg(pairs)
+	a, b := sc.NewTable(), sc.NewTable()
+	sc.Accumulate(a, pairs)
+	sc.Accumulate(b, out)
+	sc.Normalize(a)
+	sc.Normalize(b)
+	want := make([]uint64, len(a))
+	sc.DiffInto(want, a, b)
+	sc.DiffInto(a, a, b) // aliased destination
+	requireTablesEq(t, "DiffInto aliased", want, a)
 }

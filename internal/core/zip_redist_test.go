@@ -181,7 +181,7 @@ func TestRedistCheckerAcceptsCorrect(t *testing.T) {
 	}
 	err := dist.Run(p, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
-			return NewRedistState("Redistribution", permCfg, seed, Serial, loc, w.Rank(), shardPairs(global, p, w.Rank()), after[w.Rank()])
+			return NewRedistState("Redistribution", permCfg, seed, loc, w.Rank(), shardPairs(global, p, w.Rank()), after[w.Rank()])
 		})
 		if err != nil {
 			return err
@@ -213,7 +213,7 @@ func TestRedistCheckerDetectsMisplacedPair(t *testing.T) {
 	after[1] = append(after[1], moved)
 	err := dist.Run(p, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
-			return NewRedistState("Redistribution", permCfg, seed, Serial, loc, w.Rank(), shardPairs(global, p, w.Rank()), after[w.Rank()])
+			return NewRedistState("Redistribution", permCfg, seed, loc, w.Rank(), shardPairs(global, p, w.Rank()), after[w.Rank()])
 		})
 		if err != nil {
 			return err
@@ -245,7 +245,7 @@ func TestRedistCheckerDetectsDroppedPair(t *testing.T) {
 	for seed := uint64(0); seed < trials; seed++ {
 		err := dist.Run(p, seed, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
-				return NewRedistState("Redistribution", permCfg, seed, Serial, loc, w.Rank(), shardPairs(global, p, w.Rank()), after[w.Rank()])
+				return NewRedistState("Redistribution", permCfg, seed, loc, w.Rank(), shardPairs(global, p, w.Rank()), after[w.Rank()])
 			})
 			if err != nil {
 				return err
@@ -280,7 +280,7 @@ func TestRedistCheckerDetectsValueCorruption(t *testing.T) {
 	after[1][0].Value ^= 1 << 13
 	err := dist.Run(p, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
-			return NewRedistState("Redistribution", permCfg, seed, Serial, loc, w.Rank(), shardPairs(global, p, w.Rank()), after[w.Rank()])
+			return NewRedistState("Redistribution", permCfg, seed, loc, w.Rank(), shardPairs(global, p, w.Rank()), after[w.Rank()])
 		})
 		if err != nil {
 			return err
@@ -310,9 +310,9 @@ func TestJoinRedistChecker(t *testing.T) {
 	la, ra := route(left), route(right)
 	err := dist.Run(p, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
-			return NewRedistState("Join/left", permCfg, seed, Serial, loc, w.Rank(), shardPairs(left, p, w.Rank()), la[w.Rank()])
+			return NewRedistState("Join/left", permCfg, seed, loc, w.Rank(), shardPairs(left, p, w.Rank()), la[w.Rank()])
 		}, func(seed uint64) CheckState {
-			return NewRedistState("Join/right", permCfg, seed, Serial, loc, w.Rank(), shardPairs(right, p, w.Rank()), ra[w.Rank()])
+			return NewRedistState("Join/right", permCfg, seed, loc, w.Rank(), shardPairs(right, p, w.Rank()), ra[w.Rank()])
 		})
 		if err != nil {
 			return err
@@ -332,9 +332,9 @@ func TestJoinRedistChecker(t *testing.T) {
 	ra[0][0].Key++
 	err = dist.Run(p, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
-			return NewRedistState("Join/left", permCfg, seed, Serial, loc, w.Rank(), shardPairs(left, p, w.Rank()), la[w.Rank()])
+			return NewRedistState("Join/left", permCfg, seed, loc, w.Rank(), shardPairs(left, p, w.Rank()), la[w.Rank()])
 		}, func(seed uint64) CheckState {
-			return NewRedistState("Join/right", permCfg, seed, Serial, loc, w.Rank(), shardPairs(right, p, w.Rank()), ra[w.Rank()])
+			return NewRedistState("Join/right", permCfg, seed, loc, w.Rank(), shardPairs(right, p, w.Rank()), ra[w.Rank()])
 		})
 		if err != nil {
 			return err

@@ -162,9 +162,7 @@ func TestWeakScalingSmall(t *testing.T) {
 }
 
 func TestOverheadSumSmall(t *testing.T) {
-	// Parallelism 1: the Table 5 claim compares single-core checker
-	// work against the single-core reduce reference.
-	rows, err := OverheadSum(OverheadOptions{Elements: 20000, Repeats: 2, Parallelism: 1})
+	rows, err := OverheadSum(OverheadOptions{Elements: 20000, Repeats: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +194,7 @@ func TestOverheadSumSmall(t *testing.T) {
 }
 
 func TestOverheadPermSmall(t *testing.T) {
-	opt := OverheadOptions{Elements: 20000, Repeats: 2, Parallelism: 1}
+	opt := OverheadOptions{Elements: 20000, Repeats: 2}
 	rows, err := OverheadPerm(opt)
 	if err != nil {
 		t.Fatal(err)

@@ -26,19 +26,12 @@ type OverheadRow struct {
 type OverheadOptions struct {
 	Elements int
 	Repeats  int // repetitions; the fastest wins
-	// Parallelism shards the local accumulation across n > 1
-	// goroutines; values below 2 — including the zero value — keep the
-	// paper-faithful serial per-core measurement. The exp harnesses
-	// are timing instruments, so unlike repro.Options.Parallelism
-	// there is no "all cores" sentinel (the library's 0): callers
-	// wanting that pass runtime.GOMAXPROCS(0) explicitly.
-	Parallelism int
 }
 
-// DefaultOverhead matches the paper's element count, measured serially
-// as the paper does.
+// DefaultOverhead matches the paper's element count, measured on one
+// core as the paper does.
 func DefaultOverhead() OverheadOptions {
-	return OverheadOptions{Elements: 1_000_000, Repeats: 5, Parallelism: 1}
+	return OverheadOptions{Elements: 1_000_000, Repeats: 5}
 }
 
 // overheadSeed seeds the inputs and checkers of the overhead tables.
@@ -61,7 +54,7 @@ type timedCase struct {
 // runs, and at p = 1 no message is sent — then reports each case's
 // fastest of opt.Repeats runs, the conventional estimator for CPU-bound
 // microbenchmarks, per element.
-func timedRows(opt OverheadOptions, build func(ctx *repro.Context, par core.ParallelAccumulator) []timedCase) ([]OverheadRow, error) {
+func timedRows(opt OverheadOptions, build func(ctx *repro.Context) []timedCase) ([]OverheadRow, error) {
 	if opt.Elements < 1 {
 		return nil, fmt.Errorf("exp: overhead measurement needs elements >= 1, got %d", opt.Elements)
 	}
@@ -73,7 +66,7 @@ func timedRows(opt OverheadOptions, build func(ctx *repro.Context, par core.Para
 		if err != nil {
 			return err
 		}
-		for _, c := range build(ctx, core.NewParallelAccumulator(max(opt.Parallelism, 1))) {
+		for _, c := range build(ctx) {
 			best := time.Duration(math.MaxInt64)
 			for i := 0; i < max(opt.Repeats, 1); i++ {
 				start := time.Now()
@@ -100,14 +93,14 @@ func timedRows(opt OverheadOptions, build func(ctx *repro.Context, par core.Para
 // timing the reduction itself for the paper's ~88 ns/element
 // comparison point.
 func OverheadSum(opt OverheadOptions) ([]OverheadRow, error) {
-	return timedRows(opt, func(ctx *repro.Context, par core.ParallelAccumulator) []timedCase {
+	return timedRows(opt, func(ctx *repro.Context) []timedCase {
 		pairs := workload.UniformPairs(opt.Elements, 1<<62, 1<<62, overheadSeed)
 		var cases []timedCase
 		for _, cfg := range core.ScalingConfigs() {
 			c := core.NewSumChecker(cfg, overheadSeed)
 			cases = append(cases, timedCase{cfg.Name(), len(pairs), func() (uint64, error) {
 				t := c.NewTable()
-				par.AccumulateSum(c, t, pairs)
+				c.Accumulate(t, pairs)
 				return t[0], nil
 			}})
 		}
@@ -124,7 +117,7 @@ func OverheadSum(opt OverheadOptions) ([]OverheadRow, error) {
 // plus the sort itself for the "roughly 3.5% of total running time"
 // comparison.
 func OverheadPerm(opt OverheadOptions) ([]OverheadRow, error) {
-	return timedRows(opt, func(ctx *repro.Context, par core.ParallelAccumulator) []timedCase {
+	return timedRows(opt, func(ctx *repro.Context) []timedCase {
 		input := workload.UniformU64s(opt.Elements, 1e8, overheadSeed)
 		output := data.CloneU64s(input)
 		data.SortU64(output)
@@ -134,8 +127,8 @@ func OverheadPerm(opt OverheadOptions) ([]OverheadRow, error) {
 			// The checker hashes input and output, 2n elements.
 			cases = append(cases, timedCase{fam.Name, 2 * len(input), func() (uint64, error) {
 				lambda := make([]uint64, 1)
-				par.AccumulatePerm(c, lambda, input, false)
-				par.AccumulatePerm(c, lambda, output, true)
+				c.AccumulateInto(lambda, input, false)
+				c.AccumulateInto(lambda, output, true)
 				return lambda[0], nil
 			}})
 		}

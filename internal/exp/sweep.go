@@ -43,11 +43,6 @@ type SweepOptions struct {
 	// not vary between runs.
 	Repeats int
 	Seed    uint64
-	// Parallelism is the per-PE fan-out of the checkers' accumulation,
-	// in OverheadOptions' encoding. Serial is the right default: the PEs
-	// are goroutines sharing one process, so fanning out oversubscribes
-	// the cores and inflates the checked-vs-baseline ratio.
-	Parallelism int
 	// Dist selects the transport; the zero value is the in-memory
 	// network. Wall-clock columns mean something on mem and tcp, the
 	// virtual makespans exist on simnet only; every endpoint meters
@@ -166,7 +161,7 @@ func sweepPoint(opt SweepOptions, pt Point, zipf *workload.Zipf) ([]Row, error) 
 		}
 		locals[rank] = local
 	}
-	opts := repro.DefaultOptions().WithParallelism(max(opt.Parallelism, 1))
+	opts := repro.DefaultOptions()
 	opts.Mode = repro.CheckOff
 	base, err := runJob(net, opt, opts, locals)
 	if err != nil {

@@ -136,7 +136,7 @@ func reshard(w *dist.Worker, cfg core.PermConfig, held []data.Pair) ([]data.Pair
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: reshard exchange: %w", err)
 	}
-	st := core.NewRedistState("Recovery/reshard", cfg, rseed, core.Serial, pt, w.Rank(), moved.Before, moved.After)
+	st := core.NewRedistState("Recovery/reshard", cfg, rseed, pt, w.Rank(), moved.Before, moved.After)
 	v, err := core.Resolve(w, st)
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: reshard resolve: %w", err)

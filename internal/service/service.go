@@ -240,8 +240,7 @@ func jobOptions() repro.Options {
 }
 
 // SubmitWith is Submit with per-job checker options (mode, checker
-// configs, parallelism), so jobs of different shapes interleave on one
-// mesh.
+// configs), so jobs of different shapes interleave on one mesh.
 func (p *Pool) SubmitWith(name string, opts repro.Options, body Body) (*Job, error) {
 	if body == nil {
 		return nil, errors.New("service: nil job body")

@@ -48,7 +48,7 @@ type builder[T any] interface {
 // drive loops: the streamed form of one checker's local phase over
 // chunks of T. An Accumulator is single-use and owned by one goroutine.
 // The sealed state is bit-identical to the one-shot constructor's for
-// every chunking and worker count (see internal/core/builder.go).
+// every chunking (see internal/core/builder.go).
 type Accumulator[T any] struct {
 	b builder[T]
 	// In and Out meter the input and the asserted-output side.
@@ -78,17 +78,17 @@ func (a *Accumulator[T]) Seal() core.CheckState { return a.b.Seal() }
 
 // NewSumAccumulator starts an empty streamed sum (with count: count)
 // aggregation check — input chunks and asserted-output chunks, in any
-// order on either side; every chunk's accumulation is sharded across
-// par.
-func NewSumAccumulator(stage string, cfg core.SumConfig, seed uint64, par core.ParallelAccumulator, count bool) *Accumulator[data.Pair] {
-	return &Accumulator[data.Pair]{b: core.NewSumAggBuilder(stage, cfg, seed, par, count)}
+// order on either side. The ParallelAccumulator is ignored
+// (core/shims_benchmark.go).
+func NewSumAccumulator(stage string, cfg core.SumConfig, seed uint64, _ core.ParallelAccumulator, count bool) *Accumulator[data.Pair] {
+	return &Accumulator[data.Pair]{b: core.NewSumAggBuilder(stage, cfg, seed, core.Serial, count)}
 }
 
 // NewPermAccumulator starts an empty streamed permutation check: chunks
 // of the input sequence(s) and of the asserted output, any order on
 // either side.
-func NewPermAccumulator(stage string, cfg core.PermConfig, seed uint64, par core.ParallelAccumulator) *Accumulator[uint64] {
-	return &Accumulator[uint64]{b: core.NewPermBuilder(stage, cfg, seed, par)}
+func NewPermAccumulator(stage string, cfg core.PermConfig, seed uint64) *Accumulator[uint64] {
+	return &Accumulator[uint64]{b: core.NewPermBuilder(stage, cfg, seed, core.Serial)}
 }
 
 // NewSortAccumulator starts an empty streamed sort check. Input chunks
@@ -96,8 +96,8 @@ func NewPermAccumulator(stage string, cfg core.PermConfig, seed uint64, par core
 // — each AddOutputChunk is the next contiguous segment of this PE's
 // asserted sorted output, which is what DrainOutput feeds it from any
 // source of this package.
-func NewSortAccumulator(stage string, cfg core.PermConfig, seed uint64, par core.ParallelAccumulator) *Accumulator[uint64] {
-	return &Accumulator[uint64]{b: core.NewSortedBuilder(stage, cfg, seed, par)}
+func NewSortAccumulator(stage string, cfg core.PermConfig, seed uint64) *Accumulator[uint64] {
+	return &Accumulator[uint64]{b: core.NewSortedBuilder(stage, cfg, seed, core.Serial)}
 }
 
 // NewRedistAccumulator starts an empty streamed redistribution check
@@ -105,6 +105,6 @@ func NewSortAccumulator(stage string, cfg core.PermConfig, seed uint64, par core
 // exchange, the output side its pairs after it (placement scan
 // included), any order on either side; loc and rank pin this PE's
 // placement contract.
-func NewRedistAccumulator(stage string, cfg core.PermConfig, seed uint64, par core.ParallelAccumulator, loc core.KeyLocator, rank int) *Accumulator[data.Pair] {
-	return &Accumulator[data.Pair]{b: core.NewRedistBuilder(stage, cfg, seed, par, loc, rank)}
+func NewRedistAccumulator(stage string, cfg core.PermConfig, seed uint64, loc core.KeyLocator, rank int) *Accumulator[data.Pair] {
+	return &Accumulator[data.Pair]{b: core.NewRedistBuilder(stage, cfg, seed, loc, rank)}
 }

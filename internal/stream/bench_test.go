@@ -40,7 +40,7 @@ func BenchmarkStreamSortChunked(b *testing.B) {
 	data.SortU64(sorted)
 	b.SetBytes(2 * 8 << 16)
 	for i := 0; i < b.N; i++ {
-		acc := NewSortAccumulator("b", cfg, 1, core.Serial)
+		acc := NewSortAccumulator("b", cfg, 1)
 		if err := acc.DrainInput(SliceSeq(xs, 4096)); err != nil {
 			b.Fatal(err)
 		}

@@ -47,15 +47,13 @@ func sameWords(t *testing.T, label string, got, want core.CheckState) {
 }
 
 // TestChunkedSumBitIdentical sweeps checker hash families, pow2 and
-// non-pow2 bucket counts and sizes, ragged chunkings, and shard counts,
-// asserting the chunked accumulate+merge residues are bit-identical to
+// non-pow2 bucket counts and sizes and ragged chunkings, asserting the chunked accumulate+merge residues are bit-identical to
 // the one-shot state.
 func TestChunkedSumBitIdentical(t *testing.T) {
 	families := []hashing.Family{hashing.FamilyCRC, hashing.FamilyTab, hashing.FamilyMix}
 	buckets := []int{16, 10}         // pow2 and general-d paths
 	sizes := []int{1, 5, 4096, 9973} // pow2 boundary and non-pow2 with ragged tails
 	chunks := []int{1, 37, 1000, 4096}
-	workers := []int{1, 3, 8}
 	for _, fam := range families {
 		for _, d := range buckets {
 			cfg := core.SumConfig{Iterations: 4, Buckets: d, RHatLog: 7, Family: fam}
@@ -70,18 +68,15 @@ func TestChunkedSumBitIdentical(t *testing.T) {
 					b.AddOutput(output)
 					oneShot := b.Seal()
 					for _, chunk := range chunks {
-						for _, w := range workers {
-							par := core.NewParallelAccumulator(w)
-							acc := NewSumAccumulator("s", cfg, 42, par, count)
-							for _, c := range chunksOf(input, chunk) {
-								acc.AddInputChunk(c)
-							}
-							for _, c := range chunksOf(output, chunk) {
-								acc.AddOutputChunk(c)
-							}
-							label := cfg.Name() + " " + fam.Name
-							sameWords(t, label, acc.Seal(), oneShot)
+						acc := NewSumAccumulator("s", cfg, 42, core.Serial, count)
+						for _, c := range chunksOf(input, chunk) {
+							acc.AddInputChunk(c)
 						}
+						for _, c := range chunksOf(output, chunk) {
+							acc.AddOutputChunk(c)
+						}
+						label := cfg.Name() + " " + fam.Name
+						sameWords(t, label, acc.Seal(), oneShot)
 					}
 				}
 			}
@@ -91,8 +86,7 @@ func TestChunkedSumBitIdentical(t *testing.T) {
 
 // TestChunkedSortBitIdentical asserts the chunked sort partial —
 // fingerprint plus boundary summary — matches the one-shot state for
-// ragged chunkings and shard counts, on both sorted and unsorted
-// asserted outputs.
+// ragged chunkings, on both sorted and unsorted asserted outputs.
 func TestChunkedSortBitIdentical(t *testing.T) {
 	cfg := core.PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}
 	for _, n := range []int{0, 1, 513, 4096, 9973} {
@@ -104,19 +98,16 @@ func TestChunkedSortBitIdentical(t *testing.T) {
 			corrupt[n/2], corrupt[n/2+1] = corrupt[n/2+1], corrupt[n/2] // local disorder
 		}
 		for _, out := range [][]uint64{output, corrupt} {
-			oneShot := core.NewSortedState("s", cfg, 7, core.Serial, [][]uint64{input}, out)
+			oneShot := core.NewSortedState("s", cfg, 7, [][]uint64{input}, out)
 			for _, chunk := range []int{1, 100, 1024} {
-				for _, w := range []int{1, 4} {
-					par := core.NewParallelAccumulator(w)
-					acc := NewSortAccumulator("s", cfg, 7, par)
-					for _, c := range chunksOf(input, chunk) {
-						acc.AddInputChunk(c)
-					}
-					for _, c := range chunksOf(out, chunk) {
-						acc.AddOutputChunk(c)
-					}
-					sameWords(t, "sorted", acc.Seal(), oneShot)
+				acc := NewSortAccumulator("s", cfg, 7)
+				for _, c := range chunksOf(input, chunk) {
+					acc.AddInputChunk(c)
 				}
+				for _, c := range chunksOf(out, chunk) {
+					acc.AddOutputChunk(c)
+				}
+				sameWords(t, "sorted", acc.Seal(), oneShot)
 			}
 		}
 	}
@@ -131,9 +122,9 @@ func TestChunkedPermAndRedistBitIdentical(t *testing.T) {
 	xs := workload.UniformU64s(n, 1e9, 11)
 	ys := data.CloneU64s(xs)
 	ys[n-1]++ // not a permutation; residues must match one-shot anyway
-	oneShot := core.NewPermState("s", cfg, 5, core.Serial, [][]uint64{xs}, ys)
+	oneShot := core.NewPermState("s", cfg, 5, [][]uint64{xs}, ys)
 	for _, chunk := range []int{1, 250, 5000} {
-		acc := NewPermAccumulator("s", cfg, 5, core.NewParallelAccumulator(2))
+		acc := NewPermAccumulator("s", cfg, 5)
 		for _, c := range chunksOf(xs, chunk) {
 			acc.AddInputChunk(c)
 		}
@@ -162,9 +153,9 @@ func TestChunkedPermAndRedistBitIdentical(t *testing.T) {
 				a[len(a)-1].Key++
 			}
 		}
-		oneShot := core.NewRedistState("s", cfg, 5, core.Serial, loc, rank, before, a)
+		oneShot := core.NewRedistState("s", cfg, 5, loc, rank, before, a)
 		for _, chunk := range []int{1, 777} {
-			acc := NewRedistAccumulator("s", cfg, 5, core.NewParallelAccumulator(3), loc, rank)
+			acc := NewRedistAccumulator("s", cfg, 5, loc, rank)
 			for _, c := range chunksOf(before, chunk) {
 				acc.AddInputChunk(c)
 			}
@@ -239,7 +230,7 @@ func (s *errSource) Next() ([]uint64, error) {
 }
 
 func TestSourceErrorPropagates(t *testing.T) {
-	acc := NewPermAccumulator("s", core.PermConfig{Family: hashing.FamilyCRC, LogH: 8, Iterations: 1}, 1, core.Serial)
+	acc := NewPermAccumulator("s", core.PermConfig{Family: hashing.FamilyCRC, LogH: 8, Iterations: 1}, 1)
 	if err := acc.DrainInput(&errSource{n: 2}); !errors.Is(err, errBoom) {
 		t.Fatalf("drain error = %v, want errBoom", err)
 	}

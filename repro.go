@@ -139,12 +139,9 @@ type Options struct {
 	// Mode selects when checkers resolve their collective rounds; the
 	// zero value is CheckEager.
 	Mode CheckMode
-	// Parallelism bounds the goroutines a checker's local accumulation
-	// phase fans out to on this PE: 0 (the default) selects
-	// runtime.GOMAXPROCS(0), 1 restores the fully serial behavior.
-	// Verdicts and checker states are identical for every setting —
-	// only the local wall time changes. Small inputs stay serial
-	// regardless.
+	// Parallelism is ignored: a checker accumulates on its own PE's
+	// goroutine, the PE being the unit of parallelism. The field stays
+	// only while benchmark/ sets it (ROADMAP item 4's shim rule).
 	Parallelism int
 	// Tracer, when non-nil, is installed on the Context's worker by
 	// NewContext: every stage, collective round, receive wait, and
@@ -153,13 +150,6 @@ type Options struct {
 	// dist.GatherSpans. Nil — the default — costs nothing on the hot
 	// paths.
 	Tracer *obs.Tracer
-}
-
-// WithParallelism returns a copy of the Options with the local
-// accumulation fan-out bound set to n; see Options.Parallelism.
-func (o Options) WithParallelism(n int) Options {
-	o.Parallelism = n
-	return o
 }
 
 // DefaultOptions returns a configuration in eager mode whose every
@@ -206,7 +196,7 @@ var defaultSum = func() core.SumConfig {
 // Context.AssertSum.
 func CheckSum(w *Worker, opts Options, input, output []Pair) (bool, error) {
 	return checkOne(w, func(seed uint64) core.CheckState {
-		return core.NewSumAggState("SumAgg", opts.Sum, seed, core.Serial, input, output)
+		return core.NewSumAggState("SumAgg", opts.Sum, seed, input, output)
 	})
 }
 
@@ -215,7 +205,7 @@ func CheckSum(w *Worker, opts Options, input, output []Pair) (bool, error) {
 // Context.AssertSorted.
 func CheckSorted(w *Worker, opts Options, input, output []uint64) (bool, error) {
 	return checkOne(w, func(seed uint64) core.CheckState {
-		return core.NewSortedState("Sorted", opts.Perm, seed, core.Serial, [][]uint64{input}, output)
+		return core.NewSortedState("Sorted", opts.Perm, seed, [][]uint64{input}, output)
 	})
 }
 

@@ -114,7 +114,7 @@ func (s *StreamedPairs) AssertCount(output PairSource) error {
 func (s *StreamedPairs) assertAgg(op string, count bool, output PairSource) error {
 	c := s.ctx
 	return streamStage(c, &s.used, op, c.validSum, s.src, output, func(label string) *stream.Accumulator[Pair] {
-		return stream.NewSumAccumulator(label, c.opts.Sum, c.seed, c.par, count)
+		return stream.NewSumAccumulator(label, c.opts.Sum, c.seed, core.Serial, count)
 	})
 }
 
@@ -126,7 +126,7 @@ func (s *StreamedPairs) assertAgg(op string, count bool, output PairSource) erro
 func (s *StreamedPairs) AssertRedistributed(after PairSource) error {
 	c := s.ctx
 	return streamStage(c, &s.used, "StreamRedist", c.validPerm, s.src, after, func(label string) *stream.Accumulator[Pair] {
-		return stream.NewRedistAccumulator(label, c.opts.Perm, c.seed, c.par, c.pt, c.w.Rank())
+		return stream.NewRedistAccumulator(label, c.opts.Perm, c.seed, c.pt, c.w.Rank())
 	})
 }
 
@@ -138,7 +138,7 @@ func (s *StreamedPairs) AssertRedistributed(after PairSource) error {
 func (s *StreamedSeq) AssertSorted(output SeqSource) error {
 	c := s.ctx
 	return streamStage(c, &s.used, "StreamSorted", c.validPerm, s.src, output, func(label string) *stream.Accumulator[uint64] {
-		return stream.NewSortAccumulator(label, c.opts.Perm, c.seed, c.par)
+		return stream.NewSortAccumulator(label, c.opts.Perm, c.seed)
 	})
 }
 
@@ -149,7 +149,7 @@ func (s *StreamedSeq) AssertSorted(output SeqSource) error {
 func (s *StreamedSeq) AssertPermutation(output SeqSource) error {
 	c := s.ctx
 	return streamStage(c, &s.used, "StreamPerm", c.validPerm, s.src, output, func(label string) *stream.Accumulator[uint64] {
-		return stream.NewPermAccumulator(label, c.opts.Perm, c.seed, c.par)
+		return stream.NewPermAccumulator(label, c.opts.Perm, c.seed)
 	})
 }
 

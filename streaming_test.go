@@ -185,7 +185,7 @@ func TestStreamResiduesMatchOneShot(t *testing.T) {
 	for _, o := range sumOutputs(2) {
 		output = append(output, o...)
 	}
-	oneShot := core.NewSumAggState("s", opts.Sum, 99, core.Serial, input, output)
+	oneShot := core.NewSumAggState("s", opts.Sum, 99, input, output)
 	acc := stream.NewSumAccumulator("s", opts.Sum, 99, core.Serial, false)
 	if err := acc.DrainInput(sumInput(1, false)); err != nil {
 		t.Fatal(err)
@@ -207,8 +207,8 @@ func TestStreamResiduesMatchOneShot(t *testing.T) {
 	if err := stream.Drain(out, func(c []uint64) { sorted = append(sorted, data.CloneU64s(c)...) }); err != nil {
 		t.Fatal(err)
 	}
-	oneShotSort := core.NewSortedState("s", opts.Perm, 99, core.Serial, [][]uint64{xs}, sorted)
-	sacc := stream.NewSortAccumulator("s", opts.Perm, 99, core.Serial)
+	oneShotSort := core.NewSortedState("s", opts.Perm, 99, [][]uint64{xs}, sorted)
+	sacc := stream.NewSortAccumulator("s", opts.Perm, 99)
 	in, out = sortShare(0, 1<<14, 512, "")
 	if err := sacc.DrainInput(in); err != nil {
 		t.Fatal(err)
