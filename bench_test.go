@@ -69,7 +69,7 @@ func BenchmarkTable5SumCheckerLocal(b *testing.B) {
 	// The reduce operation itself, the paper's ~88 ns comparison point:
 	// the kernel a pipeline runs, on one PE (no message is sent at p = 1).
 	b.Run("Reduce-reference", func(b *testing.B) {
-		err := dist.Run(1, 1, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, 1, 1, func(w *dist.Worker) error {
 			pt := ops.NewPartitioner(1, 1)
 			b.SetBytes(int64(16 * elements))
 			b.ResetTimer()
@@ -427,7 +427,7 @@ func BenchmarkCheckerSetup(b *testing.B) {
 		}
 	})
 	b.Run("jobworker", func(b *testing.B) {
-		net := comm.NewMemNetwork(1)
+		net := comm.NewMemNetworkTimeout(1, 0)
 		defer net.Close()
 		ws, err := dist.NewWorkers(net, 1)
 		if err != nil {

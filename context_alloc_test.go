@@ -38,7 +38,7 @@ func TestContextStageAllocs(t *testing.T) {
 	output := sumByKey(input)
 	opts := repro.DefaultOptions()
 	opts.Mode = repro.CheckDeferred
-	net := comm.NewMemNetwork(p)
+	net := comm.NewMemNetworkTimeout(p, 0)
 	defer net.Close()
 	ws, err := dist.NewWorkers(net, 7)
 	if err != nil {

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"errors"
 	"fmt"
 	"log"
 
@@ -109,9 +110,10 @@ func ExampleNewContext() {
 	// Sort#1 pass
 }
 
-// ExampleCheckSum verifies an asserted aggregation produced elsewhere —
-// the pure checker interface. A corrupted assertion is rejected.
-func ExampleCheckSum() {
+// ExampleContext_AssertSum verifies an asserted aggregation produced
+// elsewhere — the pure checker in pipeline form. A corrupted assertion
+// is rejected.
+func ExampleContext_AssertSum() {
 	input := []repro.Pair{{Key: 5, Value: 2}, {Key: 5, Value: 3}}
 	wrong := []repro.Pair{{Key: 5, Value: 6}} // should be 5
 	err := repro.Run(2, 1, func(w *repro.Worker) error {
@@ -119,12 +121,16 @@ func ExampleCheckSum() {
 		if w.Rank() == 0 {
 			in, out = input, wrong
 		}
-		ok, err := repro.CheckSum(w, repro.DefaultOptions(), in, out)
+		ctx, err := repro.NewContext(w, repro.DefaultOptions())
 		if err != nil {
 			return err
 		}
+		err = ctx.AssertSum(in, out)
+		if err != nil && !errors.Is(err, repro.ErrCheckFailed) {
+			return err
+		}
 		if w.Rank() == 0 {
-			fmt.Println("accepted:", ok)
+			fmt.Println("accepted:", err == nil)
 		}
 		return nil
 	})

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"errors"
 	"testing"
 
 	"repro"
@@ -30,7 +31,7 @@ func TestNetworkBitflipDuringRedistributionCaught(t *testing.T) {
 	// reject, so both count as caught).
 	for target := int64(1); target <= 24; target += 2 {
 		runs++
-		inner := comm.NewMemNetwork(p)
+		inner := comm.NewMemNetworkTimeout(p, 0)
 		net := comm.NewFaultyNetwork(inner, target, 13)
 		outs := make([][]data.Pair, p)
 		err := dist.RunNetwork(net, uint64(target), func(w *dist.Worker) error {
@@ -54,8 +55,10 @@ func TestNetworkBitflipDuringRedistributionCaught(t *testing.T) {
 		injected++
 		// Phase 2: check on a clean network (the checker itself must
 		// not be confused by earlier transport faults).
-		err = dist.Run(p, uint64(target)+99, func(w *dist.Worker) error {
-			ok, err := repro.CheckSum(w, opts, shardPairs(clean, p, w.Rank()), outs[w.Rank()])
+		err = dist.RunConfig(dist.Config{}, p, uint64(target)+99, func(w *dist.Worker) error {
+			ok, err := verdictOf(w, opts, func(ctx *repro.Context) error {
+				return ctx.AssertSum(shardPairs(clean, p, w.Rank()), outs[w.Rank()])
+			})
 			if err != nil {
 				return err
 			}
@@ -123,7 +126,7 @@ func TestSortVerdictMatchesGroundTruthUnderNetworkFaults(t *testing.T) {
 
 	injected, failStop := 0, 0
 	for target := int64(1); target <= 20; target++ {
-		inner := comm.NewMemNetwork(p)
+		inner := comm.NewMemNetworkTimeout(p, 0)
 		net := comm.NewFaultyNetwork(inner, target, 7)
 		outs := make([][]uint64, p)
 		err := dist.RunNetwork(net, uint64(target), func(w *dist.Worker) error {
@@ -144,8 +147,10 @@ func TestSortVerdictMatchesGroundTruthUnderNetworkFaults(t *testing.T) {
 		}
 		injected++
 		want := groundTruth(outs)
-		err = dist.Run(p, uint64(target)+7, func(w *dist.Worker) error {
-			got, err := repro.CheckSorted(w, opts, shardU64(clean, p, w.Rank()), outs[w.Rank()])
+		err = dist.RunConfig(dist.Config{}, p, uint64(target)+7, func(w *dist.Worker) error {
+			got, err := verdictOf(w, opts, func(ctx *repro.Context) error {
+				return ctx.AssertSorted(shardU64(clean, p, w.Rank()), outs[w.Rank()])
+			})
 			if err != nil {
 				return err
 			}
@@ -187,14 +192,16 @@ func TestVerdictBitflipCannotForgeAccept(t *testing.T) {
 	}{{"correct", correct}, {"wrong", wrong}} {
 		for _, bit := range []int{0, 1, 63} {
 			for k := int64(1); ; k++ {
-				net := comm.NewFaultyNetwork(comm.NewMemNetwork(p), k, bit)
+				net := comm.NewFaultyNetwork(comm.NewMemNetworkTimeout(p, 0), k, bit)
 				var verdicts [p]struct {
 					ok  bool
 					err error
 				}
 				_ = dist.RunNetwork(net, 5, func(w *dist.Worker) error {
 					r := w.Rank()
-					ok, err := repro.CheckSum(w, opts, shardPairs(input, p, r), shardPairs(c.output, p, r))
+					ok, err := verdictOf(w, opts, func(ctx *repro.Context) error {
+						return ctx.AssertSum(shardPairs(input, p, r), shardPairs(c.output, p, r))
+					})
 					verdicts[r].ok, verdicts[r].err = ok, err
 					return err
 				})
@@ -223,6 +230,24 @@ func TestVerdictBitflipCannotForgeAccept(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// verdictOf runs one eager assertion on a fresh Context over w and
+// splits its outcome into the checker's verdict and an infrastructure
+// error.
+func verdictOf(w *repro.Worker, opts repro.Options, assert func(ctx *repro.Context) error) (bool, error) {
+	ctx, err := repro.NewContext(w, opts)
+	if err != nil {
+		return false, err
+	}
+	switch err := assert(ctx); {
+	case err == nil:
+		return true, nil
+	case errors.Is(err, repro.ErrCheckFailed):
+		return false, nil
+	default:
+		return false, err
 	}
 }
 

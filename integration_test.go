@@ -139,7 +139,7 @@ func TestFaultInjectionThroughRealOperation(t *testing.T) {
 			if !m.Apply(corrupted, rng, 400) {
 				t.Skip("manipulator not applicable")
 			}
-			err := dist.Run(p, 11, func(w *dist.Worker) error {
+			err := dist.RunConfig(dist.Config{}, p, 11, func(w *dist.Worker) error {
 				// The operation consumes corrupted data (a "soft error"
 				// before the reduce); the checker compares against the
 				// clean input the user supplied.
@@ -148,7 +148,9 @@ func TestFaultInjectionThroughRealOperation(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				ok, err := repro.CheckSum(w, opts, shardPairs(clean, p, w.Rank()), out)
+				ok, err := verdictOf(w, opts, func(ctx *repro.Context) error {
+					return ctx.AssertSum(shardPairs(clean, p, w.Rank()), out)
+				})
 				if err != nil {
 					return err
 				}
@@ -210,7 +212,7 @@ func TestTransportsAgreeOnResults(t *testing.T) {
 		})
 		return out, err
 	}
-	mem := comm.NewMemNetwork(p)
+	mem := comm.NewMemNetworkTimeout(p, 0)
 	defer mem.Close()
 	gotMem, err := collect(mem)
 	if err != nil {
@@ -305,7 +307,9 @@ func TestHypercubeConnectionBound(t *testing.T) {
 				// aggregation (sum checker = local accumulate + collective
 				// compare), then a sweep of raw collectives over the same
 				// mesh.
-				ok, err := repro.CheckSum(w, opts, input, output)
+				ok, err := verdictOf(w, opts, func(ctx *repro.Context) error {
+					return ctx.AssertSum(input, output)
+				})
 				if err != nil {
 					return err
 				}

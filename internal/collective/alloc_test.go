@@ -24,7 +24,7 @@ const allReduceAllocsCeiling = 4
 // itself allocates is counted.
 func TestAllReduceAllocs(t *testing.T) {
 	const p, runs = 4, 50
-	net := comm.NewMemNetwork(p)
+	net := comm.NewMemNetworkTimeout(p, 0)
 	defer net.Close()
 	start := make([]chan struct{}, p)
 	done := make(chan error, p)

@@ -21,7 +21,7 @@ func asyncNetworks(p int) []struct {
 		name string
 		mk   func() (comm.Network, error)
 	}{
-		{"mem", func() (comm.Network, error) { return comm.NewMemNetwork(p), nil }},
+		{"mem", func() (comm.Network, error) { return comm.NewMemNetworkTimeout(p, 0), nil }},
 		{"simnet", func() (comm.Network, error) { return comm.NewSimNetwork(p, 1000, 1), nil }},
 		{"tcp", func() (comm.Network, error) { return comm.NewTCPNetwork(p) }},
 	}
@@ -175,7 +175,7 @@ func TestAsyncFirstErrorTeardown(t *testing.T) {
 // checks every allocated tag is distinct — the nextTag
 // concurrency-safety satellite.
 func TestTagAllocationRace(t *testing.T) {
-	net := comm.NewMemNetwork(1)
+	net := comm.NewMemNetworkTimeout(1, 0)
 	defer net.Close()
 	c := New(net.Endpoint(0))
 	const (

@@ -12,7 +12,7 @@ import (
 // and fails the test on any error.
 func runSPMD(t *testing.T, p int, body func(c *Comm) error) {
 	t.Helper()
-	net := comm.NewMemNetwork(p)
+	net := comm.NewMemNetworkTimeout(p, 0)
 	defer net.Close()
 	var wg sync.WaitGroup
 	errs := make([]error, p)

@@ -138,7 +138,7 @@ func TestPooledPayloadsNoUseAfterRelease(t *testing.T) {
 			name string
 			mk   func() (comm.Network, error)
 		}{
-			{"mem", func() (comm.Network, error) { return comm.NewMemNetwork(p), nil }},
+			{"mem", func() (comm.Network, error) { return comm.NewMemNetworkTimeout(p, 0), nil }},
 			{"tcp", func() (comm.Network, error) { return comm.NewTCPNetwork(p) }},
 		} {
 			t.Run(fmt.Sprintf("%s/p%d", tc.name, p), func(t *testing.T) {

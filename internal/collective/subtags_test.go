@@ -17,7 +17,7 @@ func sumOp(dst, src []uint64) {
 // TestSubBlocksDisjoint checks sibling sub-communicators get disjoint
 // tag blocks inside the root's space.
 func TestSubBlocksDisjoint(t *testing.T) {
-	net := comm.NewMemNetwork(1)
+	net := comm.NewMemNetworkTimeout(1, 0)
 	defer net.Close()
 	root := New(net.Endpoint(0))
 	a, err := root.Sub()
@@ -42,7 +42,7 @@ func TestSubBlocksDisjoint(t *testing.T) {
 // a sub fails with the explicit ErrTagSpaceExhausted, never a silent
 // tag collision.
 func TestSubDepthExhaustion(t *testing.T) {
-	net := comm.NewMemNetwork(1)
+	net := comm.NewMemNetworkTimeout(1, 0)
 	defer net.Close()
 	sub, err := New(net.Endpoint(0)).Sub()
 	if err != nil {
@@ -66,7 +66,7 @@ func smallRoot(ep comm.Endpoint, blocks int64) *Comm {
 // the explicit exhaustion error, then releases one child and checks its
 // block is recycled to the next Sub.
 func TestSubWidthExhaustionAndRecycle(t *testing.T) {
-	net := comm.NewMemNetwork(1)
+	net := comm.NewMemNetworkTimeout(1, 0)
 	defer net.Close()
 	const blocks = 8
 	root := smallRoot(net.Endpoint(0), blocks)
@@ -105,7 +105,7 @@ func TestSubWidthExhaustionAndRecycle(t *testing.T) {
 // is recycled exactly once (a second release must not corrupt the free
 // list by duplicating the block).
 func TestReleaseIsIdempotent(t *testing.T) {
-	net := comm.NewMemNetwork(1)
+	net := comm.NewMemNetworkTimeout(1, 0)
 	defer net.Close()
 	root := smallRoot(net.Endpoint(0), 4)
 	a, err := root.Sub()
@@ -138,7 +138,7 @@ func TestReleaseIsIdempotent(t *testing.T) {
 // collectives: a fresh sub on the recycled tags must work end to end.
 func TestSubRecycledBlockCarriesTraffic(t *testing.T) {
 	const p = 3
-	net := comm.NewMemNetwork(p)
+	net := comm.NewMemNetworkTimeout(p, 0)
 	defer net.Close()
 	comms := make([]*Comm, p)
 	for r := range comms {
@@ -198,7 +198,7 @@ func TestSubRecycledBlockCarriesTraffic(t *testing.T) {
 // TestAbortPoisonsOnlyOwnBlock aborts one sub and checks a sibling's
 // receives are untouched while the aborted block fails fast.
 func TestAbortPoisonsOnlyOwnBlock(t *testing.T) {
-	net := comm.NewMemNetwork(2)
+	net := comm.NewMemNetworkTimeout(2, 0)
 	defer net.Close()
 	c0, c1 := New(net.Endpoint(0)), New(net.Endpoint(1))
 	mk := func(c *Comm) (*Comm, *Comm) {

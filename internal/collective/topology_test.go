@@ -113,7 +113,7 @@ func TestHypercubeCollectivesStayOnEdges(t *testing.T) {
 		t.Fatalf("collectives dialed off-topology: ConnsOpen=%d, want %d", got, edges)
 	}
 	// Sanity: the mem transport reports "no metering" rather than 0.
-	mem := comm.NewMemNetwork(2)
+	mem := comm.NewMemNetworkTimeout(2, 0)
 	defer mem.Close()
 	if got := New(mem.Endpoint(0)).ConnsOpen(); got != -1 {
 		t.Fatalf("mem ConnsOpen = %d, want -1", got)

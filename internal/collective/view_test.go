@@ -14,7 +14,7 @@ import (
 func TestSubMembersCollectives(t *testing.T) {
 	const p = 4
 	members := []int{0, 2, 3} // rank 1 "died"
-	net := comm.NewMemNetwork(p)
+	net := comm.NewMemNetworkTimeout(p, 0)
 	defer net.Close()
 
 	var wg sync.WaitGroup
@@ -81,7 +81,7 @@ func TestSubMembersCollectives(t *testing.T) {
 
 // TestSubMembersValidation rejects malformed views.
 func TestSubMembersValidation(t *testing.T) {
-	net := comm.NewMemNetwork(4)
+	net := comm.NewMemNetworkTimeout(4, 0)
 	defer net.Close()
 	c := New(net.Endpoint(2))
 	cases := []struct {
@@ -107,7 +107,7 @@ func TestSubMembersValidation(t *testing.T) {
 // TestSubMembersFullView is the identity mapping: logical == physical.
 func TestSubMembersFullView(t *testing.T) {
 	const p = 3
-	net := comm.NewMemNetwork(p)
+	net := comm.NewMemNetworkTimeout(p, 0)
 	defer net.Close()
 	var wg sync.WaitGroup
 	errs := make([]error, p)

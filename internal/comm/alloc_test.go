@@ -22,7 +22,7 @@ func TestQueuedRecvAllocs(t *testing.T) {
 	}
 	for op, recv := range receives {
 		t.Run(op, func(t *testing.T) {
-			net := NewMemNetwork(2)
+			net := NewMemNetworkTimeout(2, 0)
 			defer net.Close()
 			ep, peer := net.Endpoint(0), net.Endpoint(1)
 			payload := []byte{1, 2, 3}
@@ -64,7 +64,7 @@ func TestWriteFrameAllocs(t *testing.T) {
 // fresh allocation of the test's, and the transport adds nothing to it.
 func TestPingPongAllocs(t *testing.T) {
 	const runs = 200
-	net := NewMemNetwork(2)
+	net := NewMemNetworkTimeout(2, 0)
 	defer net.Close()
 	a, b := net.Endpoint(0), net.Endpoint(1)
 	echo := make(chan error, 1)

@@ -46,7 +46,7 @@ func runPair(t *testing.T, n Network) {
 }
 
 func TestMemPingPong(t *testing.T) {
-	n := NewMemNetwork(2)
+	n := NewMemNetworkTimeout(2, 0)
 	defer n.Close()
 	runPair(t, n)
 }
@@ -61,7 +61,7 @@ func TestTCPPingPong(t *testing.T) {
 }
 
 func TestMemTagMatching(t *testing.T) {
-	n := NewMemNetwork(2)
+	n := NewMemNetworkTimeout(2, 0)
 	defer n.Close()
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -88,7 +88,7 @@ func TestMemTagMatching(t *testing.T) {
 }
 
 func TestMemSourceMatching(t *testing.T) {
-	n := NewMemNetwork(3)
+	n := NewMemNetworkTimeout(3, 0)
 	defer n.Close()
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -116,7 +116,7 @@ func TestMemSourceMatching(t *testing.T) {
 }
 
 func TestMetricsCount(t *testing.T) {
-	n := NewMemNetwork(2)
+	n := NewMemNetworkTimeout(2, 0)
 	defer n.Close()
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -139,7 +139,7 @@ func TestMetricsCount(t *testing.T) {
 }
 
 func TestInvalidRank(t *testing.T) {
-	n := NewMemNetwork(2)
+	n := NewMemNetworkTimeout(2, 0)
 	defer n.Close()
 	if err := n.Endpoint(0).Send(5, 0, nil); err == nil {
 		t.Fatal("expected error for out-of-range destination")
@@ -150,7 +150,7 @@ func TestInvalidRank(t *testing.T) {
 }
 
 func TestClosedNetworkFails(t *testing.T) {
-	n := NewMemNetwork(2)
+	n := NewMemNetworkTimeout(2, 0)
 	n.Close()
 	if _, err := n.Endpoint(0).Recv(1, 0); err == nil {
 		t.Fatal("expected error on closed network")
@@ -216,7 +216,7 @@ func TestTCPSelfSend(t *testing.T) {
 }
 
 func TestMemSelfSend(t *testing.T) {
-	n := NewMemNetwork(1)
+	n := NewMemNetworkTimeout(1, 0)
 	defer n.Close()
 	ep := n.Endpoint(0)
 	if err := ep.Send(0, 3, []byte("loop")); err != nil {

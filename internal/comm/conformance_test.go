@@ -18,9 +18,9 @@ import (
 func conformanceNetworks(t *testing.T, p int) map[string]Network {
 	t.Helper()
 	nets := map[string]Network{
-		"mem":           NewMemNetwork(p),
+		"mem":           NewMemNetworkTimeout(p, 0),
 		"simnet":        NewSimNetwork(p, 1000, 1),
-		"faulty+mem":    disarmedFaulty(NewMemNetwork(p)),
+		"faulty+mem":    disarmedFaulty(NewMemNetworkTimeout(p, 0)),
 		"faulty+simnet": disarmedFaulty(NewSimNetwork(p, 1000, 1)),
 	}
 	tcp, err := NewTCPNetwork(p)
@@ -146,7 +146,7 @@ func TestConformanceFaultScoping(t *testing.T) {
 		t.Run("faulty+"+base, func(t *testing.T) {
 			var inner Network
 			if base == "mem" {
-				inner = NewMemNetwork(2)
+				inner = NewMemNetworkTimeout(2, 0)
 			} else {
 				var err error
 				if inner, err = NewTCPNetwork(2); err != nil {

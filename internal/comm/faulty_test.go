@@ -10,7 +10,7 @@ import (
 // survivors' sends to it vanish silently — death is silence, never a
 // send error.
 func TestArmPeerDown(t *testing.T) {
-	inner := NewMemNetwork(3)
+	inner := NewMemNetworkTimeout(3, 0)
 	defer inner.Close()
 	fn := NewFaultyNetwork(inner, 0, 0)
 	if int(fn.dead.Load()) != -1 {
@@ -50,7 +50,7 @@ func TestArmPeerDown(t *testing.T) {
 
 // TestArmPeerDownOutOfRange must be a no-op.
 func TestArmPeerDownOutOfRange(t *testing.T) {
-	inner := NewMemNetwork(2)
+	inner := NewMemNetworkTimeout(2, 0)
 	defer inner.Close()
 	fn := NewFaultyNetwork(inner, 0, 0)
 	fn.ArmPeerDown(-1)

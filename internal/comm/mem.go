@@ -19,19 +19,14 @@ type memEndpoint struct {
 	inbox
 }
 
-// NewMemNetwork creates an in-memory network of p endpoints with the
-// DefaultTimeout deadlock backstop.
-func NewMemNetwork(p int) Network {
-	return NewMemNetworkTimeout(p, 0)
-}
-
-// NewMemNetworkTimeout is NewMemNetwork with an explicit per-operation
-// deadline: every blocking Send or Recv that exceeds it fails with an
-// error naming the stuck operation. Zero selects DefaultTimeout, a
-// negative value disables the deadline.
+// NewMemNetworkTimeout creates an in-memory network of p endpoints with
+// a per-operation deadline: every blocking Send or Recv that exceeds it
+// fails with an error naming the stuck operation. Zero selects the
+// DefaultTimeout deadlock backstop, a negative value disables the
+// deadline.
 func NewMemNetworkTimeout(p int, timeout time.Duration) Network {
 	if p < 1 {
-		panic("comm: NewMemNetwork requires p >= 1")
+		panic("comm: NewMemNetworkTimeout requires p >= 1")
 	}
 	n := &memNetwork{eps: make([]*memEndpoint, p), closed: make(chan struct{})}
 	for i := range n.eps {

@@ -50,7 +50,7 @@ func TestMeterAllTransportsAndWrappers(t *testing.T) {
 		wantWire     bool // WireSent/WireRecv > 0 expected
 		payloadExact bool // BytesSent exactly 2×payload
 	}{
-		{"mem", func(t *testing.T) Network { return NewMemNetwork(2) }, false, false, true},
+		{"mem", func(t *testing.T) Network { return NewMemNetworkTimeout(2, 0) }, false, false, true},
 		{"simnet", func(t *testing.T) Network { return NewSimNetwork(2, 1000, 1) }, false, false, false},
 		{"tcp", func(t *testing.T) Network {
 			n, err := NewTCPNetwork(2)
@@ -60,7 +60,7 @@ func TestMeterAllTransportsAndWrappers(t *testing.T) {
 			return n
 		}, true, true, true},
 		{"faulty-over-mem", func(t *testing.T) Network {
-			return NewFaultyNetwork(NewMemNetwork(2), 0, 0)
+			return NewFaultyNetwork(NewMemNetworkTimeout(2, 0), 0, 0)
 		}, false, false, true},
 		{"faulty-over-tcp", func(t *testing.T) Network {
 			n, err := NewTCPNetwork(2)
@@ -109,7 +109,7 @@ func TestMeterAllTransportsAndWrappers(t *testing.T) {
 
 // TestMeterPeerDownEvents pins the FaultyNetwork-specific counter.
 func TestMeterPeerDownEvents(t *testing.T) {
-	fn := NewFaultyNetwork(NewMemNetwork(4), 0, 0)
+	fn := NewFaultyNetwork(NewMemNetworkTimeout(4, 0), 0, 0)
 	defer fn.Close()
 	if got := fn.Meter().PeerDowns; got != 0 {
 		t.Fatalf("PeerDowns = %d before any kill", got)

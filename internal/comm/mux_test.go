@@ -19,7 +19,7 @@ func TestMuxConcurrentDisjointTags(t *testing.T) {
 		name string
 		mk   func() Network
 	}{
-		{"mem", func() Network { return NewMemNetwork(p) }},
+		{"mem", func() Network { return NewMemNetworkTimeout(p, 0) }},
 		{"simnet", func() Network { return NewSimNetwork(p, 100, 1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -72,7 +72,7 @@ func TestMuxConcurrentDisjointTags(t *testing.T) {
 // TestMuxFIFOPerKey checks per-(src,tag) delivery order survives the
 // demultiplexer while an interleaved second tag is in play.
 func TestMuxFIFOPerKey(t *testing.T) {
-	n := NewMemNetwork(2)
+	n := NewMemNetworkTimeout(2, 0)
 	defer n.Close()
 	sender := n.Endpoint(0)
 	m := NewMux(n.Endpoint(1))
@@ -139,7 +139,7 @@ func TestMuxPoison(t *testing.T) {
 // TestRecvAnyDrainsParkedFirst checks RecvAny returns messages parked
 // by earlier mismatched tag-matched receives before pulling new ones.
 func TestRecvAnyDrainsParkedFirst(t *testing.T) {
-	n := NewMemNetwork(2)
+	n := NewMemNetworkTimeout(2, 0)
 	defer n.Close()
 	sender, ep := n.Endpoint(0), n.Endpoint(1)
 	if err := sender.Send(1, 1, []byte("first")); err != nil {
@@ -164,7 +164,7 @@ func TestRecvAnyDrainsParkedFirst(t *testing.T) {
 // TestFaultyRecvErrInjection checks hard-fault mode: the target receive
 // reports ErrInjected, and DidInject flips.
 func TestFaultyRecvErrInjection(t *testing.T) {
-	f := NewFaultyNetwork(NewMemNetwork(2), 0, 0)
+	f := NewFaultyNetwork(NewMemNetworkTimeout(2, 0), 0, 0)
 	defer f.Close()
 	f.ArmRecvErr(2)
 	sender, ep := f.Endpoint(0), f.Endpoint(1)

@@ -47,7 +47,7 @@ func TestAvgCheckerAcceptsCorrect(t *testing.T) {
 	global := workload.UniformPairs(2000, 30, 1000, 1)
 	asserted := buildAvgReference(global)
 	for _, p := range []int{1, 2, 4} {
-		err := dist.Run(p, 1, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
 				return NewAvgAggState("AvgAgg", smallCfg, seed, shardPairs(global, p, w.Rank()), shardAvg(asserted, p, w.Rank()))
 			})
@@ -80,7 +80,7 @@ func TestAvgCheckerAcceptsTripleForm(t *testing.T) {
 		triples = append(triples, data.Triple{Key: k, Value: sums[k], Count: counts[k]})
 	}
 	asserted := AvgAssertionsFromTriples(triples)
-	err := dist.Run(3, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, 3, 1, func(w *dist.Worker) error {
 		s, e := data.SplitEven(len(asserted), 3, w.Rank())
 		ok, err := check(w, func(seed uint64) CheckState {
 			return NewAvgAggState("AvgAgg", smallCfg, seed, shardPairs(global, 3, w.Rank()), asserted[s:e])
@@ -107,7 +107,7 @@ func TestAvgCheckerDetectsWrongAverage(t *testing.T) {
 		bad := append([]AvgAssertion(nil), asserted...)
 		i := int(seed) % len(bad)
 		bad[i].AvgNum++ // average off by 1/Den
-		err := dist.Run(3, seed, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, 3, seed, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
 				return NewAvgAggState("AvgAgg", smallCfg, seed, shardPairs(global, 3, w.Rank()), shardAvg(bad, 3, w.Rank()))
 			})
@@ -142,7 +142,7 @@ func TestAvgCheckerDetectsScaledPair(t *testing.T) {
 	detected := 0
 	const trials = 40
 	for seed := uint64(0); seed < trials; seed++ {
-		err := dist.Run(2, seed, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, 2, seed, func(w *dist.Worker) error {
 			var mine []AvgAssertion
 			if w.Rank() == 0 {
 				mine = forged
@@ -172,7 +172,7 @@ func TestAvgCheckerRejectsIndivisibleCertificate(t *testing.T) {
 	// a deterministic reject.
 	global := []data.Pair{{Key: 1, Value: 3}, {Key: 1, Value: 4}}
 	bad := []AvgAssertion{{Key: 1, AvgNum: 7, AvgDen: 3, Count: 2}}
-	err := dist.Run(2, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, 2, 1, func(w *dist.Worker) error {
 		var mine []AvgAssertion
 		if w.Rank() == 0 {
 			mine = bad
@@ -200,7 +200,7 @@ func TestAvgCheckerRejectsZeroCount(t *testing.T) {
 	global := workload.UniformPairs(600, 10, 100, 5)
 	asserted := buildAvgReference(global)
 	invented := AvgAssertion{Key: 1 << 40, AvgNum: 7, AvgDen: 1, Count: 0}
-	err := dist.Run(2, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, 2, 1, func(w *dist.Worker) error {
 		mine := shardAvg(asserted, 2, w.Rank())
 		if w.Rank() == 0 {
 			mine = append(append([]AvgAssertion(nil), mine...), invented)
@@ -232,7 +232,7 @@ func TestAvgCheckerDetectsWrongCount(t *testing.T) {
 	detected := 0
 	const trials = 30
 	for seed := uint64(0); seed < trials; seed++ {
-		err := dist.Run(2, seed, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, 2, seed, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
 				return NewAvgAggState("AvgAgg", smallCfg, seed, shardPairs(global, 2, w.Rank()), shardAvg(bad, 2, w.Rank()))
 			})

@@ -55,7 +55,7 @@ func TestMedianCheckerAcceptsUniqueValues(t *testing.T) {
 	global := distinctPairs(2000, 25, 1)
 	medians, _ := buildMedianReference(global)
 	for _, p := range []int{1, 2, 4} {
-		err := dist.Run(p, 1, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
 				return NewMedianAggState("MedianAgg", smallCfg, seed, w.Rank(), shardPairs(global, p, w.Rank()), medians, nil)
 			})
@@ -82,7 +82,7 @@ func TestMedianCheckerDetectsWrongMedian(t *testing.T) {
 		bad := data.ClonePairs(medians)
 		// Shift one median enough to unbalance at least one element.
 		bad[int(seed)%len(bad)].Value += 1 << 41
-		err := dist.Run(3, seed, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, 3, seed, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
 				return NewMedianAggState("MedianAgg", smallCfg, seed, w.Rank(), shardPairs(global, 3, w.Rank()), bad, nil)
 			})
@@ -107,7 +107,7 @@ func TestMedianCheckerDetectsDroppedKey(t *testing.T) {
 	global := distinctPairs(800, 10, 3)
 	medians, _ := buildMedianReference(global)
 	bad := medians[1:]
-	err := dist.Run(3, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, 3, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
 			return NewMedianAggState("MedianAgg", smallCfg, seed, w.Rank(), shardPairs(global, 3, w.Rank()), bad, nil)
 		})
@@ -131,7 +131,7 @@ func TestMedianCheckerDetectsRepeatedKey(t *testing.T) {
 	global := distinctPairs(800, 10, 10)
 	medians, _ := buildMedianReference(global)
 	bad := append([]data.Pair{{Key: medians[0].Key, Value: medians[0].Value + 12345}}, medians...)
-	err := dist.Run(3, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, 3, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
 			return NewMedianAggState("MedianAgg", smallCfg, seed, w.Rank(), shardPairs(global, 3, w.Rank()), bad, nil)
 		})
@@ -153,7 +153,7 @@ func TestMedianCheckerTiesAcceptCorrect(t *testing.T) {
 	global := workload.UniformPairs(2000, 10, 7, 4)
 	medians, ties := buildMedianReference(global)
 	for _, p := range []int{1, 3, 5} {
-		err := dist.Run(p, 1, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
 				return NewMedianAggState("MedianAgg", smallCfg, seed, w.Rank(), shardPairs(global, p, w.Rank()), medians, ties)
 			})
@@ -180,7 +180,7 @@ func TestMedianCheckerTiesDetectWrongMedian(t *testing.T) {
 		bad := data.ClonePairs(medians)
 		i := int(seed) % len(bad)
 		bad[i].Value += 2 // move the median by a full value step
-		err := dist.Run(3, seed, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, 3, seed, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
 				return NewMedianAggState("MedianAgg", smallCfg, seed, w.Rank(), shardPairs(global, 3, w.Rank()), bad, ties)
 			})
@@ -220,7 +220,7 @@ func TestMedianCheckerTiesDetectForgedCertificate(t *testing.T) {
 		{EqLow: 0, EqHigh: 3, AtSlot: 0}, // lies about equal count
 	}
 	for i, cert := range forgeries {
-		err := dist.Run(2, uint64(i), func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, 2, uint64(i), func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
 				return NewMedianAggState("MedianAgg", smallCfg, seed, w.Rank(), shardPairs(global, 2, w.Rank()), badMedians, map[uint64]TieCert{1: cert})
 			})
@@ -242,7 +242,7 @@ func TestMedianCheckerTiesRejectOversizedAtSlot(t *testing.T) {
 	global := []data.Pair{{Key: 1, Value: 5}, {Key: 1, Value: 5}, {Key: 1, Value: 5}}
 	medians := []data.Pair{{Key: 1, Value: 10}}
 	bad := map[uint64]TieCert{1: {EqLow: 0, EqHigh: 0, AtSlot: 3}}
-	err := dist.Run(2, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, 2, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
 			return NewMedianAggState("MedianAgg", smallCfg, seed, w.Rank(), shardPairs(global, 2, w.Rank()), medians, bad)
 		})

@@ -34,7 +34,7 @@ func TestMinCheckerAcceptsCorrect(t *testing.T) {
 	global := workload.UniformPairs(2000, 40, 1e6, 1)
 	for _, p := range []int{1, 2, 4, 5} {
 		result, witness := buildMinReference(global, p, true)
-		err := dist.Run(p, 1, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
 				return NewMinAggState("MinAgg", seed, w.Rank(), w.Size(), shardPairs(global, p, w.Rank()), result, witness)
 			})
@@ -56,7 +56,7 @@ func TestMaxCheckerAcceptsCorrect(t *testing.T) {
 	global := workload.UniformPairs(1500, 30, 1e6, 2)
 	const p = 4
 	result, witness := buildMinReference(global, p, false)
-	err := dist.Run(p, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
 			return NewMaxAggState("MaxAgg", seed, w.Rank(), w.Size(), shardPairs(global, p, w.Rank()), result, witness)
 		})
@@ -81,7 +81,7 @@ func TestMinCheckerDetectsTooSmallAssertion(t *testing.T) {
 	result, witness := buildMinReference(global, p, true)
 	bad := data.ClonePairs(result)
 	bad[0].Value-- // smaller than any input element: witness PE lacks it
-	err := dist.Run(p, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
 			return NewMinAggState("MinAgg", seed, w.Rank(), w.Size(), shardPairs(global, p, w.Rank()), bad, witness)
 		})
@@ -104,7 +104,7 @@ func TestMinCheckerDetectsTooLargeAssertion(t *testing.T) {
 	result, witness := buildMinReference(global, p, true)
 	bad := data.ClonePairs(result)
 	bad[0].Value++ // some input element now beats the assertion
-	err := dist.Run(p, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
 			return NewMinAggState("MinAgg", seed, w.Rank(), w.Size(), shardPairs(global, p, w.Rank()), bad, witness)
 		})
@@ -130,7 +130,7 @@ func TestMinCheckerDetectsDroppedKey(t *testing.T) {
 	for _, pr := range bad {
 		badWitness[pr.Key] = witness[pr.Key]
 	}
-	err := dist.Run(p, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
 			return NewMinAggState("MinAgg", seed, w.Rank(), w.Size(), shardPairs(global, p, w.Rank()), bad, badWitness)
 		})
@@ -157,7 +157,7 @@ func TestMinCheckerDetectsInventedKey(t *testing.T) {
 		badWitness[k] = v
 	}
 	badWitness[999999] = 1
-	err := dist.Run(p, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
 			return NewMinAggState("MinAgg", seed, w.Rank(), w.Size(), shardPairs(global, p, w.Rank()), bad, badWitness)
 		})
@@ -180,7 +180,7 @@ func TestMinCheckerDetectsWrongWitness(t *testing.T) {
 	const p = 2 // PE 0 holds (1,5), PE 1 holds (1,9)
 	result := []data.Pair{{Key: 1, Value: 5}}
 	badWitness := map[uint64]int{1: 1} // PE 1 does not have value 5
-	err := dist.Run(p, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
 			return NewMinAggState("MinAgg", seed, w.Rank(), w.Size(), shardPairs(global, p, w.Rank()), result, badWitness)
 		})
@@ -210,7 +210,7 @@ func TestMinCheckerDetectsIncompleteCertificate(t *testing.T) {
 		}
 		incomplete[k] = v
 	}
-	err := dist.Run(p, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
 			return NewMinAggState("MinAgg", seed, w.Rank(), w.Size(), shardPairs(global, p, w.Rank()), result, incomplete)
 		})
@@ -232,7 +232,7 @@ func TestMinCheckerDetectsDivergentReplicas(t *testing.T) {
 	global := workload.UniformPairs(500, 10, 1e6, 8)
 	const p = 3
 	result, witness := buildMinReference(global, p, true)
-	err := dist.Run(p, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 		mine := data.ClonePairs(result)
 		if w.Rank() == 2 {
 			mine[0].Value ^= 4 // silent corruption of one replica
@@ -262,7 +262,7 @@ func TestMinCheckerDetectsRepeatedKey(t *testing.T) {
 	const p = 3
 	result, witness := buildMinReference(global, p, true)
 	bad := append([]data.Pair{{Key: result[0].Key, Value: result[0].Value + 12345}}, result...)
-	err := dist.Run(p, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
 			return NewMinAggState("MinAgg", seed, w.Rank(), w.Size(), shardPairs(global, p, w.Rank()), bad, witness)
 		})

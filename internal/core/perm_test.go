@@ -33,7 +33,7 @@ func TestPermCheckerAcceptsPermutation(t *testing.T) {
 	output := shuffled(input, 42)
 	for _, p := range []int{1, 2, 4, 7} {
 		for seed := uint64(0); seed < 5; seed++ {
-			err := dist.Run(p, seed, func(w *dist.Worker) error {
+			err := dist.RunConfig(dist.Config{}, p, seed, func(w *dist.Worker) error {
 				ok, err := check(w, func(seed uint64) CheckState {
 					return NewPermState("Permutation", permCfg, seed, [][]uint64{shardU64(input, p, w.Rank())}, shardU64(output, p, w.Rank()))
 				})
@@ -59,7 +59,7 @@ func TestPermCheckerAcceptsAllConfigs(t *testing.T) {
 	input := workload.UniformU64s(400, 1e8, 5)
 	output := shuffled(input, 9)
 	for _, cfg := range PermAccuracyConfigs() {
-		err := dist.Run(2, 11, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, 2, 11, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
 				return NewPermState("Permutation", cfg, seed, [][]uint64{shardU64(input, 2, w.Rank())}, shardU64(output, 2, w.Rank()))
 			})
@@ -83,7 +83,7 @@ func TestPermCheckerAcceptsWithDuplicates(t *testing.T) {
 		input[i] = uint64(i % 10)
 	}
 	output := shuffled(input, 7)
-	err := dist.Run(4, 3, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, 4, 3, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
 			return NewPermState("Permutation", permCfg, seed, [][]uint64{shardU64(input, 4, w.Rank())}, shardU64(output, 4, w.Rank()))
 		})
@@ -107,7 +107,7 @@ func TestPermCheckerDetectsChangedElement(t *testing.T) {
 	for seed := uint64(0); seed < trials; seed++ {
 		bad := shuffled(input, seed)
 		bad[int(seed)%len(bad)] ^= 1 << (seed % 27)
-		err := dist.Run(3, seed, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, 3, seed, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
 				return NewPermState("Permutation", permCfg, seed, [][]uint64{shardU64(input, 3, w.Rank())}, shardU64(bad, 3, w.Rank()))
 			})
@@ -139,7 +139,7 @@ func TestPermCheckerTruncatedFailureRate(t *testing.T) {
 	for seed := uint64(0); seed < trials; seed++ {
 		bad := data.CloneU64s(input)
 		bad[int(seed)%len(bad)] = hashing.Mix64(seed) % 1e8
-		err := dist.Run(2, seed, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, 2, seed, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
 				return NewPermState("Permutation", cfg, seed, [][]uint64{shardU64(input, 2, w.Rank())}, shardU64(bad, 2, w.Rank()))
 			})
@@ -176,7 +176,7 @@ func TestPermCheckerIterationsBoost(t *testing.T) {
 			miss *int
 		}{{cfgWeak, &missWeak}, {cfgBoost, &missBoost}} {
 			mode := mode
-			err := dist.Run(2, seed, func(w *dist.Worker) error {
+			err := dist.RunConfig(dist.Config{}, 2, seed, func(w *dist.Worker) error {
 				ok, err := check(w, func(seed uint64) CheckState {
 					return NewPermState("Permutation", mode.cfg, seed, [][]uint64{shardU64(input, 2, w.Rank())}, shardU64(bad, 2, w.Rank()))
 				})
@@ -238,7 +238,7 @@ func TestPermConfigDeltaAndValidate(t *testing.T) {
 func TestPolyPermChecker(t *testing.T) {
 	input := workload.UniformU64s(1000, 1e8, 5)
 	output := shuffled(input, 9)
-	err := dist.Run(4, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, 4, 1, func(w *dist.Worker) error {
 		ok, err := CheckPermutationPoly(w, PolyPermConfig{Iterations: 2}, shardU64(input, 4, w.Rank()), shardU64(output, 4, w.Rank()))
 		if err != nil {
 			return err
@@ -256,7 +256,7 @@ func TestPolyPermChecker(t *testing.T) {
 	for seed := uint64(0); seed < 40; seed++ {
 		bad := shuffled(input, seed)
 		bad[3] += 1
-		err := dist.Run(2, seed, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, 2, seed, func(w *dist.Worker) error {
 			ok, err := CheckPermutationPoly(w, PolyPermConfig{Iterations: 1}, shardU64(input, 2, w.Rank()), shardU64(bad, 2, w.Rank()))
 			if err != nil {
 				return err
@@ -278,7 +278,7 @@ func TestPolyPermChecker(t *testing.T) {
 // TestPolyPermCheckerUniverseGuard: one PE holding an element outside
 // the field's universe is an error on every PE.
 func TestPolyPermCheckerUniverseGuard(t *testing.T) {
-	err := dist.Run(3, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, 3, 1, func(w *dist.Worker) error {
 		xs := []uint64{uint64(w.Rank())}
 		if w.Rank() == 1 {
 			xs = []uint64{^uint64(0)}
@@ -300,7 +300,7 @@ func TestPolyPermCheckerUniverseGuard(t *testing.T) {
 func TestPolyCheckersOneAllReduction(t *testing.T) {
 	input := workload.UniformU64s(400, 1e8, 8)
 	output := shuffled(input, 2)
-	err := dist.Run(3, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, 3, 1, func(w *dist.Worker) error {
 		if _, err := w.CommonSeed(); err != nil {
 			return err
 		}
@@ -333,7 +333,7 @@ func TestGFPermChecker(t *testing.T) {
 	// Full 64-bit universe is fine for the GF variant.
 	input := []uint64{^uint64(0), 0, 1 << 63, 12345, ^uint64(0) - 7}
 	output := shuffled(input, 3)
-	err := dist.Run(3, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, 3, 1, func(w *dist.Worker) error {
 		ok, err := CheckPermutationGF(w, 2, shardU64(input, 3, w.Rank()), shardU64(output, 3, w.Rank()))
 		if err != nil {
 			return err
@@ -350,7 +350,7 @@ func TestGFPermChecker(t *testing.T) {
 	for seed := uint64(0); seed < 40; seed++ {
 		bad := data.CloneU64s(input)
 		bad[int(seed)%len(bad)] ^= 2
-		err := dist.Run(2, seed, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, 2, seed, func(w *dist.Worker) error {
 			ok, err := CheckPermutationGF(w, 1, shardU64(input, 2, w.Rank()), shardU64(bad, 2, w.Rank()))
 			if err != nil {
 				return err
@@ -373,7 +373,7 @@ func TestUnionChecker(t *testing.T) {
 	a := workload.UniformU64s(800, 1e8, 6)
 	b := workload.UniformU64s(1200, 1e8, 7)
 	out := shuffled(append(data.CloneU64s(a), b...), 11)
-	err := dist.Run(4, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, 4, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
 			return NewPermState("Union", permCfg, seed, [][]uint64{shardU64(a, 4, w.Rank()), shardU64(b, 4, w.Rank())}, shardU64(out, 4, w.Rank()))
 		})
@@ -392,7 +392,7 @@ func TestUnionChecker(t *testing.T) {
 	detected := 0
 	for seed := uint64(0); seed < 50; seed++ {
 		bad := shuffled(append(data.CloneU64s(a), b...), seed)[1:]
-		err := dist.Run(2, seed, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, 2, seed, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
 				return NewPermState("Union", permCfg, seed, [][]uint64{shardU64(a, 2, w.Rank()), shardU64(b, 2, w.Rank())}, shardU64(bad, 2, w.Rank()))
 			})

@@ -31,7 +31,7 @@ func TestResolveOnAllocs(t *testing.T) {
 	pairs := workload.ZipfPairs(4000, 500, 1000, 3)
 	values := workload.UniformU64s(4000, 1<<40, 4)
 	permCfg := PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}
-	net := comm.NewMemNetwork(p)
+	net := comm.NewMemNetworkTimeout(p, 0)
 	defer net.Close()
 	start := make([]chan struct{}, p)
 	done := make(chan error, p)

@@ -25,7 +25,7 @@ func TestSortCheckerAcceptsSortedOutput(t *testing.T) {
 	input := workload.UniformU64s(3000, 1e8, 1)
 	for _, p := range []int{1, 2, 4, 6} {
 		shards := globalSortShards(input, p)
-		err := dist.Run(p, 1, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
 				return NewSortedState("Sorted", permCfg, seed, [][]uint64{shardU64(input, p, w.Rank())}, shards[w.Rank()])
 			})
@@ -57,7 +57,7 @@ func TestSortCheckerDetectsLocalDisorder(t *testing.T) {
 		t.Skip("degenerate shard")
 	}
 	bad[2][0], bad[2][len(bad[2])-1] = bad[2][len(bad[2])-1], bad[2][0]
-	err := dist.Run(p, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
 			return NewSortedState("Sorted", permCfg, seed, [][]uint64{shardU64(input, p, w.Rank())}, bad[w.Rank()])
 		})
@@ -98,7 +98,7 @@ func TestSortCheckerDetectsBoundaryViolation(t *testing.T) {
 	// Re-sort locally so only the boundary exchange can catch it.
 	data.SortU64(bad[1])
 	data.SortU64(bad[2])
-	err := dist.Run(p, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
 			return NewSortedState("Sorted", permCfg, seed, [][]uint64{shardU64(input, p, w.Rank())}, bad[w.Rank()])
 		})
@@ -133,7 +133,7 @@ func TestSortCheckerDetectsValueChange(t *testing.T) {
 			t.Skip("empty shard")
 		}
 		last[len(last)-1] += 1 + seed
-		err := dist.Run(p, seed, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, p, seed, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
 				return NewSortedState("Sorted", permCfg, seed, [][]uint64{shardU64(input, p, w.Rank())}, bad[w.Rank()])
 			})
@@ -161,7 +161,7 @@ func TestSortCheckerEmptyShards(t *testing.T) {
 	sorted := data.CloneU64s(input)
 	data.SortU64(sorted)
 	const p = 4
-	err := dist.Run(p, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 		var in, out []uint64
 		if w.Rank() == 0 {
 			in = input
@@ -191,7 +191,7 @@ func TestSortCheckerEmptyMiddleBoundary(t *testing.T) {
 	const p = 3
 	shares := [][]uint64{{10, 20, 30}, {}, {25, 40}}
 	input := []uint64{10, 20, 30, 25, 40}
-	err := dist.Run(p, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 		var in []uint64
 		if w.Rank() == 0 {
 			in = input
@@ -221,7 +221,7 @@ func TestMergeChecker(t *testing.T) {
 	data.SortU64(merged)
 	const p = 4
 	shards := globalSortShards(merged, p)
-	err := dist.Run(p, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
 			return NewSortedState("Merge", permCfg, seed, [][]uint64{shardU64(a, p, w.Rank()), shardU64(b, p, w.Rank())}, shards[w.Rank()])
 		})
@@ -242,7 +242,7 @@ func TestMergeChecker(t *testing.T) {
 	badShards := globalSortShards(bad, p)
 	detected := 0
 	for seed := uint64(0); seed < 30; seed++ {
-		err := dist.Run(p, seed, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, p, seed, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
 				return NewSortedState("Merge", permCfg, seed, [][]uint64{shardU64(a, p, w.Rank()), shardU64(b, p, w.Rank())}, badShards[w.Rank()])
 			})

@@ -205,7 +205,7 @@ func TestStateWordsPinned(t *testing.T) {
 			if got := stateDigest(tc.mk(seed, 0, 1, corrupt)); got != tc.want[i] {
 				t.Errorf("%s corrupt=%v: state %s, pinned %s", tc.name, corrupt, got, tc.want[i])
 			}
-			err := dist.Run(p, 1, func(w *dist.Worker) error {
+			err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 				ok, err := check(w, func(seed uint64) CheckState { return tc.mk(seed, w.Rank(), p, corrupt) })
 				if err != nil {
 					return err

@@ -34,7 +34,7 @@ func TestSumCheckerAcceptsCorrectResult(t *testing.T) {
 	output := refSumAgg(input)
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		for seed := uint64(0); seed < 8; seed++ {
-			err := dist.Run(p, seed, func(w *dist.Worker) error {
+			err := dist.RunConfig(dist.Config{}, p, seed, func(w *dist.Worker) error {
 				ok, err := check(w, func(seed uint64) CheckState {
 					return NewSumAggState("SumAgg", smallCfg, seed, shardPairs(input, p, w.Rank()), shardPairs(output, p, w.Rank()))
 				})
@@ -61,7 +61,7 @@ func TestSumCheckerAcceptsAllConfigs(t *testing.T) {
 	configs = append(configs, SumConfig{Iterations: 3, Buckets: 37, RHatLog: 8, Family: hashing.FamilyMix})
 	for _, cfg := range configs {
 		cfg := cfg
-		err := dist.Run(4, 11, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, 4, 11, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
 				return NewSumAggState("SumAgg", cfg, seed, shardPairs(input, 4, w.Rank()), shardPairs(output, 4, w.Rank()))
 			})
@@ -87,7 +87,7 @@ func TestSumCheckerDetectsSingleValueError(t *testing.T) {
 	for seed := uint64(0); seed < trials; seed++ {
 		bad := data.ClonePairs(output)
 		bad[int(seed)%len(bad)].Value++
-		err := dist.Run(2, seed, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, 2, seed, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
 				return NewSumAggState("SumAgg", smallCfg, seed, shardPairs(input, 2, w.Rank()), shardPairs(bad, 2, w.Rank()))
 			})
@@ -116,7 +116,7 @@ func TestSumCheckerDetectsDroppedKey(t *testing.T) {
 	const trials = 100
 	for seed := uint64(0); seed < trials; seed++ {
 		bad := data.ClonePairs(output)[1:] // drop one key entirely
-		err := dist.Run(3, seed, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, 3, seed, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
 				return NewSumAggState("SumAgg", smallCfg, seed, shardPairs(input, 3, w.Rank()), shardPairs(bad, 3, w.Rank()))
 			})
@@ -143,7 +143,7 @@ func TestSumCheckerVerdictIdenticalOnAllPEs(t *testing.T) {
 	bad[0].Value += 7
 	const p = 5
 	verdicts := make([]bool, p)
-	err := dist.Run(p, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
 			return NewSumAggState("SumAgg", smallCfg, seed, shardPairs(input, p, w.Rank()), shardPairs(bad, p, w.Rank()))
 		})
@@ -179,7 +179,7 @@ func TestCountChecker(t *testing.T) {
 		counts[pr.Key]++
 	}
 	output := data.MapToPairs(counts)
-	err := dist.Run(4, 3, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, 4, 3, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
 			return countState(smallCfg, seed, shardPairs(input, 4, w.Rank()), shardPairs(output, 4, w.Rank()))
 		})
@@ -199,7 +199,7 @@ func TestCountChecker(t *testing.T) {
 	bad[len(bad)/2].Value++
 	detected := 0
 	for seed := uint64(0); seed < 50; seed++ {
-		err := dist.Run(4, seed, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, 4, seed, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
 				return countState(smallCfg, seed, shardPairs(input, 4, w.Rank()), shardPairs(bad, 4, w.Rank()))
 			})
@@ -469,7 +469,7 @@ func TestSumCheckerQuickCorrectAlwaysAccepted(t *testing.T) {
 		}
 		output := refSumAgg(input)
 		accepted := true
-		err := dist.Run(3, uint64(seed), func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, 3, uint64(seed), func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
 				return NewSumAggState("SumAgg", smallCfg, seed, shardPairs(input, 3, w.Rank()), shardPairs(output, 3, w.Rank()))
 			})
@@ -489,7 +489,7 @@ func TestSumCheckerQuickCorrectAlwaysAccepted(t *testing.T) {
 }
 
 func TestSumCheckerEmptyInput(t *testing.T) {
-	err := dist.Run(3, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, 3, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
 			return NewSumAggState("SumAgg", smallCfg, seed, nil, nil)
 		})
@@ -510,7 +510,7 @@ func TestSumCheckerNonEmptyVsEmptyOutput(t *testing.T) {
 	input := []data.Pair{{Key: 1, Value: 5}}
 	detected := 0
 	for seed := uint64(0); seed < 30; seed++ {
-		err := dist.Run(2, seed, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, 2, seed, func(w *dist.Worker) error {
 			var in []data.Pair
 			if w.Rank() == 0 {
 				in = input

@@ -38,7 +38,7 @@ func TestZipCheckerAcceptsCorrect(t *testing.T) {
 	b := workload.UniformU64s(n, 1e8, 2)
 	out := zipPairsOf(a, b)
 	for _, p := range []int{1, 2, 4, 5} {
-		err := dist.Run(p, 1, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 			ok, err := checkZip(w, zipCfg, shardU64(a, p, w.Rank()), shardU64(b, p, w.Rank()), shardPairs(out, p, w.Rank()))
 			if err != nil {
 				return err
@@ -61,7 +61,7 @@ func TestZipCheckerAcceptsSkewedDistributions(t *testing.T) {
 	b := workload.UniformU64s(n, 1e8, 4)
 	out := zipPairsOf(a, b)
 	const p = 3
-	err := dist.Run(p, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 		var la, lb []uint64
 		var lo []data.Pair
 		switch w.Rank() {
@@ -99,7 +99,7 @@ func TestZipCheckerDetectsSwappedNeighbours(t *testing.T) {
 		out := zipPairsOf(a, b)
 		i := int(seed) % (n - 1)
 		out[i], out[i+1] = out[i+1], out[i]
-		err := dist.Run(3, seed, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, 3, seed, func(w *dist.Worker) error {
 			ok, err := checkZip(w, zipCfg, shardU64(a, 3, w.Rank()), shardU64(b, 3, w.Rank()), shardPairs(out, 3, w.Rank()))
 			if err != nil {
 				return err
@@ -128,7 +128,7 @@ func TestZipCheckerDetectsComponentCrosstalk(t *testing.T) {
 	if out[n/2].Key == out[n/2].Value {
 		t.Skip("degenerate pair")
 	}
-	err := dist.Run(2, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, 2, 1, func(w *dist.Worker) error {
 		ok, err := checkZip(w, zipCfg, shardU64(a, 2, w.Rank()), shardU64(b, 2, w.Rank()), shardPairs(out, 2, w.Rank()))
 		if err != nil {
 			return err
@@ -147,7 +147,7 @@ func TestZipCheckerDetectsLengthMismatch(t *testing.T) {
 	a := workload.UniformU64s(100, 1e8, 9)
 	b := workload.UniformU64s(100, 1e8, 10)
 	out := zipPairsOf(a, b)[:99]
-	err := dist.Run(2, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, 2, 1, func(w *dist.Worker) error {
 		ok, err := checkZip(w, zipCfg, shardU64(a, 2, w.Rank()), shardU64(b, 2, w.Rank()), shardPairs(out, 2, w.Rank()))
 		if err != nil {
 			return err
@@ -179,7 +179,7 @@ func TestRedistCheckerAcceptsCorrect(t *testing.T) {
 		d := loc.PE(pr.Key)
 		after[d] = append(after[d], pr)
 	}
-	err := dist.Run(p, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
 			return NewRedistState("Redistribution", permCfg, seed, loc, w.Rank(), shardPairs(global, p, w.Rank()), after[w.Rank()])
 		})
@@ -211,7 +211,7 @@ func TestRedistCheckerDetectsMisplacedPair(t *testing.T) {
 	moved := after[0][0]
 	after[0] = after[0][1:]
 	after[1] = append(after[1], moved)
-	err := dist.Run(p, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
 			return NewRedistState("Redistribution", permCfg, seed, loc, w.Rank(), shardPairs(global, p, w.Rank()), after[w.Rank()])
 		})
@@ -243,7 +243,7 @@ func TestRedistCheckerDetectsDroppedPair(t *testing.T) {
 	detected := 0
 	const trials = 30
 	for seed := uint64(0); seed < trials; seed++ {
-		err := dist.Run(p, seed, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, p, seed, func(w *dist.Worker) error {
 			ok, err := check(w, func(seed uint64) CheckState {
 				return NewRedistState("Redistribution", permCfg, seed, loc, w.Rank(), shardPairs(global, p, w.Rank()), after[w.Rank()])
 			})
@@ -278,7 +278,7 @@ func TestRedistCheckerDetectsValueCorruption(t *testing.T) {
 		t.Skip("empty target")
 	}
 	after[1][0].Value ^= 1 << 13
-	err := dist.Run(p, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
 			return NewRedistState("Redistribution", permCfg, seed, loc, w.Rank(), shardPairs(global, p, w.Rank()), after[w.Rank()])
 		})
@@ -308,7 +308,7 @@ func TestJoinRedistChecker(t *testing.T) {
 		return out
 	}
 	la, ra := route(left), route(right)
-	err := dist.Run(p, 1, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
 			return NewRedistState("Join/left", permCfg, seed, loc, w.Rank(), shardPairs(left, p, w.Rank()), la[w.Rank()])
 		}, func(seed uint64) CheckState {
@@ -330,7 +330,7 @@ func TestJoinRedistChecker(t *testing.T) {
 		t.Skip("empty target")
 	}
 	ra[0][0].Key++
-	err = dist.Run(p, 1, func(w *dist.Worker) error {
+	err = dist.RunConfig(dist.Config{}, p, 1, func(w *dist.Worker) error {
 		ok, err := check(w, func(seed uint64) CheckState {
 			return NewRedistState("Join/left", permCfg, seed, loc, w.Rank(), shardPairs(left, p, w.Rank()), la[w.Rank()])
 		}, func(seed uint64) CheckState {

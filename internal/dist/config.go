@@ -3,7 +3,6 @@ package dist
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/comm"
@@ -61,11 +60,11 @@ type Config struct {
 	// plumbs it into the transport as the per-operation deadline: every
 	// blocking Send or Recv that exceeds it fails with an error naming
 	// the stuck operation (net.Conn read/write deadlines on the TCP
-	// path, timers on mem/simnet). RunConfig additionally closes the
-	// network when the whole run exceeds it, failing every worker at
-	// its next communication operation. Neither layer interrupts local
-	// computation: a compute-bound body only notices the deadline when
-	// it next touches the network. Zero keeps the transports'
+	// path, timers on mem/simnet). The whole-run bound is RunConfig's:
+	// it closes the network when the run exceeds Timeout; RunNetwork
+	// relies on the transport deadline alone. Neither layer interrupts
+	// local computation: a compute-bound body only notices the deadline
+	// when it next touches the network. Zero keeps the transports'
 	// DefaultTimeout deadlock backstop and applies no whole-run bound.
 	Timeout time.Duration
 	// Topology selects the connection graph the TCP transport pre-opens
@@ -118,44 +117,15 @@ func (c Config) TCPOptions() comm.TCPOptions {
 }
 
 // RunConfig executes body as p SPMD workers over the transport cfg
-// selects, tearing the network down when the run completes. If
-// cfg.Timeout elapses first, the network is closed — failing every
-// worker at its next communication — and the returned error reports
-// the timeout.
+// selects, tearing the network down when the run completes; a zero
+// Config is the in-memory network. If cfg.Timeout elapses first, the
+// network is closed — failing every worker at its next communication —
+// and the returned error reports the timeout.
 func RunConfig(cfg Config, p int, seed uint64, body func(w *Worker) error) error {
 	net, err := cfg.NewNetwork(p)
 	if err != nil {
 		return err
 	}
 	defer net.Close()
-	if cfg.Tracer != nil {
-		inner := body
-		body = func(w *Worker) error {
-			w.SetTracer(cfg.Tracer)
-			return inner(w)
-		}
-	}
-	return RunNetworkTimeout(net, cfg.Timeout, seed, body)
-}
-
-// RunNetworkTimeout is RunNetwork with a deadline: when timeout (if
-// positive) elapses before the run completes, the network is closed —
-// failing every worker at its next communication — and the returned
-// error reports the timeout. Like RunNetwork, a successful run leaves
-// net open for reuse; a timed-out network must be discarded.
-func RunNetworkTimeout(net comm.Network, timeout time.Duration, seed uint64, body func(w *Worker) error) error {
-	if timeout <= 0 {
-		return RunNetwork(net, seed, body)
-	}
-	var timedOut atomic.Bool
-	timer := time.AfterFunc(timeout, func() {
-		timedOut.Store(true)
-		net.Close()
-	})
-	defer timer.Stop()
-	err := RunNetwork(net, seed, body)
-	if err != nil && timedOut.Load() {
-		return fmt.Errorf("dist: run exceeded %v timeout: %w", timeout, err)
-	}
-	return err
+	return runWorkers(net, cfg, 0, p, seed, body)
 }

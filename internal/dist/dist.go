@@ -11,17 +11,16 @@
 // runs unchanged over the in-memory, virtual-time, TCP, and
 // fault-injecting transports.
 //
-// Failure semantics: the first worker to fail — by returning an error
-// or by panicking (recovered and converted) — closes the network, which
-// unblocks every peer stuck in a send or receive. Run and RunNetwork
-// wait for all workers to exit before returning the first failure, so
-// an erroring run leaks no goroutines.
+// Failure semantics: every SPMD fan-out runs on one Group (group.go).
+// A member's error or panic (recovered, naming the member) is offered
+// to the run's abort, which here closes the network: every peer stuck
+// in a send or receive is unblocked, and its ErrClosed never displaces
+// the cause. A run waits for all its members before returning the first
+// failure, so an erroring run leaks no goroutines.
 package dist
 
 import (
 	"fmt"
-	"runtime/debug"
-	"sync"
 
 	"repro/internal/collective"
 	"repro/internal/comm"
@@ -39,8 +38,8 @@ const (
 	jobStreamDomain  = 0x6a6f625374726d21 // "jobStrm!"
 )
 
-// Worker is one PE's execution context inside Run or RunNetwork. A
-// Worker is owned by its PE goroutine and must not be shared.
+// Worker is one PE's execution context inside a run. A Worker is owned
+// by its PE goroutine and must not be shared.
 type Worker struct {
 	rank int
 	size int
@@ -153,20 +152,15 @@ func NewWorkers(net comm.Network, seed uint64) ([]*Worker, error) {
 	for r := range ws {
 		ws[r] = newWorker(net, r, seed)
 	}
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for r := range ws {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			_, errs[r] = ws[r].CommonSeed()
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("dist: NewWorkers: PE %d common-seed broadcast: %w", r, err)
+	var g Group
+	err := g.Run(p, func(r int) error {
+		if _, err := ws[r].CommonSeed(); err != nil {
+			return fmt.Errorf("dist: NewWorkers: PE %d common-seed broadcast: %w", r, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for r, w := range ws[1:] {
 		if w.commonSeed != ws[0].commonSeed {
@@ -230,92 +224,50 @@ func (w *Worker) ResetJobWorker(jw *Worker, commonSeed, stream uint64) {
 	}
 }
 
-// Run executes body as p SPMD workers over a fresh in-memory network,
-// which is torn down when the run completes. It returns the first
-// worker failure, or nil if every worker succeeded.
-func Run(p int, seed uint64, body func(w *Worker) error) error {
-	if p < 1 {
-		return fmt.Errorf("dist: Run requires p >= 1, got %d", p)
-	}
-	net := comm.NewMemNetwork(p)
-	defer net.Close()
-	return RunNetwork(net, seed, body)
-}
-
 // RunNetwork executes body as net.Size() SPMD workers over net, one
 // goroutine per endpoint. The caller keeps ownership of net: a
 // successful run leaves it open, so multi-phase harnesses can audit or
-// reset its metrics between phases and run again.
-//
-// If any worker fails, the network is closed to unblock its peers (they
-// fail fast with comm.ErrClosed instead of deadlocking), all workers
-// are awaited, and the first failure is returned annotated with its
-// rank; a network that carried a failed run must not be reused. A panic
-// in body is recovered and reported as that worker's error.
+// reset its metrics between phases and run again. The first failure
+// closes net, which must then not be reused, and is returned annotated
+// with its rank. RunNetwork bounds nothing itself: a stuck run ends at
+// the transport's per-operation deadline.
 func RunNetwork(net comm.Network, seed uint64, body func(w *Worker) error) error {
-	p := net.Size()
-	if p < 1 {
-		return fmt.Errorf("dist: RunNetwork requires a network with p >= 1, got %d", p)
+	if net.Size() < 1 {
+		return fmt.Errorf("dist: RunNetwork requires a network with p >= 1, got %d", net.Size())
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	// fail records err if it is the run's first failure and tears the
-	// network down. Peers subsequently failing on the closed network are
-	// consequences, not causes, and are dropped: the close happens under
-	// the same lock, so no ErrClosed fallout can precede the root cause.
-	fail := func(err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr == nil {
-			firstErr = err
-			net.Close()
-		}
-	}
-	for r := 0; r < p; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			if err := runBody(newWorker(net, rank, seed), body); err != nil {
-				fail(err)
-			}
-		}(r)
-	}
-	wg.Wait()
-	return firstErr
+	return runWorkers(net, Config{}, 0, net.Size(), seed, body)
 }
 
 // RunLocal executes body as the single local worker of a distributed
 // run whose other ranks live in other processes: net hosts exactly one
 // endpoint locally (a comm.TCPNode), and rank names it. It is
-// RunNetwork's one-goroutine degenerate case with the same failure
-// semantics — a body error or panic closes the network, so remote peers
-// blocked on this rank fail fast instead of deadlocking — and the same
-// worker construction, so verdicts are bit-identical to an in-process
-// run with equal (p, seed).
+// RunNetwork with one member: a failure closes the network, so remote
+// peers blocked on this rank fail fast, and verdicts are bit-identical
+// to an in-process run with equal (p, seed).
 func RunLocal(net comm.Network, rank int, seed uint64, body func(w *Worker) error) error {
 	if rank < 0 || rank >= net.Size() {
 		return fmt.Errorf("dist: RunLocal rank %d out of range [0, %d)", rank, net.Size())
 	}
-	err := runBody(newWorker(net, rank, seed), body)
-	if err != nil {
-		net.Close()
-	}
-	return err
+	return runWorkers(net, Config{}, rank, 1, seed, body)
 }
 
-// runBody executes body on w, converting a panic into an error so one
-// PE's crash becomes an ordinary first-failure for the whole run.
-func runBody(w *Worker, body func(w *Worker) error) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = fmt.Errorf("dist: worker %d panicked: %v\n%s", w.rank, v, debug.Stack())
-		}
-	}()
-	if err := body(w); err != nil {
-		return fmt.Errorf("dist: worker %d: %w", w.rank, err)
+// runWorkers runs body as the workers of ranks first..first+n-1 over
+// net, one Group member each, with cfg's tracer installed. The first
+// failure, or cfg.Timeout if it elapses first, closes net.
+func runWorkers(net comm.Network, cfg Config, first, n int, seed uint64, body func(w *Worker) error) error {
+	g := Group{
+		Timeout: cfg.Timeout,
+		Name:    func(i int) string { return fmt.Sprintf("dist: worker %d", first+i) },
+		Abort:   func(error) bool { net.Close(); return true },
 	}
-	return nil
+	return g.Run(n, func(i int) error {
+		w := newWorker(net, first+i, seed)
+		if cfg.Tracer != nil {
+			w.SetTracer(cfg.Tracer)
+		}
+		if err := body(w); err != nil {
+			return fmt.Errorf("dist: worker %d: %w", first+i, err)
+		}
+		return nil
+	})
 }

@@ -18,7 +18,7 @@ func TestRunBasic(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		var mu sync.Mutex
 		seen := make(map[int]bool)
-		err := Run(p, 42, func(w *Worker) error {
+		err := RunConfig(Config{}, p, 42, func(w *Worker) error {
 			if w.Size() != p {
 				return fmt.Errorf("size %d, want %d", w.Size(), p)
 			}
@@ -44,8 +44,8 @@ func TestRunBasic(t *testing.T) {
 }
 
 func TestRunRejectsBadP(t *testing.T) {
-	if err := Run(0, 1, func(w *Worker) error { return nil }); err == nil {
-		t.Fatal("Run(0, ...) succeeded")
+	if err := RunConfig(Config{}, 0, 1, func(w *Worker) error { return nil }); err == nil {
+		t.Fatal("RunConfig(Config{}, 0, ...) succeeded")
 	}
 }
 
@@ -57,7 +57,7 @@ func TestRunDeterministicGivenSeed(t *testing.T) {
 	observe := func(seed uint64) ([][]uint64, []uint64) {
 		draws := make([][]uint64, p)
 		commons := make([]uint64, p)
-		err := Run(p, seed, func(w *Worker) error {
+		err := RunConfig(Config{}, p, seed, func(w *Worker) error {
 			for i := 0; i < 8; i++ {
 				draws[w.Rank()] = append(draws[w.Rank()], w.Rng.Uint64())
 			}
@@ -126,7 +126,7 @@ func TestCommonSeedAgreement(t *testing.T) {
 		}
 		return vals
 	}
-	mem := comm.NewMemNetwork(p)
+	mem := comm.NewMemNetworkTimeout(p, 0)
 	defer mem.Close()
 	sim := comm.NewSimNetwork(p, 1000, 1)
 	defer sim.Close()
@@ -149,7 +149,7 @@ func TestCommonSeedAgreement(t *testing.T) {
 func TestFirstErrorPropagation(t *testing.T) {
 	sentinel := errors.New("worker 2 gave up")
 	start := time.Now()
-	err := Run(4, 1, func(w *Worker) error {
+	err := RunConfig(Config{}, 4, 1, func(w *Worker) error {
 		if w.Rank() == 2 {
 			return sentinel
 		}
@@ -174,7 +174,7 @@ func TestFirstErrorPropagation(t *testing.T) {
 // TestPanicRecovered converts a worker panic into an ordinary error and
 // still unblocks the surviving PEs.
 func TestPanicRecovered(t *testing.T) {
-	err := Run(3, 1, func(w *Worker) error {
+	err := RunConfig(Config{}, 3, 1, func(w *Worker) error {
 		if w.Rank() == 1 {
 			panic("boom")
 		}
@@ -222,7 +222,7 @@ func TestRunNetworkFaulty(t *testing.T) {
 		_, err := w.Coll.AllGather([]uint64{uint64(w.Rank()), uint64(w.Rank() * 10)})
 		return err
 	}
-	clean := comm.NewFaultyNetwork(comm.NewMemNetwork(p), 1<<40, 3)
+	clean := comm.NewFaultyNetwork(comm.NewMemNetworkTimeout(p, 0), 1<<40, 3)
 	if err := RunNetwork(clean, 2, body); err != nil {
 		t.Fatalf("out-of-range fault target broke a clean run: %v", err)
 	}
@@ -232,7 +232,7 @@ func TestRunNetworkFaulty(t *testing.T) {
 	clean.Close()
 	injected := 0
 	for target := int64(1); target <= 10; target++ {
-		net := comm.NewFaultyNetwork(comm.NewMemNetwork(p), target, 3)
+		net := comm.NewFaultyNetwork(comm.NewMemNetworkTimeout(p, 0), target, 3)
 		_ = RunNetwork(net, uint64(target), body) // may fail; must return
 		if net.DidInject() {
 			injected++
@@ -251,7 +251,7 @@ func TestNoGoroutineLeakAfterErrors(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	sentinel := errors.New("fail")
 	for i := 0; i < 25; i++ {
-		err := Run(5, uint64(i), func(w *Worker) error {
+		err := RunConfig(Config{}, 5, uint64(i), func(w *Worker) error {
 			if w.Rank() == i%5 {
 				return sentinel
 			}
@@ -409,7 +409,7 @@ func TestConfigTimeoutReachesRecv(t *testing.T) {
 // of the eagerly seeded generator this one replaced — nor cost a job
 // that never draws more than the seed word.
 func TestJobWorkerRngStreamUnchanged(t *testing.T) {
-	net := comm.NewMemNetwork(4)
+	net := comm.NewMemNetworkTimeout(4, 0)
 	defer net.Close()
 	ws, err := NewWorkers(net, 0xfeed)
 	if err != nil {
@@ -456,7 +456,7 @@ func TestJobWorkerRngStreamUnchanged(t *testing.T) {
 func TestNewWorkersRejectsCorruptSeed(t *testing.T) {
 	const p = 4
 	for k := int64(1); ; k++ {
-		inner := comm.NewMemNetwork(p)
+		inner := comm.NewMemNetworkTimeout(p, 0)
 		net := comm.NewFaultyNetwork(inner, k, 17)
 		ws, err := NewWorkers(net, 0xfeed)
 		inner.Close()

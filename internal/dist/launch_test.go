@@ -181,7 +181,7 @@ func TestJoinHostListWorkers(t *testing.T) {
 	// A mem-transport run with the same seed must agree on the common
 	// seed — the cross-process bootstrap changes nothing semantic.
 	var memSeed uint64
-	if err := Run(p, 42, func(w *Worker) error {
+	if err := RunConfig(Config{}, p, 42, func(w *Worker) error {
 		cs, err := w.CommonSeed()
 		if err == nil && w.Rank() == 0 {
 			memSeed = cs

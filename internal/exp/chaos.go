@@ -300,7 +300,7 @@ func (res *SoakResult) record(phase string, sj soakJob, h *service.Job, tag int)
 // recovered shares — and reports whether it reaches the pool's verdict.
 func serialMatches(h *service.Job, doctored bool, seed uint64) bool {
 	shares := h.RecoveredShares()
-	err := dist.Run(len(h.RecoveryMembers()), seed, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, len(h.RecoveryMembers()), seed, func(w *dist.Worker) error {
 		ctx, err := repro.NewContext(w.JobWorker(w.Coll, h.Seed(), uint64(h.ID())), soakOpts())
 		if err != nil {
 			return err

@@ -59,7 +59,7 @@ func timedRows(opt OverheadOptions, build func(ctx *repro.Context) []timedCase) 
 		return nil, fmt.Errorf("exp: overhead measurement needs elements >= 1, got %d", opt.Elements)
 	}
 	var rows []OverheadRow
-	err := dist.Run(1, overheadSeed, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, 1, overheadSeed, func(w *dist.Worker) error {
 		opts := repro.DefaultOptions()
 		opts.Mode = repro.CheckOff
 		ctx, err := repro.NewContext(w, opts)

@@ -224,7 +224,7 @@ func runJob(net comm.Network, opt SweepOptions, opts repro.Options, locals [][]d
 			sim.ResetClocks() // each run's makespan starts from zero
 		}
 		start := time.Now()
-		err := dist.RunNetworkTimeout(net, opt.Dist.Timeout, opt.Seed, func(w *dist.Worker) error {
+		err := dist.RunNetwork(net, opt.Seed, func(w *dist.Worker) error {
 			ctx, err := repro.NewContext(w, opts)
 			if err != nil {
 				return err

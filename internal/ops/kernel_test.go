@@ -109,7 +109,7 @@ func refJoin(pt Partitioner, left, right [][]data.Pair) [][]JoinRow {
 // soloWorker returns the worker of a one-PE in-memory network.
 func soloWorker(tb testing.TB) *dist.Worker {
 	tb.Helper()
-	net := comm.NewMemNetwork(1)
+	net := comm.NewMemNetworkTimeout(1, 0)
 	tb.Cleanup(func() { net.Close() })
 	ws, err := dist.NewWorkers(net, 1)
 	if err != nil {
@@ -207,7 +207,7 @@ func TestKernelMatchesMapOracle(t *testing.T) {
 // source, not truncate.
 func TestBadPairPayloadIsRejected(t *testing.T) {
 	var got error
-	err := dist.Run(2, 3, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, 2, 3, func(w *dist.Worker) error {
 		if w.Rank() == 1 {
 			_, err := w.Coll.AllToAllBytes([][]byte{make([]byte, 3*pairBytes+8), nil})
 			return err

@@ -45,7 +45,7 @@ func TestReduceByKeyMatchesSequential(t *testing.T) {
 	for _, p := range testSizes {
 		p := p
 		gathered := make(map[uint64]uint64)
-		err := dist.Run(p, 7, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, p, 7, func(w *dist.Worker) error {
 			pt := NewPartitioner(3, p)
 			out, err := ReduceByKey(w, pt, shardPairs(global, p, w.Rank()), SumFn)
 			if err != nil {
@@ -92,7 +92,7 @@ func TestReduceByKeyXor(t *testing.T) {
 	}
 	const p = 4
 	got := make(map[uint64]uint64)
-	err := dist.Run(p, 7, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 7, func(w *dist.Worker) error {
 		out, err := ReduceByKey(w, NewPartitioner(3, p), shardPairs(global, p, w.Rank()), XorFn)
 		if err != nil {
 			return err
@@ -128,7 +128,7 @@ func TestGroupByKeyCollectsAllValues(t *testing.T) {
 	}
 	const p = 5
 	got := make(map[uint64]int)
-	err := dist.Run(p, 7, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 7, func(w *dist.Worker) error {
 		groups, err := GroupByKey(w, NewPartitioner(9, p), shardPairs(global, p, w.Rank()))
 		if err != nil {
 			return err
@@ -168,7 +168,7 @@ func TestSortProducesGlobalOrder(t *testing.T) {
 	for _, p := range testSizes {
 		p := p
 		shares := make([][]uint64, p)
-		err := dist.Run(p, 7, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, p, 7, func(w *dist.Worker) error {
 			out, err := Sort(w, shard(global, p, w.Rank()))
 			if err != nil {
 				return err
@@ -211,7 +211,7 @@ func TestSortWithDuplicatesAndEmptyShares(t *testing.T) {
 	}
 	const p = 4
 	// Give PE 0 everything, others nothing: skewed input distribution.
-	err := dist.Run(p, 7, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 7, func(w *dist.Worker) error {
 		var local []uint64
 		if w.Rank() == 0 {
 			local = global
@@ -237,7 +237,7 @@ func TestMergeTwoSortedSequences(t *testing.T) {
 	data.SortU64(b)
 	const p = 4
 	shares := make([][]uint64, p)
-	err := dist.Run(p, 7, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 7, func(w *dist.Worker) error {
 		out, err := Merge(w, shard(a, p, w.Rank()), shard(b, p, w.Rank()))
 		if err != nil {
 			return err
@@ -282,7 +282,7 @@ func TestZipMatchesIndexwise(t *testing.T) {
 		return n/2 + s, n/2 + e
 	}
 	results := make([][]data.Pair, p)
-	err := dist.Run(p, 7, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 7, func(w *dist.Worker) error {
 		s, e := bCut(w.Rank())
 		out, err := Zip(w, shard(a, p, w.Rank()), b[s:e])
 		if err != nil {
@@ -309,7 +309,7 @@ func TestZipMatchesIndexwise(t *testing.T) {
 }
 
 func TestZipLengthMismatch(t *testing.T) {
-	err := dist.Run(2, 7, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, 2, 7, func(w *dist.Worker) error {
 		var a, b []uint64
 		if w.Rank() == 0 {
 			a = []uint64{1, 2, 3}
@@ -331,7 +331,7 @@ func TestUnionIsPermutationOfConcat(t *testing.T) {
 	b := workload.UniformU64s(800, 1e6, 11)
 	const p = 4
 	shares := make([][]uint64, p)
-	err := dist.Run(p, 7, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 7, func(w *dist.Worker) error {
 		out, err := Union(w, shard(a, p, w.Rank()), shard(b, p, w.Rank()))
 		if err != nil {
 			return err
@@ -398,7 +398,7 @@ func TestJoinMatchesSequential(t *testing.T) {
 	}
 	const p = 4
 	gotCount := make(map[JoinRow]int)
-	err := dist.Run(p, 7, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 7, func(w *dist.Worker) error {
 		rows, err := join(w, NewPartitioner(21, p), shardPairs(left, p, w.Rank()), shardPairs(right, p, w.Rank()))
 		if err != nil {
 			return err
@@ -446,7 +446,7 @@ func TestMinMaxByKey(t *testing.T) {
 		}
 	}
 	const p = 4
-	err := dist.Run(p, 7, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 7, func(w *dist.Worker) error {
 		local := shardPairs(global, p, w.Rank())
 		pt := NewPartitioner(5, p)
 		mins, err := MinByKey(w, pt, local)
@@ -507,7 +507,7 @@ func TestMedianByKey(t *testing.T) {
 	}
 	const p = 5
 	counts := make([]int, p)
-	err := dist.Run(p, 7, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 7, func(w *dist.Worker) error {
 		// Per-key medians are GroupByKey followed by MedianOfSorted2 on
 		// every group (what Dataset.MedianByKey runs before replicating).
 		groups, err := GroupByKey(w, NewPartitioner(5, p), shardPairs(global, p, w.Rank()))
@@ -563,7 +563,7 @@ func TestAverageByKey(t *testing.T) {
 	const p = 4
 	gotSum := make(map[uint64]uint64)
 	gotCount := make(map[uint64]uint64)
-	err := dist.Run(p, 7, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 7, func(w *dist.Worker) error {
 		triples, err := AverageByKey(w, NewPartitioner(5, p), shardPairs(global, p, w.Rank()))
 		if err != nil {
 			return err
@@ -599,7 +599,7 @@ func TestAverageByKey(t *testing.T) {
 func TestRedistributeByKeyLocality(t *testing.T) {
 	global := workload.UniformPairs(2000, 100, 100, 17)
 	const p = 4
-	err := dist.Run(p, 7, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, 7, func(w *dist.Worker) error {
 		pt := NewPartitioner(31, p)
 		red, err := RedistributeByKey(w, pt, shardPairs(global, p, w.Rank()))
 		if err != nil {

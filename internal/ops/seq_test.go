@@ -379,7 +379,7 @@ func TestBadSeqPayloadIsRejected(t *testing.T) {
 	}
 	for _, op := range seqOps {
 		var got error
-		err := dist.Run(2, 3, func(w *dist.Worker) error {
+		err := dist.RunConfig(dist.Config{}, 2, 3, func(w *dist.Worker) error {
 			if w.Rank() == 0 {
 				got = op.run(w)
 				return nil

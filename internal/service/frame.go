@@ -3,8 +3,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"repro"
 	"repro/internal/collective"
@@ -32,26 +30,20 @@ type frame struct {
 	subs    []*collective.Comm // by logical rank, one tag block
 	workers []*dist.Worker     // by logical rank, the job worker over subs[i]
 
-	// Built once, so a job allocates no closures: ranks[i] runs rank(i)
-	// and records its error, rankDone ends it; jobRank is a job's rank,
+	// Built once, so a job allocates no closures: g fans a run out over
+	// the pool's runners, rank is one rank's share of it (Pool.runRank),
 	// runJob and finish the job's own task.
-	ranks          []func()
-	rankDone       func()
-	jobRank        func(i int) error
+	g              dist.Group
+	rank           func(i int) error
 	runJob, finish func()
 
-	// The job on the frame and its current run. A late watchdog may read
-	// j, so j is written under mu; the rest belong to the job's runner.
-	j     *Job
-	spec  jobSpec
-	rank  func(i int) error // what each rank runs in this run
-	wg    sync.WaitGroup
-	clean bool // the job retired the frame cleanly: hand it back
-
-	mu       sync.Mutex // guards j and the run's outcome below
-	firstErr error
-	finished bool
-	aborted  bool
+	// The job on the frame and what it runs; they belong to the job's
+	// runner.
+	j    *Job
+	spec jobSpec
+	// aborted is set by g's Abort and read once the run is over: the
+	// frame is then dropped, not handed back.
+	aborted bool
 }
 
 // mintLocked mints a frame on members, the view of epoch: one
@@ -66,7 +58,6 @@ func (p *Pool) mintLocked(members []int, epoch int) (*frame, error) {
 		members: members,
 		subs:    make([]*collective.Comm, len(members)),
 		workers: make([]*dist.Worker, len(members)),
-		ranks:   make([]func(), len(members)),
 	}
 	for i, phys := range members {
 		var sub *collective.Comm
@@ -84,11 +75,6 @@ func (p *Pool) mintLocked(members []int, epoch int) (*frame, error) {
 		}
 		f.subs[i] = sub
 		f.workers[i] = p.workers[phys].JobWorker(sub, 0, 0)
-		f.ranks[i] = func() {
-			if err := f.rank(i); err != nil {
-				f.fail(f.j, err)
-			}
-		}
 	}
 	lo, hi := f.subs[0].Block()
 	for i, s := range f.subs[1:] {
@@ -96,10 +82,15 @@ func (p *Pool) mintLocked(members []int, epoch int) (*frame, error) {
 			return nil, fmt.Errorf("service: internal: tag blocks diverged: rank %d [%d,%d) vs rank %d [%d,%d)", members[0], lo, hi, members[i+1], l, h)
 		}
 	}
-	f.rankDone = f.wg.Done
-	f.jobRank = func(i int) error {
-		return p.runRank(f.j, i, f.members[i], f.workers[i], f.spec)
+	f.g = dist.Group{
+		Start:   p.run.start,
+		Abort:   f.abort,
+		Timeout: p.opts.JobTimeout,
+		Name: func(i int) string {
+			return fmt.Sprintf("service: job %d %q: PE %d", f.j.id, f.j.name, f.members[i])
+		},
 	}
+	f.rank = func(i int) error { return p.runRank(f, i) }
 	f.runJob = func() { p.runJob(f) }
 	f.finish = f.handBack
 	return f, nil
@@ -113,76 +104,28 @@ func (f *frame) releaseLocked() {
 	}
 }
 
-// start runs job j on the frame; the handle resolves and the frame goes
-// back to its slot once the job's runner is idle again.
-func (f *frame) start(j *Job, spec jobSpec) {
-	f.mu.Lock() // a previous job's late watchdog may be reading f.j
-	f.j, f.spec = j, spec
-	f.mu.Unlock()
-	f.p.run.start(f.runJob, f.finish)
-}
-
-// handBack publishes the finished job and returns the slot: the frame
-// if the job retired it cleanly, nil if it was dropped. It must not
-// keep the job's closures alive in the slot.
+// handBack publishes the finished job and returns the slot: the frame,
+// or nil if the job was aborted. It must not keep the job's closures
+// alive in the slot.
 func (f *frame) handBack() {
-	f.mu.Lock()
 	j := f.j
 	f.j, f.spec = nil, jobSpec{}
-	f.mu.Unlock()
 	close(j.done)
-	if f.clean {
-		f.p.sem <- f
-	} else {
+	if f.aborted {
 		f.p.sem <- nil
+	} else {
+		f.p.sem <- f
 	}
 }
 
-// runRanks fans one run of job j out over the frame: rank(i) on a
-// runner per member, first-error collection, and a scoped abort on
-// infrastructure failure. what names the run in the timeout error. It
-// returns the first error once every rank has finished.
-func (f *frame) runRanks(j *Job, what string, rank func(i int) error) error {
-	f.mu.Lock()
-	f.firstErr, f.finished = nil, false
-	f.mu.Unlock()
-	f.rank = rank
-	var watchdog *time.Timer
-	if t := f.p.opts.JobTimeout; t > 0 {
-		watchdog = time.AfterFunc(t, func() {
-			f.fail(j, fmt.Errorf("service: job %d %q%s exceeded timeout %v", j.id, j.name, what, t))
-		})
-	}
-	f.wg.Add(len(f.ranks))
-	for _, run := range f.ranks {
-		f.p.run.start(run, f.rankDone)
-	}
-	f.wg.Wait()
-	if watchdog != nil {
-		watchdog.Stop()
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.finished = true
-	return f.firstErr
-}
-
-// fail records the first error of job j's current run. A checker
-// rejection is a replicated verdict — every rank reaches it on its own,
-// no abort needed. Anything else (panic, transport fault, timeout)
-// poisons the job's tag block on every rank so peers stuck in the job's
-// collectives die fast, and kicks each endpoint's puller awake. A late
-// watchdog finds the run finished, or the frame on another job, and
-// leaves the block alone.
-func (f *frame) fail(j *Job, err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.j != j || f.finished || f.firstErr != nil {
-		return
-	}
-	f.firstErr = err
+// abort is the frame's Group abort. It declines a checker rejection, a
+// replicated verdict every rank reaches on its own. Anything else
+// (panic, transport fault, timeout) poisons the job's tag block on
+// every rank, so peers stuck in its collectives die fast, and kicks
+// each endpoint's puller awake.
+func (f *frame) abort(err error) bool {
 	if errors.Is(err, repro.ErrCheckFailed) {
-		return
+		return false
 	}
 	f.aborted = true
 	cause := fmt.Errorf("%w: %v", errJobAborted, err)
@@ -190,4 +133,5 @@ func (f *frame) fail(j *Job, err error) {
 		sub.Abort(cause)
 	}
 	f.p.kickAll()
+	return true
 }

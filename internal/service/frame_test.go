@@ -96,7 +96,7 @@ func TestFrameReuseDoesNotLeak(t *testing.T) {
 // to the next job in its slot, nor to any of the jobs after it.
 func TestAbortedFrameQuarantined(t *testing.T) {
 	const p, slots = 4, 3
-	inner := comm.NewMemNetwork(p)
+	inner := comm.NewMemNetworkTimeout(p, 0)
 	fn := comm.NewFaultyNetwork(inner, 0, 0)
 	pool, err := NewOnNetwork(fn, Options{Seed: 23, MaxConcurrent: slots, JobTimeout: 30 * time.Second})
 	if err != nil {

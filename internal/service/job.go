@@ -27,9 +27,8 @@ type Job struct {
 	// Elastic membership: the view the job was admitted on. members are
 	// the live physical ranks (logical rank i runs on members[i]);
 	// epoch is the view's epoch at submission.
-	members     []int
-	epoch       int
-	recoverable bool
+	members []int
+	epoch   int
 
 	done chan struct{}
 

@@ -3,7 +3,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"slices"
 	"time"
 
@@ -14,6 +13,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/dist"
 	"repro/internal/hashing"
+	"repro/internal/obs"
 	"repro/internal/ops"
 )
 
@@ -230,6 +230,10 @@ func (p *Pool) recoverJob(j *Job, spec jobSpec, dead int) error {
 	if len(newMembers) == len(j.members) || len(newMembers) == 0 {
 		return fmt.Errorf("service: job %d %q: no survivor view after PE %d died", j.id, j.name, dead)
 	}
+	// The recovery span sits on the first survivor's rank: the replay is
+	// collective, but one lane per job keeps the trace readable next to
+	// the job's resolve lanes.
+	defer p.opts.Tracer.Start(newMembers[0], int64(j.id), int64(j.block[0]), obs.KindRecovery, "recover").End()
 
 	// Mint a frame on the survivor view inside one critical section,
 	// exactly like admission: every survivor's allocator sees the same
@@ -244,12 +248,9 @@ func (p *Pool) recoverJob(j *Job, spec jobSpec, dead int) error {
 	if err != nil {
 		return fmt.Errorf("service: job %d %q recovery: %w", j.id, j.name, err)
 	}
-	rf.j = j
-
-	shares := make([][]data.Pair, len(newMembers))
-	err = rf.runRanks(j, " recovery", func(i int) error {
-		return p.runRecoveryRank(j, i, newMembers[i], rf.workers[i], spec, dead, shares)
-	})
+	spec.replay, spec.lost, spec.shares = true, dead, make([][]data.Pair, len(newMembers))
+	rf.j, rf.spec = j, spec
+	err = rf.g.Run(len(newMembers), rf.rank)
 
 	// As in runJob, an aborted replay quarantines its block.
 	if !rf.aborted {
@@ -258,51 +259,43 @@ func (p *Pool) recoverJob(j *Job, spec jobSpec, dead int) error {
 		p.mu.Unlock()
 	}
 	j.recoveryMembers = newMembers
-	j.recoveredShares = shares
+	j.recoveredShares = rf.spec.shares
 	return err
 }
 
-// runRecoveryRank is one survivor's share of a replay: reshard the dead
-// rank's share (held in full only at the replica holder) under
-// checker verification, rebuild this rank's share as own + received,
-// and rerun the body over a fresh Context on the survivor view.
-func (p *Pool) runRecoveryRank(j *Job, i, phys int, w *dist.Worker, spec jobSpec, dead int, shares [][]data.Pair) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = fmt.Errorf("service: job %d %q recovery: PE %d panicked: %v\n%s", j.id, j.name, phys, v, debug.Stack())
+// share is the input share logical rank i, physical rank phys, runs a
+// recoverable job's body on. A first run takes the submitted share,
+// retained first on an elastic pool: the share and its ring-buddy
+// replica are checkpointed before compute, while every member is still
+// alive. A replay reshards the lost rank's share (held in full only at
+// its replica holder) under checker verification, and runs on this
+// rank's own share plus what it received, recorded in shares.
+func (spec *jobSpec) share(i, phys int, w *dist.Worker) ([]data.Pair, error) {
+	if !spec.replay {
+		share := spec.shares[i]
+		if spec.kept != nil {
+			if err := retain(&spec.kept[phys], w.Coll, share); err != nil {
+				return nil, err
+			}
 		}
-	}()
-	p.workers[phys].ResetJobWorker(w, j.seed, uint64(j.id))
-	ctx, cerr := repro.NewContext(w, spec.opts)
-	if cerr != nil {
-		return cerr
+		return share, nil
 	}
-	defer func() {
-		if i == 0 {
-			j.stats = ctx.Stats()
-			j.sums = ctx.VerifySummaries()
-		}
-	}()
 	permCfg := spec.opts.Perm
 	if permCfg.Iterations == 0 {
 		permCfg = repro.DefaultOptions().Perm
 	}
 	kept := &spec.kept[phys]
 	var held []data.Pair
-	if kept.pred == dead {
+	if kept.pred == spec.lost {
 		held = kept.replica
 	}
-	received, _, rerr := reshard(w, permCfg, held)
-	if rerr != nil {
-		return rerr
+	received, _, err := reshard(w, permCfg, held)
+	if err != nil {
+		return nil, err
 	}
-	share := make([]data.Pair, 0, len(kept.own)+len(received))
-	share = append(append(share, kept.own...), received...)
-	shares[i] = share
-	if berr := spec.rbody(ctx, share); berr != nil {
-		return berr
-	}
-	return ctx.Verify()
+	share := slices.Concat(kept.own, received)
+	spec.shares[i] = share
+	return share, nil
 }
 
 // peerDownError builds the attributed outcome for a job that lost a

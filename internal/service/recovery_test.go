@@ -15,7 +15,7 @@ import (
 // faulty-wrapped in-memory mesh.
 func newElasticPool(t *testing.T, p int, opt Options) (*Pool, *comm.FaultyNetwork) {
 	t.Helper()
-	inner := comm.NewMemNetwork(p)
+	inner := comm.NewMemNetworkTimeout(p, 0)
 	fn := comm.NewFaultyNetwork(inner, 0, 0)
 	opt.P = p
 	if opt.Elastic == nil {

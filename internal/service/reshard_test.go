@@ -74,7 +74,7 @@ func runReshard(workers []*dist.Worker, holder int, share []data.Pair) []reshard
 func TestReshardMoves(t *testing.T) {
 	const p, holder = 3, 1
 	share := deadShare(500, 5)
-	net := comm.NewMemNetwork(p)
+	net := comm.NewMemNetworkTimeout(p, 0)
 	defer net.Close()
 	workers, err := dist.NewWorkers(net, 17)
 	if err != nil {
@@ -157,7 +157,7 @@ func (e *flipOnceEndpoint) Send(dst, tag int, payload []byte) error {
 // rank rather than hand a survivor corrupt recovery input.
 func TestReshardRejectsCorruptMove(t *testing.T) {
 	const p, holder = 3, 1
-	inner := comm.NewMemNetwork(p)
+	inner := comm.NewMemNetworkTimeout(p, 0)
 	defer inner.Close()
 	fo := &flipOnce{Network: inner}
 	workers, err := dist.NewWorkers(fo, 17)
@@ -259,7 +259,7 @@ var reshardPins = []struct {
 // and a holder at either end of the view.
 func TestReshardPinned(t *testing.T) {
 	for _, pin := range reshardPins {
-		net := comm.NewMemNetwork(pin.p)
+		net := comm.NewMemNetworkTimeout(pin.p, 0)
 		workers, err := dist.NewWorkers(net, 17)
 		if err != nil {
 			net.Close()
@@ -304,7 +304,7 @@ func TestReshardPinned(t *testing.T) {
 // holds no replica; and a replay that lost a second member is refused.
 func TestJobRetention(t *testing.T) {
 	members := []int{0, 2, 3}
-	net := comm.NewMemNetwork(4)
+	net := comm.NewMemNetworkTimeout(4, 0)
 	defer net.Close()
 	workers, err := dist.NewWorkers(net, 17)
 	if err != nil {
@@ -345,7 +345,7 @@ func TestJobRetention(t *testing.T) {
 		t.Fatal("own share retained without a copy")
 	}
 
-	solo := comm.NewMemNetwork(1)
+	solo := comm.NewMemNetworkTimeout(1, 0)
 	defer solo.Close()
 	one, err := dist.NewWorkers(solo, 17)
 	if err != nil {

@@ -24,7 +24,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"sync"
 	"time"
 
@@ -50,7 +49,7 @@ var ErrPoolClosed = errors.New("service: pool closed")
 var errJobAborted = errors.New("service: job aborted after a PE failed")
 
 // Body is one rank's share of a job: SPMD code over the job's Context,
-// exactly as a body passed to dist.Run — every rank runs the same
+// exactly as a body passed to dist.RunConfig — every rank runs the same
 // pipeline; the rank is ctx.Worker().Rank(). The pool calls
 // ctx.Verify() after a nil return, so bodies may simply queue deferred
 // assertions and return. The Context's Worker — its communicator and
@@ -90,14 +89,17 @@ type Options struct {
 // jobSpec is what a submitted job runs: exactly one of body/rbody is
 // set; shares are a recoverable job's per-logical-rank input slices,
 // and on an elastic pool kept is its retention, one entry per physical
-// rank (recovery.go). The spec is dropped, retention with it, when the
-// frame hands the job back.
+// rank (recovery.go). A replay reshards the share of lost, a dead
+// physical rank, and records in shares what each survivor ran on. The
+// spec is dropped, retention with it, when the frame hands it back.
 type jobSpec struct {
 	opts   repro.Options
 	body   Body
 	rbody  RecoverableBody
 	shares [][]data.Pair
 	kept   []retained
+	replay bool
+	lost   int
 }
 
 // Pool is the resident verification service. Create with New (pool
@@ -217,8 +219,8 @@ func NewOnNetwork(net comm.Network, opt Options) (*Pool, error) {
 func (p *Pool) Size() int { return p.opts.P }
 
 // JobSeed derives a job's checker seed from a pool's common seed and
-// the job's ID. Exported so a serial rerun (plain dist.Run over a fresh
-// network) can reproduce a pool job's verdicts and residues
+// the job's ID. Exported so a serial rerun (plain dist.RunConfig over a
+// fresh network) can reproduce a pool job's verdicts and residues
 // bit-identically: build a JobWorker with this seed and the same stream.
 func JobSeed(commonSeed uint64, id int64) uint64 {
 	return hashing.Mix64(commonSeed + jobSeedGamma*uint64(id+1))
@@ -295,28 +297,30 @@ func (p *Pool) submit(name string, opts repro.Options, spec jobSpec) (*Job, erro
 
 	lo, hi := f.subs[0].Block()
 	j := &Job{
-		id:          id,
-		name:        name,
-		seed:        JobSeed(p.common, id),
-		block:       [2]int{lo, hi},
-		start:       time.Now(),
-		done:        make(chan struct{}),
-		members:     f.members,
-		epoch:       f.epoch,
-		recoverable: spec.rbody != nil,
-		deadRank:    -1,
+		id:       id,
+		name:     name,
+		seed:     JobSeed(p.common, id),
+		block:    [2]int{lo, hi},
+		start:    time.Now(),
+		done:     make(chan struct{}),
+		members:  f.members,
+		epoch:    f.epoch,
+		deadRank: -1,
 	}
-	f.start(j, spec)
+	// The handle resolves, and the frame goes back to its slot, once the
+	// job's runner is idle again.
+	f.j, f.spec = j, spec
+	p.run.start(f.runJob, f.finish)
 	return j, nil
 }
 
-// runJob drives the frame's job: its ranks (runRanks), death
+// runJob drives the frame's job: its ranks (the frame's Group), death
 // attribution and checked recovery when elastic membership is on, then
 // accounting and the frame's retirement. The frame's finish publishes
 // the handle and returns the slot afterwards.
 func (p *Pool) runJob(f *frame) {
 	j, spec := f.j, f.spec
-	err := f.runRanks(j, "", f.jobRank)
+	err := f.g.Run(len(f.members), f.rank)
 
 	// Attribution and recovery: an infrastructure failure on an elastic
 	// pool may really be a peer death. Give the detector its bounded
@@ -328,18 +332,7 @@ func (p *Pool) runJob(f *frame) {
 		if dead, ok := p.awaitDeath(j); ok {
 			j.deadRank = dead
 			attributed := peerDownError(j, dead)
-			if j.recoverable {
-				// The recovery span sits on the first survivor's rank:
-				// the replay is collective, but one lane per job keeps
-				// the trace readable next to the job's resolve lanes.
-				surv := j.members[0]
-				for _, m := range j.members {
-					if m != dead {
-						surv = m
-						break
-					}
-				}
-				rspan := p.opts.Tracer.Start(surv, int64(j.id), int64(j.block[0]), obs.KindRecovery, "recover")
+			if spec.rbody != nil {
 				switch rerr := p.recoverJob(j, spec, dead); {
 				case rerr == nil:
 					err = nil
@@ -352,7 +345,6 @@ func (p *Pool) runJob(f *frame) {
 				default:
 					err = fmt.Errorf("%w; recovery failed: %v", attributed, rerr)
 				}
-				rspan.End()
 			} else {
 				err = attributed
 			}
@@ -379,8 +371,7 @@ func (p *Pool) runJob(f *frame) {
 	// dropped and its block leaks by design (quarantine): a message
 	// still on the wire for a poisoned tag must never match a future
 	// job. The space holds billions of blocks; chaos is the rare case.
-	f.clean = !f.aborted
-	if f.clean {
+	if !f.aborted {
 		for _, sub := range f.subs {
 			sub.Reset()
 		}
@@ -408,20 +399,16 @@ func (p *Pool) runJob(f *frame) {
 	j.err = err
 }
 
-// runRank is one PE's share of a job: key the rank's job worker for the
-// job, build the Context, run the body, settle all pending
-// verification. i is the logical (view) rank, phys the physical
-// endpoint rank; logical rank 0's stats become the job's.
-func (p *Pool) runRank(j *Job, i, phys int, w *dist.Worker, spec jobSpec) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = fmt.Errorf("service: job %d %q: PE %d panicked: %v\n%s", j.id, j.name, phys, v, debug.Stack())
-		}
-	}()
-	p.workers[phys].ResetJobWorker(w, j.seed, uint64(j.id))
-	ctx, cerr := repro.NewContext(w, spec.opts)
-	if cerr != nil {
-		return cerr
+// runRank is logical rank i's share of the frame's job: key the rank's
+// job worker for the job, build the Context, run the body, settle all
+// pending verification. A recoverable job's body runs on the rank's
+// input share (jobSpec.share). Logical rank 0's stats become the job's.
+func (p *Pool) runRank(f *frame, i int) error {
+	j, spec, w := f.j, &f.spec, f.workers[i]
+	p.workers[f.members[i]].ResetJobWorker(w, j.seed, uint64(j.id))
+	ctx, err := repro.NewContext(w, spec.opts)
+	if err != nil {
+		return err
 	}
 	defer func() {
 		if i == 0 {
@@ -429,22 +416,15 @@ func (p *Pool) runRank(j *Job, i, phys int, w *dist.Worker, spec jobSpec) (err e
 			j.sums = ctx.VerifySummaries()
 		}
 	}()
-	if spec.rbody != nil {
-		share := spec.shares[i]
-		// Checkpoint before compute: the share and its ring-buddy
-		// replica must be retained while every member is still alive.
-		if spec.kept != nil {
-			if rerr := retain(&spec.kept[phys], w.Coll, share); rerr != nil {
-				return rerr
-			}
-		}
-		if berr := spec.rbody(ctx, share); berr != nil {
-			return berr
-		}
-		return ctx.Verify()
+	if spec.rbody == nil {
+		err = spec.body(ctx)
+	} else if share, serr := spec.share(i, f.members[i], w); serr != nil {
+		return serr
+	} else {
+		err = spec.rbody(ctx, share)
 	}
-	if berr := spec.body(ctx); berr != nil {
-		return berr
+	if err != nil {
+		return err
 	}
 	return ctx.Verify()
 }

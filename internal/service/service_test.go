@@ -297,7 +297,7 @@ func serialRerun(t *testing.T, p int, seed uint64, job *Job, kind string, stream
 		}
 		return nil
 	}
-	err := dist.Run(p, seed, func(w *dist.Worker) error {
+	err := dist.RunConfig(dist.Config{}, p, seed, func(w *dist.Worker) error {
 		common, err := w.CommonSeed()
 		if err != nil {
 			return err
@@ -478,7 +478,7 @@ func TestPoolTimeoutAborts(t *testing.T) {
 // passes, and a fresh probe job runs clean afterwards.
 func TestPoolFaultInjectionContained(t *testing.T) {
 	const p = 4
-	inner := comm.NewMemNetwork(p)
+	inner := comm.NewMemNetworkTimeout(p, 0)
 	fn := comm.NewFaultyNetwork(inner, 0, 0)
 	fn.Disarm()
 	pool, err := NewOnNetwork(fn, Options{Seed: 17})
@@ -538,6 +538,61 @@ func TestPoolFaultInjectionContained(t *testing.T) {
 	}
 	if err := probe.Await(); err != nil {
 		t.Fatalf("pool did not survive the injected fault: %v", err)
+	}
+}
+
+// TestPoolVerdictDoesNotShadowAbort fails each receive of a rejected
+// job in turn. Where some ranks have already returned the rejection,
+// the rank whose receive failed must still abort the job, or the peers
+// waiting on it sit out the network's 30 s deadline. Every job ends
+// well before that, as a rejection or with the injected fault (or the
+// abort it caused) named.
+func TestPoolVerdictDoesNotShadowAbort(t *testing.T) {
+	const p, n = 4, 200
+	inner := comm.NewMemNetworkTimeout(p, 30*time.Second)
+	fn := comm.NewFaultyNetwork(inner, 0, 0)
+	pool, err := NewOnNetwork(fn, Options{Seed: 7, MaxConcurrent: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		pool.Close()
+		inner.Close()
+	}()
+	body := func(ctx *repro.Context) error {
+		w := ctx.Worker()
+		in := jobData(40, w.Rank(), w.Size(), n)
+		out := slices.Clone(in)
+		if w.Rank() == 1 {
+			out[0].Value++
+		}
+		return ctx.AssertSum(in, out)
+	}
+	aborted := 0
+	for k := int64(1); ; k++ {
+		fn.ArmRecvErr(k)
+		j, err := pool.Submit("shadow", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-j.Done():
+		case <-time.After(5 * time.Second):
+			t.Fatalf("receive %d failed: the job did not end within 5 s", k)
+		}
+		if !fn.DidInject() {
+			if aborted == 0 {
+				t.Fatal("no injected fault ended a job with an error")
+			}
+			return
+		}
+		switch err := j.Err(); {
+		case j.Rejected():
+		case errors.Is(err, comm.ErrInjected) || errors.Is(err, errJobAborted):
+			aborted++
+		default:
+			t.Errorf("receive %d failed: the job ended with %v", k, err)
+		}
 	}
 }
 
@@ -643,7 +698,7 @@ func TestPoolVerdictBitflipCannotForgeAccept(t *testing.T) {
 		for _, bit := range []int{0, 1, 63} {
 			setupFlips, jobFlips := 0, 0
 			for k := int64(1); ; k++ {
-				inner := comm.NewMemNetwork(p)
+				inner := comm.NewMemNetworkTimeout(p, 0)
 				net := comm.NewFaultyNetwork(inner, k, bit)
 				pool, err := NewOnNetwork(net, Options{Seed: 5, MaxConcurrent: 1})
 				if net.DidInject() {

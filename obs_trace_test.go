@@ -38,7 +38,7 @@ func TestChromeTraceHasEverySpanKind(t *testing.T) {
 	tracer := obs.NewTracer(p, obs.DefaultCapacity)
 	pairs := workload.UniformPairs(elems*p, 1<<62, 1<<62, 0x0b5)
 
-	net := comm.NewMemNetwork(p)
+	net := comm.NewMemNetworkTimeout(p, 0)
 	defer net.Close()
 
 	opts := repro.DefaultOptions()

@@ -94,9 +94,10 @@ var (
 	XorFn = ops.XorFn
 )
 
-// Run executes body on p PEs over an in-memory network; see dist.Run.
+// Run executes body on p PEs over an in-memory network: RunConfig with
+// a zero Config.
 func Run(p int, seed uint64, body func(w *Worker) error) error {
-	return dist.Run(p, seed, body)
+	return dist.RunConfig(dist.Config{}, p, seed, body)
 }
 
 // Config selects the transport backend (mem, simnet, tcp) and run
@@ -189,36 +190,3 @@ var defaultSum = func() core.SumConfig {
 	}
 	return cfg
 }()
-
-// CheckSum verifies an asserted sum aggregation result against its
-// input without re-running the operation — the pure checker interface
-// for outputs produced elsewhere (Theorem 1). For the pipeline form see
-// Context.AssertSum.
-func CheckSum(w *Worker, opts Options, input, output []Pair) (bool, error) {
-	return checkOne(w, func(seed uint64) core.CheckState {
-		return core.NewSumAggState("SumAgg", opts.Sum, seed, input, output)
-	})
-}
-
-// CheckSorted verifies that output is a sorted permutation of input
-// without re-running the sort (Theorem 7). For the pipeline form see
-// Context.AssertSorted.
-func CheckSorted(w *Worker, opts Options, input, output []uint64) (bool, error) {
-	return checkOne(w, func(seed uint64) core.CheckState {
-		return core.NewSortedState("Sorted", opts.Perm, seed, [][]uint64{input}, output)
-	})
-}
-
-// checkOne resolves the one state mk builds from the workers' common
-// seed.
-func checkOne(w *Worker, mk func(seed uint64) core.CheckState) (bool, error) {
-	seed, err := w.CommonSeed()
-	if err != nil {
-		return false, err
-	}
-	v, err := core.Resolve(w, mk(seed))
-	if err != nil {
-		return false, err
-	}
-	return v[0], nil
-}

@@ -231,14 +231,11 @@ func TestCheckedWrapperSurfacesFaults(t *testing.T) {
 
 // checkAgainst runs the sum checker the way the ReduceByKey stage does.
 func checkAgainst(w *Worker, input, output []Pair) error {
-	ok, err := CheckSum(w, DefaultOptions(), input, output)
+	ctx, err := NewContext(w, DefaultOptions())
 	if err != nil {
 		return err
 	}
-	if !ok {
-		return ErrCheckFailed
-	}
-	return nil
+	return ctx.AssertSum(input, output)
 }
 
 // TestDefaultOptionsAchieveDocumentedDelta holds every default checker

@@ -166,7 +166,7 @@ func TestStageRunnerStatsPinned(t *testing.T) {
 func TestStageRunnerPrepErrorPinned(t *testing.T) {
 	for _, mode := range []repro.CheckMode{repro.CheckEager, repro.CheckDeferred} {
 		t.Run(mode.String(), func(t *testing.T) {
-			net := comm.NewFaultyNetwork(comm.NewMemNetwork(2), 0, 0)
+			net := comm.NewFaultyNetwork(comm.NewMemNetworkTimeout(2, 0), 0, 0)
 			defer net.Close()
 			net.ArmRecvErr(4)
 			var got statPin
