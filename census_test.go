@@ -35,11 +35,11 @@ var censusAllow = map[string]string{
 	"internal/core.SumChecker.AccumulateScalar":      "scalar oracle the root package's BenchmarkSumAccumulateEngine measures the kernel against",
 	"internal/core.PermChecker.AccumulateIntoScalar": "per-iteration oracle, its functions rebuilt unpaired from the same sub-seeds: FuzzPermAccumulate holds the paired kernel to it and the root package's BenchmarkPermAccumulateEngine measures against it",
 
-	"internal/comm.NewSimNetwork":           "cross-package test fixture (root, collective, dist); dist itself builds simnet with an explicit timeout",
-	"internal/comm.FaultyNetwork.DidInject": "cross-package test fixture: root, collective and dist tests ask whether the armed fault landed",
-	"internal/hashing.FamilyByName":         "cross-package test fixture: core's tests name Table 3 configurations in the paper's syntax",
-	"internal/workload.EdgePairShares":      "cross-package test fixture: the edge shapes of the ops and root one-sidedness gates",
-	"internal/workload.EdgeSeqShares":       "cross-package test fixture: the edge shapes of the ops and root one-sidedness gates",
+	"internal/comm.NewSimNetwork":             "cross-package test fixture (root, collective, dist); dist itself builds simnet with an explicit timeout",
+	"internal/comm.FaultyNetwork.ArmPeerDown": "cross-package test fixture: service and comm tests kill a PE to hold the pool to naming the dead rank",
+	"internal/hashing.FamilyByName":           "cross-package test fixture: core's tests name Table 3 configurations in the paper's syntax",
+	"internal/workload.EdgePairShares":        "cross-package test fixture: the edge shapes of the ops and root one-sidedness gates",
+	"internal/workload.EdgeSeqShares":         "cross-package test fixture: the edge shapes of the ops and root one-sidedness gates",
 
 	"internal/obs.Registry.Counter": "the registry's owned-counter kind; ROADMAP item 6 (seven meters → one) makes it the single source",
 }

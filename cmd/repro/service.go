@@ -124,9 +124,8 @@ func transportName(cfg dist.Config) string {
 }
 
 // runSoak runs the chaos runner: one fault schedule — clean traffic
-// with doctored claims, transport bitflips, hard receive faults and an
-// optional killed rank — gated on named violations. Exits nonzero when
-// any invariant breaks.
+// with doctored claims, transport bitflips and hard receive faults —
+// gated on named violations. Exits nonzero when any invariant breaks.
 func runSoak(args []string) error {
 	fs := flag.NewFlagSet("soak", flag.ExitOnError)
 	var opt exp.SoakOptions
@@ -136,8 +135,6 @@ func runSoak(args []string) error {
 	fs.IntVar(&opt.Elements, "elements", 2000, "elements per PE per job")
 	fs.IntVar(&opt.Flips, "flips", 4, "transport bitflip rows (<0 disables)")
 	fs.IntVar(&opt.Faults, "faults", 4, "hard receive-fault rows, each with a probe wave (<0 disables)")
-	fs.IntVar(&opt.KillRank, "kill-rank", 0,
-		"add the kill-rank row: crash this rank on an elastic pool mid-flight and assert checked recovery (0 disables; 1 <= rank < p)")
 	fs.Uint64Var(&opt.Seed, "seed", 0, "soak seed")
 	out := fs.String("out", "", "write the SoakResult as JSON to this file")
 	traceOut := fs.String("trace", "", "write a Chrome trace of the soak's spans to this file")

@@ -48,7 +48,7 @@ func TestNetworkBitflipDuringRedistributionCaught(t *testing.T) {
 			net.Close()
 			continue
 		}
-		if !net.DidInject() {
+		if _, _, landed := net.InjectedAt(); !landed {
 			net.Close()
 			continue
 		}
@@ -141,7 +141,7 @@ func TestSortVerdictMatchesGroundTruthUnderNetworkFaults(t *testing.T) {
 			net.Close()
 			continue
 		}
-		if !net.DidInject() {
+		if _, _, landed := net.InjectedAt(); !landed {
 			net.Close()
 			continue
 		}
@@ -205,7 +205,7 @@ func TestVerdictBitflipCannotForgeAccept(t *testing.T) {
 					verdicts[r].ok, verdicts[r].err = ok, err
 					return err
 				})
-				injected := net.DidInject()
+				_, _, injected := net.InjectedAt()
 				net.Close()
 				if !injected {
 					if k == 1 {

@@ -163,7 +163,7 @@ func TestAsyncFirstErrorTeardown(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("teardown deadlocked: sibling collective never unblocked")
 	}
-	if !net.DidInject() {
+	if _, _, landed := net.InjectedAt(); !landed {
 		t.Fatal("fault was never injected")
 	}
 	if failed.Load() == 0 {

@@ -34,12 +34,10 @@
 // Every collective moves its words through one unexported pair,
 // sendU64s/recvU64s, over a tag the communicator allocated for that
 // operation: little-endian words on Comm.send/Comm.recv, which meter the
-// traffic against the communicator and translate logical to physical
-// ranks. There is no tagged point-to-point API beside it — a neighbour
-// pattern is the Exchange collective — so whatever changes how words
-// reach the wire changes it there, once. AllToAllBytes and Barrier use
-// send/recv directly because their payloads are not words; the
-// failure detector's heartbeats (ctl.go) bypass metering on purpose.
+// traffic against the communicator. There is no tagged point-to-point
+// API beside it, so whatever changes how words reach the wire changes
+// it there, once. AllToAllBytes and Barrier use send/recv directly
+// because their payloads are not words.
 //
 // Words are encoded into payloads from comm's payload pool, which the
 // transport owns once they are sent, and a received payload goes back
@@ -57,7 +55,7 @@
 // collective: Broadcast's words at every rank but 0, and the slice
 // AllToAllBytes returns (the parts in it are the caller's). Reduce
 // folds into the words it is given. Everything else a collective
-// returns — AllReduce, Gather, AllGather, ExclusiveScan, Exchange and
+// returns — AllReduce, Gather, AllGather, ExclusiveScan and
 // AllToAll — is the caller's. One more buffer, Words, is the caller's
 // scratch: a vector to build an operation's input in. A communicator
 // that is kept and Reset between jobs keeps all of these.
@@ -71,11 +69,9 @@
 //	[0, 1<<31)          the root communicator's collective sequence
 //	                    (one or more tags per operation, allocated by
 //	                    the atomic tag counter)
-//	[1<<31, ctl)        sub-communicator blocks, handed out by Sub in
+//	[1<<31, 1<<62)      sub-communicator blocks, handed out by Sub in
 //	                    allocation order and returned for reuse by
 //	                    Release
-//	[ctl, 1<<62)        heartbeat streams, one tag per sending PE
-//	                    (ctl.go); ctl = 1<<62 - 1<<20
 //	[1<<62, ...)        control messages (comm.KickTag); never allocated
 //
 // Sub carves a block out of the root's space; the resulting Comm runs
@@ -116,18 +112,6 @@ const (
 	// subTagBase is where the root communicator's own collective
 	// sequence ends and sub-communicator tag blocks begin.
 	subTagBase int64 = 1 << 31
-	// ctlSpan is the width of the heartbeat control region: one tag per
-	// sending PE, so the heartbeat stream between a pair of PEs never
-	// collides with any collective or sub-communicator traffic.
-	// 2^20 tags bounds the supported PE count — far above any simulated p.
-	ctlSpan int64 = 1 << 20
-	// ctlTagBase is the first heartbeat control tag; the stream from
-	// physical rank r uses tag ctlTagBase+r.
-	ctlTagBase int64 = comm.KickTag - ctlSpan
-	// subTagLimit caps the sub-communicator space; tags at and above it
-	// belong to the heartbeat control region (ctlTagBase) and the kick
-	// range (comm.KickTag).
-	subTagLimit int64 = ctlTagBase
 	// subTagSpan is the tag-block width of a sub-communicator: room
 	// for millions of collective operations, far beyond any job's
 	// needs, while permitting billions of sub-communicators.
@@ -189,15 +173,6 @@ func (s *childSpace) release(base int64) {
 type Comm struct {
 	mux *comm.Mux
 
-	// members, when non-nil, restricts the communicator to a survivor
-	// view: members[logical] is the physical endpoint rank of logical
-	// rank `logical`, and myIdx is this PE's logical rank. All public
-	// rank arguments and results are logical; only send/recv translate.
-	// nil means the identity view over all endpoint ranks — the common
-	// case, kept allocation-free.
-	members []int
-	myIdx   int
-
 	// base and limit bound this communicator's ops region: the tags its
 	// own collective sequence allocates from. On a sub-communicator the
 	// region is its whole tag block, which Abort poisons and Release
@@ -245,45 +220,15 @@ func New(ep comm.Endpoint) *Comm {
 		mux:   comm.NewMux(ep),
 		base:  0,
 		limit: subTagBase,
-		kids:  &childSpace{span: subTagSpan, next: subTagBase, limit: subTagLimit},
+		kids:  &childSpace{span: subTagSpan, next: subTagBase, limit: comm.KickTag},
 	}
 }
 
-// Rank returns this PE's logical rank within the communicator's view
-// (its endpoint rank on a full view).
-func (c *Comm) Rank() int {
-	if c.members != nil {
-		return c.myIdx
-	}
-	return c.mux.Endpoint().Rank()
-}
+// Rank returns this PE's rank, its endpoint's.
+func (c *Comm) Rank() int { return c.mux.Endpoint().Rank() }
 
-// Size returns the number of PEs in the communicator's view.
-func (c *Comm) Size() int {
-	if c.members != nil {
-		return len(c.members)
-	}
-	return c.mux.Endpoint().Size()
-}
-
-// phys maps a logical rank of this communicator's view to the physical
-// endpoint rank messages are addressed with.
-func (c *Comm) phys(logical int) int {
-	if c.members != nil {
-		return c.members[logical]
-	}
-	return logical
-}
-
-// Members returns the physical endpoint ranks of the communicator's
-// view, indexed by logical rank; nil means the identity view over all
-// endpoint ranks. The slice is a copy.
-func (c *Comm) Members() []int {
-	if c.members == nil {
-		return nil
-	}
-	return append([]int(nil), c.members...)
-}
+// Size returns the number of PEs.
+func (c *Comm) Size() int { return c.mux.Endpoint().Size() }
 
 // Endpoint exposes the underlying endpoint.
 func (c *Comm) Endpoint() comm.Endpoint { return c.mux.Endpoint() }
@@ -299,7 +244,7 @@ func (c *Comm) SetTracer(tr *obs.Tracer, job int64) {
 	c.traceJob = job
 }
 
-// span opens a span on this PE's physical rank; the zero Active of a
+// span opens a span on this PE's rank; the zero Active of a
 // disabled tracer makes End a no-op.
 func (c *Comm) span(kind obs.Kind, name string) obs.Active {
 	if c.tr == nil {
@@ -347,53 +292,12 @@ func (c *Comm) Sub() (*Comm, error) {
 	}
 	return &Comm{
 		mux:      c.mux,
-		members:  c.members,
-		myIdx:    c.myIdx,
 		base:     base,
 		limit:    base + c.kids.span,
 		parent:   c,
 		tr:       c.tr,
 		traceJob: c.traceJob,
 	}, nil
-}
-
-// SubMembers is Sub restricted to a survivor view: the returned
-// communicator spans only the given physical endpoint ranks, renumbered
-// contiguously in slice order as logical ranks 0..len(members)-1, so
-// the tree collectives run correctly over the shrunken set. members
-// must be strictly ascending, valid endpoint ranks, and include the
-// calling PE. Every member PE must call SubMembers with the
-// identical slice at the same point of its Sub/Release sequence on the
-// root; non-members simply do not call (their allocators are allowed
-// to diverge — they are no longer part of the view).
-func (c *Comm) SubMembers(members []int) (*Comm, error) {
-	if len(members) == 0 {
-		return nil, fmt.Errorf("collective: SubMembers requires a non-empty view")
-	}
-	p := c.mux.Endpoint().Size()
-	self := c.mux.Endpoint().Rank()
-	myIdx := -1
-	for i, m := range members {
-		if m < 0 || m >= p {
-			return nil, fmt.Errorf("collective: SubMembers rank %d out of range [0, %d)", m, p)
-		}
-		if i > 0 && members[i-1] >= m {
-			return nil, fmt.Errorf("collective: SubMembers view not strictly ascending at index %d", i)
-		}
-		if m == self {
-			myIdx = i
-		}
-	}
-	if myIdx < 0 {
-		return nil, fmt.Errorf("collective: SubMembers view %v does not include this PE (rank %d)", members, self)
-	}
-	sub, err := c.Sub()
-	if err != nil {
-		return nil, err
-	}
-	sub.members = append([]int(nil), members...)
-	sub.myIdx = myIdx
-	return sub, nil
 }
 
 // Release returns this sub-communicator's tag block to the root for
@@ -435,12 +339,13 @@ func (c *Comm) Reset() {
 }
 
 // Abort poisons this communicator's whole tag block on this PE: every
-// current and future receive inside [base, limit) fails with err, and the block's queued and straggling messages are
-// dropped. Traffic outside the block is untouched, which is what lets
-// one job die on a resident mesh without tearing the mesh down. Abort
-// only unblocks receivers on this PE's endpoint; a goroutine currently
-// blocked inside the endpoint's RecvAny on an idle mesh additionally
-// needs a comm.KickTag control message from a peer to notice.
+// current and future receive inside [base, limit) fails with err, and
+// the block's queued and straggling messages are dropped. Traffic
+// outside the block is untouched, which is what lets one job die on a
+// resident mesh without tearing the mesh down. Abort only unblocks
+// receivers on this PE's endpoint; a goroutine currently blocked inside
+// the endpoint's RecvAny on an idle mesh additionally needs a
+// comm.KickTag control message, which the endpoint may send itself.
 func (c *Comm) Abort(err error) {
 	c.mux.PoisonRange(int(c.base), int(c.limit), err)
 }
@@ -490,10 +395,9 @@ func (c *Comm) nextTag() int {
 func (c *Comm) OpsStarted() int { return int(c.ops.Load()) }
 
 // send transmits through the demultiplexed endpoint and meters the
-// traffic against this communicator. dst is a logical rank of the
-// communicator's view.
+// traffic against this communicator.
 func (c *Comm) send(dst, tag int, payload []byte) error {
-	if err := c.mux.Send(c.phys(dst), tag, payload); err != nil {
+	if err := c.mux.Send(dst, tag, payload); err != nil {
 		return err
 	}
 	c.bytesSent.Add(int64(len(payload)))
@@ -502,12 +406,12 @@ func (c *Comm) send(dst, tag int, payload []byte) error {
 }
 
 // recv receives through the demultiplexer, which routes concurrent
-// streams on one endpoint by (src, tag). src is a logical rank of the
-// communicator's view. With a tracer installed the blocking wait is a
-// recv-wait span — the gap collectives spend parked on the wire.
+// streams on one endpoint by (src, tag). With a tracer installed the
+// blocking wait is a recv-wait span — the gap collectives spend parked
+// on the wire.
 func (c *Comm) recv(src, tag int) ([]byte, error) {
 	sp := c.span(obs.KindRecvWait, "recv")
-	buf, err := c.mux.Recv(c.phys(src), tag)
+	buf, err := c.mux.Recv(src, tag)
 	sp.End()
 	return buf, err
 }
@@ -891,23 +795,4 @@ func (c *Comm) AllToAll(parts [][]uint64) ([][]uint64, error) {
 		comm.PutPayload(b)
 	}
 	return out, nil
-}
-
-// Exchange posts a send of words to dst (if dst is a valid rank) and
-// then receives from src (if valid), for neighbour patterns like the
-// sort checker's boundary exchange. Pass -1 to skip either side; a
-// skipped receive returns nil.
-func (c *Comm) Exchange(dst int, words []uint64, src int) ([]uint64, error) {
-	sp := c.span(obs.KindCollective, "exchange")
-	defer sp.End()
-	tag := c.nextTag()
-	if dst >= 0 {
-		if err := c.sendU64s(dst, tag, words); err != nil {
-			return nil, err
-		}
-	}
-	if src < 0 {
-		return nil, nil
-	}
-	return c.recvU64s(nil, src, tag)
 }

@@ -395,6 +395,23 @@ func TestAllToAllEmptyParts(t *testing.T) {
 	})
 }
 
+// Exchange posts a send of words to dst (if dst is a valid rank) and
+// then receives from src (if valid), one tag for the pair: the
+// neighbour pattern, built on the word channel. Pass -1 to skip either
+// side; a skipped receive returns nil.
+func (c *Comm) Exchange(dst int, words []uint64, src int) ([]uint64, error) {
+	tag := c.nextTag()
+	if dst >= 0 {
+		if err := c.sendU64s(dst, tag, words); err != nil {
+			return nil, err
+		}
+	}
+	if src < 0 {
+		return nil, nil
+	}
+	return c.recvU64s(nil, src, tag)
+}
+
 func TestExchangeRing(t *testing.T) {
 	const p = 6
 	runSPMD(t, p, func(c *Comm) error {

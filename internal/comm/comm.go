@@ -20,8 +20,8 @@ var ErrClosed = errors.New("comm: network closed")
 // ErrPeerDown is the sentinel behind PeerDownError: a specific peer PE
 // died mid-run. It is deliberately distinct from ErrClosed (the whole
 // network is gone) and from operation timeouts (the run may be merely
-// wedged): peer death is attributable, survivable, and — with elastic
-// membership — recoverable, so callers branch on it with errors.Is.
+// wedged): peer death is attributable to one rank, so callers branch
+// on it with errors.Is and name the rank with errors.As.
 var ErrPeerDown = errors.New("comm: peer down")
 
 // PeerDownError attributes a failure to the death of one peer PE. It
@@ -203,7 +203,7 @@ type MeterSnapshot struct {
 	WireRecv  int64
 	ConnsOpen int64 // open connections, -1 if connectionless
 	Dials     int64 // dial attempts, successful or not
-	PeerDowns int64 // peers declared dead (FaultyNetwork, membership)
+	PeerDowns int64 // peers killed by a FaultyNetwork (ArmPeerDown)
 }
 
 // Meterer is implemented by every network in this package — wrappers

@@ -70,8 +70,7 @@ func NewFaultyNetwork(inner Network, target int64, bit int) *FaultyNetwork {
 
 // ArmBitflip re-arms the injector: the delta-th non-empty payload
 // received anywhere in the network from now on gets bit `bit` flipped.
-// Resets DidInject and InjectedAt. Arm only while no earlier fault is
-// still pending.
+// Resets InjectedAt. Arm only while no earlier fault is still pending.
 func (n *FaultyNetwork) ArmBitflip(delta int64, bit int) {
 	n.bit.Store(int64(bit))
 	n.recvErr.Store(false)
@@ -90,15 +89,16 @@ func (n *FaultyNetwork) ArmRecvErr(delta int64) {
 func (n *FaultyNetwork) Disarm() { n.target.Store(0) }
 
 // ArmPeerDown kills rank: from now on the dead rank's own operations
-// fail with ErrClosed (its process is gone, and its demultiplexer must
-// poison exactly like a local crash would), while survivors' sends TO
-// the dead rank are silently blackholed — a dead peer looks like
-// silence, not like an error, which is precisely why detection needs
-// heartbeats rather than send failures. Messages already in flight
-// still deliver. A control kick is sent to the dead endpoint through
-// the inner network (bypassing the blackhole) so a puller parked in its
-// RecvAny observes the crash promptly. Irreversible for the wrapped
-// network's lifetime; arm at most one rank.
+// fail with a PeerDownError naming it that also matches ErrClosed (its
+// process is gone, and its demultiplexer must poison exactly like a
+// local crash would), while survivors' sends TO the dead rank are
+// silently blackholed — a dead peer looks like silence, not like an
+// error, so the job it belonged to fails through the dead rank's own
+// error, which names it. Messages already in flight still deliver. A
+// control kick is sent to the dead endpoint through the inner network
+// (bypassing the blackhole) so a puller parked in its RecvAny observes
+// the crash promptly. Irreversible for the wrapped network's lifetime;
+// arm at most one rank.
 func (n *FaultyNetwork) ArmPeerDown(rank int) {
 	if rank < 0 || rank >= n.inner.Size() {
 		return
@@ -137,12 +137,9 @@ func (n *FaultyNetwork) Meter() MeterSnapshot {
 	return s
 }
 
-// DidInject reports whether the configured fault was actually placed
-// (the target message may never have been sent).
-func (n *FaultyNetwork) DidInject() bool { return n.injected.Load() }
-
 // InjectedAt reports where the most recent fault landed: the receiving
-// rank and the message tag. ok is false until an injection happened.
+// rank and the message tag. ok is false until the armed fault was
+// actually placed (the target message may never have been sent).
 func (n *FaultyNetwork) InjectedAt() (rank, tag int, ok bool) {
 	if !n.injected.Load() {
 		return 0, 0, false
@@ -159,9 +156,16 @@ func (e *faultyEndpoint) downSelf() bool {
 	return e.net.dead.Load() == int64(e.inner.Rank())
 }
 
+// down is what every operation of the killed rank's endpoint returns:
+// the rank's death, attributed, and still ErrClosed to its
+// demultiplexer.
+func (e *faultyEndpoint) down() error {
+	return fmt.Errorf("%w: %w", &PeerDownError{Rank: e.inner.Rank()}, ErrClosed)
+}
+
 func (e *faultyEndpoint) Send(dst, tag int, payload []byte) error {
 	if e.downSelf() {
-		return fmt.Errorf("comm: PE %d is down: %w", e.inner.Rank(), ErrClosed)
+		return e.down()
 	}
 	if d := e.net.dead.Load(); d >= 0 && int(d) == dst {
 		// Blackhole: the dead peer absorbs the message without a trace.
@@ -194,7 +198,7 @@ func (e *faultyEndpoint) afterRecv(tag int, payload []byte) error {
 
 func (e *faultyEndpoint) Recv(src, tag int) ([]byte, error) {
 	if e.downSelf() {
-		return nil, fmt.Errorf("comm: PE %d is down: %w", e.inner.Rank(), ErrClosed)
+		return nil, e.down()
 	}
 	payload, err := e.inner.Recv(src, tag)
 	if err != nil {
@@ -215,7 +219,7 @@ func (e *faultyEndpoint) Recv(src, tag int) ([]byte, error) {
 // addressee.
 func (e *faultyEndpoint) RecvAny() (Message, error) {
 	if e.downSelf() {
-		return Message{}, fmt.Errorf("comm: PE %d is down: %w", e.inner.Rank(), ErrClosed)
+		return Message{}, e.down()
 	}
 	m, err := e.inner.RecvAny()
 	if err != nil {
@@ -224,7 +228,7 @@ func (e *faultyEndpoint) RecvAny() (Message, error) {
 	if e.downSelf() {
 		// Armed while we were parked in the pull (the ArmPeerDown kick
 		// completes it): the crash wins over whatever was drawn.
-		return Message{}, fmt.Errorf("comm: PE %d is down: %w", e.inner.Rank(), ErrClosed)
+		return Message{}, e.down()
 	}
 	if ferr := e.afterRecv(m.Tag, m.Payload); ferr != nil {
 		m.Fail(ferr)

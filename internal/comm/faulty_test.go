@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestArmPeerDown pins the crash semantics the failure detector builds
-// on: the dead rank's own operations fail like a local crash, while
-// survivors' sends to it vanish silently — death is silence, never a
-// send error.
+// TestArmPeerDown pins the crash semantics a dead peer's attribution
+// builds on: the dead rank's own operations fail like a local crash,
+// with an error naming the rank, while survivors' sends to it vanish
+// silently — death is silence to them, never a send error.
 func TestArmPeerDown(t *testing.T) {
 	inner := NewMemNetworkTimeout(3, 0)
 	defer inner.Close()
@@ -21,15 +21,18 @@ func TestArmPeerDown(t *testing.T) {
 		t.Fatalf("DeadRank = %d, want 1", int(fn.dead.Load()))
 	}
 
-	// The dead rank's own operations fail with ErrClosed.
-	if err := fn.Endpoint(1).Send(0, 5, []byte{1}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("dead send: %v, want ErrClosed", err)
-	}
-	if _, err := fn.Endpoint(1).Recv(0, 5); !errors.Is(err, ErrClosed) {
-		t.Fatalf("dead recv: %v, want ErrClosed", err)
-	}
-	if _, err := fn.Endpoint(1).RecvAny(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("dead recvany: %v, want ErrClosed", err)
+	// The dead rank's own operations fail with ErrClosed and name it.
+	_, recvErr := fn.Endpoint(1).Recv(0, 5)
+	_, anyErr := fn.Endpoint(1).RecvAny()
+	for op, err := range map[string]error{
+		"send":    fn.Endpoint(1).Send(0, 5, []byte{1}),
+		"recv":    recvErr,
+		"recvany": anyErr,
+	} {
+		var pd *PeerDownError
+		if !errors.Is(err, ErrClosed) || !errors.As(err, &pd) || pd.Rank != 1 {
+			t.Fatalf("dead %s: %v, want ErrClosed and PeerDownError{Rank: 1}", op, err)
+		}
 	}
 
 	// Survivors' sends to the dead rank are blackholed: nil error, no

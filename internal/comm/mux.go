@@ -1,19 +1,9 @@
 package comm
 
 import (
-	"errors"
-	"fmt"
 	"slices"
 	"sync"
-	"time"
 )
-
-// ErrRecvDeadline reports that Mux.RecvDeadline gave up waiting before
-// a matching message arrived. It is a per-call outcome, not a Mux
-// poison: the stream stays healthy and the caller may receive again —
-// the property failure detectors rely on to probe for heartbeats
-// without killing the endpoint on every quiet interval.
-var ErrRecvDeadline = errors.New("comm: mux receive deadline expired")
 
 // Mux demultiplexes one Endpoint among concurrent receivers, the
 // mechanism that lets several collectives be in flight on one PE at
@@ -94,7 +84,7 @@ func (m *Mux) Send(dst, tag int, payload []byte) error {
 // outside the range are untouched. Waiters inside the range wake
 // immediately; a goroutine currently blocked in the endpoint's RecvAny
 // only notices once a message arrives — senders on a live mesh provide
-// one, and on an idle mesh a peer can send a KickTag control message.
+// one, and on an idle mesh a self-addressed KickTag control message does.
 func (m *Mux) PoisonRange(lo, hi int, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -136,38 +126,6 @@ func (m *Mux) poisonFor(tag int) error {
 // concurrent receives for the same (src, tag) — tag disjointness is
 // exactly what sub-communicators provide.
 func (m *Mux) Recv(src, tag int) ([]byte, error) {
-	return m.recv(src, tag, nil)
-}
-
-// RecvDeadline is Recv bounded by timeout: if no matching message has
-// arrived when it expires, the call returns ErrRecvDeadline while the
-// Mux and the (src, tag) stream stay usable. A non-positive timeout
-// degenerates to a plain Recv. A waiter that is itself parked inside
-// the endpoint's RecvAny cannot observe the expiry until the pull
-// completes, so the timer additionally sends a self-addressed KickTag
-// control message — the same wake mechanism PoisonRange relies on —
-// bounding the wait even on an otherwise idle mesh.
-func (m *Mux) RecvDeadline(src, tag int, timeout time.Duration) ([]byte, error) {
-	if timeout <= 0 {
-		return m.recv(src, tag, nil)
-	}
-	expired := false
-	timer := time.AfterFunc(timeout, func() {
-		m.mu.Lock()
-		expired = true
-		m.cond.Broadcast()
-		m.mu.Unlock()
-		_ = m.ep.Send(m.ep.Rank(), KickTag, nil)
-	})
-	defer timer.Stop()
-	return m.recv(src, tag, &expired)
-}
-
-// recv is the shared receive loop. expired, when non-nil, is the
-// deadline flag of a RecvDeadline call: it is only read under m.mu and
-// checked after the queue, so a message that arrived by the deadline
-// still wins.
-func (m *Mux) recv(src, tag int, expired *bool) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
@@ -181,9 +139,6 @@ func (m *Mux) recv(src, tag int, expired *bool) ([]byte, error) {
 			msg := m.early[i]
 			m.early = slices.Delete(m.early, i, i+1)
 			return deliver(msg)
-		}
-		if expired != nil && *expired {
-			return nil, fmt.Errorf("comm: PE %d recv (src=%d, tag=%d): %w", m.ep.Rank(), src, tag, ErrRecvDeadline)
 		}
 		if m.pulling {
 			// Someone else is at the endpoint; it will queue our message

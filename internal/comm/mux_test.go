@@ -162,7 +162,7 @@ func TestRecvAnyDrainsParkedFirst(t *testing.T) {
 }
 
 // TestFaultyRecvErrInjection checks hard-fault mode: the target receive
-// reports ErrInjected, and DidInject flips.
+// reports ErrInjected, and InjectedAt reports the landing.
 func TestFaultyRecvErrInjection(t *testing.T) {
 	f := NewFaultyNetwork(NewMemNetworkTimeout(2, 0), 0, 0)
 	defer f.Close()
@@ -176,13 +176,13 @@ func TestFaultyRecvErrInjection(t *testing.T) {
 	if _, err := ep.Recv(0, 3); err != nil {
 		t.Fatalf("first receive: %v", err)
 	}
-	if f.DidInject() {
+	if _, _, landed := f.InjectedAt(); landed {
 		t.Fatal("injected too early")
 	}
 	if _, err := ep.Recv(0, 3); !errors.Is(err, ErrInjected) {
 		t.Fatalf("second receive = %v, want ErrInjected", err)
 	}
-	if !f.DidInject() {
-		t.Fatal("DidInject not set")
+	if _, _, landed := f.InjectedAt(); !landed {
+		t.Fatal("InjectedAt reports no landing")
 	}
 }

@@ -81,7 +81,7 @@ func (w *Worker) SetTracer(tr *obs.Tracer) {
 	w.Coll.SetTracer(tr, w.job)
 }
 
-// Span opens a span on this worker's physical endpoint rank,
+// Span opens a span on this worker's endpoint rank,
 // attributed to its job and its root tag block. The zero Active of a
 // disabled tracer makes End free.
 func (w *Worker) Span(kind obs.Kind, name string) obs.Active {
@@ -181,12 +181,6 @@ func NewWorkers(net comm.Network, seed uint64) ([]*Worker, error) {
 // mutable state with its parent: concurrent jobs on one PE are
 // race-free, and a job's results depend only on (p, seed, commonSeed,
 // stream) — a serial rerun with the same inputs is bit-identical.
-// Rank, size, and RNG stream all derive from coll's LOGICAL rank, not
-// the endpoint rank: a job on a survivor view (collective.SubMembers)
-// then behaves exactly like a fresh p'-PE run — the property that makes
-// a recovered job's verdict bit-identical to a serial rerun over p'
-// PEs. On a full view logical and physical coincide, so existing
-// behavior is unchanged.
 func (w *Worker) JobWorker(coll *collective.Comm, commonSeed, stream uint64) *Worker {
 	jw := &Worker{Coll: coll, Rng: new(hashing.MT19937_64)}
 	w.ResetJobWorker(jw, commonSeed, stream)

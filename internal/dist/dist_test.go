@@ -226,7 +226,7 @@ func TestRunNetworkFaulty(t *testing.T) {
 	if err := RunNetwork(clean, 2, body); err != nil {
 		t.Fatalf("out-of-range fault target broke a clean run: %v", err)
 	}
-	if clean.DidInject() {
+	if _, _, landed := clean.InjectedAt(); landed {
 		t.Fatal("fault injected despite out-of-range target")
 	}
 	clean.Close()
@@ -234,7 +234,7 @@ func TestRunNetworkFaulty(t *testing.T) {
 	for target := int64(1); target <= 10; target++ {
 		net := comm.NewFaultyNetwork(comm.NewMemNetworkTimeout(p, 0), target, 3)
 		_ = RunNetwork(net, uint64(target), body) // may fail; must return
-		if net.DidInject() {
+		if _, _, landed := net.InjectedAt(); landed {
 			injected++
 		}
 		net.Close()
@@ -320,9 +320,8 @@ func TestRunConfigTimeout(t *testing.T) {
 	start := time.Now()
 	err := RunConfig(cfg, 2, 1, func(w *Worker) error {
 		if w.Rank() == 1 {
-			// Wait for a message rank 0 never sends.
-			_, err := w.Coll.Exchange(-1, nil, 0)
-			return err
+			// Wait at a barrier rank 0 never reaches.
+			return w.Coll.Barrier()
 		}
 		return nil
 	})
@@ -460,7 +459,7 @@ func TestNewWorkersRejectsCorruptSeed(t *testing.T) {
 		net := comm.NewFaultyNetwork(inner, k, 17)
 		ws, err := NewWorkers(net, 0xfeed)
 		inner.Close()
-		if !net.DidInject() {
+		if _, _, landed := net.InjectedAt(); !landed {
 			if k == 1 {
 				t.Fatal("the broadcast carried no message")
 			}

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -20,8 +19,8 @@ import (
 
 // SoakOptions configures `repro soak`, the chaos runner: one fault
 // schedule over the resident service, whose rows are clean traffic with
-// doctored claims, armed bitflips, hard receive faults and, optionally,
-// a killed rank. A zero field selects the default noted on it.
+// doctored claims, armed bitflips and hard receive faults. A zero field
+// selects the default noted on it.
 type SoakOptions struct {
 	P           int // PEs (default 4)
 	Concurrency int // in-flight job bound (default 64)
@@ -30,15 +29,13 @@ type SoakOptions struct {
 	Flips       int // bitflip rows (default 4; <0 disables)
 	Faults      int // receive-fault rows, each followed by a probe row (default 4; <0 disables)
 	WaveJobs    int // jobs per fault row (default Concurrency/4, at least 4, at most Concurrency)
-	KillRank    int // 1 <= KillRank < P adds the kill-rank row: that rank dies on an elastic mesh of its own
 	Seed        uint64
 	Dist        dist.Config // transport (default mem)
 	Tracer      *obs.Tracer // records the pool jobs' spans
 }
 
 const (
-	soakBound       = 60 * time.Second // caps every wait: a wedged job, a gate, the failure detector
-	killHeartbeat   = 25 * time.Millisecond
+	soakBound       = 60 * time.Second // caps every wait: a wedged job, a gate
 	soakKeyUniverse = 1 << 10
 )
 
@@ -52,7 +49,7 @@ type ChaosRow struct {
 	Corrupted                        int // doctored claims, each of which must be rejected
 	Absorbed                         int // failures inside the tag block the fault hit
 	// The gate's counts, in the order of invariants.
-	Escapes, FalseAlarms, Unexplained, Leaked, Mismatched, NotRecovered int
+	Escapes, FalseAlarms, Unexplained, Leaked int
 }
 
 var invariants = [...]string{
@@ -60,25 +57,18 @@ var invariants = [...]string{
 	"false alarm: %d job(s) rejected with no doctored claim or fault to blame",
 	"clean success rate < 1: %d job(s) errored with no fault to blame",
 	"fallout outside the hit job's tag block [lo,hi): %d job(s)",
-	"recovered verdict differs from the serial rerun: %d job(s)",
-	"not recovered: %d in-flight job(s) settled without a checked replay",
 }
 
 func (r ChaosRow) counts() []int {
-	return []int{r.Escapes, r.FalseAlarms, r.Unexplained, r.Leaked, r.Mismatched, r.NotRecovered}
+	return []int{r.Escapes, r.FalseAlarms, r.Unexplained, r.Leaked}
 }
 
 // SoakResult is one run of the fault schedule: a row per (phase, kind),
-// the first pool's high-water, the kill-rank row's membership facts
-// (kill → agreed view, kill → last in-flight job settled, epochs
-// applied, the last view's epoch and size), and one named violation per
-// broken invariant.
+// the pool's high-water, and one named violation per broken invariant.
 type SoakResult struct {
-	Rows                             []ChaosRow
-	HighWater                        int
-	DetectNs, RecoverNs, ViewChanges int64
-	Epoch, Alive                     int
-	Violations                       []string
+	Rows       []ChaosRow
+	HighWater  int
+	Violations []string
 }
 
 // OK reports whether the run broke no invariant.
@@ -94,17 +84,6 @@ func gate(res SoakResult, opt SoakOptions) []string {
 			}
 		}
 	}
-	if m := "kill-rank/membership: "; opt.KillRank > 0 {
-		if res.DetectNs >= int64(soakBound) {
-			v = append(v, m+fmt.Sprintf("detection past its %v bound", soakBound))
-		}
-		if res.ViewChanges != 1 {
-			v = append(v, m+fmt.Sprintf("%d view changes, want 1", res.ViewChanges))
-		}
-		if res.Epoch != 1 || res.Alive != opt.P-1 { // e.g. a live peer evicted with the killed rank
-			v = append(v, m+fmt.Sprintf("view of %d ranks at epoch %d, want %d at epoch 1", res.Alive, res.Epoch, opt.P-1))
-		}
-	}
 	if want := min(opt.Concurrency, opt.Jobs); want > 0 && res.HighWater < want {
 		v = append(v, fmt.Sprintf("clean/pool: high-water %d below the concurrency %d", res.HighWater, want))
 	}
@@ -112,21 +91,19 @@ func gate(res SoakResult, opt SoakOptions) []string {
 }
 
 // phase is one row of the fault schedule. Its containment check is
-// record's: a failure must lie in the tag block the fault hit, and a
-// recovered verdict must be a serial rerun's.
+// record's: a failure must lie in the tag block the fault hit.
 type phase struct {
-	name    string
-	jobs    int
-	job     func(i, p int) soakJob       // the i-th job over p live ranks
-	arm     func(fn *comm.FaultyNetwork) // nil: the row runs disarmed
-	elastic *service.ElasticOptions      // non-nil: this and later rows run on a fresh elastic mesh
+	name string
+	jobs int
+	job  func(i int) soakJob          // the i-th job
+	arm  func(fn *comm.FaultyNetwork) // nil: the row runs disarmed
 }
 
 func schedule(o SoakOptions, g *soakGen) []phase {
-	wave := func(int, int) soakJob { return g.job(0, false) }
+	wave := func(int) soakJob { return g.job(0, false) }
 	var s []phase
 	if o.Jobs > 0 {
-		s = append(s, phase{name: "clean", jobs: o.Jobs, job: func(i, _ int) soakJob { return g.job(i%5, i%3 == 2) }})
+		s = append(s, phase{name: "clean", jobs: o.Jobs, job: func(i int) soakJob { return g.job(i%5, i%3 == 2) }})
 	}
 	for f := range max(0, o.Flips) {
 		s = append(s, phase{name: fmt.Sprintf("flip%d", f), jobs: o.WaveJobs, job: wave,
@@ -136,12 +113,6 @@ func schedule(o SoakOptions, g *soakGen) []phase {
 		s = append(s, phase{name: fmt.Sprintf("fault%d", f), jobs: o.WaveJobs, job: wave,
 			arm: func(fn *comm.FaultyNetwork) { fn.ArmRecvErr(int64(16 + 13*f)) }},
 			phase{name: fmt.Sprintf("fault%d/probe", f), jobs: o.WaveJobs, job: wave})
-	}
-	if o.KillRank > 0 { // a suspicion threshold wide enough that race-detector hiccups never convict a live peer
-		s = append(s, phase{name: "kill-rank", jobs: o.WaveJobs, job: func(i, p int) soakJob { return g.recoverable(i%2 == 1, p) },
-			arm:     func(fn *comm.FaultyNetwork) { fn.ArmPeerDown(o.KillRank) },
-			elastic: &service.ElasticOptions{Heartbeat: killHeartbeat, SuspectAfter: 500 * time.Millisecond}},
-			phase{name: "kill-rank/post-epoch", jobs: o.WaveJobs, job: func(_, p int) soakJob { return g.recoverable(false, p) }})
 	}
 	return s
 }
@@ -153,54 +124,42 @@ func Soak(opt SoakOptions) (SoakResult, error) {
 	opt.Flips, opt.Faults = cmp.Or(opt.Flips, 4), cmp.Or(opt.Faults, 4)
 	opt.WaveJobs = min(cmp.Or(opt.WaveJobs, max(4, opt.Concurrency/4)), opt.Concurrency) // an armed row is in flight at once
 	var res SoakResult
-	if opt.KillRank != 0 && (opt.KillRank < 1 || opt.KillRank >= opt.P) {
-		return res, fmt.Errorf("exp: soak: kill rank %d out of range [1, %d)", opt.KillRank, opt.P)
-	}
 	if min(opt.P, opt.Concurrency, opt.Elements, opt.WaveJobs) < 1 {
 		return res, fmt.Errorf("exp: soak: p %d, concurrency %d, elements %d and wave jobs %d must all be positive",
 			opt.P, opt.Concurrency, opt.Elements, opt.WaveJobs)
 	}
-	var fn *comm.FaultyNetwork
-	var pool, first *service.Pool
+	inner, err := opt.Dist.NewNetwork(opt.P)
+	if err != nil {
+		return res, err
+	}
+	fn := comm.NewFaultyNetwork(inner, 0, 0) // disarmed until a row arms it
+	defer fn.Close()
+	pool, err := service.NewOnNetwork(fn, service.Options{P: opt.P, Seed: opt.Seed, MaxConcurrent: opt.Concurrency,
+		JobTimeout: soakBound, Tracer: opt.Tracer})
+	if err != nil {
+		return res, err
+	}
+	defer pool.Close()
 	for _, ph := range schedule(opt, newSoakGen(opt.P, opt.Elements, opt.Seed)) {
-		if pool == nil || ph.elastic != nil {
-			inner, err := opt.Dist.NewNetwork(opt.P)
-			if err != nil {
-				return res, err
-			}
-			fn = comm.NewFaultyNetwork(inner, 0, 0) // disarmed until a row arms it
-			defer fn.Close()
-			if pool, err = service.NewOnNetwork(fn, service.Options{P: opt.P, Seed: opt.Seed, MaxConcurrent: opt.Concurrency,
-				JobTimeout: soakBound, Tracer: opt.Tracer, Elastic: ph.elastic}); err != nil {
-				return res, err
-			}
-			defer pool.Close()
-			if first = cmp.Or(first, pool); ph.elastic != nil {
-				time.Sleep(4 * killHeartbeat) // warm the ring: the kill lands mid-stream, so detection takes a full suspicion window
-			}
-		}
-		if err := res.run(ph, fn, pool, opt.Seed); err != nil {
+		if err := res.run(ph, fn, pool); err != nil {
 			return res, err
 		}
 	}
-	if pool != nil {
-		v := pool.View()
-		res.HighWater, res.ViewChanges, res.Epoch, res.Alive = first.Stats().HighWater, pool.Stats().ViewChanges, v.Epoch(), v.Size()
-	}
+	res.HighWater = pool.Stats().HighWater
 	res.Violations = gate(res, opt)
 	return res, nil
 }
 
 // run plays one schedule row. An armed row holds every rank of every
-// job at a gate until the fault is armed, so the fault lands mid-body —
-// after a recoverable job's shares are retained — and not by luck.
-func (res *SoakResult) run(ph phase, fn *comm.FaultyNetwork, pool *service.Pool, seed uint64) error {
-	p, jobs, hs := pool.View().Size(), make([]soakJob, ph.jobs), make([]*service.Job, ph.jobs)
+// job at a gate until the fault is armed, so the fault lands mid-body
+// and not by luck.
+func (res *SoakResult) run(ph phase, fn *comm.FaultyNetwork, pool *service.Pool) error {
+	p, jobs, hs := pool.Size(), make([]soakJob, ph.jobs), make([]*service.Job, ph.jobs)
 	for i := range jobs { // all data first, so the submit loop saturates the pool
-		jobs[i] = ph.job(i, p)
+		jobs[i] = ph.job(i)
 	}
 	ready, release, hold := make(chan struct{}, ph.jobs*p), make(chan struct{}), func() {}
-	if ph.arm != nil { // a replay's second pass finds room: the gate drained the first
+	if ph.arm != nil {
 		hold = func() { ready <- struct{}{}; <-release }
 	}
 	for i := range jobs {
@@ -210,7 +169,6 @@ func (res *SoakResult) run(ph phase, fn *comm.FaultyNetwork, pool *service.Pool,
 			return fmt.Errorf("exp: soak: %s: submit job %d: %w", ph.name, i, err)
 		}
 	}
-	var t0 time.Time
 	if ph.arm != nil {
 		for range ph.jobs * p {
 			select {
@@ -220,19 +178,11 @@ func (res *SoakResult) run(ph phase, fn *comm.FaultyNetwork, pool *service.Pool,
 				return fmt.Errorf("exp: soak: %s: jobs never reached their bodies", ph.name)
 			}
 		}
-		t0 = time.Now()
 		ph.arm(fn)
 		close(release)
-		if ph.elastic != nil {
-			pool.WaitEpoch(1, soakBound) // false only once soakBound has passed, which gate reports
-			res.DetectNs = time.Since(t0).Nanoseconds()
-		}
 	}
 	for _, h := range hs {
 		_ = h.Await() // record reads the outcome from h
-	}
-	if ph.elastic != nil {
-		res.RecoverNs = time.Since(t0).Nanoseconds()
 	}
 	fn.Disarm()
 	_, tag, landed := fn.InjectedAt()
@@ -242,13 +192,6 @@ func (res *SoakResult) run(ph phase, fn *comm.FaultyNetwork, pool *service.Pool,
 	var row *ChaosRow // an armed row submits one kind
 	for i, h := range hs {
 		row = res.record(ph.name, jobs[i], h, tag)
-		switch {
-		case ph.elastic == nil:
-		case !h.Recovered():
-			row.NotRecovered++
-		case !serialMatches(h, jobs[i].doctored, seed):
-			row.Mismatched++
-		}
 	}
 	if tag >= 0 && row.Absorbed == 0 {
 		row.Escapes++
@@ -295,60 +238,20 @@ func (res *SoakResult) record(phase string, sj soakJob, h *service.Job, tag int)
 	return row
 }
 
-// serialMatches reruns a recovered job on a fresh in-memory mesh, one
-// PE per recovery member — same pool seed, job seed and stream, the
-// recovered shares — and reports whether it reaches the pool's verdict.
-func serialMatches(h *service.Job, doctored bool, seed uint64) bool {
-	shares := h.RecoveredShares()
-	err := dist.RunConfig(dist.Config{}, len(h.RecoveryMembers()), seed, func(w *dist.Worker) error {
-		ctx, err := repro.NewContext(w.JobWorker(w.Coll, h.Seed(), uint64(h.ID())), soakOpts())
-		if err != nil {
-			return err
-		}
-		if err := assertIdentity(ctx, shares[w.Rank()], doctored); err != nil {
-			return err
-		}
-		return ctx.Verify()
-	})
-	return errors.Is(err, repro.ErrCheckFailed) == h.Rejected() && (err == nil) == (h.Err() == nil)
-}
-
-// assertIdentity claims a share as its own sum-preserving output,
-// doctored by a value edit every rank applies to its first pair, so the
-// verdict depends on (share, doctored) alone and survives a view change.
-func assertIdentity(ctx *repro.Context, share []repro.Pair, doctored bool) error {
-	out := slices.Clone(share)
-	if doctored && len(out) > 0 {
-		out[0].Value += 3
-	}
-	return ctx.AssertSum(share, out)
-}
-
-// soakOpts is every soak job's checker configuration, and a serial
-// rerun's.
-func soakOpts() repro.Options { o := repro.DefaultOptions(); o.Mode = repro.CheckDeferred; return o }
-
-// soakJob is one precomputed job: a body, a stream spec, or the shares
-// of a recoverable assert-sum. A body calls hold first, on every rank.
+// soakJob is one precomputed job: a body or a stream spec. A body
+// calls hold first, on every rank.
 type soakJob struct {
 	kind     string
 	doctored bool // the claimed output is manipulated: the job must be rejected
 	body     func(ctx *repro.Context, rank int) error
 	stream   *service.StreamSpec
-	shares   [][]repro.Pair
 }
 
 func (sj soakJob) submit(pool *service.Pool, name string, hold func()) (*service.Job, error) {
 	if sj.stream != nil {
 		return pool.SubmitStream(name, *sj.stream)
 	}
-	if sj.shares != nil {
-		return pool.SubmitRecoverableWith(name, soakOpts(), sj.shares, func(ctx *repro.Context, share []repro.Pair) error {
-			hold()
-			return assertIdentity(ctx, share, sj.doctored)
-		})
-	}
-	return pool.SubmitWith(name, soakOpts(), func(ctx *repro.Context) error { hold(); return sj.body(ctx, ctx.Worker().Rank()) })
+	return pool.Submit(name, func(ctx *repro.Context) error { hold(); return sj.body(ctx, ctx.Worker().Rank()) })
 }
 
 // soakGen yields every job the runner submits, each over the next
@@ -363,17 +266,13 @@ func newSoakGen(p, elements int, seed uint64) *soakGen {
 	return &soakGen{p: p, elements: elements, seed: seed, rng: hashing.NewMT19937_64(hashing.Mix64(seed ^ 0x736f616b52756e21))} // "soakRun!"
 }
 
-func (g *soakGen) pairShares(p int) [][]repro.Pair {
+func (g *soakGen) pairShares() [][]repro.Pair {
 	g.next++
-	rng, all := hashing.NewMT19937_64(hashing.Mix64(g.seed+g.next)), make([]repro.Pair, p*g.elements)
+	rng, all := hashing.NewMT19937_64(hashing.Mix64(g.seed+g.next)), make([]repro.Pair, g.p*g.elements)
 	for i := range all {
 		all[i] = repro.Pair{Key: rng.Uint64()%soakKeyUniverse + 1, Value: rng.Uint64() % (1 << 20)}
 	}
-	return split(all, p)
-}
-
-func (g *soakGen) recoverable(doctored bool, p int) soakJob {
-	return soakJob{kind: "assert-sum", doctored: doctored, shares: g.pairShares(p)}
+	return split(all, g.p)
 }
 
 // split cuts xs into p contiguous, even shares, each capped at its own
@@ -404,7 +303,7 @@ var soakKinds = [...]string{"reduce-collect", "assert-sum", "assert-sorted", "st
 // reduce, which claims nothing, and two assertions and two streamed
 // checks whose claims are doctored on request.
 func (g *soakGen) job(kind int, doctored bool) soakJob {
-	in := g.pairShares(g.p)
+	in := g.pairShares()
 	all, sj := slices.Concat(in...), soakJob{kind: soakKinds[kind], doctored: doctored && kind > 0}
 	var claim [][]repro.Pair // a pair claim, doctored after the switch
 	switch kind {
@@ -470,12 +369,7 @@ func (tr *ServeTraffic) SubmitOne(pool *service.Pool, i int) error {
 // kind (reported, not gated) — then the violations.
 func RenderSoak(res SoakResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Service soak: high-water %d in flight", res.HighWater)
-	if res.DetectNs > 0 {
-		fmt.Fprintf(&b, "; kill-rank detected in %.1fms (%d view change(s), view of %d at epoch %d), in-flight jobs settled in %.1fms",
-			float64(res.DetectNs)/1e6, res.ViewChanges, res.Alive, res.Epoch, float64(res.RecoverNs)/1e6)
-	}
-	fmt.Fprintf(&b, "\n\n%-20s %-14s %5s %6s %8s %7s %9s %5s %7s %7s %7s %6s\n", "phase", "kind",
+	fmt.Fprintf(&b, "Service soak: high-water %d in flight\n\n%-20s %-14s %5s %6s %8s %7s %9s %5s %7s %7s %7s %6s\n", res.HighWater, "phase", "kind",
 		"total", "passed", "rejected", "errored", "corrupted", "succ", "avg ms", "min ms", "max ms", "×clean")
 	clean := map[string]int64{}
 	for _, r := range res.Rows {
@@ -487,8 +381,6 @@ func RenderSoak(res SoakResult) string {
 		}
 		if r.Absorbed > 0 && slices.Max(r.counts()) == 0 {
 			note = "  contained"
-		} else if n := r.Total - r.NotRecovered; r.Phase == "kill-rank" {
-			note = fmt.Sprintf("  %d/%d recovered, %d/%d match the serial rerun", n, r.Total, n-r.Mismatched, n)
 		}
 		fmt.Fprintf(&b, "%-20s %-14s %5d %6d %8d %7d %9d %5.2f %7.2f %7.2f %7.2f %6s%s\n", r.Phase, r.Kind,
 			r.Total, r.Passed, r.Rejected, r.Errored, r.Corrupted, float64(r.Passed)/float64(max(1, r.Total)),

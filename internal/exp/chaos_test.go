@@ -3,7 +3,6 @@ package exp
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/dist"
 )
@@ -50,43 +49,14 @@ func TestSoakSmoke(t *testing.T) {
 	}
 }
 
-// TestRecoveryEpisode runs the kill-rank row alone and asserts its full
-// contract: bounded detection, exactly one view change, every in-flight
-// recoverable job recovered with the verdict of a serial rerun over the
-// recovered shares, and clean post-epoch jobs unaffected.
-func TestRecoveryEpisode(t *testing.T) {
-	res, err := Soak(SoakOptions{P: 4, Concurrency: 8, WaveJobs: 6, Elements: 400,
-		KillRank: 2, Seed: 42, Jobs: -1, Flips: -1, Faults: -1})
-	if err != nil {
-		t.Fatalf("soak: %v", err)
-	}
-	if !res.OK() {
-		t.Fatalf("kill-rank row violated the recovery contract:\n%s", RenderSoak(res))
-	}
-	k := row(t, res, "kill-rank", "assert-sum")
-	if k.Total != 6 || k.NotRecovered != 0 || k.Mismatched != 0 || k.Passed != 3 || k.Rejected != 3 || k.Corrupted != 3 {
-		t.Fatalf("in-flight jobs: %+v, want 6 recovered as the serial rerun: 3 passed, 3 doctored and rejected", k)
-	}
-	if res.ViewChanges != 1 || res.Epoch != 1 || res.Alive != 3 {
-		t.Fatalf("membership: %d view changes, view of %d ranks at epoch %d", res.ViewChanges, res.Alive, res.Epoch)
-	}
-	if post := row(t, res, "kill-rank/post-epoch", "assert-sum"); post.Total != 6 || post.Passed != 6 {
-		t.Fatalf("post-epoch jobs: %+v", post)
-	}
-}
-
-// TestRecoveryEpisodeKillRankValidation rejects an out-of-range victim,
-// and a negative size, at entry, before any network is built: a bogus
-// transport must not be what fails.
-func TestRecoveryEpisodeKillRankValidation(t *testing.T) {
+// TestSoakValidation rejects a non-positive size at entry, before any
+// network is built: a bogus transport must not be what fails.
+func TestSoakValidation(t *testing.T) {
 	bogus := dist.Config{Transport: "bogus"}
 	for _, c := range []struct {
 		opt  SoakOptions
 		want string
 	}{
-		{SoakOptions{P: 4, KillRank: -1}, "kill rank"},
-		{SoakOptions{P: 4, KillRank: 4}, "kill rank"},
-		{SoakOptions{P: 4, KillRank: 9}, "kill rank"},
 		{SoakOptions{P: -1}, "must all be positive"},
 		{SoakOptions{Concurrency: -1}, "must all be positive"},
 		{SoakOptions{Elements: -1}, "must all be positive"},
@@ -97,27 +67,8 @@ func TestRecoveryEpisodeKillRankValidation(t *testing.T) {
 			t.Fatalf("%+v: got %v, want an error containing %q", c.opt, err, c.want)
 		}
 	}
-	if _, err := Soak(SoakOptions{P: 4, KillRank: 2, Dist: bogus}); err == nil || strings.Contains(err.Error(), "kill rank") {
-		t.Fatalf("valid kill rank over a bogus transport: got %v, want the transport error", err)
-	}
-}
-
-// TestSoakKillRank runs every row of the schedule, the kill-rank row
-// included, and checks it folds into the one verdict.
-func TestSoakKillRank(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full soak in -short mode")
-	}
-	res, err := Soak(SoakOptions{P: 4, Concurrency: 16, Jobs: 40, Elements: 300,
-		Flips: 1, Faults: 1, WaveJobs: 4, KillRank: 2, Seed: 7})
-	if err != nil {
-		t.Fatalf("soak: %v", err)
-	}
-	if !res.OK() {
-		t.Fatalf("soak failed:\n%s", RenderSoak(res))
-	}
-	if k := row(t, res, "kill-rank", "assert-sum"); k.Total != 4 || k.NotRecovered != 0 || res.ViewChanges != 1 {
-		t.Fatalf("kill-rank row: %+v, %d view changes", k, res.ViewChanges)
+	if _, err := Soak(SoakOptions{P: 4, Dist: bogus}); err == nil || strings.Contains(err.Error(), "must all be positive") {
+		t.Fatalf("valid sizes over a bogus transport: got %v, want the transport error", err)
 	}
 }
 
@@ -125,12 +76,11 @@ func TestSoakKillRank(t *testing.T) {
 // invariant: each must yield exactly one violation naming its phase,
 // kind and invariant, and a clean outcome none.
 func TestGateNamesEveryViolation(t *testing.T) {
-	opt := SoakOptions{P: 4, Concurrency: 16, Jobs: 80, KillRank: 2}
+	opt := SoakOptions{P: 4, Concurrency: 16, Jobs: 80}
 	clean := func() SoakResult {
-		return SoakResult{HighWater: 16, DetectNs: int64(time.Second), ViewChanges: 1, Epoch: 1, Alive: 3, Rows: []ChaosRow{
+		return SoakResult{HighWater: 16, Rows: []ChaosRow{
 			{Phase: "clean", Kind: "assert-sum", Total: 30, Passed: 20, Rejected: 10, Corrupted: 10},
 			{Phase: "flip0", Kind: "reduce-collect", Total: 8, Passed: 7, Rejected: 1, Absorbed: 1},
-			{Phase: "kill-rank", Kind: "assert-sum", Total: 6, Passed: 3, Rejected: 3, Corrupted: 3},
 		}}
 	}
 	if v := gate(clean(), opt); len(v) != 0 {
@@ -144,14 +94,8 @@ func TestGateNamesEveryViolation(t *testing.T) {
 		{"false alarm", "clean/assert-sum: false alarm", func(r *SoakResult) { r.Rows[0].FalseAlarms = 1 }},
 		{"clean success rate", "clean/assert-sum: clean success rate < 1", func(r *SoakResult) { r.Rows[0].Unexplained = 1 }},
 		{"fallout", "flip0/reduce-collect: fallout outside the hit job's tag block", func(r *SoakResult) { r.Rows[1].Leaked = 2 }},
-		{"detection bound", "kill-rank/membership: detection past", func(r *SoakResult) { r.DetectNs = int64(soakBound) }},
-		{"view changes", "kill-rank/membership: 2 view changes", func(r *SoakResult) { r.ViewChanges = 2 }},
-		{"serial rerun", "kill-rank/assert-sum: recovered verdict differs from the serial rerun", func(r *SoakResult) { r.Rows[2].Mismatched = 1 }},
-		{"not recovered", "kill-rank/assert-sum: not recovered: 1 in-flight job(s)", func(r *SoakResult) { r.Rows[2].NotRecovered = 1 }},
-		{"live peer evicted", "kill-rank/membership: view of 2 ranks at epoch 1, want 3", func(r *SoakResult) { r.Alive = 2 }},
-		{"epoch", "kill-rank/membership: view of 3 ranks at epoch 2, want 3 at epoch 1", func(r *SoakResult) { r.Epoch = 2 }},
-		{"post-epoch", "kill-rank/post-epoch/assert-sum: clean success rate < 1", func(r *SoakResult) {
-			r.Rows = append(r.Rows, ChaosRow{Phase: "kill-rank/post-epoch", Kind: "assert-sum", Total: 6, Passed: 5, Errored: 1, Unexplained: 1})
+		{"probe", "fault0/probe/reduce-collect: clean success rate < 1", func(r *SoakResult) {
+			r.Rows = append(r.Rows, ChaosRow{Phase: "fault0/probe", Kind: "reduce-collect", Total: 6, Passed: 5, Errored: 1, Unexplained: 1})
 		}},
 		{"high-water", "clean/pool: high-water 9 below the concurrency 16", func(r *SoakResult) { r.HighWater = 9 }},
 	} {

@@ -22,8 +22,8 @@ import (
 
 // Kind classifies a span. The kinds mirror the runtime's phases: a
 // pipeline stage's local accumulation, a collective operation, a
-// checker resolution (one stage's, or a deferred batch's), the
-// receive wait inside a collective, and elastic recovery.
+// checker resolution (one stage's, or a deferred batch's), and the
+// receive wait inside a collective.
 type Kind uint8
 
 const (
@@ -31,10 +31,9 @@ const (
 	KindCollective
 	KindResolve
 	KindRecvWait
-	KindRecovery
 )
 
-var kindNames = [...]string{"stage", "collective", "resolve", "recv-wait", "recovery"}
+var kindNames = [...]string{"stage", "collective", "resolve", "recv-wait"}
 
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {

@@ -102,7 +102,7 @@ func TestSpanCodecRoundTrip(t *testing.T) {
 	in := []Span{
 		{Rank: 0, Kind: KindStage, Job: 1, Tag: 1 << 31, Name: "sort#1", StartNs: 12345, EndNs: 23456},
 		{Rank: 3, Kind: KindRecvWait, Job: -1, Tag: 0, Name: "", StartNs: -5, EndNs: 5},
-		{Rank: 7, Kind: KindRecovery, Job: 1 << 40, Tag: 99, Name: "reshard", StartNs: 1, EndNs: 2},
+		{Rank: 7, Kind: KindResolve, Job: 1 << 40, Tag: 99, Name: "verify", StartNs: 1, EndNs: 2},
 	}
 	out, err := DecodeSpans(EncodeSpans(in))
 	if err != nil {

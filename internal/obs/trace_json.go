@@ -9,8 +9,8 @@ import (
 
 // chromeEvent is one Chrome trace_event "complete" (ph "X") event.
 // pid is the rank, so chrome://tracing / Perfetto render one process
-// group per PE; tid is a per-job lane, with resolve and recovery on a
-// sibling lane (2·job+1) so they show as their own track beside the
+// group per PE; tid is a per-job lane, with resolve on a
+// sibling lane (2·job+1) so it shows as its own track beside the
 // collectives they run.
 type chromeEvent struct {
 	Name string           `json:"name"`
@@ -38,12 +38,12 @@ type chromeTrace struct {
 }
 
 // lane maps a span to its tid: compute-side spans (stage, collective,
-// recv-wait) share the job's even lane; resolve and recovery get the
-// odd sibling, so a resolve renders as its own track next to the
+// recv-wait) share the job's even lane; resolve gets the odd
+// sibling, so a resolve renders as its own track next to the
 // collective and recv-wait spans inside it.
 func lane(s Span) int64 {
 	base := 2 * s.Job
-	if s.Kind == KindResolve || s.Kind == KindRecovery {
+	if s.Kind == KindResolve {
 		return base + 1
 	}
 	return base

@@ -10,25 +10,22 @@ import (
 )
 
 // frame is what a job runs on, minted once and handed from job to job:
-// per logical rank of one view, the job's sub-communicator (its tag
-// block and collective scratch) and the job worker over it, plus the
-// closures that fan a run out over the pool's runners. Each concurrency
-// slot of a pool holds one frame (Pool.sem), so admitting a job on an
-// unchanged view creates nothing but the job's own handle and Contexts.
+// per rank, the job's sub-communicator (its tag block and collective
+// scratch) and the job worker over it, plus the closures that fan a run
+// out over the pool's runners. Each concurrency slot of a pool holds
+// one frame (Pool.sem), so admitting a job creates nothing but the
+// job's own handle and Contexts.
 //
 // A clean job hands its frame back: the sub-communicators are Reset —
 // the block cleared as Release would, the counters zeroed — so the next
 // job sees a fresh block and its JobCost stays its own. An aborted
 // job's frame is dropped with its block, which stays quarantined, and
-// the slot mints a new one. So does a slot whose frame was minted on an
-// older view. Blocks are still minted and retired only by Sub,
-// SubMembers and Release, under the pool lock and in rank order.
+// the slot mints a new one. Blocks are minted only by Sub, under the
+// pool lock and in rank order.
 type frame struct {
 	p       *Pool
-	epoch   int                // view epoch the frame was minted on
-	members []int              // physical ranks by logical rank; never written
-	subs    []*collective.Comm // by logical rank, one tag block
-	workers []*dist.Worker     // by logical rank, the job worker over subs[i]
+	subs    []*collective.Comm // by rank, one tag block
+	workers []*dist.Worker     // by rank, the job worker over subs[i]
 
 	// Built once, so a job allocates no closures: g fans a run out over
 	// the pool's runners, rank is one rank's share of it (Pool.runRank),
@@ -40,33 +37,25 @@ type frame struct {
 	// The job on the frame and what it runs; they belong to the job's
 	// runner.
 	j    *Job
-	spec jobSpec
+	opts repro.Options
+	body Body
 	// aborted is set by g's Abort and read once the run is over: the
 	// frame is then dropped, not handed back.
 	aborted bool
 }
 
-// mintLocked mints a frame on members, the view of epoch: one
-// sub-communicator per member, minted in rank order under p.mu so every
-// rank's allocator sees the same sequence — the SPMD Sub contract,
-// enforced pool-side. On the full view the plain Sub is the identity
-// path; on a shrunken view the sub also carries the member remapping.
-func (p *Pool) mintLocked(members []int, epoch int) (*frame, error) {
+// mintLocked mints a frame: one sub-communicator per rank, minted in
+// rank order under p.mu so every rank's allocator sees the same
+// sequence — the SPMD Sub contract, enforced pool-side.
+func (p *Pool) mintLocked() (*frame, error) {
+	n := len(p.workers)
 	f := &frame{
 		p:       p,
-		epoch:   epoch,
-		members: members,
-		subs:    make([]*collective.Comm, len(members)),
-		workers: make([]*dist.Worker, len(members)),
+		subs:    make([]*collective.Comm, n),
+		workers: make([]*dist.Worker, n),
 	}
-	for i, phys := range members {
-		var sub *collective.Comm
-		var err error
-		if epoch == 0 {
-			sub, err = p.workers[phys].Coll.Sub()
-		} else {
-			sub, err = p.workers[phys].Coll.SubMembers(members)
-		}
+	for i, w := range p.workers {
+		sub, err := w.Coll.Sub()
 		if err != nil {
 			for _, s := range f.subs[:i] {
 				s.Release()
@@ -74,12 +63,12 @@ func (p *Pool) mintLocked(members []int, epoch int) (*frame, error) {
 			return nil, err
 		}
 		f.subs[i] = sub
-		f.workers[i] = p.workers[phys].JobWorker(sub, 0, 0)
+		f.workers[i] = w.JobWorker(sub, 0, 0)
 	}
 	lo, hi := f.subs[0].Block()
 	for i, s := range f.subs[1:] {
 		if l, h := s.Block(); l != lo || h != hi {
-			return nil, fmt.Errorf("service: internal: tag blocks diverged: rank %d [%d,%d) vs rank %d [%d,%d)", members[0], lo, hi, members[i+1], l, h)
+			return nil, fmt.Errorf("service: internal: tag blocks diverged: rank 0 [%d,%d) vs rank %d [%d,%d)", lo, hi, i+1, l, h)
 		}
 	}
 	f.g = dist.Group{
@@ -87,7 +76,7 @@ func (p *Pool) mintLocked(members []int, epoch int) (*frame, error) {
 		Abort:   f.abort,
 		Timeout: p.opts.JobTimeout,
 		Name: func(i int) string {
-			return fmt.Sprintf("service: job %d %q: PE %d", f.j.id, f.j.name, f.members[i])
+			return fmt.Sprintf("service: job %d %q: PE %d", f.j.id, f.j.name, i)
 		},
 	}
 	f.rank = func(i int) error { return p.runRank(f, i) }
@@ -96,20 +85,12 @@ func (p *Pool) mintLocked(members []int, epoch int) (*frame, error) {
 	return f, nil
 }
 
-// releaseLocked retires a clean frame's block on every member, in rank
-// order under p.mu.
-func (f *frame) releaseLocked() {
-	for _, s := range f.subs {
-		s.Release()
-	}
-}
-
 // handBack publishes the finished job and returns the slot: the frame,
 // or nil if the job was aborted. It must not keep the job's closures
 // alive in the slot.
 func (f *frame) handBack() {
 	j := f.j
-	f.j, f.spec = nil, jobSpec{}
+	f.j, f.opts, f.body = nil, repro.Options{}, nil
 	close(j.done)
 	if f.aborted {
 		f.p.sem <- nil

@@ -141,37 +141,3 @@ func TestAbortedFrameQuarantined(t *testing.T) {
 		}
 	}
 }
-
-// TestFramesRemintedOnShrunkenView kills a PE of an elastic pool whose
-// slots all hold frames of the full view, and checks that the jobs
-// admitted afterwards run on frames minted on the survivor view.
-func TestFramesRemintedOnShrunkenView(t *testing.T) {
-	const p, victim, slots = 4, 2, 2
-	pool, fn := newElasticPool(t, p, Options{Seed: 29, MaxConcurrent: slots})
-	for range slots {
-		j, err := pool.Submit("full", reuseBody)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := j.Await(); err != nil || len(j.Members()) != p {
-			t.Fatalf("job on the full view: members %v, %v", j.Members(), err)
-		}
-	}
-	fn.ArmPeerDown(victim)
-	if !pool.WaitEpoch(1, 10*time.Second) {
-		t.Fatal("the pool did not convict the killed PE")
-	}
-	want := []int{0, 1, 3}
-	for range 2 * slots {
-		j, err := pool.Submit("survivors", reuseBody)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := j.Await(); err != nil {
-			t.Fatalf("job on the survivor view: %v", err)
-		}
-		if j.Epoch() != 1 || !slices.Equal(j.Members(), want) {
-			t.Fatalf("job admitted after the death ran on epoch %d members %v, want epoch 1 members %v", j.Epoch(), j.Members(), want)
-		}
-	}
-}

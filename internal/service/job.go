@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/data"
 )
 
 // Job is the awaitable handle of one submitted verification job. The
@@ -24,24 +23,14 @@ type Job struct {
 	block [2]int
 	start time.Time
 
-	// Elastic membership: the view the job was admitted on. members are
-	// the live physical ranks (logical rank i runs on members[i]);
-	// epoch is the view's epoch at submission.
-	members []int
-	epoch   int
-
 	done chan struct{}
 
 	// Written by the pool before done is closed; the close is the
 	// happens-before edge readers rely on.
-	err             error
-	stats           []repro.CheckStats
-	sums            []repro.VerifySummary
-	cost            JobCost
-	deadRank        int // physical rank whose death hit the job; -1 none
-	recovered       bool
-	recoveryMembers []int
-	recoveredShares [][]data.Pair
+	err   error
+	stats []repro.CheckStats
+	sums  []repro.VerifySummary
+	cost  JobCost
 }
 
 // JobCost is the communication and wall-clock cost of one job: the
@@ -103,27 +92,3 @@ func (j *Job) Summaries() []repro.VerifySummary { return j.sums }
 // Cost returns the job's bottleneck communication and wall time. Valid
 // after Done.
 func (j *Job) Cost() JobCost { return j.cost }
-
-// Members returns the physical ranks the job was admitted on (logical
-// rank i ran on Members()[i]); the full mesh when elastic membership is
-// off.
-func (j *Job) Members() []int { return append([]int(nil), j.members...) }
-
-// Epoch returns the view epoch the job was admitted under.
-func (j *Job) Epoch() int { return j.epoch }
-
-// Recovered reports whether the job's outcome came from a checked
-// replay on the survivor view after a peer death (true even when that
-// replay's verdict was a rejection — the verdict was still recovered).
-// Valid after Done.
-func (j *Job) Recovered() bool { return j.recovered }
-
-// RecoveryMembers returns the survivor ranks the replay ran on, nil if
-// the job was not recovered. Valid after Done.
-func (j *Job) RecoveryMembers() []int { return append([]int(nil), j.recoveryMembers...) }
-
-// RecoveredShares returns the per-logical-rank input shares the replay
-// ran with (each survivor's original share plus its slice of the dead
-// rank's resharded data) — what a serial rerun needs to reproduce the
-// recovered verdict bit-identically. Valid after Done.
-func (j *Job) RecoveredShares() [][]data.Pair { return j.recoveredShares }

@@ -10,20 +10,10 @@ type PoolStats struct {
 	Passed    int64
 	Rejected  int64
 	Errored   int64
-	// Recovered counts jobs whose outcome came from a checked replay on
-	// the survivor view after a peer death (a subset of Passed+Rejected,
-	// not of Errored: recovery turned the failure back into a verdict).
-	Recovered int64
 	// InFlight is the current number of running jobs; HighWater its
 	// lifetime maximum — the concurrency the pool actually sustained.
 	InFlight  int
 	HighWater int
-	// ViewChanges counts applied membership epochs; Epoch and Alive are
-	// the current view's epoch and live-member count (0 and P with
-	// elastic membership off, by way of the implicit full view).
-	ViewChanges int64
-	Epoch       int
-	Alive       int
 	// JobsPerSec is completed jobs over the pool's uptime.
 	JobsPerSec float64
 	// P50Ns / P99Ns are job-latency quantiles over the recent window

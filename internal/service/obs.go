@@ -8,13 +8,11 @@ import (
 // Registry returns the pool's metrics registry, built on first call:
 // one namespace absorbing the meters that used to live scattered across
 // the layers — transport traffic (comm.NetworkMeter, wrappers
-// included), collective rounds, the pool's own job accounting
-// (PoolStats stays as the struct API; the registry re-exposes it), and
-// — on an elastic pool — the failure detector's heartbeat and
-// conviction counts. Gauges read live state at render time, and
-// service_job_latency_ns is the pool's own latency ring — the one
-// Stats reads P50Ns/P99Ns from — so it covers the pool's whole life.
-// Safe from any goroutine.
+// included), collective rounds, and the pool's own job accounting
+// (PoolStats stays as the struct API; the registry re-exposes it).
+// Gauges read live state at render time, and service_job_latency_ns is
+// the pool's own latency ring — the one Stats reads P50Ns/P99Ns from —
+// so it covers the pool's whole life. Safe from any goroutine.
 func (p *Pool) Registry() *obs.Registry {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -31,7 +29,6 @@ func (p *Pool) Registry() *obs.Registry {
 	reg.Gauge("service_jobs_passed", stat(func(s PoolStats) int64 { return s.Passed }))
 	reg.Gauge("service_jobs_rejected", stat(func(s PoolStats) int64 { return s.Rejected }))
 	reg.Gauge("service_jobs_errored", stat(func(s PoolStats) int64 { return s.Errored }))
-	reg.Gauge("service_jobs_recovered", stat(func(s PoolStats) int64 { return s.Recovered }))
 	reg.Gauge("service_jobs_inflight", stat(func(s PoolStats) int64 { return int64(s.InFlight) }))
 	reg.Gauge("service_jobs_highwater", stat(func(s PoolStats) int64 { return int64(s.HighWater) }))
 	reg.GaugeFloat("service_jobs_per_sec", func() float64 { return p.Stats().JobsPerSec })
@@ -61,16 +58,6 @@ func (p *Pool) Registry() *obs.Registry {
 		}
 		return total
 	})
-
-	if p.opts.Elastic != nil {
-		reg.Gauge("membership_heartbeats", p.det.heartbeats.Load)
-		// Every conviction is one view change: the pool's view is the
-		// only one.
-		reg.Gauge("membership_convictions", stat(func(s PoolStats) int64 { return s.ViewChanges }))
-		reg.Gauge("membership_epoch", stat(func(s PoolStats) int64 { return int64(s.Epoch) }))
-		reg.Gauge("membership_alive", stat(func(s PoolStats) int64 { return int64(s.Alive) }))
-		reg.Gauge("membership_view_changes", stat(func(s PoolStats) int64 { return s.ViewChanges }))
-	}
 
 	if tr := p.opts.Tracer; tr != nil {
 		reg.Gauge("trace_spans_dropped", func() int64 { return tr.Dropped() })

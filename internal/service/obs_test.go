@@ -154,30 +154,11 @@ func TestPoolRegistryRendersUnifiedMetrics(t *testing.T) {
 	}
 }
 
-// TestPoolRegistryElasticMetrics checks that an elastic pool's
-// registry additionally exposes the failure detector's counters.
-func TestPoolRegistryElasticMetrics(t *testing.T) {
-	pool, err := New(Options{P: 3, Seed: 5, Elastic: &ElasticOptions{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	snap := pool.Registry().Snapshot()
-	for _, name := range []string{"membership_heartbeats", "membership_convictions", "membership_epoch", "membership_alive"} {
-		if _, ok := snap[name]; !ok {
-			t.Errorf("elastic registry missing %q", name)
-		}
-	}
-	if got := snap["membership_alive"]; got != 3 {
-		t.Errorf("membership_alive = %v, want 3", got)
-	}
-}
-
 // TestRegistryNamesMatchREADME holds README's Metrics paragraph to what
-// an elastic, traced pool's registry renders: every backticked name
-// there, brace groups expanded, against every rendered line's name.
+// a traced pool's registry renders: every backticked name there,
+// brace groups expanded, against every rendered line's name.
 func TestRegistryNamesMatchREADME(t *testing.T) {
-	pool, err := New(Options{P: 3, Seed: 5, Elastic: &ElasticOptions{}, Tracer: obs.NewTracer(3, obs.DefaultCapacity)})
+	pool, err := New(Options{P: 3, Seed: 5, Tracer: obs.NewTracer(3, obs.DefaultCapacity)})
 	if err != nil {
 		t.Fatal(err)
 	}

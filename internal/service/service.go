@@ -18,7 +18,9 @@
 // the block on every rank, a control kick wakes stuck pullers) and the
 // mesh keeps serving. The blocks of cleanly finished jobs are reused;
 // aborted jobs' blocks stay quarantined, since a block with possible
-// stragglers on the wire must never be re-matched.
+// stragglers on the wire must never be re-matched. Membership is fixed:
+// a dead peer fails every job that touches it with a comm.PeerDownError
+// naming it, and nothing is replayed.
 package service
 
 import (
@@ -29,7 +31,6 @@ import (
 
 	"repro"
 	"repro/internal/comm"
-	"repro/internal/data"
 	"repro/internal/dist"
 	"repro/internal/hashing"
 	"repro/internal/obs"
@@ -75,31 +76,10 @@ type Options struct {
 	// duration — scoped to the job's tag block, so a wedged job dies
 	// without waiting for the network's global deadline backstop.
 	JobTimeout time.Duration
-	// Elastic, when non-nil, turns on elastic membership: a heartbeat
-	// failure detector, an epoch-numbered view, PeerDown attribution for
-	// jobs that lose a rank, and checked recovery for recoverable jobs.
-	// Nil keeps the classic fixed-membership pool with zero overhead.
-	Elastic *ElasticOptions
 	// Tracer, when non-nil, is installed on every resident worker, so
 	// each job's stages, collectives, and resolve rounds record spans
 	// keyed by the job's ID (internal/obs). Nil — the default — is free.
 	Tracer *obs.Tracer
-}
-
-// jobSpec is what a submitted job runs: exactly one of body/rbody is
-// set; shares are a recoverable job's per-logical-rank input slices,
-// and on an elastic pool kept is its retention, one entry per physical
-// rank (recovery.go). A replay reshards the share of lost, a dead
-// physical rank, and records in shares what each survivor ran on. The
-// spec is dropped, retention with it, when the frame hands it back.
-type jobSpec struct {
-	opts   repro.Options
-	body   Body
-	rbody  RecoverableBody
-	shares [][]data.Pair
-	kept   []retained
-	replay bool
-	lost   int
 }
 
 // Pool is the resident verification service. Create with New (pool
@@ -120,29 +100,20 @@ type Pool struct {
 	start   time.Time
 	run     runners // the goroutines jobs and their ranks run on
 
-	// Elastic membership (zero when Options.Elastic is nil): the
-	// failure detector (detector.go), which convicts ranks out of view
-	// below.
-	det detector
-
-	mu            sync.Mutex
-	closed        bool
-	nextID        int64
-	inflight      int
-	highWater     int
-	submitted     int64
-	completed     int64
-	passed        int64
-	rejected      int64
-	errored       int64
-	recoveredJobs int64
-	viewChanges   int64
-	totalBytes    int64
-	totalRound    int64
-	lat           obs.Quantile  // job latencies, submission to completion
-	view          dist.View     // current view; the full view unless opts.Elastic != nil
-	viewChangedCh chan struct{} // closed and replaced on every view change
-	reg           *obs.Registry // lazily built by Registry()
+	mu         sync.Mutex
+	closed     bool
+	nextID     int64
+	inflight   int
+	highWater  int
+	submitted  int64
+	completed  int64
+	passed     int64
+	rejected   int64
+	errored    int64
+	totalBytes int64
+	totalRound int64
+	lat        obs.Quantile  // job latencies, submission to completion
+	reg        *obs.Registry // lazily built by Registry()
 }
 
 // New builds the mesh per opt.Dist and starts a pool over it. The pool
@@ -201,16 +172,9 @@ func NewOnNetwork(net comm.Network, opt Options) (*Pool, error) {
 		sem:     make(chan *frame, opt.MaxConcurrent),
 		closing: make(chan struct{}),
 		start:   time.Now(),
-		view:    dist.FullView(opt.P),
 	}
 	for range opt.MaxConcurrent {
 		pool.sem <- nil
-	}
-	if opt.Elastic != nil {
-		e := opt.Elastic.withDefaults()
-		pool.opts.Elastic = &e
-		pool.viewChangedCh = make(chan struct{})
-		pool.startDetector()
 	}
 	return pool, nil
 }
@@ -247,15 +211,12 @@ func (p *Pool) SubmitWith(name string, opts repro.Options, body Body) (*Job, err
 	if body == nil {
 		return nil, errors.New("service: nil job body")
 	}
-	return p.submit(name, opts, jobSpec{opts: opts, body: body})
+	return p.submit(name, opts, body)
 }
 
-// submit admits one job onto the current view: it takes a slot and its
-// frame — minting one when the slot has none or its frame predates the
-// view — and spawns the job's runner on it. Jobs admitted after a view
-// change run entirely on the survivor set (the view sub renumbers them
-// contiguously), so new work flows while dead ranks stay quarantined.
-func (p *Pool) submit(name string, opts repro.Options, spec jobSpec) (*Job, error) {
+// submit admits one job: it takes a slot and its frame — minting one
+// when the slot has none — and spawns the job's runner on it.
+func (p *Pool) submit(name string, opts repro.Options, body Body) (*Job, error) {
 	// Backpressure: block for a slot, returned when the job finishes —
 	// but never wait out a Close, which holds every slot forever.
 	var f *frame
@@ -270,21 +231,13 @@ func (p *Pool) submit(name string, opts repro.Options, spec jobSpec) (*Job, erro
 		p.sem <- f
 		return nil, ErrPoolClosed
 	}
-	if f == nil || f.epoch != p.view.Epoch() {
-		if f != nil {
-			f.releaseLocked()
-		}
+	if f == nil {
 		var err error
-		if f, err = p.mintLocked(p.view.Members(), p.view.Epoch()); err != nil {
+		if f, err = p.mintLocked(); err != nil {
 			p.mu.Unlock()
 			p.sem <- nil
 			return nil, fmt.Errorf("service: job %d %q: %w", p.nextID, name, err)
 		}
-	}
-	if spec.shares != nil && len(spec.shares) != len(f.members) {
-		p.mu.Unlock()
-		p.sem <- f
-		return nil, fmt.Errorf("service: recoverable job %q: %d shares for a view of %d members", name, len(spec.shares), len(f.members))
 	}
 	id := p.nextID
 	p.nextID++
@@ -297,59 +250,26 @@ func (p *Pool) submit(name string, opts repro.Options, spec jobSpec) (*Job, erro
 
 	lo, hi := f.subs[0].Block()
 	j := &Job{
-		id:       id,
-		name:     name,
-		seed:     JobSeed(p.common, id),
-		block:    [2]int{lo, hi},
-		start:    time.Now(),
-		done:     make(chan struct{}),
-		members:  f.members,
-		epoch:    f.epoch,
-		deadRank: -1,
+		id:    id,
+		name:  name,
+		seed:  JobSeed(p.common, id),
+		block: [2]int{lo, hi},
+		start: time.Now(),
+		done:  make(chan struct{}),
 	}
 	// The handle resolves, and the frame goes back to its slot, once the
 	// job's runner is idle again.
-	f.j, f.spec = j, spec
+	f.j, f.opts, f.body = j, opts, body
 	p.run.start(f.runJob, f.finish)
 	return j, nil
 }
 
-// runJob drives the frame's job: its ranks (the frame's Group), death
-// attribution and checked recovery when elastic membership is on, then
-// accounting and the frame's retirement. The frame's finish publishes
-// the handle and returns the slot afterwards.
+// runJob drives the frame's job — its ranks, the frame's Group — then
+// its accounting and the frame's retirement. The frame's finish
+// publishes the handle and returns the slot afterwards.
 func (p *Pool) runJob(f *frame) {
-	j, spec := f.j, f.spec
-	err := f.g.Run(len(f.members), f.rank)
-
-	// Attribution and recovery: an infrastructure failure on an elastic
-	// pool may really be a peer death. Give the detector its bounded
-	// window; if the view shrank past this job's epoch, the outcome is
-	// attributed to the lost rank (PeerDownError) — and a recoverable
-	// job replays on the survivors with the dead share resharded under
-	// redistribution-checker verification instead of failing at all.
-	if err != nil && !errors.Is(err, repro.ErrCheckFailed) && p.opts.Elastic != nil {
-		if dead, ok := p.awaitDeath(j); ok {
-			j.deadRank = dead
-			attributed := peerDownError(j, dead)
-			if spec.rbody != nil {
-				switch rerr := p.recoverJob(j, spec, dead); {
-				case rerr == nil:
-					err = nil
-					j.recovered = true
-				case errors.Is(rerr, repro.ErrCheckFailed):
-					// The replay reached a verdict: the job was recovered
-					// faithfully and its checkers rejected the data.
-					err = rerr
-					j.recovered = true
-				default:
-					err = fmt.Errorf("%w; recovery failed: %v", attributed, rerr)
-				}
-			} else {
-				err = attributed
-			}
-		}
-	}
+	j := f.j
+	err := f.g.Run(len(f.subs), f.rank)
 
 	cost := JobCost{WallNs: time.Since(j.start).Nanoseconds()}
 	for _, sub := range f.subs {
@@ -387,9 +307,6 @@ func (p *Pool) runJob(f *frame) {
 	default:
 		p.errored++
 	}
-	if j.recovered {
-		p.recoveredJobs++
-	}
 	p.totalBytes += cost.Bytes
 	p.totalRound += int64(cost.Rounds)
 	p.lat.Observe(cost.WallNs)
@@ -399,14 +316,13 @@ func (p *Pool) runJob(f *frame) {
 	j.err = err
 }
 
-// runRank is logical rank i's share of the frame's job: key the rank's
-// job worker for the job, build the Context, run the body, settle all
-// pending verification. A recoverable job's body runs on the rank's
-// input share (jobSpec.share). Logical rank 0's stats become the job's.
+// runRank is rank i's share of the frame's job: key the rank's job
+// worker for the job, build the Context, run the body, settle all
+// pending verification. Rank 0's stats become the job's.
 func (p *Pool) runRank(f *frame, i int) error {
-	j, spec, w := f.j, &f.spec, f.workers[i]
-	p.workers[f.members[i]].ResetJobWorker(w, j.seed, uint64(j.id))
-	ctx, err := repro.NewContext(w, spec.opts)
+	j, w := f.j, f.workers[i]
+	p.workers[i].ResetJobWorker(w, j.seed, uint64(j.id))
+	ctx, err := repro.NewContext(w, f.opts)
 	if err != nil {
 		return err
 	}
@@ -416,41 +332,25 @@ func (p *Pool) runRank(f *frame, i int) error {
 			j.sums = ctx.VerifySummaries()
 		}
 	}()
-	if spec.rbody == nil {
-		err = spec.body(ctx)
-	} else if share, serr := spec.share(i, f.members[i], w); serr != nil {
-		return serr
-	} else {
-		err = spec.rbody(ctx, share)
-	}
-	if err != nil {
+	if err := f.body(ctx); err != nil {
 		return err
 	}
 	return ctx.Verify()
 }
 
-// kickAll sends one control message to every endpoint (from a peer, so
-// it crosses the transport) to complete any RecvAny a puller is parked
-// in — a poisoned job's receivers on an idle mesh would otherwise wait
-// for traffic that never comes. Best-effort and asynchronous: a kick
-// that cannot be delivered (closed network, full inbox) must not stall
-// the failure path; the sends are tiny and self-limiting (the mux
-// drops control tags on sight).
+// kickAll has every endpoint send itself one control message, to
+// complete any RecvAny a puller is parked in — a poisoned job's
+// receivers on an idle mesh would otherwise wait for traffic that never
+// comes. Each endpoint kicks itself, never a peer: a self-addressed
+// KickTag wakes a parked puller on every transport (TCP delivers
+// self-sends locally), and a dead peer could neither send a survivor's
+// wake-up nor needs one. Best-effort and asynchronous: a kick that
+// cannot be delivered (closed network, dead endpoint) must not stall
+// the failure path; the sends are tiny and self-limiting (the mux drops
+// control tags on sight).
 func (p *Pool) kickAll() {
-	p.mu.Lock()
-	members := p.view.Members()
-	p.mu.Unlock()
-	if len(members) < 2 {
-		return
-	}
-	// Kick ring-wise within the live view: a dead endpoint can neither
-	// send nor needs waking, and survivors must not be made to wait on
-	// its blackholed traffic.
-	for i, dst := range members {
-		src := members[(i+1)%len(members)]
-		go func(src, dst int) {
-			_ = p.net.Endpoint(src).Send(dst, comm.KickTag, nil)
-		}(src, dst)
+	for r := range p.opts.P {
+		go func() { _ = p.net.Endpoint(r).Send(r, comm.KickTag, nil) }()
 	}
 }
 
@@ -459,21 +359,16 @@ func (p *Pool) Stats() PoolStats {
 	_, p50, p99, _ := p.lat.Snapshot()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	v := p.view
 	s := PoolStats{
-		Submitted:   p.submitted,
-		Completed:   p.completed,
-		Passed:      p.passed,
-		Rejected:    p.rejected,
-		Errored:     p.errored,
-		Recovered:   p.recoveredJobs,
-		InFlight:    p.inflight,
-		HighWater:   p.highWater,
-		ViewChanges: p.viewChanges,
-		Epoch:       v.Epoch(),
-		Alive:       v.Size(),
-		P50Ns:       p50,
-		P99Ns:       p99,
+		Submitted: p.submitted,
+		Completed: p.completed,
+		Passed:    p.passed,
+		Rejected:  p.rejected,
+		Errored:   p.errored,
+		InFlight:  p.inflight,
+		HighWater: p.highWater,
+		P50Ns:     p50,
+		P99Ns:     p99,
 	}
 	if up := time.Since(p.start).Seconds(); up > 0 {
 		s.JobsPerSec = float64(p.completed) / up
@@ -504,11 +399,6 @@ func (p *Pool) Close() error {
 	}
 	// Every job has retired, so every runner is parked.
 	p.run.stop()
-	// The detector outlives the last job (recovery needs it) and stops
-	// before the mesh goes away.
-	if p.opts.Elastic != nil {
-		p.stopDetector()
-	}
 	if p.ownNet {
 		return p.net.Close()
 	}

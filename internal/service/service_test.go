@@ -410,6 +410,95 @@ func TestPoolAbortUnblocksPeers(t *testing.T) {
 	}
 }
 
+// newFaultyPool builds a plain pool over a fault-injecting in-memory
+// mesh with the default transport deadline, which the pool's own
+// failure path must never be left to.
+func newFaultyPool(t *testing.T, p int, opt Options) (*Pool, *comm.FaultyNetwork) {
+	t.Helper()
+	inner := comm.NewMemNetworkTimeout(p, 0)
+	fn := comm.NewFaultyNetwork(inner, 0, 0)
+	opt.P = p
+	pool, err := NewOnNetwork(fn, opt)
+	if err != nil {
+		inner.Close()
+		t.Fatalf("NewOnNetwork: %v", err)
+	}
+	t.Cleanup(func() {
+		pool.Close()
+		inner.Close()
+	})
+	return pool, fn
+}
+
+// wantPeerDown fails unless err attributes a job's failure to victim's
+// death.
+func wantPeerDown(t *testing.T, err error, victim int) {
+	t.Helper()
+	var pd *comm.PeerDownError
+	if !errors.Is(err, comm.ErrPeerDown) || !errors.As(err, &pd) || pd.Rank != victim {
+		t.Fatalf("job error %v, want PeerDownError{Rank: %d}", err, victim)
+	}
+}
+
+// TestPoolAttributesDeathOnPlainJobs kills a PE while a job is blocked
+// mid-body: the job fails with the death attributed to the dead rank
+// (PeerDownError), not with a bare transport error.
+func TestPoolAttributesDeathOnPlainJobs(t *testing.T) {
+	const p, victim = 4, 1
+	pool, fn := newFaultyPool(t, p, Options{Seed: 9, MaxConcurrent: 4, JobTimeout: 10 * time.Second})
+
+	var ready sync.WaitGroup
+	ready.Add(p)
+	killed := make(chan struct{})
+	j, err := pool.Submit("plain", func(ctx *repro.Context) error {
+		ready.Done()
+		<-killed
+		w := ctx.Worker()
+		local := jobData(3, w.Rank(), w.Size(), 100)
+		_, err := ctx.Pairs(local).ReduceByKey(repro.SumFn).Collect()
+		return err
+	})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	ready.Wait()
+	fn.ArmPeerDown(victim)
+	close(killed)
+	wantPeerDown(t, j.Await(), victim)
+}
+
+// TestPoolDeadPeerFailsFast runs jobs on a mesh whose PE 1 is already
+// dead, its body sleeping first so the survivors park in their receives.
+// The abort must wake every survivor at once, rank 0 included, whose
+// wake-up must not depend on the dead rank: each job fails, by name,
+// long before the job timeout, and leaves no live rank's endpoint
+// poisoned for the next.
+func TestPoolDeadPeerFailsFast(t *testing.T) {
+	const p, victim = 4, 1
+	pool, fn := newFaultyPool(t, p, Options{Seed: 21, JobTimeout: 10 * time.Second})
+	fn.ArmPeerDown(victim)
+	for i := range 3 {
+		start := time.Now()
+		j, err := pool.Submit(fmt.Sprintf("dead-peer-%d", i), func(ctx *repro.Context) error {
+			w := ctx.Worker()
+			if w.Rank() == victim {
+				time.Sleep(50 * time.Millisecond)
+			}
+			local := jobData(uint64(40+i), w.Rank(), w.Size(), 100)
+			_, err := ctx.Pairs(local).ReduceByKey(repro.SumFn).Collect()
+			return err
+		})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		err = j.Await()
+		if el := time.Since(start); el > time.Second {
+			t.Fatalf("job %d took %v to fail: %v", i, el, err)
+		}
+		wantPeerDown(t, err, victim)
+	}
+}
+
 // TestPoolPanicIsJobScoped panics one rank mid-body: the job must fail
 // with the panic converted to an error and the pool must keep serving.
 func TestPoolPanicIsJobScoped(t *testing.T) {
@@ -580,7 +669,7 @@ func TestPoolVerdictDoesNotShadowAbort(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("receive %d failed: the job did not end within 5 s", k)
 		}
-		if !fn.DidInject() {
+		if _, _, landed := fn.InjectedAt(); !landed {
 			if aborted == 0 {
 				t.Fatal("no injected fault ended a job with an error")
 			}
@@ -701,7 +790,7 @@ func TestPoolVerdictBitflipCannotForgeAccept(t *testing.T) {
 				inner := comm.NewMemNetworkTimeout(p, 0)
 				net := comm.NewFaultyNetwork(inner, k, bit)
 				pool, err := NewOnNetwork(net, Options{Seed: 5, MaxConcurrent: 1})
-				if net.DidInject() {
+				if _, _, landed := net.InjectedAt(); landed {
 					setupFlips++
 					if err == nil {
 						t.Errorf("%s output, bit %d of message %d: a flip during pool set-up went unnoticed", c.name, bit, k)
@@ -735,7 +824,7 @@ func TestPoolVerdictBitflipCannotForgeAccept(t *testing.T) {
 				j.Await()
 				pool.Close()
 				inner.Close()
-				if !net.DidInject() {
+				if _, _, landed := net.InjectedAt(); !landed {
 					if setupFlips == 0 || jobFlips == 0 {
 						t.Fatalf("%s output, bit %d: %d flips during set-up and %d during the job, want some of each", c.name, bit, setupFlips, jobFlips)
 					}
