@@ -193,8 +193,8 @@ const serviceJob, jobChunk = 2000, 256
 
 // BenchmarkPermAccumulateEngine is BenchmarkSumAccumulateEngine for the
 // permutation fingerprint loop, on the default DefaultOptions().Perm
-// (one Tab64 function) and on two paired 32-bit Tab functions, the
-// default before it: same δ, same wire bits.
+// (one iteration of Lemma 5's product) and on one Tab64 64-bit hash
+// sum, the default before it: one 64-bit word on the wire each.
 func BenchmarkPermAccumulateEngine(b *testing.B) {
 	const elements = 200000
 	xs := workload.UniformU64s(elements, 1e8, 2)
@@ -203,10 +203,15 @@ func BenchmarkPermAccumulateEngine(b *testing.B) {
 		b.SetBytes(int64(8 * n))
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
 	}
-	paired := core.PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}
-	for _, cfg := range []core.PermConfig{repro.DefaultOptions().Perm, paired} {
+	tab64 := core.PermConfig{Family: hashing.FamilyTab64, LogH: 64, Iterations: 1}
+	for _, cfg := range []core.PermConfig{repro.DefaultOptions().Perm, tab64} {
 		c := core.NewPermChecker(cfg, 3)
-		sums := make([]uint64, cfg.Iterations)
+		// A product's two slots an iteration, each starting at 1; a hash
+		// sum reads the first Iterations.
+		sums := make([]uint64, 2*cfg.Iterations)
+		for i := range sums {
+			sums[i] = 1
+		}
 		name := fmt.Sprintf("%s×%d/", cfg.Name(), cfg.Iterations)
 		b.Run(name+"scalar", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -33,7 +33,7 @@ import (
 // trailing * stands for any suffix.
 var censusAllow = map[string]string{
 	"internal/core.SumChecker.AccumulateScalar":      "scalar oracle the root package's BenchmarkSumAccumulateEngine measures the kernel against",
-	"internal/core.PermChecker.AccumulateIntoScalar": "per-iteration oracle, its functions rebuilt unpaired from the same sub-seeds: FuzzPermAccumulate holds the paired kernel to it and the root package's BenchmarkPermAccumulateEngine measures against it",
+	"internal/core.PermChecker.AccumulateIntoScalar": "scalar oracle: FuzzPermAccumulate holds the hash-sum kernel and TestPolyProdMatchesSerial the product kernel to it, and the root package's BenchmarkPermAccumulateEngine measures against it",
 
 	"internal/comm.NewSimNetwork":             "cross-package test fixture (root, collective, dist); dist itself builds simnet with an explicit timeout",
 	"internal/comm.FaultyNetwork.ArmPeerDown": "cross-package test fixture: service and comm tests kill a PE to hold the pool to naming the dead rank",

@@ -1,8 +1,10 @@
 // Sortcheck: a distributed sample sort verified by the sort checker via
 // the pipeline API, and a deliberately buggy sorter — it forgets to
 // merge the runs it receives — caught red-handed by the pure checker
-// entry (Context.AssertSorted). Also demonstrates the polynomial
-// permutation checker variants (Lemma 5).
+// entry (Context.AssertSorted). Then a radix-sort digit fault — one
+// byte position swapped between two elements (manipulate.Rectangle) —
+// checked by the default permutation checker, Lemma 5's product, next
+// to the Tab64 hash sum that was the default before it.
 package main
 
 import (
@@ -14,6 +16,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/dist"
+	"repro/internal/hashing"
+	"repro/internal/manipulate"
 	"repro/internal/workload"
 )
 
@@ -125,27 +129,32 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The trusted-hash-free variants: prime-field and GF(2^64)
-	// polynomial permutation checks of the same sort output.
-	fmt.Println("\npolynomial permutation checkers (no trusted hash function):")
+	fmt.Println("\npermutation checkers on a radix-sort digit fault (one byte position swapped between two elements):")
+	tab64 := core.PermConfig{Family: hashing.FamilyTab64, LogH: 64, Iterations: 1}
 	err = repro.Run(pes, 4, func(w *repro.Worker) error {
-		s, e := data.SplitEven(len(global), pes, w.Rank())
-		local := global[s:e]
-		sorted := data.CloneU64s(local)
-		data.SortU64(sorted) // local stand-in for a permuted sequence
-		okPoly, err := core.CheckPermutationPoly(w, core.PolyPermConfig{Iterations: 2}, local, sorted)
+		seed, err := w.CommonSeed()
 		if err != nil {
 			return err
 		}
-		okGF, err := core.CheckPermutationGF(w, 2, local, sorted)
+		s, e := data.SplitEven(len(global), pes, w.Rank())
+		local := global[s:e]
+		out := data.CloneU64s(local)
+		data.SortU64(out) // local stand-in for a permuted sequence
+		if w.Rank() == 1 && !manipulate.Rectangle.Apply(out, hashing.NewMT19937_64(seed), 0) {
+			return fmt.Errorf("no digit fault injected")
+		}
+		in := [][]uint64{local}
+		verdicts, err := core.Resolve(w,
+			core.NewPermState("Lemma5", repro.DefaultOptions().Perm, seed, in, out),
+			core.NewPermState("Tab64", tab64, seed, in, out))
 		if err != nil {
 			return err
 		}
 		if w.Rank() == 0 {
-			fmt.Printf("prime field F_(2^61-1): %v, GF(2^64) carry-less: %v\n", okPoly, okGF)
+			fmt.Printf("default Lemma 5 product accepted: %v; Tab64 64 ×1 hash sum accepted: %v\n", verdicts[0], verdicts[1])
 		}
-		if !okPoly || !okGF {
-			return fmt.Errorf("polynomial checker rejected a valid permutation")
+		if verdicts[0] {
+			return fmt.Errorf("the product accepted a wrong permutation")
 		}
 		return nil
 	})

@@ -102,22 +102,24 @@ func BenchmarkAblationHashFamilies(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPermVariants compares the three permutation checker
-// mechanisms' local work: hash-sum (Lemma 4), prime-field polynomial
-// (Lemma 5) and GF(2^64) carry-less polynomial. The hash-sum rows run
-// one Tab iteration, and the default two: as two passes over their own
-// tables (the family's Pair cleared) and as one pass over a pair's.
+// BenchmarkAblationPermVariants compares the permutation checker
+// mechanisms' local work: hash-sum (Lemma 4) and the prime-field product
+// (Lemma 5). The hash-sum rows run one and two Tab iterations and one
+// Tab64 64-bit function, the default before the product. The product
+// rows run the default kernel (one offset lookup and one lazy 128-bit
+// multiply an element, four lanes), a factor z - lo - y·hi over the
+// element's 32-bit halves (a second multiply an element, four lanes),
+// and the scalar oracle's canonical one-lane fold.
 func BenchmarkAblationPermVariants(b *testing.B) {
 	xs := workload.UniformU64s(ablationElements, 1e8, 2)
-	unpaired := hashing.FamilyTab
-	unpaired.Pair = nil
 	for _, row := range []struct {
 		name string
 		cfg  PermConfig
 	}{
 		{"hash-sum-Tab", PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 1}},
-		{"hash-sum-Tab×2", PermConfig{Family: unpaired, LogH: 32, Iterations: 2}},
-		{"hash-sum-Tab×2-paired", PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}},
+		{"hash-sum-Tab×2", PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}},
+		{"hash-sum-Tab64", PermConfig{Family: hashing.FamilyTab64, LogH: 64, Iterations: 1}},
+		{"product-offsets", PermConfig{Iterations: 1}},
 	} {
 		b.Run(row.name, func(b *testing.B) {
 			c := NewPermChecker(row.cfg, 3)
@@ -129,29 +131,33 @@ func BenchmarkAblationPermVariants(b *testing.B) {
 			reportPerElem(b, ablationElements)
 		})
 	}
-	b.Run("poly-mersenne61", func(b *testing.B) {
+	b.Run("product-second-multiply", func(b *testing.B) {
 		const r = hashing.Mersenne61
-		z := uint64(123456789123456789) % r
+		z, y := uint64(123456789123456789)%r, uint64(987654321987654321)%r
+		f := func(e uint64) uint64 {
+			return hashing.Mod61(z + 2*r - e&0xffffffff - hashing.MulMod61(y, e>>32))
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			prod := uint64(1)
-			for _, e := range xs {
-				prod = hashing.MulMod61(prod, hashing.SubMod61(z, e%r))
+			p0, p1, p2, p3 := uint64(1), uint64(1), uint64(1), uint64(1)
+			for x := xs; len(x) >= 4; x = x[4:] {
+				p0 = mulLazy(p0, f(x[0]))
+				p1 = mulLazy(p1, f(x[1]))
+				p2 = mulLazy(p2, f(x[2]))
+				p3 = mulLazy(p3, f(x[3]))
 			}
-			sinkBench = prod
+			sinkBench = p0 ^ p1 ^ p2 ^ p3
 		}
 		reportPerElem(b, ablationElements)
 	})
-	b.Run("poly-gf64", func(b *testing.B) {
-		z := uint64(0x123456789abcdef0)
+	b.Run("product-scalar", func(b *testing.B) {
+		c := NewPermChecker(PermConfig{Iterations: 1}, 3)
+		sums := newSums(c.cfg)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			prod := uint64(1)
-			for _, e := range xs {
-				prod = hashing.GF64Mul(prod, z^e)
-			}
-			sinkBench = prod
+			c.AccumulateIntoScalar(sums, xs, false)
 		}
+		sinkBench = sums[0]
 		reportPerElem(b, ablationElements)
 	})
 }

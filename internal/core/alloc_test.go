@@ -40,16 +40,10 @@ func TestSmallChunkAccumulationAllocs(t *testing.T) {
 		t.Errorf("AccumulateInto allocates %.0f objects per chunk, want 0", n)
 	}
 
-	zs := make([]uint64, len(xs))
-	for i, x := range xs {
-		zs[i] = x % hashing.Mersenne61
-	}
-	z := hashing.Mix64(41) % hashing.Mersenne61
-	if n := testing.AllocsPerRun(10, func() { sinkAlloc = PolyProd61(z, zs) }); n != 0 {
-		t.Errorf("PolyProd61 allocates %.0f objects per chunk, want 0", n)
-	}
-	if n := testing.AllocsPerRun(10, func() { sinkAlloc = PolyProdGF(z, zs) }); n != 0 {
-		t.Errorf("PolyProdGF allocates %.0f objects per chunk, want 0", n)
+	prod := NewPermChecker(PermConfig{Iterations: 2}, 1)
+	slots := newSums(prod.cfg)
+	if n := testing.AllocsPerRun(10, func() { prod.AccumulateInto(slots, xs, true) }); n != 0 {
+		t.Errorf("product AccumulateInto allocates %.0f objects per chunk, want 0", n)
 	}
 }
 
@@ -106,39 +100,45 @@ func TestPackedCombineAllocs(t *testing.T) {
 }
 
 // TestCheckerSetupAllocs pins what building and sealing a permutation or
-// sort checker costs the heap in the steady state: no hash table. The
-// Tab family's tables are 8 KiB each and there are two per checker, so
-// a builder that allocated its own would cost sixteen times the limit.
-// Measured on one P with the collector held off, after a warming call
-// there: a sync.Pool hands back what was put on the same P and drops
-// its contents over two collections.
+// sort checker costs the heap in the steady state: no hash table and no
+// product offsets. The Tab family's tables are 8 KiB each and there are
+// two per checker, so a builder that allocated its own would cost
+// sixteen times the limit; a product's offsets come with a scratch from
+// scratchPool. Measured on one P with the collector held off, after a
+// warming call there: a sync.Pool hands back what was put on the same P
+// and drops its contents over two collections.
 func TestCheckerSetupAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	cfg := PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}
 	xs := workload.UniformU64s(64, 1e9, 3)
-	for name, run := range map[string]func(seed uint64){
-		"NewPermBuilder": func(seed uint64) {
-			b := NewPermBuilder("setup", cfg, seed, Serial)
-			b.AddInput(xs)
-			sinkAlloc += b.Seal().Words()[0]
-		},
-		"NewSortedBuilder": func(seed uint64) {
-			b := NewSortedBuilder("setup", cfg, seed, Serial)
-			b.AddInput(xs)
-			sinkAlloc += b.Seal().Words()[0]
-		},
+	for _, cfg := range []PermConfig{
+		{Family: hashing.FamilyTab, LogH: 32, Iterations: 2},
+		{Iterations: 1},
 	} {
-		run(0)
-		const runs = 50
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := uint64(1); i <= runs; i++ {
-			run(i)
-		}
-		runtime.ReadMemStats(&after)
-		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1024 {
-			t.Errorf("%s + Seal allocates %d bytes per call in the steady state, want under 1024 (one Tab table is 8192)", name, per)
+		for name, run := range map[string]func(seed uint64){
+			"NewPermBuilder": func(seed uint64) {
+				b := NewPermBuilder("setup", cfg, seed, Serial)
+				b.AddInput(xs)
+				sinkAlloc += b.Seal().Words()[0]
+			},
+			"NewSortedBuilder": func(seed uint64) {
+				b := NewSortedBuilder("setup", cfg, seed, Serial)
+				b.AddInput(xs)
+				sinkAlloc += b.Seal().Words()[0]
+			},
+		} {
+			run(0)
+			const runs = 50
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := uint64(1); i <= runs; i++ {
+				run(i)
+			}
+			runtime.ReadMemStats(&after)
+			if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1024 {
+				t.Errorf("%s %s ×%d + Seal allocates %d bytes per call in the steady state, want under 1024 (one Tab table is 8192)",
+					name, cfg.Name(), cfg.Iterations, per)
+			}
 		}
 	}
 }

@@ -18,17 +18,19 @@ import (
 //   - a sum checker's cells hold exact integer sums, input minus
 //     output, whatever the chunking, and Seal folds them mod r and
 //     normalizes — so the residues agree exactly;
-//   - permutation fingerprints combine by wraparound addition mod 2^64,
-//     which is commutative and associative;
+//   - permutation products multiply in F_(2^61-1), leaving zero factors
+//     out and counting them, and hash sums add mod 2^64: both
+//     commutative and associative;
 //   - the sortedness interval extends chunk by chunk with the same merge
 //     the collective resolution applies rank by rank.
 //
 // Builders are the foundation of the internal/stream subsystem.
 //
 // Builders are single-use (Seal at most once) and not safe for
-// concurrent use. Seal consumes the builder: its checker's hash tables
-// go back to the hashing package for the next checker to fill
-// (recycleHashers), and a later Add panics.
+// concurrent use. Seal consumes the builder: its checker's product
+// offsets go back to scratchPool and its hash tables to the hashing
+// package for the next checker to fill (PermChecker.release), and a
+// later Add panics.
 
 // recycleHashers hands the tables of hs back to the hashing package
 // and forgets them, under scratchPool's rule: only once nothing reads
@@ -155,14 +157,14 @@ func NewSumAggState(stage string, cfg SumConfig, seed uint64, input, output []da
 }
 
 // ---------------------------------------------------------------------
-// Permutation / union (Lemma 4, Corollary 12)
+// Permutation / union (Lemmas 4 and 5, Corollary 12)
 // ---------------------------------------------------------------------
 
-// PermBuilder is the chunked permutation checker: the per-iteration
-// truncated hash sums, inputs added and outputs subtracted. Chunk order
-// is immaterial on both sides. The checker, the sums and the sealed
-// state live in the builder: one allocation for up to inlineHashers
-// iterations.
+// PermBuilder is the chunked permutation checker: per iteration the
+// input's and the output's products, or the truncated hash sums,
+// inputs added and outputs subtracted. Chunk order is immaterial on
+// both sides. The checker, the fingerprints and the sealed state live
+// in the builder: one allocation for up to inlineHashers iterations.
 type PermBuilder struct {
 	stage   string
 	c       *PermChecker // &chk until the builder is consumed
@@ -171,7 +173,7 @@ type PermBuilder struct {
 	chk     PermChecker
 	st      state
 	// lam backs lambda, with room for the sortedness interval a
-	// SortedBuilder seals behind the sums.
+	// SortedBuilder seals behind the fingerprints.
 	lam [inlineHashers + sortWords]uint64
 }
 
@@ -183,15 +185,23 @@ func NewPermBuilder(stage string, cfg PermConfig, seed uint64, _ ParallelAccumul
 	return b
 }
 
-// init starts the builder in place.
+// init starts the builder in place. A product takes two slots an
+// iteration until Seal, so up to inlineHashers iterations fit lam.
 func (b *PermBuilder) init(stage string, cfg PermConfig, seed uint64) {
 	b.stage, b.localOK = stage, true
 	b.chk.init(cfg, seed)
 	b.c = &b.chk
-	if its := cfg.Iterations; its <= inlineHashers {
-		b.lambda = b.lam[:its]
+	n, fill := cfg.Iterations, uint64(0)
+	if b.c.offs != nil {
+		n, fill = 2*n, productSlot
+	}
+	if cfg.Iterations <= inlineHashers {
+		b.lambda = b.lam[:n]
 	} else {
-		b.lambda = make([]uint64, its, its+sortWords)
+		b.lambda = make([]uint64, n, n+sortWords)
+	}
+	for i := range b.lambda {
+		b.lambda[i] = fill
 	}
 }
 
@@ -205,16 +215,31 @@ func (b *PermBuilder) AddOutput(xs []uint64) {
 	b.c.AccumulateInto(b.lambda, xs, true)
 }
 
-// Seal freezes the partial into one hash sum segment.
+// Seal freezes the partial into one product or hash sum segment.
 func (b *PermBuilder) Seal() CheckState {
-	b.st.seal(b.stage, b.lambda, b.localOK, nil, hashSumSeg(b.c))
+	words, seg := b.fingerprint()
+	b.st.seal(b.stage, words, b.localOK, nil, seg)
 	b.consume()
 	return &b.st
 }
 
+// fingerprint returns the words Seal packs and their segment: the hash
+// sums, or a product's slots sealed in place, a word an iteration.
+func (b *PermBuilder) fingerprint() ([]uint64, segment) {
+	if b.c.offs == nil {
+		return b.lambda, hashSumSeg(b.c)
+	}
+	its := b.c.cfg.Iterations
+	for it := range its {
+		b.lambda[it] = ratioSlot(b.lambda[2*it], b.lambda[2*it+1])
+	}
+	b.lambda = b.lambda[:its]
+	return b.lambda, wordSeg(segProduct, its)
+}
+
 // consume ends the builder's accumulating life.
 func (b *PermBuilder) consume() {
-	recycleHashers(b.c.hashers)
+	b.c.release()
 	b.c = nil
 }
 
@@ -273,11 +298,12 @@ func (s *SortedBuilder) AddOutput(xs []uint64) {
 	mergeInterval(s.interval[:], chunk[:])
 }
 
-// Seal freezes the partial into a hash sum segment followed by the
-// sortedness interval.
+// Seal freezes the partial into a product or hash sum segment followed
+// by the sortedness interval.
 func (s *SortedBuilder) Seal() CheckState {
 	b := &s.perm
-	b.st.seal(b.stage, append(b.lambda, s.interval[:]...), true, nil, hashSumSeg(b.c), intervalSeg)
+	words, seg := b.fingerprint()
+	b.st.seal(b.stage, append(words, s.interval[:]...), true, nil, seg, intervalSeg)
 	b.consume()
 	return &b.st
 }
@@ -366,8 +392,8 @@ func (b *RedistBuilder) AddOutput(ps []data.Pair) {
 	}
 }
 
-// Seal freezes the partial into one hash sum segment, the placement
-// scan in its local predicate.
+// Seal freezes the partial into one product or hash sum segment, the
+// placement scan in its local predicate.
 func (b *RedistBuilder) Seal() CheckState { return b.perm.Seal() }
 
 // NewRedistState is RedistBuilder over one chunk per side: before and

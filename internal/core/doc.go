@@ -17,20 +17,45 @@
 //   - NewMedianAggState — median aggregation reduced to a zero-sum
 //     check, for unique values and with tie-breaking certificates
 //     (Section 6.3, Theorem 10, Algorithm 2).
-//   - NewPermState, NewPermBuilder — hash-sum fingerprints (Section 5,
-//     Lemma 4); with two inputs, Union (Corollary 12).
-//   - NewSortedState, NewSortedBuilder — permutation plus the
-//     sortedness interval (Section 5, Theorem 7); with two inputs,
-//     Merge (Corollary 13).
+//   - NewPermState, NewPermBuilder — by default Lemma 5's product in
+//     F_(2^61-1), which needs no hash function; with a hash family, the
+//     hash-sum fingerprints of Lemma 4 (Section 5); with two inputs,
+//     Union (Corollary 12).
+//   - NewSortedState, NewSortedBuilder — permutation (the product by
+//     default) plus the sortedness interval (Section 5, Theorem 7);
+//     with two inputs, Merge (Corollary 13).
 //   - NewZipState — position-dependent fingerprints (Section 6.4,
 //     Theorem 11).
 //   - NewRedistState, NewRedistBuilder — invasive checker for the
 //     GroupBy/Join element redistribution phase (Section 6.5.3/6.5.4,
-//     Corollaries 14 and 15).
-//   - CheckPermutationPoly (prime field) and CheckPermutationGF
-//     (GF(2^64), carry-less) — the polynomial permutation checkers of
-//     Lemma 5, which need no trusted hash function. They are the only
-//     checkers without a state: each is one all-reduction.
+//     Corollaries 14 and 15): a permutation checker (the product by
+//     default) over whole pairs folded into words, plus a placement
+//     scan.
+//
+// What each default construction is proven for:
+//
+//	checker           construction                  δ per iteration          proven for
+//	sum, count        15×4 CRC m10 (ChooseSum)      (1/1024 + 1/4)^15        random-hash model (Lemma 2)
+//	perm, sort,       Lemma 5 product, z - a - y·q  3n/r < 3.5e-10,          every fixed wrong output
+//	  union, merge    in F_r, r = 2^61 - 1, ×1      n <= 2^28 (Delta)
+//	redistribution    the product over Mix64 folds  3n/r + pair-fold         the fold: random-hash model
+//	                  of (key, value) pairs         collisions
+//	zip               F_r fingerprints, ×2          about 1/r                random-hash model (Mix64
+//	                                                                         weights and folds)
+//
+// The product's bound assumes nothing of the data: distinct elements
+// are distinct linear factors, so a wrong multiset leaves a nonzero
+// difference of two polynomials of degree at most n in (z, y), zero at
+// a random point with probability at most n/r (Schwartz–Zippel); one
+// of the at most 2n factors is zero there with probability at most
+// 2n/r. The one random-hash assumption left
+// in the permutation checkers is RedistBuilder's Mix64 pair fold: two
+// different pairs that fold to the same word are one element to the
+// product. TestPermCheckerEscapeRateWithinDelta holds the construction
+// at a weak field (r = 2^13 - 1) to 3n/r on the Table 6 manipulators
+// and on manipulate.Rectangle, the byte rectangle it pins Tab64 to let
+// through; TestDefaultPermRejectsRectangle runs that through the
+// default, and FuzzPermProductChunks holds the kernel to an oracle.
 //
 // Every distributed checker is SPMD: all PEs build their states from
 // their local shares and a common seed (dist.Worker.CommonSeed), and
@@ -45,9 +70,13 @@
 // Every checker makes one O(n/p) local pass and then one reduction of a
 // few words with an accept test. Its state is one CheckState
 // implementation whose words are a short list of segments, each one of
-// five sketches with its own combine and accept test:
+// six sketches with its own combine and accept test:
 //
 //   - a sum-checker table mod r (accept: all zero);
+//   - permutation products, one word an iteration: the ratio of the
+//     input's product to the output's in F_(2^61-1) and the difference
+//     of their zero-factor counts mod 8 (combine: multiply the ratios,
+//     add the counts; accept: every word is 1);
 //   - truncated hash sums (accept: zero under the mask);
 //   - the 4-word sortedness interval (rank-ordered merge; accept: the
 //     sorted flag survived);
@@ -56,7 +85,8 @@
 //
 // SumAgg is one table, Avg two; Median is one or two tables plus a
 // replica digest; Min/Max is a replica digest; Perm and Redist are a
-// hash sum; Sorted is a hash sum plus an interval; Zip is fingerprints.
+// product or a hash sum; Sorted is one of those plus an interval; Zip is
+// fingerprints.
 //
 // Tables and hash sums travel at the paper's bit count. A state packs
 // them when it seals: each table counter into m+1 bits and each hash
@@ -68,8 +98,9 @@
 // Combine adds packed lanes in place, mod r_i or mod 2^logH, without a
 // carry crossing lanes, and a packed segment is all zero exactly when
 // every lane is. A sum checker's wire bits are therefore TableBits
-// rounded up to a word (Lemma 3, Table 2), a permutation checker's
-// #its·logH; the other three sketches stay 64-bit words.
+// rounded up to a word (Lemma 3, Table 2), a hash-sum permutation
+// checker's #its·logH; the other four sketches stay 64-bit words. The
+// default product is one word, as the Tab64 hash sum before it was.
 //
 // A checker exists in two layers, and nothing else builds a state:
 //
@@ -89,26 +120,22 @@
 //
 // The checkers' O(n/p) local phase (Table 5) runs on a shared
 // accumulation engine: blocked batch hashing (hashing.Hasher's
-// Hash64Batch) and unrolled polynomial products. It runs on the
+// Hash64Batch) and four-lane field products. It runs on the
 // calling PE's goroutine and starts none: the PE is the unit of
 // parallelism, as in the paper's machine model of p single-threaded
 // PEs.
 //
-// Both checker kernels read each key's hash lookups once, the Section
-// 7.1 idea of one wide hash value feeding several iterations. The
-// default permutation checker is one Tab64 function whose 64 bits are
-// summed whole: δ = 2^-64 at one table walk and one add per element.
-// A configuration of several Tab iterations evaluates them two at a
-// time: the family's Pair stores two tabulation functions in one table
-// of 64-bit entries, low half and high half, so eight lookups give both
-// 32-bit values, and an odd last iteration keeps a table of its own.
-// The halves are the functions the iterations' own sub-seeds name,
-// filled exactly as a lone table would be, so fingerprints, sealed
-// words and delta are those of separate tables; AccumulateIntoScalar
-// rebuilds each iteration's function alone and is the oracle the
-// kernel is held to.
+// The default permutation kernel fills no table: an element's factor
+// is t[q] - a off 16 offsets built once per checker, and one 128-bit
+// multiply into one of four lanes, folded lazily at 2^61 ≡ 1. A chunk
+// whose product is 0 runs again element by element, the zero factors
+// left out and counted, and Seal takes one Fermat inverse an iteration.
 //
-// The sum checker's part of it is one kernel (SumChecker.addCells)
+// The hash-sum kernel, which the paper's Fig. 5, Table 6 and the
+// overhead rows run, hashes a block per iteration through Hash64Batch
+// and sums it in four lanes.
+//
+// The sum checker's part of the engine is one kernel (SumChecker.addCells)
 // built on exact cells and grouped tables. A cell is a signed int64,
 // updated by one add: no modulus in the loop at all. An input element
 // adds its value and an output element subtracts it, so a builder

@@ -3,46 +3,76 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/hashing"
 )
 
-// PermConfig parameterises the hash-sum permutation checker of Lemma 4:
-// Iterations independent random hash functions from Family, each summed
-// modulo H = 2^LogH. A single iteration misses a non-permutation with
-// probability about 1/H; iterations multiply.
+// PermConfig parameterises a permutation checker: with a zero Family,
+// Iterations independent points of Lemma 5's product, which needs no
+// hash function (PermChecker.init); with one, Lemma 4's hash sum of
+// Iterations random functions from Family, each summed modulo H =
+// 2^LogH, which a non-permutation escapes with probability about 1/H.
 type PermConfig struct {
-	// Family provides the random hash functions.
+	// Family provides a hash sum's random functions; zero for the
+	// product.
 	Family hashing.Family
-	// LogH is the number of hash output bits used (the paper's Fig. 5
-	// sweeps this from 1 to 8).
+	// LogH is the number of hash output bits a hash sum uses (the
+	// paper's Fig. 5 sweeps this from 1 to 8); zero for the product.
 	LogH int
-	// Iterations boosts confidence: delta = 2^(-LogH*Iterations).
+	// Iterations boosts confidence: Delta is the per-iteration bound to
+	// that power.
 	Iterations int
 }
 
-// Name renders the Fig. 5 configuration syntax, e.g. "CRC 4".
+// productElems is the global length n at which Delta states the
+// product's bound, and maxProductIterations as many iterations as a
+// scratch's hash block holds offsets for.
+const (
+	productElems         = 1 << 28
+	maxProductIterations = accBlock / 16
+)
+
+// product reports whether c selects Lemma 5's product.
+func (c PermConfig) product() bool { return c.Family.New == nil }
+
+// Name renders the Fig. 5 configuration syntax, e.g. "CRC 4", or
+// "Poly61" for the product.
 func (c PermConfig) Name() string {
+	if c.product() {
+		return "Poly61"
+	}
 	return fmt.Sprintf("%s %d", c.Family.Name, c.LogH)
 }
 
-// Delta is the per-checker failure bound H^-Iterations =
-// 2^-(LogH·Iterations), computed as a power of two: H = 2^64 does not
-// fit a uint64.
+// Delta is the per-checker failure bound: for a hash sum H^-Iterations,
+// computed as a power of two (H = 2^64 does not fit a uint64); for the
+// product (3n/r)^Iterations, r = 2^61 - 1, at n = 2^28, the larger
+// side's global length — under 3.5e-10 an iteration, for every wrong
+// output fixed before the seed is drawn (package documentation).
 func (c PermConfig) Delta() float64 {
+	if c.product() {
+		return math.Pow(3*productElems/float64(hashing.Mersenne61), float64(c.Iterations))
+	}
 	return math.Ldexp(1, -c.LogH*c.Iterations)
 }
 
 // Validate reports configuration errors.
 func (c PermConfig) Validate() error {
-	if c.LogH < 1 || c.LogH > 64 {
-		return fmt.Errorf("core: perm config: LogH must be in [1, 64]")
-	}
 	if c.Iterations < 1 {
 		return fmt.Errorf("core: perm config: iterations must be >= 1")
 	}
-	if c.Family.New == nil {
-		return fmt.Errorf("core: perm config: missing hash family")
+	if c.product() {
+		if c.LogH != 0 {
+			return fmt.Errorf("core: perm config: missing hash family for LogH %d", c.LogH)
+		}
+		if c.Iterations > maxProductIterations {
+			return fmt.Errorf("core: perm config: a product takes at most %d iterations", maxProductIterations)
+		}
+		return nil
+	}
+	if c.LogH < 1 || c.LogH > 64 {
+		return fmt.Errorf("core: perm config: LogH must be in [1, 64]")
 	}
 	if c.LogH > c.Family.Bits {
 		return fmt.Errorf("core: perm config: LogH %d exceeds family output bits %d", c.LogH, c.Family.Bits)
@@ -50,29 +80,16 @@ func (c PermConfig) Validate() error {
 	return nil
 }
 
-// PermChecker computes truncated hash-sum fingerprints. Like
-// SumChecker, every PE builds an identical instance from the shared
-// seed. After construction an instance is read-only: concurrent
-// AccumulateInto calls on one instance are safe as long as they target
-// disjoint sums vectors: each call hashes into its own block of
-// scratchPool.
-//
-// The default configuration is one Tab64 function, all 64 bits summed:
-// δ = 2^-64 at one lookup walk and one sum per element. A family with a
-// Pair constructor (Tab) has its iterations evaluated two at a time:
-// iterations 2k and 2k+1 share one table of 64-bit entries whose
-// halves are their two functions, so a key's eight lookups serve both.
-// With an odd count the last iteration keeps a function of its own.
-// Either way iteration i is the function of the i-th sub-seed, so the
-// sums do not depend on the pairing.
+// PermChecker computes permutation fingerprints: Lemma 5's products or
+// Lemma 4's truncated hash sums. Like SumChecker, every PE builds an
+// identical instance from the shared seed. After construction an
+// instance is read-only: concurrent AccumulateInto calls on one
+// instance are safe as long as they target disjoint sums vectors.
 type PermChecker struct {
-	cfg  PermConfig
-	seed uint64 // rebuilds the per-iteration functions for AccumulateIntoScalar
-	// hashers evaluates the iterations in order: the first pairs() of
-	// them cover two iterations each (low half first), the rest one.
-	hashers []hashing.Hasher
-	mask    uint64
+	cfg     PermConfig
+	hashers []hashing.Hasher              // a hash sum's, one per iteration
 	hs      [inlineHashers]hashing.Hasher // the hashers, when they fit
+	offs    *accScratch                   // a product's offsets, in its hash block
 }
 
 // permSeedDomain keys the sub-seed stream of a permutation checker's
@@ -87,79 +104,195 @@ func NewPermChecker(cfg PermConfig, seed uint64) *PermChecker {
 }
 
 // init builds the checker in place, its hashers in c.hs when they fit.
+//
+// A product iteration draws z, then y, uniformly from F_r, r = 2^61 - 1,
+// and maps element e to the factor z - a - y·q, a = e & r and q = e >>
+// 61 — except a = r, which is 0 in the field, maps to (0, q + 8). The
+// map is injective into F_r × [0, 16), so different multisets have
+// different products as polynomials in (z, y). The iteration keeps the
+// offsets t[q] = z - y·q + r, 16 words of a scratch from scratchPool
+// that release hands back: a factor is t[q] - a, never negative.
 func (c *PermChecker) init(cfg PermConfig, seed uint64) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	*c = PermChecker{cfg: cfg, seed: seed, mask: ^uint64(0)}
-	if cfg.LogH < 64 {
-		c.mask = (uint64(1) << cfg.LogH) - 1
-	}
+	*c = PermChecker{cfg: cfg}
 	// hashing.SubSeeds' stream, drawn in place: the checker a job builds
-	// per stage allocates no seed slice. A pair takes two consecutive
-	// sub-seeds, the ones its two iterations would take alone.
+	// per stage allocates no seed slice.
 	s := seed ^ permSeedDomain
-	pairs := c.pairs()
-	c.hashers = inlineOr(&c.hs, cfg.Iterations-pairs)
+	if cfg.product() {
+		c.offs = scratchPool.Get().(*accScratch)
+		for it := range cfg.Iterations {
+			z := drawField(&s)
+			y := drawField(&s)
+			t := c.offsets(it)
+			for q := range t {
+				t[q] = z + hashing.Mersenne61
+				z = hashing.SubMod61(z, y)
+			}
+		}
+		return
+	}
+	c.hashers = inlineOr(&c.hs, cfg.Iterations)
 	for i := range c.hashers {
-		s0 := hashing.SplitMix64(&s)
-		if i < pairs {
-			c.hashers[i] = cfg.Family.Pair(s0, hashing.SplitMix64(&s))
-		} else {
-			c.hashers[i] = cfg.Family.New(s0)
+		c.hashers[i] = cfg.Family.New(hashing.SplitMix64(&s))
+	}
+}
+
+// drawField draws uniformly from F_(2^61-1) by rejection: the top 61
+// bits of the next SplitMix64 output, unless they are 2^61 - 1.
+func drawField(s *uint64) uint64 {
+	for {
+		if v := hashing.SplitMix64(s) >> 3; v < hashing.Mersenne61 {
+			return v
 		}
 	}
 }
 
-// pairs is how many of the checker's hashers are pairs: every two
-// iterations make one, if the family can pair.
-func (c *PermChecker) pairs() int {
-	if c.cfg.Family.Pair == nil {
-		return 0
-	}
-	return c.cfg.Iterations / 2
+// offsets returns product iteration it's 16 offsets.
+func (c *PermChecker) offsets(it int) *[16]uint64 {
+	return (*[16]uint64)(c.offs.hs[16*it:])
 }
 
-// AccumulateInto adds (or, with negate, subtracts) the truncated hash
+// release hands a product's offsets or the hash tables back, once
+// nothing reads them any more.
+func (c *PermChecker) release() {
+	if c.offs != nil {
+		scratchPool.Put(c.offs)
+		c.offs = nil
+	}
+	recycleHashers(c.hashers)
+}
+
+// AccumulateInto accumulates xs into sums: an input chunk, or with
+// negate an output chunk. A product's sums are two slots an iteration,
+// the input's and the output's, each starting at productSlot.
+//
+// A hash sum adds (or, with negate, subtracts) the truncated hash
 // values of xs into sums, one slot per iteration. Sums are accumulated
 // in 64-bit words; because H is a power of two, wraparound addition
 // stays congruent modulo H. The sequence is hashed in blocks through
-// each hasher's Hash64Batch — a pair's once for both its iterations —
-// and summed in independent lanes; wraparound addition mod 2^64 is
-// commutative, so the sums are bit-identical to the scalar
-// element-order loop. Each call takes its hash block from scratchPool
-// and puts it back when it returns, so concurrent calls on the same
-// checker with disjoint sums are safe and repeated small-chunk calls
-// allocate nothing.
+// each hasher's Hash64Batch and summed in independent lanes;
+// wraparound addition mod 2^64 is commutative, so the sums are
+// bit-identical to the scalar element-order loop. Each call takes its
+// hash block from scratchPool and puts it back when it returns, so
+// concurrent calls on the same checker with disjoint sums are safe and
+// repeated small-chunk calls allocate nothing.
 func (c *PermChecker) AccumulateInto(sums []uint64, xs []uint64, negate bool) {
-	mask := c.mask
+	if c.offs != nil {
+		c.multiplyInto(sums, xs, negate, false)
+		return
+	}
+	mask := ^uint64(0) >> (64 - c.cfg.LogH)
 	s := scratchPool.Get().(*accScratch)
 	defer scratchPool.Put(s)
-	hs := &s.hs
-	it, pairs := 0, c.pairs()
-	for k, h := range c.hashers {
-		var lo, hi uint64
+	for it, h := range c.hashers {
+		var acc uint64
 		for start := 0; start < len(xs); start += accBlock {
 			end := min(start+accBlock, len(xs))
-			hb := hs[:end-start]
+			hb := s.hs[:end-start]
 			h.Hash64Batch(hb, xs[start:end])
-			if k < pairs {
-				l, h := sumHalves(hb, mask)
-				lo, hi = lo+l, hi+h
-			} else {
-				lo += sumMasked(hb, mask)
-			}
+			acc += sumMasked(hb, mask)
 		}
 		if negate {
-			lo, hi = -lo, -hi
+			acc = -acc
 		}
-		sums[it] += lo
-		it++
-		if k < pairs {
-			sums[it] += hi
-			it++
+		sums[it] += acc
+	}
+}
+
+// multiplyInto is AccumulateInto for a product: per iteration, the
+// chunk's product in four lanes, and only if that is 0 — some factor
+// is, with probability at most len(xs)/r — or the caller asks for the
+// scalar loop, element by element with the zero factors skipped and
+// counted.
+func (c *PermChecker) multiplyInto(sums []uint64, xs []uint64, out, scalar bool) {
+	for it := range c.cfg.Iterations {
+		t, p, zeros := c.offsets(it), uint64(0), uint64(0)
+		if !scalar {
+			p = productLanes(t, xs)
+		}
+		if p == 0 {
+			p, zeros = productSkipZeros(t, xs)
+		}
+		i := 2 * it
+		if out {
+			i++
+		}
+		sums[i] = mulSlot(sums[i], p, zeros)
+	}
+}
+
+// productSlot is the empty product: 1, no zero factors. A slot holds a
+// running product, never 0, in its low 61 bits and a count of zero
+// factors mod 8 in its top 3; a sealed word, the input's product over
+// the output's and the input's count minus the output's.
+const productSlot = 1
+
+// mulSlot multiplies slot by p, a nonzero canonical residue, and adds
+// zeros to its count. It is also how two sealed words combine.
+func mulSlot(slot, p, zeros uint64) uint64 {
+	return hashing.MulMod61(slot&hashing.Mersenne61, p) | (slot>>61+zeros)<<61
+}
+
+// ratioSlot seals an iteration's input and output slots into one
+// word: the ratio of their products, with one Fermat inverse, and the
+// difference of their counts. It is productSlot iff the two agree.
+func ratioSlot(in, out uint64) uint64 {
+	return mulSlot(in, hashing.InvMod61(out&hashing.Mersenne61), -(out >> 61))
+}
+
+// factor is element e's factor off the offsets t, in [0, 2r): t[q] - a,
+// or t[q+8] - r for a = r. The remap's branch is almost never taken,
+// and cheaper than computing the index without one.
+func factor(t *[16]uint64, e uint64) uint64 {
+	a, q := e&hashing.Mersenne61, e>>61
+	if a == hashing.Mersenne61 {
+		q += 8
+	}
+	return t[q&15] - a
+}
+
+// mulLazy returns a value below 2^62 congruent to p·f mod r, for p and f
+// below 2^62: the 124-bit product folded twice at 2^61 ≡ 1 and never
+// reduced to canonical, so a lane carries it into its next multiply.
+func mulLazy(p, f uint64) uint64 {
+	hi, lo := bits.Mul64(p, f)
+	x := lo&hashing.Mersenne61 + (hi<<3 | lo>>61) // < 2^61 + 2^63
+	return x&hashing.Mersenne61 + x>>61
+}
+
+// productLanes returns the product of xs's factors mod r, canonical,
+// in four independent lanes so that consecutive multiplies overlap.
+// The field is commutative, so any grouping gives the same residue.
+func productLanes(t *[16]uint64, xs []uint64) uint64 {
+	p0, p1, p2, p3 := uint64(1), uint64(1), uint64(1), uint64(1)
+	for ; len(xs) >= 4; xs = xs[4:] {
+		p0 = mulLazy(p0, factor(t, xs[0]))
+		p1 = mulLazy(p1, factor(t, xs[1]))
+		p2 = mulLazy(p2, factor(t, xs[2]))
+		p3 = mulLazy(p3, factor(t, xs[3]))
+	}
+	for _, e := range xs {
+		p0 = mulLazy(p0, factor(t, e))
+	}
+	return hashing.MulMod61(
+		hashing.MulMod61(hashing.Mod61(p0), hashing.Mod61(p1)),
+		hashing.MulMod61(hashing.Mod61(p2), hashing.Mod61(p3)))
+}
+
+// productSkipZeros is productLanes one element at a time, with the
+// factors that are 0 left out of the product and counted.
+func productSkipZeros(t *[16]uint64, xs []uint64) (p, zeros uint64) {
+	p = 1
+	for _, e := range xs {
+		if f := hashing.Mod61(factor(t, e)); f != 0 {
+			p = hashing.MulMod61(p, f)
+		} else {
+			zeros++
 		}
 	}
+	return p, zeros
 }
 
 // sumMasked returns the sum of hb's values under mask, in four
@@ -179,43 +312,24 @@ func sumMasked(hb []uint64, mask uint64) uint64 {
 	return a0 + a1 + a2 + a3
 }
 
-// sumHalves is sumMasked for a pair's values: the sums under mask of
-// their low and of their high 32-bit halves (mask < 2^32).
-func sumHalves(hb []uint64, mask uint64) (lo, hi uint64) {
-	var a0, a1, b0, b1 uint64
-	for len(hb) >= 2 {
-		a0 += hb[0] & mask
-		b0 += hb[0] >> 32 & mask
-		a1 += hb[1] & mask
-		b1 += hb[1] >> 32 & mask
-		hb = hb[2:]
-	}
-	for _, h := range hb {
-		a0 += h & mask
-		b0 += h >> 32 & mask
-	}
-	return a0 + a1, b0 + b1
-}
-
-// AccumulateIntoScalar is the per-iteration scalar reference loop of
-// AccumulateInto: each iteration's function built on its own from the
-// same sub-seed, unpaired, and one interface call per element. Tests
-// and benchmarks compare the kernel against it; the sums are
-// bit-identical. Its tables go back to the hashing package when it
-// returns.
+// AccumulateIntoScalar is the scalar reference loop of AccumulateInto:
+// a product's one-lane canonical fold, or a hash sum's one Hash64 call
+// per element and iteration. Tests and benchmarks compare the kernel
+// against it; the sums are bit-identical.
 func (c *PermChecker) AccumulateIntoScalar(sums []uint64, xs []uint64, negate bool) {
-	s := c.seed ^ permSeedDomain
-	for it := range c.cfg.Iterations {
-		h := c.cfg.Family.New(hashing.SplitMix64(&s))
+	if c.offs != nil {
+		c.multiplyInto(sums, xs, negate, true)
+		return
+	}
+	mask := ^uint64(0) >> (64 - c.cfg.LogH)
+	for it, h := range c.hashers {
 		var acc uint64
 		for _, x := range xs {
-			acc += h.Hash64(x) & c.mask
+			acc += h.Hash64(x) & mask
 		}
-		hashing.Recycle(h)
 		if negate {
-			sums[it] -= acc
-		} else {
-			sums[it] += acc
+			acc = -acc
 		}
+		sums[it] += acc
 	}
 }

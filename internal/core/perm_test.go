@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"repro/internal/data"
@@ -218,12 +220,28 @@ func TestPermConfigDeltaAndValidate(t *testing.T) {
 			t.Errorf("%s ×%d: Delta = %g, want %g", tc.cfg.Name(), tc.cfg.Iterations, d, tc.want)
 		}
 	}
+	// The product's bound, 3n/r per iteration at n = 2^28: below
+	// 3.5e-10, and squared for two iterations.
+	for its, want := range map[int]float64{1: 3 * 0x1p28 / float64(hashing.Mersenne61), 2: 9 * 0x1p56 / float64(hashing.Mersenne61) / float64(hashing.Mersenne61)} {
+		cfg := PermConfig{Iterations: its}
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("product ×%d: %v", its, err)
+		}
+		if d := cfg.Delta(); math.Abs(d-want) > 1e-12*want || d >= math.Pow(3.5e-10, float64(its)) {
+			t.Errorf("product ×%d: Delta = %g, want %g", its, d, want)
+		}
+	}
+	if name := prodCfg.Name(); name != "Poly61" {
+		t.Errorf("product Name = %q", name)
+	}
 	cfg := PermConfig{Family: hashing.FamilyTab, LogH: 4, Iterations: 2}
 	bad := []PermConfig{
 		{Family: hashing.FamilyTab, LogH: 0, Iterations: 1},
 		{Family: hashing.FamilyTab, LogH: 33, Iterations: 1}, // Tab is 32-bit
 		{Family: hashing.FamilyTab, LogH: 4, Iterations: 0},
 		{LogH: 4, Iterations: 1},
+		{}, // the zero config: no iteration
+		{Iterations: maxProductIterations + 1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -235,29 +253,40 @@ func TestPermConfigDeltaAndValidate(t *testing.T) {
 	}
 }
 
+// prodCfg is the default permutation checker: one product iteration.
+var prodCfg = PermConfig{Iterations: 1}
+
+// TestPolyPermChecker: the product (Lemma 5) accepts a distributed
+// permutation and rejects a changed element on every seed, through the
+// same states and resolve as every checker.
 func TestPolyPermChecker(t *testing.T) {
 	input := workload.UniformU64s(1000, 1e8, 5)
 	output := shuffled(input, 9)
-	err := dist.RunConfig(dist.Config{}, 4, 1, func(w *dist.Worker) error {
-		ok, err := CheckPermutationPoly(w, PolyPermConfig{Iterations: 2}, shardU64(input, 4, w.Rank()), shardU64(output, 4, w.Rank()))
+	for _, cfg := range []PermConfig{prodCfg, {Iterations: 2}} {
+		err := dist.RunConfig(dist.Config{}, 4, 1, func(w *dist.Worker) error {
+			ok, err := check(w, func(seed uint64) CheckState {
+				return NewPermState("Poly", cfg, seed, [][]uint64{shardU64(input, 4, w.Rank())}, shardU64(output, 4, w.Rank()))
+			})
+			if err != nil {
+				return err
+			}
+			if !ok {
+				t.Errorf("×%d: product rejected a permutation", cfg.Iterations)
+			}
+			return nil
+		})
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
-		if !ok {
-			t.Error("poly checker rejected a permutation")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	// Detection.
 	detected := 0
 	for seed := uint64(0); seed < 40; seed++ {
 		bad := shuffled(input, seed)
 		bad[3] += 1
 		err := dist.RunConfig(dist.Config{}, 2, seed, func(w *dist.Worker) error {
-			ok, err := CheckPermutationPoly(w, PolyPermConfig{Iterations: 1}, shardU64(input, 2, w.Rank()), shardU64(bad, 2, w.Rank()))
+			ok, err := check(w, func(seed uint64) CheckState {
+				return NewPermState("Poly", prodCfg, seed, [][]uint64{shardU64(input, 2, w.Rank())}, shardU64(bad, 2, w.Rank()))
+			})
 			if err != nil {
 				return err
 			}
@@ -271,32 +300,51 @@ func TestPolyPermChecker(t *testing.T) {
 		}
 	}
 	if detected != 40 {
-		t.Fatalf("poly checker detected %d of 40", detected)
+		t.Fatalf("product detected %d of 40", detected)
 	}
 }
 
-// TestPolyPermCheckerUniverseGuard: one PE holding an element outside
-// the field's universe is an error on every PE.
+// TestPolyPermCheckerUniverseGuard: the product has no universe to
+// guard. Every 64-bit element is its own factor — 2^61 - 1 and its
+// residue 0, e and e + r, the top value — so a permutation of them is
+// accepted and replacing any one of them by another is rejected.
 func TestPolyPermCheckerUniverseGuard(t *testing.T) {
-	err := dist.RunConfig(dist.Config{}, 3, 1, func(w *dist.Worker) error {
-		xs := []uint64{uint64(w.Rank())}
-		if w.Rank() == 1 {
-			xs = []uint64{^uint64(0)}
+	const r = hashing.Mersenne61
+	edge := []uint64{0, r - 1, r, r + 1, 1 << 61, 5 << 61, 6<<61 - 1, 7<<61 + r, ^uint64(0), 12345, 12345 + r}
+	clean := shuffled(edge, 4)
+	for i := range edge {
+		for _, to := range []uint64{edge[(i+1)%len(edge)], edge[i] + r, edge[i] - r, edge[i] ^ 1<<61} {
+			bad := data.CloneU64s(edge)
+			bad[i] = to
+			if !manipulate.ChangesMultiset(edge, bad) {
+				continue
+			}
+			err := dist.RunConfig(dist.Config{}, 3, uint64(i), func(w *dist.Worker) error {
+				ok, err := check(w, func(seed uint64) CheckState {
+					return NewPermState("Poly", prodCfg, seed, [][]uint64{shardU64(edge, 3, w.Rank())}, shardU64(clean, 3, w.Rank()))
+				})
+				if err != nil || !ok {
+					t.Errorf("rank %d: clean permutation of the edge elements: verdict %v, %v", w.Rank(), ok, err)
+				}
+				ok, err = check(w, func(seed uint64) CheckState {
+					return NewPermState("Poly", prodCfg, seed, [][]uint64{shardU64(edge, 3, w.Rank())}, shardU64(bad, 3, w.Rank()))
+				})
+				if err != nil || ok {
+					t.Errorf("rank %d: element %#x replaced by %#x: verdict %v, %v", w.Rank(), edge[i], to, ok, err)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
-		_, err := CheckPermutationPoly(w, PolyPermConfig{Iterations: 1}, xs, xs)
-		if err == nil {
-			t.Errorf("rank %d: expected universe violation error", w.Rank())
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
 // TestPolyCheckersOneAllReduction pins what one Lemma 5 check costs in
-// collective operations once the common seed is cached: a single
-// all-reduction, the universe flag riding along as an AND word.
+// collective operations once the common seed is cached: one resolve, a
+// reduction of its one word per iteration plus the flag word and the
+// verdict broadcast — what a hash sum costs.
 func TestPolyCheckersOneAllReduction(t *testing.T) {
 	input := workload.UniformU64s(400, 1e8, 8)
 	output := shuffled(input, 2)
@@ -305,21 +353,20 @@ func TestPolyCheckersOneAllReduction(t *testing.T) {
 			return err
 		}
 		in, out := shardU64(input, 3, w.Rank()), shardU64(output, 3, w.Rank())
-		// Every PE runs the checks in the same order: a slice, not a map.
-		for _, c := range []struct {
-			name string
-			run  func() (bool, error)
-		}{
-			{"Poly", func() (bool, error) { return CheckPermutationPoly(w, PolyPermConfig{Iterations: 2}, in, out) }},
-			{"GF", func() (bool, error) { return CheckPermutationGF(w, 2, in, out) }},
-		} {
+		for _, cfg := range []PermConfig{prodCfg, {Iterations: 2}, permCfg} {
 			before := w.Coll.OpsStarted()
-			ok, err := c.run()
+			ok, err := check(w, func(seed uint64) CheckState {
+				st := NewPermState("Poly", cfg, seed, [][]uint64{in}, out)
+				if len(st.Words()) != 1 && cfg.product() && cfg.Iterations == 1 {
+					t.Errorf("one product iteration seals %d words, want 1", len(st.Words()))
+				}
+				return st
+			})
 			if err != nil {
 				return err
 			}
 			if ops := w.Coll.OpsStarted() - before; ops != 2 || !ok {
-				t.Errorf("%s rank %d: verdict %v after %d collective ops, want true after 2", c.name, w.Rank(), ok, ops)
+				t.Errorf("%s ×%d rank %d: verdict %v after %d collective ops, want true after 2", cfg.Name(), cfg.Iterations, w.Rank(), ok, ops)
 			}
 		}
 		return nil
@@ -329,43 +376,46 @@ func TestPolyCheckersOneAllReduction(t *testing.T) {
 	}
 }
 
-func TestGFPermChecker(t *testing.T) {
-	// Full 64-bit universe is fine for the GF variant.
-	input := []uint64{^uint64(0), 0, 1 << 63, 12345, ^uint64(0) - 7}
-	output := shuffled(input, 3)
-	err := dist.RunConfig(dist.Config{}, 3, 1, func(w *dist.Worker) error {
-		ok, err := CheckPermutationGF(w, 2, shardU64(input, 3, w.Rank()), shardU64(output, 3, w.Rank()))
-		if err != nil {
-			return err
-		}
-		if !ok {
-			t.Error("GF checker rejected a permutation")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	detected := 0
-	for seed := uint64(0); seed < 40; seed++ {
-		bad := data.CloneU64s(input)
-		bad[int(seed)%len(bad)] ^= 2
-		err := dist.RunConfig(dist.Config{}, 2, seed, func(w *dist.Worker) error {
-			ok, err := CheckPermutationGF(w, 1, shardU64(input, 2, w.Rank()), shardU64(bad, 2, w.Rank()))
-			if err != nil {
-				return err
-			}
-			if w.Rank() == 0 && !ok {
-				detected++
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+// TestPolyProdMatchesSerial: the product kernel's slots — four lazy
+// lanes off the offsets — and the scalar AccumulateIntoScalar's equal
+// productOracle's canonical left fold bit for bit, over the whole range
+// of 64-bit elements, every tail length of the unroll, both sides and
+// two iterations, multiplied into slots that already hold a product.
+func TestPolyProdMatchesSerial(t *testing.T) {
+	xs := workload.UniformU64s(24576, 1e15, 17)
+	s := uint64(17)
+	for i := range xs {
+		if i%2 == 0 {
+			xs[i] = hashing.SplitMix64(&s) // the full 64 bits, q = 0..7
 		}
 	}
-	if detected != 40 {
-		t.Fatalf("GF checker detected %d of 40", detected)
+	cfg := PermConfig{Iterations: 2}
+	c := NewPermChecker(cfg, 0x5eed)
+	zs, ys := productPoints(cfg, 0x5eed)
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, len(xs)} {
+		for _, out := range []bool{false, true} {
+			want := newSums(cfg)
+			for it := range cfg.Iterations {
+				p, zeros := productOracle(zs[it], ys[it], xs[:7])
+				want[2*it] = mulSlot(want[2*it], p, zeros)
+				p, zeros = productOracle(zs[it], ys[it], xs[:n])
+				i := 2 * it
+				if out {
+					i++
+				}
+				want[i] = mulSlot(want[i], p, zeros)
+			}
+			got, scalar := newSums(cfg), newSums(cfg)
+			c.AccumulateInto(got, xs[:7], false)
+			c.AccumulateInto(got, xs[:n], out)
+			c.AccumulateIntoScalar(scalar, xs[:7], false)
+			c.AccumulateIntoScalar(scalar, xs[:n], out)
+			for i := range got {
+				if got[i] != want[i] || scalar[i] != want[i] {
+					t.Fatalf("n=%d out=%v: slot %d is %#x (scalar %#x), the oracle's %#x", n, out, i, got[i], scalar[i], want[i])
+				}
+			}
+		}
 	}
 }
 
@@ -417,8 +467,6 @@ func TestUnionChecker(t *testing.T) {
 // tables a consumed builder hands back: whatever function they held —
 // another seed's, another width's — the next checker built on them
 // fingerprints exactly like one whose tables nobody else ever touched.
-// Tab ×2 runs on a pair's tables, Tab ×3 on a pair's and a single
-// function's, and the oracle builds each iteration's function alone.
 func TestRecycledTablesNeverLeak(t *testing.T) {
 	xs := workload.UniformU64s(3000, 1e9, 11)
 	for _, cfg := range []PermConfig{
@@ -470,9 +518,7 @@ func TestRecycledTablesNeverLeak(t *testing.T) {
 // FuzzPermAccumulate: bytes → a checker (seed, 1–5 iterations, LogH
 // 1–32, a family), a sign and a sequence of 0–3 000 keys; the kernel's
 // sums must equal the per-iteration scalar oracle's in all 64 bits,
-// added into sums that already hold a value. Tab takes the paired path
-// (an odd count ends on a single function); the other families keep
-// one function per iteration.
+// added into sums that already hold a value.
 func FuzzPermAccumulate(f *testing.F) {
 	f.Add(uint64(1), uint16(2000), byte(1), byte(31), byte(0))
 	f.Add(uint64(0xdeadbeef), uint16(3000), byte(2), byte(3), byte(1))
@@ -558,6 +604,250 @@ func TestPermCheckerEscapeRateWithinDelta(t *testing.T) {
 			if pval := binomTailGE(ran, escapes, delta); pval < 0.001 {
 				t.Errorf("%s ×%d %s: %d of %d faults escaped (%.3f), not consistent with delta %.4f (p = %.2g)",
 					cfg.Name(), cfg.Iterations, m.Name, escapes, ran, float64(escapes)/float64(ran), delta, pval)
+			}
+		}
+	}
+
+	// The hash sum's documented limit: simple tabulation is
+	// 3-independent, so a Rectangle's four hash values XOR to zero under
+	// every table and only carries separate their sums. Tab64 at LogH 8
+	// lets it through far above delta (about 0.13 against 0.0039).
+	tab64 := PermConfig{Family: hashing.FamilyTab64, LogH: 8, Iterations: 1}
+	escapes, ran := 0, 0
+	for trial := 0; trial < trials; trial++ {
+		seed := hashing.Mix64(uint64(trial)*0x9e3779b97f4a7c15 ^ 0x7ec7a)
+		copy(bad, input)
+		if !manipulate.Rectangle.Apply(bad, hashing.NewMT19937_64(seed), universe) || !manipulate.ChangesMultiset(input, bad) {
+			continue
+		}
+		ran++
+		if accepts(tab64, seed, bad) {
+			escapes++
+		}
+	}
+	t.Logf("%s ×1 Rectangle: %d of %d escaped, delta %.4f", tab64.Name(), escapes, ran, tab64.Delta())
+	if pval := binomTailGE(ran, escapes, tab64.Delta()); ran < trials*9/10 || pval >= 0.001 {
+		t.Errorf("%s ×1 Rectangle: %d of %d faults escaped, consistent with delta %.4f (p = %.2g): the pinned limit of the hash sum moved",
+			tab64.Name(), escapes, ran, tab64.Delta(), pval)
+	}
+
+	// Lemma 5 at a weak field, through the test-only weakProduct: the
+	// construction with 13 in place of 61, so that escapes are seen. Its
+	// bound is 3n/r for every fault, the Rectangle among them.
+	weakIn := workload.UniformU64s(n, weakUniverse, 0xde17b)
+	weakClean := shuffled(weakIn, 0x5bff1f)
+	bound := 3 * float64(n) / weakR
+	for mi, m := range append(manipulate.SeqManipulators(), manipulate.Rectangle) {
+		escapes, ran := 0, 0
+		for trial := 0; ran < trials && trial < 20*trials; trial++ {
+			seed := hashing.Mix64(uint64(trial)*0x9e3779b97f4a7c15 ^ uint64(mi)<<32 ^ 0x3ea4)
+			copy(bad, weakIn)
+			if !m.Apply(bad, hashing.NewMT19937_64(seed), weakUniverse) {
+				continue
+			}
+			for i := range bad {
+				bad[i] %= weakUniverse // the weak encoding's universe
+			}
+			if !manipulate.ChangesMultiset(weakIn, bad) {
+				continue
+			}
+			ran++
+			rng := hashing.NewMT19937_64(seed ^ 0x9e37)
+			z, y := rng.Uint64n(weakR), rng.Uint64n(weakR)
+			if !weakProduct(z, y, weakIn, weakClean) {
+				t.Fatalf("weak product, %s seed %#x: clean permutation rejected", m.Name, seed)
+			}
+			if weakProduct(z, y, weakIn, bad) {
+				escapes++
+			}
+		}
+		if ran < trials {
+			t.Fatalf("weak product %s: only %d faults injected", m.Name, ran)
+		}
+		t.Logf("weak product %s: %d of %d escaped, 3n/r %.4f", m.Name, escapes, ran, bound)
+		if pval := binomTailGE(ran, escapes, bound); pval < 0.001 {
+			t.Errorf("weak product %s: %d of %d faults escaped (%.3f), not consistent with 3n/r = %.4f (p = %.2g)",
+				m.Name, escapes, ran, float64(escapes)/float64(ran), bound, pval)
+		}
+	}
+}
+
+// The weak field of the escape-rate gate: r = 2^13 - 1 and elements
+// below 2^16, so q = e >> 13 < 8 as q = e >> 61 is for 64-bit elements.
+const (
+	weakR        = 1<<13 - 1
+	weakUniverse = 1 << 16
+)
+
+// weakProduct reports whether Lemma 5's product at point (z, y) of
+// F_weakR accepts out as a permutation of in: the encoding of
+// PermChecker.init with 13 in place of 61 — a = e & r, q = e >> 13,
+// and a = r sent to (0, q+8) — and its accept test: equal products of
+// the nonzero factors, and zero-factor counts equal mod 8.
+func weakProduct(z, y uint64, in, out []uint64) bool {
+	side := func(xs []uint64) (p, zeros uint64) {
+		p = 1
+		for _, e := range xs {
+			a, q := e&weakR, e>>13
+			if a == weakR {
+				a, q = 0, q+8
+			}
+			f := (z + 2*weakR - a - y*q%weakR) % weakR
+			if f == 0 {
+				zeros++
+				continue
+			}
+			p = p * f % weakR
+		}
+		return p, zeros
+	}
+	pin, zin := side(in)
+	pout, zout := side(out)
+	return pin == pout && (zin-zout)%8 == 0
+}
+
+// productOracle is the scalar left fold the product kernel is held to,
+// written from the construction alone: point (z, y) of F_r, r = 2^61 -
+// 1, and element e's canonical factor z - a - y·q, a = e mod 2^61 and q
+// = e >> 61, or a = 0 and q + 8 for a = 2^61 - 1. It returns the
+// product of the nonzero factors and how many are zero.
+func productOracle(z, y uint64, xs []uint64) (p, zeros uint64) {
+	const r = hashing.Mersenne61
+	p = 1
+	for _, e := range xs {
+		a, q := e&r, e>>61
+		if a == r {
+			a, q = 0, q+8
+		}
+		f := hashing.SubMod61(hashing.SubMod61(z, a), hashing.MulMod61(y, q))
+		if f == 0 {
+			zeros++
+			continue
+		}
+		p = hashing.MulMod61(p, f)
+	}
+	return p, zeros
+}
+
+// productPoints returns the points (z, y) of cfg's iterations under
+// seed, drawn as the checker draws them.
+func productPoints(cfg PermConfig, seed uint64) (zs, ys []uint64) {
+	s := seed ^ permSeedDomain
+	for range cfg.Iterations {
+		zs = append(zs, drawField(&s))
+		ys = append(ys, drawField(&s))
+	}
+	return zs, ys
+}
+
+// zeroFactorElem returns an element whose factor is zero at (z, y):
+// a = z - 3y, q = 3.
+func zeroFactorElem(z, y uint64) uint64 {
+	return 3<<61 | hashing.SubMod61(z, hashing.MulMod61(y, 3))
+}
+
+// FuzzPermProductChunks: bytes → a product checker (seed, 1–3
+// iterations), a sequence of 64-bit elements with optionally the
+// element whose factor is zero at the seed's first point, a split
+// into input and output and a chunk size. The builder's sealed words,
+// fed the input and the output in chunks, must equal word for word the
+// scalar left fold of productOracle over each side whole: w·P_out =
+// P_in in the low 61 bits, the zero counts' difference mod 8 in the top
+// 3 — checked by multiplying, with no inverse. Input equal to output
+// must seal to productSlot.
+func FuzzPermProductChunks(f *testing.F) {
+	const r = hashing.Mersenne61
+	edges := []uint64{0, r - 1, r, r + 1, ^uint64(0)}
+	for q := uint64(0); q < 8; q++ {
+		edges = append(edges, q<<61, (q+1)<<61-1)
+	}
+	raw := make([]byte, 8*len(edges))
+	for i, e := range edges {
+		binary.LittleEndian.PutUint64(raw[8*i:], e)
+	}
+	f.Add(uint64(0x5eed), raw, uint16(7), byte(2), byte(0), true)
+	f.Add(uint64(1), raw, uint16(0), byte(0), byte(1), true)
+	f.Add(uint64(42), raw, uint16(len(edges)), byte(255), byte(2), false)
+	f.Add(uint64(7), []byte{}, uint16(0), byte(3), byte(0), true)
+	f.Add(uint64(9), []byte("eight by"), uint16(1), byte(0), byte(0), false)
+	f.Fuzz(func(t *testing.T, seed uint64, raw []byte, cut uint16, chunk, its byte, zero bool) {
+		cfg := PermConfig{Iterations: 1 + int(its)%3}
+		zs, ys := productPoints(cfg, seed)
+		xs := make([]uint64, 0, len(raw)/8+2)
+		for ; len(raw) >= 8; raw = raw[8:] {
+			xs = append(xs, binary.LittleEndian.Uint64(raw))
+		}
+		if zero {
+			// Twice, so that both sides can hold one.
+			xs = append(xs, zeroFactorElem(zs[0], ys[0]))
+			xs = append([]uint64{zeroFactorElem(zs[0], ys[0])}, xs...)
+		}
+		k := int(cut) % (len(xs) + 1)
+		in, out := xs[:k], xs[k:]
+		step := 1 + int(chunk)%9
+		feed := func(add func([]uint64), xs []uint64) {
+			for lo := 0; lo < len(xs); lo += step {
+				add(xs[lo:min(lo+step, len(xs))])
+			}
+		}
+		b := NewPermBuilder("fuzz", cfg, seed, Serial)
+		feed(b.AddInput, in)
+		feed(b.AddOutput, out)
+		words := b.Seal().Words()
+		if len(words) != cfg.Iterations {
+			t.Fatalf("×%d sealed %d words", cfg.Iterations, len(words))
+		}
+		for it, w := range words {
+			pin, zin := productOracle(zs[it], ys[it], in)
+			pout, zout := productOracle(zs[it], ys[it], out)
+			if hashing.MulMod61(w&r, pout) != pin || w>>61 != (zin-zout)&7 {
+				t.Fatalf("×%d iteration %d, %d in / %d out, chunk %d: word %#x, oracle P_in %#x P_out %#x zeros %d/%d",
+					cfg.Iterations, it, len(in), len(out), step, w, pin, pout, zin, zout)
+			}
+		}
+		same := NewPermBuilder("fuzz", cfg, seed, Serial)
+		feed(same.AddInput, xs)
+		same.AddOutput(xs)
+		for it, w := range same.Seal().Words() {
+			if w != productSlot {
+				t.Fatalf("iteration %d: a sequence against itself sealed to %#x", it, w)
+			}
+		}
+	})
+}
+
+// TestProductZeroFactorCounted: an element whose factor is zero at the
+// seed's point is left out of the product but not out of the verdict.
+// An output with one extra such element is rejected, and one that
+// holds it on another rank than the input does is accepted: the
+// counts in the words' top bits cancel across ranks in Combine.
+func TestProductZeroFactorCounted(t *testing.T) {
+	xs := workload.UniformU64s(300, 1e8, 23)
+	for _, p := range []int{1, 2, 3} {
+		for _, extra := range []bool{true, false} {
+			err := dist.RunConfig(dist.Config{}, p, 5, func(w *dist.Worker) error {
+				ok, err := check(w, func(seed uint64) CheckState {
+					zs, ys := productPoints(prodCfg, seed)
+					zero := zeroFactorElem(zs[0], ys[0])
+					in, out := shardU64(xs, p, w.Rank()), data.CloneU64s(shardU64(xs, p, w.Rank()))
+					if !extra && w.Rank() == 0 {
+						in = append(data.CloneU64s(in), zero)
+					}
+					if w.Rank() == p-1 {
+						out = append(out, zero)
+					}
+					return NewPermState("zero", prodCfg, seed, [][]uint64{in}, out)
+				})
+				if err != nil {
+					return err
+				}
+				if ok == extra {
+					t.Errorf("p=%d extra zero-factor element=%v: rank %d verdict %v", p, extra, w.Rank(), ok)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 		}
 	}

@@ -30,7 +30,7 @@ import (
 //     PE must pass (it rides along as an AND-reduced flag word).
 //
 // Every checker's state is one implementation: its words are a run of
-// segments, each one of the five sketches the package documentation
+// segments, each one of the six sketches the package documentation
 // lists, and Combine and Verdict walk the segments. States are
 // single-use and not safe for concurrent use.
 type CheckState interface {
@@ -177,7 +177,7 @@ func ResolveOn(c *collective.Comm, states ...CheckState) ([]bool, error) {
 	return verdicts, nil
 }
 
-// segKind names one of the five sketches the checkers are built from.
+// segKind names one of the six sketches the checkers are built from.
 // Each fixes how two PEs' words combine and what the combined words of
 // a correct result satisfy.
 type segKind uint8
@@ -202,6 +202,10 @@ const (
 	// integrity), combined by min on one word and max on the other: all
 	// replicas agree iff the two are equal.
 	segReplica
+	// segProduct is the permutation checker's product (Lemma 5), a word
+	// an iteration laid out as productSlot. Words combine by multiplying
+	// ratios and adding counts; a correct result leaves every word 1.
+	segProduct
 )
 
 // segment is one sketch in a state's words: its kind and its lanes,
@@ -330,6 +334,10 @@ func (s *state) Combine(dst, src []uint64) {
 		case segReplica:
 			d[replMin] = min(d[replMin], r[replMin])
 			d[replMax] = max(d[replMax], r[replMax])
+		case segProduct:
+			for i := range d {
+				d[i] = mulSlot(d[i], r[i]&hashing.Mersenne61, r[i]>>61)
+			}
 		}
 	}
 }
@@ -355,6 +363,13 @@ func (sg segment) accepts(w []uint64) bool {
 		return w[sortOK] == 1
 	case segReplica:
 		return w[replMin] == w[replMax]
+	case segProduct:
+		for _, v := range w {
+			if v != productSlot {
+				return false
+			}
+		}
+		return true
 	default: // segTable, segHashSum, segField
 		return allZero(w)
 	}

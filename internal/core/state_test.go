@@ -142,17 +142,20 @@ func pinCases() []pinCase {
 			}
 			return NewPermState("Perm", permCfg, seed, [][]uint64{shardU64(xs, p, rank)}, shardU64(out, p, rank))
 		}},
-		// The default Tab64 64 ×1 — one 64-bit function — 2×Tab 32, one
-		// paired table and the default before it, and 3×Tab 20, a pair
-		// and a single function: 64, 64 and 60 bits, one word each.
+		// Tab64 64 ×1, 2×Tab 32 and 3×Tab 20: 64, 64 and 60 bits, one
+		// word each.
 		{"PermTab64", [2]string{"words=1 ok=true fnv=a8c7f832281a39c5", "words=1 ok=true fnv=204c0cfd15daec3b"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
-			return pairedPermState(PermConfig{Family: hashing.FamilyTab64, LogH: 64, Iterations: 1}, seed, xs, ys, p, rank, corrupt)
+			return permCaseState(PermConfig{Family: hashing.FamilyTab64, LogH: 64, Iterations: 1}, seed, xs, ys, p, rank, corrupt)
 		}},
 		{"Perm2Tab", [2]string{"words=1 ok=true fnv=a8c7f832281a39c5", "words=1 ok=true fnv=8a70e8df9738cc8d"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
-			return pairedPermState(PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}, seed, xs, ys, p, rank, corrupt)
+			return permCaseState(PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}, seed, xs, ys, p, rank, corrupt)
 		}},
 		{"Perm3Tab", [2]string{"words=1 ok=true fnv=a8c7f832281a39c5", "words=1 ok=true fnv=d1a505a78600bb46"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
-			return pairedPermState(PermConfig{Family: hashing.FamilyTab, LogH: 20, Iterations: 3}, seed, xs, ys, p, rank, corrupt)
+			return permCaseState(PermConfig{Family: hashing.FamilyTab, LogH: 20, Iterations: 3}, seed, xs, ys, p, rank, corrupt)
+		}},
+		// The default, one product iteration: one word, 1 when clean.
+		{"PermProduct", [2]string{"words=1 ok=true fnv=89cd31291d2aefa4", "words=1 ok=true fnv=a61db754c5e38ed3"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
+			return permCaseState(PermConfig{Iterations: 1}, seed, xs, ys, p, rank, corrupt)
 		}},
 		{"Redist", [2]string{"words=1 ok=true fnv=a8c7f832281a39c5", "words=1 ok=true fnv=b0d2d53cb852bfae"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
 			loc := fixedLocator{p: p}
@@ -182,8 +185,8 @@ func pinCases() []pinCase {
 	}
 }
 
-// pairedPermState is the Perm pin case's state under cfg.
-func pairedPermState(cfg PermConfig, seed uint64, xs, ys []uint64, p, rank int, corrupt bool) CheckState {
+// permCaseState is the Perm pin case's state under cfg.
+func permCaseState(cfg PermConfig, seed uint64, xs, ys []uint64, p, rank int, corrupt bool) CheckState {
 	out := ys
 	if corrupt {
 		out = data.CloneU64s(ys)

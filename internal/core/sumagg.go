@@ -65,10 +65,8 @@ type SumChecker struct {
 // inlineHashers is how many hash functions a checker holds without an
 // allocation of their own (SumChecker.hs, PermChecker.hs): one CRC hash
 // value feeds all fifteen iterations of the default 15×4 sum checker,
-// the default permutation checker has one Tab64 function, and a
-// permutation checker of Tab iterations one paired table per two. A
-// larger array would cost every builder more bytes than the allocation
-// it saves.
+// and the default permutation checker has none. A larger array would
+// cost every builder more bytes than the allocation it saves.
 const inlineHashers = 2
 
 // NewSumChecker derives a checker instance from cfg and a shared seed.

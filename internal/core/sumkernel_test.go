@@ -774,8 +774,22 @@ func TestAccumulateBatchMatchesScalar(t *testing.T) {
 // localSums returns the per-iteration sums of truncated hash values of
 // xs.
 func localSums(c *PermChecker, xs []uint64) []uint64 {
-	sums := make([]uint64, c.cfg.Iterations)
+	sums := newSums(c.cfg)
 	c.AccumulateInto(sums, xs, false)
+	return sums
+}
+
+// newSums returns the empty fingerprint slots of cfg for
+// AccumulateInto: one zero sum per hash-sum iteration, or two product
+// slots per product iteration.
+func newSums(cfg PermConfig) []uint64 {
+	if !cfg.product() {
+		return make([]uint64, cfg.Iterations)
+	}
+	sums := make([]uint64, 2*cfg.Iterations)
+	for i := range sums {
+		sums[i] = productSlot
+	}
 	return sums
 }
 

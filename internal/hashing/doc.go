@@ -2,10 +2,9 @@
 // checkers: CRC-32C, tabulation hashing (32- and 64-bit output), a keyed
 // strong mixer standing in for the paper's "random hash function" model,
 // the MT19937-64 Mersenne Twister the paper draws pseudo-random numbers
-// from, the SplitMix64 stream that expands seeds, carry-less GF(2^64)
-// multiplication, modular arithmetic over the Mersenne prime 2^61-1 for
-// the polynomial permutation checker (Lemma 5), and a deterministic
-// primality test.
+// from, the SplitMix64 stream that expands seeds, and modular
+// arithmetic over the Mersenne prime 2^61-1 for the permutation
+// checker's product (Lemma 5) and the zip fingerprints.
 //
 // Which generator feeds what: inputs, manipulators and every PE's
 // private Rng draw from MT19937-64, as in the paper. What a checker
@@ -20,9 +19,7 @@
 //
 // All hash functions are keyed: a Family produces independent Hasher
 // instances from seeds, so each checker iteration can draw a fresh
-// function from the family. Tab can also build two members in one
-// table (Family.Pair), so a checker's two iterations share each key's
-// lookups. Families are registered by the names used in
+// function from the family. Families are registered by the names used in
 // the paper's plots: "CRC", "Tab", "Tab64", and "Mix" (the ideal model).
 //
 // Every Hasher also provides Hash64Batch, a block form of Hash64 with a

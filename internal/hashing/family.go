@@ -27,13 +27,6 @@ type Family struct {
 	New func(seed uint64) Hasher
 	// Bits is the output width of members of this family.
 	Bits int
-	// Pair, when set, returns one hasher that evaluates two members at
-	// once: the low 32 bits of its 64-bit output are New(seed0)'s value
-	// and the high 32 bits New(seed1)'s. Only a 32-bit family whose two
-	// members share one lookup sets it (Tab: tabPair); a checker with
-	// several iterations then reads each key's table entries once for
-	// two of them. A copy of a family given another New must clear it.
-	Pair func(seed0, seed1 uint64) Hasher
 }
 
 // mixHasher is the ideal "random hash function" model of Section 2:
@@ -78,7 +71,6 @@ var (
 		Name: "Tab",
 		New:  func(seed uint64) Hasher { return NewTabulation32(seed) },
 		Bits: 32,
-		Pair: func(seed0, seed1 uint64) Hasher { return newTabPair(seed0, seed1) },
 	}
 	FamilyTab64 = Family{
 		Name: "Tab64",

@@ -1,0 +1,56 @@
+package hashing
+
+import "math/bits"
+
+// Mersenne61 is the prime 2^61 - 1 of the permutation checker's
+// product (Lemma 5) and the zip checker's fingerprints: reducing modulo
+// it is a shift and an add.
+const Mersenne61 uint64 = (1 << 61) - 1
+
+// Mod61 reduces x modulo 2^61-1. x may be any uint64.
+func Mod61(x uint64) uint64 {
+	x = (x & Mersenne61) + (x >> 61)
+	if x >= Mersenne61 {
+		x -= Mersenne61
+	}
+	return x
+}
+
+// MulMod61 returns a*b mod 2^61-1 for a, b < 2^61 using a 128-bit
+// intermediate product and Mersenne folding.
+func MulMod61(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	// a*b = hi*2^64 + lo = hi*8*2^61 + lo; fold 2^61 == 1 (mod p).
+	folded := (lo & Mersenne61) + (lo>>61 | hi<<3)
+	return Mod61(folded)
+}
+
+// AddMod61 returns a+b mod 2^61-1 for a, b < 2^61-1.
+func AddMod61(a, b uint64) uint64 {
+	s := a + b
+	if s >= Mersenne61 {
+		s -= Mersenne61
+	}
+	return s
+}
+
+// SubMod61 returns a-b mod 2^61-1 for a, b < 2^61-1.
+func SubMod61(a, b uint64) uint64 {
+	if a >= b {
+		return a - b
+	}
+	return a + Mersenne61 - b
+}
+
+// InvMod61 returns a^-1 mod 2^61-1 for 0 < a < 2^61-1: a^(r-2) by
+// Fermat's little theorem, one square-and-multiply pass over r-2.
+func InvMod61(a uint64) uint64 {
+	inv := uint64(1)
+	for e := Mersenne61 - 2; e != 0; e >>= 1 {
+		if e&1 != 0 {
+			inv = MulMod61(inv, a)
+		}
+		a = MulMod61(a, a)
+	}
+	return inv
+}

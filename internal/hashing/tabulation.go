@@ -26,9 +26,8 @@ type Tabulation32 struct {
 // The tables of recycled hashers, see Recycle. A fill overwrites every
 // entry, so a pooled table needs no clearing.
 var (
-	tab32Pool   = sync.Pool{New: func() any { return new(Tabulation32) }}
-	tab64Pool   = sync.Pool{New: func() any { return new(Tabulation64) }}
-	tabPairPool = sync.Pool{New: func() any { return new(tabPair) }}
+	tab32Pool = sync.Pool{New: func() any { return new(Tabulation32) }}
+	tab64Pool = sync.Pool{New: func() any { return new(Tabulation64) }}
 )
 
 // NewTabulation32 returns the tabulation hasher keyed by seed: one block
@@ -60,8 +59,6 @@ func Recycle(h Hasher) {
 		tab32Pool.Put(t)
 	case *Tabulation64:
 		tab64Pool.Put(t)
-	case *tabPair:
-		tabPairPool.Put(t)
 	}
 }
 
@@ -98,77 +95,6 @@ func (t *Tabulation32) Hash64Batch(dst, keys []uint64) {
 
 // Bits reports the number of significant output bits.
 func (t *Tabulation32) Bits() int { return 32 }
-
-// tabPair is two Tabulation32 functions in one set of tables, the
-// family's Pair: entry j of row i holds the first function's entry in
-// its low 32 bits and the second's in its high 32 bits, so one set of
-// eight lookups and XORs yields both hash values side by side. A
-// permutation checker's two Tab iterations cost one table walk instead
-// of two — the Section 7.1 idea of one wide hash value feeding several
-// iterations, carried to tabulation.
-//
-// Nothing about the functions changes. Each half is filled from its own
-// seed's SplitMix64 stream exactly as NewTabulation32 fills its tables,
-// and XOR never carries across bit 32, so the low half of Hash64 is
-// what NewTabulation32(seed0) hashes to and the high half what
-// NewTabulation32(seed1) hashes to, bit for bit. The two halves remain
-// two independent simple tabulation functions — independent seeds,
-// independent table words, merely stored interleaved — so a checker's
-// delta, which multiplies the per-iteration bound over independent
-// iterations (Lemma 4), and its fingerprints are those of two separate
-// tables.
-type tabPair struct {
-	tables [8][256]uint64
-}
-
-// newTabPair returns the pair keyed by seed0 (low half) and seed1
-// (high half), on recycled tables when there are any.
-func newTabPair(seed0, seed1 uint64) *tabPair {
-	t := tabPairPool.Get().(*tabPair)
-	s0, s1 := Mix64(seed0), Mix64(seed1)
-	const lo = 1<<32 - 1
-	for i := range t.tables {
-		row := &t.tables[i]
-		for j := 0; j < len(row); j += 2 {
-			z0, z1 := SplitMix64(&s0), SplitMix64(&s1)
-			row[j], row[j+1] = z0&lo|z1<<32, z0>>32|z1&^lo
-		}
-	}
-	return t
-}
-
-// Hash64 returns both functions' values of x: the first in the low 32
-// bits, the second in the high 32 bits.
-func (t *tabPair) Hash64(x uint64) uint64 {
-	return t.tables[0][byte(x)] ^
-		t.tables[1][byte(x>>8)] ^
-		t.tables[2][byte(x>>16)] ^
-		t.tables[3][byte(x>>24)] ^
-		t.tables[4][byte(x>>32)] ^
-		t.tables[5][byte(x>>40)] ^
-		t.tables[6][byte(x>>48)] ^
-		t.tables[7][byte(x>>56)]
-}
-
-// Hash64Batch hashes a block of keys through the tables; see
-// Tabulation32.Hash64Batch.
-func (t *tabPair) Hash64Batch(dst, keys []uint64) {
-	tb := &t.tables
-	dst = dst[:len(keys)]
-	for i, x := range keys {
-		dst[i] = tb[0][byte(x)] ^
-			tb[1][byte(x>>8)] ^
-			tb[2][byte(x>>16)] ^
-			tb[3][byte(x>>24)] ^
-			tb[4][byte(x>>32)] ^
-			tb[5][byte(x>>40)] ^
-			tb[6][byte(x>>48)] ^
-			tb[7][byte(x>>56)]
-	}
-}
-
-// Bits reports the number of significant output bits: both halves.
-func (t *tabPair) Bits() int { return 64 }
 
 // Tabulation64 is simple tabulation hashing with 64-bit output (the
 // paper's "Tab64": eight 256-entry tables of 64-bit words).

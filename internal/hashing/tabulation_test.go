@@ -73,38 +73,3 @@ func TestTabulationRecycledTablesRefilled(t *testing.T) {
 		}
 	}
 }
-
-// TestTabPairHalvesAreTab32: the Tab family's pair is two Tab members
-// side by side — its low half is New(seed0)'s value and its high half
-// New(seed1)'s, bit for bit, by Hash64 and Hash64Batch, on fresh and on
-// recycled tables. The families that cannot pair leave Pair nil.
-func TestTabPairHalvesAreTab32(t *testing.T) {
-	for _, fam := range []Family{FamilyCRC, FamilyTab64, FamilyMix} {
-		if fam.Pair != nil {
-			t.Errorf("%s: has a pair constructor; only Tab's members share a lookup", fam.Name)
-		}
-	}
-	keys := batchKeys(1021, 5)
-	dst := make([]uint64, len(keys))
-	for round := 0; round < 3; round++ {
-		for _, seeds := range [][2]uint64{{1, 2}, {2, 1}, {0xdeadbeef, 0xdeadbeef}} {
-			p := FamilyTab.Pair(seeds[0], seeds[1])
-			lo, hi := FamilyTab.New(seeds[0]), FamilyTab.New(seeds[1])
-			if p.Bits() != 64 {
-				t.Fatalf("pair Bits() = %d, want 64", p.Bits())
-			}
-			p.Hash64Batch(dst, keys)
-			for i, k := range keys {
-				want := lo.Hash64(k) | hi.Hash64(k)<<32
-				if got := p.Hash64(k); got != want || dst[i] != want {
-					t.Fatalf("round %d seeds %#x/%#x key %#x: pair gives %#x (batch %#x), the two functions %#x",
-						round, seeds[0], seeds[1], k, got, dst[i], want)
-				}
-			}
-			// Back to the pools dirty: the next round's tables are these.
-			Recycle(p)
-			Recycle(lo)
-			Recycle(hi)
-		}
-	}
-}

@@ -61,6 +61,13 @@ func SeqManipulators() []SeqManipulator {
 	}
 }
 
+// Rectangle, a structured fault outside Table 6, swaps one byte
+// position between two elements: {a1b1, a2b2} becomes {a1b2, a2b1}, as
+// in a radix sort that takes one element's digit from another. Simple
+// tabulation hashes the four values to an XOR of zero under every
+// table, so a hash sum lets it through far above its delta.
+var Rectangle = SeqManipulator{"Rectangle", "swaps one byte position between two elements", seqRectangle}
+
 // pairBitflip flips a random bit of a random element. A flipped key bit
 // moves a value between keys; a flipped value bit changes a sum — both
 // change the aggregation provided the element's value is nonzero (for
@@ -249,6 +256,25 @@ func seqSetEqual(xs []uint64, rng *hashing.MT19937_64, _ uint64) bool {
 			continue
 		}
 		xs[i] = xs[j]
+		return true
+	}
+	return false
+}
+
+// seqRectangle swaps a random byte position between two elements that
+// differ in it and elsewhere: otherwise the multiset would not change.
+func seqRectangle(xs []uint64, rng *hashing.MT19937_64, _ uint64) bool {
+	if len(xs) < 2 {
+		return false
+	}
+	for attempt := 0; attempt < maxAttempts; attempt++ {
+		i := int(rng.Uint64n(uint64(len(xs))))
+		j := int(rng.Uint64n(uint64(len(xs))))
+		byteMask := uint64(0xff) << (8 * rng.Uint64n(8))
+		if d := xs[i] ^ xs[j]; d&byteMask == 0 || d&^byteMask == 0 {
+			continue
+		}
+		xs[i], xs[j] = xs[i]&^byteMask|xs[j]&byteMask, xs[j]&^byteMask|xs[i]&byteMask
 		return true
 	}
 	return false

@@ -181,3 +181,49 @@ func TestChangeDetectors(t *testing.T) {
 		t.Error("multiset change not flagged")
 	}
 }
+
+// TestRectangleSwapsOneBytePosition: Rectangle changes the multiset
+// through exactly two elements, and the pair it writes is the pair it
+// read with one byte position exchanged — the four values XOR to zero.
+func TestRectangleSwapsOneBytePosition(t *testing.T) {
+	base := workload.UniformU64s(2000, 1e8, 2)
+	rng := hashing.NewMT19937_64(21)
+	for trial := 0; trial < 200; trial++ {
+		xs := data.CloneU64s(base)
+		if !Rectangle.Apply(xs, rng, 1e8) {
+			t.Fatalf("trial %d: manipulator reported failure", trial)
+		}
+		if !ChangesMultiset(base, xs) {
+			t.Fatalf("trial %d: multiset unchanged", trial)
+		}
+		var changed []int
+		for i := range xs {
+			if xs[i] != base[i] {
+				changed = append(changed, i)
+			}
+		}
+		if len(changed) != 2 {
+			t.Fatalf("trial %d: %d elements changed, want 2", trial, len(changed))
+		}
+		i, j := changed[0], changed[1]
+		if base[i]^base[j]^xs[i]^xs[j] != 0 {
+			t.Fatalf("trial %d: %#x, %#x became %#x, %#x: not a rectangle", trial, base[i], base[j], xs[i], xs[j])
+		}
+		if moved := base[i] ^ xs[i]; !oneByte(moved) {
+			t.Fatalf("trial %d: %#x -> %#x moves bits %#x, not one byte position", trial, base[i], xs[i], moved)
+		}
+	}
+	if Rectangle.Apply([]uint64{1}, rng, 2) || Rectangle.Apply([]uint64{7, 7}, rng, 8) {
+		t.Error("Rectangle reported a fault it cannot inject")
+	}
+}
+
+// oneByte reports whether x is nonzero only within one aligned byte.
+func oneByte(x uint64) bool {
+	for k := 0; k < 64; k += 8 {
+		if x&^(0xff<<k) == 0 {
+			return x != 0
+		}
+	}
+	return false
+}

@@ -162,17 +162,18 @@ type Options struct {
 // in 11 words on the wire). The bound is Lemma 2's, which takes the
 // hash family to be random: CRC-32C is affine, so whether two keys that
 // differ by a fixed bit pattern share a bucket does not depend on the
-// seed. The permutation checker's one 64-bit tabulation fingerprint
-// (Tab64 64 ×1) achieves 2^-64 ≈ 5.4e-20 (PermConfig.Delta), as two
-// paired 32-bit Tab functions do in the same 64 wire bits, at one sum
-// per element instead of two; the zip checker's two iterations over
+// seed. The permutation checker is one iteration of Lemma 5's product
+// in F_(2^61-1), which needs no hash function: it achieves 3n/r <
+// 3.5e-10 for n <= 2^28 elements (PermConfig.Delta) for every wrong
+// output, structured or not, in one 64-bit word, at one multiply per
+// element and no table to fill. The zip checker's two iterations over
 // F_(2^61-1) achieve about 2^-122.
 // TestDefaultOptionsAchieveDocumentedDelta holds the defaults to this
 // figure.
 func DefaultOptions() Options {
 	return Options{
 		Sum:  defaultSum,
-		Perm: core.PermConfig{Family: hashing.FamilyTab64, LogH: 64, Iterations: 1},
+		Perm: core.PermConfig{Iterations: 1},
 		Zip:  core.ZipConfig{Iterations: 2},
 	}
 }

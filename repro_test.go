@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/hashing"
+	"repro/internal/manipulate"
 	"repro/internal/workload"
 )
 
@@ -244,6 +245,34 @@ func checkAgainst(w *Worker, input, output []Pair) error {
 // figure was 1.4e-9 while the default was the literal 6×32 CRC m9
 // (1.34e-9); whoever changes a default, or the figure, changes both
 // here.
+// TestDefaultPermRejectsRectangle: the default permutation checker
+// rejects a Rectangle — one byte position swapped between two elements,
+// which a 3-independent hash sum lets through far above its delta — on
+// every seed, at p in {1, 2, 3, 5}, streamed in chunks. Lemma 5's bound
+// holds for every wrong output fixed before the seed is drawn.
+func TestDefaultPermRejectsRectangle(t *testing.T) {
+	const universe = 1 << 40
+	global := workload.UniformU64s(3000, universe, 21)
+	for _, p := range []int{1, 2, 3, 5} {
+		for seed := uint64(0); seed < 20; seed++ {
+			bad := data.CloneU64s(global)
+			if !manipulate.Rectangle.Apply(bad, hashing.NewMT19937_64(seed^0x7ec7), universe) || !manipulate.ChangesMultiset(global, bad) {
+				t.Fatalf("seed %d: no Rectangle injected", seed)
+			}
+			err := Run(p, seed, func(w *Worker) error {
+				ctx, err := NewContext(w, DefaultOptions())
+				if err != nil {
+					return err
+				}
+				return ctx.StreamSeq(SliceSeq(shardU(global, p, w.Rank()), 256)).AssertPermutation(SliceSeq(shardU(bad, p, w.Rank()), 256))
+			})
+			if !errors.Is(err, ErrCheckFailed) {
+				t.Fatalf("p=%d seed %d: Rectangle not rejected: %v", p, seed, err)
+			}
+		}
+	}
+}
+
 func TestDefaultOptionsAchieveDocumentedDelta(t *testing.T) {
 	const documented = 1e-9
 	want, err := core.ChooseSum(documented, hashing.FamilyCRC)
@@ -259,6 +288,14 @@ func TestDefaultOptionsAchieveDocumentedDelta(t *testing.T) {
 	}
 	if got := opts.Perm.Delta(); got > documented {
 		t.Errorf("Perm %s achieves delta %.3g, documented as at most %.3g", opts.Perm.Name(), got, documented)
+	}
+	// The permutation default is one iteration of Lemma 5's product,
+	// documented at 3n/r < 3.5e-10 for n <= 2^28 elements.
+	if opts.Perm.Family.New != nil || opts.Perm.LogH != 0 || opts.Perm.Iterations != 1 {
+		t.Errorf("DefaultOptions().Perm is %s ×%d, documented as one product iteration", opts.Perm.Name(), opts.Perm.Iterations)
+	}
+	if got, want := opts.Perm.Delta(), 3*float64(1<<28)/float64(hashing.Mersenne61); got != want || got >= 3.5e-10 {
+		t.Errorf("Perm %s achieves delta %.3g, documented as 3n/r = %.3g < 3.5e-10 at n = 2^28", opts.Perm.Name(), got, want)
 	}
 	// One zip iteration errs with probability at most 1/H over the field
 	// F_H, H = 2^61-1 (ZipConfig, Theorem 11).
