@@ -93,7 +93,8 @@ func BenchmarkTable5SumCheckerLocal(b *testing.B) {
 // element-major scalar reference (the seed implementation), the
 // per-call accumulate kernel, and SumAggBuilder. All variants compute identical residues;
 // only wall time differs. The uniform rows have values below 2^62, so
-// their blocks take the kernel's 128-bit cells. The zipf-125k rows are
+// their blocks are wide: each value goes in as two 32-bit halves, one
+// lane pass each. The zipf-125k rows are
 // the benchmark of record's reduce_zipf share (125k pairs, Zipf keys
 // over 1e6, values below 2^30): heavy keys hit one cell over and over,
 // which the uniform rows cannot show. The 2k rows are 2 000 of the

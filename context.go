@@ -610,9 +610,9 @@ func (c *Context) sameContext(other *Context) error {
 // and satisfy x⊕y ≠ x for y ≠ 0 — SumFn and XorFn qualify.
 //
 // The checker verifies sums over the integers, not mod 2^64 — literally
-// so: it adds the input's values into exact 128-bit cells and reduces
-// them mod r only afterwards, and does the same with the asserted
-// output. SumFn wraps. A correct SumFn reduce in which some key's true
+// so: it adds the input's values exactly into int64 cells (a value of
+// 2^40 or more as two 32-bit halves), reduces them mod r only
+// afterwards, and does the same with the asserted output. SumFn wraps. A correct SumFn reduce in which some key's true
 // sum reaches 2^64 therefore reports a value 2^64 (or a multiple) short
 // of what the checker summed, and the stage is rejected like any other
 // wrong sum. Keep per-key sums below 2^64 for a checked SumFn reduce;

@@ -141,10 +141,10 @@ func BenchmarkAblationPermVariants(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p0, p1, p2, p3 := uint64(1), uint64(1), uint64(1), uint64(1)
 			for x := xs; len(x) >= 4; x = x[4:] {
-				p0 = mulLazy(p0, f(x[0]))
-				p1 = mulLazy(p1, f(x[1]))
-				p2 = mulLazy(p2, f(x[2]))
-				p3 = mulLazy(p3, f(x[3]))
+				p0 = hashing.MulLazy61(p0, f(x[0]))
+				p1 = hashing.MulLazy61(p1, f(x[1]))
+				p2 = hashing.MulLazy61(p2, f(x[2]))
+				p3 = hashing.MulLazy61(p3, f(x[3]))
 			}
 			sinkBench = p0 ^ p1 ^ p2 ^ p3
 		}

@@ -136,7 +136,9 @@
 // and sums it in four lanes.
 //
 // The sum checker's part of the engine is one kernel (SumChecker.addCells)
-// built on exact cells and grouped tables. A cell is a signed int64,
+// built on exact cells and grouped tables; every sum-family table —
+// sum, count, average and both median lanes — is filled through it. A
+// cell is a signed int64,
 // updated by one add: no modulus in the loop at all. An input element
 // adds its value and an output element subtracts it, so a builder
 // keeps one set of cells for both sides, and the cells of a correct
@@ -158,16 +160,20 @@
 // pass per group. That is the one family of lane kernels, on int64
 // cells.
 //
-// An int64 cell is exact because of two bounds. A block goes into the
-// int64 cells only if every value in it, as the run reads it, is below
-// 2^40 (count mode reads every value as 1); the gather that copies the
-// block's keys for the hash also writes the values, signed, for the
-// lane kernels and ORs them, so the test costs no pass of its own. And a run folds its int64 cells before they have taken
-// 2^23 elements (foldTerms), so a cell, or any sum of a group's cells,
-// stays below 2^23 · 2^40 = 2^63 in magnitude. A block with a wider
-// value goes into a second, 128-bit cell array (lo + hi·2^64, an add
-// and an add-with-carry, one pass per group), which a scratch grows
-// only when such a block appears. Both arrays fold into the same
+// A cell is exact because of two bounds. Every term a cell takes is
+// below 2^40 in magnitude: a block adds its values only if every value
+// in it, as the run reads it, is below 2^40 (count mode reads every
+// value as 1), and a block with a wider value is split into its 32-bit
+// halves, both below 2^32. The same lane passes add the low halves
+// into the cells and the high halves into a second int64 array of the
+// same plan, which a scratch grows only when such a block appears; the
+// fold scales each of its marginals by 2^32 mod r, one division a
+// nonzero marginal. The gather that copies a block's keys for the hash
+// also writes the values, signed, for the lane kernels and ORs them, so
+// the test costs no pass of its own. And a run folds its cells before
+// they have taken 2^23 elements (foldTerms), wide blocks included, so a
+// cell, or any sum of a group's cells, stays below 2^23 · 2^40 = 2^63
+// in magnitude in either array. Both arrays fold into the same
 // counters: the checker is linear.
 //
 // A fold reads the cells the way the lanes fill them. A group of one
@@ -189,7 +195,10 @@
 // widens its groups, for the default and 6×32 once, into the bulk
 // plan. Accumulate and AccumulateCount, the form for a caller with no
 // builder (the average checker, the benchmarks), plan on the call's
-// length and fold when the call ends.
+// length and fold when the call ends; the median checker runs the same
+// per-call form over its larger elements as counted input, its smaller
+// ones as counted output, its equal ones into the equality lane and, at
+// PE 0, the tie certificates' terms as values.
 //
 // The default configuration comes from ChooseSum, which minimises
 // cell updates per element at the bulk plan, then hash evaluations,
@@ -200,7 +209,7 @@
 // None of this can change a verdict. The checker is linear: a counter
 // holds, mod r, the sum over the integers of the values whose key falls
 // in its bucket, and an exact sum does not depend on how it was
-// bracketed — per cell first, per cell array, per chunk. The table
+// bracketed — per cell first, per half, per chunk. The table
 // after Normalize is therefore bit-identical for every g, chunking and
 // value width, and equal to the element-by-element reference
 // (AccumulateScalar), which stays in the package as the test oracle.

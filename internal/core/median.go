@@ -86,8 +86,12 @@ func NewMedianAggState(stage string, cfg SumConfig, seed uint64, rank int, input
 		m2[pr.Key] = pr.Value
 	}
 
-	s := make(map[uint64]int64) // balance: #larger - #smaller
-	e := make(map[uint64]int64) // equality: #equal to median
+	// Partition the input by its side of its key's median: larger elements
+	// from the front of side, smaller ones from its back, and equal ones,
+	// which only the certificate's lane reads, into equal.
+	side := make([]data.Pair, len(input))
+	larger, smaller := 0, len(side)
+	var equal []data.Pair
 	for _, pr := range input {
 		m, exists := m2[pr.Key]
 		if !exists {
@@ -95,23 +99,23 @@ func NewMedianAggState(stage string, cfg SumConfig, seed uint64, rank int, input
 			localOK = false
 			break
 		}
-		v2 := 2 * pr.Value
-		switch {
-		case v2 < m:
-			s[pr.Key]--
+		switch v2 := 2 * pr.Value; {
 		case v2 > m:
-			s[pr.Key]++
-		default:
-			e[pr.Key]++
+			side[larger] = pr
+			larger++
+		case v2 < m:
+			smaller--
+			side[smaller] = pr
+		case ties != nil:
+			equal = append(equal, pr)
 		}
 	}
 
 	// Balance lane, shifted by the certificate where present:
-	// s[k] + EqHigh - EqLow must be zero for every key.
+	// #larger - #smaller + EqHigh - EqLow must be zero for every key.
 	tv := c.NewTable()
-	for k, cnt := range s {
-		c.AccumulateSigned(tv, k, cnt)
-	}
+	c.accumulate(tv, side[:larger], countFeed)
+	c.accumulate(tv, side[smaller:], countOutFeed)
 	segs := []segment{tableSeg(c)}
 	var te []uint64
 	if ties != nil {
@@ -123,16 +127,23 @@ func NewMedianAggState(stage string, cfg SumConfig, seed uint64, rank int, input
 				localOK = false
 			}
 		}
-		// Equality lane: #equal(k) - (EqLow+EqHigh+AtSlot) must be zero.
+		// Equality lane: #equal - (EqLow+EqHigh+AtSlot) must be zero.
 		te = c.NewTable()
-		for k, cnt := range e {
-			c.AccumulateSigned(te, k, cnt)
-		}
+		c.accumulate(te, equal, countFeed)
 		if rank == 0 {
+			// Each key's EqHigh, EqLow and AtSlot, in thirds of cert.
+			n := len(ties)
+			cert := make([]data.Pair, 3*n)
+			i := 0
 			for k, tc := range ties {
-				c.AccumulateSigned(tv, k, int64(tc.EqHigh)-int64(tc.EqLow))
-				c.AccumulateSigned(te, k, -int64(tc.EqLow+tc.EqHigh+tc.AtSlot))
+				cert[i] = data.Pair{Key: k, Value: tc.EqHigh}
+				cert[n+i] = data.Pair{Key: k, Value: tc.EqLow}
+				cert[2*n+i] = data.Pair{Key: k, Value: tc.AtSlot}
+				i++
 			}
+			c.accumulate(tv, cert[:n], sumFeed)
+			c.accumulate(tv, cert[n:2*n], outFeed)
+			c.accumulate(te, cert, outFeed)
 		}
 		c.Normalize(te)
 		segs = append(segs, tableSeg(c))

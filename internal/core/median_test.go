@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/data"
@@ -317,4 +318,134 @@ func TestMedianCheckerBalancePropertyHolds(t *testing.T) {
 			t.Errorf("key %d: AtSlot %d", k, tc.AtSlot)
 		}
 	}
+}
+
+// medianReference is NewMedianAggState the way it filled its tables
+// before they went through the sum kernel: per-key signed counts in
+// maps, each added into its bucket of every iteration on its own,
+// reduced mod r first. FuzzMedianAggState holds the kernel path to it.
+func medianReference(cfg SumConfig, seed uint64, rank int, input, medians2 []data.Pair, ties map[uint64]TieCert) CheckState {
+	c := NewSumChecker(cfg, seed)
+	addSigned := func(table []uint64, key uint64, count int64) {
+		d := c.cfg.Buckets
+		c.prepare(key)
+		for it := 0; it < c.cfg.Iterations; it++ {
+			r := c.mods[it]
+			v := uint64(count) % r
+			if count < 0 {
+				v = (r - uint64(-count)%r) % r
+			}
+			idx := it*d + c.bucketOf(key, it)
+			table[idx] = (table[idx]%r + v) % r
+		}
+	}
+	localOK := true
+	m2 := make(map[uint64]uint64, len(medians2))
+	for _, pr := range medians2 {
+		if _, dup := m2[pr.Key]; dup {
+			localOK = false
+		}
+		m2[pr.Key] = pr.Value
+	}
+	s := make(map[uint64]int64) // balance: #larger - #smaller
+	e := make(map[uint64]int64) // equality: #equal to median
+	for _, pr := range input {
+		m, exists := m2[pr.Key]
+		if !exists {
+			localOK = false
+			break
+		}
+		switch v2 := 2 * pr.Value; {
+		case v2 < m:
+			s[pr.Key]--
+		case v2 > m:
+			s[pr.Key]++
+		default:
+			e[pr.Key]++
+		}
+	}
+	tv := c.NewTable()
+	for k, cnt := range s {
+		addSigned(tv, k, cnt)
+	}
+	segs := []segment{tableSeg(c)}
+	var te []uint64
+	if ties != nil {
+		for _, tc := range ties {
+			if tc.AtSlot > 2 {
+				localOK = false
+			}
+		}
+		te = c.NewTable()
+		for k, cnt := range e {
+			addSigned(te, k, cnt)
+		}
+		if rank == 0 {
+			for k, tc := range ties {
+				addSigned(tv, k, int64(tc.EqHigh)-int64(tc.EqLow))
+				addSigned(te, k, -int64(tc.EqLow+tc.EqHigh+tc.AtSlot))
+			}
+		}
+		segs = append(segs, tableSeg(c))
+	}
+	d := DigestU64s(flattenMedianAssertion(medians2, ties), seed)
+	return newState("Median", append(append(tv, te...), d, d), localOK, c, append(segs, replicaSeg)...)
+}
+
+// FuzzMedianAggState holds NewMedianAggState's words and local
+// predicate to medianReference's on every PE's share. The first byte
+// picks p in {1, 2, 3}, tied values with tie certificates or unique
+// ones without, the configuration (4×8 Tab, the default 15×4 CRC, a
+// general d) and a lie: none, a shifted median, a dropped key, or a
+// forged certificate whose counts are wide enough to take the kernel's
+// high halves. Every further two bytes are a pair; with few of them
+// some PEs' shares are empty.
+func FuzzMedianAggState(f *testing.F) {
+	f.Add([]byte{0}, uint64(1))
+	f.Add([]byte{2, 1, 5, 1, 7, 2, 9, 1, 5}, uint64(2))
+	f.Add([]byte{0x06, 1, 1, 1, 1, 1, 2, 2, 3, 2, 3, 2, 3, 3, 0, 1, 1}, uint64(3))
+	f.Add([]byte{0x1e, 4, 1, 4, 1, 4, 2, 5, 0, 5, 3, 6, 1, 6, 1}, uint64(4))
+	f.Add([]byte{0x25, 1, 9, 2, 8, 3, 7, 4, 6, 5, 5, 6, 4}, uint64(5))
+	f.Add([]byte{0x4c, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 2}, uint64(6))
+	cfgs := []SumConfig{smallCfg, {Iterations: 15, Buckets: 4, RHatLog: 10, Family: hashing.FamilyCRC}, {Iterations: 3, Buckets: 5, RHatLog: 9, Family: hashing.FamilyMix}}
+	f.Fuzz(func(t *testing.T, in []byte, seed uint64) {
+		if len(in) == 0 {
+			return
+		}
+		h, body := in[0], in[1:]
+		p, tied, lie, cfg := 1+int(h%3), h>>2&1 == 1, h>>3&3, cfgs[int(h>>5)%len(cfgs)]
+		global := make([]data.Pair, 0, len(body)/2)
+		for i := 0; i+1 < len(body); i += 2 {
+			v := uint64(body[i+1])
+			if tied {
+				v %= 4
+			} else {
+				v |= uint64(body[i]) << 8
+			}
+			global = append(global, data.Pair{Key: uint64(body[i] % 8), Value: v})
+		}
+		medians, ties := buildMedianReference(global)
+		if !tied {
+			ties = nil
+		}
+		switch {
+		case len(medians) == 0:
+		case lie == 1:
+			medians[0].Value += 2
+		case lie == 2:
+			medians = medians[1:]
+		case lie == 3 && tied:
+			k := medians[0].Key
+			ties[k] = TieCert{EqLow: ties[k].EqLow + 1<<45, EqHigh: 3 << 50, AtSlot: ties[k].AtSlot}
+		}
+		for rank := 0; rank < p; rank++ {
+			share := shardPairs(global, p, rank)
+			got := NewMedianAggState("Median", cfg, seed, rank, share, medians, ties)
+			want := medianReference(cfg, seed, rank, share, medians, ties)
+			if !slices.Equal(got.Words(), want.Words()) || got.LocalOK() != want.LocalOK() {
+				t.Fatalf("%s p=%d rank %d tied=%v lie=%d: words %x ok=%v, reference %x ok=%v",
+					cfg.Name(), p, rank, tied, lie, got.Words(), got.LocalOK(), want.Words(), want.LocalOK())
+			}
+		}
+	})
 }

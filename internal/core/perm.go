@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/hashing"
 )
@@ -253,28 +252,19 @@ func factor(t *[16]uint64, e uint64) uint64 {
 	return t[q&15] - a
 }
 
-// mulLazy returns a value below 2^62 congruent to p·f mod r, for p and f
-// below 2^62: the 124-bit product folded twice at 2^61 ≡ 1 and never
-// reduced to canonical, so a lane carries it into its next multiply.
-func mulLazy(p, f uint64) uint64 {
-	hi, lo := bits.Mul64(p, f)
-	x := lo&hashing.Mersenne61 + (hi<<3 | lo>>61) // < 2^61 + 2^63
-	return x&hashing.Mersenne61 + x>>61
-}
-
 // productLanes returns the product of xs's factors mod r, canonical,
 // in four independent lanes so that consecutive multiplies overlap.
 // The field is commutative, so any grouping gives the same residue.
 func productLanes(t *[16]uint64, xs []uint64) uint64 {
 	p0, p1, p2, p3 := uint64(1), uint64(1), uint64(1), uint64(1)
 	for ; len(xs) >= 4; xs = xs[4:] {
-		p0 = mulLazy(p0, factor(t, xs[0]))
-		p1 = mulLazy(p1, factor(t, xs[1]))
-		p2 = mulLazy(p2, factor(t, xs[2]))
-		p3 = mulLazy(p3, factor(t, xs[3]))
+		p0 = hashing.MulLazy61(p0, factor(t, xs[0]))
+		p1 = hashing.MulLazy61(p1, factor(t, xs[1]))
+		p2 = hashing.MulLazy61(p2, factor(t, xs[2]))
+		p3 = hashing.MulLazy61(p3, factor(t, xs[3]))
 	}
 	for _, e := range xs {
-		p0 = mulLazy(p0, factor(t, e))
+		p0 = hashing.MulLazy61(p0, factor(t, e))
 	}
 	return hashing.MulMod61(
 		hashing.MulMod61(hashing.Mod61(p0), hashing.Mod61(p1)),

@@ -97,25 +97,6 @@ func TestPermFingerprintPropertiesQuick(t *testing.T) {
 	}
 }
 
-// Property: signed accumulation is a group homomorphism — the sum of
-// contributions equals the contribution of the sum.
-func TestAccumulateSignedHomomorphismQuick(t *testing.T) {
-	f := func(key uint8, a, b int32, seed uint16) bool {
-		c := NewSumChecker(smallCfg, uint64(seed))
-		t1 := c.NewTable()
-		c.AccumulateSigned(t1, uint64(key), int64(a))
-		c.AccumulateSigned(t1, uint64(key), int64(b))
-		c.Normalize(t1)
-		t2 := c.NewTable()
-		c.AccumulateSigned(t2, uint64(key), int64(a)+int64(b))
-		c.Normalize(t2)
-		return tablesEq(t1, t2)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: the replication digest is order- and content-sensitive but
 // deterministic.
 func TestDigestPropertiesQuick(t *testing.T) {

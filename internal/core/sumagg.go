@@ -17,8 +17,9 @@ import (
 // iterations share one wide hash evaluation that is partitioned
 // bit-parallel into bucket indices (for power-of-two d), and the modulo
 // is deferred — past overflow, to the end of a run of the kernel: the
-// kernel sums values exactly, into signed int64 cells (128-bit ones for
-// a block with a value of 2^40 or more), and lets g consecutive
+// kernel sums values exactly, into signed int64 cells (a block with a
+// value of 2^40 or more as two 32-bit halves, the high ones in cells of
+// their own that the fold scales by 2^32), and lets g consecutive
 // iterations that draw their bucket bits from the same hash value share
 // one cell table indexed by the g concatenated indices, so an element
 // costs ceil(its/g) updates (15×4: three tables of 1024 cells, three
@@ -38,8 +39,8 @@ import (
 // Accumulate/AccumulateCount calls on one instance are safe as long as
 // they target disjoint tables, because each call holds its own cells
 // from scratchPool until it has folded them. The prepare/bucketOf
-// helpers used by AccumulateSigned and AccumulateScalar mutate the
-// shared hbuf scratch and are NOT safe to call concurrently.
+// helpers of the reference loop AccumulateScalar mutate the shared
+// hbuf scratch and are NOT safe to call concurrently.
 type SumChecker struct {
 	cfg     SumConfig
 	mods    []uint64 // modulus r per iteration
@@ -114,7 +115,7 @@ func (c *SumChecker) init(cfg SumConfig, seed uint64, forceGeneral bool, forceG 
 		// r uniform in rhat+1 .. 2*rhat.
 		r := rhat + 1 + hashing.SplitMix64(&ms)&(rhat-1)
 		c.mods[i] = r
-		c.pow64[i] = (((1 << 63) % r) * 2) % r
+		c.pow64[i] = -r % r // (2^64 - r) mod r
 	}
 	// hashing.SubSeeds' stream, drawn in place as NewPermChecker does.
 	hs := seed ^ 0x5eed5eed5eed5eed
@@ -155,13 +156,10 @@ func addFold(a, v, p64 uint64) uint64 {
 	return sum + p64&-c2
 }
 
-// add accumulates v into counter idx of iteration it; see addFold.
-func (c *SumChecker) add(table []uint64, idx, it int, v uint64) {
-	table[idx] = addFold(table[idx], v, c.pow64[it])
-}
-
 // prepare evaluates the bit-parallel path's hash functions on key into
-// c.hbuf, for bucketOf to split.
+// c.hbuf, for bucketOf to split: the element-by-element addressing of
+// the reference loop AccumulateScalar, which the kernel's batched
+// hashes and lane shifts must match.
 func (c *SumChecker) prepare(key uint64) {
 	if c.pow2 {
 		for j := range c.hashers {
@@ -188,24 +186,19 @@ func (c *SumChecker) bucketOf(key uint64, it int) int {
 const accBlock = 256
 
 // narrowBits splits the blocks of a run: a block whose every value, as
-// its feed reads it, is below 2^narrowBits updates the kernel's int64
-// cells, and a block with a wider value the 128-bit ones.
+// its feed reads it, is below 2^narrowBits adds its values into the
+// kernel's cells, and a block with a wider value adds their 32-bit
+// halves, the low ones into the same cells and the high ones into a
+// second array of int64 cells (accScratch.high).
 const narrowBits = 40
 
-// foldTerms is how many elements a run adds into its int64 cells
-// before it folds them: 2^23 terms below 2^40 in magnitude sum to less
-// than 2^63, so neither a cell nor a sum of a group's cells (the fold's
-// marginals) can overflow. A variable only so that tests can lower it
-// and run the fold that comes before the bound.
+// foldTerms is how many elements a run adds into its cells before it
+// folds them: 2^23 terms below 2^40 in magnitude sum to less than 2^63,
+// so neither a cell nor a sum of a group's cells (the fold's marginals)
+// can overflow. A wide block's halves are below 2^32, so its elements
+// count the same. A variable only so that tests can lower it and run
+// the fold that comes before the bound.
 var foldTerms = 1 << 23
-
-// cell is one wide counter of the accumulate kernel: the signed
-// integer lo + hi·2^64 in 128-bit two's complement, where hi counts the
-// carries out of lo (and, negatively, its borrows). An update is two
-// adds, and a cell cannot overflow (hi moves by at most one per
-// element). The kernel's own cells are int64; these take the blocks
-// whose values are too wide for them.
-type cell struct{ lo, hi uint64 }
 
 // feed is how one kernel run reads its elements: value&vmask|one is an
 // element's value (vmask = 0, one = 1 in count mode), and neg = ^0
@@ -215,35 +208,28 @@ type cell struct{ lo, hi uint64 }
 type feed struct{ vmask, one, neg uint64 }
 
 var (
-	sumFeed   = feed{vmask: ^uint64(0)}
-	countFeed = feed{one: 1}
-	outFeed   = feed{vmask: ^uint64(0), neg: ^uint64(0)}
+	sumFeed      = feed{vmask: ^uint64(0)}
+	countFeed    = feed{one: 1}
+	outFeed      = feed{vmask: ^uint64(0), neg: ^uint64(0)}
+	countOutFeed = feed{one: 1, neg: ^uint64(0)}
 )
 
 // value returns an element's value as the feed reads it, unsigned.
 func (f feed) value(v uint64) uint64 { return v&f.vmask | f.one }
 
-// term64 returns an element's signed value for the int64 cells; the
-// value must be narrow.
-func (f feed) term64(v uint64) int64 { return int64(f.value(v) ^ f.neg - f.neg) }
-
-// term returns an element's signed value as a 128-bit two's complement
-// addend: x is its low word and adj its high word, ^0 for a subtracted
-// non-zero value and 0 otherwise.
-func (f feed) term(v uint64) (x, adj uint64) {
-	x, b := bits.Sub64(f.value(v)^f.neg, f.neg, 0)
-	return x, -b
-}
+// signed returns x, a value or a half of one below 2^63, negated if f
+// subtracts.
+func (f feed) signed(x uint64) int64 { return int64(x ^ f.neg - f.neg) }
 
 // accScratch is what one run of the kernel borrows: the batch-hash
 // block buffers, its cell tables and its plan. The buffers are handed
 // to Hash64Batch through the Hasher interface, which makes them escape
 // — declared as locals they would be fresh heap allocations on every
-// call — and the bulk plan's int64 cells are 24 KiB. A sync.Pool caps
-// that at one live scratch per concurrently accumulating call or
-// builder, so the steady state allocates none (guarded by
-// parallel_alloc_test.go). A per-call accumulate holds a scratch for
-// the call; a SumAggBuilder holds one from its first chunk to Seal.
+// call — and the bulk plan's cells are 24 KiB. A sync.Pool caps that at
+// one live scratch per concurrently accumulating call or builder, so
+// the steady state allocates none (guarded by the alloc tests). A
+// per-call accumulate holds a scratch for the call; a SumAggBuilder
+// holds one from its first chunk to Seal.
 //
 // Every cell of a pooled scratch is zero, in both arrays, over each
 // slice's whole capacity: the fold that ends a run zeroes what the run
@@ -251,20 +237,20 @@ func (f feed) term(v uint64) (x, adj uint64) {
 // does not return its scratch.
 type accScratch struct {
 	keys, hs [accBlock]uint64
-	// terms holds a block's signed values for the int64 cells, as its
-	// feed reads them: the lane kernels then read one word an element
-	// and keep no feed in their registers.
+	// terms holds a block's signed values, as its feed reads them, or a
+	// wide block's signed low halves: the lane kernels then read one word
+	// an element and keep no feed in their registers.
 	terms [accBlock]int64
 	cells []int64 // the plan's cells
-	// wide mirrors cells in 128 bits for the blocks with a value of
-	// 2^narrowBits or more. It grows on the first such block, so a run
-	// that has none, every run of a count checker among them, never
-	// pays for it.
-	wide   []cell
-	plan   []group // the run's plan, see appendPlan
-	unfold int     // elements added into cells since they were folded
-	// wideUsed says that a block of this run went into wide.
-	wideUsed bool
+	// high mirrors cells for the high halves of the blocks with a value
+	// of 2^narrowBits or more, and highs holds such a block's signed high
+	// halves. Both grow on the first such block, so a run that has none,
+	// every run of a count checker among them, never pays for them.
+	high, highs []int64
+	plan        []group // the run's plan, see appendPlan
+	unfold      int     // elements added into the cells since they were folded
+	// highUsed says that a block of this run went into high.
+	highUsed bool
 	// planBuf backs plan up to the fifteen groups of the default 15×4
 	// checker's g = 1 plan, so a fresh scratch's plan allocates nothing.
 	planBuf [15]group
@@ -419,27 +405,30 @@ func (c *SumChecker) accumulate(table []uint64, pairs []data.Pair, f feed) {
 	scratchPool.Put(s)
 }
 
-// addCells is the one accumulate kernel. Keys are gathered into
-// fixed-size blocks and hashed through the family's Hash64Batch, each
-// hash function exactly once per block (the Section 7.1 bit-parallel
-// optimisation: for pow2 d, hash j covers iterations j*perHash ..
-// (j+1)*perHash-1 via bit groups). The block then streams through one
-// cell table per group of the plan's g iterations: the group's
-// concatenated bucket bits pick a cell and the element's signed value
-// is added to it exactly. A block whose values are all narrow (below
-// 2^narrowBits; every block in count mode) goes into the int64 cells —
-// in one pass for all the groups of a hash value where the plan has a
-// lane kernel's shape, one pass per group otherwise — and a block with
-// a wider value into the 128-bit cells, one pass per group. The gather
-// that copies a block's keys also writes its signed values for the
-// int64 cells and ORs the raw ones, so telling the two apart costs no
-// pass of its own. Nothing is folded, unless the int64 cells have taken
-// foldTerms elements: fold does that, once per run.
+// addCells is the one accumulate kernel: every table of the sum family
+// (sum, count, average, median) is filled through it. Keys are gathered
+// into fixed-size blocks and hashed through the family's Hash64Batch,
+// each hash function exactly once per block (the Section 7.1
+// bit-parallel optimisation: for pow2 d, hash j covers iterations
+// j*perHash .. (j+1)*perHash-1 via bit groups). The block then streams
+// through one cell table per group of the plan's g iterations: the
+// group's concatenated bucket bits pick a cell and the element's signed
+// value is added to it exactly — in one pass for all the groups of a
+// hash value where the plan has a lane kernel's shape, one pass per
+// group otherwise (addGroups). A block whose values are all narrow
+// (below 2^narrowBits; every block in count mode) adds its values. A
+// block with a wider value is split into 32-bit halves: the same passes
+// add the low halves into the cells and the high halves into the high
+// array, which the fold scales by 2^32. The gather that copies a
+// block's keys also writes its signed values and ORs the raw ones, so
+// telling the two kinds apart costs no pass of its own. Nothing is
+// folded, unless the cells have taken foldTerms elements: fold does
+// that, once per run.
 //
 // Neither the split nor grouping can change a residue: a counter of
 // the table receives the exact integer sum of the values of the
 // elements that map to its bucket, merely summed per cell and per
-// array first, and addition is associative. Tables are therefore
+// half first, and addition is associative. Tables are therefore
 // bit-identical to AccumulateScalar's after Normalize for every plan
 // and every chunking (the raw words differ only in when the folds
 // canonicalise).
@@ -453,20 +442,22 @@ func (c *SumChecker) addCells(table []uint64, s *accScratch, pairs []data.Pair, 
 	for start := 0; start < len(pairs); start += accBlock {
 		blk := pairs[start:min(start+accBlock, len(pairs))]
 		keys, hb, vs := s.keys[:len(blk)], s.hs[:len(blk)], s.terms[:len(blk)]
-		narrow := f.value(gather(keys, vs, blk, f)) < 1<<narrowBits
-		switch {
-		case !narrow && !s.wideUsed:
-			if cap(s.wide) < len(cells) {
-				s.wide = make([]cell, len(cells))
-			}
-			s.wideUsed = true
-		case narrow && s.unfold+len(blk) > foldTerms:
+		// The bound's fold comes first: it clears highUsed, so the high
+		// halves of this block must be set up after it.
+		if s.unfold+len(blk) > foldTerms {
 			c.fold(table, s)
 		}
-		if narrow {
-			s.unfold += len(blk)
+		s.unfold += len(blk)
+		var high, hvs []int64
+		if f.value(gather(keys, vs, blk, f)) >= 1<<narrowBits {
+			if cap(s.high) < len(cells) {
+				s.high, s.highs = make([]int64, len(cells)), make([]int64, accBlock)
+			}
+			high, hvs = s.high[:len(cells)], s.highs[:len(blk)]
+			split(vs, hvs, blk, f)
+			s.highUsed = true
 		}
-		for i := 0; i < len(plan); i++ {
+		for i := 0; i < len(plan); {
 			gr := &plan[i]
 			if gr.shift == 0 { // the first group to read this hash value
 				c.hashers[gr.hash].Hash64Batch(hb, keys)
@@ -476,79 +467,75 @@ func (c *SumChecker) addCells(table []uint64, s *accScratch, pairs []data.Pair, 
 					}
 				}
 			}
-			if !narrow {
-				cellsAddWide(s.wide[gr.off:gr.off+gr.size], hb, blk, gr.shift, f)
-				continue
+			n := addGroups(cells, gr, hb, vs)
+			if high != nil {
+				addGroups(high, gr, hb, hvs)
 			}
-			switch gr.lanes {
-			case 6:
-				cellLanes6x5(cells[gr.off:gr.off+6<<5], hb, vs)
-				i += 5
-			case 5:
-				cellLanes5x6(cells[gr.off:gr.off+5<<6], hb, vs)
-				i += 4
-			case 3:
-				cellLanes3x10(cells[gr.off:gr.off+3<<10], hb, vs)
-				i += 2
-			default:
-				cellsAdd(cells[gr.off:gr.off+gr.size], hb, vs, gr.shift)
-			}
+			i += n
 		}
 	}
+}
+
+// addGroups adds a block's signed terms into the cells of group gr —
+// and, where gr starts a lane kernel's shape, of the groups after it
+// that the kernel serves in the same pass — and returns how many
+// groups it updated.
+func addGroups(cells []int64, gr *group, hb []uint64, terms []int64) int {
+	switch gr.lanes {
+	case 6:
+		cellLanes6x5(cells[gr.off:gr.off+6<<5], hb, terms)
+	case 5:
+		cellLanes5x6(cells[gr.off:gr.off+5<<6], hb, terms)
+	case 3:
+		cellLanes3x10(cells[gr.off:gr.off+3<<10], hb, terms)
+	default:
+		cellsAdd(cells[gr.off:gr.off+gr.size], hb, terms, gr.shift)
+		return 1
+	}
+	return gr.lanes
 }
 
 // fold ends a run, or a stretch of foldTerms elements of one: every
 // cell's exact signed value goes into the counter that its index bits
 // name in each iteration of its group, and the cell is zeroed; the
-// counters stay congruent mod r. A group of one iteration folds its
-// cells as they are. A group of several is folded the way the lanes
-// fill it, one pass per iteration: the pass reads the cells in runs of
-// d, adds each run into the iteration's d marginals — a run's cells
-// differ in their low index bits, the iteration's bucket — and writes
-// the run's sum back in place, so that the next iteration's bits are
-// the low ones of cells d times fewer. No pass shifts an index or
-// checks a bound per cell, and only the marginals are reduced mod r.
-// Nothing overflows: every element adds into one cell of a group, so a
-// marginal or a run's sum is a sum over some of the at most foldTerms
-// elements the int64 cells have taken; the 128-bit cells sum in 128
-// bits.
+// counters stay congruent mod r. The high cells, if a block of the
+// stretch was wide, fold the same way, scaled by 2^32.
 func (c *SumChecker) fold(table []uint64, s *accScratch) {
-	d := c.cfg.Buckets
-	var wide []cell
-	if s.wideUsed {
-		wide = s.wide
-	}
-	var sums [maxMarginals]int64
-	var wsums [maxMarginals]cell
 	for i := range s.plan {
 		gr := &s.plan[i]
-		grp := s.cells[gr.off : gr.off+gr.size]
-		var wgrp []cell
-		if wide != nil {
-			wgrp = wide[gr.off : gr.off+gr.size]
+		c.foldGroup(table, gr, s.cells[gr.off:gr.off+gr.size], false)
+		if s.highUsed {
+			c.foldGroup(table, gr, s.high[gr.off:gr.off+gr.size], true)
 		}
-		if gr.n == 1 { // the cells are the sums
-			row := table[gr.it*d : (gr.it+1)*d]
-			foldSums(row, grp[:d], c.pow64[gr.it], c.mods[gr.it])
-			if wgrp != nil {
-				foldWideSums(row, wgrp[:d], c.pow64[gr.it], c.mods[gr.it])
-			}
-			continue
-		}
-		cur, wcur := grp, wgrp
-		for it := gr.it; it < gr.it+gr.n; it++ {
-			row := table[it*d : (it+1)*d]
-			cur = marginals(sums[:d], cur)
-			foldSums(row, sums[:d], c.pow64[it], c.mods[it])
-			if wcur != nil {
-				wcur = marginalsWide(wsums[:d], wcur)
-				foldWideSums(row, wsums[:d], c.pow64[it], c.mods[it])
-			}
-		}
-		clear(grp)
-		clear(wgrp)
 	}
-	s.unfold, s.wideUsed = 0, false
+	s.unfold, s.highUsed = 0, false
+}
+
+// foldGroup folds the cells grp of group gr into the table and zeroes
+// them; high says they hold high halves. A group of one iteration
+// folds its cells as they are. A group of several is folded the way
+// the lanes fill it, one pass per iteration: the pass reads the cells
+// in runs of d, adds each run into the iteration's d marginals — a
+// run's cells differ in their low index bits, the iteration's bucket —
+// and writes the run's sum back in place, so that the next iteration's
+// bits are the low ones of cells d times fewer. No pass shifts an index
+// or checks a bound per cell, and only the marginals are reduced mod r.
+// Nothing overflows: every element adds into one cell of a group, so a
+// marginal or a run's sum is a sum over some of the at most foldTerms
+// elements the cells have taken, each below 2^40 in magnitude.
+func (c *SumChecker) foldGroup(table []uint64, gr *group, grp []int64, high bool) {
+	d := c.cfg.Buckets
+	if gr.n == 1 { // the cells are the sums
+		foldSums(table[gr.it*d:(gr.it+1)*d], grp[:d], c.pow64[gr.it], c.mods[gr.it], high)
+		return
+	}
+	var sums [maxMarginals]int64
+	cur := grp
+	for it := gr.it; it < gr.it+gr.n; it++ {
+		cur = marginals(sums[:d], cur)
+		foldSums(table[it*d:(it+1)*d], sums[:d], c.pow64[it], c.mods[it], high)
+	}
+	clear(grp)
 }
 
 // maxMarginals is the most buckets a group of several iterations has:
@@ -585,107 +572,75 @@ func marginals(sums, cells []int64) []int64 {
 	return cells[:n]
 }
 
-// marginalsWide is marginals for the 128-bit cells.
-func marginalsWide(sums, cells []cell) []cell {
-	d := len(sums)
-	n := len(cells) / d
-	for i := 0; i < n; i++ {
-		run := cells[i*d : i*d+d]
-		m := sums[:len(run)]
-		var sum cell
-		for b, cl := range run {
-			addCell(&m[b], cl.lo, cl.hi)
-			addCell(&sum, cl.lo, cl.hi)
-		}
-		cells[i] = sum
-	}
-	return cells[:n]
-}
-
-// foldSums adds each non-zero sum into the counter of its bucket in
-// row, congruent mod r given p64 = 2^64 mod r, and zeroes the sums. The
-// sign costs no branch: a negative sum goes in as its two's complement
-// word, which adds 2^64 too many, and then r - p64, which takes the
-// p64 ≡ 2^64 out again.
-func foldSums(row []uint64, sums []int64, p64, r uint64) {
+// foldSums adds each non-zero sum — times 2^32 if high — into the
+// counter of its bucket in row, congruent mod r given p64 = 2^64 mod r,
+// and zeroes the sums. The sign of a plain sum costs no branch: a
+// negative sum goes in as its two's complement word, which adds 2^64
+// too many, and then r - p64, which takes the p64 ≡ 2^64 out again.
+func foldSums(row []uint64, sums []int64, p64, r uint64, high bool) {
 	row = row[:len(sums)]
 	for b, v := range sums {
-		if v != 0 {
+		if v == 0 {
+			continue
+		}
+		if high {
+			row[b] = addFold(row[b], shifted32(v, r), p64)
+		} else {
 			row[b] = addFold(addFold(row[b], uint64(v), p64), (r-p64)&uint64(v>>63), p64)
-			sums[b] = 0
 		}
+		sums[b] = 0
 	}
 }
 
-// foldWideSums is foldSums for 128-bit sums.
-func foldWideSums(row []uint64, sums []cell, p64, r uint64) {
-	row = row[:len(sums)]
-	for b, cl := range sums {
-		if cl.lo|cl.hi != 0 {
-			row[b] = foldCell(row[b], cl, p64, r)
-			sums[b] = cell{}
-		}
+// shifted32 returns v·2^32 mod r, canonical: one division of the
+// 96-bit product, whose high word is first reduced below r if a small
+// modulus needs it.
+func shifted32(v int64, r uint64) uint64 {
+	u := uint64(v)
+	if v < 0 {
+		u = -u
 	}
-}
-
-// foldCell returns counter a plus the signed value of cl, congruent mod
-// r given p64 = 2^64 mod r. A magnitude lo + hi·2^64 goes in as lo plus
-// hi * (2^64 mod r) — reduced by a division only if that
-// product itself passes 2^64, which takes both a large modulus and a
-// cell that wrapped many times. A negative cell's magnitude u goes in
-// negated: adding 2^64 - u adds p64 - u mod r, and adding r - p64 takes
-// the p64 out.
-func foldCell(a uint64, cl cell, p64, r uint64) uint64 {
-	lo, hi := cl.lo, cl.hi
-	neg := int64(hi) < 0
-	if neg {
-		var b uint64
-		lo, b = bits.Sub64(0, lo, 0)
-		hi, _ = bits.Sub64(0, hi, b)
+	hi := u >> 32
+	if hi >= r {
+		hi %= r
 	}
-	u := lo
-	if hi != 0 {
-		ph, pl := bits.Mul64(hi, p64)
-		if ph != 0 {
-			// hi <= 2^63 and p64 < r, so ph < r and the quotient fits.
-			_, pl = bits.Div64(ph, pl, r)
-		}
-		u = addFold(u, pl, p64)
+	_, m := bits.Div64(hi, u<<32, r)
+	if v < 0 && m != 0 {
+		m = r - m
 	}
-	if !neg {
-		return addFold(a, u, p64)
-	}
-	if u == 0 {
-		return a
-	}
-	return addFold(addFold(a, -u, p64), r-p64, p64)
+	return m
 }
 
 // gather copies a block's keys into the contiguous buffer Hash64Batch
 // reads and its values, signed as feed f reads them, into terms, and
 // returns the OR of the block's raw values, which says whether they
-// are all narrow. A standalone leaf for the registers, like cellsAdd:
-// inlined into addCells, whose loops keep every register busy, the
-// loop index can end up on the stack, and the copy then costs more
-// than the hash it feeds.
+// are all narrow (a wide block's terms are then split). A standalone
+// leaf for the registers, like cellsAdd: inlined into addCells, whose
+// loops keep every register busy, the loop index can end up on the
+// stack, and the copy then costs more than the hash it feeds.
 //
 //go:noinline
 func gather(keys []uint64, terms []int64, blk []data.Pair, f feed) (or uint64) {
 	keys, terms = keys[:len(blk)], terms[:len(blk)]
 	for i := range blk {
 		keys[i] = blk[i].Key
-		terms[i] = f.term64(blk[i].Value)
+		terms[i] = f.signed(f.value(blk[i].Value))
 		or |= blk[i].Value
 	}
 	return or
 }
 
-// addCell adds the addend (x, adj) of feed.term to a cell exactly: the
-// carry out of lo goes into hi with adj, not through a branch.
-func addCell(cl *cell, x, adj uint64) {
-	lo, carry := bits.Add64(cl.lo, x, 0)
-	cl.lo = lo
-	cl.hi, _ = bits.Add64(cl.hi, adj, carry)
+// split writes a wide block's values, as feed f reads them, into lo and
+// hi as their signed low and high 32-bit halves. A standalone leaf, like
+// gather, so that it costs addCells no registers.
+//
+//go:noinline
+func split(lo, hi []int64, blk []data.Pair, f feed) {
+	lo, hi = lo[:len(blk)], hi[:len(blk)]
+	for i := range blk {
+		v := f.value(blk[i].Value)
+		lo[i], hi[i] = f.signed(v&(1<<32-1)), f.signed(v>>32)
+	}
 }
 
 // cellLanes6x5 is cellsAdd for six groups of 32 cells that draw their
@@ -765,24 +720,6 @@ func cellsAdd(cells []int64, hb []uint64, terms []int64, shift uint) {
 	}
 }
 
-// cellsAddWide is cellsAdd for a block with a wide value, into the
-// group's 128-bit cells. The carry is counted rather than branched on:
-// as a branch the random carry (every other add for full-width values)
-// would mispredict.
-//
-//go:noinline
-func cellsAddWide(cells []cell, hb []uint64, blk []data.Pair, shift uint, f feed) {
-	if len(cells) == 0 {
-		return
-	}
-	m := uint64(len(cells) - 1)
-	blk = blk[:len(hb)]
-	for i, h := range hb {
-		x, adj := f.term(blk[i].Value)
-		addCell(&cells[(h>>(shift&63))&m], x, adj)
-	}
-}
-
 // AccumulateScalar is the element-major scalar reference loop — the
 // pre-batch implementation, division fold and all: one interface call
 // per hash evaluation, counters updated element by element. Its tables
@@ -836,27 +773,6 @@ func (c *SumChecker) AccumulateScalar(table []uint64, pairs []data.Pair, count b
 		for it := 0; it < c.cfg.Iterations; it++ {
 			addRef(it*d+c.bucketOf(key, it), it, v)
 		}
-	}
-}
-
-// AccumulateSigned folds a signed per-key contribution into the table
-// (used by the median checker's ±1 mapping). The signed count is
-// reduced into each iteration's residue ring first.
-func (c *SumChecker) AccumulateSigned(table []uint64, key uint64, count int64) {
-	d := c.cfg.Buckets
-	c.prepare(key)
-	for it := 0; it < c.cfg.Iterations; it++ {
-		r := c.mods[it]
-		var v uint64
-		if count >= 0 {
-			v = uint64(count) % r
-		} else {
-			v = r - uint64(-count)%r
-			if v == r {
-				v = 0
-			}
-		}
-		c.add(table, it*d+c.bucketOf(key, it), it, v)
 	}
 }
 

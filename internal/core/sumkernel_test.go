@@ -499,13 +499,13 @@ func takeCells(t *testing.T, when string) *accScratch {
 			t.Fatalf("%s: pooled int64 cell %d of %d holds %d, want zero", when, i, cap(cs.cells), v)
 		}
 	}
-	for i, cl := range cs.wide[:cap(cs.wide)] {
-		if cl != (cell{}) {
-			t.Fatalf("%s: pooled 128-bit cell %d of %d holds %+v, want zero", when, i, cap(cs.wide), cl)
+	for i, v := range cs.high[:cap(cs.high)] {
+		if v != 0 {
+			t.Fatalf("%s: pooled high cell %d of %d holds %d, want zero", when, i, cap(cs.high), v)
 		}
 	}
-	if cs.unfold != 0 || cs.wideUsed {
-		t.Fatalf("%s: pooled scratch owes a fold: %d unfolded elements, wide used %v", when, cs.unfold, cs.wideUsed)
+	if cs.unfold != 0 || cs.highUsed {
+		t.Fatalf("%s: pooled scratch owes a fold: %d unfolded elements, high used %v", when, cs.unfold, cs.highUsed)
 	}
 	return cs
 }

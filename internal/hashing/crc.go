@@ -104,6 +104,3 @@ func (c *CRC32C) Hash64Batch(dst, keys []uint64) {
 			t[0][byte(hi>>24)]))
 	}
 }
-
-// Bits reports the number of significant output bits.
-func (c *CRC32C) Bits() int { return 32 }

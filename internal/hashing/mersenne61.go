@@ -42,15 +42,26 @@ func SubMod61(a, b uint64) uint64 {
 	return a + Mersenne61 - b
 }
 
+// MulLazy61 returns a value below 2^62 congruent to a·b mod 2^61-1,
+// for a and b below 2^62: the 124-bit product folded twice at 2^61 ≡ 1
+// and never reduced to canonical, so a chain of multiplies carries it
+// into the next one and reduces once, at its end (Mod61).
+func MulLazy61(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	x := lo&Mersenne61 + (hi<<3 | lo>>61) // < 2^61 + 2^63
+	return x&Mersenne61 + x>>61
+}
+
 // InvMod61 returns a^-1 mod 2^61-1 for 0 < a < 2^61-1: a^(r-2) by
-// Fermat's little theorem, one square-and-multiply pass over r-2.
+// Fermat's little theorem, one square-and-multiply pass over r-2 on
+// lazily folded multiplies and one reduction at the end.
 func InvMod61(a uint64) uint64 {
 	inv := uint64(1)
 	for e := Mersenne61 - 2; e != 0; e >>= 1 {
 		if e&1 != 0 {
-			inv = MulMod61(inv, a)
+			inv = MulLazy61(inv, a)
 		}
-		a = MulMod61(a, a)
+		a = MulLazy61(a, a)
 	}
-	return inv
+	return Mod61(inv)
 }

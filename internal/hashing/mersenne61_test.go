@@ -41,6 +41,24 @@ func TestMulMod61MatchesBig(t *testing.T) {
 	}
 }
 
+// TestMulLazy61 checks the lazy multiply's contract on inputs up to its
+// bound, 2^62 - 1: a result below 2^62, congruent to the product.
+func TestMulLazy61(t *testing.T) {
+	f := func(a, b uint64) bool {
+		a, b = a>>2, b>>2
+		got := MulLazy61(a, b)
+		want := new(big.Int).Mul(new(big.Int).SetUint64(a), new(big.Int).SetUint64(b))
+		want.Mod(want, bigM61())
+		return got < 1<<62 && Mod61(got) == want.Uint64()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	if !f(^uint64(0), ^uint64(0)) {
+		t.Fatal("MulLazy61 fails at its bound")
+	}
+}
+
 func TestAddSubMod61(t *testing.T) {
 	f := func(a, b uint64) bool {
 		a %= Mersenne61

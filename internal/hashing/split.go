@@ -10,12 +10,11 @@ import "math/bits"
 // paper's Table 3 configurations); for general d the checker falls back
 // to one hash evaluation per instance.
 
-// Splitter partitions hash values into fixed-width bit groups.
+// Splitter partitions hash values into fixed-width bit groups: the
+// layout the sum checker's bucket indices take (core's bucketOf and the
+// kernel's lane shifts read the bits themselves).
 type Splitter struct {
-	width     int // bits per group
-	mask      uint64
 	perHash   int // groups extractable from one hash value
-	hashBits  int
 	instances int
 }
 
@@ -26,27 +25,12 @@ func NewSplitter(d, instances, hashBits int) Splitter {
 	if d < 2 || d&(d-1) != 0 {
 		panic("hashing: NewSplitter requires a power-of-two bucket count >= 2")
 	}
-	width := bits.TrailingZeros(uint(d))
-	return Splitter{
-		width:     width,
-		mask:      uint64(d - 1),
-		perHash:   hashBits / width,
-		hashBits:  hashBits,
-		instances: instances,
-	}
+	return Splitter{perHash: hashBits / bits.TrailingZeros(uint(d)), instances: instances}
 }
 
 // HashesNeeded reports how many hash evaluations cover all instances.
 func (s Splitter) HashesNeeded() int {
 	return (s.instances + s.perHash - 1) / s.perHash
-}
-
-// Group extracts the bucket index of instance i from the hash values in
-// hs (one uint64 per needed hash evaluation, in order).
-func (s Splitter) Group(hs []uint64, i int) uint64 {
-	h := hs[i/s.perHash]
-	shift := (i % s.perHash) * s.width
-	return (h >> shift) & s.mask
 }
 
 // PerHash returns how many groups fit in one hash value.

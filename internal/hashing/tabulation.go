@@ -93,9 +93,6 @@ func (t *Tabulation32) Hash64Batch(dst, keys []uint64) {
 	}
 }
 
-// Bits reports the number of significant output bits.
-func (t *Tabulation32) Bits() int { return 32 }
-
 // Tabulation64 is simple tabulation hashing with 64-bit output (the
 // paper's "Tab64": eight 256-entry tables of 64-bit words).
 type Tabulation64 struct {
@@ -144,6 +141,3 @@ func (t *Tabulation64) Hash64Batch(dst, keys []uint64) {
 			tb[7][byte(x>>56)]
 	}
 }
-
-// Bits reports the number of significant output bits.
-func (t *Tabulation64) Bits() int { return 64 }
