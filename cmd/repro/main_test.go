@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -110,5 +111,33 @@ func TestAllRunsOnlyMarkedRows(t *testing.T) {
 		if c.inAll == service {
 			t.Errorf("%s: inAll = %v", c.name, c.inAll)
 		}
+	}
+}
+
+// TestTable2Golden pins what `repro table2` prints, byte for byte: every
+// optimum of the paper's Table 2 and the min vol row under it.
+func TestTable2Golden(t *testing.T) {
+	want, err := os.ReadFile("testdata/table2.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.CreateTemp(t.TempDir(), "table2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stdout := os.Stdout
+	os.Stdout = f
+	err = runTable2(nil)
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("repro table2 printed\n%s\nwant (testdata/table2.golden)\n%s", got, want)
 	}
 }
