@@ -30,14 +30,13 @@ import (
 	"repro/internal/exp"
 	"repro/internal/hashing"
 	"repro/internal/ops"
-	"repro/internal/params"
 	"repro/internal/workload"
 )
 
 // BenchmarkTable2Optimizer regenerates all 16 rows of Table 2.
 func BenchmarkTable2Optimizer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := params.Table2()
+		rows, err := core.Table2()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -30,9 +30,9 @@ import (
 
 	"repro"
 	"repro/internal/comm"
+	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/exp"
-	"repro/internal/params"
 )
 
 // subcommand is one row of the table that dispatch, the usage text and
@@ -128,7 +128,7 @@ func printer(render func() string) func([]string) error {
 }
 
 func runTable2([]string) error {
-	rows, err := params.Table2()
+	rows, err := core.Table2()
 	if err != nil {
 		return err
 	}

@@ -39,12 +39,6 @@ func appendHeader(dst []byte, m Message) []byte {
 	return binary.AppendUvarint(dst, uint64(len(m.Payload)))
 }
 
-// appendFrame appends the wire encoding of one message to dst and
-// returns the extended slice.
-func appendFrame(dst []byte, m Message) []byte {
-	return append(appendHeader(dst, m), m.Payload...)
-}
-
 // writeFrame encodes one message into w. The header is encoded straight
 // into the writer's free buffer (flushed first if it cannot hold the
 // longest header), so it costs no allocation, and coalesces with small

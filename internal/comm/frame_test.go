@@ -58,6 +58,12 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// appendFrame appends the wire encoding of one message to dst and
+// returns the extended slice: the encoding oracle writeFrame is held to.
+func appendFrame(dst []byte, m Message) []byte {
+	return append(appendHeader(dst, m), m.Payload...)
+}
+
 // TestFrameAppendMatchesWrite pins appendFrame and writeFrame to the
 // same wire bytes.
 func TestFrameAppendMatchesWrite(t *testing.T) {

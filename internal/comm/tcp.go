@@ -145,38 +145,15 @@ func NewTCPNetworkOpts(p int, opt TCPOptions) (*TCPNetwork, error) {
 		nd.dialed = n.nodes[0].dialed
 		addrs[r] = nd.Addr()
 	}
-	err := firstFailure(p, func(r int) error { return n.nodes[r].Connect(addrs) }, n.shutdown)
-	if err != nil {
-		n.Close()
-		return nil, err
+	// Node by node: every listener is up, so a node's dials land in its
+	// peers' accept loops whether or not those have connected yet.
+	for _, nd := range n.nodes {
+		if err := nd.Connect(addrs); err != nil {
+			n.Close()
+			return nil, err
+		}
 	}
 	return n, nil
-}
-
-// firstFailure runs task(0..n-1) concurrently and waits for all of them.
-// The first failure is the one returned, and calls abort before any
-// later one is looked at — so the tasks still running fail fast, and
-// what they then report cannot mask the cause.
-func firstFailure(n int, task func(i int) error, abort func()) error {
-	var (
-		wg    sync.WaitGroup
-		once  sync.Once
-		first error
-	)
-	for i := range n {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := task(i); err != nil {
-				once.Do(func() {
-					first = err
-					abort()
-				})
-			}
-		}()
-	}
-	wg.Wait()
-	return first
 }
 
 // ensure returns the established connection to peer, dialing it first

@@ -394,10 +394,11 @@ func TestTCPNodeConnectValidation(t *testing.T) {
 	}
 }
 
-// TestTCPNodeConnectFailsFast: the first failed pre-open cancels its
-// siblings. One edge fails at once, the other's dial blocks until the
-// node closes (or its 30 s budget runs out); Connect must return the
-// first edge's error promptly, with the node closed.
+// TestTCPNodeConnectFailsFast: Connect dials its edges in rank order
+// and stops at the first failure. The edge to rank 1 fails at once; the
+// one to rank 2 would block until the node closes (or its 30 s budget
+// runs out) and must not be dialed. Connect must return the first
+// edge's error promptly, with the node closed.
 func TestTCPNodeConnectFailsFast(t *testing.T) {
 	var nd *TCPNode
 	nd, err := NewTCPNode(0, 3, loopback(t), TCPOptions{
@@ -425,7 +426,7 @@ func TestTCPNodeConnectFailsFast(t *testing.T) {
 		t.Fatalf("Connect = %v, want the failed edge's error", err)
 	}
 	if took := time.Since(start); took > time.Second {
-		t.Fatalf("Connect took %v: the blocked sibling was not cancelled", took)
+		t.Fatalf("Connect took %v: it dialed past the failed edge", took)
 	}
 	if !nd.isClosed() {
 		t.Fatal("failed Connect left the node open")

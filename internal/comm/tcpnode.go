@@ -111,11 +111,11 @@ func (nd *TCPNode) Addr() string { return nd.l.Addr().String() }
 
 // Connect installs the address book (addrs[r] is rank r's listener
 // address; this rank's own entry is ignored) and pre-opens this rank's
-// lower-rank-dials-higher share of the topology's edges. It returns
-// once those connections are established — peers' dials toward this
-// rank land asynchronously via the accept loop. The first failed edge
-// shuts the node down, so its siblings fail fast instead of running out
-// their dial budgets, and Connect returns that edge's error.
+// lower-rank-dials-higher share of the topology's edges, one after
+// another in rank order. It returns once those connections are
+// established — peers' dials toward this rank land asynchronously via
+// the accept loop. The first failed edge closes the node, and Connect
+// returns that edge's error without dialing the edges after it.
 func (nd *TCPNode) Connect(addrs []string) error {
 	if len(addrs) != nd.p {
 		return fmt.Errorf("comm: Connect wants %d addresses, got %d", nd.p, len(addrs))
@@ -124,19 +124,14 @@ func (nd *TCPNode) Connect(addrs []string) error {
 		return fmt.Errorf("comm: node %d already connected", nd.rank)
 	}
 	nd.addrs = append([]string(nil), addrs...)
-	var dials []int // the lower rank of each edge dials it
 	for _, q := range nd.topo.Neighbors(nd.rank, nd.p) {
-		if q > nd.rank {
-			dials = append(dials, q)
+		if q <= nd.rank {
+			continue // the lower rank of each edge dials it
 		}
-	}
-	err := firstFailure(len(dials), func(i int) error {
-		_, err := nd.ensure(dials[i])
-		return err
-	}, nd.shutdown)
-	if err != nil {
-		nd.Close()
-		return err
+		if _, err := nd.ensure(q); err != nil {
+			nd.Close()
+			return err
+		}
 	}
 	nd.ready.Store(true)
 	return nil

@@ -42,14 +42,15 @@ func BenchmarkAblationLazyMod(b *testing.B) {
 		c := NewSumChecker(cfg, 7)
 		table := c.NewTable()
 		d := cfg.Buckets
+		var bs []int
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for j := range pairs {
-				key, v := pairs[j].Key, pairs[j].Value
-				c.prepare(key)
-				for it := 0; it < cfg.Iterations; it++ {
+				v := pairs[j].Value
+				bs = bucketsOf(c, pairs[j].Key, bs)
+				for it, bk := range bs {
 					r := c.mods[it]
-					idx := it*d + c.bucketOf(key, it)
+					idx := it*d + bk
 					table[idx] = (table[idx] + v%r) % r
 				}
 			}
@@ -293,22 +294,23 @@ func BenchmarkAblationDenseFold(b *testing.B) {
 
 var sinkBench uint64
 
-// TestGeneralPathMatchesBitParallelSemantics guards the ablation knob:
-// both paths must detect the same class of faults (they use different
-// hash assignments, so tables differ, but behaviour contracts hold).
+// TestGeneralPathMatchesBitParallelSemantics guards the ablation knob,
+// one hash evaluation per iteration: both layouts must detect the same
+// class of faults (they use different hash assignments, so tables
+// differ, but behaviour contracts hold).
 func TestGeneralPathMatchesBitParallelSemantics(t *testing.T) {
 	cfg := SumConfig{Iterations: 4, Buckets: 16, RHatLog: 7, Family: hashing.FamilyTab}
 	input := workload.ZipfPairs(500, 100, 100, 3)
 	output := refSumAgg(input)
-	for _, general := range []bool{false, true} {
-		c := newSumChecker(cfg, 42, general, 0)
+	for _, perIteration := range []bool{false, true} {
+		c := newSumChecker(cfg, 42, perIteration, 0)
 		tv, to := c.NewTable(), c.NewTable()
 		c.Accumulate(tv, input)
 		c.Accumulate(to, output)
 		c.Normalize(tv)
 		c.Normalize(to)
 		if !tablesEq(tv, to) {
-			t.Fatalf("general=%v: correct result rejected", general)
+			t.Fatalf("perIteration=%v: correct result rejected", perIteration)
 		}
 		bad := data.ClonePairs(output)
 		bad[0].Value += 3
@@ -316,7 +318,7 @@ func TestGeneralPathMatchesBitParallelSemantics(t *testing.T) {
 		c.Accumulate(tb, bad)
 		c.Normalize(tb)
 		if tablesEq(tv, tb) {
-			t.Fatalf("general=%v: corruption not reflected in tables", general)
+			t.Fatalf("perIteration=%v: corruption not reflected in tables", perIteration)
 		}
 	}
 }

@@ -200,11 +200,19 @@
 // ones as counted output, its equal ones into the equality lane and, at
 // PE 0, the tie certificates' terms as values.
 //
-// The default configuration comes from ChooseSum, which minimises
-// cell updates per element at the bulk plan, then hash evaluations,
-// wire words and iterations, over every configuration that reaches the
-// target delta: Section 4's optimisation (internal/params) with this
-// kernel's cost in place of Table 2's fewest iterations.
+// The bucket count d is a power of two: a bucket index is log2 d bits
+// of a hash value, and one value holds the indices of as many
+// iterations as its bits cover (SumConfig.layout), so Validate rejects
+// any other d.
+//
+// Section 4's optimisation is one search (config.go): over (d, m), the
+// fewest iterations that reach the target delta, the configurations a
+// filter keeps and the least by a comparator. Table 2 (Optimize) keeps
+// every d whose table fits in b bits and wants the fewest iterations,
+// so its rows may name a d this checker cannot run. The default
+// configuration comes from ChooseSum, which keeps the power-of-two d up
+// to 2^10 and minimises cell updates per element at the bulk plan, then
+// hash evaluations, wire words and iterations.
 //
 // None of this can change a verdict. The checker is linear: a counter
 // holds, mod r, the sum over the integers of the values whose key falls

@@ -326,16 +326,17 @@ func TestMedianCheckerBalancePropertyHolds(t *testing.T) {
 // reduced mod r first. FuzzMedianAggState holds the kernel path to it.
 func medianReference(cfg SumConfig, seed uint64, rank int, input, medians2 []data.Pair, ties map[uint64]TieCert) CheckState {
 	c := NewSumChecker(cfg, seed)
+	var bs []int
 	addSigned := func(table []uint64, key uint64, count int64) {
 		d := c.cfg.Buckets
-		c.prepare(key)
-		for it := 0; it < c.cfg.Iterations; it++ {
+		bs = bucketsOf(c, key, bs)
+		for it, bk := range bs {
 			r := c.mods[it]
 			v := uint64(count) % r
 			if count < 0 {
 				v = (r - uint64(-count)%r) % r
 			}
-			idx := it*d + c.bucketOf(key, it)
+			idx := it*d + bk
 			table[idx] = (table[idx]%r + v) % r
 		}
 	}
@@ -395,8 +396,8 @@ func medianReference(cfg SumConfig, seed uint64, rank int, input, medians2 []dat
 // FuzzMedianAggState holds NewMedianAggState's words and local
 // predicate to medianReference's on every PE's share. The first byte
 // picks p in {1, 2, 3}, tied values with tie certificates or unique
-// ones without, the configuration (4×8 Tab, the default 15×4 CRC, a
-// general d) and a lie: none, a shifted median, a dropped key, or a
+// ones without, the configuration (4×8 Tab, the default 15×4 CRC, 3×8
+// Mix) and a lie: none, a shifted median, a dropped key, or a
 // forged certificate whose counts are wide enough to take the kernel's
 // high halves. Every further two bytes are a pair; with few of them
 // some PEs' shares are empty.
@@ -407,7 +408,7 @@ func FuzzMedianAggState(f *testing.F) {
 	f.Add([]byte{0x1e, 4, 1, 4, 1, 4, 2, 5, 0, 5, 3, 6, 1, 6, 1}, uint64(4))
 	f.Add([]byte{0x25, 1, 9, 2, 8, 3, 7, 4, 6, 5, 5, 6, 4}, uint64(5))
 	f.Add([]byte{0x4c, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 2}, uint64(6))
-	cfgs := []SumConfig{smallCfg, {Iterations: 15, Buckets: 4, RHatLog: 10, Family: hashing.FamilyCRC}, {Iterations: 3, Buckets: 5, RHatLog: 9, Family: hashing.FamilyMix}}
+	cfgs := []SumConfig{smallCfg, {Iterations: 15, Buckets: 4, RHatLog: 10, Family: hashing.FamilyCRC}, {Iterations: 3, Buckets: 8, RHatLog: 9, Family: hashing.FamilyMix}}
 	f.Fuzz(func(t *testing.T, in []byte, seed uint64) {
 		if len(in) == 0 {
 			return

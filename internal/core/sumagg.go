@@ -13,10 +13,11 @@ import (
 // Iterations × Buckets counters, each accumulated modulo a per-iteration
 // random modulus r in (rhat, 2*rhat].
 //
-// Engineering follows Section 7.1 and takes it one step further. All
-// iterations share one wide hash evaluation that is partitioned
-// bit-parallel into bucket indices (for power-of-two d), and the modulo
-// is deferred — past overflow, to the end of a run of the kernel: the
+// Engineering follows Section 7.1 and takes it one step further. The
+// bucket count d is a power of two, so one wide hash evaluation is
+// partitioned bit-parallel into the bucket indices of as many
+// iterations as its bits cover (SumConfig.layout). The modulo is
+// deferred — past overflow, to the end of a run of the kernel: the
 // kernel sums values exactly, into signed int64 cells (a block with a
 // value of 2^40 or more as two 32-bit halves, the high ones in cells of
 // their own that the fold scales by 2^32), and lets g consecutive
@@ -38,25 +39,18 @@ import (
 // the checker itself is read-only on the accumulation paths: concurrent
 // Accumulate/AccumulateCount calls on one instance are safe as long as
 // they target disjoint tables, because each call holds its own cells
-// from scratchPool until it has folded them. The prepare/bucketOf
-// helpers of the reference loop AccumulateScalar mutate the shared
-// hbuf scratch and are NOT safe to call concurrently.
+// from scratchPool until it has folded them.
 type SumChecker struct {
 	cfg     SumConfig
 	mods    []uint64 // modulus r per iteration
 	pow64   []uint64 // 2^64 mod r per iteration, the overflow correction
 	hashers []hashing.Hasher
-	pow2    bool
 	// forceG is for the ablation benchmarks only: a fixed group size,
-	// 0 = groupSize. 32 bits, so that it shares pow2's word: one more
-	// word would carry a builder into the next allocation size class.
-	forceG int32
-	hbuf   []uint64 // scratch hash values for the current element
+	// 0 = groupSize.
+	forceG int
 	// How bucket bits lie in the hash values: an iteration's index is
 	// width bits wide and perHash consecutive iterations draw theirs
-	// from one value (hashing.Splitter's partition). General d is the
-	// degenerate case: one hash per iteration, reduced mod d, which the
-	// accumulate kernel keeps in a row of 2^width >= d cells.
+	// from one value (SumConfig.layout).
 	width, perHash int
 	// hs holds the hashers of a checker that needs at most inlineHashers
 	// of them, as the default configurations do.
@@ -76,36 +70,33 @@ func NewSumChecker(cfg SumConfig, seed uint64) *SumChecker {
 }
 
 // newSumChecker optionally disables the Section 7.1 bit-parallel path
-// (one hash evaluation feeding all iterations), or pins the accumulate
-// kernel's group size instead of deriving it per run, so the ablation
-// benchmarks can quantify what each buys.
-func newSumChecker(cfg SumConfig, seed uint64, forceGeneral bool, forceG int) *SumChecker {
+// (hashPerIteration: one hash evaluation per iteration, its low width
+// bits the bucket), or pins the accumulate kernel's group size instead
+// of deriving it per run, so the ablation benchmarks can quantify what
+// each buys.
+func newSumChecker(cfg SumConfig, seed uint64, hashPerIteration bool, forceG int) *SumChecker {
 	c := new(SumChecker)
-	c.init(cfg, seed, forceGeneral, forceG)
+	c.init(cfg, seed, hashPerIteration, forceG)
 	return c
 }
 
 // init builds the checker in place. Its per-iteration arrays (mods,
-// pow64) and the hash scratch share one allocation, and the hashers sit
-// in c.hs when they fit — a checker is built per stage, per job, per
-// rank in service mode.
-func (c *SumChecker) init(cfg SumConfig, seed uint64, forceGeneral bool, forceG int) {
+// pow64) share one allocation, and the hashers sit in c.hs when they
+// fit — a checker is built per stage, per job, per rank in service
+// mode.
+func (c *SumChecker) init(cfg SumConfig, seed uint64, hashPerIteration bool, forceG int) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	*c = SumChecker{cfg: cfg, forceG: int32(forceG)}
-	c.pow2 = hashing.IsPow2(cfg.Buckets) && !forceGeneral
+	*c = SumChecker{cfg: cfg, forceG: forceG}
 	its := cfg.Iterations
-	nHashes, nbuf := its, 0 // general d: one independent hash per iteration, bucket = h mod d
-	c.width, c.perHash = bits.Len(uint(cfg.Buckets-1)), 1
-	if c.pow2 {
-		split := hashing.NewSplitter(cfg.Buckets, its, cfg.Family.Bits)
-		c.perHash = split.PerHash()
-		nHashes = split.HashesNeeded()
-		nbuf = nHashes
+	var nHashes int
+	c.width, c.perHash, nHashes = cfg.layout()
+	if hashPerIteration {
+		c.perHash, nHashes = 1, its
 	}
-	words := make([]uint64, 2*its+nbuf)
-	c.mods, c.pow64, c.hbuf = words[:its:its], words[its:2*its:2*its], words[2*its:]
+	words := make([]uint64, 2*its)
+	c.mods, c.pow64 = words[:its:its], words[its:]
 	// The moduli come from the same kind of stream as the hash seeds
 	// below, in a domain of their own; rhat is a power of two, so
 	// masking an output is an exactly uniform draw below it.
@@ -154,28 +145,6 @@ func addFold(a, v, p64 uint64) uint64 {
 	sum, c1 := bits.Add64(a, v, 0)
 	sum, c2 := bits.Add64(sum, p64&-c1, 0)
 	return sum + p64&-c2
-}
-
-// prepare evaluates the bit-parallel path's hash functions on key into
-// c.hbuf, for bucketOf to split: the element-by-element addressing of
-// the reference loop AccumulateScalar, which the kernel's batched
-// hashes and lane shifts must match.
-func (c *SumChecker) prepare(key uint64) {
-	if c.pow2 {
-		for j := range c.hashers {
-			c.hbuf[j] = c.hashers[j].Hash64(key)
-		}
-	}
-}
-
-// bucketOf returns the bucket of key in iteration it, using the hash
-// values prepared in c.hbuf for the bit-parallel path.
-func (c *SumChecker) bucketOf(key uint64, it int) int {
-	if c.pow2 {
-		h := c.hbuf[it/c.perHash] >> (it % c.perHash * c.width)
-		return int(h & uint64(c.cfg.Buckets-1))
-	}
-	return int(c.hashers[it].Hash64(key) % uint64(c.cfg.Buckets))
 }
 
 // accBlock is the number of elements gathered per batch-hash block:
@@ -302,7 +271,7 @@ func groupSize(width, perHash, its, n int) int {
 // the ablation benchmarks' fixed forceG.
 func (c *SumChecker) planFor(n int) int {
 	if c.forceG != 0 {
-		return int(c.forceG)
+		return c.forceG
 	}
 	return groupSize(c.width, c.perHash, c.cfg.Iterations, n)
 }
@@ -409,7 +378,7 @@ func (c *SumChecker) accumulate(table []uint64, pairs []data.Pair, f feed) {
 // (sum, count, average, median) is filled through it. Keys are gathered
 // into fixed-size blocks and hashed through the family's Hash64Batch,
 // each hash function exactly once per block (the Section 7.1
-// bit-parallel optimisation: for pow2 d, hash j covers iterations
+// bit-parallel optimisation: hash j covers iterations
 // j*perHash .. (j+1)*perHash-1 via bit groups). The block then streams
 // through one cell table per group of the plan's g iterations: the
 // group's concatenated bucket bits pick a cell and the element's signed
@@ -431,13 +400,10 @@ func (c *SumChecker) accumulate(table []uint64, pairs []data.Pair, f feed) {
 // half first, and addition is associative. Tables are therefore
 // bit-identical to AccumulateScalar's after Normalize for every plan
 // and every chunking (the raw words differ only in when the folds
-// canonicalise).
-//
-// With g = 1 the cell tables have the table's own its×d shape. That
-// plan also carries general (non-pow2) d: one hash per iteration,
-// bucket = h mod d, in a row of the next power of two cells.
+// canonicalise). With g = 1 the cell tables have the table's own its×d
+// shape.
 func (c *SumChecker) addCells(table []uint64, s *accScratch, pairs []data.Pair, f feed) {
-	d, plan := c.cfg.Buckets, s.plan
+	plan := s.plan
 	cells := s.cells[:s.cellCount()]
 	for start := 0; start < len(pairs); start += accBlock {
 		blk := pairs[start:min(start+accBlock, len(pairs))]
@@ -461,11 +427,6 @@ func (c *SumChecker) addCells(table []uint64, s *accScratch, pairs []data.Pair, 
 			gr := &plan[i]
 			if gr.shift == 0 { // the first group to read this hash value
 				c.hashers[gr.hash].Hash64Batch(hb, keys)
-				if !c.pow2 {
-					for i := range hb {
-						hb[i] %= uint64(d)
-					}
-				}
 			}
 			n := addGroups(cells, gr, hb, vs)
 			if high != nil {
@@ -730,6 +691,7 @@ func cellsAdd(cells []int64, hb []uint64, terms []int64, shift uint) {
 // hot path against the seed behavior in the same binary.
 func (c *SumChecker) AccumulateScalar(table []uint64, pairs []data.Pair, count bool) {
 	d := c.cfg.Buckets
+	mask := uint64(d - 1)
 	// The seed's deferred modulo: fold the lost 2^64 back with a real
 	// division. The hot path replaced this with the branch-free
 	// two-step add fold; the reference keeps the original so the bench
@@ -742,36 +704,20 @@ func (c *SumChecker) AccumulateScalar(table []uint64, pairs []data.Pair, count b
 		}
 		table[idx] = sum
 	}
-	if c.pow2 && len(c.hashers) == 1 {
-		// The historical Section 7.1 fast path: one hash evaluation per
-		// element, bucket bits peeled off iteration by iteration.
-		its := c.cfg.Iterations
-		width := c.width
-		mask := uint64(d - 1)
-		hasher := c.hashers[0]
-		for i := range pairs {
-			v := uint64(1)
-			if !count {
-				v = pairs[i].Value
-			}
-			h := hasher.Hash64(pairs[i].Key)
-			base := 0
-			for it := 0; it < its; it++ {
-				addRef(base+int(h&mask), it, v)
-				h >>= width
-				base += d
-			}
-		}
-		return
-	}
 	for i := range pairs {
 		key, v := pairs[i].Key, uint64(1)
 		if !count {
 			v = pairs[i].Value
 		}
-		c.prepare(key)
+		// Each hash value's bucket bits, peeled off iteration by
+		// iteration.
+		var h uint64
 		for it := 0; it < c.cfg.Iterations; it++ {
-			addRef(it*d+c.bucketOf(key, it), it, v)
+			if it%c.perHash == 0 {
+				h = c.hashers[it/c.perHash].Hash64(key)
+			}
+			addRef(it*d+int(h&mask), it, v)
+			h >>= c.width
 		}
 	}
 }

@@ -20,6 +20,22 @@ func shardPairs(ps []data.Pair, p, r int) []data.Pair {
 	return ps[s:e]
 }
 
+// bucketsOf returns key's bucket in every iteration of c, in dst: the
+// element-by-element addressing of AccumulateScalar, bucket bits peeled
+// off each hash value of c's layout.
+func bucketsOf(c *SumChecker, key uint64, dst []int) []int {
+	dst = dst[:0]
+	var h uint64
+	for it := 0; it < c.cfg.Iterations; it++ {
+		if it%c.perHash == 0 {
+			h = c.hashers[it/c.perHash].Hash64(key)
+		}
+		dst = append(dst, int(h&uint64(c.cfg.Buckets-1)))
+		h >>= c.width
+	}
+	return dst
+}
+
 // refSumAgg is the sequential reference aggregation.
 func refSumAgg(ps []data.Pair) []data.Pair {
 	return data.MapToPairs(data.PairsToMapSum(ps))
@@ -57,8 +73,7 @@ func TestSumCheckerAcceptsAllConfigs(t *testing.T) {
 	input := workload.ZipfPairs(500, 100, 100, 2)
 	output := refSumAgg(input)
 	configs := append(AccuracyConfigs(), ScalingConfigs()...)
-	// Also a non-power-of-two bucket count (general path).
-	configs = append(configs, SumConfig{Iterations: 3, Buckets: 37, RHatLog: 8, Family: hashing.FamilyMix})
+	configs = append(configs, SumConfig{Iterations: 3, Buckets: 32, RHatLog: 8, Family: hashing.FamilyMix})
 	for _, cfg := range configs {
 		cfg := cfg
 		err := dist.RunConfig(dist.Config{}, 4, 11, func(w *dist.Worker) error {
@@ -240,8 +255,7 @@ func TestLazyModuloMatchesBigIntReference(t *testing.T) {
 			ref[b] = new(big.Int)
 		}
 		for _, pr := range pairs {
-			c.prepare(pr.Key)
-			b := c.bucketOf(pr.Key, it)
+			b := bucketsOf(c, pr.Key, nil)[it]
 			ref[b].Add(ref[b], new(big.Int).SetUint64(pr.Value))
 		}
 		for b := 0; b < cfg.Buckets; b++ {
@@ -407,19 +421,85 @@ func TestSumConfigRejectsBucketsWiderThanHash(t *testing.T) {
 		}()
 		NewSumChecker(bad, 1)
 	}()
-	// The widest index each family can serve stays valid, general d
-	// included; 64-bit families have no limit an int can reach.
+	// The widest index each family can serve stays valid; 64-bit
+	// families have no limit an int can reach.
 	for _, ok := range []SumConfig{
 		{Iterations: 1, Buckets: 1 << 32, RHatLog: 9, Family: hashing.FamilyCRC},
-		{Iterations: 2, Buckets: 1<<32 - 5, RHatLog: 9, Family: hashing.FamilyTab},
+		{Iterations: 2, Buckets: 1 << 32, RHatLog: 9, Family: hashing.FamilyTab},
 		{Iterations: 1, Buckets: 1 << 40, RHatLog: 9, Family: hashing.FamilyTab64},
 	} {
 		if err := ok.Validate(); err != nil {
 			t.Errorf("Validate(%s) = %v, want nil", ok.Name(), err)
 		}
 	}
-	if err := (SumConfig{Iterations: 1, Buckets: 1<<32 + 1, RHatLog: 9, Family: hashing.FamilyTab}).Validate(); err == nil {
-		t.Error("general d beyond the hash range accepted")
+}
+
+// TestSumConfigRejectsNonPow2Buckets: the bucket indices are bit groups
+// of a hash value, so a d that is not a power of two >= 2 has no layout
+// and is a configuration error, named by Validate and raised by
+// NewSumChecker as the same error.
+func TestSumConfigRejectsNonPow2Buckets(t *testing.T) {
+	for _, d := range []int{2, 4, 256} {
+		if err := (SumConfig{Iterations: 4, Buckets: d, RHatLog: 7, Family: hashing.FamilyTab}).Validate(); err != nil {
+			t.Errorf("d = %d rejected: %v", d, err)
+		}
+	}
+	for _, d := range []int{-4, 0, 1, 3, 10, 37, 1<<32 - 5, 1<<32 + 1} {
+		bad := SumConfig{Iterations: 4, Buckets: d, RHatLog: 7, Family: hashing.FamilyTab}
+		err := bad.Validate()
+		if err == nil || !strings.Contains(err.Error(), bad.Name()) || !strings.Contains(err.Error(), "power of two") {
+			t.Fatalf("Validate(%s) = %v, want an error naming the configuration and the power of two", bad.Name(), err)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || r.(error).Error() != err.Error() {
+					t.Errorf("NewSumChecker(%s) panicked with %v, want Validate's error %v", bad.Name(), r, err)
+				}
+			}()
+			NewSumChecker(bad, 1)
+		}()
+	}
+}
+
+// TestSumConfigLayout pins how bucket bits lie in the hash values:
+// iterations per hash value (Family.Bits / log2 d) and hash values per
+// element, for the default, a two-hash shape, a shape that leaves two
+// bits of a CRC value unused and a 64-bit family. For every shape, a
+// hash value holds perHash whole indices, no more, and the hash values
+// hold every iteration's index with less than one value to spare.
+func TestSumConfigLayout(t *testing.T) {
+	f := func(logD, its uint8, wide bool) bool {
+		cfg := SumConfig{Iterations: 1 + int(its%64), Buckets: 2 << (logD % 10), RHatLog: 7, Family: hashing.FamilyCRC}
+		if wide {
+			cfg.Family = hashing.FamilyTab64
+		}
+		width, k, m := cfg.layout()
+		bits := cfg.Family.Bits
+		return 1<<width == cfg.Buckets && k*width <= bits && (k+1)*width > bits && m*k >= cfg.Iterations && (m-1)*k < cfg.Iterations
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	crc, tab64 := hashing.FamilyCRC, hashing.FamilyTab64
+	for _, tc := range []struct {
+		cfg             SumConfig
+		perHash, hashes int
+	}{
+		{SumConfig{Iterations: 15, Buckets: 4, RHatLog: 10, Family: crc}, 16, 1},
+		{SumConfig{Iterations: 16, Buckets: 16, RHatLog: 15, Family: crc}, 8, 2},
+		{SumConfig{Iterations: 6, Buckets: 32, RHatLog: 9, Family: crc}, 6, 1},
+		{SumConfig{Iterations: 8, Buckets: 256, RHatLog: 15, Family: tab64}, 8, 1},
+	} {
+		width, perHash, hashes := tc.cfg.layout()
+		if 1<<width != tc.cfg.Buckets || perHash != tc.perHash || hashes != tc.hashes {
+			t.Errorf("%s: layout = width %d, %d per hash, %d hashes; want width log2 d, %d per hash, %d hashes",
+				tc.cfg.Name(), width, perHash, hashes, tc.perHash, tc.hashes)
+		}
+		c := NewSumChecker(tc.cfg, 1)
+		if c.perHash != tc.perHash || len(c.hashers) != tc.hashes {
+			t.Errorf("%s: checker has %d per hash and %d hashers, want %d and %d",
+				tc.cfg.Name(), c.perHash, len(c.hashers), tc.perHash, tc.hashes)
+		}
 	}
 }
 

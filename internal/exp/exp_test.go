@@ -12,7 +12,6 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/hashing"
-	"repro/internal/params"
 	"repro/internal/workload"
 )
 
@@ -273,7 +272,7 @@ func TestRenderers(t *testing.T) {
 	if s := RenderTable1(); !strings.Contains(s, "Sum/Count") {
 		t.Error("Table 1 rendering incomplete")
 	}
-	t2, err := params.Table2()
+	t2, err := core.Table2()
 	if err != nil {
 		t.Fatal(err)
 	}

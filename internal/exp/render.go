@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/manipulate"
-	"repro/internal/params"
 )
 
 // RenderTable1 prints the paper's Table 1 (main results) as implemented
@@ -33,16 +32,16 @@ func RenderTable1() string {
 
 // RenderTable2 prints the regenerated Table 2. Under each row, the
 // "min vol" row is the paper's closed-form volume minimiser at the same
-// delta (params.MinVolume: d = 2, rhat = 8, any b): what the row's
+// delta (core.MinVolume: d = 2, rhat = 8, any b): what the row's
 // fewer iterations cost in bits.
-func RenderTable2(rows []params.Optimum) string {
+func RenderTable2(rows []core.Optimum) string {
 	var b strings.Builder
 	b.WriteString("Table 2: numerically optimal bucket count d and modulus parameter rhat\n\n")
 	fmt.Fprintf(&b, "%8s %10s %6s %6s %6s %14s %10s\n", "b", "delta", "d", "rhat", "#its", "achieved", "bits used")
 	for _, o := range rows {
 		fmt.Fprintf(&b, "%8d %10.0e %6d %6s %6d %14.2e %10d\n",
 			o.B, o.Delta, o.D, fmt.Sprintf("2^%d", o.RHatLog), o.Iterations, o.Achieved, o.SizeBits())
-		mv := params.MinVolume(o.Delta)
+		mv := core.MinVolume(o.Delta)
 		fmt.Fprintf(&b, "%8s %10s %6d %6s %6d %14.2e %10d\n",
 			"min vol", "", mv.D, fmt.Sprintf("2^%d", mv.RHatLog), mv.Iterations, mv.Achieved, mv.SizeBits())
 	}

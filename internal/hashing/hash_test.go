@@ -5,7 +5,6 @@ import (
 	"hash/crc32"
 	"math/bits"
 	"testing"
-	"testing/quick"
 )
 
 func TestFamiliesDeterministic(t *testing.T) {
@@ -112,57 +111,6 @@ func TestMix64Bijective(t *testing.T) {
 			t.Fatalf("Mix64 collision: %d and %d", prev, x)
 		}
 		seen[h] = x
-	}
-}
-
-func TestSplitterCoversAllBits(t *testing.T) {
-	s := NewSplitter(16, 8, 32) // 8 groups of 4 bits from a 32-bit hash
-	if s.HashesNeeded() != 1 || s.PerHash() != 8 {
-		t.Fatalf("got %d hashes of %d groups, want 1 of 8", s.HashesNeeded(), s.PerHash())
-	}
-}
-
-func TestSplitterMultipleHashes(t *testing.T) {
-	// 8 groups of 5 bits from 32-bit hashes: 6 groups per hash, so two
-	// hash values are needed.
-	s := NewSplitter(32, 8, 32)
-	if s.HashesNeeded() != 2 || s.PerHash() != 6 {
-		t.Fatalf("got %d hashes of %d groups, want 2 of 6", s.HashesNeeded(), s.PerHash())
-	}
-}
-
-func TestSplitterRejectsNonPow2(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non power-of-two d")
-		}
-	}()
-	NewSplitter(37, 4, 32)
-}
-
-func TestIsPow2(t *testing.T) {
-	for d, want := range map[int]bool{1: false, 2: true, 3: false, 4: true, 37: false, 256: true, 0: false, -4: false} {
-		if got := IsPow2(d); got != want {
-			t.Errorf("IsPow2(%d) = %v, want %v", d, got, want)
-		}
-	}
-}
-
-func TestSplitterGroupsIndependentQuick(t *testing.T) {
-	// Property: a hash value holds PerHash whole groups, no more, and
-	// HashesNeeded values hold every instance's group, with less than
-	// one value to spare.
-	f := func(logD, instances uint8, wide bool) bool {
-		width, n, hashBits := 1+int(logD%10), 1+int(instances%64), 32
-		if wide {
-			hashBits = 64
-		}
-		s := NewSplitter(1<<width, n, hashBits)
-		k, m := s.PerHash(), s.HashesNeeded()
-		return k*width <= hashBits && (k+1)*width > hashBits && m*k >= n && (m-1)*k < n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -491,39 +491,47 @@ func TestZipValidatesIterations(t *testing.T) {
 // configuration is invalid fails the Context with an error naming the
 // Options field — on every rank alike, before the operation sent a byte
 // — instead of panicking in the checker's constructor after the
-// operation ran. Without checking the configuration is never read.
+// operation ran. Without checking the configuration is never read. A
+// sum checker whose bucket count is not a power of two is one such
+// configuration: the stage error carries Validate's.
 func TestBadCheckerConfigFailsStageBeforeExec(t *testing.T) {
 	pairs := []repro.Pair{{Key: 1, Value: 2}, {Key: 3, Value: 4}, {Key: 1, Value: 6}}
 	seq := []uint64{5, 1, 4}
 	zeroSum := func(o *repro.Options) { o.Sum = repro.SumConfig{} }
 	zeroPerm := func(o *repro.Options) { o.Perm = repro.PermConfig{} }
+	tenBuckets := repro.DefaultOptions().Sum
+	tenBuckets.Buckets = 10
 	cases := []struct {
 		stage, option string
 		breakIt       func(*repro.Options)
 		run           func(ctx *repro.Context) error
+		carries       error // the configuration's error the stage error wraps, if set
 	}{
 		{"ReduceByKey", "Options.Sum", zeroSum, func(ctx *repro.Context) error {
 			_, err := ctx.Pairs(pairs).ReduceByKey(repro.SumFn).Collect()
 			return err
-		}},
+		}, nil},
 		{"StreamSum", "Options.Sum", zeroSum, func(ctx *repro.Context) error {
 			return ctx.StreamPairs(repro.SlicePairs(pairs, 2)).AssertSum(repro.SlicePairs(pairs, 2))
-		}},
+		}, nil},
+		{"AssertSum", "Options.Sum", func(o *repro.Options) { o.Sum = tenBuckets }, func(ctx *repro.Context) error {
+			return ctx.AssertSum(pairs, pairs)
+		}, tenBuckets.Validate()},
 		{"Sort", "Options.Perm", zeroPerm, func(ctx *repro.Context) error {
 			_, err := ctx.Seq(seq).Sort().Collect()
 			return err
-		}},
+		}, nil},
 		{"GroupByKey", "Options.Perm", zeroPerm, func(ctx *repro.Context) error {
 			_, err := ctx.Pairs(pairs).GroupByKey()
 			return err
-		}},
+		}, nil},
 		{"StreamPerm", "Options.Perm", zeroPerm, func(ctx *repro.Context) error {
 			return ctx.StreamSeq(repro.SliceSeq(seq, 2)).AssertPermutation(repro.SliceSeq(seq, 2))
-		}},
+		}, nil},
 		{"Zip", "Options.Zip", func(o *repro.Options) { o.Zip.Iterations = 0 }, func(ctx *repro.Context) error {
 			_, err := ctx.Seq(seq).Zip(ctx.Seq(seq)).Collect()
 			return err
-		}},
+		}, nil},
 	}
 	for _, tc := range cases {
 		for _, p := range []int{1, 3} {
@@ -562,6 +570,9 @@ func TestBadCheckerConfigFailsStageBeforeExec(t *testing.T) {
 					for r, serr := range stageErrs {
 						if serr == nil || !strings.HasPrefix(serr.Error(), "repro: "+tc.option+": ") {
 							t.Fatalf("rank %d: stage error %v does not name %s", r, serr, tc.option)
+						}
+						if tc.carries != nil && !strings.Contains(serr.Error(), tc.carries.Error()) {
+							t.Errorf("rank %d: stage error %q does not carry %q", r, serr, tc.carries)
 						}
 						if serr.Error() != stageErrs[0].Error() {
 							t.Errorf("rank %d: error %q differs from rank 0's %q", r, serr, stageErrs[0])

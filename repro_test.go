@@ -2,6 +2,13 @@ package repro
 
 import (
 	"errors"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -239,12 +246,6 @@ func checkAgainst(w *Worker, input, output []Pair) error {
 	return ctx.AssertSum(input, output)
 }
 
-// TestDefaultOptionsAchieveDocumentedDelta holds every default checker
-// configuration to the failure probability DefaultOptions' comment
-// states, and the sum checker to the one ChooseSum picks for it. The
-// figure was 1.4e-9 while the default was the literal 6×32 CRC m9
-// (1.34e-9); whoever changes a default, or the figure, changes both
-// here.
 // TestDefaultPermRejectsRectangle: the default permutation checker
 // rejects a Rectangle — one byte position swapped between two elements,
 // which a 3-independent hash sum lets through far above its delta — on
@@ -273,6 +274,79 @@ func TestDefaultPermRejectsRectangle(t *testing.T) {
 	}
 }
 
+// TestContractTableMatchesDefaults holds the contract table in
+// internal/core/doc.go to DefaultOptions: the sum row names the default
+// sum configuration, the ×k of the perm and zip rows is the default's
+// iteration count, and every Test or Fuzz function the contract section
+// cites exists in the module.
+func TestContractTableMatchesDefaults(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "internal/core/doc.go", nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, contract, ok := strings.Cut(f.Doc.Text(), "What each default construction is proven for:")
+	if !ok {
+		t.Fatal("internal/core/doc.go has no contract table")
+	}
+	contract, _, _ = strings.Cut(contract, "\n# ")
+	// A row's first line starts with its first column; its continuation
+	// lines are indented past that column.
+	row := func(first string) string {
+		m := regexp.MustCompile(`(?m)^\t` + regexp.QuoteMeta(first) + `\s{2,}(.*(?:\n\t .*)*)`).FindStringSubmatch(contract)
+		if m == nil {
+			t.Fatalf("contract table has no %q row", first)
+		}
+		return m[1]
+	}
+	times := func(first string) int {
+		m := regexp.MustCompile(`[\s,]×(\d+)`).FindStringSubmatch(row(first))
+		if m == nil {
+			t.Fatalf("contract table row %q names no ×k", first)
+		}
+		k, _ := strconv.Atoi(m[1])
+		return k
+	}
+	opts := DefaultOptions()
+	if sum := row("sum, count"); !strings.HasPrefix(sum, opts.Sum.Name()+" ") {
+		t.Errorf("contract table's sum row reads %q, DefaultOptions().Sum is %s", sum, opts.Sum.Name())
+	}
+	if got := times("perm, sort,"); got != opts.Perm.Iterations {
+		t.Errorf("contract table's perm row says ×%d, DefaultOptions().Perm has %d iterations", got, opts.Perm.Iterations)
+	}
+	if got := times("zip"); got != opts.Zip.Iterations {
+		t.Errorf("contract table's zip row says ×%d, DefaultOptions().Zip has %d iterations", got, opts.Zip.Iterations)
+	}
+
+	declared := map[string]bool{}
+	for _, pattern := range []string{"*_test.go", "cmd/*/*_test.go", "internal/*/*_test.go"} {
+		files, _ := filepath.Glob(pattern)
+		for _, file := range files {
+			src, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`).FindAllSubmatch(src, -1) {
+				declared[string(m[1])] = true
+			}
+		}
+	}
+	cited := regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z]\w*`).FindAllString(contract, -1)
+	if len(cited) == 0 {
+		t.Fatal("the contract section cites no gate")
+	}
+	for _, name := range cited {
+		if !declared[name] {
+			t.Errorf("the contract section cites %s, which no test file declares", name)
+		}
+	}
+}
+
+// TestDefaultOptionsAchieveDocumentedDelta holds every default checker
+// configuration to the failure probability DefaultOptions' comment
+// states, and the sum checker to the one ChooseSum picks for it. The
+// figure was 1.4e-9 while the default was the literal 6×32 CRC m9
+// (1.34e-9); whoever changes a default, or the figure, changes both
+// here.
 func TestDefaultOptionsAchieveDocumentedDelta(t *testing.T) {
 	const documented = 1e-9
 	want, err := core.ChooseSum(documented, hashing.FamilyCRC)
