@@ -114,21 +114,52 @@ func TestAllRunsOnlyMarkedRows(t *testing.T) {
 	}
 }
 
-// TestTable2Golden pins what `repro table2` prints, byte for byte: every
-// optimum of the paper's Table 2 and the min vol row under it.
-func TestTable2Golden(t *testing.T) {
-	want, err := os.ReadFile("testdata/table2.golden")
-	if err != nil {
-		t.Fatal(err)
+// TestGolden pins what three subcommands print, byte for byte, each
+// against testdata/<name>.golden: every optimum of the paper's Table 2
+// and the min vol row under it, Table 6's manipulators, and a small
+// seeded Fig. 5 sweep — every hash-sum configuration's failure count
+// under every manipulator.
+func TestGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"table2", nil},
+		{"table6", nil},
+		{"fig5", []string{"-elements", "2000", "-min-runs", "200", "-max-runs", "200", "-seed", "7"}},
+	} {
+		want, err := os.ReadFile("testdata/" + tc.name + ".golden")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := captureStdout(t, func() error { return lookup(t, tc.name).run(tc.args) })
+		if got != string(want) {
+			t.Errorf("repro %s %q printed\n%s\nwant (testdata/%s.golden)\n%s", tc.name, tc.args, got, tc.name, want)
+		}
 	}
-	f, err := os.CreateTemp(t.TempDir(), "table2")
+}
+
+// lookup returns the subcommand table's row called name.
+func lookup(t *testing.T, name string) subcommand {
+	for _, c := range commands() {
+		if c.name == name {
+			return c
+		}
+	}
+	t.Fatalf("no subcommand %q", name)
+	return subcommand{}
+}
+
+// captureStdout returns what run prints to standard output.
+func captureStdout(t *testing.T, run func() error) string {
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	stdout := os.Stdout
 	os.Stdout = f
-	err = runTable2(nil)
+	err = run()
 	os.Stdout = stdout
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +168,5 @@ func TestTable2Golden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != string(want) {
-		t.Errorf("repro table2 printed\n%s\nwant (testdata/table2.golden)\n%s", got, want)
-	}
+	return string(got)
 }
