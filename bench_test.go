@@ -203,38 +203,44 @@ func BenchmarkPermAccumulateEngine(b *testing.B) {
 		b.SetBytes(int64(8 * n))
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
 	}
-	tab64 := core.PermConfig{Family: hashing.FamilyTab64, LogH: 64, Iterations: 1}
-	for _, cfg := range []core.PermConfig{repro.DefaultOptions().Perm, tab64} {
-		c := core.NewPermChecker(cfg, 3)
-		// A product's two slots an iteration, each starting at 1; a hash
-		// sum reads the first Iterations.
-		sums := make([]uint64, 2*cfg.Iterations)
-		for i := range sums {
-			sums[i] = 1
+	cfg := repro.DefaultOptions().Perm
+	c := core.NewPermChecker(cfg, 3)
+	tab64 := core.NewHashSumChecker(core.HashSumConfig{Family: hashing.FamilyTab64, LogH: 64, Iterations: 1}, 3)
+	// The product's two slots an iteration, each starting at 1, and the
+	// hash sum's one.
+	sums, hsums := make([]uint64, 2*cfg.Iterations), make([]uint64, 1)
+	for i := range sums {
+		sums[i] = 1
+	}
+	b.Run(fmt.Sprintf("%s×%d/scalar", cfg.Name(), cfg.Iterations), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.AccumulateIntoScalar(sums, xs, false)
 		}
-		name := fmt.Sprintf("%s×%d/", cfg.Name(), cfg.Iterations)
-		b.Run(name+"scalar", func(b *testing.B) {
+		perElem(b, elements)
+	})
+	for _, row := range []struct {
+		name string
+		add  func(xs []uint64)
+	}{
+		{fmt.Sprintf("%s×%d", cfg.Name(), cfg.Iterations), func(xs []uint64) { c.AccumulateInto(sums, xs, false) }},
+		{"Tab64 64×1", func(xs []uint64) { tab64.AccumulateInto(hsums, xs, false) }},
+	} {
+		b.Run(row.name+"/batch", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c.AccumulateIntoScalar(sums, xs, false)
+				row.add(xs)
 			}
 			perElem(b, elements)
 		})
-		b.Run(name+"batch", func(b *testing.B) {
+		b.Run(row.name+"/batch/2k", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c.AccumulateInto(sums, xs, false)
-			}
-			perElem(b, elements)
-		})
-		b.Run(name+"batch/2k", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				c.AccumulateInto(sums, job, false)
+				row.add(job)
 			}
 			perElem(b, len(job))
 		})
-		b.Run(name+"batch/2k-chunk256", func(b *testing.B) {
+		b.Run(row.name+"/batch/2k-chunk256", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for lo := 0; lo < len(job); lo += jobChunk {
-					c.AccumulateInto(sums, job[lo:min(lo+jobChunk, len(job))], false)
+					row.add(job[lo:min(lo+jobChunk, len(job))])
 				}
 			}
 			perElem(b, len(job))
@@ -252,9 +258,8 @@ func BenchmarkPermCheckerLocal(b *testing.B) {
 	for _, fam := range []hashing.Family{hashing.FamilyCRC, hashing.FamilyTab, hashing.FamilyTab64, hashing.FamilyMix} {
 		fam := fam
 		b.Run(fam.Name, func(b *testing.B) {
-			cfg := core.PermConfig{Family: fam, LogH: 32, Iterations: 1}
-			c := core.NewPermChecker(cfg, 3)
-			lambda := make([]uint64, cfg.Iterations)
+			c := core.NewHashSumChecker(core.HashSumConfig{Family: fam, LogH: 32, Iterations: 1}, 3)
+			lambda := make([]uint64, 1)
 			b.SetBytes(int64(16 * elements))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -104,34 +104,44 @@ func BenchmarkAblationHashFamilies(b *testing.B) {
 }
 
 // BenchmarkAblationPermVariants compares the permutation checker
-// mechanisms' local work: hash-sum (Lemma 4) and the prime-field product
-// (Lemma 5). The hash-sum rows run one and two Tab iterations and one
-// Tab64 64-bit function, the default before the product. The product
-// rows run the default kernel (one offset lookup and one lazy 128-bit
-// multiply an element, four lanes), a factor z - lo - y·hi over the
-// element's 32-bit halves (a second multiply an element, four lanes),
-// and the scalar oracle's canonical one-lane fold.
+// mechanisms' local work: hash-sum (Lemma 4, HashSumChecker) and the
+// prime-field product (Lemma 5). The hash-sum rows run one and two Tab
+// iterations and one Tab64 64-bit function, the default before the
+// product. The product rows run the default kernel (one offset lookup
+// and one lazy 128-bit multiply an element, four lanes), a factor
+// z - lo - y·hi over the element's 32-bit halves (a second multiply an
+// element, four lanes), and the scalar oracle's canonical one-lane
+// fold.
 func BenchmarkAblationPermVariants(b *testing.B) {
 	xs := workload.UniformU64s(ablationElements, 1e8, 2)
 	for _, row := range []struct {
 		name string
-		cfg  PermConfig
+		cfg  HashSumConfig
 	}{
-		{"hash-sum-Tab", PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 1}},
-		{"hash-sum-Tab×2", PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}},
-		{"hash-sum-Tab64", PermConfig{Family: hashing.FamilyTab64, LogH: 64, Iterations: 1}},
-		{"product-offsets", PermConfig{Iterations: 1}},
+		{"hash-sum-Tab", HashSumConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 1}},
+		{"hash-sum-Tab×2", HashSumConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}},
+		{"hash-sum-Tab64", HashSumConfig{Family: hashing.FamilyTab64, LogH: 64, Iterations: 1}},
 	} {
 		b.Run(row.name, func(b *testing.B) {
-			c := NewPermChecker(row.cfg, 3)
+			c := NewHashSumChecker(row.cfg, 3)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sums := localSums(c, xs)
+				sums := make([]uint64, row.cfg.Iterations)
+				c.AccumulateInto(sums, xs, false)
 				sinkBench = sums[0]
 			}
 			reportPerElem(b, ablationElements)
 		})
 	}
+	b.Run("product-offsets", func(b *testing.B) {
+		c := NewPermChecker(PermConfig{Iterations: 1}, 3)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sums := localSums(c, xs)
+			sinkBench = sums[0]
+		}
+		reportPerElem(b, ablationElements)
+	})
 	b.Run("product-second-multiply", func(b *testing.B) {
 		const r = hashing.Mersenne61
 		z, y := uint64(123456789123456789)%r, uint64(987654321987654321)%r

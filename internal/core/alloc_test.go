@@ -6,6 +6,7 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -34,10 +35,10 @@ func TestSmallChunkAccumulationAllocs(t *testing.T) {
 		t.Errorf("AccumulateCount allocates %.0f objects per chunk, want 0", n)
 	}
 
-	pc := NewPermChecker(PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}, 1)
+	hc := NewHashSumChecker(HashSumConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}, 1)
 	sums := make([]uint64, 2)
-	if n := testing.AllocsPerRun(10, func() { pc.AccumulateInto(sums, xs, false) }); n != 0 {
-		t.Errorf("AccumulateInto allocates %.0f objects per chunk, want 0", n)
+	if n := testing.AllocsPerRun(10, func() { hc.AccumulateInto(sums, xs, false) }); n != 0 {
+		t.Errorf("hash sum AccumulateInto allocates %.0f objects per chunk, want 0", n)
 	}
 
 	prod := NewPermChecker(PermConfig{Iterations: 2}, 1)
@@ -57,9 +58,10 @@ func TestSmallChunkAccumulationAllocs(t *testing.T) {
 // had cells: 3 560 bytes, in 11 objects. A builder that held its
 // checker and state made them 4 objects and 3 572 bytes, and one that
 // keeps a single table (output subtracted in its cells) 4 objects and
-// 2 036 bytes. The ceiling keeps its slack: now and then a stray
-// runtime allocation of about 5 KB lands in the ten-run loop, 549
-// bytes a run.
+// 2 036 bytes. The ceiling keeps its slack, and the test reads the
+// least of three ten-run windows: now and then a stray runtime
+// allocation lands in a window, mostly about 5 KB (549 bytes a run),
+// once about 59 KB (7 928 bytes a run).
 func TestWarmSumAggStateAllocs(t *testing.T) {
 	cfg := SumConfig{Iterations: 6, Buckets: 32, RHatLog: 9, Family: hashing.FamilyCRC}
 	input := workload.ZipfPairs(125000, 1000000, 1<<30, 1)
@@ -69,15 +71,18 @@ func TestWarmSumAggStateAllocs(t *testing.T) {
 	// Counted by hand: testing.AllocsPerRun changes GOMAXPROCS, which
 	// makes sync.Pool drop what it holds — the measurement would start
 	// cold.
-	const runs = 10
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		run()
+	const runs, windows = 10, 3
+	objects, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range windows {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		objects = min(objects, (after.Mallocs-before.Mallocs)/runs)
+		bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/runs)
 	}
-	runtime.ReadMemStats(&after)
-	objects := (after.Mallocs - before.Mallocs) / runs
-	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
 	t.Logf("warm 125k-pair sum state: %d objects, %d bytes", objects, bytes)
 	if objects > 4 {
 		t.Errorf("warm state allocates %d objects, want at most 4", objects)
@@ -100,21 +105,16 @@ func TestPackedCombineAllocs(t *testing.T) {
 }
 
 // TestCheckerSetupAllocs pins what building and sealing a permutation or
-// sort checker costs the heap in the steady state: no hash table and no
-// product offsets. The Tab family's tables are 8 KiB each and there are
-// two per checker, so a builder that allocated its own would cost
-// sixteen times the limit; a product's offsets come with a scratch from
-// scratchPool. Measured on one P with the collector held off, after a
-// warming call there: a sync.Pool hands back what was put on the same P
-// and drops its contents over two collections.
+// sort checker costs the heap in the steady state: no product offsets,
+// which come with a scratch from scratchPool. Measured on one P with
+// the collector held off, after a warming call there: a sync.Pool hands
+// back what was put on the same P and drops its contents over two
+// collections.
 func TestCheckerSetupAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	xs := workload.UniformU64s(64, 1e9, 3)
-	for _, cfg := range []PermConfig{
-		{Family: hashing.FamilyTab, LogH: 32, Iterations: 2},
-		{Iterations: 1},
-	} {
+	for _, cfg := range []PermConfig{{Iterations: 1}, {Iterations: 2}} {
 		for name, run := range map[string]func(seed uint64){
 			"NewPermBuilder": func(seed uint64) {
 				b := NewPermBuilder("setup", cfg, seed, Serial)
@@ -136,7 +136,7 @@ func TestCheckerSetupAllocs(t *testing.T) {
 			}
 			runtime.ReadMemStats(&after)
 			if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1024 {
-				t.Errorf("%s %s ×%d + Seal allocates %d bytes per call in the steady state, want under 1024 (one Tab table is 8192)",
+				t.Errorf("%s %s ×%d + Seal allocates %d bytes per call in the steady state, want under 1024 (one scratch is 24 576)",
 					name, cfg.Name(), cfg.Iterations, per)
 			}
 		}

@@ -19,26 +19,24 @@ import (
 //     output, whatever the chunking, and Seal folds them mod r and
 //     normalizes — so the residues agree exactly;
 //   - permutation products multiply in F_(2^61-1), leaving zero factors
-//     out and counting them, and hash sums add mod 2^64: both
-//     commutative and associative;
+//     out and counting them: commutative and associative;
 //   - the sortedness interval extends chunk by chunk with the same merge
 //     the collective resolution applies rank by rank.
 //
 // Builders are the foundation of the internal/stream subsystem.
 //
 // Builders are single-use (Seal at most once) and not safe for
-// concurrent use. Seal consumes the builder: its checker's product
-// offsets go back to scratchPool and its hash tables to the hashing
-// package for the next checker to fill (PermChecker.release), and a
-// later Add panics.
+// concurrent use. Seal consumes the builder: its checker's hash tables
+// go back to the hashing package for the next checker to fill
+// (recycleHashers), or its product offsets to scratchPool
+// (PermChecker.release), and a later Add panics.
 
 // recycleHashers hands the tables of hs back to the hashing package
 // and forgets them, under scratchPool's rule: only once nothing reads
-// them any more. The builders call it when Seal consumes them — a
-// sealed state keeps the fingerprints, not the functions — so the
-// checker a small job builds per stage allocates no hash table in the
-// steady state. A checker that was never handed to a builder keeps its
-// hashers for as long as it lives.
+// them any more. SumAggBuilder.Seal calls it — a sealed state keeps the
+// table, not the functions — so the checker a small job builds per
+// stage allocates no hash table in the steady state. A checker that was
+// never handed to a builder keeps its hashers for as long as it lives.
 func recycleHashers(hs []hashing.Hasher) {
 	for i, h := range hs {
 		hashing.Recycle(h)
@@ -161,10 +159,9 @@ func NewSumAggState(stage string, cfg SumConfig, seed uint64, input, output []da
 // ---------------------------------------------------------------------
 
 // PermBuilder is the chunked permutation checker: per iteration the
-// input's and the output's products, or the truncated hash sums,
-// inputs added and outputs subtracted. Chunk order is immaterial on
-// both sides. The checker, the fingerprints and the sealed state live
-// in the builder: one allocation for up to inlineHashers iterations.
+// input's and the output's products. Chunk order is immaterial on both
+// sides. The checker, the fingerprints and the sealed state live in the
+// builder: one allocation for up to inlineProducts iterations.
 type PermBuilder struct {
 	stage   string
 	c       *PermChecker // &chk until the builder is consumed
@@ -172,10 +169,16 @@ type PermBuilder struct {
 	localOK bool
 	chk     PermChecker
 	st      state
-	// lam backs lambda, with room for the sortedness interval a
-	// SortedBuilder seals behind the fingerprints.
-	lam [inlineHashers + sortWords]uint64
+	// lam backs lambda: two slots an iteration until Seal, then a word
+	// an iteration and the sortedness interval a SortedBuilder seals
+	// behind them.
+	lam [inlineProducts + sortWords]uint64
 }
+
+// inlineProducts is how many product iterations a PermBuilder holds
+// without an allocation of its own; their 2·inlineProducts slots fit
+// lam too.
+const inlineProducts = 2
 
 // NewPermBuilder starts an empty permutation partial for the given
 // stage. The ParallelAccumulator is ignored (shims_benchmark.go).
@@ -185,23 +188,19 @@ func NewPermBuilder(stage string, cfg PermConfig, seed uint64, _ ParallelAccumul
 	return b
 }
 
-// init starts the builder in place. A product takes two slots an
-// iteration until Seal, so up to inlineHashers iterations fit lam.
+// init starts the builder in place, every slot at productSlot.
 func (b *PermBuilder) init(stage string, cfg PermConfig, seed uint64) {
 	b.stage, b.localOK = stage, true
 	b.chk.init(cfg, seed)
 	b.c = &b.chk
-	n, fill := cfg.Iterations, uint64(0)
-	if b.c.offs != nil {
-		n, fill = 2*n, productSlot
-	}
-	if cfg.Iterations <= inlineHashers {
+	n := 2 * cfg.Iterations
+	if cfg.Iterations <= inlineProducts {
 		b.lambda = b.lam[:n]
 	} else {
 		b.lambda = make([]uint64, n, n+sortWords)
 	}
 	for i := range b.lambda {
-		b.lambda[i] = fill
+		b.lambda[i] = productSlot
 	}
 }
 
@@ -215,7 +214,7 @@ func (b *PermBuilder) AddOutput(xs []uint64) {
 	b.c.AccumulateInto(b.lambda, xs, true)
 }
 
-// Seal freezes the partial into one product or hash sum segment.
+// Seal freezes the partial into one product segment.
 func (b *PermBuilder) Seal() CheckState {
 	words, seg := b.fingerprint()
 	b.st.seal(b.stage, words, b.localOK, nil, seg)
@@ -223,12 +222,9 @@ func (b *PermBuilder) Seal() CheckState {
 	return &b.st
 }
 
-// fingerprint returns the words Seal packs and their segment: the hash
-// sums, or a product's slots sealed in place, a word an iteration.
+// fingerprint returns the words Seal packs and their segment: the
+// slots sealed in place, a word an iteration.
 func (b *PermBuilder) fingerprint() ([]uint64, segment) {
-	if b.c.offs == nil {
-		return b.lambda, hashSumSeg(b.c)
-	}
 	its := b.c.cfg.Iterations
 	for it := range its {
 		b.lambda[it] = ratioSlot(b.lambda[2*it], b.lambda[2*it+1])
@@ -246,7 +242,7 @@ func (b *PermBuilder) consume() {
 // NewPermState is PermBuilder over one chunk per input and one of the
 // output: output must be a permutation of the concatenation of inputs
 // — with two inputs the Union checker of Corollary 12. Running time
-// O(n/p + beta*logH*its + alpha*log p) — Theorem 6.
+// O(n/p + beta*64*its + alpha*log p) — Theorem 6.
 func NewPermState(stage string, cfg PermConfig, seed uint64, inputs [][]uint64, output []uint64) CheckState {
 	b := NewPermBuilder(stage, cfg, seed, Serial)
 	for _, in := range inputs {
@@ -298,8 +294,8 @@ func (s *SortedBuilder) AddOutput(xs []uint64) {
 	mergeInterval(s.interval[:], chunk[:])
 }
 
-// Seal freezes the partial into a product or hash sum segment followed
-// by the sortedness interval.
+// Seal freezes the partial into a product segment followed by the
+// sortedness interval.
 func (s *SortedBuilder) Seal() CheckState {
 	b := &s.perm
 	words, seg := b.fingerprint()
@@ -392,8 +388,8 @@ func (b *RedistBuilder) AddOutput(ps []data.Pair) {
 	}
 }
 
-// Seal freezes the partial into one product or hash sum segment, the
-// placement scan in its local predicate.
+// Seal freezes the partial into one product segment, the placement
+// scan in its local predicate.
 func (b *RedistBuilder) Seal() CheckState { return b.perm.Seal() }
 
 // NewRedistState is RedistBuilder over one chunk per side: before and

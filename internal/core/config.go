@@ -303,14 +303,14 @@ func ScalingConfigs() []SumConfig {
 }
 
 // PermAccuracyConfigs is the configuration set of the permutation
-// checker's detection-accuracy experiment (Fig. 5, Appendix A): CRC-32C
-// and tabulation hashing, one iteration, truncated to each hash width
-// of the figure's x-axis.
-func PermAccuracyConfigs() []PermConfig {
-	var out []PermConfig
+// checker's detection-accuracy experiment (Fig. 5, Appendix A): Lemma
+// 4's hash sums of CRC-32C and tabulation hashing, one iteration,
+// truncated to each hash width of the figure's x-axis.
+func PermAccuracyConfigs() []HashSumConfig {
+	var out []HashSumConfig
 	for _, fam := range []hashing.Family{hashing.FamilyCRC, hashing.FamilyTab} {
 		for _, logH := range []int{1, 2, 3, 4, 6, 8, 12} {
-			out = append(out, PermConfig{Family: fam, LogH: logH, Iterations: 1})
+			out = append(out, HashSumConfig{Family: fam, LogH: logH, Iterations: 1})
 		}
 	}
 	return out

@@ -17,20 +17,22 @@
 //   - NewMedianAggState — median aggregation reduced to a zero-sum
 //     check, for unique values and with tie-breaking certificates
 //     (Section 6.3, Theorem 10, Algorithm 2).
-//   - NewPermState, NewPermBuilder — by default Lemma 5's product in
-//     F_(2^61-1), which needs no hash function; with a hash family, the
-//     hash-sum fingerprints of Lemma 4 (Section 5); with two inputs,
-//     Union (Corollary 12).
-//   - NewSortedState, NewSortedBuilder — permutation (the product by
-//     default) plus the sortedness interval (Section 5, Theorem 7);
-//     with two inputs, Merge (Corollary 13).
+//   - NewPermState, NewPermBuilder — Lemma 5's product in F_(2^61-1),
+//     which needs no hash function (Section 5); with two inputs, Union
+//     (Corollary 12).
+//   - NewSortedState, NewSortedBuilder — the product plus the
+//     sortedness interval (Section 5, Theorem 7); with two inputs,
+//     Merge (Corollary 13).
 //   - NewZipState — position-dependent fingerprints (Section 6.4,
 //     Theorem 11).
 //   - NewRedistState, NewRedistBuilder — invasive checker for the
 //     GroupBy/Join element redistribution phase (Section 6.5.3/6.5.4,
-//     Corollaries 14 and 15): a permutation checker (the product by
-//     default) over whole pairs folded into words, plus a placement
-//     scan.
+//     Corollaries 14 and 15): the product over whole pairs folded into
+//     words, plus a placement scan.
+//
+// Lemma 4's hash sums, the paper's other permutation fingerprint, are
+// the local HashSumChecker of the Fig. 5 and Section 7.2 experiments:
+// no state carries one.
 //
 // What each default construction is proven for:
 //
@@ -70,14 +72,13 @@
 // Every checker makes one O(n/p) local pass and then one reduction of a
 // few words with an accept test. Its state is one CheckState
 // implementation whose words are a short list of segments, each one of
-// six sketches with its own combine and accept test:
+// five sketches with its own combine and accept test:
 //
 //   - a sum-checker table mod r (accept: all zero);
 //   - permutation products, one word an iteration: the ratio of the
 //     input's product to the output's in F_(2^61-1) and the difference
 //     of their zero-factor counts mod 8 (combine: multiply the ratios,
 //     add the counts; accept: every word is 1);
-//   - truncated hash sums (accept: zero under the mask);
 //   - the 4-word sortedness interval (rank-ordered merge; accept: the
 //     sorted flag survived);
 //   - F_(2^61-1) fingerprints (accept: all zero);
@@ -85,22 +86,17 @@
 //
 // SumAgg is one table, Avg two; Median is one or two tables plus a
 // replica digest; Min/Max is a replica digest; Perm and Redist are a
-// product or a hash sum; Sorted is one of those plus an interval; Zip is
-// fingerprints.
+// product; Sorted is a product plus an interval; Zip is fingerprints.
 //
-// Tables and hash sums travel at the paper's bit count. A state packs
-// them when it seals: each table counter into m+1 bits and each hash
-// sum into logH bits, lane after lane, iteration-major, in
-// ceil(lanes*width/64) words. Both packings are lossless. A counter is
-// a residue below r <= 2^(m+1), so m+1 bits hold it exactly; and the low
-// logH bits of a hash sum, the only ones its accept test reads, are the
-// same whether the sum is masked at seal or after adding mod 2^64.
-// Combine adds packed lanes in place, mod r_i or mod 2^logH, without a
-// carry crossing lanes, and a packed segment is all zero exactly when
-// every lane is. A sum checker's wire bits are therefore TableBits
-// rounded up to a word (Lemma 3, Table 2), a hash-sum permutation
-// checker's #its·logH; the other four sketches stay 64-bit words. The
-// default product is one word, as the Tab64 hash sum before it was.
+// Tables travel at the paper's bit count. A state packs them when it
+// seals: each counter into m+1 bits, lane after lane, iteration-major,
+// in ceil(lanes*width/64) words. The packing is lossless: a counter is
+// a residue below r <= 2^(m+1), so m+1 bits hold it exactly. Combine
+// adds packed lanes in place, mod r_i, without a carry crossing lanes,
+// and a packed segment is all zero exactly when every lane is. A sum
+// checker's wire bits are therefore TableBits rounded up to a word
+// (Lemma 3, Table 2); the other four sketches stay 64-bit words, and
+// the product is one word an iteration.
 //
 // A checker exists in two layers, and nothing else builds a state:
 //
@@ -131,9 +127,9 @@
 // whose product is 0 runs again element by element, the zero factors
 // left out and counted, and Seal takes one Fermat inverse an iteration.
 //
-// The hash-sum kernel, which the paper's Fig. 5, Table 6 and the
-// overhead rows run, hashes a block per iteration through Hash64Batch
-// and sums it in four lanes.
+// The hash-sum kernel (HashSumChecker), which the paper's Fig. 5 and
+// the Section 7.2 overhead rows run, hashes a block per iteration
+// through Hash64Batch and sums it in four lanes.
 //
 // The sum checker's part of the engine is one kernel (SumChecker.addCells)
 // built on exact cells and grouped tables; every sum-family table —

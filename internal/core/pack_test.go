@@ -27,17 +27,18 @@ func packed(xs []uint64, width uint) []uint64 {
 
 // FuzzPackedLanes: a lane width 2…64, a lane count 1…2 100 and a seed
 // for the lanes. Without table set (or at width 64, which no table
-// has) the lanes are hash sums, any 64-bit values, which add mod
-// 2^width; with it they are a table of its iterations, each lane a
+// has) the lanes are any 64-bit values, of which packing keeps the low
+// width bits; with it they are a table of its iterations, each lane a
 // residue below its iteration's r in (2^(width-1), 2^width], which add
 // as addMod adds them unpacked. Packing round-trips, in place too; the
-// packed combine is the unpacked one, so no lane's carry reaches a
-// neighbour; and packed words are all zero exactly when every lane is.
+// packed combine of tables is the unpacked one, so no lane's carry
+// reaches a neighbour; and packed words are all zero exactly when every
+// lane is.
 func FuzzPackedLanes(f *testing.F) {
 	f.Add(uint8(8), uint16(191), uint8(5), uint64(1), true)   // 6×32 m9: 192 10-bit lanes
 	f.Add(uint8(14), uint16(2047), uint8(7), uint64(2), true) // 8×256 m15: 2 048 16-bit lanes
-	f.Add(uint8(30), uint16(1), uint8(0), uint64(3), false)   // one Tab 32 hash sum
-	f.Add(uint8(62), uint16(99), uint8(0), uint64(7), false)  // 100 Tab64 hash sums
+	f.Add(uint8(30), uint16(1), uint8(0), uint64(3), false)   // one 32-bit lane
+	f.Add(uint8(62), uint16(99), uint8(0), uint64(7), false)  // 100 whole words
 	f.Add(uint8(1), uint16(6), uint8(2), uint64(4), true)
 	f.Add(uint8(5), uint16(2099), uint8(1), uint64(5), false)
 	f.Add(uint8(61), uint16(12), uint8(3), uint64(6), true) // width 63
@@ -57,7 +58,8 @@ func FuzzPackedLanes(f *testing.F) {
 			}
 		}
 		// draw returns lanes of the fuzzed kind; extreme ones are the
-		// largest each lane can hold, so every lane of a sum carries.
+		// largest each lane can hold, so every lane of a table's sum
+		// carries.
 		draw := func(extreme bool) []uint64 {
 			xs := make([]uint64, lanes)
 			d := lanes / max(1, len(mods))
@@ -97,13 +99,13 @@ func FuzzPackedLanes(f *testing.F) {
 				}
 			}
 
-			addLanes(pa, pb, lanes, width, mods)
 			want := slices.Clone(a)
 			if table {
+				addLanes(pa, pb, lanes, width, mods)
 				addMod(want, b, mods)
 			} else {
 				for i := range want {
-					want[i] = (want[i] + b[i]) & mask
+					want[i] &= mask
 				}
 			}
 			unpackLanes(got, pa, width)

@@ -7,18 +7,11 @@ import (
 	"repro/internal/hashing"
 )
 
-// PermConfig parameterises a permutation checker: with a zero Family,
-// Iterations independent points of Lemma 5's product, which needs no
-// hash function (PermChecker.init); with one, Lemma 4's hash sum of
-// Iterations random functions from Family, each summed modulo H =
-// 2^LogH, which a non-permutation escapes with probability about 1/H.
+// PermConfig parameterises the permutation checker: Iterations
+// independent points of Lemma 5's product, which needs no hash function
+// (PermChecker.init). Lemma 4's hash sums, the paper's other
+// fingerprint, are the local HashSumChecker.
 type PermConfig struct {
-	// Family provides a hash sum's random functions; zero for the
-	// product.
-	Family hashing.Family
-	// LogH is the number of hash output bits a hash sum uses (the
-	// paper's Fig. 5 sweeps this from 1 to 8); zero for the product.
-	LogH int
 	// Iterations boosts confidence: Delta is the per-iteration bound to
 	// that power.
 	Iterations int
@@ -32,28 +25,15 @@ const (
 	maxProductIterations = accBlock / 16
 )
 
-// product reports whether c selects Lemma 5's product.
-func (c PermConfig) product() bool { return c.Family.New == nil }
+// Name names the fingerprint, "Poly61".
+func (c PermConfig) Name() string { return "Poly61" }
 
-// Name renders the Fig. 5 configuration syntax, e.g. "CRC 4", or
-// "Poly61" for the product.
-func (c PermConfig) Name() string {
-	if c.product() {
-		return "Poly61"
-	}
-	return fmt.Sprintf("%s %d", c.Family.Name, c.LogH)
-}
-
-// Delta is the per-checker failure bound: for a hash sum H^-Iterations,
-// computed as a power of two (H = 2^64 does not fit a uint64); for the
-// product (3n/r)^Iterations, r = 2^61 - 1, at n = 2^28, the larger
-// side's global length — under 3.5e-10 an iteration, for every wrong
-// output fixed before the seed is drawn (package documentation).
+// Delta is the per-checker failure bound (3n/r)^Iterations, r = 2^61 -
+// 1, at n = 2^28, the larger side's global length — under 3.5e-10 an
+// iteration, for every wrong output fixed before the seed is drawn
+// (package documentation).
 func (c PermConfig) Delta() float64 {
-	if c.product() {
-		return math.Pow(3*productElems/float64(hashing.Mersenne61), float64(c.Iterations))
-	}
-	return math.Ldexp(1, -c.LogH*c.Iterations)
+	return math.Pow(3*productElems/float64(hashing.Mersenne61), float64(c.Iterations))
 }
 
 // Validate reports configuration errors.
@@ -61,34 +41,20 @@ func (c PermConfig) Validate() error {
 	if c.Iterations < 1 {
 		return fmt.Errorf("core: perm config: iterations must be >= 1")
 	}
-	if c.product() {
-		if c.LogH != 0 {
-			return fmt.Errorf("core: perm config: missing hash family for LogH %d", c.LogH)
-		}
-		if c.Iterations > maxProductIterations {
-			return fmt.Errorf("core: perm config: a product takes at most %d iterations", maxProductIterations)
-		}
-		return nil
-	}
-	if c.LogH < 1 || c.LogH > 64 {
-		return fmt.Errorf("core: perm config: LogH must be in [1, 64]")
-	}
-	if c.LogH > c.Family.Bits {
-		return fmt.Errorf("core: perm config: LogH %d exceeds family output bits %d", c.LogH, c.Family.Bits)
+	if c.Iterations > maxProductIterations {
+		return fmt.Errorf("core: perm config: a product takes at most %d iterations", maxProductIterations)
 	}
 	return nil
 }
 
-// PermChecker computes permutation fingerprints: Lemma 5's products or
-// Lemma 4's truncated hash sums. Like SumChecker, every PE builds an
-// identical instance from the shared seed. After construction an
-// instance is read-only: concurrent AccumulateInto calls on one
-// instance are safe as long as they target disjoint sums vectors.
+// PermChecker computes Lemma 5's permutation fingerprints. Like
+// SumChecker, every PE builds an identical instance from the shared
+// seed. After construction an instance is read-only: concurrent
+// AccumulateInto calls on one instance are safe as long as they target
+// disjoint sums vectors.
 type PermChecker struct {
-	cfg     PermConfig
-	hashers []hashing.Hasher              // a hash sum's, one per iteration
-	hs      [inlineHashers]hashing.Hasher // the hashers, when they fit
-	offs    *accScratch                   // a product's offsets, in its hash block
+	cfg  PermConfig
+	offs *accScratch // the offsets, in its hash block
 }
 
 // permSeedDomain keys the sub-seed stream of a permutation checker's
@@ -102,12 +68,12 @@ func NewPermChecker(cfg PermConfig, seed uint64) *PermChecker {
 	return c
 }
 
-// init builds the checker in place, its hashers in c.hs when they fit.
+// init builds the checker in place.
 //
-// A product iteration draws z, then y, uniformly from F_r, r = 2^61 - 1,
-// and maps element e to the factor z - a - y·q, a = e & r and q = e >>
-// 61 — except a = r, which is 0 in the field, maps to (0, q + 8). The
-// map is injective into F_r × [0, 16), so different multisets have
+// An iteration draws z, then y, uniformly from F_r, r = 2^61 - 1, and
+// maps element e to the factor z - a - y·q, a = e & r and q = e >> 61
+// — except a = r, which is 0 in the field, maps to (0, q + 8). The map
+// is injective into F_r × [0, 16), so different multisets have
 // different products as polynomials in (z, y). The iteration keeps the
 // offsets t[q] = z - y·q + r, 16 words of a scratch from scratchPool
 // that release hands back: a factor is t[q] - a, never negative.
@@ -115,26 +81,18 @@ func (c *PermChecker) init(cfg PermConfig, seed uint64) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	*c = PermChecker{cfg: cfg}
+	*c = PermChecker{cfg: cfg, offs: scratchPool.Get().(*accScratch)}
 	// hashing.SubSeeds' stream, drawn in place: the checker a job builds
 	// per stage allocates no seed slice.
 	s := seed ^ permSeedDomain
-	if cfg.product() {
-		c.offs = scratchPool.Get().(*accScratch)
-		for it := range cfg.Iterations {
-			z := drawField(&s)
-			y := drawField(&s)
-			t := c.offsets(it)
-			for q := range t {
-				t[q] = z + hashing.Mersenne61
-				z = hashing.SubMod61(z, y)
-			}
+	for it := range cfg.Iterations {
+		z := drawField(&s)
+		y := drawField(&s)
+		t := c.offsets(it)
+		for q := range t {
+			t[q] = z + hashing.Mersenne61
+			z = hashing.SubMod61(z, y)
 		}
-		return
-	}
-	c.hashers = inlineOr(&c.hs, cfg.Iterations)
-	for i := range c.hashers {
-		c.hashers[i] = cfg.Family.New(hashing.SplitMix64(&s))
 	}
 }
 
@@ -153,58 +111,23 @@ func (c *PermChecker) offsets(it int) *[16]uint64 {
 	return (*[16]uint64)(c.offs.hs[16*it:])
 }
 
-// release hands a product's offsets or the hash tables back, once
-// nothing reads them any more.
+// release hands the offsets back, once nothing reads them any more.
 func (c *PermChecker) release() {
-	if c.offs != nil {
-		scratchPool.Put(c.offs)
-		c.offs = nil
-	}
-	recycleHashers(c.hashers)
+	scratchPool.Put(c.offs)
+	c.offs = nil
 }
 
-// AccumulateInto accumulates xs into sums: an input chunk, or with
-// negate an output chunk. A product's sums are two slots an iteration,
-// the input's and the output's, each starting at productSlot.
-//
-// A hash sum adds (or, with negate, subtracts) the truncated hash
-// values of xs into sums, one slot per iteration. Sums are accumulated
-// in 64-bit words; because H is a power of two, wraparound addition
-// stays congruent modulo H. The sequence is hashed in blocks through
-// each hasher's Hash64Batch and summed in independent lanes;
-// wraparound addition mod 2^64 is commutative, so the sums are
-// bit-identical to the scalar element-order loop. Each call takes its
-// hash block from scratchPool and puts it back when it returns, so
-// concurrent calls on the same checker with disjoint sums are safe and
-// repeated small-chunk calls allocate nothing.
-func (c *PermChecker) AccumulateInto(sums []uint64, xs []uint64, negate bool) {
-	if c.offs != nil {
-		c.multiplyInto(sums, xs, negate, false)
-		return
-	}
-	mask := ^uint64(0) >> (64 - c.cfg.LogH)
-	s := scratchPool.Get().(*accScratch)
-	defer scratchPool.Put(s)
-	for it, h := range c.hashers {
-		var acc uint64
-		for start := 0; start < len(xs); start += accBlock {
-			end := min(start+accBlock, len(xs))
-			hb := s.hs[:end-start]
-			h.Hash64Batch(hb, xs[start:end])
-			acc += sumMasked(hb, mask)
-		}
-		if negate {
-			acc = -acc
-		}
-		sums[it] += acc
-	}
+// AccumulateInto multiplies xs into sums: an input chunk, or with out
+// an output chunk. The sums are two slots an iteration, the input's and
+// the output's, each starting at productSlot.
+func (c *PermChecker) AccumulateInto(sums []uint64, xs []uint64, out bool) {
+	c.multiplyInto(sums, xs, out, false)
 }
 
-// multiplyInto is AccumulateInto for a product: per iteration, the
-// chunk's product in four lanes, and only if that is 0 — some factor
-// is, with probability at most len(xs)/r — or the caller asks for the
-// scalar loop, element by element with the zero factors skipped and
-// counted.
+// multiplyInto is AccumulateInto: per iteration, the chunk's product in
+// four lanes, and only if that is 0 — some factor is, with probability
+// at most len(xs)/r — or the caller asks for the scalar loop, element
+// by element with the zero factors skipped and counted.
 func (c *PermChecker) multiplyInto(sums []uint64, xs []uint64, out, scalar bool) {
 	for it := range c.cfg.Iterations {
 		t, p, zeros := c.offsets(it), uint64(0), uint64(0)
@@ -285,41 +208,9 @@ func productSkipZeros(t *[16]uint64, xs []uint64) (p, zeros uint64) {
 	return p, zeros
 }
 
-// sumMasked returns the sum of hb's values under mask, in four
-// independent lanes.
-func sumMasked(hb []uint64, mask uint64) uint64 {
-	var a0, a1, a2, a3 uint64
-	for len(hb) >= 4 {
-		a0 += hb[0] & mask
-		a1 += hb[1] & mask
-		a2 += hb[2] & mask
-		a3 += hb[3] & mask
-		hb = hb[4:]
-	}
-	for _, h := range hb {
-		a0 += h & mask
-	}
-	return a0 + a1 + a2 + a3
-}
-
-// AccumulateIntoScalar is the scalar reference loop of AccumulateInto:
-// a product's one-lane canonical fold, or a hash sum's one Hash64 call
-// per element and iteration. Tests and benchmarks compare the kernel
-// against it; the sums are bit-identical.
-func (c *PermChecker) AccumulateIntoScalar(sums []uint64, xs []uint64, negate bool) {
-	if c.offs != nil {
-		c.multiplyInto(sums, xs, negate, true)
-		return
-	}
-	mask := ^uint64(0) >> (64 - c.cfg.LogH)
-	for it, h := range c.hashers {
-		var acc uint64
-		for _, x := range xs {
-			acc += h.Hash64(x) & mask
-		}
-		if negate {
-			acc = -acc
-		}
-		sums[it] += acc
-	}
+// AccumulateIntoScalar is the scalar reference loop of AccumulateInto,
+// the one-lane canonical fold. Tests and benchmarks compare the kernel
+// against it; the slots are bit-identical.
+func (c *PermChecker) AccumulateIntoScalar(sums []uint64, xs []uint64, out bool) {
+	c.multiplyInto(sums, xs, out, true)
 }

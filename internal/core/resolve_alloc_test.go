@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/collective"
 	"repro/internal/comm"
-	"repro/internal/hashing"
 	"repro/internal/workload"
 )
 
@@ -30,7 +29,6 @@ func TestResolveOnAllocs(t *testing.T) {
 	const p, runs = 4, 50
 	pairs := workload.ZipfPairs(4000, 500, 1000, 3)
 	values := workload.UniformU64s(4000, 1<<40, 4)
-	permCfg := PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}
 	net := comm.NewMemNetworkTimeout(p, 0)
 	defer net.Close()
 	start := make([]chan struct{}, p)
@@ -40,7 +38,7 @@ func TestResolveOnAllocs(t *testing.T) {
 		c := collective.New(net.Endpoint(r))
 		states := []CheckState{
 			NewSumAggState("sum", smallCfg, 7, shardPairs(pairs, p, r), shardPairs(refSumAgg(pairs), p, r)),
-			NewPermState("perm", permCfg, 8, [][]uint64{shardU64(values, p, r)}, shardU64(values, p, r)),
+			NewPermState("perm", PermConfig{Iterations: 2}, 8, [][]uint64{shardU64(values, p, r)}, shardU64(values, p, r)),
 		}
 		go func() {
 			for range start[r] {

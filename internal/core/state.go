@@ -30,7 +30,7 @@ import (
 //     PE must pass (it rides along as an AND-reduced flag word).
 //
 // Every checker's state is one implementation: its words are a run of
-// segments, each one of the six sketches the package documentation
+// segments, each one of the five sketches the package documentation
 // lists, and Combine and Verdict walk the segments. States are
 // single-use and not safe for concurrent use.
 type CheckState interface {
@@ -177,7 +177,7 @@ func ResolveOn(c *collective.Comm, states ...CheckState) ([]bool, error) {
 	return verdicts, nil
 }
 
-// segKind names one of the six sketches the checkers are built from.
+// segKind names one of the five sketches the checkers are built from.
 // Each fixes how two PEs' words combine and what the combined words of
 // a correct result satisfy.
 type segKind uint8
@@ -187,10 +187,6 @@ const (
 	// counters mod r per iteration, packed at m+1 bits a counter. Rows
 	// add mod their r; a correct result leaves every counter zero.
 	segTable segKind = iota
-	// segHashSum is the truncated hash sums of the permutation checker
-	// (Lemma 4), one logH-bit lane per iteration, packed. They add mod
-	// 2^logH; a correct result leaves every sum zero.
-	segHashSum
 	// segInterval is the 4-word sortedness interval of the sort checker
 	// (Theorem 7): merged in rank order, a sorted result keeps its
 	// sorted-so-far flag.
@@ -209,9 +205,9 @@ const (
 )
 
 // segment is one sketch in a state's words: its kind and its lanes,
-// each width bits wide. Table and hash-sum lanes are packed back to
-// back, iteration-major, into ceil(lanes*width/64) words when the state
-// seals (newState); the other sketches are whole words (width 64).
+// each width bits wide. Table lanes are packed back to back,
+// iteration-major, into ceil(lanes*width/64) words when the state seals
+// (newState); the other sketches are whole words (width 64).
 type segment struct {
 	lanes uint32
 	kind  segKind
@@ -248,13 +244,6 @@ const (
 // r <= 2^(m+1), so m+1 bits hold one exactly — TableBits in all.
 func tableSeg(c *SumChecker) segment {
 	return segment{kind: segTable, lanes: uint32(c.TableWords()), width: uint8(c.cfg.RHatLog + 1)}
-}
-
-// hashSumSeg is c's hash sums, one per iteration. Only the low logH bits
-// of a sum decide a verdict, and they are the same whether a sum is
-// masked at seal or after adding mod 2^64.
-func hashSumSeg(c *PermChecker) segment {
-	return segment{kind: segHashSum, lanes: uint32(c.cfg.Iterations), width: uint8(c.cfg.LogH)}
 }
 
 // wordSeg is a segment of n whole words.
@@ -323,8 +312,6 @@ func (s *state) Combine(dst, src []uint64) {
 		switch sg.kind {
 		case segTable:
 			addLanes(d, r, int(sg.lanes), uint(sg.width), s.sum.mods)
-		case segHashSum:
-			addLanes(d, r, int(sg.lanes), uint(sg.width), nil)
 		case segInterval:
 			mergeInterval(d, r)
 		case segField:
@@ -370,7 +357,7 @@ func (sg segment) accepts(w []uint64) bool {
 			}
 		}
 		return true
-	default: // segTable, segHashSum, segField
+	default: // segTable, segField
 		return allZero(w)
 	}
 }
@@ -431,16 +418,9 @@ func setLane(w []uint64, i int, width uint, v uint64) {
 }
 
 // addLanes adds src's packed width-bit lanes into dst's, lane by lane:
-// given mods, the lanes are a table and each iteration's row of
-// lanes/len(mods) residues adds mod its r; without, every lane adds
-// mod 2^width.
+// the lanes are a table, and each iteration's row of lanes/len(mods)
+// residues adds mod its r.
 func addLanes(dst, src []uint64, lanes int, width uint, mods []uint64) {
-	if mods == nil {
-		for i := range lanes {
-			setLane(dst, i, width, lane(dst, i, width)+lane(src, i, width))
-		}
-		return
-	}
 	d := lanes / len(mods)
 	for it, r := range mods {
 		for i := it * d; i < (it+1)*d; i++ {

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/dist"
-	"repro/internal/hashing"
 	"repro/internal/workload"
 )
 
@@ -134,7 +133,8 @@ func pinCases() []pinCase {
 			}
 			return NewMedianAggState("MedianTies", smallCfg, seed, rank, shardPairs(tied, p, rank), ms, ties)
 		}},
-		{"Perm", [2]string{"words=1 ok=true fnv=a8c7f832281a39c5", "words=1 ok=true fnv=25f91c6cc7719ff1"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
+		// The default, one product iteration: one word, 1 when clean.
+		{"PermProduct", [2]string{"words=1 ok=true fnv=89cd31291d2aefa4", "words=1 ok=true fnv=a61db754c5e38ed3"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
 			out := ys
 			if corrupt {
 				out = data.CloneU64s(ys)
@@ -142,22 +142,10 @@ func pinCases() []pinCase {
 			}
 			return NewPermState("Perm", permCfg, seed, [][]uint64{shardU64(xs, p, rank)}, shardU64(out, p, rank))
 		}},
-		// Tab64 64 ×1, 2×Tab 32 and 3×Tab 20: 64, 64 and 60 bits, one
-		// word each.
-		{"PermTab64", [2]string{"words=1 ok=true fnv=a8c7f832281a39c5", "words=1 ok=true fnv=204c0cfd15daec3b"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
-			return permCaseState(PermConfig{Family: hashing.FamilyTab64, LogH: 64, Iterations: 1}, seed, xs, ys, p, rank, corrupt)
-		}},
-		{"Perm2Tab", [2]string{"words=1 ok=true fnv=a8c7f832281a39c5", "words=1 ok=true fnv=8a70e8df9738cc8d"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
-			return permCaseState(PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}, seed, xs, ys, p, rank, corrupt)
-		}},
-		{"Perm3Tab", [2]string{"words=1 ok=true fnv=a8c7f832281a39c5", "words=1 ok=true fnv=d1a505a78600bb46"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
-			return permCaseState(PermConfig{Family: hashing.FamilyTab, LogH: 20, Iterations: 3}, seed, xs, ys, p, rank, corrupt)
-		}},
-		// The default, one product iteration: one word, 1 when clean.
-		{"PermProduct", [2]string{"words=1 ok=true fnv=89cd31291d2aefa4", "words=1 ok=true fnv=a61db754c5e38ed3"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
-			return permCaseState(PermConfig{Iterations: 1}, seed, xs, ys, p, rank, corrupt)
-		}},
-		{"Redist", [2]string{"words=1 ok=true fnv=a8c7f832281a39c5", "words=1 ok=true fnv=b0d2d53cb852bfae"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
+		// Redist and Sorted seal the same product: a clean Redist word is
+		// 1, as PermProduct's, and Sorted's is 1 and the interval (has,
+		// first, last, sorted) — swapping the ends clears its flag.
+		{"Redist", [2]string{"words=1 ok=true fnv=89cd31291d2aefa4", "words=1 ok=true fnv=40cf0ab70764279f"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
 			loc := fixedLocator{p: p}
 			var after []data.Pair
 			for _, pr := range pairs {
@@ -168,7 +156,7 @@ func pinCases() []pinCase {
 			after = bad(after, corrupt && len(after) > 0, func(ps []data.Pair) { ps[0].Value ^= 1 << 13 })
 			return NewRedistState("Redist", permCfg, seed, loc, rank, shardPairs(pairs, p, rank), after)
 		}},
-		{"Sorted", [2]string{"words=5 ok=true fnv=66994ea1f9e00514", "words=5 ok=true fnv=838169e5904f1f21"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
+		{"Sorted", [2]string{"words=5 ok=true fnv=b8ba01f0fb1f8165", "words=5 ok=true fnv=9ea3d8461dddde88"}, func(seed uint64, rank, p int, corrupt bool) CheckState {
 			out := sorted
 			if corrupt {
 				out = data.CloneU64s(sorted)
@@ -183,16 +171,6 @@ func pinCases() []pinCase {
 				uint64(start), uint64(start), uint64(start), true)
 		}},
 	}
-}
-
-// permCaseState is the Perm pin case's state under cfg.
-func permCaseState(cfg PermConfig, seed uint64, xs, ys []uint64, p, rank int, corrupt bool) CheckState {
-	out := ys
-	if corrupt {
-		out = data.CloneU64s(ys)
-		out[0] ^= 1
-	}
-	return NewPermState("Perm", cfg, seed, [][]uint64{shardU64(xs, p, rank)}, shardU64(out, p, rank))
 }
 
 // TestStateWordsPinned pins every checker constructor's contribution to

@@ -58,10 +58,9 @@ type SumChecker struct {
 }
 
 // inlineHashers is how many hash functions a checker holds without an
-// allocation of their own (SumChecker.hs, PermChecker.hs): one CRC hash
-// value feeds all fifteen iterations of the default 15×4 sum checker,
-// and the default permutation checker has none. A larger array would
-// cost every builder more bytes than the allocation it saves.
+// allocation of their own (SumChecker.hs): one CRC hash value feeds all
+// fifteen iterations of the default 15×4 sum checker. A larger array
+// would cost every builder more bytes than the allocation it saves.
 const inlineHashers = 2
 
 // NewSumChecker derives a checker instance from cfg and a shared seed.
@@ -110,19 +109,14 @@ func (c *SumChecker) init(cfg SumConfig, seed uint64, hashPerIteration bool, for
 	}
 	// hashing.SubSeeds' stream, drawn in place as NewPermChecker does.
 	hs := seed ^ 0x5eed5eed5eed5eed
-	c.hashers = inlineOr(&c.hs, nHashes)
+	if nHashes <= len(c.hs) {
+		c.hashers = c.hs[:nHashes:nHashes]
+	} else {
+		c.hashers = make([]hashing.Hasher, nHashes)
+	}
 	for i := range c.hashers {
 		c.hashers[i] = cfg.Family.New(hashing.SplitMix64(&hs))
 	}
-}
-
-// inlineOr returns the first n entries of inline, or a new slice when n
-// exceeds it.
-func inlineOr[T any](inline *[inlineHashers]T, n int) []T {
-	if n <= len(inline) {
-		return inline[:n:n]
-	}
-	return make([]T, n)
 }
 
 // TableWords is the number of 64-bit counters (#its * d) a table holds

@@ -592,6 +592,40 @@ func TestCellScratchNeverLeaks(t *testing.T) {
 	}
 }
 
+// TestRecycledTablesNeverLeak is TestCellScratchNeverLeaks for the hash
+// tables a sealed SumAggBuilder hands back (recycleHashers): whatever
+// functions they held — another seed's — the next checker built on them
+// accumulates exactly like one whose tables nobody else ever touched.
+// It runs every tabulation configuration of Table 3.
+func TestRecycledTablesNeverLeak(t *testing.T) {
+	pairs := workload.ZipfPairs(3000, 500, 1<<30, 11)
+	for _, cfg := range append(ScalingConfigs(), AccuracyConfigs()...) {
+		if cfg.Family.Name == hashing.FamilyCRC.Name {
+			continue // no tables
+		}
+		// Never handed to a builder: their tables are never recycled.
+		a, b := NewSumChecker(cfg, 0xa), NewSumChecker(cfg, 0xb)
+		wantA, wantB := scalarTable(a, pairs, false), scalarTable(b, pairs, false)
+		for round := range 4 {
+			// Consume several builders at once, so the pool holds more
+			// tables than the next checker takes, all of them dirty
+			// with seed 0xa's functions.
+			var held []*SumAggBuilder
+			for range 3 {
+				bl := NewSumAggBuilder("dirty", cfg, 0xa, Serial, false)
+				bl.AddInput(pairs)
+				held = append(held, bl)
+			}
+			for i, bl := range held {
+				requireSealed(t, a, bl.Seal(), wantA, fmt.Sprintf("round %d: builder %d", round, i))
+			}
+			victim := NewSumAggBuilder("victim", cfg, 0xb, Serial, false)
+			victim.AddInput(pairs)
+			requireSealed(t, b, victim.Seal(), wantB, fmt.Sprintf("round %d: checker on recycled tables", round))
+		}
+	}
+}
+
 // binomTailGE is P[Binomial(n, p) >= k], summed in log space.
 func binomTailGE(n, k int, p float64) float64 {
 	if k <= 0 {
@@ -768,21 +802,16 @@ func TestAccumulateBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// localSums returns the per-iteration sums of truncated hash values of
-// xs.
+// localSums returns the product slots of xs fed as an input.
 func localSums(c *PermChecker, xs []uint64) []uint64 {
 	sums := newSums(c.cfg)
 	c.AccumulateInto(sums, xs, false)
 	return sums
 }
 
-// newSums returns the empty fingerprint slots of cfg for
-// AccumulateInto: one zero sum per hash-sum iteration, or two product
-// slots per product iteration.
+// newSums returns the empty slots of cfg for AccumulateInto, two an
+// iteration.
 func newSums(cfg PermConfig) []uint64 {
-	if !cfg.product() {
-		return make([]uint64, cfg.Iterations)
-	}
 	sums := make([]uint64, 2*cfg.Iterations)
 	for i := range sums {
 		sums[i] = productSlot
@@ -814,8 +843,8 @@ func (c *SumChecker) DiffInto(out, a, b []uint64) {
 // destination may alias an operand.
 func TestLocalSumsIntoAndDiffInto(t *testing.T) {
 	xs := workload.UniformU64s(5000, 1e9, 41)
-	c := NewPermChecker(PermConfig{Family: hashing.FamilyTab, LogH: 16, Iterations: 4}, 13)
-	got := make([]uint64, 4)
+	c := NewPermChecker(PermConfig{Iterations: 4}, 13)
+	got := newSums(c.cfg)
 	c.AccumulateInto(got, xs[:1234], false)
 	c.AccumulateInto(got, xs[1234:], false)
 	requireTablesEq(t, "AccumulateInto in two calls", localSums(c, xs), got)

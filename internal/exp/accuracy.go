@@ -204,12 +204,7 @@ func AccuracyPerm(opt AccuracyOptions) ([]AccuracyRow, error) {
 				if !m.Apply(bad, hashing.NewMT19937_64(trialSeed), permUniverse) {
 					return false
 				}
-				c := core.NewPermChecker(cfg, trialSeed)
-				lambda := make([]uint64, cfg.Iterations)
-				c.AccumulateInto(lambda, input, false)
-				c.AccumulateInto(lambda, bad, true)
-				mask := uint64(1)<<cfg.LogH - 1
-				return !slices.ContainsFunc(lambda, func(v uint64) bool { return v&mask != 0 })
+				return core.NewHashSumChecker(cfg, trialSeed).Check(input, bad)
 			}})
 		}
 	}

@@ -34,7 +34,7 @@ func BenchmarkStreamSumChunked(b *testing.B) {
 // BenchmarkStreamSortChunked is BenchmarkStreamSumChunked for the sort
 // checker.
 func BenchmarkStreamSortChunked(b *testing.B) {
-	cfg := core.PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 1}
+	cfg := core.PermConfig{Iterations: 1}
 	xs := workload.UniformU64s(1<<16, 1e12, 3)
 	sorted := data.CloneU64s(xs)
 	data.SortU64(sorted)

@@ -88,7 +88,7 @@ func TestChunkedSumBitIdentical(t *testing.T) {
 // fingerprint plus boundary summary — matches the one-shot state for
 // ragged chunkings, on both sorted and unsorted asserted outputs.
 func TestChunkedSortBitIdentical(t *testing.T) {
-	cfg := core.PermConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}
+	cfg := core.PermConfig{Iterations: 2}
 	for _, n := range []int{0, 1, 513, 4096, 9973} {
 		input := workload.UniformU64s(n, 1e9, uint64(n)+3)
 		output := data.CloneU64s(input)
@@ -117,7 +117,7 @@ func TestChunkedSortBitIdentical(t *testing.T) {
 // families: plain permutation fingerprints and the redistribution
 // checker with its chunked placement scan.
 func TestChunkedPermAndRedistBitIdentical(t *testing.T) {
-	cfg := core.PermConfig{Family: hashing.FamilyCRC, LogH: 16, Iterations: 3}
+	cfg := core.PermConfig{Iterations: 3}
 	n := 9973
 	xs := workload.UniformU64s(n, 1e9, 11)
 	ys := data.CloneU64s(xs)
@@ -230,7 +230,7 @@ func (s *errSource) Next() ([]uint64, error) {
 }
 
 func TestSourceErrorPropagates(t *testing.T) {
-	acc := NewPermAccumulator("s", core.PermConfig{Family: hashing.FamilyCRC, LogH: 8, Iterations: 1}, 1)
+	acc := NewPermAccumulator("s", core.PermConfig{Iterations: 1}, 1)
 	if err := acc.DrainInput(&errSource{n: 2}); !errors.Is(err, errBoom) {
 		t.Fatalf("drain error = %v, want errBoom", err)
 	}

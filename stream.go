@@ -143,7 +143,7 @@ func (s *StreamedSeq) AssertSorted(output SeqSource) error {
 }
 
 // AssertPermutation registers a streamed permutation check: output must
-// be a permutation of the streamed input (Lemma 4; with a second input
+// be a permutation of the streamed input (Lemma 5; with a second input
 // union semantics follow Corollary 12). Chunk order is immaterial on
 // either side.
 func (s *StreamedSeq) AssertPermutation(output SeqSource) error {
