@@ -19,7 +19,6 @@
 package repro_test
 
 import (
-	"fmt"
 	"testing"
 
 	"repro"
@@ -187,66 +186,9 @@ func svcShare(count bool) (in, out []data.Pair) {
 // sinkState keeps the builder rows' sealed states live.
 var sinkState core.CheckState
 
-// The job size of the AccumulateEngine benchmarks' service rows, and
+// The job size of BenchmarkSumAccumulateEngine's service rows, and
 // the chunk a stream stage hands a checker.
 const serviceJob, jobChunk = 2000, 256
-
-// BenchmarkPermAccumulateEngine is BenchmarkSumAccumulateEngine for the
-// permutation fingerprint loop, on the default DefaultOptions().Perm
-// (one iteration of Lemma 5's product) and on one Tab64 64-bit hash
-// sum, the default before it: one 64-bit word on the wire each.
-func BenchmarkPermAccumulateEngine(b *testing.B) {
-	const elements = 200000
-	xs := workload.UniformU64s(elements, 1e8, 2)
-	job := xs[:serviceJob]
-	perElem := func(b *testing.B, n int) {
-		b.SetBytes(int64(8 * n))
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/elem")
-	}
-	cfg := repro.DefaultOptions().Perm
-	c := core.NewPermChecker(cfg, 3)
-	tab64 := core.NewHashSumChecker(core.HashSumConfig{Family: hashing.FamilyTab64, LogH: 64, Iterations: 1}, 3)
-	// The product's two slots an iteration, each starting at 1, and the
-	// hash sum's one.
-	sums, hsums := make([]uint64, 2*cfg.Iterations), make([]uint64, 1)
-	for i := range sums {
-		sums[i] = 1
-	}
-	b.Run(fmt.Sprintf("%s×%d/scalar", cfg.Name(), cfg.Iterations), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c.AccumulateIntoScalar(sums, xs, false)
-		}
-		perElem(b, elements)
-	})
-	for _, row := range []struct {
-		name string
-		add  func(xs []uint64)
-	}{
-		{fmt.Sprintf("%s×%d", cfg.Name(), cfg.Iterations), func(xs []uint64) { c.AccumulateInto(sums, xs, false) }},
-		{"Tab64 64×1", func(xs []uint64) { tab64.AccumulateInto(hsums, xs, false) }},
-	} {
-		b.Run(row.name+"/batch", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				row.add(xs)
-			}
-			perElem(b, elements)
-		})
-		b.Run(row.name+"/batch/2k", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				row.add(job)
-			}
-			perElem(b, len(job))
-		})
-		b.Run(row.name+"/batch/2k-chunk256", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for lo := 0; lo < len(job); lo += jobChunk {
-					row.add(job[lo:min(lo+jobChunk, len(job))])
-				}
-			}
-			perElem(b, len(job))
-		})
-	}
-}
 
 // BenchmarkPermCheckerLocal measures permutation fingerprinting per
 // element (Section 7.2: 2.0 ns CRC, 2.8 ns Tab on the paper's machine).

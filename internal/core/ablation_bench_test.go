@@ -134,7 +134,7 @@ func BenchmarkAblationPermVariants(b *testing.B) {
 		})
 	}
 	b.Run("product-offsets", func(b *testing.B) {
-		c := NewPermChecker(PermConfig{Iterations: 1}, 3)
+		c := newPermChecker(PermConfig{Iterations: 1}, 3)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sums := localSums(c, xs)
@@ -162,7 +162,7 @@ func BenchmarkAblationPermVariants(b *testing.B) {
 		reportPerElem(b, ablationElements)
 	})
 	b.Run("product-scalar", func(b *testing.B) {
-		c := NewPermChecker(PermConfig{Iterations: 1}, 3)
+		c := newPermChecker(PermConfig{Iterations: 1}, 3)
 		sums := newSums(c.cfg)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -171,6 +171,60 @@ func BenchmarkAblationPermVariants(b *testing.B) {
 		sinkBench = sums[0]
 		reportPerElem(b, ablationElements)
 	})
+}
+
+// BenchmarkPermAccumulateEngine is the root package's
+// BenchmarkSumAccumulateEngine for the permutation fingerprint loop, on
+// the runtime default (one iteration of Lemma 5's product, as
+// DefaultOptions().Perm) and on one Tab64 64-bit hash sum, the default
+// before it: one 64-bit word on the wire each. Besides 200 000
+// elements, the batch rows time a service job's 2 000 elements, whole
+// and in the 256-element chunks a stream stage hands a checker.
+func BenchmarkPermAccumulateEngine(b *testing.B) {
+	const elements, job, chunk = 200000, 2000, 256
+	xs := workload.UniformU64s(elements, 1e8, 2)
+	perElem := func(b *testing.B, n int) {
+		b.SetBytes(int64(8 * n))
+		reportPerElem(b, n)
+	}
+	cfg := PermConfig{Iterations: 1}
+	c := newPermChecker(cfg, 3)
+	tab64 := NewHashSumChecker(HashSumConfig{Family: hashing.FamilyTab64, LogH: 64, Iterations: 1}, 3)
+	sums, hsums := newSums(cfg), make([]uint64, 1)
+	b.Run(fmt.Sprintf("%s×%d/scalar", cfg.Name(), cfg.Iterations), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			c.AccumulateIntoScalar(sums, xs, false)
+		}
+		perElem(b, elements)
+	})
+	for _, row := range []struct {
+		name string
+		add  func(xs []uint64)
+	}{
+		{fmt.Sprintf("%s×%d", cfg.Name(), cfg.Iterations), func(xs []uint64) { c.AccumulateInto(sums, xs, false) }},
+		{"Tab64 64×1", func(xs []uint64) { tab64.AccumulateInto(hsums, xs, false) }},
+	} {
+		b.Run(row.name+"/batch", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				row.add(xs)
+			}
+			perElem(b, elements)
+		})
+		b.Run(row.name+"/batch/2k", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				row.add(xs[:job])
+			}
+			perElem(b, job)
+		})
+		b.Run(row.name+"/batch/2k-chunk256", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for lo := 0; lo < job; lo += chunk {
+					row.add(xs[lo:min(lo+chunk, job)])
+				}
+			}
+			perElem(b, job)
+		})
+	}
 }
 
 // BenchmarkAblationBucketTradeoff compares configurations of similar

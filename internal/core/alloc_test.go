@@ -41,7 +41,7 @@ func TestSmallChunkAccumulationAllocs(t *testing.T) {
 		t.Errorf("hash sum AccumulateInto allocates %.0f objects per chunk, want 0", n)
 	}
 
-	prod := NewPermChecker(PermConfig{Iterations: 2}, 1)
+	prod := newPermChecker(PermConfig{Iterations: 2}, 1)
 	slots := newSums(prod.cfg)
 	if n := testing.AllocsPerRun(10, func() { prod.AccumulateInto(slots, xs, true) }); n != 0 {
 		t.Errorf("product AccumulateInto allocates %.0f objects per chunk, want 0", n)

@@ -61,8 +61,8 @@ type PermChecker struct {
 // iterations apart from the other checkers' streams.
 const permSeedDomain = 0x9e37c0ffee37c0ff
 
-// NewPermChecker derives a checker instance from cfg and a shared seed.
-func NewPermChecker(cfg PermConfig, seed uint64) *PermChecker {
+// newPermChecker derives a checker instance from cfg and a shared seed.
+func newPermChecker(cfg PermConfig, seed uint64) *PermChecker {
 	c := new(PermChecker)
 	c.init(cfg, seed)
 	return c

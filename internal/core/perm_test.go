@@ -265,7 +265,7 @@ func TestPolyProdMatchesSerial(t *testing.T) {
 		}
 	}
 	cfg := PermConfig{Iterations: 2}
-	c := NewPermChecker(cfg, 0x5eed)
+	c := newPermChecker(cfg, 0x5eed)
 	zs, ys := productPoints(cfg, 0x5eed)
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, len(xs)} {
 		for _, out := range []bool{false, true} {

@@ -74,7 +74,7 @@ func TestPermFingerprintPropertiesQuick(t *testing.T) {
 		for i, x := range xs {
 			elems[i] = uint64(x)
 		}
-		c := NewPermChecker(cfg, uint64(seed))
+		c := newPermChecker(cfg, uint64(seed))
 		s1 := localSums(c, elems)
 		shuf := data.CloneU64s(elems)
 		rng := hashing.NewMT19937_64(uint64(shuffleSeed))

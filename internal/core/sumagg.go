@@ -107,7 +107,7 @@ func (c *SumChecker) init(cfg SumConfig, seed uint64, hashPerIteration bool, for
 		c.mods[i] = r
 		c.pow64[i] = -r % r // (2^64 - r) mod r
 	}
-	// hashing.SubSeeds' stream, drawn in place as NewPermChecker does.
+	// hashing.SubSeeds' stream, drawn in place as PermChecker.init does.
 	hs := seed ^ 0x5eed5eed5eed5eed
 	if nHashes <= len(c.hs) {
 		c.hashers = c.hs[:nHashes:nHashes]

@@ -843,7 +843,7 @@ func (c *SumChecker) DiffInto(out, a, b []uint64) {
 // destination may alias an operand.
 func TestLocalSumsIntoAndDiffInto(t *testing.T) {
 	xs := workload.UniformU64s(5000, 1e9, 41)
-	c := NewPermChecker(PermConfig{Iterations: 4}, 13)
+	c := newPermChecker(PermConfig{Iterations: 4}, 13)
 	got := newSums(c.cfg)
 	c.AccumulateInto(got, xs[:1234], false)
 	c.AccumulateInto(got, xs[1234:], false)

@@ -198,7 +198,7 @@ func TestOverheadPermSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 || rows[2].Config != "Poly61" || rows[3].Config != "Sort (reference)" {
+	if len(rows) != 3 || rows[2].Config != "Sort (reference)" {
 		t.Fatalf("got rows %+v", rows)
 	}
 	for _, r := range rows {

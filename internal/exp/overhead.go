@@ -114,8 +114,8 @@ func OverheadSum(opt OverheadOptions) ([]OverheadRow, error) {
 // OverheadPerm reproduces the Section 7.2 numbers: local processing
 // overhead of the permutation/sort checker with CRC-32C and tabulation
 // hashing (paper: 2.0 and 2.8 ns per element on a 3.6 GHz machine),
-// next to the default checker, Lemma 5's product, plus the sort itself
-// for the "roughly 3.5% of total running time" comparison.
+// plus the sort itself for the "roughly 3.5% of total running time"
+// comparison.
 func OverheadPerm(opt OverheadOptions) ([]OverheadRow, error) {
 	return timedRows(opt, func(ctx *repro.Context) []timedCase {
 		input := workload.UniformU64s(opt.Elements, 1e8, overheadSeed)
@@ -132,14 +132,6 @@ func OverheadPerm(opt OverheadOptions) ([]OverheadRow, error) {
 				return lambda[0], nil
 			}})
 		}
-		cfg := repro.DefaultOptions().Perm
-		prod := core.NewPermChecker(cfg, overheadSeed)
-		cases = append(cases, timedCase{cfg.Name(), 2 * len(input), func() (uint64, error) {
-			slots := []uint64{1, 1} // an iteration's input and output products
-			prod.AccumulateInto(slots, input, false)
-			prod.AccumulateInto(slots, output, true)
-			return slots[0], nil
-		}})
 		return append(cases, timedCase{"Sort (reference)", len(input), func() (uint64, error) {
 			out, err := ctx.Seq(input).Sort().Collect()
 			return uint64(len(out)), err
