@@ -310,14 +310,7 @@ func (c *Context) fail(err error) error {
 // ran — which a service.Pool would treat as an infrastructure abort.
 func (c *Context) validSum() error  { return optionErr("Sum", c.opts.Sum.Validate()) }
 func (c *Context) validPerm() error { return optionErr("Perm", c.opts.Perm.Validate()) }
-func (c *Context) validZip() error {
-	// A zero-iteration zip checker has an empty fingerprint and would
-	// silently accept anything.
-	if c.opts.Zip.Iterations < 1 {
-		return optionErr("Zip", errors.New("iterations must be >= 1"))
-	}
-	return nil
-}
+func (c *Context) validZip() error  { return optionErr("Zip", c.opts.Zip.Validate()) }
 
 func optionErr(field string, err error) error {
 	if err == nil {

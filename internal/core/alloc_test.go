@@ -104,16 +104,31 @@ func TestPackedCombineAllocs(t *testing.T) {
 	}
 }
 
-// TestCheckerSetupAllocs pins what building and sealing a permutation or
-// sort checker costs the heap in the steady state: no product offsets,
-// which come with a scratch from scratchPool. Measured on one P with
-// the collector held off, after a warming call there: a sync.Pool hands
-// back what was put on the same P and drops its contents over two
-// collections.
+// TestCheckerSetupAllocs pins what building and sealing a permutation,
+// sort or zip checker costs the heap in the steady state: no product
+// offsets, which come with a scratch from scratchPool, and for the zip
+// state just its words and the state, 2 objects: each iteration's point
+// (z, y, w, z^4 and the offsets y·q) stays on the stack. Measured on
+// one P with the collector held off, after a warming call there: a
+// sync.Pool hands back what was put on the same P and drops its
+// contents over two collections.
 func TestCheckerSetupAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	xs := workload.UniformU64s(64, 1e9, 3)
+	ys := workload.UniformU64s(64, 1e9, 4)
+	zipped := zipPairsOf(xs, ys)
+	perCall := func(run func(seed uint64)) (objects, bytes uint64) {
+		run(0)
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := uint64(1); i <= runs; i++ {
+			run(i)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
 	for _, cfg := range []PermConfig{{Iterations: 1}, {Iterations: 2}} {
 		for name, run := range map[string]func(seed uint64){
 			"NewPermBuilder": func(seed uint64) {
@@ -127,18 +142,19 @@ func TestCheckerSetupAllocs(t *testing.T) {
 				sinkAlloc += b.Seal().Words()[0]
 			},
 		} {
-			run(0)
-			const runs = 50
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := uint64(1); i <= runs; i++ {
-				run(i)
-			}
-			runtime.ReadMemStats(&after)
-			if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1024 {
+			if _, per := perCall(run); per >= 1024 {
 				t.Errorf("%s %s ×%d + Seal allocates %d bytes per call in the steady state, want under 1024 (one scratch is 24 576)",
 					name, cfg.Name(), cfg.Iterations, per)
 			}
+		}
+	}
+	for _, cfg := range []ZipConfig{{Iterations: 1}, {Iterations: 2}} {
+		objects, bytes := perCall(func(seed uint64) {
+			sinkAlloc += NewZipState("setup", cfg, seed, xs, ys, zipped, 0, 0, 0, true).Words()[0]
+		})
+		if objects > 2 || bytes >= 1024 {
+			t.Errorf("NewZipState ×%d allocates %d objects, %d bytes per call, want at most 2 objects (words and state) under 1024 bytes",
+				cfg.Iterations, objects, bytes)
 		}
 	}
 }

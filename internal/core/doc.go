@@ -23,8 +23,10 @@
 //   - NewSortedState, NewSortedBuilder — the product plus the
 //     sortedness interval (Section 5, Theorem 7); with two inputs,
 //     Merge (Corollary 13).
-//   - NewZipState — position-dependent fingerprints (Section 6.4,
-//     Theorem 11).
+//   - NewZipState — Theorem 11's position-weighted fingerprints, with
+//     the powers z^i of a random z as the weights: a polynomial
+//     identity in F_(2^61-1), which needs no hash function (Section
+//     6.4).
 //   - NewRedistState, NewRedistBuilder — invasive checker for the
 //     GroupBy/Join element redistribution phase (Section 6.5.3/6.5.4,
 //     Corollaries 14 and 15): the product over whole pairs folded into
@@ -42,8 +44,8 @@
 //	  union, merge    in F_r, r = 2^61 - 1, ×1      n <= 2^28 (Delta)
 //	redistribution    the product over Mix64 folds  3n/r + pair-fold         the fold: random-hash model
 //	                  of (key, value) pairs         collisions
-//	zip               F_r fingerprints, ×2          about 1/r                random-hash model (Mix64
-//	                                                                         weights and folds)
+//	zip               Σ (a + y·q)·z^i in F_r, the   (n+1)/r < 1.2e-10,       every fixed wrong output
+//	                  components joined by w, ×1    n <= 2^28 (Delta)
 //
 // The product's bound assumes nothing of the data: distinct elements
 // are distinct linear factors, so a wrong multiset leaves a nonzero
@@ -58,6 +60,19 @@
 // and on manipulate.Rectangle, the byte rectangle it pins Tab64 to let
 // through; TestDefaultPermRejectsRectangle runs that through the
 // default, and FuzzPermProductChunks holds the kernel to an oracle.
+//
+// The zip checker's bound assumes nothing of the data either. Element e
+// is the term a + y·q of the product's limbs, so different elements are
+// different polynomials in y; position i weighs its term by z^i. A
+// sequence's fingerprint F is the sum of the weighted terms, and an
+// iteration seals (F(s1) - F(keys)) + w·(F(s2) - F(values)). A wrong
+// output of the right length differs from the zip at some position, so
+// this is a nonzero polynomial of total degree at most n+1 in (z, y,
+// w), zero at a random point with probability at most (n+1)/r.
+// TestZipCheckerEscapeRateWithinDelta holds the construction at the
+// weak field to (n+1)/r on an adjacent swap, a key and value crossed, a
+// rotation by one and the Table 6 manipulators on either component, and
+// FuzzZipFingerprint holds the lane kernel to a direct sum.
 //
 // Every distributed checker is SPMD: all PEs build their states from
 // their local shares and a common seed (dist.Worker.CommonSeed), and
@@ -81,12 +96,14 @@
 //     add the counts; accept: every word is 1);
 //   - the 4-word sortedness interval (rank-ordered merge; accept: the
 //     sorted flag survived);
-//   - F_(2^61-1) fingerprints (accept: all zero);
+//   - zip polynomial values in F_(2^61-1), one word an iteration
+//     (combine: add; accept: every word is 0);
 //   - the replica digest min/max pair (accept: min = max).
 //
 // SumAgg is one table, Avg two; Median is one or two tables plus a
 // replica digest; Min/Max is a replica digest; Perm and Redist are a
-// product; Sorted is a product plus an interval; Zip is fingerprints.
+// product; Sorted is a product plus an interval; Zip is polynomial
+// values.
 //
 // Tables travel at the paper's bit count. A state packs them when it
 // seals: each counter into m+1 bits, lane after lane, iteration-major,

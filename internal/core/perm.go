@@ -17,11 +17,11 @@ type PermConfig struct {
 	Iterations int
 }
 
-// productElems is the global length n at which Delta states the
-// product's bound, and maxProductIterations as many iterations as a
-// scratch's hash block holds offsets for.
+// boundElems is the global length n at which PermConfig.Delta and
+// ZipConfig.Delta state their bounds, and maxProductIterations as many
+// iterations as a scratch's hash block holds offsets for.
 const (
-	productElems         = 1 << 28
+	boundElems           = 1 << 28
 	maxProductIterations = accBlock / 16
 )
 
@@ -33,7 +33,7 @@ func (c PermConfig) Name() string { return "Poly61" }
 // iteration, for every wrong output fixed before the seed is drawn
 // (package documentation).
 func (c PermConfig) Delta() float64 {
-	return math.Pow(3*productElems/float64(hashing.Mersenne61), float64(c.Iterations))
+	return math.Pow(3*boundElems/float64(hashing.Mersenne61), float64(c.Iterations))
 }
 
 // Validate reports configuration errors.
@@ -71,8 +71,7 @@ func newPermChecker(cfg PermConfig, seed uint64) *PermChecker {
 // init builds the checker in place.
 //
 // An iteration draws z, then y, uniformly from F_r, r = 2^61 - 1, and
-// maps element e to the factor z - a - y·q, a = e & r and q = e >> 61
-// — except a = r, which is 0 in the field, maps to (0, q + 8). The map
+// maps element e to the factor z - a - y·q of its limbs (a, q). The map
 // is injective into F_r × [0, 16), so different multisets have
 // different products as polynomials in (z, y). The iteration keeps the
 // offsets t[q] = z - y·q + r, 16 words of a scratch from scratchPool
@@ -164,14 +163,23 @@ func ratioSlot(in, out uint64) uint64 {
 	return mulSlot(in, hashing.InvMod61(out&hashing.Mersenne61), -(out >> 61))
 }
 
-// factor is element e's factor off the offsets t, in [0, 2r): t[q] - a,
-// or t[q+8] - r for a = r. The remap's branch is almost never taken,
-// and cheaper than computing the index without one.
-func factor(t *[16]uint64, e uint64) uint64 {
-	a, q := e&hashing.Mersenne61, e>>61
+// limbs maps element e injectively into F_r × [0, 16), r = 2^61 - 1:
+// a = e & r and q = e >> 61, except that a = r, which is 0 in the
+// field, goes to (0, q + 8). That a is returned as r itself, not 0:
+// both users, the product's factor and the zip checker's term, take it
+// into lazily reduced arithmetic, where r ≡ 0. The remap's branch is
+// almost never taken, and cheaper than computing the index without one.
+func limbs(e uint64) (a, q uint64) {
+	a, q = e&hashing.Mersenne61, e>>61
 	if a == hashing.Mersenne61 {
 		q += 8
 	}
+	return a, q
+}
+
+// factor is element e's factor off the offsets t, in [0, 2r): t[q] - a.
+func factor(t *[16]uint64, e uint64) uint64 {
+	a, q := limbs(e)
 	return t[q&15] - a
 }
 

@@ -191,8 +191,9 @@ const (
 	// (Theorem 7): merged in rank order, a sorted result keeps its
 	// sorted-so-far flag.
 	segInterval
-	// segField is position-weighted fingerprints in F_(2^61-1) (Theorem
-	// 11). They add in the field; a correct result leaves all zero.
+	// segField is the zip checker's polynomial values in F_(2^61-1)
+	// (Theorem 11), a word an iteration. They add in the field; a
+	// correct result leaves all zero.
 	segField
 	// segReplica is the replica digest pair (Section 2, result
 	// integrity), combined by min on one word and max on the other: all

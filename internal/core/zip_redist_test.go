@@ -16,7 +16,7 @@ func zipPairsOf(a, b []uint64) []data.Pair {
 	return out
 }
 
-var zipCfg = ZipConfig{Iterations: 2}
+var zipCfg = ZipConfig{Iterations: 1}
 
 // checkZip checks Zip(s1, s2) = out: the start offsets and global
 // lengths come from one vectorized prefix sum over the three local

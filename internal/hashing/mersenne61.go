@@ -43,25 +43,30 @@ func SubMod61(a, b uint64) uint64 {
 }
 
 // MulLazy61 returns a value below 2^62 congruent to a·b mod 2^61-1,
-// for a and b below 2^62: the 124-bit product folded twice at 2^61 ≡ 1
-// and never reduced to canonical, so a chain of multiplies carries it
-// into the next one and reduces once, at its end (Mod61).
+// for a and b below 2^62, or a below 2^63 and b canonical — a·b below
+// 2^124 either way: the product folded twice at 2^61 ≡ 1 and never
+// reduced to canonical, so a chain of multiplies carries it into the
+// next one and reduces once, at its end (Mod61).
 func MulLazy61(a, b uint64) uint64 {
 	hi, lo := bits.Mul64(a, b)
 	x := lo&Mersenne61 + (hi<<3 | lo>>61) // < 2^61 + 2^63
 	return x&Mersenne61 + x>>61
 }
 
-// InvMod61 returns a^-1 mod 2^61-1 for 0 < a < 2^61-1: a^(r-2) by
-// Fermat's little theorem, one square-and-multiply pass over r-2 on
-// lazily folded multiplies and one reduction at the end.
-func InvMod61(a uint64) uint64 {
-	inv := uint64(1)
-	for e := Mersenne61 - 2; e != 0; e >>= 1 {
+// PowMod61 returns a^e mod 2^61-1, canonical, for a below 2^62: one
+// square-and-multiply pass over e on lazily folded multiplies and one
+// reduction at the end.
+func PowMod61(a, e uint64) uint64 {
+	p := uint64(1)
+	for ; e != 0; e >>= 1 {
 		if e&1 != 0 {
-			inv = MulLazy61(inv, a)
+			p = MulLazy61(p, a)
 		}
 		a = MulLazy61(a, a)
 	}
-	return Mod61(inv)
+	return Mod61(p)
 }
+
+// InvMod61 returns a^-1 mod 2^61-1 for 0 < a < 2^61-1: a^(r-2) by
+// Fermat's little theorem.
+func InvMod61(a uint64) uint64 { return PowMod61(a, Mersenne61-2) }

@@ -41,21 +41,46 @@ func TestMulMod61MatchesBig(t *testing.T) {
 	}
 }
 
-// TestMulLazy61 checks the lazy multiply's contract on inputs up to its
-// bound, 2^62 - 1: a result below 2^62, congruent to the product.
+// TestMulLazy61 checks the lazy multiply's contract on inputs up to
+// its bounds — a and b below 2^62, or a below 2^63 and b canonical: a
+// result below 2^62, congruent to the product.
 func TestMulLazy61(t *testing.T) {
-	f := func(a, b uint64) bool {
-		a, b = a>>2, b>>2
+	holds := func(a, b uint64) bool {
 		got := MulLazy61(a, b)
 		want := new(big.Int).Mul(new(big.Int).SetUint64(a), new(big.Int).SetUint64(b))
 		want.Mod(want, bigM61())
 		return got < 1<<62 && Mod61(got) == want.Uint64()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+	for _, shape := range []func(a, b uint64) bool{
+		func(a, b uint64) bool { return holds(a>>2, b>>2) },
+		func(a, b uint64) bool { return holds(a>>1, b%Mersenne61) },
+	} {
+		if err := quick.Check(shape, &quick.Config{MaxCount: 1000}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !holds(1<<62-1, 1<<62-1) || !holds(1<<63-1, Mersenne61-1) {
+		t.Fatal("MulLazy61 fails at its bounds")
+	}
+}
+
+// TestPowMod61MatchesBig checks the power against math/big's on
+// sampled bases and exponents, and on the exponents 0, 1, r-1 and
+// 2^64-1.
+func TestPowMod61MatchesBig(t *testing.T) {
+	f := func(a, e uint64) bool {
+		want := new(big.Int).Exp(new(big.Int).SetUint64(a), new(big.Int).SetUint64(e), bigM61())
+		return PowMod61(a, e) == want.Uint64()
+	}
+	if err := quick.Check(func(a, e uint64) bool { return f(a>>2, e) }, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
 	}
-	if !f(^uint64(0), ^uint64(0)) {
-		t.Fatal("MulLazy61 fails at its bound")
+	for _, a := range []uint64{0, 1, 2, Mersenne61 - 1, Mersenne61, 1<<62 - 1} {
+		for _, e := range []uint64{0, 1, Mersenne61 - 1, ^uint64(0)} {
+			if !f(a, e) {
+				t.Errorf("PowMod61(%#x, %#x) = %#x", a, e, PowMod61(a, e))
+			}
+		}
 	}
 }
 

@@ -371,13 +371,12 @@ func TestDefaultOptionsAchieveDocumentedDelta(t *testing.T) {
 	if got, want := opts.Perm.Delta(), 3*float64(1<<28)/float64(hashing.Mersenne61); got != want || got >= 3.5e-10 {
 		t.Errorf("Perm %s achieves delta %.3g, documented as 3n/r = %.3g < 3.5e-10 at n = 2^28", opts.Perm.Name(), got, want)
 	}
-	// One zip iteration errs with probability at most 1/H over the field
-	// F_H, H = 2^61-1 (ZipConfig, Theorem 11).
-	zip := 1.0
-	for i := 0; i < opts.Zip.Iterations; i++ {
-		zip /= float64(uint64(1)<<61 - 1)
+	// The zip default is one iteration of its polynomial identity,
+	// documented at (n+1)/r < 1.2e-10 for n <= 2^28 positions.
+	if opts.Zip.Iterations != 1 {
+		t.Errorf("DefaultOptions().Zip has %d iterations, documented as one", opts.Zip.Iterations)
 	}
-	if zip > documented {
-		t.Errorf("Zip with %d iterations achieves delta %.3g, documented as at most %.3g", opts.Zip.Iterations, zip, documented)
+	if got, want := opts.Zip.Delta(), float64(1<<28+1)/float64(hashing.Mersenne61); got != want || got >= 1.2e-10 {
+		t.Errorf("Zip achieves delta %.3g, documented as (n+1)/r = %.3g < 1.2e-10 at n = 2^28", got, want)
 	}
 }
