@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/hashing"
 	"repro/internal/obs"
@@ -44,11 +43,10 @@ func runLaunch(args []string) error {
 	p := fs.Int("p", 4, "world size (with -hosts: must match the list length or be left at default)")
 	hostsFlag := fs.String("hosts", "", "comma-separated static host list h0:p0,h1:p1,...; rank r binds entry r")
 	inherit := fs.Bool("inherit-listener", false, "accept on the listener inherited as fd 3 instead of binding the host list entry (spawn mode passes it to its children)")
-	topoFlag := fs.String("topology", string(comm.TopoHypercube), "connection topology: full, ring, hypercube, or none (fully lazy)")
 	seed := fs.Uint64("seed", 42, "run seed; verdicts are a pure function of (p, seed, elements)")
 	elements := fs.Int("elements", 4096, "pairs per PE in the checked pipeline")
 	timeout := fs.Duration("timeout", 60*time.Second, "per-run communication deadline")
-	setupTimeout := fs.Duration("setup-timeout", 0, "bootstrap deadline: dials, handshakes (0 = default)")
+	setupTimeout := fs.Duration("setup-timeout", 0, "bootstrap deadline: all links up, refused dials retried until then (0 = default 10s)")
 	verifyIdentical := fs.Bool("verify-identical", true, "spawn mode: rerun in-process over the mem transport and require bit-identical digests")
 	traceOut := fs.String("trace", "",
 		"gather every rank's spans over the collectives and write a Chrome trace at rank 0 (join mode: every rank must pass the same flag; spawn mode forwards it)")
@@ -61,16 +59,12 @@ func runLaunch(args []string) error {
 			pSet = true
 		}
 	})
-	topo, err := comm.ParseTopology(*topoFlag)
-	if err != nil {
-		return err
-	}
-	cfg := dist.Config{Topology: topo, Timeout: *timeout, SetupTimeout: *setupTimeout}
+	cfg := dist.Config{Timeout: *timeout, SetupTimeout: *setupTimeout}
 	if *rank < 0 {
 		if *hostsFlag != "" || *inherit {
 			return fmt.Errorf("launch: -hosts/-inherit-listener describe an existing run; joining one needs -rank")
 		}
-		return launchSpawn(cfg, *p, *seed, *elements, *topoFlag, *setupTimeout, *verifyIdentical, *traceOut)
+		return launchSpawn(cfg, *p, *seed, *elements, *verifyIdentical, *traceOut)
 	}
 	if *hostsFlag == "" {
 		return fmt.Errorf("launch: joining a run needs -hosts")
@@ -145,7 +139,7 @@ func launchJoin(lc dist.LaunchConfig, seed uint64, elements int, traceOut string
 // are bit-identical. The parent binds every child's listener before any
 // child starts, so the host list names live sockets and no dial races a
 // listener that is not up yet; child r inherits its listener as fd 3.
-func launchSpawn(cfg dist.Config, p int, seed uint64, elements int, topo string, setupTimeout time.Duration, verifyIdentical bool, traceOut string) error {
+func launchSpawn(cfg dist.Config, p int, seed uint64, elements int, verifyIdentical bool, traceOut string) error {
 	if p < 1 {
 		return fmt.Errorf("launch: need p >= 1, got %d", p)
 	}
@@ -170,7 +164,7 @@ func launchSpawn(cfg dist.Config, p int, seed uint64, elements int, topo string,
 	}
 	hostList := strings.Join(hosts, ",")
 
-	fmt.Printf("launch: spawning %d ranks (topology %s, hosts %s)\n", p, topo, hostList)
+	fmt.Printf("launch: spawning %d ranks (hosts %s)\n", p, hostList)
 	cmds := make([]*exec.Cmd, p)
 	outs := make([]bytes.Buffer, p)
 	for r := 0; r < p; r++ {
@@ -178,11 +172,10 @@ func launchSpawn(cfg dist.Config, p int, seed uint64, elements int, topo string,
 			"-rank", strconv.Itoa(r),
 			"-hosts", hostList,
 			"-inherit-listener",
-			"-topology", topo,
 			"-seed", strconv.FormatUint(seed, 10),
 			"-elements", strconv.Itoa(elements),
 			"-timeout", cfg.Timeout.String(),
-			"-setup-timeout", setupTimeout.String(),
+			"-setup-timeout", cfg.SetupTimeout.String(),
 		}
 		if traceOut != "" {
 			// Every child records and joins the gather; rank 0's process

@@ -29,7 +29,6 @@ import (
 	"strings"
 
 	"repro"
-	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/exp"
@@ -136,13 +135,10 @@ func runTable2([]string) error {
 	return nil
 }
 
-// transportFlags registers the shared -transport/-timeout/-topology
-// flags and returns a resolver that fills a dist.Config from the
-// parsed values.
+// transportFlags registers the shared -transport/-timeout flags and
+// returns a resolver that fills a dist.Config from the parsed values.
 func transportFlags(fs *flag.FlagSet, cfg *dist.Config) func() error {
 	transport := fs.String("transport", string(cfg.Transport), "transport backend: mem, simnet, or tcp")
-	topology := fs.String("topology", string(cfg.Topology),
-		"TCP connection topology: full (default), ring, hypercube, or none (fully lazy); ignored by mem/simnet")
 	fs.DurationVar(&cfg.Timeout, "timeout", cfg.Timeout,
 		"per-run communication deadline (0 = none), e.g. 90s; does not interrupt local computation")
 	return func() error {
@@ -151,11 +147,6 @@ func transportFlags(fs *flag.FlagSet, cfg *dist.Config) func() error {
 			return err
 		}
 		cfg.Transport = tr
-		topo, err := comm.ParseTopology(*topology)
-		if err != nil {
-			return err
-		}
-		cfg.Topology = topo
 		return nil
 	}
 }
@@ -254,14 +245,10 @@ func runFig4(args []string) error {
 			opt.Mode = repro.CheckDeferred
 		}
 		if opt.Dist.Transport == dist.TransportTCP {
-			// The full TCP mesh needs p(p-1)/2 loopback connections; the
+			// The TCP mesh needs p(p-1)/2 loopback connections; the
 			// default sweep to 512 PEs would exhaust file descriptors. Cap it
-			// at 16 unless the user picks PE counts explicitly — sparse
-			// topologies (-topology hypercube) open O(p log p) and go to 32.
+			// at 16 unless the user picks PE counts explicitly.
 			opt.Points = opt.Points[:5]
-			if opt.Dist.Topology != comm.TopoFullMesh && opt.Dist.Topology != "" {
-				opt.Points = opt.Points[:6]
-			}
 		}
 		opt.Points, err = regrid(opt.Points, *pes, *items)
 		return err

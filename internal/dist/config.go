@@ -67,15 +67,9 @@ type Config struct {
 	// when it next touches the network. Zero keeps the transports'
 	// DefaultTimeout deadlock backstop and applies no whole-run bound.
 	Timeout time.Duration
-	// Topology selects the connection graph the TCP transport pre-opens
-	// (comm.TopoFullMesh, TopoRing, TopoHypercube, TopoNone); empty
-	// means full mesh. Ignored by mem and simnet, which have no
-	// connections. The workers' collectives are never told: their tree
-	// edges join ranks one bit apart at any p, so a hypercube run's
-	// connection bill stays O(p log p) on its own.
-	Topology comm.Topology
-	// SetupTimeout bounds each TCP dial and handshake (setup and lazy);
-	// zero means comm.DefaultSetupTimeout.
+	// SetupTimeout bounds the TCP transport's bring-up: every rank must
+	// have its links to all the others within it (refused dials are
+	// retried until then). Zero means comm.DefaultSetupTimeout.
 	SetupTimeout time.Duration
 	// Tracer, when non-nil, is installed on every worker RunConfig
 	// builds, so collectives, stage boundaries, and resolve rounds
@@ -112,7 +106,6 @@ func (c Config) TCPOptions() comm.TCPOptions {
 	return comm.TCPOptions{
 		Timeout:      c.Timeout,
 		SetupTimeout: c.SetupTimeout,
-		Topology:     c.Topology,
 	}
 }
 

@@ -20,9 +20,9 @@ type LaunchConfig struct {
 	// instance one a spawning parent bound and handed down), and Join
 	// takes ownership of it. When nil, Join binds Hosts[Rank].
 	Listener net.Listener
-	// Config carries the transport knobs (topology, timeouts, dial
-	// budget). The Transport field is ignored: a multi-process run is
-	// TCP by construction.
+	// Config carries the transport knobs (Timeout, SetupTimeout). The
+	// Transport field is ignored: a multi-process run is TCP by
+	// construction.
 	Config Config
 }
 
@@ -55,8 +55,9 @@ func ParseHosts(s string) ([]string, error) {
 }
 
 // Join bootstraps this process's rank into the distributed run: take
-// or bind this rank's listener, install the host list, and pre-open this
-// rank's share of the configured topology. The returned node is a
+// or bind this rank's listener, install the host list, and bring up this
+// rank's links to every other rank (comm.TCPNode.Connect: dial the
+// higher ranks, wait for the lower ones). The returned node is a
 // comm.Network hosting the local rank's endpoint — run the SPMD body on
 // it with RunLocal.
 func Join(lc LaunchConfig) (*comm.TCPNode, error) {

@@ -114,11 +114,11 @@ func TestJoinValidation(t *testing.T) {
 // list on pre-bound listeners (all in this process, as four independent
 // cores — the same code path four OS processes would take), runs a
 // worker body on each via RunLocal, and checks collective results plus
-// the hypercube connection bill.
+// the connection bill: every pair linked once.
 func TestJoinHostListWorkers(t *testing.T) {
 	const p = 4
 	ls, hosts := loopbackHosts(t, p)
-	cfg := Config{Topology: comm.TopoHypercube, Timeout: 30 * time.Second}
+	cfg := Config{Timeout: 30 * time.Second}
 	nodes := make([]*comm.TCPNode, p)
 	var joinWg sync.WaitGroup
 	for r := 0; r < p; r++ {
@@ -195,8 +195,6 @@ func TestJoinHostListWorkers(t *testing.T) {
 			t.Fatalf("rank %d common seed %#x != mem run %#x", r, seeds[r], memSeed)
 		}
 	}
-	// Hypercube at p=4 is 4 edges; the dialed counts across nodes sum to
-	// exactly that (plus 0 — CommonSeed's broadcast stays on edges).
 	var dialed int64
 	for _, n := range nodes {
 		sent, recv := n.WireBytes()
@@ -210,8 +208,8 @@ func TestJoinHostListWorkers(t *testing.T) {
 		connsTotal += n.ConnsOpen()
 	}
 	// ConnsOpen counts a link at its dialer, so the per-node values add
-	// up to the run's connections.
-	const edges = 4
+	// up to the run's connections: p(p-1)/2.
+	const edges = p * (p - 1) / 2
 	if want := int64(edges); connsTotal != want {
 		t.Fatalf("sum of per-node ConnsOpen = %d, want %d", connsTotal, want)
 	}
@@ -250,7 +248,7 @@ func TestTwoProcessRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	node, err := Join(LaunchConfig{Rank: 0, Hosts: hosts, Listener: ls[0],
-		Config: Config{Topology: comm.TopoHypercube, Timeout: 20 * time.Second}})
+		Config: Config{Timeout: 20 * time.Second}})
 	if err != nil {
 		t.Fatalf("parent join: %v", err)
 	}
@@ -301,7 +299,7 @@ func TestLaunchHelperChild(t *testing.T) {
 		t.Fatalf("child inheriting fd 3: %v", err)
 	}
 	node, err := Join(LaunchConfig{Rank: 1, Hosts: hosts, Listener: l,
-		Config: Config{Topology: comm.TopoHypercube, Timeout: 20 * time.Second}})
+		Config: Config{Timeout: 20 * time.Second}})
 	if err != nil {
 		t.Fatalf("child join: %v", err)
 	}
