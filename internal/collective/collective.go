@@ -23,7 +23,7 @@
 // only ever combined with the interval right above it: a ReduceOp needs
 // associativity, never commutativity, and a gather bundle no rank words.
 // Every tree edge joins ranks that differ in one bit, for any p
-// (TestTreeCollectivesUseOneBitEdges). Barrier is the one unrooted
+// (TestHypercubeNonPowerOfTwoStaysOnEdges). Barrier is the one unrooted
 // schedule: exchange with rank^d when p is a power of two (one-bit edges
 // again), dissemination to rank+d mod p otherwise, where rank^d may leave
 // [0, p) — p·log p empty messages in log p rounds either way.

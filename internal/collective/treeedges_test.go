@@ -48,39 +48,55 @@ func (e edgeRecorder) Send(dst, tag int, payload []byte) error {
 	return e.Endpoint.Send(dst, tag, payload)
 }
 
-// TestTreeCollectivesUseOneBitEdges: every tree edge joins ranks that
-// differ in one bit, whatever p is, so the tree collectives and the scan
-// send nothing else. The barrier joins the sweep only at powers of two:
-// its dissemination schedule for other p leaves those edges.
-func TestTreeCollectivesUseOneBitEdges(t *testing.T) {
-	for _, p := range []int{6, 8, 24, 32} {
-		barrier := p&(p-1) == 0
-		net := comm.NewMemNetworkTimeout(p, 0)
-		var (
-			mu  sync.Mutex
-			off []string
-			wg  sync.WaitGroup
-		)
-		errs := make([]error, p)
-		for r := 0; r < p; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				c := New(edgeRecorder{Endpoint: net.Endpoint(r), mu: &mu, off: &off})
-				if errs[r] = treeWorkout(c, r); errs[r] == nil && barrier {
-					errs[r] = c.Barrier()
-				}
-			}(r)
-		}
-		wg.Wait()
-		net.Close()
-		for r, err := range errs {
-			if err != nil {
-				t.Fatalf("p=%d rank %d: %v", p, r, err)
+// checkOneBitEdges runs treeWorkout, and the barrier if barrier is set,
+// on p recording mem endpoints and fails on any send between ranks more
+// than one bit apart.
+func checkOneBitEdges(t *testing.T, p int, barrier bool) {
+	t.Helper()
+	net := comm.NewMemNetworkTimeout(p, 0)
+	var (
+		mu  sync.Mutex
+		off []string
+		wg  sync.WaitGroup
+	)
+	errs := make([]error, p)
+	for r := 0; r < p; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			c := New(edgeRecorder{Endpoint: net.Endpoint(r), mu: &mu, off: &off})
+			if errs[r] = treeWorkout(c, r); errs[r] == nil && barrier {
+				errs[r] = c.Barrier()
 			}
+		}(r)
+	}
+	wg.Wait()
+	net.Close()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("p=%d rank %d: %v", p, r, err)
 		}
-		if len(off) > 0 {
-			t.Fatalf("p=%d (barrier %v): %d sends left the one-bit edges, e.g. %v", p, barrier, len(off), off[0])
-		}
+	}
+	if len(off) > 0 {
+		t.Fatalf("p=%d (barrier %v): %d sends left the one-bit edges, e.g. %v", p, barrier, len(off), off[0])
+	}
+}
+
+// TestHypercubeCollectivesStayOnEdges: at a power of two every
+// collective, barrier included, sends only along hypercube edges (ranks
+// one bit apart).
+func TestHypercubeCollectivesStayOnEdges(t *testing.T) {
+	for _, p := range []int{8, 32} {
+		checkOneBitEdges(t, p, true)
+	}
+}
+
+// TestHypercubeNonPowerOfTwoStaysOnEdges: every tree edge joins ranks
+// one bit apart whatever p is, so the tree collectives and the scan send
+// nothing else at p = 6 and 24. The barrier is left out: its
+// dissemination schedule for such p leaves those edges.
+func TestHypercubeNonPowerOfTwoStaysOnEdges(t *testing.T) {
+	for _, p := range []int{6, 24} {
+		checkOneBitEdges(t, p, false)
 	}
 }
