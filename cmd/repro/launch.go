@@ -47,7 +47,6 @@ func runLaunch(args []string) error {
 	elements := fs.Int("elements", 4096, "pairs per PE in the checked pipeline")
 	timeout := fs.Duration("timeout", 60*time.Second, "per-run communication deadline")
 	setupTimeout := fs.Duration("setup-timeout", 0, "bootstrap deadline: all links up, refused dials retried until then (0 = default 10s)")
-	verifyIdentical := fs.Bool("verify-identical", true, "spawn mode: rerun in-process over the mem transport and require bit-identical digests")
 	traceOut := fs.String("trace", "",
 		"gather every rank's spans over the collectives and write a Chrome trace at rank 0 (join mode: every rank must pass the same flag; spawn mode forwards it)")
 	if err := fs.Parse(args); err != nil {
@@ -64,7 +63,7 @@ func runLaunch(args []string) error {
 		if *hostsFlag != "" || *inherit {
 			return fmt.Errorf("launch: -hosts/-inherit-listener describe an existing run; joining one needs -rank")
 		}
-		return launchSpawn(cfg, *p, *seed, *elements, *verifyIdentical, *traceOut)
+		return launchSpawn(cfg, *p, *seed, *elements, *traceOut)
 	}
 	if *hostsFlag == "" {
 		return fmt.Errorf("launch: joining a run needs -hosts")
@@ -134,12 +133,12 @@ func launchJoin(lc dist.LaunchConfig, seed uint64, elements int, traceOut string
 }
 
 // launchSpawn forks p child ranks of this binary on loopback, collects
-// their digest lines, and (by default) reruns the identical pipeline
-// in-process over the mem transport to prove the cross-process verdicts
-// are bit-identical. The parent binds every child's listener before any
+// their digest lines, and reruns the identical pipeline in-process over
+// the mem transport to prove the cross-process verdicts are
+// bit-identical. The parent binds every child's listener before any
 // child starts, so the host list names live sockets and no dial races a
 // listener that is not up yet; child r inherits its listener as fd 3.
-func launchSpawn(cfg dist.Config, p int, seed uint64, elements int, verifyIdentical bool, traceOut string) error {
+func launchSpawn(cfg dist.Config, p int, seed uint64, elements int, traceOut string) error {
 	if p < 1 {
 		return fmt.Errorf("launch: need p >= 1, got %d", p)
 	}
@@ -218,10 +217,6 @@ func launchSpawn(cfg dist.Config, p int, seed uint64, elements int, verifyIdenti
 	}
 	if traceOut != "" {
 		fmt.Printf("launch: rank 0 gathered every process's spans and wrote %s\n", traceOut)
-	}
-	if !verifyIdentical {
-		fmt.Printf("launch: %d ranks completed with clean verdicts\n", p)
-		return nil
 	}
 	// The reference run: same (p, seed, elements) as p goroutines over
 	// the in-memory transport. Digest equality per rank is bit-identity

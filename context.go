@@ -244,16 +244,6 @@ func NewContext(w *Worker, opts Options) (*Context, error) {
 // Worker returns the Worker this Context runs on.
 func (c *Context) Worker() *Worker { return c.w }
 
-// Mode returns the Context's check mode.
-func (c *Context) Mode() CheckMode { return c.opts.Mode }
-
-// Err returns the Context's sticky error: the first checker rejection
-// or communication failure, or nil.
-func (c *Context) Err() error { return c.err }
-
-// Pending returns how many stages await Verify.
-func (c *Context) Pending() int { return len(c.pending) }
-
 // Stats returns a copy of the per-stage instrumentation recorded so
 // far, in pipeline order.
 func (c *Context) Stats() []CheckStats {
@@ -600,7 +590,7 @@ func (c *Context) sameContext(other *Context) error {
 
 // ReduceByKey aggregates values per key with fn, verified by the sum
 // aggregation checker (Theorem 1). fn must be associative, commutative,
-// and satisfy x⊕y ≠ x for y ≠ 0 — SumFn and XorFn qualify.
+// and satisfy x⊕y ≠ x for y ≠ 0 — SumFn and bitwise XOR qualify.
 //
 // The checker verifies sums over the integers, not mod 2^64 — literally
 // so: it adds the input's values exactly into int64 cells (a value of

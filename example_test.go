@@ -164,7 +164,7 @@ func ExampleContext_StreamPairs() {
 		if err != nil {
 			return err
 		}
-		input := repro.GenPairs(n, chunk, func(i int) repro.Pair {
+		input := generate(n, chunk, func(i int) repro.Pair {
 			return repro.Pair{Key: uint64(i % keys), Value: uint64(w.Rank()*n + i)}
 		})
 		var out []repro.Pair

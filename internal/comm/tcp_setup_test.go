@@ -208,7 +208,7 @@ func TestTCPNodePair(t *testing.T) {
 		go func(n *TCPNode) {
 			defer wg.Done()
 			if err := n.Connect(addrs); err != nil {
-				t.Errorf("rank %d connect: %v", n.Rank(), err)
+				t.Errorf("rank %d connect: %v", n.rank, err)
 			}
 		}(n)
 	}

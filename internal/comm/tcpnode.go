@@ -150,9 +150,6 @@ func (nd *TCPNode) Connect(addrs []string) error {
 	return nil
 }
 
-// Rank returns the local rank this node hosts.
-func (nd *TCPNode) Rank() int { return nd.rank }
-
 // Size returns the number of PEs in the distributed run.
 func (nd *TCPNode) Size() int { return nd.p }
 

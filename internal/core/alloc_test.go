@@ -143,8 +143,8 @@ func TestCheckerSetupAllocs(t *testing.T) {
 			},
 		} {
 			if _, per := perCall(run); per >= 1024 {
-				t.Errorf("%s %s ×%d + Seal allocates %d bytes per call in the steady state, want under 1024 (one scratch is 24 576)",
-					name, cfg.Name(), cfg.Iterations, per)
+				t.Errorf("%s Poly61 ×%d + Seal allocates %d bytes per call in the steady state, want under 1024 (one scratch is 24 576)",
+					name, cfg.Iterations, per)
 			}
 		}
 	}

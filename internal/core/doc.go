@@ -41,11 +41,11 @@
 //	checker           construction                  δ per iteration          proven for
 //	sum, count        15×4 CRC m10 (ChooseSum)      (1/1024 + 1/4)^15        random-hash model (Lemma 2)
 //	perm, sort,       Lemma 5 product, z - a - y·q  3n/r < 3.5e-10,          every fixed wrong output
-//	  union, merge    in F_r, r = 2^61 - 1, ×1      n <= 2^28 (Delta)
+//	  union, merge    in F_r, r = 2^61 - 1, ×1      n <= 2^28
 //	redistribution    the product over Mix64 folds  3n/r + pair-fold         the fold: random-hash model
 //	                  of (key, value) pairs         collisions
 //	zip               Σ (a + y·q)·z^i in F_r, the   (n+1)/r < 1.2e-10,       every fixed wrong output
-//	                  components joined by w, ×1    n <= 2^28 (Delta)
+//	                  components joined by w, ×1    n <= 2^28
 //
 // The product's bound assumes nothing of the data: distinct elements
 // are distinct linear factors, so a wrong multiset leaves a nonzero

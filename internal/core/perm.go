@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/hashing"
 )
@@ -12,29 +11,14 @@ import (
 // (PermChecker.init). Lemma 4's hash sums, the paper's other
 // fingerprint, are the local HashSumChecker.
 type PermConfig struct {
-	// Iterations boosts confidence: Delta is the per-iteration bound to
-	// that power.
+	// Iterations boosts confidence: the failure bound is one
+	// iteration's, 3n/r (package documentation), to that power.
 	Iterations int
 }
 
-// boundElems is the global length n at which PermConfig.Delta and
-// ZipConfig.Delta state their bounds, and maxProductIterations as many
-// iterations as a scratch's hash block holds offsets for.
-const (
-	boundElems           = 1 << 28
-	maxProductIterations = accBlock / 16
-)
-
-// Name names the fingerprint, "Poly61".
-func (c PermConfig) Name() string { return "Poly61" }
-
-// Delta is the per-checker failure bound (3n/r)^Iterations, r = 2^61 -
-// 1, at n = 2^28, the larger side's global length — under 3.5e-10 an
-// iteration, for every wrong output fixed before the seed is drawn
-// (package documentation).
-func (c PermConfig) Delta() float64 {
-	return math.Pow(3*boundElems/float64(hashing.Mersenne61), float64(c.Iterations))
-}
+// maxProductIterations is as many iterations as a scratch's hash block
+// holds offsets for.
+const maxProductIterations = accBlock / 16
 
 // Validate reports configuration errors.
 func (c PermConfig) Validate() error {
@@ -60,13 +44,6 @@ type PermChecker struct {
 // permSeedDomain keys the sub-seed stream of a permutation checker's
 // iterations apart from the other checkers' streams.
 const permSeedDomain = 0x9e37c0ffee37c0ff
-
-// newPermChecker derives a checker instance from cfg and a shared seed.
-func newPermChecker(cfg PermConfig, seed uint64) *PermChecker {
-	c := new(PermChecker)
-	c.init(cfg, seed)
-	return c
-}
 
 // init builds the checker in place.
 //

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/collective"
 	"repro/internal/data"
@@ -14,16 +13,9 @@ import (
 // independent points of a polynomial identity in F_(2^61-1), which
 // needs no hash function (NewZipState).
 type ZipConfig struct {
-	// Iterations boosts confidence: Delta is the per-iteration bound to
-	// that power.
+	// Iterations boosts confidence: the failure bound is one
+	// iteration's, (n+1)/r (package documentation), to that power.
 	Iterations int
-}
-
-// Delta is the per-checker failure bound ((n+1)/r)^Iterations, r =
-// 2^61 - 1, at n = 2^28 positions — about 1.2e-10 an iteration, for
-// every wrong output fixed before the seed is drawn (NewZipState).
-func (c ZipConfig) Delta() float64 {
-	return math.Pow((boundElems+1)/float64(hashing.Mersenne61), float64(c.Iterations))
 }
 
 // Validate reports configuration errors. A zero-iteration checker
@@ -142,7 +134,7 @@ func (pt *zipPoint) join(l0, l1, l2, l3, zs uint64) uint64 {
 // the sum over PEs. For every wrong output of the right length, fixed
 // before the seed is drawn, that sum is a nonzero polynomial of total
 // degree at most n+1 in (z, y, w), zero at the random point with
-// probability at most (n+1)/r (Schwartz–Zippel; ZipConfig.Delta).
+// probability at most (n+1)/r (Schwartz–Zippel).
 // Time O(n/p · its) at one multiply per element and component, plus
 // beta·its + alpha·log p.
 func NewZipState(stage string, cfg ZipConfig, seed uint64, s1, s2 []uint64, out []data.Pair, start1, start2, startO uint64, lengthsOK bool) CheckState {

@@ -182,7 +182,7 @@ func (res *SoakResult) run(ph phase, fn *comm.FaultyNetwork, pool *service.Pool)
 		close(release)
 	}
 	for _, h := range hs {
-		_ = h.Await() // record reads the outcome from h
+		_ = h.Await() // every job settles before the fault is disarmed; record reads the outcome
 	}
 	fn.Disarm()
 	_, tag, landed := fn.InjectedAt()
@@ -206,7 +206,7 @@ func (res *SoakResult) record(phase string, sj soakJob, h *service.Job, tag int)
 	if i < 0 {
 		i, res.Rows = len(res.Rows), append(res.Rows, ChaosRow{Phase: phase, Kind: sj.kind, MinNs: math.MaxInt64})
 	}
-	row, err, ns := &res.Rows[i], h.Err(), h.Cost().WallNs
+	row, err, ns := &res.Rows[i], h.Await(), h.Cost().WallNs
 	row.Total++
 	row.AvgNs += (ns - row.AvgNs) / int64(row.Total)
 	row.MinNs, row.MaxNs = min(row.MinNs, ns), max(row.MaxNs, ns)

@@ -162,12 +162,8 @@ func TestChromeTraceShape(t *testing.T) {
 
 func TestRegistryRender(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("comm_bytes_sent")
-	c.Add(41)
-	c.Add(1)
-	if again := r.Counter("comm_bytes_sent"); again != c {
-		t.Fatal("Counter not idempotent by name")
-	}
+	r.Gauge("comm_bytes_sent", func() int64 { return 41 })
+	r.Gauge("comm_bytes_sent", func() int64 { return 42 }) // replaces
 	r.Gauge("pool_inflight", func() int64 { return 7 })
 	r.GaugeFloat("pool_jobs_per_sec", func() float64 { return 12.5 })
 	var q Quantile
@@ -197,7 +193,7 @@ func TestRegistryRender(t *testing.T) {
 		t.Fatalf("render not sorted:\n%s", out)
 	}
 	if !strings.Contains(out, "comm_bytes_sent 42\n") {
-		t.Fatalf("integral counter not rendered as integer:\n%s", out)
+		t.Fatalf("integral gauge not rendered as integer:\n%s", out)
 	}
 	if !strings.Contains(out, "pool_jobs_per_sec 12.5\n") {
 		t.Fatalf("float gauge missing:\n%s", out)
@@ -213,12 +209,7 @@ func sortedLines(lines []string) bool {
 	return true
 }
 
-func TestNilCounterAndQuantileSafe(t *testing.T) {
-	var c *Counter
-	c.Add(5)
-	if c.Value() != 0 {
-		t.Fatal("nil counter has a value")
-	}
+func TestNilQuantileSafe(t *testing.T) {
 	var q *Quantile
 	q.Observe(3) // must not panic
 }

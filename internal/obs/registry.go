@@ -5,29 +5,7 @@ import (
 	"io"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
-
-// Counter is a registry-owned monotonic counter.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Add increments the counter by d. Nil-safe so callers can thread an
-// optional counter the way they thread an optional tracer.
-func (c *Counter) Add(d int64) {
-	if c != nil {
-		c.v.Add(d)
-	}
-}
-
-// Value reads the counter.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
 
 // Quantile is a bounded ring of the most recent observations, read as
 // nearest-rank p50/p99/max plus a running count — a sliding window, so
@@ -82,17 +60,15 @@ func (q *Quantile) Snapshot() (count, p50, p99, max int64) {
 
 // entry is one registered metric: exactly one of the fields is set.
 type entry struct {
-	counter *Counter
-	gauge   func() int64
-	fgauge  func() float64
-	quant   *Quantile
+	gauge  func() int64
+	fgauge func() float64
+	quant  *Quantile
 }
 
-// Registry is one named roof over the runtime's meters: owned
-// counters, pull-style gauges reading the existing atomic meters in
-// place, and quantile rings. Registration is idempotent by name —
-// re-registering replaces, so rebinding a live network after an
-// elastic view change just overwrites the gauges.
+// Registry is one named roof over the runtime's meters: pull-style
+// gauges reading the existing atomic meters in place, and quantile
+// rings. The registry owns no meter of its own. Registering a name
+// again replaces its entry.
 type Registry struct {
 	mu      sync.Mutex
 	entries map[string]entry
@@ -101,18 +77,6 @@ type Registry struct {
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{entries: make(map[string]entry)}
-}
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.entries[name]; ok && e.counter != nil {
-		return e.counter
-	}
-	c := &Counter{}
-	r.entries[name] = entry{counter: c}
-	return c
 }
 
 // Gauge registers a pull-style int64 gauge read at render time.
@@ -154,8 +118,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 	for i, name := range names {
 		e := ents[i]
 		switch {
-		case e.counter != nil:
-			out[name] = float64(e.counter.Value())
 		case e.gauge != nil:
 			out[name] = float64(e.gauge())
 		case e.fgauge != nil:

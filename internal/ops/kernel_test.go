@@ -130,7 +130,7 @@ func TestKernelMatchesMapOracle(t *testing.T) {
 	fns := []struct {
 		name string
 		fn   ReduceFn
-	}{{"sum", SumFn}, {"xor", XorFn}}
+	}{{"sum", SumFn}, {"xor", xorFn}}
 	for _, transport := range []dist.Transport{dist.TransportMem, dist.TransportTCP} {
 		for _, p := range []int{1, 2, 3, 5, 8} {
 			t.Run(fmt.Sprintf("%s/p=%d", transport, p), func(t *testing.T) {
@@ -258,10 +258,10 @@ func FuzzPairPayload(f *testing.F) {
 		if err := k.reset(len(ps)); err != nil {
 			t.Fatal(err)
 		}
-		k.foldPayload(b, XorFn)
+		k.foldPayload(b, xorFn)
 		folded := slices.Clone(k.pairs)
 		data.SortPairsByKey(folded)
-		want := combineLocal(ps, XorFn)
+		want := combineLocal(ps, xorFn)
 		data.SortPairsByKey(want)
 		if !slices.Equal(folded, want) {
 			t.Fatalf("fold of %x = %v, want %v", b, folded, want)

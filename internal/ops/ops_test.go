@@ -8,6 +8,9 @@ import (
 	"repro/internal/workload"
 )
 
+// xorFn combines bitwise, the other operator Theorem 1 covers.
+func xorFn(a, b uint64) uint64 { return a ^ b }
+
 // shard returns PE r's share of a global slice.
 func shard(xs []uint64, p, r int) []uint64 {
 	s, e := data.SplitEven(len(xs), p, r)
@@ -93,7 +96,7 @@ func TestReduceByKeyXor(t *testing.T) {
 	const p = 4
 	got := make(map[uint64]uint64)
 	err := dist.RunConfig(dist.Config{}, p, 7, func(w *dist.Worker) error {
-		out, err := ReduceByKey(w, NewPartitioner(3, p), shardPairs(global, p, w.Rank()), XorFn)
+		out, err := ReduceByKey(w, NewPartitioner(3, p), shardPairs(global, p, w.Rank()), xorFn)
 		if err != nil {
 			return err
 		}

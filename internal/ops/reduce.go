@@ -15,9 +15,6 @@ type ReduceFn func(a, b uint64) uint64
 // SumFn adds with wraparound in Z/2^64Z.
 func SumFn(a, b uint64) uint64 { return a + b }
 
-// XorFn combines bitwise, the other operator Theorem 1 covers.
-func XorFn(a, b uint64) uint64 { return a ^ b }
-
 // ReduceByKey aggregates all (key, value) pairs with the same key using
 // fn, as in Section 2 "Reduction": local hash-table combine, hash
 // partition all-to-all, final local combine. The result is hash

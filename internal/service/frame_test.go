@@ -36,7 +36,7 @@ type jobReport struct {
 func reportOf(t *testing.T, j *Job) jobReport {
 	t.Helper()
 	if err := j.Await(); err != nil {
-		t.Fatalf("job %d: %v", j.ID(), err)
+		t.Fatalf("job %d: %v", j.id, err)
 	}
 	r := jobReport{cost: j.Cost(), stats: j.Stats(), sums: j.Summaries()}
 	r.cost.WallNs = 0
@@ -67,8 +67,8 @@ func TestFrameReuseDoesNotLeak(t *testing.T) {
 			reports = append(reports, reportOf(t, j))
 			lo, hi := j.TagBlock()
 			blocks = append(blocks, [2]int{lo, hi})
-			if j.ID() != int64(i) {
-				t.Fatalf("job ID %d, want %d", j.ID(), i)
+			if j.id != int64(i) {
+				t.Fatalf("job ID %d, want %d", j.id, i)
 			}
 		}
 		return reports, blocks
@@ -116,7 +116,7 @@ func TestAbortedFrameQuarantined(t *testing.T) {
 	var seen [][2]int
 	for range slots { // every slot holds a frame
 		j := runOne()
-		if err := j.Err(); err != nil {
+		if err := j.err; err != nil {
 			t.Fatalf("warm job: %v", err)
 		}
 		lo, hi := j.TagBlock()
@@ -124,8 +124,8 @@ func TestAbortedFrameQuarantined(t *testing.T) {
 	}
 	fn.ArmRecvErr(1)
 	bad := runOne()
-	if bad.Err() == nil || bad.Rejected() {
-		t.Fatalf("job under an injected receive error: %v", bad.Err())
+	if bad.err == nil || bad.Rejected() {
+		t.Fatalf("job under an injected receive error: %v", bad.err)
 	}
 	lo, hi := bad.TagBlock()
 	if !slices.Contains(seen, [2]int{lo, hi}) {
@@ -133,11 +133,11 @@ func TestAbortedFrameQuarantined(t *testing.T) {
 	}
 	for range 2 * slots {
 		j := runOne()
-		if err := j.Err(); err != nil {
+		if err := j.err; err != nil {
 			t.Fatalf("job after the abort: %v", err)
 		}
 		if l, h := j.TagBlock(); l == lo && h == hi {
-			t.Fatalf("job %d ran on the aborted job's quarantined block [%d,%d)", j.ID(), lo, hi)
+			t.Fatalf("job %d ran on the aborted job's quarantined block [%d,%d)", j.id, lo, hi)
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 // Job is the awaitable handle of one submitted verification job. The
 // pool runs the job's body as p SPMD goroutines over the resident mesh;
 // the handle resolves once every rank finished and the job's tag block
-// was retired. Methods other than Await/Done must only be consulted
-// after completion.
+// was retired. Methods other than Await must only be consulted after
+// Await has returned.
 type Job struct {
 	id   int64
 	name string
@@ -44,25 +44,10 @@ type JobCost struct {
 	WallNs int64
 }
 
-// ID returns the pool-unique job number, in submission order.
-func (j *Job) ID() int64 { return j.id }
-
-// Name returns the caller's label for the job.
-func (j *Job) Name() string { return j.name }
-
-// Seed returns the job's checker seed: every Context of this job keys
-// its hash functions from it. Derived deterministically from the
-// pool's common seed and the job ID (JobSeed), so a serial rerun can
-// reproduce the job bit-identically.
-func (j *Job) Seed() uint64 { return j.seed }
-
 // TagBlock returns the job communicator's tag block [lo, hi): every
 // tag the job's collectives use. A fault injected on a tag inside the
 // block hit this job's traffic.
 func (j *Job) TagBlock() (lo, hi int) { return j.block[0], j.block[1] }
-
-// Done is closed when the job has completed on every rank.
-func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Await blocks until the job completes and returns its outcome: nil if
 // every stage of every rank verified clean, an error unwrapping to
@@ -73,22 +58,19 @@ func (j *Job) Await() error {
 	return j.err
 }
 
-// Err returns the job's outcome without blocking; call after Done.
-func (j *Job) Err() error { return j.err }
-
 // Rejected reports whether the job failed because a checker rejected a
 // stage result (as opposed to passing, or dying on infrastructure).
 func (j *Job) Rejected() bool { return errors.Is(j.err, repro.ErrCheckFailed) }
 
 // Stats returns rank 0's per-stage CheckStats for the job. Valid after
-// Done. (Element counts and local timings are per-PE; verdicts are
+// Await. (Element counts and local timings are per-PE; verdicts are
 // replicated, so rank 0's view names every failed stage.)
 func (j *Job) Stats() []repro.CheckStats { return j.stats }
 
 // Summaries returns rank 0's batched-verification summaries. Valid
-// after Done.
+// after Await.
 func (j *Job) Summaries() []repro.VerifySummary { return j.sums }
 
 // Cost returns the job's bottleneck communication and wall time. Valid
-// after Done.
+// after Await.
 func (j *Job) Cost() JobCost { return j.cost }

@@ -64,13 +64,13 @@ func TestPoolCleanJobsPass(t *testing.T) {
 	}
 	for _, j := range jobs {
 		if err := j.Await(); err != nil {
-			t.Fatalf("job %d %q: %v", j.ID(), j.Name(), err)
+			t.Fatalf("job %d %q: %v", j.id, j.name, err)
 		}
 		if len(j.Stats()) == 0 {
-			t.Errorf("job %d: no CheckStats", j.ID())
+			t.Errorf("job %d: no CheckStats", j.id)
 		}
 		if c := j.Cost(); c.Rounds == 0 || c.WallNs <= 0 {
-			t.Errorf("job %d: implausible cost %+v", j.ID(), c)
+			t.Errorf("job %d: implausible cost %+v", j.id, c)
 		}
 	}
 	s := pool.Stats()
@@ -302,10 +302,10 @@ func serialRerun(t *testing.T, p int, seed uint64, job *Job, kind string, stream
 		if err != nil {
 			return err
 		}
-		if got := JobSeed(common, job.ID()); got != job.Seed() {
-			return fmt.Errorf("seed derivation diverged: %#x != %#x", got, job.Seed())
+		if got := JobSeed(common, job.id); got != job.seed {
+			return fmt.Errorf("seed derivation diverged: %#x != %#x", got, job.seed)
 		}
-		jw := w.JobWorker(w.Coll, job.Seed(), uint64(job.ID()))
+		jw := w.JobWorker(w.Coll, job.seed, uint64(job.id))
 		ctx, err := repro.NewContext(jw, repro.DefaultOptions())
 		if err != nil {
 			return err
@@ -613,7 +613,7 @@ func TestPoolFaultInjectionContained(t *testing.T) {
 	for _, j := range failed {
 		lo, hi := j.TagBlock()
 		if tag < lo || tag >= hi {
-			t.Fatalf("job %d failed but the fault hit tag %d outside its block [%d,%d)", j.ID(), tag, lo, hi)
+			t.Fatalf("job %d failed but the fault hit tag %d outside its block [%d,%d)", j.id, tag, lo, hi)
 		}
 	}
 	fn.Disarm()
@@ -665,7 +665,7 @@ func TestPoolVerdictDoesNotShadowAbort(t *testing.T) {
 			t.Fatal(err)
 		}
 		select {
-		case <-j.Done():
+		case <-j.done:
 		case <-time.After(5 * time.Second):
 			t.Fatalf("receive %d failed: the job did not end within 5 s", k)
 		}
@@ -675,7 +675,7 @@ func TestPoolVerdictDoesNotShadowAbort(t *testing.T) {
 			}
 			return
 		}
-		switch err := j.Err(); {
+		switch err := j.err; {
 		case j.Rejected():
 		case errors.Is(err, comm.ErrInjected) || errors.Is(err, errJobAborted):
 			aborted++
@@ -700,11 +700,11 @@ func TestPoolClose(t *testing.T) {
 	}
 	// Close drained: the in-flight job completed before Close returned.
 	select {
-	case <-j.Done():
+	case <-j.done:
 	default:
 		t.Fatal("Close returned with a job still in flight")
 	}
-	if err := j.Err(); err != nil {
+	if err := j.err; err != nil {
 		t.Fatalf("drained job failed: %v", err)
 	}
 	if _, err := pool.Submit("late", func(ctx *repro.Context) error { return nil }); !errors.Is(err, ErrPoolClosed) {
@@ -745,8 +745,8 @@ func TestJobSeedsDiffer(t *testing.T) {
 	if a.Await() != nil || b.Await() != nil {
 		t.Fatal("trivial jobs failed")
 	}
-	if a.Seed() == b.Seed() {
-		t.Fatalf("jobs share checker seed %#x", a.Seed())
+	if a.seed == b.seed {
+		t.Fatalf("jobs share checker seed %#x", a.seed)
 	}
 	al, ah := a.TagBlock()
 	bl, bh := b.TagBlock()

@@ -8,21 +8,16 @@
 // accumulation itself is mergeable over arbitrary input partitions (the
 // core builders). Verification therefore never needs a PE's whole share
 // resident in memory: a Source yields chunks, a per-checker Accumulator
-// folds each chunk into a constant-size partial (AddChunk) and Seal
+// folds each chunk of the input (AddInputChunk) or of the asserted
+// output (AddOutputChunk) into a constant-size partial, and Seal
 // freezes the result into the same two-phase CheckState a one-shot
 // accumulation would have produced — bit-identically, for every
-// chunking. This is
-// the regime of streaming verification (cf. "Annotations for Sparse
+// chunking. This is the regime of streaming verification (cf. "Annotations for Sparse
 // Data Streams", Chakrabarti et al.): space is bounded by one chunk
 // plus the checker sketch, while soundness is unchanged.
 package stream
 
 import "repro/internal/data"
-
-// defaultChunk is the generator chunk size when the caller passes a
-// non-positive one: large enough to amortise per-chunk overhead, small
-// enough to stay cache-friendly.
-const defaultChunk = 1 << 16
 
 // Source yields successive chunks of this PE's share of a distributed
 // collection of T. Next returns a nil or empty chunk when the source is
@@ -54,8 +49,8 @@ func Drain[T any](src Source[T], add func([]T)) error {
 	}
 }
 
-// The three source kinds are generic over the element type; the
-// exported constructors instantiate them for pairs and words.
+// sliceSource is generic over the element type; the exported
+// constructors instantiate it for pairs and words.
 
 type sliceSource[T any] struct {
 	xs    []T
@@ -75,35 +70,6 @@ func (s *sliceSource[T]) Next() ([]T, error) {
 	return out, nil
 }
 
-type chanSource[T any] struct{ ch <-chan []T }
-
-func (s *chanSource[T]) Next() ([]T, error) { return <-s.ch, nil }
-
-type genSource[T any] struct {
-	n, next, chunk int
-	gen            func(i int) T
-	buf            []T
-}
-
-func (s *genSource[T]) Next() ([]T, error) {
-	if s.next >= s.n {
-		return nil, nil
-	}
-	c := s.chunk
-	if c > s.n-s.next {
-		c = s.n - s.next
-	}
-	if s.buf == nil {
-		s.buf = make([]T, s.chunk)
-	}
-	out := s.buf[:c]
-	for i := range out {
-		out[i] = s.gen(s.next + i)
-	}
-	s.next += c
-	return out, nil
-}
-
 // SlicePairs yields an in-memory slice in windows of at most chunk
 // elements (non-positive: one window), adapting one-shot data to the
 // streaming entry points without copying.
@@ -114,32 +80,4 @@ func SlicePairs(ps []data.Pair, chunk int) PairSource {
 // SliceSeq is SlicePairs for word sequences.
 func SliceSeq(xs []uint64, chunk int) SeqSource {
 	return &sliceSource[uint64]{xs: xs, chunk: chunk}
-}
-
-// ChanPairs yields the chunks sent on ch until it is closed (or an
-// empty chunk arrives), decoupling a producer goroutine — a file
-// reader, a network receiver — from checker accumulation.
-func ChanPairs(ch <-chan []data.Pair) PairSource { return &chanSource[data.Pair]{ch: ch} }
-
-// ChanSeq is ChanPairs for word sequences.
-func ChanSeq(ch <-chan []uint64) SeqSource { return &chanSource[uint64]{ch: ch} }
-
-// GenPairs yields n generated pairs in chunks of the given size
-// (non-positive: a default), calling gen with the global index 0..n-1.
-// One chunk-sized buffer is reused for the whole stream, so the
-// resident footprint is a single chunk regardless of n — the
-// larger-than-RAM workhorse.
-func GenPairs(n, chunk int, gen func(i int) data.Pair) PairSource {
-	if chunk <= 0 {
-		chunk = defaultChunk
-	}
-	return &genSource[data.Pair]{n: n, chunk: chunk, gen: gen}
-}
-
-// GenSeq is GenPairs for word sequences.
-func GenSeq(n, chunk int, gen func(i int) uint64) SeqSource {
-	if chunk <= 0 {
-		chunk = defaultChunk
-	}
-	return &genSource[uint64]{n: n, chunk: chunk, gen: gen}
 }

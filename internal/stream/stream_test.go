@@ -2,6 +2,7 @@ package stream
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -167,51 +168,27 @@ func TestChunkedPermAndRedistBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSources exercises the three source kinds: same data, correct
-// chunk geometry, buffer reuse in the generator.
+// TestSources exercises the slice adapters: same data, in windows of at
+// most the chunk size, one window for a non-positive chunk.
 func TestSources(t *testing.T) {
 	ps := workload.UniformPairs(1000, 1e6, 1e6, 29)
-
-	var fromSlice []data.Pair
-	if err := Drain(SlicePairs(ps, 64), func(c []data.Pair) {
-		fromSlice = append(fromSlice, c...)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(fromSlice) != 1000 {
-		t.Fatalf("slice source yielded %d elements", len(fromSlice))
-	}
-
-	ch := make(chan []data.Pair)
-	go func() {
-		for _, c := range chunksOf(ps, 100) {
-			ch <- c
+	for _, tc := range []struct{ chunk, chunks int }{{64, 16}, {1000, 1}, {0, 1}} {
+		var got []data.Pair
+		chunks := 0
+		if err := Drain(SlicePairs(ps, tc.chunk), func(c []data.Pair) {
+			chunks++
+			got = append(got, c...)
+		}); err != nil {
+			t.Fatal(err)
 		}
-		close(ch)
-	}()
-	var fromChan []data.Pair
-	if err := Drain(ChanPairs(ch), func(c []data.Pair) {
-		fromChan = append(fromChan, c...)
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	gen := GenPairs(1000, 64, func(i int) data.Pair { return ps[i] })
-	var fromGen []data.Pair
-	chunks := 0
-	if err := Drain(gen, func(c []data.Pair) {
-		chunks++
-		fromGen = append(fromGen, c...)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if chunks != 16 { // ceil(1000/64)
-		t.Fatalf("generator yielded %d chunks, want 16", chunks)
-	}
-	for i := range ps {
-		if fromSlice[i] != ps[i] || fromChan[i] != ps[i] || fromGen[i] != ps[i] {
-			t.Fatalf("sources disagree at %d", i)
+		if chunks != tc.chunks || !slices.Equal(got, ps) {
+			t.Fatalf("chunk %d: %d chunks of %d elements, want %d chunks of the %d input pairs in order", tc.chunk, chunks, len(got), tc.chunks, len(ps))
 		}
+	}
+	xs := workload.UniformU64s(100, 1e6, 31)
+	var got []uint64
+	if err := Drain(SliceSeq(xs, 7), func(c []uint64) { got = append(got, c...) }); err != nil || !slices.Equal(got, xs) {
+		t.Fatalf("SliceSeq yielded %d of %d words (%v)", len(got), len(xs), err)
 	}
 }
 

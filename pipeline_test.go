@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/dist"
 	"repro/internal/hashing"
 	"repro/internal/manipulate"
 	"repro/internal/workload"
@@ -30,6 +32,17 @@ func chainedPipeline(ctx *repro.Context, pairs []repro.Pair, seqA, seqB []uint64
 		return err
 	}
 	return nil
+}
+
+// pendingStages counts the stages whose verdict awaits Verify.
+func pendingStages(ctx *repro.Context) int {
+	n := 0
+	for _, st := range ctx.Stats() {
+		if st.Verdict == repro.VerdictPending {
+			n++
+		}
+	}
+	return n
 }
 
 // runChained executes the chained pipeline at p PEs in the given mode
@@ -497,8 +510,8 @@ func TestZipValidatesIterations(t *testing.T) {
 func TestBadCheckerConfigFailsStageBeforeExec(t *testing.T) {
 	pairs := []repro.Pair{{Key: 1, Value: 2}, {Key: 3, Value: 4}, {Key: 1, Value: 6}}
 	seq := []uint64{5, 1, 4}
-	zeroSum := func(o *repro.Options) { o.Sum = repro.SumConfig{} }
-	zeroPerm := func(o *repro.Options) { o.Perm = repro.PermConfig{} }
+	zeroSum := func(o *repro.Options) { o.Sum = core.SumConfig{} }
+	zeroPerm := func(o *repro.Options) { o.Perm = core.PermConfig{} }
 	tenBuckets := repro.DefaultOptions().Sum
 	tenBuckets.Buckets = 10
 	cases := []struct {
@@ -552,9 +565,9 @@ func TestBadCheckerConfigFailsStageBeforeExec(t *testing.T) {
 						// The error is sticky and nothing is left pending. Returned
 						// through neither: a failing body tears the run down under
 						// ranks that have not got this far.
-						if verr := ctx.Verify(); verr != stageErrs[w.Rank()] || ctx.Pending() != 0 {
+						if verr := ctx.Verify(); verr != stageErrs[w.Rank()] || pendingStages(ctx) != 0 {
 							t.Errorf("rank %d: Verify = %v after stage error %v, %d pending",
-								w.Rank(), verr, stageErrs[w.Rank()], ctx.Pending())
+								w.Rank(), verr, stageErrs[w.Rank()], pendingStages(ctx))
 						}
 						return nil
 					})
@@ -696,7 +709,7 @@ func TestReduceByKeyEdgeShapesOneSided(t *testing.T) {
 	// plus one verdict word down per tree child — 12 words at p = 2 and
 	// 3, 13 at p = 5, 14 at p = 8.
 	wantMaxBytes := map[int]int64{1: 0, 2: 96, 3: 96, 5: 104, 8: 112}
-	for _, transport := range []repro.Transport{repro.TransportMem, repro.TransportTCP} {
+	for _, transport := range []repro.Transport{dist.TransportMem, dist.TransportTCP} {
 		for _, p := range []int{1, 2, 3, 5, 8} {
 			shapes := slices.DeleteFunc(workload.EdgePairShares(p, uint64(200+p)), func(s workload.PairShares) bool {
 				return s.Name == "wraparound"
@@ -763,7 +776,7 @@ func TestSeqOpsEdgeShapesOneSided(t *testing.T) {
 	// Sort, Merge and Union each send their one product word: 8 bytes a
 	// stage below 200/280/360 for two words. Zip sends its one word.
 	wantMaxBytes := map[int]int64{1: 0, 2: 152, 3: 160, 5: 240, 8: 312}
-	for _, transport := range []repro.Transport{repro.TransportMem, repro.TransportTCP} {
+	for _, transport := range []repro.Transport{dist.TransportMem, dist.TransportTCP} {
 		for _, p := range []int{1, 2, 3, 5, 8} {
 			shapes := workload.EdgeSeqShares(p, uint64(400+p))
 			// bytes[shape][rank]; each rank writes its own column.

@@ -1,0 +1,8 @@
+//go:build !race
+
+package repro
+
+// raceEnabled reports whether this binary was built with the race
+// detector, under which the census's type-check runs several times
+// slower.
+const raceEnabled = false

@@ -38,8 +38,8 @@
 // the Context.
 //
 // For data that never fits in memory at once, Context.StreamPairs and
-// Context.StreamSeq verify operations over chunked sources (slice-,
-// channel-, or generator-backed; see PairSource): the checker partial
+// Context.StreamSeq verify operations over chunked sources (see
+// PairSource): the checker partial
 // accumulates chunk by chunk with only one chunk resident, sealed
 // states are bit-identical to the one-shot path, and CheckStats
 // reports chunk counts and the peak resident footprint.
@@ -82,17 +82,10 @@ type (
 	// MinMaxResult is the replicated result + witness certificate of
 	// min/max aggregation.
 	MinMaxResult = ops.MinMaxResult
-	// SumConfig configures sum aggregation checkers (Table 3 syntax).
-	SumConfig = core.SumConfig
-	// PermConfig configures permutation/sort checkers.
-	PermConfig = core.PermConfig
 )
 
-// SumFn adds values (wrapping); XorFn combines bitwise.
-var (
-	SumFn = ops.SumFn
-	XorFn = ops.XorFn
-)
+// SumFn adds values (wrapping).
+var SumFn = ops.SumFn
 
 // Run executes body on p PEs over an in-memory network: RunConfig with
 // a zero Config.
@@ -109,13 +102,6 @@ type Config = dist.Config
 
 // Transport names a point-to-point backend for RunConfig.
 type Transport = dist.Transport
-
-// The available transports.
-const (
-	TransportMem = dist.TransportMem
-	TransportSim = dist.TransportSim
-	TransportTCP = dist.TransportTCP
-)
 
 // ParseTransport converts a flag value ("mem", "simnet", "tcp") into a
 // Transport.
@@ -164,12 +150,12 @@ type Options struct {
 // differ by a fixed bit pattern share a bucket does not depend on the
 // seed. The permutation checker is one iteration of Lemma 5's product
 // in F_(2^61-1), which needs no hash function: it achieves 3n/r <
-// 3.5e-10 for n <= 2^28 elements (PermConfig.Delta) for every wrong
-// output, structured or not, in one 64-bit word, at one multiply per
-// element and no table to fill. The zip checker is one iteration of a
-// polynomial identity in F_(2^61-1), which needs no hash function
-// either: it achieves (n+1)/r < 1.2e-10 for n <= 2^28 positions
-// (ZipConfig.Delta), for every wrong output, in one 64-bit word.
+// 3.5e-10 for n <= 2^28 elements for every wrong output, structured or
+// not, in one 64-bit word, at one multiply per element and no table to
+// fill. The zip checker is one iteration of a polynomial identity in
+// F_(2^61-1), which needs no hash function either: it achieves (n+1)/r
+// < 1.2e-10 for n <= 2^28 positions, for every wrong output, in one
+// 64-bit word (internal/core's package documentation derives both).
 // TestDefaultOptionsAchieveDocumentedDelta holds the defaults to this
 // figure.
 func DefaultOptions() Options {

@@ -185,7 +185,7 @@ func TestStageRunnerPrepErrorPinned(t *testing.T) {
 					if !errors.Is(serr, comm.ErrInjected) {
 						t.Errorf("rank 0: zip error %v, want the injected receive fault", serr)
 					}
-					got, pending = pinOf(ctx.Stats()[0]), ctx.Pending()
+					got, pending = pinOf(ctx.Stats()[0]), pendingStages(ctx)
 				}
 				return serr
 			})

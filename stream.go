@@ -25,9 +25,9 @@ import (
 
 // PairSource yields successive chunks of this PE's share of a
 // distributed pair collection; a nil or empty chunk ends the stream,
-// and a returned chunk is only valid until the next call. Build one
-// with SlicePairs, ChanPairs, or GenPairs — or implement the interface
-// over any producer (a file reader, a network receiver).
+// and a returned chunk is only valid until the next call. SlicePairs
+// adapts an in-memory slice; any producer (a generator, a file reader,
+// a network receiver) implements the interface with one method.
 type PairSource = stream.PairSource
 
 // SeqSource is PairSource for distributed sequences of 64-bit words.
@@ -41,30 +41,14 @@ func SlicePairs(ps []Pair, chunk int) PairSource { return stream.SlicePairs(ps, 
 // SliceSeq is SlicePairs for word sequences.
 func SliceSeq(xs []uint64, chunk int) SeqSource { return stream.SliceSeq(xs, chunk) }
 
-// ChanPairs yields the chunks sent on ch until it is closed,
-// decoupling a producer goroutine from checker accumulation.
-func ChanPairs(ch <-chan []Pair) PairSource { return stream.ChanPairs(ch) }
-
-// ChanSeq is ChanPairs for word sequences.
-func ChanSeq(ch <-chan []uint64) SeqSource { return stream.ChanSeq(ch) }
-
-// GenPairs yields n generated pairs in chunks of the given size
-// (non-positive: a default), calling gen with the global index 0..n-1;
-// one chunk-sized buffer is reused for the whole stream, so the
-// resident footprint is a single chunk regardless of n.
-func GenPairs(n, chunk int, gen func(i int) Pair) PairSource { return stream.GenPairs(n, chunk, gen) }
-
-// GenSeq is GenPairs for word sequences.
-func GenSeq(n, chunk int, gen func(i int) uint64) SeqSource { return stream.GenSeq(n, chunk, gen) }
-
 // StreamedPairs is a streaming view of this PE's share of a distributed
 // pair collection, bound to a Context. Each Assert method consumes the
 // underlying source, so a StreamedPairs is strictly single-use: a
 // second Assert fails with a sticky Context error rather than silently
 // verifying an exhausted (zero-element) stream. Under CheckOff the
-// stage skips all work and consumes nothing (a channel-backed source's
-// producer must not rely on being drained when checking is disabled),
-// but the single-use rule still applies.
+// stage skips all work and consumes nothing (a source's producer must
+// not rely on being drained when checking is disabled), but the
+// single-use rule still applies.
 type StreamedPairs struct {
 	ctx  *Context
 	src  PairSource

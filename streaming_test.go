@@ -30,10 +30,33 @@ func streamVal(r, i int) uint64 {
 	return (uint64(r*streamN+i) * 2654435761) % (1 << 30)
 }
 
+// genSource yields n generated elements in chunks of one reused buffer,
+// so the resident footprint is one chunk however large n is. It is how
+// a producer outside memory implements PairSource or SeqSource.
+type genSource[T any] struct {
+	n, next int
+	buf     []T
+	gen     func(i int) T
+}
+
+// generate yields gen(0), ..., gen(n-1) in chunks of the given size.
+func generate[T any](n, chunk int, gen func(i int) T) *genSource[T] {
+	return &genSource[T]{n: n, buf: make([]T, chunk), gen: gen}
+}
+
+func (s *genSource[T]) Next() ([]T, error) {
+	c := min(len(s.buf), s.n-s.next)
+	for i := range c {
+		s.buf[i] = s.gen(s.next + i)
+	}
+	s.next += c
+	return s.buf[:c], nil
+}
+
 // sumInput yields PE r's input share chunk by chunk; corrupt flips one
 // value in chunk 57 of PE 1's stream.
 func sumInput(r int, corrupt bool) repro.PairSource {
-	return repro.GenPairs(streamN, streamChunk, func(i int) repro.Pair {
+	return generate(streamN, streamChunk, func(i int) repro.Pair {
 		v := streamVal(r, i)
 		if corrupt && r == 1 && i == 57*streamChunk+123 {
 			v++
@@ -114,8 +137,8 @@ func TestStreamSumLargerThanRAM(t *testing.T) {
 // chunk's last (placement wrong).
 func sortShare(r, n, chunk int, kind string) (in, out repro.SeqSource) {
 	scramble := 0x1A5A & (n - 1)
-	in = repro.GenSeq(n, chunk, func(i int) uint64 { return uint64(r*n + (i ^ scramble)) })
-	out = repro.GenSeq(n, chunk, func(i int) uint64 {
+	in = generate(n, chunk, func(i int) uint64 { return uint64(r*n + (i ^ scramble)) })
+	out = generate(n, chunk, func(i int) uint64 {
 		switch {
 		case kind == "dup" && r == 1 && i == n/3:
 			return uint64(r*n + i - 1)
@@ -262,7 +285,7 @@ func TestStreamDeferredAttributionAndOff(t *testing.T) {
 		if err := ctx.StreamSeq(in).AssertSorted(out); err != nil {
 			return err
 		}
-		if got := ctx.Pending(); got != 2 {
+		if got := pendingStages(ctx); got != 2 {
 			t.Errorf("pending = %d before Verify", got)
 		}
 		verr[w.Rank()] = ctx.Verify()
@@ -330,7 +353,7 @@ func TestStreamSingleUse(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "single-use") {
 			t.Errorf("reused stream not rejected: %v", err)
 		}
-		if ctx.Err() == nil {
+		if ctx.Verify() == nil {
 			t.Error("reuse did not stick as the Context error")
 		}
 		return nil
@@ -394,8 +417,8 @@ func TestStreamRedistAndPermutation(t *testing.T) {
 			}
 			n := 5000
 			// Output is the other PE's input: a pure cross-PE permutation.
-			mine := repro.GenSeq(n, 300, func(i int) uint64 { return uint64(w.Rank()*n + i) })
-			theirs := repro.GenSeq(n, 300, func(i int) uint64 {
+			mine := generate(n, 300, func(i int) uint64 { return uint64(w.Rank()*n + i) })
+			theirs := generate(n, 300, func(i int) uint64 {
 				v := uint64((1-w.Rank())*n + i)
 				if corrupt && w.Rank() == 0 && i == n-1 {
 					v ^= 4
