@@ -29,9 +29,10 @@ import (
 //     flag.Value, count as called);
 //   - every field of an options struct (a struct type named Options,
 //     *Options or *Config).
-// It also requires every cmd/repro subcommand and flag to be passed by a CI
-// step or a README command (a flag also counts when cmd/repro passes it to
-// a child process it starts). Anything else is dead weight: delete it, move
+// It also requires every cmd/repro subcommand to be invoked by a CI step or
+// a README command, and every flag to be passed by such a command of a
+// subcommand that defines it (a flag also counts when cmd/repro passes it
+// to a child process it starts). Anything else is dead weight: delete it, move
 // it into the _test.go file that uses it, or list it below with the reason
 // it stays.
 
@@ -429,78 +430,136 @@ func censusRecvName(m *types.Func) string {
 }
 
 // cliUnpassed returns the cmd/repro subcommands no document invokes as
-// "repro <name>" and the flags no document passes as "-<name>", as
-// "cmd/repro <name>" and "cmd/repro -<name>". The documents are the
-// command lines of the CI workflow that run repro and the code of the
-// README (fenced blocks and inline spans). A flag also counts as passed
-// when cmd/repro itself hands it to a child process, as a "-<name>"
-// string constant.
+// "repro <name>", as "cmd/repro <name>", and the flags no document passes
+// to a subcommand that defines them, as "cmd/repro <subcommands> -<name>".
+// The documents are the command lines of the CI workflow that run repro
+// and the code of the README (fenced blocks and inline spans); a command
+// passes the "-<name>" words that follow "repro <subcommand>" up to the
+// next shell separator. A flag is defined for the subcommands whose row's
+// handler reaches the function that defines it, so a helper's flag (a
+// shared -transport) counts as passed when one of them passes it. A flag
+// also counts as passed when cmd/repro itself hands it to a child process,
+// as a "-<name>" string constant in a function the subcommand reaches.
 func (s *census) cliUnpassed(readme, ci string) ([]string, error) {
 	p := s.pkgs["cmd/repro"]
 	if p == nil {
 		return nil, errors.New("census: cmd/repro was not loaded")
 	}
-	var text strings.Builder
+	var lines []string
 	b, err := os.ReadFile(filepath.Join(s.root, ci))
 	if err != nil {
 		return nil, err
 	}
-	for _, line := range strings.Split(string(b), "\n") {
-		if strings.Contains(line, "repro ") {
-			text.WriteString(line + "\n")
-		}
-	}
+	lines = append(lines, strings.Split(string(b), "\n")...)
 	if b, err = os.ReadFile(filepath.Join(s.root, readme)); err != nil {
 		return nil, err
 	}
 	var prose strings.Builder
 	fenced := false
-	for _, line := range strings.Split(string(b), "\n") {
+	for _, line := range strings.Split(strings.ReplaceAll(string(b), "\\\n", " "), "\n") {
 		if strings.HasPrefix(strings.TrimSpace(line), "```") {
 			fenced = !fenced
 		} else if fenced {
-			text.WriteString(line + "\n")
+			lines = append(lines, line)
 		} else {
 			prose.WriteString(line + "\n")
 		}
 	}
 	for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(prose.String(), -1) {
-		text.WriteString(m[1] + "\n")
+		lines = append(lines, m[1])
 	}
-	invoked := map[string]bool{}
-	for _, m := range regexp.MustCompile(`\brepro\s+([a-z0-9]+)`).FindAllStringSubmatch(text.String(), -1) {
-		invoked[m[1]] = true
-	}
-	passed := map[string]bool{}
-	for _, m := range regexp.MustCompile(`(?:^|[\s(/,])-([a-z][a-z0-9-]*)`).FindAllStringSubmatch(text.String(), -1) {
-		passed[m[1]] = true
+	// passed[sub] is the set of flags the commands invoking sub pass,
+	// non-nil once some command invokes sub.
+	passed := map[string]map[string]bool{}
+	command := regexp.MustCompile(`\brepro[ \t]+([a-z0-9]+)`)
+	flagWord := regexp.MustCompile(`(?:^|[\s(/,])-([a-z][a-z0-9-]*)`)
+	for _, line := range lines {
+		at := command.FindAllStringSubmatchIndex(line, -1)
+		for i, m := range at {
+			args := line[m[1]:]
+			if i+1 < len(at) {
+				args = line[m[1]:at[i+1][0]]
+			}
+			if end := strings.IndexAny(args, ";|&"); end >= 0 {
+				args = args[:end]
+			}
+			sub := line[m[2]:m[3]]
+			if passed[sub] == nil {
+				passed[sub] = map[string]bool{}
+			}
+			for _, f := range flagWord.FindAllStringSubmatch(args, -1) {
+				passed[sub][f[1]] = true
+			}
+		}
 	}
 
-	var out []string
 	sub, _ := p.pkg.Scope().Lookup("subcommand").(*types.TypeName)
 	if sub == nil {
 		return nil, errors.New("census: cmd/repro declares no subcommand type, whose rows name the subcommands")
 	}
+	decls := map[*types.Func]*ast.FuncDecl{}
+	for _, f := range p.files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				decls[p.info.Defs[fd.Name].(*types.Func)] = fd
+			}
+		}
+	}
+	// rowsOf[fd] lists the subcommands whose handler reaches fd: the
+	// functions a row's handler expression names, and transitively the
+	// functions their bodies name.
+	rowsOf := map[*ast.FuncDecl][]string{}
+	var reach func(row string, n ast.Node)
+	reach = func(row string, n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if fn, ok := p.info.Uses[id].(*types.Func); ok {
+					if fd := decls[fn]; fd != nil && !slices.Contains(rowsOf[fd], row) {
+						rowsOf[fd] = append(rowsOf[fd], row)
+						reach(row, fd)
+					}
+				}
+			}
+			return true
+		})
+	}
+	var out []string
 	for _, f := range p.files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.BasicLit:
-				if v, err := strconv.Unquote(n.Value); err == nil && strings.HasPrefix(v, "-") {
-					passed[v[1:]] = true
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok {
+				return true
+			}
+			// The rows of the subcommand table, alone or in a slice
+			// literal: a row's first field is its name, its third the
+			// handler.
+			rows := []ast.Expr{lit}
+			if at, ok := lit.Type.(*ast.ArrayType); ok && censusIsType(p.info, at.Elt, sub) {
+				rows = lit.Elts
+			} else if !censusIsType(p.info, lit.Type, sub) {
+				rows = nil
+			}
+			for _, row := range rows {
+				if row, ok := row.(*ast.CompositeLit); ok && len(row.Elts) > 2 {
+					name := censusString(p.info, row.Elts[0])
+					if passed[name] == nil {
+						out = append(out, "cmd/repro "+name)
+					}
+					reach(name, row.Elts[2])
 				}
-			case *ast.CompositeLit:
-				// The rows of the subcommand table, alone or in a slice
-				// literal: a row's first field is its name.
-				rows := []ast.Expr{n}
-				if at, ok := n.Type.(*ast.ArrayType); ok && censusIsType(p.info, at.Elt, sub) {
-					rows = n.Elts
-				} else if !censusIsType(p.info, n.Type, sub) {
-					rows = nil
-				}
-				for _, row := range rows {
-					if lit, ok := row.(*ast.CompositeLit); ok && len(lit.Elts) > 0 {
-						if name := censusString(p.info, lit.Elts[0]); !invoked[name] {
-							out = append(out, "cmd/repro "+name)
+			}
+			return true
+		})
+	}
+	// A "-<name>" string constant passes the flag to a child for the
+	// subcommands that reach it.
+	for fd, rows := range rowsOf {
+		ast.Inspect(fd, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok {
+				if v, err := strconv.Unquote(lit.Value); err == nil && strings.HasPrefix(v, "-") {
+					for _, row := range rows {
+						if passed[row] != nil {
+							passed[row][v[1:]] = true
 						}
 					}
 				}
@@ -510,8 +569,10 @@ func (s *census) cliUnpassed(readme, ci string) ([]string, error) {
 	}
 	// Flags: the name argument of every flag definition, the package
 	// flag's functions and FlagSet methods that take a name and a usage.
-	for _, f := range p.files {
-		ast.Inspect(f, func(n ast.Node) bool {
+	for _, fd := range decls {
+		rows := rowsOf[fd]
+		slices.Sort(rows)
+		ast.Inspect(fd, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
@@ -533,10 +594,12 @@ func (s *census) cliUnpassed(readme, ci string) ([]string, error) {
 					usage = true
 				}
 			}
-			if at >= 0 && usage {
-				if name := censusString(p.info, call.Args[at]); !passed[name] {
-					out = append(out, "cmd/repro -"+name)
-				}
+			if at < 0 || !usage {
+				return true
+			}
+			name := censusString(p.info, call.Args[at])
+			if !slices.ContainsFunc(rows, func(row string) bool { return passed[row][name] }) {
+				out = append(out, strings.TrimSpace("cmd/repro "+strings.Join(rows, ","))+" -"+name)
 			}
 			return true
 		})

@@ -804,7 +804,8 @@ func (s *Seq) Merge(other *Seq) *Seq {
 }
 
 // Union concatenates this sequence with another, verified as a
-// permutation of the two inputs (Corollary 12).
+// permutation of the two inputs (Corollary 12). Like Thrill's Union it
+// is local: a PE's share of s, then its share of other; nothing is sent.
 func (s *Seq) Union(other *Seq) *Seq {
 	c := s.ctx
 	if err := c.sameContext(other.ctx); err != nil {

@@ -734,30 +734,36 @@ func (c *Comm) Barrier() error {
 // and owns every part returned (its own part comes back as it went in),
 // and may hand each back to comm's pool once it has read it. The
 // returned slice itself is the Comm's scratch, valid until its next
-// AllToAllBytes.
-func (c *Comm) AllToAllBytes(parts [][]byte) ([][]byte, error) {
+// AllToAllBytes. A non-nil from of p entries makes the exchange sparse:
+// an empty part is not sent, and src's part is received only where
+// from[src] is set, which must hold exactly when that part is non-empty
+// (the others come back nil).
+func (c *Comm) AllToAllBytes(parts [][]byte, from []bool) ([][]byte, error) {
 	sp := c.span(obs.KindCollective, "alltoall")
 	defer sp.End()
 	tag := c.nextTag()
 	p, rank := c.Size(), c.Rank()
-	if len(parts) != p {
-		return nil, fmt.Errorf("collective: AllToAll needs %d parts, got %d", p, len(parts))
+	if len(parts) != p || from != nil && len(from) != p {
+		return nil, fmt.Errorf("collective: AllToAll over %d PEs got %d parts and a %d-entry pattern", p, len(parts), len(from))
 	}
 	c.a2a = slices.Grow(c.a2a[:0], p)[:p]
 	out := c.a2a
 	clear(out)
 	out[rank] = parts[rank]
 	for offset := 1; offset < p; offset++ {
-		dst := (rank + offset) % p
-		src := (rank - offset + p) % p
-		if err := c.send(dst, tag, parts[dst]); err != nil {
+		dst, src := (rank+offset)%p, (rank-offset+p)%p
+		if from == nil || len(parts[dst]) > 0 {
+			if err := c.send(dst, tag, parts[dst]); err != nil {
+				return nil, err
+			}
+		}
+		if from != nil && !from[src] {
+			continue
+		}
+		var err error
+		if out[src], err = c.recv(src, tag); err != nil {
 			return nil, err
 		}
-		got, err := c.recv(src, tag)
-		if err != nil {
-			return nil, err
-		}
-		out[src] = got
 	}
 	return out, nil
 }
@@ -768,7 +774,7 @@ func (c *Comm) AllToAll(parts [][]uint64) ([][]uint64, error) {
 	for i, w := range parts {
 		enc[i] = U64sToBytes(w)
 	}
-	got, err := c.AllToAllBytes(enc)
+	got, err := c.AllToAllBytes(enc, nil)
 	if err != nil {
 		return nil, err
 	}

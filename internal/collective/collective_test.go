@@ -1,6 +1,9 @@
 package collective
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand/v2"
 	"slices"
 	"sync"
 	"testing"
@@ -393,6 +396,95 @@ func TestAllToAllEmptyParts(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// sparsePart is the part PE src sends PE dst in round r of
+// TestAllToAllSparsePattern: empty for about a third of the pairs, so
+// every PE can derive the whole pattern, otherwise 1..300 bytes derived
+// from (r, src, dst).
+func sparsePart(r, src, dst int) []byte {
+	rng := rand.New(rand.NewPCG(uint64(r), uint64(src<<16|dst)))
+	if rng.IntN(3) == 0 {
+		return nil
+	}
+	b := make([]byte, 1+rng.IntN(300))
+	for i := range b {
+		b[i] = byte(rng.Uint32())
+	}
+	return b
+}
+
+// TestAllToAllSparsePattern holds the sparse all-to-all to its
+// contract on every transport: a PE sends exactly its non-empty
+// off-diagonal parts and receives exactly the parts its pattern names,
+// byte for byte (nil from the others), and when the PEs are done no
+// message is left in an inbox or in a Mux. Dense rounds in between
+// still send p-1 messages a PE, empty parts included.
+func TestAllToAllSparsePattern(t *testing.T) {
+	const rounds = 12
+	for _, p := range []int{1, 2, 3, 5, 8} {
+		for _, tc := range asyncNetworks(p) {
+			t.Run(fmt.Sprintf("%s/p=%d", tc.name, p), func(t *testing.T) {
+				net, err := tc.mk()
+				if err != nil {
+					t.Skipf("%s unavailable: %v", tc.name, err)
+				}
+				defer net.Close()
+				recvd := make([]int64, p) // messages each PE's collectives took
+				runNet(t, net, func(c *Comm) error {
+					rank := c.Rank()
+					for r := range rounds {
+						dense := r%3 == 2
+						parts, from := make([][]byte, p), make([]bool, p)
+						wantSent := int64(0)
+						for d := range parts {
+							parts[d] = append(comm.GetPayload(0), sparsePart(r, rank, d)...)
+							from[d] = len(sparsePart(r, d, rank)) > 0
+							if d != rank && (dense || len(parts[d]) > 0) {
+								wantSent++
+							}
+						}
+						if dense {
+							from = nil
+						}
+						before := c.MsgsSent()
+						got, err := c.AllToAllBytes(parts, from)
+						if err != nil {
+							return fmt.Errorf("round %d: %w", r, err)
+						}
+						if sent := c.MsgsSent() - before; sent != wantSent {
+							t.Errorf("round %d PE %d: sent %d messages, want %d", r, rank, sent, wantSent)
+						}
+						for src, b := range got {
+							want := sparsePart(r, src, rank)
+							if src != rank && (dense || from[src]) {
+								recvd[rank]++
+							} else if src != rank && b != nil {
+								t.Errorf("round %d PE %d: a part from PE %d, which it does not expect", r, rank, src)
+							}
+							if !bytes.Equal(b, want) {
+								t.Errorf("round %d PE %d: part from PE %d has %d bytes, want %d", r, rank, src, len(b), len(want))
+							}
+							comm.PutPayload(b)
+						}
+					}
+					return nil
+				})
+				var sent, drawn int64
+				for r := range p {
+					m := net.Endpoint(r).Metrics().Snapshot()
+					sent += m.MsgsSent
+					drawn += m.MsgsRecv
+					if m.MsgsRecv != recvd[r] {
+						t.Errorf("PE %d drew %d messages from its inbox, its collectives took %d: the rest sit in its Mux", r, m.MsgsRecv, recvd[r])
+					}
+				}
+				if sent != drawn {
+					t.Errorf("%d messages sent, %d drawn: %d left in the inboxes", sent, drawn, sent-drawn)
+				}
+			})
+		}
+	}
 }
 
 // Exchange posts a send of words to dst (if dst is a valid rank) and

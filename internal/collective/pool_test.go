@@ -94,7 +94,7 @@ func runRound(c *Comm, in roundInput) (roundResults, error) {
 	for j, b := range in.parts {
 		parts[j] = append(comm.GetPayload(len(b))[:0], b...)
 	}
-	got, err := c.AllToAllBytes(parts)
+	got, err := c.AllToAllBytes(parts, nil)
 	if err != nil {
 		return res, fmt.Errorf("AllToAllBytes: %w", err)
 	}

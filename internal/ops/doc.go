@@ -21,5 +21,6 @@
 // the sequence operations put a sample sort that sorts each element
 // once, where it ends up (Sort, Merge: classify against sampled
 // splitters, exchange, radix sort), or contiguous index ranges decoded
-// in source order (Union, Zip).
+// in source order (Zip, which sends only the stretches that overlap a
+// destination's range). Union is Thrill's: local, it sends nothing.
 package ops

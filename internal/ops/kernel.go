@@ -58,6 +58,7 @@ type kernel struct {
 	// sized, and is the write offset into parts[d] while it is filled.
 	offs  []int
 	parts [][]byte
+	from  []bool // a sparse exchange's receive pattern (Comm.AllToAllBytes)
 }
 
 var kernelPool = sync.Pool{New: func() any { return new(kernel) }}
@@ -195,9 +196,9 @@ func (k *kernel) open(unit int) {
 // swap sends the payloads, which the transport owns from here, with one
 // all-to-all and returns the payloads received, indexed by source and
 // checked to be whole elements of unit bytes, with the number of
-// elements in them.
-func (k *kernel) swap(w *dist.Worker, unit int, bad error) (got [][]byte, elems int, err error) {
-	got, err = w.Coll.AllToAllBytes(k.parts)
+// elements in them. A nil from is the dense exchange.
+func (k *kernel) swap(w *dist.Worker, from []bool, unit int, bad error) (got [][]byte, elems int, err error) {
+	got, err = w.Coll.AllToAllBytes(k.parts, from)
 	clear(k.parts)
 	if err != nil {
 		return nil, 0, err
@@ -238,7 +239,7 @@ func (k *kernel) exchange(w *dist.Worker, pt Partitioner, ps []data.Pair) (got [
 		binary.LittleEndian.PutUint64(b[8:], pr.Value)
 		k.offs[d] += pairBytes
 	}
-	return k.swap(w, pairBytes, ErrBadPairPayload)
+	return k.swap(w, nil, pairBytes, ErrBadPairPayload)
 }
 
 // exchangePairsByKey routes each pair to its partition PE and returns

@@ -209,7 +209,7 @@ func TestBadPairPayloadIsRejected(t *testing.T) {
 	var got error
 	err := dist.RunConfig(dist.Config{}, 2, 3, func(w *dist.Worker) error {
 		if w.Rank() == 1 {
-			_, err := w.Coll.AllToAllBytes([][]byte{make([]byte, 3*pairBytes+8), nil})
+			_, err := w.Coll.AllToAllBytes([][]byte{make([]byte, 3*pairBytes+8), nil}, nil)
 			return err
 		}
 		_, got = ReduceByKey(w, NewPartitioner(1, 2), []data.Pair{{Key: 1, Value: 2}}, SumFn)

@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/data"
@@ -329,44 +330,36 @@ func TestZipLengthMismatch(t *testing.T) {
 	}
 }
 
+// TestUnionIsPermutationOfConcat holds Union to Thrill's local
+// contract: PE i returns its share of a followed by its share of b, a
+// fresh slice, and starts no collective and sends nothing, at every p.
 func TestUnionIsPermutationOfConcat(t *testing.T) {
 	a := workload.UniformU64s(1200, 1e6, 10)
 	b := workload.UniformU64s(800, 1e6, 11)
-	const p = 4
-	shares := make([][]uint64, p)
-	err := dist.RunConfig(dist.Config{}, p, 7, func(w *dist.Worker) error {
-		out, err := Union(w, shard(a, p, w.Rank()), shard(b, p, w.Rank()))
+	for _, p := range []int{1, 2, 3, 5, 8} {
+		err := dist.RunConfig(dist.Config{}, p, 7, func(w *dist.Worker) error {
+			la, lb := shard(a, p, w.Rank()), shard(b, p, w.Rank())
+			msgs, ops := w.Coll.MsgsSent(), w.Coll.OpsStarted()
+			out, err := Union(w, la, lb)
+			if err != nil {
+				return err
+			}
+			if got := w.Coll.MsgsSent() - msgs; got != 0 {
+				t.Errorf("p=%d PE %d: Union sent %d messages, want 0", p, w.Rank(), got)
+			}
+			if got := w.Coll.OpsStarted() - ops; got != 0 {
+				t.Errorf("p=%d PE %d: Union started %d collectives, want 0", p, w.Rank(), got)
+			}
+			if want := slices.Concat(la, lb); !slices.Equal(out, want) {
+				t.Errorf("p=%d PE %d: Union = %v, want its a share then its b share %v", p, w.Rank(), out, want)
+			}
+			if len(out) > 0 && len(la) > 0 && &out[0] == &la[0] {
+				t.Errorf("p=%d PE %d: Union returned its input's storage", p, w.Rank())
+			}
+			return nil
+		})
 		if err != nil {
-			return err
-		}
-		shares[w.Rank()] = out
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make(map[uint64]int)
-	total := 0
-	for r := 0; r < p; r++ {
-		total += len(shares[r])
-		for _, x := range shares[r] {
-			counts[x]++
-		}
-		// Balanced distribution.
-		want := (len(a) + len(b)) / p
-		if len(shares[r]) < want || len(shares[r]) > want+1 {
-			t.Fatalf("share %d has %d elements, want %d or %d", r, len(shares[r]), want, want+1)
-		}
-	}
-	if total != len(a)+len(b) {
-		t.Fatalf("total %d, want %d", total, len(a)+len(b))
-	}
-	for _, x := range append(data.CloneU64s(a), b...) {
-		counts[x]--
-	}
-	for x, c := range counts {
-		if c != 0 {
-			t.Fatalf("element %d multiplicity off by %d", x, c)
+			t.Fatal(err)
 		}
 	}
 }

@@ -16,8 +16,9 @@ import (
 
 // The sequence data plane the kernel replaced, kept as the oracle:
 // sort locally, pick splitters from the sorted share, cut it into
-// ranges, exchange word slices, merge the runs received; Union and Zip
-// with append-grown parts.
+// ranges, exchange word slices, merge the runs received; Zip with
+// append-grown parts over a dense all-to-all; Union as the local
+// concatenation that is its contract.
 
 func oracleSort(w *dist.Worker, local []uint64) ([]uint64, error) {
 	mine := data.CloneU64s(local)
@@ -189,47 +190,9 @@ func oracleZip(w *dist.Worker, a, b []uint64) ([]data.Pair, error) {
 	return out, nil
 }
 
-func oracleUnion(w *dist.Worker, a, b []uint64) ([]uint64, error) {
-	aStart, aTotal, _, err := oracleOffsets(w, len(a))
-	if err != nil {
-		return nil, err
-	}
-	bStart, bTotal, _, err := oracleOffsets(w, len(b))
-	if err != nil {
-		return nil, err
-	}
-	p := w.Size()
-	total := int(aTotal + bTotal)
-	base := total / p
-	rem := total % p
-	bigSpan := uint64(rem) * uint64(base+1)
-	destOf := func(g uint64) int {
-		if g < bigSpan {
-			return int(g / uint64(base+1))
-		}
-		if base == 0 {
-			return p - 1
-		}
-		return rem + int((g-bigSpan)/uint64(base))
-	}
-	parts := make([][]uint64, p)
-	for i, x := range a {
-		d := destOf(aStart + uint64(i))
-		parts[d] = append(parts[d], x)
-	}
-	for i, x := range b {
-		d := destOf(aTotal + bStart + uint64(i))
-		parts[d] = append(parts[d], x)
-	}
-	got, err := w.Coll.AllToAll(parts)
-	if err != nil {
-		return nil, err
-	}
-	var out []uint64
-	for _, ws := range got {
-		out = append(out, ws...)
-	}
-	return out, nil
+// oracleUnion is Thrill's local Union: PE i holds a_i followed by b_i.
+func oracleUnion(_ *dist.Worker, a, b []uint64) ([]uint64, error) {
+	return append(append([]uint64(nil), a...), b...), nil
 }
 
 // TestSeqPlaneMatchesOracle holds the sequence operations to the
@@ -360,22 +323,28 @@ func TestClassifyCountsSplittersAtOrBelow(t *testing.T) {
 }
 
 // TestBadSeqPayloadIsRejected sends a PE a payload that is not whole
-// words: each sequence operation must fail with ErrBadSeqPayload naming
-// the source, not truncate.
+// words: each sequence operation that receives must fail with
+// ErrBadSeqPayload naming the source, not truncate. Union receives
+// nothing, so it has no row.
 func TestBadSeqPayloadIsRejected(t *testing.T) {
 	local := []uint64{1, 2, 3}
 	seqOps := []struct {
 		name string
 		// gathered is what the peer contributes to each all-gather the
 		// operation starts before its all-to-all, so that it keeps step:
-		// Union and Zip gather both sequence lengths at once.
+		// Zip gathers both sequence lengths at once.
 		gathered [][]uint64
-		run      func(w *dist.Worker) error
+		// from is the peer's receive pattern in the all-to-all: nil for
+		// the dense exchange, none for Zip's sparse one.
+		from []bool
+		run  func(w *dist.Worker) error
 	}{
-		{"Sort", [][]uint64{{3}}, func(w *dist.Worker) error { _, err := Sort(w, local); return err }},
-		{"Merge", [][]uint64{{3}}, func(w *dist.Worker) error { _, err := Merge(w, local, local); return err }},
-		{"Union", [][]uint64{{3, 3}}, func(w *dist.Worker) error { _, err := Union(w, local, local); return err }},
-		{"Zip", [][]uint64{{3, 3}}, func(w *dist.Worker) error { _, err := Zip(w, local, local); return err }},
+		{"Sort", [][]uint64{{3}}, nil, func(w *dist.Worker) error { _, err := Sort(w, local); return err }},
+		{"Merge", [][]uint64{{3}}, nil, func(w *dist.Worker) error { _, err := Merge(w, local, local); return err }},
+		// PE 0 holds a = [0, 3) and b = [0, 1) of the global indices, the
+		// peer a = [3, 4) and b = [1, 4): PE 0 expects the peer's stretch
+		// [1, 3) of b and sends it nothing.
+		{"Zip", [][]uint64{{1, 3}}, []bool{false, false}, func(w *dist.Worker) error { _, err := Zip(w, local, local[:1]); return err }},
 	}
 	for _, op := range seqOps {
 		var got error
@@ -389,7 +358,7 @@ func TestBadSeqPayloadIsRejected(t *testing.T) {
 					return err
 				}
 			}
-			_, err := w.Coll.AllToAllBytes([][]byte{make([]byte, 3*wordBytes+5), nil})
+			_, err := w.Coll.AllToAllBytes([][]byte{make([]byte, 3*wordBytes+5), nil}, op.from)
 			return err
 		})
 		if err != nil {

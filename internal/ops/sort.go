@@ -63,7 +63,7 @@ func sampleSort(w *dist.Worker, a, b []uint64) ([]uint64, error) {
 		}
 		dest = dest[len(xs):]
 	}
-	got, n, err := k.swap(w, wordBytes, ErrBadSeqPayload)
+	got, n, err := k.swap(w, nil, wordBytes, ErrBadSeqPayload)
 	if err != nil {
 		return nil, err
 	}

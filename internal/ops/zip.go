@@ -3,6 +3,7 @@ package ops
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/data"
 	"repro/internal/dist"
@@ -52,15 +53,19 @@ func Zip(w *dist.Worker, a, b []uint64) ([]data.Pair, error) {
 		return nil, fmt.Errorf("ops: Zip length mismatch: %d vs %d", aStarts[p], bStarts[p])
 	}
 	// PE d owns the global indices of its share of a, so it is sent
-	// the stretch of the local b that overlaps them.
+	// the stretch of the local b that overlaps them, if any. Every PE
+	// derives the same pattern, so a PE expects a part only from the
+	// PEs whose share of b overlaps its share of a.
 	k := getKernel()
 	defer k.release()
 	k.stage(p)
+	k.from = grow(k.from, p)
 	for d := 0; d < p; d++ {
 		i, j := overlap(bStarts[rank], len(b), aStarts[d], aStarts[d+1])
 		putWords(k.part(d, (j-i)*wordBytes), b[i:j])
+		k.from[d] = max(bStarts[d], aStarts[rank]) < min(bStarts[d+1], aStarts[rank+1])
 	}
-	got, n, err := k.swap(w, wordBytes, ErrBadSeqPayload)
+	got, n, err := k.swap(w, k.from, wordBytes, ErrBadSeqPayload)
 	if err != nil {
 		return nil, err
 	}
@@ -80,41 +85,11 @@ func Zip(w *dist.Worker, a, b []uint64) ([]data.Pair, error) {
 }
 
 // Union combines two distributed sequences into one holding every
-// element of both (a multiset union), rebalanced so every PE holds an
-// even share. Like Thrill's Union it gives no order guarantee — the
-// checker (Corollary 12) verifies it as a permutation of the
-// concatenation.
-func Union(w *dist.Worker, a, b []uint64) ([]uint64, error) {
-	p, rank := w.Size(), w.Rank()
-	aStarts, bStarts, err := globalOffsets(w, len(a), len(b))
-	if err != nil {
-		return nil, err
-	}
-	// The union is a followed by b, indexed globally, and PE d gets the
-	// d-th even share of those indices: a stretch of the local a, then
-	// a stretch of the local b.
-	aTotal := aStarts[p]
-	total := int(aTotal + bStarts[p])
-	k := getKernel()
-	defer k.release()
-	k.stage(p)
-	for d := 0; d < p; d++ {
-		s, e := data.SplitEven(total, p, d)
-		lo, hi := uint64(s), uint64(e)
-		ai, aj := overlap(aStarts[rank], len(a), lo, hi)
-		bi, bj := overlap(aTotal+bStarts[rank], len(b), lo, hi)
-		part := k.part(d, (aj-ai+bj-bi)*wordBytes)
-		putWords(part, a[ai:aj])
-		putWords(part[(aj-ai)*wordBytes:], b[bi:bj])
-	}
-	got, n, err := k.swap(w, wordBytes, ErrBadSeqPayload)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint64, 0, n)
-	for _, payload := range got {
-		out = appendWords(out, payload)
-	}
-	putPayloads(got)
-	return out, nil
+// element of both (a multiset union). Like Thrill's Union it is local:
+// PE i returns its share of a followed by its share of b, and nothing
+// is sent. Rebalancing is a separate operation (Thrill's Concat). The
+// checker (Corollary 12) verifies a permutation of the concatenation
+// wherever the elements sit.
+func Union(_ *dist.Worker, a, b []uint64) ([]uint64, error) {
+	return slices.Concat(a, b), nil
 }
