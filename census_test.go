@@ -50,7 +50,6 @@ var censusAllowInternal = map[string]string{
 	"internal/core.SumChecker.AccumulateScalar":      "scalar oracle the root package's BenchmarkSumAccumulateEngine measures the kernel against",
 	"internal/core.PermChecker.AccumulateIntoScalar": "scalar oracle: TestPolyProdMatchesSerial holds the product kernel to it, and BenchmarkPermAccumulateEngine measures the kernel against it",
 
-	"internal/comm.NewSimNetwork":             "cross-package test fixture (root, collective, dist); dist itself builds simnet with an explicit timeout",
 	"internal/comm.FaultyNetwork.ArmPeerDown": "cross-package test fixture: service and comm tests kill a PE to hold the pool to naming the dead rank",
 	"internal/hashing.FamilyByName":           "cross-package test fixture: core's tests name Table 3 configurations in the paper's syntax",
 	"internal/workload.EdgePairShares":        "cross-package test fixture: the edge shapes of the ops and root one-sidedness gates",

@@ -595,10 +595,12 @@ func (c *Context) sameContext(other *Context) error {
 // The checker verifies sums over the integers, not mod 2^64 — literally
 // so: it adds the input's values exactly into int64 cells (a value of
 // 2^40 or more as two 32-bit halves), reduces them mod r only
-// afterwards, and does the same with the asserted output. SumFn wraps. A correct SumFn reduce in which some key's true
-// sum reaches 2^64 therefore reports a value 2^64 (or a multiple) short
-// of what the checker summed, and the stage is rejected like any other
-// wrong sum. Keep per-key sums below 2^64 for a checked SumFn reduce;
+// afterwards, and does the same with the asserted output.
+//
+// SumFn, however, wraps mod 2^64. A correct SumFn reduce in which some
+// key's true sum reaches 2^64 therefore reports a value 2^64 (or a
+// multiple) short of what the checker summed, and the stage is
+// rejected like any other wrong sum. Keep per-key sums below 2^64 for a checked SumFn reduce;
 // the one-sided guarantee (a correct result is never rejected) holds on
 // that domain.
 func (d *Dataset) ReduceByKey(fn ReduceFn) *Dataset {

@@ -241,7 +241,7 @@ func TestTransportsAgreeOnResults(t *testing.T) {
 func TestCheckerOverSimNetwork(t *testing.T) {
 	const p = 4
 	pairs := workload.ZipfPairs(1000, 100, 300, 9)
-	net := comm.NewSimNetwork(p, 1000, 1)
+	net := comm.NewSimNetworkTimeout(p, 1000, 1, 0)
 	defer net.Close()
 	err := dist.RunNetwork(net, 13, func(w *dist.Worker) error {
 		ctx, err := repro.NewContext(w, repro.DefaultOptions())

@@ -22,7 +22,7 @@ func asyncNetworks(p int) []struct {
 		mk   func() (comm.Network, error)
 	}{
 		{"mem", func() (comm.Network, error) { return comm.NewMemNetworkTimeout(p, 0), nil }},
-		{"simnet", func() (comm.Network, error) { return comm.NewSimNetwork(p, 1000, 1), nil }},
+		{"simnet", func() (comm.Network, error) { return comm.NewSimNetworkTimeout(p, 1000, 1, 0), nil }},
 		{"tcp", func() (comm.Network, error) { return comm.NewTCPNetwork(p) }},
 	}
 }

@@ -11,20 +11,26 @@ import (
 	"testing"
 )
 
-// TestQueuedRecvAllocs pins the receive fast path: a Recv or RecvAny
-// whose message is already waiting takes it without arming the
+// TestQueuedRecvAllocs pins the receive fast path: a Mux.Recv or
+// RecvAny whose message is already waiting takes it without arming the
 // deadline, so it allocates nothing at all.
 func TestQueuedRecvAllocs(t *testing.T) {
 	const runs = 10
-	receives := map[string]func(ep Endpoint) error{
-		"Recv":    func(ep Endpoint) error { _, err := ep.Recv(1, 5); return err },
-		"RecvAny": func(ep Endpoint) error { _, err := ep.RecvAny(); return err },
+	receives := map[string]func(ep Endpoint) func() error{
+		"Recv": func(ep Endpoint) func() error {
+			mux := NewMux(ep)
+			return func() error { _, err := mux.Recv(1, 5); return err }
+		},
+		"RecvAny": func(ep Endpoint) func() error {
+			return func() error { _, err := ep.RecvAny(); return err }
+		},
 	}
-	for op, recv := range receives {
+	for op, receiver := range receives {
 		t.Run(op, func(t *testing.T) {
 			net := NewMemNetworkTimeout(2, 0)
 			defer net.Close()
 			ep, peer := net.Endpoint(0), net.Endpoint(1)
+			recv := receiver(ep)
 			payload := []byte{1, 2, 3}
 			// AllocsPerRun calls f once more than runs, to warm up.
 			for i := 0; i <= runs; i++ {
@@ -33,7 +39,7 @@ func TestQueuedRecvAllocs(t *testing.T) {
 				}
 			}
 			n := testing.AllocsPerRun(runs, func() {
-				if err := recv(ep); err != nil {
+				if err := recv(); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -59,14 +65,15 @@ func TestWriteFrameAllocs(t *testing.T) {
 	}
 }
 
-// TestPingPongAllocs pins a warmed mem ping-pong, in which every receive
-// blocks and so arms the endpoint's deadline: each leg's payload is a
-// fresh allocation of the test's, and the transport adds nothing to it.
+// TestPingPongAllocs pins a warmed mem ping-pong through one Mux per
+// endpoint, in which every receive blocks and so arms the endpoint's
+// deadline: each leg's payload is a fresh allocation of the test's, and
+// the transport and the Mux add nothing to it.
 func TestPingPongAllocs(t *testing.T) {
 	const runs = 200
 	net := NewMemNetworkTimeout(2, 0)
 	defer net.Close()
-	a, b := net.Endpoint(0), net.Endpoint(1)
+	a, b := NewMux(net.Endpoint(0)), NewMux(net.Endpoint(1))
 	echo := make(chan error, 1)
 	go func() {
 		for i := 0; i <= runs; i++ {
@@ -109,10 +116,11 @@ func TestPayloadPoolAllocs(t *testing.T) {
 	}
 }
 
-// TestTCPPingPongAllocs pins a warmed TCP ping-pong of pooled payloads:
-// the sender's payload goes back to the pool once its frame is written,
-// the receiver reads the frame into one from the pool, and the echo
-// sends the payload it received, so no message allocates anything.
+// TestTCPPingPongAllocs pins a warmed TCP ping-pong of pooled payloads
+// through one Mux per endpoint: the sender's payload goes back to the
+// pool once its frame is written, the receiver reads the frame into one
+// from the pool, and the echo sends the payload it received, so no
+// message allocates anything.
 func TestTCPPingPongAllocs(t *testing.T) {
 	const runs = 200
 	net, err := NewTCPNetwork(2)
@@ -120,7 +128,7 @@ func TestTCPPingPongAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer net.Close()
-	a, b := net.Endpoint(0), net.Endpoint(1)
+	a, b := NewMux(net.Endpoint(0)), NewMux(net.Endpoint(1))
 	echo := make(chan error, 1)
 	go func() {
 		// Two more legs than AllocsPerRun runs: its warm-up call and

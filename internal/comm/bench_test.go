@@ -51,7 +51,7 @@ func BenchmarkTCPPingPong(b *testing.B) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ep := n.Endpoint(1)
+		ep := NewMux(n.Endpoint(1))
 		for i := 0; i < b.N; i++ {
 			got, err := ep.Recv(0, 1)
 			if err != nil {
@@ -62,7 +62,7 @@ func BenchmarkTCPPingPong(b *testing.B) {
 			}
 		}
 	}()
-	ep := n.Endpoint(0)
+	ep := NewMux(n.Endpoint(0))
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

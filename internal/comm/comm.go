@@ -75,8 +75,8 @@ func resolveTimeout(d time.Duration) time.Duration {
 // under the network's timeout; the returned stop must be deferred. A
 // disabled timeout yields a nil channel (blocks forever in a select).
 // Only a send blocked on a full inbox uses it, because any number of
-// senders may block there at once; receives, which only the owner
-// makes, share the inbox's one re-armed timer (inbox.arm).
+// senders may block there at once; receives, which only an endpoint's
+// Mux puller makes, share the inbox's one re-armed timer (inbox.RecvAny).
 func opDeadline(timeout time.Duration) (<-chan time.Time, func()) {
 	if timeout <= 0 {
 		return nil, func() {}
@@ -121,11 +121,10 @@ func (m *Message) Fail(err error) {
 // paper's machine model: single-ported, full-duplex; matching sends and
 // receives between a pair of PEs are delivered in FIFO order.
 //
-// Concurrency: Send may be called from multiple goroutines. Recv and
-// RecvAny share one unsynchronized match buffer, so at most one
-// goroutine may be receiving at a time; concurrent receivers on one
-// endpoint must go through a Mux, which serializes the pulls and
-// demultiplexes messages by (src, tag).
+// Concurrency: Send may be called from multiple goroutines. Receiving
+// has one path: a Mux over the endpoint (NewMux) is the only matcher.
+// It serializes the pulls from RecvAny, which therefore has one caller
+// at a time, and routes each message to its (src, tag) receiver.
 type Endpoint interface {
 	// Rank is this PE's number in 0..Size()-1.
 	Rank() int
@@ -137,15 +136,12 @@ type Endpoint interface {
 	// it to the receiver as it is (mem) or return it to the payload pool
 	// once its frame is written (tcp).
 	Send(dst, tag int, payload []byte) error
-	// Recv blocks until a message with the given source and tag is
-	// available and returns its payload. Messages from other sources or
-	// with other tags are queued, not lost. The payload is the
-	// receiver's: once it has read it, it may hand it back with
-	// PutPayload.
+	// Recv is Mux.Recv on a Mux the endpoint keeps for it. It stays
+	// only because benchmark/ calls it (shims_benchmark.go).
 	Recv(src, tag int) ([]byte, error)
 	// RecvAny blocks until any message addressed to this endpoint is
 	// available and returns it, earliest queued first. It is the pull
-	// primitive beneath the Mux: the caller routes the message itself.
+	// primitive beneath the Mux, which routes the message.
 	RecvAny() (Message, error)
 	// Metrics returns this endpoint's live counters.
 	Metrics() *Metrics

@@ -11,17 +11,17 @@ import (
 
 // conformanceNetworks enumerates every transport and every wrapper
 // combination the runtime composes in practice: the Endpoint contract
-// (matched Send/Recv, RecvAny delivery, per-message fault scoping
-// through a Mux, control-tag handling) must hold identically on all of
-// them, or chaos injection and the service mux fall apart on exactly
-// one stack.
+// (matched Send and Mux.Recv, RecvAny delivery, per-message fault
+// scoping through a Mux, control-tag handling) must hold identically on
+// all of them, or chaos injection and the service mux fall apart on
+// exactly one stack.
 func conformanceNetworks(t *testing.T, p int) map[string]Network {
 	t.Helper()
 	nets := map[string]Network{
 		"mem":           NewMemNetworkTimeout(p, 0),
-		"simnet":        NewSimNetwork(p, 1000, 1),
+		"simnet":        NewSimNetworkTimeout(p, 1000, 1, 0),
 		"faulty+mem":    disarmedFaulty(NewMemNetworkTimeout(p, 0)),
-		"faulty+simnet": disarmedFaulty(NewSimNetwork(p, 1000, 1)),
+		"faulty+simnet": disarmedFaulty(NewSimNetworkTimeout(p, 1000, 1, 0)),
 	}
 	tcp, err := NewTCPNetwork(p)
 	if err != nil {
@@ -42,8 +42,8 @@ func disarmedFaulty(inner Network) Network {
 	return n
 }
 
-// TestConformanceRoundtrip drives matched Send/Recv pairs across every
-// (src, dst, tag) combination on each stack.
+// TestConformanceRoundtrip drives matched Send and Mux.Recv pairs
+// across every (src, dst, tag) combination on each stack.
 func TestConformanceRoundtrip(t *testing.T) {
 	const p = 3
 	for name, net := range conformanceNetworks(t, p) {
@@ -56,6 +56,7 @@ func TestConformanceRoundtrip(t *testing.T) {
 				go func(r int) {
 					defer wg.Done()
 					ep := net.Endpoint(r)
+					mux := NewMux(ep)
 					for dst := 0; dst < p; dst++ {
 						payload := []byte(fmt.Sprintf("%d->%d", r, dst))
 						if err := ep.Send(dst, 100+r, payload); err != nil {
@@ -64,7 +65,7 @@ func TestConformanceRoundtrip(t *testing.T) {
 						}
 					}
 					for src := 0; src < p; src++ {
-						got, err := ep.Recv(src, 100+src)
+						got, err := mux.Recv(src, 100+src)
 						if err != nil {
 							errs <- fmt.Errorf("recv %d<-%d: %w", r, src, err)
 							return
@@ -270,7 +271,11 @@ func TestConformanceKickTagDropped(t *testing.T) {
 // also when the deadline is as due as the close signal. select picks
 // among ready cases at random, so with a 1 ns deadline a transport
 // whose deadline branch does not look at the close signal again reports
-// "timeout … likely deadlock" for about half of these receives.
+// "timeout … likely deadlock" for about half of these receives. The
+// "Recv" row is Mux.Recv on a fresh Mux per receive (freshMuxRecv),
+// because a Mux keeps a transport error sticky, and its timeout must
+// name the stuck receive's src and tag, the deadlock diagnosis a
+// collective reports.
 func TestConformanceClosedBeatsDeadline(t *testing.T) {
 	const p = 2
 	tcp, err := NewTCPNetworkOpts(p, TCPOptions{Timeout: time.Nanosecond})
@@ -287,12 +292,15 @@ func TestConformanceClosedBeatsDeadline(t *testing.T) {
 			defer net.Close()
 			ep := net.Endpoint(0)
 			receives := map[string]func() error{
-				"Recv":    func() error { _, err := ep.Recv(1, 3); return err },
+				"Recv":    func() error { return freshMuxRecv(ep) },
 				"RecvAny": func() error { _, err := ep.RecvAny(); return err },
 			}
 			for op, recv := range receives {
-				if err := recv(); err == nil || errors.Is(err, ErrClosed) || !strings.Contains(err.Error(), "likely deadlock") {
+				err := recv()
+				if err == nil || errors.Is(err, ErrClosed) || !strings.Contains(err.Error(), "likely deadlock") {
 					t.Errorf("%s on an open, silent network: got %v, want a likely-deadlock timeout", op, err)
+				} else if op == "Recv" && !strings.Contains(err.Error(), "recv (src=1, tag=3)") {
+					t.Errorf("Recv timeout %q does not name the stuck receive's src and tag", err)
 				}
 			}
 			net.Close()
@@ -307,12 +315,21 @@ func TestConformanceClosedBeatsDeadline(t *testing.T) {
 	}
 }
 
+// freshMuxRecv receives (1, 3) on PE ep through a Mux of its own, so a
+// transport error an earlier receive left sticky on its Mux does not
+// answer this one.
+func freshMuxRecv(ep Endpoint) error {
+	_, err := NewMux(ep).Recv(1, 3)
+	return err
+}
+
 // TestConformanceDeadlineRearms pins the receive deadline on every
 // transport now that one timer per endpoint serves all of the owner's
 // receives. A silent receive times out, and not early; the next two
 // receives each get their message 30 ms after the call, inside the
 // 50 ms deadline, so an expiry left over from the first would fail
-// them; and a last silent receive waits the whole deadline again.
+// them; and a last silent receive waits the whole deadline again. The
+// "Recv" rows are Mux.Recv on a fresh Mux per receive (freshMuxRecv).
 func TestConformanceDeadlineRearms(t *testing.T) {
 	const timeout, late = 50 * time.Millisecond, 30 * time.Millisecond
 	builds := map[string]func() (Network, error){
@@ -321,7 +338,7 @@ func TestConformanceDeadlineRearms(t *testing.T) {
 		"tcp":    func() (Network, error) { return NewTCPNetworkOpts(2, TCPOptions{Timeout: timeout}) },
 	}
 	receives := map[string]func(ep Endpoint) error{
-		"Recv":    func(ep Endpoint) error { _, err := ep.Recv(1, 3); return err },
+		"Recv":    freshMuxRecv,
 		"RecvAny": func(ep Endpoint) error { _, err := ep.RecvAny(); return err },
 	}
 	for name, build := range builds {

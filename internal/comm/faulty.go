@@ -51,6 +51,7 @@ type FaultyNetwork struct {
 type faultyEndpoint struct {
 	net   *FaultyNetwork
 	inner Endpoint
+	shim  recvShim
 }
 
 // NewFaultyNetwork wraps inner, flipping bit `bit` of the `target`-th
@@ -196,27 +197,12 @@ func (e *faultyEndpoint) afterRecv(tag int, payload []byte) error {
 	return nil
 }
 
-func (e *faultyEndpoint) Recv(src, tag int) ([]byte, error) {
-	if e.downSelf() {
-		return nil, e.down()
-	}
-	payload, err := e.inner.Recv(src, tag)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.afterRecv(tag, payload); err != nil {
-		return nil, err
-	}
-	return payload, nil
-}
-
-// RecvAny pulls from the wrapped endpoint and applies the fault. A
-// hard fault is attached to the message (Message.Fail) rather than
-// returned: through a Mux the failure then reaches exactly the
-// (src, tag) receiver the message was addressed to, instead of
-// poisoning every concurrent stream on the endpoint. The direct Recv
-// path above keeps returning the error — there the caller is the
-// addressee.
+// RecvAny pulls from the wrapped endpoint and applies the fault, the
+// wrapper's only receive. A hard fault is attached to the message
+// (Message.Fail) rather than returned: through the Mux the failure
+// then reaches exactly the (src, tag) receiver the message was
+// addressed to, instead of poisoning every concurrent stream on the
+// endpoint.
 func (e *faultyEndpoint) RecvAny() (Message, error) {
 	if e.downSelf() {
 		return Message{}, e.down()

@@ -22,7 +22,7 @@ func TestArmPeerDown(t *testing.T) {
 	}
 
 	// The dead rank's own operations fail with ErrClosed and name it.
-	_, recvErr := fn.Endpoint(1).Recv(0, 5)
+	_, recvErr := NewMux(fn.Endpoint(1)).Recv(0, 5)
 	_, anyErr := fn.Endpoint(1).RecvAny()
 	for op, err := range map[string]error{
 		"send":    fn.Endpoint(1).Send(0, 5, []byte{1}),
@@ -45,7 +45,7 @@ func TestArmPeerDown(t *testing.T) {
 	if err := fn.Endpoint(0).Send(2, 7, []byte{3}); err != nil {
 		t.Fatalf("survivor send: %v", err)
 	}
-	got, err := fn.Endpoint(2).Recv(0, 7)
+	got, err := NewMux(fn.Endpoint(2)).Recv(0, 7)
 	if err != nil || len(got) != 1 || got[0] != 3 {
 		t.Fatalf("survivor recv: %v %v", got, err)
 	}
@@ -64,7 +64,7 @@ func TestArmPeerDownOutOfRange(t *testing.T) {
 	if err := fn.Endpoint(0).Send(1, 3, []byte{9}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
-	if _, err := fn.Endpoint(1).Recv(0, 3); err != nil {
+	if _, err := NewMux(fn.Endpoint(1)).Recv(0, 3); err != nil {
 		t.Fatalf("recv: %v", err)
 	}
 }

@@ -17,6 +17,7 @@ type memNetwork struct {
 type memEndpoint struct {
 	net *memNetwork
 	inbox
+	shim recvShim
 }
 
 // NewMemNetworkTimeout creates an in-memory network of p endpoints with

@@ -23,13 +23,13 @@ func exchange(t *testing.T, n Network, payload int) {
 			done <- err
 			return
 		}
-		_, err := n.Endpoint(1).Recv(0, 8)
+		_, err := NewMux(n.Endpoint(1)).Recv(0, 8)
 		done <- err
 	}()
 	if err := n.Endpoint(0).Send(1, 8, buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Endpoint(0).Recv(1, 7); err != nil {
+	if _, err := NewMux(n.Endpoint(0)).Recv(1, 7); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
@@ -51,7 +51,7 @@ func TestMeterAllTransportsAndWrappers(t *testing.T) {
 		payloadExact bool // BytesSent exactly 2×payload
 	}{
 		{"mem", func(t *testing.T) Network { return NewMemNetworkTimeout(2, 0) }, false, false, true},
-		{"simnet", func(t *testing.T) Network { return NewSimNetwork(2, 1000, 1) }, false, false, false},
+		{"simnet", func(t *testing.T) Network { return NewSimNetworkTimeout(2, 1000, 1, 0) }, false, false, false},
 		{"tcp", func(t *testing.T) Network {
 			n, err := NewTCPNetwork(2)
 			if err != nil {

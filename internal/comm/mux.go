@@ -1,17 +1,18 @@
 package comm
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 )
 
 // Mux demultiplexes one Endpoint among concurrent receivers, the
 // mechanism that lets several collectives be in flight on one PE at
-// once (tag-safe sub-communicators). Transports match messages with a
-// single unsynchronized buffer per endpoint, so two goroutines calling
-// Recv directly would race and — worse — park each other's messages
-// where the other can never see them. The Mux owns all receiving on the
-// endpoint and routes by (src, tag).
+// once (tag-safe sub-communicators). It is the only matcher in the
+// package: transports hand messages over in arrival order through
+// RecvAny, one caller at a time, and the Mux owns all receiving on the
+// endpoint and routes by (src, tag). One endpoint has one Mux; a second
+// would pull messages the first's receivers wait for.
 //
 // It is a collaborative pull: there is no resident pump goroutine.
 // Whichever waiter finds neither a queued message for its key nor an
@@ -25,7 +26,8 @@ import (
 // Failures come in three scopes:
 //
 //   - A transport error from RecvAny (closure, deadline) poisons the
-//     whole Mux: every current and future receive reports it. A network
+//     whole Mux: every current and future receive reports it, wrapped
+//     with that receive's own (src, tag) to name the stuck one. A network
 //     that carried a failed run must not be reused, and one in-flight
 //     collective failing must wake the others instead of deadlocking
 //     them.
@@ -124,13 +126,14 @@ func (m *Mux) poisonFor(tag int) error {
 // and returns its payload. Safe for any number of concurrent callers;
 // per-(src,tag) FIFO order is preserved. Callers must not have two
 // concurrent receives for the same (src, tag) — tag disjointness is
-// exactly what sub-communicators provide.
+// exactly what sub-communicators provide. The payload is the caller's:
+// once it has read it, it may hand it back with PutPayload.
 func (m *Mux) Recv(src, tag int) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
 		if m.err != nil {
-			return nil, m.err
+			return nil, recvErr(src, tag, m.err)
 		}
 		if perr := m.poisonFor(tag); perr != nil {
 			return nil, perr
@@ -156,7 +159,7 @@ func (m *Mux) Recv(src, tag int) ([]byte, error) {
 			// every receiver, not just the puller.
 			m.err = err
 			m.cond.Broadcast()
-			return nil, err
+			return nil, recvErr(src, tag, err)
 		}
 		if msg.Tag >= KickTag {
 			// Control kick: no data, no receiver — its whole purpose
@@ -182,6 +185,12 @@ func (m *Mux) Recv(src, tag int) ([]byte, error) {
 		m.early = append(m.early, msg)
 		m.cond.Broadcast()
 	}
+}
+
+// recvErr names the receive a transport error stopped, keeping err
+// reachable for errors.Is and errors.As (ErrClosed, ErrPeerDown).
+func recvErr(src, tag int, err error) error {
+	return fmt.Errorf("recv (src=%d, tag=%d): %w", src, tag, err)
 }
 
 // deliver completes a matched message: deferred transport bookkeeping

@@ -20,7 +20,7 @@ func TestMuxConcurrentDisjointTags(t *testing.T) {
 		mk   func() Network
 	}{
 		{"mem", func() Network { return NewMemNetworkTimeout(p, 0) }},
-		{"simnet", func() Network { return NewSimNetwork(p, 100, 1) }},
+		{"simnet", func() Network { return NewSimNetworkTimeout(p, 100, 1, 0) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			n := tc.mk()
@@ -136,38 +136,13 @@ func TestMuxPoison(t *testing.T) {
 	}
 }
 
-// TestRecvAnyDrainsParkedFirst checks RecvAny returns messages parked
-// by earlier mismatched tag-matched receives before pulling new ones.
-func TestRecvAnyDrainsParkedFirst(t *testing.T) {
-	n := NewMemNetworkTimeout(2, 0)
-	defer n.Close()
-	sender, ep := n.Endpoint(0), n.Endpoint(1)
-	if err := sender.Send(1, 1, []byte("first")); err != nil {
-		t.Fatal(err)
-	}
-	if err := sender.Send(1, 2, []byte("second")); err != nil {
-		t.Fatal(err)
-	}
-	// Matching tag 2 parks the tag-1 message.
-	if got, err := ep.Recv(0, 2); err != nil || string(got) != "second" {
-		t.Fatalf("Recv(0,2) = %q, %v", got, err)
-	}
-	m, err := ep.RecvAny()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Src != 0 || m.Tag != 1 || string(m.Payload) != "first" {
-		t.Fatalf("RecvAny = src %d tag %d %q, want parked (0, 1, first)", m.Src, m.Tag, m.Payload)
-	}
-}
-
 // TestFaultyRecvErrInjection checks hard-fault mode: the target receive
 // reports ErrInjected, and InjectedAt reports the landing.
 func TestFaultyRecvErrInjection(t *testing.T) {
 	f := NewFaultyNetwork(NewMemNetworkTimeout(2, 0), 0, 0)
 	defer f.Close()
 	f.ArmRecvErr(2)
-	sender, ep := f.Endpoint(0), f.Endpoint(1)
+	sender, ep := f.Endpoint(0), NewMux(f.Endpoint(1))
 	for i := 0; i < 2; i++ {
 		if err := sender.Send(1, 3, []byte{byte(i)}); err != nil {
 			t.Fatal(err)

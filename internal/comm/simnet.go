@@ -31,6 +31,7 @@ type SimNetwork struct {
 type simEndpoint struct {
 	net   *SimNetwork
 	inner Endpoint
+	shim  recvShim
 	mu    sync.Mutex
 	clock float64 // virtual nanoseconds; mu-protected — concurrent
 	// collectives on sub-communicators send and receive from several
@@ -62,18 +63,13 @@ func (e *simEndpoint) clockNs() float64 {
 	return e.clock
 }
 
-// NewSimNetwork models timing on top of an in-memory network of p PEs.
-// alphaNs and betaNsPerByte follow typical cluster interconnects, e.g.
-// alphaNs=10000 (10 us) and betaNsPerByte=1 (1 GB/s). The underlying
-// network gets the DefaultTimeout deadlock backstop.
-func NewSimNetwork(p int, alphaNs, betaNsPerByte float64) *SimNetwork {
-	return NewSimNetworkTimeout(p, alphaNs, betaNsPerByte, 0)
-}
-
-// NewSimNetworkTimeout is NewSimNetwork with an explicit per-operation
-// deadline on the underlying in-memory network (in wall-clock time —
-// virtual clocks model transfer cost, not liveness). Zero selects
-// DefaultTimeout, a negative value disables the deadline.
+// NewSimNetworkTimeout models timing on top of an in-memory network of
+// p PEs. alphaNs and betaNsPerByte follow typical cluster
+// interconnects, e.g. alphaNs=10000 (10 us) and betaNsPerByte=1
+// (1 GB/s). timeout is the underlying network's per-operation deadline
+// (in wall-clock time — virtual clocks model transfer cost, not
+// liveness): zero selects DefaultTimeout, a negative value disables
+// the deadline.
 func NewSimNetworkTimeout(p int, alphaNs, betaNsPerByte float64, timeout time.Duration) *SimNetwork {
 	n := &SimNetwork{
 		inner:         NewMemNetworkTimeout(p, timeout),
@@ -140,24 +136,6 @@ func (e *simEndpoint) Send(dst, tag int, payload []byte) error {
 	copy(buf[simHeader:], payload)
 	PutPayload(payload)
 	return e.inner.Send(dst, tag, buf)
-}
-
-// stripHeader peels the modeled arrival time off a received buffer and
-// raises the receiver's clock to it.
-func (e *simEndpoint) stripHeader(buf []byte) ([]byte, error) {
-	if len(buf) < simHeader {
-		return nil, fmt.Errorf("comm: simnet message missing header")
-	}
-	e.observe(math.Float64frombits(binary.LittleEndian.Uint64(buf)))
-	return buf[simHeader:], nil
-}
-
-func (e *simEndpoint) Recv(src, tag int) ([]byte, error) {
-	buf, err := e.inner.Recv(src, tag)
-	if err != nil {
-		return nil, err
-	}
-	return e.stripHeader(buf)
 }
 
 func (e *simEndpoint) RecvAny() (Message, error) {

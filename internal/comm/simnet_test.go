@@ -6,7 +6,7 @@ import (
 )
 
 func TestSimNetworkModelsAlphaBeta(t *testing.T) {
-	n := NewSimNetwork(2, 100, 2) // alpha=100ns, beta=2ns/byte
+	n := NewSimNetworkTimeout(2, 100, 2, 0) // alpha=100ns, beta=2ns/byte
 	defer n.Close()
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -19,8 +19,7 @@ func TestSimNetworkModelsAlphaBeta(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		ep := n.Endpoint(1)
-		if _, err := ep.Recv(0, 0); err != nil {
+		if _, err := NewMux(n.Endpoint(1)).Recv(0, 0); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -38,7 +37,7 @@ func TestSimNetworkModelsAlphaBeta(t *testing.T) {
 }
 
 func TestSimNetworkSequentialSendsAccumulate(t *testing.T) {
-	n := NewSimNetwork(2, 10, 1)
+	n := NewSimNetworkTimeout(2, 10, 1, 0)
 	defer n.Close()
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -53,9 +52,9 @@ func TestSimNetworkSequentialSendsAccumulate(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		ep := n.Endpoint(1)
+		mux := NewMux(n.Endpoint(1))
 		for i := 0; i < 3; i++ {
-			if _, err := ep.Recv(0, i); err != nil {
+			if _, err := mux.Recv(0, i); err != nil {
 				t.Error(err)
 			}
 		}
@@ -73,7 +72,7 @@ func TestSimNetworkSequentialSendsAccumulate(t *testing.T) {
 
 func TestSimNetworkIdleReceiverWaits(t *testing.T) {
 	// A receiver that was already ahead keeps its clock.
-	n := NewSimNetwork(2, 10, 0)
+	n := NewSimNetworkTimeout(2, 10, 0, 0)
 	defer n.Close()
 	n.eps[1].advance(1000)
 	var wg sync.WaitGroup
@@ -84,7 +83,7 @@ func TestSimNetworkIdleReceiverWaits(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		n.Endpoint(1).Recv(0, 0)
+		NewMux(n.Endpoint(1)).Recv(0, 0)
 	}()
 	wg.Wait()
 	if got := n.eps[1].clockNs(); got != 1000 {
@@ -93,7 +92,7 @@ func TestSimNetworkIdleReceiverWaits(t *testing.T) {
 }
 
 func TestSimNetworkResetClocks(t *testing.T) {
-	n := NewSimNetwork(1, 10, 1)
+	n := NewSimNetworkTimeout(1, 10, 1, 0)
 	defer n.Close()
 	n.eps[0].advance(500)
 	n.ResetClocks()
@@ -103,7 +102,7 @@ func TestSimNetworkResetClocks(t *testing.T) {
 }
 
 func TestSimNetworkPayloadIntact(t *testing.T) {
-	n := NewSimNetwork(2, 1, 1)
+	n := NewSimNetworkTimeout(2, 1, 1, 0)
 	defer n.Close()
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -111,7 +110,7 @@ func TestSimNetworkPayloadIntact(t *testing.T) {
 		defer wg.Done()
 		n.Endpoint(0).Send(1, 5, []byte("payload"))
 	}()
-	got, err := n.Endpoint(1).Recv(0, 5)
+	got, err := NewMux(n.Endpoint(1)).Recv(0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,6 +31,7 @@ type TCPNetwork struct{ nodes []*TCPNode }
 type tcpEndpoint struct {
 	node *TCPNode
 	inbox
+	shim recvShim
 }
 
 // tcpConn is one side of a pair link: the socket plus this side's
@@ -460,10 +461,6 @@ func (nd *TCPNode) mapConnErr(err error) error {
 	}
 	return err
 }
-
-// ConnsOpen is the node's, readable by layers that only hold an
-// Endpoint (collective.Comm).
-func (e *tcpEndpoint) ConnsOpen() int64 { return e.node.ConnsOpen() }
 
 func (e *tcpEndpoint) Send(dst, tag int, payload []byte) error {
 	if err := validRank(dst, e.Size()); err != nil {

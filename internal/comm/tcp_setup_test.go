@@ -223,13 +223,13 @@ func TestTCPNodePair(t *testing.T) {
 	if err := ep0.Send(1, 5, []byte("ping")); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := ep1.Recv(0, 5); err != nil || string(got) != "ping" {
+	if got, err := NewMux(ep1).Recv(0, 5); err != nil || string(got) != "ping" {
 		t.Fatalf("recv = %q, %v", got, err)
 	}
 	if err := ep1.Send(0, 6, []byte("pong")); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := ep0.Recv(1, 6); err != nil || string(got) != "pong" {
+	if got, err := NewMux(ep0).Recv(1, 6); err != nil || string(got) != "pong" {
 		t.Fatalf("recv = %q, %v", got, err)
 	}
 	// p=2 is one link: rank 0 dialed it, rank 1 accepted it. ConnsOpen counts a link at its dialer, so the per-node values

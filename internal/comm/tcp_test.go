@@ -115,7 +115,7 @@ func TestTCPSendAfterCloseIsErrClosed(t *testing.T) {
 	if err := n.Endpoint(0).Send(1, 0, []byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-Close send: got %v, want ErrClosed", err)
 	}
-	if _, err := n.Endpoint(0).Recv(1, 0); !errors.Is(err, ErrClosed) {
+	if _, err := NewMux(n.Endpoint(0)).Recv(1, 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-Close recv: got %v, want ErrClosed", err)
 	}
 	if err := n.Endpoint(0).Send(0, 0, nil); !errors.Is(err, ErrClosed) {
@@ -139,7 +139,7 @@ func TestTCPLargePayload(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		ep := n.Endpoint(1)
+		ep := NewMux(n.Endpoint(1))
 		got, err := ep.Recv(0, 1)
 		if err != nil {
 			t.Errorf("recv: %v", err)
@@ -157,7 +157,7 @@ func TestTCPLargePayload(t *testing.T) {
 	if err := n.Endpoint(0).Send(1, 1, payload); err != nil {
 		t.Fatal(err)
 	}
-	back, err := n.Endpoint(0).Recv(1, 2)
+	back, err := NewMux(n.Endpoint(0)).Recv(1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +168,8 @@ func TestTCPLargePayload(t *testing.T) {
 }
 
 // TestTCPInterleavedTags sends many messages with shuffled tags and
-// receives them in a different order, exercising the pending-queue
-// matching over real sockets.
+// receives them in a different order, exercising the Mux's matching
+// over real sockets.
 func TestTCPInterleavedTags(t *testing.T) {
 	const msgs = 64
 	n, err := NewTCPNetwork(2)
@@ -190,7 +190,7 @@ func TestTCPInterleavedTags(t *testing.T) {
 			}
 		}
 	}()
-	ep := n.Endpoint(1)
+	ep := NewMux(n.Endpoint(1))
 	for tag := msgs - 1; tag >= 0; tag-- {
 		got, err := ep.Recv(0, tag)
 		if err != nil {
@@ -241,7 +241,7 @@ func TestTCPRecvTimeout(t *testing.T) {
 	}
 	defer n.Close()
 	start := time.Now()
-	_, err = n.Endpoint(0).Recv(1, 7)
+	_, err = NewMux(n.Endpoint(0)).Recv(1, 7)
 	if err == nil {
 		t.Fatal("recv with no sender succeeded")
 	}
@@ -263,14 +263,14 @@ func TestMemRecvTimeoutPerNetwork(t *testing.T) {
 	defer slow.Close()
 	done := make(chan error, 1)
 	go func() {
-		_, err := fast.Endpoint(0).Recv(1, 3)
+		_, err := NewMux(fast.Endpoint(0)).Recv(1, 3)
 		done <- err
 	}()
 	// The slow network must still deliver while the fast one times out.
 	if err := slow.Endpoint(1).Send(0, 9, []byte("ok")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := slow.Endpoint(0).Recv(1, 9); err != nil {
+	if _, err := NewMux(slow.Endpoint(0)).Recv(1, 9); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -306,8 +306,9 @@ func TestTCPFrameWireOverhead(t *testing.T) {
 			}
 		}
 	}()
+	mux := NewMux(n.Endpoint(1))
 	for i := 0; i < msgs; i++ {
-		if _, err := n.Endpoint(1).Recv(0, i); err != nil {
+		if _, err := mux.Recv(0, i); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -39,7 +39,7 @@ func ParseTransport(s string) (Transport, error) {
 }
 
 // Default simnet parameters: 10 us startup latency, 1 GB/s bandwidth —
-// typical cluster interconnect figures (see comm.NewSimNetwork).
+// typical cluster interconnect figures (see comm.NewSimNetworkTimeout).
 const (
 	DefaultSimAlphaNs       = 10000
 	DefaultSimBetaNsPerByte = 1

@@ -128,7 +128,7 @@ func TestCommonSeedAgreement(t *testing.T) {
 	}
 	mem := comm.NewMemNetworkTimeout(p, 0)
 	defer mem.Close()
-	sim := comm.NewSimNetwork(p, 1000, 1)
+	sim := comm.NewSimNetworkTimeout(p, 1000, 1, 0)
 	defer sim.Close()
 	memVals := collect(mem)
 	simVals := collect(sim)
@@ -192,7 +192,7 @@ func TestPanicRecovered(t *testing.T) {
 // and checks that modeled time advanced.
 func TestRunNetworkSim(t *testing.T) {
 	const p = 4
-	net := comm.NewSimNetwork(p, 1000, 1)
+	net := comm.NewSimNetworkTimeout(p, 1000, 1, 0)
 	defer net.Close()
 	err := RunNetwork(net, 5, func(w *Worker) error {
 		sum, err := w.Coll.AllReduce([]uint64{uint64(w.Rank())}, collective.OpSum)
@@ -388,7 +388,7 @@ func TestConfigTimeoutReachesRecv(t *testing.T) {
 			}
 			defer net.Close()
 			start := time.Now()
-			_, err = net.Endpoint(0).Recv(1, 42)
+			_, err = comm.NewMux(net.Endpoint(0)).Recv(1, 42)
 			if err == nil {
 				t.Fatal("recv with no sender succeeded")
 			}

@@ -22,7 +22,7 @@ func TestGroupContract(t *testing.T) {
 	errCause := errors.New("member 2 gave up")
 	// wait blocks member i until the network closes.
 	wait := func(i int, net comm.Network) error {
-		_, err := net.Endpoint(i).Recv((i+1)%net.Size(), 7)
+		_, err := comm.NewMux(net.Endpoint(i)).Recv((i+1)%net.Size(), 7)
 		return err
 	}
 	verdicts := make(chan struct{}, 2) // the verdict-then-failure case's two verdicts
