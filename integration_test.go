@@ -287,7 +287,7 @@ func TestTCPLinksFixedAtSetup(t *testing.T) {
 			if tc.wrapped {
 				net = comm.NewFaultyNetwork(tcp, 0, 0)
 			}
-			setup := comm.NetworkMeter(net)
+			setup := net.Meter()
 			if want := int64(p * (p - 1) / 2); setup.ConnsOpen != want {
 				t.Fatalf("setup opened %d links, want %d", setup.ConnsOpen, want)
 			}
@@ -318,7 +318,7 @@ func TestTCPLinksFixedAtSetup(t *testing.T) {
 				if err != nil {
 					t.Fatalf("mode %v: %v", mode, err)
 				}
-				m := comm.NetworkMeter(net)
+				m := net.Meter()
 				if m.ConnsOpen != setup.ConnsOpen || m.Dials != setup.Dials {
 					t.Fatalf("mode %v: links %d and dials %d after the pipeline, want %d and %d as at setup",
 						mode, m.ConnsOpen, m.Dials, setup.ConnsOpen, setup.Dials)

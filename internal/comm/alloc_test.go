@@ -11,9 +11,10 @@ import (
 	"testing"
 )
 
-// TestQueuedRecvAllocs pins the receive fast path: a Mux.Recv or
-// RecvAny whose message is already waiting takes it without arming the
-// deadline, so it allocates nothing at all.
+// TestQueuedRecvAllocs pins the receive fast path on mem and simnet: a
+// Mux.Recv or RecvAny whose message is already waiting takes it without
+// arming the deadline, so it allocates nothing at all — simnet's modeled
+// arrival included, which rides the Message.
 func TestQueuedRecvAllocs(t *testing.T) {
 	const runs = 10
 	receives := map[string]func(ep Endpoint) func() error{
@@ -25,26 +26,34 @@ func TestQueuedRecvAllocs(t *testing.T) {
 			return func() error { _, err := ep.RecvAny(); return err }
 		},
 	}
+	nets := map[string]func() Network{
+		"mem":    func() Network { return NewMemNetworkTimeout(2, 0) },
+		"simnet": func() Network { return NewSimNetworkTimeout(2, 1000, 1, 0) },
+	}
 	for op, receiver := range receives {
 		t.Run(op, func(t *testing.T) {
-			net := NewMemNetworkTimeout(2, 0)
-			defer net.Close()
-			ep, peer := net.Endpoint(0), net.Endpoint(1)
-			recv := receiver(ep)
-			payload := []byte{1, 2, 3}
-			// AllocsPerRun calls f once more than runs, to warm up.
-			for i := 0; i <= runs; i++ {
-				if err := peer.Send(0, 5, payload); err != nil {
-					t.Fatal(err)
-				}
-			}
-			n := testing.AllocsPerRun(runs, func() {
-				if err := recv(); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if n != 0 {
-				t.Errorf("%s of a queued message allocates %.1f objects, want 0", op, n)
+			for name, build := range nets {
+				t.Run(name, func(t *testing.T) {
+					net := build()
+					defer net.Close()
+					ep, peer := net.Endpoint(0), net.Endpoint(1)
+					recv := receiver(ep)
+					payload := []byte{1, 2, 3}
+					// AllocsPerRun calls f once more than runs, to warm up.
+					for i := 0; i <= runs; i++ {
+						if err := peer.Send(0, 5, payload); err != nil {
+							t.Fatal(err)
+						}
+					}
+					n := testing.AllocsPerRun(runs, func() {
+						if err := recv(); err != nil {
+							t.Fatal(err)
+						}
+					})
+					if n != 0 {
+						t.Errorf("%s of a queued message on %s allocates %.1f objects, want 0", op, name, n)
+					}
+				})
 			}
 		})
 	}
@@ -122,12 +131,33 @@ func TestPayloadPoolAllocs(t *testing.T) {
 // from the pool, and the echo sends the payload it received, so no
 // message allocates anything.
 func TestTCPPingPongAllocs(t *testing.T) {
-	const runs = 200
 	net, err := NewTCPNetwork(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer net.Close()
+	if perMsg := pooledPingPongAllocs(t, net); perMsg != 0 {
+		t.Errorf("warmed TCP ping-pong of pooled payloads allocates %.2f objects per message, want 0", perMsg)
+	}
+}
+
+// TestSimNetworkPingPongAllocs pins the same of simnet: a payload is
+// handed to its receiver as on mem, with its modeled arrival stamped on
+// the Message, so no message allocates anything.
+func TestSimNetworkPingPongAllocs(t *testing.T) {
+	net := NewSimNetworkTimeout(2, 1000, 1, 0)
+	defer net.Close()
+	if perMsg := pooledPingPongAllocs(t, net); perMsg != 0 {
+		t.Errorf("warmed simnet ping-pong of pooled payloads allocates %.2f objects per message, want 0", perMsg)
+	}
+}
+
+// pooledPingPongAllocs runs a warmed ping-pong of pooled 64-byte
+// payloads between ranks 0 and 1 of net, one Mux per endpoint, the echo
+// sending back the payload it received, and returns the objects
+// allocated per message.
+func pooledPingPongAllocs(t *testing.T, net Network) float64 {
+	const runs = 200
 	a, b := NewMux(net.Endpoint(0)), NewMux(net.Endpoint(1))
 	echo := make(chan error, 1)
 	go func() {
@@ -160,7 +190,5 @@ func TestTCPPingPongAllocs(t *testing.T) {
 	if err := <-echo; err != nil {
 		t.Fatal(err)
 	}
-	if perMsg := n / 2; perMsg != 0 {
-		t.Errorf("warmed TCP ping-pong of pooled payloads allocates %.2f objects per message, want 0", perMsg)
-	}
+	return n / 2
 }

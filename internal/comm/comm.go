@@ -1,5 +1,6 @@
 // Package comm provides the point-to-point message transport beneath the
-// collectives: an in-memory channel network for fast simulation and a
+// collectives: an in-memory channel network for fast simulation, the
+// same under the paper's alpha + beta*m cost model (SimNetwork), and a
 // TCP network (length-prefixed binary frames over real sockets, see
 // frame.go) for demonstrating transport agnosticism. Every endpoint
 // meters bytes and messages sent and received, so the paper's central
@@ -91,13 +92,14 @@ type Message struct {
 	Tag     int
 	Payload []byte
 
-	// onMatch, when set by a transport's RecvAny, runs once when the
-	// demultiplexer hands the message to its matched receiver. It
-	// defers per-message bookkeeping that must not happen at pull time
-	// — e.g. simnet observes a message's modeled arrival time only when
-	// the receive completes, not when the message is parked. Never
-	// on the wire.
-	onMatch func()
+	// arrival is the modeled arrival time simnet's Send stamps on the
+	// message, and clock the receiving endpoint's virtual clock; the Mux
+	// raises clock to arrival when it hands the message to its matched
+	// receiver (deliver), not when the message is pulled or parked.
+	// clock is nil on every other transport. Never on the wire; a
+	// wrapper passing the message on by value carries both along.
+	arrival float64
+	clock   *simClock
 
 	// err, when set by a wrapper's RecvAny (FaultyNetwork's hard-fault
 	// mode), scopes a per-message failure to the receiver the message
@@ -133,7 +135,7 @@ type Endpoint interface {
 	// Send delivers payload to dst with the given tag. The payload is
 	// owned by the transport after the call: the sender never touches
 	// it again, and never sends one buffer twice. The transport may pass
-	// it to the receiver as it is (mem) or return it to the payload pool
+	// it to the receiver as it is (mem, simnet) or return it to the payload pool
 	// once its frame is written (tcp).
 	Send(dst, tag int, payload []byte) error
 	// Recv is Mux.Recv on a Mux the endpoint keeps for it. It stays
@@ -147,12 +149,16 @@ type Endpoint interface {
 	Metrics() *Metrics
 }
 
-// Network is a set of p connected endpoints.
+// Network is a set of p connected endpoints. Every network meters
+// itself, wrappers included, which report their inner transport's
+// counters instead of hiding them.
 type Network interface {
 	Size() int
 	Endpoint(rank int) Endpoint
 	// Close tears down the network. Pending operations fail.
 	Close() error
+	// Meter returns the network's unified transport meter.
+	Meter() MeterSnapshot
 }
 
 // Metrics counts traffic through one endpoint. All fields are updated
@@ -184,12 +190,11 @@ func (m *Metrics) Snapshot() Metrics {
 	}
 }
 
-// MeterSnapshot is the unified transport meter: one struct covering
-// every counter any network in the package exposes, so callers stop
-// type-asserting for TCPNetwork-only accessors. Counters a transport
-// cannot know are zero; ConnsOpen is -1 for connectionless transports
-// (mem, simnet) to distinguish "no connections exist as a concept"
-// from "zero connections open".
+// MeterSnapshot is the unified transport meter (Network.Meter): one
+// struct covering every counter any network in the package exposes.
+// Counters a transport cannot know are zero; ConnsOpen is -1 for
+// connectionless transports (mem, simnet) to distinguish "no
+// connections exist as a concept" from "zero connections open".
 type MeterSnapshot struct {
 	BytesSent int64 // payload bytes, summed over endpoints
 	BytesRecv int64
@@ -200,13 +205,6 @@ type MeterSnapshot struct {
 	ConnsOpen int64 // open connections, -1 if connectionless
 	Dials     int64 // dial attempts, successful or not
 	PeerDowns int64 // peers killed by a FaultyNetwork (ArmPeerDown)
-}
-
-// Meterer is implemented by every network in this package — wrappers
-// included, which delegate to their inner transport instead of hiding
-// it. Use NetworkMeter for the generic form.
-type Meterer interface {
-	Meter() MeterSnapshot
 }
 
 // endpointMeter sums per-endpoint payload counters — the part of the
@@ -226,16 +224,6 @@ func (s *MeterSnapshot) addPayload(ep Endpoint) {
 	s.BytesRecv += m.BytesRecv
 	s.MsgsSent += m.MsgsSent
 	s.MsgsRecv += m.MsgsRecv
-}
-
-// NetworkMeter returns n's unified meter: the transport's own Meter
-// when it implements Meterer, otherwise the per-endpoint payload sums
-// with connection counters marked unknown.
-func NetworkMeter(n Network) MeterSnapshot {
-	if m, ok := n.(Meterer); ok {
-		return m.Meter()
-	}
-	return endpointMeter(n)
 }
 
 func validRank(r, p int) error {

@@ -2,8 +2,10 @@ package comm
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // runPair exercises a simple ping-pong on any network implementation.
@@ -138,13 +140,33 @@ func TestMetricsCount(t *testing.T) {
 	}
 }
 
-// TestInvalidRank checks a send to an out-of-range rank fails at once;
-// TestRecvShim checks the same of a receive from one.
+// TestInvalidRank checks that a send to an out-of-range rank and a Mux
+// receive from one fail at once, naming the rank, on every transport and
+// wrapper: a bad rank must not look like a deadlock.
 func TestInvalidRank(t *testing.T) {
-	n := NewMemNetworkTimeout(2, 0)
-	defer n.Close()
-	if err := n.Endpoint(0).Send(5, 0, nil); err == nil {
-		t.Fatal("expected error for out-of-range destination")
+	const p = 2
+	for name, n := range conformanceNetworks(t, p) {
+		t.Run(name, func(t *testing.T) {
+			defer n.Close()
+			ep := n.Endpoint(0)
+			mux := NewMux(ep)
+			for _, r := range []int{-1, p} {
+				want := fmt.Sprintf("rank %d out of range", r)
+				if err := ep.Send(r, 0, nil); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("Send(%d, 0) = %v, want an error containing %q", r, err, want)
+				}
+				done := make(chan error, 1)
+				go func() { _, err := mux.Recv(r, 0); done <- err }()
+				select {
+				case err := <-done:
+					if err == nil || !strings.Contains(err.Error(), want) {
+						t.Errorf("Recv(%d, 0) = %v, want an error containing %q", r, err, want)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("Recv(%d, 0) still blocked after 5s", r)
+				}
+			}
+		})
 	}
 }
 

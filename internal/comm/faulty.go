@@ -133,7 +133,7 @@ func (n *FaultyNetwork) Close() error { return n.inner.Close() }
 // connection counts included, which the wrapper would otherwise hide —
 // plus the injector's own peer-down events.
 func (n *FaultyNetwork) Meter() MeterSnapshot {
-	s := NetworkMeter(n.inner)
+	s := n.inner.Meter()
 	s.PeerDowns += n.peerDowns.Load()
 	return s
 }

@@ -5,9 +5,10 @@ import (
 	"time"
 )
 
-// inbox is the receiving half of the mem and TCP endpoints, which embed
-// it: the buffered channel senders (or TCP reader goroutines) deliver
-// into, the endpoint's traffic counters, RecvAny, and one taxonomy for
+// inbox is the receiving half of the mem, simnet and TCP endpoints,
+// which embed it: the buffered channel senders (or TCP reader
+// goroutines) deliver into, the endpoint's traffic counters, RecvAny,
+// the in-process half of Send (send), and one taxonomy for
 // a blocked operation — ErrClosed when the network went down, a "likely
 // deadlock" timeout otherwise. It matches nothing: RecvAny hands over
 // messages in arrival order and the endpoint's Mux routes them by
@@ -72,6 +73,23 @@ func (b *inbox) deliver(m Message) error {
 	case <-deadline:
 		return b.expired(m.Src, fmt.Sprintf("send to %d (tag=%d)", b.rank, m.Tag))
 	}
+}
+
+// send is the part of Send every in-process delivery shares (mem,
+// simnet, and a TCP endpoint's send to itself), once the caller has
+// checked dst's rank and built m: it delivers m into dst's inbox and
+// meters it at this endpoint.
+func (b *inbox) send(dst *inbox, m Message) error {
+	select {
+	case <-b.closed:
+		return ErrClosed
+	default:
+	}
+	if err := dst.deliver(m); err != nil {
+		return err
+	}
+	b.metrics.addSent(len(m.Payload))
+	return nil
 }
 
 // RecvAny takes the oldest message that has arrived. One already

@@ -129,6 +129,9 @@ func (m *Mux) poisonFor(tag int) error {
 // exactly what sub-communicators provide. The payload is the caller's:
 // once it has read it, it may hand it back with PutPayload.
 func (m *Mux) Recv(src, tag int) ([]byte, error) {
+	if err := validRank(src, m.ep.Size()); err != nil {
+		return nil, err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
@@ -193,13 +196,14 @@ func recvErr(src, tag int, err error) error {
 	return fmt.Errorf("recv (src=%d, tag=%d): %w", src, tag, err)
 }
 
-// deliver completes a matched message: deferred transport bookkeeping
-// (e.g. simnet's arrival observation) fires now, at receive-completion
-// time, and a per-message fault attached by a wrapper surfaces as the
-// matched receiver's error.
+// deliver completes a matched message: a simnet receiver's clock
+// observes the modeled arrival now, at receive-completion time, and a
+// per-message fault attached by a wrapper surfaces as the matched
+// receiver's error (the clock still observes a failed message's
+// arrival: the modeled transfer happened).
 func deliver(msg Message) ([]byte, error) {
-	if msg.onMatch != nil {
-		msg.onMatch()
+	if msg.clock != nil {
+		msg.clock.observe(msg.arrival)
 	}
 	if msg.err != nil {
 		return nil, msg.err

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"errors"
 	"sync"
 	"testing"
 )
@@ -118,4 +119,35 @@ func TestSimNetworkPayloadIntact(t *testing.T) {
 		t.Fatalf("payload corrupted: %q", got)
 	}
 	wg.Wait()
+}
+
+// TestSimNetworkClockThroughFaultyNetwork checks that a receiver's clock
+// reaches the modeled arrival through a FaultyNetwork: the arrival rides
+// the Message, which the wrapper passes on, and a message the wrapper
+// fails (ArmRecvErr) still completed its modeled transfer.
+func TestSimNetworkClockThroughFaultyNetwork(t *testing.T) {
+	sim := NewSimNetworkTimeout(2, 100, 2, 0) // alpha=100ns, beta=2ns/byte
+	fn := NewFaultyNetwork(sim, 0, 0)
+	defer fn.Close()
+	send, mux := fn.Endpoint(0), NewMux(fn.Endpoint(1))
+	// Each 50-byte message costs 100 + 2*50 = 200 ns at the sender.
+	if err := send.Send(1, 0, make([]byte, 50)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mux.Recv(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := sim.eps[1].clockNs(); got != 200 {
+		t.Errorf("receiver clock %f after a clean message, want 200", got)
+	}
+	fn.ArmRecvErr(1)
+	if err := send.Send(1, 1, make([]byte, 50)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mux.Recv(0, 1); !errors.Is(err, ErrInjected) {
+		t.Fatalf("recv of the armed message = %v, want ErrInjected", err)
+	}
+	if got := sim.eps[1].clockNs(); got != 400 {
+		t.Errorf("receiver clock %f after a failed message, want 400", got)
+	}
 }

@@ -23,8 +23,8 @@ import (
 // one — which NewTCPNetworkOpts runs p times in one process and the
 // launcher (internal/dist) once per OS process. Every pair of PEs gets
 // its one link at setup and no link is dialed after it: the operations'
-// all-to-all exchanges need every pair anyway. ConnsOpen (links dialed,
-// so each pair link counts once: p(p−1)/2) and DialsAttempted meter the
+// all-to-all exchanges need every pair anyway. Meter's ConnsOpen (links
+// dialed, so each pair link counts once: p(p−1)/2) and Dials are the
 // bill.
 type TCPNetwork struct{ nodes []*TCPNode }
 
@@ -395,37 +395,16 @@ func (n *TCPNetwork) Size() int { return len(n.nodes) }
 // Endpoint returns rank's endpoint.
 func (n *TCPNetwork) Endpoint(r int) Endpoint { return n.nodes[r].ep }
 
-// WireBytes returns the total bytes written to and read from the
-// network's sockets across all connections, message framing included.
-func (n *TCPNetwork) WireBytes() (sent, recv int64) {
-	for _, nd := range n.nodes {
-		s, r := nd.WireBytes()
-		sent, recv = sent+s, recv+r
-	}
-	return sent, recv
-}
-
-// ConnsOpen returns how many TCP connections the network has
-// established: TCPNode.ConnsOpen over the counter its nodes share,
-// p(p−1)/2 once it is set up.
-func (n *TCPNetwork) ConnsOpen() int64 { return n.nodes[0].ConnsOpen() }
-
-// DialsAttempted returns how many TCP dial attempts (including retries)
-// the network has made.
-func (n *TCPNetwork) DialsAttempted() (dials int64) {
-	for _, nd := range n.nodes {
-		dials += nd.DialsAttempted()
-	}
-	return dials
-}
-
 // Meter returns the unified transport meter: per-endpoint payload
-// sums plus the socket-level wire and connection counters.
+// sums plus every node's wire and dial counters, and the links the
+// network established — p(p−1)/2 once it is set up (its nodes share
+// one dialed counter).
 func (n *TCPNetwork) Meter() MeterSnapshot {
 	s := endpointMeter(n)
-	s.WireSent, s.WireRecv = n.WireBytes()
-	s.ConnsOpen = n.ConnsOpen()
-	s.Dials = n.DialsAttempted()
+	for _, nd := range n.nodes {
+		s.addWire(nd)
+	}
+	s.ConnsOpen = n.nodes[0].ConnsOpen()
 	return s
 }
 
@@ -471,11 +450,7 @@ func (e *tcpEndpoint) Send(dst, tag int, payload []byte) error {
 		return fmt.Errorf("comm: PE %d send to %d: %w", e.rank, dst, ErrClosed)
 	}
 	if dst == e.rank {
-		if err := e.deliver(msg); err != nil {
-			return err
-		}
-		e.metrics.addSent(len(payload))
-		return nil
+		return e.send(&e.inbox, msg)
 	}
 	// conns is fixed once Connect has returned, so it is read unlocked.
 	// The frame is written, or failed: either way the payload is spent.

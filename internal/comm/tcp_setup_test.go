@@ -90,10 +90,11 @@ func TestTCPDialsAttemptedMetering(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	if got := n.DialsAttempted(); got != 3 {
-		t.Fatalf("DialsAttempted=%d, want 3 (two refusals + one success)", got)
+	m := n.Meter()
+	if got := m.Dials; got != 3 {
+		t.Fatalf("Dials=%d, want 3 (two refusals + one success)", got)
 	}
-	if got := n.ConnsOpen(); got != 1 {
+	if got := m.ConnsOpen; got != 1 {
 		t.Fatalf("ConnsOpen=%d, want 1", got)
 	}
 	runPair(t, n)
@@ -240,8 +241,7 @@ func TestTCPNodePair(t *testing.T) {
 	if got := n1.ConnsOpen(); got != 0 {
 		t.Fatalf("rank 1 ConnsOpen=%d, want 0 (it accepted the link)", got)
 	}
-	s0, _ := n0.WireBytes()
-	_, r1 := n1.WireBytes()
+	s0, r1 := n0.Meter().WireSent, n1.Meter().WireRecv
 	if s0 == 0 || r1 == 0 {
 		t.Fatalf("wire counters not advancing: sent0=%d recv1=%d", s0, r1)
 	}

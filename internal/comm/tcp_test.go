@@ -223,8 +223,8 @@ func TestTCPConcurrentNetworks(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			runPair(t, n)
-			if sent, recv := n.WireBytes(); sent == 0 || recv == 0 {
-				t.Errorf("network %d: wire counters not advancing (sent=%d recv=%d)", i, sent, recv)
+			if m := n.Meter(); m.WireSent == 0 || m.WireRecv == 0 {
+				t.Errorf("network %d: wire counters not advancing (sent=%d recv=%d)", i, m.WireSent, m.WireRecv)
 			}
 		}()
 	}
@@ -285,9 +285,9 @@ func TestMemRecvTimeoutPerNetwork(t *testing.T) {
 
 // TestTCPFrameWireOverhead pins what the wire format costs beyond the
 // payload: socket bytes minus payload bytes, per 64-byte message, from
-// WireBytes (which meters the connection after the handshake). With a
-// small source rank, a small tag and a short payload the header is
-// three one-byte varints.
+// the meter's wire counters (which meter the connection after the
+// handshake). With a small source rank, a small tag and a short payload
+// the header is three one-byte varints.
 func TestTCPFrameWireOverhead(t *testing.T) {
 	const msgs, payload = 50, 64
 	n, err := NewTCPNetwork(2)
@@ -313,7 +313,8 @@ func TestTCPFrameWireOverhead(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	sent, recv := n.WireBytes()
+	m := n.Meter()
+	sent, recv := m.WireSent, m.WireRecv
 	if sent != recv {
 		t.Errorf("wire bytes sent %d != received %d", sent, recv)
 	}

@@ -169,25 +169,24 @@ func (nd *TCPNode) Endpoint(r int) Endpoint {
 // p(p-1)/2.
 func (nd *TCPNode) ConnsOpen() int64 { return nd.dialed.Load() }
 
-// DialsAttempted returns how many TCP dial attempts (including retries)
-// this node has made.
-func (nd *TCPNode) DialsAttempted() int64 { return nd.dialsAttempted.Load() }
-
-// WireBytes returns the raw socket traffic through this node, framing
-// included.
-func (nd *TCPNode) WireBytes() (sent, recv int64) {
-	return nd.wireSent.Load(), nd.wireRecv.Load()
-}
-
 // Meter returns this node's unified transport meter: the local
 // endpoint's payload counters plus the node's wire, connection and dial
-// counters. Network-wide totals are the sum over nodes.
+// counters. A run's totals are the sum over its processes' nodes (the
+// nodes of one in-process TCPNetwork share their dialed counter, which
+// TCPNetwork.Meter reads once).
 func (nd *TCPNode) Meter() (s MeterSnapshot) {
 	s.addPayload(nd.ep)
-	s.WireSent, s.WireRecv = nd.WireBytes()
+	s.addWire(nd)
 	s.ConnsOpen = nd.ConnsOpen()
-	s.Dials = nd.DialsAttempted()
 	return s
+}
+
+// addWire adds nd's socket traffic, framing included, and its dial
+// attempts, retries included, to s.
+func (s *MeterSnapshot) addWire(nd *TCPNode) {
+	s.WireSent += nd.wireSent.Load()
+	s.WireRecv += nd.wireRecv.Load()
+	s.Dials += nd.dialsAttempted.Load()
 }
 
 // shutdown closes every socket of the node exactly once: the listener,

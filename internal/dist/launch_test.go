@@ -195,17 +195,14 @@ func TestJoinHostListWorkers(t *testing.T) {
 			t.Fatalf("rank %d common seed %#x != mem run %#x", r, seeds[r], memSeed)
 		}
 	}
-	var dialed int64
+	var dialed, connsTotal int64
 	for _, n := range nodes {
-		sent, recv := n.WireBytes()
-		if sent == 0 && recv == 0 {
+		m := n.Meter()
+		if m.WireSent == 0 && m.WireRecv == 0 {
 			t.Fatalf("a node moved no bytes")
 		}
-		dialed += n.DialsAttempted()
-	}
-	var connsTotal int64
-	for _, n := range nodes {
-		connsTotal += n.ConnsOpen()
+		dialed += m.Dials
+		connsTotal += m.ConnsOpen
 	}
 	// ConnsOpen counts a link at its dialer, so the per-node values add
 	// up to the run's connections: p(p-1)/2.
@@ -214,7 +211,7 @@ func TestJoinHostListWorkers(t *testing.T) {
 		t.Fatalf("sum of per-node ConnsOpen = %d, want %d", connsTotal, want)
 	}
 	if dialed < edges {
-		t.Fatalf("DialsAttempted sum %d below edge count", dialed)
+		t.Fatalf("sum of per-node Dials %d below edge count", dialed)
 	}
 }
 

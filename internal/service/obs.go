@@ -7,7 +7,7 @@ import (
 
 // Registry returns the pool's metrics registry, built on first call:
 // one namespace absorbing the meters that used to live scattered across
-// the layers — transport traffic (comm.NetworkMeter, wrappers
+// the layers — transport traffic (comm.Network.Meter, wrappers
 // included), collective rounds, and the pool's own job accounting
 // (PoolStats stays as the struct API; the registry re-exposes it).
 // Gauges read live state at render time, and service_job_latency_ns is
@@ -38,7 +38,7 @@ func (p *Pool) Registry() *obs.Registry {
 
 	net := p.net
 	meter := func(read func(comm.MeterSnapshot) int64) func() int64 {
-		return func() int64 { return read(comm.NetworkMeter(net)) }
+		return func() int64 { return read(net.Meter()) }
 	}
 	reg.Gauge("comm_bytes_sent", meter(func(m comm.MeterSnapshot) int64 { return m.BytesSent }))
 	reg.Gauge("comm_bytes_recv", meter(func(m comm.MeterSnapshot) int64 { return m.BytesRecv }))
