@@ -114,12 +114,13 @@ func TestAllRunsOnlyMarkedRows(t *testing.T) {
 	}
 }
 
-// TestGolden pins what four subcommands print, byte for byte, each
+// TestGolden pins what five subcommands print, byte for byte, each
 // against testdata/<name>.golden: every optimum of the paper's Table 2
 // and the min vol row under it, Table 6's manipulators, a small seeded
-// Fig. 5 sweep — every hash-sum configuration's failure count under
-// every manipulator — and the modeled makespans of a small job on the
-// simulated network, which only virtual clocks decide.
+// Fig. 3 sweep — every sum-checker configuration's failure count under
+// every manipulator — the same for Fig. 5's hash sums, and the modeled
+// makespans of a small job on the simulated network, which only virtual
+// clocks decide.
 func TestGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -127,6 +128,7 @@ func TestGolden(t *testing.T) {
 	}{
 		{"table2", nil},
 		{"table6", nil},
+		{"fig3", []string{"-elements", "200", "-min-runs", "50", "-max-runs", "50", "-seed", "7"}},
 		{"fig5", []string{"-elements", "2000", "-min-runs", "200", "-max-runs", "200", "-seed", "7"}},
 		{"modeled", []string{"-items", "200", "-pes", "8,16"}},
 	} {
