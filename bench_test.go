@@ -3,7 +3,7 @@
 // experiment index):
 //
 //	BenchmarkTable2Optimizer        — Table 2 parameter search
-//	BenchmarkTable5SumCheckerLocal  — Table 5 local overhead per config
+//	BenchmarkTable5SumCheckerLocal  — Table 5 local overhead per config (builder, input, Seal)
 //	BenchmarkPermCheckerLocal       — Section 7.2 overhead (CRC/Tab)
 //	BenchmarkFig3AccuracySweep      — Fig. 3 accuracy harness
 //	BenchmarkFig4WeakScaling        — Fig. 4 checked/unchecked pipeline
@@ -45,21 +45,20 @@ func BenchmarkTable2Optimizer(b *testing.B) {
 	}
 }
 
-// BenchmarkTable5SumCheckerLocal measures the checker's local
-// accumulation per element for every Table 5 configuration. The
-// ns/element metric is the paper's reported quantity.
+// BenchmarkTable5SumCheckerLocal measures the checker's local phase
+// per element for every Table 5 configuration, as exp.OverheadSum
+// times it: a sum builder set up, the input added, the state sealed.
+// The ns/element metric is the paper's reported quantity.
 func BenchmarkTable5SumCheckerLocal(b *testing.B) {
 	const elements = 200000
 	pairs := workload.UniformPairs(elements, 1<<62, 1<<62, 1)
 	for _, cfg := range core.ScalingConfigs() {
-		cfg := cfg
 		b.Run(cfg.Name(), func(b *testing.B) {
-			c := core.NewSumChecker(cfg, 7)
-			table := c.NewTable()
 			b.SetBytes(int64(16 * elements))
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.Accumulate(table, pairs)
+				sb := core.NewSumAggBuilder("table5", cfg, 7, core.Serial, false)
+				sb.AddInput(pairs)
+				sinkState = sb.Seal()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(elements), "ns/elem")
 		})
@@ -88,21 +87,21 @@ func BenchmarkTable5SumCheckerLocal(b *testing.B) {
 // BenchmarkSumAccumulateEngine compares the forms of the Table 5 local
 // loop on the default configuration, DefaultOptions().Sum, and on the
 // paper's 6×32 CRC m9 scaling configuration, the default before it: the
-// element-major scalar reference (the seed implementation), the
-// per-call accumulate kernel, and SumAggBuilder. All variants compute identical residues;
-// only wall time differs. The uniform rows have values below 2^62, so
-// their blocks are wide: each value goes in as two 32-bit halves, one
-// lane pass each. The zipf-125k rows are
-// the benchmark of record's reduce_zipf share (125k pairs, Zipf keys
-// over 1e6, values below 2^30): heavy keys hit one cell over and over,
-// which the uniform rows cannot show. The 2k rows are 2 000 of the
-// uniform pairs, in one call and in the 256-pair chunks a stream stage
-// feeds. The builder rows are what a checked stage pays: a builder,
-// the share added, an output subtracted, Seal — per element of both
-// sides. The 2k and zipf-125k builders subtract their own input's
-// reduction, so their cells cancel and the fold reads zeros; the svc
-// rows are a service_mixed claim's share (svcShare), whose output is
-// reduced elsewhere and whose fold is dense.
+// element-major scalar reference (the seed implementation) and
+// SumAggBuilder, the one accumulation path. Both compute identical
+// residues; only wall time differs. The builder rows are what a checked
+// stage pays: a builder, the share added, an output subtracted, Seal —
+// per element of both sides. The uniform-200k rows add input only; their
+// values are below 2^62, so their blocks are wide: each value goes in
+// as two 32-bit halves, one lane pass each. The zipf-125k rows are the
+// benchmark of record's reduce_zipf share (125k pairs, Zipf keys over
+// 1e6, values below 2^30): heavy keys hit one cell over and over, which
+// the uniform rows cannot show. The 2k rows are 2 000 of the uniform
+// pairs, whole and in the 256-pair chunks a stream stage feeds. The 2k
+// and zipf-125k builders subtract their own input's reduction, so their
+// cells cancel and the fold reads zeros; the svc rows are a
+// service_mixed claim's share (svcShare), whose output is reduced
+// elsewhere and whose fold is dense.
 func BenchmarkSumAccumulateEngine(b *testing.B) {
 	const elements = 200000
 	pairs := workload.UniformPairs(elements, 1<<62, 1<<62, 1)
@@ -119,16 +118,6 @@ func BenchmarkSumAccumulateEngine(b *testing.B) {
 	for _, cfg := range []core.SumConfig{repro.DefaultOptions().Sum, paper} {
 		c := core.NewSumChecker(cfg, 7)
 		table := c.NewTable()
-		calls := func(name string, in []data.Pair, chunk int) {
-			b.Run(cfg.Name()+"/batch/"+name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					for lo := 0; lo < len(in); lo += chunk {
-						c.Accumulate(table, in[lo:min(lo+chunk, len(in))])
-					}
-				}
-				perElem(b, len(in))
-			})
-		}
 		builder := func(name string, in, out []data.Pair, chunk int, count bool) {
 			b.Run(cfg.Name()+"/builder/"+name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -150,10 +139,7 @@ func BenchmarkSumAccumulateEngine(b *testing.B) {
 			}
 			perElem(b, elements)
 		})
-		calls("uniform-200k", pairs, len(pairs))
-		calls("zipf-125k", zipf, len(zipf))
-		calls("2k", job, len(job))
-		calls("2k-chunk256", job, jobChunk)
+		builder("uniform-200k", pairs, nil, len(pairs), false)
 		builder("2k", job, reduced(job), len(job), false)
 		builder("2k-chunk256", job, reduced(job), jobChunk, false)
 		builder("zipf-125k", zipf, reduced(zipf), len(zipf), false)

@@ -47,8 +47,7 @@ var censusAllowRoot = map[string]string{
 
 // censusAllowInternal lists what the census finds under internal/.
 var censusAllowInternal = map[string]string{
-	"internal/core.SumChecker.AccumulateScalar":      "scalar oracle the root package's BenchmarkSumAccumulateEngine measures the kernel against",
-	"internal/core.PermChecker.AccumulateIntoScalar": "scalar oracle: TestPolyProdMatchesSerial holds the product kernel to it, and BenchmarkPermAccumulateEngine measures the kernel against it",
+	"internal/core.SumChecker.AccumulateScalar": "scalar oracle the root package's BenchmarkSumAccumulateEngine and exp's Fig. 3 oracle test measure the kernel against",
 
 	"internal/comm.FaultyNetwork.ArmPeerDown": "cross-package test fixture: service and comm tests kill a PE to hold the pool to naming the dead rank",
 	"internal/hashing.FamilyByName":           "cross-package test fixture: core's tests name Table 3 configurations in the paper's syntax",

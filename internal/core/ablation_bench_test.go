@@ -34,7 +34,7 @@ func BenchmarkAblationLazyMod(b *testing.B) {
 		table := c.NewTable()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.Accumulate(table, pairs)
+			runInto(c, table, pairs, sumFeed)
 		}
 		reportPerElem(b, ablationElements)
 	})
@@ -69,7 +69,7 @@ func BenchmarkAblationBitParallel(b *testing.B) {
 		table := c.NewTable()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.Accumulate(table, pairs)
+			runInto(c, table, pairs, sumFeed)
 		}
 		reportPerElem(b, ablationElements)
 	})
@@ -78,7 +78,7 @@ func BenchmarkAblationBitParallel(b *testing.B) {
 		table := c.NewTable()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.Accumulate(table, pairs)
+			runInto(c, table, pairs, sumFeed)
 		}
 		reportPerElem(b, ablationElements)
 	})
@@ -96,7 +96,7 @@ func BenchmarkAblationHashFamilies(b *testing.B) {
 			table := c.NewTable()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.Accumulate(table, pairs)
+				runInto(c, table, pairs, sumFeed)
 			}
 			reportPerElem(b, ablationElements)
 		})
@@ -166,7 +166,7 @@ func BenchmarkAblationPermVariants(b *testing.B) {
 		sums := newSums(c.cfg)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.AccumulateIntoScalar(sums, xs, false)
+			c.accumulateIntoScalar(sums, xs, false)
 		}
 		sinkBench = sums[0]
 		reportPerElem(b, ablationElements)
@@ -193,7 +193,7 @@ func BenchmarkPermAccumulateEngine(b *testing.B) {
 	sums, hsums := newSums(cfg), make([]uint64, 1)
 	b.Run(fmt.Sprintf("Poly61×%d/scalar", cfg.Iterations), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			c.AccumulateIntoScalar(sums, xs, false)
+			c.accumulateIntoScalar(sums, xs, false)
 		}
 		perElem(b, elements)
 	})
@@ -201,7 +201,7 @@ func BenchmarkPermAccumulateEngine(b *testing.B) {
 		name string
 		add  func(xs []uint64)
 	}{
-		{fmt.Sprintf("Poly61×%d", cfg.Iterations), func(xs []uint64) { c.AccumulateInto(sums, xs, false) }},
+		{fmt.Sprintf("Poly61×%d", cfg.Iterations), func(xs []uint64) { c.accumulateInto(sums, xs, false) }},
 		{"Tab64 64×1", func(xs []uint64) { tab64.AccumulateInto(hsums, xs, false) }},
 	} {
 		b.Run(row.name+"/batch", func(b *testing.B) {
@@ -243,7 +243,7 @@ func BenchmarkAblationBucketTradeoff(b *testing.B) {
 			table := c.NewTable()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.Accumulate(table, pairs)
+				runInto(c, table, pairs, sumFeed)
 			}
 			reportPerElem(b, ablationElements)
 			b.ReportMetric(float64(cfg.TableBits()), "table-bits")
@@ -286,8 +286,8 @@ func BenchmarkAblationBatchHash(b *testing.B) {
 // updates) and g = 3 (two tables of 32k cells, past maxGroupBits and
 // past L1) — the default 15×4 CRC m10, whose g = 3 and g = 5 have lane
 // kernels and g = 4 does not, and 30×2 CRC m10, the same 660 bits as
-// one-bit iterations. Each row is one whole call, fold included, so
-// the short calls show why a table must be small beside its input: a
+// one-bit iterations. Each row is one whole run, fold included, so
+// the short runs show why a table must be small beside its input: a
 // 256-pair stream chunk or a 2 000-pair stage pays the grouped tables'
 // scan without the elements to amortise it. ChooseSum's ranking by
 // updates per element is checked against the machine here.
@@ -308,10 +308,10 @@ func BenchmarkAblationGroupWidth(b *testing.B) {
 				c := newSumChecker(row.cfg, 7, false, g)
 				b.Run(fmt.Sprintf("%s/n-%d/g-%d", row.cfg.Name(), n, g), func(b *testing.B) {
 					table := c.NewTable()
-					c.Accumulate(table, pairs)
+					runInto(c, table, pairs, sumFeed)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						c.Accumulate(table, pairs)
+						runInto(c, table, pairs, sumFeed)
 					}
 					reportPerElem(b, n)
 				})
@@ -368,20 +368,13 @@ func TestGeneralPathMatchesBitParallelSemantics(t *testing.T) {
 	output := refSumAgg(input)
 	for _, perIteration := range []bool{false, true} {
 		c := newSumChecker(cfg, 42, perIteration, 0)
-		tv, to := c.NewTable(), c.NewTable()
-		c.Accumulate(tv, input)
-		c.Accumulate(to, output)
-		c.Normalize(tv)
-		c.Normalize(to)
+		tv, to := runInto(c, c.NewTable(), input, sumFeed), runInto(c, c.NewTable(), output, sumFeed)
 		if !tablesEq(tv, to) {
 			t.Fatalf("perIteration=%v: correct result rejected", perIteration)
 		}
 		bad := data.ClonePairs(output)
 		bad[0].Value += 3
-		tb := c.NewTable()
-		c.Accumulate(tb, bad)
-		c.Normalize(tb)
-		if tablesEq(tv, tb) {
+		if tablesEq(tv, runInto(c, c.NewTable(), bad, sumFeed)) {
 			t.Fatalf("perIteration=%v: corruption not reflected in tables", perIteration)
 		}
 	}

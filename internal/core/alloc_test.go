@@ -16,23 +16,22 @@ import (
 )
 
 // TestSmallChunkAccumulationAllocs pins the streaming fast path: one
-// call of an accumulation kernel on a stream-sized chunk (4 095
-// elements) allocates nothing, on every accumulation kind — its
-// scratch comes from scratchPool. Chunked verification feeds millions
-// of such calls; one table allocation per chunk would dominate the hot
-// loop.
+// chunk of an accumulation kernel on a stream-sized chunk (4 095
+// elements) allocates nothing, on every accumulation kind — a sum
+// builder's cells come from scratchPool with its first chunk and stay
+// with it. Chunked verification feeds millions of such chunks; one
+// table allocation per chunk would dominate the hot loop.
 func TestSmallChunkAccumulationAllocs(t *testing.T) {
 	const chunk = 4095
 	pairs := workload.UniformPairs(chunk, 1<<62, 1<<62, 31)
 	xs := workload.UniformU64s(chunk, 1e9, 37)
 
-	sc := NewSumChecker(SumConfig{Iterations: 4, Buckets: 16, RHatLog: 7, Family: hashing.FamilyCRC}, 1)
-	table := sc.NewTable()
-	if n := testing.AllocsPerRun(10, func() { sc.Accumulate(table, pairs) }); n != 0 {
-		t.Errorf("Accumulate allocates %.0f objects per chunk, want 0", n)
-	}
-	if n := testing.AllocsPerRun(10, func() { sc.AccumulateCount(table, pairs) }); n != 0 {
-		t.Errorf("AccumulateCount allocates %.0f objects per chunk, want 0", n)
+	for _, count := range []bool{false, true} {
+		b := NewSumAggBuilder("chunk", SumConfig{Iterations: 4, Buckets: 16, RHatLog: 7, Family: hashing.FamilyCRC}, 1, Serial, count)
+		if n := testing.AllocsPerRun(10, func() { b.AddInput(pairs) }); n != 0 {
+			t.Errorf("SumAggBuilder.AddInput (count %v) allocates %.0f objects per chunk, want 0", count, n)
+		}
+		sinkState = b.Seal()
 	}
 
 	hc := NewHashSumChecker(HashSumConfig{Family: hashing.FamilyTab, LogH: 32, Iterations: 2}, 1)
@@ -43,8 +42,8 @@ func TestSmallChunkAccumulationAllocs(t *testing.T) {
 
 	prod := newPermChecker(PermConfig{Iterations: 2}, 1)
 	slots := newSums(prod.cfg)
-	if n := testing.AllocsPerRun(10, func() { prod.AccumulateInto(slots, xs, true) }); n != 0 {
-		t.Errorf("product AccumulateInto allocates %.0f objects per chunk, want 0", n)
+	if n := testing.AllocsPerRun(10, func() { prod.accumulateInto(slots, xs, true) }); n != 0 {
+		t.Errorf("product accumulateInto allocates %.0f objects per chunk, want 0", n)
 	}
 }
 

@@ -56,15 +56,16 @@ func NewAvgAggState(stage string, cfg SumConfig, seed uint64, input []data.Pair,
 		counts = append(counts, data.Pair{Key: a.Key, Value: a.Count})
 	}
 
-	// Each lane is one table, input added and assertions subtracted.
+	// Each lane is one run, input added and assertions subtracted.
 	n := c.TableWords()
 	words := make([]uint64, 2*n)
-	sumLane, cntLane := words[:n:n], words[n:]
-	c.Accumulate(sumLane, input)
-	c.accumulate(sumLane, sums, outFeed)
-	c.AccumulateCount(cntLane, input)
-	c.accumulate(cntLane, counts, outFeed)
-	c.Normalize(sumLane)
-	c.Normalize(cntLane)
+	sumLane := sumRun{c: c, table: words[:n:n]}
+	sumLane.add(input, sumFeed)
+	sumLane.add(sums, outFeed)
+	sumLane.finish()
+	cntLane := sumRun{c: c, table: words[n:]}
+	cntLane.add(input, countFeed)
+	cntLane.add(counts, outFeed)
+	cntLane.finish()
 	return newState(stage, words, localOK, c, tableSeg(c), tableSeg(c))
 }

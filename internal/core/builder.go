@@ -23,13 +23,14 @@ import (
 //   - the sortedness interval extends chunk by chunk with the same merge
 //     the collective resolution applies rank by rank.
 //
-// Builders are the foundation of the internal/stream subsystem.
+// Builders are the foundation of the internal/stream subsystem, whose
+// stream.New wraps any of them.
 //
 // Builders are single-use (Seal at most once) and not safe for
 // concurrent use. Seal consumes the builder: its checker's hash tables
 // go back to the hashing package for the next checker to fill
 // (recycleHashers), or its product offsets to scratchPool
-// (PermChecker.release), and a later Add panics.
+// (permChecker.release), and a later Add panics.
 
 // recycleHashers hands the tables of hs back to the hashing package
 // and forgets them, under scratchPool's rule: only once nothing reads
@@ -48,34 +49,19 @@ func recycleHashers(hs []hashing.Hasher) {
 // Sum/count aggregation (Theorem 1, Algorithm 1)
 // ---------------------------------------------------------------------
 
-// SumAggBuilder is the chunked sum aggregation checker: one set of
-// exact cells that input chunks add to and output chunks subtract from,
-// held from the first chunk to Seal, and one counter table they fold
-// into. Chunk order is immaterial on both sides. The plan is the
-// state's, not a chunk's: it is picked from the running element count,
-// but never for fewer than minPlanElems (groupSize), and a fold happens
-// only when a grown count widens the groups and once at Seal — a
-// stream of 256-pair chunks runs the same grouped plan as one call of
-// the whole input. The builder holds its checker and the state it
+// SumAggBuilder is the chunked sum aggregation checker: one sumRun
+// that input chunks add to and output chunks subtract from, so its
+// cells and its one counter table hold input minus output. Chunk order
+// is immaterial on both sides, and the plan follows the running count
+// of both (sumRun). The builder holds its checker and the state it
 // seals: a builder is two allocations and its table.
 type SumAggBuilder struct {
 	stage string
-	c     *SumChecker // &chk until the builder is consumed
 	count bool
-	table []uint64    // input minus output, congruent mod r
-	s     *accScratch // the cells and plan, from the first chunk to Seal
-	n, g  int         // elements run through the cells, and their plan
+	run   sumRun // run.c is &chk until the builder is consumed
 	chk   SumChecker
 	st    state
 }
-
-// minPlanElems is the fewest elements a builder plans for: two
-// blocks. A service-sized share — 2 000 pairs fed in 256-pair chunks —
-// then runs its lane plan from the first chunk and folds once, at Seal,
-// instead of starting on narrow groups and folding them when its count
-// grows; a builder of the default 15×4 or of 6×32 re-plans at most
-// once, into the bulk plan.
-const minPlanElems = 2 * accBlock
 
 // NewSumAggBuilder starts an empty sum (or, with count, count)
 // aggregation partial for the given stage. With count, every input pair
@@ -84,60 +70,32 @@ const minPlanElems = 2 * accBlock
 func NewSumAggBuilder(stage string, cfg SumConfig, seed uint64, _ ParallelAccumulator, count bool) *SumAggBuilder {
 	b := &SumAggBuilder{stage: stage, count: count}
 	b.chk.init(cfg, seed, false, 0)
-	b.c = &b.chk
-	b.table = b.c.NewTable()
+	b.run = sumRun{c: &b.chk, table: b.chk.NewTable()}
 	return b
 }
 
 // AddInput accumulates one chunk of the operation's input.
 func (b *SumAggBuilder) AddInput(pairs []data.Pair) {
 	if b.count {
-		b.add(pairs, countFeed)
+		b.run.add(pairs, countFeed)
 		return
 	}
-	b.add(pairs, sumFeed)
+	b.run.add(pairs, sumFeed)
 }
 
 // AddOutput accumulates one chunk of the asserted result, subtracted.
 func (b *SumAggBuilder) AddOutput(pairs []data.Pair) {
-	b.add(pairs, outFeed)
+	b.run.add(pairs, outFeed)
 }
 
-// add runs one chunk through the builder's cells with feed f, first
-// folding the cells and re-planning if the running count now picks
-// wider groups.
-func (b *SumAggBuilder) add(pairs []data.Pair, f feed) {
-	if len(pairs) == 0 {
-		return
-	}
-	if b.s == nil {
-		b.s = scratchPool.Get().(*accScratch)
-	}
-	b.n += len(pairs)
-	if g := b.c.planFor(max(b.n, minPlanElems)); g != b.g {
-		if b.g != 0 {
-			b.c.fold(b.table, b.s)
-		}
-		b.c.plan(b.s, g)
-		b.g = g
-	}
-	b.c.addCells(b.table, b.s, pairs, f)
-}
-
-// Seal freezes the partial into one table: the cells folded once more
-// and the counters normalized — input minus output, correct iff the
-// global modular sum is all-zero. The builder's table and cells are
-// consumed.
+// Seal freezes the partial into one table, the run finished — input
+// minus output, correct iff the global modular sum is all-zero. The
+// builder's table and cells are consumed.
 func (b *SumAggBuilder) Seal() CheckState {
-	if b.s != nil {
-		b.c.fold(b.table, b.s)
-		scratchPool.Put(b.s)
-		b.s = nil
-	}
-	b.c.Normalize(b.table)
-	b.st.seal(b.stage, b.table, true, b.c, tableSeg(b.c))
-	recycleHashers(b.c.hashers)
-	b.c = nil
+	b.run.finish()
+	b.st.seal(b.stage, b.run.table, true, &b.chk, tableSeg(&b.chk))
+	recycleHashers(b.chk.hashers)
+	b.run.c = nil
 	return &b.st
 }
 
@@ -164,10 +122,10 @@ func NewSumAggState(stage string, cfg SumConfig, seed uint64, input, output []da
 // builder: one allocation for up to inlineProducts iterations.
 type PermBuilder struct {
 	stage   string
-	c       *PermChecker // &chk until the builder is consumed
+	c       *permChecker // &chk until the builder is consumed
 	lambda  []uint64
 	localOK bool
-	chk     PermChecker
+	chk     permChecker
 	st      state
 	// lam backs lambda: two slots an iteration until Seal, then a word
 	// an iteration and the sortedness interval a SortedBuilder seals
@@ -206,12 +164,12 @@ func (b *PermBuilder) init(stage string, cfg PermConfig, seed uint64) {
 
 // AddInput accumulates one chunk of (one of) the input sequences.
 func (b *PermBuilder) AddInput(xs []uint64) {
-	b.c.AccumulateInto(b.lambda, xs, false)
+	b.c.accumulateInto(b.lambda, xs, false)
 }
 
 // AddOutput accumulates one chunk of the asserted output sequence.
 func (b *PermBuilder) AddOutput(xs []uint64) {
-	b.c.AccumulateInto(b.lambda, xs, true)
+	b.c.accumulateInto(b.lambda, xs, true)
 }
 
 // Seal freezes the partial into one product segment.

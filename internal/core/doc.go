@@ -199,19 +199,19 @@
 // bound per cell, and only the d marginals of an iteration are reduced
 // mod r (BenchmarkAblationDenseFold times it on dense cells).
 //
-// A run of the kernel folds once, unless it passes 2^23 elements.
-// SumAggBuilder holds its cells from the first chunk to Seal and plans
-// on its running element count, but never on fewer than two blocks
-// (512 elements): a 2 000-pair share fed in 256-pair chunks runs the
-// lane plan it ends in from its first chunk and folds once, at Seal,
-// and a builder re-plans — folding first — only when a grown count
-// widens its groups, for the default and 6×32 once, into the bulk
-// plan. Accumulate and AccumulateCount, the form for a caller with no
-// builder (the average checker, the benchmarks), plan on the call's
-// length and fold when the call ends; the median checker runs the same
-// per-call form over its larger elements as counted input, its smaller
-// ones as counted output, its equal ones into the equality lane and, at
-// PE 0, the tie certificates' terms as values.
+// Every table is filled by one run (sumRun), the one fold policy: a
+// run holds its cells from its first chunk to its finish and plans on
+// its running element count, but never on fewer than two blocks (512
+// elements). A 2 000-pair share fed in 256-pair chunks runs the lane
+// plan it ends in from its first chunk and folds once, at the finish,
+// unless it passes 2^23 elements; a run re-plans — folding first — only
+// when a grown count widens its groups, for the default and 6×32 once,
+// into the bulk plan. SumAggBuilder is one run, input added and output
+// subtracted, finished at Seal. The average checker fills two, its sum
+// and count lanes; the median checker one or two: its larger elements
+// as counted input and its smaller ones as counted output into the
+// balance lane, its equal ones into the equality lane and, at PE 0, the
+// tie certificates' terms as values.
 //
 // The bucket count d is a power of two: a bucket index is log2 d bits
 // of a hash value, and one value holds the indices of as many

@@ -58,7 +58,7 @@ type HashSumChecker struct {
 }
 
 // NewHashSumChecker derives a checker instance from cfg and a seed. Its
-// functions come from the sub-seed stream a PermChecker's points do.
+// functions come from the sub-seed stream a permChecker's points do.
 func NewHashSumChecker(cfg HashSumConfig, seed uint64) *HashSumChecker {
 	if err := cfg.Validate(); err != nil {
 		panic(err)

@@ -113,11 +113,11 @@ func NewMedianAggState(stage string, cfg SumConfig, seed uint64, rank int, input
 
 	// Balance lane, shifted by the certificate where present:
 	// #larger - #smaller + EqHigh - EqLow must be zero for every key.
-	tv := c.NewTable()
-	c.accumulate(tv, side[:larger], countFeed)
-	c.accumulate(tv, side[smaller:], countOutFeed)
+	tv := sumRun{c: c, table: c.NewTable()}
+	tv.add(side[:larger], countFeed)
+	tv.add(side[smaller:], countOutFeed)
 	segs := []segment{tableSeg(c)}
-	var te []uint64
+	var te sumRun
 	if ties != nil {
 		// The certificate is replicated at every PE but must enter the
 		// global sum exactly once: only PE 0 folds it in. The AtSlot
@@ -128,8 +128,8 @@ func NewMedianAggState(stage string, cfg SumConfig, seed uint64, rank int, input
 			}
 		}
 		// Equality lane: #equal - (EqLow+EqHigh+AtSlot) must be zero.
-		te = c.NewTable()
-		c.accumulate(te, equal, countFeed)
+		te = sumRun{c: c, table: c.NewTable()}
+		te.add(equal, countFeed)
 		if rank == 0 {
 			// Each key's EqHigh, EqLow and AtSlot, in thirds of cert.
 			n := len(ties)
@@ -141,17 +141,17 @@ func NewMedianAggState(stage string, cfg SumConfig, seed uint64, rank int, input
 				cert[2*n+i] = data.Pair{Key: k, Value: tc.AtSlot}
 				i++
 			}
-			c.accumulate(tv, cert[:n], sumFeed)
-			c.accumulate(tv, cert[n:2*n], outFeed)
-			c.accumulate(te, cert, outFeed)
+			tv.add(cert[:n], sumFeed)
+			tv.add(cert[n:2*n], outFeed)
+			te.add(cert, outFeed)
 		}
-		c.Normalize(te)
+		te.finish()
 		segs = append(segs, tableSeg(c))
 	}
-	c.Normalize(tv)
+	tv.finish()
 
 	d := DigestU64s(flattenMedianAssertion(medians2, ties), seed)
-	return newState(stage, append(append(tv, te...), d, d), localOK, c, append(segs, replicaSeg)...)
+	return newState(stage, append(append(tv.table, te.table...), d, d), localOK, c, append(segs, replicaSeg)...)
 }
 
 // flattenMedianAssertion encodes medians and tie certificates in key

@@ -8,7 +8,7 @@ import (
 
 // PermConfig parameterises the permutation checker: Iterations
 // independent points of Lemma 5's product, which needs no hash function
-// (PermChecker.init). Lemma 4's hash sums, the paper's other
+// (permChecker.init). Lemma 4's hash sums, the paper's other
 // fingerprint, are the local HashSumChecker.
 type PermConfig struct {
 	// Iterations boosts confidence: the failure bound is one
@@ -31,12 +31,10 @@ func (c PermConfig) Validate() error {
 	return nil
 }
 
-// PermChecker computes Lemma 5's permutation fingerprints. Like
-// SumChecker, every PE builds an identical instance from the shared
-// seed. After construction an instance is read-only: concurrent
-// AccumulateInto calls on one instance are safe as long as they target
-// disjoint sums vectors.
-type PermChecker struct {
+// permChecker computes Lemma 5's permutation fingerprints for the
+// permutation, sort and redistribution builders. Like SumChecker, every
+// PE builds an identical instance from the shared seed.
+type permChecker struct {
 	cfg  PermConfig
 	offs *accScratch // the offsets, in its hash block
 }
@@ -53,11 +51,11 @@ const permSeedDomain = 0x9e37c0ffee37c0ff
 // different products as polynomials in (z, y). The iteration keeps the
 // offsets t[q] = z - y·q + r, 16 words of a scratch from scratchPool
 // that release hands back: a factor is t[q] - a, never negative.
-func (c *PermChecker) init(cfg PermConfig, seed uint64) {
+func (c *permChecker) init(cfg PermConfig, seed uint64) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	*c = PermChecker{cfg: cfg, offs: scratchPool.Get().(*accScratch)}
+	*c = permChecker{cfg: cfg, offs: scratchPool.Get().(*accScratch)}
 	// hashing.SubSeeds' stream, drawn in place: the checker a job builds
 	// per stage allocates no seed slice.
 	s := seed ^ permSeedDomain
@@ -83,33 +81,26 @@ func drawField(s *uint64) uint64 {
 }
 
 // offsets returns product iteration it's 16 offsets.
-func (c *PermChecker) offsets(it int) *[16]uint64 {
+func (c *permChecker) offsets(it int) *[16]uint64 {
 	return (*[16]uint64)(c.offs.hs[16*it:])
 }
 
 // release hands the offsets back, once nothing reads them any more.
-func (c *PermChecker) release() {
+func (c *permChecker) release() {
 	scratchPool.Put(c.offs)
 	c.offs = nil
 }
 
-// AccumulateInto multiplies xs into sums: an input chunk, or with out
+// accumulateInto multiplies xs into sums: an input chunk, or with out
 // an output chunk. The sums are two slots an iteration, the input's and
-// the output's, each starting at productSlot.
-func (c *PermChecker) AccumulateInto(sums []uint64, xs []uint64, out bool) {
-	c.multiplyInto(sums, xs, out, false)
-}
-
-// multiplyInto is AccumulateInto: per iteration, the chunk's product in
-// four lanes, and only if that is 0 — some factor is, with probability
-// at most len(xs)/r — or the caller asks for the scalar loop, element
-// by element with the zero factors skipped and counted.
-func (c *PermChecker) multiplyInto(sums []uint64, xs []uint64, out, scalar bool) {
+// the output's, each starting at productSlot. Per iteration the chunk's
+// product is taken in four lanes, and only if that is 0 — some factor
+// is, with probability at most len(xs)/r — again element by element,
+// with the zero factors skipped and counted.
+func (c *permChecker) accumulateInto(sums []uint64, xs []uint64, out bool) {
 	for it := range c.cfg.Iterations {
-		t, p, zeros := c.offsets(it), uint64(0), uint64(0)
-		if !scalar {
-			p = productLanes(t, xs)
-		}
+		t, zeros := c.offsets(it), uint64(0)
+		p := productLanes(t, xs)
 		if p == 0 {
 			p, zeros = productSkipZeros(t, xs)
 		}
@@ -191,11 +182,4 @@ func productSkipZeros(t *[16]uint64, xs []uint64) (p, zeros uint64) {
 		}
 	}
 	return p, zeros
-}
-
-// AccumulateIntoScalar is the scalar reference loop of AccumulateInto,
-// the one-lane canonical fold. Tests and benchmarks compare the kernel
-// against it; the slots are bit-identical.
-func (c *PermChecker) AccumulateIntoScalar(sums []uint64, xs []uint64, out bool) {
-	c.multiplyInto(sums, xs, out, true)
 }

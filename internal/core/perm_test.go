@@ -20,10 +20,26 @@ func shardU64(xs []uint64, p, r int) []uint64 {
 var permCfg = PermConfig{Iterations: 1}
 
 // newPermChecker derives a checker instance from cfg and a shared seed.
-func newPermChecker(cfg PermConfig, seed uint64) *PermChecker {
-	c := new(PermChecker)
+func newPermChecker(cfg PermConfig, seed uint64) *permChecker {
+	c := new(permChecker)
 	c.init(cfg, seed)
 	return c
+}
+
+// accumulateIntoScalar is the scalar reference loop of accumulateInto,
+// the one-lane canonical fold with the zero factors skipped and
+// counted. TestPolyProdMatchesSerial holds the kernel to it, and
+// BenchmarkPermAccumulateEngine measures the kernel against it; the
+// slots are bit-identical.
+func (c *permChecker) accumulateIntoScalar(sums []uint64, xs []uint64, out bool) {
+	for it := range c.cfg.Iterations {
+		p, zeros := productSkipZeros(c.offsets(it), xs)
+		i := 2 * it
+		if out {
+			i++
+		}
+		sums[i] = mulSlot(sums[i], p, zeros)
+	}
 }
 
 // shuffled returns a deterministic permutation of xs.
@@ -254,7 +270,7 @@ func TestPolyCheckersOneAllReduction(t *testing.T) {
 }
 
 // TestPolyProdMatchesSerial: the product kernel's slots — four lazy
-// lanes off the offsets — and the scalar AccumulateIntoScalar's equal
+// lanes off the offsets — and the scalar accumulateIntoScalar's equal
 // productOracle's canonical left fold bit for bit, over the whole range
 // of 64-bit elements, every tail length of the unroll, both sides and
 // two iterations, multiplied into slots that already hold a product.
@@ -283,10 +299,10 @@ func TestPolyProdMatchesSerial(t *testing.T) {
 				want[i] = mulSlot(want[i], p, zeros)
 			}
 			got, scalar := newSums(cfg), newSums(cfg)
-			c.AccumulateInto(got, xs[:7], false)
-			c.AccumulateInto(got, xs[:n], out)
-			c.AccumulateIntoScalar(scalar, xs[:7], false)
-			c.AccumulateIntoScalar(scalar, xs[:n], out)
+			c.accumulateInto(got, xs[:7], false)
+			c.accumulateInto(got, xs[:n], out)
+			c.accumulateIntoScalar(scalar, xs[:7], false)
+			c.accumulateIntoScalar(scalar, xs[:n], out)
 			for i := range got {
 				if got[i] != want[i] || scalar[i] != want[i] {
 					t.Fatalf("n=%d out=%v: slot %d is %#x (scalar %#x), the oracle's %#x", n, out, i, got[i], scalar[i], want[i])
@@ -468,7 +484,7 @@ const (
 
 // weakProduct reports whether Lemma 5's product at point (z, y) of
 // F_weakR accepts out as a permutation of in: the encoding of
-// PermChecker.init with 13 in place of 61 — a = e & r, q = e >> 13,
+// permChecker.init with 13 in place of 61 — a = e & r, q = e >> 13,
 // and a = r sent to (0, q+8) — and its accept test: equal products of
 // the nonzero factors, and zero-factor counts equal mod 8.
 func weakProduct(z, y uint64, in, out []uint64) bool {

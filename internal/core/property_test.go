@@ -19,19 +19,14 @@ func TestSumTableOrderInvarianceQuick(t *testing.T) {
 			pairs[i] = data.Pair{Key: uint64(keys[i]), Value: uint64(vals[i])}
 		}
 		c := NewSumChecker(smallCfg, uint64(seed))
-		t1 := c.NewTable()
-		c.Accumulate(t1, pairs)
-		c.Normalize(t1)
+		t1 := runInto(c, c.NewTable(), pairs, sumFeed)
 		shuffled := data.ClonePairs(pairs)
 		rng := hashing.NewMT19937_64(uint64(shuffleSeed))
 		for i := len(shuffled) - 1; i > 0; i-- {
 			j := int(rng.Uint64n(uint64(i + 1)))
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		}
-		t2 := c.NewTable()
-		c.Accumulate(t2, shuffled)
-		c.Normalize(t2)
-		return tablesEq(t1, t2)
+		return tablesEq(t1, runInto(c, c.NewTable(), shuffled, sumFeed))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -50,12 +45,7 @@ func TestSumTableAggregationFixpointQuick(t *testing.T) {
 		}
 		agg := refSumAgg(pairs)
 		c := NewSumChecker(smallCfg, uint64(seed))
-		tIn, tOut := c.NewTable(), c.NewTable()
-		c.Accumulate(tIn, pairs)
-		c.Accumulate(tOut, agg)
-		c.Normalize(tIn)
-		c.Normalize(tOut)
-		return tablesEq(tIn, tOut)
+		return tablesEq(runInto(c, c.NewTable(), pairs, sumFeed), runInto(c, c.NewTable(), agg, sumFeed))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -25,9 +25,9 @@ import (
 // one cell table indexed by the g concatenated indices, so an element
 // costs ceil(its/g) updates (15×4: three tables of 1024 cells, three
 // updates). One fold per run then adds each cell's value mod r into the
-// counter of each of its g iterations — per call for Accumulate, per
-// state for SumAggBuilder — or one per 2^23 elements, before an int64
-// cell could overflow. The checker is linear — a counter is the sum of
+// counter of each of its g iterations — once per table, at the end of
+// its sumRun — or one per 2^23 elements, before an int64 cell could
+// overflow. The checker is linear — a counter is the sum of
 // the values in its bucket, however those were summed on the way — so
 // the table after Normalize is bit-identical for every g, chunking and
 // value width, to AccumulateScalar's and to every earlier version's:
@@ -37,9 +37,10 @@ import (
 // Every PE builds its own SumChecker from the shared seed, which yields
 // identical hash functions and moduli everywhere. After construction
 // the checker itself is read-only on the accumulation paths: concurrent
-// Accumulate/AccumulateCount calls on one instance are safe as long as
-// they target disjoint tables, because each call holds its own cells
-// from scratchPool until it has folded them.
+// runs on one instance are safe as long as they fill disjoint tables,
+// because each run holds its own cells from scratchPool until it has
+// folded them. SumAggBuilder and the average and median states fill
+// its tables through sumRun; outside this package only tests build one.
 type SumChecker struct {
 	cfg     SumConfig
 	mods    []uint64 // modulus r per iteration
@@ -107,7 +108,7 @@ func (c *SumChecker) init(cfg SumConfig, seed uint64, hashPerIteration bool, for
 		c.mods[i] = r
 		c.pow64[i] = -r % r // (2^64 - r) mod r
 	}
-	// hashing.SubSeeds' stream, drawn in place as PermChecker.init does.
+	// hashing.SubSeeds' stream, drawn in place as permChecker.init does.
 	hs := seed ^ 0x5eed5eed5eed5eed
 	if nHashes <= len(c.hs) {
 		c.hashers = c.hs[:nHashes:nHashes]
@@ -189,10 +190,9 @@ func (f feed) signed(x uint64) int64 { return int64(x ^ f.neg - f.neg) }
 // to Hash64Batch through the Hasher interface, which makes them escape
 // — declared as locals they would be fresh heap allocations on every
 // call — and the bulk plan's cells are 24 KiB. A sync.Pool caps that at
-// one live scratch per concurrently accumulating call or builder, so
-// the steady state allocates none (guarded by the alloc tests). A
-// per-call accumulate holds a scratch for the call; a SumAggBuilder
-// holds one from its first chunk to Seal.
+// one live scratch per accumulating sumRun, so the steady state
+// allocates none (guarded by the alloc tests). A run holds its scratch
+// from its first chunk to finish.
 //
 // Every cell of a pooled scratch is zero, in both arrays, over each
 // slice's whole capacity: the fold that ends a run zeroes what the run
@@ -245,8 +245,8 @@ const maxGroupBits = 10
 // at which the groups of the first hash value have a lane kernel's
 // shape (lanesFor), if there is one: one pass that updates five cells
 // an element beats four passes that update one each. The preferred g
-// never falls as n grows, so a builder that re-plans on its running
-// count only ever widens its groups. A pure function of its arguments.
+// never falls as n grows, so a run that re-plans on its running count
+// only ever widens its groups. A pure function of its arguments.
 func groupSize(width, perHash, its, n int) int {
 	g := max(1, min(maxGroupBits/width, perHash))
 	for g > 1 && 8<<(g*width) > n {
@@ -335,37 +335,64 @@ func (c *SumChecker) plan(s *accScratch, g int) {
 	}
 }
 
-// Accumulate folds pairs into the table (the cRed inner loop of
-// Algorithm 1). Each call takes its cells from scratchPool and puts
-// them back zeroed, so concurrent calls on the same checker with
-// disjoint tables are safe and repeated small-chunk calls allocate
-// nothing.
-func (c *SumChecker) Accumulate(table []uint64, pairs []data.Pair) {
-	c.accumulate(table, pairs, sumFeed)
+// sumRun is one counter table's accumulation, the one fold policy of
+// every table of the sum family: a SumAggBuilder's, the two lanes of
+// an average state and the one or two of a median state (the cRed
+// inner loop of Algorithm 1). Its cells come from scratchPool with its
+// first chunk and are held until finish. The plan is the run's, not a
+// chunk's: it is picked from the running element count, but never for
+// fewer than minPlanElems (groupSize), and a fold happens only when a
+// grown count widens the groups, before a cell could overflow
+// (foldTerms) and once at finish — a stream of 256-pair chunks runs
+// the same grouped plan as one chunk of the whole input. Chunk order
+// is immaterial, and so is the feed of each chunk: the cells hold
+// exact signed sums.
+type sumRun struct {
+	c     *SumChecker
+	table []uint64    // the run's signed sum, congruent mod r
+	s     *accScratch // the cells and plan, from the first chunk to finish
+	n, g  int         // elements run through the cells, and their plan
 }
 
-// AccumulateCount folds pairs into the table counting 1 per pair,
-// regardless of values (count aggregation: "sum aggregation where the
-// value of every element is mapped to 1", Section 4). It runs the same
-// kernel as Accumulate and is likewise safe on disjoint tables.
-func (c *SumChecker) AccumulateCount(table []uint64, pairs []data.Pair) {
-	c.accumulate(table, pairs, countFeed)
-}
+// minPlanElems is the fewest elements a run plans for: two blocks. A
+// service-sized share — 2 000 pairs fed in 256-pair chunks — then runs
+// its lane plan from the first chunk and folds once, at finish, instead
+// of starting on narrow groups and folding them when its count grows;
+// a run of the default 15×4 or of 6×32 re-plans at most once, into the
+// bulk plan.
+const minPlanElems = 2 * accBlock
 
-// accumulate is one run of the kernel that folds when the call ends:
-// the form for a caller with no builder to hold the cells. A call costs
-// n*ceil(its/g) updates plus a scan of its cells.
-func (c *SumChecker) accumulate(table []uint64, pairs []data.Pair, f feed) {
+// add runs one chunk through the run's cells with feed f, first
+// folding the cells and re-planning if the running count now picks
+// wider groups.
+func (r *sumRun) add(pairs []data.Pair, f feed) {
 	if len(pairs) == 0 {
 		return
 	}
-	// The scratch goes back to the pool only after the fold has zeroed
-	// its cells — deliberately not deferred.
-	s := scratchPool.Get().(*accScratch)
-	c.plan(s, c.planFor(len(pairs)))
-	c.addCells(table, s, pairs, f)
-	c.fold(table, s)
-	scratchPool.Put(s)
+	if r.s == nil {
+		r.s = scratchPool.Get().(*accScratch)
+	}
+	r.n += len(pairs)
+	if g := r.c.planFor(max(r.n, minPlanElems)); g != r.g {
+		if r.g != 0 {
+			r.c.fold(r.table, r.s)
+		}
+		r.c.plan(r.s, g)
+		r.g = g
+	}
+	r.c.addCells(r.table, r.s, pairs, f)
+}
+
+// finish folds the cells once more, hands them back to scratchPool
+// zeroed, and normalizes the table. The scratch goes back only after
+// the fold — deliberately not deferred.
+func (r *sumRun) finish() {
+	if r.s != nil {
+		r.c.fold(r.table, r.s)
+		scratchPool.Put(r.s)
+		r.s = nil
+	}
+	r.c.Normalize(r.table)
 }
 
 // addCells is the one accumulate kernel: every table of the sum family
@@ -678,8 +705,8 @@ func cellsAdd(cells []int64, hb []uint64, terms []int64, shift uint) {
 // AccumulateScalar is the element-major scalar reference loop — the
 // pre-batch implementation, division fold and all: one interface call
 // per hash evaluation, counters updated element by element. Its tables
-// are congruent entry-wise to Accumulate/AccumulateCount and
-// bit-identical after Normalize (same hash values, same bucket
+// are congruent entry-wise to a sumRun's and bit-identical after
+// Normalize (same hash values, same bucket
 // assignment, folds differ only in when they canonicalise). It exists
 // so ablation benchmarks and property tests can compare the batched
 // hot path against the seed behavior in the same binary.

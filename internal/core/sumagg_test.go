@@ -244,9 +244,7 @@ func TestLazyModuloMatchesBigIntReference(t *testing.T) {
 	for i := range pairs {
 		pairs[i] = data.Pair{Key: rng.Uint64n(50), Value: ^uint64(0) - rng.Uint64n(1000)}
 	}
-	table := c.NewTable()
-	c.Accumulate(table, pairs)
-	c.Normalize(table)
+	table := runInto(c, c.NewTable(), pairs, sumFeed)
 	// Reference: big.Int per-bucket sums using the same bucket mapping.
 	for it := 0; it < cfg.Iterations; it++ {
 		r := new(big.Int).SetUint64(c.mods[it])
@@ -273,11 +271,7 @@ func TestSumCheckerDeterministicAcrossInstances(t *testing.T) {
 	input := workload.ZipfPairs(300, 40, 100, 8)
 	a := NewSumChecker(smallCfg, 1234)
 	b := NewSumChecker(smallCfg, 1234)
-	ta, tb := a.NewTable(), b.NewTable()
-	a.Accumulate(ta, input)
-	b.Accumulate(tb, input)
-	a.Normalize(ta)
-	b.Normalize(tb)
+	ta, tb := runInto(a, a.NewTable(), input, sumFeed), runInto(b, b.NewTable(), input, sumFeed)
 	for i := range ta {
 		if ta[i] != tb[i] {
 			t.Fatal("instances with equal seeds diverge")
@@ -290,15 +284,8 @@ func TestSumCheckerSplitInvariance(t *testing.T) {
 	// distributed homomorphism property), via the reduce op.
 	input := workload.ZipfPairs(1000, 60, 500, 9)
 	c := NewSumChecker(smallCfg, 77)
-	whole := c.NewTable()
-	c.Accumulate(whole, input)
-	c.Normalize(whole)
-
-	h1, h2 := c.NewTable(), c.NewTable()
-	c.Accumulate(h1, input[:500])
-	c.Accumulate(h2, input[500:])
-	c.Normalize(h1)
-	c.Normalize(h2)
+	whole := runInto(c, c.NewTable(), input, sumFeed)
+	h1, h2 := runInto(c, c.NewTable(), input[:500], sumFeed), runInto(c, c.NewTable(), input[500:], sumFeed)
 	addMod(h1, h2, c.mods)
 	for i := range whole {
 		if whole[i] != h1[i] {

@@ -16,7 +16,7 @@ import (
 
 // This file gates the accumulate kernel (sumagg.go: signed cells,
 // groups, one fold per run): equivalence with the scalar oracle over
-// every plan the size rule can pick, per call and through builders fed
+// every plan the size rule can pick, in runs and through builders fed
 // in any chunking, scratch-pool hygiene, and a first slice of the
 // escape-rate gate run through the grouped plans.
 
@@ -126,12 +126,21 @@ func requireTable(t *testing.T, c *SumChecker, got, want []uint64, what string) 
 	}
 }
 
-// feedOf is the per-call kernel's feed in sum or count mode.
+// feedOf is a run's input feed in sum or count mode.
 func feedOf(count bool) feed {
 	if count {
 		return countFeed
 	}
 	return sumFeed
+}
+
+// runInto is one sumRun of c over pairs with feed f into table,
+// finished — folded and normalized — and returns the table.
+func runInto(c *SumChecker, table []uint64, pairs []data.Pair, f feed) []uint64 {
+	r := sumRun{c: c, table: table}
+	r.add(pairs, f)
+	r.finish()
+	return table
 }
 
 // builderWant is the oracle of a builder fed in and out: the scalar
@@ -177,10 +186,12 @@ func countShape(shape string) bool { return shape == "small" || shape == "edge" 
 
 // TestGroupedAccumulateMatchesScalar: the kernel's table equals the
 // scalar oracle's after Normalize — for every configuration, value
-// shape and plan, in sum and count mode, into a table that already
-// holds raw counters, and through SumAggBuilder, input added and an
-// unrelated output subtracted, in 1-, 256- and 8192-pair chunks and
-// whole. The edge shape has values either side of
+// shape and plan, in sum and count mode: in one run at the plan the
+// size rule picks for each length (forced, since a run plans on at
+// least minPlanElems), in one run fed two chunks, whose second may
+// widen the plan over cells that hold the first, and through
+// SumAggBuilder, input added and an unrelated output subtracted, in 1-,
+// 256- and 8192-pair chunks and whole. The edge shape has values either side of
 // the int64 cells' bound, 2^40-1 and 2^40, and 2^64-1, in narrow, wide
 // and mixed blocks, so the builder gets narrow and wide chunks
 // interleaved, and in count mode narrow input beside wide output. Among the plans are all three lane
@@ -224,17 +235,14 @@ func TestGroupedAccumulateMatchesScalar(t *testing.T) {
 					want := scalarTable(c, pairs, count)
 					what := fmt.Sprintf("%s n=%d count=%v", shape, n, count)
 
-					got := c.NewTable()
-					c.accumulate(got, pairs, feedOf(count))
-					requireTable(t, c, got, want, what)
+					fc := newSumChecker(cfg, seed, false, c.planFor(n))
+					requireTable(t, c, runInto(fc, fc.NewTable(), pairs, feedOf(count)), want, what)
 
-					// Two calls into one table: the second finds raw
-					// (unnormalized) counters, and the pooled cells the
-					// first one used.
-					got = c.NewTable()
-					c.accumulate(got, pairs[:n/3], feedOf(count))
-					c.accumulate(got, pairs[n/3:], feedOf(count))
-					requireTable(t, c, got, want, what+" in two calls")
+					r := sumRun{c: c, table: c.NewTable()}
+					r.add(pairs[:n/3], feedOf(count))
+					r.add(pairs[n/3:], feedOf(count))
+					r.finish()
+					requireTable(t, c, r.table, want, what+" in two chunks")
 				}
 				// The builder route at the longest plan length, and
 				// whole for the hot key (its 70k-pair input is what
@@ -299,7 +307,7 @@ func TestGroupSizeRule(t *testing.T) {
 
 // TestFoldBeforeCellBound lowers foldTerms to a block and a half, so a
 // run folds its int64 cells every block or two, as a run of 2^23
-// narrow elements does before a cell could overflow: per call and
+// narrow elements does before a cell could overflow: in one run and
 // through builders in 1-, 256- and 8192-pair chunks, in sum and count
 // mode, the tables stay the oracle's, and no builder's scratch holds
 // more unfolded elements than foldTerms.
@@ -317,9 +325,7 @@ func TestFoldBeforeCellBound(t *testing.T) {
 			in, out := kernelPairs(shape, 9000, 5), kernelPairs(shape, 3000, 6)
 			for _, count := range []bool{false, true} {
 				what := fmt.Sprintf("%s count=%v", shape, count)
-				got := c.NewTable()
-				c.accumulate(got, in, feedOf(count))
-				requireTable(t, c, got, scalarTable(c, in, count), what)
+				requireTable(t, c, runInto(c, c.NewTable(), in, feedOf(count)), scalarTable(c, in, count), what)
 				want := builderWant(c, in, out, count)
 				for _, chunk := range []int{1, accBlock, 8192} {
 					b := NewSumAggBuilder("bound", cfg, 3, Serial, count)
@@ -328,7 +334,7 @@ func TestFoldBeforeCellBound(t *testing.T) {
 						b.AddOutput(out[min(lo, len(out)):min(lo+chunk, len(out))])
 						// Every chunk of the small shape is narrow, so the
 						// int64 cells hold some of its elements unfolded.
-						if n := b.s.unfold; n > foldTerms || n == 0 && shape == "small" {
+						if n := b.run.s.unfold; n > foldTerms || n == 0 && shape == "small" {
 							t.Fatalf("%s %s chunk=%d: %d unfolded elements, want 1 to %d", cfg.Name(), what, chunk, n, foldTerms)
 						}
 					}
@@ -355,8 +361,8 @@ func TestBuilderPlansLanesFromFirstChunk(t *testing.T) {
 			if lo+accBlock >= 8192 {
 				g, lanes = 5, 3
 			}
-			if b.g != g || b.s.plan[0].lanes != lanes {
-				t.Fatalf("count=%v after %d pairs: g = %d with %d lanes, want g = %d with %d", count, lo+accBlock, b.g, b.s.plan[0].lanes, g, lanes)
+			if b.run.g != g || b.run.s.plan[0].lanes != lanes {
+				t.Fatalf("count=%v after %d pairs: g = %d with %d lanes, want g = %d with %d", count, lo+accBlock, b.run.g, b.run.s.plan[0].lanes, g, lanes)
 			}
 		}
 		b.Seal()
@@ -416,7 +422,8 @@ func configIndex(f *testing.F, cfgs []SumConfig, name string) byte {
 
 // FuzzSumAccumulate: bytes → a configuration, a mode, and pairs tiled
 // long enough to reach the grouped plans, less a cut of up to 255 from
-// the end; same assertion as TestGroupedAccumulateMatchesScalar. The
+// the end; one run over them matches the scalar oracle, as in
+// TestGroupedAccumulateMatchesScalar. The
 // seeds include the 15×4 default and 6×32 at 8 191 and 8 192 pairs,
 // each at its last two plans, and both with values either side of the
 // narrow/wide split.
@@ -440,9 +447,7 @@ func FuzzSumAccumulate(f *testing.F) {
 		count, tile, cut := in[1]&1 == 1, 1+int(in[1]>>1), int(in[2])
 		pairs := fuzzPairs(in[3:], tile, cut)
 		c := NewSumChecker(cfg, uint64(len(in)))
-		got := c.NewTable()
-		c.accumulate(got, pairs, feedOf(count))
-		requireTable(t, c, got, scalarTable(c, pairs, count), fmt.Sprintf("fuzz n=%d count=%v", len(pairs), count))
+		requireTable(t, c, runInto(c, c.NewTable(), pairs, feedOf(count)), scalarTable(c, pairs, count), fmt.Sprintf("fuzz n=%d count=%v", len(pairs), count))
 	})
 }
 
@@ -485,7 +490,7 @@ func FuzzSumAggBuilderChunks(f *testing.F) {
 	})
 }
 
-// takeCells removes one scratch from the pool the way accumulate does
+// takeCells removes one scratch from the pool the way a run does
 // and fails unless every cell of both arrays, over each one's whole
 // capacity, is zero — the pool's invariant — and the scratch owes no
 // fold.
@@ -509,7 +514,7 @@ func takeCells(t *testing.T, when string) *accScratch {
 }
 
 // poisonFamily hashes like CRC until its fuse runs out, then panics —
-// a Hash64Batch that dies in the middle of an accumulate, after earlier
+// a Hash64Batch that dies in the middle of a run, after earlier
 // blocks have dirtied the cells.
 func poisonFamily(fuse *atomic.Int64) hashing.Family {
 	fam := hashing.FamilyCRC
@@ -532,7 +537,7 @@ func (p poisonHasher) Hash64Batch(dst, keys []uint64) {
 	p.Hasher.Hash64Batch(dst, keys)
 }
 
-// TestCellScratchNeverLeaks: whatever an accumulate did with its cells
+// TestCellScratchNeverLeaks: whatever a run did with its cells
 // — a grouped plan, a g = 1 plan, narrow, wide and mixed blocks, a
 // panic half way through the input — the next taker of a pooled
 // scratch finds both its cell arrays zero, and the next builder's
@@ -564,13 +569,13 @@ func TestCellScratchNeverLeaks(t *testing.T) {
 	}
 
 	for round := 0; round < 3; round++ {
-		c.Accumulate(c.NewTable(), big)
+		runInto(c, c.NewTable(), big, sumFeed)
 		check("after a grouped wide accumulate")
-		c.Accumulate(c.NewTable(), small)
+		runInto(c, c.NewTable(), small, sumFeed)
 		check("after a g = 1 wide accumulate")
-		c.Accumulate(c.NewTable(), edge)
+		runInto(c, c.NewTable(), edge, sumFeed)
 		check("after a grouped accumulate of narrow and wide blocks")
-		c.Accumulate(c.NewTable(), narrow)
+		runInto(c, c.NewTable(), narrow, sumFeed)
 		check("after a g = 1 narrow accumulate")
 	}
 
@@ -586,9 +591,9 @@ func TestCellScratchNeverLeaks(t *testing.T) {
 					t.Fatal("poisoned hasher did not panic")
 				}
 			}()
-			pc.Accumulate(pc.NewTable(), pairs)
+			runInto(pc, pc.NewTable(), pairs, sumFeed)
 		}()
-		check(fmt.Sprintf("after an accumulate of %d pairs that panicked mid-input", len(pairs)))
+		check(fmt.Sprintf("after a run of %d pairs that panicked mid-input", len(pairs)))
 	}
 }
 
@@ -653,9 +658,9 @@ func binomTailGE(n, k int, p float64) float64 {
 // checks the one-sided contract: the clean result's table equals the
 // input's.
 //
-// Three fixed configurations run through the per-call kernel: inputs
-// of 8192 pairs take their widest grouped plan, the clean output side
-// of ~1000 pairs a narrower one. The configurations ChooseSum returns
+// Three fixed configurations run one sumRun per side: inputs of 8192
+// pairs take their widest grouped plan, the clean output side of ~1000
+// pairs a narrower one. The configurations ChooseSum returns
 // at weak delta run through SumAggBuilder in one-pair and stream-sized
 // chunks, output subtracted in the builder's own cells, then Seal; the
 // one-pair route runs fewer trials, since each costs 25 000 kernel
@@ -672,7 +677,7 @@ func TestSumCheckerEscapeRateWithinDelta(t *testing.T) {
 	)
 	type route struct {
 		cfg    SumConfig
-		chunk  int // 0: the per-call kernel over each side whole
+		chunk  int // 0: one run per side, each whole
 		trials int
 	}
 	var routes []route
@@ -708,12 +713,7 @@ func TestSumCheckerEscapeRateWithinDelta(t *testing.T) {
 				return allZero(feedBuilder(cfg, seed, false, input, out, rt.chunk).(*state).words)
 			}
 			c := NewSumChecker(cfg, seed)
-			tv, to := c.NewTable(), c.NewTable()
-			c.Accumulate(tv, input)
-			c.Accumulate(to, out)
-			c.Normalize(tv)
-			c.Normalize(to)
-			return tablesEq(tv, to)
+			return tablesEq(runInto(c, c.NewTable(), input, sumFeed), runInto(c, c.NewTable(), out, sumFeed))
 		}
 		delta := cfg.AchievedDelta()
 		for mi, m := range manipulate.PairManipulators() {
@@ -788,28 +788,20 @@ func TestAccumulateBatchMatchesScalar(t *testing.T) {
 		for _, count := range []bool{false, true} {
 			label := fmt.Sprintf("%s count=%v", cfg.Name(), count)
 			c := NewSumChecker(cfg, 99)
-			ref, got := c.NewTable(), c.NewTable()
-			c.AccumulateScalar(ref, pairs, count)
-			if count {
-				c.AccumulateCount(got, pairs)
-			} else {
-				c.Accumulate(got, pairs)
-			}
-			c.Normalize(ref)
-			c.Normalize(got)
-			requireTablesEq(t, label, ref, got)
+			got := runInto(c, c.NewTable(), pairs, feedOf(count))
+			requireTablesEq(t, label, scalarTable(c, pairs, count), got)
 		}
 	}
 }
 
 // localSums returns the product slots of xs fed as an input.
-func localSums(c *PermChecker, xs []uint64) []uint64 {
+func localSums(c *permChecker, xs []uint64) []uint64 {
 	sums := newSums(c.cfg)
-	c.AccumulateInto(sums, xs, false)
+	c.accumulateInto(sums, xs, false)
 	return sums
 }
 
-// newSums returns the empty slots of cfg for AccumulateInto, two an
+// newSums returns the empty slots of cfg for accumulateInto, two an
 // iteration.
 func newSums(cfg PermConfig) []uint64 {
 	sums := make([]uint64, 2*cfg.Iterations)
@@ -838,26 +830,22 @@ func (c *SumChecker) DiffInto(out, a, b []uint64) {
 }
 
 // TestLocalSumsIntoAndDiffInto covers the allocation-free Into forms:
-// AccumulateInto adds to what its buffer holds, so two calls over the
+// accumulateInto adds to what its buffer holds, so two calls over the
 // halves of a sequence equal one call over the whole, and DiffInto's
 // destination may alias an operand.
 func TestLocalSumsIntoAndDiffInto(t *testing.T) {
 	xs := workload.UniformU64s(5000, 1e9, 41)
 	c := newPermChecker(PermConfig{Iterations: 4}, 13)
 	got := newSums(c.cfg)
-	c.AccumulateInto(got, xs[:1234], false)
-	c.AccumulateInto(got, xs[1234:], false)
-	requireTablesEq(t, "AccumulateInto in two calls", localSums(c, xs), got)
+	c.accumulateInto(got, xs[:1234], false)
+	c.accumulateInto(got, xs[1234:], false)
+	requireTablesEq(t, "accumulateInto in two calls", localSums(c, xs), got)
 
 	cfg := SumConfig{Iterations: 4, Buckets: 16, RHatLog: 9, Family: hashing.FamilyCRC}
 	sc := NewSumChecker(cfg, 14)
 	pairs := workload.UniformPairs(4000, 1<<30, 1<<30, 42)
 	out := refSumAgg(pairs)
-	a, b := sc.NewTable(), sc.NewTable()
-	sc.Accumulate(a, pairs)
-	sc.Accumulate(b, out)
-	sc.Normalize(a)
-	sc.Normalize(b)
+	a, b := runInto(sc, sc.NewTable(), pairs, sumFeed), runInto(sc, sc.NewTable(), out, sumFeed)
 	want := make([]uint64, len(a))
 	sc.DiffInto(want, a, b)
 	sc.DiffInto(a, a, b) // aliased destination

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/obs"
 )
 
 // Transport names a point-to-point backend for RunConfig.
@@ -71,10 +70,6 @@ type Config struct {
 	// have its links to all the others within it (refused dials are
 	// retried until then). Zero means comm.DefaultSetupTimeout.
 	SetupTimeout time.Duration
-	// Tracer, when non-nil, is installed on every worker RunConfig
-	// builds, so collectives, stage boundaries, and resolve rounds
-	// record spans (internal/obs). Nil — the default — is free.
-	Tracer *obs.Tracer
 }
 
 // NewNetwork builds the configured transport for p PEs. The caller owns

@@ -246,7 +246,7 @@ func RunLocal(net comm.Network, rank int, seed uint64, body func(w *Worker) erro
 }
 
 // runWorkers runs body as the workers of ranks first..first+n-1 over
-// net, one Group member each, with cfg's tracer installed. The first
+// net, one Group member each. The first
 // failure, or cfg.Timeout if it elapses first, closes net.
 func runWorkers(net comm.Network, cfg Config, first, n int, seed uint64, body func(w *Worker) error) error {
 	g := Group{
@@ -256,9 +256,6 @@ func runWorkers(net comm.Network, cfg Config, first, n int, seed uint64, body fu
 	}
 	return g.Run(n, func(i int) error {
 		w := newWorker(net, first+i, seed)
-		if cfg.Tracer != nil {
-			w.SetTracer(cfg.Tracer)
-		}
 		if err := body(w); err != nil {
 			return fmt.Errorf("dist: worker %d: %w", first+i, err)
 		}

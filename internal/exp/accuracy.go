@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -99,7 +98,7 @@ func runTrials(opt AccuracyOptions, salt uint64, points []accuracyPoint) []Accur
 	for _, pt := range points {
 		runs := runsFor(pt.delta, opt.MinRuns, opt.MaxRuns)
 		failures := parallelTrials(runs, func(i int) bool {
-			return pt.escaped(hashing.Mix64(opt.Seed ^ uint64(i)*0x9e3779b97f4a7c15 ^ salt))
+			return pt.escaped(trialSeed(opt, salt, i))
 		})
 		rate := float64(failures) / float64(runs)
 		rows = append(rows, AccuracyRow{
@@ -114,6 +113,15 @@ func runTrials(opt AccuracyOptions, salt uint64, points []accuracyPoint) []Accur
 	}
 	return rows
 }
+
+// trialSeed is the seed of trial i of a point, in the trial-seed stream
+// of the figure that salt names.
+func trialSeed(opt AccuracyOptions, salt uint64, i int) uint64 {
+	return hashing.Mix64(opt.Seed ^ uint64(i)*0x9e3779b97f4a7c15 ^ salt)
+}
+
+// The salts of Fig. 3's and Fig. 5's trial-seed streams.
+const fig3Salt, fig5Salt = 0xface, 0xbeef
 
 // runsFor picks the trial count for a failure bound delta: enough runs
 // to expect targetFails failures, clamped to [minRuns, maxRuns].
@@ -157,13 +165,22 @@ func (opt AccuracyOptions) validate(universe int) error {
 
 // AccuracySum reproduces Fig. 3: the detection accuracy of the sum
 // aggregation checker for every Table 3 accuracy configuration under
-// every Table 4 manipulator. A faulty result escapes when the condensed
-// reductions of original and manipulated data collide.
+// every Table 4 manipulator.
 func AccuracySum(opt AccuracyOptions) ([]AccuracyRow, error) {
 	if err := opt.validate(opt.KeyUniverse); err != nil {
 		return nil, err
 	}
 	input := workload.ZipfPairs(opt.Elements, opt.KeyUniverse, 1<<32, opt.Seed)
+	return runTrials(opt, fig3Salt, sumPoints(opt, input)), nil
+}
+
+// sumPoints are Fig. 3's points over input, manipulator by manipulator.
+// A trial runs the checker a checked stage runs: one sum builder, the
+// input added and the manipulated copy subtracted as the asserted
+// result, and the faulty result escapes when the sealed state's own
+// Verdict accepts it — the condensed reductions of original and copy
+// collide.
+func sumPoints(opt AccuracyOptions, input []data.Pair) []accuracyPoint {
 	var points []accuracyPoint
 	for _, m := range manipulate.PairManipulators() {
 		for _, cfg := range core.AccuracyConfigs() {
@@ -172,17 +189,15 @@ func AccuracySum(opt AccuracyOptions) ([]AccuracyRow, error) {
 				if !m.Apply(bad, hashing.NewMT19937_64(trialSeed), uint64(opt.KeyUniverse)) {
 					return false
 				}
-				c := core.NewSumChecker(cfg, trialSeed)
-				tv, to := c.NewTable(), c.NewTable()
-				c.Accumulate(tv, input)
-				c.Accumulate(to, bad)
-				c.Normalize(tv)
-				c.Normalize(to)
-				return slices.Equal(tv, to)
+				b := core.NewSumAggBuilder("fig3", cfg, trialSeed, core.Serial, false)
+				b.AddInput(input)
+				b.AddOutput(bad)
+				st := b.Seal()
+				return st.Verdict(st.Words())
 			}})
 		}
 	}
-	return runTrials(opt, 0xface, points), nil
+	return points
 }
 
 // AccuracyPerm reproduces Fig. 5: the permutation/sort checker's
@@ -208,5 +223,5 @@ func AccuracyPerm(opt AccuracyOptions) ([]AccuracyRow, error) {
 			}})
 		}
 	}
-	return runTrials(opt, 0xbeef, points), nil
+	return runTrials(opt, fig5Salt, points), nil
 }

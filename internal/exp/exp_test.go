@@ -11,7 +11,9 @@ import (
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/data"
 	"repro/internal/hashing"
+	"repro/internal/manipulate"
 	"repro/internal/workload"
 )
 
@@ -80,6 +82,57 @@ func TestAccuracySumRatioWithinBoundForTab(t *testing.T) {
 			t.Errorf("%s/%s: ratio %.2f far above 1", r.Config, r.Manipulator, r.Ratio)
 		}
 	}
+}
+
+// TestAccuracySumTrialsMatchOracle holds Fig. 3's trials one by one to
+// the exported scalar oracle: at every accuracy configuration under
+// every Table 4 manipulator, for 300 trial seeds derived as runTrials
+// derives them, a trial escapes through the sum builder exactly when
+// the normalized AccumulateScalar tables of the input and of its
+// manipulated copy are equal.
+func TestAccuracySumTrialsMatchOracle(t *testing.T) {
+	opt := fastSumOpts()
+	input := workload.ZipfPairs(opt.Elements, opt.KeyUniverse, 1<<32, opt.Seed)
+	points := sumPoints(opt, input)
+	cfgs, ms := core.AccuracyConfigs(), manipulate.PairManipulators()
+	if len(points) != len(cfgs)*len(ms) {
+		t.Fatalf("%d points, want %d configurations × %d manipulators", len(points), len(cfgs), len(ms))
+	}
+	escapes, caught := 0, 0
+	for mi, m := range ms {
+		for ci, cfg := range cfgs {
+			pt := points[mi*len(cfgs)+ci]
+			if pt.config != cfg.Name() || pt.manipulator != m.Name {
+				t.Fatalf("point %s/%s where %s/%s belongs", pt.config, pt.manipulator, cfg.Name(), m.Name)
+			}
+			for i := range opt.MaxRuns {
+				seed := trialSeed(opt, fig3Salt, i)
+				want := false
+				if bad := data.ClonePairs(input); m.Apply(bad, hashing.NewMT19937_64(seed), uint64(opt.KeyUniverse)) {
+					c := core.NewSumChecker(cfg, seed)
+					tv, to := c.NewTable(), c.NewTable()
+					c.AccumulateScalar(tv, input, false)
+					c.AccumulateScalar(to, bad, false)
+					c.Normalize(tv)
+					c.Normalize(to)
+					want = slices.Equal(tv, to)
+					if !want {
+						caught++
+					}
+				}
+				if got := pt.escaped(seed); got != want {
+					t.Fatalf("%s/%s trial %d (seed %#x): escaped = %v, the scalar oracle's tables say %v", pt.config, pt.manipulator, i, seed, got, want)
+				}
+				if want {
+					escapes++
+				}
+			}
+		}
+	}
+	if escapes == 0 || caught == 0 {
+		t.Fatalf("%d trials escaped and %d were caught: the comparison needs both", escapes, caught)
+	}
+	t.Logf("%d trials escaped, %d were caught", escapes, caught)
 }
 
 func TestAccuracyPermShape(t *testing.T) {

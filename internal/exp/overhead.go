@@ -89,19 +89,19 @@ func timedRows(opt OverheadOptions, build func(ctx *repro.Context) []timedCase) 
 }
 
 // OverheadSum reproduces Table 5: ns/element of the checker's local
-// accumulation for each scaling configuration, plus a "Reduce" row
-// timing the reduction itself for the paper's ~88 ns/element
-// comparison point.
+// phase for each scaling configuration — a sum builder set up, the
+// input added and the state sealed, what a checked stage pays for its
+// input — plus a "Reduce" row timing the reduction itself for the
+// paper's ~88 ns/element comparison point.
 func OverheadSum(opt OverheadOptions) ([]OverheadRow, error) {
 	return timedRows(opt, func(ctx *repro.Context) []timedCase {
 		pairs := workload.UniformPairs(opt.Elements, 1<<62, 1<<62, overheadSeed)
 		var cases []timedCase
 		for _, cfg := range core.ScalingConfigs() {
-			c := core.NewSumChecker(cfg, overheadSeed)
 			cases = append(cases, timedCase{cfg.Name(), len(pairs), func() (uint64, error) {
-				t := c.NewTable()
-				c.Accumulate(t, pairs)
-				return t[0], nil
+				b := core.NewSumAggBuilder("table5", cfg, overheadSeed, core.Serial, false)
+				b.AddInput(pairs)
+				return b.Seal().Words()[0], nil
 			}})
 		}
 		return append(cases, timedCase{"Reduce (reference)", len(pairs), func() (uint64, error) {

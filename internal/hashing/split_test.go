@@ -24,12 +24,13 @@ import (
 const hashSeedDomain = 0x5eed5eed5eed5eed
 
 // bucketsOf returns the bucket every iteration of cfg's checker with
-// seed puts key in, read off the table that one count of key fills.
+// seed puts key in, read off the table that one count of key fills in
+// the checker's scalar reference loop, whose tables the kernel's equal.
 func bucketsOf(t *testing.T, cfg core.SumConfig, seed, key uint64) []int {
 	t.Helper()
 	c := core.NewSumChecker(cfg, seed)
 	table := c.NewTable()
-	c.AccumulateCount(table, []data.Pair{{Key: key}})
+	c.AccumulateScalar(table, []data.Pair{{Key: key}}, true)
 	c.Normalize(table)
 	d := cfg.Buckets
 	out := make([]int, cfg.Iterations)

@@ -1,9 +1,6 @@
 package stream
 
-import (
-	"repro/internal/core"
-	"repro/internal/data"
-)
+import "repro/internal/core"
 
 // Meter instruments one side (input or output) of a streaming
 // accumulation: how many chunks were consumed, how many elements they
@@ -76,35 +73,7 @@ func (a *Accumulator[T]) DrainOutput(src Source[T]) error { return Drain(src, a.
 // Seal freezes the partial into the two-phase checker state.
 func (a *Accumulator[T]) Seal() core.CheckState { return a.b.Seal() }
 
-// NewSumAccumulator starts an empty streamed sum (with count: count)
-// aggregation check — input chunks and asserted-output chunks, in any
-// order on either side. The ParallelAccumulator is ignored
-// (core/shims_benchmark.go).
-func NewSumAccumulator(stage string, cfg core.SumConfig, seed uint64, _ core.ParallelAccumulator, count bool) *Accumulator[data.Pair] {
-	return &Accumulator[data.Pair]{b: core.NewSumAggBuilder(stage, cfg, seed, core.Serial, count)}
-}
-
-// NewPermAccumulator starts an empty streamed permutation check: chunks
-// of the input sequence(s) and of the asserted output, any order on
-// either side.
-func NewPermAccumulator(stage string, cfg core.PermConfig, seed uint64) *Accumulator[uint64] {
-	return &Accumulator[uint64]{b: core.NewPermBuilder(stage, cfg, seed, core.Serial)}
-}
-
-// NewSortAccumulator starts an empty streamed sort check. Input chunks
-// may arrive in any order; output chunks must arrive in sequence order
-// — each AddOutputChunk is the next contiguous segment of this PE's
-// asserted sorted output, which is what DrainOutput feeds it from any
-// source of this package.
-func NewSortAccumulator(stage string, cfg core.PermConfig, seed uint64) *Accumulator[uint64] {
-	return &Accumulator[uint64]{b: core.NewSortedBuilder(stage, cfg, seed, core.Serial)}
-}
-
-// NewRedistAccumulator starts an empty streamed redistribution check
-// (Corollaries 14, 15): the input side is this PE's pairs before the
-// exchange, the output side its pairs after it (placement scan
-// included), any order on either side; loc and rank pin this PE's
-// placement contract.
-func NewRedistAccumulator(stage string, cfg core.PermConfig, seed uint64, loc core.KeyLocator, rank int) *Accumulator[data.Pair] {
-	return &Accumulator[data.Pair]{b: core.NewRedistBuilder(stage, cfg, seed, loc, rank)}
-}
+// New wraps b, any core builder — the sum, permutation, sort and
+// redistribution builders of internal/core/builder.go — into an
+// Accumulator over its element type T.
+func New[T any](b builder[T]) *Accumulator[T] { return &Accumulator[T]{b: b} }

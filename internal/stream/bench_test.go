@@ -20,7 +20,7 @@ func BenchmarkStreamSumChunked(b *testing.B) {
 	out := workload.UniformPairs(1<<10, 1<<62, 1<<62, 2)
 	b.SetBytes(16 << 16)
 	for i := 0; i < b.N; i++ {
-		acc := NewSumAccumulator("b", cfg, 1, core.Serial, false)
+		acc := New(core.NewSumAggBuilder("b", cfg, 1, core.Serial, false))
 		if err := acc.DrainInput(SlicePairs(pairs, 4096)); err != nil {
 			b.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func BenchmarkStreamSortChunked(b *testing.B) {
 	data.SortU64(sorted)
 	b.SetBytes(2 * 8 << 16)
 	for i := 0; i < b.N; i++ {
-		acc := NewSortAccumulator("b", cfg, 1)
+		acc := New(core.NewSortedBuilder("b", cfg, 1, core.Serial))
 		if err := acc.DrainInput(SliceSeq(xs, 4096)); err != nil {
 			b.Fatal(err)
 		}

@@ -7,14 +7,16 @@
 // accumulation plus one tiny collective resolution, and the local
 // accumulation itself is mergeable over arbitrary input partitions (the
 // core builders). Verification therefore never needs a PE's whole share
-// resident in memory: a Source yields chunks, a per-checker Accumulator
-// folds each chunk of the input (AddInputChunk) or of the asserted
-// output (AddOutputChunk) into a constant-size partial, and Seal
-// freezes the result into the same two-phase CheckState a one-shot
-// accumulation would have produced — bit-identically, for every
-// chunking. This is the regime of streaming verification (cf. "Annotations for Sparse
-// Data Streams", Chakrabarti et al.): space is bounded by one chunk
-// plus the checker sketch, while soundness is unchanged.
+// resident in memory: a Source yields chunks, and New wraps any core
+// builder in an Accumulator that meters each chunk of the input
+// (AddInputChunk) or of the asserted output (AddOutputChunk) and folds
+// it into the builder's constant-size partial; Seal freezes the result
+// into the same two-phase CheckState a one-shot accumulation would have
+// produced — bit-identically, for every chunking. The builder is the
+// checker: this package adds no accumulation of its own. This is the
+// regime of streaming verification (cf. "Annotations for Sparse Data
+// Streams", Chakrabarti et al.): space is bounded by one chunk plus the
+// checker sketch, while soundness is unchanged.
 package stream
 
 import "repro/internal/data"

@@ -69,7 +69,7 @@ func TestChunkedSumBitIdentical(t *testing.T) {
 					b.AddOutput(output)
 					oneShot := b.Seal()
 					for _, chunk := range chunks {
-						acc := NewSumAccumulator("s", cfg, 42, core.Serial, count)
+						acc := New(core.NewSumAggBuilder("s", cfg, 42, core.Serial, count))
 						for _, c := range chunksOf(input, chunk) {
 							acc.AddInputChunk(c)
 						}
@@ -101,7 +101,7 @@ func TestChunkedSortBitIdentical(t *testing.T) {
 		for _, out := range [][]uint64{output, corrupt} {
 			oneShot := core.NewSortedState("s", cfg, 7, [][]uint64{input}, out)
 			for _, chunk := range []int{1, 100, 1024} {
-				acc := NewSortAccumulator("s", cfg, 7)
+				acc := New(core.NewSortedBuilder("s", cfg, 7, core.Serial))
 				for _, c := range chunksOf(input, chunk) {
 					acc.AddInputChunk(c)
 				}
@@ -125,7 +125,7 @@ func TestChunkedPermAndRedistBitIdentical(t *testing.T) {
 	ys[n-1]++ // not a permutation; residues must match one-shot anyway
 	oneShot := core.NewPermState("s", cfg, 5, [][]uint64{xs}, ys)
 	for _, chunk := range []int{1, 250, 5000} {
-		acc := NewPermAccumulator("s", cfg, 5)
+		acc := New(core.NewPermBuilder("s", cfg, 5, core.Serial))
 		for _, c := range chunksOf(xs, chunk) {
 			acc.AddInputChunk(c)
 		}
@@ -156,7 +156,7 @@ func TestChunkedPermAndRedistBitIdentical(t *testing.T) {
 		}
 		oneShot := core.NewRedistState("s", cfg, 5, loc, rank, before, a)
 		for _, chunk := range []int{1, 777} {
-			acc := NewRedistAccumulator("s", cfg, 5, loc, rank)
+			acc := New(core.NewRedistBuilder("s", cfg, 5, loc, rank))
 			for _, c := range chunksOf(before, chunk) {
 				acc.AddInputChunk(c)
 			}
@@ -207,7 +207,7 @@ func (s *errSource) Next() ([]uint64, error) {
 }
 
 func TestSourceErrorPropagates(t *testing.T) {
-	acc := NewPermAccumulator("s", core.PermConfig{Iterations: 1}, 1)
+	acc := New(core.NewPermBuilder("s", core.PermConfig{Iterations: 1}, 1, core.Serial))
 	if err := acc.DrainInput(&errSource{n: 2}); !errors.Is(err, errBoom) {
 		t.Fatalf("drain error = %v, want errBoom", err)
 	}

@@ -98,7 +98,7 @@ func (s *StreamedPairs) AssertCount(output PairSource) error {
 func (s *StreamedPairs) assertAgg(op string, count bool, output PairSource) error {
 	c := s.ctx
 	return streamStage(c, &s.used, op, c.validSum, s.src, output, func(label string) *stream.Accumulator[Pair] {
-		return stream.NewSumAccumulator(label, c.opts.Sum, c.seed, core.Serial, count)
+		return stream.New(core.NewSumAggBuilder(label, c.opts.Sum, c.seed, core.Serial, count))
 	})
 }
 
@@ -110,7 +110,7 @@ func (s *StreamedPairs) assertAgg(op string, count bool, output PairSource) erro
 func (s *StreamedPairs) AssertRedistributed(after PairSource) error {
 	c := s.ctx
 	return streamStage(c, &s.used, "StreamRedist", c.validPerm, s.src, after, func(label string) *stream.Accumulator[Pair] {
-		return stream.NewRedistAccumulator(label, c.opts.Perm, c.seed, c.pt, c.w.Rank())
+		return stream.New(core.NewRedistBuilder(label, c.opts.Perm, c.seed, c.pt, c.w.Rank()))
 	})
 }
 
@@ -122,7 +122,7 @@ func (s *StreamedPairs) AssertRedistributed(after PairSource) error {
 func (s *StreamedSeq) AssertSorted(output SeqSource) error {
 	c := s.ctx
 	return streamStage(c, &s.used, "StreamSorted", c.validPerm, s.src, output, func(label string) *stream.Accumulator[uint64] {
-		return stream.NewSortAccumulator(label, c.opts.Perm, c.seed)
+		return stream.New(core.NewSortedBuilder(label, c.opts.Perm, c.seed, core.Serial))
 	})
 }
 
@@ -133,7 +133,7 @@ func (s *StreamedSeq) AssertSorted(output SeqSource) error {
 func (s *StreamedSeq) AssertPermutation(output SeqSource) error {
 	c := s.ctx
 	return streamStage(c, &s.used, "StreamPerm", c.validPerm, s.src, output, func(label string) *stream.Accumulator[uint64] {
-		return stream.NewPermAccumulator(label, c.opts.Perm, c.seed)
+		return stream.New(core.NewPermBuilder(label, c.opts.Perm, c.seed, core.Serial))
 	})
 }
 

@@ -209,7 +209,7 @@ func TestStreamResiduesMatchOneShot(t *testing.T) {
 		output = append(output, o...)
 	}
 	oneShot := core.NewSumAggState("s", opts.Sum, 99, input, output)
-	acc := stream.NewSumAccumulator("s", opts.Sum, 99, core.Serial, false)
+	acc := stream.New(core.NewSumAggBuilder("s", opts.Sum, 99, core.Serial, false))
 	if err := acc.DrainInput(sumInput(1, false)); err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestStreamResiduesMatchOneShot(t *testing.T) {
 		t.Fatal(err)
 	}
 	oneShotSort := core.NewSortedState("s", opts.Perm, 99, [][]uint64{xs}, sorted)
-	sacc := stream.NewSortAccumulator("s", opts.Perm, 99)
+	sacc := stream.New(core.NewSortedBuilder("s", opts.Perm, 99, core.Serial))
 	in, out = sortShare(0, 1<<14, 512, "")
 	if err := sacc.DrainInput(in); err != nil {
 		t.Fatal(err)
