@@ -27,10 +27,10 @@ import (
 // updates). One fold per run then adds each cell's value mod r into the
 // counter of each of its g iterations — once per table, at the end of
 // its sumRun — or one per 2^23 elements, before an int64 cell could
-// overflow. The checker is linear — a counter is the sum of
-// the values in its bucket, however those were summed on the way — so
-// the table after Normalize is bit-identical for every g, chunking and
-// value width, to AccumulateScalar's and to every earlier version's:
+// overflow. The checker is linear — a counter is the sum of the values
+// in its bucket, however those were summed on the way — so the table
+// after Normalize is bit-identical for every g, chunking and value
+// width, to AccumulateScalar's and to every earlier version's:
 // verdicts, table size and delta do not depend on the kernel's plan.
 // See addCells and groupSize.
 //
@@ -706,10 +706,10 @@ func cellsAdd(cells []int64, hb []uint64, terms []int64, shift uint) {
 // pre-batch implementation, division fold and all: one interface call
 // per hash evaluation, counters updated element by element. Its tables
 // are congruent entry-wise to a sumRun's and bit-identical after
-// Normalize (same hash values, same bucket
-// assignment, folds differ only in when they canonicalise). It exists
-// so ablation benchmarks and property tests can compare the batched
-// hot path against the seed behavior in the same binary.
+// Normalize (same hash values, same bucket assignment, folds differ
+// only in when they canonicalise). It exists so ablation benchmarks and
+// property tests can compare the batched hot path against the seed
+// behavior in the same binary.
 func (c *SumChecker) AccumulateScalar(table []uint64, pairs []data.Pair, count bool) {
 	d := c.cfg.Buckets
 	mask := uint64(d - 1)
