@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"repro/internal/data"
@@ -59,6 +60,15 @@ func BenchmarkAblationLazyMod(b *testing.B) {
 	})
 }
 
+// perIterationHashes returns cfg with its family cut to the bucket
+// width, so that layout gives every iteration a hash value of its own:
+// the same hash functions, one evaluation per iteration, its low bits
+// the bucket — the Section 7.1 split undone.
+func perIterationHashes(cfg SumConfig) SumConfig {
+	cfg.Family.Bits = bits.TrailingZeros(uint(cfg.Buckets))
+	return cfg
+}
+
 // BenchmarkAblationBitParallel compares one wide hash evaluation split
 // across iterations against one hash evaluation per iteration.
 func BenchmarkAblationBitParallel(b *testing.B) {
@@ -74,7 +84,7 @@ func BenchmarkAblationBitParallel(b *testing.B) {
 		reportPerElem(b, ablationElements)
 	})
 	b.Run("hash-per-iteration", func(b *testing.B) {
-		c := newSumChecker(cfg, 7, true, 0)
+		c := NewSumChecker(perIterationHashes(cfg), 7)
 		table := c.NewTable()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -279,6 +289,16 @@ func BenchmarkAblationBatchHash(b *testing.B) {
 	}
 }
 
+// runAtG is runInto on scratch s with the group size forced to g
+// instead of groupSize's pick, so that the ablations can time the
+// plans the size rule turns down beside the ones it takes.
+func runAtG(c *SumChecker, s *accScratch, table []uint64, pairs []data.Pair, g int) {
+	c.plan(s, g)
+	c.addCells(table, s, pairs, sumFeed)
+	c.fold(table, s)
+	c.Normalize(table)
+}
+
 // BenchmarkAblationGroupWidth measures the constants of the accumulate
 // kernel's plan (groupSize) by forcing the group size, on a
 // configuration axis: the paper's 6×32 CRC m9 — g = 1 (192 cells, six
@@ -287,9 +307,10 @@ func BenchmarkAblationBatchHash(b *testing.B) {
 // past L1) — the default 15×4 CRC m10, whose g = 3 and g = 5 have lane
 // kernels and g = 4 does not, and 30×2 CRC m10, the same 660 bits as
 // one-bit iterations. Each row is one whole run, fold included, so
-// the short runs show why a table must be small beside its input: a
-// 256-pair stream chunk or a 2 000-pair stage pays the grouped tables'
-// scan without the elements to amortise it. ChooseSum's ranking by
+// the short runs show why a table must be small beside its input (the
+// n/8 rule): a 2 000-pair stage pays the bulk tables' scan without the
+// elements to amortise it. The 256-pair rows time runs shorter than
+// any a builder plans for (minPlanElems). ChooseSum's ranking by
 // updates per element is checked against the machine here.
 func BenchmarkAblationGroupWidth(b *testing.B) {
 	all := workload.ZipfPairs(125000, 1000000, 1<<30, 1)
@@ -304,14 +325,14 @@ func BenchmarkAblationGroupWidth(b *testing.B) {
 	} {
 		for _, n := range []int{256, 2000, 8192, len(all)} {
 			pairs := all[:n]
+			c := NewSumChecker(row.cfg, 7)
 			for _, g := range row.gs {
-				c := newSumChecker(row.cfg, 7, false, g)
 				b.Run(fmt.Sprintf("%s/n-%d/g-%d", row.cfg.Name(), n, g), func(b *testing.B) {
-					table := c.NewTable()
-					runInto(c, table, pairs, sumFeed)
+					table, s := c.NewTable(), new(accScratch)
+					runAtG(c, s, table, pairs, g)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						runInto(c, table, pairs, sumFeed)
+						runAtG(c, s, table, pairs, g)
 					}
 					reportPerElem(b, n)
 				})
@@ -358,16 +379,22 @@ func BenchmarkAblationDenseFold(b *testing.B) {
 
 var sinkBench uint64
 
-// TestGeneralPathMatchesBitParallelSemantics guards the ablation knob,
-// one hash evaluation per iteration: both layouts must detect the same
-// class of faults (they use different hash assignments, so tables
-// differ, but behaviour contracts hold).
+// TestGeneralPathMatchesBitParallelSemantics guards the ablation's
+// layout, one hash evaluation per iteration (perIterationHashes): both
+// layouts must detect the same class of faults (they use different
+// hash assignments, so tables differ, but behaviour contracts hold).
 func TestGeneralPathMatchesBitParallelSemantics(t *testing.T) {
 	cfg := SumConfig{Iterations: 4, Buckets: 16, RHatLog: 7, Family: hashing.FamilyTab}
 	input := workload.ZipfPairs(500, 100, 100, 3)
 	output := refSumAgg(input)
 	for _, perIteration := range []bool{false, true} {
-		c := newSumChecker(cfg, 42, perIteration, 0)
+		c := NewSumChecker(cfg, 42)
+		if perIteration {
+			c = NewSumChecker(perIterationHashes(cfg), 42)
+			if c.perHash != 1 || len(c.hashers) != cfg.Iterations {
+				t.Fatalf("perIterationHashes: %d iterations a hash value, %d hashers", c.perHash, len(c.hashers))
+			}
+		}
 		tv, to := runInto(c, c.NewTable(), input, sumFeed), runInto(c, c.NewTable(), output, sumFeed)
 		if !tablesEq(tv, to) {
 			t.Fatalf("perIteration=%v: correct result rejected", perIteration)

@@ -69,7 +69,7 @@ type SumAggBuilder struct {
 // (shims_benchmark.go).
 func NewSumAggBuilder(stage string, cfg SumConfig, seed uint64, _ ParallelAccumulator, count bool) *SumAggBuilder {
 	b := &SumAggBuilder{stage: stage, count: count}
-	b.chk.init(cfg, seed, false, 0)
+	b.chk.init(cfg, seed)
 	b.run = sumRun{c: &b.chk, table: b.chk.NewTable()}
 	return b
 }

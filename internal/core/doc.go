@@ -166,12 +166,12 @@
 // g whose groups have a lane kernel's shape; otherwise 1, where the
 // cell tables have the its×d shape of the table itself. Each block is
 // read once per hash value: where the groups drawn from one value have
-// one of three shapes — six 5-bit groups (6×32 at g = 1), five 6-bit
-// ones (15×4 at g = 3) or three 10-bit ones (the bulk plan of 6×32,
-// 15×4 and 30×2) — a hand-unrolled lane kernel updates all of them in
-// one pass with constant shifts and masks; any other plan takes one
-// pass per group. That is the one family of lane kernels, on int64
-// cells.
+// one of two shapes — five 6-bit groups (15×4 at g = 3) or three
+// 10-bit ones (the bulk plan of 6×32, 15×4 and 30×2), the default's two
+// plans — a hand-unrolled lane kernel updates all of them in one pass
+// with constant shifts and masks; any other plan, 6×32's six 5-bit
+// groups at g = 1 among them, takes one pass per group. That is the one
+// family of lane kernels, on int64 cells.
 //
 // A cell is exact because of two bounds. Every term a cell takes is
 // below 2^40 in magnitude: a block adds its values only if every value

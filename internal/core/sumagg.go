@@ -46,9 +46,6 @@ type SumChecker struct {
 	mods    []uint64 // modulus r per iteration
 	pow64   []uint64 // 2^64 mod r per iteration, the overflow correction
 	hashers []hashing.Hasher
-	// forceG is for the ablation benchmarks only: a fixed group size,
-	// 0 = groupSize.
-	forceG int
 	// How bucket bits lie in the hash values: an iteration's index is
 	// width bits wide and perHash consecutive iterations draw theirs
 	// from one value (SumConfig.layout).
@@ -66,17 +63,8 @@ const inlineHashers = 2
 
 // NewSumChecker derives a checker instance from cfg and a shared seed.
 func NewSumChecker(cfg SumConfig, seed uint64) *SumChecker {
-	return newSumChecker(cfg, seed, false, 0)
-}
-
-// newSumChecker optionally disables the Section 7.1 bit-parallel path
-// (hashPerIteration: one hash evaluation per iteration, its low width
-// bits the bucket), or pins the accumulate kernel's group size instead
-// of deriving it per run, so the ablation benchmarks can quantify what
-// each buys.
-func newSumChecker(cfg SumConfig, seed uint64, hashPerIteration bool, forceG int) *SumChecker {
 	c := new(SumChecker)
-	c.init(cfg, seed, hashPerIteration, forceG)
+	c.init(cfg, seed)
 	return c
 }
 
@@ -84,17 +72,14 @@ func newSumChecker(cfg SumConfig, seed uint64, hashPerIteration bool, forceG int
 // pow64) share one allocation, and the hashers sit in c.hs when they
 // fit — a checker is built per stage, per job, per rank in service
 // mode.
-func (c *SumChecker) init(cfg SumConfig, seed uint64, hashPerIteration bool, forceG int) {
+func (c *SumChecker) init(cfg SumConfig, seed uint64) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	*c = SumChecker{cfg: cfg, forceG: forceG}
+	*c = SumChecker{cfg: cfg}
 	its := cfg.Iterations
 	var nHashes int
 	c.width, c.perHash, nHashes = cfg.layout()
-	if hashPerIteration {
-		c.perHash, nHashes = 1, its
-	}
 	words := make([]uint64, 2*its)
 	c.mods, c.pow64 = words[:its:its], words[its:]
 	// The moduli come from the same kind of stream as the hash seeds
@@ -214,8 +199,8 @@ type accScratch struct {
 	unfold      int     // elements added into the cells since they were folded
 	// highUsed says that a block of this run went into high.
 	highUsed bool
-	// planBuf backs plan up to the fifteen groups of the default 15×4
-	// checker's g = 1 plan, so a fresh scratch's plan allocates nothing.
+	// planBuf backs plan up to fifteen groups, one per iteration of the
+	// default 15×4, so a fresh scratch's plan allocates nothing.
 	planBuf [15]group
 }
 
@@ -231,13 +216,15 @@ var scratchPool = sync.Pool{New: func() any {
 // all. BenchmarkAblationGroupWidth re-measures it.
 const maxGroupBits = 10
 
-// groupSize is the plan of a run of the kernel over n elements: how
-// many consecutive iterations share one cell table, indexed by their
-// concatenated bucket bits, so that an element costs ceil(its/g) cell
-// updates instead of its. The size rule takes the largest g such that
+// groupSize is the plan of a run of the kernel over n elements, n read
+// as at least minPlanElems: how many consecutive iterations share one
+// cell table, indexed by their concatenated bucket bits, so that an
+// element costs ceil(its/g) cell updates instead of its. The size rule
+// takes the largest g such that
 //
 //   - g*width <= maxGroupBits (the table stays in L1),
-//   - g <= perHash (a group's bits come from one hash value), and
+//   - g <= min(perHash, its) (a group's bits come from one hash value,
+//     and a wider g would plan the same groups), and
 //   - 8 * 2^(g*width) <= n: the fold that ends the run scans every
 //     cell of every group, so a table must be small beside the run;
 //
@@ -248,26 +235,18 @@ const maxGroupBits = 10
 // never falls as n grows, so a run that re-plans on its running count
 // only ever widens its groups. A pure function of its arguments.
 func groupSize(width, perHash, its, n int) int {
-	g := max(1, min(maxGroupBits/width, perHash))
+	n = max(n, minPlanElems)
+	k := min(perHash, its)
+	g := max(1, min(maxGroupBits/width, k))
 	for g > 1 && 8<<(g*width) > n {
 		g--
 	}
-	k := min(perHash, its)
 	for l := g; l >= 1; l-- {
 		if k%l == 0 && lanesFor(k/l, l*width) != 0 {
 			return l
 		}
 	}
 	return g
-}
-
-// planFor is the group size of a run over n elements: groupSize, or
-// the ablation benchmarks' fixed forceG.
-func (c *SumChecker) planFor(n int) int {
-	if c.forceG != 0 {
-		return c.forceG
-	}
-	return groupSize(c.width, c.perHash, c.cfg.Iterations, n)
 }
 
 // group is one step of a run's plan: n iterations starting at it share
@@ -307,14 +286,14 @@ func (c *SumChecker) appendPlan(g int, plan []group) []group {
 }
 
 // lanesFor is the lane kernel that serves the groups of one hash value
-// when there are groups of them, each of bits index bits: 6 for six
-// 5-bit groups (cellLanes6x5), 5 for five 6-bit ones (cellLanes5x6)
-// and 3 for three 10-bit ones (cellLanes3x10) — the 30 low bits of a
-// value either way — and 0 for any other shape, which keeps one
+// when there are groups of them, each of bits index bits: 5 for five
+// 6-bit groups (cellLanes5x6) and 3 for three 10-bit ones
+// (cellLanes3x10) — the 30 low bits of a value either way, the default
+// 15×4's two plans — and 0 for any other shape, which keeps one
 // cellsAdd pass per group. A loop over a runtime lane count measured
 // slower than those passes; the gain needs constant shifts and masks.
 func lanesFor(groups, bits int) int {
-	if groups*bits == 30 && (groups == 6 || groups == 5 || groups == 3) {
+	if groups*bits == 30 && (groups == 5 || groups == 3) {
 		return groups
 	}
 	return 0
@@ -340,8 +319,8 @@ func (c *SumChecker) plan(s *accScratch, g int) {
 // an average state and the one or two of a median state (the cRed
 // inner loop of Algorithm 1). Its cells come from scratchPool with its
 // first chunk and are held until finish. The plan is the run's, not a
-// chunk's: it is picked from the running element count, but never for
-// fewer than minPlanElems (groupSize), and a fold happens only when a
+// chunk's: groupSize picks it from the running element count, never
+// reading fewer than minPlanElems, and a fold happens only when a
 // grown count widens the groups, before a cell could overflow
 // (foldTerms) and once at finish — a stream of 256-pair chunks runs
 // the same grouped plan as one chunk of the whole input. Chunk order
@@ -354,12 +333,12 @@ type sumRun struct {
 	n, g  int         // elements run through the cells, and their plan
 }
 
-// minPlanElems is the fewest elements a run plans for: two blocks. A
-// service-sized share — 2 000 pairs fed in 256-pair chunks — then runs
-// its lane plan from the first chunk and folds once, at finish, instead
-// of starting on narrow groups and folding them when its count grows;
-// a run of the default 15×4 or of 6×32 re-plans at most once, into the
-// bulk plan.
+// minPlanElems is the fewest elements a run plans for (groupSize): two
+// blocks. A service-sized share — 2 000 pairs fed in 256-pair chunks —
+// then runs its lane plan from the first chunk and folds once, at
+// finish, instead of starting on narrow groups and folding them when
+// its count grows; a run of the default 15×4 or of 6×32 re-plans at
+// most once, into the bulk plan.
 const minPlanElems = 2 * accBlock
 
 // add runs one chunk through the run's cells with feed f, first
@@ -373,7 +352,7 @@ func (r *sumRun) add(pairs []data.Pair, f feed) {
 		r.s = scratchPool.Get().(*accScratch)
 	}
 	r.n += len(pairs)
-	if g := r.c.planFor(max(r.n, minPlanElems)); g != r.g {
+	if g := groupSize(r.c.width, r.c.perHash, r.c.cfg.Iterations, r.n); g != r.g {
 		if r.g != 0 {
 			r.c.fold(r.table, r.s)
 		}
@@ -464,8 +443,6 @@ func (c *SumChecker) addCells(table []uint64, s *accScratch, pairs []data.Pair, 
 // groups it updated.
 func addGroups(cells []int64, gr *group, hb []uint64, terms []int64) int {
 	switch gr.lanes {
-	case 6:
-		cellLanes6x5(cells[gr.off:gr.off+6<<5], hb, terms)
 	case 5:
 		cellLanes5x6(cells[gr.off:gr.off+5<<6], hb, terms)
 	case 3:
@@ -625,33 +602,14 @@ func split(lo, hi []int64, blk []data.Pair, f feed) {
 	}
 }
 
-// cellLanes6x5 is cellsAdd for six groups of 32 cells that draw their
-// indices from bits 0–29 of one hash value, five bits each: the g = 1
-// plan of a 6×32 checker. One pass over the block reads each hash value
-// and each signed value once and updates all six cells. The lanes lie side by
-// side in one fixed-size array, so a lane's offset plus its mask bounds
-// every index and the loop has no bounds check; the constant shifts
-// and masks are what make it faster than six cellsAdd passes.
-//
-//go:noinline
-func cellLanes6x5(cells []int64, hb []uint64, terms []int64) {
-	const w, m = 5, 1<<5 - 1
-	l := (*[6 << w]int64)(cells)
-	terms = terms[:len(hb)]
-	for i, h := range hb {
-		x := terms[i]
-		l[h&m] += x
-		l[1<<w+h>>w&m] += x
-		l[2<<w+h>>(2*w)&m] += x
-		l[3<<w+h>>(3*w)&m] += x
-		l[4<<w+h>>(4*w)&m] += x
-		l[5<<w+h>>(5*w)&m] += x
-	}
-}
-
-// cellLanes5x6 is cellLanes6x5 for five groups of 64 cells on bits
-// 0–29, six bits each: the g = 3 plan of a 15×4 checker (and g = 6 of
-// 30×2).
+// cellLanes5x6 is cellsAdd for five groups of 64 cells that draw their
+// indices from bits 0–29 of one hash value, six bits each: the g = 3
+// plan of a 15×4 checker (and g = 6 of 30×2). One pass over the block
+// reads each hash value and each signed value once and updates all five
+// cells. The lanes lie side by side in one fixed-size array, so a
+// lane's offset plus its mask bounds every index and the loop has no
+// bounds check; the constant shifts and masks are what make it faster
+// than five cellsAdd passes.
 //
 //go:noinline
 func cellLanes5x6(cells []int64, hb []uint64, terms []int64) {
@@ -668,7 +626,7 @@ func cellLanes5x6(cells []int64, hb []uint64, terms []int64) {
 	}
 }
 
-// cellLanes3x10 is cellLanes6x5 for three groups of 1024 cells on bits
+// cellLanes3x10 is cellLanes5x6 for three groups of 1024 cells on bits
 // 0–29, ten bits each: the bulk plan of 6×32 (g = 2), 15×4 (g = 5) and
 // 30×2 (g = 10).
 //

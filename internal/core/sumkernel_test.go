@@ -25,8 +25,8 @@ import (
 // a group that ends short of g, g = 1 by width, a modulus
 // wide enough that a carry count times 2^64 mod r passes 2^64, the
 // default 15×4 CRC m10, and the lane kernels' shapes reached other than
-// by 6×32 and 15×4 — three 10-bit and five 6-bit groups at g = 1, and
-// six 5-bit, five 6-bit or three 10-bit groups of 1-bit iterations.
+// by 15×4 — three 10-bit and five 6-bit groups at g = 1, and five 6-bit
+// or three 10-bit groups of 1-bit iterations.
 func kernelConfigs() []SumConfig {
 	crc, tab, tab64, mix := hashing.FamilyCRC, hashing.FamilyTab, hashing.FamilyTab64, hashing.FamilyMix
 	cfgs := append(AccuracyConfigs(), ScalingConfigs()...)
@@ -39,21 +39,29 @@ func kernelConfigs() []SumConfig {
 		SumConfig{Iterations: 8, Buckets: 256, RHatLog: 15, Family: tab64},
 		SumConfig{Iterations: 3, Buckets: 4, RHatLog: 62, Family: mix},
 		SumConfig{Iterations: 3, Buckets: 1024, RHatLog: 12, Family: crc}, // 3 lanes at g = 1
-		SumConfig{Iterations: 30, Buckets: 2, RHatLog: 5, Family: crc},    // 6 lanes at g = 5, 5 at g = 6, 3 at g = 10
+		SumConfig{Iterations: 30, Buckets: 2, RHatLog: 5, Family: crc},    // 5 lanes at g = 6, 3 at g = 10
 		SumConfig{Iterations: 15, Buckets: 4, RHatLog: 10, Family: crc},   // the default: 5 lanes at g = 3, 3 at g = 5
 		SumConfig{Iterations: 5, Buckets: 64, RHatLog: 7, Family: crc},    // 5 lanes at g = 1
 	)
 }
 
 // planLengths returns the input lengths worth testing for cfg: the
-// block edges and both sides of every length at which groupSize steps.
+// block edges and both sides of every length above minPlanElems at
+// which groupSize steps.
 func planLengths(c *SumChecker) []int {
 	ns := []int{0, 1, accBlock - 1, accBlock, accBlock + 1}
-	for g := 2; g*c.width <= maxGroupBits && g <= c.perHash; g++ {
-		t := 8 << (g * c.width)
-		ns = append(ns, t-1, t, t+1)
+	for g := 2; g*c.width <= maxGroupBits && g <= min(c.perHash, c.cfg.Iterations); g++ {
+		if t := 8 << (g * c.width); t > minPlanElems {
+			ns = append(ns, t-1, t, t+1)
+		}
 	}
 	return ns
+}
+
+// planOf is the group size groupSize picks for a run of c over n
+// elements.
+func planOf(c *SumChecker, n int) int {
+	return groupSize(c.width, c.perHash, c.cfg.Iterations, n)
 }
 
 // hotLen is the length of the one-hot-key shape: with every value
@@ -187,21 +195,20 @@ func countShape(shape string) bool { return shape == "small" || shape == "edge" 
 // TestGroupedAccumulateMatchesScalar: the kernel's table equals the
 // scalar oracle's after Normalize — for every configuration, value
 // shape and plan, in sum and count mode: in one run at the plan the
-// size rule picks for each length (forced, since a run plans on at
-// least minPlanElems), in one run fed two chunks, whose second may
-// widen the plan over cells that hold the first, and through
+// size rule picks for each length, in one run fed two chunks, whose
+// second may widen the plan over cells that hold the first, and through
 // SumAggBuilder, input added and an unrelated output subtracted, in 1-,
-// 256- and 8192-pair chunks and whole. The edge shape has values either side of
-// the int64 cells' bound, 2^40-1 and 2^40, and 2^64-1, in narrow, wide
-// and mixed blocks, so the builder gets narrow and wide chunks
-// interleaved, and in count mode narrow input beside wide output. Among the plans are all three lane
-// kernels', at g = 1 and grouped: the 15×4 default takes five lanes at
-// 8 191 pairs and three at 8 192, 6×32 six lanes at 8 191 and three at
-// 8 192. A builder fed one pair at a time re-plans as its count grows,
-// through every plan of its configuration.
+// 256- and 8192-pair chunks and whole. The edge shape has values either
+// side of the int64 cells' bound, 2^40-1 and 2^40, and 2^64-1, in
+// narrow, wide and mixed blocks, so the builder gets narrow and wide
+// chunks interleaved, and in count mode narrow input beside wide
+// output. Among the plans are both lane kernels', at g = 1 (5×64 and
+// 3×1024) and grouped: the 15×4 default takes five lanes at 8 191
+// pairs and three at 8 192. A builder fed one pair at a time re-plans
+// as its count grows, through every plan of its configuration.
 func TestGroupedAccumulateMatchesScalar(t *testing.T) {
 	// lanesAt records, per lane kernel, the group sizes it ran at.
-	lanesAt := map[int]map[int]bool{6: {}, 5: {}, 3: {}}
+	lanesAt := map[int]map[int]bool{5: {}, 3: {}}
 	defer func() {
 		for lanes, gs := range lanesAt {
 			if !gs[1] || len(gs) < 2 {
@@ -214,7 +221,7 @@ func TestGroupedAccumulateMatchesScalar(t *testing.T) {
 		c := NewSumChecker(cfg, seed)
 		lengths := planLengths(c)
 		for _, n := range lengths {
-			g := c.planFor(n)
+			g := planOf(c, n)
 			for _, gr := range c.appendPlan(g, nil) {
 				if gr.lanes != 0 {
 					lanesAt[gr.lanes][g] = true
@@ -235,8 +242,7 @@ func TestGroupedAccumulateMatchesScalar(t *testing.T) {
 					want := scalarTable(c, pairs, count)
 					what := fmt.Sprintf("%s n=%d count=%v", shape, n, count)
 
-					fc := newSumChecker(cfg, seed, false, c.planFor(n))
-					requireTable(t, c, runInto(fc, fc.NewTable(), pairs, feedOf(count)), want, what)
+					requireTable(t, c, runInto(c, c.NewTable(), pairs, feedOf(count)), want, what)
 
 					r := sumRun{c: c, table: c.NewTable()}
 					r.add(pairs[:n/3], feedOf(count))
@@ -271,32 +277,37 @@ func TestGroupedAccumulateMatchesScalar(t *testing.T) {
 }
 
 // TestGroupSizeRule pins the plan: a pure function of (width, perHash,
-// its, n) with the three limits the kernel's comment states and its
-// preference for a lane kernel's shape.
+// its, n) with the floor and the three limits the kernel's comment
+// states and its preference for a lane kernel's shape.
 func TestGroupSizeRule(t *testing.T) {
 	cases := []struct{ width, perHash, its, n, want int }{
 		{5, 6, 6, 125000, 2}, // 6×32 CRC, the benchmark's share: three lanes
 		{5, 6, 6, 8192, 2},
-		{5, 6, 6, 8191, 1}, // the n/8 rule: six lanes
-		{5, 6, 6, 256, 1},  // a stream chunk
+		{5, 6, 6, 8191, 1}, // the n/8 rule: six passes
+		{5, 6, 6, 256, 1},  // a stream chunk, planned as two blocks
 		{5, 6, 6, 0, 1},
 		{2, 16, 15, 125000, 5}, // 15×4 CRC, the default: three lanes
 		{2, 16, 15, 8192, 5},
 		{2, 16, 15, 8191, 3}, // four 8-bit groups have no lane kernel, five 6-bit ones do
 		{2, 16, 15, 2000, 3}, // a service job's share
-		{2, 16, 15, 511, 2},  // no lane kernel at or below g = 2
-		{2, 16, 15, 127, 1},
+		{2, 16, 15, 512, 3},
+		{2, 16, 15, 511, 3}, // the floor: n reads as two blocks
+		{2, 16, 15, 0, 3},
 		{1, 32, 30, 1 << 30, 10}, // the L1 cap: three lanes
 		{1, 32, 30, 8191, 6},     // nine 1-bit iterations: five lanes of six
-		{1, 32, 30, 511, 5},      // six lanes of five
+		{1, 32, 30, 511, 6},
 		{3, 10, 3, 4096, 3},
 		{3, 10, 3, 4095, 2},
-		{3, 10, 3, 511, 1},
+		{3, 10, 3, 511, 2},
 		{1, 32, 32, 8192, 10},
-		{1, 3, 3, 1 << 30, 3}, // the hash boundary
+		{1, 3, 3, 1 << 30, 3},  // the hash boundary
+		{1, 32, 1, 1 << 30, 1}, // one iteration: the iteration cap
+		{1, 32, 4, 1 << 30, 4},
+		{2, 16, 4, 8192, 4},
+		{2, 16, 4, 2047, 3},
 		{8, 8, 8, 1 << 30, 1},
 		{12, 2, 2, 1 << 30, 1}, // wider than the cap
-		{6, 1, 6, 1 << 30, 1},  // one hash per iteration (the ablation seam)
+		{6, 1, 6, 1 << 30, 1},  // one hash per iteration (a family cut to the bucket width)
 	}
 	for _, cs := range cases {
 		if got := groupSize(cs.width, cs.perHash, cs.its, cs.n); got != cs.want {
@@ -366,6 +377,50 @@ func TestBuilderPlansLanesFromFirstChunk(t *testing.T) {
 			}
 		}
 		b.Seal()
+	}
+}
+
+// TestRunReplansOnlyIntoNewPlans feeds one run 256-pair chunks up to
+// 10 000 pairs and counts its re-plans, each a fold of the cells: every
+// one must change the groups. A group never spans more iterations than
+// one hash value serves, so 1×2 (one iteration) and 4×2 (four 1-bit
+// ones, one group from the floor on) never re-plan, 4×4 CRC m5
+// re-plans once (g = 3 to its four iterations at 2 048 pairs) and the
+// default once, into the bulk plan at 8 192.
+func TestRunReplansOnlyIntoNewPlans(t *testing.T) {
+	pairs := kernelPairs("small", 10000, 1)
+	for _, cs := range []struct {
+		name    string
+		replans int
+	}{
+		{"1×2 CRC m31", 0},
+		{"4×2 Tab m4", 0},
+		{"4×4 CRC m5", 1},
+		{"15×4 CRC m10", 1},
+	} {
+		cfg, err := parseSumConfig(cs.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewSumChecker(cfg, 1)
+		r := sumRun{c: c, table: c.NewTable()}
+		replans := 0
+		var prev []group
+		for lo := 0; lo < len(pairs); lo += accBlock {
+			g := r.g
+			r.add(pairs[lo:min(lo+accBlock, len(pairs))], sumFeed)
+			if g != 0 && r.g != g {
+				replans++
+				if slices.Equal(prev, r.s.plan) {
+					t.Errorf("%s after %d pairs: re-planned g = %d to %d, the same groups", cs.name, lo+accBlock, g, r.g)
+				}
+			}
+			prev = slices.Clone(r.s.plan)
+		}
+		r.finish()
+		if replans != cs.replans {
+			t.Errorf("%s: %d re-plans over %d pairs, want %d", cs.name, replans, len(pairs), cs.replans)
+		}
 	}
 }
 
@@ -686,7 +741,7 @@ func TestSumCheckerEscapeRateWithinDelta(t *testing.T) {
 		{Iterations: 2, Buckets: 4, RHatLog: 3, Family: hashing.FamilyTab}, // 0.14
 		{Iterations: 4, Buckets: 2, RHatLog: 4, Family: hashing.FamilyTab}, // 0.10
 	} {
-		if c := NewSumChecker(cfg, 0); c.planFor(n) < 2 {
+		if planOf(NewSumChecker(cfg, 0), n) < 2 {
 			t.Fatalf("%s: an input of %d pairs takes g = 1, the test means to run a grouped plan", cfg.Name(), n)
 		}
 		routes = append(routes, route{cfg, 0, trials})

@@ -189,26 +189,39 @@ func TestAccuracyPermCRCIncrementAnomaly(t *testing.T) {
 // smallConfig is the one checker configuration of the small sweeps.
 var smallConfig = []core.SumConfig{{Iterations: 5, Buckets: 16, RHatLog: 5, Family: hashing.FamilyCRC}}
 
+// TestWeakScalingSmall bounds the checked-over-CheckOff wall-clock
+// ratio of a small sweep. One timed run a side is at the mercy of
+// whatever else the machine runs, so each point's ratio is the best of
+// three sweeps, every point warmed first: the fastest-of-repeats
+// estimator timedRows uses.
 func TestWeakScalingSmall(t *testing.T) {
-	rows, err := Sweep(SweepOptions{
-		Points:  Grid([]int{1, 2, 4}, 2000),
-		Configs: []core.SumConfig{{Iterations: 4, Buckets: 16, RHatLog: 5, Family: hashing.FamilyCRC}},
-		Repeats: 1,
-		Seed:    4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows", len(rows))
-	}
-	for _, r := range rows {
-		ratio := r.CheckedSec / r.BaseSec
-		if r.BaseSec <= 0 || ratio <= 0 {
-			t.Fatalf("nonpositive timing: %+v", r)
+	best := map[int]float64{}
+	for range 3 {
+		rows, err := Sweep(SweepOptions{
+			Points:  Grid([]int{1, 2, 4}, 2000),
+			Configs: []core.SumConfig{{Iterations: 4, Buckets: 16, RHatLog: 5, Family: hashing.FamilyCRC}},
+			Repeats: 1,
+			Seed:    4,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(rows) != 3 {
+			t.Fatalf("got %d rows", len(rows))
+		}
+		for _, r := range rows {
+			ratio := r.CheckedSec / r.BaseSec
+			if r.BaseSec <= 0 || ratio <= 0 {
+				t.Fatalf("nonpositive timing: %+v", r)
+			}
+			if b, ok := best[r.P]; !ok || ratio < b {
+				best[r.P] = ratio
+			}
+		}
+	}
+	for p, ratio := range best {
 		if ratio > 5 {
-			t.Errorf("checker overhead ratio %.2f implausibly high at p=%d", ratio, r.P)
+			t.Errorf("checker overhead ratio %.2f (best of three sweeps) implausibly high at p=%d", ratio, p)
 		}
 	}
 }
